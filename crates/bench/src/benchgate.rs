@@ -10,7 +10,9 @@
 //! schema, or no longer satisfies the invariants the CI smokes rely on:
 //!
 //! * `BENCH_clustering.json` — harness rows well-formed, dense-200
-//!   speedup vs the naive reference ≥ 1.0;
+//!   speedup vs the naive reference ≥ 5, and the replicated MySQL
+//!   fleet's cost growing at most 6× from 40 to 80 copies (quadratic
+//!   is 4; the pre-cache merge loop measured ≈ 7);
 //! * `BENCH_sim.json` — harness rows well-formed, every protocol's 100k
 //!   speedup vs the string-keyed reference ≥ 1.0, the parallel w1/w8
 //!   rows present with the 1M w8-vs-w1 speedup above its regression
@@ -215,12 +217,19 @@ pub fn check(kind: BenchKind, text: &str) -> Result<Vec<String>, GateError> {
             }
             notes.push(format!("{} harness rows well-formed", rows.len()));
             let speedup = num(&doc, "dense_200_speedup_vs_reference")?;
-            if speedup < 1.0 {
+            if speedup < 5.0 {
                 return Err(fail(format!(
-                    "dense-200 speedup vs reference regressed below 1.0 ({speedup})"
+                    "dense-200 speedup vs reference regressed below the 5x floor ({speedup})"
                 )));
             }
             notes.push(format!("dense-200 speedup vs reference: {speedup:.2}x"));
+            let growth = num(&doc, "mysql_x80_over_x40")?;
+            if growth > 6.0 {
+                return Err(fail(format!(
+                    "mysql-x80 over mysql-x40 grew past the 6x ceiling ({growth}); quadratic is 4"
+                )));
+            }
+            notes.push(format!("mysql-x80 over mysql-x40: {growth:.2}x"));
         }
         BenchKind::Sim => {
             let rows = results(&doc)?;
@@ -701,14 +710,18 @@ mod tests {
         )
     }
 
+    fn clustering_doc(speedup: f64, growth: f64) -> String {
+        format!(
+            "{{\"suite\": \"clustering-perf\", \"results\": [{}], \
+             \"dense_200_speedup_vs_reference\": {speedup}, \
+             \"mysql_x80_over_x40\": {growth}}}",
+            harness_row("clustering/scaling/dense-200")
+        )
+    }
+
     #[test]
     fn valid_documents_pass() {
-        let clustering = format!(
-            "{{\"suite\": \"clustering-perf\", \"results\": [{}], \
-             \"dense_200_speedup_vs_reference\": 11.6}}",
-            harness_row("clustering/scaling/dense-200")
-        );
-        assert!(check(BenchKind::Clustering, &clustering).is_ok());
+        assert!(check(BenchKind::Clustering, &clustering_doc(11.6, 4.1)).is_ok());
 
         let notes = check(BenchKind::Sim, &sim_doc(1.7)).unwrap();
         assert!(
@@ -733,7 +746,7 @@ mod tests {
         let two_samples = "{\"suite\": \"clustering-perf\", \"results\": [\
              {\"name\": \"r\", \"samples\": 2, \"min_ns\": 100, \"p50_ns\": 120, \
              \"mean_ns\": 130, \"max_ns\": 200}], \
-             \"dense_200_speedup_vs_reference\": 2.0}";
+             \"dense_200_speedup_vs_reference\": 11.6, \"mysql_x80_over_x40\": 4.1}";
         let err = check(BenchKind::Clustering, two_samples).unwrap_err();
         assert!(err.to_string().contains("\"scale\": true"), "{err}");
 
@@ -808,6 +821,16 @@ mod tests {
         // Speedup edited below 1.0.
         let err = check(BenchKind::Urr, &urr_doc(0.4)).unwrap_err();
         assert!(err.to_string().contains("below 1.0"), "{err}");
+
+        // Clustering: the dense-200 floor, and a merge loop gone
+        // super-quadratic again on the replicated MySQL fleet.
+        let err = check(BenchKind::Clustering, &clustering_doc(4.2, 4.1)).unwrap_err();
+        assert!(err.to_string().contains("5x floor"), "{err}");
+        let err = check(BenchKind::Clustering, &clustering_doc(11.6, 7.0)).unwrap_err();
+        assert!(err.to_string().contains("6x ceiling"), "{err}");
+        let no_growth = clustering_doc(11.6, 4.1).replace("mysql_x80_over_x40", "renamed");
+        let err = check(BenchKind::Clustering, &no_growth).unwrap_err();
+        assert!(err.to_string().contains("mysql_x80_over_x40"), "{err}");
 
         // A non-converged sweep row.
         let faults = "{\"suite\": \"fault-sweep\", \"results\": [\

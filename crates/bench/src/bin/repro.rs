@@ -2454,8 +2454,14 @@ fn sim_perf(csv: Option<&std::path::Path>) {
 }
 
 /// Benchmarks the clustering hot path (dense fleets, one original
-/// cluster each, diameter 2) and writes `BENCH_clustering.json` — into
-/// the `--csv` directory when given, the working directory otherwise.
+/// cluster each, diameter 2, and the replicated Table 2 MySQL fleet,
+/// diameter 3) and writes `BENCH_clustering.json` — into the `--csv`
+/// directory when given, the working directory otherwise.
+///
+/// The MySQL rows are the campaign benchmark's `plan_mysql` shape —
+/// every machine of the paper's fleet copied 40× and 80× — and their
+/// ratio is the measured growth exponent: 4 is quadratic, and
+/// `bench-check` fails the committed document above 6.
 ///
 /// Alongside the fast-path numbers, the retained pre-PR naive QT loop
 /// ([`mirage_cluster::qt_cluster_indices_reference`]) is benchmarked on
@@ -2486,7 +2492,7 @@ fn clustering_perf(csv: Option<&std::path::Path>) {
 
     let mut h = Harness::new("clustering-perf");
     let engine = ClusterEngine::new(2);
-    for &n in &[200usize, 500, 1000] {
+    for &n in &[200usize, 500, 1000, 2000] {
         let dense = population(n, 1);
         h.bench(&format!("clustering/scaling/dense-{n}"), || {
             engine.cluster(&dense).len()
@@ -2496,6 +2502,23 @@ fn clustering_perf(csv: Option<&std::path::Path>) {
     h.bench("clustering/scaling/spread-1000", || {
         engine.cluster(&spread).len()
     });
+    let table2 = mirage_scenarios::mysql::MySqlScenario::with_full_parsers();
+    let mysql_engine = ClusterEngine::new(table2.vendor.diameter);
+    let originals = table2.fleet_inputs();
+    for &replicas in &[40usize, 80] {
+        let fleet: Vec<MachineInfo> = (0..replicas)
+            .flat_map(|replica| {
+                originals.iter().map(move |m| {
+                    let mut copy = m.clone();
+                    copy.diff.machine = format!("{}#{replica:02}", m.id());
+                    copy
+                })
+            })
+            .collect();
+        h.bench(&format!("clustering/scaling/mysql-x{replicas}"), || {
+            mysql_engine.cluster(&fleet).len()
+        });
+    }
     // The pre-PR naive phase-2 loop on the same dense-200 fleet.
     let dense200 = population(200, 1);
     let refs: Vec<&MachineInfo> = dense200.iter().collect();
@@ -2507,6 +2530,7 @@ fn clustering_perf(csv: Option<&std::path::Path>) {
     let mut json = String::from("{\n  \"suite\": \"clustering-perf\",\n");
     json.push_str(
         "  \"note\": \"dense-N = one original cluster of N machines, diameter 2; \
+         mysql-xR = the paper's Table 2 MySQL fleet (21 machines, diameter 3) copied R times; \
          dense-200-reference-qt = the retained pre-PR naive QT loop on the same fleet\",\n",
     );
     json.push_str("  \"results\": [\n");
@@ -2533,10 +2557,14 @@ fn clustering_perf(csv: Option<&std::path::Path>) {
     let fast = find("clustering/scaling/dense-200");
     let reference = find("clustering/scaling/dense-200-reference-qt");
     let speedup = reference.min_ns as f64 / fast.min_ns.max(1) as f64;
+    let growth = find("clustering/scaling/mysql-x80").min_ns as f64
+        / find("clustering/scaling/mysql-x40").min_ns.max(1) as f64;
     json.push_str(&format!(
-        "  \"dense_200_speedup_vs_reference\": {speedup:.2}\n}}\n"
+        "  \"dense_200_speedup_vs_reference\": {speedup:.2},\n  \
+         \"mysql_x80_over_x40\": {growth:.2}\n}}\n"
     ));
     println!("=> dense-200 fast path is {speedup:.2}x the naive reference (min-over-min)");
+    println!("=> mysql-x80 costs {growth:.2}x mysql-x40 (min-over-min; quadratic is 4)");
 
     let path = csv
         .map(|d| d.join("BENCH_clustering.json"))

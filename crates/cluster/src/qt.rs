@@ -22,20 +22,27 @@
 //!    `u32` through an [`ItemPool`]; pairwise distances are sorted-merge
 //!    counts over integer slices ([`LoweredDiff::distance`]), with no
 //!    string comparisons or `BTreeSet` walks.
-//! 2. **Parallel distance matrix** — the O(n²) pairwise matrix is
-//!    filled with `std::thread::scope` over round-robin row chunks
-//!    (std-only) once the input is large enough to amortise thread
-//!    spawns. The result is bit-identical to the sequential fill and
-//!    `cluster.distance_evals` stays exact (upper triangle only).
-//! 3. **Incremental merge aggregates** — instead of recomputing each
-//!    candidate merge's (sum, max, pairs) from scratch every greedy
-//!    iteration (O(k²·m²)), per-pair aggregates are maintained
+//! 2. **Parallel distance matrix** — the n(n−1)/2 pairwise distances
+//!    (upper triangle only, which is what `cluster.distance_evals`
+//!    counts) are filled with `std::thread::scope` over round-robin row
+//!    chunks (std-only) once the input is large enough to amortise
+//!    thread spawns. The result is bit-identical to the sequential fill.
+//! 3. **Incremental merge aggregates, integer tie-break, and a
+//!    nearest-partner cache** — instead of recomputing each candidate
+//!    merge's (sum, max, pairs) from scratch every greedy iteration
+//!    (O(k²·m²)), per-pair aggregates are maintained
 //!    Lance–Williams-style: `sum(A∪B,C) = sum(A,C) + sum(B,C)` and
-//!    `max(A∪B,C) = max(max(A,C), max(B,C))`, so one iteration is a
-//!    scan over cached candidate averages (O(k²) comparisons, O(k)
-//!    aggregate updates). The canonical tie-break key (sorted member
-//!    ids) is maintained incrementally by merging sorted id lists, and
-//!    is only materialised when two candidates tie on average distance.
+//!    `max(A∪B,C) = max(max(A,C), max(B,C))`. Machines are ranked by id
+//!    once and a merge keeps the lower-ranked slot, so the canonical
+//!    tie-break key (sorted member ids) of a candidate is just its
+//!    sorted slot pair (`tie_key` has the proof) — no id list is ever
+//!    built or compared. Each slot caches its nearest partner among the
+//!    higher slots; an iteration picks the best of the k cached rows,
+//!    does O(k) aggregate updates and O(1) work per row, and rescans
+//!    only the rows whose cached partner was merged away *and* got
+//!    worse (`cluster.qt_row_rescans`). On fleets of replicated
+//!    machines — what staged deployment clusters for — nothing gets
+//!    worse (every average is 0), so the whole loop is O(n²).
 //!
 //! The original naive merge loop survives as
 //! [`qt_cluster_indices_reference`]; seeded property tests assert the
@@ -57,6 +64,12 @@ const PARALLEL_THRESHOLD: usize = 64;
 /// Returns groups of indexes into `machines`, each sorted, in
 /// deterministic order. `diameter = 0` merges only machines with
 /// identical content items.
+///
+/// Ties between candidate merges break on the machine ids, so the
+/// grouping does not depend on input order as long as ids are distinct.
+/// Machines sharing an id are ordered among themselves by input
+/// position: still deterministic, but no longer permutation-invariant,
+/// and not comparable with [`qt_cluster_indices_reference`].
 pub fn qt_cluster_indices(machines: &[&MachineInfo], diameter: usize) -> Vec<Vec<usize>> {
     qt_cluster_indices_instrumented(machines, diameter, &Telemetry::noop())
 }
@@ -64,9 +77,11 @@ pub fn qt_cluster_indices(machines: &[&MachineInfo], diameter: usize) -> Vec<Vec
 /// [`qt_cluster_indices`] with instrumentation attached.
 ///
 /// Records the `cluster.distance_evals` counter (pairwise fingerprint
-/// distance computations) and one `cluster.qt_merges` count per greedy
-/// merge iteration. The clustering result is identical to the
-/// uninstrumented call, and identical whether the distance matrix was
+/// distance computations), one `cluster.qt_merges` count per greedy
+/// merge iteration, and `cluster.qt_row_rescans`, the rows the
+/// nearest-partner cache had to rescan (per merge, its miss rate). The
+/// clustering result is identical to the uninstrumented call, and
+/// result and counters are identical whether the distance matrix was
 /// filled sequentially or in parallel.
 pub fn qt_cluster_indices_instrumented(
     machines: &[&MachineInfo],
@@ -101,41 +116,68 @@ fn qt_cluster_indices_inner(
     if n == 0 {
         return Vec::new();
     }
+    // Slot `s` is the machine of rank `s`; everything below works on
+    // slots, which makes the canonical tie-break integer compares.
+    let order = canonical_order(machines);
 
     // Layer 1: lower every content diff onto interned u32 ids.
     let mut pool = ItemPool::new();
-    let lowered: Vec<LoweredDiff> = machines
+    let lowered: Vec<LoweredDiff> = order
         .iter()
-        .map(|m| pool.lower(&m.diff.content))
+        .map(|&i| pool.lower(&machines[i].diff.content))
         .collect();
 
-    // Layer 2: pairwise distance matrix (symmetric, zero diagonal).
+    // Layer 2: pairwise distances, upper triangle.
     let dist = distance_matrix(&lowered, allow_parallel);
     if n > 1 {
         telemetry.counter("cluster.distance_evals", (n * (n - 1) / 2) as u64);
     }
 
     // Layer 3: greedy QT merging over incremental aggregates.
-    merge_loop(machines, diameter, dist, telemetry)
+    let mut groups: Vec<Vec<usize>> = merge_loop(diameter, dist, telemetry)
+        .into_iter()
+        .map(|slots| {
+            let mut group: Vec<usize> = slots.into_iter().map(|s| order[s]).collect();
+            group.sort_unstable();
+            group
+        })
+        .collect();
+    groups.sort();
+    groups
 }
 
-/// Fills the full symmetric distance matrix from lowered diffs.
+/// Input indices in `(id, input index)` order. Distinct ids order
+/// exactly as their strings compare; a repeated id falls back to input
+/// order, so the order is always strict.
+fn canonical_order(machines: &[&MachineInfo]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..machines.len()).collect();
+    order.sort_unstable_by_key(|&i| (machines[i].id(), i));
+    order
+}
+
+/// Row and offset of the unordered slot pair `{x, y}` in an
+/// upper-triangle matrix: row `lo` holds `(lo, hi)` at `hi - lo - 1`.
+fn pair(x: usize, y: usize) -> (usize, usize) {
+    let (lo, hi) = if x < y { (x, y) } else { (y, x) };
+    (lo, hi - lo - 1)
+}
+
+/// Fills the upper triangle of the distance matrix from lowered diffs:
+/// row `i` holds the distances to `i + 1..n` (see [`pair`]).
 ///
-/// Only the upper triangle is computed (n·(n−1)/2 kernel calls — the
-/// exact number `cluster.distance_evals` reports); the lower triangle is
-/// mirrored afterwards. With `allow_parallel` and a large enough input,
-/// rows are distributed round-robin over `available_parallelism`
-/// scoped threads; round-robin balances the shrinking triangle rows.
-// The mirror pass writes both (i, j) and (j, i); that symmetric double
-// indexing has no iterator form, hence the range loops.
-#[allow(clippy::needless_range_loop)]
+/// That is n·(n−1)/2 kernel calls — the exact number
+/// `cluster.distance_evals` reports. With `allow_parallel` and a large
+/// enough input, rows are distributed round-robin over
+/// `available_parallelism` scoped threads; round-robin balances the
+/// shrinking triangle rows, and the values are identical either way,
+/// so the threaded fill cannot change the clustering.
 fn distance_matrix(lowered: &[LoweredDiff], allow_parallel: bool) -> Vec<Vec<u32>> {
     let n = lowered.len();
-    let mut rows: Vec<Vec<u32>> = (0..n).map(|_| vec![0u32; n]).collect();
+    let mut rows: Vec<Vec<u32>> = (0..n).map(|i| vec![0u32; n - i - 1]).collect();
     let threads = crate::par::worker_count(n, PARALLEL_THRESHOLD, allow_parallel);
     let fill_row = |i: usize, row: &mut [u32]| {
-        for (j, slot) in row.iter_mut().enumerate().skip(i + 1) {
-            *slot = lowered[i].distance(&lowered[j]) as u32;
+        for (slot, other) in row.iter_mut().zip(&lowered[i + 1..]) {
+            *slot = lowered[i].distance(other) as u32;
         }
     };
     if threads <= 1 {
@@ -152,200 +194,205 @@ fn distance_matrix(lowered: &[LoweredDiff], allow_parallel: bool) -> Vec<Vec<u32
             fill_row(i, row)
         });
     }
-    // Mirror the upper triangle; values are identical either way, so
-    // the threaded fill cannot change the clustering.
-    for i in 0..n {
-        for j in (i + 1)..n {
-            rows[j][i] = rows[i][j];
-        }
-    }
     rows
 }
 
-/// Greedy QT merge loop over incrementally maintained aggregates.
+/// The canonical tie-break key of the candidate merging two disjoint
+/// clusters whose lowest-ranked members have ranks `x` and `y`.
 ///
-/// State per active cluster slot: sorted member indices, sorted
-/// member-id tie-break key, intra-cluster distance sum and max. State
-/// per slot pair: cross sum/max of member distances plus the cached
-/// candidate average (`f64::INFINITY` when the merged diameter would
-/// exceed the bound). A merge updates only the surviving slot's row and
-/// column; every other candidate is untouched, so each iteration costs
-/// one O(k²) comparison scan instead of O(k²·m²) recomputation.
-// The paired cross-sum/cross-max/candidate matrices are written at both
-// (a, b) and (b, a); that symmetric double indexing has no iterator form,
-// hence the range loops.
-#[allow(clippy::needless_range_loop)]
-fn merge_loop(
-    machines: &[&MachineInfo],
-    diameter: usize,
-    dist: Vec<Vec<u32>>,
-    telemetry: &Telemetry,
-) -> Vec<Vec<usize>> {
-    let n = machines.len();
-    // Per-slot state (slots are compacted with swap_remove on merge;
-    // slot order never affects the result because candidate selection
-    // is canonical on (average, member-id key)).
-    let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-    let mut keys: Vec<Vec<&str>> = (0..n).map(|i| vec![machines[i].id()]).collect();
-    let mut intra_sum: Vec<u64> = vec![0; n];
-    let mut intra_max: Vec<u32> = vec![0; n];
-    let mut sizes: Vec<usize> = vec![1; n];
-    // Per-pair aggregates (full symmetric matrices, zero diagonal).
-    let mut cross_max: Vec<Vec<u32>> = dist.clone();
-    let mut cross_sum: Vec<Vec<u64>> = dist
-        .into_iter()
-        .map(|row| row.into_iter().map(u64::from).collect())
-        .collect();
-    // Cached candidate average for each pair; infinity = infeasible.
-    let mut cand: Vec<Vec<f64>> = vec![vec![f64::INFINITY; n]; n];
+/// Keys compare exactly as the merged clusters' sorted member-id lists
+/// compare lexicographically (what [`qt_cluster_indices_reference`]
+/// materialises). Two distinct candidates over disjoint clusters either
+/// share no cluster — then their unions are disjoint and the sorted
+/// lists differ at their first element, the smaller rank of each pair —
+/// or share one cluster `s` and differ in the other, `p` against `q`
+/// with `min(p) < min(q)`: both lists agree on the members of `s`
+/// below `min(p)`, then `s ∪ p` continues with `min(p)` while `s ∪ q`
+/// continues with something larger (it has no member of rank `min(p)`
+/// and cannot end there, `q` lying wholly above), so `s ∪ p` sorts
+/// first. Comparing `(smaller, larger)` decides both cases.
+///
+/// A merge keeps the lower slot, so a cluster's slot *is* its lowest
+/// member rank and the key of a slot pair is the pair itself, sorted.
+fn tie_key(x: usize, y: usize) -> (usize, usize) {
+    (x.min(y), x.max(y))
+}
 
-    // Exactly the naive implementation's arithmetic: sum/pairs in f64
-    // over the merged cluster's full pair set, so averages (and thus tie
-    // structure) are bit-identical to [`qt_cluster_indices_reference`].
-    let candidate_avg = |a: usize,
-                         b: usize,
-                         intra_sum: &[u64],
-                         intra_max: &[u32],
-                         sizes: &[usize],
-                         cross_sum: &[Vec<u64>],
-                         cross_max: &[Vec<u32>]|
-     -> f64 {
-        let max_d = cross_max[a][b].max(intra_max[a]).max(intra_max[b]);
-        if max_d as usize > diameter {
-            return f64::INFINITY;
-        }
-        let sum = intra_sum[a] + intra_sum[b] + cross_sum[a][b];
-        let merged = sizes[a] + sizes[b];
-        let pairs = merged * (merged - 1) / 2;
-        if pairs == 0 {
-            0.0
-        } else {
-            sum as f64 / pairs as f64
-        }
+/// A slot's cached nearest partner among the *higher* slots: the
+/// candidate minimising `(avg, slot)` — the derived order, fields in
+/// declaration order, and for a fixed lower slot the canonical `(avg,
+/// tie_key)` order. An infinite `avg` means no feasible partner.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+struct Nearest {
+    avg: f64,
+    slot: usize,
+}
+
+impl Nearest {
+    /// The identity of the row minimum: no candidate orders after it.
+    const NONE: Nearest = Nearest {
+        avg: f64::INFINITY,
+        slot: usize::MAX,
     };
+}
 
-    for a in 0..n {
-        for b in (a + 1)..n {
-            let avg = candidate_avg(a, b, &intra_sum, &intra_max, &sizes, &cross_sum, &cross_max);
-            cand[a][b] = avg;
-            cand[b][a] = avg;
-        }
+/// Per-slot and per-slot-pair aggregates of the greedy merge. Slots
+/// never move; a merged-away slot just leaves the active list.
+struct Aggregates {
+    diameter: usize,
+    sizes: Vec<usize>,
+    intra_sum: Vec<u64>,
+    intra_max: Vec<u32>,
+    /// Sum / max of member distances across each slot pair, upper
+    /// triangle (see [`pair`]).
+    cross_sum: Vec<Vec<u64>>,
+    cross_max: Vec<Vec<u32>>,
+}
+
+impl Aggregates {
+    /// Slot `lo`'s candidate `hi` (`lo < hi`): the average pairwise
+    /// distance of the merged cluster, or infinity when its diameter
+    /// would exceed the bound. Exactly the naive implementation's
+    /// arithmetic — sum/pairs in f64 over the merged cluster's full
+    /// pair set — so averages (and thus tie structure) are
+    /// bit-identical to [`qt_cluster_indices_reference`].
+    fn candidate(&self, lo: usize, hi: usize) -> Nearest {
+        let off = hi - lo - 1;
+        let max_d = self.cross_max[lo][off]
+            .max(self.intra_max[lo])
+            .max(self.intra_max[hi]);
+        let avg = if max_d as usize > self.diameter {
+            f64::INFINITY
+        } else {
+            let sum = self.intra_sum[lo] + self.intra_sum[hi] + self.cross_sum[lo][off];
+            let merged = self.sizes[lo] + self.sizes[hi];
+            sum as f64 / (merged * (merged - 1) / 2) as f64
+        };
+        Nearest { avg, slot: hi }
     }
 
-    let mut k = n;
-    while k > 1 {
-        // Select the candidate minimising (average, canonical member-id
-        // key). Distinct pairs always have distinct keys (clusters are
-        // disjoint), so the minimum is unique and independent of slot
-        // iteration order.
-        let mut best: Option<(f64, usize, usize)> = None;
-        let mut best_key: Option<Vec<&str>> = None;
-        for a in 0..k {
-            for (off, &avg) in cand[a][(a + 1)..k].iter().enumerate() {
-                let b = a + 1 + off;
-                if avg.is_infinite() {
-                    continue;
-                }
-                match best {
-                    None => {
-                        best = Some((avg, a, b));
-                        best_key = None;
-                    }
-                    Some((b_avg, b_a, b_b)) => {
-                        if avg < b_avg {
-                            best = Some((avg, a, b));
-                            best_key = None;
-                        } else if avg == b_avg {
-                            // Materialise keys only on a genuine tie.
-                            let key = merge_sorted(&keys[a], &keys[b]);
-                            let cur = best_key
-                                .get_or_insert_with(|| merge_sorted(&keys[b_a], &keys[b_b]));
-                            if key < *cur {
-                                best = Some((avg, a, b));
-                                best_key = Some(key);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let Some((_, a, b)) = best else { break };
-        telemetry.counter("cluster.qt_merges", 1);
+    /// Scans slot `lo`'s row — `above`, the active slots past it — for
+    /// its nearest partner.
+    fn nearest(&self, lo: usize, above: &[usize]) -> Nearest {
+        above
+            .iter()
+            .map(|&hi| self.candidate(lo, hi))
+            .fold(
+                Nearest::NONE,
+                |best, cand| if cand < best { cand } else { best },
+            )
+    }
 
-        // Merge slot b into slot a: Lance–Williams aggregate updates.
-        intra_max[a] = intra_max[a].max(intra_max[b]).max(cross_max[a][b]);
-        intra_sum[a] = intra_sum[a] + intra_sum[b] + cross_sum[a][b];
-        sizes[a] += sizes[b];
-        let members_b = std::mem::take(&mut members[b]);
-        members[a].extend(members_b);
-        members[a].sort_unstable();
-        let keys_b = std::mem::take(&mut keys[b]);
-        keys[a] = merge_sorted(&keys[a], &keys_b);
-        for c in 0..k {
-            if c == a || c == b {
-                continue;
-            }
-            let sum = cross_sum[a][c] + cross_sum[b][c];
-            cross_sum[a][c] = sum;
-            cross_sum[c][a] = sum;
-            let max = cross_max[a][c].max(cross_max[b][c]);
-            cross_max[a][c] = max;
-            cross_max[c][a] = max;
-        }
-
-        // Compact slot b out of every slot-indexed structure. swap_remove
-        // relocates the last slot into b consistently across rows and
-        // columns; relocated pairs keep their cached candidates.
-        members.swap_remove(b);
-        keys.swap_remove(b);
-        intra_sum.swap_remove(b);
-        intra_max.swap_remove(b);
-        sizes.swap_remove(b);
-        cross_sum.swap_remove(b);
-        cross_max.swap_remove(b);
-        cand.swap_remove(b);
-        for row in cross_sum.iter_mut() {
-            row.swap_remove(b);
-        }
-        for row in cross_max.iter_mut() {
-            row.swap_remove(b);
-        }
-        for row in cand.iter_mut() {
-            row.swap_remove(b);
-        }
-        k -= 1;
-
-        // Only candidates involving the merged slot changed.
-        for c in 0..k {
+    /// Folds slot `b` into slot `a` (Lance–Williams updates) and frees
+    /// `b`'s matrix rows. `active` no longer lists `b`.
+    fn merge(&mut self, a: usize, b: usize, active: &[usize]) {
+        let (row, off) = pair(a, b);
+        self.intra_max[a] = self.intra_max[a]
+            .max(self.intra_max[b])
+            .max(self.cross_max[row][off]);
+        self.intra_sum[a] += self.intra_sum[b] + self.cross_sum[row][off];
+        self.sizes[a] += self.sizes[b];
+        for &c in active {
             if c == a {
                 continue;
             }
-            let avg = candidate_avg(a, c, &intra_sum, &intra_max, &sizes, &cross_sum, &cross_max);
-            cand[a][c] = avg;
-            cand[c][a] = avg;
+            let (from_row, from_off) = pair(c, b);
+            let (to_row, to_off) = pair(c, a);
+            self.cross_sum[to_row][to_off] += self.cross_sum[from_row][from_off];
+            self.cross_max[to_row][to_off] =
+                self.cross_max[to_row][to_off].max(self.cross_max[from_row][from_off]);
         }
+        self.cross_sum[b] = Vec::new();
+        self.cross_max[b] = Vec::new();
     }
-
-    members.sort();
-    members
 }
 
-/// Merges two sorted string-slice lists into one sorted list.
-fn merge_sorted<'a>(a: &[&'a str], b: &[&'a str]) -> Vec<&'a str> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
+/// Greedy QT merge loop over incrementally maintained aggregates and a
+/// nearest-partner cache; returns the groups as slot lists.
+///
+/// Every iteration performs the feasible merge minimising `(average,
+/// tie_key)`. Each slot caches its nearest partner among the higher
+/// slots, so every pair belongs to exactly one row and the global
+/// minimum is the best of the k cached rows. Merging `b` into the lower
+/// slot `a` changes only the pairs involving `a` or `b`: row `a` is
+/// rebuilt; a row below `a` compares its cached partner against the one
+/// new `(c, a)` candidate and rescans only if that partner *was* `a` or
+/// `b` and the merged candidate got worse; a row between `a` and `b`
+/// rescans only if its partner was `b`, whose pairs now belong to row
+/// `a`; rows above `b` are untouched. Those lost-partner rescans are
+/// counted in `cluster.qt_row_rescans`. One iteration is O(k) plus O(k)
+/// per rescanned row, with no allocation.
+fn merge_loop(diameter: usize, dist: Vec<Vec<u32>>, telemetry: &Telemetry) -> Vec<Vec<usize>> {
+    let n = dist.len();
+    let mut members: Vec<Vec<usize>> = (0..n).map(|s| vec![s]).collect();
+    let mut agg = Aggregates {
+        diameter,
+        sizes: vec![1; n],
+        intra_sum: vec![0; n],
+        intra_max: vec![0; n],
+        cross_sum: dist
+            .iter()
+            .map(|row| row.iter().copied().map(u64::from).collect())
+            .collect(),
+        cross_max: dist,
+    };
+    // Ascending throughout: `retain` keeps the order.
+    let mut active: Vec<usize> = (0..n).collect();
+    let mut nn: Vec<Nearest> = (0..n)
+        .map(|lo| agg.nearest(lo, &active[lo + 1..]))
+        .collect();
+    let mut row_rescans = 0u64;
+
+    loop {
+        // Unique (distinct pairs have distinct keys), so the result
+        // does not depend on the order the rows are visited in.
+        let best = active
+            .iter()
+            .filter(|&&lo| nn[lo].avg.is_finite())
+            .map(|&lo| (nn[lo].avg, tie_key(lo, nn[lo].slot)))
+            .reduce(|x, y| if y < x { y } else { x });
+        let Some((_, (a, b))) = best else { break };
+        telemetry.counter("cluster.qt_merges", 1);
+
+        active.retain(|&c| c != b);
+        agg.merge(a, b, &active);
+        let members_b = std::mem::take(&mut members[b]);
+        members[a].extend(members_b);
+
+        for (i, &c) in active.iter().enumerate() {
+            let above = &active[i + 1..];
+            if c < a {
+                let merged = agg.candidate(c, a);
+                let cached = nn[c];
+                if cached.slot != a && cached.slot != b {
+                    if merged < cached {
+                        nn[c] = merged;
+                    }
+                } else if merged.avg <= cached.avg {
+                    // `a` is the lower of the two slots it replaces, so
+                    // the row minimum survives unless the average
+                    // itself got worse.
+                    nn[c] = merged;
+                } else {
+                    nn[c] = agg.nearest(c, above);
+                    row_rescans += 1;
+                }
+            } else if c == a {
+                nn[a] = agg.nearest(a, above);
+            } else if c > b {
+                break;
+            } else if nn[c].slot == b {
+                nn[c] = agg.nearest(c, above);
+                row_rescans += 1;
+            }
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+    telemetry.counter("cluster.qt_row_rescans", row_rescans);
+
+    active
+        .into_iter()
+        .map(|s| std::mem::take(&mut members[s]))
+        .collect()
 }
 
 /// The original naive QT merge loop, retained as the reference
@@ -594,12 +641,89 @@ mod tests {
     }
 
     #[test]
-    fn merge_sorted_merges() {
-        assert_eq!(
-            merge_sorted(&["a", "c"], &["b", "d"]),
-            vec!["a", "b", "c", "d"]
-        );
-        assert_eq!(merge_sorted(&[], &["x"]), vec!["x"]);
-        assert_eq!(merge_sorted(&["x"], &[]), vec!["x"]);
+    fn repeated_ids_rank_by_input_order_and_still_partition() {
+        let ms = [
+            machine("dup", &["x"]),
+            machine("a", &["x"]),
+            machine("dup", &["x"]),
+            machine("dup", &["y"]),
+            machine("b", &["y", "z"]),
+        ];
+        let refs: Vec<&MachineInfo> = ms.iter().collect();
+        assert_eq!(canonical_order(&refs), vec![1, 4, 0, 2, 3]);
+        for d in 0..=3 {
+            let groups = qt_cluster_indices(&refs, d);
+            let mut seen: Vec<usize> = groups.iter().flatten().copied().collect();
+            seen.sort_unstable();
+            assert_eq!(seen, vec![0, 1, 2, 3, 4], "diameter {d}");
+            assert_eq!(groups, qt_cluster_indices(&refs, d), "diameter {d}");
+        }
+    }
+
+    /// The tie-break lemma, brute force: over random partitions of up
+    /// to 12 ranked machines, any two distinct candidate merges order by
+    /// `tie_key` of their clusters' lowest ranks exactly as their
+    /// materialised sorted member-id lists (the reference's key) order
+    /// lexicographically.
+    #[test]
+    fn tie_key_orders_like_sorted_union_keys() {
+        let mut state = 0x71e_b4ea_u64;
+        let mut below = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut compared = 0;
+        for trial in 0..300 {
+            // Distinct ids whose string order is not their numeric order.
+            let n = 3 + below(10);
+            let mut numbers: Vec<usize> = (0..40).collect();
+            for i in (1..numbers.len()).rev() {
+                numbers.swap(i, below(i + 1));
+            }
+            let ms: Vec<MachineInfo> = numbers[..n]
+                .iter()
+                .map(|k| machine(&format!("m{k}"), &[]))
+                .collect();
+            let refs: Vec<&MachineInfo> = ms.iter().collect();
+            // `ranked[r]` is the id of rank `r`; clusters hold ranks.
+            let ranked: Vec<&str> = canonical_order(&refs)
+                .into_iter()
+                .map(|i| ms[i].id())
+                .collect();
+
+            let labels = 3 + below(n - 2);
+            let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); labels];
+            for i in 0..n {
+                clusters[below(labels)].push(i);
+            }
+            clusters.retain(|c| !c.is_empty());
+            let min_rank: Vec<usize> = clusters.iter().map(|c| *c.iter().min().unwrap()).collect();
+            let union_key = |&(a, b): &(usize, usize)| {
+                let mut key: Vec<&str> = clusters[a]
+                    .iter()
+                    .chain(&clusters[b])
+                    .map(|&r| ranked[r])
+                    .collect();
+                key.sort_unstable();
+                key
+            };
+            let pairs: Vec<(usize, usize)> = (0..clusters.len())
+                .flat_map(|a| (a + 1..clusters.len()).map(move |b| (a, b)))
+                .collect();
+            for p in &pairs {
+                for q in pairs.iter().filter(|q| *q != p) {
+                    assert_eq!(
+                        tie_key(min_rank[p.0], min_rank[p.1])
+                            .cmp(&tie_key(min_rank[q.0], min_rank[q.1])),
+                        union_key(p).cmp(&union_key(q)),
+                        "trial {trial}: {p:?} against {q:?} over {clusters:?}"
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared > 10_000, "only {compared} comparisons");
     }
 }

@@ -207,6 +207,81 @@ fn qt_fast_path_matches_reference() {
     }
 }
 
+/// Tie-heavy replicated fleets — what staged deployment clusters for:
+/// a few templates, each copied many times, so almost every candidate
+/// merge ties at average 0.0 and the canonical tie-break decides. Ids
+/// sort differently as strings and as numbers (`m10` < `m2`). Groups
+/// equal the reference on both sides of the parallel-matrix threshold,
+/// under permutation, and every merge is counted.
+#[test]
+fn replicated_fleets_match_reference() {
+    use std::sync::Arc;
+
+    use mirage_cluster::{qt_cluster_indices_instrumented, qt_cluster_indices_reference};
+    use mirage_telemetry::{Registry, Telemetry};
+
+    // `PARALLEL_THRESHOLD` in `qt.rs`.
+    const PARALLEL_THRESHOLD: usize = 64;
+    let letters = ["u", "v", "w", "x", "y", "z"];
+    let mut rng = Rng::new(0xd4);
+    let (mut sequential, mut parallel) = (0, 0);
+    for case in 0..10 {
+        let templates = 2 + rng.below(4);
+        let copies = 1 + rng.below(23);
+        let contents: Vec<BTreeSet<Item>> = (0..templates)
+            .map(|_| {
+                (0..rng.below(4))
+                    .map(|_| Item::new([letters[rng.below(6)]]))
+                    .collect()
+            })
+            .collect();
+        let machines: Vec<MachineInfo> = (0..templates * copies)
+            .map(|i| {
+                let mut diff = DiffSet::empty(format!("m{i}"));
+                diff.content = contents[i % templates].clone();
+                MachineInfo::new(diff)
+            })
+            .collect();
+        if machines.len() < PARALLEL_THRESHOLD {
+            sequential += 1;
+        } else {
+            parallel += 1;
+        }
+        for variant in 0..3 {
+            let input = if variant == 0 {
+                machines.clone()
+            } else {
+                shuffled(&mut rng, &machines)
+            };
+            let refs: Vec<&MachineInfo> = input.iter().collect();
+            for d in 0..=4usize {
+                let registry = Arc::new(Registry::new(64));
+                let telemetry = Telemetry::from_registry(Arc::clone(&registry));
+                let fast = qt_cluster_indices_instrumented(&refs, d, &telemetry);
+                assert_eq!(
+                    fast,
+                    qt_cluster_indices_reference(&refs, d),
+                    "case {case} variant {variant} diameter {d}"
+                );
+                let merges = registry
+                    .snapshot()
+                    .counters
+                    .get("cluster.qt_merges")
+                    .copied();
+                assert_eq!(
+                    merges.unwrap_or(0) as usize,
+                    refs.len() - fast.len(),
+                    "case {case} variant {variant} diameter {d}"
+                );
+            }
+        }
+    }
+    assert!(
+        sequential > 0 && parallel > 0,
+        "sizes must cross the parallel threshold: {sequential} below, {parallel} at or above"
+    );
+}
+
 /// The full engine pipeline built on the fast QT path produces a
 /// bit-identical `Clustering` — ids, members, labels, app sets, vendor
 /// distances — to the same pipeline built on the reference QT loop.
@@ -333,6 +408,11 @@ fn instrumented_parallel_clustering_is_bit_identical() {
             parallel_snap.counters.get("cluster.qt_merges"),
             seq_snap.counters.get("cluster.qt_merges"),
             "diameter {d}: merge counts diverged between parallel and sequential"
+        );
+        assert_eq!(
+            parallel_snap.counters.get("cluster.qt_row_rescans"),
+            seq_snap.counters.get("cluster.qt_row_rescans"),
+            "diameter {d}: row rescans diverged between parallel and sequential"
         );
         assert_eq!(
             parallel_snap.counters.get("cluster.distance_evals"),

@@ -84,3 +84,78 @@ fn sixty_machine_campaign() {
     assert_eq!(result.failed_validations, 1);
     assert_eq!(campaign.urr.stats().successes, 60);
 }
+
+/// The Table 2 MySQL fleet replicated ×4 (the `plan_mysql` shape):
+/// replicas are identical machines, so phase 2 is all ties. The ×4
+/// fleet must yield the ×1 fleet's 15 clusters, each replica beside its
+/// original, from exactly one distance evaluation per pair within each
+/// phase-1 group.
+#[test]
+fn replicated_mysql_fleet_clusters_like_the_original() {
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+
+    use mirage::cluster::phase1::original_clusters;
+    use mirage::cluster::{ClusterEngine, MachineInfo};
+    use mirage::scenarios::mysql::MySqlScenario;
+    use mirage_telemetry::{Registry, Telemetry};
+
+    const REPLICAS: usize = 4;
+    let scenario = MySqlScenario::with_full_parsers();
+    let originals = scenario.fleet_inputs();
+    let diameter = scenario.vendor.diameter;
+    let counted = |machines: &[MachineInfo]| {
+        let registry = Arc::new(Registry::new(64));
+        let clustering = ClusterEngine::new(diameter)
+            .with_telemetry(Telemetry::from_registry(Arc::clone(&registry)))
+            .cluster(machines);
+        (clustering, registry.snapshot().counters)
+    };
+    let (base, base_counters) = counted(&originals);
+    assert_eq!(base.len(), 15);
+
+    let fleet: Vec<MachineInfo> = (0..REPLICAS)
+        .flat_map(|replica| {
+            originals.iter().map(move |m| {
+                let mut copy = m.clone();
+                copy.diff.machine = format!("{}#{replica}", m.id());
+                copy
+            })
+        })
+        .collect();
+    let (clustering, counters) = counted(&fleet);
+    clustering.validate_partition().expect("partition");
+
+    let expected: BTreeSet<Vec<String>> = base
+        .clusters
+        .iter()
+        .map(|c| {
+            let mut members: Vec<String> = c
+                .members
+                .iter()
+                .flat_map(|m| (0..REPLICAS).map(move |replica| format!("{m}#{replica}")))
+                .collect();
+            members.sort();
+            members
+        })
+        .collect();
+    let got: BTreeSet<Vec<String>> = clustering
+        .clusters
+        .iter()
+        .map(|c| c.members.clone())
+        .collect();
+    assert_eq!(got, expected);
+
+    let refs: Vec<&MachineInfo> = fleet.iter().collect();
+    let pairs: usize = original_clusters(&refs)
+        .iter()
+        .map(|g| g.len() * (g.len() - 1) / 2)
+        .sum();
+    assert_eq!(counters["cluster.distance_evals"], pairs as u64);
+    // Replication adds machines, not phase-2 groups (the app-overlap
+    // split makes the 15 clusters out of them afterwards).
+    assert_eq!(
+        fleet.len() as u64 - counters["cluster.qt_merges"],
+        originals.len() as u64 - base_counters["cluster.qt_merges"]
+    );
+}
