@@ -1,59 +1,15 @@
-//! Clustering cost: linear phase 1, quadratic phase 2 (paper §3.2.3).
+//! End-to-end clustering of the paper's own MySQL and Firefox fleets
+//! and the per-machine user-side pipeline (paper §3.2.3).
 //!
-//! The paper notes phase 1 runs in time proportional to the number of
-//! machines while phase 2 is quadratic in the size of each original
-//! cluster — this bench exhibits both scalings, plus the end-to-end
-//! clustering of the paper's own MySQL and Firefox fleets.
+//! The synthetic scaling fleets (dense-N, spread-N, replicated MySQL)
+//! live in `repro clustering-perf`, which commits them as
+//! `BENCH_clustering.json`.
 
 use mirage_bench::harness::Harness;
-use mirage_cluster::{ClusterEngine, MachineInfo};
-use mirage_fingerprint::{DiffSet, Item};
 use mirage_scenarios::{firefox, mysql};
-
-/// A population whose parsed diffs split machines into `groups` original
-/// clusters and whose content items are per-machine noise (worst case
-/// for phase 2).
-fn population(n: usize, groups: usize) -> Vec<MachineInfo> {
-    (0..n)
-        .map(|i| {
-            let mut diff = DiffSet::empty(format!("m{i:05}"));
-            diff.parsed
-                .insert(Item::new(["group", &(i % groups).to_string()]));
-            diff.content
-                .insert(Item::new(["noise", &(i / 3).to_string()]));
-            MachineInfo::new(diff)
-        })
-        .collect()
-}
 
 fn main() {
     let mut h = Harness::new("clustering");
-
-    for &n in &[50usize, 100, 200] {
-        // Many original clusters: phase 2 inputs stay small (linear-ish).
-        let spread = population(n, n / 5);
-        let engine = ClusterEngine::new(2);
-        h.bench(&format!("clustering/scaling/spread-{n}"), || {
-            engine.cluster(&spread).len()
-        });
-        // One original cluster: phase 2 dominates (quadratic).
-        let dense = population(n, 1);
-        h.bench(&format!("clustering/scaling/dense-{n}"), || {
-            engine.cluster(&dense).len()
-        });
-    }
-
-    // Larger dense fleets. These only complete in a micro-bench budget
-    // because phase 2 runs on the interned distance kernel with
-    // incremental merge aggregates and a threaded distance matrix; the
-    // naive loop was already dominated by dense-200.
-    for &n in &[500usize, 1000] {
-        let dense = population(n, 1);
-        let engine = ClusterEngine::new(2);
-        h.bench(&format!("clustering/scaling/dense-{n}"), || {
-            engine.cluster(&dense).len()
-        });
-    }
 
     let mysql_scenario = mysql::MySqlScenario::with_full_parsers();
     let mysql_inputs = mysql_scenario.fleet_inputs();

@@ -1,13 +1,16 @@
-//! Deployment-simulator throughput and protocol sweeps (paper §4.3).
+//! Deployment-simulator telemetry cost and protocol sweeps (paper §4.3).
 //!
-//! Runs the full 100 000-machine Figure 10 scenario per protocol, and
-//! sweeps the two design knobs DESIGN.md calls out for ablation:
-//! representatives per cluster and the advancement threshold.
+//! Times the 100 000-machine Figure 10 Balanced run with telemetry
+//! compiled in but absent and with a live registry, and sweeps the two
+//! design knobs DESIGN.md calls out for ablation: representatives per
+//! cluster and the advancement threshold. The per-protocol Figure 10
+//! runs live in `repro sim-perf` (`sim/100k/interned/*` in
+//! `BENCH_sim.json`).
 
 use std::sync::Arc;
 
 use mirage_bench::harness::Harness;
-use mirage_deploy::{Balanced, FrontLoading, NoStaging};
+use mirage_deploy::Balanced;
 use mirage_scenarios::deployment::{sound_scenario, ProblemPlacement};
 use mirage_sim::{run, run_with_telemetry, ScenarioBuilder};
 use mirage_telemetry::{Registry, Telemetry};
@@ -16,21 +19,7 @@ fn main() {
     let mut h = Harness::new("simulator");
 
     let scenario = sound_scenario(ProblemPlacement::Late);
-    h.bench("simulator/fig10-100k/NoStaging", || {
-        run(&scenario, &mut NoStaging::new(scenario.plan.clone())).failed_tests
-    });
-    h.bench("simulator/fig10-100k/Balanced", || {
-        run(&scenario, &mut Balanced::new(scenario.plan.clone(), 1.0)).failed_tests
-    });
-    h.bench("simulator/fig10-100k/FrontLoading", || {
-        run(
-            &scenario,
-            &mut FrontLoading::new(scenario.plan.clone(), 1.0),
-        )
-        .failed_tests
-    });
-
-    // Telemetry overhead on the same 100k-machine run: the noop handle
+    // Telemetry overhead on the 100k-machine run: the noop handle
     // (instrumentation compiled in, recorder absent) and a live registry
     // recording counters, spans, gauges and flight events.
     h.bench("simulator/fig10-100k/Balanced-telemetry-noop", || {

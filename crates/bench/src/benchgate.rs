@@ -4,258 +4,137 @@
 //! *committed* copies in the repository root are what EXPERIMENTS.md
 //! and the README cite — and nothing used to stop them from silently
 //! drifting (stale schema after a harness change, hand-mangled numbers,
-//! a truncated write). The `repro bench-check` subcommand runs the
-//! checks in this module over every committed document and fails the
-//! build when one no longer parses, no longer matches the expected
-//! schema, or no longer satisfies the invariants the CI smokes rely on:
+//! a truncated write). The `repro bench-check` subcommand — and the
+//! `committed_documents_pass_the_gate` unit test — run [`check`] over
+//! every committed document and fail when one no longer parses, no
+//! longer matches the expected schema, or no longer satisfies the
+//! invariants the CI smokes rely on.
 //!
-//! * `BENCH_clustering.json` — harness rows well-formed, dense-200
-//!   speedup vs the naive reference ≥ 5, and the replicated MySQL
-//!   fleet's cost growing at most 6× from 40 to 80 copies (quadratic
-//!   is 4; the pre-cache merge loop measured ≈ 7);
-//! * `BENCH_sim.json` — harness rows well-formed, every protocol's 100k
-//!   speedup vs the string-keyed reference ≥ 1.0, the parallel w1/w8
-//!   rows present with the 1M w8-vs-w1 speedup above its regression
-//!   floor, and both the 1M (sequential) and 10M (parallel, single
-//!   `scale` sample) Balanced runs under their 10 s budgets;
-//! * `BENCH_faults.json` — sweep rows well-formed, **every** loss rate
-//!   converged (and `all_converged` agrees with the rows);
-//! * `BENCH_sweep.json` — grid rows well-formed, every protocol ×
-//!   threshold × loss cell converged on the shared-arena parallel
-//!   driver (and `all_converged` agrees with the rows);
-//! * `BENCH_urr.json` — harness rows well-formed, sharded ingest
-//!   speedup vs `report::reference` ≥ 1.0, query p50 ≤ p99;
-//! * `BENCH_trace.json` — harness rows well-formed, journaling overhead
-//!   under the 15% acceptance budget on the full (non-smoke) fleet,
-//!   nothing dropped from the journal, and the embedded Chrome
-//!   `trace_event` sample schema-valid (string `name`, known `ph`
-//!   phase, numeric `pid`/`tid`);
-//! * `BENCH_drift.json` — harness rows well-formed and non-smoke, the
-//!   100k batch-engine/reference-loop pair present with the batch
-//!   engine at least 5x faster, re-cluster-after-drift p50 ≤ p99,
-//!   positive sustained moves/s, the 1M scale row present, and the
-//!   engine's drift counters verified equal to the reference plane's
-//!   during the run (`drift_counters_match`);
-//! * `BENCH_rollback.json` — strategy × loss × release rows
-//!   well-formed, every *good*-release row converged with no rollback
-//!   (the guard must not false-positive a healthy fleet), every
-//!   *bad*-release row contained — aborted with exposure inside the
-//!   first-cohort limit, or converged through the vendor-fix path
-//!   without one — every bad `canary` row specifically rolled back
-//!   (the headline containment claim), and `all_good_converged` /
-//!   `all_bad_contained` agreeing with the rows;
-//! * `BENCH_storage.json` — harness rows well-formed and non-smoke,
-//!   the 100k WAL-append (memory and fs), recovery (WAL-only and
-//!   snapshot+tail), and mixed read/write rows present plus the 1M
-//!   single-shot recovery `scale` row, positive append and mixed
-//!   read/write throughput, positive recovery times, and the run's
-//!   recovered-equals-live verification flag (`recovered_equal`) true.
+//! What each document must satisfy is data: [`SUITES`] lists, per
+//! document, its file, its `suite` name and a few [`Rule`]s from a
+//! small closed set — harness rows well-formed, a row present, a row
+//! marked `scale`, a scalar within a span, a flag true or false, a
+//! p50 ≤ p99 pair, a converged sweep grid — and [`check`] is one
+//! interpreter over that table. Gating a new document is one more
+//! [`Suite`] entry. Two checks are genuinely logic and stay plain
+//! functions the table names: the rollback grid's containment argument
+//! and the `trace_sample` schema.
 //!
 //! Harness rows must carry at least [`MIN_SAMPLES`] samples unless
 //! they are explicitly marked `"scale": true` — a single-observation
 //! statistic is either an intentional scale run or a truncated write,
 //! and the marker is how a document says which.
 //!
-//! Checks are pure functions over the document text so the negative
-//! cases (corrupted JSON, missing keys, broken invariants) are unit
-//! tested right here in the repro harness.
+//! Checks are pure functions over the document text, so the negative
+//! cases (corrupted JSON, missing keys, every rule's violation applied
+//! to the real committed documents) are unit tested right here.
 
-use std::fmt;
+use std::ops::{Bound, RangeBounds};
 
 use crate::harness::MIN_SAMPLES;
 use mirage_telemetry::json::Value;
 
-/// Which committed benchmark document a text claims to be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BenchKind {
-    /// `BENCH_clustering.json` (suite `clustering-perf`).
-    Clustering,
-    /// `BENCH_sim.json` (suite `sim-perf`).
-    Sim,
-    /// `BENCH_faults.json` (suite `fault-sweep`).
-    Faults,
-    /// `BENCH_sweep.json` (suite `sim-sweep`).
-    Sweep,
-    /// `BENCH_urr.json` (suite `urr-perf`).
-    Urr,
-    /// `BENCH_trace.json` (suite `trace-overhead`).
-    Trace,
-    /// `BENCH_drift.json` (suite `drift-perf`).
-    Drift,
-    /// `BENCH_rollback.json` (suite `rollback-sweep`).
-    Rollback,
-    /// `BENCH_storage.json` (suite `urr-store-perf`).
-    Storage,
+/// The values a [`Rule::Num`] scalar may take.
+pub type Span = (Bound<f64>, Bound<f64>);
+
+const fn at_least(x: f64) -> Span {
+    (Bound::Included(x), Bound::Unbounded)
+}
+const fn at_most(x: f64) -> Span {
+    (Bound::Unbounded, Bound::Included(x))
+}
+const fn above(x: f64) -> Span {
+    (Bound::Excluded(x), Bound::Unbounded)
+}
+const fn below(x: f64) -> Span {
+    (Bound::Unbounded, Bound::Excluded(x))
 }
 
-impl BenchKind {
-    /// Every kind with its committed file name.
-    pub const ALL: [(BenchKind, &'static str); 9] = [
-        (BenchKind::Clustering, "BENCH_clustering.json"),
-        (BenchKind::Sim, "BENCH_sim.json"),
-        (BenchKind::Faults, "BENCH_faults.json"),
-        (BenchKind::Sweep, "BENCH_sweep.json"),
-        (BenchKind::Urr, "BENCH_urr.json"),
-        (BenchKind::Trace, "BENCH_trace.json"),
-        (BenchKind::Drift, "BENCH_drift.json"),
-        (BenchKind::Rollback, "BENCH_rollback.json"),
-        (BenchKind::Storage, "BENCH_storage.json"),
-    ];
+/// `>= 5`, `< 15`, `>= 0 and <= 0`: a span as failure messages say it.
+fn span_text((low, high): Span) -> String {
+    let edge = |bound, closed: &str, open: &str| match bound {
+        Bound::Included(x) => Some(format!("{closed} {x}")),
+        Bound::Excluded(x) => Some(format!("{open} {x}")),
+        Bound::Unbounded => None,
+    };
+    let edges = [edge(low, ">=", ">"), edge(high, "<=", "<")];
+    edges
+        .into_iter()
+        .flatten()
+        .collect::<Vec<_>>()
+        .join(" and ")
+}
 
+/// One invariant of a committed document. Scalar keys are dotted paths
+/// from the document root (`query.top_k_p50_ns`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rule {
+    /// Every `results` row is a well-formed harness row: non-negative
+    /// statistics, `min ≤ p50 ≤ max`, `min ≤ mean ≤ max`, and at least
+    /// [`MIN_SAMPLES`] samples unless marked `scale`.
+    HarnessRows,
+    /// A `results` row of this name exists.
+    Row(&'static str),
+    /// A `results` row of this name exists and is marked `"scale":
+    /// true` (a deliberate single-shot).
+    ScaleRow(&'static str),
+    /// The scalar at this path lies within the span.
+    Num(&'static str, Span),
+    /// Like [`Rule::Num`], but the span binds full runs only: with
+    /// `"smoke": true` the scalar must merely be present (debug smoke
+    /// builds are noise-dominated).
+    NumFullRun(&'static str, Span),
+    /// The top-level flag has this value.
+    Flag(&'static str, bool),
+    /// A latency pair is ordered: the first scalar ≤ the second.
+    Ordered(&'static str, &'static str),
+    /// Every `results` row is a sweep cell — a `protocol`, these
+    /// numeric fields, `"converged": true` — and the document's
+    /// `all_converged` flag agrees with the rows.
+    Grid(&'static [&'static str]),
+    /// The rollback grid's containment argument (`rollback_containment`).
+    RollbackContainment,
+    /// The embedded Chrome `trace_event` sample's schema
+    /// (`trace_sample_schema`).
+    TraceSample,
+}
+
+use Rule::{Flag, Grid, HarnessRows, Num, NumFullRun, Ordered, Row, ScaleRow};
+
+/// One committed benchmark document and what it must satisfy.
+#[derive(Debug)]
+pub struct Suite {
+    /// The committed file name in the repository root.
+    pub file: &'static str,
     /// The `suite` value the document must carry.
-    pub fn suite(self) -> &'static str {
-        match self {
-            BenchKind::Clustering => "clustering-perf",
-            BenchKind::Sim => "sim-perf",
-            BenchKind::Faults => "fault-sweep",
-            BenchKind::Sweep => "sim-sweep",
-            BenchKind::Urr => "urr-perf",
-            BenchKind::Trace => "trace-overhead",
-            BenchKind::Drift => "drift-perf",
-            BenchKind::Rollback => "rollback-sweep",
-            BenchKind::Storage => "urr-store-perf",
-        }
-    }
+    pub suite: &'static str,
+    /// Its invariants, in the order they are checked.
+    pub rules: &'static [Rule],
 }
 
-/// Why a benchmark document failed validation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GateError(pub String);
-
-impl fmt::Display for GateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-fn fail(msg: impl Into<String>) -> GateError {
-    GateError(msg.into())
-}
-
-fn num(v: &Value, key: &str) -> Result<f64, GateError> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| fail(format!("missing or non-numeric field '{key}'")))
-}
-
-fn string(v: &Value, key: &str) -> Result<String, GateError> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| fail(format!("missing or non-string field '{key}'")))
-}
-
-fn boolean(v: &Value, key: &str) -> Result<bool, GateError> {
-    match v.get(key) {
-        Some(Value::Bool(b)) => Ok(*b),
-        _ => Err(fail(format!("missing or non-boolean field '{key}'"))),
-    }
-}
-
-fn results(doc: &Value) -> Result<&[Value], GateError> {
-    let rows = doc
-        .get("results")
-        .and_then(Value::as_array)
-        .ok_or_else(|| fail("missing 'results' array"))?;
-    if rows.is_empty() {
-        return Err(fail("'results' array is empty"));
-    }
-    Ok(rows)
-}
-
-/// Validates one harness-style result row (the shape every `*-perf`
-/// suite emits).
-fn check_harness_row(row: &Value) -> Result<(), GateError> {
-    let name = string(row, "name")?;
-    for key in ["samples", "min_ns", "p50_ns", "mean_ns", "max_ns"] {
-        let v = num(row, key).map_err(|e| fail(format!("row '{name}': {e}")))?;
-        if v < 0.0 {
-            return Err(fail(format!("row '{name}': '{key}' is negative")));
-        }
-    }
-    let min = num(row, "min_ns")?;
-    let max = num(row, "max_ns")?;
-    if min > max {
-        return Err(fail(format!("row '{name}': min_ns > max_ns")));
-    }
-    let samples = num(row, "samples")?;
-    if samples < 1.0 {
-        return Err(fail(format!("row '{name}': no samples")));
-    }
-    // Single-observation statistics are only acceptable when the row
-    // explicitly says so: `"scale": true` marks an intentional
-    // single-shot scale run; anything else under the floor is a
-    // truncated or degenerate measurement.
-    let scale = matches!(row.get("scale"), Some(Value::Bool(true)));
-    if !scale && samples < MIN_SAMPLES as f64 {
-        return Err(fail(format!(
-            "row '{name}': {samples} sample(s); non-scale rows need at least {MIN_SAMPLES} \
-             (mark intentional single-shots with \"scale\": true)"
-        )));
-    }
-    Ok(())
-}
-
-/// Parses `text` and checks it is a well-formed, invariant-satisfying
-/// document of `kind`. Returns the human-readable check lines on
-/// success.
-pub fn check(kind: BenchKind, text: &str) -> Result<Vec<String>, GateError> {
-    let doc = Value::parse(text).map_err(|e| fail(format!("invalid JSON: {e}")))?;
-    if string(&doc, "suite")? != kind.suite() {
-        return Err(fail(format!(
-            "wrong suite: expected '{}', found '{}'",
-            kind.suite(),
-            string(&doc, "suite")?
-        )));
-    }
-    let mut notes = vec![format!("suite '{}' present", kind.suite())];
-    match kind {
-        BenchKind::Clustering => {
-            let rows = results(&doc)?;
-            for row in rows {
-                check_harness_row(row)?;
-            }
-            notes.push(format!("{} harness rows well-formed", rows.len()));
-            let speedup = num(&doc, "dense_200_speedup_vs_reference")?;
-            if speedup < 5.0 {
-                return Err(fail(format!(
-                    "dense-200 speedup vs reference regressed below the 5x floor ({speedup})"
-                )));
-            }
-            notes.push(format!("dense-200 speedup vs reference: {speedup:.2}x"));
-            let growth = num(&doc, "mysql_x80_over_x40")?;
-            if growth > 6.0 {
-                return Err(fail(format!(
-                    "mysql-x80 over mysql-x40 grew past the 6x ceiling ({growth}); quadratic is 4"
-                )));
-            }
-            notes.push(format!("mysql-x80 over mysql-x40: {growth:.2}x"));
-        }
-        BenchKind::Sim => {
-            let rows = results(&doc)?;
-            for row in rows {
-                check_harness_row(row)?;
-            }
-            notes.push(format!("{} harness rows well-formed", rows.len()));
-            let speedups = doc
-                .get("speedup_100k_vs_reference")
-                .ok_or_else(|| fail("missing 'speedup_100k_vs_reference'"))?;
-            for protocol in ["NoStaging", "Balanced", "FrontLoading"] {
-                let s = num(speedups, protocol)?;
-                if s < 1.0 {
-                    return Err(fail(format!(
-                        "{protocol}: 100k speedup vs reference regressed below 1.0 ({s})"
-                    )));
-                }
-                notes.push(format!("{protocol} 100k speedup: {s:.2}x"));
-            }
-            if !boolean(&doc, "balanced_1m_under_10s")? {
-                return Err(fail("balanced_1m_under_10s is false"));
-            }
-            notes.push(format!(
-                "1M Balanced run: {:.3} s (< 10 s)",
-                num(&doc, "balanced_1m_seconds")?
-            ));
+/// Every committed document.
+pub const SUITES: &[Suite] = &[
+    Suite {
+        file: "BENCH_clustering.json",
+        suite: "clustering-perf",
+        rules: &[
+            HarnessRows,
+            Num("dense_200_speedup_vs_reference", at_least(5.0)),
+            // The replicated MySQL fleet's cost from 40 to 80 copies:
+            // quadratic is 4; the pre-cache merge loop measured ≈ 7.
+            Num("mysql_x80_over_x40", at_most(6.0)),
+        ],
+    },
+    Suite {
+        file: "BENCH_sim.json",
+        suite: "sim-perf",
+        rules: &[
+            HarnessRows,
+            Num("speedup_100k_vs_reference.NoStaging", at_least(1.0)),
+            Num("speedup_100k_vs_reference.Balanced", at_least(1.0)),
+            Num("speedup_100k_vs_reference.FrontLoading", at_least(1.0)),
+            Flag("balanced_1m_under_10s", true),
+            Num("balanced_1m_seconds", below(10.0)),
             // Parallel-driver rows: the w1/w8 pair the headline speedup
             // is computed from must exist, and the 1M speedup must stay
             // above its regression floor. The floor is deliberately
@@ -264,393 +143,392 @@ pub fn check(kind: BenchKind, text: &str) -> Result<Vec<String>, GateError> {
             // batched pass absorption, placement merge) so runner noise
             // cannot flake the gate while a real regression toward 1.0x
             // still fails loudly.
-            for required in ["sim/1m/parallel/w1/Balanced", "sim/1m/parallel/w8/Balanced"] {
-                if !rows
-                    .iter()
-                    .any(|r| r.get("name").and_then(Value::as_str) == Some(required))
-                {
-                    return Err(fail(format!("missing harness row '{required}'")));
-                }
-            }
-            let par = num(&doc, "parallel_speedup_1m_w8_vs_w1")?;
-            if par < 1.25 {
-                return Err(fail(format!(
-                    "1M parallel w8-vs-w1 speedup regressed below the 1.25x floor ({par})"
-                )));
-            }
-            notes.push(format!("1M parallel w8 vs w1 speedup: {par:.2}x"));
-            if !boolean(&doc, "balanced_10m_under_10s")? {
-                return Err(fail("balanced_10m_under_10s is false"));
-            }
-            notes.push(format!(
-                "10M Balanced parallel run: {:.3} s (< 10 s)",
-                num(&doc, "balanced_10m_seconds")?
-            ));
-        }
-        BenchKind::Faults => {
-            let rows = results(&doc)?;
-            for row in rows {
-                let protocol = string(row, "protocol")?;
-                let loss = num(row, "loss_pct")?;
-                for key in [
-                    "failed_tests",
-                    "msgs_dropped",
-                    "retries_sent",
-                    "rep_timeouts",
-                ] {
-                    num(row, key).map_err(|e| fail(format!("{protocol}@{loss}%: {e}")))?;
-                }
-                if !boolean(row, "converged")? {
-                    return Err(fail(format!("{protocol} did not converge at loss {loss}%")));
-                }
-            }
-            notes.push(format!("{} sweep rows, 100% convergence", rows.len()));
-            if !boolean(&doc, "all_converged")? {
-                return Err(fail("all_converged is false"));
-            }
-            notes.push("all_converged agrees with the rows".to_string());
-        }
-        BenchKind::Sweep => {
-            let rows = results(&doc)?;
-            let workers = num(&doc, "workers")?;
-            if workers < 1.0 {
-                return Err(fail("sweep ran with no workers"));
-            }
-            for row in rows {
-                let protocol = string(row, "protocol")?;
-                let threshold = num(row, "threshold")?;
-                let loss = num(row, "loss_pct")?;
-                for key in ["failed_tests", "escaped", "wall_ms"] {
-                    num(row, key)
-                        .map_err(|e| fail(format!("{protocol}@thr{threshold}/{loss}%: {e}")))?;
-                }
-                if !boolean(row, "converged")? {
-                    return Err(fail(format!(
-                        "{protocol} did not converge at threshold {threshold}, loss {loss}%"
-                    )));
-                }
-            }
-            notes.push(format!(
-                "{} grid cells ({workers} workers), 100% convergence",
-                rows.len()
-            ));
-            if !boolean(&doc, "all_converged")? {
-                return Err(fail("all_converged is false"));
-            }
-            notes.push("all_converged agrees with the cells".to_string());
-        }
-        BenchKind::Urr => {
-            let rows = results(&doc)?;
-            for row in rows {
-                check_harness_row(row)?;
-            }
-            notes.push(format!("{} harness rows well-formed", rows.len()));
-            let speedup = num(&doc, "ingest_speedup_100k_vs_reference")?;
-            if speedup < 1.0 {
-                return Err(fail(format!(
-                    "sharded ingest speedup vs reference regressed below 1.0 ({speedup})"
-                )));
-            }
-            notes.push(format!(
-                "sharded ingest speedup vs reference: {speedup:.2}x"
-            ));
-            let query = doc
-                .get("query")
-                .ok_or_else(|| fail("missing 'query' latency object"))?;
-            for q in [
-                "top_k",
-                "failure_groups",
-                "cluster_rates",
-                "first_seen_window",
-            ] {
-                let p50 = num(query, &format!("{q}_p50_ns"))?;
-                let p99 = num(query, &format!("{q}_p99_ns"))?;
-                if p50 > p99 {
-                    return Err(fail(format!("query '{q}': p50 > p99")));
-                }
-            }
-            notes.push("query p50/p99 pairs present and ordered".to_string());
-        }
-        BenchKind::Trace => {
-            let rows = results(&doc)?;
-            for row in rows {
-                check_harness_row(row)?;
-            }
-            for required in ["trace/plain-run", "trace/journaled-run"] {
-                if !rows
-                    .iter()
-                    .any(|r| r.get("name").and_then(Value::as_str) == Some(required))
-                {
-                    return Err(fail(format!("missing harness row '{required}'")));
-                }
-            }
-            notes.push(format!("{} harness rows well-formed", rows.len()));
-            let overhead = num(&doc, "overhead_pct")?;
-            if !boolean(&doc, "smoke")? {
-                if overhead >= 15.0 {
-                    return Err(fail(format!(
-                        "journaling overhead {overhead}% breaches the 15% acceptance budget"
-                    )));
-                }
-                notes.push(format!("journaling overhead {overhead}% (< 15%)"));
-            }
-            if num(&doc, "journal_dropped")? != 0.0 {
-                return Err(fail("journal dropped entries (spill should retain all)"));
-            }
-            if num(&doc, "journal_total")? < 1.0 {
-                return Err(fail("journal recorded no entries"));
-            }
-            if num(&doc, "trace_events")? < 1.0 {
-                return Err(fail("exported trace has no events"));
-            }
-            let sample = doc
-                .get("trace_sample")
-                .and_then(Value::as_array)
-                .ok_or_else(|| fail("missing 'trace_sample' array"))?;
-            if sample.is_empty() {
-                return Err(fail("'trace_sample' array is empty"));
-            }
-            for (i, ev) in sample.iter().enumerate() {
-                let name =
-                    string(ev, "name").map_err(|e| fail(format!("trace_sample[{i}]: {e}")))?;
-                let ph = string(ev, "ph").map_err(|e| fail(format!("trace_sample[{i}]: {e}")))?;
-                // The phases the exporter emits: metadata, async
-                // begin/end, complete slices, and instants.
-                if !["M", "b", "e", "X", "i"].contains(&ph.as_str()) {
-                    return Err(fail(format!(
-                        "trace_sample[{i}] ('{name}'): unknown trace_event phase '{ph}'"
-                    )));
-                }
-                for key in ["pid", "tid"] {
-                    num(ev, key).map_err(|e| fail(format!("trace_sample[{i}] ('{name}'): {e}")))?;
-                }
-                // Every non-metadata record is a timeline record and
-                // needs a timestamp.
-                if ph != "M" {
-                    num(ev, "ts")
-                        .map_err(|e| fail(format!("trace_sample[{i}] ('{name}'): {e}")))?;
-                }
-            }
-            notes.push(format!(
-                "{} sampled trace_event records schema-valid",
-                sample.len()
-            ));
-        }
-        BenchKind::Drift => {
-            let rows = results(&doc)?;
-            for row in rows {
-                check_harness_row(row)?;
-            }
-            for required in [
-                "drift/100k/batch-engine",
-                "drift/100k/reference-loop",
-                "drift/1m/batch-engine",
-            ] {
-                if !rows
-                    .iter()
-                    .any(|r| r.get("name").and_then(Value::as_str) == Some(required))
-                {
-                    return Err(fail(format!("missing harness row '{required}'")));
-                }
-            }
-            notes.push(format!("{} harness rows well-formed", rows.len()));
+            Row("sim/1m/parallel/w1/Balanced"),
+            Row("sim/1m/parallel/w8/Balanced"),
+            Num("parallel_speedup_1m_w8_vs_w1", at_least(1.25)),
+            Flag("balanced_10m_under_10s", true),
+            Num("balanced_10m_seconds", below(10.0)),
+        ],
+    },
+    Suite {
+        file: "BENCH_faults.json",
+        suite: "fault-sweep",
+        rules: &[Grid(&[
+            "loss_pct",
+            "failed_tests",
+            "msgs_dropped",
+            "retries_sent",
+            "rep_timeouts",
+        ])],
+    },
+    Suite {
+        file: "BENCH_sweep.json",
+        suite: "sim-sweep",
+        rules: &[
+            Num("workers", at_least(1.0)),
+            Grid(&[
+                "threshold",
+                "loss_pct",
+                "failed_tests",
+                "escaped",
+                "wall_ms",
+            ]),
+        ],
+    },
+    Suite {
+        file: "BENCH_urr.json",
+        suite: "urr-perf",
+        rules: &[
+            HarnessRows,
+            Num("ingest_speedup_100k_vs_reference", at_least(1.0)),
+            Ordered("query.top_k_p50_ns", "query.top_k_p99_ns"),
+            Ordered("query.failure_groups_p50_ns", "query.failure_groups_p99_ns"),
+            Ordered("query.cluster_rates_p50_ns", "query.cluster_rates_p99_ns"),
+            Ordered(
+                "query.first_seen_window_p50_ns",
+                "query.first_seen_window_p99_ns",
+            ),
+        ],
+    },
+    Suite {
+        file: "BENCH_trace.json",
+        suite: "trace-overhead",
+        rules: &[
+            HarnessRows,
+            Row("trace/plain-run"),
+            Row("trace/journaled-run"),
+            // The 15% journaling-overhead acceptance budget.
+            NumFullRun("overhead_pct", below(15.0)),
+            // The spill retains every entry.
+            Num(
+                "journal_dropped",
+                (Bound::Included(0.0), Bound::Included(0.0)),
+            ),
+            Num("journal_total", at_least(1.0)),
+            Num("trace_events", at_least(1.0)),
+            Rule::TraceSample,
+        ],
+    },
+    Suite {
+        file: "BENCH_drift.json",
+        suite: "drift-perf",
+        rules: &[
+            HarnessRows,
+            Row("drift/100k/batch-engine"),
+            Row("drift/100k/reference-loop"),
+            Row("drift/1m/batch-engine"),
             // The committed document must come from a full run: smoke
             // fleets are far too small for the speedup claim to mean
             // anything.
-            if boolean(&doc, "smoke")? {
-                return Err(fail(
-                    "committed drift document is a --smoke run; commit a full run",
-                ));
-            }
-            let speedup = num(&doc, "speedup_100k_vs_reference")?;
-            if speedup < 5.0 {
-                return Err(fail(format!(
-                    "100k batch-engine speedup vs reference loop below the 5x floor ({speedup})"
-                )));
-            }
-            notes.push(format!("100k batch vs reference speedup: {speedup:.2}x"));
-            let p50 = num(&doc, "recluster_p50_ns")?;
-            let p99 = num(&doc, "recluster_p99_ns")?;
-            if p50 > p99 {
-                return Err(fail("re-cluster-after-drift latency: p50 > p99"));
-            }
-            notes.push(format!(
-                "re-cluster-after-drift p50/p99 present and ordered ({p50:.0}/{p99:.0} ns)"
-            ));
-            let moves = num(&doc, "moves_per_sec")?;
-            if moves <= 0.0 {
-                return Err(fail("sustained moves/s is not positive"));
-            }
-            notes.push(format!("sustained {moves:.0} moves/s"));
+            Flag("smoke", false),
+            Num("speedup_100k_vs_reference", at_least(5.0)),
+            Ordered("recluster_p50_ns", "recluster_p99_ns"),
+            Num("moves_per_sec", above(0.0)),
             // The run cross-checks the engine's published drift
             // counters against the reference plane's; a mismatch means
             // the measured workloads were not equivalent.
-            if !boolean(&doc, "drift_counters_match")? {
-                return Err(fail(
-                    "drift_counters_match is false: measured planes diverged",
-                ));
-            }
-            notes.push("drift counters verified equal across planes".to_string());
-        }
-        BenchKind::Rollback => {
-            let rows = results(&doc)?;
-            let mut bad_canary = 0usize;
-            for row in rows {
-                let strategy = string(row, "strategy")?;
-                let loss = num(row, "loss_pct")?;
-                let release = string(row, "release")?;
-                let label = format!("{strategy}/{release}@{loss}%");
-                if release != "good" && release != "bad" {
-                    return Err(fail(format!("{label}: unknown release kind '{release}'")));
-                }
-                let machines = num(row, "machines").map_err(|e| fail(format!("{label}: {e}")))?;
-                if machines < 1.0 {
-                    return Err(fail(format!("{label}: empty fleet")));
-                }
-                let exposed = num(row, "exposed").map_err(|e| fail(format!("{label}: {e}")))?;
-                let limit =
-                    num(row, "exposure_limit").map_err(|e| fail(format!("{label}: {e}")))?;
-                let converged =
-                    boolean(row, "converged").map_err(|e| fail(format!("{label}: {e}")))?;
-                let rolled_back =
-                    boolean(row, "rolled_back").map_err(|e| fail(format!("{label}: {e}")))?;
-                if release == "good" {
-                    if rolled_back {
-                        return Err(fail(format!(
-                            "{label}: the guard aborted a good release (false positive)"
-                        )));
-                    }
-                    if !converged {
-                        return Err(fail(format!("{label}: good release did not converge")));
-                    }
-                } else {
-                    if strategy == "canary" {
-                        bad_canary += 1;
-                        if !rolled_back {
-                            return Err(fail(format!(
-                                "{label}: a guarded canary must abort a bad release"
-                            )));
-                        }
-                    }
-                    if rolled_back {
-                        if exposed > limit {
-                            return Err(fail(format!(
-                                "{label}: rollback exposed {exposed} machines, over the \
-                                 {limit} first-cohort limit"
-                            )));
-                        }
-                    } else if !converged {
-                        return Err(fail(format!(
-                            "{label}: bad release neither rolled back nor converged"
-                        )));
-                    }
-                }
-            }
-            if bad_canary == 0 {
-                return Err(fail(
-                    "no bad-release canary rows: the headline containment claim is untested",
-                ));
-            }
-            notes.push(format!(
-                "{} sweep rows; {bad_canary} bad canary rows all aborted within the cohort limit",
-                rows.len()
-            ));
-            if !boolean(&doc, "all_good_converged")? {
-                return Err(fail("all_good_converged is false"));
-            }
-            if !boolean(&doc, "all_bad_contained")? {
-                return Err(fail("all_bad_contained is false"));
-            }
-            notes.push("all_good_converged / all_bad_contained agree with the rows".to_string());
-        }
-        BenchKind::Storage => {
-            let rows = results(&doc)?;
-            for row in rows {
-                check_harness_row(row)?;
-            }
-            for required in [
-                "storage/wal/append-memory-100k",
-                "storage/wal/append-fs-100k",
-                "storage/recover/wal-100k",
-                "storage/recover/snapshot-100k",
-                "storage/serve/mixed-read-write-100k",
-            ] {
-                if !rows
-                    .iter()
-                    .any(|r| r.get("name").and_then(Value::as_str) == Some(required))
-                {
-                    return Err(fail(format!("missing harness row '{required}'")));
-                }
-            }
+            Flag("drift_counters_match", true),
+        ],
+    },
+    Suite {
+        file: "BENCH_rollback.json",
+        suite: "rollback-sweep",
+        rules: &[
+            Rule::RollbackContainment,
+            Flag("all_good_converged", true),
+            Flag("all_bad_contained", true),
+        ],
+    },
+    Suite {
+        file: "BENCH_storage.json",
+        suite: "urr-store-perf",
+        rules: &[
+            HarnessRows,
+            Row("storage/wal/append-memory-100k"),
+            Row("storage/wal/append-fs-100k"),
+            Row("storage/recover/wal-100k"),
+            Row("storage/recover/snapshot-100k"),
+            Row("storage/serve/mixed-read-write-100k"),
             // The 1M recovery measurement is a deliberate single-shot;
-            // it must both exist and carry the scale marker.
-            let scale_row = rows
-                .iter()
-                .find(|r| {
-                    r.get("name").and_then(Value::as_str) == Some("storage/recover/snapshot-1m")
-                })
-                .ok_or_else(|| fail("missing harness row 'storage/recover/snapshot-1m'"))?;
-            if !matches!(scale_row.get("scale"), Some(Value::Bool(true))) {
-                return Err(fail(
-                    "'storage/recover/snapshot-1m' is not marked \"scale\": true",
-                ));
-            }
-            notes.push(format!(
-                "{} harness rows well-formed incl. the 1M single-shot recovery row",
-                rows.len()
-            ));
+            // it must both exist and carry the marker.
+            ScaleRow("storage/recover/snapshot-1m"),
             // Smoke volumes are far too small for the pinned recovery
             // and throughput numbers to mean anything.
-            if boolean(&doc, "smoke")? {
-                return Err(fail(
-                    "committed storage document is a --smoke run; commit a full run",
-                ));
-            }
+            Flag("smoke", false),
             // The run replays its own journal and compares every query
             // surface of the recovered repository against the live one;
             // a false flag means the WAL+snapshot path lost data.
-            if !boolean(&doc, "recovered_equal")? {
-                return Err(fail(
-                    "recovered_equal is false: recovery diverged from the live repository",
+            Flag("recovered_equal", true),
+            Num("wal_append_memory_100k_reports_per_sec", above(0.0)),
+            Num("wal_append_fs_100k_reports_per_sec", above(0.0)),
+            Num("mixed_reads_per_sec", above(0.0)),
+            Num("mixed_writes_per_sec", above(0.0)),
+            // A non-positive recovery time is a clock error, not a
+            // result.
+            Num("recovery_wal_100k_ms", above(0.0)),
+            Num("recovery_snapshot_100k_ms", above(0.0)),
+            Num("recovery_snapshot_1m_ms", above(0.0)),
+        ],
+    },
+];
+
+/// The value at a dotted `path` of object keys below `v`.
+fn lookup<'a>(v: &'a Value, path: &str) -> Option<&'a Value> {
+    path.split('.').try_fold(v, |v, key| v.get(key))
+}
+
+fn num(v: &Value, path: &str) -> Result<f64, String> {
+    lookup(v, path)
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("missing or non-numeric field '{path}'"))
+}
+
+fn string<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
+    v.get(key)
+        .and_then(Value::as_str)
+        .ok_or_else(|| format!("missing or non-string field '{key}'"))
+}
+
+fn boolean(v: &Value, key: &str) -> Result<bool, String> {
+    v.get(key)
+        .and_then(Value::as_bool)
+        .ok_or_else(|| format!("missing or non-boolean field '{key}'"))
+}
+
+fn results(doc: &Value) -> Result<&[Value], String> {
+    match doc.get("results").and_then(Value::as_array) {
+        None => Err("missing 'results' array".to_string()),
+        Some([]) => Err("'results' array is empty".to_string()),
+        Some(rows) => Ok(rows),
+    }
+}
+
+fn named_row<'a>(doc: &'a Value, name: &str) -> Result<&'a Value, String> {
+    results(doc)?
+        .iter()
+        .find(|r| r.get("name").and_then(Value::as_str) == Some(name))
+        .ok_or_else(|| format!("missing harness row '{name}'"))
+}
+
+fn is_scale(row: &Value) -> bool {
+    row.get("scale").and_then(Value::as_bool) == Some(true)
+}
+
+/// Validates one harness-style result row (the shape every `*-perf`
+/// suite emits).
+fn check_harness_row(row: &Value) -> Result<(), String> {
+    let name = string(row, "name")?;
+    let stat = |key: &str| num(row, key).map_err(|e| format!("row '{name}': {e}"));
+    for key in ["samples", "min_ns", "p50_ns", "mean_ns", "max_ns"] {
+        if stat(key)? < 0.0 {
+            return Err(format!("row '{name}': '{key}' is negative"));
+        }
+    }
+    let (min, max) = (stat("min_ns")?, stat("max_ns")?);
+    if min > max {
+        return Err(format!("row '{name}': min_ns > max_ns"));
+    }
+    for key in ["p50_ns", "mean_ns"] {
+        if !(min..=max).contains(&stat(key)?) {
+            return Err(format!("row '{name}': '{key}' outside [min_ns, max_ns]"));
+        }
+    }
+    let samples = stat("samples")?;
+    if samples < 1.0 {
+        return Err(format!("row '{name}': no samples"));
+    }
+    // Single-observation statistics are only acceptable when the row
+    // explicitly says so: `"scale": true` marks an intentional
+    // single-shot scale run; anything else under the floor is a
+    // truncated or degenerate measurement.
+    if !is_scale(row) && samples < MIN_SAMPLES as f64 {
+        return Err(format!(
+            "row '{name}': {samples} sample(s); non-scale rows need at least {MIN_SAMPLES} \
+             (mark intentional single-shots with \"scale\": true)"
+        ));
+    }
+    Ok(())
+}
+
+/// The rollback grid's containment argument: every *good*-release row
+/// converged with no rollback (the guard must not false-positive a
+/// healthy fleet); every *bad*-release row contained — aborted with
+/// exposure inside the first-cohort limit, or converged through the
+/// vendor-fix path without one; and every bad `canary` row
+/// specifically rolled back (the headline containment claim), of which
+/// there must be at least one.
+fn rollback_containment(doc: &Value) -> Result<String, String> {
+    let rows = results(doc)?;
+    let mut bad_canary = 0usize;
+    for row in rows {
+        let strategy = string(row, "strategy")?;
+        let loss = num(row, "loss_pct")?;
+        let release = string(row, "release")?;
+        let label = format!("{strategy}/{release}@{loss}%");
+        let in_row = |e: String| format!("{label}: {e}");
+        if release != "good" && release != "bad" {
+            return Err(format!("{label}: unknown release kind '{release}'"));
+        }
+        if num(row, "machines").map_err(in_row)? < 1.0 {
+            return Err(format!("{label}: empty fleet"));
+        }
+        let exposed = num(row, "exposed").map_err(in_row)?;
+        let limit = num(row, "exposure_limit").map_err(in_row)?;
+        let converged = boolean(row, "converged").map_err(in_row)?;
+        let rolled_back = boolean(row, "rolled_back").map_err(in_row)?;
+        if release == "good" {
+            if rolled_back {
+                return Err(format!(
+                    "{label}: the guard aborted a good release (false positive)"
                 ));
             }
-            notes
-                .push("recovered repository verified equal to live across all queries".to_string());
-            for key in [
-                "wal_append_memory_100k_reports_per_sec",
-                "wal_append_fs_100k_reports_per_sec",
-                "mixed_reads_per_sec",
-                "mixed_writes_per_sec",
-            ] {
-                let v = num(&doc, key)?;
-                if v <= 0.0 {
-                    return Err(fail(format!("'{key}' is not positive ({v})")));
-                }
+            if !converged {
+                return Err(format!("{label}: good release did not converge"));
             }
-            notes.push(format!(
-                "append {:.0}/s mem, {:.0}/s fs; mixed {:.0} reads/s against {:.0} writes/s",
-                num(&doc, "wal_append_memory_100k_reports_per_sec")?,
-                num(&doc, "wal_append_fs_100k_reports_per_sec")?,
-                num(&doc, "mixed_reads_per_sec")?,
-                num(&doc, "mixed_writes_per_sec")?,
-            ));
-            for key in [
-                "recovery_wal_100k_ms",
-                "recovery_snapshot_100k_ms",
-                "recovery_snapshot_1m_ms",
-            ] {
-                let v = num(&doc, key)?;
-                if v <= 0.0 {
-                    return Err(fail(format!("'{key}' is not positive ({v})")));
-                }
+            continue;
+        }
+        if strategy == "canary" {
+            bad_canary += 1;
+            if !rolled_back {
+                return Err(format!(
+                    "{label}: a guarded canary must abort a bad release"
+                ));
             }
-            notes.push(format!(
-                "recovery {:.1} ms (WAL 100k), {:.1} ms (snapshot 100k), {:.1} ms (snapshot 1M)",
-                num(&doc, "recovery_wal_100k_ms")?,
-                num(&doc, "recovery_snapshot_100k_ms")?,
-                num(&doc, "recovery_snapshot_1m_ms")?,
+        }
+        if rolled_back {
+            if exposed > limit {
+                return Err(format!(
+                    "{label}: rollback exposed {exposed} machines, over the {limit} \
+                     first-cohort limit"
+                ));
+            }
+        } else if !converged {
+            return Err(format!(
+                "{label}: bad release neither rolled back nor converged"
             ));
         }
+    }
+    if bad_canary == 0 {
+        return Err(
+            "no bad-release canary rows: the headline containment claim is untested".to_string(),
+        );
+    }
+    Ok(format!(
+        "{} sweep rows; {bad_canary} bad canary rows all aborted within the cohort limit",
+        rows.len()
+    ))
+}
+
+/// The embedded head of the exported Perfetto document: every record a
+/// string `name`, a phase the exporter emits, numeric `pid`/`tid`, and
+/// a timestamp on everything but metadata.
+fn trace_sample_schema(doc: &Value) -> Result<String, String> {
+    let sample = match doc.get("trace_sample").and_then(Value::as_array) {
+        None => return Err("missing 'trace_sample' array".to_string()),
+        Some([]) => return Err("'trace_sample' array is empty".to_string()),
+        Some(sample) => sample,
+    };
+    for (i, ev) in sample.iter().enumerate() {
+        let name = string(ev, "name").map_err(|e| format!("trace_sample[{i}]: {e}"))?;
+        let ph = string(ev, "ph").map_err(|e| format!("trace_sample[{i}]: {e}"))?;
+        // The phases the exporter emits: metadata, async begin/end,
+        // complete slices, and instants.
+        if !["M", "b", "e", "X", "i"].contains(&ph) {
+            return Err(format!(
+                "trace_sample[{i}] ('{name}'): unknown trace_event phase '{ph}'"
+            ));
+        }
+        // Every non-metadata record is a timeline record and needs a
+        // timestamp.
+        let timeline: &[&str] = if ph == "M" { &[] } else { &["ts"] };
+        for key in ["pid", "tid"].iter().chain(timeline) {
+            num(ev, key).map_err(|e| format!("trace_sample[{i}] ('{name}'): {e}"))?;
+        }
+    }
+    Ok(format!(
+        "{} sampled trace_event records schema-valid",
+        sample.len()
+    ))
+}
+
+/// Applies one rule to the parsed document; the note on success.
+fn apply(rule: &Rule, doc: &Value) -> Result<String, String> {
+    match *rule {
+        HarnessRows => {
+            let rows = results(doc)?;
+            rows.iter().try_for_each(check_harness_row)?;
+            Ok(format!("{} harness rows well-formed", rows.len()))
+        }
+        Row(name) => named_row(doc, name).map(|_| format!("row '{name}' present")),
+        ScaleRow(name) => {
+            if !is_scale(named_row(doc, name)?) {
+                return Err(format!("'{name}' is not marked \"scale\": true"));
+            }
+            Ok(format!("row '{name}' present, marked scale"))
+        }
+        Num(key, span) | NumFullRun(key, span) => {
+            let value = num(doc, key)?;
+            if matches!(rule, NumFullRun(..)) && boolean(doc, "smoke")? {
+                return Ok(format!("{key} = {value} (smoke run; bound not enforced)"));
+            }
+            if !span.contains(&value) {
+                return Err(format!("'{key}' is {value}; required {}", span_text(span)));
+            }
+            Ok(format!("{key} = {value} ({})", span_text(span)))
+        }
+        Flag(key, want) => {
+            if boolean(doc, key)? != want {
+                return Err(format!("'{key}' is {}; required {want}", !want));
+            }
+            Ok(format!("{key} is {want}"))
+        }
+        Ordered(low, high) => {
+            let (lo, hi) = (num(doc, low)?, num(doc, high)?);
+            if lo > hi {
+                return Err(format!("'{low}' ({lo}) > '{high}' ({hi})"));
+            }
+            Ok(format!("{low} <= {high} ({lo:.0}/{hi:.0})"))
+        }
+        Grid(numeric) => {
+            let rows = results(doc)?;
+            for row in rows {
+                let in_cell = |e: String| format!("{}: {e}", row.to_compact());
+                string(row, "protocol").map_err(in_cell)?;
+                for key in numeric {
+                    num(row, key).map_err(in_cell)?;
+                }
+                if !boolean(row, "converged").map_err(in_cell)? {
+                    return Err(in_cell("did not converge".to_string()));
+                }
+            }
+            if !boolean(doc, "all_converged")? {
+                return Err("'all_converged' is false while every row converged".to_string());
+            }
+            Ok(format!(
+                "{} grid rows, 100% convergence; all_converged agrees",
+                rows.len()
+            ))
+        }
+        Rule::RollbackContainment => rollback_containment(doc),
+        Rule::TraceSample => trace_sample_schema(doc),
+    }
+}
+
+/// Parses `text` and checks it is a well-formed, invariant-satisfying
+/// document of `suite`. Returns the human-readable check lines on
+/// success, the first breach otherwise.
+pub fn check(suite: &Suite, text: &str) -> Result<Vec<String>, String> {
+    let doc = Value::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    let found = string(&doc, "suite")?;
+    if found != suite.suite {
+        return Err(format!(
+            "wrong suite: expected '{}', found '{found}'",
+            suite.suite
+        ));
+    }
+    let mut notes = vec![format!("suite '{found}' present")];
+    for rule in suite.rules {
+        notes.push(apply(rule, &doc)?);
     }
     Ok(notes)
 }
@@ -658,485 +536,296 @@ pub fn check(kind: BenchKind, text: &str) -> Result<Vec<String>, GateError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc::BenchDoc;
+    use crate::harness::BenchStats;
 
-    fn harness_row(name: &str) -> String {
+    /// The [`SUITES`] entry for `BENCH_<stem>.json`.
+    fn suite(stem: &str) -> &'static Suite {
+        let file = format!("BENCH_{stem}.json");
+        SUITES.iter().find(|s| s.file == file).expect("a suite")
+    }
+
+    /// `doc` with the value at the dotted `path` (array indices
+    /// allowed) replaced by `new`, or removed when `new` is `None`; a
+    /// missing object key is created.
+    fn edit(doc: &Value, path: &str, new: Option<Value>) -> Value {
+        fn go(v: &mut Value, path: &str, new: Option<Value>) {
+            let (seg, rest) = match path.split_once('.') {
+                Some((seg, rest)) => (seg, Some(rest)),
+                None => (path, None),
+            };
+            let slot = match v {
+                Value::Arr(items) => &mut items[seg.parse::<usize>().expect("array index")],
+                Value::Obj(pairs) => {
+                    let at = pairs.iter().position(|(k, _)| k == seg);
+                    if let (Some(at), None, None) = (at, rest, &new) {
+                        pairs.remove(at);
+                        return;
+                    }
+                    let at = at.unwrap_or_else(|| {
+                        assert!(new.is_some(), "no key '{seg}' to remove");
+                        pairs.push((seg.to_string(), Value::Obj(Vec::new())));
+                        pairs.len() - 1
+                    });
+                    &mut pairs[at].1
+                }
+                _ => panic!("'{seg}' is below a scalar"),
+            };
+            match rest {
+                Some(rest) => go(slot, rest, new),
+                None => *slot = new.expect("removal returned above"),
+            }
+        }
+        let mut doc = doc.clone();
+        go(&mut doc, path, new);
+        doc
+    }
+
+    fn with(doc: &Value, path: &str, new: impl Into<Value>) -> Value {
+        edit(doc, path, Some(new.into()))
+    }
+
+    /// `doc` with `path` set to `new`: a breach the gate names by key.
+    fn set<'a>(doc: &Value, path: &'a str, new: impl Into<Value>) -> (Value, &'a str) {
+        (with(doc, path, new), path)
+    }
+
+    /// `doc` without `path`: a breach the gate names by the missing key.
+    fn unset<'a>(doc: &Value, path: &'a str) -> (Value, &'a str) {
+        let key = path.rsplit('.').next().expect("a key");
+        (edit(doc, path, None), key)
+    }
+
+    /// `doc` with the harness row `name` renamed away.
+    fn drop_row<'a>(doc: &Value, name: &'a str) -> (Value, &'a str) {
+        let path = format!("{}.name", row(doc, &[("name", name)]));
+        (with(doc, &path, "renamed"), name)
+    }
+
+    /// `results.N` for the first row carrying all these string fields.
+    fn row(doc: &Value, fields: &[(&str, &str)]) -> String {
+        let has = |r: &Value, (k, v): &(&str, &str)| r.get(k).and_then(Value::as_str) == Some(v);
+        let rows = doc.get("results").and_then(Value::as_array).unwrap();
+        let at = rows.iter().position(|r| fields.iter().all(|f| has(r, f)));
         format!(
-            "{{\"name\": \"{name}\", \"samples\": 5, \"min_ns\": 100, \
-             \"p50_ns\": 120, \"mean_ns\": 130, \"max_ns\": 200}}"
+            "results.{}",
+            at.unwrap_or_else(|| panic!("no row with {fields:?}"))
         )
     }
 
-    fn scale_row(name: &str) -> String {
-        format!(
-            "{{\"name\": \"{name}\", \"samples\": 1, \"min_ns\": 100, \
-             \"p50_ns\": 100, \"mean_ns\": 100, \"max_ns\": 100, \"scale\": true}}"
-        )
+    fn gate(suite: &Suite, doc: &Value) -> Result<Vec<String>, String> {
+        check(suite, &doc.to_pretty())
     }
 
-    fn sim_doc(par_speedup: f64) -> String {
-        format!(
-            "{{\"suite\": \"sim-perf\", \"results\": [{}, {}, {}, {}], \
-             \"speedup_100k_vs_reference\": {{\"NoStaging\": 7.2, \"Balanced\": 9.1, \
-             \"FrontLoading\": 10.7}}, \"balanced_1m_seconds\": 0.26, \
-             \"balanced_1m_under_10s\": true, \
-             \"parallel_speedup_100k_w8_vs_w1\": 1.5, \
-             \"parallel_speedup_1m_w8_vs_w1\": {par_speedup}, \
-             \"balanced_10m_seconds\": 4.2, \"balanced_10m_under_10s\": true}}",
-            harness_row("sim/100k/interned/Balanced"),
-            harness_row("sim/1m/parallel/w1/Balanced"),
-            harness_row("sim/1m/parallel/w8/Balanced"),
-            scale_row("sim/10m/parallel/w8/Balanced"),
-        )
+    /// Each mutant must fail the gate with a message naming its subject.
+    fn breaches<'a>(suite: &Suite, cases: impl IntoIterator<Item = (Value, &'a str)>) {
+        for (mutant, subject) in cases {
+            let err = gate(suite, &mutant).expect_err(subject);
+            assert!(err.contains(subject), "expected '{subject}' in: {err}");
+        }
     }
 
-    fn sweep_doc(converged: bool) -> String {
-        format!(
-            "{{\"suite\": \"sim-sweep\", \"smoke\": false, \"workers\": 8, \"results\": [\
-             {{\"protocol\": \"Balanced\", \"threshold\": 0.9, \"loss_pct\": 20, \
-             \"converged\": {converged}, \"completion_time\": 16273, \"failed_tests\": 5, \
-             \"escaped\": 0, \"wall_ms\": 39.8}}], \"all_converged\": {converged}}}"
-        )
+    /// The values just outside each edge of `span`: a closed edge is
+    /// itself inside, an open one itself outside.
+    fn outside((low, high): Span) -> Vec<f64> {
+        let step = |edge, outward: f64| match edge {
+            Bound::Included(x) => Some(x + outward),
+            Bound::Excluded(x) => Some(x),
+            Bound::Unbounded => None,
+        };
+        [step(low, -1.0), step(high, 1.0)]
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
-    fn urr_doc(speedup: f64) -> String {
-        format!(
-            "{{\"suite\": \"urr-perf\", \"results\": [{}],\n\
-             \"ingest_speedup_100k_vs_reference\": {speedup},\n\
-             \"query\": {{\"top_k_p50_ns\": 1, \"top_k_p99_ns\": 2,\n\
-             \"failure_groups_p50_ns\": 1, \"failure_groups_p99_ns\": 2,\n\
-             \"cluster_rates_p50_ns\": 1, \"cluster_rates_p99_ns\": 2,\n\
-             \"first_seen_window_p50_ns\": 1, \"first_seen_window_p99_ns\": 2}}}}",
-            harness_row("urr/ingest/sharded-100k")
-        )
+    /// Every way to break `rule` in `doc` (one edit each), with the
+    /// subject the failure message must name. The negative cases of the
+    /// old per-kind validators, as data: the same fields are named.
+    fn violations<'a>(rule: &'a Rule, doc: &Value) -> Vec<(Value, &'a str)> {
+        // The first row that is not a single-shot scale row.
+        let rows = doc.get("results").and_then(Value::as_array);
+        let regular = rows.and_then(|rows| rows.iter().position(|r| !is_scale(r)));
+        let regular = format!("results.{}", regular.unwrap_or_default());
+        let first = |key: &str| format!("{regular}.{key}");
+        // `doc` with `key` of the row at `path` replaced: breaks `why`.
+        let flip = |path: &str, key: &str, new: Value, why: &'a str| {
+            (with(doc, &format!("{path}.{key}"), new), why)
+        };
+        match *rule {
+            HarnessRows => {
+                // Two samples and no marker is a truncated measurement,
+                // and `"scale": false` is not a marker.
+                let two = with(doc, &first("samples"), 2u32);
+                let unmarked = with(&two, &first("scale"), false);
+                let bare = Value::obj([("name", Value::str("x"))]);
+                vec![
+                    (two, "\"scale\": true"),
+                    (unmarked, "sample"),
+                    (with(doc, &first("samples"), 0u32), "no samples"),
+                    (with(doc, &first("min_ns"), 1e15), "min_ns > max_ns"),
+                    (with(doc, &first("p50_ns"), 0u32), "p50_ns"),
+                    (with(doc, &first("p50_ns"), 1e15), "p50_ns"),
+                    (with(doc, &first("mean_ns"), 0u32), "mean_ns"),
+                    (with(doc, &first("mean_ns"), 1e15), "mean_ns"),
+                    (
+                        with(doc, first("name").trim_end_matches(".name"), bare),
+                        "row 'x'",
+                    ),
+                    unset(doc, "results"),
+                    set(doc, "results", Value::Arr(Vec::new())),
+                ]
+            }
+            Row(name) => vec![drop_row(doc, name)],
+            ScaleRow(name) => {
+                // The row must exist and carry the marker, not sneak a
+                // single-sample measurement past the harness floor.
+                let marker = format!("{}.scale", row(doc, &[("name", name)]));
+                vec![
+                    drop_row(doc, name),
+                    (edit(doc, &marker, None), name),
+                    (with(doc, &marker, false), name),
+                ]
+            }
+            Num(key, span) | NumFullRun(key, span) => {
+                let mut broken = vec![unset(doc, key)];
+                broken.extend(outside(span).into_iter().map(|v| set(doc, key, v)));
+                broken
+            }
+            Flag(key, want) => vec![set(doc, key, !want), unset(doc, key)],
+            Ordered(low, high) => {
+                let above = num(doc, high).unwrap() + 1.0;
+                vec![set(doc, low, above), unset(doc, high)]
+            }
+            Grid(numeric) => {
+                let mut broken = vec![
+                    (with(doc, &first("converged"), false), "did not converge"),
+                    // Flag flipped while the rows still say converged.
+                    set(doc, "all_converged", false),
+                    (edit(doc, &first("protocol"), None), "protocol"),
+                ];
+                broken.extend(numeric.iter().map(|k| (edit(doc, &first(k), None), *k)));
+                broken
+            }
+            Rule::RollbackContainment => {
+                let good = row(doc, &[("release", "good")]);
+                let canary = row(doc, &[("release", "bad"), ("strategy", "canary")]);
+                let staged = row(doc, &[("release", "bad"), ("strategy", "staged")]);
+                let is_canary = |r: &&Value| r.get("strategy") == Some(&Value::str("canary"));
+                let rows = rows.expect("grid rows").iter();
+                let others = Value::arr(rows.filter(|r| !is_canary(r)).cloned());
+                vec![
+                    // The guard aborted a good release, or it never converged.
+                    flip(&good, "rolled_back", true.into(), "false positive"),
+                    flip(&good, "converged", false.into(), "did not converge"),
+                    // Exposure over the first-cohort limit: the abort
+                    // fired after the bad release had already widened.
+                    flip(&canary, "exposed", 1e9.into(), "first-cohort limit"),
+                    // A bad canary that never rolled back.
+                    flip(&canary, "rolled_back", false.into(), "must abort"),
+                    // A bad staged row that neither rolled back nor
+                    // converged: the regression escaped, nothing stopped it.
+                    flip(&staged, "converged", false.into(), "neither rolled back"),
+                    // Without a bad canary row the headline claim is untested.
+                    (with(doc, "results", others), "no bad-release canary"),
+                    flip(&good, "release", "ugly".into(), "unknown release kind"),
+                    flip(&good, "machines", 0u32.into(), "empty fleet"),
+                    (edit(doc, &format!("{canary}.exposed"), None), "'exposed'"),
+                ]
+            }
+            Rule::TraceSample => {
+                let sample = doc.get("trace_sample").and_then(Value::as_array).unwrap();
+                let metadata = |ev: &Value| ev.get("ph") == Some(&Value::str("M"));
+                let timeline = sample.iter().position(|ev| !metadata(ev)).unwrap();
+                let record = format!("trace_sample.{timeline}");
+                vec![
+                    // Unknown trace_event phase in the sampled export.
+                    flip(&record, "ph", "Q".into(), "unknown trace_event phase 'Q'"),
+                    // A timeline record without a timestamp.
+                    (edit(doc, &format!("{record}.ts"), None), "'ts'"),
+                    (edit(doc, &format!("{record}.pid"), None), "'pid'"),
+                    // An empty sample validates nothing.
+                    set(doc, "trace_sample", Value::Arr(Vec::new())),
+                    unset(doc, "trace_sample"),
+                ]
+            }
+        }
     }
 
-    fn clustering_doc(speedup: f64, growth: f64) -> String {
-        format!(
-            "{{\"suite\": \"clustering-perf\", \"results\": [{}], \
-             \"dense_200_speedup_vs_reference\": {speedup}, \
-             \"mysql_x80_over_x40\": {growth}}}",
-            harness_row("clustering/scaling/dense-200")
-        )
+    /// The committed document of `suite`, from the repository root.
+    fn committed(suite: &Suite) -> Value {
+        let path = format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), suite.file);
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        Value::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
     }
 
+    /// What plain `cargo test` shares with the CI `bench-check` step.
     #[test]
-    fn valid_documents_pass() {
-        assert!(check(BenchKind::Clustering, &clustering_doc(11.6, 4.1)).is_ok());
-
-        let notes = check(BenchKind::Sim, &sim_doc(1.7)).unwrap();
-        assert!(
-            notes.iter().any(|n| n.contains("parallel w8 vs w1")),
-            "{notes:?}"
-        );
-
-        let faults = "{\"suite\": \"fault-sweep\", \"results\": [\
-             {\"protocol\": \"Balanced\", \"loss_pct\": 30, \"converged\": true, \
-             \"completion_time\": 100, \"failed_tests\": 3, \"msgs_dropped\": 5, \
-             \"retries_sent\": 4, \"rep_timeouts\": 0}], \"all_converged\": true}";
-        assert!(check(BenchKind::Faults, faults).is_ok());
-
-        assert!(check(BenchKind::Sweep, &sweep_doc(true)).is_ok());
-
-        assert!(check(BenchKind::Urr, &urr_doc(6.4)).is_ok());
+    fn committed_documents_pass_the_gate() {
+        assert_eq!(SUITES.len(), 9);
+        for suite in SUITES {
+            let notes =
+                gate(suite, &committed(suite)).unwrap_or_else(|e| panic!("{}: {e}", suite.file));
+            assert_eq!(notes.len(), 1 + suite.rules.len(), "one note per rule");
+        }
     }
 
+    /// Every rule of every suite bites: each of its violations, applied
+    /// to the real committed document, fails the gate naming the subject.
+    #[test]
+    fn every_rule_rejects_its_violations_of_the_committed_document() {
+        for suite in SUITES {
+            let doc = committed(suite);
+            for rule in suite.rules {
+                breaches(suite, violations(rule, &doc));
+            }
+        }
+    }
+
+    /// A document straight from the one writer passes, and the sample
+    /// floor binds it.
     #[test]
     fn sample_floor_enforced_unless_scale_marked() {
-        // Two samples and no marker: a truncated measurement.
-        let two_samples = "{\"suite\": \"clustering-perf\", \"results\": [\
-             {\"name\": \"r\", \"samples\": 2, \"min_ns\": 100, \"p50_ns\": 120, \
-             \"mean_ns\": 130, \"max_ns\": 200}], \
-             \"dense_200_speedup_vs_reference\": 11.6, \"mysql_x80_over_x40\": 4.1}";
-        let err = check(BenchKind::Clustering, two_samples).unwrap_err();
-        assert!(err.to_string().contains("\"scale\": true"), "{err}");
-
-        // The same row explicitly marked as a scale run passes.
-        let marked = two_samples.replace("\"samples\": 2", "\"samples\": 2, \"scale\": true");
-        assert!(check(BenchKind::Clustering, &marked).is_ok());
-
-        // `"scale": false` is not a marker.
-        let unmarked = two_samples.replace("\"samples\": 2", "\"samples\": 2, \"scale\": false");
-        assert!(check(BenchKind::Clustering, &unmarked).is_err());
-    }
-
-    #[test]
-    fn parallel_speedup_floor_enforced() {
-        let err = check(BenchKind::Sim, &sim_doc(1.1)).unwrap_err();
-        assert!(err.to_string().contains("1.25x floor"), "{err}");
-
-        // The w1/w8 pair must be present for the headline to mean
-        // anything.
-        let missing = sim_doc(1.7).replace("sim/1m/parallel/w8/Balanced", "sim/1m/other");
-        let err = check(BenchKind::Sim, &missing).unwrap_err();
-        assert!(err.to_string().contains("w8"), "{err}");
-
-        // The 10M budget flag is load-bearing.
-        let slow10m = sim_doc(1.7).replace(
-            "\"balanced_10m_under_10s\": true",
-            "\"balanced_10m_under_10s\": false",
+        let clustering = suite("clustering");
+        let mut doc = BenchDoc::new(clustering.suite, "fixture");
+        doc.harness_rows(&[BenchStats::example("clustering/scaling/dense-200", false)])
+            .set("dense_200_speedup_vs_reference", 11.6)
+            .set("mysql_x80_over_x40", 4.1);
+        let doc = doc.to_value();
+        assert_eq!(gate(clustering, &doc).map(|notes| notes.len()), Ok(4));
+        breaches(clustering, violations(&HarnessRows, &doc));
+        // A two-sample row explicitly marked as a scale run passes.
+        let marked = with(
+            &with(&doc, "results.0.samples", 2u32),
+            "results.0.scale",
+            true,
         );
-        let err = check(BenchKind::Sim, &slow10m).unwrap_err();
-        assert!(err.to_string().contains("balanced_10m_under_10s"), "{err}");
-    }
-
-    #[test]
-    fn sweep_non_convergence_fails() {
-        let err = check(BenchKind::Sweep, &sweep_doc(false)).unwrap_err();
-        assert!(err.to_string().contains("did not converge"), "{err}");
-
-        // Flag flipped while the rows still say converged.
-        let flag_only =
-            sweep_doc(true).replace("\"all_converged\": true", "\"all_converged\": false");
-        assert!(check(BenchKind::Sweep, &flag_only).is_err());
+        assert!(gate(clustering, &marked).is_ok());
     }
 
     #[test]
     fn corrupted_json_fails() {
         // Truncated write — the exact failure mode the gate exists for.
-        let truncated = &urr_doc(6.4)[..40];
-        let err = check(BenchKind::Urr, truncated).unwrap_err();
-        assert!(err.to_string().contains("invalid JSON"), "{err}");
+        let text = committed(suite("urr")).to_pretty();
+        let err = check(suite("urr"), &text[..40]).unwrap_err();
+        assert!(err.contains("invalid JSON"), "{err}");
     }
 
     #[test]
     fn wrong_suite_fails() {
-        let err = check(BenchKind::Sim, &urr_doc(6.4)).unwrap_err();
-        assert!(err.to_string().contains("wrong suite"), "{err}");
+        breaches(suite("sim"), [(committed(suite("urr")), "wrong suite")]);
     }
 
     #[test]
-    fn missing_keys_fail() {
-        let no_results = "{\"suite\": \"urr-perf\"}";
-        assert!(check(BenchKind::Urr, no_results).is_err());
-        let empty_results = "{\"suite\": \"urr-perf\", \"results\": []}";
-        assert!(check(BenchKind::Urr, empty_results).is_err());
-        let bad_row = "{\"suite\": \"clustering-perf\", \"results\": [{\"name\": \"x\"}], \
-             \"dense_200_speedup_vs_reference\": 2.0}";
-        let err = check(BenchKind::Clustering, bad_row).unwrap_err();
-        assert!(err.to_string().contains("row 'x'"), "{err}");
-    }
-
-    #[test]
-    fn hand_mangled_invariants_fail() {
-        // Speedup edited below 1.0.
-        let err = check(BenchKind::Urr, &urr_doc(0.4)).unwrap_err();
-        assert!(err.to_string().contains("below 1.0"), "{err}");
-
-        // Clustering: the dense-200 floor, and a merge loop gone
-        // super-quadratic again on the replicated MySQL fleet.
-        let err = check(BenchKind::Clustering, &clustering_doc(4.2, 4.1)).unwrap_err();
-        assert!(err.to_string().contains("5x floor"), "{err}");
-        let err = check(BenchKind::Clustering, &clustering_doc(11.6, 7.0)).unwrap_err();
-        assert!(err.to_string().contains("6x ceiling"), "{err}");
-        let no_growth = clustering_doc(11.6, 4.1).replace("mysql_x80_over_x40", "renamed");
-        let err = check(BenchKind::Clustering, &no_growth).unwrap_err();
-        assert!(err.to_string().contains("mysql_x80_over_x40"), "{err}");
-
-        // A non-converged sweep row.
-        let faults = "{\"suite\": \"fault-sweep\", \"results\": [\
-             {\"protocol\": \"Balanced\", \"loss_pct\": 30, \"converged\": false, \
-             \"completion_time\": null, \"failed_tests\": 3, \"msgs_dropped\": 5, \
-             \"retries_sent\": 4, \"rep_timeouts\": 0}], \"all_converged\": true}";
-        let err = check(BenchKind::Faults, faults).unwrap_err();
-        assert!(err.to_string().contains("did not converge"), "{err}");
-
-        // all_converged flag flipped while rows still say true.
-        let faults = "{\"suite\": \"fault-sweep\", \"results\": [\
-             {\"protocol\": \"Balanced\", \"loss_pct\": 0, \"converged\": true, \
-             \"completion_time\": 1, \"failed_tests\": 0, \"msgs_dropped\": 0, \
-             \"retries_sent\": 0, \"rep_timeouts\": 0}], \"all_converged\": false}";
-        assert!(check(BenchKind::Faults, faults).is_err());
-
-        // min > max in a harness row.
-        let sim = "{\"suite\": \"sim-perf\", \"results\": [\
-             {\"name\": \"r\", \"samples\": 3, \"min_ns\": 500, \"p50_ns\": 120, \
-             \"mean_ns\": 130, \"max_ns\": 200}], \
-             \"speedup_100k_vs_reference\": {\"NoStaging\": 2.0, \"Balanced\": 2.0, \
-             \"FrontLoading\": 2.0}, \"balanced_1m_seconds\": 0.3, \
-             \"balanced_1m_under_10s\": true}";
-        let err = check(BenchKind::Sim, sim).unwrap_err();
-        assert!(err.to_string().contains("min_ns > max_ns"), "{err}");
-    }
-
-    fn trace_doc(overhead: f64, smoke: bool, dropped: u64, ph: &str) -> String {
-        format!(
-            "{{\"suite\": \"trace-overhead\", \"smoke\": {smoke}, \"machines\": 1000,\n\
-             \"results\": [{}, {}],\n\
-             \"overhead_pct\": {overhead}, \"journal_total\": 3000,\n\
-             \"journal_dropped\": {dropped}, \"trace_events\": 10,\n\
-             \"trace_sample\": [\
-             {{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0}},\
-             {{\"name\": \"stage 0\", \"ph\": \"{ph}\", \"id\": 0, \"ts\": 0, \
-             \"pid\": 1, \"tid\": 0}}]}}",
-            harness_row("trace/plain-run"),
-            harness_row("trace/journaled-run"),
-        )
-    }
-
-    #[test]
-    fn valid_trace_document_passes() {
-        let notes = check(BenchKind::Trace, &trace_doc(9.1, false, 0, "b")).unwrap();
-        assert!(notes.iter().any(|n| n.contains("overhead")), "{notes:?}");
-        // Smoke documents skip the overhead budget (debug builds are
-        // noise-dominated) but still get the schema checks.
-        assert!(check(BenchKind::Trace, &trace_doc(80.0, true, 0, "b")).is_ok());
-    }
-
-    #[test]
-    fn trace_invariant_breaches_fail() {
-        // Overhead over the acceptance budget on a full-fleet document.
-        let err = check(BenchKind::Trace, &trace_doc(15.0, false, 0, "b")).unwrap_err();
-        assert!(err.to_string().contains("15% acceptance budget"), "{err}");
-
-        // Dropped journal entries: the spill was mis-configured.
-        let err = check(BenchKind::Trace, &trace_doc(9.1, false, 7, "b")).unwrap_err();
-        assert!(err.to_string().contains("dropped"), "{err}");
-
-        // Unknown trace_event phase in the sampled export.
-        let err = check(BenchKind::Trace, &trace_doc(9.1, false, 0, "Q")).unwrap_err();
-        assert!(
-            err.to_string().contains("unknown trace_event phase"),
-            "{err}"
+    fn smoke_trace_documents_skip_only_the_overhead_budget() {
+        let trace = suite("trace");
+        // Debug smoke builds are noise-dominated, but the number stays.
+        let smoke = with(
+            &with(&committed(trace), "overhead_pct", 80.0),
+            "smoke",
+            true,
         );
-
-        // A timeline record without a timestamp.
-        let no_ts = trace_doc(9.1, false, 0, "b").replace("\"ts\": 0, ", "");
-        let err = check(BenchKind::Trace, &no_ts).unwrap_err();
-        assert!(err.to_string().contains("'ts'"), "{err}");
-
-        // A required harness row is missing.
-        let doc = format!(
-            "{{\"suite\": \"trace-overhead\", \"smoke\": false, \
-             \"results\": [{}], \"overhead_pct\": 9.1, \"journal_total\": 1, \
-             \"journal_dropped\": 0, \"trace_events\": 1, \"trace_sample\": []}}",
-            harness_row("trace/plain-run")
-        );
-        let err = check(BenchKind::Trace, &doc).unwrap_err();
-        assert!(err.to_string().contains("trace/journaled-run"), "{err}");
-    }
-
-    fn drift_doc(speedup: f64, smoke: bool, p50: u64, p99: u64, counters_match: bool) -> String {
-        format!(
-            "{{\"suite\": \"drift-perf\", \"smoke\": {smoke}, \"machines\": 100000,\n\
-             \"results\": [{}, {}, {}],\n\
-             \"speedup_100k_vs_reference\": {speedup},\n\
-             \"recluster_p50_ns\": {p50}, \"recluster_p99_ns\": {p99},\n\
-             \"moves_per_sec\": 51234.0, \"drift_counters_match\": {counters_match}}}",
-            harness_row("drift/100k/batch-engine"),
-            harness_row("drift/100k/reference-loop"),
-            scale_row("drift/1m/batch-engine"),
-        )
-    }
-
-    #[test]
-    fn valid_drift_document_passes() {
-        let notes = check(BenchKind::Drift, &drift_doc(8.4, false, 900, 4200, true)).unwrap();
-        assert!(notes.iter().any(|n| n.contains("speedup")), "{notes:?}");
-        assert!(notes.iter().any(|n| n.contains("moves/s")), "{notes:?}");
-    }
-
-    #[test]
-    fn drift_invariant_breaches_fail() {
-        // Speedup below the 5x acceptance floor.
-        let err = check(BenchKind::Drift, &drift_doc(3.2, false, 900, 4200, true)).unwrap_err();
-        assert!(err.to_string().contains("5x floor"), "{err}");
-
-        // A committed smoke run is not an acceptable headline document.
-        let err = check(BenchKind::Drift, &drift_doc(8.4, true, 900, 4200, true)).unwrap_err();
-        assert!(err.to_string().contains("--smoke"), "{err}");
-
-        // Latency percentiles out of order.
-        let err = check(BenchKind::Drift, &drift_doc(8.4, false, 4200, 900, true)).unwrap_err();
-        assert!(err.to_string().contains("p50 > p99"), "{err}");
-
-        // The run's cross-plane counter check failed.
-        let err = check(BenchKind::Drift, &drift_doc(8.4, false, 900, 4200, false)).unwrap_err();
-        assert!(err.to_string().contains("drift_counters_match"), "{err}");
-
-        // The reference pair row is required for the speedup to mean
-        // anything.
-        let missing =
-            drift_doc(8.4, false, 900, 4200, true).replace("drift/100k/reference-loop", "other");
-        let err = check(BenchKind::Drift, &missing).unwrap_err();
-        assert!(err.to_string().contains("reference-loop"), "{err}");
-
-        // The 1M scale row is part of the committed surface.
-        let missing =
-            drift_doc(8.4, false, 900, 4200, true).replace("drift/1m/batch-engine", "other");
-        let err = check(BenchKind::Drift, &missing).unwrap_err();
-        assert!(err.to_string().contains("drift/1m"), "{err}");
-
-        // Zero moves/s means the workload measured nothing.
-        let zeroed = drift_doc(8.4, false, 900, 4200, true)
-            .replace("\"moves_per_sec\": 51234.0", "\"moves_per_sec\": 0");
-        let err = check(BenchKind::Drift, &zeroed).unwrap_err();
-        assert!(err.to_string().contains("moves/s"), "{err}");
-    }
-
-    fn rollback_doc(good_rolled_back: bool, exposed: u64, contained: bool) -> String {
-        format!(
-            "{{\"suite\": \"rollback-sweep\", \"smoke\": false, \"machines\": 100000,\n\
-             \"results\": [\
-             {{\"strategy\": \"canary\", \"loss_pct\": 0, \"release\": \"good\", \
-             \"machines\": 100000, \"converged\": true, \"rolled_back\": {good_rolled_back}, \
-             \"exposed\": 0, \"exposure_limit\": 1000, \"completion_time\": 61000}},\
-             {{\"strategy\": \"canary\", \"loss_pct\": 30, \"release\": \"bad\", \
-             \"machines\": 100000, \"converged\": false, \"rolled_back\": true, \
-             \"exposed\": {exposed}, \"exposure_limit\": 1000, \"completion_time\": null}},\
-             {{\"strategy\": \"staged\", \"loss_pct\": 0, \"release\": \"bad\", \
-             \"machines\": 100000, \"converged\": true, \"rolled_back\": false, \
-             \"exposed\": 0, \"exposure_limit\": 25000, \"completion_time\": 90000}}],\n\
-             \"all_good_converged\": true, \"all_bad_contained\": {contained}}}"
-        )
-    }
-
-    #[test]
-    fn valid_rollback_document_passes() {
-        let notes = check(BenchKind::Rollback, &rollback_doc(false, 620, true)).unwrap();
-        assert!(notes.iter().any(|n| n.contains("bad canary")), "{notes:?}");
-    }
-
-    #[test]
-    fn rollback_invariant_breaches_fail() {
-        // The guard aborted a good release: a false positive.
-        let err = check(BenchKind::Rollback, &rollback_doc(true, 620, true)).unwrap_err();
-        assert!(err.to_string().contains("false positive"), "{err}");
-
-        // Exposure over the first-cohort limit: the abort fired after
-        // the bad release had already widened.
-        let err = check(BenchKind::Rollback, &rollback_doc(false, 1400, true)).unwrap_err();
-        assert!(err.to_string().contains("first-cohort limit"), "{err}");
-
-        // Flag flipped while the rows still satisfy containment.
-        let err = check(BenchKind::Rollback, &rollback_doc(false, 620, false)).unwrap_err();
-        assert!(err.to_string().contains("all_bad_contained"), "{err}");
-
-        // A bad canary that never rolled back.
-        let no_abort = rollback_doc(false, 620, true).replace(
-            "\"converged\": false, \"rolled_back\": true",
-            "\"converged\": false, \"rolled_back\": false",
-        );
-        let err = check(BenchKind::Rollback, &no_abort).unwrap_err();
-        assert!(err.to_string().contains("must abort"), "{err}");
-
-        // A bad staged row that neither rolled back nor converged: the
-        // regression escaped and nothing stopped it.
-        let escaped = rollback_doc(false, 620, true).replace(
-            "\"converged\": true, \"rolled_back\": false, \
-             \"exposed\": 0, \"exposure_limit\": 25000",
-            "\"converged\": false, \"rolled_back\": false, \
-             \"exposed\": 0, \"exposure_limit\": 25000",
-        );
-        let err = check(BenchKind::Rollback, &escaped).unwrap_err();
-        assert!(err.to_string().contains("neither rolled back"), "{err}");
-
-        // Without a bad canary row the headline claim is untested.
-        let no_canary = rollback_doc(false, 620, true).replace(
-            "\"strategy\": \"canary\", \"loss_pct\": 30",
-            "\"strategy\": \"rolling\", \"loss_pct\": 30",
-        );
-        let err = check(BenchKind::Rollback, &no_canary).unwrap_err();
-        assert!(err.to_string().contains("no bad-release canary"), "{err}");
-
-        // Missing row field.
-        let no_exposed = rollback_doc(false, 620, true).replace("\"exposed\": 620, ", "");
-        let err = check(BenchKind::Rollback, &no_exposed).unwrap_err();
-        assert!(err.to_string().contains("'exposed'"), "{err}");
-    }
-
-    fn storage_doc(smoke: bool, recovered_equal: bool, fs_rate: f64) -> String {
-        format!(
-            "{{\"suite\": \"urr-store-perf\", \"smoke\": {smoke}, \"reports\": 100000,\n\
-             \"results\": [{}, {}, {}, {}, {}, {}],\n\
-             \"wal_append_memory_100k_reports_per_sec\": 2500000.0,\n\
-             \"wal_append_fs_100k_reports_per_sec\": {fs_rate},\n\
-             \"mixed_reads_per_sec\": 800000.0, \"mixed_writes_per_sec\": 400000.0,\n\
-             \"recovery_wal_100k_ms\": 85.0, \"recovery_snapshot_100k_ms\": 12.0,\n\
-             \"recovery_snapshot_1m_ms\": 130.0,\n\
-             \"recovered_equal\": {recovered_equal}}}",
-            harness_row("storage/wal/append-memory-100k"),
-            harness_row("storage/wal/append-fs-100k"),
-            harness_row("storage/recover/wal-100k"),
-            harness_row("storage/recover/snapshot-100k"),
-            harness_row("storage/serve/mixed-read-write-100k"),
-            scale_row("storage/recover/snapshot-1m"),
-        )
-    }
-
-    #[test]
-    fn valid_storage_document_passes() {
-        let notes = check(BenchKind::Storage, &storage_doc(false, true, 600000.0)).unwrap();
-        assert!(notes.iter().any(|n| n.contains("recovered")), "{notes:?}");
-        assert!(notes.iter().any(|n| n.contains("reads/s")), "{notes:?}");
-        assert!(notes.iter().any(|n| n.contains("recovery")), "{notes:?}");
-    }
-
-    #[test]
-    fn storage_invariant_breaches_fail() {
-        // A committed smoke run pins nothing.
-        let err = check(BenchKind::Storage, &storage_doc(true, true, 600000.0)).unwrap_err();
-        assert!(err.to_string().contains("--smoke"), "{err}");
-
-        // The run's own recovery-equals-live verification failed.
-        let err = check(BenchKind::Storage, &storage_doc(false, false, 600000.0)).unwrap_err();
-        assert!(err.to_string().contains("recovered_equal"), "{err}");
-
-        // A zero throughput means the workload measured nothing.
-        let err = check(BenchKind::Storage, &storage_doc(false, true, 0.0)).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("wal_append_fs_100k_reports_per_sec"),
-            "{err}"
-        );
-
-        // Every 100k row is part of the committed surface.
-        let missing =
-            storage_doc(false, true, 600000.0).replace("storage/recover/snapshot-100k", "other");
-        let err = check(BenchKind::Storage, &missing).unwrap_err();
-        assert!(err.to_string().contains("snapshot-100k"), "{err}");
-
-        // ... as is the 1M single-shot recovery row.
-        let missing =
-            storage_doc(false, true, 600000.0).replace("storage/recover/snapshot-1m", "other");
-        let err = check(BenchKind::Storage, &missing).unwrap_err();
-        assert!(err.to_string().contains("snapshot-1m"), "{err}");
-
-        // The 1M row must carry the scale marker, not sneak a
-        // single-sample measurement past the harness floor.
-        let unmarked =
-            storage_doc(false, true, 600000.0).replace("\"scale\": true", "\"scale\": false");
-        let err = check(BenchKind::Storage, &unmarked).unwrap_err();
-        assert!(err.to_string().contains("sample"), "{err}");
-
-        // A non-positive recovery time is a clock error, not a result.
-        let zeroed = storage_doc(false, true, 600000.0).replace(
-            "\"recovery_wal_100k_ms\": 85.0",
-            "\"recovery_wal_100k_ms\": 0",
-        );
-        let err = check(BenchKind::Storage, &zeroed).unwrap_err();
-        assert!(err.to_string().contains("recovery_wal_100k_ms"), "{err}");
-
-        // Missing scalar field.
-        let gone =
-            storage_doc(false, true, 600000.0).replace("\"mixed_reads_per_sec\": 800000.0, ", "");
-        let err = check(BenchKind::Storage, &gone).unwrap_err();
-        assert!(err.to_string().contains("mixed_reads_per_sec"), "{err}");
-    }
-
-    #[test]
-    fn kind_metadata() {
-        assert_eq!(BenchKind::ALL.len(), 9);
-        assert_eq!(BenchKind::Urr.suite(), "urr-perf");
-        assert_eq!(BenchKind::Sweep.suite(), "sim-sweep");
-        assert_eq!(BenchKind::Trace.suite(), "trace-overhead");
-        assert_eq!(BenchKind::Drift.suite(), "drift-perf");
-        assert_eq!(BenchKind::Rollback.suite(), "rollback-sweep");
-        assert_eq!(BenchKind::Storage.suite(), "urr-store-perf");
-        assert_eq!(BenchKind::ALL[0].1, "BENCH_clustering.json");
-        assert_eq!(BenchKind::ALL[3].1, "BENCH_sweep.json");
-        assert_eq!(BenchKind::ALL[5].1, "BENCH_trace.json");
-        assert_eq!(BenchKind::ALL[6].1, "BENCH_drift.json");
-        assert_eq!(BenchKind::ALL[7].1, "BENCH_rollback.json");
-        assert_eq!(BenchKind::ALL[8].1, "BENCH_storage.json");
+        assert!(gate(trace, &smoke).is_ok());
+        breaches(trace, [unset(&smoke, "overhead_pct")]);
     }
 }

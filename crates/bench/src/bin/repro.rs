@@ -2,45 +2,16 @@
 //!
 //! ```text
 //! repro [experiment] [--csv <dir>] [--telemetry <path>] [--smoke]
+//! ```
 //!
-//! experiments:
-//!   fig1 fig2 fig3     survey figures (§2.2)
-//!   table1             heuristic effectiveness (§4.1)
-//!   fig6 fig7 merge    MySQL clustering (§4.2.1)
-//!   fig8 fig9          Firefox clustering (§4.2.2)
-//!   fig10 fig11        deployment latency CDFs (§4.3.2)
-//!   overhead           upgrade-overhead comparison (§4.3.2)
-//!   telemetry          instrumented campaign + simulation flight dump
-//!   clustering-perf    clustering hot-path benchmark → BENCH_clustering.json
-//!   sim-perf           simulator hot-path benchmark → BENCH_sim.json
-//!   fault-sweep        convergence vs message-loss rate → BENCH_faults.json
-//!                      (--smoke shrinks the fleet for CI)
-//!   sweep              protocol × threshold × loss grid through the parallel
-//!                      driver on one shared SimArena → BENCH_sweep.json
-//!                      (--smoke shrinks the fleet and grid for CI)
-//!   urr-perf           URR ingest/query benchmark → BENCH_urr.json
-//!                      (--smoke shrinks the report volume for CI)
-//!   drift-perf         batch drift engine vs reference re-clustering loop
-//!                      → BENCH_drift.json (--smoke shrinks the fleet for CI)
-//!   trace              journal overhead benchmark → BENCH_trace.json, plus a
-//!                      Perfetto-loadable Chrome trace → mirage-trace.json
-//!                      (--smoke shrinks the fleet for CI)
-//!   health             per-wave health rollup under 30% message loss →
-//!                      mirage-health.json (--smoke shrinks the fleet for CI)
-//!   rollback-sweep     guarded strategy × loss × release containment grid
-//!                      → BENCH_rollback.json (--smoke shrinks the fleet
-//!                      for CI)
-//!   urr-store-perf     durable URR: WAL append throughput, crash-recovery
-//!                      time, and mixed read/write serving → BENCH_storage.json
-//!                      (--smoke shrinks the report volume for CI)
-//!   bench-check        validate the committed BENCH_*.json documents
-//!                      (reads from --csv dir, default "."; exits 1 on failure)
-//!   all                everything (default; excludes *-perf, fault-sweep,
-//!                      sweep, trace, health, rollback-sweep, and bench-check)
+//! The experiments are the rows of [`EXPERIMENTS`]; an unknown name
+//! prints them with their one-line help and exits 2. With no name,
+//! `all` runs every row marked as part of it.
 //!
 //! With `--csv <dir>`, the CDF figures additionally write plot-ready
-//! CSV series (`fig10.csv`, `fig11.csv`: label,time,fraction rows) and
-//! Table 1 writes `table1.csv`.
+//! CSV series (`fig10.csv`, `fig11.csv`: label,time,fraction rows),
+//! Table 1 writes `table1.csv`, and the benchmark suites write their
+//! `BENCH_*.json` documents there instead of the working directory.
 //!
 //! With `--telemetry <path>`, an instrumented deployment simulation and
 //! a full instrumented Apache ACL campaign are run, and the combined
@@ -48,151 +19,124 @@
 //! queue-depth high-water gauge, and the campaign flight-event log — is
 //! written to `<path>` as pretty-printed JSON. Passing `--telemetry`
 //! alone selects the `telemetry` experiment.
-//! ```
+//!
+//! `--smoke` shrinks the suites' fleets and volumes so CI can exercise
+//! every path in debug builds; `MIRAGE_BENCH_MS` sets the per-benchmark
+//! sampling budget (default 150 ms).
 
+use std::path::{Path, PathBuf};
+use std::time::Instant;
+
+use mirage_bench::doc::{round_to, write_document, BenchDoc};
+use mirage_bench::harness::{black_box, fmt_ns, Harness};
 use mirage_bench::{bar, render_cdf, render_table};
 use mirage_cluster::ClusterQuality;
 use mirage_scenarios::{apps, deployment, firefox, mysql, survey};
+use mirage_sim::ScenarioBuilder;
+use mirage_telemetry::json::Value;
+
+/// What the command line selected, handed to every experiment.
+struct Ctx {
+    /// `--csv <dir>`: where documents and CSV series go.
+    csv: Option<PathBuf>,
+    /// `--telemetry <path>`: where the `telemetry` experiment writes.
+    telemetry: Option<PathBuf>,
+    /// `--smoke`: shrink fleets and volumes for CI.
+    smoke: bool,
+    /// Running everything rather than one experiment by name.
+    all: bool,
+}
+
+impl Ctx {
+    fn csv(&self) -> Option<&Path> {
+        self.csv.as_deref()
+    }
+}
+
+/// One experiment: name, whether `all` runs it, one-line help, entry
+/// point. The single list `main` dispatches from and `usage` prints.
+type Experiment = (&'static str, bool, &'static str, fn(&Ctx));
+
+#[rustfmt::skip] // one experiment per line
+const EXPERIMENTS: &[Experiment] = &[
+    ("fig1", true, "survey: upgrade frequencies (§2.2)", fig1),
+    ("fig2", true, "survey: reluctance to upgrade (§2.2)", fig2),
+    ("fig3", true, "survey: perceived failure rate (§2.2)", fig3),
+    ("table1", true, "heuristic effectiveness (§4.1)", table1),
+    ("fig6", true, "MySQL clustering, full parsers (§4.2.1)", fig6),
+    ("fig7", true, "MySQL clustering, Mirage parsers (§4.2.1)", fig7),
+    ("merge", true, "MySQL clusters merged by ignoring my.cnf items (§4.2.1)", merge),
+    ("fig8", true, "Firefox clustering, full parsers (§4.2.2)", fig8),
+    ("fig9", true, "Firefox clustering, Mirage parsers (§4.2.2)", fig9),
+    ("fig10", true, "deployment latency CDFs, sound clustering (§4.3.2)", fig10),
+    ("fig11", true, "deployment latency CDFs, imperfect clustering (§4.3.2)", fig11),
+    ("overhead", true, "upgrade-overhead comparison (§4.3.2)", overhead),
+    ("telemetry", true, "instrumented flight dump; needs --telemetry <path>", telemetry_dump),
+    ("clustering-perf", false, "clustering hot path -> BENCH_clustering.json", clustering_perf),
+    ("sim-perf", false, "simulator, 100k to 10M machines -> BENCH_sim.json", sim_perf),
+    ("fault-sweep", false, "convergence vs message loss -> BENCH_faults.json", fault_sweep),
+    ("sweep", false, "protocol x threshold x loss grid, one arena -> BENCH_sweep.json", sweep),
+    ("urr-perf", false, "URR ingest + vendor queries -> BENCH_urr.json", urr_perf),
+    ("drift-perf", false, "drift engine vs reference loop -> BENCH_drift.json", drift_perf),
+    ("trace", false, "journal overhead -> BENCH_trace.json + mirage-trace.json", trace),
+    ("health", false, "per-wave health under 30% loss -> mirage-health.json", health),
+    ("rollback-sweep", false, "guarded rollback grid -> BENCH_rollback.json", rollback_sweep),
+    ("urr-store-perf", false, "durable URR: WAL, recovery, serving -> BENCH_storage.json", urr_store_perf),
+    ("bench-check", false, "gate the BENCH_*.json in --csv dir (default .); exit 1", bench_check),
+];
+
+fn usage() -> String {
+    let mut out = String::from(
+        "usage: repro [experiment] [--csv <dir>] [--telemetry <path>] [--smoke]\n\n\
+         experiments (* = part of `all`, the default; --smoke shrinks the fleet or\n\
+         volume of every suite below sim-perf):\n",
+    );
+    for (name, in_all, help, _) in EXPERIMENTS {
+        let mark = if *in_all { '*' } else { ' ' };
+        out.push_str(&format!("  {name:<16}{mark} {help}\n"));
+    }
+    out
+}
 
 fn main() {
-    // Arguments: an optional experiment name plus optional `--csv <dir>`.
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut arg: Option<String> = None;
-    let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut telemetry_path: Option<std::path::PathBuf> = None;
-    let mut smoke = false;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--csv" {
-            let dir = it.next().expect("--csv requires a directory");
-            csv_dir = Some(std::path::PathBuf::from(dir));
-        } else if a == "--telemetry" {
-            let path = it.next().expect("--telemetry requires a file path");
-            telemetry_path = Some(std::path::PathBuf::from(path));
-        } else if a == "--smoke" {
-            smoke = true;
-        } else {
-            arg = Some(a);
+    let mut name: Option<String> = None;
+    let mut ctx = Ctx {
+        csv: None,
+        telemetry: None,
+        smoke: false,
+        all: false,
+    };
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--csv" => ctx.csv = Some(args.next().expect("--csv requires a directory").into()),
+            "--telemetry" => {
+                ctx.telemetry = Some(
+                    args.next()
+                        .expect("--telemetry requires a file path")
+                        .into(),
+                );
+            }
+            "--smoke" => ctx.smoke = true,
+            _ => name = Some(a),
         }
     }
-    if let Some(dir) = &csv_dir {
+    if let Some(dir) = &ctx.csv {
         std::fs::create_dir_all(dir).expect("create csv output directory");
     }
     // `repro --telemetry out.json` with no experiment runs just the
     // telemetry dump; otherwise default to everything.
-    let arg = arg.unwrap_or_else(|| {
-        if telemetry_path.is_some() {
-            "telemetry".to_string()
-        } else {
-            "all".to_string()
-        }
-    });
-    const KNOWN: [&str; 24] = [
-        "all",
-        "fig1",
-        "fig2",
-        "fig3",
-        "table1",
-        "fig6",
-        "fig7",
-        "merge",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "overhead",
-        "telemetry",
-        "clustering-perf",
-        "sim-perf",
-        "fault-sweep",
-        "sweep",
-        "urr-perf",
-        "drift-perf",
-        "trace",
-        "health",
-        "rollback-sweep",
-        "urr-store-perf",
-    ];
-    if !KNOWN.contains(&arg.as_str()) && arg != "bench-check" {
-        eprintln!("error: unknown experiment '{arg}'");
-        eprintln!("known: {}, bench-check", KNOWN.join(", "));
+    let name = name.or_else(|| ctx.telemetry.is_some().then(|| "telemetry".to_string()));
+    ctx.all = matches!(name.as_deref(), None | Some("all"));
+    let name = name.unwrap_or_default();
+    if !ctx.all && !EXPERIMENTS.iter().any(|(known, ..)| *known == name) {
+        eprintln!("error: unknown experiment '{name}'\n{}", usage());
         std::process::exit(2);
     }
-    let all = arg == "all";
-    if all || arg == "fig1" {
-        fig1(csv_dir.as_deref());
-    }
-    if all || arg == "fig2" {
-        fig2();
-    }
-    if all || arg == "fig3" {
-        fig3(csv_dir.as_deref());
-    }
-    if all || arg == "table1" {
-        table1(csv_dir.as_deref());
-    }
-    if all || arg == "fig6" {
-        fig6();
-    }
-    if all || arg == "fig7" {
-        fig7();
-    }
-    if all || arg == "merge" {
-        merge();
-    }
-    if all || arg == "fig8" {
-        fig8();
-    }
-    if all || arg == "fig9" {
-        fig9();
-    }
-    if all || arg == "fig10" {
-        fig10(csv_dir.as_deref());
-    }
-    if all || arg == "fig11" {
-        fig11(csv_dir.as_deref());
-    }
-    if all || arg == "overhead" {
-        overhead();
-    }
-    if arg == "telemetry" || (all && telemetry_path.is_some()) {
-        let path = telemetry_path
-            .as_deref()
-            .expect("the telemetry experiment requires --telemetry <path>");
-        telemetry_dump(path);
-    }
-    if arg == "clustering-perf" {
-        clustering_perf(csv_dir.as_deref());
-    }
-    if arg == "sim-perf" {
-        sim_perf(csv_dir.as_deref());
-    }
-    if arg == "fault-sweep" {
-        fault_sweep(csv_dir.as_deref(), smoke);
-    }
-    if arg == "sweep" {
-        sweep(csv_dir.as_deref(), smoke);
-    }
-    if arg == "urr-perf" {
-        urr_perf(csv_dir.as_deref(), smoke);
-    }
-    if arg == "drift-perf" {
-        drift_perf(csv_dir.as_deref(), smoke);
-    }
-    if arg == "trace" {
-        trace(csv_dir.as_deref(), smoke);
-    }
-    if arg == "health" {
-        health(csv_dir.as_deref(), smoke);
-    }
-    if arg == "rollback-sweep" {
-        rollback_sweep(csv_dir.as_deref(), smoke);
-    }
-    if arg == "urr-store-perf" {
-        urr_store_perf(csv_dir.as_deref(), smoke);
-    }
-    if arg == "bench-check" {
-        bench_check(csv_dir.as_deref());
+    for (known, in_all, _, run) in EXPERIMENTS {
+        if *known == name || (ctx.all && *in_all) {
+            run(&ctx);
+        }
     }
 }
 
@@ -200,23 +144,18 @@ fn main() {
 /// in [`mirage_bench::benchgate`] and exits non-zero when any fails —
 /// the `bench-check` CI gate. Documents are read from the `--csv`
 /// directory when given, the working directory otherwise.
-fn bench_check(csv: Option<&std::path::Path>) {
-    use mirage_bench::benchgate::{check, BenchKind};
+fn bench_check(ctx: &Ctx) {
+    use mirage_bench::benchgate::{check, SUITES};
 
     heading("Bench gate: validating committed BENCH_*.json documents");
-    let dir = csv.unwrap_or_else(|| std::path::Path::new("."));
+    let dir = ctx.csv().unwrap_or_else(|| Path::new("."));
     let mut failures = 0usize;
-    for (kind, file) in BenchKind::ALL {
-        let path = dir.join(file);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(err) => {
-                println!("  FAIL {file}: unreadable ({err})");
-                failures += 1;
-                continue;
-            }
-        };
-        match check(kind, &text) {
+    for suite in SUITES {
+        let file = suite.file;
+        let verdict = std::fs::read_to_string(dir.join(file))
+            .map_err(|err| format!("unreadable ({err})"))
+            .and_then(|text| check(suite, &text));
+        match verdict {
             Ok(notes) => {
                 println!("  OK   {file}");
                 for note in notes {
@@ -236,9 +175,105 @@ fn bench_check(csv: Option<&std::path::Path>) {
     println!("=> all committed benchmark documents pass the gate");
 }
 
+fn heading(title: &str) {
+    println!("\n=== {title} ===\n");
+}
+
+/// The heading of a suite whose fleet or volume `--smoke` shrinks.
+fn suite_heading(ctx: &Ctx, title: &str) {
+    heading(&format!(
+        "{title}{}",
+        if ctx.smoke { " (smoke scale)" } else { "" }
+    ));
+}
+
+/// `100k` / `1m`: how row names and document keys spell a volume.
+fn volume_label(n: usize) -> String {
+    if n >= 1_000_000 {
+        format!("{}m", n / 1_000_000)
+    } else {
+        format!("{}k", n / 1_000)
+    }
+}
+
+/// The sweeps' uniform fleet: clusters × machines per cluster.
+fn fleet_dims(smoke: bool) -> (usize, usize) {
+    if smoke {
+        (8, 125)
+    } else {
+        (20, 5_000)
+    }
+}
+
+/// The fault, sweep, trace and health fleets: `clusters`×`size`
+/// machines, one representative each, the Figure-10 problems placed in
+/// the last clusters to deploy.
+fn late_problem_fleet(smoke: bool) -> ScenarioBuilder {
+    let (clusters, size) = fleet_dims(smoke);
+    ScenarioBuilder::new()
+        .clusters(clusters, size, 1)
+        .problem_in_clusters(
+            deployment::PREVALENT,
+            &[clusters - 6, clusters - 5, clusters - 4],
+        )
+        .problem_in_clusters(deployment::RARE_A, &[clusters - 3])
+        .problem_in_clusters(deployment::RARE_B, &[clusters - 2])
+}
+
+/// The synthetic report stream `urr-perf` and `urr-store-perf` share, so
+/// the journaled numbers read directly against the unjournaled ones:
+/// machines across 100 clusters, 10% failures over 20 distinct
+/// signatures (the paper's deployment waves fail on the few-percent
+/// scale), all against release r0 (a first-wave deployment).
+mod stream {
+    use mirage_report::{InternedOutcome, InternedReport, Urr};
+
+    pub const CLUSTERS: usize = 100;
+    pub const SIGNATURES: usize = 20;
+
+    /// `(main, big)` report volumes.
+    pub fn volumes(smoke: bool) -> (usize, usize) {
+        if smoke {
+            (5_000, 20_000)
+        } else {
+            (100_000, 1_000_000)
+        }
+    }
+
+    pub fn machine_names(n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("m{i:07}")).collect()
+    }
+
+    /// The signature the i-th report fails with, if it fails: indexed by
+    /// failure ordinal so the stream round-robins through all of them.
+    pub fn failure(i: usize) -> Option<usize> {
+        (i % 10 == 3).then_some((i / 10) % SIGNATURES)
+    }
+
+    /// Interns the stream's names into `urr` and builds one record per
+    /// machine.
+    pub fn interned(urr: &Urr, names: &[String]) -> Vec<InternedReport> {
+        let machines = urr.intern_machines(names.iter().map(String::as_str));
+        let sigs: Vec<_> = (0..SIGNATURES)
+            .map(|s| urr.intern_signature(&format!("sig-{s:02}")))
+            .collect();
+        let release = urr.intern_release("upgrade", "r0");
+        (0..names.len())
+            .map(|i| InternedReport {
+                machine: machines[i],
+                cluster: (i % CLUSTERS) as u32,
+                release,
+                outcome: match failure(i) {
+                    Some(sig) => InternedOutcome::Failure(sigs[sig]),
+                    None => InternedOutcome::Success,
+                },
+            })
+            .collect()
+    }
+}
+
 /// Benchmarks the Upgrade Report Repository's ingest and query paths
-/// and writes `BENCH_urr.json` — into the `--csv` directory when given,
-/// the working directory otherwise.
+/// and writes `BENCH_urr.json`.
 ///
 /// Ingest compares the sharded, interned batch path
 /// ([`mirage_report::Urr::deposit_interned_batch`], the one the
@@ -255,342 +290,151 @@ fn bench_check(csv: Option<&std::path::Path>) {
 /// repository) cover the vendor's four dashboard queries: top-k failure
 /// groups, full failure grouping, per-cluster failure rates, and a
 /// time-windowed first-seen scan.
-///
-/// `--smoke` shrinks the report volume so CI can exercise the whole
-/// path in debug builds. The per-benchmark budget follows
-/// `MIRAGE_BENCH_MS` (default 150 ms).
-fn urr_perf(csv: Option<&std::path::Path>, smoke: bool) {
-    use std::time::{Duration, Instant};
+fn urr_perf(ctx: &Ctx) {
+    use mirage_report::{reference, Report, ReportOutcome, Urr};
 
-    use mirage_bench::harness::{black_box, fmt_ns, BenchStats, MIN_SAMPLES};
-    use mirage_report::{reference, InternedOutcome, InternedReport, Report, ReportOutcome, Urr};
-
-    heading(if smoke {
-        "URR performance (smoke volume): sharded ingest + vendor queries"
-    } else {
-        "URR performance: sharded ingest + vendor queries"
-    });
-
-    const SIGNATURES: usize = 20;
-    let (n_main, n_big) = if smoke {
-        (5_000, 20_000)
-    } else {
-        (100_000, 1_000_000)
-    };
-    let label = |n: usize| {
-        if n >= 1_000_000 {
-            format!("{}m", n / 1_000_000)
-        } else {
-            format!("{}k", n / 1_000)
-        }
-    };
-
-    // The shared synthetic stream: `n` machines across 100 clusters,
-    // 10% failures over `SIGNATURES` distinct signatures (the paper's
-    // deployment waves fail on the few-percent scale), all against
-    // release r0 (mirroring a first-wave deployment).
-    let clusters = 100usize;
-    let machine_names = |n: usize| -> Vec<String> { (0..n).map(|i| format!("m{i:07}")).collect() };
-    let is_failure = |i: usize| i % 10 == 3;
-    // Signature of the i-th report's failure, indexed by failure ordinal
-    // so the stream round-robins through all SIGNATURES of them.
-    let sig_of = |i: usize| (i / 10) % SIGNATURES;
-
-    // Custom sampling loop: unlike `Harness::bench`, the closure reports
-    // the nanoseconds of its *timed region* so per-sample setup (fresh
-    // repository, untimed interning) stays out of the statistics, and we
-    // keep the raw samples to report p99 alongside the harness fields.
-    let budget = Duration::from_millis(
-        std::env::var("MIRAGE_BENCH_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(150),
-    );
-    let mut rows: Vec<(BenchStats, u64)> = Vec::new();
-
-    /// Sorts `samples_ns`, prints one harness-style row, and records the
-    /// statistics (plus p99) into `rows`.
-    fn record(rows: &mut Vec<(BenchStats, u64)>, name: &str, mut samples: Vec<u64>) {
-        samples.sort_unstable();
-        let p99 = samples[(samples.len() * 99 / 100).min(samples.len() - 1)];
-        let stats = BenchStats {
-            name: name.to_string(),
-            samples: samples.len(),
-            min_ns: samples[0],
-            p50_ns: samples[samples.len() / 2],
-            mean_ns: samples.iter().sum::<u64>() as f64 / samples.len() as f64,
-            max_ns: *samples.last().expect("non-empty"),
-            bytes: None,
-            scale: false,
-        };
-        println!(
-            "{:<44} {:>8} {:>12} {:>12} {:>12}",
-            stats.name,
-            stats.samples,
-            fmt_ns(stats.min_ns as f64),
-            fmt_ns(stats.p50_ns as f64),
-            fmt_ns(stats.mean_ns),
-        );
-        rows.push((stats, p99));
-    }
-
-    /// Samples `run` (which returns the nanoseconds of its timed region)
-    /// until the budget or a sample cap is hit, then records the row.
-    fn sample(
-        rows: &mut Vec<(BenchStats, u64)>,
-        budget: Duration,
-        name: &str,
-        run: &mut dyn FnMut() -> u64,
-    ) {
-        black_box(run()); // one untimed warmup, like the harness
-        let started = Instant::now();
-        let mut samples: Vec<u64> = Vec::new();
-        loop {
-            samples.push(run());
-            if (started.elapsed() >= budget && samples.len() >= MIN_SAMPLES)
-                || samples.len() >= 1_000
-            {
-                break;
-            }
-        }
-        record(rows, name, samples);
-    }
+    let smoke = ctx.smoke;
+    suite_heading(ctx, "URR performance: sharded ingest + vendor queries");
+    let (n_main, n_big) = stream::volumes(smoke);
+    let mut h = Harness::new("urr-perf");
 
     // --- Ingest at the main volume: sharded interned batches vs the
     // retained string-keyed reference, *interleaved* so both paths
     // sample the same machine conditions (allocator state, frequency
     // scaling) and the min-over-min speedup is a paired comparison.
-    let names = machine_names(n_main);
-    let build_recs = |urr: &Urr| -> Vec<InternedReport> {
-        let machines = urr.intern_machines(names.iter().map(String::as_str));
-        let sigs: Vec<_> = (0..SIGNATURES)
-            .map(|s| urr.intern_signature(&format!("sig-{s:02}")))
-            .collect();
-        let release = urr.intern_release("upgrade", "r0");
-        (0..n_main)
-            .map(|i| InternedReport {
-                machine: machines[i],
-                cluster: (i % clusters) as u32,
-                release,
-                outcome: if is_failure(i) {
-                    InternedOutcome::Failure(sigs[sig_of(i)])
-                } else {
-                    InternedOutcome::Success
-                },
-            })
-            .collect()
-    };
-    let sharded_pass = || -> u64 {
+    // Each closure reports the nanoseconds of its *timed region* so
+    // per-sample setup (fresh repository, untimed interning) stays out
+    // of the statistics.
+    let sharded_pass = |names: &[String]| -> u64 {
         let urr = Urr::new();
-        let recs = build_recs(&urr);
+        let recs = stream::interned(&urr, names);
         let t0 = Instant::now();
         for chunk in recs.chunks(4096) {
             black_box(urr.deposit_interned_batch(chunk));
         }
         t0.elapsed().as_nanos() as u64
     };
+    let names = stream::machine_names(n_main);
     let proto: Vec<Report> = (0..n_main)
         .map(|i| {
-            if is_failure(i) {
-                Report {
-                    machine: names[i].clone(),
-                    cluster: i % clusters,
-                    package: "upgrade".into(),
-                    version: "r0".into(),
+            let report = Report::success(names[i].clone(), i % stream::CLUSTERS, "upgrade", "r0");
+            match stream::failure(i) {
+                Some(sig) => Report {
                     outcome: ReportOutcome::Failure {
-                        signature: format!("sig-{:02}", sig_of(i)),
+                        signature: format!("sig-{sig:02}"),
                         detail: String::new(),
                     },
-                    seq: 0,
-                    image: None,
-                }
-            } else {
-                Report::success(names[i].clone(), i % clusters, "upgrade", "r0")
+                    ..report
+                },
+                None => report,
             }
         })
         .collect();
-    let reference_pass = || -> u64 {
-        let urr = reference::Urr::new();
-        let t0 = Instant::now();
-        for r in &proto {
-            black_box(urr.deposit(r.clone()));
-        }
-        t0.elapsed().as_nanos() as u64
-    };
-    black_box(sharded_pass());
-    black_box(reference_pass());
-    let started = Instant::now();
-    let mut sharded_ns: Vec<u64> = Vec::new();
-    let mut reference_ns: Vec<u64> = Vec::new();
-    loop {
-        sharded_ns.push(sharded_pass());
-        reference_ns.push(reference_pass());
-        if (started.elapsed() >= budget * 2 && sharded_ns.len() >= MIN_SAMPLES)
-            || sharded_ns.len() >= 500
-        {
-            break;
-        }
-    }
-    let sharded_main = format!("urr/ingest/sharded-{}", label(n_main));
-    let reference_main = format!("urr/ingest/reference-{}", label(n_main));
-    record(&mut rows, &sharded_main, sharded_ns);
-    record(&mut rows, &reference_main, reference_ns);
+    let sharded_main = format!("urr/ingest/sharded-{}", volume_label(n_main));
+    let reference_main = format!("urr/ingest/reference-{}", volume_label(n_main));
+    h.bench_paired_ns(
+        &sharded_main,
+        &reference_main,
+        || sharded_pass(&names),
+        || {
+            let urr = reference::Urr::new();
+            let t0 = Instant::now();
+            for r in &proto {
+                black_box(urr.deposit(r.clone()));
+            }
+            t0.elapsed().as_nanos() as u64
+        },
+    );
     drop(proto);
 
     // --- Ingest at scale: the sharded path only (the reference would
     // dominate the budget at a million reports).
-    let names_big = machine_names(n_big);
-    let sharded_big = format!("urr/ingest/sharded-{}", label(n_big));
-    sample(&mut rows, budget, &sharded_big, &mut || {
-        let urr = Urr::new();
-        let machines = urr.intern_machines(names_big.iter().map(String::as_str));
-        let sigs: Vec<_> = (0..SIGNATURES)
-            .map(|s| urr.intern_signature(&format!("sig-{s:02}")))
-            .collect();
-        let release = urr.intern_release("upgrade", "r0");
-        let recs: Vec<InternedReport> = (0..n_big)
-            .map(|i| InternedReport {
-                machine: machines[i],
-                cluster: (i % clusters) as u32,
-                release,
-                outcome: if is_failure(i) {
-                    InternedOutcome::Failure(sigs[sig_of(i)])
-                } else {
-                    InternedOutcome::Success
-                },
-            })
-            .collect();
-        let t0 = Instant::now();
-        for chunk in recs.chunks(4096) {
-            black_box(urr.deposit_interned_batch(chunk));
-        }
-        t0.elapsed().as_nanos() as u64
-    });
+    let names_big = stream::machine_names(n_big);
+    let sharded_big = format!("urr/ingest/sharded-{}", volume_label(n_big));
+    h.bench_ns(&sharded_big, || sharded_pass(&names_big));
     drop(names_big);
 
     // --- Queries against a built repository of the main volume.
     let query_urr = Urr::new();
-    query_urr.deposit_interned_batch(&build_recs(&query_urr));
+    query_urr.deposit_interned_batch(&stream::interned(&query_urr, &names));
     let stats = query_urr.stats();
     assert_eq!(
         stats.total, n_main,
         "query repository holds the full stream"
     );
-    assert_eq!(stats.distinct_failures, SIGNATURES);
+    assert_eq!(stats.distinct_failures, stream::SIGNATURES);
     let window = 0..(n_main as u64 / 2);
-    sample(&mut rows, budget, "urr/query/top-k-5", &mut || {
-        let t0 = Instant::now();
-        black_box(query_urr.top_k_failure_groups(5));
-        t0.elapsed().as_nanos() as u64
+    h.bench("urr/query/top-k-5", || query_urr.top_k_failure_groups(5));
+    h.bench("urr/query/failure-groups", || query_urr.failure_groups());
+    h.bench("urr/query/cluster-rates", || {
+        query_urr.cluster_failure_rates()
     });
-    sample(&mut rows, budget, "urr/query/failure-groups", &mut || {
-        let t0 = Instant::now();
-        black_box(query_urr.failure_groups());
-        t0.elapsed().as_nanos() as u64
+    h.bench("urr/query/first-seen-window", || {
+        query_urr.first_seen_in(window.clone())
     });
-    sample(&mut rows, budget, "urr/query/cluster-rates", &mut || {
-        let t0 = Instant::now();
-        black_box(query_urr.cluster_failure_rates());
-        t0.elapsed().as_nanos() as u64
-    });
-    sample(
-        &mut rows,
-        budget,
-        "urr/query/first-seen-window",
-        &mut || {
-            let t0 = Instant::now();
-            black_box(query_urr.first_seen_in(window.clone()));
-            t0.elapsed().as_nanos() as u64
-        },
-    );
 
-    let find = |name: &str| {
-        rows.iter()
-            .find(|(r, _)| r.name == name)
-            .expect("benchmark ran")
-    };
-    let reports_per_sec = |name: &str, n: usize| {
-        let (r, _) = find(name);
-        n as f64 / (r.min_ns.max(1) as f64 / 1e9)
-    };
-    let (fast, _) = find(&sharded_main);
-    let (slow, _) = find(&reference_main);
-    let speedup = slow.min_ns as f64 / fast.min_ns.max(1) as f64;
+    let reports_per_sec =
+        |name: &str, n: usize| n as f64 / (h.row(name).min_ns.max(1) as f64 / 1e9);
+    let speedup = h.speedup(&reference_main, &sharded_main);
     println!(
         "=> sharded interned ingest is {speedup:.2}x the string-keyed reference \
          at {} reports (min-over-min)",
-        label(n_main)
+        volume_label(n_main)
     );
     println!(
         "=> ingest throughput: sharded {:.0}/s, reference {:.0}/s, sharded-{} {:.0}/s",
         reports_per_sec(&sharded_main, n_main),
         reports_per_sec(&reference_main, n_main),
-        label(n_big),
+        volume_label(n_big),
         reports_per_sec(&sharded_big, n_big),
     );
 
-    // Hand-rolled JSON (the workspace is offline; no serde).
-    let mut json = String::from("{\n  \"suite\": \"urr-perf\",\n");
-    json.push_str(&format!(
-        "  \"note\": \"{n_main} reports over {clusters} clusters, 10% failures across \
-         {SIGNATURES} signatures; sharded = interned 4096-record batches into a fresh \
-         repository per sample (interning untimed); reference = the retained string-keyed \
-         repository, timed region includes the per-report string materialisation its API \
-         forces; queries run against the built {n_main}-report repository\",\n"
-    ));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, (r, _)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"samples\": {}, \"min_ns\": {}, \"p50_ns\": {}, \
-             \"mean_ns\": {:.0}, \"max_ns\": {}}}{}\n",
-            r.name,
-            r.samples,
-            r.min_ns,
-            r.p50_ns,
-            r.mean_ns,
-            r.max_ns,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"ingest\": {{\n    \"sharded_{}_reports_per_sec\": {:.0},\n    \
-         \"reference_{}_reports_per_sec\": {:.0},\n    \
-         \"sharded_{}_reports_per_sec\": {:.0}\n  }},\n",
-        label(n_main),
-        reports_per_sec(&sharded_main, n_main),
-        label(n_main),
-        reports_per_sec(&reference_main, n_main),
-        label(n_big),
-        reports_per_sec(&sharded_big, n_big),
-    ));
-    json.push_str(&format!(
-        "  \"ingest_speedup_100k_vs_reference\": {speedup:.2},\n"
-    ));
-    json.push_str("  \"query\": {\n");
-    let query_keys = [
+    let mut doc = BenchDoc::new(
+        "urr-perf",
+        format!(
+            "{n_main} reports over {} clusters, 10% failures across {} signatures; sharded = \
+             interned 4096-record batches into a fresh repository per sample (interning \
+             untimed); reference = the retained string-keyed repository, timed region \
+             includes the per-report string materialisation its API forces; queries run \
+             against the built {n_main}-report repository",
+            stream::CLUSTERS,
+            stream::SIGNATURES
+        ),
+    );
+    let ingest_rate = |kind: &str, row: &str, n: usize| {
+        (
+            format!("{kind}_{}_reports_per_sec", volume_label(n)),
+            Value::from(reports_per_sec(row, n).round()),
+        )
+    };
+    let query = [
         ("top_k", "urr/query/top-k-5"),
         ("failure_groups", "urr/query/failure-groups"),
         ("cluster_rates", "urr/query/cluster-rates"),
         ("first_seen_window", "urr/query/first-seen-window"),
     ];
-    for (i, (key, row)) in query_keys.iter().enumerate() {
-        let (r, p99) = find(row);
-        json.push_str(&format!(
-            "    \"{key}_p50_ns\": {}, \"{key}_p99_ns\": {}{}\n",
-            r.p50_ns,
-            p99,
-            if i + 1 < query_keys.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  }\n}\n");
-
-    let path = csv
-        .map(|d| d.join("BENCH_urr.json"))
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_urr.json"));
-    std::fs::write(&path, json).expect("write BENCH_urr.json");
-    println!("(wrote {})", path.display());
+    doc.set("smoke", smoke)
+        .harness_rows(h.results())
+        .set(
+            "ingest",
+            Value::obj([
+                ingest_rate("sharded", &sharded_main, n_main),
+                ingest_rate("reference", &reference_main, n_main),
+                ingest_rate("sharded", &sharded_big, n_big),
+            ]),
+        )
+        .set("ingest_speedup_100k_vs_reference", round_to(speedup, 2))
+        .set(
+            "query",
+            Value::obj(query.iter().flat_map(|(key, row)| {
+                let r = h.row(row);
+                [
+                    (format!("{key}_p50_ns"), Value::from(r.p50_ns)),
+                    (format!("{key}_p99_ns"), Value::from(r.p99_ns)),
+                ]
+            })),
+        );
+    let path = doc.write(ctx.csv(), "BENCH_urr.json");
 
     // In-binary regression floor: deliberately below the headline the
     // committed BENCH_urr.json carries (the paired min-over-min lands
@@ -607,13 +451,10 @@ fn urr_perf(csv: Option<&std::path::Path>, smoke: bool) {
 
 /// Benchmarks the durable URR storage backend — WAL append throughput,
 /// crash-recovery time, and mixed read/write serving — and writes
-/// `BENCH_storage.json`, into the `--csv` directory when given, the
-/// working directory otherwise.
+/// `BENCH_storage.json`.
 ///
-/// The synthetic stream matches `urr-perf` (100 clusters, 10% failures
-/// over 20 signatures, release r0) so the journaled numbers here read
-/// directly against the unjournaled ingest numbers there. Five
-/// measurements plus one scale row:
+/// The report [`stream`] matches `urr-perf`. Five measurements plus one
+/// scale row:
 ///
 /// * `storage/wal/append-memory-*` / `storage/wal/append-fs-*`: a fresh
 ///   [`mirage_report::DurableUrr`] per sample (interning untimed)
@@ -636,73 +477,26 @@ fn urr_perf(csv: Option<&std::path::Path>, smoke: bool) {
 /// once and compares every query surface of the recovered repository
 /// against the live one — the `recovered_equal` flag the bench gate
 /// requires.
-///
-/// `--smoke` shrinks the volume (5k reports, no 1M row) so CI can
-/// exercise the whole path in debug builds. The per-benchmark budget
-/// follows `MIRAGE_BENCH_MS` (default 150 ms).
-fn urr_store_perf(csv: Option<&std::path::Path>, smoke: bool) {
+fn urr_store_perf(ctx: &Ctx) {
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
 
-    use mirage_bench::harness::{black_box, fmt_ns, BenchStats, MIN_SAMPLES};
     use mirage_report::{
-        DurableConfig, DurableUrr, FsStore, InternedOutcome, InternedReport, MemoryStore, Urr,
-        UrrRequest,
+        DurableConfig, DurableUrr, FsStore, InternedReport, MemoryStore, Urr, UrrRequest,
     };
 
-    heading(if smoke {
-        "Durable URR storage (smoke volume): WAL append, recovery, mixed serving"
-    } else {
-        "Durable URR storage: WAL append, recovery, mixed serving"
-    });
-
-    const SIGNATURES: usize = 20;
-    let (n_main, n_big) = if smoke {
-        (5_000, 20_000)
-    } else {
-        (100_000, 1_000_000)
-    };
-    let label = |n: usize| {
-        if n >= 1_000_000 {
-            format!("{}m", n / 1_000_000)
-        } else {
-            format!("{}k", n / 1_000)
-        }
-    };
-    let clusters = 100usize;
-    let is_failure = |i: usize| i % 10 == 3;
-    let sig_of = |i: usize| (i / 10) % SIGNATURES;
+    let smoke = ctx.smoke;
+    suite_heading(
+        ctx,
+        "Durable URR storage: WAL append, recovery, mixed serving",
+    );
+    let (n_main, n_big) = stream::volumes(smoke);
     // Manual-snapshot config: the benches place snapshots themselves so
     // each row measures exactly one journal shape.
     let config = || DurableConfig {
         snapshot_every_batches: 0,
         ..DurableConfig::default()
     };
-    let build_recs = |urr: &Urr, n: usize| -> Vec<InternedReport> {
-        let machines = urr.intern_machines(
-            (0..n)
-                .map(|i| format!("m{i:07}"))
-                .collect::<Vec<_>>()
-                .iter()
-                .map(String::as_str),
-        );
-        let sigs: Vec<_> = (0..SIGNATURES)
-            .map(|s| urr.intern_signature(&format!("sig-{s:02}")))
-            .collect();
-        let release = urr.intern_release("upgrade", "r0");
-        (0..n)
-            .map(|i| InternedReport {
-                machine: machines[i],
-                cluster: (i % clusters) as u32,
-                release,
-                outcome: if is_failure(i) {
-                    InternedOutcome::Failure(sigs[sig_of(i)])
-                } else {
-                    InternedOutcome::Success
-                },
-            })
-            .collect()
-    };
+    let build_recs = |urr: &Urr, n: usize| stream::interned(urr, &stream::machine_names(n));
     // Builds a journaled repository of `n` reports over a MemoryStore,
     // optionally compacting into a snapshot once `snapshot_at` reports
     // are in (the rest stays in the WAL tail). Returns the store handle
@@ -712,18 +506,14 @@ fn urr_store_perf(csv: Option<&std::path::Path>, smoke: bool) {
         let handle = store.clone();
         let durable = DurableUrr::new(Box::new(store), config()).expect("memory store");
         let recs = build_recs(durable.urr(), n);
-        let mut deposited = 0usize;
-        let mut snapped = false;
-        for chunk in recs.chunks(4096) {
+        // The snapshot lands after the first frame that reaches it.
+        let snapshot_after = snapshot_at.map(|at| at.div_ceil(4096));
+        for (i, chunk) in recs.chunks(4096).enumerate() {
             durable
                 .deposit_interned_batch(chunk)
                 .expect("journal batch");
-            deposited += chunk.len();
-            if let Some(at) = snapshot_at {
-                if !snapped && deposited >= at {
-                    durable.snapshot_now().expect("write snapshot");
-                    snapped = true;
-                }
+            if Some(i + 1) == snapshot_after {
+                durable.snapshot_now().expect("write snapshot");
             }
         }
         (handle, durable)
@@ -740,89 +530,47 @@ fn urr_store_perf(csv: Option<&std::path::Path>, smoke: bool) {
             && back.snapshot() == live.snapshot()
             && back.to_json() == live.to_json()
     };
-
-    let budget = Duration::from_millis(
-        std::env::var("MIRAGE_BENCH_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(150),
-    );
-    let mut rows: Vec<BenchStats> = Vec::new();
-
-    /// Sorts `samples_ns`, prints one harness-style row, and records it.
-    fn record(rows: &mut Vec<BenchStats>, name: &str, mut samples: Vec<u64>, scale: bool) {
-        samples.sort_unstable();
-        let stats = BenchStats {
-            name: name.to_string(),
-            samples: samples.len(),
-            min_ns: samples[0],
-            p50_ns: samples[samples.len() / 2],
-            mean_ns: samples.iter().sum::<u64>() as f64 / samples.len() as f64,
-            max_ns: *samples.last().expect("non-empty"),
-            bytes: None,
-            scale,
-        };
-        println!(
-            "{:<44} {:>8} {:>12} {:>12} {:>12}",
-            stats.name,
-            stats.samples,
-            fmt_ns(stats.min_ns as f64),
-            fmt_ns(stats.p50_ns as f64),
-            fmt_ns(stats.mean_ns),
-        );
-        rows.push(stats);
-    }
-
-    /// Samples `run` (which returns the nanoseconds of its timed region)
-    /// until the budget or a sample cap is hit, then records the row.
-    fn sample(
-        rows: &mut Vec<BenchStats>,
-        budget: Duration,
-        name: &str,
-        run: &mut dyn FnMut() -> u64,
-    ) {
-        black_box(run()); // one untimed warmup, like the harness
-        let started = Instant::now();
-        let mut samples: Vec<u64> = Vec::new();
-        loop {
-            samples.push(run());
-            if (started.elapsed() >= budget && samples.len() >= MIN_SAMPLES)
-                || samples.len() >= 1_000
-            {
-                break;
-            }
-        }
-        record(rows, name, samples, false);
-    }
-
-    // --- WAL append throughput: a fresh journaled repository per
-    // sample, interning untimed, 4096-record frames (the UrrSink batch).
-    let append_mem = format!("storage/wal/append-memory-{}", label(n_main));
-    sample(&mut rows, budget, &append_mem, &mut || {
-        let durable = DurableUrr::new(Box::new(MemoryStore::new()), config()).expect("memory");
-        let recs = build_recs(durable.urr(), n_main);
+    // Journals `recs` into `durable` as 4096-record frames (the UrrSink
+    // batch); the nanoseconds of exactly that.
+    let append_ns = |durable: &DurableUrr, recs: &[InternedReport]| -> u64 {
         let t0 = Instant::now();
         for chunk in recs.chunks(4096) {
             black_box(durable.deposit_interned_batch(chunk).expect("journal"));
         }
         t0.elapsed().as_nanos() as u64
+    };
+    // Recovers a fresh fork of `handle`'s crash image; the nanoseconds
+    // of `recover` alone.
+    let recover_ns = |handle: &MemoryStore| -> u64 {
+        let image = handle.fork();
+        let t0 = Instant::now();
+        let (back, report) = DurableUrr::recover(Box::new(image), config()).expect("recover");
+        black_box((back.urr().next_seq(), report));
+        t0.elapsed().as_nanos() as u64
+    };
+
+    let mut h = Harness::new("urr-store-perf");
+
+    // --- WAL append throughput: a fresh journaled repository per
+    // sample, interning untimed.
+    let append_mem = format!("storage/wal/append-memory-{}", volume_label(n_main));
+    h.bench_ns(&append_mem, || {
+        let durable = DurableUrr::new(Box::new(MemoryStore::new()), config()).expect("memory");
+        let recs = build_recs(durable.urr(), n_main);
+        append_ns(&durable, &recs)
     });
 
     let scratch_root =
         std::env::temp_dir().join(format!("mirage-store-perf-{}", std::process::id()));
     let mut scratch_n = 0usize;
-    let append_fs = format!("storage/wal/append-fs-{}", label(n_main));
-    sample(&mut rows, budget, &append_fs, &mut || {
+    let append_fs = format!("storage/wal/append-fs-{}", volume_label(n_main));
+    h.bench_ns(&append_fs, || {
         scratch_n += 1;
         let dir = scratch_root.join(format!("append-{scratch_n}"));
         let store = FsStore::open(&dir).expect("open fs store");
         let durable = DurableUrr::new(Box::new(store), config()).expect("fs store");
         let recs = build_recs(durable.urr(), n_main);
-        let t0 = Instant::now();
-        for chunk in recs.chunks(4096) {
-            black_box(durable.deposit_interned_batch(chunk).expect("journal"));
-        }
-        let ns = t0.elapsed().as_nanos() as u64;
+        let ns = append_ns(&durable, &recs);
         drop(durable);
         std::fs::remove_dir_all(&dir).expect("remove scratch store");
         ns
@@ -833,25 +581,13 @@ fn urr_store_perf(csv: Option<&std::path::Path>, smoke: bool) {
     let mut recovered_equal = true;
     let (wal_handle, wal_durable) = build_journal(n_main, None);
     recovered_equal &= recovers_equal(&wal_handle, &wal_durable);
-    let recover_wal = format!("storage/recover/wal-{}", label(n_main));
-    sample(&mut rows, budget, &recover_wal, &mut || {
-        let image = wal_handle.fork();
-        let t0 = Instant::now();
-        let (back, report) = DurableUrr::recover(Box::new(image), config()).expect("recover");
-        black_box((back.urr().next_seq(), report));
-        t0.elapsed().as_nanos() as u64
-    });
+    let recover_wal = format!("storage/recover/wal-{}", volume_label(n_main));
+    h.bench_ns(&recover_wal, || recover_ns(&wal_handle));
 
     let (snap_handle, snap_durable) = build_journal(n_main, Some(n_main * 9 / 10));
     recovered_equal &= recovers_equal(&snap_handle, &snap_durable);
-    let recover_snap = format!("storage/recover/snapshot-{}", label(n_main));
-    sample(&mut rows, budget, &recover_snap, &mut || {
-        let image = snap_handle.fork();
-        let t0 = Instant::now();
-        let (back, report) = DurableUrr::recover(Box::new(image), config()).expect("recover");
-        black_box((back.urr().next_seq(), report));
-        t0.elapsed().as_nanos() as u64
-    });
+    let recover_snap = format!("storage/recover/snapshot-{}", volume_label(n_main));
+    h.bench_ns(&recover_snap, || recover_ns(&snap_handle));
 
     // --- Mixed read/write serving: reader threads answer the binary
     // vendor protocol from a frozen snapshot view while a writer keeps
@@ -875,9 +611,8 @@ fn urr_store_perf(csv: Option<&std::path::Path>, smoke: bool) {
         .collect(),
     );
     let write_chunk: Arc<Vec<InternedReport>> = Arc::new(build_recs(mixed_durable.urr(), 4_096));
-    let mixed = format!("storage/serve/mixed-read-write-{}", label(n_main));
-    sample(&mut rows, budget, &mixed, &mut || {
-        let t0 = Instant::now();
+    let mixed = format!("storage/serve/mixed-read-write-{}", volume_label(n_main));
+    h.bench(&mixed, || {
         std::thread::scope(|scope| {
             for _ in 0..readers {
                 let frozen = Arc::clone(&frozen);
@@ -897,7 +632,6 @@ fn urr_store_perf(csv: Option<&std::path::Path>, smoke: bool) {
                 }
             });
         });
-        t0.elapsed().as_nanos() as u64
     });
 
     // --- Recovery at scale: one deliberate single-shot (full runs only).
@@ -906,40 +640,35 @@ fn urr_store_perf(csv: Option<&std::path::Path>, smoke: bool) {
     } else {
         let (big_handle, big_durable) = build_journal(n_big, Some(n_big * 9 / 10));
         let image = big_handle.fork();
-        let t0 = Instant::now();
-        let (back, report) = DurableUrr::recover(Box::new(image), config()).expect("recover");
-        let ns = t0.elapsed().as_nanos() as u64;
+        let mut recovered = None;
+        let ns = h
+            .bench_scale(
+                &format!("storage/recover/snapshot-{}", volume_label(n_big)),
+                || {
+                    recovered =
+                        Some(DurableUrr::recover(Box::new(image), config()).expect("recover"))
+                },
+            )
+            .min_ns;
+        let (back, report) = recovered.expect("scale rows sample exactly once");
         assert!(report.snapshot_loaded, "1M image has a snapshot");
         recovered_equal &= back.urr().next_seq() == big_durable.urr().next_seq()
             && back.urr().stats() == big_durable.urr().stats();
-        record(
-            &mut rows,
-            &format!("storage/recover/snapshot-{}", label(n_big)),
-            vec![ns],
-            true,
-        );
         Some(ns as f64 / 1e6)
     };
 
-    let find = |rows: &[BenchStats], name: &str| -> u64 {
-        rows.iter()
-            .find(|r| r.name == name)
-            .expect("benchmark ran")
-            .min_ns
-            .max(1)
-    };
+    let min_ns = |name: &str| h.row(name).min_ns.max(1);
     let per_sec = |ns: u64, n: usize| n as f64 / (ns as f64 / 1e9);
-    let append_mem_rate = per_sec(find(&rows, &append_mem), n_main);
-    let append_fs_rate = per_sec(find(&rows, &append_fs), n_main);
-    let mixed_ns = find(&rows, &mixed);
-    let mixed_reads = per_sec(mixed_ns, readers * reads_per_thread);
-    let mixed_writes = per_sec(mixed_ns, writer_batches * 4_096);
-    let recovery_wal_ms = find(&rows, &recover_wal) as f64 / 1e6;
-    let recovery_snap_ms = find(&rows, &recover_snap) as f64 / 1e6;
+    let append_mem_rate = per_sec(min_ns(&append_mem), n_main);
+    let append_fs_rate = per_sec(min_ns(&append_fs), n_main);
+    let mixed_reads = per_sec(min_ns(&mixed), readers * reads_per_thread);
+    let mixed_writes = per_sec(min_ns(&mixed), writer_batches * 4_096);
+    let recovery_wal_ms = min_ns(&recover_wal) as f64 / 1e6;
+    let recovery_snap_ms = min_ns(&recover_snap) as f64 / 1e6;
     println!(
         "=> journaled append: {append_mem_rate:.0}/s memory, {append_fs_rate:.0}/s fs; \
          recovery at {}: {recovery_wal_ms:.1} ms WAL-only, {recovery_snap_ms:.1} ms snapshot+tail",
-        label(n_main)
+        volume_label(n_main)
     );
     println!(
         "=> mixed serving: {mixed_reads:.0} reads/s across {readers} frozen readers \
@@ -947,66 +676,45 @@ fn urr_store_perf(csv: Option<&std::path::Path>, smoke: bool) {
          {recovered_equal}"
     );
 
-    // Hand-rolled JSON (the workspace is offline; no serde).
-    let mut json = String::from("{\n  \"suite\": \"urr-store-perf\",\n");
-    json.push_str(&format!(
-        "  \"note\": \"{n_main} reports over {clusters} clusters, 10% failures across \
-         {SIGNATURES} signatures, journaled as interned 4096-record WAL frames; append rows \
-         use a fresh repository per sample (interning untimed); recovery rows fork the live \
-         MemoryStore into a crash image (untimed) and time DurableUrr::recover; the mixed row \
-         runs {readers} protocol readers on a frozen snapshot against one journaling writer; \
-         recovered_equal compares every query surface of a recovered repository to the live \
-         one\",\n"
-    ));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"samples\": {}, \"min_ns\": {}, \"p50_ns\": {}, \
-             \"mean_ns\": {:.0}, \"max_ns\": {}{}}}{}\n",
-            r.name,
-            r.samples,
-            r.min_ns,
-            r.p50_ns,
-            r.mean_ns,
-            r.max_ns,
-            if r.scale { ", \"scale\": true" } else { "" },
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"wal_append_memory_{}_reports_per_sec\": {append_mem_rate:.0},\n",
-        label(n_main)
-    ));
-    json.push_str(&format!(
-        "  \"wal_append_fs_{}_reports_per_sec\": {append_fs_rate:.0},\n",
-        label(n_main)
-    ));
-    json.push_str(&format!("  \"mixed_readers\": {readers},\n"));
-    json.push_str(&format!("  \"mixed_reads_per_sec\": {mixed_reads:.0},\n"));
-    json.push_str(&format!("  \"mixed_writes_per_sec\": {mixed_writes:.0},\n"));
-    json.push_str(&format!(
-        "  \"recovery_wal_{}_ms\": {recovery_wal_ms:.2},\n",
-        label(n_main)
-    ));
-    json.push_str(&format!(
-        "  \"recovery_snapshot_{}_ms\": {recovery_snap_ms:.2},\n",
-        label(n_main)
-    ));
+    let mut doc = BenchDoc::new(
+        "urr-store-perf",
+        format!(
+            "{n_main} reports over {} clusters, 10% failures across {} signatures, journaled \
+             as interned 4096-record WAL frames; append rows use a fresh repository per sample \
+             (interning untimed); recovery rows fork the live MemoryStore into a crash image \
+             (untimed) and time DurableUrr::recover; the mixed row runs {readers} protocol \
+             readers on a frozen snapshot against one journaling writer; recovered_equal \
+             compares every query surface of a recovered repository to the live one",
+            stream::CLUSTERS,
+            stream::SIGNATURES
+        ),
+    );
+    // `wal_append_memory` + `100k` + `reports_per_sec`, and the like.
+    let key = |what: &str, n: usize, unit: &str| format!("{what}_{}_{unit}", volume_label(n));
+    let rate = "reports_per_sec";
+    doc.set("smoke", smoke)
+        .harness_rows(h.results())
+        .set(
+            &key("wal_append_memory", n_main, rate),
+            append_mem_rate.round(),
+        )
+        .set(&key("wal_append_fs", n_main, rate), append_fs_rate.round())
+        .set("mixed_readers", readers)
+        .set("mixed_reads_per_sec", mixed_reads.round())
+        .set("mixed_writes_per_sec", mixed_writes.round())
+        .set(
+            &key("recovery_wal", n_main, "ms"),
+            round_to(recovery_wal_ms, 2),
+        )
+        .set(
+            &key("recovery_snapshot", n_main, "ms"),
+            round_to(recovery_snap_ms, 2),
+        );
     if let Some(ms) = recovery_1m_ms {
-        json.push_str(&format!(
-            "  \"recovery_snapshot_{}_ms\": {ms:.2},\n",
-            label(n_big)
-        ));
+        doc.set(&key("recovery_snapshot", n_big, "ms"), round_to(ms, 2));
     }
-    json.push_str(&format!("  \"recovered_equal\": {recovered_equal}\n}}\n"));
-
-    let path = csv
-        .map(|d| d.join("BENCH_storage.json"))
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_storage.json"));
-    std::fs::write(&path, json).expect("write BENCH_storage.json");
-    println!("(wrote {})", path.display());
+    doc.set("recovered_equal", recovered_equal);
+    let path = doc.write(ctx.csv(), "BENCH_storage.json");
     let _ = std::fs::remove_dir_all(&scratch_root);
 
     // Hard invariant regardless of volume: a recovery that loses or
@@ -1027,15 +735,14 @@ fn urr_store_perf(csv: Option<&std::path::Path>, smoke: bool) {
         assert!(
             recovery_snap_ms <= 10_000.0,
             "snapshot+tail recovery at {} took {recovery_snap_ms:.0} ms (> 10 s)",
-            label(n_main)
+            volume_label(n_main)
         );
     }
 }
 
 /// Benchmarks re-clustering after fleet drift — the batch drift engine
 /// on the dense interned plane vs the retained reference loop — and
-/// writes `BENCH_drift.json`, into the `--csv` directory when given,
-/// the working directory otherwise.
+/// writes `BENCH_drift.json`.
 ///
 /// The fleet is synthetic but adversarially bucketed: `envs`
 /// environments (distinct parsed diffs), each split into 4 config
@@ -1062,14 +769,10 @@ fn urr_store_perf(csv: Option<&std::path::Path>, smoke: bool) {
 /// the `drift_counters_match` flag the bench gate requires — so the
 /// speedup is provably a comparison of equivalent work.
 ///
-/// `--smoke` shrinks the fleet (5k machines, 100 deltas, no 1M row) so
-/// CI can exercise the whole path in debug builds. The per-benchmark
-/// budget follows `MIRAGE_BENCH_MS` (default 150 ms).
-fn drift_perf(csv: Option<&std::path::Path>, smoke: bool) {
+/// `--smoke` shrinks the fleet (5k machines, 100 deltas, no 1M row).
+fn drift_perf(ctx: &Ctx) {
     use std::collections::BTreeMap;
-    use std::time::{Duration, Instant};
 
-    use mirage_bench::harness::{black_box, fmt_ns, BenchStats, MIN_SAMPLES};
     use mirage_cluster::{
         clustering_from_groups, drift_reference, Clustering, DriftEngine, DriftOp, MachineDelta,
         MachineInfo,
@@ -1077,11 +780,8 @@ fn drift_perf(csv: Option<&std::path::Path>, smoke: bool) {
     use mirage_fingerprint::{DiffSet, Item};
     use mirage_telemetry::Telemetry;
 
-    heading(if smoke {
-        "Drift performance (smoke fleet): batch engine vs reference loop"
-    } else {
-        "Drift performance: batch engine vs reference loop (100k machines)"
-    });
+    let smoke = ctx.smoke;
+    suite_heading(ctx, "Drift performance: batch engine vs reference loop");
 
     const VARIANTS: usize = 4;
     let diameter = 1usize;
@@ -1091,13 +791,6 @@ fn drift_perf(csv: Option<&std::path::Path>, smoke: bool) {
         (200, 125, 1000)
     };
     let n_main = envs * VARIANTS * per_cluster;
-    let label = |n: usize| {
-        if n >= 1_000_000 {
-            format!("{}m", n / 1_000_000)
-        } else {
-            format!("{}k", n / 1_000)
-        }
-    };
 
     /// `envs` environments x 4 config variants x `per` machines, grouped
     /// into derived-consistent clusters.
@@ -1150,32 +843,6 @@ fn drift_perf(csv: Option<&std::path::Path>, smoke: bool) {
             .collect()
     }
 
-    /// Sorts `samples_ns`, prints one harness-style row, and records the
-    /// statistics (plus p99) into `rows`.
-    fn record(rows: &mut Vec<(BenchStats, u64)>, name: &str, scale: bool, mut samples: Vec<u64>) {
-        samples.sort_unstable();
-        let p99 = samples[(samples.len() * 99 / 100).min(samples.len() - 1)];
-        let stats = BenchStats {
-            name: name.to_string(),
-            samples: samples.len(),
-            min_ns: samples[0],
-            p50_ns: samples[samples.len() / 2],
-            mean_ns: samples.iter().sum::<u64>() as f64 / samples.len() as f64,
-            max_ns: *samples.last().expect("non-empty"),
-            bytes: None,
-            scale,
-        };
-        println!(
-            "{:<44} {:>8} {:>12} {:>12} {:>12}",
-            stats.name,
-            stats.samples,
-            fmt_ns(stats.min_ns as f64),
-            fmt_ns(stats.p50_ns as f64),
-            fmt_ns(stats.mean_ns),
-        );
-        rows.push((stats, p99));
-    }
-
     let mut seed = 0x9e3779b97f4a7c15u64;
     let (clustering, fleet_main) = fleet(envs, per_cluster);
     let deltas = drift_batch(&mut seed, &fleet_main, delta_count);
@@ -1212,54 +879,36 @@ fn drift_perf(csv: Option<&std::path::Path>, smoke: bool) {
     drop(verify_engine);
     drop(ref_clustering);
 
-    let budget = Duration::from_millis(
-        std::env::var("MIRAGE_BENCH_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(150),
-    );
-    let mut rows: Vec<(BenchStats, u64)> = Vec::new();
+    let mut h = Harness::new("drift-perf");
 
     // --- Paired batch comparison, interleaved so both planes sample the
     // same machine conditions. Setup stays untimed on both sides: the
     // engine rebuild (pool lowering, bucket construction) for the batch
     // plane, the fleet-map clone for the reference plane.
-    let engine_pass = || -> u64 {
-        let mut engine = DriftEngine::new(&clustering, &fleet_main, diameter);
-        let t0 = Instant::now();
-        black_box(engine.recluster_batch(&deltas));
-        t0.elapsed().as_nanos() as u64
-    };
-    let reference_pass = || -> u64 {
-        let mut map = ref_map.clone();
-        let t0 = Instant::now();
-        black_box(drift_reference(
-            &clustering,
-            &mut map,
-            &deltas,
-            diameter,
-            &Telemetry::noop(),
-        ));
-        t0.elapsed().as_nanos() as u64
-    };
-    black_box(engine_pass());
-    black_box(reference_pass());
-    let started = Instant::now();
-    let mut engine_ns: Vec<u64> = Vec::new();
-    let mut reference_ns: Vec<u64> = Vec::new();
-    loop {
-        engine_ns.push(engine_pass());
-        reference_ns.push(reference_pass());
-        if (started.elapsed() >= budget * 2 && engine_ns.len() >= MIN_SAMPLES)
-            || engine_ns.len() >= 100
-        {
-            break;
-        }
-    }
-    let engine_row = format!("drift/{}/batch-engine", label(n_main));
-    let reference_row = format!("drift/{}/reference-loop", label(n_main));
-    record(&mut rows, &engine_row, false, engine_ns);
-    record(&mut rows, &reference_row, false, reference_ns);
+    let engine_row = format!("drift/{}/batch-engine", volume_label(n_main));
+    let reference_row = format!("drift/{}/reference-loop", volume_label(n_main));
+    h.bench_paired_ns(
+        &engine_row,
+        &reference_row,
+        || {
+            let mut engine = DriftEngine::new(&clustering, &fleet_main, diameter);
+            let t0 = Instant::now();
+            black_box(engine.recluster_batch(&deltas));
+            t0.elapsed().as_nanos() as u64
+        },
+        || {
+            let mut map = ref_map.clone();
+            let t0 = Instant::now();
+            black_box(drift_reference(
+                &clustering,
+                &mut map,
+                &deltas,
+                diameter,
+                &Telemetry::noop(),
+            ));
+            t0.elapsed().as_nanos() as u64
+        },
+    );
     drop(ref_map);
 
     // --- Per-delta re-cluster latency on a persistent engine: the
@@ -1271,114 +920,85 @@ fn drift_perf(csv: Option<&std::path::Path>, smoke: bool) {
         black_box(latency_engine.recluster_batch(std::slice::from_ref(delta)));
         per_delta.push(t0.elapsed().as_nanos() as u64);
     }
-    let per_delta_row = format!("drift/{}/per-delta", label(n_main));
-    record(&mut rows, &per_delta_row, false, per_delta);
+    let per_delta_row = format!("drift/{}/per-delta", volume_label(n_main));
+    h.record(&per_delta_row, per_delta);
     drop(latency_engine);
 
     // --- 1M-machine scale batch (full runs only): one honest sample.
-    let mut scale_line = String::new();
-    if !smoke {
+    let scale_1m = if smoke {
+        None
+    } else {
         let (clustering_big, fleet_big) = fleet(500, 500);
         let deltas_big = drift_batch(&mut seed, &fleet_big, 1000);
         let mut engine_big = DriftEngine::new(&clustering_big, &fleet_big, diameter);
-        let t0 = Instant::now();
-        let stats_big = black_box(engine_big.recluster_batch(&deltas_big));
-        let ns = t0.elapsed().as_nanos() as u64;
-        record(&mut rows, "drift/1m/batch-engine", true, vec![ns]);
+        let mut stats_big = None;
+        let ns = h
+            .bench_scale("drift/1m/batch-engine", || {
+                stats_big = Some(engine_big.recluster_batch(&deltas_big));
+            })
+            .min_ns;
+        let stats_big = stats_big.expect("scale rows sample exactly once");
         println!(
             "=> 1M-machine batch: {} deltas ({} moves) in {}",
             stats_big.applied + stats_big.noops,
             stats_big.moves,
             fmt_ns(ns as f64)
         );
-        scale_line = format!(
-            "  \"scale_1m_seconds\": {:.3},\n  \"scale_1m_moves\": {},\n",
-            ns as f64 / 1e9,
-            stats_big.moves
-        );
-    }
+        Some((ns as f64 / 1e9, stats_big.moves))
+    };
 
-    let find = |name: &str| {
-        rows.iter()
-            .find(|(r, _)| r.name == name)
-            .expect("benchmark ran")
-    };
-    let (fast, _) = find(&engine_row);
-    let (slow, _) = find(&reference_row);
-    let speedup = slow.min_ns as f64 / fast.min_ns.max(1) as f64;
-    let (lat, lat_p99) = {
-        let (lat, p99) = find(&per_delta_row);
-        (lat, *p99)
-    };
-    let moves_per_sec = engine_stats.moves as f64 / (fast.min_ns.max(1) as f64 / 1e9);
+    let speedup = h.speedup(&reference_row, &engine_row);
+    let lat = h.row(&per_delta_row);
+    let moves_per_sec = engine_stats.moves as f64 / (h.row(&engine_row).min_ns.max(1) as f64 / 1e9);
     println!(
         "=> batch engine is {speedup:.2}x the reference loop at {} machines / {} deltas \
          (min-over-min); sustained {moves_per_sec:.0} moves/s",
-        label(n_main),
+        volume_label(n_main),
         deltas.len()
     );
     println!(
         "=> re-cluster-after-drift latency: p50 {}, p99 {}",
         fmt_ns(lat.p50_ns as f64),
-        fmt_ns(lat_p99 as f64)
+        fmt_ns(lat.p99_ns as f64)
     );
 
-    // Hand-rolled JSON (the workspace is offline; no serde).
-    let mut json = String::from("{\n  \"suite\": \"drift-perf\",\n");
-    json.push_str(&format!(
-        "  \"note\": \"{envs} environments x {VARIANTS} config variants x {per_cluster} \
-         machines; {} power-law config-variant deltas per batch; batch engine = persistent \
-         interned plane (engine rebuild untimed per sample), reference = recluster_one loop \
-         over the retained plane (fleet-map clone untimed per sample); per-delta row times \
-         single-delta batches on one persistent engine; both planes verified to produce \
-         identical clusterings and drift counters on the measured batch before timing\",\n",
-        deltas.len()
-    ));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"machines\": {n_main},\n"));
-    json.push_str(&format!("  \"deltas\": {},\n", deltas.len()));
-    json.push_str("  \"results\": [\n");
-    for (i, (r, _)) in rows.iter().enumerate() {
-        let scale = if r.scale { ", \"scale\": true" } else { "" };
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"samples\": {}, \"min_ns\": {}, \"p50_ns\": {}, \
-             \"mean_ns\": {:.0}, \"max_ns\": {}{scale}}}{}\n",
-            r.name,
-            r.samples,
-            r.min_ns,
-            r.p50_ns,
-            r.mean_ns,
-            r.max_ns,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+    let mut doc = BenchDoc::new(
+        "drift-perf",
+        format!(
+            "{envs} environments x {VARIANTS} config variants x {per_cluster} machines; {} \
+             power-law config-variant deltas per batch; batch engine = persistent interned \
+             plane (engine rebuild untimed per sample), reference = recluster_one loop over \
+             the retained plane (fleet-map clone untimed per sample); per-delta row times \
+             single-delta batches on one persistent engine; both planes verified to produce \
+             identical clusterings and drift counters on the measured batch before timing",
+            deltas.len()
+        ),
+    );
+    doc.set("smoke", smoke)
+        .set("machines", n_main)
+        .set("deltas", deltas.len())
+        .harness_rows(h.results())
+        .set("speedup_100k_vs_reference", round_to(speedup, 2))
+        .set("recluster_p50_ns", lat.p50_ns)
+        .set("recluster_p99_ns", lat.p99_ns)
+        .set("moves_per_sec", moves_per_sec.round())
+        .set(
+            "batch",
+            Value::obj([
+                ("applied", Value::from(engine_stats.applied)),
+                ("noops", Value::from(engine_stats.noops)),
+                ("moves", Value::from(engine_stats.moves)),
+                ("adoptions", Value::from(engine_stats.adoptions)),
+                ("singletons", Value::from(engine_stats.singletons)),
+                ("dist_evals", Value::from(engine_stats.dist_evals)),
+            ]),
+        );
+    if let Some((seconds, moves)) = scale_1m {
+        doc.set("scale_1m_seconds", round_to(seconds, 3))
+            .set("scale_1m_moves", moves);
     }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"speedup_100k_vs_reference\": {speedup:.2},\n"));
-    json.push_str(&format!(
-        "  \"recluster_p50_ns\": {}, \"recluster_p99_ns\": {lat_p99},\n",
-        lat.p50_ns
-    ));
-    json.push_str(&format!("  \"moves_per_sec\": {moves_per_sec:.0},\n"));
-    json.push_str(&format!(
-        "  \"batch\": {{\"applied\": {}, \"noops\": {}, \"moves\": {}, \"adoptions\": {}, \
-         \"singletons\": {}, \"dist_evals\": {}}},\n",
-        engine_stats.applied,
-        engine_stats.noops,
-        engine_stats.moves,
-        engine_stats.adoptions,
-        engine_stats.singletons,
-        engine_stats.dist_evals
-    ));
-    json.push_str(&scale_line);
-    json.push_str(&format!(
-        "  \"drift_counters_match\": {counters_match}\n}}\n"
-    ));
-
-    let path = csv
-        .map(|d| d.join("BENCH_drift.json"))
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_drift.json"));
-    std::fs::write(&path, json).expect("write BENCH_drift.json");
-    println!("(wrote {})", path.display());
+    doc.set("drift_counters_match", counters_match);
+    let path = doc.write(ctx.csv(), "BENCH_drift.json");
 
     assert!(
         counters_match,
@@ -1399,9 +1019,7 @@ fn drift_perf(csv: Option<&std::path::Path>, smoke: bool) {
 
 /// Measures the sim-time journal's overhead on the paper's 100k-machine
 /// Figure-10 scenario and writes `BENCH_trace.json` plus a
-/// Perfetto-loadable Chrome `trace_event` document (`mirage-trace.json`)
-/// — into the `--csv` directory when given, the working directory
-/// otherwise.
+/// Perfetto-loadable Chrome `trace_event` document (`mirage-trace.json`).
 ///
 /// Two harness rows: `trace/plain-run` (the uninstrumented Balanced
 /// run) and `trace/journaled-run` (the same run with a journal-enabled
@@ -1410,33 +1028,19 @@ fn drift_perf(csv: Option<&std::path::Path>, smoke: bool) {
 /// min-over-min difference; the non-smoke run asserts it stays under
 /// 15%. The exported trace renders deployment waves as async slices
 /// and a bounded sample of machines as named tracks.
-///
-/// `--smoke` shrinks the fleet to 8×125 so CI can exercise the whole
-/// path in debug builds. The per-benchmark budget follows
-/// `MIRAGE_BENCH_MS` (default 150 ms).
-fn trace(csv: Option<&std::path::Path>, smoke: bool) {
+fn trace(ctx: &Ctx) {
     use std::sync::Arc;
 
-    use mirage_bench::harness::Harness;
     use mirage_deploy::{Balanced, MachineId, ProblemId};
-    use mirage_sim::{run, run_with_telemetry, ScenarioBuilder};
-    use mirage_telemetry::json::Value;
+    use mirage_sim::{run, run_with_telemetry};
     use mirage_telemetry::trace_export::chrome_trace;
     use mirage_telemetry::{Journal, Registry, Telemetry, TraceConfig};
 
-    heading(if smoke {
-        "Trace: journal overhead + Perfetto export (smoke fleet)"
-    } else {
-        "Trace: journal overhead + Perfetto export (100k machines)"
-    });
+    let smoke = ctx.smoke;
+    suite_heading(ctx, "Trace: journal overhead + Perfetto export");
 
     let scenario = if smoke {
-        ScenarioBuilder::new()
-            .clusters(8, 125, 1)
-            .problem_in_clusters(deployment::PREVALENT, &[2, 3, 4])
-            .problem_in_clusters(deployment::RARE_A, &[5])
-            .problem_in_clusters(deployment::RARE_B, &[6])
-            .build()
+        late_problem_fleet(smoke).build()
     } else {
         deployment::sound_scenario(deployment::ProblemPlacement::Late)
     };
@@ -1465,14 +1069,8 @@ fn trace(csv: Option<&std::path::Path>, smoke: bool) {
             run_with_telemetry(&scenario, &mut protocol, telemetry).failed_tests
         },
     );
-    let find = |name: &str| {
-        h.results()
-            .iter()
-            .find(|r| r.name == name)
-            .expect("benchmark ran")
-    };
-    let plain = find("trace/plain-run");
-    let journaled = find("trace/journaled-run");
+    let plain = h.row("trace/plain-run");
+    let journaled = h.row("trace/journaled-run");
     let overhead_pct =
         (journaled.min_ns as f64 - plain.min_ns as f64) / plain.min_ns.max(1) as f64 * 100.0;
     println!("=> journaling overhead: {overhead_pct:.1}% (paired min-over-min)");
@@ -1485,79 +1083,45 @@ fn trace(csv: Option<&std::path::Path>, smoke: bool) {
     let journal = registry.journal();
     let entries = journal.entries();
     let run_end = metrics.completion_time.unwrap_or_else(|| journal.now());
-    let doc = chrome_trace(
+    let exported = chrome_trace(
         &entries,
         run_end,
         &|m| scenario.plan.machine_name(MachineId(m)).to_string(),
         &|p| scenario.problems.name(ProblemId(p)).to_string(),
         &TraceConfig::default(),
     );
-    let trace_events = doc
+    let events = exported
         .get("traceEvents")
         .and_then(Value::as_array)
-        .map_or(0, <[Value]>::len);
-    let dir = csv
-        .map(std::path::Path::to_path_buf)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    let trace_path = dir.join("mirage-trace.json");
-    std::fs::write(&trace_path, doc.to_compact()).expect("write mirage-trace.json");
+        .unwrap_or(&[]);
     println!(
-        "  wrote {} ({trace_events} trace events over {} journal entries)",
-        trace_path.display(),
+        "  {} trace events over {} journal entries",
+        events.len(),
         journal.total()
     );
+    write_document(ctx.csv(), "mirage-trace.json", exported.to_compact());
 
     // BENCH_trace.json: harness rows, the overhead headline, journal
     // accounting, and the head of the trace for schema validation.
-    let results = Value::arr(h.results().iter().map(|r| {
-        Value::obj([
-            ("name", Value::str(r.name.clone())),
-            ("samples", Value::from(r.samples)),
-            ("min_ns", Value::from(r.min_ns)),
-            ("p50_ns", Value::from(r.p50_ns)),
-            ("mean_ns", Value::from(r.mean_ns.round())),
-            ("max_ns", Value::from(r.max_ns)),
-        ])
-    }));
-    let sample = Value::arr(
-        doc.get("traceEvents")
-            .and_then(Value::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .take(24)
-            .cloned(),
+    let mut doc = BenchDoc::new(
+        "trace-overhead",
+        format!(
+            "{machines} machines under Balanced; journaled = driver + protocol attach a \
+             bare spilling Journal recorder (full timeline retained, nothing dropped); \
+             samples interleaved plain/journaled so clock drift cancels; overhead_pct = \
+             paired min-over-min; trace_sample = first 24 Chrome trace_event records of \
+             the exported Perfetto document"
+        ),
     );
-    let bench = Value::obj([
-        ("suite", Value::str("trace-overhead")),
-        (
-            "note",
-            Value::str(format!(
-                "{machines} machines under Balanced; journaled = driver + protocol attach a \
-                 bare spilling Journal recorder (full timeline retained, nothing dropped); \
-                 samples interleaved plain/journaled so clock drift cancels; overhead_pct = \
-                 paired min-over-min; trace_sample = first 24 Chrome trace_event records of \
-                 the exported Perfetto document"
-            )),
-        ),
-        ("smoke", Value::from(smoke)),
-        ("machines", Value::from(machines)),
-        ("results", results),
-        (
-            "overhead_pct",
-            Value::from((overhead_pct * 100.0).round() / 100.0),
-        ),
-        ("journal_total", Value::from(journal.total())),
-        ("journal_dropped", Value::from(journal.dropped())),
-        ("trace_events", Value::from(trace_events)),
-        ("trace_sample", sample),
-    ]);
-    let path = dir.join("BENCH_trace.json");
-    let mut text = bench.to_pretty();
-    if !text.ends_with('\n') {
-        text.push('\n');
-    }
-    std::fs::write(&path, text).expect("write BENCH_trace.json");
-    println!("(wrote {})", path.display());
+    doc.set("smoke", smoke)
+        .set("machines", machines)
+        .harness_rows(h.results())
+        .set("overhead_pct", round_to(overhead_pct, 2))
+        .set("journal_total", journal.total())
+        .set("journal_dropped", journal.dropped())
+        .set("trace_events", events.len())
+        .set("trace_sample", Value::arr(events.iter().take(24).cloned()));
+    let path = doc.write(ctx.csv(), "BENCH_trace.json");
 
     // In-binary regression gate: the acceptance bound, full fleet only
     // (debug smoke builds are noise-dominated).
@@ -1572,8 +1136,7 @@ fn trace(csv: Option<&std::path::Path>, smoke: bool) {
 
 /// Runs the paper's staged deployment under 30% message loss with a
 /// journal attached, folds the journal into per-wave health frames, and
-/// writes `mirage-health.json` — into the `--csv` directory when given,
-/// the working directory otherwise.
+/// writes `mirage-health.json`.
 ///
 /// The printed table is the watchdog's verdict per wave: convergence
 /// lag percentiles, failure rate, retry amplification, and the
@@ -1581,40 +1144,23 @@ fn trace(csv: Option<&std::path::Path>, smoke: bool) {
 /// loss the retry machinery works overtime, so the run asserts that at
 /// least one wave is flagged degraded or worse — the watchdog must
 /// *notice* a degraded channel.
-///
-/// `--smoke` shrinks the fleet to 8×125 so CI can exercise the whole
-/// path in debug builds.
-fn health(csv: Option<&std::path::Path>, smoke: bool) {
+fn health(ctx: &Ctx) {
     use std::sync::Arc;
 
     use mirage_deploy::Balanced;
-    use mirage_sim::{run_with_telemetry, FaultSpec, ScenarioBuilder};
+    use mirage_sim::{run_with_telemetry, FaultSpec};
     use mirage_telemetry::health::{health_report_json, rollup};
     use mirage_telemetry::{HealthStatus, Journal, Registry, Telemetry, WatchdogConfig};
 
-    heading(if smoke {
-        "Health: per-wave rollup under 30% message loss (smoke fleet)"
-    } else {
-        "Health: per-wave rollup under 30% message loss (100k machines)"
-    });
+    suite_heading(ctx, "Health: per-wave rollup under 30% message loss");
 
-    let (clusters, size) = if smoke { (8, 125) } else { (20, 5_000) };
     let spec = FaultSpec::new(0x4EA1)
         .loss(0.30)
         .duplication(0.15)
         .delay(10)
         .retry(20, 4)
         .rep_timeout(4_000);
-    let scenario = ScenarioBuilder::new()
-        .clusters(clusters, size, 1)
-        .problem_in_clusters(
-            deployment::PREVALENT,
-            &[clusters - 6, clusters - 5, clusters - 4],
-        )
-        .problem_in_clusters(deployment::RARE_A, &[clusters - 3])
-        .problem_in_clusters(deployment::RARE_B, &[clusters - 2])
-        .faults(spec)
-        .build();
+    let scenario = late_problem_fleet(ctx.smoke).faults(spec).build();
 
     let registry = Arc::new(Registry::with_journal(1024, Journal::with_spill(1 << 16)));
     let telemetry = Telemetry::from_registry(Arc::clone(&registry));
@@ -1683,17 +1229,11 @@ fn health(csv: Option<&std::path::Path>, smoke: bool) {
         "=> watchdog flagged {flagged} of {} waves degraded or worse under 30% loss",
         frames.len()
     );
-
-    let dir = csv
-        .map(std::path::Path::to_path_buf)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    let path = dir.join("mirage-health.json");
-    let mut text = health_report_json(&frames).to_pretty();
-    if !text.ends_with('\n') {
-        text.push('\n');
-    }
-    std::fs::write(&path, text).expect("write mirage-health.json");
-    println!("(wrote {})", path.display());
+    write_document(
+        ctx.csv(),
+        "mirage-health.json",
+        health_report_json(&frames).to_pretty(),
+    );
 
     assert!(
         flagged >= 1,
@@ -1704,40 +1244,21 @@ fn health(csv: Option<&std::path::Path>, smoke: bool) {
 /// Sweeps the fault injector's message-loss rate from 0% to 30% (with
 /// duplication at half the loss rate and ±10-tick delivery delay) over
 /// all three protocols on the paper's 100k-machine Figure-10 scenario,
-/// and writes `BENCH_faults.json` — into the `--csv` directory when
-/// given, the working directory otherwise.
+/// and writes `BENCH_faults.json`.
 ///
 /// Every run enables the vendor-side hardening (timed re-notification
 /// with exponential backoff, timeout-based stage advancement), so the
 /// sweep answers: *does staged deployment still converge, and at what
 /// latency/overhead cost, when the channel degrades?*
-///
-/// `--smoke` shrinks the fleet to 4×250 so CI can exercise the whole
-/// path in debug builds.
-fn fault_sweep(csv: Option<&std::path::Path>, smoke: bool) {
-    use mirage_sim::{FaultSpec, ScenarioBuilder};
+fn fault_sweep(ctx: &Ctx) {
+    use mirage_sim::FaultSpec;
 
-    heading(if smoke {
-        "Fault sweep (smoke fleet): convergence vs message-loss rate"
-    } else {
-        "Fault sweep: convergence vs message-loss rate (100k machines)"
-    });
+    suite_heading(ctx, "Fault sweep: convergence vs message-loss rate");
 
-    let (clusters, size) = if smoke { (8, 125) } else { (20, 5_000) };
     let protocols = ["NoStaging", "Balanced", "FrontLoading"];
     let loss_pcts: &[u32] = &[0, 5, 10, 15, 20, 25, 30];
-
-    struct Row {
-        protocol: &'static str,
-        loss_pct: u32,
-        converged: bool,
-        completion: Option<u64>,
-        failed_tests: usize,
-        msgs_dropped: u64,
-        retries_sent: u64,
-        rep_timeouts: u64,
-    }
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows: Vec<Value> = Vec::new();
+    let mut all_converged = true;
 
     for &loss_pct in loss_pcts {
         let loss = loss_pct as f64 / 100.0;
@@ -1747,20 +1268,12 @@ fn fault_sweep(csv: Option<&std::path::Path>, smoke: bool) {
             .duplication(loss / 2.0)
             .delay(10)
             .rep_timeout(4_000);
-        let scenario = ScenarioBuilder::new()
-            .clusters(clusters, size, 1)
-            .problem_in_clusters(
-                deployment::PREVALENT,
-                &[clusters - 6, clusters - 5, clusters - 4],
-            )
-            .problem_in_clusters(deployment::RARE_A, &[clusters - 3])
-            .problem_in_clusters(deployment::RARE_B, &[clusters - 2])
-            .faults(spec)
-            .build();
+        let scenario = late_problem_fleet(ctx.smoke).faults(spec).build();
         let total = scenario.machine_count();
         for protocol in protocols {
             let m = deployment::run_protocol(&scenario, protocol);
             let converged = m.passed_count() == total;
+            all_converged &= converged;
             println!(
                 "  loss {loss_pct:>2}%  {protocol:<12}  passed {:>6}/{total}  completion {:?}  \
                  retries {}  dropped {}  waived {}",
@@ -1770,20 +1283,19 @@ fn fault_sweep(csv: Option<&std::path::Path>, smoke: bool) {
                 m.msgs_dropped,
                 m.rep_timeouts,
             );
-            rows.push(Row {
-                protocol,
-                loss_pct,
-                converged,
-                completion: m.completion_time,
-                failed_tests: m.failed_tests,
-                msgs_dropped: m.msgs_dropped,
-                retries_sent: m.retries_sent,
-                rep_timeouts: m.rep_timeouts,
-            });
+            rows.push(Value::obj([
+                ("protocol", Value::str(protocol)),
+                ("loss_pct", Value::from(loss_pct)),
+                ("converged", Value::from(converged)),
+                ("completion_time", optional(m.completion_time)),
+                ("failed_tests", Value::from(m.failed_tests)),
+                ("msgs_dropped", Value::from(m.msgs_dropped)),
+                ("retries_sent", Value::from(m.retries_sent)),
+                ("rep_timeouts", Value::from(m.rep_timeouts)),
+            ]));
         }
     }
 
-    let all_converged = rows.iter().all(|r| r.converged);
     println!(
         "=> {} under every loss rate up to 30%",
         if all_converged {
@@ -1793,41 +1305,19 @@ fn fault_sweep(csv: Option<&std::path::Path>, smoke: bool) {
         }
     );
 
-    // Hand-rolled JSON (the workspace is offline; no serde).
-    let mut json = String::from("{\n  \"suite\": \"fault-sweep\",\n");
-    json.push_str(&format!(
-        "  \"note\": \"{} machines ({}x{}), problems placed late; duplication = loss/2, \
-         delay uniform 0..=10, rep_timeout 4000, seeded per cell\",\n",
-        clusters * size,
-        clusters,
-        size
-    ));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"protocol\": \"{}\", \"loss_pct\": {}, \"converged\": {}, \
-             \"completion_time\": {}, \"failed_tests\": {}, \"msgs_dropped\": {}, \
-             \"retries_sent\": {}, \"rep_timeouts\": {}}}{}\n",
-            r.protocol,
-            r.loss_pct,
-            r.converged,
-            r.completion.map_or("null".to_string(), |t| t.to_string()),
-            r.failed_tests,
-            r.msgs_dropped,
-            r.retries_sent,
-            r.rep_timeouts,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"all_converged\": {all_converged}\n}}\n"));
-
-    let path = csv
-        .map(|d| d.join("BENCH_faults.json"))
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_faults.json"));
-    std::fs::write(&path, json).expect("write BENCH_faults.json");
-    println!("(wrote {})", path.display());
+    let (clusters, size) = fleet_dims(ctx.smoke);
+    let mut doc = BenchDoc::new(
+        "fault-sweep",
+        format!(
+            "{} machines ({clusters}x{size}), problems placed late; duplication = loss/2, \
+             delay uniform 0..=10, rep_timeout 4000, seeded per cell",
+            clusters * size
+        ),
+    );
+    doc.set("smoke", ctx.smoke)
+        .grid_rows(rows)
+        .set("all_converged", all_converged);
+    let path = doc.write(ctx.csv(), "BENCH_faults.json");
     assert!(
         all_converged,
         "fault sweep found non-converging runs; see {}",
@@ -1835,9 +1325,13 @@ fn fault_sweep(csv: Option<&std::path::Path>, smoke: bool) {
     );
 }
 
+/// A sim time that may not have been reached, as a number or `null`.
+fn optional(time: Option<u64>) -> Value {
+    time.map_or(Value::Null, Value::from)
+}
+
 /// Runs the guarded strategy × message-loss × release-quality rollback
-/// grid and writes `BENCH_rollback.json` — into the `--csv` directory
-/// when given, the working directory otherwise.
+/// grid and writes `BENCH_rollback.json`.
 ///
 /// Every cell drives the rollout controller end-to-end with a URR
 /// guard wired in. A *good* release must converge under every strategy
@@ -1847,20 +1341,20 @@ fn fault_sweep(csv: Option<&std::path::Path>, smoke: bool) {
 /// limit, or (classic staging) held at the representatives until the
 /// vendor fix lands. The committed document is the evidence behind the
 /// containment claim in EXPERIMENTS.md, so the run asserts the flags.
-fn rollback_sweep(csv: Option<&std::path::Path>, smoke: bool) {
+fn rollback_sweep(ctx: &Ctx) {
     use std::sync::Arc;
 
     use mirage_core::{GuardSettings, ProtocolChoice, RolloutPlan, RolloutStrategy};
     use mirage_report::Urr;
-    use mirage_sim::{run_rollout, FaultSpec, ScenarioBuilder};
+    use mirage_sim::{run_rollout, FaultSpec};
 
-    heading(if smoke {
-        "Rollback sweep (smoke fleet): guarded strategies vs a fleet-wide regression"
-    } else {
-        "Rollback sweep: guarded strategies vs a fleet-wide regression (100k machines)"
-    });
+    let smoke = ctx.smoke;
+    suite_heading(
+        ctx,
+        "Rollback sweep: guarded strategies vs a fleet-wide regression",
+    );
 
-    let (clusters, size) = if smoke { (8, 125) } else { (20, 5_000) };
+    let (clusters, size) = fleet_dims(smoke);
     let machines = clusters * size;
     let loss_pcts: &[u32] = &[0, 10, 20, 30];
     let strategies = [
@@ -1886,17 +1380,11 @@ fn rollback_sweep(csv: Option<&std::path::Path>, smoke: bool) {
         healthy_ticks: 1,
     };
 
-    struct Row {
-        strategy: &'static str,
-        loss_pct: u32,
-        release: &'static str,
-        converged: bool,
-        rolled_back: bool,
-        exposed: usize,
-        exposure_limit: usize,
-        completion: Option<u64>,
-    }
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows: Vec<Value> = Vec::new();
+    // Good releases converge untouched; bad ones are contained — rolled
+    // back inside the first-cohort limit or converged through the
+    // vendor fix — and a guarded canary aborts every one of them.
+    let (mut all_good_converged, mut all_bad_contained, mut bad_canary_aborts) = (true, true, true);
 
     for &loss_pct in loss_pcts {
         let loss = loss_pct as f64 / 100.0;
@@ -1940,35 +1428,33 @@ fn rollback_sweep(csv: Option<&std::path::Path>, smoke: bool) {
                     },
                     m.completion_time,
                 );
-                rows.push(Row {
-                    strategy: strategy.name(),
-                    loss_pct,
-                    release,
-                    converged,
-                    rolled_back,
-                    exposed,
-                    exposure_limit,
-                    completion: m.completion_time,
-                });
+                if release == "good" {
+                    all_good_converged &= converged && !rolled_back;
+                } else {
+                    all_bad_contained &= if rolled_back {
+                        exposed <= exposure_limit
+                    } else {
+                        converged
+                    };
+                    if matches!(strategy, RolloutStrategy::Canary { .. }) {
+                        bad_canary_aborts &= rolled_back;
+                    }
+                }
+                rows.push(Value::obj([
+                    ("strategy", Value::str(strategy.name())),
+                    ("loss_pct", Value::from(loss_pct)),
+                    ("release", Value::str(release)),
+                    ("machines", Value::from(machines)),
+                    ("converged", Value::from(converged)),
+                    ("rolled_back", Value::from(rolled_back)),
+                    ("exposed", Value::from(exposed)),
+                    ("exposure_limit", Value::from(exposure_limit)),
+                    ("completion_time", optional(m.completion_time)),
+                ]));
             }
         }
     }
 
-    let all_good_converged = rows
-        .iter()
-        .filter(|r| r.release == "good")
-        .all(|r| r.converged && !r.rolled_back);
-    let all_bad_contained = rows.iter().filter(|r| r.release == "bad").all(|r| {
-        if r.rolled_back {
-            r.exposed <= r.exposure_limit
-        } else {
-            r.converged
-        }
-    });
-    let bad_canary_aborts = rows
-        .iter()
-        .filter(|r| r.release == "bad" && r.strategy == "canary")
-        .all(|r| r.rolled_back);
     println!(
         "=> good releases: {}; bad releases: {}",
         if all_good_converged {
@@ -1983,46 +1469,21 @@ fn rollback_sweep(csv: Option<&std::path::Path>, smoke: bool) {
         }
     );
 
-    // Hand-rolled JSON (the workspace is offline; no serde).
-    let mut json = String::from("{\n  \"suite\": \"rollback-sweep\",\n");
-    json.push_str(&format!(
-        "  \"note\": \"{machines} machines ({clusters}x{size}); bad = one regression seeded \
-         into every cluster; guard rate 0.3, population {}, min_reports 5, hysteresis 2/1; \
-         duplication = loss/2, delay uniform 0..=10, seeded per cell\",\n",
-        guard.max_failure_population
-    ));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"machines\": {machines},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"strategy\": \"{}\", \"loss_pct\": {}, \"release\": \"{}\", \
-             \"machines\": {machines}, \"converged\": {}, \"rolled_back\": {}, \
-             \"exposed\": {}, \"exposure_limit\": {}, \"completion_time\": {}}}{}\n",
-            r.strategy,
-            r.loss_pct,
-            r.release,
-            r.converged,
-            r.rolled_back,
-            r.exposed,
-            r.exposure_limit,
-            r.completion.map_or("null".to_string(), |t| t.to_string()),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"all_good_converged\": {all_good_converged},\n"
-    ));
-    json.push_str(&format!(
-        "  \"all_bad_contained\": {all_bad_contained}\n}}\n"
-    ));
-
-    let path = csv
-        .map(|d| d.join("BENCH_rollback.json"))
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_rollback.json"));
-    std::fs::write(&path, json).expect("write BENCH_rollback.json");
-    println!("(wrote {})", path.display());
+    let mut doc = BenchDoc::new(
+        "rollback-sweep",
+        format!(
+            "{machines} machines ({clusters}x{size}); bad = one regression seeded into every \
+             cluster; guard rate 0.3, population {}, min_reports 5, hysteresis 2/1; \
+             duplication = loss/2, delay uniform 0..=10, seeded per cell",
+            guard.max_failure_population
+        ),
+    );
+    doc.set("smoke", smoke)
+        .set("machines", machines)
+        .grid_rows(rows)
+        .set("all_good_converged", all_good_converged)
+        .set("all_bad_contained", all_bad_contained);
+    let path = doc.write(ctx.csv(), "BENCH_rollback.json");
     assert!(
         all_good_converged,
         "a good release failed to converge (or was aborted); see {}",
@@ -2042,8 +1503,7 @@ fn rollback_sweep(csv: Option<&std::path::Path>, smoke: bool) {
 
 /// Runs a protocol × threshold × message-loss grid through the sharded
 /// parallel driver, every cell reusing one [`mirage_sim::SimArena`],
-/// and writes `BENCH_sweep.json` — into the `--csv` directory when
-/// given, the working directory otherwise.
+/// and writes `BENCH_sweep.json`.
 ///
 /// This is the sweep workload the arena exists for: dozens of
 /// simulator runs back to back, where per-run queue and scratch
@@ -2053,27 +1513,22 @@ fn rollback_sweep(csv: Option<&std::path::Path>, smoke: bool) {
 /// delay, vendor hardening on, seeded per cell so the sweep replays
 /// exactly).
 ///
-/// The worker count is `MIRAGE_SIM_THREADS` when set, 8 otherwise —
-/// fixed rather than host-derived so the committed document does not
-/// depend on the machine that produced it. Every cell must converge to
-/// a full fleet pass; the run exits non-zero otherwise.
+/// The worker count is fixed rather than host-derived so the committed
+/// document does not depend on the machine that produced it (the cells
+/// are bit-identical at any count). Every cell must converge to a full
+/// fleet pass; the run exits non-zero otherwise.
 ///
 /// `--smoke` shrinks the fleet to 8×125 and the grid to threshold 1.0 ×
-/// loss {0, 20}% so CI can exercise the whole path in debug builds.
-fn sweep(csv: Option<&std::path::Path>, smoke: bool) {
-    use std::time::Instant;
-
+/// loss {0, 20}%.
+fn sweep(ctx: &Ctx) {
     use mirage_deploy::ProtocolChoice;
-    use mirage_sim::{run_parallel_in, FaultSpec, ScenarioBuilder, SimArena};
+    use mirage_sim::{run_parallel_in, FaultSpec, SimArena};
     use mirage_telemetry::Telemetry;
 
-    heading(if smoke {
-        "Sweep (smoke fleet): protocol x threshold x loss grid, shared arena"
-    } else {
-        "Sweep: protocol x threshold x loss grid, shared arena (100k machines)"
-    });
+    const WORKERS: usize = 8;
+    let smoke = ctx.smoke;
+    suite_heading(ctx, "Sweep: protocol x threshold x loss grid, shared arena");
 
-    let (clusters, size) = if smoke { (8, 125) } else { (20, 5_000) };
     let protocols = [
         ProtocolChoice::NoStaging,
         ProtocolChoice::Balanced,
@@ -2081,36 +1536,16 @@ fn sweep(csv: Option<&std::path::Path>, smoke: bool) {
     ];
     let thresholds: &[f64] = if smoke { &[1.0] } else { &[1.0, 0.9] };
     let loss_pcts: &[u32] = if smoke { &[0, 20] } else { &[0, 10, 20] };
-    let workers = std::env::var("MIRAGE_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(8);
 
-    struct Cell {
-        protocol: &'static str,
-        threshold: f64,
-        loss_pct: u32,
-        converged: bool,
-        completion: Option<u64>,
-        failed_tests: usize,
-        escaped: usize,
-        wall_ms: f64,
-    }
-    let mut cells: Vec<Cell> = Vec::new();
+    let mut cells: Vec<Value> = Vec::new();
+    let mut all_converged = true;
     let mut arena = SimArena::new();
     let sweep_started = Instant::now();
 
     for &loss_pct in loss_pcts {
         // One scenario per loss rate, shared by every protocol and
         // threshold cell at that rate.
-        let mut builder = ScenarioBuilder::new()
-            .clusters(clusters, size, 1)
-            .problem_in_clusters(
-                deployment::PREVALENT,
-                &[clusters - 6, clusters - 5, clusters - 4],
-            )
-            .problem_in_clusters(deployment::RARE_A, &[clusters - 3])
-            .problem_in_clusters(deployment::RARE_B, &[clusters - 2]);
+        let mut builder = late_problem_fleet(smoke);
         if loss_pct > 0 {
             let loss = f64::from(loss_pct) / 100.0;
             builder = builder.faults(
@@ -2132,10 +1567,11 @@ fn sweep(csv: Option<&std::path::Path>, smoke: bool) {
                     &scenario,
                     &mut protocol,
                     Telemetry::noop(),
-                    workers,
+                    WORKERS,
                 );
                 let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
                 let converged = m.passed_count() == total;
+                all_converged &= converged;
                 println!(
                     "  loss {loss_pct:>2}%  thr {threshold:.1}  {:<12}  passed {:>6}/{total}  \
                      completion {:?}  failed {}  escaped {}  ({wall_ms:.1} ms)",
@@ -2145,23 +1581,22 @@ fn sweep(csv: Option<&std::path::Path>, smoke: bool) {
                     m.failed_tests,
                     m.escaped_problems,
                 );
-                cells.push(Cell {
-                    protocol: choice.name(),
-                    threshold,
-                    loss_pct,
-                    converged,
-                    completion: m.completion_time,
-                    failed_tests: m.failed_tests,
-                    escaped: m.escaped_problems,
-                    wall_ms,
-                });
+                cells.push(Value::obj([
+                    ("protocol", Value::str(choice.name())),
+                    ("threshold", Value::from(threshold)),
+                    ("loss_pct", Value::from(loss_pct)),
+                    ("converged", Value::from(converged)),
+                    ("completion_time", optional(m.completion_time)),
+                    ("failed_tests", Value::from(m.failed_tests)),
+                    ("escaped", Value::from(m.escaped_problems)),
+                    ("wall_ms", Value::from(round_to(wall_ms, 1))),
+                ]));
             }
         }
     }
 
-    let all_converged = cells.iter().all(|c| c.converged);
     println!(
-        "=> {} cells in {:.2} s on one arena ({workers} workers): {}",
+        "=> {} cells in {:.2} s on one arena ({WORKERS} workers): {}",
         cells.len(),
         sweep_started.elapsed().as_secs_f64(),
         if all_converged {
@@ -2171,44 +1606,22 @@ fn sweep(csv: Option<&std::path::Path>, smoke: bool) {
         }
     );
 
-    // Hand-rolled JSON (the workspace is offline; no serde).
-    let mut json = String::from("{\n  \"suite\": \"sim-sweep\",\n");
-    json.push_str(&format!(
-        "  \"note\": \"{} machines ({}x{}), problems placed late; grid = protocol x \
-         threshold x loss with duplication = loss/2, delay uniform 0..=10, rep_timeout \
-         4000, seeded per loss rate; every cell runs through run_parallel_in on one \
-         shared SimArena; wall_ms is informational (host-dependent)\",\n",
-        clusters * size,
-        clusters,
-        size
-    ));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"workers\": {workers},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"protocol\": \"{}\", \"threshold\": {:.1}, \"loss_pct\": {}, \
-             \"converged\": {}, \"completion_time\": {}, \"failed_tests\": {}, \
-             \"escaped\": {}, \"wall_ms\": {:.1}}}{}\n",
-            c.protocol,
-            c.threshold,
-            c.loss_pct,
-            c.converged,
-            c.completion.map_or("null".to_string(), |t| t.to_string()),
-            c.failed_tests,
-            c.escaped,
-            c.wall_ms,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"all_converged\": {all_converged}\n}}\n"));
-
-    let path = csv
-        .map(|d| d.join("BENCH_sweep.json"))
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_sweep.json"));
-    std::fs::write(&path, json).expect("write BENCH_sweep.json");
-    println!("(wrote {})", path.display());
+    let (clusters, size) = fleet_dims(smoke);
+    let mut doc = BenchDoc::new(
+        "sim-sweep",
+        format!(
+            "{} machines ({clusters}x{size}), problems placed late; grid = protocol x threshold x loss with \
+             duplication = loss/2, delay uniform 0..=10, rep_timeout 4000, seeded per loss \
+             rate; every cell runs through run_parallel_in on one shared SimArena; wall_ms is \
+             informational (host-dependent)",
+            clusters * size
+        ),
+    );
+    doc.set("smoke", smoke)
+        .set("workers", WORKERS)
+        .grid_rows(cells)
+        .set("all_converged", all_converged);
+    let path = doc.write(ctx.csv(), "BENCH_sweep.json");
     assert!(
         all_converged,
         "sweep found non-converging cells; see {}",
@@ -2217,8 +1630,7 @@ fn sweep(csv: Option<&std::path::Path>, smoke: bool) {
 }
 
 /// Benchmarks the deployment simulator's hot path and writes
-/// `BENCH_sim.json` — into the `--csv` directory when given, the
-/// working directory otherwise.
+/// `BENCH_sim.json`.
 ///
 /// Workloads:
 ///
@@ -2240,18 +1652,14 @@ fn sweep(csv: Option<&std::path::Path>, smoke: bool) {
 /// Before timing anything, the reference driver and the parallel driver
 /// at 2/4/8 workers are asserted bit-identical to the sequential
 /// interned driver on the 100k scenario (the same properties the seeded
-/// proptests check on random scenarios). The per-benchmark budget
-/// follows `MIRAGE_BENCH_MS` (default 150 ms).
-fn sim_perf(csv: Option<&std::path::Path>) {
-    use std::time::Instant;
-
-    use mirage_bench::harness::{black_box, Harness};
+/// proptests check on random scenarios).
+fn sim_perf(ctx: &Ctx) {
     use mirage_deploy::reference::{
         NamedBalanced, NamedFrontLoading, NamedNoStaging, NamedProtocol,
     };
     use mirage_deploy::{Balanced, FrontLoading, NoStaging, Protocol};
     use mirage_sim::runner::reference::{run_reference, NamedScenario};
-    use mirage_sim::{run, run_parallel_in, Scenario, ScenarioBuilder, SimArena};
+    use mirage_sim::{run, run_parallel_in, Scenario, SimArena};
     use mirage_telemetry::Telemetry;
 
     heading("Simulator performance (interned vs reference, sequential vs parallel)");
@@ -2365,98 +1773,59 @@ fn sim_perf(csv: Option<&std::path::Path>) {
         .problem_in_clusters(deployment::RARE_B, &[950])
         .build();
     let mut arena10 = SimArena::new();
-    let mut proto10 = Some(Balanced::new(s10m.plan.clone(), 1.0));
+    let mut proto10 = Balanced::new(s10m.plan.clone(), 1.0);
     h.bench_scale("sim/10m/parallel/w8/Balanced", || {
-        let mut p = proto10.take().expect("bench_scale samples exactly once");
-        run_parallel_in(&mut arena10, &s10m, &mut p, Telemetry::noop(), 8).failed_tests
+        run_parallel_in(&mut arena10, &s10m, &mut proto10, Telemetry::noop(), 8).failed_tests
     });
 
-    // Hand-rolled JSON (the workspace is offline; no serde).
-    let mut json = String::from("{\n  \"suite\": \"sim-perf\",\n");
-    json.push_str(
-        "  \"note\": \"100k = the paper's Figure-10 scenario (20x5000, problems late); \
-         1m = 100x10000, 10m = 1000x10000 with the same late placement; reference = the \
-         retained string-keyed BinaryHeap driver + protocols; parallel rows time the run \
-         only (plan clone + protocol construction untimed on every row), reuse a SimArena \
-         across samples, and w1 is the sequential oracle the sharded driver is \
-         bit-identical to; scale rows are intentionally single-sample\",\n",
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, r) in h.results().iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"samples\": {}, \"min_ns\": {}, \"p50_ns\": {}, \
-             \"mean_ns\": {:.0}, \"max_ns\": {}{}}}{}\n",
-            r.name,
-            r.samples,
-            r.min_ns,
-            r.p50_ns,
-            r.mean_ns,
-            r.max_ns,
-            if r.scale { ", \"scale\": true" } else { "" },
-            if i + 1 < h.results().len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    let find = |name: &str| {
-        h.results()
-            .iter()
-            .find(|r| r.name == name)
-            .expect("benchmark ran")
-    };
-    json.push_str("  \"speedup_100k_vs_reference\": {\n");
-    for (i, (name, _)) in fast.iter().enumerate() {
-        let fast_r = find(&format!("sim/100k/interned/{name}"));
-        let slow_r = find(&format!("sim/100k/reference/{name}"));
-        let speedup = slow_r.min_ns as f64 / fast_r.min_ns.max(1) as f64;
+    let mut speedups = Vec::new();
+    for (name, _) in &fast {
+        let speedup = h.speedup(
+            &format!("sim/100k/reference/{name}"),
+            &format!("sim/100k/interned/{name}"),
+        );
         println!("=> {name}: 100k interned is {speedup:.2}x the string reference (min-over-min)");
-        json.push_str(&format!(
-            "    \"{name}\": {speedup:.2}{}\n",
-            if i + 1 < fast.len() { "," } else { "" }
-        ));
+        speedups.push((*name, Value::from(round_to(speedup, 2))));
     }
-    json.push_str("  },\n");
-    let b1m = find("sim/1m/interned/Balanced");
-    let b1m_secs = b1m.min_ns as f64 / 1e9;
+    let b1m_secs = h.row("sim/1m/interned/Balanced").min_ns as f64 / 1e9;
     println!("=> 1M-machine Balanced run: {b1m_secs:.2} s (min, sequential)");
-    json.push_str(&format!("  \"balanced_1m_seconds\": {b1m_secs:.3},\n"));
-    json.push_str(&format!(
-        "  \"balanced_1m_under_10s\": {},\n",
-        b1m_secs < 10.0
-    ));
     let par_speedup = |size: &str| {
-        let w1 = find(&format!("sim/{size}/parallel/w1/Balanced"));
-        let w8 = find(&format!("sim/{size}/parallel/w8/Balanced"));
-        w1.min_ns as f64 / w8.min_ns.max(1) as f64
+        h.speedup(
+            &format!("sim/{size}/parallel/w1/Balanced"),
+            &format!("sim/{size}/parallel/w8/Balanced"),
+        )
     };
     let sp100k = par_speedup("100k");
     let sp1m = par_speedup("1m");
     println!(
         "=> parallel w8 vs w1 (Balanced, min-over-min): {sp100k:.2}x at 100k, {sp1m:.2}x at 1M"
     );
-    json.push_str(&format!(
-        "  \"parallel_speedup_100k_w8_vs_w1\": {sp100k:.2},\n"
-    ));
-    json.push_str(&format!("  \"parallel_speedup_1m_w8_vs_w1\": {sp1m:.2},\n"));
-    let b10m = find("sim/10m/parallel/w8/Balanced");
-    let b10m_secs = b10m.min_ns as f64 / 1e9;
+    let b10m_secs = h.row("sim/10m/parallel/w8/Balanced").min_ns as f64 / 1e9;
     println!("=> 10M-machine Balanced run (8 workers): {b10m_secs:.2} s (single scale sample)");
-    json.push_str(&format!("  \"balanced_10m_seconds\": {b10m_secs:.3},\n"));
-    json.push_str(&format!(
-        "  \"balanced_10m_under_10s\": {}\n}}\n",
-        b10m_secs < 10.0
-    ));
 
-    let path = csv
-        .map(|d| d.join("BENCH_sim.json"))
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_sim.json"));
-    std::fs::write(&path, json).expect("write BENCH_sim.json");
-    println!("(wrote {})", path.display());
+    let mut doc = BenchDoc::new(
+        "sim-perf",
+        "100k = the paper's Figure-10 scenario (20x5000, problems late); 1m = 100x10000, \
+         10m = 1000x10000 with the same late placement; reference = the retained string-keyed \
+         BinaryHeap driver + protocols; parallel rows time the run only (plan clone + protocol \
+         construction untimed on every row), reuse a SimArena across samples, and w1 is the \
+         sequential oracle the sharded driver is bit-identical to; scale rows are \
+         intentionally single-sample",
+    );
+    doc.harness_rows(h.results())
+        .set("speedup_100k_vs_reference", Value::obj(speedups))
+        .set("balanced_1m_seconds", round_to(b1m_secs, 3))
+        .set("balanced_1m_under_10s", b1m_secs < 10.0)
+        .set("parallel_speedup_100k_w8_vs_w1", round_to(sp100k, 2))
+        .set("parallel_speedup_1m_w8_vs_w1", round_to(sp1m, 2))
+        .set("balanced_10m_seconds", round_to(b10m_secs, 3))
+        .set("balanced_10m_under_10s", b10m_secs < 10.0);
+    doc.write(ctx.csv(), "BENCH_sim.json");
 }
 
 /// Benchmarks the clustering hot path (dense fleets, one original
 /// cluster each, diameter 2, and the replicated Table 2 MySQL fleet,
-/// diameter 3) and writes `BENCH_clustering.json` — into the `--csv`
-/// directory when given, the working directory otherwise.
+/// diameter 3) and writes `BENCH_clustering.json`.
 ///
 /// The MySQL rows are the campaign benchmark's `plan_mysql` shape —
 /// every machine of the paper's fleet copied 40× and 80× — and their
@@ -2466,17 +1835,16 @@ fn sim_perf(csv: Option<&std::path::Path>) {
 /// Alongside the fast-path numbers, the retained pre-PR naive QT loop
 /// ([`mirage_cluster::qt_cluster_indices_reference`]) is benchmarked on
 /// the dense-200 fleet, so the emitted JSON carries a live speedup
-/// figure rather than a stale hardcoded baseline. The per-benchmark
-/// budget follows `MIRAGE_BENCH_MS` (default 150 ms).
-fn clustering_perf(csv: Option<&std::path::Path>) {
-    use mirage_bench::harness::Harness;
+/// figure rather than a stale hardcoded baseline.
+fn clustering_perf(ctx: &Ctx) {
     use mirage_cluster::{qt_cluster_indices_reference, ClusterEngine, MachineInfo};
     use mirage_fingerprint::{DiffSet, Item};
 
     heading("Clustering performance (hot-path benchmark)");
 
-    /// Same worst-case shape as `benches/clustering.rs`: `groups`
-    /// original clusters, per-machine content noise.
+    /// A population whose parsed diffs split machines into `groups`
+    /// original clusters and whose content items are per-machine noise
+    /// (worst case for phase 2).
     fn population(n: usize, groups: usize) -> Vec<MachineInfo> {
         (0..n)
             .map(|i| {
@@ -2526,61 +1894,37 @@ fn clustering_perf(csv: Option<&std::path::Path>) {
         qt_cluster_indices_reference(&refs, 2).len()
     });
 
-    // Hand-rolled JSON (the workspace is offline; no serde).
-    let mut json = String::from("{\n  \"suite\": \"clustering-perf\",\n");
-    json.push_str(
-        "  \"note\": \"dense-N = one original cluster of N machines, diameter 2; \
-         mysql-xR = the paper's Table 2 MySQL fleet (21 machines, diameter 3) copied R times; \
-         dense-200-reference-qt = the retained pre-PR naive QT loop on the same fleet\",\n",
+    let speedup = h.speedup(
+        "clustering/scaling/dense-200-reference-qt",
+        "clustering/scaling/dense-200",
     );
-    json.push_str("  \"results\": [\n");
-    for (i, r) in h.results().iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"samples\": {}, \"min_ns\": {}, \"p50_ns\": {}, \
-             \"mean_ns\": {:.0}, \"max_ns\": {}}}{}\n",
-            r.name,
-            r.samples,
-            r.min_ns,
-            r.p50_ns,
-            r.mean_ns,
-            r.max_ns,
-            if i + 1 < h.results().len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    let find = |name: &str| {
-        h.results()
-            .iter()
-            .find(|r| r.name == name)
-            .expect("benchmark ran")
-    };
-    let fast = find("clustering/scaling/dense-200");
-    let reference = find("clustering/scaling/dense-200-reference-qt");
-    let speedup = reference.min_ns as f64 / fast.min_ns.max(1) as f64;
-    let growth = find("clustering/scaling/mysql-x80").min_ns as f64
-        / find("clustering/scaling/mysql-x40").min_ns.max(1) as f64;
-    json.push_str(&format!(
-        "  \"dense_200_speedup_vs_reference\": {speedup:.2},\n  \
-         \"mysql_x80_over_x40\": {growth:.2}\n}}\n"
-    ));
+    let growth = h.speedup(
+        "clustering/scaling/mysql-x80",
+        "clustering/scaling/mysql-x40",
+    );
+    let mut doc = BenchDoc::new(
+        "clustering-perf",
+        "dense-N = one original cluster of N machines, diameter 2; mysql-xR = the paper's \
+         Table 2 MySQL fleet (21 machines, diameter 3) copied R times; dense-200-reference-qt \
+         = the retained pre-PR naive QT loop on the same fleet",
+    );
+    doc.harness_rows(h.results())
+        .set("dense_200_speedup_vs_reference", round_to(speedup, 2))
+        .set("mysql_x80_over_x40", round_to(growth, 2));
     println!("=> dense-200 fast path is {speedup:.2}x the naive reference (min-over-min)");
     println!("=> mysql-x80 costs {growth:.2}x mysql-x40 (min-over-min; quadratic is 4)");
-
-    let path = csv
-        .map(|d| d.join("BENCH_clustering.json"))
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_clustering.json"));
-    std::fs::write(&path, json).expect("write BENCH_clustering.json");
-    println!("(wrote {})", path.display());
+    doc.write(ctx.csv(), "BENCH_clustering.json");
 }
 
 /// Runs an instrumented deployment simulation plus a full instrumented
 /// Apache ACL campaign and writes the combined registry snapshot (span
-/// timings, counters, gauges, flight-event log) as JSON to `path`.
+/// timings, counters, gauges, flight-event log) as JSON to the
+/// `--telemetry` path.
 ///
 /// The simulation runs first so its high-volume per-machine events
 /// cannot evict the campaign's flight log from the bounded ring; exact
 /// per-kind event *counts* include evicted events either way.
-fn telemetry_dump(path: &std::path::Path) {
+fn telemetry_dump(ctx: &Ctx) {
     use std::sync::Arc;
 
     use mirage_core::{Campaign, ProtocolChoice, RolloutStrategy};
@@ -2590,6 +1934,14 @@ fn telemetry_dump(path: &std::path::Path) {
     use mirage_sim::run_with_telemetry;
     use mirage_telemetry::{Registry, Telemetry};
 
+    let Some(path) = ctx.telemetry.as_deref() else {
+        // `all` includes the dump only when a path was given.
+        assert!(
+            ctx.all,
+            "the telemetry experiment requires --telemetry <path>"
+        );
+        return;
+    };
     heading("Telemetry: instrumented simulation + Apache ACL campaign");
     let registry = Arc::new(Registry::new(8192));
     let telemetry = Telemetry::from_registry(Arc::clone(&registry));
@@ -2640,11 +1992,7 @@ fn telemetry_dump(path: &std::path::Path) {
     );
 }
 
-fn heading(title: &str) {
-    println!("\n=== {title} ===\n");
-}
-
-fn fig1(csv: Option<&std::path::Path>) {
+fn fig1(ctx: &Ctx) {
     heading("Figure 1: Upgrade frequencies (by experience)");
     let rows = survey::dataset();
     let fig = survey::figure1(&rows);
@@ -2685,7 +2033,7 @@ fn fig1(csv: Option<&std::path::Path>) {
     println!(
         "=> reason ranks: security {security:.1}, bug fix {bug_fix:.1}, user request {user_request:.1}, new feature {new_feature:.1} (paper: 1.6 / 2.2 / 3.3 / 3.5)"
     );
-    if let Some(dir) = csv {
+    if let Some(dir) = ctx.csv() {
         let mut out = String::from("frequency,exp_0_2,exp_2_5,exp_5_10,exp_10_plus\n");
         for (freq, per_exp) in &fig {
             out.push_str(&format!(
@@ -2697,12 +2045,11 @@ fn fig1(csv: Option<&std::path::Path>) {
                 per_exp[3]
             ));
         }
-        std::fs::write(dir.join("fig1.csv"), out).expect("write fig1.csv");
-        println!("(wrote {}/fig1.csv)", dir.display());
+        write_document(Some(dir), "fig1.csv", out);
     }
 }
 
-fn fig2() {
+fn fig2(_: &Ctx) {
     heading("Figure 2: Reluctance to upgrade");
     let rows = survey::dataset();
     let fig = survey::figure2(&rows);
@@ -2733,7 +2080,7 @@ fn fig2() {
     );
 }
 
-fn fig3(csv: Option<&std::path::Path>) {
+fn fig3(ctx: &Ctx) {
     heading("Figure 3: Perceived upgrade failure rate");
     let rows = survey::dataset();
     let fig = survey::figure3(&rows);
@@ -2752,17 +2099,16 @@ fn fig3(csv: Option<&std::path::Path>) {
         stats.failure_rate_median,
         stats.failure_rate_5_to_10 * 100.0
     );
-    if let Some(dir) = csv {
+    if let Some(dir) = ctx.csv() {
         let mut out = String::from("failure_rate_pct,respondents\n");
         for (pct, count) in &fig {
             out.push_str(&format!("{pct},{count}\n"));
         }
-        std::fs::write(dir.join("fig3.csv"), out).expect("write fig3.csv");
-        println!("(wrote {}/fig3.csv)", dir.display());
+        write_document(Some(dir), "fig3.csv", out);
     }
 }
 
-fn table1(csv: Option<&std::path::Path>) {
+fn table1(ctx: &Ctx) {
     heading("Table 1: Effectiveness of the heuristic in identifying environmental resources");
     let rows: Vec<Vec<String>> = apps::all_models()
         .iter()
@@ -2796,15 +2142,14 @@ fn table1(csv: Option<&std::path::Path>) {
         )
     );
     println!("=> paper: firefox 907/839/1/23/7, apache 400/251/133/0/2, php 215/206/0/0/0, mysql 286/250/0/33/1");
-    if let Some(dir) = csv {
+    if let Some(dir) = ctx.csv() {
         let mut out = String::from(
             "app,files_total,env_resources,false_positives,false_negatives,vendor_rules\n",
         );
         for row in &rows {
             out.push_str(&format!("{}\n", row.join(",")));
         }
-        std::fs::write(dir.join("table1.csv"), out).expect("write table1.csv");
-        println!("(wrote {}/table1.csv)", dir.display());
+        write_document(Some(dir), "table1.csv", out);
     }
 }
 
@@ -2841,7 +2186,7 @@ fn print_clustering(
     );
 }
 
-fn fig6() {
+fn fig6(_: &Ctx) {
     heading("Figure 6: MySQL clustering with parsers for all environmental resources");
     let scenario = mysql::MySqlScenario::with_full_parsers();
     let (clustering, score) = scenario.cluster_and_score();
@@ -2849,7 +2194,7 @@ fn fig6() {
     println!("   paper: 15 clusters, C = 12, w = 0 (sound)");
 }
 
-fn fig7() {
+fn fig7(_: &Ctx) {
     heading("Figure 7: MySQL clustering with Mirage parsers only (diameter 3)");
     let scenario = mysql::MySqlScenario::with_mirage_parsers(3);
     let (clustering, score) = scenario.cluster_and_score();
@@ -2863,7 +2208,7 @@ fn fig7() {
     );
 }
 
-fn merge() {
+fn merge(_: &Ctx) {
     heading("§4.2.1: Vendor drops my.cnf items to merge clusters");
     let scenario = mysql::MySqlScenario::with_full_parsers();
     let (full, _) = scenario.cluster_and_score();
@@ -2879,7 +2224,7 @@ fn merge() {
     );
 }
 
-fn fig8() {
+fn fig8(_: &Ctx) {
     heading("Figure 8: Firefox clustering with parsers for all environmental resources");
     let scenario = firefox::FirefoxScenario::with_full_parsers();
     let (clustering, score) = scenario.cluster_and_score();
@@ -2887,7 +2232,7 @@ fn fig8() {
     println!("   paper: 4 clusters, C = 2, w = 0 (sound)");
 }
 
-fn fig9() {
+fn fig9(_: &Ctx) {
     heading("Figure 9: Firefox clustering with Mirage parsers only");
     for d in [4usize, 6] {
         println!("-- diameter {d} --");
@@ -2898,7 +2243,17 @@ fn fig9() {
     println!("   paper: d = 4 ideal (w = 0, C = 0); d = 6 imperfect (w = 3)");
 }
 
-fn print_curves(curves: &[deployment::Curve]) {
+/// One deployment-latency figure: every curve's CDF as rows and bars,
+/// the plot-ready `label,time,fraction` series with `--csv`, then what
+/// the paper reports.
+fn latency_figure(
+    ctx: &Ctx,
+    title: &str,
+    curves: &[deployment::Curve],
+    csv: &str,
+    paper: [&str; 2],
+) {
+    heading(title);
     for curve in curves {
         println!(
             "-- {} (overhead {}, complete at {:?}) --",
@@ -2908,46 +2263,47 @@ fn print_curves(curves: &[deployment::Curve]) {
             println!("    t={t:>5}  {:>5.2}  {}", f, bar((f * 20.0) as usize, 20));
         }
     }
-}
-
-fn write_curves_csv(dir: &std::path::Path, name: &str, curves: &[deployment::Curve]) {
-    let mut out = String::from("label,time,fraction\n");
-    for curve in curves {
-        for (t, f) in &curve.cdf {
-            out.push_str(&format!("{},{t},{f}\n", curve.label));
+    if ctx.csv.is_some() {
+        let mut out = String::from("label,time,fraction\n");
+        for curve in curves {
+            for (t, f) in &curve.cdf {
+                out.push_str(&format!("{},{t},{f}\n", curve.label));
+            }
         }
+        write_document(ctx.csv(), csv, out);
     }
-    std::fs::write(dir.join(name), out).expect("write csv");
-    println!("(wrote {}/{name})", dir.display());
+    for line in paper {
+        println!("   {line}");
+    }
 }
 
-fn fig10(csv: Option<&std::path::Path>) {
-    heading("Figure 10: CDF of per-cluster upgrade latency under sound clustering");
-    let curves = deployment::figure10();
-    print_curves(&curves);
-    if let Some(dir) = csv {
-        write_curves_csv(dir, "fig10.csv", &curves);
-    }
-    println!("   paper: NoStaging 75% immediately; Balanced(best) fastest staged start;");
-    println!(
-        "   FrontLoading delayed by front-loaded debugging but finishes its last cluster first."
+fn fig10(ctx: &Ctx) {
+    latency_figure(
+        ctx,
+        "Figure 10: CDF of per-cluster upgrade latency under sound clustering",
+        &deployment::figure10(),
+        "fig10.csv",
+        [
+            "paper: NoStaging 75% immediately; Balanced(best) fastest staged start;",
+            "FrontLoading delayed by front-loaded debugging but finishes its last cluster first.",
+        ],
     );
 }
 
-fn fig11(csv: Option<&std::path::Path>) {
-    heading("Figure 11: CDF of upgrade latency under imperfect clustering");
-    let curves = deployment::figure11();
-    print_curves(&curves);
-    if let Some(dir) = csv {
-        write_curves_csv(dir, "fig11.csv", &curves);
-    }
-    println!(
-        "   paper: a misplaced machine in the first cluster slows FrontLoading and Balanced-best;"
+fn fig11(ctx: &Ctx) {
+    latency_figure(
+        ctx,
+        "Figure 11: CDF of upgrade latency under imperfect clustering",
+        &deployment::figure11(),
+        "fig11.csv",
+        [
+            "paper: a misplaced machine in the first cluster slows FrontLoading and Balanced-best;",
+            "in the last cluster the effect is marginal; overall trends unchanged.",
+        ],
     );
-    println!("   in the last cluster the effect is marginal; overall trends unchanged.");
 }
 
-fn overhead() {
+fn overhead(_: &Ctx) {
     heading("§4.3.2: Upgrade overhead (machines that tested a faulty upgrade)");
     let rows: Vec<Vec<String>> = deployment::overhead_table()
         .into_iter()

@@ -30,6 +30,8 @@ pub struct BenchStats {
     pub min_ns: u64,
     /// Median sample.
     pub p50_ns: u64,
+    /// 99th-percentile sample (the slowest one below 100 samples).
+    pub p99_ns: u64,
     /// Arithmetic mean.
     pub mean_ns: f64,
     /// Slowest sample.
@@ -73,8 +75,22 @@ pub const MIN_SAMPLES: usize = 3;
 /// A benchmark suite: runs closures and prints aligned result rows.
 pub struct Harness {
     target: Duration,
-    max_samples: usize,
     results: Vec<BenchStats>,
+}
+
+/// Cap on timed samples per benchmark, so sub-microsecond workloads
+/// finish before the budget does.
+const MAX_SAMPLES: usize = 1_000;
+
+/// Wraps `f` into a closure that reports the nanoseconds of one whole
+/// invocation; the return value goes through [`black_box`] so the
+/// optimiser cannot delete the measured work.
+fn timed<R>(mut f: impl FnMut() -> R) -> impl FnMut() -> u64 {
+    move || {
+        let t0 = Instant::now();
+        black_box(f());
+        t0.elapsed().as_nanos() as u64
+    }
 }
 
 impl Harness {
@@ -94,23 +110,28 @@ impl Harness {
         );
         Harness {
             target: Duration::from_millis(ms),
-            max_samples: 1_000,
             results: Vec::new(),
         }
     }
 
     /// Times `f`, records its statistics, and prints one result row.
-    ///
-    /// The closure's return value is passed through [`black_box`] so the
-    /// optimiser cannot delete the measured work.
     pub fn bench<R>(&mut self, name: &str, f: impl FnMut() -> R) -> &BenchStats {
-        self.run(name, None, f)
+        self.bench_ns(name, timed(f))
     }
 
     /// Like [`Harness::bench`], additionally reporting MiB/s throughput
     /// for a workload that processes `bytes` bytes per iteration.
     pub fn bench_bytes<R>(&mut self, name: &str, bytes: u64, f: impl FnMut() -> R) -> &BenchStats {
-        self.run(name, Some(bytes), f)
+        self.sample(&[name], Some(bytes), false, &mut [&mut timed(f)]);
+        self.last()
+    }
+
+    /// Like [`Harness::bench`], but `f` returns the nanoseconds of its
+    /// own timed region, so per-sample setup (a fresh repository, an
+    /// untimed interning pass) stays out of the statistics.
+    pub fn bench_ns(&mut self, name: &str, mut f: impl FnMut() -> u64) -> &BenchStats {
+        self.sample(&[name], None, false, &mut [&mut f]);
+        self.last()
     }
 
     /// Times two closures with strictly interleaved samples (A, B, A,
@@ -127,30 +148,10 @@ impl Harness {
         &mut self,
         name_a: &str,
         name_b: &str,
-        mut fa: impl FnMut() -> RA,
-        mut fb: impl FnMut() -> RB,
+        fa: impl FnMut() -> RA,
+        fb: impl FnMut() -> RB,
     ) {
-        // One untimed warmup each to populate caches and lazy state.
-        black_box(fa());
-        black_box(fb());
-        let started = Instant::now();
-        let mut samples_a: Vec<u64> = Vec::new();
-        let mut samples_b: Vec<u64> = Vec::new();
-        loop {
-            let t0 = Instant::now();
-            black_box(fa());
-            samples_a.push(t0.elapsed().as_nanos() as u64);
-            let t0 = Instant::now();
-            black_box(fb());
-            samples_b.push(t0.elapsed().as_nanos() as u64);
-            if (started.elapsed() >= self.target * 2 && samples_a.len() >= MIN_SAMPLES)
-                || samples_a.len() >= self.max_samples
-            {
-                break;
-            }
-        }
-        self.record(name_a, None, false, samples_a);
-        self.record(name_b, None, false, samples_b);
+        self.bench_paired_ns(name_a, name_b, timed(fa), timed(fb));
     }
 
     /// Like [`Harness::bench_paired`], but each closure returns the
@@ -168,23 +169,7 @@ impl Harness {
         mut fa: impl FnMut() -> u64,
         mut fb: impl FnMut() -> u64,
     ) {
-        // One untimed warmup each to populate caches and lazy state.
-        black_box(fa());
-        black_box(fb());
-        let started = Instant::now();
-        let mut samples_a: Vec<u64> = Vec::new();
-        let mut samples_b: Vec<u64> = Vec::new();
-        loop {
-            samples_a.push(fa());
-            samples_b.push(fb());
-            if (started.elapsed() >= self.target * 2 && samples_a.len() >= MIN_SAMPLES)
-                || samples_a.len() >= self.max_samples
-            {
-                break;
-            }
-        }
-        self.record(name_a, None, false, samples_a);
-        self.record(name_b, None, false, samples_b);
+        self.sample(&[name_a, name_b], None, false, &mut [&mut fa, &mut fb]);
     }
 
     /// Times `f` exactly once — no warmup, one sample — and records the
@@ -194,44 +179,71 @@ impl Harness {
     /// unaffordable (a 10M-machine simulation), one honest sample beats
     /// none; the `scale` marker tells `bench-check` the single sample
     /// is intentional rather than a truncated run.
-    pub fn bench_scale<R>(&mut self, name: &str, mut f: impl FnMut() -> R) -> &BenchStats {
-        let t0 = Instant::now();
-        black_box(f());
-        let sample = t0.elapsed().as_nanos() as u64;
-        self.record(name, None, true, vec![sample]);
-        self.results.last().expect("just pushed")
+    pub fn bench_scale<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> &BenchStats {
+        let mut f = Some(f);
+        let mut once = timed(|| (f.take().expect("scale rows sample exactly once"))());
+        self.sample(&[name], None, true, &mut [&mut once]);
+        self.last()
     }
 
-    fn run<R>(&mut self, name: &str, bytes: Option<u64>, mut f: impl FnMut() -> R) -> &BenchStats {
-        // One untimed warmup to populate caches and lazy state.
-        black_box(f());
+    /// The one sampling loop. Each of `runs` returns the nanoseconds of
+    /// its own timed region; one round samples every closure once, in
+    /// order, so the rows of a pair (or any N-tuple) are interleaved
+    /// and share `runs.len()` budgets. After one untimed warmup round,
+    /// rounds repeat until the budget is spent and [`MIN_SAMPLES`] are
+    /// in, or the sample cap is hit. A `scale` row is the degenerate
+    /// case: no warmup, exactly one round.
+    fn sample(
+        &mut self,
+        names: &[&str],
+        bytes: Option<u64>,
+        scale: bool,
+        runs: &mut [&mut dyn FnMut() -> u64],
+    ) {
+        let (floor, cap) = if scale {
+            (1, 1)
+        } else {
+            // Populate caches and lazy state.
+            for run in runs.iter_mut() {
+                black_box(run());
+            }
+            (MIN_SAMPLES, MAX_SAMPLES)
+        };
+        let budget = self.target * runs.len() as u32;
         let started = Instant::now();
-        let mut samples_ns: Vec<u64> = Vec::new();
-        // Always take at least one timed sample; keep sampling while
-        // budget remains.
+        let mut samples: Vec<Vec<u64>> = vec![Vec::new(); runs.len()];
         loop {
-            let t0 = Instant::now();
-            black_box(f());
-            samples_ns.push(t0.elapsed().as_nanos() as u64);
-            if (started.elapsed() >= self.target && samples_ns.len() >= MIN_SAMPLES)
-                || samples_ns.len() >= self.max_samples
-            {
+            for (run, out) in runs.iter_mut().zip(&mut samples) {
+                out.push(run());
+            }
+            let rounds = samples[0].len();
+            if (started.elapsed() >= budget && rounds >= floor) || rounds >= cap {
                 break;
             }
         }
-        self.record(name, bytes, false, samples_ns);
-        self.results.last().expect("just pushed")
+        for (name, samples_ns) in names.iter().zip(samples) {
+            self.push_row(name, bytes, scale, samples_ns);
+        }
     }
 
-    fn record(&mut self, name: &str, bytes: Option<u64>, scale: bool, mut samples_ns: Vec<u64>) {
+    /// Records a row from samples collected by the caller: a latency
+    /// distribution over distinct operations (one sample per drift
+    /// delta) rather than repeats of one workload.
+    pub fn record(&mut self, name: &str, samples_ns: Vec<u64>) {
+        self.push_row(name, None, false, samples_ns);
+    }
+
+    fn push_row(&mut self, name: &str, bytes: Option<u64>, scale: bool, mut samples_ns: Vec<u64>) {
         samples_ns.sort_unstable();
+        let n = samples_ns.len();
         let stats = BenchStats {
             name: name.to_string(),
-            samples: samples_ns.len(),
+            samples: n,
             min_ns: samples_ns[0],
-            p50_ns: samples_ns[samples_ns.len() / 2],
-            mean_ns: samples_ns.iter().sum::<u64>() as f64 / samples_ns.len() as f64,
-            max_ns: *samples_ns.last().expect("non-empty"),
+            p50_ns: samples_ns[n / 2],
+            p99_ns: samples_ns[(n * 99 / 100).min(n - 1)],
+            mean_ns: samples_ns.iter().sum::<u64>() as f64 / n as f64,
+            max_ns: samples_ns[n - 1],
             bytes,
             scale,
         };
@@ -250,9 +262,51 @@ impl Harness {
         self.results.push(stats);
     }
 
+    fn last(&self) -> &BenchStats {
+        self.results.last().expect("a row was just pushed")
+    }
+
     /// All results recorded so far.
     pub fn results(&self) -> &[BenchStats] {
         &self.results
+    }
+
+    /// The recorded row called `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no such benchmark ran.
+    pub fn row(&self, name: &str) -> &BenchStats {
+        self.results
+            .iter()
+            .find(|r| r.name == name)
+            .expect("benchmark ran")
+    }
+
+    /// How many times faster row `fast` is than row `slow`, on their
+    /// minimum (best) samples.
+    pub fn speedup(&self, slow: &str, fast: &str) -> f64 {
+        self.row(slow).min_ns as f64 / self.row(fast).min_ns.max(1) as f64
+    }
+}
+
+#[cfg(test)]
+impl BenchStats {
+    /// A well-formed row for tests: five samples over 100..=200 ns, or
+    /// the single 100 ns sample of a `scale` row.
+    pub(crate) fn example(name: &str, scale: bool) -> Self {
+        let (samples, spread) = if scale { (1, 0) } else { (5, 100) };
+        BenchStats {
+            name: name.to_string(),
+            samples,
+            min_ns: 100,
+            p50_ns: 100 + spread / 5,
+            p99_ns: 100 + spread,
+            mean_ns: 100.0 + spread as f64 / 3.0,
+            max_ns: 100 + spread,
+            bytes: None,
+            scale,
+        }
     }
 }
 
@@ -272,7 +326,8 @@ mod tests {
         assert!(stats.samples >= MIN_SAMPLES, "{}", stats.samples);
         assert!(!stats.scale);
         assert!(stats.min_ns <= stats.p50_ns);
-        assert!(stats.p50_ns <= stats.max_ns);
+        assert!(stats.p50_ns <= stats.p99_ns);
+        assert!(stats.p99_ns <= stats.max_ns);
         assert!(count as usize >= stats.samples);
         assert_eq!(h.results().len(), 1);
         let one_shot = h.bench_scale("one-shot", || (0..1000u64).sum::<u64>());
@@ -307,6 +362,7 @@ mod tests {
             samples: 1,
             min_ns: 1_000_000, // 1 ms
             p50_ns: 1_000_000,
+            p99_ns: 1_000_000,
             mean_ns: 1_000_000.0,
             max_ns: 1_000_000,
             bytes: Some(1 << 20), // 1 MiB in 1 ms = 1000 MiB/s

@@ -11,6 +11,7 @@
 #![deny(deprecated)]
 
 pub mod benchgate;
+pub mod doc;
 pub mod harness;
 
 use mirage_sim::SimTime;

@@ -51,53 +51,6 @@ pub fn choice_for_urgency(urgency: Urgency) -> ProtocolChoice {
     }
 }
 
-/// Which deployment protocol a campaign uses.
-#[deprecated(
-    since = "0.5.0",
-    note = "use mirage_deploy::ProtocolChoice (and choice_for_urgency) directly; \
-            this duplicate selector will be removed next release"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolKind {
-    /// Everyone at once (urgent upgrades).
-    NoStaging,
-    /// Ascending-distance staged deployment.
-    Balanced,
-    /// All-reps-first, then descending distance.
-    FrontLoading,
-    /// Staged deployment in a seeded pseudo-random cluster order (the
-    /// paper's RandomStaging baseline).
-    RandomStaging {
-        /// Shuffle seed (deterministic runs).
-        seed: u64,
-    },
-}
-
-#[allow(deprecated)]
-impl ProtocolKind {
-    /// The campaign-level kind for an upgrade's urgency. Deprecated
-    /// shim over [`choice_for_urgency`].
-    pub fn for_urgency(urgency: Urgency) -> Self {
-        match choice_for_urgency(urgency) {
-            ProtocolChoice::NoStaging => ProtocolKind::NoStaging,
-            ProtocolChoice::FrontLoading => ProtocolKind::FrontLoading,
-            ProtocolChoice::RandomStaging { seed } => ProtocolKind::RandomStaging { seed },
-            ProtocolChoice::Balanced => ProtocolKind::Balanced,
-        }
-    }
-
-    /// Lowers the campaign-level kind to the deploy crate's unified
-    /// [`ProtocolChoice`] selector.
-    pub fn choice(self) -> ProtocolChoice {
-        match self {
-            ProtocolKind::NoStaging => ProtocolChoice::NoStaging,
-            ProtocolKind::Balanced => ProtocolChoice::Balanced,
-            ProtocolKind::FrontLoading => ProtocolChoice::FrontLoading,
-            ProtocolKind::RandomStaging { seed } => ProtocolChoice::RandomStaging { seed },
-        }
-    }
-}
-
 /// The outcome of a campaign.
 #[derive(Debug)]
 pub struct CampaignResult {
@@ -209,27 +162,6 @@ impl Campaign {
         (clustering, RolloutPlan::new(deploy, strategy))
     }
 
-    /// Clusters the fleet for `app` and builds the deployment plan.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use Campaign::rollout_plan, which also shapes the strategy cohorts; \
-                this shim will be removed next release"
-    )]
-    pub fn plan(
-        &self,
-        app: &str,
-        reference: &MachineFingerprint,
-        reps_per_cluster: usize,
-    ) -> (Clustering, DeployPlan) {
-        let (clustering, plan) = self.rollout_plan(
-            app,
-            reference,
-            reps_per_cluster,
-            RolloutStrategy::Staged { waves: 1 },
-        );
-        (clustering, plan.deploy)
-    }
-
     /// Runs a full strategy-driven deployment of `upgrade` in logical
     /// time.
     ///
@@ -295,41 +227,6 @@ impl Campaign {
     ) -> CampaignResult {
         let choice = choice_for_urgency(upgrade.urgency);
         self.drive(upgrade, plan, choice, threshold)
-    }
-
-    /// Runs a full staged deployment of `upgrade` in logical time.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use Campaign::drive with a RolloutPlan and ProtocolChoice; \
-                this shim will be removed next release"
-    )]
-    #[allow(deprecated)]
-    pub fn deploy(
-        &mut self,
-        upgrade: Upgrade,
-        plan: &DeployPlan,
-        kind: ProtocolKind,
-        threshold: f64,
-    ) -> CampaignResult {
-        let rollout = RolloutPlan::new(plan.clone(), RolloutStrategy::Staged { waves: 1 });
-        self.drive(upgrade, &rollout, kind.choice(), threshold)
-    }
-
-    /// Deploys with the protocol recommended for the upgrade's urgency.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use Campaign::drive_auto with a RolloutPlan; \
-                this shim will be removed next release"
-    )]
-    #[allow(deprecated)]
-    pub fn deploy_auto(
-        &mut self,
-        upgrade: Upgrade,
-        plan: &DeployPlan,
-        threshold: f64,
-    ) -> CampaignResult {
-        let rollout = RolloutPlan::new(plan.clone(), RolloutStrategy::Staged { waves: 1 });
-        self.drive_auto(upgrade, &rollout, threshold)
     }
 }
 
@@ -528,7 +425,7 @@ mod tests {
 
     /// A little world: app v1 installed everywhere; two machines carry a
     /// legacy config that breaks the v2 upgrade.
-    pub(crate) fn build_campaign() -> (Campaign, Upgrade, MachineFingerprint) {
+    fn build_campaign() -> (Campaign, Upgrade, MachineFingerprint) {
         let mut repo = Repository::new();
         repo.publish(
             Package::new("app", Version::new(1, 0, 0)).with_file(File::executable(
@@ -925,57 +822,6 @@ mod urgency_tests {
             );
             assert!(result.rollback.is_none(), "{}", strategy.name());
         }
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)]
-mod legacy_shim_tests {
-    use super::tests::build_campaign;
-    use super::*;
-    use mirage_env::Urgency;
-
-    #[test]
-    fn protocol_kind_still_maps_like_choice_for_urgency() {
-        for urgency in [Urgency::Urgent, Urgency::Major, Urgency::Routine] {
-            assert_eq!(
-                ProtocolKind::for_urgency(urgency).choice(),
-                choice_for_urgency(urgency)
-            );
-        }
-        assert_eq!(
-            ProtocolKind::RandomStaging { seed: 9 }.choice(),
-            ProtocolChoice::RandomStaging { seed: 9 }
-        );
-    }
-
-    #[test]
-    fn deploy_shim_matches_drive() {
-        let (mut legacy, upgrade, ref_fp) = build_campaign();
-        let (_, deploy_plan) = legacy.plan("app", &ref_fp, 1);
-        let legacy_result = legacy.deploy(upgrade, &deploy_plan, ProtocolKind::Balanced, 1.0);
-
-        let (mut modern, upgrade, ref_fp) = build_campaign();
-        let (_, rollout_plan) =
-            modern.rollout_plan("app", &ref_fp, 1, RolloutStrategy::Staged { waves: 1 });
-        let modern_result = modern.drive(upgrade, &rollout_plan, ProtocolChoice::Balanced, 1.0);
-
-        assert_eq!(legacy_result.integrated, modern_result.integrated);
-        assert_eq!(
-            legacy_result.failed_validations,
-            modern_result.failed_validations
-        );
-        assert_eq!(legacy_result.releases, modern_result.releases);
-        assert_eq!(legacy_result.rounds, modern_result.rounds);
-        assert!(legacy_result.rollback.is_none());
-    }
-
-    #[test]
-    fn deploy_auto_shim_converges() {
-        let (mut campaign, upgrade, ref_fp) = build_campaign();
-        let (_, plan) = campaign.plan("app", &ref_fp, 1);
-        let result = campaign.deploy_auto(upgrade, &plan, 1.0);
-        assert!(result.converged(6));
     }
 }
 

@@ -96,8 +96,6 @@ pub mod campaign;
 pub mod vendor;
 
 pub use agent::UserAgent;
-#[allow(deprecated)]
-pub use campaign::ProtocolKind;
 pub use campaign::{choice_for_urgency, Campaign, CampaignResult};
 pub use mirage_deploy::ProtocolChoice;
 pub use mirage_rollout::{

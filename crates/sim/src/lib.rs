@@ -44,8 +44,7 @@ pub use engine::{Event, EventQueue, SimTime};
 pub use faults::{FaultPlan, FaultRng, FaultSpec, RngLanes};
 pub use metrics::{latency_cdf, ClusterLatency, SimMetrics};
 pub use parallel::{
-    resolve_workers, run_parallel, run_parallel_auto, run_parallel_in, run_parallel_with_telemetry,
-    SimArena, MAX_WORKERS,
+    run_parallel, run_parallel_in, run_parallel_with_telemetry, SimArena, MAX_WORKERS,
 };
 pub use rollout::{run_rollout, run_rollout_with_telemetry};
 pub use runner::{run, run_with_telemetry, Simulation};

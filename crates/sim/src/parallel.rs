@@ -1380,25 +1380,6 @@ fn clamp_workers(requested: usize, machine_count: usize) -> usize {
     requested.clamp(1, MAX_WORKERS).min(machine_count.max(1))
 }
 
-/// Resolves the effective worker count for `scenario`: an explicit
-/// [`crate::ScenarioBuilder::with_workers`] setting wins, then the
-/// `MIRAGE_SIM_THREADS` environment variable, then
-/// [`std::thread::available_parallelism`]; the result is clamped to the
-/// fleet size and [`MAX_WORKERS`].
-pub fn resolve_workers(scenario: &Scenario) -> usize {
-    let configured = scenario.workers.or_else(|| {
-        std::env::var("MIRAGE_SIM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-    });
-    let requested = configured.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    });
-    clamp_workers(requested, scenario.machine_count())
-}
-
 /// Runs `protocol` against `scenario` on the sharded parallel driver
 /// with an explicit worker count, reusing `arena`'s allocations.
 ///
@@ -1445,13 +1426,6 @@ pub fn run_parallel(
     workers: usize,
 ) -> SimMetrics {
     run_parallel_with_telemetry(scenario, protocol, Telemetry::noop(), workers)
-}
-
-/// Runs `protocol` against `scenario` at the worker count
-/// [`resolve_workers`] picks (builder setting, then `MIRAGE_SIM_THREADS`,
-/// then available parallelism).
-pub fn run_parallel_auto(scenario: &Scenario, protocol: &mut dyn Protocol) -> SimMetrics {
-    run_parallel(scenario, protocol, resolve_workers(scenario))
 }
 
 #[cfg(test)]
@@ -1769,40 +1743,21 @@ mod tests {
         }
     }
 
-    /// Worker resolution: builder setting wins, then the environment
-    /// variable, then available parallelism; everything is clamped to
-    /// the fleet size and `MAX_WORKERS`.
+    /// The requested worker count is clamped to the fleet size and
+    /// `MAX_WORKERS`, and the clamped count runs bit-identically.
     #[test]
-    fn worker_resolution_and_clamping() {
-        let tiny = ScenarioBuilder::new().clusters(1, 2, 1).build();
-        let pinned = ScenarioBuilder::new()
-            .clusters(4, 100, 1)
-            .with_workers(6)
-            .build();
-        assert_eq!(resolve_workers(&pinned), 6);
+    fn worker_count_clamping() {
+        assert_eq!(clamp_workers(6, 400), 6);
         // Clamped to the fleet: 2 machines cannot use 6 shards.
-        let tiny_pinned = ScenarioBuilder::new()
-            .clusters(1, 2, 1)
-            .with_workers(6)
-            .build();
-        assert_eq!(resolve_workers(&tiny_pinned), 2);
-        let huge = ScenarioBuilder::new()
-            .clusters(2, 100, 1)
-            .with_workers(10_000)
-            .build();
-        assert_eq!(resolve_workers(&huge), MAX_WORKERS);
-        // The env var fills in when the builder does not pin a count.
-        std::env::set_var("MIRAGE_SIM_THREADS", "3");
-        let from_env = ScenarioBuilder::new().clusters(4, 100, 1).build();
-        assert_eq!(resolve_workers(&from_env), 3);
-        std::env::set_var("MIRAGE_SIM_THREADS", "not-a-number");
-        assert!(resolve_workers(&from_env) >= 1);
-        std::env::remove_var("MIRAGE_SIM_THREADS");
-        assert!(resolve_workers(&tiny) <= 2);
-        // run_parallel_auto respects the builder pin end to end.
-        let mut p = ProtocolChoice::Balanced.build(pinned.plan.clone(), pinned.threshold);
-        let auto = run_parallel_auto(&pinned, &mut p);
-        let mut oracle = ProtocolChoice::Balanced.build(pinned.plan.clone(), pinned.threshold);
-        assert_eq!(auto, runner::run(&pinned, &mut oracle));
+        assert_eq!(clamp_workers(6, 2), 2);
+        assert_eq!(clamp_workers(10_000, 200), MAX_WORKERS);
+        assert_eq!(clamp_workers(0, 200), 1);
+        assert_eq!(clamp_workers(4, 0), 1);
+        // An over-large request runs clamped, end to end.
+        let tiny = ScenarioBuilder::new().clusters(1, 2, 1).build();
+        let mut p = ProtocolChoice::Balanced.build(tiny.plan.clone(), tiny.threshold);
+        let got = run_parallel(&tiny, &mut p, 6);
+        let mut oracle = ProtocolChoice::Balanced.build(tiny.plan.clone(), tiny.threshold);
+        assert_eq!(got, runner::run(&tiny, &mut oracle));
     }
 }

@@ -47,7 +47,7 @@ impl Timings {
 /// A complete simulation scenario.
 ///
 /// All per-machine state is stored in dense vectors indexed by
-/// [`MachineId`]; use the name-based helpers ([`Scenario::assign_problem`],
+/// [`MachineId`]; use the name-based helpers ([`Scenario::problem_name_of`],
 /// [`Scenario::problem_populations`], …) at boundaries.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -90,13 +90,6 @@ pub struct Scenario {
     /// write-ahead log before it is applied, so a campaign's repository
     /// survives a vendor crash and can be recovered and re-queried.
     pub durable: Option<Arc<DurableUrr>>,
-    /// Preferred worker (shard) count for the parallel driver, set via
-    /// [`ScenarioBuilder::with_workers`]. `None` defers to the
-    /// `MIRAGE_SIM_THREADS` environment variable and then the host's
-    /// available parallelism (see [`crate::parallel::resolve_workers`]).
-    /// Purely a scheduling hint: results are bit-identical at every
-    /// worker count.
-    pub workers: Option<usize>,
     /// Optional rollout strategy (set via
     /// [`ScenarioBuilder::with_strategy`]): when present,
     /// [`crate::run_rollout`] drives the fleet through a
@@ -126,7 +119,6 @@ impl Scenario {
             faults: FaultPlan::none(),
             urr: None,
             durable: None,
-            workers: None,
             strategy: None,
             guard: None,
         }
@@ -171,49 +163,6 @@ impl Scenario {
     fn place_missed_detection(&mut self, machine: &str) {
         let m = self.must_id(machine);
         self.missed_detection.insert(m);
-    }
-
-    /// Assigns `problem` to the named machine (boundary helper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine is not in the plan.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use ScenarioBuilder::over_plan(..).problem_on_machine(..) instead; \
-                this shim will be removed next release"
-    )]
-    pub fn assign_problem(&mut self, machine: &str, problem: &str) {
-        self.place_problem(machine, problem);
-    }
-
-    /// Takes the named machine offline until `until` (boundary helper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine is not in the plan.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use ScenarioBuilder::over_plan(..).offline_machine(..) instead; \
-                this shim will be removed next release"
-    )]
-    pub fn set_offline_until(&mut self, machine: &str, until: SimTime) {
-        self.place_offline(machine, until);
-    }
-
-    /// Marks the named machine's testing as missing its problem
-    /// (boundary helper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine is not in the plan.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use ScenarioBuilder::over_plan(..).missed_detection_on(..) instead; \
-                this shim will be removed next release"
-    )]
-    pub fn set_missed_detection(&mut self, machine: &str) {
-        self.place_missed_detection(machine);
     }
 
     /// Number of machines carrying any problem.
@@ -288,7 +237,6 @@ pub struct ScenarioBuilder {
     durable: Option<Arc<DurableUrr>>,
     timings: Timings,
     threshold: f64,
-    workers: Option<usize>,
     strategy: Option<RolloutStrategy>,
     guard: Option<GuardSettings>,
 }
@@ -313,7 +261,6 @@ impl ScenarioBuilder {
             durable: None,
             timings: Timings::paper_default(),
             threshold: 1.0,
-            workers: None,
             strategy: None,
             guard: None,
         }
@@ -435,15 +382,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Pins the parallel driver's worker (shard) count for this
-    /// scenario, overriding `MIRAGE_SIM_THREADS` and the host's
-    /// available parallelism. Purely a scheduling hint — the simulation
-    /// is bit-identical at every worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
     /// Selects a rollout strategy for this scenario: [`crate::run_rollout`]
     /// then partitions the fleet into cohorts and drives it through a
     /// [`mirage_rollout::RolloutController`]. Without this call the
@@ -485,7 +423,6 @@ impl ScenarioBuilder {
         let mut scenario = Scenario::from_plan(plan);
         scenario.timings = self.timings;
         scenario.threshold = self.threshold;
-        scenario.workers = self.workers;
 
         for (problem, cluster_ids) in &self.problems {
             let p = scenario.problems.intern(problem);
@@ -644,6 +581,8 @@ mod tests {
             .build();
         assert_eq!(s.machine_count(), 5);
         assert_eq!(s.problem_name_of("b"), Some("p"));
+        assert_eq!(s.problem_name_of("a"), None);
+        assert_eq!(s.problem_machine_count(), 1);
         assert_eq!(s.offline_machine_names(), vec!["c".to_string()]);
         let b = s.plan.machine_id("b").unwrap();
         assert!(s.missed_detection.contains(b));
@@ -681,21 +620,5 @@ mod tests {
             assert!(!s.plan.clusters[1].reps.contains(&m));
             assert_eq!((leave, rejoin), (30, 200));
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn from_plan_boundary_helpers() {
-        let plan = DeployPlan::from_named([(["a", "b", "c"], 1, 0.0)]);
-        let mut s = Scenario::from_plan(plan);
-        s.assign_problem("b", "p");
-        s.set_offline_until("c", 100);
-        s.set_missed_detection("b");
-        assert_eq!(s.problem_name_of("b"), Some("p"));
-        assert_eq!(s.problem_name_of("a"), None);
-        assert_eq!(s.offline_machine_names(), vec!["c".to_string()]);
-        let b = s.plan.machine_id("b").unwrap();
-        assert!(s.missed_detection.contains(b));
-        assert_eq!(s.problem_machine_count(), 1);
     }
 }
