@@ -1346,7 +1346,8 @@ fn rollback_sweep(ctx: &Ctx) {
 
     use mirage_core::{GuardSettings, ProtocolChoice, RolloutPlan, RolloutStrategy};
     use mirage_report::Urr;
-    use mirage_sim::{run_rollout, FaultSpec};
+    use mirage_sim::{run_rollout_with_telemetry, FaultSpec};
+    use mirage_telemetry::Telemetry;
 
     let smoke = ctx.smoke;
     suite_heading(
@@ -1411,7 +1412,11 @@ fn rollback_sweep(ctx: &Ctx) {
                 let scenario = builder.build();
                 let exposure_limit =
                     RolloutPlan::new(scenario.plan.clone(), strategy).exposure_limit();
-                let (m, outcome) = run_rollout(&scenario, ProtocolChoice::Balanced);
+                let (m, outcome) = run_rollout_with_telemetry(
+                    &scenario,
+                    ProtocolChoice::Balanced,
+                    Telemetry::noop(),
+                );
                 let converged = m.converged(machines);
                 let rolled_back = outcome.rollback.is_some();
                 let exposed = outcome.rollback.map_or(0, |info| info.exposed_machines);

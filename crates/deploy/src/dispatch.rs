@@ -131,24 +131,6 @@ impl AnyProtocol {
     }
 }
 
-impl From<NoStaging> for AnyProtocol {
-    fn from(p: NoStaging) -> Self {
-        AnyProtocol::NoStaging(p)
-    }
-}
-
-impl From<Balanced> for AnyProtocol {
-    fn from(p: Balanced) -> Self {
-        AnyProtocol::Balanced(p)
-    }
-}
-
-impl From<FrontLoading> for AnyProtocol {
-    fn from(p: FrontLoading) -> Self {
-        AnyProtocol::FrontLoading(p)
-    }
-}
-
 impl Protocol for AnyProtocol {
     fn name(&self) -> &'static str {
         match self {
@@ -280,7 +262,7 @@ mod tests {
     fn any_protocol_dispatches_like_the_concrete_type() {
         let plan = tiny_plan();
         let mut direct = Balanced::new(plan.clone(), 1.0);
-        let mut wrapped: AnyProtocol = Balanced::new(plan, 1.0).into();
+        let mut wrapped = ProtocolChoice::Balanced.build(plan, 1.0);
         assert_eq!(direct.start(), wrapped.start());
         assert_eq!(direct.done(), wrapped.done());
         assert_eq!(wrapped.rep_timeouts(), 0);

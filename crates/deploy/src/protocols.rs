@@ -1022,13 +1022,6 @@ impl FrontLoading {
         }
     }
 
-    /// Creates a FrontLoading deployment with an explicit phase-2 order.
-    pub fn with_order(plan: DeployPlan, order: Vec<usize>, threshold: f64) -> Self {
-        FrontLoading {
-            engine: StagedEngine::new(plan, order, threshold, true),
-        }
-    }
-
     /// Attaches a telemetry handle recording notification counters and
     /// wave-advance events.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {

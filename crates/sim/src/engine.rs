@@ -193,6 +193,9 @@ impl<T: Copy> EventQueue<T> {
     }
 
     /// Pops the earliest event, returning `(time, event)`.
+    // Kept out of line: inlined into the sequential driver's loop (its
+    // only caller there) it measured ~8 ns/event slower at 10⁶ events.
+    #[inline(never)]
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         if self.len == 0 {
             return None;

@@ -19,7 +19,12 @@
 //! The vendor model matches the paper's: each distinct problem takes
 //! `fix_time` to debug; fixes are worked on one at a time in report
 //! order; each completed fix ships as a new release which failed machines
-//! re-test.
+//! re-test. It is written once, in the crate-private `vendor` module,
+//! and run by two drivers that differ only in how they order events:
+//! the sequential [`Simulation`] ([`run`], [`run_with_telemetry`],
+//! [`run_rollout_with_telemetry`]) pops one queue, the sharded
+//! [`parallel`] driver ([`run_parallel_in`]) merges per-shard queues
+//! and is bit-identical to it at any worker count.
 //!
 //! A scenario built with [`ScenarioBuilder::with_urr`] additionally
 //! deposits every vendor-received outcome into a shared
@@ -39,14 +44,13 @@ pub mod rollout;
 pub mod runner;
 pub mod scenario;
 pub mod urr_sink;
+mod vendor;
 
 pub use engine::{Event, EventQueue, SimTime};
 pub use faults::{FaultPlan, FaultRng, FaultSpec, RngLanes};
 pub use metrics::{latency_cdf, ClusterLatency, SimMetrics};
-pub use parallel::{
-    run_parallel, run_parallel_in, run_parallel_with_telemetry, SimArena, MAX_WORKERS,
-};
-pub use rollout::{run_rollout, run_rollout_with_telemetry};
+pub use parallel::{run_parallel_in, SimArena, MAX_WORKERS};
+pub use rollout::run_rollout_with_telemetry;
 pub use runner::{run, run_with_telemetry, Simulation};
 pub use scenario::{Scenario, ScenarioBuilder, Timings};
 pub use urr_sink::UrrSink;

@@ -1,9 +1,12 @@
 //! Sharded time-bucket parallel simulation driver.
 //!
 //! The sequential [`Simulation`] processes one event at a time off a
-//! single calendar queue. This driver shards the [`MachineId`] space
-//! across `workers` shards (`machine.index() % workers`) and splits
-//! every time bucket into two phases:
+//! single calendar queue. This driver runs the same vendor side
+//! (`vendor.rs`) over a different schedule: the [`MachineId`]
+//! space is sharded across `workers` shards
+//! (`machine.index() % workers`), every scheduled event is stamped with
+//! a global sequence number, and every time bucket is split into two
+//! phases:
 //!
 //! - **Phase A (shard-local, parallelizable):** each shard drains its
 //!   own calendar queue's bucket of `TestDone` records and computes the
@@ -18,14 +21,12 @@
 //!   records produced are identical.
 //! - **Phase B (coordinator, sequential):** shard records and
 //!   coordinator events (fixes, report deliveries, retries, ticks) are
-//!   merged by the *global schedule sequence number* every event was
-//!   stamped with, and their vendor-side effects (protocol callbacks,
-//!   discovery, metrics, telemetry, URR deposits) are replayed in
-//!   exactly the order the sequential driver would have produced.
-//!   Within a merged bucket, maximal runs of passing reliable-channel
-//!   records collapse through [`Protocol::absorb_passes`], and a bucket
-//!   that is *all* passes with no observers attached (no flight events,
-//!   no journal, no URR, no faults) skips the merge entirely via the
+//!   merged by sequence number and handed to the vendor side in exactly
+//!   the order the sequential driver would have popped them. Within a
+//!   merged bucket, maximal runs of passing reliable-channel records
+//!   collapse through [`Protocol::absorb_passes`], and a bucket that is
+//!   *all* passes with no observers attached (no flight events, no
+//!   journal, no URR, no faults) skips the merge entirely via the
 //!   order-free [`Protocol::absorb_pass_batch`].
 //!
 //! Because sequence numbers are assigned at scheduling time by a single
@@ -39,22 +40,16 @@
 //! [`SimArena`] owns every queue and scratch buffer so sweep drivers
 //! re-running many configurations reuse allocations across runs.
 
-use std::collections::VecDeque;
-use std::sync::Arc;
-
-use mirage_deploy::{
-    Command, MachineId, MachineSet, ProblemId, ProblemSet, Protocol, Release, TestOutcome,
-    TestReport,
-};
-use mirage_telemetry::journal::{FaultKind, JournalEvent, NO_PROBLEM};
+use mirage_deploy::{MachineId, MachineSet, ProblemId, ProblemSet, Protocol, Release, TestOutcome};
+use mirage_telemetry::journal::{JournalEvent, NO_PROBLEM};
 use mirage_telemetry::{FlightEvent, Telemetry};
 
 use crate::engine::{Event, EventQueue, SimTime};
-use crate::faults::{FaultPlan, FaultRng, RngLanes};
+use crate::faults::{FaultPlan, RngLanes};
 use crate::metrics::SimMetrics;
-use crate::runner::{Simulation, JOURNAL_FLUSH_LEN, RETRY_SAFETY_CAP};
+use crate::runner::Simulation;
 use crate::scenario::Scenario;
-use crate::urr_sink::UrrSink;
+use crate::vendor::{Lent, Schedule, Transmission, VendorSide};
 
 /// Hard ceiling on the shard count. Shards beyond the fleet size add
 /// pure overhead, and determinism does not require more.
@@ -83,10 +78,7 @@ struct TestRec {
     release: u32,
     passed: bool,
     escaped: bool,
-    lost: bool,
-    duplicated: bool,
-    deliveries: u8,
-    delays: [SimTime; 2],
+    uplink: Option<Transmission>,
 }
 
 /// One machine shard: its calendar queue, drain scratch, and (under
@@ -126,9 +118,8 @@ pub struct SimArena {
     pairs: Vec<(MachineId, Release)>,
     run_buf: Vec<TestRec>,
     heads: Vec<usize>,
-    journal_buf: Vec<(SimTime, JournalEvent)>,
-    awaiting: Vec<Option<(u32, u32)>>,
-    churn: Vec<Option<(SimTime, SimTime)>>,
+    /// The vendor side's per-run buffers, lent for each run.
+    lent: Lent,
 }
 
 impl SimArena {
@@ -141,16 +132,14 @@ impl SimArena {
     /// Resets the arena for a fresh run over `scenario` at `workers`
     /// shards, reusing every allocation whose shape still fits.
     fn prepare(&mut self, scenario: &Scenario, workers: usize) {
-        let n = scenario.machine_count();
-        let faults_active = !scenario.faults.is_none();
         // Lanes are strided so shard `s` owns exactly the machines with
         // `index % workers == s`, and local lane `i` maps back to the
         // same global lane id (`i * workers + s == machine index`) the
         // sequential driver uses — per-machine streams are identical.
-        let lanes_per_shard = if faults_active {
-            n.div_ceil(workers)
-        } else {
+        let lanes_per_shard = if scenario.faults.is_none() {
             0
+        } else {
+            scenario.machine_count().div_ceil(workers)
         };
         if self.shards.len() != workers {
             self.shards.clear();
@@ -197,31 +186,19 @@ impl SimArena {
         self.run_buf.clear();
         self.heads.clear();
         self.heads.resize(workers, 0);
-        self.journal_buf.clear();
-        self.awaiting.clear();
-        self.churn.clear();
-        if faults_active {
-            self.awaiting.resize(n, None);
-            self.churn.resize(n, None);
-            for &(m, leave, rejoin) in &scenario.faults.churn {
-                self.churn[m.index()] = Some((leave, rejoin));
-            }
-        }
     }
 }
 
 /// Phase A: computes outcome (and fault draws) for every drained record
 /// of one shard. Pure with respect to coordinator state: reads only the
 /// scenario's static maps and the append-only release history.
-#[allow(clippy::too_many_arguments)]
 fn compute_shard(
     shard: &mut Shard,
     out: &mut Vec<TestRec>,
     machine_problem: &[Option<ProblemId>],
     missed: &MachineSet,
     fixed: &[ProblemSet],
-    faults: &FaultPlan,
-    faults_active: bool,
+    faults: Option<&FaultPlan>,
     workers: usize,
 ) {
     for &ShardTest {
@@ -239,35 +216,18 @@ fn compute_shard(
             passed = true;
             escaped = true;
         }
-        let mut rec = TestRec {
+        // The machine's own up-link lane: the draws the sequential
+        // driver makes when it pops this test, made ahead of replay.
+        let uplink = faults
+            .map(|faults| Transmission::draw(shard.lanes.lane(machine.index() / workers), faults));
+        out.push(TestRec {
             seq,
             machine,
             release,
             passed,
             escaped,
-            lost: false,
-            duplicated: false,
-            deliveries: 0,
-            delays: [0; 2],
-        };
-        if faults_active {
-            // The machine's own up-link lane, drawn in the sequential
-            // driver's fixed per-report order (loss, duplication, then
-            // one delay per delivery).
-            let lane = shard.lanes.lane(machine.index() / workers);
-            rec.lost = lane.chance(faults.loss);
-            if !rec.lost {
-                rec.deliveries = 1;
-                if lane.chance(faults.duplication) {
-                    rec.duplicated = true;
-                    rec.deliveries = 2;
-                }
-                for slot in 0..rec.deliveries as usize {
-                    rec.delays[slot] = lane.below_inclusive(faults.max_delay);
-                }
-            }
-        }
-        out.push(rec);
+            uplink,
+        });
     }
 }
 
@@ -305,15 +265,13 @@ fn next_source(
     best
 }
 
-/// The parallel driver's coordinator: owns all cross-shard state and
-/// replays merged buckets in sequential order.
-struct ParSim<'s, 'a> {
-    scenario: &'s Scenario,
+/// The parallel driver's schedule: per-shard test queues, the
+/// coordinator's vendor-event queue, and the master index that orders
+/// them.
+struct ShardQueues<'a> {
     arena: &'a mut SimArena,
     workers: usize,
-    /// OS-level parallelism available for Phase A (1 on a single-core
-    /// host: sharding still pays via batch absorption, honestly inline).
-    threads: usize,
+    /// Time of the bucket being replayed (the master index's cursor).
     now: SimTime,
     /// Global schedule sequence counter: every scheduled event (shard or
     /// coordinator) takes the next value, reproducing the sequential
@@ -323,22 +281,62 @@ struct ParSim<'s, 'a> {
     /// `queue.len()`, maintained incrementally so the queue-depth gauge
     /// trajectory matches exactly.
     virtual_len: usize,
-    queue_high_water: usize,
-    fixed_by_release: Vec<ProblemSet>,
-    fix_queue: VecDeque<ProblemId>,
-    fixing: Option<ProblemId>,
-    known_problems: ProblemSet,
-    metrics: SimMetrics,
-    telemetry: Telemetry,
-    journaling: bool,
+}
+
+impl ShardQueues<'_> {
+    /// Counts one event onto `queue` (a shard, or `workers` for the
+    /// coordinator) at `time`, makes sure the master index will visit
+    /// it there, and returns the event's sequence number.
+    fn stamp(&mut self, queue: usize, time: SimTime) -> u64 {
+        // One master-index entry per (queue, future time) suffices; a
+        // mark at a strictly future time is guaranteed still pending.
+        if time <= self.now || self.arena.due_mark[queue] != time {
+            self.arena.due.schedule(time, queue as u8);
+            self.arena.due_mark[queue] = time;
+        }
+        self.virtual_len += 1;
+        self.seq += 1;
+        self.seq - 1
+    }
+}
+
+impl Schedule for ShardQueues<'_> {
+    #[inline]
+    fn test(&mut self, time: SimTime, machine: MachineId, release: u32) {
+        let shard = machine.index() % self.workers;
+        let seq = self.stamp(shard, time);
+        self.arena.shards[shard].queue.schedule(
+            time,
+            ShardTest {
+                seq,
+                machine,
+                release,
+            },
+        );
+    }
+
+    #[inline]
+    fn vendor(&mut self, time: SimTime, event: Event) {
+        let seq = self.stamp(self.workers, time);
+        self.arena.coord.schedule(time, (seq, event));
+    }
+
+    fn pending(&self) -> usize {
+        self.virtual_len
+    }
+}
+
+/// The parallel driver: the vendor side over [`ShardQueues`], plus the
+/// bucket machinery that replays merged buckets in sequential order.
+struct ParSim<'s, 'a> {
+    vendor: VendorSide<'s, ShardQueues<'a>>,
+    /// OS-level parallelism available for Phase A (1 on a single-core
+    /// host: sharding still pays via batch absorption, honestly inline).
+    threads: usize,
     /// No observers that are sensitive to per-event order (flight
     /// events, journal, URR) and no faults: all-pass buckets may take
     /// the order-free batch path.
     plain: bool,
-    faults_active: bool,
-    rng_down: FaultRng,
-    ticks_issued: u64,
-    urr_sink: Option<UrrSink>,
 }
 
 impl<'s, 'a> ParSim<'s, 'a> {
@@ -349,458 +347,92 @@ impl<'s, 'a> ParSim<'s, 'a> {
         workers: usize,
     ) -> Self {
         arena.prepare(scenario, workers);
-        let faults_active = !scenario.faults.is_none();
-        let n = scenario.machine_count();
         let threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
             .min(workers);
-        let plain = !faults_active
+        let plain = scenario.faults.is_none()
             && scenario.urr.is_none()
             && !telemetry.enabled()
             && !telemetry.journals();
-        ParSim {
-            scenario,
+        let lent = std::mem::take(&mut arena.lent);
+        let queues = ShardQueues {
             arena,
             workers,
-            threads,
             now: 0,
             seq: 0,
             virtual_len: 0,
-            queue_high_water: 0,
-            fixed_by_release: vec![ProblemSet::new()],
-            fix_queue: VecDeque::new(),
-            fixing: None,
-            known_problems: ProblemSet::new(),
-            metrics: SimMetrics {
-                machine_pass_time: vec![None; n],
-                ..SimMetrics::default()
-            },
-            telemetry,
-            journaling: false,
+        };
+        ParSim {
+            vendor: VendorSide::new(scenario, queues, telemetry, lent),
+            threads,
             plain,
-            faults_active,
-            rng_down: FaultRng::new(scenario.faults.seed),
-            ticks_issued: 0,
-            urr_sink: scenario
-                .urr
-                .as_ref()
-                .map(|urr| UrrSink::new(scenario, Arc::clone(urr))),
         }
     }
 
-    #[inline]
-    fn jot(&mut self, event: JournalEvent) {
-        if self.journaling {
-            self.arena.journal_buf.push((self.now, event));
-            if self.arena.journal_buf.len() >= JOURNAL_FLUSH_LEN {
-                self.flush_journal();
-            }
-        }
-    }
-
-    fn flush_journal(&mut self) {
-        if !self.arena.journal_buf.is_empty() {
-            self.telemetry.journal_timed(&self.arena.journal_buf);
-            self.arena.journal_buf.clear();
-        }
-    }
-
-    fn bump_queue_depth(&mut self) {
-        if self.virtual_len > self.queue_high_water {
-            self.queue_high_water = self.virtual_len;
-            self.telemetry
-                .gauge("sim.queue_depth", self.virtual_len as i64);
-        }
-    }
-
-    fn latest_release(&self) -> Release {
-        Release((self.fixed_by_release.len() - 1) as u32)
-    }
-
-    #[inline]
-    fn schedule_test(&mut self, time: SimTime, machine: MachineId, release: u32) {
-        let seq = self.seq;
-        self.seq += 1;
-        let shard = machine.index() % self.workers;
-        self.arena.shards[shard].queue.schedule(
-            time,
-            ShardTest {
-                seq,
-                machine,
-                release,
-            },
-        );
-        // One master-index entry per (queue, future time) suffices; a
-        // mark at a strictly future time is guaranteed still pending.
-        if time <= self.now || self.arena.due_mark[shard] != time {
-            self.arena.due.schedule(time, shard as u8);
-            self.arena.due_mark[shard] = time;
-        }
-        self.virtual_len += 1;
-    }
-
-    #[inline]
-    fn schedule_coord(&mut self, time: SimTime, event: Event) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.arena.coord.schedule(time, (seq, event));
-        if time <= self.now || self.arena.due_mark[self.workers] != time {
-            self.arena.due.schedule(time, self.workers as u8);
-            self.arena.due_mark[self.workers] = time;
-        }
-        self.virtual_len += 1;
-    }
-
-    fn exec(&mut self, commands: Vec<Command>) {
-        for cmd in commands {
-            match cmd {
-                Command::Notify { machines, release } => {
-                    self.telemetry
-                        .counter("sim.machines_notified", machines.len() as u64);
-                    if self.faults_active {
-                        for m in machines {
-                            self.fault_notify(m, release.0);
-                        }
-                        continue;
-                    }
-                    self.metrics.total_tests += machines.len();
-                    let cycle = self.scenario.timings.machine_cycle();
-                    if !self.telemetry.enabled() && !self.journaling {
-                        for m in machines {
-                            let start = self.scenario.offline_until[m.index()].max(self.now);
-                            self.schedule_test(start + cycle, m, release.0);
-                        }
-                        continue;
-                    }
-                    for m in machines {
-                        self.telemetry
-                            .event_with(|| FlightEvent::MachineNotifiedId {
-                                machine: m.index() as u32,
-                                release: release.0,
-                            });
-                        self.jot(JournalEvent::Notify {
-                            machine: m.index() as u32,
-                            release: release.0,
-                        });
-                        let start = self.scenario.offline_until[m.index()].max(self.now);
-                        self.schedule_test(start + cycle, m, release.0);
-                    }
-                }
-                Command::Complete => {
-                    if self.metrics.completion_time.is_none() {
-                        self.metrics.completion_time = Some(self.now);
-                    }
-                }
-            }
-        }
-    }
-
-    fn available_from(&self, machine: MachineId, t: SimTime) -> Option<SimTime> {
-        let start = t.max(self.scenario.offline_until[machine.index()]);
-        match self.arena.churn[machine.index()] {
-            Some((leave, rejoin)) if start >= leave && start < rejoin => {
-                if rejoin == SimTime::MAX {
-                    None
-                } else {
-                    Some(rejoin)
-                }
-            }
-            _ => Some(start),
-        }
-    }
-
-    fn fault_notify(&mut self, machine: MachineId, release: u32) {
-        self.telemetry
-            .event_with(|| FlightEvent::MachineNotifiedId {
-                machine: machine.index() as u32,
-                release,
-            });
-        self.jot(JournalEvent::Notify {
-            machine: machine.index() as u32,
-            release,
-        });
-        self.arena.awaiting[machine.index()] = Some((release, 0));
-        self.send_notification(machine, release);
-        let delay = self.scenario.faults.retry_delay(0);
-        self.schedule_coord(
-            self.now + delay,
-            Event::RetryCheck {
-                machine,
-                release,
-                attempt: 0,
-            },
-        );
-    }
-
-    fn send_notification(&mut self, machine: MachineId, release: u32) {
-        let loss = self.scenario.faults.loss;
-        let dup = self.scenario.faults.duplication;
-        let max_delay = self.scenario.faults.max_delay;
-        let mut deliveries = 0u32;
-        if self.rng_down.chance(loss) {
-            self.metrics.msgs_dropped += 1;
-            self.telemetry.counter("sim.msgs_dropped", 1);
-            self.jot(JournalEvent::Fault {
-                fault: FaultKind::Loss,
-                machine: machine.index() as u32,
-            });
-        } else {
-            deliveries += 1;
-            if self.rng_down.chance(dup) {
-                self.metrics.msgs_duplicated += 1;
-                self.telemetry.counter("sim.msgs_duplicated", 1);
-                self.jot(JournalEvent::Fault {
-                    fault: FaultKind::Duplication,
-                    machine: machine.index() as u32,
-                });
-                deliveries += 1;
-            }
-        }
-        for _ in 0..deliveries {
-            let delay = self.rng_down.below_inclusive(max_delay);
-            if let Some(start) = self.available_from(machine, self.now + delay) {
-                self.metrics.total_tests += 1;
-                self.schedule_test(
-                    start + self.scenario.timings.machine_cycle(),
-                    machine,
-                    release,
-                );
-            }
-        }
-    }
-
-    #[inline]
-    fn sink_report(&mut self, machine: MachineId, release: u32, outcome: TestOutcome) {
-        if self.urr_sink.is_none() {
-            return;
-        }
-        let problem = match outcome {
-            TestOutcome::Pass => None,
-            TestOutcome::Fail { problem } => Some(problem),
-        };
-        self.jot(JournalEvent::UrrDeposit {
-            machine: machine.index() as u32,
-            release,
-            problem: problem.map_or(NO_PROBLEM, |p| p.index() as u16),
-        });
-        if let Some(sink) = &mut self.urr_sink {
-            sink.record(machine, release, problem);
-        }
-    }
-
-    fn start_next_fix(&mut self) {
-        if self.fixing.is_none() {
-            if let Some(problem) = self.fix_queue.pop_front() {
-                self.schedule_coord(
-                    self.now + self.scenario.timings.fix,
-                    Event::FixDone { problem },
-                );
-                self.fixing = Some(problem);
-            }
-        }
-    }
-
-    /// Replays one shard record under a fault plan: the mirror of
-    /// `fault_test_done` + `send_report`, with the up-link draws taken
-    /// from the record instead of the RNG.
-    fn replay_fault_test(&mut self, rec: TestRec) {
-        let TestRec {
-            machine, release, ..
-        } = rec;
-        if rec.escaped {
-            self.metrics.escaped_problems += 1;
-            self.telemetry.counter("sim.escaped_problems", 1);
-        }
-        let outcome = if rec.passed {
-            if self.metrics.machine_pass_time[machine.index()].is_none() {
-                self.metrics.machine_pass_time[machine.index()] = Some(self.now);
-            }
-            self.telemetry.counter("sim.tests_passed", 1);
-            self.telemetry.event_with(|| FlightEvent::TestPassedId {
-                machine: machine.index() as u32,
-                release,
-            });
-            self.jot(JournalEvent::Test {
-                machine: machine.index() as u32,
-                release,
-                problem: NO_PROBLEM,
-            });
-            TestOutcome::Pass
-        } else {
-            self.metrics.failed_tests += 1;
-            self.telemetry.counter("sim.tests_failed", 1);
-            let problem = self
-                .scenario
-                .problem_of(machine)
-                .expect("failed machine must carry a problem");
-            self.telemetry.event_with(|| FlightEvent::TestFailedId {
-                machine: machine.index() as u32,
-                release,
-                problem: problem.index() as u16,
-            });
-            self.jot(JournalEvent::Test {
-                machine: machine.index() as u32,
-                release,
-                problem: problem.index() as u16,
-            });
-            TestOutcome::Fail { problem }
-        };
-        if rec.lost {
-            self.metrics.msgs_dropped += 1;
-            self.telemetry.counter("sim.msgs_dropped", 1);
-            self.jot(JournalEvent::Fault {
-                fault: FaultKind::Loss,
-                machine: machine.index() as u32,
-            });
-        } else if rec.duplicated {
-            self.metrics.msgs_duplicated += 1;
-            self.telemetry.counter("sim.msgs_duplicated", 1);
-            self.jot(JournalEvent::Fault {
-                fault: FaultKind::Duplication,
-                machine: machine.index() as u32,
-            });
-        }
-        for slot in 0..rec.deliveries as usize {
-            self.schedule_coord(
-                self.now + rec.delays[slot],
-                Event::ReportDelivery {
-                    machine,
-                    release,
-                    outcome,
-                },
-            );
-        }
-    }
-
-    /// Replays one reliable-channel shard record through the full
-    /// protocol path: the mirror of `handle_test_done`.
-    fn replay_reliable_test(&mut self, protocol: &mut dyn Protocol, rec: TestRec) {
-        let TestRec {
-            machine, release, ..
-        } = rec;
-        if rec.escaped {
-            self.metrics.escaped_problems += 1;
-            self.telemetry.counter("sim.escaped_problems", 1);
-        }
-        let outcome = if rec.passed {
-            if self.metrics.machine_pass_time[machine.index()].is_none() {
-                self.metrics.machine_pass_time[machine.index()] = Some(self.now);
-            }
-            self.telemetry.counter("sim.tests_passed", 1);
-            self.telemetry.event_with(|| FlightEvent::TestPassedId {
-                machine: machine.index() as u32,
-                release,
-            });
-            TestOutcome::Pass
-        } else {
-            self.metrics.failed_tests += 1;
-            self.telemetry.counter("sim.tests_failed", 1);
-            let problem = self
-                .scenario
-                .problem_of(machine)
-                .expect("failed machine must carry a problem");
-            self.telemetry.event_with(|| FlightEvent::TestFailedId {
-                machine: machine.index() as u32,
-                release,
-                problem: problem.index() as u16,
-            });
-            if self.known_problems.insert(problem) {
-                self.metrics.problems_discovered.push(problem);
-                self.telemetry.counter("sim.problems_discovered", 1);
-                self.telemetry
-                    .event_with(|| FlightEvent::ProblemDiscoveredId {
-                        problem: problem.index() as u16,
-                    });
-                self.fix_queue.push_back(problem);
-                self.start_next_fix();
-            }
-            TestOutcome::Fail { problem }
-        };
-        self.jot(JournalEvent::Test {
-            machine: machine.index() as u32,
-            release,
-            problem: match outcome {
-                TestOutcome::Pass => NO_PROBLEM,
-                TestOutcome::Fail { problem } => problem.index() as u16,
-            },
-        });
-        self.jot(JournalEvent::Report {
-            machine: machine.index() as u32,
-            release,
-            passed: matches!(outcome, TestOutcome::Pass),
-        });
-        self.sink_report(machine, release, outcome);
-        let report = TestReport {
-            machine,
-            release: Release(release),
-            outcome,
-        };
-        let commands = protocol.on_report(&report);
-        self.exec(commands);
-        if let TestOutcome::Fail { problem } = report.outcome {
-            let latest = self.latest_release();
-            if latest.0 > release && self.fixed_by_release[latest.0 as usize].contains(problem) {
-                let commands =
-                    protocol.on_release(latest, &self.fixed_by_release[latest.0 as usize]);
-                self.exec(commands);
-            }
-        }
-    }
-
-    fn replay_test_rec(&mut self, protocol: &mut dyn Protocol, rec: TestRec) {
-        if self.faults_active {
-            self.replay_fault_test(rec);
-        } else {
-            self.replay_reliable_test(protocol, rec);
-        }
+    /// Hands one shard test, popped in sequence order, to the vendor
+    /// side.
+    fn replay_test(
+        &mut self,
+        protocol: &mut dyn Protocol,
+        machine: MachineId,
+        release: u32,
+        outcome: (bool, bool),
+        uplink: Option<Transmission>,
+    ) {
+        self.vendor.sched.virtual_len -= 1;
+        self.vendor
+            .test_done(protocol, machine, release, outcome, uplink);
     }
 
     /// Emits the driver-side effects of passes absorbed silently by the
-    /// protocol (the pass branch of `handle_test_done`, minus the
-    /// `on_report` the protocol already accounted for). Counter
-    /// increments batch across the chunk — their *sums* match the
-    /// sequential per-event emissions.
+    /// protocol (what the vendor side does for a reliable-channel pass,
+    /// minus the `on_report` the protocol already accounted for).
+    /// Counter increments batch across the chunk — their *sums* match
+    /// the sequential per-event emissions.
     fn absorbed_pass_effects(&mut self, chunk: &[TestRec]) {
-        let now = self.now;
+        let vendor = &mut self.vendor;
+        let now = vendor.now;
         let mut escaped = 0u64;
         for rec in chunk {
             if rec.escaped {
                 escaped += 1;
-                self.metrics.escaped_problems += 1;
+                vendor.metrics.escaped_problems += 1;
             }
-            let slot = &mut self.metrics.machine_pass_time[rec.machine.index()];
+            let slot = &mut vendor.metrics.machine_pass_time[rec.machine.index()];
             if slot.is_none() {
                 *slot = Some(now);
             }
         }
         if !self.plain {
             for rec in chunk {
-                self.telemetry.event_with(|| FlightEvent::TestPassedId {
+                vendor.telemetry.event_with(|| FlightEvent::TestPassedId {
                     machine: rec.machine.index() as u32,
                     release: rec.release,
                 });
-                self.jot(JournalEvent::Test {
+                vendor.jot(JournalEvent::Test {
                     machine: rec.machine.index() as u32,
                     release: rec.release,
                     problem: NO_PROBLEM,
                 });
-                self.jot(JournalEvent::Report {
+                vendor.jot(JournalEvent::Report {
                     machine: rec.machine.index() as u32,
                     release: rec.release,
                     passed: true,
                 });
-                self.sink_report(rec.machine, rec.release, TestOutcome::Pass);
+                vendor.sink_report(rec.machine, rec.release, TestOutcome::Pass);
             }
         }
-        self.telemetry
+        vendor
+            .telemetry
             .counter("sim.events_processed", chunk.len() as u64);
-        self.telemetry
+        vendor
+            .telemetry
             .counter("sim.tests_passed", chunk.len() as u64);
         if escaped > 0 {
-            self.telemetry.counter("sim.escaped_problems", escaped);
+            vendor.telemetry.counter("sim.escaped_problems", escaped);
         }
-        self.virtual_len -= chunk.len();
+        vendor.sched.virtual_len -= chunk.len();
         // The queue only shrank: no high-water check needed.
     }
 
@@ -823,10 +455,13 @@ impl<'s, 'a> ParSim<'s, 'a> {
             if off < run.len() {
                 let rec = run[off];
                 off += 1;
-                self.virtual_len -= 1;
-                self.telemetry.counter("sim.events_processed", 1);
-                self.replay_test_rec(protocol, rec);
-                self.bump_queue_depth();
+                self.replay_test(
+                    protocol,
+                    rec.machine,
+                    rec.release,
+                    (true, rec.escaped),
+                    None,
+                );
             }
         }
     }
@@ -860,14 +495,18 @@ impl<'s, 'a> ParSim<'s, 'a> {
                     esc_i += 1;
                     escaped += 1;
                 }
+                let vendor = &mut self.vendor;
                 if escaped > 0 {
-                    self.metrics.escaped_problems += escaped as usize;
-                    self.telemetry.counter("sim.escaped_problems", escaped);
+                    vendor.metrics.escaped_problems += escaped as usize;
+                    vendor.telemetry.counter("sim.escaped_problems", escaped);
                 }
-                self.telemetry
+                vendor
+                    .telemetry
                     .counter("sim.events_processed", absorbed as u64);
-                self.telemetry.counter("sim.tests_passed", absorbed as u64);
-                self.virtual_len -= absorbed;
+                vendor
+                    .telemetry
+                    .counter("sim.tests_passed", absorbed as u64);
+                vendor.sched.virtual_len -= absorbed;
                 off += absorbed;
             }
             if off < pairs.len() {
@@ -878,178 +517,29 @@ impl<'s, 'a> ParSim<'s, 'a> {
                     esc_i += 1;
                 }
                 off += 1;
-                self.virtual_len -= 1;
-                self.telemetry.counter("sim.events_processed", 1);
-                self.replay_reliable_test(
-                    protocol,
-                    TestRec {
-                        seq: 0,
-                        machine,
-                        release: release.0,
-                        passed: true,
-                        escaped,
-                        lost: false,
-                        duplicated: false,
-                        deliveries: 0,
-                        delays: [0; 2],
-                    },
-                );
-                self.bump_queue_depth();
-            }
-        }
-    }
-
-    fn replay_report_delivery(
-        &mut self,
-        protocol: &mut dyn Protocol,
-        machine: MachineId,
-        release: u32,
-        outcome: TestOutcome,
-    ) {
-        if let Some((awaited, _)) = self.arena.awaiting[machine.index()] {
-            if release >= awaited {
-                self.arena.awaiting[machine.index()] = None;
-            }
-        }
-        self.jot(JournalEvent::Report {
-            machine: machine.index() as u32,
-            release,
-            passed: matches!(outcome, TestOutcome::Pass),
-        });
-        self.sink_report(machine, release, outcome);
-        if let TestOutcome::Fail { problem } = outcome {
-            if self.known_problems.insert(problem) {
-                self.metrics.problems_discovered.push(problem);
-                self.telemetry.counter("sim.problems_discovered", 1);
-                self.telemetry
-                    .event_with(|| FlightEvent::ProblemDiscoveredId {
-                        problem: problem.index() as u16,
-                    });
-                self.fix_queue.push_back(problem);
-                self.start_next_fix();
-            }
-        }
-        let report = TestReport {
-            machine,
-            release: Release(release),
-            outcome,
-        };
-        let commands = protocol.on_report(&report);
-        self.exec(commands);
-        if let TestOutcome::Fail { problem } = outcome {
-            let latest = self.latest_release();
-            if latest.0 > release && self.fixed_by_release[latest.0 as usize].contains(problem) {
-                let commands =
-                    protocol.on_release(latest, &self.fixed_by_release[latest.0 as usize]);
-                self.exec(commands);
-            }
-        }
-    }
-
-    fn replay_retry_check(&mut self, machine: MachineId, release: u32, attempt: u32) {
-        if self.arena.awaiting[machine.index()] != Some((release, attempt)) {
-            return;
-        }
-        let cap = self
-            .scenario
-            .faults
-            .max_retries
-            .unwrap_or(RETRY_SAFETY_CAP)
-            .min(RETRY_SAFETY_CAP);
-        if attempt >= cap {
-            self.arena.awaiting[machine.index()] = None;
-            return;
-        }
-        if self.available_from(machine, self.now).is_none() {
-            self.arena.awaiting[machine.index()] = None;
-            return;
-        }
-        self.metrics.retries_sent += 1;
-        self.telemetry.counter("deploy.retries_sent", 1);
-        self.jot(JournalEvent::Retry {
-            machine: machine.index() as u32,
-            release,
-            attempt,
-        });
-        self.send_notification(machine, release);
-        let next = attempt + 1;
-        self.arena.awaiting[machine.index()] = Some((release, next));
-        self.schedule_coord(
-            self.now + self.scenario.faults.retry_delay(next),
-            Event::RetryCheck {
-                machine,
-                release,
-                attempt: next,
-            },
-        );
-    }
-
-    fn replay_fix_done(&mut self, protocol: &mut dyn Protocol, problem: ProblemId) {
-        debug_assert_eq!(self.fixing, Some(problem));
-        self.fixing = None;
-        let mut fixed = self.fixed_by_release.last().cloned().unwrap_or_default();
-        fixed.insert(problem);
-        self.fixed_by_release.push(fixed);
-        self.metrics.releases_shipped += 1;
-        self.telemetry.counter("sim.releases_shipped", 1);
-        self.start_next_fix();
-        let release = self.latest_release();
-        self.telemetry
-            .event(FlightEvent::ReleaseShipped { release: release.0 });
-        let commands = protocol.on_release(release, &self.fixed_by_release[release.0 as usize]);
-        self.exec(commands);
-    }
-
-    fn replay_coord(&mut self, protocol: &mut dyn Protocol, event: Event) {
-        match event {
-            Event::TestDone { .. } => {
-                unreachable!("TestDone events live in shard queues, never the coordinator's")
-            }
-            Event::FixDone { problem } => self.replay_fix_done(protocol, problem),
-            Event::ReportDelivery {
-                machine,
-                release,
-                outcome,
-            } => self.replay_report_delivery(protocol, machine, release, outcome),
-            Event::RetryCheck {
-                machine,
-                release,
-                attempt,
-            } => self.replay_retry_check(machine, release, attempt),
-            Event::Tick => {
-                let commands = protocol.on_tick(self.now);
-                self.exec(commands);
-                if !protocol.done() && self.ticks_issued < self.scenario.faults.max_ticks {
-                    self.schedule_coord(self.now + self.scenario.faults.tick_interval, Event::Tick);
-                    self.ticks_issued += 1;
-                }
+                self.replay_test(protocol, machine, release.0, (true, escaped), None);
             }
         }
     }
 
     fn run(mut self, protocol: &mut dyn Protocol) -> SimMetrics {
-        let _span = self.telemetry.span("sim.run");
-        self.journaling = self.telemetry.journals();
-        let commands = protocol.start();
-        self.exec(commands);
-        if self.faults_active && self.scenario.faults.rep_timeout.is_some() {
-            self.schedule_coord(self.scenario.faults.tick_interval, Event::Tick);
-            self.ticks_issued = 1;
-        }
-        self.bump_queue_depth();
+        let _span = self.vendor.telemetry.span("sim.run");
+        self.vendor.start(protocol);
+        let workers = self.vendor.sched.workers;
 
         // Scratch buffers move out of the arena for the run (the borrow
         // checker cannot see through `&mut self` into disjoint arena
         // fields from helper calls) and move back at the end.
-        let mut rec_bufs = std::mem::take(&mut self.arena.rec_bufs);
-        let mut coord_buf = std::mem::take(&mut self.arena.coord_buf);
-        let mut pairs = std::mem::take(&mut self.arena.pairs);
-        let mut run_buf = std::mem::take(&mut self.arena.run_buf);
-        let mut heads = std::mem::take(&mut self.arena.heads);
-        let mut due_buf = std::mem::take(&mut self.arena.due_buf);
-        let mut due_flags = std::mem::take(&mut self.arena.due_flags);
-        let mut escape_buf = std::mem::take(&mut self.arena.escape_buf);
-        let mut fail_buf = std::mem::take(&mut self.arena.fail_buf);
+        let arena = &mut *self.vendor.sched.arena;
+        let mut rec_bufs = std::mem::take(&mut arena.rec_bufs);
+        let mut coord_buf = std::mem::take(&mut arena.coord_buf);
+        let mut pairs = std::mem::take(&mut arena.pairs);
+        let mut run_buf = std::mem::take(&mut arena.run_buf);
+        let mut heads = std::mem::take(&mut arena.heads);
+        let mut due_buf = std::mem::take(&mut arena.due_buf);
+        let mut due_flags = std::mem::take(&mut arena.due_flags);
+        let mut escape_buf = std::mem::take(&mut arena.escape_buf);
+        let mut fail_buf = std::mem::take(&mut arena.fail_buf);
 
         loop {
             // The next time bucket comes from the master index, which
@@ -1057,17 +547,15 @@ impl<'s, 'a> ParSim<'s, 'a> {
             // probing the other queues keeps their cursors at global
             // time, so replay-time schedules are always in the future.
             due_buf.clear();
-            let Some(t) = self.arena.due.pop_bucket(&mut due_buf) else {
+            let Some(t) = self.vendor.sched.arena.due.pop_bucket(&mut due_buf) else {
                 break;
             };
             due_flags.fill(false);
             for &s in &due_buf {
                 due_flags[s as usize] = true;
             }
-            if t != self.now {
-                self.now = t;
-                self.telemetry.journal_time(t);
-            }
+            self.vendor.sched.now = t;
+            self.vendor.advance(t);
 
             // Phase A, step 1: drain each shard's bucket. Record
             // computation is deferred until the bucket's replay path is
@@ -1075,7 +563,7 @@ impl<'s, 'a> ParSim<'s, 'a> {
             let mut total = 0usize;
             let mut min_seq = u64::MAX;
             let mut max_seq = 0u64;
-            for (s, shard) in self.arena.shards.iter_mut().enumerate() {
+            for (s, shard) in self.vendor.sched.arena.shards.iter_mut().enumerate() {
                 shard.raw.clear();
                 if due_flags[s] {
                     let drained = shard.queue.pop_bucket(&mut shard.raw);
@@ -1096,8 +584,8 @@ impl<'s, 'a> ParSim<'s, 'a> {
 
             // Drain the coordinator's bucket at this time, if any.
             coord_buf.clear();
-            if due_flags[self.workers] {
-                let drained = self.arena.coord.pop_bucket(&mut coord_buf);
+            if due_flags[workers] {
+                let drained = self.vendor.sched.arena.coord.pop_bucket(&mut coord_buf);
                 debug_assert_eq!(drained, Some(t), "coordinator bucket off the master index");
             }
 
@@ -1118,11 +606,12 @@ impl<'s, 'a> ParSim<'s, 'a> {
                 pairs.resize(total, (MachineId(0), Release(0)));
                 fail_buf.clear();
                 {
-                    let machine_problem = &self.scenario.machine_problem[..];
-                    let missed = &self.scenario.missed_detection;
-                    let fixed = &self.fixed_by_release[..];
-                    let pass_time = &mut self.metrics.machine_pass_time[..];
-                    for shard in &self.arena.shards {
+                    let vendor = &mut self.vendor;
+                    let machine_problem = &vendor.scenario.machine_problem[..];
+                    let missed = &vendor.scenario.missed_detection;
+                    let fixed = &vendor.fixed_by_release[..];
+                    let pass_time = &mut vendor.metrics.machine_pass_time[..];
+                    for shard in &vendor.sched.arena.shards {
                         for st in &shard.raw {
                             let pos = st.seq - min_seq;
                             if let Some(problem) = machine_problem[st.machine.index()] {
@@ -1170,23 +659,7 @@ impl<'s, 'a> ParSim<'s, 'a> {
                         );
                         esc_lo = hi;
                     }
-                    self.virtual_len -= 1;
-                    self.telemetry.counter("sim.events_processed", 1);
-                    self.replay_reliable_test(
-                        protocol,
-                        TestRec {
-                            seq: 0,
-                            machine: f.machine,
-                            release: f.release,
-                            passed: false,
-                            escaped: false,
-                            lost: false,
-                            duplicated: false,
-                            deliveries: 0,
-                            delays: [0; 2],
-                        },
-                    );
-                    self.bump_queue_depth();
+                    self.replay_test(protocol, f.machine, f.release, (false, false), None);
                     start = pos + 1;
                 }
                 if start < total {
@@ -1205,13 +678,14 @@ impl<'s, 'a> ParSim<'s, 'a> {
             // merge, but if it is all passes the order-free batch
             // absorb applies — shard order is as good as any.
             if self.plain && total > 0 && !contiguous && coord_buf.is_empty() {
+                let vendor = &mut self.vendor;
                 let mut all_pass = true;
                 let mut escaped = 0usize;
                 {
-                    let machine_problem = &self.scenario.machine_problem[..];
-                    let missed = &self.scenario.missed_detection;
-                    let fixed = &self.fixed_by_release[..];
-                    'scan: for shard in &self.arena.shards {
+                    let machine_problem = &vendor.scenario.machine_problem[..];
+                    let missed = &vendor.scenario.missed_detection;
+                    let fixed = &vendor.fixed_by_release[..];
+                    'scan: for shard in &vendor.sched.arena.shards {
                         for st in &shard.raw {
                             if let Some(problem) = machine_problem[st.machine.index()] {
                                 if !fixed[st.release as usize].contains(problem) {
@@ -1227,26 +701,29 @@ impl<'s, 'a> ParSim<'s, 'a> {
                 }
                 if all_pass {
                     pairs.clear();
-                    for shard in &self.arena.shards {
+                    for shard in &vendor.sched.arena.shards {
                         pairs.extend(shard.raw.iter().map(|r| (r.machine, Release(r.release))));
                     }
                     if protocol.absorb_pass_batch(&pairs) {
                         for &(m, _) in pairs.iter() {
-                            let slot = &mut self.metrics.machine_pass_time[m.index()];
+                            let slot = &mut vendor.metrics.machine_pass_time[m.index()];
                             if slot.is_none() {
                                 *slot = Some(t);
                             }
                         }
                         // Counter *sums* match the per-event sequential
                         // emissions (order-insensitive by definition).
-                        self.metrics.escaped_problems += escaped;
-                        self.telemetry.counter("sim.events_processed", total as u64);
-                        self.telemetry.counter("sim.tests_passed", total as u64);
+                        vendor.metrics.escaped_problems += escaped;
+                        vendor
+                            .telemetry
+                            .counter("sim.events_processed", total as u64);
+                        vendor.telemetry.counter("sim.tests_passed", total as u64);
                         if escaped > 0 {
-                            self.telemetry
+                            vendor
+                                .telemetry
                                 .counter("sim.escaped_problems", escaped as u64);
                         }
-                        self.virtual_len -= total;
+                        vendor.sched.virtual_len -= total;
                         continue;
                     }
                 }
@@ -1254,22 +731,22 @@ impl<'s, 'a> ParSim<'s, 'a> {
 
             // Phase A, step 2: compute records for every drained shard.
             {
-                let shards = &mut self.arena.shards;
+                let vendor = &mut self.vendor;
+                let shards = &mut vendor.sched.arena.shards;
                 for out in rec_bufs.iter_mut() {
                     out.clear();
                 }
-                let machine_problem = &self.scenario.machine_problem[..];
-                let missed = &self.scenario.missed_detection;
-                let fixed = &self.fixed_by_release[..];
-                let faults = &self.scenario.faults;
-                let faults_active = self.faults_active;
-                let workers = self.workers;
+                let machine_problem = &vendor.scenario.machine_problem[..];
+                let missed = &vendor.scenario.missed_detection;
+                let fixed = &vendor.fixed_by_release[..];
+                let faults = vendor.faults_active.then_some(&vendor.scenario.faults);
+                let busy = shards
+                    .iter_mut()
+                    .zip(rec_bufs.iter_mut())
+                    .filter(|(shard, _)| !shard.raw.is_empty());
                 if self.threads > 1 && total >= PAR_COMPUTE_MIN {
                     std::thread::scope(|scope| {
-                        for (shard, out) in shards.iter_mut().zip(rec_bufs.iter_mut()) {
-                            if shard.raw.is_empty() {
-                                continue;
-                            }
+                        for (shard, out) in busy {
                             scope.spawn(move || {
                                 compute_shard(
                                     shard,
@@ -1278,27 +755,14 @@ impl<'s, 'a> ParSim<'s, 'a> {
                                     missed,
                                     fixed,
                                     faults,
-                                    faults_active,
                                     workers,
                                 );
                             });
                         }
                     });
                 } else {
-                    for (shard, out) in shards.iter_mut().zip(rec_bufs.iter_mut()) {
-                        if shard.raw.is_empty() {
-                            continue;
-                        }
-                        compute_shard(
-                            shard,
-                            out,
-                            machine_problem,
-                            missed,
-                            fixed,
-                            faults,
-                            faults_active,
-                            workers,
-                        );
+                    for (shard, out) in busy {
+                        compute_shard(shard, out, machine_problem, missed, fixed, faults, workers);
                     }
                 }
             }
@@ -1313,14 +777,12 @@ impl<'s, 'a> ParSim<'s, 'a> {
                     Source::Coord => {
                         let (_, event) = coord_buf[chead];
                         chead += 1;
-                        self.virtual_len -= 1;
-                        self.telemetry.counter("sim.events_processed", 1);
-                        self.replay_coord(protocol, event);
-                        self.bump_queue_depth();
+                        self.vendor.sched.virtual_len -= 1;
+                        self.vendor.vendor_event(protocol, event);
                     }
                     Source::Shard(s) => {
                         let rec = rec_bufs[s][heads[s]];
-                        if !self.faults_active && rec.passed {
+                        if rec.uplink.is_none() && rec.passed {
                             // Gather the maximal run of consecutive
                             // passing records (across shards, in seq
                             // order) and absorb it batched.
@@ -1342,35 +804,36 @@ impl<'s, 'a> ParSim<'s, 'a> {
                             run_buf = run;
                         } else {
                             heads[s] += 1;
-                            self.virtual_len -= 1;
-                            self.telemetry.counter("sim.events_processed", 1);
-                            self.replay_test_rec(protocol, rec);
-                            self.bump_queue_depth();
+                            self.replay_test(
+                                protocol,
+                                rec.machine,
+                                rec.release,
+                                (rec.passed, rec.escaped),
+                                rec.uplink,
+                            );
                         }
                     }
                 }
             }
         }
 
-        self.arena.rec_bufs = rec_bufs;
-        self.arena.coord_buf = coord_buf;
-        self.arena.pairs = pairs;
-        self.arena.run_buf = run_buf;
-        self.arena.heads = heads;
-        self.arena.due_buf = due_buf;
-        self.arena.due_flags = due_flags;
-        self.arena.escape_buf = escape_buf;
-        self.arena.fail_buf = fail_buf;
-
-        debug_assert_eq!(self.virtual_len, 0, "all queues drained at run end");
-        if let Some(sink) = &mut self.urr_sink {
-            sink.flush();
-        }
-        self.flush_journal();
-        self.telemetry
-            .gauge("sim.queue_depth", self.virtual_len as i64);
-        self.metrics.rep_timeouts = protocol.rep_timeouts();
-        self.metrics
+        debug_assert_eq!(
+            self.vendor.sched.virtual_len, 0,
+            "all queues drained at run end"
+        );
+        let metrics = self.vendor.finish(protocol);
+        let arena = &mut *self.vendor.sched.arena;
+        arena.rec_bufs = rec_bufs;
+        arena.coord_buf = coord_buf;
+        arena.pairs = pairs;
+        arena.run_buf = run_buf;
+        arena.heads = heads;
+        arena.due_buf = due_buf;
+        arena.due_flags = due_flags;
+        arena.escape_buf = escape_buf;
+        arena.fail_buf = fail_buf;
+        arena.lent = std::mem::take(&mut self.vendor.lent);
+        metrics
     }
 }
 
@@ -1397,7 +860,10 @@ pub fn run_parallel_in(
     let workers = clamp_workers(workers, scenario.machine_count());
     telemetry.gauge("sim.workers", workers as i64);
     // Tick-driven protocols (rollout controllers with a decision clock)
-    // run on the sequential driver, which owns the tick schedule.
+    // run on the sequential driver: the shared vendor side would tick
+    // them here too, but no equivalence property yet covers tick-driven
+    // controllers (guard queries, `PRIOR_RELEASE` revert waves) on the
+    // sharded driver, whose Phase A does not know the revert sentinel.
     if workers <= 1 || protocol.wants_ticks() {
         return Simulation::new(scenario)
             .with_telemetry(telemetry)
@@ -1406,30 +872,10 @@ pub fn run_parallel_in(
     ParSim::new(arena, scenario, telemetry, workers).run(protocol)
 }
 
-/// Runs `protocol` against `scenario` on the parallel driver with a
-/// fresh arena and telemetry attached. See [`run_parallel_in`].
-pub fn run_parallel_with_telemetry(
-    scenario: &Scenario,
-    protocol: &mut dyn Protocol,
-    telemetry: Telemetry,
-    workers: usize,
-) -> SimMetrics {
-    let mut arena = SimArena::new();
-    run_parallel_in(&mut arena, scenario, protocol, telemetry, workers)
-}
-
-/// Runs `protocol` against `scenario` on the parallel driver with a
-/// fresh arena and no telemetry. See [`run_parallel_in`].
-pub fn run_parallel(
-    scenario: &Scenario,
-    protocol: &mut dyn Protocol,
-    workers: usize,
-) -> SimMetrics {
-    run_parallel_with_telemetry(scenario, protocol, Telemetry::noop(), workers)
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::faults::FaultSpec;
     use crate::runner;
@@ -1507,7 +953,13 @@ mod tests {
                 let expect = runner::run(&s, &mut oracle);
                 for workers in WORKER_COUNTS {
                     let mut p = choice.build(s.plan.clone(), s.threshold);
-                    let got = run_parallel(&s, &mut p, workers);
+                    let got = run_parallel_in(
+                        &mut SimArena::new(),
+                        &s,
+                        &mut p,
+                        Telemetry::noop(),
+                        workers,
+                    );
                     assert_eq!(
                         expect,
                         got,
@@ -1544,7 +996,8 @@ mod tests {
             let expect = runner::run(&s, &mut oracle);
             for workers in WORKER_COUNTS {
                 let mut p = choice.build(s.plan.clone(), s.threshold);
-                let got = run_parallel(&s, &mut p, workers);
+                let got =
+                    run_parallel_in(&mut SimArena::new(), &s, &mut p, Telemetry::noop(), workers);
                 assert_eq!(
                     expect,
                     got,
@@ -1574,7 +1027,7 @@ mod tests {
             .with_telemetry(telemetry.clone());
         let metrics = match workers {
             None => runner::run_with_telemetry(s, &mut protocol, telemetry),
-            Some(w) => run_parallel_with_telemetry(s, &mut protocol, telemetry, w),
+            Some(w) => run_parallel_in(&mut SimArena::new(), s, &mut protocol, telemetry, w),
         };
         (metrics, registry)
     }
@@ -1756,7 +1209,7 @@ mod tests {
         // An over-large request runs clamped, end to end.
         let tiny = ScenarioBuilder::new().clusters(1, 2, 1).build();
         let mut p = ProtocolChoice::Balanced.build(tiny.plan.clone(), tiny.threshold);
-        let got = run_parallel(&tiny, &mut p, 6);
+        let got = run_parallel_in(&mut SimArena::new(), &tiny, &mut p, Telemetry::noop(), 6);
         let mut oracle = ProtocolChoice::Balanced.build(tiny.plan.clone(), tiny.threshold);
         assert_eq!(got, runner::run(&tiny, &mut oracle));
     }

@@ -1,12 +1,12 @@
 //! Strategy-driven rollout runs: the simulator driving a
 //! [`RolloutController`].
 //!
-//! [`run_rollout`] is the simulation-side entry point for the new
-//! rollout plane: it partitions the scenario's fleet into cohorts
-//! according to the scenario's [`RolloutStrategy`], wires the optional
-//! URR guard into the controller (closing the loop between the report
-//! repository the run deposits into and the widening decisions the
-//! controller takes), and runs the whole thing on the ordinary
+//! [`run_rollout_with_telemetry`] is the simulation-side entry point
+//! for the rollout plane: it partitions the scenario's fleet into
+//! cohorts according to the scenario's [`RolloutStrategy`], wires the
+//! optional URR guard into the controller (closing the loop between the
+//! report repository the run deposits into and the widening decisions
+//! the controller takes), and runs the whole thing on the ordinary
 //! sequential driver — the controller is just another
 //! [`mirage_deploy::Protocol`].
 //!
@@ -37,14 +37,11 @@ use crate::scenario::Scenario;
 /// ([`crate::ScenarioBuilder::with_guard`]), the controller assesses
 /// live repository health on every decision tick and rolls the fleet
 /// back to the prior release when the guard trips.
-pub fn run_rollout(scenario: &Scenario, choice: ProtocolChoice) -> (SimMetrics, RolloutOutcome) {
-    run_rollout_with_telemetry(scenario, choice, Telemetry::noop())
-}
-
-/// [`run_rollout`] with a telemetry handle attached to both the driver
-/// and the controller (rollout decision counters, journal events, and
-/// the `rollout.state` gauge land in the same registry as the
-/// simulator's own instrumentation).
+///
+/// `telemetry` is attached to both the driver and the controller
+/// (rollout decision counters, journal events, and the `rollout.state`
+/// gauge land in the same registry as the simulator's own
+/// instrumentation); pass [`Telemetry::noop`] for an unobserved run.
 pub fn run_rollout_with_telemetry(
     scenario: &Scenario,
     choice: ProtocolChoice,
@@ -192,7 +189,8 @@ mod tests {
             RolloutPlan::new(s.plan.clone(), s.strategy.expect("strategy set")).exposure_limit();
         assert_eq!(exposure_limit, 2, "ceil(10% of 20)");
 
-        let (metrics, outcome) = run_rollout(&s, ProtocolChoice::Balanced);
+        let (metrics, outcome) =
+            run_rollout_with_telemetry(&s, ProtocolChoice::Balanced, Telemetry::noop());
         let info = outcome.rollback.expect("guard must abort a bad release");
         assert!(
             info.exposed_machines <= exposure_limit,
@@ -234,7 +232,8 @@ mod tests {
                 ..GuardSettings::default()
             })
             .build();
-        let (metrics, outcome) = run_rollout(&s, ProtocolChoice::Balanced);
+        let (metrics, outcome) =
+            run_rollout_with_telemetry(&s, ProtocolChoice::Balanced, Telemetry::noop());
         let info = outcome.rollback.expect("final-wave regression aborts");
         assert_eq!(info.at_cohort, 2, "guard tripped on the last cohort");
         assert_eq!(info.exposed_machines, 6, "all three waves were enrolled");
@@ -271,7 +270,8 @@ mod tests {
         let (churned, leave, rejoin) = s.faults.churn[0];
         assert_eq!((leave, rejoin), (10, 300));
 
-        let (metrics, outcome) = run_rollout(&s, ProtocolChoice::Balanced);
+        let (metrics, outcome) =
+            run_rollout_with_telemetry(&s, ProtocolChoice::Balanced, Telemetry::noop());
         let info = outcome.rollback.expect("bad release aborts");
         assert!(
             info.at_time < rejoin,
@@ -306,7 +306,8 @@ mod tests {
                 .problem_in_clusters("p", &[2])
                 .with_strategy(strategy)
                 .build();
-            let (metrics, outcome) = run_rollout(&s, ProtocolChoice::Balanced);
+            let (metrics, outcome) =
+                run_rollout_with_telemetry(&s, ProtocolChoice::Balanced, Telemetry::noop());
             assert!(
                 metrics.converged(s.machine_count()),
                 "{}: {}/{} machines passed",
@@ -342,7 +343,8 @@ mod tests {
                 .with_strategy(strategy)
                 .with_guard(GuardSettings::default())
                 .build();
-            let (metrics, outcome) = run_rollout(&s, ProtocolChoice::Balanced);
+            let (metrics, outcome) =
+                run_rollout_with_telemetry(&s, ProtocolChoice::Balanced, Telemetry::noop());
             assert!(
                 metrics.converged(100_000),
                 "{}: healthy fleet must converge at scale",

@@ -1,138 +1,68 @@
-//! The simulation driver.
+//! The sequential simulation driver.
 //!
-//! The driver moves `Copy` events and dense ids only: per-machine and
-//! per-problem state is flat-indexed, and the telemetry flight events
-//! render machine/problem names lazily (zero cost when telemetry is a
-//! noop). The original string-keyed driver — binary-heap queue, name
-//! maps and all — survives under [`mod@reference`] so equivalence tests
-//! can prove this driver produces identical [`SimMetrics`].
+//! One calendar queue, popped one event at a time, feeding the shared
+//! vendor side (`vendor.rs`). The driver moves `Copy` events and
+//! dense ids only: per-machine and per-problem state is flat-indexed,
+//! and the telemetry flight events render machine/problem names lazily
+//! (zero cost when telemetry is a noop). The original string-keyed
+//! driver — binary-heap queue, name maps and all — survives under
+//! [`mod@reference`] so equivalence tests can prove this driver produces
+//! identical [`SimMetrics`].
 
 pub mod reference;
 
-use std::collections::VecDeque;
-
-use mirage_deploy::MachineId;
-use mirage_deploy::{
-    Command, ProblemId, ProblemSet, Protocol, Release, TestOutcome, TestReport, PRIOR_RELEASE,
-};
-use mirage_telemetry::journal::{FaultKind, JournalEvent, NO_PROBLEM};
-use mirage_telemetry::{FlightEvent, Telemetry};
-
-use std::sync::Arc;
+use mirage_deploy::{MachineId, Protocol};
+use mirage_telemetry::Telemetry;
 
 use crate::engine::{Event, EventQueue, SimTime};
-use crate::faults::{FaultRng, RngLanes};
+use crate::faults::RngLanes;
 use crate::metrics::SimMetrics;
 use crate::scenario::Scenario;
-use crate::urr_sink::UrrSink;
+use crate::vendor::{Lent, Schedule, Transmission, VendorSide};
 
-/// Safety valve against pathological loss rates (e.g. `loss == 1.0`):
-/// after this many re-notification attempts the vendor gives up on a
-/// machine even when [`crate::FaultPlan::max_retries`] is unset. At any
-/// realistic loss rate the chance of hitting this cap is negligible.
-pub(crate) const RETRY_SAFETY_CAP: u32 = 10_000;
+impl Schedule for EventQueue {
+    fn test(&mut self, time: SimTime, machine: MachineId, release: u32) {
+        self.schedule(time, Event::TestDone { machine, release });
+    }
 
-/// Journal emissions buffered in the driver before one batched flush.
-/// Bounds the buffer at ~128 KiB while amortising the recorder's lock
-/// to a few dozen acquisitions per run.
-pub(crate) const JOURNAL_FLUSH_LEN: usize = 4_096;
+    fn vendor(&mut self, time: SimTime, event: Event) {
+        self.schedule(time, event);
+    }
+
+    fn pending(&self) -> usize {
+        self.len()
+    }
+}
 
 /// A running simulation binding a scenario to a protocol.
 #[derive(Debug)]
 pub struct Simulation<'a> {
-    scenario: &'a Scenario,
-    queue: EventQueue,
-    now: SimTime,
-    /// Cumulative fixed-problem sets, indexed by release number.
-    fixed_by_release: Vec<ProblemSet>,
-    fix_queue: VecDeque<ProblemId>,
-    fixing: Option<ProblemId>,
-    known_problems: ProblemSet,
-    /// Local high-water mark of the event queue depth; the gauge is
-    /// published only when this rises (and once at run end), not per
-    /// event — per-event publication was measurable overhead at 10⁶
-    /// machines while recording nothing new.
-    queue_high_water: usize,
-    metrics: SimMetrics,
-    telemetry: Telemetry,
-    /// Cached `telemetry.journals()` so the per-event journal check is
-    /// one local load (set once at the top of [`Simulation::run`]).
-    journaling: bool,
-    /// Local `(sim time, event)` buffer: every journal emission lands
-    /// here first and is flushed thousands at a time through
-    /// [`Telemetry::journal_timed`], so journaling costs a `Vec::push`
-    /// per event instead of a recorder critical-section.
-    journal_buf: Vec<(SimTime, JournalEvent)>,
-    /// Whether the scenario carries a non-trivial fault plan. When
-    /// `false` every fault-path structure below stays empty and the
-    /// driver takes the original synchronous-delivery code paths —
-    /// bit-identical to the pre-fault simulator.
-    faults_active: bool,
-    /// Seeded fault RNG for vendor→machine transmissions (one global
-    /// stream — the vendor is a single sequential actor). Only
-    /// consulted when `faults_active`.
-    rng_down: FaultRng,
+    vendor: VendorSide<'a, EventQueue>,
     /// Per-machine fault RNG lanes for machine→vendor transmissions,
     /// forked per machine off the plan seed so each machine's report
     /// fault schedule depends only on its own event order — the
     /// property that lets the parallel driver draw them shard-side and
-    /// stay bit-identical. Empty unless `faults_active`.
+    /// stay bit-identical. Empty unless the scenario has a fault plan.
     rng_up: RngLanes,
-    /// Per-machine outstanding notification: `(release, attempt)` the
-    /// vendor is awaiting a report for. Drives timed re-notification.
-    /// Empty unless `faults_active`.
-    awaiting: Vec<Option<(u32, u32)>>,
-    /// Dense per-machine churn windows `(leave, rejoin)` (rejoin ==
-    /// `SimTime::MAX` = crashed). Empty unless `faults_active`.
-    churn: Vec<Option<(SimTime, SimTime)>>,
-    /// Ticks issued so far (bounded by the plan's `max_ticks`).
-    ticks_issued: u64,
-    /// Report-repository bridge, present only when the scenario was
-    /// built [`crate::ScenarioBuilder::with_urr`]. `None` keeps the
-    /// loop bit-identical to the unwired driver.
-    urr_sink: Option<UrrSink>,
 }
 
 impl<'a> Simulation<'a> {
     /// Creates a simulation over `scenario`.
     pub fn new(scenario: &'a Scenario) -> Self {
-        let faults_active = !scenario.faults.is_none();
-        let n = scenario.machine_count();
-        let (awaiting, churn) = if faults_active {
-            let mut churn: Vec<Option<(SimTime, SimTime)>> = vec![None; n];
-            for &(m, leave, rejoin) in &scenario.faults.churn {
-                churn[m.index()] = Some((leave, rejoin));
-            }
-            (vec![None; n], churn)
+        let vendor = VendorSide::new(
+            scenario,
+            EventQueue::new(),
+            Telemetry::noop(),
+            Lent::default(),
+        );
+        let lanes = if vendor.faults_active {
+            scenario.machine_count()
         } else {
-            (Vec::new(), Vec::new())
+            0
         };
         Simulation {
-            scenario,
-            queue: EventQueue::new(),
-            now: 0,
-            fixed_by_release: vec![ProblemSet::new()],
-            fix_queue: VecDeque::new(),
-            fixing: None,
-            known_problems: ProblemSet::new(),
-            queue_high_water: 0,
-            metrics: SimMetrics {
-                machine_pass_time: vec![None; n],
-                ..SimMetrics::default()
-            },
-            telemetry: Telemetry::noop(),
-            journaling: false,
-            journal_buf: Vec::new(),
-            faults_active,
-            rng_down: FaultRng::new(scenario.faults.seed),
-            rng_up: RngLanes::new(scenario.faults.seed, if faults_active { n } else { 0 }),
-            awaiting,
-            churn,
-            ticks_issued: 0,
-            urr_sink: scenario
-                .urr
-                .as_ref()
-                .map(|urr| UrrSink::new(scenario, Arc::clone(urr))),
+            vendor,
+            rng_up: RngLanes::new(scenario.faults.seed, lanes),
         }
     }
 
@@ -142,612 +72,30 @@ impl<'a> Simulation<'a> {
     /// produces bit-identical [`SimMetrics`] to an uninstrumented one
     /// (wall-clock span timings never feed back into simulated time).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.vendor.telemetry = telemetry;
         self
-    }
-
-    /// Journals one event stamped with the current sim time, buffered
-    /// locally. Flushed in [`JOURNAL_FLUSH_LEN`] chunks and at run end,
-    /// so the journal receives events slightly after (but timed exactly
-    /// as) they happened — exporters re-sort by `(time, seq)`.
-    #[inline]
-    fn jot(&mut self, event: JournalEvent) {
-        if self.journaling {
-            self.journal_buf.push((self.now, event));
-            if self.journal_buf.len() >= JOURNAL_FLUSH_LEN {
-                self.flush_journal();
-            }
-        }
-    }
-
-    /// Flushes the buffered journal events in one timed batch.
-    fn flush_journal(&mut self) {
-        if !self.journal_buf.is_empty() {
-            self.telemetry.journal_timed(&self.journal_buf);
-            self.journal_buf.clear();
-        }
-    }
-
-    /// Publishes the queue depth gauge only when the depth sets a new
-    /// high-water mark. The gauge's recorded high-water is identical to
-    /// publishing on every event; only the redundant publications go.
-    fn note_queue_depth(&mut self) {
-        let depth = self.queue.len();
-        if depth > self.queue_high_water {
-            self.queue_high_water = depth;
-            self.telemetry.gauge("sim.queue_depth", depth as i64);
-        }
-    }
-
-    fn latest_release(&self) -> Release {
-        Release((self.fixed_by_release.len() - 1) as u32)
-    }
-
-    /// Records a passing test: upgrade passes feed the pass-time CDF;
-    /// confirmations of the rollback sentinel land in the revert-time
-    /// vector instead (a reverted machine did not integrate the
-    /// upgrade, so it must not count as converged).
-    fn note_pass(&mut self, machine: MachineId, release: u32) {
-        if release == PRIOR_RELEASE.0 {
-            if self.metrics.machine_revert_time.is_empty() {
-                self.metrics.machine_revert_time = vec![None; self.metrics.machine_pass_time.len()];
-            }
-            if self.metrics.machine_revert_time[machine.index()].is_none() {
-                self.metrics.machine_revert_time[machine.index()] = Some(self.now);
-                self.telemetry.counter("sim.machines_reverted", 1);
-            }
-        } else {
-            if self.metrics.machine_pass_time[machine.index()].is_none() {
-                self.metrics.machine_pass_time[machine.index()] = Some(self.now);
-            }
-            self.telemetry.counter("sim.tests_passed", 1);
-        }
-    }
-
-    #[inline]
-    fn passes(&self, machine: MachineId, release: u32) -> bool {
-        // The rollback sentinel: reverting to the prior (pre-upgrade)
-        // release always succeeds — the fleet ran it before the
-        // campaign started.
-        if release == PRIOR_RELEASE.0 {
-            return true;
-        }
-        match self.scenario.problem_of(machine) {
-            None => true,
-            Some(problem) => self.fixed_by_release[release as usize].contains(problem),
-        }
-    }
-
-    fn exec(&mut self, commands: Vec<Command>) {
-        for cmd in commands {
-            match cmd {
-                Command::Notify { machines, release } => {
-                    self.telemetry
-                        .counter("sim.machines_notified", machines.len() as u64);
-                    if self.faults_active {
-                        for m in machines {
-                            self.fault_notify(m, release.0);
-                        }
-                        continue;
-                    }
-                    for m in machines {
-                        self.metrics.total_tests += 1;
-                        self.telemetry
-                            .event_with(|| FlightEvent::MachineNotifiedId {
-                                machine: m.index() as u32,
-                                release: release.0,
-                            });
-                        self.jot(JournalEvent::Notify {
-                            machine: m.index() as u32,
-                            release: release.0,
-                        });
-                        // A machine offline at notification time acts on
-                        // it when it comes back (the paper's late
-                        // arrivals).
-                        let start = self.scenario.offline_until[m.index()].max(self.now);
-                        self.queue.schedule(
-                            start + self.scenario.timings.machine_cycle(),
-                            Event::TestDone {
-                                machine: m,
-                                release: release.0,
-                            },
-                        );
-                    }
-                }
-                Command::Complete => {
-                    if self.metrics.completion_time.is_none() {
-                        self.metrics.completion_time = Some(self.now);
-                    }
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Fault path (never entered when `scenario.faults.is_none()`)
-    // ------------------------------------------------------------------
-
-    /// Earliest time `machine` can act on a delivery arriving at `t`,
-    /// accounting for its offline horizon and churn window. `None`
-    /// means the machine has crashed and will never act.
-    fn available_from(&self, machine: MachineId, t: SimTime) -> Option<SimTime> {
-        let start = t.max(self.scenario.offline_until[machine.index()]);
-        match self.churn[machine.index()] {
-            Some((leave, rejoin)) if start >= leave && start < rejoin => {
-                if rejoin == SimTime::MAX {
-                    None
-                } else {
-                    Some(rejoin)
-                }
-            }
-            _ => Some(start),
-        }
-    }
-
-    /// Notifies one machine through the unreliable channel and arms the
-    /// vendor's re-notification timer.
-    fn fault_notify(&mut self, machine: MachineId, release: u32) {
-        self.telemetry
-            .event_with(|| FlightEvent::MachineNotifiedId {
-                machine: machine.index() as u32,
-                release,
-            });
-        self.jot(JournalEvent::Notify {
-            machine: machine.index() as u32,
-            release,
-        });
-        self.awaiting[machine.index()] = Some((release, 0));
-        self.send_notification(machine, release);
-        let delay = self.scenario.faults.retry_delay(0);
-        self.queue.schedule(
-            self.now + delay,
-            Event::RetryCheck {
-                machine,
-                release,
-                attempt: 0,
-            },
-        );
-    }
-
-    /// One vendor→machine transmission: may be lost, duplicated, and
-    /// delayed. Each delivery that reaches a live machine schedules a
-    /// test run.
-    fn send_notification(&mut self, machine: MachineId, release: u32) {
-        let loss = self.scenario.faults.loss;
-        let dup = self.scenario.faults.duplication;
-        let max_delay = self.scenario.faults.max_delay;
-        let mut deliveries = 0u32;
-        if self.rng_down.chance(loss) {
-            self.metrics.msgs_dropped += 1;
-            self.telemetry.counter("sim.msgs_dropped", 1);
-            self.jot(JournalEvent::Fault {
-                fault: FaultKind::Loss,
-                machine: machine.index() as u32,
-            });
-        } else {
-            deliveries += 1;
-            if self.rng_down.chance(dup) {
-                self.metrics.msgs_duplicated += 1;
-                self.telemetry.counter("sim.msgs_duplicated", 1);
-                self.jot(JournalEvent::Fault {
-                    fault: FaultKind::Duplication,
-                    machine: machine.index() as u32,
-                });
-                deliveries += 1;
-            }
-        }
-        for _ in 0..deliveries {
-            let delay = self.rng_down.below_inclusive(max_delay);
-            // A delivery into a crash window is gone for good; churn is
-            // not channel loss, so it is not counted as dropped.
-            if let Some(start) = self.available_from(machine, self.now + delay) {
-                self.metrics.total_tests += 1;
-                self.queue.schedule(
-                    start + self.scenario.timings.machine_cycle(),
-                    Event::TestDone { machine, release },
-                );
-            }
-        }
-    }
-
-    /// One machine→vendor transmission of a test report: may be lost,
-    /// duplicated, and delayed (the vendor itself is always up).
-    fn send_report(&mut self, machine: MachineId, release: u32, outcome: TestOutcome) {
-        let loss = self.scenario.faults.loss;
-        let dup = self.scenario.faults.duplication;
-        let max_delay = self.scenario.faults.max_delay;
-        // All draws come from the machine's own up-link lane, in a fixed
-        // per-report order (loss, duplication, then one delay per
-        // delivery) — the schedule depends only on this machine's report
-        // history, never on interleaving with other machines.
-        let lane = self.rng_up.lane(machine.index());
-        let lost = lane.chance(loss);
-        let mut deliveries = 0usize;
-        let mut duplicated = false;
-        let mut delays = [0u64; 2];
-        if !lost {
-            deliveries = 1;
-            if lane.chance(dup) {
-                duplicated = true;
-                deliveries = 2;
-            }
-            for slot in delays.iter_mut().take(deliveries) {
-                *slot = lane.below_inclusive(max_delay);
-            }
-        }
-        if lost {
-            self.metrics.msgs_dropped += 1;
-            self.telemetry.counter("sim.msgs_dropped", 1);
-            self.jot(JournalEvent::Fault {
-                fault: FaultKind::Loss,
-                machine: machine.index() as u32,
-            });
-        } else if duplicated {
-            self.metrics.msgs_duplicated += 1;
-            self.telemetry.counter("sim.msgs_duplicated", 1);
-            self.jot(JournalEvent::Fault {
-                fault: FaultKind::Duplication,
-                machine: machine.index() as u32,
-            });
-        }
-        for &delay in delays.iter().take(deliveries) {
-            self.queue.schedule(
-                self.now + delay,
-                Event::ReportDelivery {
-                    machine,
-                    release,
-                    outcome,
-                },
-            );
-        }
-    }
-
-    /// Fault-path test completion: the machine-local effects (pass
-    /// time, overhead, escapes) happen here, but problem *discovery*
-    /// and the protocol callback wait for the report to actually reach
-    /// the vendor ([`Event::ReportDelivery`]).
-    fn fault_test_done(&mut self, machine: MachineId, release: u32) {
-        let mut passed = self.passes(machine, release);
-        if !passed && self.scenario.missed_detection.contains(machine) {
-            passed = true;
-            self.metrics.escaped_problems += 1;
-            self.telemetry.counter("sim.escaped_problems", 1);
-        }
-        let outcome = if passed {
-            self.note_pass(machine, release);
-            self.telemetry.event_with(|| FlightEvent::TestPassedId {
-                machine: machine.index() as u32,
-                release,
-            });
-            self.jot(JournalEvent::Test {
-                machine: machine.index() as u32,
-                release,
-                problem: NO_PROBLEM,
-            });
-            TestOutcome::Pass
-        } else {
-            self.metrics.failed_tests += 1;
-            self.telemetry.counter("sim.tests_failed", 1);
-            let problem = self
-                .scenario
-                .problem_of(machine)
-                .expect("failed machine must carry a problem");
-            self.telemetry.event_with(|| FlightEvent::TestFailedId {
-                machine: machine.index() as u32,
-                release,
-                problem: problem.index() as u16,
-            });
-            self.jot(JournalEvent::Test {
-                machine: machine.index() as u32,
-                release,
-                problem: problem.index() as u16,
-            });
-            TestOutcome::Fail { problem }
-        };
-        self.send_report(machine, release, outcome);
-    }
-
-    /// A report reaches the vendor. Duplicates and stale releases are
-    /// harmless: discovery is idempotent here and the hardened
-    /// protocols drop replays in `on_report`.
-    fn handle_report_delivery(
-        &mut self,
-        protocol: &mut dyn Protocol,
-        machine: MachineId,
-        release: u32,
-        outcome: TestOutcome,
-    ) {
-        if let Some((awaited, _)) = self.awaiting[machine.index()] {
-            if release >= awaited {
-                self.awaiting[machine.index()] = None;
-            }
-        }
-        self.jot(JournalEvent::Report {
-            machine: machine.index() as u32,
-            release,
-            passed: matches!(outcome, TestOutcome::Pass),
-        });
-        // The vendor received this report: deposit it (duplicated
-        // deliveries deposit again — the repository deduplicates by
-        // signature when grouping).
-        self.sink_report(machine, release, outcome);
-        if let TestOutcome::Fail { problem } = outcome {
-            if self.known_problems.insert(problem) {
-                self.metrics.problems_discovered.push(problem);
-                self.telemetry.counter("sim.problems_discovered", 1);
-                self.telemetry
-                    .event_with(|| FlightEvent::ProblemDiscoveredId {
-                        problem: problem.index() as u16,
-                    });
-                self.fix_queue.push_back(problem);
-                self.start_next_fix();
-            }
-        }
-        let report = TestReport {
-            machine,
-            release: Release(release),
-            outcome,
-        };
-        let commands = protocol.on_report(&report);
-        self.exec(commands);
-        // Same stranding guard as the reliable path: a failure against a
-        // stale release whose problem is already fixed re-announces the
-        // latest release.
-        if let TestOutcome::Fail { problem } = outcome {
-            let latest = self.latest_release();
-            if latest.0 > release && self.fixed_by_release[latest.0 as usize].contains(problem) {
-                let commands =
-                    protocol.on_release(latest, &self.fixed_by_release[latest.0 as usize]);
-                self.exec(commands);
-            }
-        }
-    }
-
-    /// The vendor's re-notification timer fires: if the machine still
-    /// has not reported for this (release, attempt), resend through the
-    /// lossy channel with exponential backoff.
-    fn handle_retry_check(&mut self, machine: MachineId, release: u32, attempt: u32) {
-        if self.awaiting[machine.index()] != Some((release, attempt)) {
-            return; // Report arrived, or a newer notification superseded this one.
-        }
-        let cap = self
-            .scenario
-            .faults
-            .max_retries
-            .unwrap_or(RETRY_SAFETY_CAP)
-            .min(RETRY_SAFETY_CAP);
-        if attempt >= cap {
-            self.awaiting[machine.index()] = None;
-            return;
-        }
-        if self.available_from(machine, self.now).is_none() {
-            // Crashed for good: stop retrying. Timeout-based stage
-            // advancement (rep_timeout) is what unblocks the protocol.
-            self.awaiting[machine.index()] = None;
-            return;
-        }
-        self.metrics.retries_sent += 1;
-        self.telemetry.counter("deploy.retries_sent", 1);
-        self.jot(JournalEvent::Retry {
-            machine: machine.index() as u32,
-            release,
-            attempt,
-        });
-        self.send_notification(machine, release);
-        let next = attempt + 1;
-        self.awaiting[machine.index()] = Some((release, next));
-        self.queue.schedule(
-            self.now + self.scenario.faults.retry_delay(next),
-            Event::RetryCheck {
-                machine,
-                release,
-                attempt: next,
-            },
-        );
-    }
-
-    /// Deposits one vendor-received outcome into the attached report
-    /// repository, if any. Strictly observational: no simulation state
-    /// is read back from the repository.
-    #[inline]
-    fn sink_report(&mut self, machine: MachineId, release: u32, outcome: TestOutcome) {
-        if self.urr_sink.is_none() {
-            return;
-        }
-        let problem = match outcome {
-            TestOutcome::Pass => None,
-            TestOutcome::Fail { problem } => Some(problem),
-        };
-        self.jot(JournalEvent::UrrDeposit {
-            machine: machine.index() as u32,
-            release,
-            problem: problem.map_or(NO_PROBLEM, |p| p.index() as u16),
-        });
-        if let Some(sink) = &mut self.urr_sink {
-            sink.record(machine, release, problem);
-        }
-    }
-
-    fn start_next_fix(&mut self) {
-        if self.fixing.is_none() {
-            if let Some(problem) = self.fix_queue.pop_front() {
-                self.queue.schedule(
-                    self.now + self.scenario.timings.fix,
-                    Event::FixDone { problem },
-                );
-                self.fixing = Some(problem);
-            }
-        }
-    }
-
-    fn handle_test_done(&mut self, protocol: &mut dyn Protocol, machine: MachineId, release: u32) {
-        let mut passed = self.passes(machine, release);
-        if !passed && self.scenario.missed_detection.contains(machine) {
-            // Imperfect user-machine testing: the problem escapes into
-            // production. The machine integrates the faulty release.
-            passed = true;
-            self.metrics.escaped_problems += 1;
-            self.telemetry.counter("sim.escaped_problems", 1);
-        }
-        let outcome = if passed {
-            self.note_pass(machine, release);
-            self.telemetry.event_with(|| FlightEvent::TestPassedId {
-                machine: machine.index() as u32,
-                release,
-            });
-            TestOutcome::Pass
-        } else {
-            self.metrics.failed_tests += 1;
-            self.telemetry.counter("sim.tests_failed", 1);
-            let problem = self
-                .scenario
-                .problem_of(machine)
-                .expect("failed machine must carry a problem");
-            self.telemetry.event_with(|| FlightEvent::TestFailedId {
-                machine: machine.index() as u32,
-                release,
-                problem: problem.index() as u16,
-            });
-            if self.known_problems.insert(problem) {
-                self.metrics.problems_discovered.push(problem);
-                self.telemetry.counter("sim.problems_discovered", 1);
-                self.telemetry
-                    .event_with(|| FlightEvent::ProblemDiscoveredId {
-                        problem: problem.index() as u16,
-                    });
-                self.fix_queue.push_back(problem);
-                self.start_next_fix();
-            }
-            TestOutcome::Fail { problem }
-        };
-        // On the reliable channel the test and its report land at the
-        // vendor synchronously: journal both here.
-        self.jot(JournalEvent::Test {
-            machine: machine.index() as u32,
-            release,
-            problem: match outcome {
-                TestOutcome::Pass => NO_PROBLEM,
-                TestOutcome::Fail { problem } => problem.index() as u16,
-            },
-        });
-        self.jot(JournalEvent::Report {
-            machine: machine.index() as u32,
-            release,
-            passed: matches!(outcome, TestOutcome::Pass),
-        });
-        self.sink_report(machine, release, outcome);
-        let report = TestReport {
-            machine,
-            release: Release(release),
-            outcome,
-        };
-        let commands = protocol.on_report(&report);
-        self.exec(commands);
-        // Guard against stranding: if the machine failed a stale release
-        // whose problem a *newer* release already fixes, re-announce the
-        // latest release so the protocol re-notifies its failed machines.
-        if let TestOutcome::Fail { problem } = report.outcome {
-            let latest = self.latest_release();
-            if latest.0 > release && self.fixed_by_release[latest.0 as usize].contains(problem) {
-                // Borrow the cumulative set directly — the protocol only
-                // reads it, so no defensive clone is needed.
-                let commands =
-                    protocol.on_release(latest, &self.fixed_by_release[latest.0 as usize]);
-                self.exec(commands);
-            }
-        }
-    }
-
-    fn handle_fix_done(&mut self, protocol: &mut dyn Protocol, problem: ProblemId) {
-        debug_assert_eq!(self.fixing, Some(problem));
-        self.fixing = None;
-        let mut fixed = self.fixed_by_release.last().cloned().unwrap_or_default();
-        fixed.insert(problem);
-        self.fixed_by_release.push(fixed);
-        self.metrics.releases_shipped += 1;
-        self.telemetry.counter("sim.releases_shipped", 1);
-        self.start_next_fix();
-        let release = self.latest_release();
-        self.telemetry
-            .event(FlightEvent::ReleaseShipped { release: release.0 });
-        let commands = protocol.on_release(release, &self.fixed_by_release[release.0 as usize]);
-        self.exec(commands);
     }
 
     /// Runs the simulation to completion, consuming it.
     pub fn run(mut self, protocol: &mut dyn Protocol) -> SimMetrics {
-        let _span = self.telemetry.span("sim.run");
-        self.journaling = self.telemetry.journals();
-        let commands = protocol.start();
-        self.exec(commands);
-        if (self.faults_active && self.scenario.faults.rep_timeout.is_some())
-            || protocol.wants_ticks()
-        {
-            // Arm the protocol's stall-detection / rollout decision
-            // clock. `FaultPlan::none()` still carries the default tick
-            // interval, so tick-driven rollout controllers get their
-            // clock even on the reliable channel.
-            self.queue
-                .schedule(self.scenario.faults.tick_interval, Event::Tick);
-            self.ticks_issued = 1;
-        }
-        self.note_queue_depth();
-        while let Some((time, event)) = self.queue.pop() {
-            if time != self.now {
-                // Many queue events share one sim timestamp; publish the
-                // journal clock only when it actually moves.
-                self.now = time;
-                self.telemetry.journal_time(time);
-            }
-            self.telemetry.counter("sim.events_processed", 1);
+        let _span = self.vendor.telemetry.span("sim.run");
+        self.vendor.start(protocol);
+        while let Some((time, event)) = self.vendor.sched.pop() {
+            self.vendor.advance(time);
             match event {
                 Event::TestDone { machine, release } => {
-                    if self.faults_active {
-                        self.fault_test_done(machine, release);
-                    } else {
-                        self.handle_test_done(protocol, machine, release);
-                    }
+                    let outcome = self.vendor.test_outcome(machine, release);
+                    let uplink = self.vendor.faults_active.then(|| {
+                        let lane = self.rng_up.lane(machine.index());
+                        Transmission::draw(lane, &self.vendor.scenario.faults)
+                    });
+                    self.vendor
+                        .test_done(protocol, machine, release, outcome, uplink);
                 }
-                Event::FixDone { problem } => self.handle_fix_done(protocol, problem),
-                Event::ReportDelivery {
-                    machine,
-                    release,
-                    outcome,
-                } => self.handle_report_delivery(protocol, machine, release, outcome),
-                Event::RetryCheck {
-                    machine,
-                    release,
-                    attempt,
-                } => self.handle_retry_check(machine, release, attempt),
-                Event::Tick => {
-                    // Tick-driven controllers assess live repository
-                    // health: make every report received so far visible
-                    // before the decision.
-                    if let Some(sink) = &mut self.urr_sink {
-                        sink.flush();
-                    }
-                    let commands = protocol.on_tick(self.now);
-                    self.exec(commands);
-                    if !protocol.done() && self.ticks_issued < self.scenario.faults.max_ticks {
-                        self.queue
-                            .schedule(self.now + self.scenario.faults.tick_interval, Event::Tick);
-                        self.ticks_issued += 1;
-                    }
-                }
+                other => self.vendor.vendor_event(protocol, other),
             }
-            self.note_queue_depth();
         }
-        // Drain any buffered repository deposits before the run ends.
-        if let Some(sink) = &mut self.urr_sink {
-            sink.flush();
-        }
-        self.flush_journal();
-        // Publish the final (empty) depth so the gauge's last value
-        // matches the per-event publication behaviour.
-        self.telemetry
-            .gauge("sim.queue_depth", self.queue.len() as i64);
-        self.metrics.rep_timeouts = protocol.rep_timeouts();
-        self.metrics
+        self.vendor.finish(protocol)
     }
 }
 

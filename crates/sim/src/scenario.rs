@@ -92,7 +92,7 @@ pub struct Scenario {
     pub durable: Option<Arc<DurableUrr>>,
     /// Optional rollout strategy (set via
     /// [`ScenarioBuilder::with_strategy`]): when present,
-    /// [`crate::run_rollout`] drives the fleet through a
+    /// [`crate::run_rollout_with_telemetry`] drives the fleet through a
     /// [`mirage_rollout::RolloutController`] instead of a bare staging
     /// protocol.
     pub strategy: Option<RolloutStrategy>,
@@ -382,8 +382,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Selects a rollout strategy for this scenario: [`crate::run_rollout`]
-    /// then partitions the fleet into cohorts and drives it through a
+    /// Selects a rollout strategy for this scenario:
+    /// [`crate::run_rollout_with_telemetry`] then partitions the fleet
+    /// into cohorts and drives it through a
     /// [`mirage_rollout::RolloutController`]. Without this call the
     /// scenario runs bare staging protocols as before.
     pub fn with_strategy(mut self, strategy: RolloutStrategy) -> Self {

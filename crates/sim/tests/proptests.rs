@@ -10,11 +10,15 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mirage_deploy::reference::{AnyNamedProtocol, NamedProtocol};
-use mirage_deploy::{AnyProtocol, Balanced, NoStaging, Protocol, ProtocolChoice};
+use mirage_deploy::{
+    AnyProtocol, Balanced, Command, MachineId, NoStaging, ProblemSet, Protocol, ProtocolChoice,
+    Release, TestReport,
+};
+use mirage_report::Urr;
 use mirage_sim::runner::reference::{run_reference, NamedScenario};
 use mirage_sim::{
-    run, run_parallel, run_parallel_with_telemetry, run_with_telemetry, FaultSpec, Scenario,
-    ScenarioBuilder,
+    run, run_parallel_in, run_with_telemetry, FaultSpec, Scenario, ScenarioBuilder, SimArena,
+    SimTime,
 };
 use mirage_telemetry::{Journal, Registry, Telemetry};
 
@@ -445,7 +449,13 @@ fn parallel_driver_matches_sequential_oracle() {
             let expect = run(&scenario, &mut oracle);
             for workers in [1usize, 2, 4, 8] {
                 let mut protocol = choice.build(scenario.plan.clone(), scenario.threshold);
-                let got = run_parallel(&scenario, &mut protocol, workers);
+                let got = run_parallel_in(
+                    &mut SimArena::new(),
+                    &scenario,
+                    &mut protocol,
+                    Telemetry::noop(),
+                    workers,
+                );
                 assert_eq!(
                     expect, got,
                     "case {case}: {name} diverged at {workers} workers ({spec:?})"
@@ -487,7 +497,13 @@ fn journaled_parallel_run_matches_sequential() {
                 let mut par_p = choice
                     .build(scenario.plan.clone(), scenario.threshold)
                     .with_telemetry(par_tel.clone());
-                let par_m = run_parallel_with_telemetry(&scenario, &mut par_p, par_tel, workers);
+                let par_m = run_parallel_in(
+                    &mut SimArena::new(),
+                    &scenario,
+                    &mut par_p,
+                    par_tel,
+                    workers,
+                );
                 assert_eq!(
                     seq_m, par_m,
                     "case {case}: {name} journaled metrics diverged at {workers} workers ({spec:?})"
@@ -499,6 +515,136 @@ fn journaled_parallel_run_matches_sequential() {
                 );
             }
         }
+    }
+}
+
+/// **Repository equivalence**: the two drivers leave the same Upgrade
+/// Report Repository behind. Each run deposits into a fresh `Urr`; at
+/// 2, 4 and 8 workers the sharded driver's repository answers
+/// `stats()`, `snapshot()` (every frozen query surface) and
+/// `next_seq()` exactly as the sequential driver's does, on the
+/// reliable channel (even cases: batched pass absorption deposits too)
+/// and under heavy faults (odd cases: duplicated deliveries deposit
+/// twice, lost ones never).
+#[test]
+fn parallel_driver_fills_the_same_repository() {
+    let mut rng = Rng::new(0x0DD);
+    for case in 0..24u64 {
+        let (spec, mut scenario) = parallel_case(&mut rng, case);
+        for choice in choices(case) {
+            let name = choice.name();
+            let mut deposit = |workers: Option<usize>| {
+                let urr = Arc::new(Urr::new());
+                scenario.urr = Some(Arc::clone(&urr));
+                let mut protocol = choice.build(scenario.plan.clone(), scenario.threshold);
+                let metrics = match workers {
+                    None => run(&scenario, &mut protocol),
+                    Some(w) => run_parallel_in(
+                        &mut SimArena::new(),
+                        &scenario,
+                        &mut protocol,
+                        Telemetry::noop(),
+                        w,
+                    ),
+                };
+                (metrics, urr)
+            };
+            let (seq_m, seq_urr) = deposit(None);
+            assert!(seq_urr.stats().total > 0, "case {case}: {name} deposited");
+            for workers in [2usize, 4, 8] {
+                let (par_m, par_urr) = deposit(Some(workers));
+                let at = format!("case {case}: {name} at {workers} workers ({spec:?})");
+                assert_eq!(seq_m, par_m, "{at}: metrics");
+                assert_eq!(seq_urr.stats(), par_urr.stats(), "{at}: stats");
+                assert_eq!(seq_urr.snapshot(), par_urr.snapshot(), "{at}: snapshot");
+                assert_eq!(seq_urr.next_seq(), par_urr.next_seq(), "{at}: next_seq");
+            }
+        }
+    }
+}
+
+/// A Balanced protocol that records how much of the repository is
+/// visible each time the vendor ticks it.
+struct TickProbe {
+    inner: AnyProtocol,
+    urr: Arc<Urr>,
+    seen: Vec<(SimTime, u64)>,
+}
+
+impl Protocol for TickProbe {
+    fn name(&self) -> &'static str {
+        "TickProbe"
+    }
+    fn start(&mut self) -> Vec<Command> {
+        self.inner.start()
+    }
+    fn on_report(&mut self, report: &TestReport) -> Vec<Command> {
+        self.inner.on_report(report)
+    }
+    fn absorb_passes(&mut self, reports: &[(MachineId, Release)]) -> usize {
+        self.inner.absorb_passes(reports)
+    }
+    fn on_release(&mut self, release: Release, fixed: &ProblemSet) -> Vec<Command> {
+        self.inner.on_release(release, fixed)
+    }
+    fn on_tick(&mut self, now: SimTime) -> Vec<Command> {
+        self.seen.push((now, self.urr.next_seq()));
+        self.inner.on_tick(now)
+    }
+    fn rep_timeouts(&self) -> u64 {
+        self.inner.rep_timeouts()
+    }
+    fn done(&self) -> bool {
+        self.inner.done()
+    }
+}
+
+/// A protocol deciding on a tick must see every report the vendor has
+/// received so far, on either driver: both flush the repository sink
+/// (4 096-record buffer) before `on_tick`. The sharded driver used to
+/// tick without flushing, so a tick-time query there saw an empty
+/// repository until the run ended.
+#[test]
+fn tick_sees_the_same_repository_on_both_drivers() {
+    let build = |urr: &Arc<Urr>| {
+        ScenarioBuilder::new()
+            .clusters(4, 6, 1)
+            .problem_in_clusters("p", &[2])
+            .faults(
+                FaultSpec::new(0x71C)
+                    .loss(0.25)
+                    .duplication(0.10)
+                    .delay(5)
+                    .retry(20, 4)
+                    .rep_timeout(600),
+            )
+            .with_urr(Arc::clone(urr))
+            .build()
+    };
+    let probe = |workers: Option<usize>| {
+        let urr = Arc::new(Urr::new());
+        let s = build(&urr);
+        let mut p = TickProbe {
+            inner: ProtocolChoice::Balanced
+                .build(s.plan.clone(), s.threshold)
+                .with_rep_timeout(600),
+            urr,
+            seen: Vec::new(),
+        };
+        let metrics = match workers {
+            None => run_with_telemetry(&s, &mut p, Telemetry::noop()),
+            Some(w) => run_parallel_in(&mut SimArena::new(), &s, &mut p, Telemetry::noop(), w),
+        };
+        assert!(metrics.converged(s.machine_count()));
+        p.seen
+    };
+    let expect = probe(None);
+    assert!(
+        expect.windows(2).filter(|w| w[0].1 < w[1].1).count() > 1,
+        "reports became visible tick by tick: {expect:?}"
+    );
+    for workers in [2usize, 4, 8] {
+        assert_eq!(expect, probe(Some(workers)), "at {workers} workers");
     }
 }
 
