@@ -131,7 +131,7 @@ impl Campaign {
         self.telemetry
             .counter("campaign.fleet_size", self.agents.len() as u64);
         let vendor = &self.vendor;
-        let chunk = (self.agents.len() / num_threads().max(1)).max(1);
+        let chunk = chunk_len(self.agents.len(), num_threads());
         let mut results: Vec<Option<MachineInfo>> = vec![None; self.agents.len()];
         std::thread::scope(|scope| {
             for (agents, outs) in self.agents.chunks(chunk).zip(results.chunks_mut(chunk)) {
@@ -192,18 +192,14 @@ impl Campaign {
         if let Some(settings) = self.guard {
             controller = controller.with_guard(UrrGuard::new(Arc::clone(&self.urr), settings));
         }
-        let mut executor = FleetExecutor {
-            vendor: &self.vendor,
-            agents: &mut self.agents,
-            urr: &self.urr,
-            telemetry: self.telemetry.clone(),
-            plan: &plan.deploy,
-            releases: vec![upgrade],
-            integrated: BTreeMap::new(),
-            failed_validations: 0,
-            fixed: BTreeSet::new(),
-            signatures: ProblemTable::new(),
-        };
+        let mut executor = FleetExecutor::new(
+            &self.vendor,
+            &mut self.agents,
+            &self.urr,
+            self.telemetry.clone(),
+            &plan.deploy,
+            upgrade,
+        );
         let rounds = mirage_rollout::drive(&mut controller, &mut executor, &self.telemetry);
         self.telemetry.counter("campaign.rounds", rounds as u64);
         CampaignResult {
@@ -234,9 +230,18 @@ impl Campaign {
 /// against the live agents — sandbox validation, URR deposits, vendor
 /// diagnose-and-fix — and reports what came back. The protocol
 /// conversation lives entirely in [`mirage_rollout::drive()`].
+///
+/// The executor works in [`MachineId`]: the plan owns the one name ↔ id
+/// table, and a name is rendered only where an owned one is stored —
+/// [`CampaignResult::integrated`], a URR [`Report`], a flight event.
 struct FleetExecutor<'a> {
     vendor: &'a Vendor,
-    agents: &'a mut Vec<UserAgent>,
+    agents: &'a mut [UserAgent],
+    /// `MachineId::index()` → index into `agents`, built once per drive
+    /// from the plan's table. `None` is a planned machine with no agent
+    /// (skipped); of agents sharing an id the first holds the slot; an
+    /// agent outside the plan has no slot and is never notified.
+    agent_of: Vec<Option<usize>>,
     urr: &'a Urr,
     telemetry: Telemetry,
     plan: &'a DeployPlan,
@@ -251,7 +256,36 @@ struct FleetExecutor<'a> {
     signatures: ProblemTable,
 }
 
-impl FleetExecutor<'_> {
+impl<'a> FleetExecutor<'a> {
+    fn new(
+        vendor: &'a Vendor,
+        agents: &'a mut [UserAgent],
+        urr: &'a Urr,
+        telemetry: Telemetry,
+        plan: &'a DeployPlan,
+        upgrade: Upgrade,
+    ) -> Self {
+        let mut agent_of = vec![None; plan.machines.len()];
+        for (idx, agent) in agents.iter().enumerate() {
+            if let Some(id) = plan.machine_id(&agent.machine.id) {
+                agent_of[id.index()].get_or_insert(idx);
+            }
+        }
+        FleetExecutor {
+            vendor,
+            agents,
+            agent_of,
+            urr,
+            telemetry,
+            plan,
+            releases: vec![upgrade],
+            integrated: BTreeMap::new(),
+            failed_validations: 0,
+            fixed: BTreeSet::new(),
+            signatures: ProblemTable::new(),
+        }
+    }
+
     /// Executes a rollback wave: un-integrates each machine and
     /// confirms the revert with a `Pass` at [`PRIOR_RELEASE`]. The
     /// package-level downgrade is outside the campaign model (the
@@ -259,18 +293,19 @@ impl FleetExecutor<'_> {
     /// campaign's integration record, which is what
     /// [`CampaignResult::converged`] measures.
     fn revert(&mut self, machines: &[MachineId]) -> WaveOutcome {
+        let plan = self.plan;
         let mut reports = Vec::with_capacity(machines.len());
         for &machine in machines {
-            let machine_name = self.plan.machine_name(machine).to_string();
-            if !self.agents.iter().any(|a| a.machine.id == machine_name) {
+            if self.agent_of[machine.index()].is_none() {
                 continue;
             }
+            let machine_name = plan.machine_name(machine);
             self.telemetry.counter("campaign.reverts", 1);
             self.telemetry.event_with(|| FlightEvent::MachineNotified {
-                machine: machine_name.clone(),
+                machine: machine_name.to_string(),
                 release: PRIOR_RELEASE.0,
             });
-            self.integrated.remove(&machine_name);
+            self.integrated.remove(machine_name);
             reports.push(TestReport {
                 machine,
                 release: PRIOR_RELEASE,
@@ -315,36 +350,40 @@ impl WaveExecutor for FleetExecutor<'_> {
         if release == PRIOR_RELEASE {
             return self.revert(machines);
         }
+        let plan = self.plan;
         let mut new_problems: Vec<ProblemId> = Vec::new();
         let mut reports: Vec<TestReport> = Vec::new();
         for &machine in machines {
-            // Boundary: render the dense id back into the machine name
-            // that agents and reports are keyed by.
-            let machine_name = self.plan.machine_name(machine).to_string();
-            let Some(agent_idx) = self
-                .agents
-                .iter()
-                .position(|a| a.machine.id == machine_name)
-            else {
+            let Some(agent_idx) = self.agent_of[machine.index()] else {
                 continue;
             };
+            // Reports are filed per cluster, so a machine the plan
+            // names but places in no cluster cannot be validated: count
+            // it and leave it out, never file it under a made-up
+            // cluster.
+            let Some(cluster) = plan.cluster_of(machine).map(|c| c.id) else {
+                self.telemetry.counter("campaign.unplanned_machines", 1);
+                continue;
+            };
+            // Boundary: the name reports and flight events carry,
+            // borrowed from the plan's table.
+            let machine_name = plan.machine_name(machine);
             self.telemetry.event_with(|| FlightEvent::MachineNotified {
-                machine: machine_name.clone(),
+                machine: machine_name.to_string(),
                 release: release.0,
             });
-            let cluster = self.plan.cluster_of(machine).map(|c| c.id).unwrap_or(0);
             let current = &self.releases[release.0 as usize];
             let validation = self.agents[agent_idx].test_upgrade(&self.vendor.repo, current);
             self.telemetry.counter("campaign.validations", 1);
             if validation.passed() {
                 self.telemetry.event_with(|| FlightEvent::TestPassed {
-                    machine: machine_name.clone(),
+                    machine: machine_name.to_string(),
                     release: release.0,
                 });
                 self.agents[agent_idx].integrate(&self.vendor.repo, current);
-                self.integrated.insert(machine_name.clone(), release.0);
+                self.integrated.insert(machine_name.to_string(), release.0);
                 self.urr.deposit(Report::success(
-                    &machine_name,
+                    machine_name,
                     cluster,
                     &current.package.name,
                     current.package.version.to_string(),
@@ -361,13 +400,13 @@ impl WaveExecutor for FleetExecutor<'_> {
                 let (app, kind) = validation.first_failure().expect("failed validation");
                 let signature = format!("{app}/{kind}");
                 self.telemetry.event_with(|| FlightEvent::TestFailed {
-                    machine: machine_name.clone(),
+                    machine: machine_name.to_string(),
                     release: release.0,
                     problem: signature.clone(),
                 });
                 let image = agent.report_image(&validation);
                 self.urr.deposit(Report::failure(
-                    &machine_name,
+                    machine_name,
                     cluster,
                     &current.package.name,
                     current.package.version.to_string(),
@@ -403,6 +442,12 @@ impl WaveExecutor for FleetExecutor<'_> {
         };
         WaveOutcome { reports, shipped }
     }
+}
+
+/// Agents per `fleet_inputs` thread: the smallest chunk that covers
+/// `len` agents in at most `threads` chunks.
+fn chunk_len(len: usize, threads: usize) -> usize {
+    len.div_ceil(threads).max(1)
 }
 
 fn num_threads() -> usize {
@@ -477,6 +522,18 @@ mod tests {
         let c = vendor.classify_reference("app", &[RunInput::new("w1"), RunInput::new("w2")]);
         let ref_fp = vendor.reference_fingerprint(&c);
         (Campaign::new(vendor, agents), upgrade, ref_fp)
+    }
+
+    /// A v2 with no problem in it.
+    fn clean_upgrade() -> Upgrade {
+        Upgrade::new(
+            Package::new("app", Version::new(2, 0, 0)).with_file(File::executable(
+                "/usr/bin/app",
+                "app",
+                2,
+            )),
+            vec![],
+        )
     }
 
     #[test]
@@ -598,14 +655,7 @@ mod tests {
     #[test]
     fn healthy_upgrade_ships_single_release() {
         let (mut campaign, _, ref_fp) = build_campaign();
-        let clean = Upgrade::new(
-            Package::new("app", Version::new(2, 0, 0)).with_file(File::executable(
-                "/usr/bin/app",
-                "app",
-                2,
-            )),
-            vec![],
-        );
+        let clean = clean_upgrade();
         let (_, plan) = campaign.rollout_plan("app", &ref_fp, 1, staged());
         let result = campaign.drive(clean, &plan, ProtocolChoice::Balanced, 1.0);
         assert!(result.converged(6));
@@ -619,14 +669,19 @@ mod tests {
     /// batch, and every reverted machine drops out of `integrated`.
     #[test]
     fn guarded_drive_aborts_and_contains_exposure() {
+        use mirage_telemetry::Registry;
+
         let (campaign, _, ref_fp) = build_campaign();
-        let mut campaign = campaign.with_guard(GuardSettings {
-            max_cluster_failure_rate: 0.3,
-            min_reports: 2,
-            unhealthy_ticks: 1,
-            healthy_ticks: 1,
-            ..GuardSettings::default()
-        });
+        let registry = Arc::new(Registry::new(1024));
+        let mut campaign = campaign
+            .with_telemetry(Telemetry::from_registry(Arc::clone(&registry)))
+            .with_guard(GuardSettings {
+                max_cluster_failure_rate: 0.3,
+                min_reports: 2,
+                unhealthy_ticks: 1,
+                healthy_ticks: 1,
+                ..GuardSettings::default()
+            });
         let everywhere_bad = Upgrade::new(
             Package::new("app", Version::new(2, 0, 0)).with_file(File::executable(
                 "/usr/bin/app",
@@ -658,6 +713,180 @@ mod tests {
             result.integrated
         );
         assert!(!result.converged(6));
+        // The revert wave names exactly the exposed machines — the ones
+        // that reported on the bad release — each once.
+        let exposed: BTreeSet<String> = campaign.urr.all().into_iter().map(|r| r.machine).collect();
+        let reverted: Vec<String> = registry
+            .flight()
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                FlightEvent::MachineNotified { machine, release } if release == PRIOR_RELEASE.0 => {
+                    Some(machine)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reverted.len(), info.exposed_machines);
+        assert_eq!(reverted.iter().cloned().collect::<BTreeSet<_>>(), exposed);
+        assert_eq!(
+            registry.snapshot().counters["campaign.reverts"],
+            info.exposed_machines as u64
+        );
+    }
+
+    /// The executor `Campaign::drive` builds, for waves issued by hand.
+    fn executor<'a>(
+        campaign: &'a mut Campaign,
+        plan: &'a DeployPlan,
+        upgrade: Upgrade,
+    ) -> FleetExecutor<'a> {
+        FleetExecutor::new(
+            &campaign.vendor,
+            &mut campaign.agents,
+            &campaign.urr,
+            campaign.telemetry.clone(),
+            plan,
+            upgrade,
+        )
+    }
+
+    /// A revert wave un-integrates the machines it names and no other.
+    #[test]
+    fn revert_unintegrates_only_the_named_machines() {
+        let (mut campaign, _, ref_fp) = build_campaign();
+        let (_, plan) = campaign.rollout_plan("app", &ref_fp, 1, staged());
+        let all = plan.deploy.all_machines();
+        let mut fleet = executor(&mut campaign, &plan.deploy, clean_upgrade());
+        let wave = fleet.notify(&all, Release(0));
+        assert_eq!(wave.reports.len(), 6);
+        assert_eq!(fleet.integrated.len(), 6);
+
+        let exposed = [all[4], all[1]];
+        let wave = fleet.notify(&exposed, PRIOR_RELEASE);
+        let confirmed = exposed.map(|machine| TestReport {
+            machine,
+            release: PRIOR_RELEASE,
+            outcome: TestOutcome::Pass,
+        });
+        assert_eq!(wave.reports, confirmed);
+        assert!(wave.shipped.is_none());
+        let kept: Vec<&str> = all
+            .iter()
+            .filter(|m| !exposed.contains(m))
+            .map(|&m| plan.deploy.machine_name(m))
+            .collect();
+        assert_eq!(fleet.integrated.keys().collect::<Vec<_>>(), kept);
+    }
+
+    /// A machine the plan names but places in no cluster is counted and
+    /// left out; nothing is filed under a made-up cluster.
+    #[test]
+    fn machine_in_no_cluster_is_counted_not_validated() {
+        use mirage_telemetry::Registry;
+
+        let (campaign, _, _) = build_campaign();
+        let registry = Arc::new(Registry::new(64));
+        let mut campaign = campaign.with_telemetry(Telemetry::from_registry(Arc::clone(&registry)));
+        let mut deploy = DeployPlan::from_named([(["u0"], 1, 0.0)]);
+        let planned = deploy.machine_id("u0").expect("interned");
+        let stray = deploy.machines.intern("u1");
+        let mut fleet = executor(&mut campaign, &deploy, clean_upgrade());
+        let wave = fleet.notify(&[stray, planned], Release(0));
+        assert_eq!(wave.reports.len(), 1);
+        assert_eq!(wave.reports[0].machine, planned);
+        assert_eq!(fleet.integrated.keys().collect::<Vec<_>>(), ["u0"]);
+        assert_eq!(campaign.urr.stats().total, 1);
+        assert_eq!(campaign.urr.for_cluster(0)[0].machine, "u0");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["campaign.unplanned_machines"], 1);
+        assert_eq!(snap.counters["campaign.validations"], 1);
+        assert_eq!(snap.event_counts["machine_notified"], 1);
+    }
+
+    /// `fleet_inputs` answers in agent order whatever the chunking, and
+    /// a fleet one past a multiple of the thread count still fits in
+    /// one chunk per thread.
+    #[test]
+    fn fleet_inputs_keeps_agent_order_on_an_uneven_fleet() {
+        let (mut campaign, _, ref_fp) = build_campaign();
+        let threads = num_threads();
+        let template = campaign.agents[0].clone();
+        campaign.agents = (0..threads * 2 + 1)
+            .map(|i| {
+                let mut agent = template.clone();
+                agent.machine.id = format!("n{i:03}");
+                agent
+            })
+            .collect();
+        let inputs = campaign.fleet_inputs("app", &ref_fp);
+        let ids: Vec<&str> = inputs.iter().map(|m| m.id()).collect();
+        let agents: Vec<&str> = campaign
+            .agents
+            .iter()
+            .map(|a| a.machine.id.as_str())
+            .collect();
+        assert_eq!(ids, agents);
+
+        for threads in 1..=9 {
+            assert_eq!(chunk_len(0, threads), 1);
+            for len in 1..=4 * threads + 1 {
+                let chunk = chunk_len(len, threads);
+                assert!(len.div_ceil(chunk) <= threads, "{len} agents, {threads}");
+                assert!((chunk - 1) * threads < len, "{chunk} is not the smallest");
+            }
+        }
+    }
+
+    /// Agents are found through the plan's table, not by position: a
+    /// shuffled fleet drives to the same result, and of two agents
+    /// answering to one id the first is the one the campaign upgrades.
+    #[test]
+    fn agent_order_and_duplicate_ids_leave_the_result_alone() {
+        let run = |rearrange: fn(&mut Vec<UserAgent>), threshold: f64| {
+            let (mut campaign, upgrade, ref_fp) = build_campaign();
+            rearrange(&mut campaign.agents);
+            let (_, plan) = campaign.rollout_plan("app", &ref_fp, 1, staged());
+            let result = campaign.drive(upgrade, &plan, ProtocolChoice::Balanced, threshold);
+            (campaign, result)
+        };
+        let outcome = |r: &CampaignResult| {
+            (
+                r.integrated.clone(),
+                r.failed_validations,
+                r.releases.clone(),
+                r.rounds,
+            )
+        };
+        let (_, in_order) = run(|_| {}, 1.0);
+        assert!(in_order.converged(6));
+        assert_eq!((in_order.failed_validations, in_order.rounds), (1, 6));
+
+        let (_, shuffled) = run(
+            |agents| {
+                let mut order: Vec<usize> = (0..agents.len()).collect();
+                mirage_deploy::seeded_shuffle(&mut order, 11);
+                assert_ne!(order, (0..agents.len()).collect::<Vec<_>>());
+                *agents = order.iter().map(|&i| agents[i].clone()).collect();
+            },
+            1.0,
+        );
+        assert_eq!(outcome(&shuffled), outcome(&in_order));
+
+        // The plan lists the doubled id twice, so its cluster tops out
+        // at four passes of five: drive at a threshold that lets it by.
+        let (campaign, doubled) = run(|agents| agents.push(agents[2].clone()), 0.75);
+        assert_eq!(outcome(&doubled), outcome(&in_order));
+        let versions: Vec<_> = campaign
+            .agents
+            .iter()
+            .filter(|a| a.machine.id == "u2")
+            .map(|a| a.machine.pkgs.installed_version("app"))
+            .collect();
+        assert_eq!(
+            versions,
+            [Some(Version::new(2, 0, 0)), Some(Version::new(1, 0, 0))]
+        );
     }
 
     /// A guarded drive of a *clean* upgrade stays open: the guard holds
@@ -666,14 +895,7 @@ mod tests {
     fn guarded_drive_passes_a_clean_release() {
         let (campaign, _, ref_fp) = build_campaign();
         let mut campaign = campaign.with_guard(GuardSettings::default());
-        let clean = Upgrade::new(
-            Package::new("app", Version::new(2, 0, 0)).with_file(File::executable(
-                "/usr/bin/app",
-                "app",
-                2,
-            )),
-            vec![],
-        );
+        let clean = clean_upgrade();
         let (_, plan) = campaign.rollout_plan(
             "app",
             &ref_fp,

@@ -135,8 +135,27 @@ impl DeployPlan {
     }
 
     /// Looks up the cluster containing a machine.
+    ///
+    /// On the layout [`DeployPlan::from_named`] produces — cluster `k`
+    /// holds the consecutive ids right after cluster `k - 1`'s — this is
+    /// a binary search over the clusters' first ids plus one offset
+    /// probe, `O(log clusters)` with nothing stored beside the plan.
+    /// The probe *verifies* the hit, so a plan edited through its `pub`
+    /// fields into another layout falls back to the scan; only a
+    /// malformed plan listing one machine in several clusters can get a
+    /// later cluster than the first the scan would find.
     pub fn cluster_of(&self, machine: MachineId) -> Option<&DeployCluster> {
-        self.clusters.iter().find(|c| c.members.contains(&machine))
+        let after = self
+            .clusters
+            .partition_point(|c| c.members.first().is_none_or(|&first| first <= machine));
+        let dense = self.clusters[..after].last().filter(|c| {
+            c.members
+                .first()
+                .and_then(|first| machine.index().checked_sub(first.index()))
+                .and_then(|offset| c.members.get(offset))
+                == Some(&machine)
+        });
+        dense.or_else(|| self.clusters.iter().find(|c| c.members.contains(&machine)))
     }
 
     /// The name behind a machine id (boundary helper).
@@ -195,6 +214,59 @@ mod tests {
         let c = p.machine_id("c").unwrap();
         assert_eq!(p.cluster_of(c).unwrap().id, 1);
         assert!(p.cluster_of(MachineId(99)).is_none());
+    }
+
+    /// `cluster_of` as the scan it replaced defines it: the first
+    /// cluster whose members contain the id.
+    fn scanned(p: &DeployPlan, machine: MachineId) -> Option<usize> {
+        p.clusters.iter().position(|c| c.members.contains(&machine))
+    }
+
+    fn assert_matches_scan(p: &DeployPlan, context: &str) {
+        // Two ids past the end of the table: no cluster holds them.
+        for id in 0..p.machines.len() as u32 + 2 {
+            let machine = MachineId(id);
+            assert_eq!(
+                p.cluster_of(machine).map(|c| c.id),
+                scanned(p, machine),
+                "{context}: {machine}"
+            );
+        }
+    }
+
+    #[test]
+    fn cluster_of_agrees_with_the_scan_on_random_plans() {
+        for seed in 1..=300u64 {
+            let mut state = seed;
+            let mut next = |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            // Uneven sizes: mostly small, a third single-member, now
+            // and then an empty cluster or a wide one.
+            let sizes: Vec<usize> = (0..1 + next(12))
+                .map(|_| match next(9) {
+                    0 => 0,
+                    1..=3 => 1,
+                    4 => 40 + next(60) as usize,
+                    _ => 2 + next(6) as usize,
+                })
+                .collect();
+            let mut p = DeployPlan::from_named(sizes.iter().enumerate().map(|(k, &size)| {
+                let names = (0..size).map(move |i| format!("c{k}-{i}"));
+                (names, 1, k as f64)
+            }));
+            assert_matches_scan(&p, &format!("seed {seed}, sizes {sizes:?}"));
+            // A plan edited through its `pub` fields leaves the dense
+            // layout: a machine interned late joins an early cluster.
+            let ghost = p.machines.intern("ghost");
+            let host = next(p.clusters.len() as u64) as usize;
+            p.clusters[host].members.push(ghost);
+            assert_eq!(p.cluster_of(ghost).map(|c| c.id), Some(host));
+            assert_matches_scan(&p, &format!("seed {seed}, ghost in {host}"));
+        }
     }
 
     #[test]

@@ -6,12 +6,12 @@ use mirage::env::{
     ApplicationSpec, EnvPredicate, File, IniDoc, MachineBuilder, Package, ProblemEffect,
     ProblemSpec, Repository, RunInput, Upgrade, Version, VersionReq,
 };
+use mirage::fingerprint::MachineFingerprint;
 
-/// 60 machines across 6 environment groups; one group breaks the
-/// upgrade. The whole cycle — parallel fleet fingerprinting included —
-/// must converge with exactly one representative inconvenienced.
-#[test]
-fn sixty_machine_campaign() {
+/// The `svc` fleet: `machines` machines dealt round-robin into `groups`
+/// environment groups (group 0 carries no `/etc/svc.conf`), and a v2
+/// upgrade that breaks every machine carrying one.
+fn svc_campaign(machines: usize, groups: usize) -> (Campaign, Upgrade) {
     let mut repo = Repository::new();
     repo.publish(
         Package::new("svc", Version::new(1, 0, 0))
@@ -30,9 +30,9 @@ fn sixty_machine_campaign() {
     let vendor = Vendor::new(reference, repo).with_diameter(0);
 
     let mut agents = Vec::new();
-    for i in 0..60 {
-        let group = i % 6;
-        let mut b = MachineBuilder::new(format!("m{i:03}"))
+    for i in 0..machines {
+        let group = i % groups;
+        let mut b = MachineBuilder::new(format!("m{i:05}"))
             .install(&vendor.repo, "svc", VersionReq::Any)
             .app(spec());
         if group > 0 {
@@ -54,23 +54,34 @@ fn sixty_machine_campaign() {
             2,
         )),
         vec![ProblemSpec::new(
-            "group5-break",
-            "v2 breaks group-5 configurations",
+            "conf-break",
+            "v2 breaks every machine carrying /etc/svc.conf",
             EnvPredicate::ConfigHasKey {
                 path: "/etc/svc.conf".into(),
                 section: "global".into(),
                 key: "group".into(),
             },
-            // Only group 5's value triggers: model via a narrower check.
             ProblemEffect::CrashOnStart { app: "svc".into() },
         )],
     );
+    (Campaign::new(vendor, agents), upgrade)
+}
 
-    let mut campaign = Campaign::new(vendor, agents);
+/// The reference fingerprint the `svc` vendor clusters against.
+fn svc_reference(campaign: &Campaign) -> MachineFingerprint {
     let classification = campaign
         .vendor
         .classify_reference("svc", &[RunInput::new("w1"), RunInput::new("w2")]);
-    let fp = campaign.vendor.reference_fingerprint(&classification);
+    campaign.vendor.reference_fingerprint(&classification)
+}
+
+/// 60 machines across 6 environment groups; five of them break the
+/// upgrade. The whole cycle — parallel fleet fingerprinting included —
+/// must converge with exactly one representative inconvenienced.
+#[test]
+fn sixty_machine_campaign() {
+    let (mut campaign, upgrade) = svc_campaign(60, 6);
+    let fp = svc_reference(&campaign);
     let (clustering, plan) =
         campaign.rollout_plan("svc", &fp, 1, RolloutStrategy::Staged { waves: 1 });
     assert_eq!(clustering.len(), 6, "six environment groups");
@@ -83,6 +94,50 @@ fn sixty_machine_campaign() {
     // cluster's representative: exactly one failed validation.
     assert_eq!(result.failed_validations, 1);
     assert_eq!(campaign.urr.stats().successes, 60);
+}
+
+/// The live drive is linear in the fleet: one table probe, one sandbox
+/// validation and one URR report per notified machine, none of them a
+/// scan over the other machines. Doubling the fleet (and its groups, so
+/// rounds double too) doubles a linear drive and quadruples one that
+/// looks each agent or cluster up by scanning.
+#[test]
+fn drive_time_is_linear_in_the_fleet() {
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    const MACHINES: usize = 5_000;
+    const GROUP_SIZE: usize = 25;
+    let fastest_drive = |machines: usize| {
+        let (mut campaign, upgrade) = svc_campaign(machines, machines / GROUP_SIZE);
+        let fp = svc_reference(&campaign);
+        let (_, plan) = campaign.rollout_plan("svc", &fp, 1, RolloutStrategy::Staged { waves: 1 });
+        let untouched = campaign.agents.clone();
+        (0..3)
+            .map(|_| {
+                campaign.agents = untouched.clone();
+                campaign.urr = Arc::default();
+                let started = Instant::now();
+                let result = campaign.drive(upgrade.clone(), &plan, ProtocolChoice::Balanced, 1.0);
+                let spent = started.elapsed();
+                assert!(result.converged(machines));
+                assert_eq!(result.failed_validations, 1);
+                spent
+            })
+            .min()
+            .expect("three drives")
+    };
+    let (small, large) = (fastest_drive(MACHINES), fastest_drive(2 * MACHINES));
+    let ratio = large.as_secs_f64() / small.as_secs_f64();
+    eprintln!(
+        "drive {MACHINES}: {small:?}, {}: {large:?}, ratio {ratio:.2}",
+        2 * MACHINES
+    );
+    assert!(
+        ratio <= 3.0,
+        "drive at {} machines took {large:?}, {ratio:.2}x the {small:?} at {MACHINES}",
+        2 * MACHINES
+    );
 }
 
 /// The Table 2 MySQL fleet replicated ×4 (the `plan_mysql` shape):
