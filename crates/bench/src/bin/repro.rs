@@ -1742,10 +1742,10 @@ fn sim_perf(ctx: &Ctx) {
     }
 
     // Parallel-driver rows: per sample, the plan clone and protocol
-    // construction stay untimed (identically on every row — at 1M the
-    // clone alone dwarfs the run), then the run itself is timed. Each
-    // row reuses its own arena across samples; `w1` delegates to the
-    // sequential driver, whose internal allocation is its honest
+    // construction stay untimed (identically on every row), then the
+    // run itself is timed; the `interned` rows above time all three.
+    // Each row reuses its own arena across samples; `w1` delegates to
+    // the sequential driver, whose internal allocation is its honest
     // per-run cost.
     fn par_ns(s: &Scenario, arena: &mut SimArena, workers: usize) -> u64 {
         let mut p = Balanced::new(s.plan.clone(), 1.0);
@@ -1812,10 +1812,11 @@ fn sim_perf(ctx: &Ctx) {
         "sim-perf",
         "100k = the paper's Figure-10 scenario (20x5000, problems late); 1m = 100x10000, \
          10m = 1000x10000 with the same late placement; reference = the retained string-keyed \
-         BinaryHeap driver + protocols; parallel rows time the run only (plan clone + protocol \
-         construction untimed on every row), reuse a SimArena across samples, and w1 is the \
-         sequential oracle the sharded driver is bit-identical to; scale rows are \
-         intentionally single-sample",
+         BinaryHeap driver + protocols; interned and reference rows time plan clone + protocol \
+         construction + run (the interned clone shares the plan's machine table and copies \
+         cluster id vectors only; the reference clone copies every name); parallel rows time \
+         the run only, reuse a SimArena across samples, and w1 is the sequential oracle the \
+         sharded driver is bit-identical to; scale rows are intentionally single-sample",
     );
     doc.harness_rows(h.results())
         .set("speedup_100k_vs_reference", Value::obj(speedups))

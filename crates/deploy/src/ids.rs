@@ -12,12 +12,17 @@
 //!
 //! Names exist only at the boundaries (plan construction, JSON/snapshot
 //! rendering, flight events); the hot loops move `Copy` ids and index
-//! flat `Vec`s. The string-keyed implementations are retained under
+//! flat `Vec`s. A fleet's names exist once: a [`MachineTable`] keeps
+//! them behind an `Arc`, each name one allocation shared by the dense
+//! list and the index, so every clone of a plan — and the report
+//! repository that adopts the table — reads the same storage. The
+//! string-keyed implementations are retained under
 //! [`crate::reference`] so equivalence tests can prove the interned data
 //! plane bit-identical.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A dense machine identifier: an index into a [`MachineTable`].
 ///
@@ -62,11 +67,26 @@ impl fmt::Display for ProblemId {
     }
 }
 
+/// The names behind a [`MachineTable`]: each name is stored once and
+/// shared by the dense list and the index key.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct MachineNames {
+    names: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32>,
+}
+
 /// Bidirectional machine name ↔ [`MachineId`] interner.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The names sit behind an `Arc`, so cloning a table — and with it a
+/// [`DeployPlan`](crate::DeployPlan) — copies no name: every clone
+/// reads the same storage. [`MachineTable::intern`] is copy-on-write:
+/// a table that shares its storage takes a private copy before it adds
+/// a name (the strings themselves stay shared), and a table that does
+/// not — every table while its plan is being built — adds it in place.
+/// `==` compares names, short-cut when both sides share storage.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineTable {
-    names: Vec<String>,
-    index: HashMap<String, u32>,
+    shared: Arc<MachineNames>,
 }
 
 impl MachineTable {
@@ -75,24 +95,37 @@ impl MachineTable {
         Self::default()
     }
 
+    /// Creates an empty table with room for `machines` names, so a
+    /// fleet of known size is interned without a rehash.
+    pub fn with_capacity(machines: usize) -> Self {
+        MachineTable {
+            shared: Arc::new(MachineNames {
+                names: Vec::with_capacity(machines),
+                index: HashMap::with_capacity(machines),
+            }),
+        }
+    }
+
     /// Interns `name`, returning its (possibly pre-existing) id.
     ///
     /// # Panics
     ///
     /// Panics if more than `u32::MAX` machines are interned.
     pub fn intern(&mut self, name: &str) -> MachineId {
-        if let Some(&i) = self.index.get(name) {
+        if let Some(&i) = self.shared.index.get(name) {
             return MachineId(i);
         }
-        let i = u32::try_from(self.names.len()).expect("machine table overflow");
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), i);
+        let table = Arc::make_mut(&mut self.shared);
+        let i = u32::try_from(table.names.len()).expect("machine table overflow");
+        let name: Arc<str> = Arc::from(name);
+        table.names.push(Arc::clone(&name));
+        table.index.insert(name, i);
         MachineId(i)
     }
 
     /// Looks up the id of an already-interned name.
     pub fn id(&self, name: &str) -> Option<MachineId> {
-        self.index.get(name).map(|&i| MachineId(i))
+        self.shared.index.get(name).map(|&i| MachineId(i))
     }
 
     /// The name behind an id.
@@ -101,27 +134,27 @@ impl MachineTable {
     ///
     /// Panics if `id` was not produced by this table.
     pub fn name(&self, id: MachineId) -> &str {
-        &self.names[id.index()]
+        &self.shared.names[id.index()]
     }
 
     /// Number of interned machines.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.shared.names.len()
     }
 
     /// Returns `true` if nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.shared.names.is_empty()
     }
 
     /// All ids in interning (dense) order.
     pub fn ids(&self) -> impl Iterator<Item = MachineId> + '_ {
-        (0..self.names.len() as u32).map(MachineId)
+        (0..self.shared.names.len() as u32).map(MachineId)
     }
 
     /// All names in interning (dense) order.
-    pub fn names(&self) -> &[String] {
-        &self.names
+    pub fn names(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.shared.names.iter().map(|name| &**name)
     }
 }
 
@@ -316,7 +349,7 @@ mod tests {
         assert_eq!(t.id("beta"), Some(b));
         assert_eq!(t.id("gamma"), None);
         assert_eq!(t.ids().collect::<Vec<_>>(), vec![a, b]);
-        assert_eq!(t.names(), &["alpha".to_string(), "beta".to_string()]);
+        assert_eq!(t.names().collect::<Vec<_>>(), vec!["alpha", "beta"]);
     }
 
     #[test]

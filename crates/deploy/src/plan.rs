@@ -1,8 +1,11 @@
 //! The deployment plan: clusters, representatives, distances.
 //!
-//! Plans own the [`MachineTable`] that maps machine names to dense
+//! A plan carries the [`MachineTable`] that maps machine names to dense
 //! [`MachineId`]s; cluster membership is stored as id vectors so that
 //! protocols and the simulator never touch strings on the hot path.
+//! The table's names are shared, not owned: cloning a plan — into a
+//! protocol, a rollout plan, a controller — copies the id vectors and
+//! takes another handle on the one table, whatever the fleet size.
 
 use mirage_cluster::Clustering;
 
@@ -46,7 +49,8 @@ impl DeployCluster {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeployPlan {
     /// Machine name ↔ id interner; ids are dense and follow plan order
-    /// (cluster 0's members first, then cluster 1's, …).
+    /// (cluster 0's members first, then cluster 1's, …). Clones of the
+    /// plan share its storage.
     pub machines: MachineTable,
     /// Clusters in plan order (ids are indexes into this vector).
     pub clusters: Vec<DeployCluster>,

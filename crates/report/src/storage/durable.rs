@@ -32,7 +32,7 @@ use crate::storage::frame::{
     decode_frame, encode_frame, FrameScanner, KIND_SNAPSHOT, KIND_WAL_BATCH,
 };
 use crate::storage::snapshot::{decode_snapshot, encode_snapshot};
-use crate::storage::wal::{apply_recs, WalFrame, WalRec};
+use crate::storage::wal::{apply_recs, encode_wal_frame, WalFrame, WalRec};
 use crate::storage::{StoreError, UrrStore};
 use crate::urr::{InternedOutcome, InternedReport, Payload, Urr, NO_SIG};
 
@@ -221,7 +221,7 @@ impl DurableUrr {
         if report.snapshot_loaded {
             urr.telemetry.counter("urr.snapshot_loads", 1);
         }
-        let persisted_machines = urr.machines.read().expect("urr poisoned").names.len();
+        let persisted_machines = urr.machines.read().expect("urr poisoned").len();
         let persisted_sigs = urr.sigs.read().expect("urr poisoned").inner.names.len();
         let persisted_releases = urr.releases.read().expect("urr poisoned").pairs.len();
         let durable = DurableUrr {
@@ -321,35 +321,27 @@ impl DurableUrr {
         let telemetry = &self.urr.telemetry;
         let n = recs.len() as u64;
         let start = self.urr.seq.fetch_add(n, Ordering::Relaxed);
-        let (machine_delta, m_len) = {
-            let table = self.urr.machines.read().expect("urr poisoned");
+        // The deltas are written straight out of the tables, so the
+        // read locks are held for the encode and no longer.
+        let (payload, m_len, s_len, r_len) = {
+            let machines = self.urr.machines.read().expect("urr poisoned");
+            let sigs = self.urr.sigs.read().expect("urr poisoned");
+            let releases = self.urr.releases.read().expect("urr poisoned");
+            let payload = encode_wal_frame(
+                start,
+                machines.names_from(journal.persisted_machines),
+                &sigs.inner.names[journal.persisted_sigs..],
+                &releases.pairs[journal.persisted_releases..],
+                &recs,
+            );
             (
-                table.names[journal.persisted_machines..].to_vec(),
-                table.names.len(),
+                payload,
+                machines.len(),
+                sigs.inner.names.len(),
+                releases.pairs.len(),
             )
         };
-        let (sig_delta, s_len) = {
-            let table = self.urr.sigs.read().expect("urr poisoned");
-            (
-                table.inner.names[journal.persisted_sigs..].to_vec(),
-                table.inner.names.len(),
-            )
-        };
-        let (release_delta, r_len) = {
-            let table = self.urr.releases.read().expect("urr poisoned");
-            (
-                table.pairs[journal.persisted_releases..].to_vec(),
-                table.pairs.len(),
-            )
-        };
-        let frame = WalFrame {
-            start_seq: start,
-            machine_delta,
-            sig_delta,
-            release_delta,
-            recs,
-        };
-        let bytes = encode_frame(KIND_WAL_BATCH, &frame.encode());
+        let bytes = encode_frame(KIND_WAL_BATCH, &payload);
         let rotated = journal.store.append_frame(&bytes)?;
         journal.persisted_machines = m_len;
         journal.persisted_sigs = s_len;
@@ -359,7 +351,7 @@ impl DurableUrr {
         if rotated {
             telemetry.counter("urr.wal_rotations", 1);
         }
-        apply_recs(&self.urr, frame.recs, start);
+        apply_recs(&self.urr, recs, start);
         self.urr.note_batch(n);
         journal.batches_since_snapshot += 1;
         if journal.snapshot_every > 0 && journal.batches_since_snapshot >= journal.snapshot_every {

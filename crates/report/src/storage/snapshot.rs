@@ -44,7 +44,7 @@ pub(crate) fn encode_snapshot(urr: &Urr) -> Vec<u8> {
     put_u64(&mut buf, urr.next_seq());
     {
         let machines = urr.machines.read().expect("urr poisoned");
-        put_string_list(&mut buf, &machines.names);
+        put_string_list(&mut buf, machines.names_from(0));
     }
     {
         let sigs = urr.sigs.read().expect("urr poisoned");
@@ -141,7 +141,7 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Urr, WireError> {
         for name in &machine_names {
             table.intern(name);
         }
-        if table.names.len() != machine_names.len() {
+        if table.len() != machine_names.len() {
             return Err(WireError::Corrupt {
                 what: "snapshot machine table has duplicate names",
             });

@@ -9,7 +9,10 @@
 //!   name interned since the previous frame was journaled. Replaying
 //!   deltas in frame order reproduces the exact dense-id assignment of
 //!   the live repository, so the id-based records that follow resolve
-//!   to the same names;
+//!   to the same names. A fleet directory the live repository adopted
+//!   ([`Urr::intern_fleet`]) is not special here: its names are the
+//!   head of the first frame's machine delta, and the recovered
+//!   repository owns them;
 //! * the records themselves as interned ids, with the optional
 //!   free-form payload (failure detail + reproduction image) inlined
 //!   for boundary reports.
@@ -18,7 +21,9 @@
 //! [`crate::DurableUrr`] journals a frame and then applies it with the
 //! same function recovery uses to replay it, which is what makes the
 //! `recover(snapshot + WAL) == live` property hold by construction
-//! rather than by parallel-implementation luck.
+//! rather than by parallel-implementation luck. The live side writes
+//! its frame with [`encode_wal_frame`], straight from the repository's
+//! tables; [`WalFrame`] is what recovery decodes it into.
 
 use crate::image::ReportImage;
 use crate::storage::wire::{
@@ -105,30 +110,37 @@ pub(crate) fn get_payload(cur: &mut Cursor<'_>) -> Result<Option<Box<Payload>>, 
     }
 }
 
-impl WalFrame {
-    /// Serialises the frame payload (the caller wraps it in a
-    /// checksummed frame).
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + self.recs.len() * 17);
-        put_u64(&mut buf, self.start_seq);
-        put_string_list(&mut buf, &self.machine_delta);
-        put_string_list(&mut buf, &self.sig_delta);
-        put_len(&mut buf, self.release_delta.len());
-        for (package, version) in &self.release_delta {
-            put_str(&mut buf, package);
-            put_str(&mut buf, version);
-        }
-        put_len(&mut buf, self.recs.len());
-        for rec in &self.recs {
-            put_u32(&mut buf, rec.machine);
-            put_u32(&mut buf, rec.cluster);
-            put_u32(&mut buf, rec.release);
-            put_u32(&mut buf, rec.sig);
-            put_payload(&mut buf, &rec.payload);
-        }
-        buf
+/// Serialises one frame payload (the caller wraps it in a checksummed
+/// frame) straight from the live repository's tables: the deltas are
+/// borrowed, so journaling a batch copies no name it does not write.
+pub(crate) fn encode_wal_frame<'a>(
+    start_seq: u64,
+    machine_delta: impl ExactSizeIterator<Item = &'a str>,
+    sig_delta: &[String],
+    release_delta: &[(String, String)],
+    recs: &[WalRec],
+) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 + recs.len() * 17);
+    put_u64(&mut buf, start_seq);
+    put_string_list(&mut buf, machine_delta);
+    put_string_list(&mut buf, sig_delta);
+    put_len(&mut buf, release_delta.len());
+    for (package, version) in release_delta {
+        put_str(&mut buf, package);
+        put_str(&mut buf, version);
     }
+    put_len(&mut buf, recs.len());
+    for rec in recs {
+        put_u32(&mut buf, rec.machine);
+        put_u32(&mut buf, rec.cluster);
+        put_u32(&mut buf, rec.release);
+        put_u32(&mut buf, rec.sig);
+        put_payload(&mut buf, &rec.payload);
+    }
+    buf
+}
 
+impl WalFrame {
     /// Decodes a frame payload, rejecting malformed input cleanly.
     pub(crate) fn decode(bytes: &[u8]) -> Result<Self, WireError> {
         let mut cur = Cursor::new(bytes);
@@ -167,7 +179,7 @@ impl WalFrame {
     /// table lengths — the structural-integrity gate replay runs before
     /// applying a decoded frame.
     pub(crate) fn validate_ids(&self, urr: &Urr) -> Result<(), WireError> {
-        let machines = urr.machines.read().expect("urr poisoned").names.len() as u64;
+        let machines = urr.machines.read().expect("urr poisoned").len() as u64;
         let sigs = urr.sigs.read().expect("urr poisoned").inner.names.len() as u64;
         let releases = urr.releases.read().expect("urr poisoned").pairs.len() as u64;
         for rec in &self.recs {
@@ -265,6 +277,62 @@ pub(crate) fn apply_recs(urr: &Urr, recs: Vec<WalRec>, start: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl WalFrame {
+        /// The encoder as it was while journaling still built an owned
+        /// frame: the reference [`encode_wal_frame`] must match byte
+        /// for byte.
+        fn encode(&self) -> Vec<u8> {
+            let mut buf = Vec::with_capacity(64 + self.recs.len() * 17);
+            put_u64(&mut buf, self.start_seq);
+            put_len(&mut buf, self.machine_delta.len());
+            for name in &self.machine_delta {
+                put_str(&mut buf, name);
+            }
+            put_len(&mut buf, self.sig_delta.len());
+            for name in &self.sig_delta {
+                put_str(&mut buf, name);
+            }
+            put_len(&mut buf, self.release_delta.len());
+            for (package, version) in &self.release_delta {
+                put_str(&mut buf, package);
+                put_str(&mut buf, version);
+            }
+            put_len(&mut buf, self.recs.len());
+            for rec in &self.recs {
+                put_u32(&mut buf, rec.machine);
+                put_u32(&mut buf, rec.cluster);
+                put_u32(&mut buf, rec.release);
+                put_u32(&mut buf, rec.sig);
+                put_payload(&mut buf, &rec.payload);
+            }
+            buf
+        }
+    }
+
+    fn encode_borrowed(frame: &WalFrame) -> Vec<u8> {
+        encode_wal_frame(
+            frame.start_seq,
+            frame.machine_delta.iter().map(String::as_str),
+            &frame.sig_delta,
+            &frame.release_delta,
+            &frame.recs,
+        )
+    }
+
+    #[test]
+    fn borrowed_encoder_writes_the_owned_encoders_bytes() {
+        let empty = WalFrame {
+            start_seq: 0,
+            machine_delta: vec![],
+            sig_delta: vec![],
+            release_delta: vec![],
+            recs: vec![],
+        };
+        for frame in [sample_frame(), empty] {
+            assert_eq!(encode_borrowed(&frame), frame.encode());
+        }
+    }
 
     fn sample_frame() -> WalFrame {
         WalFrame {

@@ -250,10 +250,14 @@ pub(crate) fn get_string_list(
 }
 
 /// Writes a list of strings as `put_len` + `put_str` each.
-pub(crate) fn put_string_list(buf: &mut Vec<u8>, items: &[String]) {
+pub(crate) fn put_string_list<S: AsRef<str>>(
+    buf: &mut Vec<u8>,
+    items: impl IntoIterator<Item = S, IntoIter: ExactSizeIterator>,
+) {
+    let items = items.into_iter();
     put_len(buf, items.len());
     for s in items {
-        put_str(buf, s);
+        put_str(buf, s.as_ref());
     }
 }
 

@@ -16,6 +16,10 @@
 //!   same style as the deploy plane's `MachineId`), failure signatures
 //!   ([`SigId`]), and `(package, version)` pairs ([`ReleaseId`]) are
 //!   interned once; stored records are small `Copy`-ish structs of ids.
+//!   A whole fleet whose names somebody else already interned — a
+//!   deployment plan's machine table, seen through [`MachineDirectory`]
+//!   — is *adopted* instead ([`Urr::intern_fleet`]): its ids become the
+//!   first refs and no name is copied or hashed a second time.
 //! * **Word-packed sets.** Per-signature machine/cluster membership is
 //!   a packed bitset plus a first-seen order list — deduplication is one
 //!   bit test instead of the reference's `Vec<String>::contains` scan.
@@ -51,7 +55,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use mirage_telemetry::json::Value;
@@ -89,6 +93,45 @@ impl fmt::Display for MachineRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "rm#{}", self.0)
     }
+}
+
+/// A fleet's machine names as somebody else already interned them: the
+/// seam through which the repository adopts a deployment plan's name
+/// table ([`Urr::intern_fleet`]) without naming the plan's types and
+/// without copying or re-hashing a name.
+///
+/// Ids are dense: `name(i)` is defined for every `i < len()`, names are
+/// distinct, and `id(name(i)) == Some(i)`. A directory never changes
+/// once handed to the repository.
+pub trait MachineDirectory: fmt::Debug + Send + Sync {
+    /// Number of machines in the directory.
+    fn len(&self) -> usize;
+
+    /// Returns `true` if the directory lists no machine.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The name of machine `id`.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `id >= len()`.
+    fn name(&self, id: u32) -> &str;
+
+    /// The id of `name`, if the directory lists it.
+    fn id(&self, name: &str) -> Option<u32>;
+}
+
+/// Whether two directories list the same names under the same ids.
+/// Directories that share their storage (two clones of one plan's
+/// table) hand out the same `&str`s, so comparing them reads no name.
+fn same_directory(a: &dyn MachineDirectory, b: &dyn MachineDirectory) -> bool {
+    a.len() == b.len()
+        && (0..a.len() as u32).all(|i| {
+            let (x, y) = (a.name(i), b.name(i));
+            std::ptr::eq(x, y) || x == y
+        })
 }
 
 /// A dense failure-signature identifier.
@@ -490,6 +533,72 @@ impl Interner {
     }
 }
 
+/// The repository's machine table: a fleet directory adopted whole
+/// ([`Urr::intern_fleet`]), then names interned one at a time. Refs
+/// `0..fleet_len` are the directory's own ids; the names interned
+/// after it continue densely from there. A repository that never
+/// adopts a fleet has only the second part, and a lookup in it is the
+/// one hash probe it always was.
+#[derive(Debug, Default)]
+pub(crate) struct MachineInterner {
+    fleet: Option<Arc<dyn MachineDirectory>>,
+    /// `fleet.len()`, 0 without one: the ref of `own`'s first name.
+    fleet_len: u32,
+    own: Interner,
+}
+
+impl MachineInterner {
+    pub(crate) fn len(&self) -> usize {
+        self.fleet_len as usize + self.own.names.len()
+    }
+
+    pub(crate) fn get(&self, name: &str) -> Option<u32> {
+        let adopted = self.fleet.as_ref().and_then(|fleet| fleet.id(name));
+        adopted.or_else(|| self.own.get(name).map(|i| self.fleet_len + i))
+    }
+
+    pub(crate) fn intern(&mut self, name: &str) -> u32 {
+        if let Some(i) = self.fleet.as_ref().and_then(|fleet| fleet.id(name)) {
+            return i;
+        }
+        self.fleet_len
+            .checked_add(self.own.intern(name))
+            .expect("interner overflow")
+    }
+
+    pub(crate) fn name(&self, i: u32) -> &str {
+        match &self.fleet {
+            Some(fleet) if i < self.fleet_len => fleet.name(i),
+            _ => self.own.name(i - self.fleet_len),
+        }
+    }
+
+    /// Names `start..len()` in ref order: what a snapshot (from 0) and
+    /// a WAL frame's machine delta (from the last journaled length)
+    /// write out.
+    pub(crate) fn names_from(&self, start: usize) -> impl ExactSizeIterator<Item = &str> + '_ {
+        (start..self.len()).map(|i| self.name(i as u32))
+    }
+
+    /// Interns every machine of `fleet`, in directory order.
+    fn intern_fleet(&mut self, fleet: Arc<dyn MachineDirectory>) -> Vec<MachineRef> {
+        let n = u32::try_from(fleet.len()).expect("interner overflow");
+        let adopted = if self.len() == 0 {
+            self.fleet = Some(Arc::clone(&fleet));
+            self.fleet_len = n;
+            true
+        } else {
+            (self.fleet.as_deref()).is_some_and(|known| same_directory(known, &*fleet))
+        };
+        if adopted {
+            return (0..n).map(MachineRef).collect();
+        }
+        (0..n)
+            .map(|i| MachineRef(self.intern(fleet.name(i))))
+            .collect()
+    }
+}
+
 /// Signature interner plus each signature's home shard.
 #[derive(Debug, Default)]
 pub(crate) struct SigInterner {
@@ -498,31 +607,30 @@ pub(crate) struct SigInterner {
     pub(crate) shards: Vec<u32>,
 }
 
-/// `(package, version)` interner.
+/// `(package, version)` interner. The index nests version under
+/// package so a lookup borrows both strings.
 #[derive(Debug, Default)]
 pub(crate) struct ReleaseInterner {
     pub(crate) pairs: Vec<(String, String)>,
-    index: HashMap<(String, String), u32>,
+    index: HashMap<String, HashMap<String, u32>>,
 }
 
 impl ReleaseInterner {
     pub(crate) fn intern(&mut self, package: &str, version: &str) -> u32 {
-        // Lookups allocate the key pair; this is the string boundary
-        // path — the interned ingest path resolves a ReleaseId once.
-        let key = (package.to_string(), version.to_string());
-        if let Some(&i) = self.index.get(&key) {
+        if let Some(i) = self.get(package, version) {
             return i;
         }
         let i = u32::try_from(self.pairs.len()).expect("release interner overflow");
-        self.pairs.push(key.clone());
-        self.index.insert(key, i);
+        self.pairs.push((package.to_string(), version.to_string()));
+        self.index
+            .entry(package.to_string())
+            .or_default()
+            .insert(version.to_string(), i);
         i
     }
 
     pub(crate) fn get(&self, package: &str, version: &str) -> Option<u32> {
-        self.index
-            .get(&(package.to_string(), version.to_string()))
-            .copied()
+        self.index.get(package)?.get(version).copied()
     }
 
     pub(crate) fn pair(&self, i: u32) -> (&str, &str) {
@@ -579,7 +687,7 @@ pub struct Urr {
     pub(crate) shards: Box<[Mutex<Shard>]>,
     pub(crate) shard_mask: u64,
     pub(crate) seq: AtomicU64,
-    pub(crate) machines: RwLock<Interner>,
+    pub(crate) machines: RwLock<MachineInterner>,
     pub(crate) sigs: RwLock<SigInterner>,
     pub(crate) releases: RwLock<ReleaseInterner>,
     pub(crate) telemetry: Telemetry,
@@ -609,7 +717,7 @@ impl Urr {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             shard_mask: (n - 1) as u64,
             seq: AtomicU64::new(0),
-            machines: RwLock::new(Interner::default()),
+            machines: RwLock::new(MachineInterner::default()),
             sigs: RwLock::new(SigInterner::default()),
             releases: RwLock::new(ReleaseInterner::default()),
             telemetry: Telemetry::noop(),
@@ -655,6 +763,31 @@ impl Urr {
             .into_iter()
             .map(|n| MachineRef(table.intern(n)))
             .collect()
+    }
+
+    /// Interns a whole fleet from its directory and returns each
+    /// machine's ref, in directory order.
+    ///
+    /// A repository that knows no machine yet *adopts* the directory:
+    /// it keeps the handle, `MachineRef(i)` is the directory's id `i`,
+    /// and no name is copied or hashed. A repository that already
+    /// adopted an equal directory hands the same refs back. Any other
+    /// repository interns the names one at a time, exactly as
+    /// [`Urr::intern_machines`] would. Which of the three happens
+    /// depends on the repository's contents alone, and every query
+    /// surface, snapshot and journal reads the same afterwards: the
+    /// adopted names are the first journaled frame's machine delta and
+    /// the head of a snapshot's machine list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the repository would hold more than `u32::MAX`
+    /// machines.
+    pub fn intern_fleet(&self, fleet: Arc<dyn MachineDirectory>) -> Vec<MachineRef> {
+        self.machines
+            .write()
+            .expect("urr poisoned")
+            .intern_fleet(fleet)
     }
 
     /// Interns a failure signature (assigning its home shard).
@@ -1068,7 +1201,7 @@ impl Urr {
     /// Reconstructs one stored record as a boundary [`Report`].
     fn rec_to_report(
         rec: &Rec,
-        machines: &Interner,
+        machines: &MachineInterner,
         sigs: &SigInterner,
         releases: &ReleaseInterner,
     ) -> Report {

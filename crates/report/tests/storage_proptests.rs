@@ -10,9 +10,11 @@
 //! duplicated tail frames, garbage appends — and requires a clean
 //! recovery or rejection, never a panic.
 
+use std::sync::Arc;
+
 use mirage_report::{
-    DurableConfig, DurableUrr, FsStore, InternedOutcome, InternedReport, MemoryStore, Report,
-    ReportImage, Urr, UrrStore,
+    DurableConfig, DurableUrr, FsStore, InternedOutcome, InternedReport, MachineDirectory,
+    MachineRef, MemoryStore, Report, ReportImage, Urr, UrrStore,
 };
 
 /// Deterministic xorshift64 generator (same idiom as `proptests.rs`).
@@ -278,6 +280,123 @@ fn urr_recovery_equivalence_fs() {
         assert_eq!(report.torn_tail, None, "fs case {case}");
         assert_urr_identical(durable.urr(), recovered.urr(), &format!("fs case {case}"));
         std::fs::remove_dir_all(&root).expect("cleanup");
+    }
+}
+
+/// A fleet directory as a deployment plan would hand it over: machine
+/// `i` is `m{i}`, the names [`drive`] draws from.
+#[derive(Debug)]
+struct Fleet(Vec<String>);
+
+impl Fleet {
+    fn of(machines: usize) -> Arc<Self> {
+        Arc::new(Fleet((0..machines).map(|i| format!("m{i}")).collect()))
+    }
+}
+
+impl MachineDirectory for Fleet {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn name(&self, id: u32) -> &str {
+        &self.0[id as usize]
+    }
+
+    fn id(&self, name: &str) -> Option<u32> {
+        self.0.iter().position(|n| n == name).map(|i| i as u32)
+    }
+}
+
+/// The recovery property with an **adopted** fleet: the repository
+/// takes a directory whole ([`Urr::intern_fleet`]) and is then driven
+/// with the usual mixed stream, whose names fall inside the fleet
+/// (resolved through the directory) and outside it (interned after it),
+/// with snapshots mid-stream. The adopted names travel as the first
+/// frame's machine delta and the head of a snapshot's machine list, so
+/// recovery — which is handed no directory — must still reproduce
+/// every query surface. Along the way: a by-name deposit for a fleet
+/// machine lands on the fleet's ref, adopting an equal directory again
+/// returns the same refs, and a directory that is not equal is interned
+/// name by name.
+#[test]
+fn adopted_fleet_recovery_equivalence() {
+    let mut rng = Rng::new(0x5eed_0011);
+    for case in 0..12 {
+        let fleet = 1 + rng.below(12);
+        // `drive` names machines m0..m{machines}: the tail is outside
+        // the fleet.
+        let machines = fleet + 1 + rng.below(8);
+        let clusters = 1 + rng.below(6);
+        let config = DurableConfig {
+            shards: 1 << (case % 4),
+            snapshot_every_batches: [0, 3][case % 2],
+            ..DurableConfig::default()
+        };
+        let store = MemoryStore::with_segment_bytes(1 << (6 + case % 8));
+        let handle = store.clone();
+        let durable = DurableUrr::new(Box::new(store), config.clone()).expect("new");
+        let urr = durable.urr();
+
+        let refs = urr.intern_fleet(Fleet::of(fleet));
+        let dense: Vec<MachineRef> = (0..fleet as u32).map(MachineRef).collect();
+        assert_eq!(refs, dense, "case {case}: adopted refs are directory ids");
+        let outsider = urr.intern_machine(&format!("m{}", machines - 1));
+        assert_eq!(
+            outsider,
+            MachineRef(fleet as u32),
+            "case {case}: dense after"
+        );
+
+        drive(&mut rng, &durable, machines, clusters, 12);
+        durable.snapshot_now().expect("snapshot_now");
+
+        // One failure by name and one by ref for the same fleet machine:
+        // one machine in the group, not two.
+        let last = fleet - 1;
+        let by_name = Report::failure(
+            format!("m{last}"),
+            0,
+            "upgrade",
+            "r1",
+            "adopted/by-name",
+            "",
+            ReportImage::default(),
+        );
+        durable.deposit(by_name).expect("deposit");
+        let by_ref = InternedReport {
+            machine: refs[last],
+            cluster: 0,
+            release: urr.intern_release("upgrade", "r1"),
+            outcome: InternedOutcome::Failure(urr.intern_signature("adopted/by-name")),
+        };
+        durable.deposit_interned_batch(&[by_ref]).expect("deposit");
+        assert_eq!(
+            urr.machines_for_signature("adopted/by-name"),
+            Some(vec![format!("m{last}")]),
+            "case {case}: by-name deposit lands on the fleet's ref"
+        );
+
+        // An equal directory (another allocation) is recognised; a wider
+        // one is interned per name and finds every machine already there.
+        assert_eq!(urr.intern_fleet(Fleet::of(fleet)), refs, "case {case}");
+        let wider = urr.intern_fleet(Fleet::of(machines));
+        assert_eq!(wider[..fleet], refs[..], "case {case}: fleet refs kept");
+        assert_eq!(wider[machines - 1], outsider, "case {case}: outsider kept");
+
+        drive(&mut rng, &durable, machines, clusters, 12);
+        let crashed = handle.fork();
+        let (recovered, report) = DurableUrr::recover(Box::new(crashed), config).expect("recover");
+        assert_eq!(report.torn_tail, None, "case {case}");
+        assert_urr_identical(urr, recovered.urr(), &format!("case {case}"));
+        for i in 0..machines {
+            let name = format!("m{i}");
+            assert_eq!(
+                recovered.urr().intern_machine(&name),
+                urr.intern_machine(&name),
+                "case {case}: {name} recovers its ref"
+            );
+        }
     }
 }
 

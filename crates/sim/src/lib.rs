@@ -31,6 +31,12 @@
 //! [`mirage_report::Urr`] through the buffered, fully interned
 //! [`urr_sink`] bridge, so a simulation run leaves behind a queryable
 //! Upgrade Report Repository (paper §3.4 meets §4.3).
+//!
+//! A run keeps one copy of the fleet's names however many machines it
+//! has: the scenario's plan, the protocol or rollout controller built
+//! from a clone of it, and a fresh repository (which adopts the plan's
+//! machine table rather than interning it) all read the same shared
+//! table, so what a run costs is events and deposits, not names.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,9 +7,12 @@
 //! plan's machine table and the scenario's [`ProblemTable`].
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
-use mirage_deploy::{DeployPlan, MachineId, MachineSet, ProblemId, ProblemTable};
+use mirage_deploy::{
+    DeployCluster, DeployPlan, MachineId, MachineSet, MachineTable, ProblemId, ProblemTable,
+};
 use mirage_report::{DurableUrr, Urr};
 use mirage_rollout::{GuardSettings, RolloutStrategy};
 
@@ -412,13 +415,7 @@ impl ScenarioBuilder {
     pub fn build(self) -> Scenario {
         let plan = match self.base_plan {
             Some(plan) => plan,
-            None => DeployPlan::from_named((0..self.cluster_count).map(|c| {
-                let members: Vec<String> = (0..self.cluster_size)
-                    .map(|i| format!("c{c:02}-m{i:05}"))
-                    .collect();
-                let reps = self.reps_per_cluster.max(1).min(members.len().max(1));
-                (members, reps, c as f64)
-            })),
+            None => synthetic_plan(self.cluster_count, self.cluster_size, self.reps_per_cluster),
         };
 
         let mut scenario = Scenario::from_plan(plan);
@@ -500,6 +497,35 @@ impl ScenarioBuilder {
         scenario.guard = self.guard;
         scenario
     }
+}
+
+/// The synthetic fleet of [`ScenarioBuilder::clusters`]: `count`
+/// clusters of `size` machines named `c{cluster}-m{index}`, cluster `c`
+/// at distance `c`. Same plan as [`DeployPlan::from_named`] over those
+/// names, but the table is sized for the whole fleet up front and every
+/// name is formatted into one reused buffer.
+fn synthetic_plan(count: usize, size: usize, reps: usize) -> DeployPlan {
+    let mut machines = MachineTable::with_capacity(count * size);
+    let mut name = String::new();
+    let clusters = (0..count)
+        .map(|id| {
+            let members: Vec<MachineId> = (0..size)
+                .map(|i| {
+                    name.clear();
+                    write!(name, "c{id:02}-m{i:05}").expect("writing to a String cannot fail");
+                    machines.intern(&name)
+                })
+                .collect();
+            let reps = members.iter().take(reps.max(1)).copied().collect();
+            DeployCluster {
+                id,
+                members,
+                reps,
+                distance: id as f64,
+            }
+        })
+        .collect();
+    DeployPlan { machines, clusters }
 }
 
 impl Default for ScenarioBuilder {

@@ -7,14 +7,22 @@
 //! vendor can interrogate afterwards (top-k failure groups, per-cluster
 //! failure rates, signature drill-downs).
 //!
-//! The sink speaks the repository's fully interned batch protocol: the
-//! fleet's machine names, the scenario's problem names (which double as
-//! failure signatures), and the `("upgrade", "r{n}")` release pairs are
-//! interned **once** at construction / first sight, and the simulation
-//! loop then accumulates `Copy` [`InternedReport`] records that are
-//! flushed through [`mirage_report::Urr::deposit_interned_batch`] every
-//! `BATCH` records (and once at run end). The simulator's inner loop
-//! therefore never allocates a string for the repository.
+//! The sink speaks the repository's fully interned batch protocol. The
+//! fleet's machine names are not interned at all when the repository is
+//! fresh: the sink hands it the plan's machine table
+//! ([`mirage_report::Urr::intern_fleet`]) and the repository *adopts*
+//! it — `MachineRef(i)` is `MachineId(i)`, the table is the one the
+//! plan, the controller and the protocol already share, and no name is
+//! copied or hashed. A repository that already knows other machines
+//! interns the fleet name by name instead; which happens depends on the
+//! repository alone, and it reads the same afterwards. The scenario's
+//! problem names (which double as failure signatures) and the
+//! `("upgrade", "r{n}")` release pairs are interned once, at
+//! construction / first sight. The simulation loop then accumulates
+//! `Copy` [`InternedReport`] records that are flushed through
+//! [`mirage_report::Urr::deposit_interned_batch`] every `BATCH` records
+//! (and once at run end), so the simulator's inner loop never allocates
+//! a string for the repository.
 //!
 //! The sink is strictly observational: it is consulted only where the
 //! vendor already handles a received report, deposits nothing into the
@@ -25,9 +33,10 @@
 
 use std::sync::Arc;
 
-use mirage_deploy::{MachineId, ProblemId};
+use mirage_deploy::{MachineId, MachineTable, ProblemId};
 use mirage_report::{
-    DurableUrr, InternedOutcome, InternedReport, MachineRef, ReleaseId, SigId, Urr,
+    DurableUrr, InternedOutcome, InternedReport, MachineDirectory, MachineRef, ReleaseId, SigId,
+    Urr,
 };
 
 use crate::scenario::Scenario;
@@ -35,6 +44,26 @@ use crate::scenario::Scenario;
 /// Records per flush batch. Large enough to amortise shard locking,
 /// small enough to keep the buffer cache-resident.
 const BATCH: usize = 4096;
+
+/// A plan's machine table as the repository sees it. Cloning the table
+/// shares its storage, so the directory *is* the plan's table, not a
+/// copy of it.
+#[derive(Debug)]
+struct FleetNames(MachineTable);
+
+impl MachineDirectory for FleetNames {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn name(&self, id: u32) -> &str {
+        self.0.name(MachineId(id))
+    }
+
+    fn id(&self, name: &str) -> Option<u32> {
+        self.0.id(name).map(|id| id.0)
+    }
+}
 
 /// Buffered, pre-interned bridge from the simulation loop to a shared
 /// [`Urr`].
@@ -63,14 +92,13 @@ pub struct UrrSink {
 }
 
 impl UrrSink {
-    /// Builds a sink for `scenario`, bulk-interning the fleet's names,
-    /// problem signatures, and the initial release.
+    /// Builds a sink for `scenario`: hands the plan's machine table to
+    /// the repository ([`Urr::intern_fleet`]) and interns the problem
+    /// signatures and the initial release.
     pub fn new(scenario: &Scenario, urr: Arc<Urr>) -> Self {
         let plan = &scenario.plan;
-        let n = scenario.machine_count();
-        let machine_refs =
-            urr.intern_machines((0..n).map(|i| plan.machine_name(MachineId(i as u32))));
-        let mut machine_cluster = vec![0u32; n];
+        let machine_refs = urr.intern_fleet(Arc::new(FleetNames(plan.machines.clone())));
+        let mut machine_cluster = vec![0u32; machine_refs.len()];
         for cluster in &plan.clusters {
             for m in &cluster.members {
                 machine_cluster[m.index()] = cluster.id as u32;

@@ -15,10 +15,11 @@ use mirage_deploy::{
     Release, TestReport,
 };
 use mirage_report::Urr;
+use mirage_rollout::{GuardSettings, RolloutStrategy};
 use mirage_sim::runner::reference::{run_reference, NamedScenario};
 use mirage_sim::{
-    run, run_parallel_in, run_with_telemetry, FaultSpec, Scenario, ScenarioBuilder, SimArena,
-    SimTime,
+    run, run_parallel_in, run_rollout_with_telemetry, run_with_telemetry, FaultSpec, Scenario,
+    ScenarioBuilder, SimArena, SimTime,
 };
 use mirage_telemetry::{Journal, Registry, Telemetry};
 
@@ -561,6 +562,107 @@ fn parallel_driver_fills_the_same_repository() {
             }
         }
     }
+}
+
+/// **Adoption equivalence**: a repository that adopts the plan's machine
+/// table whole (a fresh `Urr`: [`Urr::intern_fleet`] keeps the table
+/// and hashes no name) is filled exactly like one that interns the
+/// fleet name by name. The second repository is pushed onto the
+/// per-name path by one machine interned before the run that no plan
+/// lists, which also shifts every ref of its fleet by one. Converging
+/// (even) and faulty (odd) cases run all four protocols on both
+/// drivers; every third case is instead a fleet-wide regression under a
+/// guarded rolling rollout, which the guard rolls back, so the
+/// `PRIOR_RELEASE` revert confirmations are deposited too. `stats()`,
+/// `snapshot()`, `all()` and `next_seq()` must agree.
+#[test]
+fn adopted_fleet_fills_the_same_repository() {
+    fn assert_same_repository(adopted: &Urr, per_name: &Urr, at: &str) {
+        assert!(adopted.stats().total > 0, "{at}: deposited");
+        assert_eq!(adopted.stats(), per_name.stats(), "{at}: stats");
+        assert_eq!(adopted.snapshot(), per_name.snapshot(), "{at}: snapshot");
+        assert_eq!(adopted.all(), per_name.all(), "{at}: all");
+        assert_eq!(adopted.next_seq(), per_name.next_seq(), "{at}: next_seq");
+    }
+    /// A fresh repository, or one that already knows a machine outside
+    /// every fleet.
+    fn repository(per_name: bool) -> Arc<Urr> {
+        let urr = Arc::new(Urr::new());
+        if per_name {
+            urr.intern_machine("not-in-the-fleet");
+        }
+        urr
+    }
+    let guard = GuardSettings {
+        max_cluster_failure_rate: 0.3,
+        min_reports: 2,
+        unhealthy_ticks: 2,
+        healthy_ticks: 1,
+        ..GuardSettings::default()
+    };
+    let mut rng = Rng::new(0xAD0);
+    let mut rolled_back = 0;
+    for case in 0..24u64 {
+        let (spec, mut scenario) = parallel_case(&mut rng, case);
+        if case % 3 == 2 {
+            let everywhere: Vec<usize> = (0..spec.clusters).collect();
+            let mut builder = ScenarioBuilder::new()
+                .clusters(spec.clusters, spec.size, 1)
+                .problem_in_clusters("regression", &everywhere)
+                .with_strategy(RolloutStrategy::Rolling {
+                    batch_size: spec.size,
+                })
+                .with_guard(guard);
+            if case % 2 == 1 {
+                builder = builder.faults(
+                    FaultSpec::new(0xAD0 ^ case)
+                        .loss(0.20)
+                        .duplication(0.10)
+                        .retry(20, 4),
+                );
+            }
+            let fill = |per_name: bool| {
+                let urr = repository(per_name);
+                let scenario = builder.clone().with_urr(Arc::clone(&urr)).build();
+                let (_, outcome) = run_rollout_with_telemetry(
+                    &scenario,
+                    ProtocolChoice::Balanced,
+                    Telemetry::noop(),
+                );
+                assert!(outcome.rollback.is_some(), "case {case}: rolled back");
+                urr
+            };
+            assert_same_repository(&fill(false), &fill(true), &format!("case {case}"));
+            rolled_back += 1;
+            continue;
+        }
+        for choice in choices(case) {
+            for workers in [None, Some(2usize), Some(4)] {
+                let mut fill = |per_name: bool| {
+                    let urr = repository(per_name);
+                    scenario.urr = Some(Arc::clone(&urr));
+                    let mut protocol = choice.build(scenario.plan.clone(), scenario.threshold);
+                    match workers {
+                        None => run(&scenario, &mut protocol),
+                        Some(w) => run_parallel_in(
+                            &mut SimArena::new(),
+                            &scenario,
+                            &mut protocol,
+                            Telemetry::noop(),
+                            w,
+                        ),
+                    };
+                    urr
+                };
+                let at = format!(
+                    "case {case}: {} at {workers:?} workers ({spec:?})",
+                    choice.name()
+                );
+                assert_same_repository(&fill(false), &fill(true), &at);
+            }
+        }
+    }
+    assert_eq!(rolled_back, 8);
 }
 
 /// A Balanced protocol that records how much of the repository is

@@ -214,3 +214,43 @@ fn replicated_mysql_fleet_clusters_like_the_original() {
         originals.len() as u64 - base_counters["cluster.qt_merges"]
     );
 }
+
+/// Cloning a `DeployPlan` copies cluster id vectors and no name: every
+/// name the clone hands out is the very `str` the original holds — the
+/// pointer test `Urr::intern_fleet` recognises an already adopted table
+/// by. The table is copy-on-write: a clone that interns a new name gets
+/// an index of its own (the strings stay shared) and the original never
+/// learns the name.
+#[test]
+fn plan_clones_share_the_machine_table() {
+    use mirage::deploy::{DeployPlan, MachineId};
+    use mirage::sim::ScenarioBuilder;
+
+    const MACHINES: usize = 100_000;
+    let same_strs = |a: &DeployPlan, b: &DeployPlan| {
+        (0..MACHINES as u32)
+            .map(MachineId)
+            .all(|id| std::ptr::eq(a.machine_name(id), b.machine_name(id)))
+    };
+    let plan = ScenarioBuilder::new().clusters(20, 5_000, 1).build().plan;
+    let mut clone = plan.clone();
+    assert_eq!(plan, clone);
+    assert!(same_strs(&plan, &clone), "a clone copies no name");
+
+    // A name the table already lists is found, not added.
+    assert_eq!(clone.machines.intern("c00-m00007"), MachineId(7));
+    assert_eq!(clone.machines.len(), MACHINES);
+
+    let ghost = clone.machines.intern("ghost");
+    assert_eq!(ghost, MachineId(MACHINES as u32));
+    assert_eq!(clone.machine_name(ghost), "ghost");
+    assert_eq!(clone.machine_id("ghost"), Some(ghost));
+    assert_eq!(plan.machines.len(), MACHINES, "the original is untouched");
+    assert_eq!(plan.machine_id("ghost"), None);
+    assert_ne!(plan, clone);
+    assert!(same_strs(&plan, &clone), "the names stay shared");
+    assert_eq!(
+        clone.machine_id("c19-m04999"),
+        plan.machine_id("c19-m04999")
+    );
+}
