@@ -464,8 +464,11 @@ fn urr_perf(ctx: &Ctx) {
 /// * `storage/recover/wal-*`: recovery replaying the full WAL with no
 ///   snapshot — each sample forks the live store into a crash image
 ///   (untimed) and times [`mirage_report::DurableUrr::recover`];
-/// * `storage/recover/snapshot-*`: the same, from a compacted snapshot
-///   at 90% of the stream plus a WAL tail — the steady-state shape;
+/// * `storage/recover/snapshot-*`: the same, from a snapshot
+///   generation at 90% of the stream plus a WAL tail — the
+///   steady-state shape. A generation is the log compacted into fewer
+///   frames and goes through the same replay loop, so this row times
+///   the same work as the one above, not a faster path;
 /// * `storage/serve/mixed-read-write-*`: reader threads answering the
 ///   serialized vendor protocol against a frozen
 ///   [`mirage_report::UrrSnapshot`] while a writer journals fresh
@@ -576,8 +579,9 @@ fn urr_store_perf(ctx: &Ctx) {
         ns
     });
 
-    // --- Recovery: WAL-only replay, then the steady-state snapshot+tail
-    // shape. Each sample recovers a fresh fork of the same crash image.
+    // --- Recovery: WAL-only replay, then the steady-state generation +
+    // tail shape (one replay loop under both). Each sample recovers a
+    // fresh fork of the same crash image.
     let mut recovered_equal = true;
     let (wal_handle, wal_durable) = build_journal(n_main, None);
     recovered_equal &= recovers_equal(&wal_handle, &wal_durable);
@@ -682,9 +686,13 @@ fn urr_store_perf(ctx: &Ctx) {
             "{n_main} reports over {} clusters, 10% failures across {} signatures, journaled \
              as interned 4096-record WAL frames; append rows use a fresh repository per sample \
              (interning untimed); recovery rows fork the live MemoryStore into a crash image \
-             (untimed) and time DurableUrr::recover; the mixed row runs {readers} protocol \
-             readers on a frozen snapshot against one journaling writer; recovered_equal \
-             compares every query surface of a recovered repository to the live one",
+             (untimed) and time DurableUrr::recover, from the WAL alone (wal rows) and from a \
+             snapshot generation at 90% of the stream plus the WAL tail (snapshot rows) — a \
+             generation is the log compacted into 4096-record frames and replays through the \
+             same loop, so the two time the same work and neither is a fast path; the mixed \
+             row runs {readers} protocol readers on a frozen snapshot against one journaling \
+             writer; recovered_equal compares every query surface of a recovered repository \
+             to the live one",
             stream::CLUSTERS,
             stream::SIGNATURES
         ),

@@ -57,9 +57,10 @@
 //! * [`storage`] — a pluggable [`UrrStore`] backend ([`MemoryStore`],
 //!   [`FsStore`]) behind [`DurableUrr`]: every deposit batch is
 //!   journaled to a checksummed write-ahead log before it is applied,
-//!   compacted snapshots are written periodically, and
-//!   [`DurableUrr::recover`] rebuilds the exact live state after a
-//!   crash — tolerating truncated, torn, and corrupt WAL tails.
+//!   the log is periodically compacted into a snapshot generation (the
+//!   same frames, from sequence 0), and [`DurableUrr::recover`]
+//!   replays both through one loop to rebuild the exact live state
+//!   after a crash — tolerating truncated, torn, and corrupt WAL tails.
 //! * [`serve`] — [`Urr::snapshot`] freezes the query surfaces into an
 //!   immutable [`UrrSnapshot`] that any number of reader threads can
 //!   query lock-free while ingest continues, and

@@ -1,7 +1,8 @@
 //! Length-prefixed, checksummed record framing.
 //!
-//! Every durable record — a WAL batch, a snapshot, a serving-protocol
-//! request or response — travels inside one frame:
+//! Every durable record — a journaled batch, in the WAL or in a
+//! snapshot generation — and every serving-protocol request or response
+//! travels inside one frame:
 //!
 //! ```text
 //! [magic u32 LE] [kind u8] [payload_len u32 LE] [crc32 u32 LE] [payload…]
@@ -13,11 +14,12 @@
 //! shifts the checksum window (caught by the CRC with probability
 //! `1 - 2^-32`).
 //!
-//! [`FrameScanner`] reads a WAL segment front to back and implements
+//! [`FrameScanner`] reads a run of frames front to back and implements
 //! the crash-tolerance contract: a clean end of input terminates the
 //! scan, while a torn, truncated, or corrupt record yields exactly one
-//! [`WireError`] and then stops — recovery keeps the valid prefix and
-//! discards the tail, which is the only part a crash can damage.
+//! [`WireError`] and then stops — recovery keeps a WAL's valid prefix
+//! and discards the tail, which is the only part a crash can damage
+//! (a snapshot generation is all or nothing: any error rejects it).
 
 use super::wire::{crc32, put_u32, put_u8, WireError};
 
@@ -31,29 +33,35 @@ pub(crate) const HEADER_LEN: usize = 4 + 1 + 4 + 4;
 /// allocation).
 pub(crate) const MAX_PAYLOAD: usize = 1 << 30;
 
-/// Frame kind: one WAL deposit-batch record.
+/// Frame kind: one journaled deposit batch. (Kind 2 is retired, not
+/// free: stores written before generations were runs of batch frames
+/// hold it, and must keep being rejected.)
 pub(crate) const KIND_WAL_BATCH: u8 = 1;
-/// Frame kind: one compacted repository snapshot.
-pub(crate) const KIND_SNAPSHOT: u8 = 2;
 /// Frame kind: a vendor serving-protocol request.
 pub(crate) const KIND_REQUEST: u8 = 3;
 /// Frame kind: a vendor serving-protocol response.
 pub(crate) const KIND_RESPONSE: u8 = 4;
 
+/// Appends one frame of the given kind to `buf`; `fill` writes the
+/// payload in place, so a frame costs no copy of its payload.
+pub(crate) fn put_frame(buf: &mut Vec<u8>, kind: u8, fill: impl FnOnce(&mut Vec<u8>)) {
+    put_u32(buf, MAGIC);
+    put_u8(buf, kind);
+    let len_at = buf.len();
+    // Length and checksum are known once the payload is written.
+    buf.extend_from_slice(&[0; 8]);
+    fill(buf);
+    let payload = &buf[len_at + 8..];
+    let len = u32::try_from(payload.len()).expect("frame payload exceeds u32");
+    let crc = crc32(&[&[kind], payload]);
+    buf[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+    buf[len_at + 4..len_at + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// Encodes `payload` as one frame of the given kind.
 pub(crate) fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    put_u32(&mut buf, MAGIC);
-    put_u8(&mut buf, kind);
-    put_u32(
-        &mut buf,
-        u32::try_from(payload.len()).expect("frame payload exceeds u32"),
-    );
-    let mut crc_input = Vec::with_capacity(1 + payload.len());
-    crc_input.push(kind);
-    crc_input.extend_from_slice(payload);
-    put_u32(&mut buf, crc32(&crc_input));
-    buf.extend_from_slice(payload);
+    put_frame(&mut buf, kind, |buf| buf.extend_from_slice(payload));
     buf
 }
 
@@ -142,10 +150,7 @@ impl<'a> FrameScanner<'a> {
             });
         }
         let payload = &rest[HEADER_LEN..HEADER_LEN + len];
-        let mut crc_input = Vec::with_capacity(1 + len);
-        crc_input.push(kind);
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != stored_crc {
+        if crc32(&[&[kind], payload]) != stored_crc {
             return Err(WireError::BadFrame {
                 what: "frame checksum",
             });
@@ -168,8 +173,8 @@ mod tests {
 
     #[test]
     fn empty_payload_roundtrip() {
-        let frame = encode_frame(KIND_SNAPSHOT, b"");
-        assert_eq!(decode_frame(&frame).unwrap(), (KIND_SNAPSHOT, &b""[..]));
+        let frame = encode_frame(KIND_REQUEST, b"");
+        assert_eq!(decode_frame(&frame).unwrap(), (KIND_REQUEST, &b""[..]));
     }
 
     #[test]

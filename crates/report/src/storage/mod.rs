@@ -7,20 +7,20 @@
 //!   [`MemoryStore`] (tests, benchmarks) and [`FsStore`] (a directory
 //!   of WAL segments and snapshot generations);
 //! - a hand-rolled wire codec (`wire`) and checksummed frame format
-//!   (`frame`) shared by the WAL, snapshots, and the serving protocol
-//!   in [`crate::serve`];
-//! - WAL frames (`wal`) that journal each deposit batch as intern
-//!   table deltas plus dense-id records, and compacted snapshots
-//!   (`snapshot`) that serialise the full sharded repository
-//!   stripe-faithfully;
-//! - [`DurableUrr`], the journaled repository: it appends a WAL frame
+//!   (`frame`) shared by the journal and the serving protocol in
+//!   [`crate::serve`];
+//! - one record format (`wal`): a frame journals a deposit batch as
+//!   intern-table deltas plus dense-id records. A snapshot generation
+//!   is a run of the same frames — the log compacted from sequence 0 —
+//!   not a second layout;
+//! - [`DurableUrr`], the journaled repository: it appends a frame
 //!   before applying each batch, rotates segments, writes periodic
-//!   snapshots, and [`DurableUrr::recover`]s after a crash by loading
-//!   the newest valid snapshot and replaying the WAL tail — tolerating
-//!   truncated, torn, and corrupt trailing records.
+//!   generations, and [`DurableUrr::recover`]s after a crash by
+//!   replaying the newest generation that applies cleanly and then the
+//!   WAL tail, through one loop — tolerating truncated, torn, and
+//!   corrupt trailing records.
 
 pub(crate) mod frame;
-pub(crate) mod snapshot;
 pub(crate) mod wal;
 pub(crate) mod wire;
 
@@ -73,7 +73,8 @@ impl std::error::Error for StoreError {
 }
 
 /// A durable backend for the URR: an append-only WAL of framed batches
-/// plus a small set of compacted snapshot generations.
+/// plus a small set of snapshot generations (opaque to the backend; a
+/// run of the same frames).
 ///
 /// Implementations must be safe to share across threads; [`DurableUrr`]
 /// serialises writes through its journal lock but may read (`snapshots`,

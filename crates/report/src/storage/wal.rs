@@ -1,4 +1,4 @@
-//! WAL record payloads: one frame per deposit batch.
+//! Journaled batch frames: the one on-disk record format.
 //!
 //! Every ingest batch — boundary [`crate::Report`]s or pre-interned
 //! records — is journaled as one [`WalFrame`] carrying:
@@ -17,19 +17,21 @@
 //!   free-form payload (failure detail + reproduction image) inlined
 //!   for boundary reports.
 //!
-//! [`apply_recs`] is the **single apply path**: live ingest through
-//! [`crate::DurableUrr`] journals a frame and then applies it with the
-//! same function recovery uses to replay it, which is what makes the
-//! `recover(snapshot + WAL) == live` property hold by construction
-//! rather than by parallel-implementation luck. The live side writes
-//! its frame with [`encode_wal_frame`], straight from the repository's
-//! tables; [`WalFrame`] is what recovery decodes it into.
+//! A snapshot generation is a run of the same frames: the first starts
+//! at sequence 0 and carries the three tables whole, the records follow
+//! in sequence order. There is no second format, so
+//! [`crate::DurableUrr::recover`] has one replay loop, and both it and
+//! live ingest file every record through [`Urr::insert_recs`] — which
+//! is what makes the `recover(snapshot + WAL) == live` property hold by
+//! construction rather than by parallel-implementation luck. The live
+//! side writes a frame with [`encode_wal_frame`], straight from the
+//! repository's tables; [`WalFrame`] is what recovery decodes it into.
 
 use crate::image::ReportImage;
 use crate::storage::wire::{
     get_string_list, put_len, put_str, put_string_list, put_u32, put_u64, put_u8, Cursor, WireError,
 };
-use crate::urr::{mix_u32, Payload, Rec, Urr, NO_SIG};
+use crate::urr::{Payload, Rec, Urr, NO_SIG};
 
 /// One journaled deposit batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,24 +45,13 @@ pub(crate) struct WalFrame {
     pub(crate) sig_delta: Vec<String>,
     /// `(package, version)` releases interned since the previous frame.
     pub(crate) release_delta: Vec<(String, String)>,
-    /// The batch records, in sequence order (`seq = start_seq + index`).
-    pub(crate) recs: Vec<WalRec>,
-}
-
-/// One journaled record: interned ids plus the optional heap payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct WalRec {
-    pub(crate) machine: u32,
-    pub(crate) cluster: u32,
-    pub(crate) release: u32,
-    /// [`NO_SIG`] for successes.
-    pub(crate) sig: u32,
-    pub(crate) payload: Option<Box<Payload>>,
+    /// The batch records, in sequence order (`seq = start_seq + index`;
+    /// the sequence number itself is not written).
+    pub(crate) recs: Vec<Rec>,
 }
 
 /// Encodes an optional record payload (detail + reproduction image).
-/// Shared between WAL records and snapshot records.
-pub(crate) fn put_payload(buf: &mut Vec<u8>, payload: &Option<Box<Payload>>) {
+fn put_payload(buf: &mut Vec<u8>, payload: &Option<Box<Payload>>) {
     match payload {
         None => put_u8(buf, 0),
         Some(p) => {
@@ -81,7 +72,7 @@ pub(crate) fn put_payload(buf: &mut Vec<u8>, payload: &Option<Box<Payload>>) {
 }
 
 /// Decodes an optional record payload written by [`put_payload`].
-pub(crate) fn get_payload(cur: &mut Cursor<'_>) -> Result<Option<Box<Payload>>, WireError> {
+fn get_payload(cur: &mut Cursor<'_>) -> Result<Option<Box<Payload>>, WireError> {
     match cur.u8("payload option tag")? {
         0 => Ok(None),
         1 => {
@@ -110,34 +101,35 @@ pub(crate) fn get_payload(cur: &mut Cursor<'_>) -> Result<Option<Box<Payload>>, 
     }
 }
 
-/// Serialises one frame payload (the caller wraps it in a checksummed
-/// frame) straight from the live repository's tables: the deltas are
-/// borrowed, so journaling a batch copies no name it does not write.
-pub(crate) fn encode_wal_frame<'a>(
+/// Appends one frame payload to `buf` (the caller wraps it in a
+/// checksummed frame) straight from the live repository's tables: the
+/// deltas and the records are borrowed, so writing a frame copies
+/// nothing it does not write.
+pub(crate) fn encode_wal_frame<'n, 'r>(
+    buf: &mut Vec<u8>,
     start_seq: u64,
-    machine_delta: impl ExactSizeIterator<Item = &'a str>,
-    sig_delta: &[String],
+    machine_delta: impl ExactSizeIterator<Item = &'n str>,
+    sig_delta: &[impl AsRef<str>],
     release_delta: &[(String, String)],
-    recs: &[WalRec],
-) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + recs.len() * 17);
-    put_u64(&mut buf, start_seq);
-    put_string_list(&mut buf, machine_delta);
-    put_string_list(&mut buf, sig_delta);
-    put_len(&mut buf, release_delta.len());
+    recs: impl ExactSizeIterator<Item = &'r Rec>,
+) {
+    buf.reserve(64 + recs.len() * 17);
+    put_u64(buf, start_seq);
+    put_string_list(buf, machine_delta);
+    put_string_list(buf, sig_delta);
+    put_len(buf, release_delta.len());
     for (package, version) in release_delta {
-        put_str(&mut buf, package);
-        put_str(&mut buf, version);
+        put_str(buf, package);
+        put_str(buf, version);
     }
-    put_len(&mut buf, recs.len());
+    put_len(buf, recs.len());
     for rec in recs {
-        put_u32(&mut buf, rec.machine);
-        put_u32(&mut buf, rec.cluster);
-        put_u32(&mut buf, rec.release);
-        put_u32(&mut buf, rec.sig);
-        put_payload(&mut buf, &rec.payload);
+        put_u32(buf, rec.machine);
+        put_u32(buf, rec.cluster);
+        put_u32(buf, rec.release);
+        put_u32(buf, rec.sig);
+        put_payload(buf, &rec.payload);
     }
-    buf
 }
 
 impl WalFrame {
@@ -155,12 +147,18 @@ impl WalFrame {
             release_delta.push((package, version));
         }
         let n_recs = cur.list_len(17, "wal records")?;
+        if start_seq.checked_add(n_recs as u64).is_none() {
+            return Err(WireError::Corrupt {
+                what: "wal sequence range overflows",
+            });
+        }
         let mut recs = Vec::with_capacity(n_recs);
-        for _ in 0..n_recs {
-            recs.push(WalRec {
+        for i in 0..n_recs as u64 {
+            recs.push(Rec {
                 machine: cur.u32("wal rec machine")?,
                 cluster: cur.u32("wal rec cluster")?,
                 release: cur.u32("wal rec release")?,
+                seq: start_seq + i,
                 sig: cur.u32("wal rec sig")?,
                 payload: get_payload(&mut cur)?,
             });
@@ -204,73 +202,34 @@ impl WalFrame {
 
     /// Re-interns the frame's name deltas, reproducing the dense-id
     /// assignment the live repository had when the frame was journaled.
-    /// Idempotent (interning an existing name is a lookup).
-    pub(crate) fn intern_deltas(&self, urr: &Urr) {
+    /// Every delta name must take the next dense id of its table: a
+    /// name the table already holds would shift every id after it.
+    pub(crate) fn intern_deltas(&self, urr: &Urr) -> Result<(), WireError> {
+        let next_id = |id: u32, first: usize, i: usize| {
+            if id as usize == first + i {
+                Ok(())
+            } else {
+                Err(WireError::Corrupt {
+                    what: "wal delta repeats an interned name",
+                })
+            }
+        };
         if !self.machine_delta.is_empty() {
             let mut table = urr.machines.write().expect("urr poisoned");
-            for name in &self.machine_delta {
-                table.intern(name);
+            let first = table.len();
+            for (i, name) in self.machine_delta.iter().enumerate() {
+                next_id(table.intern(name), first, i)?;
             }
         }
-        for name in &self.sig_delta {
-            urr.intern_signature(name);
+        let first = urr.sigs.read().expect("urr poisoned").inner.names.len();
+        for (i, name) in self.sig_delta.iter().enumerate() {
+            next_id(urr.intern_signature(name).0, first, i)?;
         }
-        for (package, version) in &self.release_delta {
-            urr.intern_release(package, version);
+        let first = urr.releases.read().expect("urr poisoned").pairs.len();
+        for (i, (package, version)) in self.release_delta.iter().enumerate() {
+            next_id(urr.intern_release(package, version).0, first, i)?;
         }
-    }
-}
-
-/// Applies a batch of journaled records to the repository, assigning
-/// sequence numbers `start + index` and routing each record to its
-/// shard exactly like the direct deposit paths (signature home shard
-/// for failures, machine-hash spread for successes). Shard locks are
-/// taken once per batch.
-pub(crate) fn apply_recs(urr: &Urr, recs: Vec<WalRec>, start: u64) {
-    if recs.is_empty() {
-        return;
-    }
-    let to_rec = |r: WalRec, seq: u64| -> Rec {
-        Rec {
-            machine: r.machine,
-            cluster: r.cluster,
-            release: r.release,
-            seq,
-            sig: r.sig,
-            payload: r.payload,
-        }
-    };
-    if urr.shards.len() == 1 {
-        let mut guard = urr.lock_shard(0);
-        guard.recs.reserve(recs.len());
-        for (i, r) in recs.into_iter().enumerate() {
-            guard.insert(to_rec(r, start + i as u64));
-        }
-        return;
-    }
-    let sigs = urr.sigs.read().expect("urr poisoned");
-    let cap = recs.len() / urr.shards.len() + 1;
-    let mut by_shard: Vec<Vec<Rec>> = (0..urr.shards.len())
-        .map(|_| Vec::with_capacity(cap))
-        .collect();
-    for (i, r) in recs.into_iter().enumerate() {
-        let shard = if r.sig == NO_SIG {
-            (mix_u32(r.machine) & urr.shard_mask) as usize
-        } else {
-            sigs.shards[r.sig as usize] as usize
-        };
-        by_shard[shard].push(to_rec(r, start + i as u64));
-    }
-    drop(sigs);
-    for (shard, items) in by_shard.into_iter().enumerate() {
-        if items.is_empty() {
-            continue;
-        }
-        let mut guard = urr.lock_shard(shard);
-        guard.recs.reserve(items.len());
-        for rec in items {
-            guard.insert(rec);
-        }
+        Ok(())
     }
 }
 
@@ -311,25 +270,43 @@ mod tests {
     }
 
     fn encode_borrowed(frame: &WalFrame) -> Vec<u8> {
+        let mut buf = Vec::new();
         encode_wal_frame(
+            &mut buf,
             frame.start_seq,
             frame.machine_delta.iter().map(String::as_str),
             &frame.sig_delta,
             &frame.release_delta,
-            &frame.recs,
-        )
+            frame.recs.iter(),
+        );
+        buf
+    }
+
+    /// A frame of `recs` and no deltas.
+    fn frame_of(start_seq: u64, recs: Vec<Rec>) -> WalFrame {
+        WalFrame {
+            start_seq,
+            machine_delta: vec![],
+            sig_delta: vec![],
+            release_delta: vec![],
+            recs,
+        }
+    }
+
+    fn rec(machine: u32, release: u32, sig: u32, seq: u64) -> Rec {
+        Rec {
+            machine,
+            cluster: 0,
+            release,
+            seq,
+            sig,
+            payload: None,
+        }
     }
 
     #[test]
     fn borrowed_encoder_writes_the_owned_encoders_bytes() {
-        let empty = WalFrame {
-            start_seq: 0,
-            machine_delta: vec![],
-            sig_delta: vec![],
-            release_delta: vec![],
-            recs: vec![],
-        };
-        for frame in [sample_frame(), empty] {
+        for frame in [sample_frame(), frame_of(0, vec![])] {
             assert_eq!(encode_borrowed(&frame), frame.encode());
         }
     }
@@ -341,18 +318,11 @@ mod tests {
             sig_delta: vec!["php/crash\n".into()],
             release_delta: vec![("mysql".into(), "5.0.27".into())],
             recs: vec![
-                WalRec {
-                    machine: 0,
+                Rec {
                     cluster: 3,
-                    release: 0,
-                    sig: NO_SIG,
-                    payload: None,
+                    ..rec(0, 0, NO_SIG, 17)
                 },
-                WalRec {
-                    machine: 1,
-                    cluster: 0,
-                    release: 0,
-                    sig: 0,
+                Rec {
                     payload: Some(Box::new(Payload {
                         detail: "tab\there".into(),
                         image: Some(ReportImage::new(
@@ -362,6 +332,7 @@ mod tests {
                             vec!["out-🦀".into()],
                         )),
                     })),
+                    ..rec(1, 0, 0, 18)
                 },
             ],
         }
@@ -375,13 +346,7 @@ mod tests {
 
     #[test]
     fn empty_frame_roundtrip() {
-        let frame = WalFrame {
-            start_seq: 0,
-            machine_delta: vec![],
-            sig_delta: vec![],
-            release_delta: vec![],
-            recs: vec![],
-        };
+        let frame = frame_of(0, vec![]);
         assert_eq!(WalFrame::decode(&frame.encode()).unwrap(), frame);
     }
 
@@ -405,20 +370,7 @@ mod tests {
 
     #[test]
     fn bad_option_tags_are_rejected() {
-        let frame = WalFrame {
-            start_seq: 0,
-            machine_delta: vec![],
-            sig_delta: vec![],
-            release_delta: vec![],
-            recs: vec![WalRec {
-                machine: 0,
-                cluster: 0,
-                release: 0,
-                sig: 0,
-                payload: None,
-            }],
-        };
-        let mut bytes = frame.encode();
+        let mut bytes = frame_of(0, vec![rec(0, 0, 0, 0)]).encode();
         // The final byte is the payload option tag; make it undefined.
         *bytes.last_mut().unwrap() = 7;
         assert!(matches!(
@@ -428,36 +380,44 @@ mod tests {
     }
 
     #[test]
+    fn a_sequence_range_past_u64_is_rejected() {
+        let bytes = frame_of(u64::MAX, vec![rec(0, 0, NO_SIG, u64::MAX)]).encode();
+        assert!(matches!(
+            WalFrame::decode(&bytes),
+            Err(WireError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
     fn validate_ids_rejects_out_of_range_records() {
         let urr = Urr::with_shards(2);
         urr.intern_machines(["m0"]);
         urr.intern_release("p", "v");
-        let ok = WalFrame {
-            start_seq: 0,
-            machine_delta: vec![],
-            sig_delta: vec![],
-            release_delta: vec![],
-            recs: vec![WalRec {
-                machine: 0,
-                cluster: 0,
-                release: 0,
-                sig: NO_SIG,
-                payload: None,
-            }],
-        };
+        let ok = frame_of(0, vec![rec(0, 0, NO_SIG, 0)]);
         assert!(ok.validate_ids(&urr).is_ok());
         for (machine, sig, release) in [(9, NO_SIG, 0), (0, 5, 0), (0, NO_SIG, 9)] {
-            let bad = WalFrame {
-                recs: vec![WalRec {
-                    machine,
-                    cluster: 0,
-                    release,
-                    sig,
-                    payload: None,
-                }],
-                ..ok.clone()
-            };
+            let bad = frame_of(0, vec![rec(machine, release, sig, 0)]);
             assert!(bad.validate_ids(&urr).is_err());
+        }
+    }
+
+    #[test]
+    fn intern_deltas_rejects_a_name_the_table_already_holds() {
+        let urr = Urr::with_shards(2);
+        urr.intern_machine("m0");
+        urr.intern_signature("s0");
+        urr.intern_release("p", "v");
+        let deltas = |machine: &str, sig: &str, version: &str| WalFrame {
+            machine_delta: vec![machine.into()],
+            sig_delta: vec![sig.into()],
+            release_delta: vec![("p".into(), version.into())],
+            ..frame_of(0, vec![])
+        };
+        assert!(deltas("m1", "s1", "w").intern_deltas(&urr).is_ok());
+        // Each case trips on a later table than the one before it, and
+        // leaves the names ahead of the repeat interned.
+        for (machine, sig, version) in [("m0", "s2", "x"), ("m2", "s0", "x"), ("m3", "s3", "v")] {
+            assert!(deltas(machine, sig, version).intern_deltas(&urr).is_err());
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The hand-rolled binary codec shared by WAL frames, snapshots, and
+//! The hand-rolled binary codec shared by journaled batch frames and
 //! the vendor serving protocol.
 //!
 //! The workspace is dependency-free, so this is the storage layer's
@@ -98,11 +98,13 @@ const fn crc32_table() -> [u32; 256] {
 
 static CRC_TABLE: [u32; 256] = crc32_table();
 
-/// CRC-32 (IEEE) over `bytes`.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+/// CRC-32 (IEEE) over the concatenation of `parts`.
+pub(crate) fn crc32(parts: &[&[u8]]) -> u32 {
     let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
+    for part in parts {
+        for &b in *part {
+            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
+        }
     }
     !crc
 }
@@ -268,10 +270,11 @@ mod tests {
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE CRC-32 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(&[b""]), 0);
+        assert_eq!(crc32(&[b"123456789"]), 0xcbf4_3926);
+        assert_eq!(crc32(&[b"1234", b"", b"56789"]), 0xcbf4_3926);
         assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
+            crc32(&[b"The quick brown fox jumps over the lazy dog"]),
             0x414f_a339
         );
     }

@@ -284,8 +284,9 @@ pub(crate) struct Payload {
     pub(crate) image: Option<ReportImage>,
 }
 
-/// One stored report record: ids only, payload boxed out of line.
-#[derive(Debug, Clone)]
+/// One stored report record: ids only, payload boxed out of line. Also
+/// the record a journaled frame decodes into.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Rec {
     pub(crate) machine: u32,
     pub(crate) cluster: u32,
@@ -294,6 +295,23 @@ pub(crate) struct Rec {
     /// [`NO_SIG`] for successes.
     pub(crate) sig: u32,
     pub(crate) payload: Option<Box<Payload>>,
+}
+
+impl Rec {
+    /// The record a pre-interned report is stored as under `seq`.
+    pub(crate) fn interned(r: &InternedReport, seq: u64) -> Self {
+        Rec {
+            machine: r.machine.0,
+            cluster: r.cluster,
+            release: r.release.0,
+            seq,
+            sig: match r.outcome {
+                InternedOutcome::Success => NO_SIG,
+                InternedOutcome::Failure(sig) => sig.0,
+            },
+            payload: None,
+        }
+    }
 }
 
 /// A word-packed bitset over dense `u32` ids.
@@ -492,25 +510,20 @@ impl Shard {
         self.failures += failures;
         // A second tight pass appends to the archive: the extend
         // vectorises without the tally loop's branches in the way.
-        self.recs.extend(recs.iter().enumerate().map(|(i, r)| Rec {
-            machine: r.machine.0,
-            cluster: r.cluster,
-            release: r.release.0,
-            seq: start + i as u64,
-            sig: match r.outcome {
-                InternedOutcome::Success => NO_SIG,
-                InternedOutcome::Failure(sig) => sig.0,
-            },
-            payload: None,
-        }));
+        self.recs.extend(
+            recs.iter()
+                .enumerate()
+                .map(|(i, r)| Rec::interned(r, start + i as u64)),
+        );
     }
 }
 
-/// A name ↔ dense-`u32` interner (read-mostly under `RwLock`).
+/// A name ↔ dense-`u32` interner (read-mostly under `RwLock`). Each
+/// name is one allocation shared by the list and the index.
 #[derive(Debug, Default)]
 pub(crate) struct Interner {
-    pub(crate) names: Vec<String>,
-    index: HashMap<String, u32>,
+    pub(crate) names: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32>,
 }
 
 impl Interner {
@@ -519,8 +532,9 @@ impl Interner {
             return i;
         }
         let i = u32::try_from(self.names.len()).expect("interner overflow");
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), i);
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.index.insert(name, i);
         i
     }
 
@@ -573,9 +587,9 @@ impl MachineInterner {
         }
     }
 
-    /// Names `start..len()` in ref order: what a snapshot (from 0) and
-    /// a WAL frame's machine delta (from the last journaled length)
-    /// write out.
+    /// Names `start..len()` in ref order: a journaled frame's machine
+    /// delta (from the last journaled length; from 0 in the frame that
+    /// opens a snapshot generation).
     pub(crate) fn names_from(&self, start: usize) -> impl ExactSizeIterator<Item = &str> + '_ {
         (start..self.len()).map(|i| self.name(i as u32))
     }
@@ -739,9 +753,9 @@ impl Urr {
 
     /// The next sequence number that will be assigned — equivalently,
     /// the number of sequence slots claimed so far. Serves as the
-    /// repository's logical clock: the storage layer stamps WAL frames
-    /// and snapshots with it, and [`crate::UrrSnapshot`] reports it as
-    /// the frozen view's `as_of` watermark.
+    /// repository's logical clock: the storage layer stamps journaled
+    /// frames with it, and [`crate::UrrSnapshot`] reports it as the
+    /// frozen view's `as_of` watermark.
     pub fn next_seq(&self) -> u64 {
         self.seq.load(Ordering::Relaxed)
     }
@@ -776,8 +790,8 @@ impl Urr {
     /// [`Urr::intern_machines`] would. Which of the three happens
     /// depends on the repository's contents alone, and every query
     /// surface, snapshot and journal reads the same afterwards: the
-    /// adopted names are the first journaled frame's machine delta and
-    /// the head of a snapshot's machine list.
+    /// adopted names are the head of the first frame's machine delta,
+    /// in the journal and in a snapshot generation alike.
     ///
     /// # Panics
     ///
@@ -861,29 +875,50 @@ impl Urr {
             let release_count = self.releases.read().expect("urr poisoned").pairs.len();
             self.lock_shard(0)
                 .insert_interned(recs, start, sig_count, release_count);
-            self.note_batch(n);
-            return start..start + n;
+        } else {
+            self.insert_recs(
+                recs.iter()
+                    .enumerate()
+                    .map(|(i, r)| Rec::interned(r, start + i as u64)),
+            );
+        }
+        self.note_batch(n);
+        start..start + n
+    }
+
+    /// The stripe a record lives in: its signature's home stripe for a
+    /// failure, a hash of the machine id for a success.
+    fn home_shard(&self, sigs: &SigInterner, rec: &Rec) -> usize {
+        if rec.sig == NO_SIG {
+            (mix_u32(rec.machine) & self.shard_mask) as usize
+        } else {
+            sigs.shards[rec.sig as usize] as usize
+        }
+    }
+
+    /// Inserts a batch of records, taking each shard lock once: the one
+    /// routing loop under batched ingest, journaled ingest and replay.
+    /// `recs` is drained with the signature table read-locked, so it
+    /// must not intern.
+    pub(crate) fn insert_recs(&self, recs: impl ExactSizeIterator<Item = Rec>) {
+        if recs.len() == 0 {
+            return;
+        }
+        if self.shards.len() == 1 {
+            let mut guard = self.lock_shard(0);
+            guard.recs.reserve(recs.len());
+            for rec in recs {
+                guard.insert(rec);
+            }
+            return;
         }
         let sigs = self.sigs.read().expect("urr poisoned");
         let cap = recs.len() / self.shards.len() + 1;
         let mut by_shard: Vec<Vec<Rec>> = (0..self.shards.len())
             .map(|_| Vec::with_capacity(cap))
             .collect();
-        for (i, r) in recs.iter().enumerate() {
-            let (sig, shard) = match r.outcome {
-                InternedOutcome::Success => {
-                    (NO_SIG, (mix_u32(r.machine.0) & self.shard_mask) as usize)
-                }
-                InternedOutcome::Failure(sig) => (sig.0, sigs.shards[sig.index()] as usize),
-            };
-            by_shard[shard].push(Rec {
-                machine: r.machine.0,
-                cluster: r.cluster,
-                release: r.release.0,
-                seq: start + i as u64,
-                sig,
-                payload: None,
-            });
+        for rec in recs {
+            by_shard[self.home_shard(&sigs, &rec)].push(rec);
         }
         drop(sigs);
         for (shard, items) in by_shard.into_iter().enumerate() {
@@ -896,8 +931,6 @@ impl Urr {
                 guard.insert(rec);
             }
         }
-        self.note_batch(n);
-        start..start + n
     }
 
     /// Locks one shard, counting contention (a failed `try_lock`) into
@@ -919,8 +952,9 @@ impl Urr {
         self.telemetry.observe("urr.batch_size", n);
     }
 
-    /// Interns one boundary report and inserts it under `seq`.
-    fn insert_report(&self, report: Report, seq: u64) {
+    /// Lowers one boundary report to the record stored under `seq`,
+    /// interning its names.
+    pub(crate) fn lower(&self, report: Report, seq: u64) -> Rec {
         let machine = self.intern_machine(&report.machine).0;
         let release = self.intern_release(&report.package, &report.version).0;
         let (sig, detail) = match report.outcome {
@@ -937,19 +971,21 @@ impl Urr {
                 image: report.image,
             }))
         };
-        let shard = if sig == NO_SIG {
-            (mix_u32(machine) & self.shard_mask) as usize
-        } else {
-            self.sigs.read().expect("urr poisoned").shards[sig as usize] as usize
-        };
-        self.lock_shard(shard).insert(Rec {
+        Rec {
             machine,
             cluster: u32::try_from(report.cluster).expect("cluster id overflow"),
             release,
             seq,
             sig,
             payload,
-        });
+        }
+    }
+
+    /// Interns one boundary report and inserts it under `seq`.
+    fn insert_report(&self, report: Report, seq: u64) {
+        let rec = self.lower(report, seq);
+        let shard = self.home_shard(&self.sigs.read().expect("urr poisoned"), &rec);
+        self.lock_shard(shard).insert(rec);
     }
 
     // -- queries ------------------------------------------------------

@@ -7,8 +7,9 @@
 //! [`Urr`] **exactly**, across every query surface the repository
 //! exposes. A second suite feeds recovery a hostile-WAL corpus —
 //! truncated records, bit-flipped checksums, zero-length segments,
-//! duplicated tail frames, garbage appends — and requires a clean
-//! recovery or rejection, never a panic.
+//! duplicated tail frames, garbage appends, and snapshot generations
+//! that pass every checksum but are not the log they claim to be — and
+//! requires a clean recovery or rejection, never a panic.
 
 use std::sync::Arc;
 
@@ -192,9 +193,29 @@ fn assert_urr_identical(a: &Urr, b: &Urr, ctx: &str) {
     assert_eq!(a.snapshot(), b.snapshot(), "{ctx}: serve snapshot");
 }
 
-/// Drives `durable` with a random mixed stream; returns nothing — state
-/// accumulates in the durable repository and its store.
-fn drive(rng: &mut Rng, durable: &DurableUrr, machines: usize, clusters: usize, batches: usize) {
+/// Asserts each of `names` is interned under the same ref in both.
+fn assert_refs_identical(a: &Urr, b: &Urr, names: impl IntoIterator<Item = String>, ctx: &str) {
+    for name in names {
+        assert_eq!(
+            a.intern_machine(&name),
+            b.intern_machine(&name),
+            "{ctx}: {name} recovers its ref"
+        );
+    }
+}
+
+/// Drives `durable` with a random mixed stream; state accumulates in
+/// the durable repository and its store. Returns the machine names it
+/// interned ahead of any report for them — half never get one: they
+/// must recover their refs all the same.
+fn drive(
+    rng: &mut Rng,
+    durable: &DurableUrr,
+    machines: usize,
+    clusters: usize,
+    batches: usize,
+) -> Vec<String> {
+    let mut spares = Vec::new();
     for _ in 0..batches {
         match rng.below(4) {
             // Boundary single deposit.
@@ -222,10 +243,27 @@ fn drive(rng: &mut Rng, durable: &DurableUrr, machines: usize, clusters: usize, 
                     .expect("deposit_interned_batch");
             }
         }
+        // A fresh name, then an empty batch: no record of the batch
+        // refers to the name, so only a later frame's delta (or a
+        // snapshot's table) carries it, and the id of every name
+        // interned after it depends on it. The report that follows half
+        // the time finds the name already interned.
+        if rng.chance(20) {
+            let spare = format!("spare-{:x}", rng.next());
+            durable.urr().intern_machine(&spare);
+            let range = durable.deposit_interned_batch(&[]).expect("empty batch");
+            assert!(range.is_empty());
+            if rng.chance(50) {
+                let late = Report::success(spare.clone(), 0, "upgrade", "r1");
+                durable.deposit(late).expect("deposit");
+            }
+            spares.push(spare);
+        }
         if rng.chance(12) {
             durable.snapshot_now().expect("snapshot_now");
         }
     }
+    spares
 }
 
 /// The 24-case seeded recovery property:
@@ -236,7 +274,8 @@ fn urr_recovery_equivalence() {
     for case in 0..24 {
         let machines = 2 + rng.below(20);
         let clusters = 1 + rng.below(6);
-        let batches = rng.below(40);
+        // Case 0 is the empty repository: it snapshots and recovers.
+        let batches = if case == 0 { 0 } else { rng.below(40) };
         let config = DurableConfig {
             shards: 1 << (case % 4), // 1, 2, 4, 8
             // Mix manual-only, aggressive, and occasional auto-snapshots.
@@ -246,7 +285,10 @@ fn urr_recovery_equivalence() {
         let store = MemoryStore::with_segment_bytes(1 << (6 + case % 8));
         let handle = store.clone();
         let durable = DurableUrr::new(Box::new(store), config.clone()).expect("new");
-        drive(&mut rng, &durable, machines, clusters, batches);
+        let spares = drive(&mut rng, &durable, machines, clusters, batches);
+        if case == 0 {
+            durable.snapshot_now().expect("snapshot_now");
+        }
         // Crash: image the store at this instant and recover from it.
         let crashed = handle.fork();
         let (recovered, report) = DurableUrr::recover(Box::new(crashed), config).expect("recover");
@@ -254,7 +296,12 @@ fn urr_recovery_equivalence() {
             report.torn_tail, None,
             "case {case}: clean WAL has no torn tail"
         );
-        assert_urr_identical(durable.urr(), recovered.urr(), &format!("case {case}"));
+        if case == 0 {
+            assert!(report.snapshot_loaded, "an empty generation loads");
+        }
+        let ctx = format!("case {case}");
+        assert_urr_identical(durable.urr(), recovered.urr(), &ctx);
+        assert_refs_identical(durable.urr(), recovered.urr(), spares, &ctx);
     }
 }
 
@@ -274,11 +321,13 @@ fn urr_recovery_equivalence_fs() {
         };
         let store = FsStore::open_with_segment_bytes(&root, 512).expect("open");
         let durable = DurableUrr::new(Box::new(store), config.clone()).expect("new");
-        drive(&mut rng, &durable, 8, 4, 20);
+        let spares = drive(&mut rng, &durable, 8, 4, 20);
         let reopened = FsStore::open_with_segment_bytes(&root, 512).expect("reopen");
         let (recovered, report) = DurableUrr::recover(Box::new(reopened), config).expect("recover");
         assert_eq!(report.torn_tail, None, "fs case {case}");
-        assert_urr_identical(durable.urr(), recovered.urr(), &format!("fs case {case}"));
+        let ctx = format!("fs case {case}");
+        assert_urr_identical(durable.urr(), recovered.urr(), &ctx);
+        assert_refs_identical(durable.urr(), recovered.urr(), spares, &ctx);
         std::fs::remove_dir_all(&root).expect("cleanup");
     }
 }
@@ -348,7 +397,7 @@ fn adopted_fleet_recovery_equivalence() {
             "case {case}: dense after"
         );
 
-        drive(&mut rng, &durable, machines, clusters, 12);
+        let mut spares = drive(&mut rng, &durable, machines, clusters, 12);
         durable.snapshot_now().expect("snapshot_now");
 
         // One failure by name and one by ref for the same fleet machine:
@@ -384,19 +433,92 @@ fn adopted_fleet_recovery_equivalence() {
         assert_eq!(wider[..fleet], refs[..], "case {case}: fleet refs kept");
         assert_eq!(wider[machines - 1], outsider, "case {case}: outsider kept");
 
-        drive(&mut rng, &durable, machines, clusters, 12);
+        spares.extend(drive(&mut rng, &durable, machines, clusters, 12));
         let crashed = handle.fork();
         let (recovered, report) = DurableUrr::recover(Box::new(crashed), config).expect("recover");
         assert_eq!(report.torn_tail, None, "case {case}");
-        assert_urr_identical(urr, recovered.urr(), &format!("case {case}"));
-        for i in 0..machines {
-            let name = format!("m{i}");
-            assert_eq!(
-                recovered.urr().intern_machine(&name),
-                urr.intern_machine(&name),
-                "case {case}: {name} recovers its ref"
+        let ctx = format!("case {case}");
+        assert_urr_identical(urr, recovered.urr(), &ctx);
+        let fleet_and_outsiders = (0..machines).map(|i| format!("m{i}"));
+        assert_refs_identical(
+            urr,
+            recovered.urr(),
+            fleet_and_outsiders.chain(spares),
+            &ctx,
+        );
+    }
+}
+
+/// `shards` stripes, snapshots only where a test takes one.
+fn manual_snapshots(shards: usize) -> DurableConfig {
+    DurableConfig {
+        shards,
+        snapshot_every_batches: 0,
+        ..DurableConfig::default()
+    }
+}
+
+/// A generation is the log compacted, so it cannot outgrow it: a
+/// stream's first generation is no larger than the WAL it truncates,
+/// and a later one no larger than the generation before it plus the WAL
+/// it truncates — for payload-free and payload-carrying records alike.
+#[test]
+fn checkpoint_is_no_larger_than_the_log_it_replaces() {
+    for payloads in [false, true] {
+        let mut rng = Rng::new(0x5eed_0012);
+        let store = MemoryStore::new();
+        let handle = store.clone();
+        let durable = DurableUrr::new(Box::new(store), manual_snapshots(4)).expect("new");
+        let mut previous = 0;
+        for round in 0..3 {
+            for _ in 0..20 {
+                let len = 1 + rng.below(300);
+                if payloads {
+                    let batch = (0..len).map(|_| random_report(&mut rng, 500, 6)).collect();
+                    durable.deposit_batch(batch).expect("deposit_batch");
+                } else {
+                    let batch = random_interned_batch(&mut rng, durable.urr(), 500, 6, len);
+                    durable.deposit_interned_batch(&batch).expect("deposit");
+                }
+            }
+            let wal = handle.wal_bytes();
+            durable.snapshot_now().expect("snapshot_now");
+            assert_eq!(handle.wal_bytes(), 0, "the log is truncated");
+            let generation = handle.snapshots().expect("snapshots")[0].len();
+            assert!(
+                generation <= previous + wal,
+                "payloads={payloads} round {round}: a {generation}-byte generation replaced \
+                 {previous} + {wal} bytes"
             );
+            previous = generation;
         }
+    }
+}
+
+/// Nothing on disk knows the stripe count: a repository journaled and
+/// snapshotted at 4 stripes recovers at 1 and at 8, equal on every
+/// surface, with the stripes the recovering configuration asks for.
+#[test]
+fn recovered_repository_has_the_configured_stripes() {
+    let mut rng = Rng::new(0x5eed_0013);
+    let store = MemoryStore::with_segment_bytes(512);
+    let handle = store.clone();
+    let durable = DurableUrr::new(Box::new(store), manual_snapshots(4)).expect("new");
+    drive(&mut rng, &durable, 12, 5, 20);
+    durable.snapshot_now().expect("snapshot_now");
+    drive(&mut rng, &durable, 12, 5, 10);
+    for shards in [1, 8] {
+        let (recovered, report) =
+            DurableUrr::recover(Box::new(handle.fork()), manual_snapshots(shards))
+                .expect("recover");
+        assert!(report.snapshot_loaded);
+        assert_eq!(report.torn_tail, None);
+        assert_eq!(recovered.urr().shard_count(), shards);
+        assert_urr_identical(
+            durable.urr(),
+            recovered.urr(),
+            &format!("4 -> {shards} stripes"),
+        );
     }
 }
 
@@ -411,12 +533,7 @@ fn journaled_history(snapshot_mid: bool) -> (MemoryStore, DurableUrr) {
     let mut rng = Rng::new(0xc0_ffee);
     let store = MemoryStore::with_segment_bytes(256);
     let handle = store.clone();
-    let config = DurableConfig {
-        shards: 4,
-        snapshot_every_batches: 0,
-        ..DurableConfig::default()
-    };
-    let durable = DurableUrr::new(Box::new(store), config).expect("new");
+    let durable = DurableUrr::new(Box::new(store), manual_snapshots(4)).expect("new");
     for i in 0..12 {
         let batch: Vec<Report> = (0..1 + rng.below(6))
             .map(|_| random_report(&mut rng, 10, 4))
@@ -430,12 +547,7 @@ fn journaled_history(snapshot_mid: bool) -> (MemoryStore, DurableUrr) {
 }
 
 fn recover_must_not_panic(store: MemoryStore, live: &DurableUrr, ctx: &str) {
-    let config = DurableConfig {
-        shards: 4,
-        snapshot_every_batches: 0,
-        ..DurableConfig::default()
-    };
-    let (recovered, report) = DurableUrr::recover(Box::new(store), config)
+    let (recovered, report) = DurableUrr::recover(Box::new(store), manual_snapshots(4))
         .unwrap_or_else(|e| panic!("{ctx}: store error {e}"));
     // Whatever survived must be a *prefix* of the live history: never
     // more records than the live repository, and every answered query
@@ -461,10 +573,89 @@ fn recover_must_not_panic(store: MemoryStore, live: &DurableUrr, ctx: &str) {
     let _ = recovered.urr().snapshot();
 }
 
+/// Splits a run of frames at the boundaries their headers give
+/// (`magic u32 | kind u8 | payload_len u32 | crc32 u32 | payload`).
+fn frames(bytes: &[u8]) -> Vec<&[u8]> {
+    let mut out = Vec::new();
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let len = u32::from_le_bytes(rest[5..9].try_into().expect("4 bytes")) as usize;
+        let (frame, tail) = rest.split_at(13 + len);
+        out.push(frame);
+        rest = tail;
+    }
+    out
+}
+
+/// Generations whose every frame passes its checksum but which are not
+/// the log they claim to be. Each is rejected **whole**: recovery counts
+/// it, falls back to the generation before it, and shows no record of
+/// the bad one. The fallback cannot be lossless — the log between the
+/// two generations was truncated when the newer one landed — so the
+/// prefix ends at the older generation and `torn_tail` names the gap.
+fn crc_valid_but_wrong_generations_are_rejected_whole() {
+    // `records` interned records over `machines` machines, journaled
+    // in batches of 1 000.
+    let deposit = |durable: &DurableUrr, machines: usize, records: usize| {
+        let mut rng = Rng::new(0xbad_6e4);
+        let batch = random_interned_batch(&mut rng, durable.urr(), machines, 4, records);
+        for chunk in batch.chunks(1_000) {
+            durable.deposit_interned_batch(chunk).expect("deposit");
+        }
+    };
+    // An older generation of exactly one frame over three machines, a
+    // newer one of several frames over fifty, and a two-frame WAL tail.
+    let store = MemoryStore::new();
+    let handle = store.clone();
+    let live = DurableUrr::new(Box::new(store), manual_snapshots(4)).expect("new");
+    deposit(&live, 3, 4_096);
+    live.snapshot_now().expect("older generation");
+    let (older, _) =
+        DurableUrr::recover(Box::new(handle.fork()), manual_snapshots(4)).expect("recover");
+    deposit(&live, 50, 10_000);
+    live.snapshot_now().expect("newer generation");
+    deposit(&live, 50, 2_000);
+    let [newest, oldest] = &handle.snapshots().expect("snapshots")[..] else {
+        panic!("two generations are kept");
+    };
+    let (newest, oldest) = (frames(newest), frames(oldest));
+    assert!(newest.len() >= 4, "the generation spans several frames");
+    let tail = handle.wal_segments().expect("segments").concat();
+    let later = *frames(&tail).last().expect("tail frame");
+
+    let dropped = [&newest[..1], &newest[2..]].concat().concat();
+    // The older tables under the newer records: the second frame starts
+    // where the first ends, and names machines the tables lack.
+    let foreign = [&oldest[..], &newest[1..]].concat().concat();
+    let trailed = [newest.concat(), b"MRF1 garbage".to_vec()].concat();
+    let spliced = [&newest[..], &[later]].concat().concat();
+    for (shape, wrong) in [
+        ("a frame dropped from the middle", dropped),
+        ("a frame with an out-of-range id", foreign),
+        ("a generation followed by garbage", trailed),
+        ("a later WAL frame spliced in", spliced),
+    ] {
+        let crashed = handle.fork();
+        crashed.mutate(|_, snapshots| *snapshots.last_mut().expect("newest") = wrong);
+        let (recovered, report) = DurableUrr::recover(Box::new(crashed), manual_snapshots(4))
+            .unwrap_or_else(|e| panic!("{shape}: store error {e}"));
+        assert_eq!(report.snapshots_rejected, 1, "{shape}");
+        assert!(report.snapshot_loaded, "{shape}: fell back a generation");
+        assert!(report.torn_tail.is_some(), "{shape}: the gap is named");
+        assert_urr_identical(older.urr(), recovered.urr(), shape);
+    }
+    // Undamaged, the same image recovers everything.
+    let (recovered, report) =
+        DurableUrr::recover(Box::new(handle.fork()), manual_snapshots(4)).expect("ok");
+    assert_eq!((report.snapshots_rejected, report.torn_tail), (0, None));
+    assert_urr_identical(live.urr(), recovered.urr(), "undamaged");
+}
+
 /// Crash-consistency gate (run by name in CI, release mode): every
 /// shape in the hostile-WAL corpus — truncated record, bit-flipped
 /// checksum, zero-length segment, duplicated tail frame, garbage
-/// appends, torn snapshot — recovers or rejects cleanly. Never panics.
+/// appends, torn snapshot, checksummed-but-wrong snapshot — recovers or
+/// rejects cleanly. Never panics.
 #[test]
 fn hostile_wal_corpus_never_panics() {
     for snapshot_mid in [false, true] {
@@ -536,13 +727,8 @@ fn hostile_wal_corpus_never_panics() {
                 segments.push(last);
             }
         });
-        let config = DurableConfig {
-            shards: 4,
-            snapshot_every_batches: 0,
-            ..DurableConfig::default()
-        };
         let (recovered, report) =
-            DurableUrr::recover(Box::new(crashed), config).expect("recover dup tail");
+            DurableUrr::recover(Box::new(crashed), manual_snapshots(4)).expect("recover dup tail");
         assert!(report.frames_skipped > 0, "duplicate frames were skipped");
         assert_urr_identical(
             live.urr(),
@@ -588,6 +774,7 @@ fn hostile_wal_corpus_never_panics() {
                 });
                 recover_must_not_panic(crashed, &live, &format!("snapshot shape={shape}"));
             }
+            crc_valid_but_wrong_generations_are_rejected_whole();
         }
     }
 }
