@@ -248,6 +248,8 @@ pub const SUITES: &[Suite] = &[
             Row("storage/wal/append-fs-100k"),
             Row("storage/recover/wal-100k"),
             Row("storage/recover/snapshot-100k"),
+            Row("storage/serve/freeze-100k"),
+            Row("storage/serve/top-k-5-100k"),
             Row("storage/serve/mixed-read-write-100k"),
             // The 1M recovery measurement is a deliberate single-shot;
             // it must both exist and carry the marker.
@@ -261,6 +263,8 @@ pub const SUITES: &[Suite] = &[
             Flag("recovered_equal", true),
             Num("wal_append_memory_100k_reports_per_sec", above(0.0)),
             Num("wal_append_fs_100k_reports_per_sec", above(0.0)),
+            Num("freeze_100k_ms", above(0.0)),
+            Num("serve_top_k_5_100k_us", above(0.0)),
             Num("mixed_reads_per_sec", above(0.0)),
             Num("mixed_writes_per_sec", above(0.0)),
             // A non-positive recovery time is a clock error, not a

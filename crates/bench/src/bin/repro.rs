@@ -453,7 +453,7 @@ fn urr_perf(ctx: &Ctx) {
 /// crash-recovery time, and mixed read/write serving — and writes
 /// `BENCH_storage.json`.
 ///
-/// The report [`stream`] matches `urr-perf`. Five measurements plus one
+/// The report [`stream`] matches `urr-perf`. Seven measurements plus one
 /// scale row:
 ///
 /// * `storage/wal/append-memory-*` / `storage/wal/append-fs-*`: a fresh
@@ -469,6 +469,11 @@ fn urr_perf(ctx: &Ctx) {
 ///   steady-state shape. A generation is the log compacted into fewer
 ///   frames and goes through the same replay loop, so this row times
 ///   the same work as the one above, not a faster path;
+/// * `storage/serve/freeze-*` / `storage/serve/top-k-5-*`: one thread,
+///   one [`mirage_report::Urr::snapshot`] of that repository, and one
+///   [`mirage_report::UrrSnapshot::serve`] of a prepared `TopK(5)`
+///   frame from it — the two calls the campaign benchmark's
+///   `report.snapshot_freeze_s` and `report.serve_s` are made of;
 /// * `storage/serve/mixed-read-write-*`: reader threads answering the
 ///   serialized vendor protocol against a frozen
 ///   [`mirage_report::UrrSnapshot`] while a writer journals fresh
@@ -593,6 +598,16 @@ fn urr_store_perf(ctx: &Ctx) {
     let recover_snap = format!("storage/recover/snapshot-{}", volume_label(n_main));
     h.bench_ns(&recover_snap, || recover_ns(&snap_handle));
 
+    // --- Serving, one thread: what one freeze and one full-size answer
+    // cost, before the mixed row's writer grows the repository.
+    let mixed_durable = Arc::new(snap_durable);
+    let freeze = format!("storage/serve/freeze-{}", volume_label(n_main));
+    h.bench(&freeze, || mixed_durable.urr().snapshot());
+    let frozen = Arc::new(mixed_durable.urr().snapshot());
+    let top_k_frame = UrrRequest::TopK(5).to_frame();
+    let top_k = format!("storage/serve/top-k-5-{}", volume_label(n_main));
+    h.bench(&top_k, || frozen.serve(&top_k_frame).expect("serve"));
+
     // --- Mixed read/write serving: reader threads answer the binary
     // vendor protocol from a frozen snapshot view while a writer keeps
     // journaling fresh batches into the same repository — the vendor's
@@ -601,8 +616,6 @@ fn urr_store_perf(ctx: &Ctx) {
     let readers = 4usize;
     let reads_per_thread = if smoke { 300 } else { 2_000 };
     let writer_batches = if smoke { 4 } else { 16 };
-    let mixed_durable = Arc::new(snap_durable);
-    let frozen = Arc::new(mixed_durable.urr().snapshot());
     let request_frames: Arc<Vec<Vec<u8>>> = Arc::new(
         [
             UrrRequest::TopK(5),
@@ -669,9 +682,15 @@ fn urr_store_perf(ctx: &Ctx) {
     let mixed_writes = per_sec(min_ns(&mixed), writer_batches * 4_096);
     let recovery_wal_ms = min_ns(&recover_wal) as f64 / 1e6;
     let recovery_snap_ms = min_ns(&recover_snap) as f64 / 1e6;
+    let freeze_ms = min_ns(&freeze) as f64 / 1e6;
+    let top_k_us = min_ns(&top_k) as f64 / 1e3;
     println!(
         "=> journaled append: {append_mem_rate:.0}/s memory, {append_fs_rate:.0}/s fs; \
          recovery at {}: {recovery_wal_ms:.1} ms WAL-only, {recovery_snap_ms:.1} ms snapshot+tail",
+        volume_label(n_main)
+    );
+    println!(
+        "=> serving at {}: freeze {freeze_ms:.2} ms, one TopK(5) response {top_k_us:.1} us",
         volume_label(n_main)
     );
     println!(
@@ -689,7 +708,9 @@ fn urr_store_perf(ctx: &Ctx) {
              (untimed) and time DurableUrr::recover, from the WAL alone (wal rows) and from a \
              snapshot generation at 90% of the stream plus the WAL tail (snapshot rows) — a \
              generation is the log compacted into 4096-record frames and replays through the \
-             same loop, so the two time the same work and neither is a fast path; the mixed \
+             same loop, so the two time the same work and neither is a fast path; the freeze \
+             and top-k-5 rows are one Urr::snapshot and one UrrSnapshot::serve of a prepared \
+             TopK(5) frame on one thread over the snapshot-row repository; the mixed \
              row runs {readers} protocol readers on a frozen snapshot against one journaling \
              writer; recovered_equal compares every query surface of a recovered repository \
              to the live one",
@@ -707,6 +728,8 @@ fn urr_store_perf(ctx: &Ctx) {
             append_mem_rate.round(),
         )
         .set(&key("wal_append_fs", n_main, rate), append_fs_rate.round())
+        .set(&key("freeze", n_main, "ms"), round_to(freeze_ms, 2))
+        .set(&key("serve_top_k_5", n_main, "us"), round_to(top_k_us, 1))
         .set("mixed_readers", readers)
         .set("mixed_reads_per_sec", mixed_reads.round())
         .set("mixed_writes_per_sec", mixed_writes.round())

@@ -15,15 +15,43 @@
 //! [`UrrSnapshot::serve`] takes an encoded request frame and returns an
 //! encoded response frame, rejecting corrupt or hostile input with a
 //! typed [`WireError`] instead of panicking.
+//!
+//! # One pass per byte
+//!
+//! A response's bytes are written once and read once. There is one
+//! response encoder — a body writer per variant — and
+//! [`UrrSnapshot::serve`] runs it inside the frame it returns, over
+//! state borrowed from the snapshot, so no [`UrrResponse`] is built and
+//! no payload is copied behind a header; [`UrrResponse::to_frame`] runs
+//! the same writers over an owned value. A frozen group keeps its
+//! machine list already laid out as the wire's string list, so the
+//! freeze writes each name once and serving a group is a copy of that
+//! slice plus the frame checksum; only the typed accessors
+//! ([`UrrSnapshot::failure_groups`] and the like) allocate a `String`
+//! per name, when a caller asks for one.
+//!
+//! # What a freeze sees
+//!
+//! [`Urr::snapshot`] reads the watermark, then each surface (stats,
+//! groups, cluster rates, release summaries) in turn, each stripe by
+//! stripe under that stripe's lock. With ingest quiescent, or
+//! serialised with the freeze, the view is exact: it reflects the
+//! reports below [`UrrSnapshot::as_of`] and no others. Under concurrent
+//! ingest it is not a cut: every stripe is read consistently, but a
+//! deposit that lands between two reads shows in the later one only, so
+//! the surfaces may disagree by the reports in flight, a report below
+//! `as_of` whose deposit had claimed its number but not yet landed may
+//! be missing, and one at or above it may be present. `as_of` says when
+//! the freeze began, not where the data was cut.
 
 use std::collections::HashMap;
 use std::ops::Range;
 
-use crate::storage::frame::{decode_frame, encode_frame, KIND_REQUEST, KIND_RESPONSE};
+use crate::storage::frame::{decode_frame, encode_frame, put_frame, KIND_REQUEST, KIND_RESPONSE};
 use crate::storage::wire::{
     get_string_list, put_len, put_str, put_string_list, put_u64, put_u8, Cursor, WireError,
 };
-use crate::urr::{ClusterFailureRate, FailureGroup, ReleaseSummary, Urr, UrrStats};
+use crate::urr::{by_seq, ClusterFailureRate, FailureGroup, ReleaseSummary, Urr, UrrStats};
 
 // ---------------------------------------------------------------------
 // Frozen snapshot
@@ -40,7 +68,7 @@ pub struct UrrSnapshot {
     as_of: u64,
     stats: UrrStats,
     /// Failure groups in discovery order (`first_seen` ascending).
-    groups: Vec<FailureGroup>,
+    groups: Vec<FrozenGroup>,
     /// Indices into `groups`, ordered by (count desc, first_seen asc).
     ranked: Vec<usize>,
     /// Signature name → index into `groups`.
@@ -49,15 +77,49 @@ pub struct UrrSnapshot {
     releases: Vec<ReleaseSummary>,
 }
 
+/// A [`FailureGroup`] as the snapshot keeps it: the machine list is held
+/// once, already in the wire's string-list layout, so serving it is a
+/// copy and only a typed accessor pays for a `String` per name.
+#[derive(Debug, Clone, PartialEq)]
+struct FrozenGroup {
+    signature: String,
+    count: usize,
+    /// The machine names in first-report order, as [`put_string_list`]
+    /// writes them. The layout is canonical, so equal bytes are equal
+    /// lists.
+    machines: Vec<u8>,
+    clusters: Vec<usize>,
+    first_seen: u64,
+}
+
+impl FrozenGroup {
+    fn machines(&self) -> Vec<String> {
+        get_string_list(&mut Cursor::new(&self.machines), "frozen machines")
+            .expect("the snapshot wrote this list itself")
+    }
+
+    fn thaw(&self) -> FailureGroup {
+        FailureGroup {
+            signature: self.signature.clone(),
+            count: self.count,
+            machines: self.machines(),
+            clusters: self.clusters.clone(),
+            first_seen: self.first_seen,
+        }
+    }
+}
+
 impl Urr {
     /// Freezes the repository's query surfaces into an immutable
     /// [`UrrSnapshot`]. Building the snapshot walks the stripes with
     /// the same locks the live queries take; once built, reading it
-    /// takes none.
+    /// takes none. Each surface is read stripe by stripe, so a freeze
+    /// concurrent with ingest is not a cut (see the [module
+    /// docs](crate::serve#what-a-freeze-sees)).
     pub fn snapshot(&self) -> UrrSnapshot {
         let as_of = self.next_seq();
         let stats = self.stats();
-        let groups = self.failure_groups();
+        let groups = self.query(Urr::frozen_groups);
         let mut ranked: Vec<usize> = (0..groups.len()).collect();
         ranked.sort_by(|&a, &b| {
             groups[b]
@@ -80,11 +142,44 @@ impl Urr {
             releases: self.release_summaries(),
         }
     }
+
+    /// [`Urr::failure_groups`] with every machine list written once,
+    /// straight from the machine table into its wire layout. The table
+    /// locks are taken inside the stripe's, the order every other path
+    /// takes them in.
+    fn frozen_groups(&self) -> Vec<FrozenGroup> {
+        let mut out = Vec::new();
+        for shard in self.shards.iter() {
+            let shard = shard.lock().expect("urr poisoned");
+            let machines = self.machines.read().expect("urr poisoned");
+            let sigs = self.sigs.read().expect("urr poisoned");
+            for (sig, slot) in shard.groups.iter().enumerate() {
+                if slot.count == 0 {
+                    continue;
+                }
+                let mut wire = Vec::new();
+                put_string_list(
+                    &mut wire,
+                    by_seq(&slot.machine_order).map(|m| machines.name(m)),
+                );
+                out.push(FrozenGroup {
+                    signature: sigs.inner.name(sig as u32).to_string(),
+                    count: slot.count,
+                    machines: wire,
+                    clusters: by_seq(&slot.cluster_order).map(|c| c as usize).collect(),
+                    first_seen: slot.first_seen,
+                });
+            }
+        }
+        out.sort_by_key(|g| g.first_seen);
+        out
+    }
 }
 
 impl UrrSnapshot {
     /// The sequence-number watermark: every report with `seq <
-    /// as_of()` is reflected in this view.
+    /// as_of()` whose deposit had returned when the freeze began is
+    /// reflected in this view.
     pub fn as_of(&self) -> u64 {
         self.as_of
     }
@@ -96,16 +191,18 @@ impl UrrSnapshot {
 
     /// Mirror of [`Urr::failure_groups`] (discovery order).
     pub fn failure_groups(&self) -> Vec<FailureGroup> {
-        self.groups.clone()
+        self.groups.iter().map(FrozenGroup::thaw).collect()
+    }
+
+    /// The `k` largest groups, largest first.
+    fn top(&self, k: usize) -> impl ExactSizeIterator<Item = &FrozenGroup> {
+        let k = k.min(self.ranked.len());
+        self.ranked[..k].iter().map(|&i| &self.groups[i])
     }
 
     /// Mirror of [`Urr::top_k_failure_groups`].
     pub fn top_k_failure_groups(&self, k: usize) -> Vec<FailureGroup> {
-        self.ranked
-            .iter()
-            .take(k)
-            .map(|&i| self.groups[i].clone())
-            .collect()
+        self.top(k).map(FrozenGroup::thaw).collect()
     }
 
     /// Mirror of [`Urr::cluster_failure_rates`].
@@ -113,27 +210,31 @@ impl UrrSnapshot {
         self.rates.clone()
     }
 
+    fn group(&self, signature: &str) -> Option<&FrozenGroup> {
+        self.by_sig.get(signature).map(|&i| &self.groups[i])
+    }
+
     /// Mirror of [`Urr::machines_for_signature`].
     pub fn machines_for_signature(&self, signature: &str) -> Option<Vec<String>> {
-        self.by_sig
-            .get(signature)
-            .map(|&i| self.groups[i].machines.clone())
+        self.group(signature).map(FrozenGroup::machines)
     }
 
     /// Mirror of [`Urr::clusters_for_signature`].
     pub fn clusters_for_signature(&self, signature: &str) -> Option<Vec<usize>> {
-        self.by_sig
-            .get(signature)
-            .map(|&i| self.groups[i].clusters.clone())
+        self.group(signature).map(|g| g.clusters.clone())
+    }
+
+    /// The groups first seen in `window`: `groups` is in `first_seen`
+    /// order, so they are one run of it (empty for an inverted window).
+    fn seen_in(&self, window: Range<u64>) -> &[FrozenGroup] {
+        let lo = self.groups.partition_point(|g| g.first_seen < window.start);
+        let hi = self.groups.partition_point(|g| g.first_seen < window.end);
+        &self.groups[lo..hi.max(lo)]
     }
 
     /// Mirror of [`Urr::first_seen_in`].
     pub fn first_seen_in(&self, window: Range<u64>) -> Vec<FailureGroup> {
-        self.groups
-            .iter()
-            .filter(|g| window.contains(&g.first_seen))
-            .cloned()
-            .collect()
+        self.seen_in(window).iter().map(FrozenGroup::thaw).collect()
     }
 
     /// Mirror of [`Urr::release_summaries`].
@@ -146,10 +247,7 @@ impl UrrSnapshot {
         match request {
             UrrRequest::Stats => UrrResponse::Stats(self.stats()),
             UrrRequest::FailureGroups => UrrResponse::Groups(self.failure_groups()),
-            UrrRequest::TopK(k) => {
-                let k = usize::try_from(*k).unwrap_or(usize::MAX);
-                UrrResponse::Groups(self.top_k_failure_groups(k))
-            }
+            UrrRequest::TopK(k) => UrrResponse::Groups(self.top_k_failure_groups(top_k(*k))),
             UrrRequest::ClusterRates => UrrResponse::Rates(self.cluster_failure_rates()),
             UrrRequest::FirstSeenIn { start, end } => {
                 UrrResponse::Groups(self.first_seen_in(*start..*end))
@@ -167,9 +265,31 @@ impl UrrSnapshot {
     /// Decodes one request frame, answers it, and encodes the response
     /// frame. Corrupt, truncated, or hostile request bytes yield a
     /// typed error, never a panic.
+    ///
+    /// The frame holds the bytes `self.answer(&request).to_frame()`
+    /// would, written in place from the frozen state: no
+    /// [`UrrResponse`] is built on the way.
     pub fn serve(&self, request_frame: &[u8]) -> Result<Vec<u8>, WireError> {
         let request = UrrRequest::from_frame(request_frame)?;
-        Ok(self.answer(&request).to_frame())
+        let mut frame = Vec::new();
+        put_frame(&mut frame, KIND_RESPONSE, |p| match &request {
+            UrrRequest::Stats => put_stats(p, &self.stats),
+            UrrRequest::FailureGroups => put_groups(p, self.groups.iter().map(GroupRef::from)),
+            UrrRequest::TopK(k) => put_groups(p, self.top(top_k(*k)).map(GroupRef::from)),
+            UrrRequest::ClusterRates => put_rates(p, &self.rates),
+            UrrRequest::FirstSeenIn { start, end } => {
+                put_groups(p, self.seen_in(*start..*end).iter().map(GroupRef::from))
+            }
+            UrrRequest::MachinesForSignature { signature } => {
+                let group = self.group(signature);
+                put_machines(p, group.map(|g| MachineList::Wire(&g.machines)))
+            }
+            UrrRequest::ClustersForSignature { signature } => {
+                put_clusters(p, self.group(signature).map(|g| &g.clusters[..]))
+            }
+            UrrRequest::ReleaseSummaries => put_releases(p, &self.releases),
+        });
+        Ok(frame)
     }
 }
 
@@ -216,6 +336,11 @@ pub enum UrrRequest {
     },
     /// Per-release tallies ([`Urr::release_summaries`]).
     ReleaseSummaries,
+}
+
+/// A requested `k` as a count of groups: one past `usize` asks for all.
+fn top_k(k: u64) -> usize {
+    usize::try_from(k).unwrap_or(usize::MAX)
 }
 
 impl UrrRequest {
@@ -314,15 +439,128 @@ pub enum UrrResponse {
     Releases(Vec<ReleaseSummary>),
 }
 
-fn put_group(out: &mut Vec<u8>, g: &FailureGroup) {
-    put_str(out, &g.signature);
-    put_u64(out, g.count as u64);
-    put_string_list(out, &g.machines);
-    put_len(out, g.clusters.len());
-    for &c in &g.clusters {
+// The one response encoder: a body writer per variant, tag byte
+// included, called by `UrrResponse::to_frame` on owned values and by
+// `UrrSnapshot::serve` on the frozen state.
+
+/// A machine list on its way into a response.
+enum MachineList<'a> {
+    /// Names still to be laid out.
+    Names(&'a [String]),
+    /// A list [`put_string_list`] already laid out.
+    Wire(&'a [u8]),
+}
+
+/// A failure group on its way into a response, borrowed from an owned
+/// [`FailureGroup`] or from a frozen one.
+struct GroupRef<'a> {
+    signature: &'a str,
+    count: usize,
+    machines: MachineList<'a>,
+    clusters: &'a [usize],
+    first_seen: u64,
+}
+
+impl<'a> From<&'a FailureGroup> for GroupRef<'a> {
+    fn from(g: &'a FailureGroup) -> Self {
+        GroupRef {
+            signature: &g.signature,
+            count: g.count,
+            machines: MachineList::Names(&g.machines),
+            clusters: &g.clusters,
+            first_seen: g.first_seen,
+        }
+    }
+}
+
+impl<'a> From<&'a FrozenGroup> for GroupRef<'a> {
+    fn from(g: &'a FrozenGroup) -> Self {
+        GroupRef {
+            signature: &g.signature,
+            count: g.count,
+            machines: MachineList::Wire(&g.machines),
+            clusters: &g.clusters,
+            first_seen: g.first_seen,
+        }
+    }
+}
+
+fn put_machine_list(out: &mut Vec<u8>, machines: MachineList<'_>) {
+    match machines {
+        MachineList::Names(names) => put_string_list(out, names),
+        MachineList::Wire(bytes) => out.extend_from_slice(bytes),
+    }
+}
+
+fn put_cluster_list(out: &mut Vec<u8>, clusters: &[usize]) {
+    put_len(out, clusters.len());
+    for &c in clusters {
         put_u64(out, c as u64);
     }
-    put_u64(out, g.first_seen);
+}
+
+fn put_stats(out: &mut Vec<u8>, s: &UrrStats) {
+    put_u8(out, RESP_STATS);
+    put_u64(out, s.total as u64);
+    put_u64(out, s.successes as u64);
+    put_u64(out, s.failures as u64);
+    put_u64(out, s.distinct_failures as u64);
+    put_u64(out, s.image_bytes as u64);
+}
+
+fn put_groups<'a>(out: &mut Vec<u8>, groups: impl ExactSizeIterator<Item = GroupRef<'a>>) {
+    put_u8(out, RESP_GROUPS);
+    put_len(out, groups.len());
+    for g in groups {
+        put_str(out, g.signature);
+        put_u64(out, g.count as u64);
+        put_machine_list(out, g.machines);
+        put_cluster_list(out, g.clusters);
+        put_u64(out, g.first_seen);
+    }
+}
+
+fn put_rates(out: &mut Vec<u8>, rates: &[ClusterFailureRate]) {
+    put_u8(out, RESP_RATES);
+    put_len(out, rates.len());
+    for r in rates {
+        put_u64(out, r.cluster as u64);
+        put_u64(out, r.successes as u64);
+        put_u64(out, r.failures as u64);
+    }
+}
+
+fn put_machines(out: &mut Vec<u8>, machines: Option<MachineList<'_>>) {
+    put_u8(out, RESP_MACHINES);
+    match machines {
+        None => put_u8(out, 0),
+        Some(list) => {
+            put_u8(out, 1);
+            put_machine_list(out, list);
+        }
+    }
+}
+
+fn put_clusters(out: &mut Vec<u8>, clusters: Option<&[usize]>) {
+    put_u8(out, RESP_CLUSTERS);
+    match clusters {
+        None => put_u8(out, 0),
+        Some(list) => {
+            put_u8(out, 1);
+            put_cluster_list(out, list);
+        }
+    }
+}
+
+fn put_releases(out: &mut Vec<u8>, releases: &[ReleaseSummary]) {
+    put_u8(out, RESP_RELEASES);
+    put_len(out, releases.len());
+    for r in releases {
+        put_str(out, &r.package);
+        put_str(out, &r.version);
+        put_u64(out, r.successes as u64);
+        put_u64(out, r.failures as u64);
+    }
 }
 
 fn get_group(cur: &mut Cursor<'_>) -> Result<FailureGroup, WireError> {
@@ -344,16 +582,13 @@ fn get_group(cur: &mut Cursor<'_>) -> Result<FailureGroup, WireError> {
     })
 }
 
-fn put_groups(out: &mut Vec<u8>, groups: &[FailureGroup]) {
-    put_len(out, groups.len());
-    for g in groups {
-        put_group(out, g);
-    }
-}
+/// The fewest bytes a group takes on the wire: the signature's length
+/// prefix (4), the count (8), the two list lengths (4 + 4) and
+/// `first_seen` (8).
+const MIN_GROUP_LEN: usize = 4 + 8 + 4 + 4 + 8;
 
 fn get_groups(cur: &mut Cursor<'_>) -> Result<Vec<FailureGroup>, WireError> {
-    // A group is at least: 3 list lengths + count + first_seen (u64s).
-    let n = cur.list_len(4 * 2 + 8 * 2, "groups")?;
+    let n = cur.list_len(MIN_GROUP_LEN, "groups")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(get_group(cur)?);
@@ -364,64 +599,16 @@ fn get_groups(cur: &mut Cursor<'_>) -> Result<Vec<FailureGroup>, WireError> {
 impl UrrResponse {
     /// Encodes this response as one checksummed frame.
     pub fn to_frame(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        match self {
-            UrrResponse::Stats(s) => {
-                put_u8(&mut p, RESP_STATS);
-                put_u64(&mut p, s.total as u64);
-                put_u64(&mut p, s.successes as u64);
-                put_u64(&mut p, s.failures as u64);
-                put_u64(&mut p, s.distinct_failures as u64);
-                put_u64(&mut p, s.image_bytes as u64);
-            }
-            UrrResponse::Groups(groups) => {
-                put_u8(&mut p, RESP_GROUPS);
-                put_groups(&mut p, groups);
-            }
-            UrrResponse::Rates(rates) => {
-                put_u8(&mut p, RESP_RATES);
-                put_len(&mut p, rates.len());
-                for r in rates {
-                    put_u64(&mut p, r.cluster as u64);
-                    put_u64(&mut p, r.successes as u64);
-                    put_u64(&mut p, r.failures as u64);
-                }
-            }
-            UrrResponse::Machines(m) => {
-                put_u8(&mut p, RESP_MACHINES);
-                match m {
-                    None => put_u8(&mut p, 0),
-                    Some(list) => {
-                        put_u8(&mut p, 1);
-                        put_string_list(&mut p, list);
-                    }
-                }
-            }
-            UrrResponse::Clusters(c) => {
-                put_u8(&mut p, RESP_CLUSTERS);
-                match c {
-                    None => put_u8(&mut p, 0),
-                    Some(list) => {
-                        put_u8(&mut p, 1);
-                        put_len(&mut p, list.len());
-                        for &c in list {
-                            put_u64(&mut p, c as u64);
-                        }
-                    }
-                }
-            }
-            UrrResponse::Releases(rels) => {
-                put_u8(&mut p, RESP_RELEASES);
-                put_len(&mut p, rels.len());
-                for r in rels {
-                    put_str(&mut p, &r.package);
-                    put_str(&mut p, &r.version);
-                    put_u64(&mut p, r.successes as u64);
-                    put_u64(&mut p, r.failures as u64);
-                }
-            }
-        }
-        encode_frame(KIND_RESPONSE, &p)
+        let mut frame = Vec::new();
+        put_frame(&mut frame, KIND_RESPONSE, |p| match self {
+            UrrResponse::Stats(s) => put_stats(p, s),
+            UrrResponse::Groups(groups) => put_groups(p, groups.iter().map(GroupRef::from)),
+            UrrResponse::Rates(rates) => put_rates(p, rates),
+            UrrResponse::Machines(m) => put_machines(p, m.as_deref().map(MachineList::Names)),
+            UrrResponse::Clusters(c) => put_clusters(p, c.as_deref()),
+            UrrResponse::Releases(releases) => put_releases(p, releases),
+        });
+        frame
     }
 
     /// Decodes one response frame, rejecting anything malformed.
@@ -509,9 +696,12 @@ impl UrrResponse {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::image::ReportImage;
     use crate::report::Report;
+    use crate::urr::{InternedOutcome, InternedReport, MachineDirectory};
 
     fn populated() -> Urr {
         let urr = Urr::with_shards(4);
@@ -546,29 +736,92 @@ mod tests {
         urr
     }
 
+    /// A plan's machine table, as [`Urr::intern_fleet`] adopts one.
+    #[derive(Debug)]
+    struct Fleet(Vec<&'static str>);
+
+    impl MachineDirectory for Fleet {
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn name(&self, id: u32) -> &str {
+            self.0[id as usize]
+        }
+
+        fn id(&self, name: &str) -> Option<u32> {
+            self.0.iter().position(|n| *n == name).map(|i| i as u32)
+        }
+    }
+
+    /// A repository whose groups list machines from both halves of its
+    /// machine table — an adopted fleet directory and the names interned
+    /// after it — with names the wire layout must carry verbatim.
+    fn populated_on_a_fleet() -> Urr {
+        let urr = Urr::with_shards(4);
+        let fleet = urr.intern_fleet(Arc::new(Fleet(vec!["f0", "", "f\"2\"", "f3-日本語"])));
+        let release = urr.intern_release("mysql", "5.0.27");
+        let sig = urr.intern_signature("php/crash");
+        // By ref, fleet order reversed: the list is by sequence, not id.
+        let recs: Vec<InternedReport> = (fleet.iter().rev())
+            .map(|&machine| InternedReport {
+                machine,
+                cluster: 2,
+                release,
+                outcome: InternedOutcome::Failure(sig),
+            })
+            .collect();
+        urr.deposit_interned_batch(&recs);
+        for (machine, sig) in [
+            ("outsider\u{1}", "php/crash"),
+            ("f0", "ssl/handshake"),
+            ("outsider-🦀", "ssl/handshake"),
+            ("", "ssl/handshake"),
+        ] {
+            let image = ReportImage::default();
+            urr.deposit(Report::failure(
+                machine, 1, "mysql", "5.0.28", sig, "", image,
+            ));
+        }
+        urr
+    }
+
     #[test]
     fn snapshot_mirrors_every_live_surface() {
-        let urr = populated();
-        let snap = urr.snapshot();
-        assert_eq!(snap.as_of(), urr.next_seq());
-        assert_eq!(snap.stats(), urr.stats());
-        assert_eq!(snap.failure_groups(), urr.failure_groups());
-        for k in 0..4 {
-            assert_eq!(snap.top_k_failure_groups(k), urr.top_k_failure_groups(k));
+        for urr in [populated(), populated_on_a_fleet(), Urr::with_shards(2)] {
+            let snap = urr.snapshot();
+            assert_eq!(snap.as_of(), urr.next_seq());
+            assert_eq!(snap.stats(), urr.stats());
+            assert_eq!(snap.failure_groups(), urr.failure_groups());
+            for k in 0..4 {
+                assert_eq!(snap.top_k_failure_groups(k), urr.top_k_failure_groups(k));
+            }
+            assert_eq!(snap.cluster_failure_rates(), urr.cluster_failure_rates());
+            assert_eq!(snap.release_summaries(), urr.release_summaries());
+            // Whole, partial, inverted, empty, past the end.
+            for (start, end) in [(1, 3), (0, u64::MAX), (3, 1), (2, 2), (4, 9)] {
+                assert_eq!(
+                    snap.first_seen_in(start..end),
+                    urr.first_seen_in(start..end)
+                );
+            }
+            for sig in ["php/crash", "ssl/handshake", "nope"] {
+                assert_eq!(
+                    snap.machines_for_signature(sig),
+                    urr.machines_for_signature(sig)
+                );
+                assert_eq!(
+                    snap.clusters_for_signature(sig),
+                    urr.clusters_for_signature(sig)
+                );
+            }
         }
-        assert_eq!(snap.cluster_failure_rates(), urr.cluster_failure_rates());
-        assert_eq!(snap.release_summaries(), urr.release_summaries());
-        assert_eq!(snap.first_seen_in(1..3), urr.first_seen_in(1..3));
-        for sig in ["php/crash", "ssl/handshake", "nope"] {
-            assert_eq!(
-                snap.machines_for_signature(sig),
-                urr.machines_for_signature(sig)
-            );
-            assert_eq!(
-                snap.clusters_for_signature(sig),
-                urr.clusters_for_signature(sig)
-            );
-        }
+        let groups = populated_on_a_fleet().snapshot().failure_groups();
+        assert_eq!(
+            groups[0].machines,
+            ["f3-日本語", "f\"2\"", "", "f0", "outsider\u{1}"]
+        );
+        assert_eq!(groups[1].machines, ["f0", "outsider-🦀", ""]);
     }
 
     #[test]

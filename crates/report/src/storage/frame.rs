@@ -14,6 +14,13 @@
 //! shifts the checksum window (caught by the CRC with probability
 //! `1 - 2^-32`).
 //!
+//! [`put_frame`] is the one encoder: it writes the header, lets its
+//! caller encode the payload in place behind it, and patches in the
+//! length and checksum, so a frame's bytes are written once and read
+//! once (by the checksum). Encoder and decoder agree on what a frame may
+//! be: a payload over [`MAX_PAYLOAD`] is a panic to write and an
+//! [`WireError::Oversize`] to read.
+//!
 //! [`FrameScanner`] reads a run of frames front to back and implements
 //! the crash-tolerance contract: a clean end of input terminates the
 //! scan, while a torn, truncated, or corrupt record yields exactly one
@@ -29,8 +36,8 @@ pub(crate) const MAGIC: u32 = 0x3146_524d;
 /// Frame header length in bytes (magic + kind + len + crc).
 pub(crate) const HEADER_LEN: usize = 4 + 1 + 4 + 4;
 
-/// Largest accepted frame payload (bit-flipped lengths must not drive
-/// allocation).
+/// Largest frame payload, written or accepted (bit-flipped lengths
+/// must not drive allocation).
 pub(crate) const MAX_PAYLOAD: usize = 1 << 30;
 
 /// Frame kind: one journaled deposit batch. (Kind 2 is retired, not
@@ -44,6 +51,11 @@ pub(crate) const KIND_RESPONSE: u8 = 4;
 
 /// Appends one frame of the given kind to `buf`; `fill` writes the
 /// payload in place, so a frame costs no copy of its payload.
+///
+/// # Panics
+///
+/// Panics if `fill` writes more than [`MAX_PAYLOAD`] bytes: no reader
+/// would take the frame back.
 pub(crate) fn put_frame(buf: &mut Vec<u8>, kind: u8, fill: impl FnOnce(&mut Vec<u8>)) {
     put_u32(buf, MAGIC);
     put_u8(buf, kind);
@@ -52,7 +64,10 @@ pub(crate) fn put_frame(buf: &mut Vec<u8>, kind: u8, fill: impl FnOnce(&mut Vec<
     buf.extend_from_slice(&[0; 8]);
     fill(buf);
     let payload = &buf[len_at + 8..];
-    let len = u32::try_from(payload.len()).expect("frame payload exceeds u32");
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&len| len as usize <= MAX_PAYLOAD)
+        .expect("frame payload exceeds MAX_PAYLOAD");
     let crc = crc32(&[&[kind], payload]);
     buf[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
     buf[len_at + 4..len_at + 8].copy_from_slice(&crc.to_le_bytes());

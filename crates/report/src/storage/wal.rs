@@ -25,26 +25,30 @@
 //! is what makes the `recover(snapshot + WAL) == live` property hold by
 //! construction rather than by parallel-implementation luck. The live
 //! side writes a frame with [`encode_wal_frame`], straight from the
-//! repository's tables; [`WalFrame`] is what recovery decodes it into.
+//! repository's tables; [`WalFrame`] is what recovery decodes it into,
+//! its deltas still borrowed from the frame's bytes: replay only reads a
+//! name to intern it, and the interner makes the one copy that is kept.
 
 use crate::image::ReportImage;
 use crate::storage::wire::{
-    get_string_list, put_len, put_str, put_string_list, put_u32, put_u64, put_u8, Cursor, WireError,
+    get_str_list, get_string_list, put_len, put_str, put_string_list, put_u32, put_u64, put_u8,
+    Cursor, WireError,
 };
 use crate::urr::{Payload, Rec, Urr, NO_SIG};
 
-/// One journaled deposit batch.
+/// One journaled deposit batch, decoded from (and its names borrowing)
+/// the frame payload `'a`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct WalFrame {
+pub(crate) struct WalFrame<'a> {
     /// First sequence number claimed by the batch.
     pub(crate) start_seq: u64,
     /// Machine names interned since the previous frame (dense ids
     /// continue from the previous table length).
-    pub(crate) machine_delta: Vec<String>,
+    pub(crate) machine_delta: Vec<&'a str>,
     /// Signature names interned since the previous frame.
-    pub(crate) sig_delta: Vec<String>,
+    pub(crate) sig_delta: Vec<&'a str>,
     /// `(package, version)` releases interned since the previous frame.
-    pub(crate) release_delta: Vec<(String, String)>,
+    pub(crate) release_delta: Vec<(&'a str, &'a str)>,
     /// The batch records, in sequence order (`seq = start_seq + index`;
     /// the sequence number itself is not written).
     pub(crate) recs: Vec<Rec>,
@@ -110,7 +114,7 @@ pub(crate) fn encode_wal_frame<'n, 'r>(
     start_seq: u64,
     machine_delta: impl ExactSizeIterator<Item = &'n str>,
     sig_delta: &[impl AsRef<str>],
-    release_delta: &[(String, String)],
+    release_delta: &[(impl AsRef<str>, impl AsRef<str>)],
     recs: impl ExactSizeIterator<Item = &'r Rec>,
 ) {
     buf.reserve(64 + recs.len() * 17);
@@ -119,8 +123,8 @@ pub(crate) fn encode_wal_frame<'n, 'r>(
     put_string_list(buf, sig_delta);
     put_len(buf, release_delta.len());
     for (package, version) in release_delta {
-        put_str(buf, package);
-        put_str(buf, version);
+        put_str(buf, package.as_ref());
+        put_str(buf, version.as_ref());
     }
     put_len(buf, recs.len());
     for rec in recs {
@@ -132,18 +136,18 @@ pub(crate) fn encode_wal_frame<'n, 'r>(
     }
 }
 
-impl WalFrame {
+impl<'a> WalFrame<'a> {
     /// Decodes a frame payload, rejecting malformed input cleanly.
-    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+    pub(crate) fn decode(bytes: &'a [u8]) -> Result<Self, WireError> {
         let mut cur = Cursor::new(bytes);
         let start_seq = cur.u64("wal start_seq")?;
-        let machine_delta = get_string_list(&mut cur, "wal machine delta")?;
-        let sig_delta = get_string_list(&mut cur, "wal sig delta")?;
+        let machine_delta = get_str_list(&mut cur, "wal machine delta")?;
+        let sig_delta = get_str_list(&mut cur, "wal sig delta")?;
         let n_rel = cur.list_len(8, "wal release delta")?;
         let mut release_delta = Vec::with_capacity(n_rel);
         for _ in 0..n_rel {
-            let package = cur.str_("wal release package")?;
-            let version = cur.str_("wal release version")?;
+            let package = cur.str_ref("wal release package")?;
+            let version = cur.str_ref("wal release version")?;
             release_delta.push((package, version));
         }
         let n_recs = cur.list_len(17, "wal records")?;
@@ -217,6 +221,7 @@ impl WalFrame {
         if !self.machine_delta.is_empty() {
             let mut table = urr.machines.write().expect("urr poisoned");
             let first = table.len();
+            table.reserve(self.machine_delta.len());
             for (i, name) in self.machine_delta.iter().enumerate() {
                 next_id(table.intern(name), first, i)?;
             }
@@ -237,7 +242,7 @@ impl WalFrame {
 mod tests {
     use super::*;
 
-    impl WalFrame {
+    impl WalFrame<'_> {
         /// The encoder as it was while journaling still built an owned
         /// frame: the reference [`encode_wal_frame`] must match byte
         /// for byte.
@@ -269,12 +274,12 @@ mod tests {
         }
     }
 
-    fn encode_borrowed(frame: &WalFrame) -> Vec<u8> {
+    fn encode_borrowed(frame: &WalFrame<'_>) -> Vec<u8> {
         let mut buf = Vec::new();
         encode_wal_frame(
             &mut buf,
             frame.start_seq,
-            frame.machine_delta.iter().map(String::as_str),
+            frame.machine_delta.iter().copied(),
             &frame.sig_delta,
             &frame.release_delta,
             frame.recs.iter(),
@@ -283,7 +288,7 @@ mod tests {
     }
 
     /// A frame of `recs` and no deltas.
-    fn frame_of(start_seq: u64, recs: Vec<Rec>) -> WalFrame {
+    fn frame_of(start_seq: u64, recs: Vec<Rec>) -> WalFrame<'static> {
         WalFrame {
             start_seq,
             machine_delta: vec![],
@@ -311,12 +316,12 @@ mod tests {
         }
     }
 
-    fn sample_frame() -> WalFrame {
+    fn sample_frame() -> WalFrame<'static> {
         WalFrame {
             start_seq: 17,
-            machine_delta: vec!["m\"quote".into(), "日本語".into(), String::new()],
-            sig_delta: vec!["php/crash\n".into()],
-            release_delta: vec![("mysql".into(), "5.0.27".into())],
+            machine_delta: vec!["m\"quote", "日本語", ""],
+            sig_delta: vec!["php/crash\n"],
+            release_delta: vec![("mysql", "5.0.27")],
             recs: vec![
                 Rec {
                     cluster: 3,
@@ -357,6 +362,56 @@ mod tests {
             assert!(
                 WalFrame::decode(&bytes[..cut]).is_err(),
                 "truncation at byte {cut} decoded successfully"
+            );
+        }
+    }
+
+    /// The deltas are borrowed from the payload, not checked any less:
+    /// a name that is not UTF-8, one longer than the payload, and one
+    /// the payload ends inside are rejected as the owned decoder
+    /// rejected them, in each of the three tables.
+    #[test]
+    fn hostile_delta_names_are_rejected() {
+        let frame = WalFrame {
+            machine_delta: vec!["a-machine"],
+            sig_delta: vec!["a-signature"],
+            release_delta: vec![("a-package", "a-version")],
+            ..frame_of(3, vec![])
+        };
+        let bytes = frame.encode();
+        assert_eq!(WalFrame::decode(&bytes).unwrap(), frame);
+        for (name, what) in [
+            ("a-machine", "wal machine delta"),
+            ("a-signature", "wal sig delta"),
+            ("a-package", "wal release package"),
+            ("a-version", "wal release version"),
+        ] {
+            let at = (bytes.windows(name.len()))
+                .position(|w| w == name.as_bytes())
+                .unwrap();
+            let mut bad = bytes.clone();
+            bad[at + 1] = 0xff;
+            assert_eq!(
+                WalFrame::decode(&bad),
+                Err(WireError::InvalidUtf8),
+                "{what}"
+            );
+            let mut bad = bytes.clone();
+            let past = (bytes.len() - at + 1) as u32;
+            bad[at - 4..at].copy_from_slice(&past.to_le_bytes());
+            assert_eq!(
+                WalFrame::decode(&bad),
+                Err(WireError::Oversize { what }),
+                "{what}"
+            );
+            // What remains cannot hold the announced name (or, for a
+            // release, the announced pair).
+            assert!(
+                matches!(
+                    WalFrame::decode(&bytes[..at + 2]),
+                    Err(WireError::Oversize { .. })
+                ),
+                "{what}"
             );
         }
     }
@@ -407,10 +462,10 @@ mod tests {
         urr.intern_machine("m0");
         urr.intern_signature("s0");
         urr.intern_release("p", "v");
-        let deltas = |machine: &str, sig: &str, version: &str| WalFrame {
-            machine_delta: vec![machine.into()],
-            sig_delta: vec![sig.into()],
-            release_delta: vec![("p".into(), version.into())],
+        let deltas = |machine: &'static str, sig: &'static str, version: &'static str| WalFrame {
+            machine_delta: vec![machine],
+            sig_delta: vec![sig],
+            release_delta: vec![("p", version)],
             ..frame_of(0, vec![])
         };
         assert!(deltas("m1", "s1", "w").intern_deltas(&urr).is_ok());

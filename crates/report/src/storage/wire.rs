@@ -7,8 +7,15 @@
 //! bounds-checked [`Cursor`] that turns every malformed input —
 //! truncation, invalid UTF-8, absurd element counts, corrupt checksums
 //! — into a typed [`WireError`] instead of a panic or an unbounded
-//! allocation. A CRC-32 (IEEE) implementation lives here too; the frame
-//! layer checksums every record with it.
+//! allocation. The one CRC-32 (IEEE) lives here too; the frame layer
+//! checksums every record with it, so it is slicing-by-8 — eight bytes a
+//! step from eight compile-time tables — in portable safe code: the
+//! hardware `crc32` instruction computes the Castagnoli polynomial, a
+//! different checksum and so a different format.
+//!
+//! Readers borrow where the caller only looks: [`Cursor::str_ref`]
+//! returns the validated slice of the input, [`Cursor::str_`] is that
+//! plus the copy.
 
 use std::fmt;
 
@@ -73,11 +80,15 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, built at compile time.
+// CRC-32 (IEEE 802.3), slicing-by-8, tables built at compile time.
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
+/// is the checksum state after byte `b` and then `k` zero bytes, which
+/// is what lets eight input bytes be folded in with eight independent
+/// lookups instead of eight dependent ones.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -90,20 +101,46 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (IEEE) over the concatenation of `parts`.
+/// CRC-32 (IEEE) over the concatenation of `parts`: eight bytes a step
+/// within a part, one byte a step over what is left of it, the state
+/// carried from part to part.
 pub(crate) fn crc32(parts: &[&[u8]]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xffff_ffffu32;
     for part in parts {
-        for &b in *part {
-            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
+        let mut words = part.chunks_exact(8);
+        for w in &mut words {
+            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xff) as usize]
+                ^ t[6][(lo >> 8 & 0xff) as usize]
+                ^ t[5][(lo >> 16 & 0xff) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xff) as usize]
+                ^ t[2][(hi >> 8 & 0xff) as usize]
+                ^ t[1][(hi >> 16 & 0xff) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
         }
     }
     !crc
@@ -200,16 +237,20 @@ impl<'a> Cursor<'a> {
         usize::try_from(self.u64(what)?).map_err(|_| WireError::Oversize { what })
     }
 
-    /// Reads a `u32`-length-prefixed UTF-8 string.
-    pub(crate) fn str_(&mut self, what: &'static str) -> Result<String, WireError> {
+    /// Reads a `u32`-length-prefixed UTF-8 string, borrowed from the
+    /// input.
+    pub(crate) fn str_ref(&mut self, what: &'static str) -> Result<&'a str, WireError> {
         let len = self.u32(what)? as usize;
         if len > MAX_LEN || len > self.remaining() {
             return Err(WireError::Oversize { what });
         }
         let bytes = self.take(len, what)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_string)
-            .map_err(|_| WireError::InvalidUtf8)
+        std::str::from_utf8(bytes).map_err(|_| WireError::InvalidUtf8)
+    }
+
+    /// Reads a `u32`-length-prefixed UTF-8 string.
+    pub(crate) fn str_(&mut self, what: &'static str) -> Result<String, WireError> {
+        self.str_ref(what).map(str::to_string)
     }
 
     /// Reads a `u32` element count for a list whose elements are at
@@ -238,17 +279,36 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Reads a list of strings written as `put_len` + `put_str` each.
+/// Reads a list written as `put_len` + `put_str` each, every element
+/// through `elem`.
+fn get_list<'a, T>(
+    cur: &mut Cursor<'a>,
+    what: &'static str,
+    elem: impl Fn(&mut Cursor<'a>, &'static str) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let n = cur.list_len(4, what)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(elem(cur, what)?);
+    }
+    Ok(out)
+}
+
+/// Reads a list of strings written by [`put_string_list`].
 pub(crate) fn get_string_list(
     cur: &mut Cursor<'_>,
     what: &'static str,
 ) -> Result<Vec<String>, WireError> {
-    let n = cur.list_len(4, what)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(cur.str_(what)?);
-    }
-    Ok(out)
+    get_list(cur, what, Cursor::str_)
+}
+
+/// Reads a list of strings written by [`put_string_list`], each
+/// borrowed from the input.
+pub(crate) fn get_str_list<'a>(
+    cur: &mut Cursor<'a>,
+    what: &'static str,
+) -> Result<Vec<&'a str>, WireError> {
+    get_list(cur, what, Cursor::str_ref)
 }
 
 /// Writes a list of strings as `put_len` + `put_str` each.
@@ -277,6 +337,65 @@ mod tests {
             crc32(&[b"The quick brown fox jumps over the lazy dog"]),
             0x414f_a339
         );
+    }
+
+    /// The definition, a byte at a time and a bit at a time with no
+    /// table: the reference the slicing tables are checked against.
+    fn crc32_bytewise(parts: &[&[u8]]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in parts.iter().copied().flatten() {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn slicing_crc32_equals_the_bytewise_reference() {
+        // xorshift64 bytes.
+        let mut x = 0x5eed_0013_u64;
+        let buf: Vec<u8> = (0..96)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        // Every length around the 8-byte step, at every alignment.
+        for start in 0..8 {
+            for len in 0..=80 {
+                let part = &buf[start..start + len];
+                assert_eq!(
+                    crc32(&[part]),
+                    crc32_bytewise(&[part]),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        // The state carries across parts wherever they are cut, empty
+        // parts included.
+        let input = &buf[..40];
+        let whole = crc32_bytewise(&[input]);
+        for i in 0..=40 {
+            assert_eq!(crc32(&[&input[..i], &input[i..]]), whole, "split {i}");
+            for j in i..=40 {
+                assert_eq!(
+                    crc32(&[&input[..i], &input[i..j], &input[j..]]),
+                    whole,
+                    "split {i}, {j}"
+                );
+            }
+        }
+        // Each of the 2 048 table entries, not only the ones the seeded
+        // buffer happens to index: one word of eight bytes `b` reads
+        // entry `b` of tables 0..4 and entry `!b` of tables 4..8 (the
+        // state is all ones), and nothing after it can hide a wrong one.
+        for b in 0..=255u8 {
+            assert_eq!(crc32(&[&[b; 8]]), crc32_bytewise(&[&[b; 8]]), "byte {b}");
+        }
     }
 
     #[test]

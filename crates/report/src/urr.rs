@@ -350,6 +350,14 @@ pub(crate) struct GroupSlot {
     pub(crate) cluster_order: Vec<(u64, u32)>,
 }
 
+/// The ids of a `(seq of first report, id)` arrival list, in sequence
+/// order.
+pub(crate) fn by_seq(order: &[(u64, u32)]) -> impl ExactSizeIterator<Item = u32> {
+    let mut order = order.to_vec();
+    order.sort_unstable();
+    order.into_iter().map(|(_, id)| id)
+}
+
 impl Default for GroupSlot {
     fn default() -> Self {
         GroupSlot {
@@ -527,6 +535,13 @@ pub(crate) struct Interner {
 }
 
 impl Interner {
+    /// Makes room for `n` more names in the list and the index, so
+    /// interning them does not grow (and rehash) its way there.
+    fn reserve(&mut self, n: usize) {
+        self.names.reserve(n);
+        self.index.reserve(n);
+    }
+
     pub(crate) fn intern(&mut self, name: &str) -> u32 {
         if let Some(&i) = self.index.get(name) {
             return i;
@@ -564,6 +579,12 @@ pub(crate) struct MachineInterner {
 impl MachineInterner {
     pub(crate) fn len(&self) -> usize {
         self.fleet_len as usize + self.own.names.len()
+    }
+
+    /// Makes room for `n` names about to be interned. A hint: names
+    /// the table already holds only leave the room unused.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.own.reserve(n);
     }
 
     pub(crate) fn get(&self, name: &str) -> Option<u32> {
@@ -772,11 +793,10 @@ impl Urr {
 
     /// Bulk-interns a fleet of machine names (one write lock for all).
     pub fn intern_machines<'a>(&self, names: impl IntoIterator<Item = &'a str>) -> Vec<MachineRef> {
+        let names = names.into_iter();
         let mut table = self.machines.write().expect("urr poisoned");
-        names
-            .into_iter()
-            .map(|n| MachineRef(table.intern(n)))
-            .collect()
+        table.reserve(names.size_hint().0);
+        names.map(|n| MachineRef(table.intern(n))).collect()
     }
 
     /// Interns a whole fleet from its directory and returns each
@@ -992,7 +1012,7 @@ impl Urr {
 
     /// Runs a query closure, recording `urr.queries` and (when
     /// telemetry is live) an `urr.query_ns` latency sample.
-    fn query<T>(&self, f: impl FnOnce(&Self) -> T) -> T {
+    pub(crate) fn query<T>(&self, f: impl FnOnce(&Self) -> T) -> T {
         self.telemetry.counter("urr.queries", 1);
         if self.telemetry.enabled() {
             let t0 = Instant::now();
@@ -1009,18 +1029,13 @@ impl Urr {
     fn materialize(&self, sig: u32, slot: &GroupSlot) -> FailureGroup {
         let machines = self.machines.read().expect("urr poisoned");
         let sigs = self.sigs.read().expect("urr poisoned");
-        let mut machine_order = slot.machine_order.clone();
-        machine_order.sort_unstable();
-        let mut cluster_order = slot.cluster_order.clone();
-        cluster_order.sort_unstable();
         FailureGroup {
             signature: sigs.inner.name(sig).to_string(),
             count: slot.count,
-            machines: machine_order
-                .into_iter()
-                .map(|(_, m)| machines.name(m).to_string())
+            machines: by_seq(&slot.machine_order)
+                .map(|m| machines.name(m).to_string())
                 .collect(),
-            clusters: cluster_order.into_iter().map(|(_, c)| c as usize).collect(),
+            clusters: by_seq(&slot.cluster_order).map(|c| c as usize).collect(),
             first_seen: slot.first_seen,
         }
     }
@@ -1108,12 +1123,9 @@ impl Urr {
                 return None;
             }
             let machines = urr.machines.read().expect("urr poisoned");
-            let mut order = slot.machine_order.clone();
-            order.sort_unstable();
             Some(
-                order
-                    .into_iter()
-                    .map(|(_, m)| machines.name(m).to_string())
+                by_seq(&slot.machine_order)
+                    .map(|m| machines.name(m).to_string())
                     .collect(),
             )
         })
@@ -1129,9 +1141,7 @@ impl Urr {
             if slot.count == 0 {
                 return None;
             }
-            let mut order = slot.cluster_order.clone();
-            order.sort_unstable();
-            Some(order.into_iter().map(|(_, c)| c as usize).collect())
+            Some(by_seq(&slot.cluster_order).map(|c| c as usize).collect())
         })
     }
 

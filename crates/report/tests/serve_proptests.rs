@@ -119,6 +119,110 @@ fn request_response_frames_roundtrip_randomised() {
     }
 }
 
+const MACHINES: &[&str] = &[
+    "m0",
+    "",
+    "m \"quoted\"",
+    "m\\back\nslash\t",
+    "machine/日本語-🦀",
+    "ctl/\u{0001}\u{001f}\u{007f}",
+    "a-much-longer-machine-name-than-any-of-the-others-in-this-list",
+];
+
+/// Every request kind, at the edges: no groups and all of them, empty
+/// and inverted windows, signatures the repository never saw.
+fn edge_requests(as_of: u64) -> Vec<UrrRequest> {
+    let mut requests = vec![
+        UrrRequest::Stats,
+        UrrRequest::FailureGroups,
+        UrrRequest::ClusterRates,
+        UrrRequest::ReleaseSummaries,
+    ];
+    for k in [0, 1, 2, 5, 1000, u64::MAX] {
+        requests.push(UrrRequest::TopK(k));
+    }
+    for (start, end) in [
+        (0, u64::MAX),
+        (0, 0),
+        (as_of / 2, as_of / 2),
+        (as_of, 0),
+        (u64::MAX, 0),
+        (1, as_of / 2),
+        (as_of / 2, as_of + 7),
+        (as_of, u64::MAX),
+    ] {
+        requests.push(UrrRequest::FirstSeenIn { start, end });
+    }
+    for signature in SIGNATURES.iter().chain(&["never/seen", "php/crash "]) {
+        let signature = signature.to_string();
+        requests.push(UrrRequest::MachinesForSignature {
+            signature: signature.clone(),
+        });
+        requests.push(UrrRequest::ClustersForSignature { signature });
+    }
+    requests
+}
+
+/// The identity the serving path rests on: `UrrSnapshot::serve`
+/// encodes in place from the frozen view, `answer` + `to_frame` builds
+/// the typed response and encodes that, and the two frames are the same
+/// bytes — for every request kind, on repositories whose signatures and
+/// machine names are hostile, on the empty repository, and with the
+/// typed accessors still equal to the live repository's.
+#[test]
+fn serve_writes_the_bytes_answer_would() {
+    let mut rng = Rng::new(0x5eed_0013);
+    for case in 0..24 {
+        // Case 0 is the empty repository.
+        let reports = [0, 1, 7, 60, 300][case % 5] * usize::from(case > 0);
+        let urr = Urr::with_shards(1 << (case % 3));
+        for _ in 0..reports {
+            let machine = MACHINES[rng.below(MACHINES.len())];
+            let cluster = rng.below(5);
+            let version = ["5.0.27", "5.0.28", ""][rng.below(3)];
+            urr.deposit(if rng.chance(30) {
+                Report::success(machine, cluster, "mysql", version)
+            } else {
+                let signature = SIGNATURES[rng.below(SIGNATURES.len())];
+                let image = ReportImage::default();
+                Report::failure(machine, cluster, "mysql", version, signature, "d", image)
+            });
+        }
+        let snap = urr.snapshot();
+
+        assert_eq!(snap.failure_groups(), urr.failure_groups(), "case {case}");
+        assert_eq!(snap.stats(), urr.stats(), "case {case}");
+        for k in [0, 1, 3, usize::MAX] {
+            assert_eq!(
+                snap.top_k_failure_groups(k),
+                urr.top_k_failure_groups(k),
+                "case {case}: top {k}"
+            );
+        }
+
+        let mut requests = edge_requests(snap.as_of());
+        requests.extend((0..40).map(|_| random_request(&mut rng)));
+        for req in requests {
+            let served = snap.serve(&req.to_frame()).expect("a valid request");
+            let answered = snap.answer(&req);
+            assert_eq!(served, answered.to_frame(), "case {case}: {req:?}");
+            match &req {
+                UrrRequest::FirstSeenIn { start, end } => assert_eq!(
+                    answered,
+                    UrrResponse::Groups(urr.first_seen_in(*start..*end)),
+                    "case {case}: {req:?}"
+                ),
+                UrrRequest::MachinesForSignature { signature } => assert_eq!(
+                    answered,
+                    UrrResponse::Machines(urr.machines_for_signature(signature)),
+                    "case {case}: {req:?}"
+                ),
+                _ => {}
+            }
+        }
+    }
+}
+
 /// Every single-bit corruption and every truncation of valid request
 /// *and* response frames is rejected cleanly (or, for in-payload bits
 /// caught only by CRC, still never panics).
