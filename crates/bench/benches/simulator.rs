@@ -12,7 +12,7 @@ use std::sync::Arc;
 use mirage_bench::harness::Harness;
 use mirage_deploy::Balanced;
 use mirage_scenarios::deployment::{sound_scenario, ProblemPlacement};
-use mirage_sim::{run, run_with_telemetry, ScenarioBuilder};
+use mirage_sim::{ScenarioBuilder, Simulation};
 use mirage_telemetry::{Registry, Telemetry};
 
 fn main() {
@@ -23,22 +23,18 @@ fn main() {
     // (instrumentation compiled in, recorder absent) and a live registry
     // recording counters, spans, gauges and flight events.
     h.bench("simulator/fig10-100k/Balanced-telemetry-noop", || {
-        run_with_telemetry(
-            &scenario,
-            &mut Balanced::new(scenario.plan.clone(), 1.0).with_telemetry(Telemetry::noop()),
-            Telemetry::noop(),
-        )
-        .failed_tests
+        Simulation::new(&scenario)
+            .with_telemetry(Telemetry::noop())
+            .run(&mut Balanced::new(scenario.plan.clone(), 1.0).with_telemetry(Telemetry::noop()))
+            .failed_tests
     });
     h.bench("simulator/fig10-100k/Balanced-telemetry-live", || {
         let registry = Arc::new(Registry::new(8192));
         let telemetry = Telemetry::from_registry(registry);
-        run_with_telemetry(
-            &scenario,
-            &mut Balanced::new(scenario.plan.clone(), 1.0).with_telemetry(telemetry.clone()),
-            telemetry,
-        )
-        .failed_tests
+        Simulation::new(&scenario)
+            .with_telemetry(telemetry.clone())
+            .run(&mut Balanced::new(scenario.plan.clone(), 1.0).with_telemetry(telemetry))
+            .failed_tests
     });
 
     for reps in [1usize, 3, 10] {
@@ -48,7 +44,9 @@ fn main() {
             .problem_in_clusters("rare", &[19])
             .build();
         h.bench(&format!("simulator/reps-sweep/reps-{reps}"), || {
-            run(&scenario, &mut Balanced::new(scenario.plan.clone(), 1.0)).completion_time
+            Simulation::new(&scenario)
+                .run(&mut Balanced::new(scenario.plan.clone(), 1.0))
+                .completion_time
         });
     }
 
@@ -60,11 +58,12 @@ fn main() {
             .threshold(threshold)
             .build();
         h.bench(&format!("simulator/threshold-sweep/{threshold}"), || {
-            run(
-                &scenario,
-                &mut Balanced::new(scenario.plan.clone(), scenario.threshold),
-            )
-            .completion_time
+            Simulation::new(&scenario)
+                .run(&mut Balanced::new(
+                    scenario.plan.clone(),
+                    scenario.threshold,
+                ))
+                .completion_time
         });
     }
 }

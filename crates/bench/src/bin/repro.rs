@@ -32,7 +32,7 @@ use mirage_bench::harness::{black_box, fmt_ns, Harness};
 use mirage_bench::{bar, render_cdf, render_table};
 use mirage_cluster::ClusterQuality;
 use mirage_scenarios::{apps, deployment, firefox, mysql, survey};
-use mirage_sim::ScenarioBuilder;
+use mirage_sim::{ScenarioBuilder, Simulation};
 use mirage_telemetry::json::Value;
 
 /// What the command line selected, handed to every experiment.
@@ -1063,7 +1063,6 @@ fn trace(ctx: &Ctx) {
     use std::sync::Arc;
 
     use mirage_deploy::{Balanced, MachineId, ProblemId};
-    use mirage_sim::{run, run_with_telemetry};
     use mirage_telemetry::trace_export::chrome_trace;
     use mirage_telemetry::{Journal, Registry, Telemetry, TraceConfig};
 
@@ -1091,13 +1090,20 @@ fn trace(ctx: &Ctx) {
     h.bench_paired(
         "trace/plain-run",
         "trace/journaled-run",
-        || run(&scenario, &mut Balanced::new(scenario.plan.clone(), 1.0)).failed_tests,
+        || {
+            Simulation::new(&scenario)
+                .run(&mut Balanced::new(scenario.plan.clone(), 1.0))
+                .failed_tests
+        },
         || {
             bench_journal.reset();
             let telemetry = Telemetry::from_recorder(Arc::clone(&bench_journal) as _);
             let mut protocol =
                 Balanced::new(scenario.plan.clone(), 1.0).with_telemetry(telemetry.clone());
-            run_with_telemetry(&scenario, &mut protocol, telemetry).failed_tests
+            Simulation::new(&scenario)
+                .with_telemetry(telemetry)
+                .run(&mut protocol)
+                .failed_tests
         },
     );
     let plain = h.row("trace/plain-run");
@@ -1110,7 +1116,9 @@ fn trace(ctx: &Ctx) {
     let registry = Arc::new(Registry::with_journal(1024, Journal::with_spill(1 << 16)));
     let telemetry = Telemetry::from_registry(Arc::clone(&registry));
     let mut protocol = Balanced::new(scenario.plan.clone(), 1.0).with_telemetry(telemetry.clone());
-    let metrics = run_with_telemetry(&scenario, &mut protocol, telemetry);
+    let metrics = Simulation::new(&scenario)
+        .with_telemetry(telemetry)
+        .run(&mut protocol);
     let journal = registry.journal();
     let entries = journal.entries();
     let run_end = metrics.completion_time.unwrap_or_else(|| journal.now());
@@ -1179,7 +1187,7 @@ fn health(ctx: &Ctx) {
     use std::sync::Arc;
 
     use mirage_deploy::Balanced;
-    use mirage_sim::{run_with_telemetry, FaultSpec};
+    use mirage_sim::FaultSpec;
     use mirage_telemetry::health::{health_report_json, rollup};
     use mirage_telemetry::{HealthStatus, Journal, Registry, Telemetry, WatchdogConfig};
 
@@ -1196,7 +1204,9 @@ fn health(ctx: &Ctx) {
     let registry = Arc::new(Registry::with_journal(1024, Journal::with_spill(1 << 16)));
     let telemetry = Telemetry::from_registry(Arc::clone(&registry));
     let mut protocol = Balanced::new(scenario.plan.clone(), 1.0).with_telemetry(telemetry.clone());
-    let metrics = run_with_telemetry(&scenario, &mut protocol, telemetry);
+    let metrics = Simulation::new(&scenario)
+        .with_telemetry(telemetry)
+        .run(&mut protocol);
     println!(
         "  run: passed {}/{}, completion {:?}, retries {}, dropped {}",
         metrics.passed_count(),
@@ -1375,9 +1385,9 @@ fn optional(time: Option<u64>) -> Value {
 fn rollback_sweep(ctx: &Ctx) {
     use std::sync::Arc;
 
-    use mirage_core::{GuardSettings, ProtocolChoice, RolloutPlan, RolloutStrategy};
+    use mirage_core::{GuardSettings, ProtocolChoice, RolloutStrategy};
     use mirage_report::Urr;
-    use mirage_sim::{run_rollout_with_telemetry, FaultSpec};
+    use mirage_sim::FaultSpec;
     use mirage_telemetry::Telemetry;
 
     let smoke = ctx.smoke;
@@ -1441,13 +1451,11 @@ fn rollback_sweep(ctx: &Ctx) {
                     builder = builder.problem_in_clusters("fleet-regression", &everywhere);
                 }
                 let scenario = builder.build();
-                let exposure_limit =
-                    RolloutPlan::new(scenario.plan.clone(), strategy).exposure_limit();
-                let (m, outcome) = run_rollout_with_telemetry(
-                    &scenario,
-                    ProtocolChoice::Balanced,
-                    Telemetry::noop(),
-                );
+                let mut controller =
+                    scenario.rollout_controller(ProtocolChoice::Balanced, Telemetry::noop());
+                let exposure_limit = controller.plan().exposure_limit();
+                let m = Simulation::new(&scenario).run(&mut controller);
+                let outcome = controller.outcome();
                 let converged = m.converged(machines);
                 let rolled_back = outcome.rollback.is_some();
                 let exposed = outcome.rollback.map_or(0, |info| info.exposed_machines);
@@ -1558,8 +1566,7 @@ fn rollback_sweep(ctx: &Ctx) {
 /// loss {0, 20}%.
 fn sweep(ctx: &Ctx) {
     use mirage_deploy::ProtocolChoice;
-    use mirage_sim::{run_parallel_in, FaultSpec, SimArena};
-    use mirage_telemetry::Telemetry;
+    use mirage_sim::{FaultSpec, SimArena};
 
     const WORKERS: usize = 8;
     let smoke = ctx.smoke;
@@ -1598,13 +1605,10 @@ fn sweep(ctx: &Ctx) {
             for choice in protocols {
                 let mut protocol = choice.build(scenario.plan.clone(), threshold);
                 let t0 = Instant::now();
-                let m = run_parallel_in(
-                    &mut arena,
-                    &scenario,
-                    &mut protocol,
-                    Telemetry::noop(),
-                    WORKERS,
-                );
+                let m = Simulation::new(&scenario)
+                    .workers(WORKERS)
+                    .arena(&mut arena)
+                    .run(&mut protocol);
                 let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
                 let converged = m.passed_count() == total;
                 all_converged &= converged;
@@ -1648,7 +1652,7 @@ fn sweep(ctx: &Ctx) {
         format!(
             "{} machines ({clusters}x{size}), problems placed late; grid = protocol x threshold x loss with \
              duplication = loss/2, delay uniform 0..=10, rep_timeout 4000, seeded per loss \
-             rate; every cell runs through run_parallel_in on one shared SimArena; wall_ms is \
+             rate; every cell runs on the sharded driver in one shared SimArena; wall_ms is \
              informational (host-dependent)",
             clusters * size
         ),
@@ -1695,8 +1699,7 @@ fn sim_perf(ctx: &Ctx) {
     };
     use mirage_deploy::{Balanced, FrontLoading, NoStaging, Protocol};
     use mirage_sim::runner::reference::{run_reference, NamedScenario};
-    use mirage_sim::{run, run_parallel_in, Scenario, SimArena};
-    use mirage_telemetry::Telemetry;
+    use mirage_sim::{Scenario, SimArena};
 
     heading("Simulator performance (interned vs reference, sequential vs parallel)");
 
@@ -1736,7 +1739,7 @@ fn sim_perf(ctx: &Ctx) {
     // Sanity: the drivers agree on the full 100k scenario before any
     // timing (same equivalences the seeded proptests establish).
     for (name, make) in &fast {
-        let fast_m = run(&s100k, make(&s100k).as_mut());
+        let fast_m = Simulation::new(&s100k).run(make(&s100k).as_mut());
         let slow_m = run_reference(&named, slow(name, &named).as_mut());
         assert_eq!(
             fast_m, slow_m,
@@ -1745,10 +1748,13 @@ fn sim_perf(ctx: &Ctx) {
     }
     {
         let mut arena = SimArena::new();
-        let expect = run(&s100k, &mut Balanced::new(s100k.plan.clone(), 1.0));
+        let expect = Simulation::new(&s100k).run(&mut Balanced::new(s100k.plan.clone(), 1.0));
         for workers in [2usize, 4, 8] {
             let mut p = Balanced::new(s100k.plan.clone(), 1.0);
-            let got = run_parallel_in(&mut arena, &s100k, &mut p, Telemetry::noop(), workers);
+            let got = Simulation::new(&s100k)
+                .workers(workers)
+                .arena(&mut arena)
+                .run(&mut p);
             assert_eq!(
                 expect, got,
                 "parallel driver diverged at {workers} workers on the 100k scenario"
@@ -1762,13 +1768,17 @@ fn sim_perf(ctx: &Ctx) {
         h.bench_paired(
             &format!("sim/100k/interned/{name}"),
             &format!("sim/100k/reference/{name}"),
-            || run(&s100k, make(&s100k).as_mut()).failed_tests,
+            || {
+                Simulation::new(&s100k)
+                    .run(make(&s100k).as_mut())
+                    .failed_tests
+            },
             || run_reference(&named, slow(name, &named).as_mut()).failed_tests,
         );
     }
     for (name, make) in &fast {
         h.bench(&format!("sim/1m/interned/{name}"), || {
-            run(&s1m, make(&s1m).as_mut()).failed_tests
+            Simulation::new(&s1m).run(make(&s1m).as_mut()).failed_tests
         });
     }
 
@@ -1781,7 +1791,13 @@ fn sim_perf(ctx: &Ctx) {
     fn par_ns(s: &Scenario, arena: &mut SimArena, workers: usize) -> u64 {
         let mut p = Balanced::new(s.plan.clone(), 1.0);
         let t0 = Instant::now();
-        black_box(run_parallel_in(arena, s, &mut p, Telemetry::noop(), workers).failed_tests);
+        black_box(
+            Simulation::new(s)
+                .workers(workers)
+                .arena(arena)
+                .run(&mut p)
+                .failed_tests,
+        );
         t0.elapsed().as_nanos() as u64
     }
     for (s, size) in [(&s100k, "100k"), (&s1m, "1m")] {
@@ -1811,7 +1827,11 @@ fn sim_perf(ctx: &Ctx) {
     let mut arena10 = SimArena::new();
     let mut proto10 = Balanced::new(s10m.plan.clone(), 1.0);
     h.bench_scale("sim/10m/parallel/w8/Balanced", || {
-        run_parallel_in(&mut arena10, &s10m, &mut proto10, Telemetry::noop(), 8).failed_tests
+        Simulation::new(&s10m)
+            .workers(8)
+            .arena(&mut arena10)
+            .run(&mut proto10)
+            .failed_tests
     });
 
     let mut speedups = Vec::new();
@@ -1968,7 +1988,6 @@ fn telemetry_dump(ctx: &Ctx) {
     use mirage_deploy::Balanced;
     use mirage_env::RunInput;
     use mirage_scenarios::apache::ApacheScenario;
-    use mirage_sim::run_with_telemetry;
     use mirage_telemetry::{Registry, Telemetry};
 
     let Some(path) = ctx.telemetry.as_deref() else {
@@ -1987,7 +2006,9 @@ fn telemetry_dump(ctx: &Ctx) {
     let sim_scenario = deployment::sound_scenario(deployment::ProblemPlacement::Late);
     let mut protocol =
         Balanced::new(sim_scenario.plan.clone(), 1.0).with_telemetry(telemetry.clone());
-    let metrics = run_with_telemetry(&sim_scenario, &mut protocol, telemetry.clone());
+    let metrics = Simulation::new(&sim_scenario)
+        .with_telemetry(telemetry.clone())
+        .run(&mut protocol);
     println!(
         "  sim: overhead {}, completion {:?}",
         metrics.failed_tests, metrics.completion_time

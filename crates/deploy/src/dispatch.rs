@@ -164,14 +164,6 @@ impl Protocol for AnyProtocol {
         }
     }
 
-    fn absorb_pass_batch(&mut self, reports: &[(crate::MachineId, Release)]) -> bool {
-        match self {
-            AnyProtocol::NoStaging(p) => p.absorb_pass_batch(reports),
-            AnyProtocol::Balanced(p) => p.absorb_pass_batch(reports),
-            AnyProtocol::FrontLoading(p) => p.absorb_pass_batch(reports),
-        }
-    }
-
     fn on_release(&mut self, release: Release, fixed: &ProblemSet) -> Vec<Command> {
         match self {
             AnyProtocol::NoStaging(p) => p.on_release(release, fixed),

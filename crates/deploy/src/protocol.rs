@@ -121,38 +121,15 @@ pub trait Protocol {
     /// a waiver, or complete the deployment — the caller routes that
     /// report (and everything after it) through `on_report` as usual.
     ///
-    /// This is the batch fast path the parallel simulation driver leans
-    /// on: pass-report storms (the overwhelmingly common case in a
-    /// healthy fleet) collapse into a tight counter loop instead of a
-    /// per-report dispatch. The default absorbs nothing, which is
-    /// always correct.
+    /// This is the one batch contract a driver may lean on, and the
+    /// sharded simulation driver does, on both of its replay paths:
+    /// pass-report storms (the overwhelmingly common case in a healthy
+    /// fleet) collapse into a tight counter loop instead of a
+    /// per-report dispatch. The reports must be handed over in the
+    /// order `on_report` would have seen them. The default absorbs
+    /// nothing, which is always correct.
     fn absorb_passes(&mut self, _reports: &[(MachineId, Release)]) -> usize {
         0
-    }
-
-    /// Absorbs a whole batch of passing test reports in **one shot,
-    /// order-free** — or refuses and mutates nothing.
-    ///
-    /// Contract: returning `true` means every report in `reports` was
-    /// applied and the resulting state is exactly what `k` successive
-    /// silent [`Protocol::on_report`] calls (each with
-    /// [`TestOutcome::Pass`]) would have produced **in any order** —
-    /// which requires that no ordering of the batch could have emitted
-    /// a command, advanced a wave, backed out a waiver, or completed
-    /// the deployment part-way through. Returning `false` means the
-    /// batch was rejected *without any state change*; the caller must
-    /// route every report through the ordered path instead.
-    /// Implementations may reject conservatively; the default rejects
-    /// everything, which is always correct.
-    ///
-    /// This is the wave-scale fast path of the parallel simulation
-    /// driver: a time bucket whose reports all pass (the common case —
-    /// an entire cluster's machines reporting in one simulated instant)
-    /// collapses into two linear scans with no per-report dispatch and
-    /// no ordering constraint, so shards can hand over their reports
-    /// without a merge.
-    fn absorb_pass_batch(&mut self, _reports: &[(MachineId, Release)]) -> bool {
-        false
     }
 
     /// Handles the vendor shipping a corrected release.

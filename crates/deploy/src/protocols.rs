@@ -213,44 +213,6 @@ impl Protocol for NoStaging {
         absorbed
     }
 
-    /// Order-free all-or-nothing batch absorption (see
-    /// [`Protocol::absorb_pass_batch`]). A batch is safe exactly when no
-    /// applicable report un-waives a machine and the final pass count
-    /// stays short of completion: pass counting is monotone, so if the
-    /// final count is below the bound every intermediate ordering is
-    /// too. Duplicated machines in the batch are double-counted by the
-    /// check, which can only tighten the rejection.
-    fn absorb_pass_batch(&mut self, reports: &[(MachineId, Release)]) -> bool {
-        let total = self.machines.len();
-        let mut applicable = 0usize;
-        for &(m, r) in reports {
-            let idx = m.index();
-            if r.0 < self.notified_release[idx] || self.status[idx] == MachineStatus::Passed {
-                // Stale or duplicated delivery: a strict no-op in any order.
-                continue;
-            }
-            if self.waived.contains(m) {
-                // Un-waiving backs out completion arithmetic — slow path.
-                return false;
-            }
-            applicable += 1;
-        }
-        if !self.completed && self.passed + applicable + self.waived.len() >= total {
-            // Some ordering would flip `done()` mid-batch; the Complete
-            // command has to come out of the full `on_report` path.
-            return false;
-        }
-        for &(m, r) in reports {
-            let idx = m.index();
-            if r.0 < self.notified_release[idx] || self.status[idx] == MachineStatus::Passed {
-                continue;
-            }
-            self.status[idx] = MachineStatus::Passed;
-            self.passed += 1;
-        }
-        true
-    }
-
     fn on_release(&mut self, release: Release, fixed: &ProblemSet) -> Vec<Command> {
         self.release = release;
         let failed: Vec<MachineId> = self
@@ -723,123 +685,6 @@ impl StagedEngine {
         absorbed
     }
 
-    /// Order-free all-or-nothing batch absorption (see
-    /// [`Protocol::absorb_pass_batch`]). Acceptance requires that no
-    /// ordering of the batch could advance a wave: the engine is
-    /// quiescent on entry (`step()` ran after the previous mutation),
-    /// every transition guard is a monotone count reaching a fixed
-    /// bound, and the batch only increments counts — so checking the
-    /// *final* counts against every bound covers all orderings. The
-    /// order-sensitive cases (un-waiving, a literal rep of the active
-    /// cluster whose stage checks the reps list directly) are rejected
-    /// outright. Duplicated machines are double-counted by the check,
-    /// which can only tighten the rejection.
-    fn absorb_pass_batch(&mut self, reports: &[(MachineId, Release)]) -> bool {
-        // The phase/stage cannot move during the check (no mutation), so
-        // resolve the active cluster once.
-        let active = match self.phase {
-            Phase::Cluster(i) => match self.order.get(i) {
-                Some(&cid) => Some(cid),
-                // Inconsistent phase (step() should have drained) — be
-                // conservative rather than reason about it.
-                None => return false,
-            },
-            _ => None,
-        };
-        let mut applicable = 0usize;
-        let mut applicable_reps = 0usize;
-        let mut active_cluster_new = 0usize;
-        for &(m, r) in reports {
-            let idx = m.index();
-            if r.0 < self.notified_release[idx] || self.status[idx] == MachineStatus::Passed {
-                // Stale or duplicated delivery: a strict no-op in any order.
-                continue;
-            }
-            if self.waived.contains(m) {
-                // Un-waiving backs out wave arithmetic — slow path.
-                return false;
-            }
-            let cid = self.cluster_of[idx];
-            match self.phase {
-                Phase::GlobalReps => {
-                    if cid != NO_CLUSTER && self.counted_rep.contains(m) {
-                        applicable_reps += 1;
-                    }
-                }
-                Phase::Cluster(_) => {
-                    let active = active.expect("resolved above");
-                    match self.stage {
-                        ClusterStage::Reps => {
-                            if self.plan.clusters[active].reps.contains(&m) {
-                                // The stage waits on the literal reps
-                                // list; this pass could be the one it
-                                // waits for. Slow path.
-                                return false;
-                            }
-                        }
-                        ClusterStage::NonReps => {
-                            if cid == active as u32 {
-                                active_cluster_new += 1;
-                            }
-                        }
-                    }
-                }
-                Phase::Draining => {}
-            }
-            applicable += 1;
-        }
-        // Transition bounds against the final counts. Counts are
-        // monotone and move by 1 per applied report, so staying short of
-        // a bound at the end means every prefix in every order did too.
-        match self.phase {
-            Phase::GlobalReps => {
-                if applicable_reps > 0
-                    && self.reps_passed + applicable_reps + self.waived_reps >= self.total_reps
-                {
-                    return false;
-                }
-            }
-            Phase::Cluster(_) => {
-                if active_cluster_new > 0 {
-                    let active = active.expect("resolved above");
-                    let needed =
-                        ceil_threshold(self.plan.clusters[active].members.len(), self.threshold);
-                    if self.cluster_passed[active]
-                        + active_cluster_new
-                        + self.cluster_waived[active]
-                        >= needed
-                    {
-                        return false;
-                    }
-                }
-            }
-            Phase::Draining => {}
-        }
-        if !self.completed
-            && self.total_passed + applicable + self.waived.len() >= self.machines.len()
-        {
-            return false;
-        }
-        // Apply: the mirror of `on_report`'s pass path, transitions
-        // statically excluded above.
-        for &(m, r) in reports {
-            let idx = m.index();
-            if r.0 < self.notified_release[idx] || self.status[idx] == MachineStatus::Passed {
-                continue;
-            }
-            self.status[idx] = MachineStatus::Passed;
-            self.total_passed += 1;
-            let cid = self.cluster_of[idx];
-            if cid != NO_CLUSTER {
-                self.cluster_passed[cid as usize] += 1;
-                if self.counted_rep.contains(m) {
-                    self.reps_passed += 1;
-                }
-            }
-        }
-        true
-    }
-
     fn on_release(&mut self, release: Release, fixed: &ProblemSet) -> Vec<Command> {
         self.release = release;
         let failed: Vec<MachineId> = self
@@ -983,9 +828,6 @@ impl Protocol for Balanced {
     fn absorb_passes(&mut self, reports: &[(MachineId, Release)]) -> usize {
         self.engine.absorb_passes(reports)
     }
-    fn absorb_pass_batch(&mut self, reports: &[(MachineId, Release)]) -> bool {
-        self.engine.absorb_pass_batch(reports)
-    }
     fn on_release(&mut self, release: Release, fixed: &ProblemSet) -> Vec<Command> {
         self.engine.on_release(release, fixed)
     }
@@ -1049,9 +891,6 @@ impl Protocol for FrontLoading {
     }
     fn absorb_passes(&mut self, reports: &[(MachineId, Release)]) -> usize {
         self.engine.absorb_passes(reports)
-    }
-    fn absorb_pass_batch(&mut self, reports: &[(MachineId, Release)]) -> bool {
-        self.engine.absorb_pass_batch(reports)
     }
     fn on_release(&mut self, release: Release, fixed: &ProblemSet) -> Vec<Command> {
         self.engine.on_release(release, fixed)
@@ -1493,144 +1332,6 @@ mod tests {
                 assert!(slow.done(), "{} never completed", choice.name());
             }
         }
-    }
-
-    /// Drives every protocol to completion twice — once report-by-report,
-    /// once absorbing the first half of each wave through
-    /// `absorb_pass_batch` in *reversed* order (exercising the order-free
-    /// contract) — and checks the command streams stay identical whether
-    /// the batch was accepted or rejected.
-    #[test]
-    fn absorb_pass_batch_matches_on_report() {
-        use crate::dispatch::ProtocolChoice;
-
-        let pl = plan(&[
-            (&["a0", "a1", "a2", "a3"], 1, 1.0),
-            (&["b0", "b1", "b2", "b3"], 2, 2.0),
-        ]);
-        let mut accepted_batches = 0usize;
-        for choice in [
-            ProtocolChoice::NoStaging,
-            ProtocolChoice::Balanced,
-            ProtocolChoice::FrontLoading,
-            ProtocolChoice::RandomStaging { seed: 5 },
-        ] {
-            for threshold in [1.0, 0.75, 0.5] {
-                let mut slow = choice.build(pl.clone(), threshold);
-                let mut fast = choice.build(pl.clone(), threshold);
-                let mut slow_cmds = slow.start();
-                assert_eq!(slow_cmds, fast.start());
-                for round in 0..8 {
-                    let notified: Vec<(MachineId, Release)> = slow_cmds
-                        .iter()
-                        .flat_map(|c| match c {
-                            Command::Notify { machines, release } => {
-                                machines.iter().map(|&m| (m, *release)).collect()
-                            }
-                            Command::Complete => Vec::new(),
-                        })
-                        .collect();
-                    if notified.is_empty() {
-                        break;
-                    }
-                    // Duplicate every other report to exercise the
-                    // stale/duplicate skip arm of the batch check.
-                    let mut reports = Vec::new();
-                    for (i, &r) in notified.iter().enumerate() {
-                        reports.push(r);
-                        if i % 2 == 1 {
-                            reports.push(r);
-                        }
-                    }
-                    slow_cmds = Vec::new();
-                    for &(m, release) in &reports {
-                        slow_cmds.extend(slow.on_report(&TestReport {
-                            machine: m,
-                            release,
-                            outcome: TestOutcome::Pass,
-                        }));
-                    }
-                    let split = reports.len() / 2;
-                    let mut head: Vec<(MachineId, Release)> = reports[..split].to_vec();
-                    head.reverse();
-                    let accepted = fast.absorb_pass_batch(&head);
-                    if accepted {
-                        accepted_batches += 1;
-                    }
-                    let mut fast_cmds = Vec::new();
-                    let start = if accepted { split } else { 0 };
-                    for &(m, release) in &reports[start..] {
-                        fast_cmds.extend(fast.on_report(&TestReport {
-                            machine: m,
-                            release,
-                            outcome: TestOutcome::Pass,
-                        }));
-                    }
-                    // An accepted batch was, by contract, silent under the
-                    // slow path too, so the streams match either way.
-                    assert_eq!(
-                        slow_cmds,
-                        fast_cmds,
-                        "{} t={threshold} round {round}",
-                        choice.name()
-                    );
-                }
-                assert_eq!(slow.done(), fast.done(), "{}", choice.name());
-                assert!(slow.done(), "{} never completed", choice.name());
-            }
-        }
-        assert!(
-            accepted_batches > 0,
-            "the batch fast path never fired across the whole matrix"
-        );
-    }
-
-    /// The all-or-nothing arm: batches that would complete the
-    /// deployment, touch an active-stage representative, or un-waive a
-    /// machine are refused with no state change.
-    #[test]
-    fn absorb_pass_batch_rejects_transitions_atomically() {
-        // A batch completing NoStaging is refused; a partial batch lands
-        // and the closing report still emits Complete via on_report.
-        let pl = plan(&[(&["a", "b", "c"], 1, 1.0)]);
-        let id = |name: &str| pl.machine_id(name).expect("machine in plan");
-        let mut p = NoStaging::new(pl.clone());
-        p.start();
-        let all = [
-            (id("a"), Release(0)),
-            (id("b"), Release(0)),
-            (id("c"), Release(0)),
-        ];
-        assert!(
-            !p.absorb_pass_batch(&all),
-            "completing batch must be refused"
-        );
-        assert!(p.absorb_pass_batch(&all[..2]));
-        assert_eq!(p.on_report(&pass(&pl, "c", 0)), vec![Command::Complete]);
-
-        // A batch touching the active cluster's representative is
-        // refused while the stage waits on the literal reps list; a
-        // non-rep pass in the same state is absorbed.
-        let pl = plan(&[(&["r", "n1", "n2", "n3"], 1, 1.0), (&["x"], 1, 2.0)]);
-        let id = |name: &str| pl.machine_id(name).expect("machine in plan");
-        let mut p = Balanced::new(pl.clone(), 1.0);
-        p.start();
-        assert!(!p.absorb_pass_batch(&[(id("r"), Release(0))]));
-        assert!(p.absorb_pass_batch(&[(id("n1"), Release(0))]));
-
-        // A batch containing a waived machine is refused outright.
-        let pl = plan(&[(&["r", "n1", "n2", "n3"], 1, 1.0), (&["x"], 1, 2.0)]);
-        let id = |name: &str| pl.machine_id(name).expect("machine in plan");
-        let mut p = Balanced::new(pl.clone(), 1.0).with_rep_timeout(10);
-        p.start();
-        p.on_tick(5);
-        let cmds = p.on_tick(50);
-        assert!(
-            !cmds.is_empty(),
-            "stalled rep should be waived past the timeout"
-        );
-        assert!(!p.absorb_pass_batch(&[(id("r"), Release(0))]));
-        assert!(p.absorb_pass_batch(&[(id("n1"), Release(0))]));
     }
 
     #[test]

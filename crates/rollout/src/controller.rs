@@ -1,7 +1,7 @@
 //! The closed-loop rollout controller.
 //!
 //! [`RolloutController`] is a [`Protocol`]: it plugs into every
-//! existing driver (the sequential simulator, the live campaign pump)
+//! existing driver (the simulator's two, the live campaign pump)
 //! unchanged, because widening, holding, and rolling back are all
 //! expressed through the same `Notify`/`Complete` command vocabulary
 //! the staging protocols already speak. Nothing on the wire changed —
@@ -453,13 +453,6 @@ impl Protocol for RolloutController {
             // be affected by silently absorbed passes).
             Mode::Staged(inner) if self.rollback.is_none() => inner.absorb_passes(reports),
             _ => 0,
-        }
-    }
-
-    fn absorb_pass_batch(&mut self, reports: &[(MachineId, Release)]) -> bool {
-        match &mut self.mode {
-            Mode::Staged(inner) if self.rollback.is_none() => inner.absorb_pass_batch(reports),
-            _ => false,
         }
     }
 

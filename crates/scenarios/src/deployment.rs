@@ -18,7 +18,7 @@
 //! or last cluster of the deployment order.
 
 use mirage_deploy::{Balanced, FrontLoading, NoStaging, Protocol, ProtocolChoice};
-use mirage_sim::{latency_cdf, run, Scenario, ScenarioBuilder, SimMetrics, SimTime};
+use mirage_sim::{latency_cdf, Scenario, ScenarioBuilder, SimMetrics, SimTime, Simulation};
 
 /// Number of clusters in the paper's scenario.
 pub const CLUSTERS: usize = 20;
@@ -92,7 +92,7 @@ pub struct Curve {
 }
 
 fn curve(label: &str, scenario: &Scenario, protocol: &mut dyn Protocol) -> Curve {
-    let metrics = run(scenario, protocol);
+    let metrics = Simulation::new(scenario).run(protocol);
     let latencies = metrics.cluster_latencies(&scenario.plan, 1.0);
     Curve {
         label: label.to_string(),
@@ -221,7 +221,7 @@ pub fn run_protocol(scenario: &Scenario, name: &str) -> SimMetrics {
     if let Some(timeout) = scenario.faults.rep_timeout {
         protocol = protocol.with_rep_timeout(timeout);
     }
-    run(scenario, &mut protocol)
+    Simulation::new(scenario).run(&mut protocol)
 }
 
 #[cfg(test)]
@@ -244,27 +244,28 @@ mod tests {
     fn overheads_match_paper_formulas() {
         let s = small(ProblemPlacement::Late);
         let m = 5 * 50;
-        let nostaging = run(&s, &mut NoStaging::new(s.plan.clone()));
+        let nostaging = Simulation::new(&s).run(&mut NoStaging::new(s.plan.clone()));
         assert_eq!(nostaging.failed_tests, m, "NoStaging overhead = m");
-        let balanced = run(&s, &mut Balanced::new(s.plan.clone(), 1.0));
+        let balanced = Simulation::new(&s).run(&mut Balanced::new(s.plan.clone(), 1.0));
         assert_eq!(balanced.failed_tests, 3, "Balanced overhead = p");
-        let frontloading = run(&s, &mut FrontLoading::new(s.plan.clone(), 1.0));
+        let frontloading = Simulation::new(&s).run(&mut FrontLoading::new(s.plan.clone(), 1.0));
         assert_eq!(
             frontloading.failed_tests,
             3 + 2,
             "FrontLoading overhead = p + Cp"
         );
-        let random = run(
-            &s,
-            &mut Balanced::with_order(s.plan.clone(), s.plan.order_by_distance_asc(), 1.0),
-        );
+        let random = Simulation::new(&s).run(&mut Balanced::with_order(
+            s.plan.clone(),
+            s.plan.order_by_distance_asc(),
+            1.0,
+        ));
         assert_eq!(random.failed_tests, 3, "RandomStaging overhead = p");
     }
 
     #[test]
     fn nostaging_cdf_shape() {
         let s = small(ProblemPlacement::Late);
-        let m = run(&s, &mut NoStaging::new(s.plan.clone()));
+        let m = Simulation::new(&s).run(&mut NoStaging::new(s.plan.clone()));
         let cdf = latency_cdf(&m.cluster_latencies(&s.plan, 1.0));
         // 75 % of clusters pass at download+test = 15.
         assert_eq!(cdf[0], (15, 0.75));
@@ -276,8 +277,8 @@ mod tests {
     #[test]
     fn balanced_best_beats_frontloading_early_and_loses_late() {
         let s = small(ProblemPlacement::Late);
-        let balanced = run(&s, &mut Balanced::new(s.plan.clone(), 1.0));
-        let fl = run(&s, &mut FrontLoading::new(s.plan.clone(), 1.0));
+        let balanced = Simulation::new(&s).run(&mut Balanced::new(s.plan.clone(), 1.0));
+        let fl = Simulation::new(&s).run(&mut FrontLoading::new(s.plan.clone(), 1.0));
         let b_cdf = latency_cdf(&balanced.cluster_latencies(&s.plan, 1.0));
         let f_cdf = latency_cdf(&fl.cluster_latencies(&s.plan, 1.0));
         // Balanced's first cluster completes far earlier than
@@ -292,8 +293,8 @@ mod tests {
     fn balanced_worst_is_slower_early_than_best() {
         let best = small(ProblemPlacement::Late);
         let worst = small(ProblemPlacement::Early);
-        let b = run(&best, &mut Balanced::new(best.plan.clone(), 1.0));
-        let w = run(&worst, &mut Balanced::new(worst.plan.clone(), 1.0));
+        let b = Simulation::new(&best).run(&mut Balanced::new(best.plan.clone(), 1.0));
+        let w = Simulation::new(&worst).run(&mut Balanced::new(worst.plan.clone(), 1.0));
         let b_cdf = latency_cdf(&b.cluster_latencies(&best.plan, 1.0));
         let w_cdf = latency_cdf(&w.cluster_latencies(&worst.plan, 1.0));
         // Worst case hits the problems immediately: first completion late.
@@ -314,8 +315,8 @@ mod tests {
         };
         let first = build(0);
         let last = build(14);
-        let m_first = run(&first, &mut Balanced::new(first.plan.clone(), 1.0));
-        let m_last = run(&last, &mut Balanced::new(last.plan.clone(), 1.0));
+        let m_first = Simulation::new(&first).run(&mut Balanced::new(first.plan.clone(), 1.0));
+        let m_last = Simulation::new(&last).run(&mut Balanced::new(last.plan.clone(), 1.0));
         // Both runs pay one extra failure.
         assert_eq!(m_first.failed_tests, 4);
         assert_eq!(m_last.failed_tests, 4);

@@ -21,10 +21,18 @@
 //! order; each completed fix ships as a new release which failed machines
 //! re-test. It is written once, in the crate-private `vendor` module,
 //! and run by two drivers that differ only in how they order events:
-//! the sequential [`Simulation`] ([`run`], [`run_with_telemetry`],
-//! [`run_rollout_with_telemetry`]) pops one queue, the sharded
-//! [`parallel`] driver ([`run_parallel_in`]) merges per-shard queues
-//! and is bit-identical to it at any worker count.
+//! the sequential loop pops one queue, the sharded [`parallel`] driver
+//! merges per-shard queues and is bit-identical to it at any worker
+//! count, for every protocol.
+//!
+//! There is one way to start a run: [`Simulation`], a builder over the
+//! scenario ([`with_telemetry`](Simulation::with_telemetry),
+//! [`workers`](Simulation::workers), [`arena`](Simulation::arena))
+//! whose [`run`](Simulation::run) picks the driver from the worker
+//! count alone — one worker is the sequential oracle. A rollout is the
+//! same call over the controller [`Scenario::rollout_controller`]
+//! builds. ([`run_parallel_in`] and [`run_rollout_with_telemetry`] are
+//! that builder under two names the campaign benchmark still calls.)
 //!
 //! A scenario built with [`ScenarioBuilder::with_urr`] additionally
 //! deposits every vendor-received outcome into a shared
@@ -57,6 +65,6 @@ pub use faults::{FaultPlan, FaultRng, FaultSpec, RngLanes};
 pub use metrics::{latency_cdf, ClusterLatency, SimMetrics};
 pub use parallel::{run_parallel_in, SimArena, MAX_WORKERS};
 pub use rollout::run_rollout_with_telemetry;
-pub use runner::{run, run_with_telemetry, Simulation};
+pub use runner::Simulation;
 pub use scenario::{Scenario, ScenarioBuilder, Timings};
 pub use urr_sink::UrrSink;

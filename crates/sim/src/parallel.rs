@@ -1,7 +1,9 @@
 //! Sharded time-bucket parallel simulation driver.
 //!
-//! The sequential [`Simulation`] processes one event at a time off a
-//! single calendar queue. This driver runs the same vendor side
+//! The sequential loop in [`crate::runner`] processes one event at a
+//! time off a single calendar queue. This driver — what
+//! [`Simulation::run`](crate::Simulation::run) runs at more than one
+//! worker, whatever the protocol — runs the same vendor side
 //! (`vendor.rs`) over a different schedule: the [`MachineId`]
 //! space is sharded across `workers` shards
 //! (`machine.index() % workers`), every scheduled event is stamped with
@@ -10,9 +12,10 @@
 //!
 //! - **Phase A (shard-local, parallelizable):** each shard drains its
 //!   own calendar queue's bucket of `TestDone` records and computes the
-//!   *pure* part of each: pass/escape outcome (reads only the
-//!   append-only `fixed_by_release` history, which same-time events
-//!   cannot change for already-scheduled releases) and, under a fault
+//!   *pure* part of each: the test's outcome (the vendor side's one
+//!   `test_outcome`, which reads only the scenario and the append-only
+//!   `fixed_by_release` history, which same-time events cannot change
+//!   for already-scheduled releases) and, under a fault
 //!   plan, the machine's up-link fault draws from its own strided RNG
 //!   lane (per-machine streams, so draw order depends only on that
 //!   machine's event order — never on cross-shard interleaving). When
@@ -24,10 +27,17 @@
 //!   merged by sequence number and handed to the vendor side in exactly
 //!   the order the sequential driver would have popped them. Within a
 //!   merged bucket, maximal runs of passing reliable-channel records
-//!   collapse through [`Protocol::absorb_passes`], and a bucket that is
-//!   *all* passes with no observers attached (no flight events, no
-//!   journal, no URR, no faults) skips the merge entirely via the
-//!   order-free [`Protocol::absorb_pass_batch`].
+//!   collapse through [`Protocol::absorb_passes`].
+//!
+//! A bucket the driver can see needs no merge — no observer sensitive
+//! to per-event order (flight events, journal, URR), no faults, no
+//! coordinator event, and sequence numbers forming one contiguous range
+//! (one wave scheduled by a single `Notify`) — skips both phases: one
+//! placement pass drops each record into its slot and the pass segments
+//! between failures go through the same ordered
+//! [`Protocol::absorb_passes`]. Every other bucket, a plain one whose
+//! sequence numbers have gaps included (an offline straggler landing on
+//! a later wave), takes Phase A and the merge.
 //!
 //! Because sequence numbers are assigned at scheduling time by a single
 //! monotone counter and the sequential queue is FIFO within a
@@ -35,21 +45,24 @@
 //! processing order exactly — the two drivers are bit-identical in
 //! [`SimMetrics`], journal contents, flight events, and counter/gauge
 //! totals at any worker count (counter *increments* may batch on the
-//! fast path; their sums are identical).
+//! placement path; their sums are identical). That holds for tick-driven
+//! protocols too: a guarded rollout's decision ticks, guard queries and
+//! `PRIOR_RELEASE` revert wave replay in the same order on either
+//! driver (`guarded_rollout_matches_sequential_at_any_worker_count`).
 //!
 //! [`SimArena`] owns every queue and scratch buffer so sweep drivers
 //! re-running many configurations reuse allocations across runs.
 
-use mirage_deploy::{MachineId, MachineSet, ProblemId, ProblemSet, Protocol, Release, TestOutcome};
+use mirage_deploy::{MachineId, ProblemSet, Protocol, Release, TestOutcome, PRIOR_RELEASE};
 use mirage_telemetry::journal::{JournalEvent, NO_PROBLEM};
 use mirage_telemetry::{FlightEvent, Telemetry};
 
 use crate::engine::{Event, EventQueue, SimTime};
-use crate::faults::{FaultPlan, RngLanes};
+use crate::faults::RngLanes;
 use crate::metrics::SimMetrics;
 use crate::runner::Simulation;
 use crate::scenario::Scenario;
-use crate::vendor::{Lent, Schedule, Transmission, VendorSide};
+use crate::vendor::{test_outcome, Lent, Schedule, Transmission, VendorSide};
 
 /// Hard ceiling on the shard count. Shards beyond the fleet size add
 /// pure overhead, and determinism does not require more.
@@ -90,9 +103,11 @@ struct Shard {
     lanes: RngLanes,
 }
 
-/// Reusable state for [`run_parallel_in`]: every queue and scratch
-/// buffer the parallel driver needs, kept allocated across runs so
-/// sweep grids pay allocation cost once.
+/// Reusable state for the sharded driver, handed to a run with
+/// [`Simulation::arena`]: every queue and scratch buffer it needs,
+/// kept allocated across runs so sweep grids pay allocation cost once.
+/// Any run may follow any other in one arena — plain, faulted, guarded,
+/// at any worker count — with the result of a fresh one.
 #[derive(Debug, Default)]
 pub struct SimArena {
     shards: Vec<Shard>,
@@ -114,12 +129,17 @@ pub struct SimArena {
     /// need only one master-index entry.
     due_mark: Vec<SimTime>,
     escape_buf: Vec<u64>,
-    fail_buf: Vec<ShardTest>,
+    aside_buf: Vec<ShardTest>,
     pairs: Vec<(MachineId, Release)>,
     run_buf: Vec<TestRec>,
     heads: Vec<usize>,
     /// The vendor side's per-run buffers, lent for each run.
     lent: Lent,
+    /// Plain buckets with no coordinator event whose sequence numbers
+    /// had gaps, so that they took the merge and not the placement
+    /// pass: lets a test show it drove that shape.
+    #[cfg(test)]
+    gapped_plain_buckets: usize,
 }
 
 impl SimArena {
@@ -181,7 +201,7 @@ impl SimArena {
         self.due_mark.clear();
         self.due_mark.resize(workers + 1, SimTime::MAX);
         self.escape_buf.clear();
-        self.fail_buf.clear();
+        self.aside_buf.clear();
         self.pairs.clear();
         self.run_buf.clear();
         self.heads.clear();
@@ -195,10 +215,9 @@ impl SimArena {
 fn compute_shard(
     shard: &mut Shard,
     out: &mut Vec<TestRec>,
-    machine_problem: &[Option<ProblemId>],
-    missed: &MachineSet,
+    scenario: &Scenario,
     fixed: &[ProblemSet],
-    faults: Option<&FaultPlan>,
+    faults_active: bool,
     workers: usize,
 ) {
     for &ShardTest {
@@ -207,19 +226,15 @@ fn compute_shard(
         release,
     } in &shard.raw
     {
-        let mut passed = match machine_problem[machine.index()] {
-            None => true,
-            Some(problem) => fixed[release as usize].contains(problem),
-        };
-        let mut escaped = false;
-        if !passed && missed.contains(machine) {
-            passed = true;
-            escaped = true;
-        }
+        let (passed, escaped) = test_outcome(scenario, fixed, machine, release);
         // The machine's own up-link lane: the draws the sequential
         // driver makes when it pops this test, made ahead of replay.
-        let uplink = faults
-            .map(|faults| Transmission::draw(shard.lanes.lane(machine.index() / workers), faults));
+        let uplink = faults_active.then(|| {
+            Transmission::draw(
+                shard.lanes.lane(machine.index() / workers),
+                &scenario.faults,
+            )
+        });
         out.push(TestRec {
             seq,
             machine,
@@ -328,19 +343,22 @@ impl Schedule for ShardQueues<'_> {
 
 /// The parallel driver: the vendor side over [`ShardQueues`], plus the
 /// bucket machinery that replays merged buckets in sequential order.
-struct ParSim<'s, 'a> {
+/// [`Simulation::run`] is the one place that builds it.
+pub(crate) struct ParSim<'s, 'a> {
     vendor: VendorSide<'s, ShardQueues<'a>>,
     /// OS-level parallelism available for Phase A (1 on a single-core
     /// host: sharding still pays via batch absorption, honestly inline).
     threads: usize,
     /// No observers that are sensitive to per-event order (flight
-    /// events, journal, URR) and no faults: all-pass buckets may take
-    /// the order-free batch path.
+    /// events, journal, URR) and no faults: seq-contiguous buckets may
+    /// take the placement path.
     plain: bool,
 }
 
 impl<'s, 'a> ParSim<'s, 'a> {
-    fn new(
+    /// A driver over `scenario` at `workers` (already clamped, more
+    /// than one) shards, in `arena`.
+    pub(crate) fn new(
         arena: &'a mut SimArena,
         scenario: &'s Scenario,
         telemetry: Telemetry,
@@ -387,22 +405,19 @@ impl<'s, 'a> ParSim<'s, 'a> {
 
     /// Emits the driver-side effects of passes absorbed silently by the
     /// protocol (what the vendor side does for a reliable-channel pass,
-    /// minus the `on_report` the protocol already accounted for).
-    /// Counter increments batch across the chunk — their *sums* match
-    /// the sequential per-event emissions.
+    /// minus the `on_report` the protocol already accounted for); each
+    /// pass is recorded by the vendor side's one `note_pass`. The
+    /// `sim.events_processed` increment batches across the chunk — its
+    /// *sum* matches the sequential per-event emissions.
     fn absorbed_pass_effects(&mut self, chunk: &[TestRec]) {
         let vendor = &mut self.vendor;
-        let now = vendor.now;
         let mut escaped = 0u64;
         for rec in chunk {
             if rec.escaped {
                 escaped += 1;
                 vendor.metrics.escaped_problems += 1;
             }
-            let slot = &mut vendor.metrics.machine_pass_time[rec.machine.index()];
-            if slot.is_none() {
-                *slot = Some(now);
-            }
+            vendor.note_pass(rec.machine, rec.release);
         }
         if !self.plain {
             for rec in chunk {
@@ -426,9 +441,6 @@ impl<'s, 'a> ParSim<'s, 'a> {
         vendor
             .telemetry
             .counter("sim.events_processed", chunk.len() as u64);
-        vendor
-            .telemetry
-            .counter("sim.tests_passed", chunk.len() as u64);
         if escaped > 0 {
             vendor.telemetry.counter("sim.escaped_problems", escaped);
         }
@@ -466,11 +478,11 @@ impl<'s, 'a> ParSim<'s, 'a> {
         }
     }
 
-    /// Ordered replay of an all-pass plain bucket whose `pairs` are
-    /// already in global sequence order, without materialized records:
-    /// absorb maximal prefixes, fully replay each stage-completing
-    /// pass, repeat. `escapes` holds the (sorted) bucket-relative
-    /// positions of passes that escaped detection.
+    /// Ordered replay of a plain bucket's segment of upgrade passes
+    /// whose `pairs` are already in global sequence order, without
+    /// materialized records: absorb maximal prefixes, fully replay each
+    /// stage-completing pass, repeat. `escapes` holds the (sorted)
+    /// bucket-relative positions of passes that escaped detection.
     fn replay_ordered_passes(
         &mut self,
         protocol: &mut dyn Protocol,
@@ -522,7 +534,7 @@ impl<'s, 'a> ParSim<'s, 'a> {
         }
     }
 
-    fn run(mut self, protocol: &mut dyn Protocol) -> SimMetrics {
+    pub(crate) fn run(mut self, protocol: &mut dyn Protocol) -> SimMetrics {
         let _span = self.vendor.telemetry.span("sim.run");
         self.vendor.start(protocol);
         let workers = self.vendor.sched.workers;
@@ -539,7 +551,7 @@ impl<'s, 'a> ParSim<'s, 'a> {
         let mut due_buf = std::mem::take(&mut arena.due_buf);
         let mut due_flags = std::mem::take(&mut arena.due_flags);
         let mut escape_buf = std::mem::take(&mut arena.escape_buf);
-        let mut fail_buf = std::mem::take(&mut arena.fail_buf);
+        let mut aside_buf = std::mem::take(&mut arena.aside_buf);
 
         loop {
             // The next time bucket comes from the master index, which
@@ -559,7 +571,7 @@ impl<'s, 'a> ParSim<'s, 'a> {
 
             // Phase A, step 1: drain each shard's bucket. Record
             // computation is deferred until the bucket's replay path is
-            // known — all-pass plain buckets never materialize records.
+            // known — the placement path never materializes records.
             let mut total = 0usize;
             let mut min_seq = u64::MAX;
             let mut max_seq = 0u64;
@@ -595,33 +607,33 @@ impl<'s, 'a> ParSim<'s, 'a> {
             // materialized.
             if self.plain && contiguous && coord_buf.is_empty() {
                 // One placement pass per shard computes each record's
-                // outcome, stamps pass times, places passes into
-                // `pairs` by global sequence, and sets failing records
-                // aside (with their global position stashed in `seq`).
-                // Stamping before replay is equivalent: every pass in
-                // this bucket receives time `t` on whichever sub-path
-                // replays it.
+                // outcome, stamps pass times, places upgrade passes
+                // into `pairs` by global sequence, and sets aside (with
+                // their global position stashed in `seq`) the records
+                // that need the full per-record path: failures, and
+                // revert confirmations, which `note_pass` records as
+                // reverts, not as passes. Stamping before replay is
+                // equivalent: every upgrade pass in this bucket
+                // receives time `t` on whichever sub-path replays it.
                 escape_buf.clear();
                 pairs.clear();
                 pairs.resize(total, (MachineId(0), Release(0)));
-                fail_buf.clear();
+                aside_buf.clear();
                 {
                     let vendor = &mut self.vendor;
-                    let machine_problem = &vendor.scenario.machine_problem[..];
-                    let missed = &vendor.scenario.missed_detection;
                     let fixed = &vendor.fixed_by_release[..];
                     let pass_time = &mut vendor.metrics.machine_pass_time[..];
                     for shard in &vendor.sched.arena.shards {
                         for st in &shard.raw {
                             let pos = st.seq - min_seq;
-                            if let Some(problem) = machine_problem[st.machine.index()] {
-                                if !fixed[st.release as usize].contains(problem) {
-                                    if !missed.contains(st.machine) {
-                                        fail_buf.push(ShardTest { seq: pos, ..*st });
-                                        continue;
-                                    }
-                                    escape_buf.push(pos);
-                                }
+                            let (passed, escaped) =
+                                test_outcome(vendor.scenario, fixed, st.machine, st.release);
+                            if !passed || st.release == PRIOR_RELEASE.0 {
+                                aside_buf.push(ShardTest { seq: pos, ..*st });
+                                continue;
+                            }
+                            if escaped {
+                                escape_buf.push(pos);
                             }
                             pairs[pos as usize] = (st.machine, Release(st.release));
                             let slot = &mut pass_time[st.machine.index()];
@@ -635,18 +647,18 @@ impl<'s, 'a> ParSim<'s, 'a> {
                 // collected per shard need one merge-sort each (both
                 // are concatenations of sorted runs — cheap).
                 escape_buf.sort_unstable();
-                fail_buf.sort_unstable_by_key(|st| st.seq);
+                aside_buf.sort_unstable_by_key(|st| st.seq);
 
-                // Walk the bucket as pass segments separated by
-                // failures: each segment absorbs via ordered
+                // Walk the bucket as pass segments separated by the
+                // records set aside: each segment absorbs via ordered
                 // maximal-prefix absorption (a transition-free segment
-                // is a single `absorb_passes` call — the ordered twin
-                // of the order-free batch, which still serves the
-                // non-contiguous path below); each failure replays
-                // through the full protocol path in order.
+                // is a single `absorb_passes` call); each record set
+                // aside replays through the full protocol path in
+                // order. Its outcome is worked out again here rather
+                // than carried: the release history is append-only.
                 let mut start = 0usize;
                 let mut esc_lo = 0usize;
-                for f in &fail_buf {
+                for f in &aside_buf {
                     let pos = f.seq as usize;
                     if pos > start {
                         let hi =
@@ -659,7 +671,13 @@ impl<'s, 'a> ParSim<'s, 'a> {
                         );
                         esc_lo = hi;
                     }
-                    self.replay_test(protocol, f.machine, f.release, (false, false), None);
+                    let outcome = test_outcome(
+                        self.vendor.scenario,
+                        &self.vendor.fixed_by_release,
+                        f.machine,
+                        f.release,
+                    );
+                    self.replay_test(protocol, f.machine, f.release, outcome, None);
                     start = pos + 1;
                 }
                 if start < total {
@@ -672,61 +690,9 @@ impl<'s, 'a> ParSim<'s, 'a> {
                 }
                 continue;
             }
-
-            // A plain bucket whose seqs are *not* contiguous (offline
-            // stragglers colliding with a later wave) cannot placement-
-            // merge, but if it is all passes the order-free batch
-            // absorb applies — shard order is as good as any.
-            if self.plain && total > 0 && !contiguous && coord_buf.is_empty() {
-                let vendor = &mut self.vendor;
-                let mut all_pass = true;
-                let mut escaped = 0usize;
-                {
-                    let machine_problem = &vendor.scenario.machine_problem[..];
-                    let missed = &vendor.scenario.missed_detection;
-                    let fixed = &vendor.fixed_by_release[..];
-                    'scan: for shard in &vendor.sched.arena.shards {
-                        for st in &shard.raw {
-                            if let Some(problem) = machine_problem[st.machine.index()] {
-                                if !fixed[st.release as usize].contains(problem) {
-                                    if !missed.contains(st.machine) {
-                                        all_pass = false;
-                                        break 'scan;
-                                    }
-                                    escaped += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                if all_pass {
-                    pairs.clear();
-                    for shard in &vendor.sched.arena.shards {
-                        pairs.extend(shard.raw.iter().map(|r| (r.machine, Release(r.release))));
-                    }
-                    if protocol.absorb_pass_batch(&pairs) {
-                        for &(m, _) in pairs.iter() {
-                            let slot = &mut vendor.metrics.machine_pass_time[m.index()];
-                            if slot.is_none() {
-                                *slot = Some(t);
-                            }
-                        }
-                        // Counter *sums* match the per-event sequential
-                        // emissions (order-insensitive by definition).
-                        vendor.metrics.escaped_problems += escaped;
-                        vendor
-                            .telemetry
-                            .counter("sim.events_processed", total as u64);
-                        vendor.telemetry.counter("sim.tests_passed", total as u64);
-                        if escaped > 0 {
-                            vendor
-                                .telemetry
-                                .counter("sim.escaped_problems", escaped as u64);
-                        }
-                        vendor.sched.virtual_len -= total;
-                        continue;
-                    }
-                }
+            #[cfg(test)]
+            if self.plain && total > 0 && coord_buf.is_empty() {
+                self.vendor.sched.arena.gapped_plain_buckets += 1;
             }
 
             // Phase A, step 2: compute records for every drained shard.
@@ -736,10 +702,9 @@ impl<'s, 'a> ParSim<'s, 'a> {
                 for out in rec_bufs.iter_mut() {
                     out.clear();
                 }
-                let machine_problem = &vendor.scenario.machine_problem[..];
-                let missed = &vendor.scenario.missed_detection;
+                let scenario = vendor.scenario;
                 let fixed = &vendor.fixed_by_release[..];
-                let faults = vendor.faults_active.then_some(&vendor.scenario.faults);
+                let faults_active = vendor.faults_active;
                 let busy = shards
                     .iter_mut()
                     .zip(rec_bufs.iter_mut())
@@ -748,21 +713,13 @@ impl<'s, 'a> ParSim<'s, 'a> {
                     std::thread::scope(|scope| {
                         for (shard, out) in busy {
                             scope.spawn(move || {
-                                compute_shard(
-                                    shard,
-                                    out,
-                                    machine_problem,
-                                    missed,
-                                    fixed,
-                                    faults,
-                                    workers,
-                                );
+                                compute_shard(shard, out, scenario, fixed, faults_active, workers);
                             });
                         }
                     });
                 } else {
                     for (shard, out) in busy {
-                        compute_shard(shard, out, machine_problem, missed, fixed, faults, workers);
+                        compute_shard(shard, out, scenario, fixed, faults_active, workers);
                     }
                 }
             }
@@ -831,7 +788,7 @@ impl<'s, 'a> ParSim<'s, 'a> {
         arena.due_buf = due_buf;
         arena.due_flags = due_flags;
         arena.escape_buf = escape_buf;
-        arena.fail_buf = fail_buf;
+        arena.aside_buf = aside_buf;
         arena.lent = std::mem::take(&mut self.vendor.lent);
         metrics
     }
@@ -839,17 +796,14 @@ impl<'s, 'a> ParSim<'s, 'a> {
 
 /// Clamps a requested worker count to `[1, MAX_WORKERS]` and the fleet
 /// size (more shards than machines is pure overhead).
-fn clamp_workers(requested: usize, machine_count: usize) -> usize {
+pub(crate) fn clamp_workers(requested: usize, machine_count: usize) -> usize {
     requested.clamp(1, MAX_WORKERS).min(machine_count.max(1))
 }
 
-/// Runs `protocol` against `scenario` on the sharded parallel driver
-/// with an explicit worker count, reusing `arena`'s allocations.
-///
-/// Bit-identical to the sequential [`Simulation`] at every worker
-/// count; `workers <= 1` delegates to it outright (the oracle is the
-/// one-worker configuration). Publishes the effective worker count on
-/// the `sim.workers` gauge.
+/// [`Simulation`] with every setting spelled as an argument. Pinned by
+/// `benchmark/src/workloads/sim.rs`, which a program change may not
+/// edit, and called from nowhere else; the change that follows the
+/// benchmark's move to [`Simulation`] (ROADMAP item 3) deletes it.
 pub fn run_parallel_in(
     arena: &mut SimArena,
     scenario: &Scenario,
@@ -857,19 +811,11 @@ pub fn run_parallel_in(
     telemetry: Telemetry,
     workers: usize,
 ) -> SimMetrics {
-    let workers = clamp_workers(workers, scenario.machine_count());
-    telemetry.gauge("sim.workers", workers as i64);
-    // Tick-driven protocols (rollout controllers with a decision clock)
-    // run on the sequential driver: the shared vendor side would tick
-    // them here too, but no equivalence property yet covers tick-driven
-    // controllers (guard queries, `PRIOR_RELEASE` revert waves) on the
-    // sharded driver, whose Phase A does not know the revert sentinel.
-    if workers <= 1 || protocol.wants_ticks() {
-        return Simulation::new(scenario)
-            .with_telemetry(telemetry)
-            .run(protocol);
-    }
-    ParSim::new(arena, scenario, telemetry, workers).run(protocol)
+    Simulation::new(scenario)
+        .with_telemetry(telemetry)
+        .workers(workers)
+        .arena(arena)
+        .run(protocol)
 }
 
 #[cfg(test)]
@@ -878,9 +824,10 @@ mod tests {
 
     use super::*;
     use crate::faults::FaultSpec;
-    use crate::runner;
     use crate::scenario::ScenarioBuilder;
-    use mirage_deploy::ProtocolChoice;
+    use mirage_deploy::{ProblemId, ProtocolChoice};
+    use mirage_report::Urr;
+    use mirage_rollout::{GuardSettings, RolloutOutcome, RolloutStrategy};
     use mirage_telemetry::health::{health_report_json, rollup};
     use mirage_telemetry::trace_export::chrome_trace;
     use mirage_telemetry::{Journal, Registry, TraceConfig, WatchdogConfig};
@@ -950,16 +897,10 @@ mod tests {
         for (name, s) in scenarios() {
             for choice in choices() {
                 let mut oracle = choice.build(s.plan.clone(), s.threshold);
-                let expect = runner::run(&s, &mut oracle);
+                let expect = Simulation::new(&s).run(&mut oracle);
                 for workers in WORKER_COUNTS {
                     let mut p = choice.build(s.plan.clone(), s.threshold);
-                    let got = run_parallel_in(
-                        &mut SimArena::new(),
-                        &s,
-                        &mut p,
-                        Telemetry::noop(),
-                        workers,
-                    );
+                    let got = Simulation::new(&s).workers(workers).run(&mut p);
                     assert_eq!(
                         expect,
                         got,
@@ -993,11 +934,10 @@ mod tests {
             .build();
         for choice in choices() {
             let mut oracle = choice.build(s.plan.clone(), s.threshold);
-            let expect = runner::run(&s, &mut oracle);
+            let expect = Simulation::new(&s).run(&mut oracle);
             for workers in WORKER_COUNTS {
                 let mut p = choice.build(s.plan.clone(), s.threshold);
-                let got =
-                    run_parallel_in(&mut SimArena::new(), &s, &mut p, Telemetry::noop(), workers);
+                let got = Simulation::new(&s).workers(workers).run(&mut p);
                 assert_eq!(
                     expect,
                     got,
@@ -1018,17 +958,17 @@ mod tests {
     fn run_instrumented(
         s: &Scenario,
         choice: ProtocolChoice,
-        workers: Option<usize>,
+        workers: usize,
     ) -> (SimMetrics, Arc<Registry>) {
         let registry = journaled_registry();
         let telemetry = Telemetry::from_registry(Arc::clone(&registry));
         let mut protocol = choice
             .build(s.plan.clone(), s.threshold)
             .with_telemetry(telemetry.clone());
-        let metrics = match workers {
-            None => runner::run_with_telemetry(s, &mut protocol, telemetry),
-            Some(w) => run_parallel_in(&mut SimArena::new(), s, &mut protocol, telemetry, w),
-        };
+        let metrics = Simulation::new(s)
+            .with_telemetry(telemetry)
+            .workers(workers)
+            .run(&mut protocol);
         (metrics, registry)
     }
 
@@ -1055,7 +995,7 @@ mod tests {
             )
             .build();
         for (name, s) in [("reliable", &reliable), ("faulted", &faulted)] {
-            let (seq_metrics, seq_reg) = run_instrumented(s, ProtocolChoice::Balanced, None);
+            let (seq_metrics, seq_reg) = run_instrumented(s, ProtocolChoice::Balanced, 1);
             let seq_entries = seq_reg.journal().entries();
             assert!(
                 !seq_entries.is_empty(),
@@ -1069,8 +1009,7 @@ mod tests {
             }
             let run_end = seq_metrics.completion_time.unwrap_or(0);
             for workers in [2, 3, 8] {
-                let (par_metrics, par_reg) =
-                    run_instrumented(s, ProtocolChoice::Balanced, Some(workers));
+                let (par_metrics, par_reg) = run_instrumented(s, ProtocolChoice::Balanced, workers);
                 assert_eq!(seq_metrics, par_metrics, "{name} w={workers}: metrics");
                 let par_entries = par_reg.journal().entries();
                 assert_eq!(
@@ -1130,10 +1069,10 @@ mod tests {
             .clusters(5, 7, 1)
             .problem_in_clusters("p", &[1, 3])
             .build();
-        let (_, seq_reg) = run_instrumented(&s, ProtocolChoice::FrontLoading, None);
+        let (_, seq_reg) = run_instrumented(&s, ProtocolChoice::FrontLoading, 1);
         let seq_entries = seq_reg.journal().entries();
         for workers in [2, 4, 8] {
-            let (_, reg) = run_instrumented(&s, ProtocolChoice::FrontLoading, Some(workers));
+            let (_, reg) = run_instrumented(&s, ProtocolChoice::FrontLoading, workers);
             let entries = reg.journal().entries();
             assert!(!entries.is_empty());
             assert_eq!(
@@ -1162,11 +1101,11 @@ mod tests {
             .clusters(6, 8, 2)
             .problem_in_clusters("p", &[2])
             .build();
-        let (_, seq_reg) = run_instrumented(&s, ProtocolChoice::NoStaging, None);
+        let (_, seq_reg) = run_instrumented(&s, ProtocolChoice::NoStaging, 1);
         let seq_gauge = seq_reg.snapshot().gauges["sim.queue_depth"];
         assert!(seq_gauge.high_water >= s.machine_count() as i64);
         for workers in [2, 5, 8] {
-            let (_, par_reg) = run_instrumented(&s, ProtocolChoice::NoStaging, Some(workers));
+            let (_, par_reg) = run_instrumented(&s, ProtocolChoice::NoStaging, workers);
             let par_gauge = par_reg.snapshot().gauges["sim.queue_depth"];
             assert_eq!(
                 seq_gauge, par_gauge,
@@ -1175,8 +1114,37 @@ mod tests {
         }
     }
 
+    /// A fleet-wide regression under a guarded rolling rollout on a
+    /// lossy channel, in `arena`: decision ticks, retries, a revert
+    /// wave, and the lent per-machine fault tables all in use.
+    fn guarded_rollback(arena: &mut SimArena, workers: usize) -> (SimMetrics, RolloutOutcome) {
+        let s = ScenarioBuilder::new()
+            .clusters(3, 4, 1)
+            .problem_in_clusters("regression", &[0, 1, 2])
+            .faults(
+                FaultSpec::new(0xA7E)
+                    .loss(0.20)
+                    .duplication(0.10)
+                    .retry(20, 4),
+            )
+            .with_urr(Arc::new(Urr::new()))
+            .with_strategy(RolloutStrategy::Rolling { batch_size: 4 })
+            .with_guard(GuardSettings {
+                min_reports: 2,
+                ..GuardSettings::default()
+            })
+            .build();
+        let mut controller = s.rollout_controller(ProtocolChoice::Balanced, Telemetry::noop());
+        let metrics = Simulation::new(&s)
+            .workers(workers)
+            .arena(arena)
+            .run(&mut controller);
+        (metrics, controller.outcome())
+    }
+
     /// One arena serves many runs (different scenarios, protocols,
-    /// worker counts) without contaminating results.
+    /// worker counts; plain runs and a tick-driven rollback in turn)
+    /// without contaminating results.
     #[test]
     fn arena_reuse_is_deterministic() {
         let mut arena = SimArena::new();
@@ -1184,14 +1152,75 @@ mod tests {
             for (name, s) in scenarios() {
                 for choice in [ProtocolChoice::Balanced, ProtocolChoice::NoStaging] {
                     let mut oracle = choice.build(s.plan.clone(), s.threshold);
-                    let expect = runner::run(&s, &mut oracle);
+                    let expect = Simulation::new(&s).run(&mut oracle);
                     for workers in [2, 4] {
                         let mut p = choice.build(s.plan.clone(), s.threshold);
-                        let got =
-                            run_parallel_in(&mut arena, &s, &mut p, Telemetry::noop(), workers);
+                        let got = Simulation::new(&s)
+                            .workers(workers)
+                            .arena(&mut arena)
+                            .run(&mut p);
                         assert_eq!(expect, got, "{name}/{} reused arena", choice.name());
                     }
                 }
+                for workers in [2, 4] {
+                    let fresh = guarded_rollback(&mut SimArena::new(), workers);
+                    assert!(fresh.0.retries_sent > 0 && fresh.0.reverted_count() > 0);
+                    assert!(fresh.1.rollback.is_some(), "the guard rolled back");
+                    let reused = guarded_rollback(&mut arena, workers);
+                    assert_eq!(fresh, reused, "rollback after {name}, {workers} workers");
+                }
+            }
+        }
+    }
+
+    /// The bucket shape the deleted order-free batch absorption served:
+    /// a plain bucket with no coordinator event whose sequence numbers
+    /// have a gap, because an offline straggler's test lands on a later
+    /// wave's. It replays through Phase A and the `(time, seq)` merge
+    /// like any other, in sequence order.
+    #[test]
+    fn colliding_waves_replay_in_sequence_order() {
+        let base = ScenarioBuilder::new()
+            .clusters(4, 6, 1)
+            .problem_in_clusters("p", &[3])
+            .threshold(0.5);
+        let everyone_online = base.clone().build();
+        let cycle = everyone_online.timings.machine_cycle();
+        for choice in choices() {
+            let name = choice.name();
+            // When each wave lands with everyone online. Half a cluster
+            // is enough to move on, so none of them waits for a
+            // machine that is away.
+            let mut dry = choice.build(everyone_online.plan.clone(), 0.5);
+            let landed = Simulation::new(&everyone_online)
+                .run(&mut dry)
+                .machine_pass_time;
+            let last_wave = landed.iter().flatten().copied().max().expect("ran");
+            // `offline_machines(c, 1, _)` takes cluster `c`'s third
+            // member; use the cluster whose own wave comes first.
+            let third = |c: usize| everyone_online.plan.clusters[c].members[2];
+            let cluster = (0..4)
+                .min_by_key(|&c| landed[third(c).index()])
+                .expect("four clusters");
+            assert!(landed[third(cluster).index()] < Some(last_wave), "{name}");
+            let s = base
+                .clone()
+                .offline_machines(cluster, 1, last_wave - cycle)
+                .build();
+
+            let mut oracle = choice.build(s.plan.clone(), s.threshold);
+            let expect = Simulation::new(&s).run(&mut oracle);
+            assert_eq!(expect.pass_time(third(cluster)), Some(last_wave), "{name}");
+            for workers in [2, 4, 8] {
+                let mut arena = SimArena::new();
+                let mut p = choice.build(s.plan.clone(), s.threshold);
+                let got = Simulation::new(&s)
+                    .workers(workers)
+                    .arena(&mut arena)
+                    .run(&mut p);
+                assert_eq!(expect, got, "{name} at {workers} workers");
+                let gapped = arena.gapped_plain_buckets;
+                assert!(gapped > 0, "{name} at {workers} workers: no gapped bucket");
             }
         }
     }
@@ -1209,8 +1238,8 @@ mod tests {
         // An over-large request runs clamped, end to end.
         let tiny = ScenarioBuilder::new().clusters(1, 2, 1).build();
         let mut p = ProtocolChoice::Balanced.build(tiny.plan.clone(), tiny.threshold);
-        let got = run_parallel_in(&mut SimArena::new(), &tiny, &mut p, Telemetry::noop(), 6);
+        let got = Simulation::new(&tiny).workers(6).run(&mut p);
         let mut oracle = ProtocolChoice::Balanced.build(tiny.plan.clone(), tiny.threshold);
-        assert_eq!(got, runner::run(&tiny, &mut oracle));
+        assert_eq!(got, Simulation::new(&tiny).run(&mut oracle));
     }
 }

@@ -1,13 +1,12 @@
 //! Strategy-driven rollout runs: the simulator driving a
-//! [`RolloutController`].
+//! [`mirage_rollout::RolloutController`].
 //!
-//! [`run_rollout_with_telemetry`] is the simulation-side entry point
-//! for the rollout plane: it partitions the scenario's fleet into
-//! cohorts according to the scenario's [`RolloutStrategy`], wires the
-//! optional URR guard into the controller (closing the loop between the
-//! report repository the run deposits into and the widening decisions
-//! the controller takes), and runs the whole thing on the ordinary
-//! sequential driver — the controller is just another
+//! [`Scenario::rollout_controller`] partitions the scenario's fleet into
+//! cohorts according to its strategy and wires the optional URR guard
+//! into the controller (closing the loop between the report repository
+//! the run deposits into and the widening decisions the controller
+//! takes); [`Simulation`] runs it, on whichever driver the worker count
+//! selects — the controller is just another
 //! [`mirage_deploy::Protocol`].
 //!
 //! An *unguarded* `Staged` strategy is a transparent delegation to the
@@ -16,46 +15,25 @@
 //! the staging protocol directly, which is what makes the
 //! plan/drive split of `Campaign::deploy` safe.
 
-use std::sync::Arc;
-
 use mirage_deploy::ProtocolChoice;
-use mirage_rollout::{RolloutController, RolloutOutcome, RolloutPlan, RolloutStrategy, UrrGuard};
+use mirage_rollout::RolloutOutcome;
 use mirage_telemetry::Telemetry;
 
 use crate::metrics::SimMetrics;
 use crate::runner::Simulation;
 use crate::scenario::Scenario;
 
-/// Runs `scenario` under its rollout strategy (default: single-wave
-/// `Staged`) and returns the simulation metrics together with the
-/// rollout outcome (status, exposure, rollback record).
-///
-/// `choice` selects the staging protocol a `Staged` strategy delegates
-/// to; cohort strategies (`Canary`/`Rolling`/`BlueGreen`) ignore it.
-/// When the scenario carries both a repository
-/// ([`crate::ScenarioBuilder::with_urr`]) and guard thresholds
-/// ([`crate::ScenarioBuilder::with_guard`]), the controller assesses
-/// live repository health on every decision tick and rolls the fleet
-/// back to the prior release when the guard trips.
-///
-/// `telemetry` is attached to both the driver and the controller
-/// (rollout decision counters, journal events, and the `rollout.state`
-/// gauge land in the same registry as the simulator's own
-/// instrumentation); pass [`Telemetry::noop`] for an unobserved run.
+/// [`Scenario::rollout_controller`] run by a one-worker [`Simulation`],
+/// returning the metrics with the controller's outcome. Pinned by
+/// `benchmark/src/workloads/sim.rs`, which a program change may not
+/// edit, and called from nowhere else; the change that follows the
+/// benchmark's move to [`Simulation`] (ROADMAP item 3) deletes it.
 pub fn run_rollout_with_telemetry(
     scenario: &Scenario,
     choice: ProtocolChoice,
     telemetry: Telemetry,
 ) -> (SimMetrics, RolloutOutcome) {
-    let strategy = scenario
-        .strategy
-        .unwrap_or(RolloutStrategy::Staged { waves: 1 });
-    let plan = RolloutPlan::new(scenario.plan.clone(), strategy);
-    let mut controller =
-        RolloutController::new(plan, choice, scenario.threshold).with_telemetry(telemetry.clone());
-    if let (Some(settings), Some(urr)) = (scenario.guard, &scenario.urr) {
-        controller = controller.with_guard(UrrGuard::new(Arc::clone(urr), settings));
-    }
+    let mut controller = scenario.rollout_controller(choice, telemetry.clone());
     let metrics = Simulation::new(scenario)
         .with_telemetry(telemetry)
         .run(&mut controller);
@@ -64,13 +42,23 @@ pub fn run_rollout_with_telemetry(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::faults::FaultSpec;
-    use crate::runner::run_with_telemetry;
     use crate::scenario::ScenarioBuilder;
     use mirage_report::Urr;
-    use mirage_rollout::{GuardSettings, RolloutStatus, RolloutStatusReason};
+    use mirage_rollout::{
+        GuardSettings, RolloutPlan, RolloutStatus, RolloutStatusReason, RolloutStrategy,
+    };
     use mirage_telemetry::{Journal, Registry};
+
+    /// The scenario's rollout on the one-worker driver, unobserved.
+    fn roll_out(s: &Scenario) -> (SimMetrics, RolloutOutcome) {
+        let mut controller = s.rollout_controller(ProtocolChoice::Balanced, Telemetry::noop());
+        let metrics = Simulation::new(s).run(&mut controller);
+        (metrics, controller.outcome())
+    }
 
     fn journaled_registry() -> Arc<Registry> {
         Arc::new(Registry::with_journal(
@@ -129,18 +117,17 @@ mod tests {
                     let mut direct = choice
                         .build(s.plan.clone(), s.threshold)
                         .with_telemetry(Telemetry::from_registry(Arc::clone(&direct_reg)));
-                    let direct_metrics = run_with_telemetry(
-                        &s,
-                        &mut direct,
-                        Telemetry::from_registry(Arc::clone(&direct_reg)),
-                    );
+                    let direct_metrics = Simulation::new(&s)
+                        .with_telemetry(Telemetry::from_registry(Arc::clone(&direct_reg)))
+                        .run(&mut direct);
 
                     let rollout_reg = journaled_registry();
-                    let (rollout_metrics, outcome) = run_rollout_with_telemetry(
-                        &s,
-                        choice,
-                        Telemetry::from_registry(Arc::clone(&rollout_reg)),
-                    );
+                    let rollout_tel = Telemetry::from_registry(Arc::clone(&rollout_reg));
+                    let mut controller = s.rollout_controller(choice, rollout_tel.clone());
+                    let rollout_metrics = Simulation::new(&s)
+                        .with_telemetry(rollout_tel)
+                        .run(&mut controller);
+                    let outcome = controller.outcome();
 
                     let label = format!("{shape}/{}/faulted={faulted}", choice.name());
                     assert_eq!(direct_metrics, rollout_metrics, "{label}: metrics");
@@ -189,8 +176,7 @@ mod tests {
             RolloutPlan::new(s.plan.clone(), s.strategy.expect("strategy set")).exposure_limit();
         assert_eq!(exposure_limit, 2, "ceil(10% of 20)");
 
-        let (metrics, outcome) =
-            run_rollout_with_telemetry(&s, ProtocolChoice::Balanced, Telemetry::noop());
+        let (metrics, outcome) = roll_out(&s);
         let info = outcome.rollback.expect("guard must abort a bad release");
         assert!(
             info.exposed_machines <= exposure_limit,
@@ -232,8 +218,7 @@ mod tests {
                 ..GuardSettings::default()
             })
             .build();
-        let (metrics, outcome) =
-            run_rollout_with_telemetry(&s, ProtocolChoice::Balanced, Telemetry::noop());
+        let (metrics, outcome) = roll_out(&s);
         let info = outcome.rollback.expect("final-wave regression aborts");
         assert_eq!(info.at_cohort, 2, "guard tripped on the last cohort");
         assert_eq!(info.exposed_machines, 6, "all three waves were enrolled");
@@ -270,8 +255,7 @@ mod tests {
         let (churned, leave, rejoin) = s.faults.churn[0];
         assert_eq!((leave, rejoin), (10, 300));
 
-        let (metrics, outcome) =
-            run_rollout_with_telemetry(&s, ProtocolChoice::Balanced, Telemetry::noop());
+        let (metrics, outcome) = roll_out(&s);
         let info = outcome.rollback.expect("bad release aborts");
         assert!(
             info.at_time < rejoin,
@@ -306,8 +290,7 @@ mod tests {
                 .problem_in_clusters("p", &[2])
                 .with_strategy(strategy)
                 .build();
-            let (metrics, outcome) =
-                run_rollout_with_telemetry(&s, ProtocolChoice::Balanced, Telemetry::noop());
+            let (metrics, outcome) = roll_out(&s);
             assert!(
                 metrics.converged(s.machine_count()),
                 "{}: {}/{} machines passed",
@@ -343,8 +326,7 @@ mod tests {
                 .with_strategy(strategy)
                 .with_guard(GuardSettings::default())
                 .build();
-            let (metrics, outcome) =
-                run_rollout_with_telemetry(&s, ProtocolChoice::Balanced, Telemetry::noop());
+            let (metrics, outcome) = roll_out(&s);
             assert!(
                 metrics.converged(100_000),
                 "{}: healthy fleet must converge at scale",

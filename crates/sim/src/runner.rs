@@ -1,13 +1,20 @@
-//! The sequential simulation driver.
+//! The run surface, and the sequential driver behind it.
 //!
-//! One calendar queue, popped one event at a time, feeding the shared
-//! vendor side (`vendor.rs`). The driver moves `Copy` events and
-//! dense ids only: per-machine and per-problem state is flat-indexed,
-//! and the telemetry flight events render machine/problem names lazily
-//! (zero cost when telemetry is a noop). The original string-keyed
-//! driver — binary-heap queue, name maps and all — survives under
-//! [`mod@reference`] so equivalence tests can prove this driver produces
-//! identical [`SimMetrics`].
+//! [`Simulation`] is the one way to run a scenario: a builder over the
+//! scenario, an optional telemetry handle, a worker count and an
+//! optional [`SimArena`], whose [`run`](Simulation::run) picks the
+//! driver — one worker is the sequential loop below, more is the sharded
+//! driver of [`crate::parallel`]. Nothing else in the crate chooses.
+//!
+//! The sequential loop is one calendar queue, popped one event at a
+//! time, feeding the shared vendor side (`vendor.rs`). It moves `Copy`
+//! events and dense ids only: per-machine and per-problem state is
+//! flat-indexed, and the telemetry flight events render machine/problem
+//! names lazily (zero cost when telemetry is a noop). It is the oracle
+//! every equivalence property and paired bench row compares the sharded
+//! driver against. The original string-keyed driver — binary-heap queue,
+//! name maps and all — survives under [`mod@reference`] so equivalence
+//! tests can prove this one produces identical [`SimMetrics`].
 
 pub mod reference;
 
@@ -17,8 +24,9 @@ use mirage_telemetry::Telemetry;
 use crate::engine::{Event, EventQueue, SimTime};
 use crate::faults::RngLanes;
 use crate::metrics::SimMetrics;
+use crate::parallel::{clamp_workers, ParSim, SimArena};
 use crate::scenario::Scenario;
-use crate::vendor::{Lent, Schedule, Transmission, VendorSide};
+use crate::vendor::{test_outcome, Lent, Schedule, Transmission, VendorSide};
 
 impl Schedule for EventQueue {
     fn test(&mut self, time: SimTime, machine: MachineId, release: u32) {
@@ -34,35 +42,35 @@ impl Schedule for EventQueue {
     }
 }
 
-/// A running simulation binding a scenario to a protocol.
+/// One run of a scenario, configured and then [`run`](Simulation::run)
+/// against a protocol.
+///
+/// ```
+/// use mirage_deploy::Balanced;
+/// use mirage_sim::{ScenarioBuilder, Simulation};
+/// let s = ScenarioBuilder::new().clusters(3, 4, 1).build();
+/// let one = Simulation::new(&s).run(&mut Balanced::new(s.plan.clone(), 1.0));
+/// let four = Simulation::new(&s)
+///     .workers(4)
+///     .run(&mut Balanced::new(s.plan.clone(), 1.0));
+/// assert_eq!(one, four);
+/// ```
 #[derive(Debug)]
 pub struct Simulation<'a> {
-    vendor: VendorSide<'a, EventQueue>,
-    /// Per-machine fault RNG lanes for machine→vendor transmissions,
-    /// forked per machine off the plan seed so each machine's report
-    /// fault schedule depends only on its own event order — the
-    /// property that lets the parallel driver draw them shard-side and
-    /// stay bit-identical. Empty unless the scenario has a fault plan.
-    rng_up: RngLanes,
+    scenario: &'a Scenario,
+    telemetry: Telemetry,
+    workers: usize,
+    arena: Option<&'a mut SimArena>,
 }
 
 impl<'a> Simulation<'a> {
-    /// Creates a simulation over `scenario`.
+    /// Creates a simulation over `scenario`: unobserved, one worker.
     pub fn new(scenario: &'a Scenario) -> Self {
-        let vendor = VendorSide::new(
-            scenario,
-            EventQueue::new(),
-            Telemetry::noop(),
-            Lent::default(),
-        );
-        let lanes = if vendor.faults_active {
-            scenario.machine_count()
-        } else {
-            0
-        };
         Simulation {
-            vendor,
-            rng_up: RngLanes::new(scenario.faults.seed, lanes),
+            scenario,
+            telemetry: Telemetry::noop(),
+            workers: 1,
+            arena: None,
         }
     }
 
@@ -72,50 +80,79 @@ impl<'a> Simulation<'a> {
     /// produces bit-identical [`SimMetrics`] to an uninstrumented one
     /// (wall-clock span timings never feed back into simulated time).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.vendor.telemetry = telemetry;
+        self.telemetry = telemetry;
         self
     }
 
-    /// Runs the simulation to completion, consuming it.
-    pub fn run(mut self, protocol: &mut dyn Protocol) -> SimMetrics {
-        let _span = self.vendor.telemetry.span("sim.run");
-        self.vendor.start(protocol);
-        while let Some((time, event)) = self.vendor.sched.pop() {
-            self.vendor.advance(time);
-            match event {
-                Event::TestDone { machine, release } => {
-                    let outcome = self.vendor.test_outcome(machine, release);
-                    let uplink = self.vendor.faults_active.then(|| {
-                        let lane = self.rng_up.lane(machine.index());
-                        Transmission::draw(lane, &self.vendor.scenario.faults)
-                    });
-                    self.vendor
-                        .test_done(protocol, machine, release, outcome, uplink);
-                }
-                other => self.vendor.vendor_event(protocol, other),
-            }
+    /// Shards the machine-side work across `workers` shards, clamped to
+    /// `[1, `[`MAX_WORKERS`](crate::MAX_WORKERS)`]` and the fleet size
+    /// (more shards than machines is pure overhead). The count never changes a result — every
+    /// output is bit-identical to the one-worker run — so there is no
+    /// environment variable, scenario setting or host-derived default
+    /// behind it.
+    pub fn workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
+        self
+    }
+
+    /// Runs in `arena`, reusing its queues and scratch buffers, so a
+    /// sweep re-running many configurations allocates once. A run
+    /// without one makes its own; the one-worker driver needs none.
+    pub fn arena(mut self, arena: &'a mut SimArena) -> Self {
+        self.arena = Some(arena);
+        self
+    }
+
+    /// Runs the simulation to completion, consuming it. One worker (the
+    /// default) is the sequential loop; more is the sharded driver,
+    /// whatever the protocol. The shard count of the driver that ran is
+    /// published on the `sim.workers` gauge.
+    pub fn run(self, protocol: &mut dyn Protocol) -> SimMetrics {
+        let workers = clamp_workers(self.workers, self.scenario.machine_count());
+        self.telemetry.gauge("sim.workers", workers as i64);
+        if workers <= 1 {
+            return run_sequential(self.scenario, self.telemetry, protocol);
         }
-        self.vendor.finish(protocol)
+        let mut own = None;
+        let arena = self.arena.unwrap_or_else(|| own.insert(SimArena::new()));
+        ParSim::new(arena, self.scenario, self.telemetry, workers).run(protocol)
     }
 }
 
-/// Convenience: runs `protocol` against `scenario` and returns metrics.
-pub fn run(scenario: &Scenario, protocol: &mut dyn Protocol) -> SimMetrics {
-    Simulation::new(scenario).run(protocol)
-}
-
-/// Runs `protocol` against `scenario` with telemetry attached.
-///
-/// Equivalent to [`run`] in every observable simulation output; the
-/// telemetry handle only records what happened.
-pub fn run_with_telemetry(
+/// The sequential driver: pops one queue until it drains.
+fn run_sequential(
     scenario: &Scenario,
-    protocol: &mut dyn Protocol,
     telemetry: Telemetry,
+    protocol: &mut dyn Protocol,
 ) -> SimMetrics {
-    Simulation::new(scenario)
-        .with_telemetry(telemetry)
-        .run(protocol)
+    let mut vendor = VendorSide::new(scenario, EventQueue::new(), telemetry, Lent::default());
+    // Per-machine fault RNG lanes for machine→vendor transmissions,
+    // forked per machine off the plan seed so each machine's report
+    // fault schedule depends only on its own event order — the
+    // property that lets the sharded driver draw them shard-side and
+    // stay bit-identical. Empty unless the scenario has a fault plan.
+    let lanes = if vendor.faults_active {
+        scenario.machine_count()
+    } else {
+        0
+    };
+    let mut rng_up = RngLanes::new(scenario.faults.seed, lanes);
+    let _span = vendor.telemetry.span("sim.run");
+    vendor.start(protocol);
+    while let Some((time, event)) = vendor.sched.pop() {
+        vendor.advance(time);
+        match event {
+            Event::TestDone { machine, release } => {
+                let outcome = test_outcome(scenario, &vendor.fixed_by_release, machine, release);
+                let uplink = vendor
+                    .faults_active
+                    .then(|| Transmission::draw(rng_up.lane(machine.index()), &scenario.faults));
+                vendor.test_done(protocol, machine, release, outcome, uplink);
+            }
+            other => vendor.vendor_event(protocol, other),
+        }
+    }
+    vendor.finish(protocol)
 }
 
 #[cfg(test)]
@@ -136,7 +173,7 @@ mod tests {
     fn nostaging_finishes_and_counts_overhead() {
         let s = small_scenario();
         let mut p = NoStaging::new(s.plan.clone());
-        let m = run(&s, &mut p);
+        let m = Simulation::new(&s).run(&mut p);
         assert!(p.done());
         // All 3 machines of the problem cluster tested the faulty
         // release: overhead = population of the problem.
@@ -154,7 +191,7 @@ mod tests {
     fn balanced_overhead_is_one_per_problem() {
         let s = small_scenario();
         let mut p = Balanced::new(s.plan.clone(), 1.0);
-        let m = run(&s, &mut p);
+        let m = Simulation::new(&s).run(&mut p);
         assert!(p.done());
         // Only the problem cluster's representative failed.
         assert_eq!(m.failed_tests, 1);
@@ -176,7 +213,7 @@ mod tests {
     fn frontloading_front_loads_debugging() {
         let s = small_scenario();
         let mut p = FrontLoading::new(s.plan.clone(), 1.0);
-        let m = run(&s, &mut p);
+        let m = Simulation::new(&s).run(&mut p);
         assert!(p.done());
         // Phase 1: all 4 reps test at 15; c2's rep fails; fix at 515;
         // re-test passes at 530. Phase 2 (desc distance: c3, c2, c1, c0):
@@ -216,13 +253,11 @@ mod tests {
             ),
         ];
         for (name, make) in protocols {
-            let plain = run(&s, make().as_mut());
+            let plain = Simulation::new(&s).run(make().as_mut());
             let registry = Arc::new(Registry::new(4096));
-            let instrumented = run_with_telemetry(
-                &s,
-                make().as_mut(),
-                Telemetry::from_registry(Arc::clone(&registry)),
-            );
+            let instrumented = Simulation::new(&s)
+                .with_telemetry(Telemetry::from_registry(Arc::clone(&registry)))
+                .run(make().as_mut());
             assert_eq!(plain, instrumented, "{name} diverged under instrumentation");
 
             let snap = registry.snapshot();
@@ -255,11 +290,9 @@ mod tests {
 
         let s = small_scenario();
         let registry = Arc::new(Registry::new(4096));
-        let _ = run_with_telemetry(
-            &s,
-            &mut NoStaging::new(s.plan.clone()),
-            Telemetry::from_registry(Arc::clone(&registry)),
-        );
+        let _ = Simulation::new(&s)
+            .with_telemetry(Telemetry::from_registry(Arc::clone(&registry)))
+            .run(&mut NoStaging::new(s.plan.clone()));
         let snap = registry.snapshot();
         let gauge = &snap.gauges["sim.queue_depth"];
         // NoStaging notifies all 12 machines up front — the depth peaks
@@ -275,7 +308,7 @@ mod tests {
     fn healthy_fleet_needs_no_fixes() {
         let s = ScenarioBuilder::new().clusters(3, 4, 1).build();
         let mut p = Balanced::new(s.plan.clone(), 1.0);
-        let m = run(&s, &mut p);
+        let m = Simulation::new(&s).run(&mut p);
         assert_eq!(m.failed_tests, 0);
         assert_eq!(m.releases_shipped, 0);
         assert_eq!(m.passed_count(), 12);
@@ -290,7 +323,7 @@ mod tests {
             .misplaced_machine(0, "odd")
             .build();
         let mut p = Balanced::new(s.plan.clone(), 1.0);
-        let m = run(&s, &mut p);
+        let m = Simulation::new(&s).run(&mut p);
         // The misplaced machine fails once; everyone eventually passes.
         assert_eq!(m.failed_tests, 1);
         assert_eq!(m.passed_count(), 8);
@@ -308,7 +341,7 @@ mod tests {
             .threshold(0.75)
             .build();
         let mut p = Balanced::new(s.plan.clone(), s.threshold);
-        let m = run(&s, &mut p);
+        let m = Simulation::new(&s).run(&mut p);
         // Cluster 1 proceeds at 30 without waiting for the fix: rep 45,
         // non-reps 60. The misplaced machine still completes at 545.
         assert_eq!(m.pass_time_named(&s.plan, "c01-m00003"), Some(60));
@@ -324,7 +357,7 @@ mod tests {
             .problem_in_clusters("p2", &[2])
             .build();
         let mut p = NoStaging::new(s.plan.clone());
-        let m = run(&s, &mut p);
+        let m = Simulation::new(&s).run(&mut p);
         // All three problems discovered at t=15; fixes at 515, 1015, 1515;
         // final passes at 1530. Each failed machine is re-notified only
         // when *its* problem is fixed, so overhead = m = 6 (the paper's
@@ -351,12 +384,12 @@ mod scale_tests {
             .problem_in_clusters("rare-b", &[18])
             .build();
         let mut nostaging = NoStaging::new(s.plan.clone());
-        let m = run(&s, &mut nostaging);
+        let m = Simulation::new(&s).run(&mut nostaging);
         assert_eq!(m.failed_tests, 25_000);
         assert_eq!(m.passed_count(), 100_000);
 
         let mut balanced = Balanced::new(s.plan.clone(), 1.0);
-        let m = run(&s, &mut balanced);
+        let m = Simulation::new(&s).run(&mut balanced);
         assert_eq!(m.failed_tests, 3);
         assert_eq!(m.passed_count(), 100_000);
     }
@@ -376,7 +409,7 @@ mod scale_tests {
         assert_eq!(s.machine_count(), 1_000_000);
 
         let mut balanced = Balanced::new(s.plan.clone(), 1.0);
-        let m = run(&s, &mut balanced);
+        let m = Simulation::new(&s).run(&mut balanced);
         // Overhead is p: one representative per *problem* (Table 4) —
         // later prevalent-problem clusters receive the fixed release.
         assert_eq!(m.failed_tests, 3);
@@ -384,7 +417,7 @@ mod scale_tests {
         assert!(m.completion_time.is_some());
 
         let mut nostaging = NoStaging::new(s.plan.clone());
-        let m = run(&s, &mut nostaging);
+        let m = Simulation::new(&s).run(&mut nostaging);
         // Overhead is the full population of every fault.
         assert_eq!(m.failed_tests, 50_000);
         assert_eq!(m.passed_count(), 1_000_000);
@@ -406,7 +439,7 @@ mod extension_tests {
             .offline_machines(0, 1, 200)
             .threshold(0.75)
             .build();
-        let m = run(&s, &mut Balanced::new(s.plan.clone(), s.threshold));
+        let m = Simulation::new(&s).run(&mut Balanced::new(s.plan.clone(), s.threshold));
         // Everyone, including the late arrival, eventually passes.
         assert_eq!(m.passed_count(), 8);
         let offline = &s.offline_machine_names()[0];
@@ -427,7 +460,7 @@ mod extension_tests {
             .clusters(2, 4, 1)
             .offline_machines(0, 1, 200)
             .build();
-        let m = run(&s, &mut Balanced::new(s.plan.clone(), 1.0));
+        let m = Simulation::new(&s).run(&mut Balanced::new(s.plan.clone(), 1.0));
         assert!(m.pass_time_named(&s.plan, "c01-m00000").unwrap() > 200);
     }
 
@@ -438,7 +471,7 @@ mod extension_tests {
             .problem_in_clusters("p", &[1])
             .missed_detections(1, 2)
             .build();
-        let m = run(&s, &mut NoStaging::new(s.plan.clone()));
+        let m = Simulation::new(&s).run(&mut NoStaging::new(s.plan.clone()));
         // Two problem machines "pass" with the fault integrated; the
         // other two fail and drive a fix.
         assert_eq!(m.escaped_problems, 2);
@@ -453,7 +486,7 @@ mod extension_tests {
             .clusters(2, 4, 1)
             .problem_in_clusters("p", &[1])
             .build();
-        let m = run(&s, &mut NoStaging::new(s.plan.clone()));
+        let m = Simulation::new(&s).run(&mut NoStaging::new(s.plan.clone()));
         assert_eq!(m.escaped_problems, 0);
     }
 }

@@ -360,7 +360,7 @@ impl<'a> ReferenceSimulation<'a> {
 
 /// Runs a string-keyed protocol against a string-keyed scenario with
 /// the original heap-queue driver, returning id-indexed [`SimMetrics`]
-/// for direct comparison with [`crate::runner::run`].
+/// for direct comparison with [`crate::Simulation::run`].
 pub fn run_reference(scenario: &NamedScenario, protocol: &mut dyn NamedProtocol) -> SimMetrics {
     ReferenceSimulation::new(scenario).run(protocol)
 }
@@ -368,7 +368,7 @@ pub fn run_reference(scenario: &NamedScenario, protocol: &mut dyn NamedProtocol)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner;
+    use crate::runner::Simulation;
     use crate::scenario::ScenarioBuilder;
     use mirage_deploy::reference::{NamedBalanced, NamedFrontLoading, NamedNoStaging};
     use mirage_deploy::{Balanced, FrontLoading, NoStaging};
@@ -432,15 +432,15 @@ mod tests {
         let s = small_scenario();
         let named = NamedScenario::from_scenario(&s);
 
-        let fast = runner::run(&s, &mut NoStaging::new(s.plan.clone()));
+        let fast = Simulation::new(&s).run(&mut NoStaging::new(s.plan.clone()));
         let slow = run_reference(&named, &mut NamedNoStaging::new(named.plan.clone()));
         assert_eq!(fast, slow, "NoStaging");
 
-        let fast = runner::run(&s, &mut Balanced::new(s.plan.clone(), 1.0));
+        let fast = Simulation::new(&s).run(&mut Balanced::new(s.plan.clone(), 1.0));
         let slow = run_reference(&named, &mut NamedBalanced::new(named.plan.clone(), 1.0));
         assert_eq!(fast, slow, "Balanced");
 
-        let fast = runner::run(&s, &mut FrontLoading::new(s.plan.clone(), 1.0));
+        let fast = Simulation::new(&s).run(&mut FrontLoading::new(s.plan.clone(), 1.0));
         let slow = run_reference(&named, &mut NamedFrontLoading::new(named.plan.clone(), 1.0));
         assert_eq!(fast, slow, "FrontLoading");
     }

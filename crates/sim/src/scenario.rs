@@ -12,9 +12,11 @@ use std::sync::Arc;
 
 use mirage_deploy::{
     DeployCluster, DeployPlan, MachineId, MachineSet, MachineTable, ProblemId, ProblemTable,
+    ProtocolChoice,
 };
 use mirage_report::{DurableUrr, Urr};
-use mirage_rollout::{GuardSettings, RolloutStrategy};
+use mirage_rollout::{GuardSettings, RolloutController, RolloutPlan, RolloutStrategy, UrrGuard};
+use mirage_telemetry::Telemetry;
 
 use crate::engine::SimTime;
 use crate::faults::{FaultPlan, FaultSpec};
@@ -94,15 +96,16 @@ pub struct Scenario {
     /// survives a vendor crash and can be recovered and re-queried.
     pub durable: Option<Arc<DurableUrr>>,
     /// Optional rollout strategy (set via
-    /// [`ScenarioBuilder::with_strategy`]): when present,
-    /// [`crate::run_rollout_with_telemetry`] drives the fleet through a
-    /// [`mirage_rollout::RolloutController`] instead of a bare staging
-    /// protocol.
+    /// [`ScenarioBuilder::with_strategy`]): how
+    /// [`Scenario::rollout_controller`] partitions the fleet into
+    /// cohorts. It does not choose a driver: the controller is a
+    /// protocol like any other and runs at any worker count.
     pub strategy: Option<RolloutStrategy>,
     /// Optional URR guard thresholds (set via
     /// [`ScenarioBuilder::with_guard`]): requires [`Scenario::urr`];
-    /// the controller then evaluates live repository health each tick
-    /// and rolls back automatically when the guard trips.
+    /// the controller [`Scenario::rollout_controller`] builds then
+    /// evaluates live repository health each tick and rolls back
+    /// automatically when the guard trips.
     pub guard: Option<GuardSettings>,
 }
 
@@ -130,6 +133,43 @@ impl Scenario {
     /// Total machine count.
     pub fn machine_count(&self) -> usize {
         self.plan.machine_count()
+    }
+
+    /// The rollout controller this scenario describes: its fleet
+    /// partitioned into cohorts by its [`Scenario::strategy`] (default:
+    /// single-wave `Staged`), with `telemetry` attached (decision
+    /// counters, journal events and the `rollout.state` gauge land in
+    /// the registry the driver records into; pass [`Telemetry::noop`]
+    /// for an unobserved run).
+    ///
+    /// `choice` selects the staging protocol a `Staged` strategy
+    /// delegates to; cohort strategies (`Canary`/`Rolling`/`BlueGreen`)
+    /// ignore it. When the scenario carries both a repository
+    /// ([`ScenarioBuilder::with_urr`]) and guard thresholds
+    /// ([`ScenarioBuilder::with_guard`]), the controller assesses live
+    /// repository health on every decision tick and rolls the fleet
+    /// back to the prior release when the guard trips.
+    ///
+    /// The controller is a [`mirage_deploy::Protocol`]: run it with
+    /// [`crate::Simulation`] at any worker count, then read
+    /// [`RolloutController::outcome`].
+    pub fn rollout_controller(
+        &self,
+        choice: ProtocolChoice,
+        telemetry: Telemetry,
+    ) -> RolloutController {
+        let strategy = self
+            .strategy
+            .unwrap_or(RolloutStrategy::Staged { waves: 1 });
+        let plan = RolloutPlan::new(self.plan.clone(), strategy);
+        let controller =
+            RolloutController::new(plan, choice, self.threshold).with_telemetry(telemetry);
+        match (self.guard, &self.urr) {
+            (Some(settings), Some(urr)) => {
+                controller.with_guard(UrrGuard::new(Arc::clone(urr), settings))
+            }
+            _ => controller,
+        }
     }
 
     /// The problem carried by a machine, if any (hot-path accessor).
@@ -386,10 +426,9 @@ impl ScenarioBuilder {
     }
 
     /// Selects a rollout strategy for this scenario:
-    /// [`crate::run_rollout_with_telemetry`] then partitions the fleet
-    /// into cohorts and drives it through a
-    /// [`mirage_rollout::RolloutController`]. Without this call the
-    /// scenario runs bare staging protocols as before.
+    /// [`Scenario::rollout_controller`] then partitions the fleet into
+    /// cohorts accordingly. Without this call it builds a single-wave
+    /// `Staged` rollout, a pass-through to the staging protocol.
     pub fn with_strategy(mut self, strategy: RolloutStrategy) -> Self {
         self.strategy = Some(strategy);
         self

@@ -33,7 +33,7 @@
 
 use std::sync::Arc;
 
-use mirage_deploy::{MachineId, MachineTable, ProblemId};
+use mirage_deploy::{MachineId, MachineTable, ProblemId, PRIOR_RELEASE};
 use mirage_report::{
     DurableUrr, InternedOutcome, InternedReport, MachineDirectory, MachineRef, ReleaseId, SigId,
     Urr,
@@ -121,11 +121,11 @@ impl UrrSink {
     }
 
     /// The repository release for simulated release number `release`.
-    /// The `PRIOR_RELEASE` rollback sentinel (`u32::MAX`) maps to a
-    /// dedicated `("upgrade", "prior")` release rather than growing the
-    /// dense table to it.
+    /// The [`PRIOR_RELEASE`] rollback sentinel maps to a dedicated
+    /// `("upgrade", "prior")` release rather than growing the dense
+    /// table to it.
     fn release_id(&mut self, release: u32) -> ReleaseId {
-        if release == u32::MAX {
+        if release == PRIOR_RELEASE.0 {
             return *self
                 .prior_release_id
                 .get_or_insert_with(|| self.urr.intern_release("upgrade", "prior"));

@@ -10,10 +10,11 @@
 //!
 //! What it does *not* know is how events are ordered. A driver hands it
 //! a [`Schedule`] and feeds it events in simulation order: the
-//! sequential [`crate::Simulation`] pops one calendar queue; the sharded
-//! driver in [`crate::parallel`] merges per-shard queues by `(time,
-//! seq)`. Both run the handlers below, so a vendor-side behaviour is
-//! written, and can drift, in one place only.
+//! sequential loop in [`crate::runner`] pops one calendar queue; the
+//! sharded driver in [`crate::parallel`] merges per-shard queues by
+//! `(time, seq)`. Both run the handlers below and decide a test by the
+//! one [`test_outcome`], so a vendor-side behaviour is written, and can
+//! drift, in one place only.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -394,29 +395,11 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
         }
     }
 
-    /// Whether `machine` passes `release` and whether that pass is a
-    /// failure that escaped detection: `(passed, escaped)`.
-    #[inline]
-    pub(crate) fn test_outcome(&self, machine: MachineId, release: u32) -> (bool, bool) {
-        // The rollback sentinel: reverting to the prior (pre-upgrade)
-        // release always succeeds — the fleet ran it before the
-        // campaign started.
-        let sound = release == PRIOR_RELEASE.0
-            || match self.scenario.problem_of(machine) {
-                None => true,
-                Some(problem) => self.fixed_by_release[release as usize].contains(problem),
-            };
-        // Imperfect user-machine testing: the problem escapes into
-        // production. The machine integrates the faulty release.
-        let escaped = !sound && self.scenario.missed_detection.contains(machine);
-        (sound || escaped, escaped)
-    }
-
     /// Records a passing test: upgrade passes feed the pass-time CDF;
     /// confirmations of the rollback sentinel land in the revert-time
     /// vector instead (a reverted machine did not integrate the
     /// upgrade, so it must not count as converged).
-    fn note_pass(&mut self, machine: MachineId, release: u32) {
+    pub(crate) fn note_pass(&mut self, machine: MachineId, release: u32) {
         if release == PRIOR_RELEASE.0 {
             if self.metrics.machine_revert_time.is_empty() {
                 self.metrics.machine_revert_time = vec![None; self.metrics.machine_pass_time.len()];
@@ -434,7 +417,7 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
     }
 
     /// A machine finished testing `release` with the given
-    /// [`VendorSide::test_outcome`]. The machine-local effects (pass
+    /// [`test_outcome`]. The machine-local effects (pass
     /// time, overhead, escapes) happen here. With `uplink: None` the
     /// channel is reliable and the report lands at the vendor
     /// synchronously; otherwise problem *discovery* and the protocol
@@ -662,6 +645,34 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
             self.ticks_issued += 1;
         }
     }
+}
+
+/// Whether `machine` passes `release`, and whether that pass is a
+/// failure that escaped detection: `(passed, escaped)`. The one
+/// statement of the rule: the sequential driver calls it as it pops a
+/// test, the sharded driver ahead of the replay (Phase A and the
+/// placement pass). `fixed_by_release` is append-only, so a scheduled
+/// test's outcome is the same whenever it is worked out.
+#[inline]
+pub(crate) fn test_outcome(
+    scenario: &Scenario,
+    fixed_by_release: &[ProblemSet],
+    machine: MachineId,
+    release: u32,
+) -> (bool, bool) {
+    let sound = match scenario.problem_of(machine) {
+        None => true,
+        // The rollback sentinel: reverting to the prior (pre-upgrade)
+        // release always succeeds — the fleet ran it before the
+        // campaign started. It is not an index into the history.
+        Some(problem) => {
+            release == PRIOR_RELEASE.0 || fixed_by_release[release as usize].contains(problem)
+        }
+    };
+    // Imperfect user-machine testing: the problem escapes into
+    // production. The machine integrates the faulty release.
+    let escaped = !sound && scenario.missed_detection.contains(machine);
+    (sound || escaped, escaped)
 }
 
 /// The journal's dense code for an outcome's problem.

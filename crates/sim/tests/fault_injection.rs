@@ -6,7 +6,7 @@
 //! property in `proptests.rs`.
 
 use mirage_deploy::{Balanced, MachineId, Protocol, ProtocolChoice};
-use mirage_sim::{run, FaultSpec, Scenario, ScenarioBuilder, SimTime};
+use mirage_sim::{FaultSpec, Scenario, ScenarioBuilder, SimTime, Simulation};
 
 /// Cluster id owning a given machine in the scenario's plan.
 fn cluster_of(scenario: &Scenario, machine: MachineId) -> usize {
@@ -36,10 +36,10 @@ fn machine_leaving_before_its_stage_delays_only_its_cluster() {
     assert_eq!((leave, back), (1, rejoin));
     assert_eq!(cluster_of(&scenario, churned), 3);
 
-    let metrics = run(
-        &scenario,
-        &mut Balanced::new(scenario.plan.clone(), scenario.threshold),
-    );
+    let metrics = Simulation::new(&scenario).run(&mut Balanced::new(
+        scenario.plan.clone(),
+        scenario.threshold,
+    ));
     assert!(metrics.converged(total), "churned machine passes on rejoin");
     assert!(
         metrics.pass_time(churned).unwrap() >= rejoin,
@@ -76,10 +76,10 @@ fn machine_joining_after_planning_is_upgraded_on_arrival() {
     let total = scenario.plan.machine_count();
     let (late_joiner, ..) = scenario.faults.churn[0];
 
-    let metrics = run(
-        &scenario,
-        &mut Balanced::new(scenario.plan.clone(), scenario.threshold),
-    );
+    let metrics = Simulation::new(&scenario).run(&mut Balanced::new(
+        scenario.plan.clone(),
+        scenario.threshold,
+    ));
     assert!(metrics.converged(total));
     assert!(
         metrics.pass_time(late_joiner).unwrap() >= arrives,
@@ -112,7 +112,7 @@ fn crashed_rep_is_waived_and_the_rest_of_the_fleet_converges() {
 
     let mut protocol = Balanced::new(scenario.plan.clone(), scenario.threshold)
         .with_rep_timeout(scenario.faults.rep_timeout.unwrap());
-    let metrics = run(&scenario, &mut protocol);
+    let metrics = Simulation::new(&scenario).run(&mut protocol);
     assert!(protocol.done(), "waiver unblocks the protocol");
     assert!(metrics.rep_timeouts >= 1, "the crashed rep was waived");
     assert!(!metrics.converged(total), "the crashed rep never passes");
@@ -138,14 +138,8 @@ fn duplication_alone_does_not_change_outcomes() {
         .build();
     let total = clean.plan.machine_count();
 
-    let base = run(
-        &clean,
-        &mut Balanced::new(clean.plan.clone(), clean.threshold),
-    );
-    let dup = run(
-        &noisy,
-        &mut Balanced::new(noisy.plan.clone(), noisy.threshold),
-    );
+    let base = Simulation::new(&clean).run(&mut Balanced::new(clean.plan.clone(), clean.threshold));
+    let dup = Simulation::new(&noisy).run(&mut Balanced::new(noisy.plan.clone(), noisy.threshold));
     assert!(base.converged(total) && dup.converged(total));
     assert_eq!(dup.failed_tests, base.failed_tests);
     assert_eq!(dup.msgs_dropped, 0, "duplication is not loss");
@@ -178,7 +172,7 @@ fn million_machine_fleet_converges_under_faults() {
         let mut protocol = choice
             .build(scenario.plan.clone(), scenario.threshold)
             .with_rep_timeout(scenario.faults.rep_timeout.unwrap());
-        let metrics = run(&scenario, &mut protocol);
+        let metrics = Simulation::new(&scenario).run(&mut protocol);
         assert!(
             metrics.converged(total),
             "{}: {}/{total} passed",

@@ -8,8 +8,7 @@
 use std::time::Instant;
 
 use mirage_deploy::ProtocolChoice;
-use mirage_sim::{run, run_parallel_in, ScenarioBuilder, SimArena};
-use mirage_telemetry::Telemetry;
+use mirage_sim::{ScenarioBuilder, SimArena, Simulation};
 
 /// The paper's Figure-10 shape at 100k machines: 20 clusters × 5000,
 /// problems placed late in the staging order.
@@ -36,9 +35,9 @@ fn parallel_smoke_100k_4_workers() {
         ProtocolChoice::FrontLoading,
     ] {
         let mut oracle = choice.build(s.plan.clone(), s.threshold);
-        let expect = run(&s, &mut oracle);
+        let expect = Simulation::new(&s).run(&mut oracle);
         let mut p = choice.build(s.plan.clone(), s.threshold);
-        let got = run_parallel_in(&mut arena, &s, &mut p, Telemetry::noop(), 4);
+        let got = Simulation::new(&s).workers(4).arena(&mut arena).run(&mut p);
         assert_eq!(expect, got, "{} diverged at 100k/4 workers", choice.name());
         assert_eq!(expect.passed_count(), s.machine_count());
     }
@@ -60,7 +59,10 @@ fn parallel_ten_million_machines_under_ten_seconds() {
     let mut protocol = ProtocolChoice::Balanced.build(s.plan.clone(), s.threshold);
     let mut arena = SimArena::new();
     let started = Instant::now();
-    let metrics = run_parallel_in(&mut arena, &s, &mut protocol, Telemetry::noop(), 8);
+    let metrics = Simulation::new(&s)
+        .workers(8)
+        .arena(&mut arena)
+        .run(&mut protocol);
     let elapsed = started.elapsed();
     assert_eq!(metrics.passed_count(), 10_000_000);
     assert!(metrics.completion_time.is_some());

@@ -12,15 +12,12 @@ use std::sync::Arc;
 use mirage_deploy::reference::{AnyNamedProtocol, NamedProtocol};
 use mirage_deploy::{
     AnyProtocol, Balanced, Command, MachineId, NoStaging, ProblemSet, Protocol, ProtocolChoice,
-    Release, TestReport,
+    Release, TestReport, PRIOR_RELEASE,
 };
 use mirage_report::Urr;
 use mirage_rollout::{GuardSettings, RolloutStrategy};
 use mirage_sim::runner::reference::{run_reference, NamedScenario};
-use mirage_sim::{
-    run, run_parallel_in, run_rollout_with_telemetry, run_with_telemetry, FaultSpec, Scenario,
-    ScenarioBuilder, SimArena, SimTime,
-};
+use mirage_sim::{FaultSpec, Scenario, ScenarioBuilder, SimTime, Simulation};
 use mirage_telemetry::{Journal, Registry, Telemetry};
 
 /// Deterministic xorshift64 generator for scenario specs.
@@ -161,7 +158,7 @@ fn all_protocols_converge() {
         let scenario = build(&spec);
         let total = scenario.machine_count();
         for (name, mut protocol) in protocols(&scenario, case) {
-            let metrics = run(&scenario, &mut protocol);
+            let metrics = Simulation::new(&scenario).run(&mut protocol);
             assert_eq!(
                 metrics.passed_count(),
                 total,
@@ -190,10 +187,10 @@ fn staging_never_increases_overhead() {
         let spec = random_scenario(&mut rng);
         let scenario = build(&spec);
         let m = scenario.problem_machine_count();
-        let nostaging = run(&scenario, &mut NoStaging::new(scenario.plan.clone()));
+        let nostaging = Simulation::new(&scenario).run(&mut NoStaging::new(scenario.plan.clone()));
         assert_eq!(nostaging.failed_tests, m, "case {case} ({spec:?})");
         for (name, mut protocol) in protocols(&scenario, case) {
-            let metrics = run(&scenario, &mut protocol);
+            let metrics = Simulation::new(&scenario).run(&mut protocol);
             assert!(
                 metrics.failed_tests <= m,
                 "case {case}: {name} overhead {} exceeds NoStaging {m} ({spec:?})",
@@ -213,7 +210,7 @@ fn one_release_per_problem() {
         let scenario = build(&spec);
         let distinct = scenario.problem_populations().len() as u32;
         for (name, mut protocol) in protocols(&scenario, case) {
-            let metrics = run(&scenario, &mut protocol);
+            let metrics = Simulation::new(&scenario).run(&mut protocol);
             assert_eq!(
                 metrics.releases_shipped, distinct,
                 "case {case}: {name} shipped a surprising number of releases ({spec:?})"
@@ -230,7 +227,8 @@ fn healthy_fleet_timing() {
         for size in 1usize..6 {
             let scenario = ScenarioBuilder::new().clusters(clusters, size, 1).build();
             let cycle = scenario.timings.machine_cycle();
-            let balanced = run(&scenario, &mut Balanced::new(scenario.plan.clone(), 1.0));
+            let balanced =
+                Simulation::new(&scenario).run(&mut Balanced::new(scenario.plan.clone(), 1.0));
             assert_eq!(balanced.failed_tests, 0);
             // Sequential reps+nonreps per cluster (single-member clusters
             // skip the empty non-rep stage).
@@ -240,7 +238,8 @@ fn healthy_fleet_timing() {
                 Some(per_cluster * clusters as u64),
                 "clusters {clusters}, size {size}"
             );
-            let nostaging = run(&scenario, &mut NoStaging::new(scenario.plan.clone()));
+            let nostaging =
+                Simulation::new(&scenario).run(&mut NoStaging::new(scenario.plan.clone()));
             assert_eq!(nostaging.completion_time, Some(cycle));
         }
     }
@@ -264,7 +263,7 @@ fn interned_driver_matches_string_reference() {
         let slow = named_protocols(&named, case);
         for ((name, mut fast_p), (slow_name, mut slow_p)) in fast.into_iter().zip(slow) {
             assert_eq!(name, slow_name);
-            let fast_m = run(&scenario, &mut fast_p);
+            let fast_m = Simulation::new(&scenario).run(&mut fast_p);
             let slow_m = run_reference(&named, &mut slow_p);
             assert_eq!(
                 fast_m, slow_m,
@@ -316,7 +315,7 @@ fn fault_plan_none_is_bit_identical() {
         let slow = named_protocols(&named, case);
         for ((name, mut fast_p), (slow_name, mut slow_p)) in fast.into_iter().zip(slow) {
             assert_eq!(name, slow_name);
-            let fast_m = run(&scenario, &mut fast_p);
+            let fast_m = Simulation::new(&scenario).run(&mut fast_p);
             let slow_m = run_reference(&named, &mut slow_p);
             assert_eq!(
                 fast_m, slow_m,
@@ -376,14 +375,16 @@ fn journaled_run_is_bit_identical() {
         for choice in choices(case) {
             let name = choice.name();
             let mut plain_p = choice.build(scenario.plan.clone(), scenario.threshold);
-            let plain = run(&scenario, &mut plain_p);
+            let plain = Simulation::new(&scenario).run(&mut plain_p);
 
             let registry = Arc::new(Registry::with_journal(4096, Journal::with_spill(4096)));
             let telemetry = Telemetry::from_registry(Arc::clone(&registry));
             let mut journaled_p = choice
                 .build(scenario.plan.clone(), scenario.threshold)
                 .with_telemetry(telemetry.clone());
-            let journaled = run_with_telemetry(&scenario, &mut journaled_p, telemetry);
+            let journaled = Simulation::new(&scenario)
+                .with_telemetry(telemetry)
+                .run(&mut journaled_p);
 
             assert_eq!(
                 plain, journaled,
@@ -447,16 +448,12 @@ fn parallel_driver_matches_sequential_oracle() {
         for choice in choices(case) {
             let name = choice.name();
             let mut oracle = choice.build(scenario.plan.clone(), scenario.threshold);
-            let expect = run(&scenario, &mut oracle);
+            let expect = Simulation::new(&scenario).run(&mut oracle);
             for workers in [1usize, 2, 4, 8] {
                 let mut protocol = choice.build(scenario.plan.clone(), scenario.threshold);
-                let got = run_parallel_in(
-                    &mut SimArena::new(),
-                    &scenario,
-                    &mut protocol,
-                    Telemetry::noop(),
-                    workers,
-                );
+                let got = Simulation::new(&scenario)
+                    .workers(workers)
+                    .run(&mut protocol);
                 assert_eq!(
                     expect, got,
                     "case {case}: {name} diverged at {workers} workers ({spec:?})"
@@ -489,7 +486,9 @@ fn journaled_parallel_run_matches_sequential() {
             let mut seq_p = choice
                 .build(scenario.plan.clone(), scenario.threshold)
                 .with_telemetry(seq_tel.clone());
-            let seq_m = run_with_telemetry(&scenario, &mut seq_p, seq_tel);
+            let seq_m = Simulation::new(&scenario)
+                .with_telemetry(seq_tel)
+                .run(&mut seq_p);
             let seq_entries = seq_reg.journal().entries();
             assert!(!seq_entries.is_empty(), "case {case}: {name} journal empty");
             for workers in [1usize, 2, 4, 8] {
@@ -498,13 +497,10 @@ fn journaled_parallel_run_matches_sequential() {
                 let mut par_p = choice
                     .build(scenario.plan.clone(), scenario.threshold)
                     .with_telemetry(par_tel.clone());
-                let par_m = run_parallel_in(
-                    &mut SimArena::new(),
-                    &scenario,
-                    &mut par_p,
-                    par_tel,
-                    workers,
-                );
+                let par_m = Simulation::new(&scenario)
+                    .with_telemetry(par_tel)
+                    .workers(workers)
+                    .run(&mut par_p);
                 assert_eq!(
                     seq_m, par_m,
                     "case {case}: {name} journaled metrics diverged at {workers} workers ({spec:?})"
@@ -534,26 +530,19 @@ fn parallel_driver_fills_the_same_repository() {
         let (spec, mut scenario) = parallel_case(&mut rng, case);
         for choice in choices(case) {
             let name = choice.name();
-            let mut deposit = |workers: Option<usize>| {
+            let mut deposit = |workers: usize| {
                 let urr = Arc::new(Urr::new());
                 scenario.urr = Some(Arc::clone(&urr));
                 let mut protocol = choice.build(scenario.plan.clone(), scenario.threshold);
-                let metrics = match workers {
-                    None => run(&scenario, &mut protocol),
-                    Some(w) => run_parallel_in(
-                        &mut SimArena::new(),
-                        &scenario,
-                        &mut protocol,
-                        Telemetry::noop(),
-                        w,
-                    ),
-                };
+                let metrics = Simulation::new(&scenario)
+                    .workers(workers)
+                    .run(&mut protocol);
                 (metrics, urr)
             };
-            let (seq_m, seq_urr) = deposit(None);
+            let (seq_m, seq_urr) = deposit(1);
             assert!(seq_urr.stats().total > 0, "case {case}: {name} deposited");
             for workers in [2usize, 4, 8] {
-                let (par_m, par_urr) = deposit(Some(workers));
+                let (par_m, par_urr) = deposit(workers);
                 let at = format!("case {case}: {name} at {workers} workers ({spec:?})");
                 assert_eq!(seq_m, par_m, "{at}: metrics");
                 assert_eq!(seq_urr.stats(), par_urr.stats(), "{at}: stats");
@@ -563,6 +552,16 @@ fn parallel_driver_fills_the_same_repository() {
         }
     }
 }
+
+/// A guard that small fleets can trip: two reports make a cluster's
+/// failure rate count, two bad verdicts in a row roll back.
+const GUARD: GuardSettings = GuardSettings {
+    max_cluster_failure_rate: 0.3,
+    max_failure_population: usize::MAX,
+    min_reports: 2,
+    unhealthy_ticks: 2,
+    healthy_ticks: 1,
+};
 
 /// **Adoption equivalence**: a repository that adopts the plan's machine
 /// table whole (a fresh `Urr`: [`Urr::intern_fleet`] keeps the table
@@ -593,13 +592,6 @@ fn adopted_fleet_fills_the_same_repository() {
         }
         urr
     }
-    let guard = GuardSettings {
-        max_cluster_failure_rate: 0.3,
-        min_reports: 2,
-        unhealthy_ticks: 2,
-        healthy_ticks: 1,
-        ..GuardSettings::default()
-    };
     let mut rng = Rng::new(0xAD0);
     let mut rolled_back = 0;
     for case in 0..24u64 {
@@ -612,7 +604,7 @@ fn adopted_fleet_fills_the_same_repository() {
                 .with_strategy(RolloutStrategy::Rolling {
                     batch_size: spec.size,
                 })
-                .with_guard(guard);
+                .with_guard(GUARD);
             if case % 2 == 1 {
                 builder = builder.faults(
                     FaultSpec::new(0xAD0 ^ case)
@@ -624,12 +616,10 @@ fn adopted_fleet_fills_the_same_repository() {
             let fill = |per_name: bool| {
                 let urr = repository(per_name);
                 let scenario = builder.clone().with_urr(Arc::clone(&urr)).build();
-                let (_, outcome) = run_rollout_with_telemetry(
-                    &scenario,
-                    ProtocolChoice::Balanced,
-                    Telemetry::noop(),
-                );
-                assert!(outcome.rollback.is_some(), "case {case}: rolled back");
+                let mut controller =
+                    scenario.rollout_controller(ProtocolChoice::Balanced, Telemetry::noop());
+                Simulation::new(&scenario).run(&mut controller);
+                assert!(controller.rollback().is_some(), "case {case}: rolled back");
                 urr
             };
             assert_same_repository(&fill(false), &fill(true), &format!("case {case}"));
@@ -637,25 +627,18 @@ fn adopted_fleet_fills_the_same_repository() {
             continue;
         }
         for choice in choices(case) {
-            for workers in [None, Some(2usize), Some(4)] {
+            for workers in [1usize, 2, 4] {
                 let mut fill = |per_name: bool| {
                     let urr = repository(per_name);
                     scenario.urr = Some(Arc::clone(&urr));
                     let mut protocol = choice.build(scenario.plan.clone(), scenario.threshold);
-                    match workers {
-                        None => run(&scenario, &mut protocol),
-                        Some(w) => run_parallel_in(
-                            &mut SimArena::new(),
-                            &scenario,
-                            &mut protocol,
-                            Telemetry::noop(),
-                            w,
-                        ),
-                    };
+                    Simulation::new(&scenario)
+                        .workers(workers)
+                        .run(&mut protocol);
                     urr
                 };
                 let at = format!(
-                    "case {case}: {} at {workers:?} workers ({spec:?})",
+                    "case {case}: {} at {workers} workers ({spec:?})",
                     choice.name()
                 );
                 assert_same_repository(&fill(false), &fill(true), &at);
@@ -723,7 +706,7 @@ fn tick_sees_the_same_repository_on_both_drivers() {
             .with_urr(Arc::clone(urr))
             .build()
     };
-    let probe = |workers: Option<usize>| {
+    let probe = |workers: usize| {
         let urr = Arc::new(Urr::new());
         let s = build(&urr);
         let mut p = TickProbe {
@@ -733,20 +716,202 @@ fn tick_sees_the_same_repository_on_both_drivers() {
             urr,
             seen: Vec::new(),
         };
-        let metrics = match workers {
-            None => run_with_telemetry(&s, &mut p, Telemetry::noop()),
-            Some(w) => run_parallel_in(&mut SimArena::new(), &s, &mut p, Telemetry::noop(), w),
-        };
+        let metrics = Simulation::new(&s).workers(workers).run(&mut p);
         assert!(metrics.converged(s.machine_count()));
         p.seen
     };
-    let expect = probe(None);
+    let expect = probe(1);
     assert!(
         expect.windows(2).filter(|w| w[0].1 < w[1].1).count() > 1,
         "reports became visible tick by tick: {expect:?}"
     );
     for workers in [2usize, 4, 8] {
-        assert_eq!(expect, probe(Some(workers)), "at {workers} workers");
+        assert_eq!(expect, probe(workers), "at {workers} workers");
+    }
+}
+
+/// **Guarded-rollout equivalence**: a rollout controller with a URR
+/// guard — decision ticks, guard queries against the repository the run
+/// fills, and, when the guard trips, a `PRIOR_RELEASE` revert wave —
+/// runs on the sharded driver exactly as on the sequential one. 32
+/// cases over random fleet shapes (late arrivals and missed detections
+/// included): the four strategies × a good and a fleet-wide-bad release
+/// × a reliable and a lossy (loss, duplication, delay, retries) channel,
+/// twice. At 2, 4 and 8 workers [`mirage_sim::SimMetrics`], the
+/// `RolloutOutcome`, the raw journal stream, the counter sums and the
+/// repository (`stats`, `snapshot`, `next_seq`) equal the one-worker
+/// run's, and `sim.workers` reads the shard count that ran.
+#[test]
+fn guarded_rollout_matches_sequential_at_any_worker_count() {
+    let mut rng = Rng::new(0x6A2D);
+    let mut rolled_back = 0;
+    for case in 0..32u64 {
+        let spec = random_scenario_ext(&mut rng);
+        let strategy = match case % 4 {
+            0 => RolloutStrategy::Staged { waves: 2 },
+            1 => RolloutStrategy::Canary {
+                percentage: 25.0,
+                bake_time: 30,
+            },
+            2 => RolloutStrategy::Rolling {
+                batch_size: spec.size,
+            },
+            _ => RolloutStrategy::BlueGreen,
+        };
+        let (bad, lossy) = (case / 4 % 2 == 1, case / 8 % 2 == 1);
+        let choice = choices(case)[(case / 8) as usize];
+        let mut builder = ScenarioBuilder::new()
+            .clusters(spec.clusters, spec.size, 1)
+            .threshold(spec.threshold)
+            .with_strategy(strategy)
+            .with_guard(GUARD);
+        if let Some((cluster, count, until)) = spec.offline {
+            builder = builder.offline_machines(cluster, count, until);
+        }
+        if bad {
+            let everywhere: Vec<usize> = (0..spec.clusters).collect();
+            builder = builder.problem_in_clusters("regression", &everywhere);
+            if let Some((cluster, count)) = spec.missed {
+                builder = builder.missed_detections(cluster, count);
+            }
+        }
+        if lossy {
+            builder = builder.faults(
+                FaultSpec::new(0x6A2D ^ case)
+                    .loss(0.20)
+                    .duplication(0.10)
+                    .delay(6)
+                    .retry(20, 4),
+            );
+        }
+        let run = |workers: usize| {
+            let urr = Arc::new(Urr::new());
+            let scenario = builder.clone().with_urr(Arc::clone(&urr)).build();
+            let registry = Arc::new(Registry::with_journal(4096, Journal::with_spill(4096)));
+            let telemetry = Telemetry::from_registry(Arc::clone(&registry));
+            let mut controller = scenario.rollout_controller(choice, telemetry.clone());
+            let metrics = Simulation::new(&scenario)
+                .with_telemetry(telemetry)
+                .workers(workers)
+                .run(&mut controller);
+            let snapshot = registry.snapshot();
+            assert_eq!(
+                snapshot.gauges["sim.workers"].value,
+                workers.min(scenario.machine_count()) as i64,
+                "case {case}: sim.workers names the driver that ran"
+            );
+            (
+                (metrics, controller.outcome()),
+                (registry.journal().entries(), snapshot.counters),
+                (urr.stats(), urr.snapshot(), urr.next_seq()),
+            )
+        };
+        let (expect_run, expect_telemetry, expect_urr) = run(1);
+        assert!(!expect_telemetry.0.is_empty(), "case {case}: journaled");
+        rolled_back += usize::from(expect_run.1.rollback.is_some());
+        for workers in [2usize, 4, 8] {
+            let at = format!(
+                "case {case}: {} at {workers} workers ({spec:?})",
+                strategy.name()
+            );
+            let (got_run, got_telemetry, got_urr) = run(workers);
+            assert_eq!(expect_run, got_run, "{at}: metrics and outcome");
+            assert_eq!(expect_telemetry, got_telemetry, "{at}: journal, counters");
+            assert_eq!(expect_urr, got_urr, "{at}: repository");
+        }
+    }
+    // The other two bad releases are staged rollouts on the lossy
+    // channel, which converge through the vendor's fix first.
+    assert_eq!(rolled_back, 14, "bad releases the guard rolled back");
+}
+
+/// Notifies the whole fleet and, on the first report, tells everyone to
+/// revert: a `PRIOR_RELEASE` wave from a protocol with no decision
+/// clock and no guard.
+struct RevertProbe {
+    fleet: Vec<MachineId>,
+    reverting: bool,
+    reverted: usize,
+}
+
+impl Protocol for RevertProbe {
+    fn name(&self) -> &'static str {
+        "RevertProbe"
+    }
+    fn start(&mut self) -> Vec<Command> {
+        vec![Command::Notify {
+            machines: self.fleet.clone(),
+            release: Release(0),
+        }]
+    }
+    fn on_report(&mut self, report: &TestReport) -> Vec<Command> {
+        if !self.reverting {
+            self.reverting = true;
+            return vec![Command::Notify {
+                machines: self.fleet.clone(),
+                release: PRIOR_RELEASE,
+            }];
+        }
+        if report.release == PRIOR_RELEASE {
+            self.reverted += 1;
+            if self.done() {
+                return vec![Command::Complete];
+            }
+        }
+        Vec::new()
+    }
+    fn on_release(&mut self, _release: Release, _fixed: &ProblemSet) -> Vec<Command> {
+        Vec::new()
+    }
+    fn done(&self) -> bool {
+        self.reverted == self.fleet.len()
+    }
+}
+
+/// A revert is a revert on every replay path. The sentinel is not an
+/// index into the release history (the sharded driver's outcome scans
+/// used to index with it, and panicked on the first problem-carrying
+/// machine that reverted), and a confirmation lands in
+/// `machine_revert_time`, not in the pass times — unobserved (the
+/// placement pass) and journaled (Phase A and the merge) alike.
+#[test]
+fn revert_wave_without_a_guard_matches_sequential() {
+    let s = ScenarioBuilder::new()
+        .clusters(3, 4, 1)
+        .problem_in_clusters("p", &[1])
+        .build();
+    let run = |workers: usize, journaled: bool| {
+        let telemetry = if journaled {
+            let journal = Journal::with_spill(4096);
+            Telemetry::from_registry(Arc::new(Registry::with_journal(4096, journal)))
+        } else {
+            Telemetry::noop()
+        };
+        let mut probe = RevertProbe {
+            fleet: s.plan.machines.ids().collect(),
+            reverting: false,
+            reverted: 0,
+        };
+        let metrics = Simulation::new(&s)
+            .with_telemetry(telemetry)
+            .workers(workers)
+            .run(&mut probe);
+        assert!(probe.done(), "every machine confirmed the revert");
+        metrics
+    };
+    for journaled in [false, true] {
+        let expect = run(1, journaled);
+        let cycle = s.timings.machine_cycle();
+        assert_eq!(expect.machine_revert_time, vec![Some(2 * cycle); 12]);
+        assert_eq!((expect.reverted_count(), expect.passed_count()), (12, 8));
+        assert_eq!(expect.completion_time, Some(2 * cycle));
+        for workers in [2usize, 4] {
+            assert_eq!(
+                expect,
+                run(workers, journaled),
+                "at {workers} workers, journaled={journaled}"
+            );
+        }
     }
 }
 
@@ -781,7 +946,7 @@ fn protocols_converge_under_heavy_faults() {
         assert!(!scenario.faults.is_none());
         let total = scenario.machine_count();
         for (name, mut protocol) in protocols(&scenario, case) {
-            let metrics = run(&scenario, &mut protocol);
+            let metrics = Simulation::new(&scenario).run(&mut protocol);
             assert_eq!(
                 metrics.passed_count(),
                 total,

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use mirage_deploy::{Balanced, NoStaging, Protocol};
 use mirage_report::Urr;
-use mirage_sim::{run, FaultSpec, ScenarioBuilder};
+use mirage_sim::{FaultSpec, ScenarioBuilder, Simulation};
 
 /// With the knob enabled the metrics are bit-identical to the unwired
 /// run, and the repository holds exactly the vendor-received outcomes.
@@ -20,11 +20,11 @@ fn with_urr_is_observationally_neutral_and_records_everything() {
             .problem_in_clusters("mycnf/overwritten", &[3])
     };
     let plain = build().build();
-    let m_plain = run(&plain, &mut Balanced::new(plain.plan.clone(), 1.0));
+    let m_plain = Simulation::new(&plain).run(&mut Balanced::new(plain.plan.clone(), 1.0));
 
     let urr = Arc::new(Urr::with_shards(4));
     let wired = build().with_urr(Arc::clone(&urr)).build();
-    let m_wired = run(&wired, &mut Balanced::new(wired.plan.clone(), 1.0));
+    let m_wired = Simulation::new(&wired).run(&mut Balanced::new(wired.plan.clone(), 1.0));
 
     assert_eq!(m_plain, m_wired, "with_urr must not perturb the simulation");
 
@@ -83,7 +83,7 @@ fn with_urr_under_faults_records_received_reports() {
         .with_urr(Arc::clone(&urr))
         .build();
     let mut protocol = Balanced::new(s.plan.clone(), 1.0);
-    let m = run(&s, &mut protocol);
+    let m = Simulation::new(&s).run(&mut protocol);
     assert!(protocol.done(), "deployment must converge under faults");
     assert!(m.converged(s.machine_count()));
 
@@ -114,7 +114,7 @@ fn million_machine_run_with_urr_answers_topk() {
         .build();
     assert_eq!(s.machine_count(), 1_000_000);
 
-    let m = run(&s, &mut NoStaging::new(s.plan.clone()));
+    let m = Simulation::new(&s).run(&mut NoStaging::new(s.plan.clone()));
     assert_eq!(m.passed_count(), 1_000_000);
     assert_eq!(m.failed_tests, 50_000);
 
@@ -160,7 +160,7 @@ fn durable_campaign_survives_vendor_crash() {
     // Baseline: plain in-memory repository.
     let plain_urr = Arc::new(Urr::with_shards(4));
     let plain = build().with_urr(Arc::clone(&plain_urr)).build();
-    let m_plain = run(&plain, &mut Balanced::new(plain.plan.clone(), 1.0));
+    let m_plain = Simulation::new(&plain).run(&mut Balanced::new(plain.plan.clone(), 1.0));
 
     // Journaled: same campaign, deposits flow through the WAL, with a
     // mid-campaign compaction cadence.
@@ -178,7 +178,7 @@ fn durable_campaign_survives_vendor_crash() {
         .expect("durable"),
     );
     let wired = build().with_durable_urr(Arc::clone(&durable)).build();
-    let m_wired = run(&wired, &mut Balanced::new(wired.plan.clone(), 1.0));
+    let m_wired = Simulation::new(&wired).run(&mut Balanced::new(wired.plan.clone(), 1.0));
 
     assert_eq!(
         m_plain, m_wired,

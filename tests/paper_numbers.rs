@@ -86,7 +86,7 @@ fn survey_headlines() {
 #[test]
 fn overhead_formulas_hold() {
     use mirage::deploy::{Balanced, FrontLoading, NoStaging};
-    use mirage::sim::{run, ScenarioBuilder};
+    use mirage::sim::{ScenarioBuilder, Simulation};
     let scenario = ScenarioBuilder::new()
         .clusters(20, 100, 1)
         .problem_in_clusters(deployment::PREVALENT, &[15, 16, 17])
@@ -95,19 +95,21 @@ fn overhead_formulas_hold() {
         .build();
     let m = 5 * 100;
     assert_eq!(
-        run(&scenario, &mut NoStaging::new(scenario.plan.clone())).failed_tests,
+        Simulation::new(&scenario)
+            .run(&mut NoStaging::new(scenario.plan.clone()))
+            .failed_tests,
         m
     );
     assert_eq!(
-        run(&scenario, &mut Balanced::new(scenario.plan.clone(), 1.0)).failed_tests,
+        Simulation::new(&scenario)
+            .run(&mut Balanced::new(scenario.plan.clone(), 1.0))
+            .failed_tests,
         3
     );
     assert_eq!(
-        run(
-            &scenario,
-            &mut FrontLoading::new(scenario.plan.clone(), 1.0)
-        )
-        .failed_tests,
+        Simulation::new(&scenario)
+            .run(&mut FrontLoading::new(scenario.plan.clone(), 1.0))
+            .failed_tests,
         5
     );
 }
@@ -118,19 +120,17 @@ fn overhead_formulas_hold() {
 #[test]
 fn figure10_shape() {
     use mirage::deploy::{Balanced, FrontLoading, NoStaging};
-    use mirage::sim::{latency_cdf, run, ScenarioBuilder};
+    use mirage::sim::{latency_cdf, ScenarioBuilder, Simulation};
     let scenario = ScenarioBuilder::new()
         .clusters(20, 100, 1)
         .problem_in_clusters(deployment::PREVALENT, &[15, 16, 17])
         .problem_in_clusters(deployment::RARE_A, &[18])
         .problem_in_clusters(deployment::RARE_B, &[19])
         .build();
-    let nostaging = run(&scenario, &mut NoStaging::new(scenario.plan.clone()));
-    let balanced = run(&scenario, &mut Balanced::new(scenario.plan.clone(), 1.0));
-    let frontloading = run(
-        &scenario,
-        &mut FrontLoading::new(scenario.plan.clone(), 1.0),
-    );
+    let nostaging = Simulation::new(&scenario).run(&mut NoStaging::new(scenario.plan.clone()));
+    let balanced = Simulation::new(&scenario).run(&mut Balanced::new(scenario.plan.clone(), 1.0));
+    let frontloading =
+        Simulation::new(&scenario).run(&mut FrontLoading::new(scenario.plan.clone(), 1.0));
 
     let ns = latency_cdf(&nostaging.cluster_latencies(&scenario.plan, 1.0));
     assert_eq!(ns[0], (15, 0.75), "75% of clusters pass immediately");

@@ -10,7 +10,7 @@ use mirage::env::{
     ApplicationSpec, File, IniDoc, MachineBuilder, Package, Repository, RunInput, Version,
     VersionReq,
 };
-use mirage::sim::{latency_cdf, run, ScenarioBuilder};
+use mirage::sim::{latency_cdf, ScenarioBuilder, Simulation};
 use mirage::trace::RunId;
 
 fn repo() -> Repository {
@@ -107,10 +107,10 @@ fn diffs_to_clusters_to_simulation() {
         builder = builder.problem_on_machine(m, "slow-breaks");
     }
     let scenario = builder.build();
-    let metrics = run(&scenario, &mut Balanced::new(plan.clone(), 1.0));
+    let metrics = Simulation::new(&scenario).run(&mut Balanced::new(plan.clone(), 1.0));
     assert_eq!(metrics.passed_count(), 9);
     assert_eq!(metrics.failed_tests, 1, "only the slow cluster's rep");
-    let nostaging = run(&scenario, &mut NoStaging::new(plan.clone()));
+    let nostaging = Simulation::new(&scenario).run(&mut NoStaging::new(plan.clone()));
     assert_eq!(nostaging.failed_tests, 3, "every slow machine");
     // Staging sacrifices some latency for the overhead win.
     assert!(
@@ -125,7 +125,7 @@ fn diffs_to_clusters_to_simulation() {
 #[test]
 fn latency_cdf_invariants() {
     let scenario = ScenarioBuilder::new().clusters(10, 20, 2).build();
-    let metrics = run(&scenario, &mut Balanced::new(scenario.plan.clone(), 1.0));
+    let metrics = Simulation::new(&scenario).run(&mut Balanced::new(scenario.plan.clone(), 1.0));
     let cdf = latency_cdf(&metrics.cluster_latencies(&scenario.plan, 1.0));
     assert!(!cdf.is_empty());
     assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-9);
@@ -148,7 +148,8 @@ fn extra_representatives_catch_misplaced_machines_earlier() {
             .clusters(3, 6, reps)
             .misplaced_machine(1, "odd")
             .build();
-        let metrics = run(&scenario, &mut Balanced::new(scenario.plan.clone(), 1.0));
+        let metrics =
+            Simulation::new(&scenario).run(&mut Balanced::new(scenario.plan.clone(), 1.0));
         assert_eq!(metrics.failed_tests, 1);
         assert_eq!(metrics.passed_count(), 18);
     }
