@@ -1,11 +1,12 @@
 //! Environmental-resource identification cost (paper §4.1, Table 1).
 //!
 //! Runs the four-part heuristic over the Table 1 application models and
-//! isolates the longest-common-prefix computation's scaling in trace
-//! count and length.
+//! over synthetic traces, for its scaling in trace count and length: one
+//! pass per trace feeds the longest common prefix and the read-only rule
+//! alike, so the unit timed is [`identify`].
 
 use mirage_bench::harness::Harness;
-use mirage_heuristic::identify::{init_phase_paths, read_only_everywhere};
+use mirage_heuristic::{identify, HeuristicConfig, RuleSet};
 use mirage_scenarios::apps;
 use mirage_trace::{OpenMode, RunId, SyscallEvent, Trace};
 
@@ -38,15 +39,17 @@ fn main() {
         });
     }
 
-    for &files in &[100usize, 1_000, 10_000] {
-        let traces = synthetic_traces(4, files);
-        h.bench(&format!("heuristic/lcp/files-{files}"), || {
-            init_phase_paths(&traces).len()
-        });
+    let config = HeuristicConfig::paper_default();
+    let rules = RuleSet::new();
+    for &(runs, files) in &[(4usize, 100usize), (4, 1_000), (4, 10_000), (8, 2_000)] {
+        let traces = synthetic_traces(runs, files);
+        h.bench(
+            &format!("heuristic/identify/runs-{runs}/files-{files}"),
+            || {
+                identify(&traces, [], &|_| None, &config, &rules)
+                    .env_resources
+                    .len()
+            },
+        );
     }
-
-    let traces = synthetic_traces(8, 2_000);
-    h.bench("heuristic/read-only-all-traces", || {
-        read_only_everywhere(&traces).len()
-    });
 }

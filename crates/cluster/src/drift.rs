@@ -62,6 +62,7 @@ use mirage_fingerprint::{Item, ItemPool, ItemSet, LoweredDiff};
 use mirage_telemetry::Telemetry;
 
 use crate::cluster::{Cluster, ClusterId, Clustering, MachineInfo};
+use crate::engine::label_of;
 
 /// A candidate scan fans out over scoped threads once the candidate
 /// clusters hold at least this many members in total; smaller scans
@@ -225,10 +226,7 @@ pub fn clustering_from_groups(groups: &[Vec<MachineInfo>]) -> (Clustering, Vec<M
         assert!(!group.is_empty(), "group {i} is empty");
         let mut members: Vec<String> = group.iter().map(|m| m.id().to_string()).collect();
         members.sort();
-        let label: ItemSet = group
-            .iter()
-            .flat_map(|m| m.diff.all_items().into_iter())
-            .collect();
+        let label = label_of(group.iter());
         let vendor_distance = group
             .iter()
             .map(|m| m.diff.vendor_distance())

@@ -2,13 +2,23 @@
 
 use std::collections::BTreeSet;
 
-use mirage_fingerprint::{ImportanceFilter, ItemSet};
+use mirage_fingerprint::{ImportanceFilter, Item, ItemSet};
 use mirage_telemetry::Telemetry;
 
 use crate::cluster::{Cluster, ClusterId, Clustering, MachineInfo};
 use crate::phase1::original_clusters;
 use crate::qt::qt_cluster_instrumented;
 use crate::split::split_by_app_set;
+
+/// A cluster's label: the union of its members' parsed and content
+/// items. The union is taken by reference, so each distinct item is
+/// cloned once however many members carry it.
+pub(crate) fn label_of<'a>(members: impl Iterator<Item = &'a MachineInfo>) -> ItemSet {
+    let distinct: BTreeSet<&Item> = members
+        .flat_map(|m| m.diff.parsed.iter().chain(&m.diff.content))
+        .collect();
+    distinct.into_iter().cloned().collect()
+}
 
 /// Configuration and entry point for clustering a machine population.
 ///
@@ -121,10 +131,7 @@ impl ClusterEngine {
             .map(|(i, group)| {
                 let mut members: Vec<String> = group.iter().map(|m| m.id().to_string()).collect();
                 members.sort();
-                let label: ItemSet = group
-                    .iter()
-                    .flat_map(|m| m.diff.all_items().into_iter())
-                    .collect();
+                let label = label_of(group.iter().copied());
                 let app_set: BTreeSet<String> = group
                     .first()
                     .map(|m| m.overlapping_apps.clone())

@@ -1,6 +1,6 @@
 //! The per-machine user agent.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use mirage_cluster::MachineInfo;
 use mirage_env::{Machine, Repository, RunInput, Upgrade};
@@ -52,19 +52,14 @@ impl UserAgent {
         };
         // Deduplicate: XOR-combining would cancel a path listed both in
         // the spec and the package manifest.
-        let mut paths: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        paths.insert(spec.exe.clone());
-        paths.extend(spec.init_reads.iter().map(|r| r.path.clone()));
-        paths.extend(spec.late_reads.iter().map(|r| r.path.clone()));
-        paths.extend(
-            self.machine
-                .pkgs
-                .manifest(&spec.package)
-                .unwrap_or_default(),
-        );
+        let mut paths: BTreeSet<&str> = BTreeSet::new();
+        paths.insert(&spec.exe);
+        paths.extend(spec.init_reads.iter().map(|r| r.path.as_str()));
+        paths.extend(spec.late_reads.iter().map(|r| r.path.as_str()));
+        paths.extend(self.machine.pkgs.manifest(&spec.package));
         let mut digest = 0u64;
         for path in paths {
-            if let Some(file) = self.machine.fs.get(&path) {
+            if let Some(file) = self.machine.fs.get(path) {
                 digest ^= fnv1a(path.as_bytes()) ^ fnv1a(&file.content.render());
             }
         }
@@ -117,19 +112,12 @@ impl UserAgent {
     /// Identifies environmental resources of `app` from this machine's
     /// own traces, under the vendor's heuristic configuration and rules.
     pub fn classify(&self, app: &str, vendor: &Vendor) -> Classification {
-        let traces: Vec<mirage_trace::Trace> = self
+        let traces = self
             .runs
             .iter()
             .filter(|r| r.app() == app)
-            .map(|r| r.trace.clone())
-            .collect();
-        classify_machine(
-            &self.machine,
-            app,
-            &traces,
-            &vendor.heuristic,
-            &vendor.rules,
-        )
+            .map(|r| &r.trace);
+        classify_machine(&self.machine, app, traces, &vendor.heuristic, &vendor.rules)
     }
 
     /// Fingerprints this machine and produces its clustering input (the
@@ -153,12 +141,10 @@ impl UserAgent {
         // Applications overlapping the upgraded application's resources:
         // those affected by a hypothetical change to its manifest.
         if let Some(spec) = self.machine.apps.get(app) {
-            if let Some(manifest) = self.machine.pkgs.manifest(&spec.package) {
-                let paths: std::collections::BTreeSet<String> = manifest.into_iter().collect();
-                for affected in self.machine.apps_affected_by(&paths) {
-                    if affected != app {
-                        info.overlapping_apps.insert(affected);
-                    }
+            let manifest: BTreeSet<&str> = self.machine.pkgs.manifest(&spec.package).collect();
+            for affected in self.machine.apps_affected_by(&manifest) {
+                if affected != app {
+                    info.overlapping_apps.insert(affected);
                 }
             }
         }

@@ -1,7 +1,5 @@
 //! The vendor side: reference environment, parsers, rules, repository.
 
-use std::collections::BTreeSet;
-
 use mirage_cluster::{ClusterEngine, Clustering, MachineInfo};
 use mirage_env::{Machine, Repository, RunInput, Upgrade};
 use mirage_fingerprint::{HashValue, ImportanceFilter, Item, MachineFingerprint, ParserRegistry};
@@ -124,22 +122,22 @@ impl Vendor {
     }
 }
 
-/// Runs the identification heuristic for `app` on any machine.
-pub fn classify_machine(
-    machine: &Machine,
+/// Runs the identification heuristic for `app` on any machine, over
+/// traces the caller keeps.
+pub fn classify_machine<'a>(
+    machine: &'a Machine,
     app: &str,
-    traces: &[Trace],
+    traces: impl IntoIterator<Item = &'a Trace>,
     config: &HeuristicConfig,
     rules: &RuleSet,
 ) -> Classification {
-    let manifest: BTreeSet<String> = machine
+    let manifest = machine
         .apps
         .get(app)
-        .and_then(|spec| machine.pkgs.manifest(&spec.package))
-        .map(|v| v.into_iter().collect())
-        .unwrap_or_default();
+        .into_iter()
+        .flat_map(|spec| machine.pkgs.manifest(&spec.package));
     let kind_of = |path: &str| machine.fs.get(path).map(|f| f.kind);
-    identify(traces, &manifest, &kind_of, config, rules)
+    identify(traces, manifest, &kind_of, config, rules)
 }
 
 /// Fingerprints a machine's identified environmental resources.

@@ -1,9 +1,13 @@
 //! A copy-on-write in-memory filesystem.
 //!
-//! Files are stored behind [`Arc`]s, so snapshots are cheap (one pointer
-//! clone per entry) and mutation of a snapshot never disturbs the base —
-//! this is the property Mirage's validation sandbox relies on, mirroring
-//! the paper's copy-on-write User-Mode Linux boot.
+//! Files are immutable once inserted and stored behind [`Arc`]s. A file
+//! installed from a package is the repository's own allocation, shared
+//! by every machine that installed it; a snapshot clones one pointer per
+//! entry, and replacing or removing an entry on one side never shows on
+//! the other. The path map itself is owned per filesystem: a sandbox
+//! always writes, so sharing the map would only move the copy to its
+//! first insert. This is the property Mirage's validation sandbox
+//! relies on, mirroring the paper's copy-on-write User-Mode Linux boot.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -26,8 +30,12 @@ impl FileSystem {
     }
 
     /// Inserts (or replaces) a file. Returns the previous file, if any.
-    pub fn insert(&mut self, file: File) -> Option<Arc<File>> {
-        self.files.insert(file.path.clone(), Arc::new(file))
+    ///
+    /// Takes a [`File`] or an already shared `Arc<File>`; the latter is
+    /// stored as is, not copied.
+    pub fn insert(&mut self, file: impl Into<Arc<File>>) -> Option<Arc<File>> {
+        let file = file.into();
+        self.files.insert(file.path.clone(), file)
     }
 
     /// Removes a file by path.
@@ -176,6 +184,29 @@ mod tests {
             FileContent::Text(vec!["changed".into()])
         );
         assert!(!snap.contains("/etc/y"));
+    }
+
+    /// A shared file is stored as is, and replacing or removing it in one
+    /// filesystem never shows through another holder of the same `Arc`.
+    #[test]
+    fn shared_files_are_not_copied_and_never_written_through() {
+        let shared = Arc::new(textfile("/etc/x", "orig"));
+        let (mut a, mut b) = (FileSystem::new(), FileSystem::new());
+        assert!(a.insert(Arc::clone(&shared)).is_none());
+        assert!(b.insert(Arc::clone(&shared)).is_none());
+        assert!(std::ptr::eq(a.get("/etc/x").unwrap(), &*shared));
+        assert!(std::ptr::eq(b.get("/etc/x").unwrap(), &*shared));
+        assert_eq!(Arc::strong_count(&shared), 3);
+
+        let previous = a.insert(textfile("/etc/x", "changed")).unwrap();
+        assert!(Arc::ptr_eq(&previous, &shared));
+        assert!(Arc::ptr_eq(&b.remove("/etc/x").unwrap(), &shared));
+        assert_eq!(shared.content, FileContent::Text(vec!["orig".into()]));
+        assert_eq!(
+            a.get("/etc/x").unwrap().content,
+            FileContent::Text(vec!["changed".into()])
+        );
+        assert!(!b.contains("/etc/x"));
     }
 
     #[test]

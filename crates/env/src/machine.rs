@@ -1,6 +1,8 @@
 //! Machines and fleets.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use mirage_trace::{RunId, Trace};
 
@@ -20,8 +22,9 @@ pub struct Machine {
     pub env: BTreeMap<String, String>,
     /// Installed-package database.
     pub pkgs: PackageManager,
-    /// Installed applications, by name.
-    pub apps: BTreeMap<String, ApplicationSpec>,
+    /// Installed applications, by name. A spec is never edited once
+    /// registered, so a sandbox shares it with the live machine.
+    pub apps: BTreeMap<String, Arc<ApplicationSpec>>,
 }
 
 impl Machine {
@@ -79,17 +82,19 @@ impl Machine {
     /// sharing declared via
     /// [`ApplicationSpec::sharing_with`](crate::app::ApplicationSpec)
     /// propagates the effect (the dependence subsystem of paper §3.3).
-    pub fn apps_affected_by(&self, paths: &BTreeSet<String>) -> BTreeSet<String> {
+    pub fn apps_affected_by<S: Borrow<str> + Ord>(&self, paths: &BTreeSet<S>) -> BTreeSet<String> {
         let mut affected = BTreeSet::new();
         for (name, spec) in &self.apps {
-            let mut touched = paths.contains(&spec.exe)
-                || spec.init_reads.iter().any(|r| paths.contains(&r.path))
-                || spec.late_reads.iter().any(|r| paths.contains(&r.path));
-            if !touched {
-                if let Some(manifest) = self.pkgs.manifest(&spec.package) {
-                    touched = manifest.iter().any(|p| paths.contains(p));
-                }
-            }
+            let touched = paths.contains(spec.exe.as_str())
+                || spec
+                    .init_reads
+                    .iter()
+                    .any(|r| paths.contains(r.path.as_str()))
+                || spec
+                    .late_reads
+                    .iter()
+                    .any(|r| paths.contains(r.path.as_str()))
+                || self.pkgs.manifest(&spec.package).any(|p| paths.contains(p));
             if touched {
                 affected.insert(name.clone());
             }
@@ -176,7 +181,7 @@ impl MachineBuilder {
 
     /// Registers an application.
     pub fn app(mut self, spec: ApplicationSpec) -> Self {
-        self.machine.apps.insert(spec.name.clone(), spec);
+        self.machine.apps.insert(spec.name.clone(), Arc::new(spec));
         self
     }
 

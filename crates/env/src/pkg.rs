@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use crate::file::File;
 use crate::fs::FileSystem;
@@ -125,6 +126,10 @@ impl Dependency {
 }
 
 /// A versioned package: payload files plus dependencies.
+///
+/// A published package is written once and then only read, so its files
+/// sit behind [`Arc`]: every machine that installs it holds the same
+/// allocations the repository does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Package {
     /// Package name.
@@ -132,7 +137,7 @@ pub struct Package {
     /// Package version.
     pub version: Version,
     /// Payload files installed by this package.
-    pub files: Vec<File>,
+    pub files: Vec<Arc<File>>,
     /// Dependencies.
     pub deps: Vec<Dependency>,
 }
@@ -150,7 +155,7 @@ impl Package {
 
     /// Adds a payload file.
     pub fn with_file(mut self, file: File) -> Self {
-        self.files.push(file);
+        self.files.push(Arc::new(file));
         self
     }
 
@@ -160,9 +165,9 @@ impl Package {
         self
     }
 
-    /// Returns the payload file paths (the package manifest).
-    pub fn manifest(&self) -> Vec<&str> {
-        self.files.iter().map(|f| f.path.as_str()).collect()
+    /// Iterates over the payload file paths (the package manifest).
+    pub fn manifest(&self) -> impl Iterator<Item = &str> {
+        self.files.iter().map(|f| f.path.as_str())
     }
 }
 
@@ -207,7 +212,7 @@ impl std::error::Error for PkgError {}
 /// A repository of available package versions.
 #[derive(Debug, Clone, Default)]
 pub struct Repository {
-    packages: BTreeMap<String, BTreeMap<Version, Package>>,
+    packages: BTreeMap<String, BTreeMap<Version, Arc<Package>>>,
 }
 
 impl Repository {
@@ -221,21 +226,25 @@ impl Repository {
         self.packages
             .entry(pkg.name.clone())
             .or_default()
-            .insert(pkg.version, pkg);
+            .insert(pkg.version, Arc::new(pkg));
     }
 
     /// Returns the newest available version of `name` satisfying `req`.
     pub fn best(&self, name: &str, req: VersionReq) -> Option<&Package> {
+        self.best_shared(name, req).map(Arc::as_ref)
+    }
+
+    /// Returns a specific version.
+    pub fn get(&self, name: &str, version: Version) -> Option<&Package> {
+        self.packages.get(name)?.get(&version).map(Arc::as_ref)
+    }
+
+    fn best_shared(&self, name: &str, req: VersionReq) -> Option<&Arc<Package>> {
         self.packages
             .get(name)?
             .values()
             .rev()
             .find(|p| req.matches(p.version))
-    }
-
-    /// Returns a specific version.
-    pub fn get(&self, name: &str, version: Version) -> Option<&Package> {
-        self.packages.get(name)?.get(&version)
     }
 
     /// Returns `true` if any version of `name` is published.
@@ -254,9 +263,12 @@ pub struct InstallReport {
 }
 
 /// The per-machine package database and installer.
+///
+/// Holds the repository's own [`Arc<Package>`]s: installing copies
+/// pointers, and so does cloning the database for a sandbox.
 #[derive(Debug, Clone, Default)]
 pub struct PackageManager {
-    installed: BTreeMap<String, Package>,
+    installed: BTreeMap<String, Arc<Package>>,
 }
 
 impl PackageManager {
@@ -272,19 +284,21 @@ impl PackageManager {
 
     /// Returns the installed package record.
     pub fn installed(&self, name: &str) -> Option<&Package> {
-        self.installed.get(name)
+        self.installed.get(name).map(Arc::as_ref)
     }
 
     /// Iterates over installed packages in name order.
     pub fn iter(&self) -> impl Iterator<Item = &Package> {
-        self.installed.values()
+        self.installed.values().map(Arc::as_ref)
     }
 
-    /// Returns the manifest (payload paths) of an installed package.
-    pub fn manifest(&self, name: &str) -> Option<Vec<String>> {
+    /// Iterates over the manifest (payload paths) of an installed
+    /// package; empty when `name` is not installed.
+    pub fn manifest<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a str> {
         self.installed
             .get(name)
-            .map(|p| p.files.iter().map(|f| f.path.clone()).collect())
+            .into_iter()
+            .flat_map(|p| p.manifest())
     }
 
     /// Installs `name` (best version matching `req`) and its transitive
@@ -316,7 +330,8 @@ impl PackageManager {
     ) -> Result<InstallReport, PkgError> {
         let mut report = InstallReport::default();
         let mut in_progress = BTreeSet::new();
-        self.apply_concrete(fs, repo, pkg, &mut report, &mut in_progress)?;
+        let pkg = Arc::new(pkg.clone());
+        self.apply_concrete(fs, repo, &pkg, &mut report, &mut in_progress)?;
         Ok(report)
     }
 
@@ -340,20 +355,19 @@ impl PackageManager {
             });
         }
         let pkg = repo
-            .best(name, req)
+            .best_shared(name, req)
             .ok_or_else(|| PkgError::Unsatisfiable {
                 package: name.to_string(),
                 req: req.to_string(),
-            })?
-            .clone();
-        self.apply_concrete(fs, repo, &pkg, report, in_progress)
+            })?;
+        self.apply_concrete(fs, repo, pkg, report, in_progress)
     }
 
     fn apply_concrete(
         &mut self,
         fs: &mut FileSystem,
         repo: &Repository,
-        pkg: &Package,
+        pkg: &Arc<Package>,
         report: &mut InstallReport,
         in_progress: &mut BTreeSet<String>,
     ) -> Result<(), PkgError> {
@@ -366,11 +380,11 @@ impl PackageManager {
             self.install_inner(fs, repo, &dep.package, dep.req, report, in_progress)?;
         }
         for file in &pkg.files {
-            fs.insert(file.clone());
+            fs.insert(Arc::clone(file));
             report.files_written.push(file.path.clone());
         }
         report.installed.push((pkg.name.clone(), pkg.version));
-        self.installed.insert(pkg.name.clone(), pkg.clone());
+        self.installed.insert(pkg.name.clone(), Arc::clone(pkg));
         in_progress.remove(&pkg.name);
         Ok(())
     }
@@ -455,7 +469,60 @@ mod tests {
             pm.installed_version("libmysql"),
             Some(Version::new(4, 1, 0))
         );
-        assert_eq!(pm.manifest("mysql").unwrap(), vec!["/usr/sbin/mysqld"]);
+        assert_eq!(
+            pm.manifest("mysql").collect::<Vec<_>>(),
+            ["/usr/sbin/mysqld"]
+        );
+        assert_eq!(pm.manifest("absent").count(), 0);
+    }
+
+    /// Installing copies pointers: two machines installed from one
+    /// repository hold the repository's own files and package record.
+    #[test]
+    fn installs_share_the_repository_allocations() {
+        let mut repo = Repository::new();
+        repo.publish(lib_pkg("libz", Version::new(1, 2, 3), "1.2"));
+        repo.publish(
+            Package::new("app", Version::new(1, 0, 0))
+                .with_file(File::executable("/usr/bin/app", "app", 1))
+                .with_dep("libz", VersionReq::Any),
+        );
+        let install = || {
+            let (mut fs, mut pm) = (FileSystem::new(), PackageManager::new());
+            pm.install(&mut fs, &repo, "app", VersionReq::Any).unwrap();
+            (fs, pm)
+        };
+        let ((fs_a, pm_a), (fs_b, pm_b)) = (install(), install());
+        for name in ["app", "libz"] {
+            let published = repo.best(name, VersionReq::Any).unwrap();
+            assert!(std::ptr::eq(pm_a.installed(name).unwrap(), published));
+            assert!(std::ptr::eq(pm_b.installed(name).unwrap(), published));
+            for file in &published.files {
+                assert!(std::ptr::eq(fs_a.get(&file.path).unwrap(), &**file));
+                assert!(std::ptr::eq(fs_b.get(&file.path).unwrap(), &**file));
+                // The repository, and each machine's filesystem.
+                assert_eq!(Arc::strong_count(file), 3);
+            }
+        }
+        // Writing to one machine shows on neither the other nor the repository.
+        let (mut fs_a, published) = (fs_a, repo.best("app", VersionReq::Any).unwrap().clone());
+        fs_a.insert(File::executable("/usr/bin/app", "app", 9));
+        fs_a.remove("/usr/lib/libz.so");
+        assert_eq!(fs_b.get("/usr/bin/app"), Some(&*published.files[0]));
+        assert!(fs_b.contains("/usr/lib/libz.so"));
+        assert_eq!(repo.best("app", VersionReq::Any), Some(&published));
+        assert_eq!(pm_a.installed("app"), Some(&published));
+
+        // A pushed upgrade is wrapped once; its files stay the vendor's.
+        let v2 = Package::new("app", Version::new(2, 0, 0)).with_file(File::executable(
+            "/usr/bin/app",
+            "app",
+            2,
+        ));
+        let (mut fs, mut pm) = install();
+        pm.apply_package(&mut fs, &repo, &v2).unwrap();
+        assert!(std::ptr::eq(fs.get("/usr/bin/app").unwrap(), &*v2.files[0]));
+        assert_eq!(pm.installed("app").unwrap(), &v2);
     }
 
     #[test]

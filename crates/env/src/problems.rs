@@ -13,6 +13,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::app::RunBehavior;
 use crate::machine::Machine;
@@ -290,12 +291,18 @@ impl Upgrade {
         let mut package = self.package.clone();
         package.version = package.version.next_patch();
         // A fix changes the payload bytes: bump the build of every
-        // executable/library file in the package.
+        // executable/library file in the package. The files are shared
+        // with the published release and with machines that installed it;
+        // `make_mut` edits a private copy, and only of a file that changes.
         for file in &mut package.files {
-            match &mut file.content {
-                crate::content::FileContent::Executable { build, .. }
-                | crate::content::FileContent::Library { build, .. } => *build += 1,
-                _ => {}
+            use crate::content::FileContent::{Executable, Library};
+            if !matches!(file.content, Executable { .. } | Library { .. }) {
+                continue;
+            }
+            if let Executable { build, .. } | Library { build, .. } =
+                &mut Arc::make_mut(file).content
+            {
+                *build += 1;
             }
         }
         Some(Upgrade {
@@ -326,7 +333,7 @@ impl Upgrade {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::content::IniDoc;
+    use crate::content::{FileContent, IniDoc};
     use crate::file::File;
     use crate::machine::MachineBuilder;
 
@@ -469,6 +476,58 @@ mod tests {
         let all = up.fix_all([&ProblemId("p1".into()), &ProblemId("p2".into())]);
         assert!(all.problems.is_empty());
         assert_eq!(all.package.version, Version::new(5, 0, 2));
+    }
+
+    /// A corrected release edits private copies: the published package
+    /// and a machine that installed it stay byte-identical.
+    #[test]
+    fn fix_never_writes_through_to_the_published_package() {
+        use crate::pkg::Repository;
+        let problem = |id: &str| {
+            ProblemSpec::new(
+                id,
+                "bug",
+                EnvPredicate::Always,
+                ProblemEffect::CrashOnStart { app: "svc".into() },
+            )
+        };
+        let mut repo = Repository::new();
+        repo.publish(
+            Package::new("svc", Version::new(2, 0, 0))
+                .with_file(File::executable("/usr/bin/svc", "svc", 2))
+                .with_file(File::library("/usr/lib/libsvc.so", "libsvc", "2.0", 2))
+                .with_file(File::config("/etc/svc.conf", IniDoc::new().key("k", "v"))),
+        );
+        let published = repo.get("svc", Version::new(2, 0, 0)).unwrap();
+        let machine = MachineBuilder::new("m")
+            .install(&repo, "svc", VersionReq::Any)
+            .build();
+        // The upgrade shares its files with the repository and the machine.
+        let upgrade = Upgrade::new(published.clone(), vec![problem("p1"), problem("p2")]);
+        assert!(Arc::ptr_eq(&upgrade.package.files[0], &published.files[0]));
+        let before = (published.clone(), machine.fs.all_resources());
+
+        let fixed = upgrade.fix(&ProblemId("p1".into())).unwrap();
+        let all = upgrade.fix_all([&ProblemId("p1".into()), &ProblemId("p2".into())]);
+        for (release, bumps) in [(&fixed, 1), (&all, 2)] {
+            assert_eq!(
+                release.package.files[0].content,
+                FileContent::Executable {
+                    name: "svc".into(),
+                    build: 2 + bumps,
+                }
+            );
+            assert_ne!(release.package.files[1], published.files[1]);
+            // A file the fix does not touch is still the shared one.
+            assert!(Arc::ptr_eq(&release.package.files[2], &published.files[2]));
+        }
+        assert_eq!(upgrade.package, before.0);
+        assert_eq!(*published, before.0);
+        assert_eq!(machine.fs.all_resources(), before.1);
+        assert!(std::ptr::eq(
+            machine.fs.get("/usr/bin/svc").unwrap(),
+            &*published.files[0]
+        ));
     }
 
     #[test]

@@ -78,8 +78,7 @@ impl Glob {
 
     /// Returns `true` if `path` matches the pattern in full.
     pub fn matches(&self, path: &str) -> bool {
-        let chars: Vec<char> = path.chars().collect();
-        match_tokens(&self.tokens, &chars)
+        match_tokens(&self.tokens, path)
     }
 }
 
@@ -89,39 +88,35 @@ impl fmt::Display for Glob {
     }
 }
 
-fn match_tokens(tokens: &[Token], chars: &[char]) -> bool {
-    match tokens.split_first() {
-        None => chars.is_empty(),
-        Some((Token::Literal(c), rest)) => {
-            chars.first() == Some(c) && match_tokens(rest, &chars[1..])
+/// Matches `path` against `tokens`, one `char` at a time; the unmatched
+/// tail of the path is the backtrack point, so nothing is allocated.
+fn match_tokens(tokens: &[Token], path: &str) -> bool {
+    let Some((token, rest)) = tokens.split_first() else {
+        return path.is_empty();
+    };
+    let mut chars = path.chars();
+    match token {
+        Token::Literal(c) => chars.next() == Some(*c) && match_tokens(rest, chars.as_str()),
+        Token::AnyChar => {
+            matches!(chars.next(), Some(ch) if ch != '/') && match_tokens(rest, chars.as_str())
         }
-        Some((Token::AnyChar, rest)) => match chars.first() {
-            Some(&ch) if ch != '/' => match_tokens(rest, &chars[1..]),
-            _ => false,
+        // Try every split of a non-'/' run, including the empty one.
+        Token::AnySegment => loop {
+            if match_tokens(rest, chars.as_str()) {
+                return true;
+            }
+            if !matches!(chars.next(), Some(ch) if ch != '/') {
+                return false;
+            }
         },
-        Some((Token::AnySegment, rest)) => {
-            // Greedily try every split of a non-'/' run, including empty.
-            let mut end = 0;
-            while end <= chars.len() {
-                if match_tokens(rest, &chars[end..]) {
-                    return true;
-                }
-                if end < chars.len() && chars[end] != '/' {
-                    end += 1;
-                } else {
-                    break;
-                }
+        Token::AnyPath => loop {
+            if match_tokens(rest, chars.as_str()) {
+                return true;
             }
-            false
-        }
-        Some((Token::AnyPath, rest)) => {
-            for end in 0..=chars.len() {
-                if match_tokens(rest, &chars[end..]) {
-                    return true;
-                }
+            if chars.next().is_none() {
+                return false;
             }
-            false
-        }
+        },
     }
 }
 
@@ -171,6 +166,18 @@ mod tests {
         assert!(g.matches("/home/u/.mozilla/extensions/foo.xpi"));
         assert!(g.matches("a/b.xpi"));
         assert!(!g.matches("foo.xpi.bak"));
+    }
+
+    #[test]
+    fn multi_byte_paths_match_per_char() {
+        // `?` and `*` consume whole characters, never a byte of one.
+        let g = Glob::new("/home/?/*.cnf");
+        assert!(g.matches("/home/é/mÿ.cnf"));
+        assert!(!g.matches("/home/éé/my.cnf"));
+        assert!(Glob::new("/données/**").matches("/données/日本/語.db"));
+        assert!(Glob::new("**/語.*").matches("/données/日本/語.db"));
+        assert!(!Glob::new("/donn?es/*").matches("/données/日本/語.db"));
+        assert!(Glob::new("/日?/語").matches("/日本/語"));
     }
 
     #[test]

@@ -1084,6 +1084,22 @@ impl Urr {
         })
     }
 
+    /// The report count of the largest failure group, `None` when no
+    /// failure was reported: `top_k_failure_groups(1)[0].count` without
+    /// materialising the group's machine names.
+    pub fn largest_failure_count(&self) -> Option<usize> {
+        self.query(|urr| {
+            urr.shards
+                .iter()
+                .filter_map(|shard| {
+                    let shard = shard.lock().expect("urr poisoned");
+                    shard.groups.iter().map(|slot| slot.count).max()
+                })
+                .max()
+                .filter(|&count| count > 0)
+        })
+    }
+
     /// Per-cluster success/failure tallies, ordered by cluster id.
     /// Clusters that never reported are omitted.
     pub fn cluster_failure_rates(&self) -> Vec<ClusterFailureRate> {
@@ -1678,6 +1694,7 @@ mod tests {
         assert!(urr.discovery_profile().is_empty());
         assert!(urr.failure_groups().is_empty());
         assert!(urr.top_k_failure_groups(5).is_empty());
+        assert_eq!(urr.largest_failure_count(), None);
         assert!(urr.cluster_failure_rates().is_empty());
         assert!(urr.all().is_empty());
         assert_eq!(urr.stats(), UrrStats::default());

@@ -173,6 +173,11 @@ fn urr_reference_equivalence() {
             ranked,
             "case {case}: top-k ranking"
         );
+        assert_eq!(
+            urr.largest_failure_count(),
+            ranked.first().map(|g| g.count),
+            "case {case}: largest group"
+        );
         if !ranked.is_empty() {
             let k = 1 + rng.below(ranked.len());
             assert_eq!(

@@ -2,10 +2,11 @@
 //!
 //! The guard is the sensing half of the closed loop. Each controller
 //! tick it interrogates the Upgrade Report Repository the fleet is
-//! already depositing into — per-cluster failure rates and the top-k
-//! failure-group query from the report plane — and folds every
-//! observation into one [`RolloutHealth`] verdict via the monotone
-//! lattice, so the verdict is independent of cluster iteration order.
+//! already depositing into — per-cluster failure rates and the size of
+//! the largest failure group, two scalar queries that render no machine
+//! name — and folds every observation into one [`RolloutHealth`] verdict
+//! via the monotone lattice, so the verdict is independent of cluster
+//! iteration order.
 //!
 //! The guard only *senses*; hysteresis (how many consecutive unhealthy
 //! verdicts trigger a rollback, how many healthy ones permit a widen)
@@ -78,14 +79,15 @@ impl UrrGuard {
                 ));
             }
         }
-        if self.settings.max_failure_population != usize::MAX {
-            if let Some(top) = self.urr.top_k_failure_groups(1).first() {
-                if top.count >= self.settings.max_failure_population {
-                    health = health.combine(RolloutHealth::from_reason(
-                        RolloutStatusReason::RegressionPopulation,
-                    ));
-                }
-            }
+        if self.settings.max_failure_population != usize::MAX
+            && self
+                .urr
+                .largest_failure_count()
+                .is_some_and(|count| count >= self.settings.max_failure_population)
+        {
+            health = health.combine(RolloutHealth::from_reason(
+                RolloutStatusReason::RegressionPopulation,
+            ));
         }
         health
     }

@@ -16,8 +16,8 @@
 //! 2. **A closed-loop controller** ([`RolloutController`]): a
 //!    [`mirage_deploy::Protocol`] implementation that widens cohort by
 //!    cohort and, on every driver tick, consults an [`UrrGuard`] —
-//!    live per-cluster failure rates and top-k regression queries
-//!    against the Upgrade Report Repository — to decide Widen / Hold /
+//!    live per-cluster failure rates and the largest failure group's
+//!    size in the Upgrade Report Repository — to decide Widen / Hold /
 //!    RollBack. A rollback re-notifies every enrolled machine with
 //!    [`mirage_deploy::PRIOR_RELEASE`] through the same hardened
 //!    notify/retry path as forward deployment and is recorded as a

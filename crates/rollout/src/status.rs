@@ -47,7 +47,7 @@ pub enum RolloutStatusReason {
     /// A cluster's failure rate exceeded the guard threshold.
     FailureRateExceeded,
     /// A single failure signature's population exceeded the guard's
-    /// regression ceiling (top-k query).
+    /// regression ceiling (largest-group query).
     RegressionPopulation,
     /// The rollout was aborted and the fleet reverted.
     RolledBack,

@@ -52,17 +52,11 @@ impl AppModel {
     /// Runs the heuristic, with or without the vendor rules.
     pub fn classify(&self, with_rules: bool) -> Classification {
         let traces = self.traces();
-        let manifest: std::collections::BTreeSet<String> = self
-            .machine
-            .pkgs
-            .manifest(self.name)
-            .unwrap_or_default()
-            .into_iter()
-            .collect();
+        let manifest = self.machine.pkgs.manifest(self.name);
         let kind_of = |path: &str| self.machine.fs.get(path).map(|f| f.kind);
         let empty = RuleSet::new();
         let rules = if with_rules { &self.rules } else { &empty };
-        identify(&traces, &manifest, &kind_of, &self.config, rules)
+        identify(&traces, manifest, &kind_of, &self.config, rules)
     }
 
     /// Ground truth for a path.

@@ -6,12 +6,15 @@ use std::collections::BTreeSet;
 
 /// An isolated copy of a machine for upgrade validation.
 ///
-/// Booting a sandbox takes a copy-on-write snapshot of the machine's
-/// filesystem and clones its package database — the simulated equivalent
+/// Booting a sandbox copies pointers, not the machine: the filesystem
+/// snapshot, the package database and the application table each clone
+/// one `Arc` per entry, so every file, installed package and application
+/// spec is the live machine's own allocation — the simulated equivalent
 /// of the paper's User-Mode Linux instance booted from the host
-/// filesystem with copy-on-write. Upgrades applied inside the sandbox
-/// never touch the live machine; *discarding the sandbox is the
-/// rollback*.
+/// filesystem with copy-on-write. Only the three maps, the id and the
+/// environment variables are new. Upgrades applied inside the sandbox
+/// replace entries in the sandbox's maps and never touch the live
+/// machine; *discarding the sandbox is the rollback*.
 #[derive(Debug, Clone)]
 pub struct Sandbox {
     /// The isolated machine copy.
@@ -63,7 +66,8 @@ impl Sandbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mirage_env::{File, MachineBuilder, Package, Version, VersionReq};
+    use mirage_env::{ApplicationSpec, File, MachineBuilder, Package, Version, VersionReq};
+    use std::sync::Arc;
 
     fn repo_and_machine() -> (Repository, Machine) {
         let mut repo = Repository::new();
@@ -83,6 +87,7 @@ mod tests {
         );
         let machine = MachineBuilder::new("m")
             .install(&repo, "editor", VersionReq::Exact(Version::new(1, 0, 0)))
+            .app(ApplicationSpec::new("ed", "editor", "/usr/bin/ed"))
             .build();
         (repo, machine)
     }
@@ -109,6 +114,50 @@ mod tests {
         let changed = sandbox.changed_against(&machine);
         assert_eq!(changed.into_iter().collect::<Vec<_>>(), vec!["/usr/bin/ed"]);
         assert_eq!(sandbox.base_file_count(), 1);
+    }
+
+    /// Booting shares every file, package and application spec with the
+    /// live machine, and an upgrade in the sandbox leaves the live
+    /// machine's package database and filesystem as they were.
+    #[test]
+    fn boot_shares_and_upgrade_never_writes_through() {
+        let (repo, machine) = repo_and_machine();
+        let mut sandbox = Sandbox::boot(&machine);
+        let live_pkg = machine.pkgs.installed("editor").unwrap();
+        let live_file = machine.fs.get("/usr/bin/ed").unwrap();
+        assert!(std::ptr::eq(
+            sandbox.machine.pkgs.installed("editor").unwrap(),
+            live_pkg
+        ));
+        assert!(std::ptr::eq(
+            sandbox.machine.fs.get("/usr/bin/ed").unwrap(),
+            live_file
+        ));
+        assert!(Arc::ptr_eq(
+            &sandbox.machine.apps["ed"],
+            &machine.apps["ed"]
+        ));
+        assert_eq!(sandbox.machine.apps.len(), machine.apps.len());
+
+        let upgrade = Upgrade::new(
+            repo.get("editor", Version::new(2, 0, 0)).unwrap().clone(),
+            vec![],
+        );
+        sandbox.apply_upgrade(&repo, &upgrade).unwrap();
+        assert_eq!(
+            sandbox.machine.pkgs.installed_version("editor"),
+            Some(Version::new(2, 0, 0))
+        );
+        assert!(std::ptr::eq(
+            machine.pkgs.installed("editor").unwrap(),
+            live_pkg
+        ));
+        assert!(std::ptr::eq(
+            machine.fs.get("/usr/bin/ed").unwrap(),
+            live_file
+        ));
+        assert_eq!(live_pkg, repo.get("editor", Version::new(1, 0, 0)).unwrap());
+        assert_eq!(live_file, &File::executable("/usr/bin/ed", "ed", 1));
     }
 
     #[test]

@@ -27,6 +27,16 @@ impl OpenMode {
     pub fn reads(self) -> bool {
         !matches!(self, OpenMode::WriteOnly)
     }
+
+    /// The effective mode of a path opened as `self` and again as
+    /// `other`: whatever either permits.
+    pub fn merged(self, other: OpenMode) -> OpenMode {
+        if (other.writes() && !self.writes()) || (other.reads() && !self.reads()) {
+            OpenMode::ReadWrite
+        } else {
+            self
+        }
+    }
 }
 
 impl fmt::Display for OpenMode {
@@ -129,6 +139,20 @@ impl SyscallEvent {
             | SyscallEvent::Write { path, .. }
             | SyscallEvent::Close { path } => Some(path),
             SyscallEvent::ProcessCreate { exe, .. } | SyscallEvent::Exec { exe } => Some(exe),
+            _ => None,
+        }
+    }
+
+    /// Returns the path this event opens and the mode it implies, if any:
+    /// an `Open` as recorded, an executed image read-only, a `Write`
+    /// write-only. `Read` and `Close` act on a file already open.
+    pub fn opens(&self) -> Option<(&str, OpenMode)> {
+        match self {
+            SyscallEvent::Open { path, mode } => Some((path, *mode)),
+            SyscallEvent::ProcessCreate { exe, .. } | SyscallEvent::Exec { exe } => {
+                Some((exe, OpenMode::ReadOnly))
+            }
+            SyscallEvent::Write { path, .. } => Some((path, OpenMode::WriteOnly)),
             _ => None,
         }
     }

@@ -54,32 +54,27 @@ impl Trace {
     /// This is the sequence over which the heuristic computes the
     /// longest-common-prefix (the initialisation phase): each path appears
     /// once, at the position of its first `Open`/`ProcessCreate`/`Exec`.
-    pub fn access_sequence(&self) -> Vec<String> {
+    pub fn access_sequence(&self) -> Vec<&str> {
         let mut seen = BTreeSet::new();
         let mut seq = Vec::new();
         for ev in &self.events {
             let path = match ev {
                 SyscallEvent::Open { path, .. }
                 | SyscallEvent::Read { path, .. }
-                | SyscallEvent::Write { path, .. } => Some(path),
-                SyscallEvent::ProcessCreate { exe, .. } | SyscallEvent::Exec { exe } => Some(exe),
-                _ => None,
+                | SyscallEvent::Write { path, .. } => path,
+                SyscallEvent::ProcessCreate { exe, .. } | SyscallEvent::Exec { exe } => exe,
+                _ => continue,
             };
-            if let Some(p) = path {
-                if seen.insert(p.clone()) {
-                    seq.push(p.clone());
-                }
+            if seen.insert(path.as_str()) {
+                seq.push(path.as_str());
             }
         }
         seq
     }
 
     /// Returns every path accessed in this trace (any mode), deduplicated.
-    pub fn accessed_paths(&self) -> BTreeSet<String> {
-        self.events
-            .iter()
-            .filter_map(|e| e.path().map(str::to_owned))
-            .collect()
+    pub fn accessed_paths(&self) -> BTreeSet<&str> {
+        self.events.iter().filter_map(SyscallEvent::path).collect()
     }
 
     /// Returns the per-path effective open mode observed in this trace.
@@ -87,32 +82,21 @@ impl Trace {
     /// A path opened both read-only and for writing is reported as writing:
     /// the heuristic treats "ever written" as disqualifying for the
     /// read-only rule.
-    pub fn open_modes(&self) -> BTreeMap<String, OpenMode> {
-        let mut modes: BTreeMap<String, OpenMode> = BTreeMap::new();
+    pub fn open_modes(&self) -> BTreeMap<&str, OpenMode> {
+        let mut modes: BTreeMap<&str, OpenMode> = BTreeMap::new();
         for ev in &self.events {
-            let (path, mode) = match ev {
-                SyscallEvent::Open { path, mode } => (path.clone(), *mode),
-                SyscallEvent::ProcessCreate { exe, .. } | SyscallEvent::Exec { exe } => {
-                    // Executing an image is a read of it.
-                    (exe.clone(), OpenMode::ReadOnly)
-                }
-                SyscallEvent::Write { path, .. } => (path.clone(), OpenMode::WriteOnly),
-                _ => continue,
-            };
-            modes
-                .entry(path)
-                .and_modify(|m| {
-                    if (mode.writes() && !m.writes()) || (mode.reads() && !m.reads()) {
-                        *m = OpenMode::ReadWrite;
-                    }
-                })
-                .or_insert(mode);
+            if let Some((path, mode)) = ev.opens() {
+                modes
+                    .entry(path)
+                    .and_modify(|m| *m = m.merged(mode))
+                    .or_insert(mode);
+            }
         }
         modes
     }
 
     /// Returns the paths opened read-only (and never written) in this trace.
-    pub fn read_only_paths(&self) -> BTreeSet<String> {
+    pub fn read_only_paths(&self) -> BTreeSet<&str> {
         self.open_modes()
             .into_iter()
             .filter(|(_, m)| !m.writes())
@@ -121,11 +105,11 @@ impl Trace {
     }
 
     /// Returns the names of environment variables read in this trace.
-    pub fn env_vars_read(&self) -> BTreeSet<String> {
+    pub fn env_vars_read(&self) -> BTreeSet<&str> {
         self.events
             .iter()
             .filter_map(|e| match e {
-                SyscallEvent::GetEnv { name, .. } => Some(name.clone()),
+                SyscallEvent::GetEnv { name, .. } => Some(name.as_str()),
                 _ => None,
             })
             .collect()

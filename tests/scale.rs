@@ -140,6 +140,45 @@ fn drive_time_is_linear_in_the_fleet() {
     );
 }
 
+/// Installing copies pointers: a 1 000-machine `svc` fleet holds exactly
+/// one allocation of each package file and one package record — the
+/// repository's. A `file.clone()` or `pkg.clone()` back in the install
+/// path fails here, not only as a memory number.
+#[test]
+fn fleet_shares_one_allocation_of_each_package_file() {
+    use std::sync::Arc;
+
+    const MACHINES: usize = 1_000;
+    let (campaign, _) = svc_campaign(MACHINES, MACHINES / 25);
+    let published = campaign
+        .vendor
+        .repo
+        .best("svc", VersionReq::Any)
+        .expect("svc is published");
+    assert_eq!(published.files.len(), 2);
+    for file in &published.files {
+        assert!(
+            Arc::strong_count(file) >= MACHINES,
+            "{} has {} holders in a fleet of {MACHINES}",
+            file.path,
+            Arc::strong_count(file)
+        );
+    }
+    for agent in &campaign.agents {
+        let machine = &agent.machine;
+        assert!(std::ptr::eq(
+            machine.pkgs.installed("svc").expect("installed"),
+            published
+        ));
+        for file in &published.files {
+            assert!(std::ptr::eq(
+                machine.fs.get(&file.path).expect("installed file"),
+                &**file
+            ));
+        }
+    }
+}
+
 /// The Table 2 MySQL fleet replicated ×4 (the `plan_mysql` shape):
 /// replicas are identical machines, so phase 2 is all ties. The ×4
 /// fleet must yield the ×1 fleet's 15 clusters, each replica beside its
