@@ -244,6 +244,18 @@ mod stream {
         (0..n).map(|i| format!("m{i:07}")).collect()
     }
 
+    /// `names` in a fixed pseudo-random order (xorshift64 Fisher–Yates).
+    pub fn shuffled(mut names: Vec<String>) -> Vec<String> {
+        let mut x = 0x5eed_0023_u64;
+        for i in (1..names.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            names.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        names
+    }
+
     /// The signature the i-th report fails with, if it fails: indexed by
     /// failure ordinal so the stream round-robins through all of them.
     pub fn failure(i: usize) -> Option<usize> {
@@ -285,6 +297,11 @@ mod stream {
 /// string materialisation its API forces — the same asymmetry the
 /// simulator benchmarks report, because it is the asymmetry the
 /// redesign exists to remove.
+///
+/// `urr/intern/ascending-*` and `urr/intern/shuffled-*` time
+/// [`mirage_report::Urr::intern_machines`] over the scale volume's
+/// names into a fresh repository, in order and in a seeded shuffle: the
+/// two ways a name table indexes itself.
 ///
 /// Query latencies (p50/p99 over repeated calls against a built
 /// repository) cover the vendor's four dashboard queries: top-k failure
@@ -352,7 +369,25 @@ fn urr_perf(ctx: &Ctx) {
     let names_big = stream::machine_names(n_big);
     let sharded_big = format!("urr/ingest/sharded-{}", volume_label(n_big));
     h.bench_ns(&sharded_big, || sharded_pass(&names_big));
-    drop(names_big);
+
+    // --- Interning at scale, on both sides of the choice a name table
+    // makes from its input: the names in order (the table is its own
+    // index) and the same names in a seeded shuffle (it hashes them).
+    let intern_pass = |names: &[String]| -> u64 {
+        let urr = Urr::new();
+        let t0 = Instant::now();
+        black_box(urr.intern_machines(names.iter().map(String::as_str)));
+        t0.elapsed().as_nanos() as u64
+    };
+    let label = volume_label(n_big);
+    h.bench_ns(&format!("urr/intern/ascending-{label}"), || {
+        intern_pass(&names_big)
+    });
+    let shuffled = stream::shuffled(names_big);
+    h.bench_ns(&format!("urr/intern/shuffled-{label}"), || {
+        intern_pass(&shuffled)
+    });
+    drop(shuffled);
 
     // --- Queries against a built repository of the main volume.
     let query_urr = Urr::new();

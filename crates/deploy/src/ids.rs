@@ -12,17 +12,20 @@
 //!
 //! Names exist only at the boundaries (plan construction, JSON/snapshot
 //! rendering, flight events); the hot loops move `Copy` ids and index
-//! flat `Vec`s. A fleet's names exist once: a [`MachineTable`] keeps
-//! them behind an `Arc`, each name one allocation shared by the dense
-//! list and the index, so every clone of a plan — and the report
-//! repository that adopts the table — reads the same storage. The
-//! string-keyed implementations are retained under
+//! flat `Vec`s. Both tables are a [`NameTable`]: names as bytes in one
+//! buffer, no allocation per name, its own index while the names arrive
+//! in ascending order and hashed once they do not. A fleet's names exist
+//! once: a [`MachineTable`] keeps its table behind an `Arc`, so every
+//! clone of a plan — and the report repository that adopts the table —
+//! reads the same storage. The string-keyed implementations are retained
+//! under
 //! [`crate::reference`] so equivalence tests can prove the interned data
 //! plane bit-identical.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+
+use mirage_telemetry::names::NameTable;
 
 /// A dense machine identifier: an index into a [`MachineTable`].
 ///
@@ -67,26 +70,18 @@ impl fmt::Display for ProblemId {
     }
 }
 
-/// The names behind a [`MachineTable`]: each name is stored once and
-/// shared by the dense list and the index key.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct MachineNames {
-    names: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
-}
-
 /// Bidirectional machine name ↔ [`MachineId`] interner.
 ///
 /// The names sit behind an `Arc`, so cloning a table — and with it a
 /// [`DeployPlan`](crate::DeployPlan) — copies no name: every clone
 /// reads the same storage. [`MachineTable::intern`] is copy-on-write:
-/// a table that shares its storage takes a private copy before it adds
-/// a name (the strings themselves stay shared), and a table that does
-/// not — every table while its plan is being built — adds it in place.
-/// `==` compares names, short-cut when both sides share storage.
+/// a table that shares its storage takes a private copy of it (three
+/// vectors, no per-name work) before it adds a name, and a table that
+/// does not — every table while its plan is being built — adds it in
+/// place. `==` compares names, short-cut when both sides share storage.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineTable {
-    shared: Arc<MachineNames>,
+    shared: Arc<NameTable>,
 }
 
 impl MachineTable {
@@ -95,14 +90,12 @@ impl MachineTable {
         Self::default()
     }
 
-    /// Creates an empty table with room for `machines` names, so a
-    /// fleet of known size is interned without a rehash.
-    pub fn with_capacity(machines: usize) -> Self {
+    /// Creates an empty table with room for `machines` names of
+    /// `name_bytes` bytes in total, so a fleet of known size is interned
+    /// without growing anything.
+    pub fn with_capacity(machines: usize, name_bytes: usize) -> Self {
         MachineTable {
-            shared: Arc::new(MachineNames {
-                names: Vec::with_capacity(machines),
-                index: HashMap::with_capacity(machines),
-            }),
+            shared: Arc::new(NameTable::with_capacity(machines, name_bytes)),
         }
     }
 
@@ -110,22 +103,16 @@ impl MachineTable {
     ///
     /// # Panics
     ///
-    /// Panics if more than `u32::MAX` machines are interned.
+    /// Panics if more than `u32::MAX` machines, or more than 4 GiB of
+    /// machine names, are interned.
     pub fn intern(&mut self, name: &str) -> MachineId {
-        if let Some(&i) = self.shared.index.get(name) {
-            return MachineId(i);
-        }
-        let table = Arc::make_mut(&mut self.shared);
-        let i = u32::try_from(table.names.len()).expect("machine table overflow");
-        let name: Arc<str> = Arc::from(name);
-        table.names.push(Arc::clone(&name));
-        table.index.insert(name, i);
-        MachineId(i)
+        let id = NameTable::try_intern_shared(&mut self.shared, name);
+        MachineId(id.expect("machine table overflow"))
     }
 
     /// Looks up the id of an already-interned name.
     pub fn id(&self, name: &str) -> Option<MachineId> {
-        self.shared.index.get(name).map(|&i| MachineId(i))
+        self.shared.get(name).map(MachineId)
     }
 
     /// The name behind an id.
@@ -134,35 +121,41 @@ impl MachineTable {
     ///
     /// Panics if `id` was not produced by this table.
     pub fn name(&self, id: MachineId) -> &str {
-        &self.shared.names[id.index()]
+        self.shared.name(id.0)
     }
 
     /// Number of interned machines.
     pub fn len(&self) -> usize {
-        self.shared.names.len()
+        self.shared.len()
     }
 
     /// Returns `true` if nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.shared.names.is_empty()
+        self.shared.is_empty()
     }
 
     /// All ids in interning (dense) order.
     pub fn ids(&self) -> impl Iterator<Item = MachineId> + '_ {
-        (0..self.shared.names.len() as u32).map(MachineId)
+        (0..self.shared.len() as u32).map(MachineId)
     }
 
     /// All names in interning (dense) order.
     pub fn names(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
-        self.shared.names.iter().map(|name| &**name)
+        self.shared.names_from(0)
+    }
+
+    /// The storage every clone of this table reads: what a report
+    /// repository adopts (`mirage_report::Urr::intern_fleet`) to make
+    /// its machine refs this table's ids.
+    pub fn shared(&self) -> &Arc<NameTable> {
+        &self.shared
     }
 }
 
 /// Bidirectional problem name ↔ [`ProblemId`] interner.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProblemTable {
-    names: Vec<String>,
-    index: HashMap<String, u16>,
+    names: NameTable,
 }
 
 impl ProblemTable {
@@ -177,18 +170,14 @@ impl ProblemTable {
     ///
     /// Panics if more than 65 536 problems are interned.
     pub fn intern(&mut self, name: &str) -> ProblemId {
-        if let Some(&i) = self.index.get(name) {
-            return ProblemId(i);
-        }
-        let i = u16::try_from(self.names.len()).expect("problem table overflow (max 65536)");
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), i);
-        ProblemId(i)
+        let id = self.names.intern(name);
+        ProblemId(u16::try_from(id).expect("problem table overflow (max 65536)"))
     }
 
     /// Looks up the id of an already-interned name.
     pub fn id(&self, name: &str) -> Option<ProblemId> {
-        self.index.get(name).map(|&i| ProblemId(i))
+        // Every id the table handed out fits: `intern` checked it.
+        self.names.get(name).map(|id| ProblemId(id as u16))
     }
 
     /// The name behind an id.
@@ -197,7 +186,7 @@ impl ProblemTable {
     ///
     /// Panics if `id` was not produced by this table.
     pub fn name(&self, id: ProblemId) -> &str {
-        &self.names[id.index()]
+        self.names.name(u32::from(id.0))
     }
 
     /// Number of interned problems.
@@ -211,8 +200,8 @@ impl ProblemTable {
     }
 
     /// All names in interning (dense) order.
-    pub fn names(&self) -> &[String] {
-        &self.names
+    pub fn names(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.names.names_from(0)
     }
 }
 

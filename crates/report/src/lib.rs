@@ -88,6 +88,6 @@ pub use storage::{
     WireError,
 };
 pub use urr::{
-    ClusterFailureRate, FailureGroup, InternedOutcome, InternedReport, MachineDirectory,
-    MachineRef, ReleaseId, ReleaseSummary, SigId, Urr, UrrStats,
+    ClusterFailureRate, FailureGroup, InternedOutcome, InternedReport, MachineRef, ReleaseId,
+    ReleaseSummary, SigId, Urr, UrrStats,
 };

@@ -701,7 +701,8 @@ mod tests {
     use super::*;
     use crate::image::ReportImage;
     use crate::report::Report;
-    use crate::urr::{InternedOutcome, InternedReport, MachineDirectory};
+    use crate::urr::{InternedOutcome, InternedReport};
+    use mirage_telemetry::names::NameTable;
 
     fn populated() -> Urr {
         let urr = Urr::with_shards(4);
@@ -736,30 +737,16 @@ mod tests {
         urr
     }
 
-    /// A plan's machine table, as [`Urr::intern_fleet`] adopts one.
-    #[derive(Debug)]
-    struct Fleet(Vec<&'static str>);
-
-    impl MachineDirectory for Fleet {
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-
-        fn name(&self, id: u32) -> &str {
-            self.0[id as usize]
-        }
-
-        fn id(&self, name: &str) -> Option<u32> {
-            self.0.iter().position(|n| *n == name).map(|i| i as u32)
-        }
-    }
-
-    /// A repository whose groups list machines from both halves of its
-    /// machine table — an adopted fleet directory and the names interned
-    /// after it — with names the wire layout must carry verbatim.
+    /// A repository whose groups list machines from an adopted fleet
+    /// table and from the names interned after it, with names the wire
+    /// layout must carry verbatim.
     fn populated_on_a_fleet() -> Urr {
         let urr = Urr::with_shards(4);
-        let fleet = urr.intern_fleet(Arc::new(Fleet(vec!["f0", "", "f\"2\"", "f3-日本語"])));
+        let mut fleet = NameTable::default();
+        for name in ["f0", "", "f\"2\"", "f3-日本語"] {
+            fleet.intern(name);
+        }
+        let fleet = urr.intern_fleet(Arc::new(fleet));
         let release = urr.intern_release("mysql", "5.0.27");
         let sig = urr.intern_signature("php/crash");
         // By ref, fleet order reversed: the list is by sequence, not id.

@@ -162,14 +162,14 @@ fn put_batch<'a>(
             buf,
             start_seq,
             machines.names_from(persisted.machines),
-            &sigs.inner.names[persisted.sigs..],
+            sigs.inner.names_from(persisted.sigs),
             &releases.pairs[persisted.releases..],
             recs,
         )
     });
     Persisted {
         machines: machines.len(),
-        sigs: sigs.inner.names.len(),
+        sigs: sigs.inner.len(),
         releases: releases.pairs.len(),
     }
 }
@@ -268,7 +268,7 @@ impl DurableUrr {
         }
         let persisted = Persisted {
             machines: urr.machines.read().expect("urr poisoned").len(),
-            sigs: urr.sigs.read().expect("urr poisoned").inner.names.len(),
+            sigs: urr.sigs.read().expect("urr poisoned").inner.len(),
             releases: urr.releases.read().expect("urr poisoned").pairs.len(),
         };
         let durable = DurableUrr {

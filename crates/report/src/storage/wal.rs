@@ -9,10 +9,12 @@
 //!   name interned since the previous frame was journaled. Replaying
 //!   deltas in frame order reproduces the exact dense-id assignment of
 //!   the live repository, so the id-based records that follow resolve
-//!   to the same names. A fleet directory the live repository adopted
+//!   to the same names. A fleet's table the live repository adopted
 //!   ([`Urr::intern_fleet`]) is not special here: its names are the
 //!   head of the first frame's machine delta, and the recovered
-//!   repository owns them;
+//!   repository owns them. Replay interns a delta in the order it was
+//!   written, so a table whose names ascended live ascends again and
+//!   is recovered by appending;
 //! * the records themselves as interned ids, with the optional
 //!   free-form payload (failure detail + reproduction image) inlined
 //!   for boundary reports.
@@ -28,6 +30,8 @@
 //! repository's tables; [`WalFrame`] is what recovery decodes it into,
 //! its deltas still borrowed from the frame's bytes: replay only reads a
 //! name to intern it, and the interner makes the one copy that is kept.
+
+use std::sync::Arc;
 
 use crate::image::ReportImage;
 use crate::storage::wire::{
@@ -113,7 +117,7 @@ pub(crate) fn encode_wal_frame<'n, 'r>(
     buf: &mut Vec<u8>,
     start_seq: u64,
     machine_delta: impl ExactSizeIterator<Item = &'n str>,
-    sig_delta: &[impl AsRef<str>],
+    sig_delta: impl ExactSizeIterator<Item = &'n str>,
     release_delta: &[(impl AsRef<str>, impl AsRef<str>)],
     recs: impl ExactSizeIterator<Item = &'r Rec>,
 ) {
@@ -182,7 +186,7 @@ impl<'a> WalFrame<'a> {
     /// applying a decoded frame.
     pub(crate) fn validate_ids(&self, urr: &Urr) -> Result<(), WireError> {
         let machines = urr.machines.read().expect("urr poisoned").len() as u64;
-        let sigs = urr.sigs.read().expect("urr poisoned").inner.names.len() as u64;
+        let sigs = urr.sigs.read().expect("urr poisoned").inner.len() as u64;
         let releases = urr.releases.read().expect("urr poisoned").pairs.len() as u64;
         for rec in &self.recs {
             if u64::from(rec.machine) >= machines {
@@ -209,6 +213,11 @@ impl<'a> WalFrame<'a> {
     /// Every delta name must take the next dense id of its table: a
     /// name the table already holds would shift every id after it.
     pub(crate) fn intern_deltas(&self, urr: &Urr) -> Result<(), WireError> {
+        // A name table's offsets are `u32`: no journal this program
+        // wrote holds more names than one takes.
+        const FULL: WireError = WireError::Corrupt {
+            what: "wal delta overflows a name table",
+        };
         let next_id = |id: u32, first: usize, i: usize| {
             if id as usize == first + i {
                 Ok(())
@@ -220,15 +229,18 @@ impl<'a> WalFrame<'a> {
         };
         if !self.machine_delta.is_empty() {
             let mut table = urr.machines.write().expect("urr poisoned");
+            // Every delta name must be new, so a shared table is copied
+            // up front.
+            let table = Arc::make_mut(&mut table);
             let first = table.len();
             table.reserve(self.machine_delta.len());
             for (i, name) in self.machine_delta.iter().enumerate() {
-                next_id(table.intern(name), first, i)?;
+                next_id(table.try_intern(name).ok_or(FULL)?, first, i)?;
             }
         }
-        let first = urr.sigs.read().expect("urr poisoned").inner.names.len();
+        let first = urr.sigs.read().expect("urr poisoned").inner.len();
         for (i, name) in self.sig_delta.iter().enumerate() {
-            next_id(urr.intern_signature(name).0, first, i)?;
+            next_id(urr.try_intern_signature(name).ok_or(FULL)?.0, first, i)?;
         }
         let first = urr.releases.read().expect("urr poisoned").pairs.len();
         for (i, (package, version)) in self.release_delta.iter().enumerate() {
@@ -280,7 +292,7 @@ mod tests {
             &mut buf,
             frame.start_seq,
             frame.machine_delta.iter().copied(),
-            &frame.sig_delta,
+            frame.sig_delta.iter().copied(),
             &frame.release_delta,
             frame.recs.iter(),
         );
@@ -473,6 +485,51 @@ mod tests {
         // leaves the names ahead of the repeat interned.
         for (machine, sig, version) in [("m0", "s2", "x"), ("m2", "s0", "x"), ("m3", "s3", "v")] {
             assert!(deltas(machine, sig, version).intern_deltas(&urr).is_err());
+        }
+    }
+
+    /// A machine delta that names a machine the table already holds is
+    /// corrupt whichever way the table finds it: still its own index
+    /// (the names so far ascend: the repeat is the last name, or one a
+    /// binary search finds) or hashed.
+    #[test]
+    fn a_repeated_machine_name_is_corrupt_however_the_table_is_indexed() {
+        let repeats = Err(WireError::Corrupt {
+            what: "wal delta repeats an interned name",
+        });
+        for held in [["m0", "m1", "m2"], ["m1", "m0", "m2"]] {
+            let replay = |delta: &[&'static str]| {
+                let urr = Urr::with_shards(2);
+                urr.intern_machines(held);
+                let frame = WalFrame {
+                    machine_delta: delta.to_vec(),
+                    ..frame_of(0, vec![])
+                };
+                (frame.intern_deltas(&urr), urr)
+            };
+            // The last name held, an earlier one, and one the delta
+            // itself brought — first and after a new name.
+            for delta in [
+                &["m2"][..],
+                &["m0"],
+                &["m3", "m2"],
+                &["m3", "m1"],
+                &["m3", "m3"],
+            ] {
+                assert_eq!(replay(delta).0, repeats, "{held:?} + {delta:?}");
+            }
+            // Names it lacks go in, in any order, under the refs
+            // interning them live gave.
+            for delta in [&["m3", "m4"][..], &["m4", "m3"], &["a", "m3"]] {
+                let (result, urr) = replay(delta);
+                assert_eq!(result, Ok(()), "{held:?} + {delta:?}");
+                let all = || held.iter().chain(delta).copied();
+                assert_eq!(
+                    urr.intern_machines(all()),
+                    Urr::with_shards(2).intern_machines(all()),
+                    "{held:?} + {delta:?}"
+                );
+            }
         }
     }
 }

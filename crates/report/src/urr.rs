@@ -16,10 +16,14 @@
 //!   same style as the deploy plane's `MachineId`), failure signatures
 //!   ([`SigId`]), and `(package, version)` pairs ([`ReleaseId`]) are
 //!   interned once; stored records are small `Copy`-ish structs of ids.
-//!   A whole fleet whose names somebody else already interned — a
-//!   deployment plan's machine table, seen through [`MachineDirectory`]
-//!   — is *adopted* instead ([`Urr::intern_fleet`]): its ids become the
-//!   first refs and no name is copied or hashed a second time.
+//!   Machines and signatures each live in a [`NameTable`]: bytes in one
+//!   buffer, no allocation per name. A whole fleet whose names somebody
+//!   else already interned — a deployment plan's machine table, handed
+//!   over as the `Arc<NameTable>` it keeps — is *adopted* instead
+//!   ([`Urr::intern_fleet`]): the repository holds the same `Arc`, the
+//!   table's ids are the first refs, and no name is copied or hashed a
+//!   second time. The first name from outside the fleet makes the
+//!   repository's copy private (one `memcpy` of the table, once).
 //! * **Word-packed sets.** Per-signature machine/cluster membership is
 //!   a packed bitset plus a first-seen order list — deduplication is one
 //!   bit test instead of the reference's `Vec<String>::contains` scan.
@@ -59,6 +63,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use mirage_telemetry::json::Value;
+use mirage_telemetry::names::NameTable;
 use mirage_telemetry::Telemetry;
 
 use crate::codec::JsonError;
@@ -93,45 +98,6 @@ impl fmt::Display for MachineRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "rm#{}", self.0)
     }
-}
-
-/// A fleet's machine names as somebody else already interned them: the
-/// seam through which the repository adopts a deployment plan's name
-/// table ([`Urr::intern_fleet`]) without naming the plan's types and
-/// without copying or re-hashing a name.
-///
-/// Ids are dense: `name(i)` is defined for every `i < len()`, names are
-/// distinct, and `id(name(i)) == Some(i)`. A directory never changes
-/// once handed to the repository.
-pub trait MachineDirectory: fmt::Debug + Send + Sync {
-    /// Number of machines in the directory.
-    fn len(&self) -> usize;
-
-    /// Returns `true` if the directory lists no machine.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The name of machine `id`.
-    ///
-    /// # Panics
-    ///
-    /// May panic if `id >= len()`.
-    fn name(&self, id: u32) -> &str;
-
-    /// The id of `name`, if the directory lists it.
-    fn id(&self, name: &str) -> Option<u32>;
-}
-
-/// Whether two directories list the same names under the same ids.
-/// Directories that share their storage (two clones of one plan's
-/// table) hand out the same `&str`s, so comparing them reads no name.
-fn same_directory(a: &dyn MachineDirectory, b: &dyn MachineDirectory) -> bool {
-    a.len() == b.len()
-        && (0..a.len() as u32).all(|i| {
-            let (x, y) = (a.name(i), b.name(i));
-            std::ptr::eq(x, y) || x == y
-        })
 }
 
 /// A dense failure-signature identifier.
@@ -526,118 +492,16 @@ impl Shard {
     }
 }
 
-/// A name ↔ dense-`u32` interner (read-mostly under `RwLock`). Each
-/// name is one allocation shared by the list and the index.
-#[derive(Debug, Default)]
-pub(crate) struct Interner {
-    pub(crate) names: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
-}
-
-impl Interner {
-    /// Makes room for `n` more names in the list and the index, so
-    /// interning them does not grow (and rehash) its way there.
-    fn reserve(&mut self, n: usize) {
-        self.names.reserve(n);
-        self.index.reserve(n);
-    }
-
-    pub(crate) fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&i) = self.index.get(name) {
-            return i;
-        }
-        let i = u32::try_from(self.names.len()).expect("interner overflow");
-        let name: Arc<str> = Arc::from(name);
-        self.names.push(Arc::clone(&name));
-        self.index.insert(name, i);
-        i
-    }
-
-    pub(crate) fn get(&self, name: &str) -> Option<u32> {
-        self.index.get(name).copied()
-    }
-
-    pub(crate) fn name(&self, i: u32) -> &str {
-        &self.names[i as usize]
-    }
-}
-
-/// The repository's machine table: a fleet directory adopted whole
-/// ([`Urr::intern_fleet`]), then names interned one at a time. Refs
-/// `0..fleet_len` are the directory's own ids; the names interned
-/// after it continue densely from there. A repository that never
-/// adopts a fleet has only the second part, and a lookup in it is the
-/// one hash probe it always was.
-#[derive(Debug, Default)]
-pub(crate) struct MachineInterner {
-    fleet: Option<Arc<dyn MachineDirectory>>,
-    /// `fleet.len()`, 0 without one: the ref of `own`'s first name.
-    fleet_len: u32,
-    own: Interner,
-}
-
-impl MachineInterner {
-    pub(crate) fn len(&self) -> usize {
-        self.fleet_len as usize + self.own.names.len()
-    }
-
-    /// Makes room for `n` names about to be interned. A hint: names
-    /// the table already holds only leave the room unused.
-    pub(crate) fn reserve(&mut self, n: usize) {
-        self.own.reserve(n);
-    }
-
-    pub(crate) fn get(&self, name: &str) -> Option<u32> {
-        let adopted = self.fleet.as_ref().and_then(|fleet| fleet.id(name));
-        adopted.or_else(|| self.own.get(name).map(|i| self.fleet_len + i))
-    }
-
-    pub(crate) fn intern(&mut self, name: &str) -> u32 {
-        if let Some(i) = self.fleet.as_ref().and_then(|fleet| fleet.id(name)) {
-            return i;
-        }
-        self.fleet_len
-            .checked_add(self.own.intern(name))
-            .expect("interner overflow")
-    }
-
-    pub(crate) fn name(&self, i: u32) -> &str {
-        match &self.fleet {
-            Some(fleet) if i < self.fleet_len => fleet.name(i),
-            _ => self.own.name(i - self.fleet_len),
-        }
-    }
-
-    /// Names `start..len()` in ref order: a journaled frame's machine
-    /// delta (from the last journaled length; from 0 in the frame that
-    /// opens a snapshot generation).
-    pub(crate) fn names_from(&self, start: usize) -> impl ExactSizeIterator<Item = &str> + '_ {
-        (start..self.len()).map(|i| self.name(i as u32))
-    }
-
-    /// Interns every machine of `fleet`, in directory order.
-    fn intern_fleet(&mut self, fleet: Arc<dyn MachineDirectory>) -> Vec<MachineRef> {
-        let n = u32::try_from(fleet.len()).expect("interner overflow");
-        let adopted = if self.len() == 0 {
-            self.fleet = Some(Arc::clone(&fleet));
-            self.fleet_len = n;
-            true
-        } else {
-            (self.fleet.as_deref()).is_some_and(|known| same_directory(known, &*fleet))
-        };
-        if adopted {
-            return (0..n).map(MachineRef).collect();
-        }
-        (0..n)
-            .map(|i| MachineRef(self.intern(fleet.name(i))))
-            .collect()
-    }
+/// Interns `name` in a machine table that may be an adopted fleet's:
+/// only a name the fleet lacks makes the table private.
+fn intern_machine_in(table: &mut Arc<NameTable>, name: &str) -> u32 {
+    NameTable::try_intern_shared(table, name).expect("interner overflow")
 }
 
 /// Signature interner plus each signature's home shard.
 #[derive(Debug, Default)]
 pub(crate) struct SigInterner {
-    pub(crate) inner: Interner,
+    pub(crate) inner: NameTable,
     /// Home shard per signature (hash of the name, masked).
     pub(crate) shards: Vec<u32>,
 }
@@ -722,7 +586,10 @@ pub struct Urr {
     pub(crate) shards: Box<[Mutex<Shard>]>,
     pub(crate) shard_mask: u64,
     pub(crate) seq: AtomicU64,
-    pub(crate) machines: RwLock<MachineInterner>,
+    /// The machine table: the `Arc` a fleet was adopted as
+    /// ([`Urr::intern_fleet`]) until a name from outside it arrives,
+    /// private from then on.
+    pub(crate) machines: RwLock<Arc<NameTable>>,
     pub(crate) sigs: RwLock<SigInterner>,
     pub(crate) releases: RwLock<ReleaseInterner>,
     pub(crate) telemetry: Telemetry,
@@ -752,7 +619,7 @@ impl Urr {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             shard_mask: (n - 1) as u64,
             seq: AtomicU64::new(0),
-            machines: RwLock::new(MachineInterner::default()),
+            machines: RwLock::new(Arc::default()),
             sigs: RwLock::new(SigInterner::default()),
             releases: RwLock::new(ReleaseInterner::default()),
             telemetry: Telemetry::noop(),
@@ -788,24 +655,29 @@ impl Urr {
         if let Some(i) = self.machines.read().expect("urr poisoned").get(name) {
             return MachineRef(i);
         }
-        MachineRef(self.machines.write().expect("urr poisoned").intern(name))
+        let mut table = self.machines.write().expect("urr poisoned");
+        MachineRef(intern_machine_in(&mut table, name))
     }
 
     /// Bulk-interns a fleet of machine names (one write lock for all).
     pub fn intern_machines<'a>(&self, names: impl IntoIterator<Item = &'a str>) -> Vec<MachineRef> {
         let names = names.into_iter();
         let mut table = self.machines.write().expect("urr poisoned");
-        table.reserve(names.size_hint().0);
-        names.map(|n| MachineRef(table.intern(n))).collect()
+        if let Some(table) = Arc::get_mut(&mut table) {
+            table.reserve(names.size_hint().0);
+        }
+        names
+            .map(|n| MachineRef(intern_machine_in(&mut table, n)))
+            .collect()
     }
 
-    /// Interns a whole fleet from its directory and returns each
-    /// machine's ref, in directory order.
+    /// Interns a whole fleet from the table that already lists it and
+    /// returns each machine's ref, in table order.
     ///
-    /// A repository that knows no machine yet *adopts* the directory:
-    /// it keeps the handle, `MachineRef(i)` is the directory's id `i`,
-    /// and no name is copied or hashed. A repository that already
-    /// adopted an equal directory hands the same refs back. Any other
+    /// A repository that knows no machine yet *adopts* the table: it
+    /// keeps the `Arc`, `MachineRef(i)` is the table's id `i`, and no
+    /// name is copied or hashed. A repository that holds the same `Arc`,
+    /// or a table equal to it, hands the same refs back. Any other
     /// repository interns the names one at a time, exactly as
     /// [`Urr::intern_machines`] would. Which of the three happens
     /// depends on the repository's contents alone, and every query
@@ -816,26 +688,43 @@ impl Urr {
     /// # Panics
     ///
     /// Panics if the repository would hold more than `u32::MAX`
-    /// machines.
-    pub fn intern_fleet(&self, fleet: Arc<dyn MachineDirectory>) -> Vec<MachineRef> {
-        self.machines
-            .write()
-            .expect("urr poisoned")
-            .intern_fleet(fleet)
+    /// machines or 4 GiB of machine names.
+    pub fn intern_fleet(&self, fleet: Arc<NameTable>) -> Vec<MachineRef> {
+        let mut table = self.machines.write().expect("urr poisoned");
+        if table.is_empty() {
+            *table = fleet;
+        } else if !Arc::ptr_eq(&table, &fleet) && **table != *fleet {
+            return fleet
+                .names_from(0)
+                .map(|n| MachineRef(intern_machine_in(&mut table, n)))
+                .collect();
+        }
+        (0..table.len() as u32).map(MachineRef).collect()
     }
 
     /// Interns a failure signature (assigning its home shard).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the repository would hold more than `u32::MAX`
+    /// signatures or 4 GiB of signature names.
     pub fn intern_signature(&self, name: &str) -> SigId {
+        self.try_intern_signature(name).expect("interner overflow")
+    }
+
+    /// [`Urr::intern_signature`], `None` where it would panic: journal
+    /// replay interns names it did not write.
+    pub(crate) fn try_intern_signature(&self, name: &str) -> Option<SigId> {
         if let Some(i) = self.sigs.read().expect("urr poisoned").inner.get(name) {
-            return SigId(i);
+            return Some(SigId(i));
         }
         let mut sigs = self.sigs.write().expect("urr poisoned");
-        let i = sigs.inner.intern(name);
+        let i = sigs.inner.try_intern(name)?;
         if i as usize >= sigs.shards.len() {
             debug_assert_eq!(i as usize, sigs.shards.len());
             sigs.shards.push((hash_name(name) & self.shard_mask) as u32);
         }
-        SigId(i)
+        Some(SigId(i))
     }
 
     /// Interns a `(package, version)` release pair.
@@ -891,7 +780,7 @@ impl Urr {
         if self.shards.len() == 1 {
             // Single-stripe fast path: no routing, no regrouping buffer —
             // records go straight from the caller's slice into the shard.
-            let sig_count = self.sigs.read().expect("urr poisoned").inner.names.len();
+            let sig_count = self.sigs.read().expect("urr poisoned").inner.len();
             let release_count = self.releases.read().expect("urr poisoned").pairs.len();
             self.lock_shard(0)
                 .insert_interned(recs, start, sig_count, release_count);
@@ -1263,7 +1152,7 @@ impl Urr {
     /// Reconstructs one stored record as a boundary [`Report`].
     fn rec_to_report(
         rec: &Rec,
-        machines: &MachineInterner,
+        machines: &NameTable,
         sigs: &SigInterner,
         releases: &ReleaseInterner,
     ) -> Report {

@@ -14,9 +14,10 @@
 use std::sync::Arc;
 
 use mirage_report::{
-    DurableConfig, DurableUrr, FsStore, InternedOutcome, InternedReport, MachineDirectory,
-    MachineRef, MemoryStore, Report, ReportImage, Urr, UrrStore,
+    DurableConfig, DurableUrr, FsStore, InternedOutcome, InternedReport, MachineRef, MemoryStore,
+    Report, ReportImage, Urr, UrrStore,
 };
+use mirage_telemetry::names::NameTable;
 
 /// Deterministic xorshift64 generator (same idiom as `proptests.rs`).
 struct Rng(u64);
@@ -332,54 +333,52 @@ fn urr_recovery_equivalence_fs() {
     }
 }
 
-/// A fleet directory as a deployment plan would hand it over: machine
-/// `i` is `m{i}`, the names [`drive`] draws from.
-#[derive(Debug)]
-struct Fleet(Vec<String>);
-
-impl Fleet {
-    fn of(machines: usize) -> Arc<Self> {
-        Arc::new(Fleet((0..machines).map(|i| format!("m{i}")).collect()))
+/// A fleet's name table as a deployment plan would hand it over: the
+/// first `machines` of the names [`drive`] draws from (`m0`, `m1`, …),
+/// interned in sorted order — the table is its own index — or in a
+/// seeded shuffle of it, which past a handful of names is hashed.
+fn fleet_table(machines: usize, sorted: bool, seed: u64) -> Arc<NameTable> {
+    let mut names: Vec<String> = (0..machines).map(|i| format!("m{i}")).collect();
+    names.sort();
+    if !sorted {
+        let mut rng = Rng::new(seed);
+        for i in (1..names.len()).rev() {
+            names.swap(i, rng.below(i + 1));
+        }
     }
-}
-
-impl MachineDirectory for Fleet {
-    fn len(&self) -> usize {
-        self.0.len()
+    let mut table = NameTable::default();
+    for name in &names {
+        table.intern(name);
     }
-
-    fn name(&self, id: u32) -> &str {
-        &self.0[id as usize]
-    }
-
-    fn id(&self, name: &str) -> Option<u32> {
-        self.0.iter().position(|n| n == name).map(|i| i as u32)
-    }
+    Arc::new(table)
 }
 
 /// The recovery property with an **adopted** fleet: the repository
-/// takes a directory whole ([`Urr::intern_fleet`]) and is then driven
-/// with the usual mixed stream, whose names fall inside the fleet
-/// (resolved through the directory) and outside it (interned after it),
-/// with snapshots mid-stream. The adopted names travel as the first
-/// frame's machine delta and the head of a snapshot's machine list, so
-/// recovery — which is handed no directory — must still reproduce
-/// every query surface. Along the way: a by-name deposit for a fleet
-/// machine lands on the fleet's ref, adopting an equal directory again
-/// returns the same refs, and a directory that is not equal is interned
-/// name by name.
+/// takes a plan's name table whole ([`Urr::intern_fleet`]) and is then
+/// driven with the usual mixed stream, whose names fall inside the fleet
+/// (found in the adopted table) and outside it (the first makes the
+/// table private, the rest follow it), with snapshots mid-stream. The
+/// adopted names travel as the first frame's machine delta and the head
+/// of a snapshot's machine list, so recovery — which is handed no table
+/// — must still reproduce every query surface, whether the fleet's
+/// names ascend (recovery appends them) or not (recovery hashes them).
+/// Along the way: the plan's table never learns an outsider, a by-name
+/// deposit for a fleet machine lands on the fleet's ref, adopting the
+/// same or an equal table again returns the same refs, and a table that
+/// is not equal is interned name by name.
 #[test]
 fn adopted_fleet_recovery_equivalence() {
     let mut rng = Rng::new(0x5eed_0011);
-    for case in 0..12 {
-        let fleet = 1 + rng.below(12);
+    for case in 0..24 {
+        let sorted = case % 2 == 0;
+        let fleet = 1 + rng.below(30);
         // `drive` names machines m0..m{machines}: the tail is outside
         // the fleet.
         let machines = fleet + 1 + rng.below(8);
         let clusters = 1 + rng.below(6);
         let config = DurableConfig {
             shards: 1 << (case % 4),
-            snapshot_every_batches: [0, 3][case % 2],
+            snapshot_every_batches: [0, 3][case / 2 % 2],
             ..DurableConfig::default()
         };
         let store = MemoryStore::with_segment_bytes(1 << (6 + case % 8));
@@ -387,14 +386,21 @@ fn adopted_fleet_recovery_equivalence() {
         let durable = DurableUrr::new(Box::new(store), config.clone()).expect("new");
         let urr = durable.urr();
 
-        let refs = urr.intern_fleet(Fleet::of(fleet));
+        let seed = rng.next();
+        let table = fleet_table(fleet, sorted, seed);
+        let refs = urr.intern_fleet(Arc::clone(&table));
         let dense: Vec<MachineRef> = (0..fleet as u32).map(MachineRef).collect();
-        assert_eq!(refs, dense, "case {case}: adopted refs are directory ids");
+        assert_eq!(refs, dense, "case {case}: adopted refs are the table's ids");
         let outsider = urr.intern_machine(&format!("m{}", machines - 1));
         assert_eq!(
             outsider,
             MachineRef(fleet as u32),
             "case {case}: dense after"
+        );
+        assert_eq!(
+            table.len(),
+            fleet,
+            "case {case}: the plan's table is its own"
         );
 
         let mut spares = drive(&mut rng, &durable, machines, clusters, 12);
@@ -402,9 +408,9 @@ fn adopted_fleet_recovery_equivalence() {
 
         // One failure by name and one by ref for the same fleet machine:
         // one machine in the group, not two.
-        let last = fleet - 1;
+        let last = table.name(fleet as u32 - 1);
         let by_name = Report::failure(
-            format!("m{last}"),
+            last,
             0,
             "upgrade",
             "r1",
@@ -414,7 +420,7 @@ fn adopted_fleet_recovery_equivalence() {
         );
         durable.deposit(by_name).expect("deposit");
         let by_ref = InternedReport {
-            machine: refs[last],
+            machine: refs[fleet - 1],
             cluster: 0,
             release: urr.intern_release("upgrade", "r1"),
             outcome: InternedOutcome::Failure(urr.intern_signature("adopted/by-name")),
@@ -422,16 +428,21 @@ fn adopted_fleet_recovery_equivalence() {
         durable.deposit_interned_batch(&[by_ref]).expect("deposit");
         assert_eq!(
             urr.machines_for_signature("adopted/by-name"),
-            Some(vec![format!("m{last}")]),
+            Some(vec![last.to_string()]),
             "case {case}: by-name deposit lands on the fleet's ref"
         );
 
-        // An equal directory (another allocation) is recognised; a wider
-        // one is interned per name and finds every machine already there.
-        assert_eq!(urr.intern_fleet(Fleet::of(fleet)), refs, "case {case}");
-        let wider = urr.intern_fleet(Fleet::of(machines));
-        assert_eq!(wider[..fleet], refs[..], "case {case}: fleet refs kept");
-        assert_eq!(wider[machines - 1], outsider, "case {case}: outsider kept");
+        // The same table and an equal one (another allocation, the
+        // outsider aside) are found name by name now that the
+        // repository's copy has grown; a wider one finds every machine
+        // already there.
+        assert_eq!(urr.intern_fleet(Arc::clone(&table)), refs, "case {case}");
+        let equal = fleet_table(fleet, sorted, seed);
+        assert_eq!(urr.intern_fleet(equal), refs, "case {case}");
+        let wider = fleet_table(machines, sorted, seed);
+        let known = urr.intern_machines(wider.names_from(0));
+        assert_eq!(urr.intern_fleet(Arc::clone(&wider)), known, "case {case}");
+        assert!(known.contains(&outsider), "case {case}: outsider kept");
 
         spares.extend(drive(&mut rng, &durable, machines, clusters, 12));
         let crashed = handle.fork();
@@ -446,6 +457,81 @@ fn adopted_fleet_recovery_equivalence() {
             fleet_and_outsiders.chain(spares),
             &ctx,
         );
+    }
+}
+
+/// A repository that still holds the table it adopted recognises the
+/// same `Arc` and an equal table without interning a name, and keeps
+/// sharing the plan's storage until a stranger arrives.
+#[test]
+fn adopted_table_is_shared_until_a_stranger_arrives() {
+    for sorted in [true, false] {
+        let table = fleet_table(20, sorted, 7);
+        let urr = Urr::with_shards(2);
+        let refs = urr.intern_fleet(Arc::clone(&table));
+        assert_eq!(Arc::strong_count(&table), 2, "the repository holds the Arc");
+        assert_eq!(urr.intern_fleet(Arc::clone(&table)), refs);
+        assert_eq!(urr.intern_fleet(fleet_table(20, sorted, 7)), refs);
+        assert_eq!(urr.intern_machine(table.name(3)), refs[3]);
+        assert_eq!(urr.intern_machines(table.names_from(0)), refs);
+        assert_eq!(Arc::strong_count(&table), 2, "known names copy nothing");
+        assert_eq!(urr.intern_machine("stranger"), MachineRef(20));
+        assert_eq!(Arc::strong_count(&table), 1, "the copy is private now");
+        assert_eq!(table.get("stranger"), None);
+        assert_eq!(urr.intern_fleet(Arc::clone(&table)), refs);
+    }
+}
+
+/// Names reach the journal in the order they were interned, which need
+/// not be any order at all: deltas that descend, that ascend and then
+/// fall back, and that ascend throughout replay to the live repository
+/// — through the WAL and through a snapshot generation, whose first
+/// frame is the whole table as one delta.
+#[test]
+fn deltas_in_any_order_recover_to_the_live_repository() {
+    let descending: fn(usize) -> usize = |i| 999 - i;
+    let falls_back: fn(usize) -> usize = |i| if i < 60 { 500 + i } else { i };
+    for (order, rank) in [
+        ("descending", descending),
+        ("ascending, then back below", falls_back),
+        ("ascending", |i| i),
+    ] {
+        for snapshot in [false, true] {
+            let store = MemoryStore::with_segment_bytes(512);
+            let handle = store.clone();
+            let durable = DurableUrr::new(Box::new(store), manual_snapshots(2)).expect("new");
+            let urr = durable.urr();
+            let release = urr.intern_release("upgrade", "r1");
+            let mut names = Vec::new();
+            for batch in 0..6 {
+                // Twenty new names a frame, the frame's records for
+                // every other one.
+                let fresh: Vec<String> = (batch * 20..batch * 20 + 20)
+                    .map(|i| format!("m{:03}", rank(i)))
+                    .collect();
+                let refs = urr.intern_machines(fresh.iter().map(String::as_str));
+                let recs: Vec<InternedReport> = (refs.iter().step_by(2))
+                    .map(|&machine| InternedReport {
+                        machine,
+                        cluster: batch as u32,
+                        release,
+                        outcome: InternedOutcome::Failure(urr.intern_signature("php/crash")),
+                    })
+                    .collect();
+                durable.deposit_interned_batch(&recs).expect("deposit");
+                names.extend(fresh);
+                if snapshot && batch == 3 {
+                    durable.snapshot_now().expect("snapshot_now");
+                }
+            }
+            let (recovered, report) =
+                DurableUrr::recover(Box::new(handle.fork()), manual_snapshots(2)).expect("recover");
+            let ctx = format!("{order}, snapshot={snapshot}");
+            assert_eq!(report.torn_tail, None, "{ctx}");
+            assert_eq!(report.snapshot_loaded, snapshot, "{ctx}");
+            assert_urr_identical(urr, recovered.urr(), &ctx);
+            assert_refs_identical(urr, recovered.urr(), names, &ctx);
+        }
     }
 }
 

@@ -541,10 +541,17 @@ impl ScenarioBuilder {
 /// The synthetic fleet of [`ScenarioBuilder::clusters`]: `count`
 /// clusters of `size` machines named `c{cluster}-m{index}`, cluster `c`
 /// at distance `c`. Same plan as [`DeployPlan::from_named`] over those
-/// names, but the table is sized for the whole fleet up front and every
-/// name is formatted into one reused buffer.
+/// names, but the table is sized for the whole fleet up front — the
+/// longest name is the last one — and every name is formatted into one
+/// reused buffer.
 fn synthetic_plan(count: usize, size: usize, reps: usize) -> DeployPlan {
-    let mut machines = MachineTable::with_capacity(count * size);
+    let longest = format!(
+        "c{:02}-m{:05}",
+        count.saturating_sub(1),
+        size.saturating_sub(1)
+    )
+    .len();
+    let mut machines = MachineTable::with_capacity(count * size, count * size * longest);
     let mut name = String::new();
     let clusters = (0..count)
         .map(|id| {

@@ -33,10 +33,9 @@
 
 use std::sync::Arc;
 
-use mirage_deploy::{MachineId, MachineTable, ProblemId, PRIOR_RELEASE};
+use mirage_deploy::{MachineId, ProblemId, PRIOR_RELEASE};
 use mirage_report::{
-    DurableUrr, InternedOutcome, InternedReport, MachineDirectory, MachineRef, ReleaseId, SigId,
-    Urr,
+    DurableUrr, InternedOutcome, InternedReport, MachineRef, ReleaseId, SigId, Urr,
 };
 
 use crate::scenario::Scenario;
@@ -44,26 +43,6 @@ use crate::scenario::Scenario;
 /// Records per flush batch. Large enough to amortise shard locking,
 /// small enough to keep the buffer cache-resident.
 const BATCH: usize = 4096;
-
-/// A plan's machine table as the repository sees it. Cloning the table
-/// shares its storage, so the directory *is* the plan's table, not a
-/// copy of it.
-#[derive(Debug)]
-struct FleetNames(MachineTable);
-
-impl MachineDirectory for FleetNames {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn name(&self, id: u32) -> &str {
-        self.0.name(MachineId(id))
-    }
-
-    fn id(&self, name: &str) -> Option<u32> {
-        self.0.id(name).map(|id| id.0)
-    }
-}
 
 /// Buffered, pre-interned bridge from the simulation loop to a shared
 /// [`Urr`].
@@ -97,7 +76,7 @@ impl UrrSink {
     /// signatures and the initial release.
     pub fn new(scenario: &Scenario, urr: Arc<Urr>) -> Self {
         let plan = &scenario.plan;
-        let machine_refs = urr.intern_fleet(Arc::new(FleetNames(plan.machines.clone())));
+        let machine_refs = urr.intern_fleet(Arc::clone(plan.machines.shared()));
         let mut machine_cluster = vec![0u32; machine_refs.len()];
         for cluster in &plan.clusters {
             for m in &cluster.members {

@@ -36,6 +36,11 @@
 //! into simulation or campaign state, so an instrumented run produces
 //! bit-identical results to an uninstrumented one.
 //!
+//! Two modules are shared plumbing rather than telemetry, kept here
+//! because this is the one std-only crate every layer already depends
+//! on: [`json`], the workspace's document codec, and [`names`], the
+//! name ↔ dense-id table under every interner.
+//!
 //! # Examples
 //!
 //! ```
@@ -64,6 +69,7 @@ pub mod health;
 pub mod journal;
 pub mod json;
 pub mod metrics;
+pub mod names;
 pub mod recorder;
 pub mod registry;
 pub mod span;

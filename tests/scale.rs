@@ -255,24 +255,24 @@ fn replicated_mysql_fleet_clusters_like_the_original() {
 }
 
 /// Cloning a `DeployPlan` copies cluster id vectors and no name: every
-/// name the clone hands out is the very `str` the original holds — the
-/// pointer test `Urr::intern_fleet` recognises an already adopted table
-/// by. The table is copy-on-write: a clone that interns a new name gets
-/// an index of its own (the strings stay shared) and the original never
-/// learns the name.
+/// name the clone hands out is the very `str` the original holds, and so
+/// is every name of a second clone. The table is copy-on-write: a clone
+/// that interns a new name takes a private copy of the table first —
+/// same names under the same ids, its own storage — and the original
+/// never learns the name.
 #[test]
 fn plan_clones_share_the_machine_table() {
     use mirage::deploy::{DeployPlan, MachineId};
     use mirage::sim::ScenarioBuilder;
 
     const MACHINES: usize = 100_000;
+    let ids = || (0..MACHINES as u32).map(MachineId);
     let same_strs = |a: &DeployPlan, b: &DeployPlan| {
-        (0..MACHINES as u32)
-            .map(MachineId)
-            .all(|id| std::ptr::eq(a.machine_name(id), b.machine_name(id)))
+        ids().all(|id| std::ptr::eq(a.machine_name(id), b.machine_name(id)))
     };
     let plan = ScenarioBuilder::new().clusters(20, 5_000, 1).build().plan;
     let mut clone = plan.clone();
+    let untouched = plan.clone();
     assert_eq!(plan, clone);
     assert!(same_strs(&plan, &clone), "a clone copies no name");
 
@@ -287,9 +287,13 @@ fn plan_clones_share_the_machine_table() {
     assert_eq!(plan.machines.len(), MACHINES, "the original is untouched");
     assert_eq!(plan.machine_id("ghost"), None);
     assert_ne!(plan, clone);
-    assert!(same_strs(&plan, &clone), "the names stay shared");
-    assert_eq!(
-        clone.machine_id("c19-m04999"),
-        plan.machine_id("c19-m04999")
+    assert!(
+        ids().all(|id| clone.machine_name(id) == plan.machine_name(id)
+            && clone.machine_id(plan.machine_name(id)) == Some(id)),
+        "the private copy lists the same names under the same ids"
+    );
+    assert!(
+        same_strs(&plan, &untouched),
+        "clones that intern nothing still share"
     );
 }
