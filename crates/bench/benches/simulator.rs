@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use mirage_bench::harness::Harness;
-use mirage_deploy::Balanced;
+use mirage_deploy::ProtocolChoice;
 use mirage_scenarios::deployment::{sound_scenario, ProblemPlacement};
 use mirage_sim::{ScenarioBuilder, Simulation};
 use mirage_telemetry::{Registry, Telemetry};
@@ -25,7 +25,11 @@ fn main() {
     h.bench("simulator/fig10-100k/Balanced-telemetry-noop", || {
         Simulation::new(&scenario)
             .with_telemetry(Telemetry::noop())
-            .run(&mut Balanced::new(scenario.plan.clone(), 1.0).with_telemetry(Telemetry::noop()))
+            .run(
+                &mut ProtocolChoice::Balanced
+                    .build(scenario.plan.clone(), 1.0)
+                    .with_telemetry(Telemetry::noop()),
+            )
             .failed_tests
     });
     h.bench("simulator/fig10-100k/Balanced-telemetry-live", || {
@@ -33,7 +37,11 @@ fn main() {
         let telemetry = Telemetry::from_registry(registry);
         Simulation::new(&scenario)
             .with_telemetry(telemetry.clone())
-            .run(&mut Balanced::new(scenario.plan.clone(), 1.0).with_telemetry(telemetry))
+            .run(
+                &mut ProtocolChoice::Balanced
+                    .build(scenario.plan.clone(), 1.0)
+                    .with_telemetry(telemetry),
+            )
             .failed_tests
     });
 
@@ -45,7 +53,7 @@ fn main() {
             .build();
         h.bench(&format!("simulator/reps-sweep/reps-{reps}"), || {
             Simulation::new(&scenario)
-                .run(&mut Balanced::new(scenario.plan.clone(), 1.0))
+                .run(&mut ProtocolChoice::Balanced.build(scenario.plan.clone(), 1.0))
                 .completion_time
         });
     }
@@ -59,10 +67,7 @@ fn main() {
             .build();
         h.bench(&format!("simulator/threshold-sweep/{threshold}"), || {
             Simulation::new(&scenario)
-                .run(&mut Balanced::new(
-                    scenario.plan.clone(),
-                    scenario.threshold,
-                ))
+                .run(&mut ProtocolChoice::Balanced.build(scenario.plan.clone(), scenario.threshold))
                 .completion_time
         });
     }

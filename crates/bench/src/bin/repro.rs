@@ -31,6 +31,7 @@ use mirage_bench::doc::{round_to, write_document, BenchDoc};
 use mirage_bench::harness::{black_box, fmt_ns, Harness};
 use mirage_bench::{bar, render_cdf, render_table};
 use mirage_cluster::ClusterQuality;
+use mirage_deploy::ProtocolChoice;
 use mirage_scenarios::{apps, deployment, firefox, mysql, survey};
 use mirage_sim::{ScenarioBuilder, Simulation};
 use mirage_telemetry::json::Value;
@@ -1097,7 +1098,7 @@ fn drift_perf(ctx: &Ctx) {
 fn trace(ctx: &Ctx) {
     use std::sync::Arc;
 
-    use mirage_deploy::{Balanced, MachineId, ProblemId};
+    use mirage_deploy::{MachineId, ProblemId};
     use mirage_telemetry::trace_export::chrome_trace;
     use mirage_telemetry::{Journal, Registry, Telemetry, TraceConfig};
 
@@ -1127,14 +1128,15 @@ fn trace(ctx: &Ctx) {
         "trace/journaled-run",
         || {
             Simulation::new(&scenario)
-                .run(&mut Balanced::new(scenario.plan.clone(), 1.0))
+                .run(&mut ProtocolChoice::Balanced.build(scenario.plan.clone(), 1.0))
                 .failed_tests
         },
         || {
             bench_journal.reset();
             let telemetry = Telemetry::from_recorder(Arc::clone(&bench_journal) as _);
-            let mut protocol =
-                Balanced::new(scenario.plan.clone(), 1.0).with_telemetry(telemetry.clone());
+            let mut protocol = ProtocolChoice::Balanced
+                .build(scenario.plan.clone(), 1.0)
+                .with_telemetry(telemetry.clone());
             Simulation::new(&scenario)
                 .with_telemetry(telemetry)
                 .run(&mut protocol)
@@ -1150,7 +1152,9 @@ fn trace(ctx: &Ctx) {
     // One retained journaled run feeds the Perfetto export.
     let registry = Arc::new(Registry::with_journal(1024, Journal::with_spill(1 << 16)));
     let telemetry = Telemetry::from_registry(Arc::clone(&registry));
-    let mut protocol = Balanced::new(scenario.plan.clone(), 1.0).with_telemetry(telemetry.clone());
+    let mut protocol = ProtocolChoice::Balanced
+        .build(scenario.plan.clone(), 1.0)
+        .with_telemetry(telemetry.clone());
     let metrics = Simulation::new(&scenario)
         .with_telemetry(telemetry)
         .run(&mut protocol);
@@ -1221,7 +1225,6 @@ fn trace(ctx: &Ctx) {
 fn health(ctx: &Ctx) {
     use std::sync::Arc;
 
-    use mirage_deploy::Balanced;
     use mirage_sim::FaultSpec;
     use mirage_telemetry::health::{health_report_json, rollup};
     use mirage_telemetry::{HealthStatus, Journal, Registry, Telemetry, WatchdogConfig};
@@ -1238,7 +1241,9 @@ fn health(ctx: &Ctx) {
 
     let registry = Arc::new(Registry::with_journal(1024, Journal::with_spill(1 << 16)));
     let telemetry = Telemetry::from_registry(Arc::clone(&registry));
-    let mut protocol = Balanced::new(scenario.plan.clone(), 1.0).with_telemetry(telemetry.clone());
+    let mut protocol = ProtocolChoice::Balanced
+        .build(scenario.plan.clone(), 1.0)
+        .with_telemetry(telemetry.clone());
     let metrics = Simulation::new(&scenario)
         .with_telemetry(telemetry)
         .run(&mut protocol);
@@ -1331,7 +1336,11 @@ fn fault_sweep(ctx: &Ctx) {
 
     suite_heading(ctx, "Fault sweep: convergence vs message-loss rate");
 
-    let protocols = ["NoStaging", "Balanced", "FrontLoading"];
+    let protocols = [
+        ProtocolChoice::NoStaging,
+        ProtocolChoice::Balanced,
+        ProtocolChoice::FrontLoading,
+    ];
     let loss_pcts: &[u32] = &[0, 5, 10, 15, 20, 25, 30];
     let mut rows: Vec<Value> = Vec::new();
     let mut all_converged = true;
@@ -1346,8 +1355,10 @@ fn fault_sweep(ctx: &Ctx) {
             .rep_timeout(4_000);
         let scenario = late_problem_fleet(ctx.smoke).faults(spec).build();
         let total = scenario.machine_count();
-        for protocol in protocols {
-            let m = deployment::run_protocol(&scenario, protocol);
+        for choice in protocols {
+            let protocol = choice.name();
+            let m = Simulation::new(&scenario)
+                .run(&mut choice.build(scenario.plan.clone(), scenario.threshold));
             let converged = m.passed_count() == total;
             all_converged &= converged;
             println!(
@@ -1420,7 +1431,7 @@ fn optional(time: Option<u64>) -> Value {
 fn rollback_sweep(ctx: &Ctx) {
     use std::sync::Arc;
 
-    use mirage_core::{GuardSettings, ProtocolChoice, RolloutStrategy};
+    use mirage_core::{GuardSettings, RolloutStrategy};
     use mirage_report::Urr;
     use mirage_sim::FaultSpec;
     use mirage_telemetry::Telemetry;
@@ -1600,7 +1611,6 @@ fn rollback_sweep(ctx: &Ctx) {
 /// `--smoke` shrinks the fleet to 8×125 and the grid to threshold 1.0 ×
 /// loss {0, 20}%.
 fn sweep(ctx: &Ctx) {
-    use mirage_deploy::ProtocolChoice;
     use mirage_sim::{FaultSpec, SimArena};
 
     const WORKERS: usize = 8;
@@ -1729,10 +1739,6 @@ fn sweep(ctx: &Ctx) {
 /// interned driver on the 100k scenario (the same properties the seeded
 /// proptests check on random scenarios).
 fn sim_perf(ctx: &Ctx) {
-    use mirage_deploy::reference::{
-        NamedBalanced, NamedFrontLoading, NamedNoStaging, NamedProtocol,
-    };
-    use mirage_deploy::{Balanced, FrontLoading, NoStaging, Protocol};
     use mirage_sim::runner::reference::{run_reference, NamedScenario};
     use mirage_sim::{Scenario, SimArena};
 
@@ -1748,44 +1754,36 @@ fn sim_perf(ctx: &Ctx) {
         .problem_in_clusters(deployment::RARE_B, &[95])
         .build();
 
-    type FastFactory = (&'static str, Box<dyn Fn(&Scenario) -> Box<dyn Protocol>>);
-    let fast: Vec<FastFactory> = vec![
-        (
-            "NoStaging",
-            Box::new(|s| Box::new(NoStaging::new(s.plan.clone()))),
-        ),
-        (
-            "Balanced",
-            Box::new(|s| Box::new(Balanced::new(s.plan.clone(), 1.0))),
-        ),
-        (
-            "FrontLoading",
-            Box::new(|s| Box::new(FrontLoading::new(s.plan.clone(), 1.0))),
-        ),
+    let choices = [
+        ProtocolChoice::NoStaging,
+        ProtocolChoice::Balanced,
+        ProtocolChoice::FrontLoading,
     ];
-    let slow = |name: &str, n: &NamedScenario| -> Box<dyn NamedProtocol> {
-        match name {
-            "NoStaging" => Box::new(NamedNoStaging::new(n.plan.clone())),
-            "Balanced" => Box::new(NamedBalanced::new(n.plan.clone(), 1.0)),
-            _ => Box::new(NamedFrontLoading::new(n.plan.clone(), 1.0)),
-        }
+    // Both planes from the one selection surface; construction stays
+    // inside every timed closure below.
+    let fast = |choice: ProtocolChoice, s: &Scenario| {
+        Simulation::new(s).run(&mut choice.build(s.plan.clone(), 1.0))
+    };
+    let slow = |choice: ProtocolChoice| {
+        run_reference(&named, &mut choice.build_named(named.plan.clone(), 1.0))
     };
 
     // Sanity: the drivers agree on the full 100k scenario before any
     // timing (same equivalences the seeded proptests establish).
-    for (name, make) in &fast {
-        let fast_m = Simulation::new(&s100k).run(make(&s100k).as_mut());
-        let slow_m = run_reference(&named, slow(name, &named).as_mut());
+    for choice in choices {
         assert_eq!(
-            fast_m, slow_m,
-            "{name}: drivers diverged on the 100k scenario"
+            fast(choice, &s100k),
+            slow(choice),
+            "{}: drivers diverged on the 100k scenario",
+            choice.name()
         );
     }
     {
         let mut arena = SimArena::new();
-        let expect = Simulation::new(&s100k).run(&mut Balanced::new(s100k.plan.clone(), 1.0));
+        let expect = Simulation::new(&s100k)
+            .run(&mut ProtocolChoice::Balanced.build(s100k.plan.clone(), 1.0));
         for workers in [2usize, 4, 8] {
-            let mut p = Balanced::new(s100k.plan.clone(), 1.0);
+            let mut p = ProtocolChoice::Balanced.build(s100k.plan.clone(), 1.0);
             let got = Simulation::new(&s100k)
                 .workers(workers)
                 .arena(&mut arena)
@@ -1799,21 +1797,18 @@ fn sim_perf(ctx: &Ctx) {
     println!("  (reference and parallel drivers bit-identical to sequential on 100k)\n");
 
     let mut h = Harness::new("sim-perf");
-    for (name, make) in &fast {
+    for choice in choices {
+        let name = choice.name();
         h.bench_paired(
             &format!("sim/100k/interned/{name}"),
             &format!("sim/100k/reference/{name}"),
-            || {
-                Simulation::new(&s100k)
-                    .run(make(&s100k).as_mut())
-                    .failed_tests
-            },
-            || run_reference(&named, slow(name, &named).as_mut()).failed_tests,
+            || fast(choice, &s100k).failed_tests,
+            || slow(choice).failed_tests,
         );
     }
-    for (name, make) in &fast {
-        h.bench(&format!("sim/1m/interned/{name}"), || {
-            Simulation::new(&s1m).run(make(&s1m).as_mut()).failed_tests
+    for choice in choices {
+        h.bench(&format!("sim/1m/interned/{}", choice.name()), || {
+            fast(choice, &s1m).failed_tests
         });
     }
 
@@ -1824,7 +1819,7 @@ fn sim_perf(ctx: &Ctx) {
     // the sequential driver, whose internal allocation is its honest
     // per-run cost.
     fn par_ns(s: &Scenario, arena: &mut SimArena, workers: usize) -> u64 {
-        let mut p = Balanced::new(s.plan.clone(), 1.0);
+        let mut p = ProtocolChoice::Balanced.build(s.plan.clone(), 1.0);
         let t0 = Instant::now();
         black_box(
             Simulation::new(s)
@@ -1860,7 +1855,7 @@ fn sim_perf(ctx: &Ctx) {
         .problem_in_clusters(deployment::RARE_B, &[950])
         .build();
     let mut arena10 = SimArena::new();
-    let mut proto10 = Balanced::new(s10m.plan.clone(), 1.0);
+    let mut proto10 = ProtocolChoice::Balanced.build(s10m.plan.clone(), 1.0);
     h.bench_scale("sim/10m/parallel/w8/Balanced", || {
         Simulation::new(&s10m)
             .workers(8)
@@ -1870,13 +1865,13 @@ fn sim_perf(ctx: &Ctx) {
     });
 
     let mut speedups = Vec::new();
-    for (name, _) in &fast {
+    for name in choices.map(ProtocolChoice::name) {
         let speedup = h.speedup(
             &format!("sim/100k/reference/{name}"),
             &format!("sim/100k/interned/{name}"),
         );
         println!("=> {name}: 100k interned is {speedup:.2}x the string reference (min-over-min)");
-        speedups.push((*name, Value::from(round_to(speedup, 2))));
+        speedups.push((name, Value::from(round_to(speedup, 2))));
     }
     let b1m_secs = h.row("sim/1m/interned/Balanced").min_ns as f64 / 1e9;
     println!("=> 1M-machine Balanced run: {b1m_secs:.2} s (min, sequential)");
@@ -2019,8 +2014,7 @@ fn clustering_perf(ctx: &Ctx) {
 fn telemetry_dump(ctx: &Ctx) {
     use std::sync::Arc;
 
-    use mirage_core::{Campaign, ProtocolChoice, RolloutStrategy};
-    use mirage_deploy::Balanced;
+    use mirage_core::{Campaign, RolloutStrategy};
     use mirage_env::RunInput;
     use mirage_scenarios::apache::ApacheScenario;
     use mirage_telemetry::{Registry, Telemetry};
@@ -2039,8 +2033,9 @@ fn telemetry_dump(ctx: &Ctx) {
 
     // 1. The paper's 100k-machine deployment simulation under Balanced.
     let sim_scenario = deployment::sound_scenario(deployment::ProblemPlacement::Late);
-    let mut protocol =
-        Balanced::new(sim_scenario.plan.clone(), 1.0).with_telemetry(telemetry.clone());
+    let mut protocol = ProtocolChoice::Balanced
+        .build(sim_scenario.plan.clone(), 1.0)
+        .with_telemetry(telemetry.clone());
     let metrics = Simulation::new(&sim_scenario)
         .with_telemetry(telemetry.clone())
         .run(&mut protocol);

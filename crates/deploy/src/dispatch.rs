@@ -1,21 +1,13 @@
-//! Unified protocol selection and enum dispatch.
+//! Protocol selection: the one table from a protocol's name to a
+//! configuration of the staged engine.
 //!
-//! Before this module, every driver (the simulator runner, the
-//! end-to-end campaign, the repro harness, the scenario suite) carried
-//! its own `match` over protocol names producing `Box<dyn Protocol>`
-//! trait objects — triplicated construction logic that each new
-//! protocol concern (telemetry, fault hardening) had to be threaded
-//! through once per call site. [`ProtocolChoice`] centralises the
-//! *selection* (a tiny `Copy` value, parseable from a name) and
-//! [`AnyProtocol`] the *dispatch* (a concrete enum, no heap
-//! allocation, no vtable), so drivers configure protocols through one
-//! typed surface.
+//! [`ProtocolChoice`] is a tiny `Copy` value, parseable from a name;
+//! [`ProtocolChoice::build`] turns it into a [`Staging`] over a plan.
+//! Every driver (the simulator, the live campaign, the rollout
+//! controller, the repro harness) configures protocols through it.
 
 use crate::plan::DeployPlan;
-use crate::protocol::{Command, Protocol, Release, SimTime, TestReport};
-use crate::protocols::{Balanced, FrontLoading, NoStaging};
-use crate::ProblemSet;
-use mirage_telemetry::Telemetry;
+use crate::protocols::{Front, Staging};
 
 /// Deterministic Fisher–Yates shuffle driven by a xorshift64 stream —
 /// the RandomStaging baseline's cluster-order generator. Kept
@@ -38,9 +30,8 @@ pub fn seeded_shuffle(order: &mut [usize], seed: u64) {
 /// A protocol *selection*: which deployment protocol to run, plus any
 /// selection-time parameters (the RandomStaging shuffle seed).
 ///
-/// This is the typed replacement for the string-keyed `match` arms that
-/// drivers used to carry; [`ProtocolChoice::build`] turns a choice into
-/// a ready [`AnyProtocol`] over a plan.
+/// [`ProtocolChoice::build`] turns a choice into a ready [`Staging`]
+/// over a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolChoice {
     /// The NoStaging baseline (everyone a representative).
@@ -57,7 +48,7 @@ pub enum ProtocolChoice {
 }
 
 impl ProtocolChoice {
-    /// The canonical protocol name (matches [`Protocol::name`]).
+    /// The canonical protocol name (matches [`crate::Protocol::name`]).
     pub fn name(self) -> &'static str {
         match self {
             ProtocolChoice::NoStaging => "NoStaging",
@@ -79,135 +70,29 @@ impl ProtocolChoice {
         }
     }
 
-    /// Builds the chosen protocol over `plan` at `threshold`
-    /// (NoStaging ignores the threshold).
-    pub fn build(self, plan: DeployPlan, threshold: f64) -> AnyProtocol {
-        match self {
-            ProtocolChoice::NoStaging => AnyProtocol::NoStaging(NoStaging::new(plan)),
-            ProtocolChoice::Balanced => AnyProtocol::Balanced(Balanced::new(plan, threshold)),
-            ProtocolChoice::FrontLoading => {
-                AnyProtocol::FrontLoading(FrontLoading::new(plan, threshold))
-            }
+    /// Builds the chosen protocol over `plan` at `threshold`. Each
+    /// choice is one row of the crate docs' table: who tests in phase 1,
+    /// and the order the clusters deploy in afterwards. NoStaging has no
+    /// cluster wave, so it ignores the threshold.
+    pub fn build(self, plan: DeployPlan, threshold: f64) -> Staging {
+        let (front, order) = match self {
+            ProtocolChoice::NoStaging => (Front::Everyone, Vec::new()),
+            ProtocolChoice::Balanced => (Front::None, plan.order_by_distance_asc()),
             ProtocolChoice::RandomStaging { seed } => {
                 let mut order: Vec<usize> = (0..plan.clusters.len()).collect();
                 seeded_shuffle(&mut order, seed);
-                AnyProtocol::Balanced(Balanced::with_order(plan, order, threshold))
+                (Front::None, order)
             }
-        }
-    }
-}
-
-/// Enum dispatch over the concrete interned-plane protocols: one value
-/// type every driver can hold without boxing, carrying the
-/// cross-cutting configuration hooks (telemetry, fault hardening) in a
-/// single place.
-#[derive(Debug, Clone)]
-pub enum AnyProtocol {
-    /// See [`NoStaging`].
-    NoStaging(NoStaging),
-    /// See [`Balanced`] (also the RandomStaging baseline).
-    Balanced(Balanced),
-    /// See [`FrontLoading`].
-    FrontLoading(FrontLoading),
-}
-
-impl AnyProtocol {
-    /// Attaches a telemetry handle (notification counters, wave events).
-    pub fn with_telemetry(self, telemetry: Telemetry) -> Self {
-        match self {
-            AnyProtocol::NoStaging(p) => AnyProtocol::NoStaging(p.with_telemetry(telemetry)),
-            AnyProtocol::Balanced(p) => AnyProtocol::Balanced(p.with_telemetry(telemetry)),
-            AnyProtocol::FrontLoading(p) => AnyProtocol::FrontLoading(p.with_telemetry(telemetry)),
-        }
-    }
-
-    /// Enables timeout-based stage advancement for unreliable fleets.
-    pub fn with_rep_timeout(self, timeout: SimTime) -> Self {
-        match self {
-            AnyProtocol::NoStaging(p) => AnyProtocol::NoStaging(p.with_rep_timeout(timeout)),
-            AnyProtocol::Balanced(p) => AnyProtocol::Balanced(p.with_rep_timeout(timeout)),
-            AnyProtocol::FrontLoading(p) => AnyProtocol::FrontLoading(p.with_rep_timeout(timeout)),
-        }
-    }
-}
-
-impl Protocol for AnyProtocol {
-    fn name(&self) -> &'static str {
-        match self {
-            AnyProtocol::NoStaging(p) => p.name(),
-            AnyProtocol::Balanced(p) => p.name(),
-            AnyProtocol::FrontLoading(p) => p.name(),
-        }
-    }
-
-    fn start(&mut self) -> Vec<Command> {
-        match self {
-            AnyProtocol::NoStaging(p) => p.start(),
-            AnyProtocol::Balanced(p) => p.start(),
-            AnyProtocol::FrontLoading(p) => p.start(),
-        }
-    }
-
-    fn on_report(&mut self, report: &TestReport) -> Vec<Command> {
-        match self {
-            AnyProtocol::NoStaging(p) => p.on_report(report),
-            AnyProtocol::Balanced(p) => p.on_report(report),
-            AnyProtocol::FrontLoading(p) => p.on_report(report),
-        }
-    }
-
-    fn absorb_passes(&mut self, reports: &[(crate::MachineId, Release)]) -> usize {
-        match self {
-            AnyProtocol::NoStaging(p) => p.absorb_passes(reports),
-            AnyProtocol::Balanced(p) => p.absorb_passes(reports),
-            AnyProtocol::FrontLoading(p) => p.absorb_passes(reports),
-        }
-    }
-
-    fn on_release(&mut self, release: Release, fixed: &ProblemSet) -> Vec<Command> {
-        match self {
-            AnyProtocol::NoStaging(p) => p.on_release(release, fixed),
-            AnyProtocol::Balanced(p) => p.on_release(release, fixed),
-            AnyProtocol::FrontLoading(p) => p.on_release(release, fixed),
-        }
-    }
-
-    fn on_tick(&mut self, now: SimTime) -> Vec<Command> {
-        match self {
-            AnyProtocol::NoStaging(p) => p.on_tick(now),
-            AnyProtocol::Balanced(p) => p.on_tick(now),
-            AnyProtocol::FrontLoading(p) => p.on_tick(now),
-        }
-    }
-
-    fn rep_timeouts(&self) -> u64 {
-        match self {
-            AnyProtocol::NoStaging(p) => p.rep_timeouts(),
-            AnyProtocol::Balanced(p) => p.rep_timeouts(),
-            AnyProtocol::FrontLoading(p) => p.rep_timeouts(),
-        }
-    }
-
-    fn wants_ticks(&self) -> bool {
-        match self {
-            AnyProtocol::NoStaging(p) => p.wants_ticks(),
-            AnyProtocol::Balanced(p) => p.wants_ticks(),
-            AnyProtocol::FrontLoading(p) => p.wants_ticks(),
-        }
-    }
-
-    fn done(&self) -> bool {
-        match self {
-            AnyProtocol::NoStaging(p) => p.done(),
-            AnyProtocol::Balanced(p) => p.done(),
-            AnyProtocol::FrontLoading(p) => p.done(),
-        }
+            ProtocolChoice::FrontLoading => (Front::Reps, plan.order_by_distance_desc()),
+        };
+        Staging::new(self.name(), plan, front, order, threshold)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Protocol;
 
     fn tiny_plan() -> DeployPlan {
         DeployPlan::from_named([(["a", "b"], 1, 1.0), (["c", "d"], 1, 2.0)])
@@ -248,15 +133,5 @@ mod tests {
         let mut sorted = a.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..16).collect::<Vec<_>>(), "still a permutation");
-    }
-
-    #[test]
-    fn any_protocol_dispatches_like_the_concrete_type() {
-        let plan = tiny_plan();
-        let mut direct = Balanced::new(plan.clone(), 1.0);
-        let mut wrapped = ProtocolChoice::Balanced.build(plan, 1.0);
-        assert_eq!(direct.start(), wrapped.start());
-        assert_eq!(direct.done(), wrapped.done());
-        assert_eq!(wrapped.rep_timeouts(), 0);
     }
 }

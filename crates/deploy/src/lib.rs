@@ -14,20 +14,34 @@
 //! simulation and "real" deployment, and makes every protocol trivially
 //! testable.
 //!
-//! Four protocols are provided, matching the paper's evaluation:
+//! The paper's four protocols are four configurations of one engine,
+//! [`Staging`]: a phase-1 *front* that tests in parallel, then clusters
+//! one at a time in an *order*, representatives before
+//! non-representatives. [`ProtocolChoice::build`] is the table:
 //!
-//! * [`NoStaging`] — everyone is a representative; fastest, maximum
-//!   overhead. For simple and urgent upgrades (security patches).
-//! * [`Balanced`] — clusters ordered by *ascending* vendor distance; reps
-//!   test before non-reps within each cluster. Low overhead, good
-//!   latency.
-//! * `RandomStaging` — [`Balanced`] with a caller-supplied (shuffled)
-//!   order; isolates the benefit of staging from that of intelligent
-//!   ordering.
-//! * [`FrontLoading`] — phase 1 tests on all representatives of all
-//!   clusters in parallel until no problems remain, then deploys to
-//!   non-representatives cluster-by-cluster in *descending* distance
-//!   order, front-loading the vendor's debugging effort.
+//! | choice        | front               | order               |
+//! |---------------|---------------------|---------------------|
+//! | NoStaging     | every machine       | none                |
+//! | Balanced      | none                | ascending distance  |
+//! | RandomStaging | none                | seeded shuffle      |
+//! | FrontLoading  | all representatives | descending distance |
+//!
+//! * **NoStaging** — one giant cluster, everyone a representative;
+//!   fastest, maximum overhead. For simple and urgent upgrades
+//!   (security patches).
+//! * **Balanced** — the clusters most similar to the vendor first. Low
+//!   overhead, good latency.
+//! * **RandomStaging** — Balanced's staging over a shuffled order;
+//!   isolates the benefit of staging from that of intelligent ordering.
+//! * **FrontLoading** — every representative tests in parallel until no
+//!   problems remain, then non-representatives deploy cluster by
+//!   cluster, the most vendor-dissimilar first, front-loading the
+//!   vendor's debugging effort.
+//!
+//! The stall budget that lets a protocol waive machines which will never
+//! report is not protocol configuration: the driver hands it over with
+//! every tick ([`Protocol::on_tick`]), and the simulator reads it from the
+//! scenario's fault plan.
 
 //! ## The interned data plane
 //!
@@ -50,8 +64,8 @@ pub mod protocol;
 pub mod protocols;
 pub mod reference;
 
-pub use dispatch::{seeded_shuffle, AnyProtocol, ProtocolChoice};
+pub use dispatch::{seeded_shuffle, ProtocolChoice};
 pub use ids::{MachineId, MachineSet, MachineTable, ProblemId, ProblemSet, ProblemTable};
 pub use plan::{DeployCluster, DeployPlan};
 pub use protocol::{Command, Protocol, Release, SimTime, TestOutcome, TestReport, PRIOR_RELEASE};
-pub use protocols::{Balanced, FrontLoading, NoStaging};
+pub use protocols::Staging;

@@ -140,16 +140,19 @@ pub trait Protocol {
     /// problem is still open would only inflate the upgrade overhead).
     fn on_release(&mut self, release: Release, fixed: &ProblemSet) -> Vec<Command>;
 
-    /// Periodic timer callback from the driver (only invoked when a
-    /// fault plan is active).
+    /// Periodic timer callback from the driver: the simulator ticks when
+    /// its fault plan sets a stall budget or the protocol
+    /// [wants ticks](Protocol::wants_ticks); the live pump only in the
+    /// second case.
     ///
-    /// Protocols use ticks to detect representatives that will *never*
-    /// report (crashed mid-stage, left the fleet) and degrade
-    /// gracefully: after a configured timeout with no forward progress
-    /// the blocking machines are waived and the stage advances. The
-    /// default implementation does nothing, preserving the clock-free
+    /// `stall_budget` is the driver's, not the protocol's: the simulator
+    /// passes its fault plan's `rep_timeout`, the live pump `None`. With
+    /// a budget, a protocol that has made no forward progress for that
+    /// long waives the machines blocking it — they crashed mid-stage or
+    /// left the fleet and will *never* report — and advances. `None`
+    /// never waives. The default does nothing, preserving the clock-free
     /// contract for reliable channels.
-    fn on_tick(&mut self, _now: SimTime) -> Vec<Command> {
+    fn on_tick(&mut self, _now: SimTime, _stall_budget: Option<SimTime>) -> Vec<Command> {
         Vec::new()
     }
 
@@ -165,7 +168,7 @@ pub trait Protocol {
     /// controllers use ticks as their decision clock — bake timers and
     /// URR guard evaluation run on ticks — so drivers arm the periodic
     /// timer whenever this returns `true`. The default is `false`,
-    /// which keeps the classic protocols clock-free and the driver's
+    /// which keeps the staged protocols clock-free and the driver's
     /// reliable-channel fast path bit-identical to the pre-rollout
     /// simulator.
     fn wants_ticks(&self) -> bool {

@@ -1,12 +1,12 @@
-//! The concrete deployment protocols.
+//! The staged deployment engine behind all four protocols.
 //!
 //! All protocol state is indexed by dense [`MachineId`]s: per-machine
 //! status and failure signatures live in flat `Vec`s, representative
 //! membership in a [`MachineSet`] bitset, and the cumulative fixed-set
 //! consulted on each release is a [`ProblemSet`]. A report is handled
 //! with a handful of array indexings — no string hashing, no tree
-//! walks, no allocation. The previous string-keyed implementations are
-//! retained in [`crate::reference`] for equivalence testing.
+//! walks, no allocation. The string-keyed implementations are retained
+//! in [`crate::reference`] for equivalence testing.
 
 use mirage_telemetry::{FlightEvent, JournalEvent, Telemetry};
 
@@ -47,248 +47,23 @@ fn unique_machines(plan: &DeployPlan) -> Vec<MachineId> {
     machines
 }
 
-/// The NoStaging baseline: one giant cluster, everyone a representative.
-///
-/// Promotes deployment speed at the cost of maximum upgrade overhead —
-/// every machine affected by a problem tests the faulty upgrade. The
-/// vendor would use this for simple, urgent upgrades such as security
-/// patches.
-#[derive(Debug, Clone)]
-pub struct NoStaging {
-    /// Per-machine status, indexed by [`MachineId`].
-    status: Vec<MachineStatus>,
-    /// Deduplicated machine list in plan (== id) order.
-    machines: Vec<MachineId>,
-    /// Last failure signature per machine, for targeted re-notification.
-    failed_problem: Vec<Option<ProblemId>>,
-    /// Release each machine was most recently notified for; reports
-    /// carrying an older release are stale duplicates and ignored.
-    notified_release: Vec<u32>,
-    /// Machines waived by timeout-based degradation (see
-    /// [`Protocol::on_tick`]); disjoint from `Passed` machines.
-    waived: MachineSet,
-    /// Quiet-time budget before waiving blockers; `None` disables the
-    /// stall detector (the reliable-channel default).
-    rep_timeout: Option<SimTime>,
-    /// Cumulative waived-machine count (`deploy.rep_timeouts`).
-    timeouts: u64,
-    /// Stall detector state: last observed `(passed, release)` marker
-    /// and when it last moved.
-    last_marker: (usize, u32),
-    last_change: SimTime,
-    passed: usize,
-    release: Release,
-    completed: bool,
-    telemetry: Telemetry,
-}
-
-impl NoStaging {
-    /// Creates the protocol over a plan (cluster structure is ignored).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan's clusters reference ids outside its
-    /// [`MachineTable`](crate::MachineTable) (impossible for plans built
-    /// via [`DeployPlan::from_named`] / [`DeployPlan::from_clustering`]).
-    pub fn new(plan: DeployPlan) -> Self {
-        let n = plan.machines.len();
-        let machines = unique_machines(&plan);
-        for &m in &machines {
-            assert!(m.index() < n, "cluster member {m} outside machine table");
-        }
-        NoStaging {
-            status: vec![MachineStatus::Idle; n],
-            machines,
-            failed_problem: vec![None; n],
-            notified_release: vec![0; n],
-            waived: MachineSet::new(),
-            rep_timeout: None,
-            timeouts: 0,
-            last_marker: NO_MARKER,
-            last_change: 0,
-            passed: 0,
-            release: Release(0),
-            completed: false,
-            telemetry: Telemetry::noop(),
-        }
-    }
-
-    /// Attaches a telemetry handle recording notification counters.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Enables timeout-based degradation: when no progress is observed
-    /// for `timeout` ticks, machines still testing are waived so the
-    /// deployment can complete around crashed fleet members.
-    pub fn with_rep_timeout(mut self, timeout: SimTime) -> Self {
-        self.rep_timeout = Some(timeout);
-        self
-    }
-
-    fn completion(&mut self) -> Vec<Command> {
-        if !self.completed && self.done() {
-            self.completed = true;
-            vec![Command::Complete]
-        } else {
-            Vec::new()
-        }
-    }
-}
-
-impl Protocol for NoStaging {
-    fn name(&self) -> &'static str {
-        "NoStaging"
-    }
-
-    fn start(&mut self) -> Vec<Command> {
-        let machines = self.machines.clone();
-        for &m in &machines {
-            self.status[m.index()] = MachineStatus::Testing;
-        }
-        if machines.is_empty() {
-            self.completed = true;
-            return vec![Command::Complete];
-        }
-        self.telemetry.counter("deploy.notify_commands", 1);
-        self.telemetry
-            .counter("deploy.machines_notified", machines.len() as u64);
-        vec![Command::Notify {
-            machines,
-            release: self.release,
-        }]
-    }
-
-    fn on_report(&mut self, report: &TestReport) -> Vec<Command> {
-        let idx = report.machine.index();
-        // Unreliable-channel idempotence: ignore stale reports for a
-        // release older than the machine's latest notification, and
-        // never demote a machine that already passed (a duplicated
-        // delivery must be a strict no-op).
-        if report.release.0 < self.notified_release[idx]
-            || self.status[idx] == MachineStatus::Passed
-        {
-            return Vec::new();
-        }
-        // Any report proves the machine is alive: un-waive it so
-        // completion waits for its real outcome.
-        self.waived.remove(report.machine);
-        let status = match report.outcome {
-            TestOutcome::Pass => MachineStatus::Passed,
-            TestOutcome::Fail { problem } => {
-                self.failed_problem[idx] = Some(problem);
-                MachineStatus::Failed
-            }
-        };
-        let previous = std::mem::replace(&mut self.status[idx], status);
-        if status == MachineStatus::Passed && previous != MachineStatus::Passed {
-            self.passed += 1;
-        }
-        self.completion()
-    }
-
-    fn absorb_passes(&mut self, reports: &[(MachineId, Release)]) -> usize {
-        let total = self.machines.len();
-        let mut absorbed = 0;
-        for &(m, r) in reports {
-            let idx = m.index();
-            if r.0 < self.notified_release[idx] || self.status[idx] == MachineStatus::Passed {
-                // Stale or duplicated delivery: `on_report` is a strict
-                // no-op, so absorbing it is free.
-                absorbed += 1;
-                continue;
-            }
-            // Applying this pass must not flip `done()` — the Complete
-            // command has to come out of the full `on_report` path.
-            let waived_here = usize::from(self.waived.contains(m));
-            if !self.completed && self.passed + 1 + self.waived.len() - waived_here >= total {
-                break;
-            }
-            self.waived.remove(m);
-            self.status[idx] = MachineStatus::Passed;
-            self.passed += 1;
-            absorbed += 1;
-        }
-        absorbed
-    }
-
-    fn on_release(&mut self, release: Release, fixed: &ProblemSet) -> Vec<Command> {
-        self.release = release;
-        let failed: Vec<MachineId> = self
-            .machines
-            .iter()
-            .copied()
-            .filter(|m| {
-                self.status[m.index()] == MachineStatus::Failed
-                    && self.failed_problem[m.index()].is_none_or(|p| fixed.contains(p))
-            })
-            .collect();
-        for &m in &failed {
-            self.status[m.index()] = MachineStatus::Testing;
-            self.notified_release[m.index()] = release.0;
-        }
-        if failed.is_empty() {
-            return self.completion();
-        }
-        self.telemetry.counter("deploy.notify_commands", 1);
-        self.telemetry
-            .counter("deploy.machines_notified", failed.len() as u64);
-        vec![Command::Notify {
-            machines: failed,
-            release,
-        }]
-    }
-
-    fn on_tick(&mut self, now: SimTime) -> Vec<Command> {
-        let Some(timeout) = self.rep_timeout else {
-            return Vec::new();
-        };
-        if self.completed {
-            return Vec::new();
-        }
-        let marker = (self.passed + self.waived.len(), self.release.0);
-        if marker != self.last_marker {
-            self.last_marker = marker;
-            self.last_change = now;
-            return Vec::new();
-        }
-        if now.saturating_sub(self.last_change) < timeout {
-            return Vec::new();
-        }
-        // Stalled past the budget: waive every machine still testing —
-        // its report (and the driver's retries) would have landed by
-        // now if it were coming.
-        let mut newly_waived = Vec::new();
-        for (idx, st) in self.status.iter().enumerate() {
-            if *st == MachineStatus::Testing && self.waived.insert(MachineId(idx as u32)) {
-                self.timeouts += 1;
-                newly_waived.push(idx as u32);
-            }
-        }
-        for machine in newly_waived {
-            self.telemetry.journal(JournalEvent::Waiver {
-                machine,
-                release: self.release.0,
-            });
-        }
-        self.last_change = now;
-        self.completion()
-    }
-
-    fn rep_timeouts(&self) -> u64 {
-        self.timeouts
-    }
-
-    fn done(&self) -> bool {
-        self.passed + self.waived.len() == self.machines.len()
-    }
+/// Who tests in phase 1, in parallel, before the first cluster wave.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Front {
+    /// Nobody: wave 0 opens with the first cluster's representatives.
+    None,
+    /// Every representative of every cluster (FrontLoading). The waves
+    /// then notify non-representatives only.
+    Reps,
+    /// Every machine: one giant cluster, everyone a representative
+    /// (NoStaging). Paired with an empty cluster order.
+    Everyone,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// FrontLoading phase 1: all representatives in parallel.
-    GlobalReps,
+    /// Phase 1: the front tests in parallel.
+    Front,
     /// Sequential deployment at position `i` of the order.
     Cluster(usize),
     /// All clusters advanced; waiting for stragglers.
@@ -305,13 +80,22 @@ enum ClusterStage {
 /// machine→cluster index.
 const NO_CLUSTER: u32 = u32::MAX;
 
-/// The shared engine behind [`Balanced`] and [`FrontLoading`].
+/// A staged deployment (paper §3.2, §4.3): a phase-1 *front* tests in
+/// parallel, then clusters deploy one at a time in a fixed *order* —
+/// representatives first, non-representatives once every representative
+/// passed — and the wave advances once `threshold` of a cluster passed.
+///
+/// NoStaging, Balanced, RandomStaging and FrontLoading are four
+/// configurations of this one engine;
+/// [`ProtocolChoice::build`](crate::ProtocolChoice::build) is its only
+/// constructor and holds the table.
 #[derive(Debug, Clone)]
-struct StagedEngine {
+pub struct Staging {
+    name: &'static str,
     plan: DeployPlan,
+    front: Front,
     order: Vec<usize>,
     threshold: f64,
-    global_rep_phase: bool,
     /// Per-machine status, indexed by [`MachineId`].
     status: Vec<MachineStatus>,
     /// Deduplicated machine list in plan (== id) order.
@@ -345,9 +129,6 @@ struct StagedEngine {
     cluster_waived: Vec<usize>,
     /// Waived counted representatives (mirrors `reps_passed`).
     waived_reps: usize,
-    /// Quiet-time budget before waiving the current phase's blockers;
-    /// `None` disables the stall detector (reliable-channel default).
-    rep_timeout: Option<SimTime>,
     /// Cumulative waived-machine count (`deploy.rep_timeouts`).
     timeouts: u64,
     /// Stall detector state: last `(passed + waived, release)` marker
@@ -358,13 +139,17 @@ struct StagedEngine {
     telemetry: Telemetry,
 }
 
-impl StagedEngine {
-    fn new(plan: DeployPlan, order: Vec<usize>, threshold: f64, global_rep_phase: bool) -> Self {
-        assert_eq!(
-            order.len(),
-            plan.clusters.len(),
-            "order must cover every cluster exactly once"
-        );
+impl Staging {
+    /// One row of [`crate::ProtocolChoice::build`]'s table: `order`
+    /// lists cluster indexes (every one once, or none behind
+    /// [`Front::Everyone`]).
+    pub(crate) fn new(
+        name: &'static str,
+        plan: DeployPlan,
+        front: Front,
+        order: Vec<usize>,
+        threshold: f64,
+    ) -> Self {
         let n = plan.machines.len();
         let machines = unique_machines(&plan);
         let mut cluster_of = vec![NO_CLUSTER; n];
@@ -384,25 +169,25 @@ impl StagedEngine {
         }
         let total_reps = plan.clusters.iter().map(|c| c.reps.len()).sum();
         let cluster_count = plan.clusters.len();
-        let cluster_passed = vec![0; cluster_count];
-        StagedEngine {
+        Staging {
+            name,
             plan,
+            front,
             order,
             threshold,
-            global_rep_phase,
             status: vec![MachineStatus::Idle; n],
             machines,
             cluster_of,
             counted_rep,
-            cluster_passed,
+            cluster_passed: vec![0; cluster_count],
             reps_passed: 0,
             total_reps,
             total_passed: 0,
             release: Release(0),
-            phase: if global_rep_phase {
-                Phase::GlobalReps
-            } else {
+            phase: if front == Front::None {
                 Phase::Cluster(0)
+            } else {
+                Phase::Front
             },
             stage: ClusterStage::Reps,
             failed_problem: vec![None; n],
@@ -410,13 +195,19 @@ impl StagedEngine {
             waived: MachineSet::new(),
             cluster_waived: vec![0; cluster_count],
             waived_reps: 0,
-            rep_timeout: None,
             timeouts: 0,
             last_marker: NO_MARKER,
             last_change: 0,
             completed: false,
             telemetry: Telemetry::noop(),
         }
+    }
+
+    /// Attaches a telemetry handle recording notification counters and
+    /// wave-advance events.
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.telemetry = telemetry;
+        self
     }
 
     fn notify(&mut self, machines: Vec<MachineId>, out: &mut Vec<Command>) {
@@ -451,38 +242,67 @@ impl StagedEngine {
             .all(|m| self.status[m.index()] == MachineStatus::Passed || self.waived.contains(*m))
     }
 
-    fn all_reps(&self) -> Vec<MachineId> {
-        self.plan
-            .clusters
-            .iter()
-            .flat_map(|c| c.reps.iter().copied())
-            .collect()
+    /// Phase 1's machines, in notification order.
+    fn front_machines(&self) -> Vec<MachineId> {
+        match self.front {
+            Front::None => Vec::new(),
+            Front::Reps => self
+                .plan
+                .clusters
+                .iter()
+                .flat_map(|c| c.reps.iter().copied())
+                .collect(),
+            Front::Everyone => self.machines.clone(),
+        }
+    }
+
+    /// Phase 1's `(passed + waived, members)`: it ends when they meet.
+    fn front_progress(&self) -> (usize, usize) {
+        match self.front {
+            Front::Reps => (self.reps_passed + self.waived_reps, self.total_reps),
+            Front::None | Front::Everyone => {
+                (self.total_passed + self.waived.len(), self.machines.len())
+            }
+        }
+    }
+
+    /// Moves the wave to position `wave` of the order and notifies its
+    /// first stage — non-representatives straight away when a front
+    /// already tested the representatives — or drains past the end.
+    fn open_wave(&mut self, wave: usize, out: &mut Vec<Command>) {
+        let Some(&cid) = self.order.get(wave) else {
+            self.phase = Phase::Draining;
+            return;
+        };
+        self.phase = Phase::Cluster(wave);
+        self.telemetry.counter("deploy.waves_advanced", 1);
+        self.telemetry
+            .event(FlightEvent::WaveAdvanced { wave, cluster: cid });
+        self.telemetry.journal(JournalEvent::WaveAdvance {
+            wave: wave as u32,
+            cluster: cid as u32,
+        });
+        let cluster = &self.plan.clusters[cid];
+        let machines = if self.front == Front::None {
+            self.stage = ClusterStage::Reps;
+            cluster.reps.clone()
+        } else {
+            self.stage = ClusterStage::NonReps;
+            cluster.non_reps()
+        };
+        self.notify(machines, out);
     }
 
     /// Runs phase/stage transitions until quiescent, collecting commands.
     fn step(&mut self, out: &mut Vec<Command>) {
         loop {
             match self.phase {
-                Phase::GlobalReps => {
-                    if self.reps_passed + self.waived_reps == self.total_reps {
-                        self.phase = Phase::Cluster(0);
-                        self.stage = ClusterStage::NonReps;
-                        if let Some(&cid) = self.order.first() {
-                            self.telemetry.counter("deploy.waves_advanced", 1);
-                            self.telemetry.event(FlightEvent::WaveAdvanced {
-                                wave: 0,
-                                cluster: cid,
-                            });
-                            self.telemetry.journal(JournalEvent::WaveAdvance {
-                                wave: 0,
-                                cluster: cid as u32,
-                            });
-                            let non_reps = self.plan.clusters[cid].non_reps();
-                            self.notify(non_reps, out);
-                        }
-                        continue;
+                Phase::Front => {
+                    let (settled, members) = self.front_progress();
+                    if settled < members {
+                        break;
                     }
-                    break;
+                    self.open_wave(0, out);
                 }
                 Phase::Cluster(i) => {
                     let Some(&cid) = self.order.get(i) else {
@@ -492,47 +312,19 @@ impl StagedEngine {
                     let cluster = &self.plan.clusters[cid];
                     match self.stage {
                         ClusterStage::Reps => {
-                            if self.all_passed(&cluster.reps) {
-                                self.stage = ClusterStage::NonReps;
-                                let non_reps = cluster.non_reps();
-                                self.notify(non_reps, out);
-                                continue;
+                            if !self.all_passed(&cluster.reps) {
+                                break;
                             }
-                            break;
+                            self.stage = ClusterStage::NonReps;
+                            let non_reps = cluster.non_reps();
+                            self.notify(non_reps, out);
                         }
                         ClusterStage::NonReps => {
                             let needed = ceil_threshold(cluster.members.len(), self.threshold);
-                            if self.cluster_passed[cid] + self.cluster_waived[cid] >= needed {
-                                // Advance to the next cluster.
-                                if i + 1 < self.order.len() {
-                                    self.phase = Phase::Cluster(i + 1);
-                                    let next = self.order[i + 1];
-                                    self.telemetry.counter("deploy.waves_advanced", 1);
-                                    self.telemetry.event(FlightEvent::WaveAdvanced {
-                                        wave: i + 1,
-                                        cluster: next,
-                                    });
-                                    self.telemetry.journal(JournalEvent::WaveAdvance {
-                                        wave: (i + 1) as u32,
-                                        cluster: next as u32,
-                                    });
-                                    if self.global_rep_phase {
-                                        // Representatives already passed in
-                                        // phase 1; go straight to non-reps.
-                                        self.stage = ClusterStage::NonReps;
-                                        let non_reps = self.plan.clusters[next].non_reps();
-                                        self.notify(non_reps, out);
-                                    } else {
-                                        self.stage = ClusterStage::Reps;
-                                        let reps = self.plan.clusters[next].reps.clone();
-                                        self.notify(reps, out);
-                                    }
-                                } else {
-                                    self.phase = Phase::Draining;
-                                }
-                                continue;
+                            if self.cluster_passed[cid] + self.cluster_waived[cid] < needed {
+                                break;
                             }
-                            break;
+                            self.open_wave(i + 1, out);
                         }
                     }
                 }
@@ -544,6 +336,12 @@ impl StagedEngine {
             out.push(Command::Complete);
         }
     }
+}
+
+impl Protocol for Staging {
+    fn name(&self) -> &'static str {
+        self.name
+    }
 
     fn start(&mut self) -> Vec<Command> {
         let mut out = Vec::new();
@@ -551,13 +349,11 @@ impl StagedEngine {
             self.completed = true;
             return vec![Command::Complete];
         }
-        if self.global_rep_phase {
-            let reps = self.all_reps();
-            self.notify(reps, &mut out);
-        } else if let Some(&cid) = self.order.first() {
-            let reps = self.plan.clusters[cid].reps.clone();
-            self.notify(reps, &mut out);
-        }
+        let first = match (self.front, self.order.first()) {
+            (Front::None, Some(&cid)) => self.plan.clusters[cid].reps.clone(),
+            _ => self.front_machines(),
+        };
+        self.notify(first, &mut out);
         self.step(&mut out);
         out
     }
@@ -608,11 +404,10 @@ impl StagedEngine {
         out
     }
 
-    /// Batch pass-absorption (see [`Protocol::absorb_passes`]): applies
-    /// the longest prefix of pass reports whose individual `on_report`
-    /// calls would all have been silent — no waiver back-out, no wave
-    /// advance, no completion — and stops at the first report that
-    /// needs the full path.
+    /// Applies the longest prefix of pass reports whose individual
+    /// `on_report` calls would all have been silent — no waiver
+    /// back-out, no wave advance, no completion — and stops at the
+    /// first report that needs the full path.
     fn absorb_passes(&mut self, reports: &[(MachineId, Release)]) -> usize {
         let mut absorbed = 0;
         for &(m, r) in reports {
@@ -632,8 +427,10 @@ impl StagedEngine {
             // the only transition this pass could trigger is the one its
             // own counter bump feeds. Stop one short of that bound.
             match self.phase {
-                Phase::GlobalReps => {
-                    if is_rep && self.reps_passed + 1 + self.waived_reps == self.total_reps {
+                Phase::Front => {
+                    let (settled, members) = self.front_progress();
+                    let counts = self.front == Front::Everyone || is_rep;
+                    if counts && settled + 1 == members {
                         break;
                     }
                 }
@@ -704,12 +501,12 @@ impl StagedEngine {
 
     /// Timeout-based stage advancement (paper §5's offline-machine
     /// degradation): when the `(passed + waived, release)` progress
-    /// marker has not moved for `rep_timeout` ticks, the machines
+    /// marker has not moved for `stall_budget` ticks, the machines
     /// blocking the *current* phase that are still marked `Testing` are
     /// waived — their reports (and the driver's retries) would have
     /// arrived by now if they were coming — and the wave advances.
-    fn on_tick(&mut self, now: SimTime) -> Vec<Command> {
-        let Some(timeout) = self.rep_timeout else {
+    fn on_tick(&mut self, now: SimTime, stall_budget: Option<SimTime>) -> Vec<Command> {
+        let Some(budget) = stall_budget else {
             return Vec::new();
         };
         if self.completed {
@@ -721,14 +518,13 @@ impl StagedEngine {
             self.last_change = now;
             return Vec::new();
         }
-        if now.saturating_sub(self.last_change) < timeout {
+        if now.saturating_sub(self.last_change) < budget {
             return Vec::new();
         }
         let targets: Vec<MachineId> = match self.phase {
-            Phase::GlobalReps => self.all_reps(),
+            Phase::Front => self.front_machines(),
             Phase::Cluster(i) => {
-                let cid = self.order[i];
-                let cluster = &self.plan.clusters[cid];
+                let cluster = &self.plan.clusters[self.order[i]];
                 match self.stage {
                     ClusterStage::Reps => cluster.reps.clone(),
                     ClusterStage::NonReps => cluster.members.clone(),
@@ -763,152 +559,19 @@ impl StagedEngine {
         out
     }
 
+    fn rep_timeouts(&self) -> u64 {
+        self.timeouts
+    }
+
     fn done(&self) -> bool {
         self.total_passed + self.waived.len() == self.machines.len()
-    }
-}
-
-/// The Balanced protocol (paper §4.3): clusters in ascending vendor
-/// distance; within each cluster, representatives before
-/// non-representatives.
-///
-/// Low overhead with good latency: clusters most similar to the vendor —
-/// the least likely to break — integrate early, and debugging is spread
-/// across the deployment.
-#[derive(Debug, Clone)]
-pub struct Balanced {
-    engine: StagedEngine,
-    name: &'static str,
-}
-
-impl Balanced {
-    /// Creates a Balanced deployment (ascending-distance order).
-    pub fn new(plan: DeployPlan, threshold: f64) -> Self {
-        let order = plan.order_by_distance_asc();
-        Balanced {
-            engine: StagedEngine::new(plan, order, threshold, false),
-            name: "Balanced",
-        }
-    }
-
-    /// Creates a staged deployment with an explicit cluster order — the
-    /// paper's RandomStaging baseline when the order is shuffled.
-    pub fn with_order(plan: DeployPlan, order: Vec<usize>, threshold: f64) -> Self {
-        Balanced {
-            engine: StagedEngine::new(plan, order, threshold, false),
-            name: "RandomStaging",
-        }
-    }
-
-    /// Attaches a telemetry handle recording notification counters and
-    /// wave-advance events.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.engine.telemetry = telemetry;
-        self
-    }
-
-    /// Enables timeout-based stage advancement (see
-    /// [`NoStaging::with_rep_timeout`]).
-    pub fn with_rep_timeout(mut self, timeout: SimTime) -> Self {
-        self.engine.rep_timeout = Some(timeout);
-        self
-    }
-}
-
-impl Protocol for Balanced {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn start(&mut self) -> Vec<Command> {
-        self.engine.start()
-    }
-    fn on_report(&mut self, report: &TestReport) -> Vec<Command> {
-        self.engine.on_report(report)
-    }
-    fn absorb_passes(&mut self, reports: &[(MachineId, Release)]) -> usize {
-        self.engine.absorb_passes(reports)
-    }
-    fn on_release(&mut self, release: Release, fixed: &ProblemSet) -> Vec<Command> {
-        self.engine.on_release(release, fixed)
-    }
-    fn on_tick(&mut self, now: SimTime) -> Vec<Command> {
-        self.engine.on_tick(now)
-    }
-    fn rep_timeouts(&self) -> u64 {
-        self.engine.timeouts
-    }
-    fn done(&self) -> bool {
-        self.engine.done()
-    }
-}
-
-/// The FrontLoading protocol (paper §4.3).
-///
-/// Phase 1 notifies the representatives of *all* clusters in parallel and
-/// iterates fix/re-test rounds until no representative fails, giving the
-/// vendor the full problem picture up front. Phase 2 then deploys to
-/// non-representatives one cluster at a time in *descending* distance
-/// order (the most vendor-dissimilar — most problem-prone — clusters
-/// first).
-#[derive(Debug, Clone)]
-pub struct FrontLoading {
-    engine: StagedEngine,
-}
-
-impl FrontLoading {
-    /// Creates a FrontLoading deployment.
-    pub fn new(plan: DeployPlan, threshold: f64) -> Self {
-        let order = plan.order_by_distance_desc();
-        FrontLoading {
-            engine: StagedEngine::new(plan, order, threshold, true),
-        }
-    }
-
-    /// Attaches a telemetry handle recording notification counters and
-    /// wave-advance events.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.engine.telemetry = telemetry;
-        self
-    }
-
-    /// Enables timeout-based stage advancement (see
-    /// [`NoStaging::with_rep_timeout`]).
-    pub fn with_rep_timeout(mut self, timeout: SimTime) -> Self {
-        self.engine.rep_timeout = Some(timeout);
-        self
-    }
-}
-
-impl Protocol for FrontLoading {
-    fn name(&self) -> &'static str {
-        "FrontLoading"
-    }
-    fn start(&mut self) -> Vec<Command> {
-        self.engine.start()
-    }
-    fn on_report(&mut self, report: &TestReport) -> Vec<Command> {
-        self.engine.on_report(report)
-    }
-    fn absorb_passes(&mut self, reports: &[(MachineId, Release)]) -> usize {
-        self.engine.absorb_passes(reports)
-    }
-    fn on_release(&mut self, release: Release, fixed: &ProblemSet) -> Vec<Command> {
-        self.engine.on_release(release, fixed)
-    }
-    fn on_tick(&mut self, now: SimTime) -> Vec<Command> {
-        self.engine.on_tick(now)
-    }
-    fn rep_timeouts(&self) -> u64 {
-        self.engine.timeouts
-    }
-    fn done(&self) -> bool {
-        self.engine.done()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::ProtocolChoice;
     use crate::protocol::TestOutcome;
 
     fn plan(specs: &[(&[&str], usize, f64)]) -> DeployPlan {
@@ -961,7 +624,7 @@ mod tests {
     #[test]
     fn nostaging_notifies_everyone_then_retries_failures() {
         let pl = plan(&[(&["a", "b"], 1, 0.0), (&["c"], 1, 1.0)]);
-        let mut p = NoStaging::new(pl.clone());
+        let mut p = ProtocolChoice::NoStaging.build(pl.clone(), 1.0);
         let cmds = p.start();
         let mut all = notified(&pl, &cmds);
         all.sort();
@@ -981,7 +644,7 @@ mod tests {
     #[test]
     fn nostaging_skips_failures_whose_problem_is_still_open() {
         let pl = plan(&[(&["a", "b"], 1, 0.0)]);
-        let mut p = NoStaging::new(pl.clone());
+        let mut p = ProtocolChoice::NoStaging.build(pl.clone(), 1.0);
         p.start();
         p.on_report(&fail(&pl, "a", 0, 7));
         p.on_report(&fail(&pl, "b", 0, 8));
@@ -994,7 +657,7 @@ mod tests {
     fn balanced_walks_clusters_in_distance_order() {
         // near (distance 1) then far (distance 5).
         let pl = plan(&[(&["f1", "f2"], 1, 5.0), (&["n1", "n2"], 1, 1.0)]);
-        let mut p = Balanced::new(pl.clone(), 1.0);
+        let mut p = ProtocolChoice::Balanced.build(pl.clone(), 1.0);
         // Start: reps of the nearest cluster only.
         let cmds = p.start();
         assert_eq!(notified(&pl, &cmds), vec!["n1"]);
@@ -1013,7 +676,7 @@ mod tests {
     #[test]
     fn balanced_rep_failure_stalls_until_release() {
         let pl = plan(&[(&["a", "b"], 1, 0.0)]);
-        let mut p = Balanced::new(pl.clone(), 1.0);
+        let mut p = ProtocolChoice::Balanced.build(pl.clone(), 1.0);
         let cmds = p.start();
         assert_eq!(notified(&pl, &cmds), vec!["a"]);
         // Rep fails: nothing moves.
@@ -1038,7 +701,7 @@ mod tests {
     fn threshold_advances_past_stragglers() {
         // threshold 0.5: cluster advances once half its machines passed.
         let pl = plan(&[(&["a", "b", "c", "d"], 1, 0.0), (&["z"], 1, 9.0)]);
-        let mut p = Balanced::new(pl.clone(), 0.5);
+        let mut p = ProtocolChoice::Balanced.build(pl.clone(), 0.5);
         p.start();
         let cmds = p.on_report(&pass(&pl, "a", 0));
         assert_eq!(notified(&pl, &cmds), vec!["b", "c", "d"]);
@@ -1060,7 +723,7 @@ mod tests {
     #[test]
     fn frontloading_tests_all_reps_first() {
         let pl = plan(&[(&["a1", "a2"], 1, 1.0), (&["b1", "b2"], 1, 5.0)]);
-        let mut p = FrontLoading::new(pl.clone(), 1.0);
+        let mut p = ProtocolChoice::FrontLoading.build(pl.clone(), 1.0);
         // Phase 1: all reps in parallel.
         let cmds = p.start();
         let mut reps = notified(&pl, &cmds);
@@ -1084,7 +747,7 @@ mod tests {
     #[test]
     fn random_staging_uses_given_order() {
         let pl = plan(&[(&["a"], 1, 1.0), (&["b"], 1, 2.0), (&["c"], 1, 3.0)]);
-        let mut p = Balanced::with_order(pl.clone(), vec![2, 0, 1], 1.0);
+        let mut p = Staging::new("RandomStaging", pl.clone(), Front::None, vec![2, 0, 1], 1.0);
         assert_eq!(p.name(), "RandomStaging");
         let cmds = p.start();
         assert_eq!(notified(&pl, &cmds), vec!["c"]);
@@ -1096,11 +759,11 @@ mod tests {
 
     #[test]
     fn empty_plan_completes_immediately() {
-        let mut p = NoStaging::new(DeployPlan::default());
+        let mut p = ProtocolChoice::NoStaging.build(DeployPlan::default(), 1.0);
         assert_eq!(p.start(), vec![Command::Complete]);
-        let mut p = Balanced::new(DeployPlan::default(), 1.0);
+        let mut p = ProtocolChoice::Balanced.build(DeployPlan::default(), 1.0);
         assert_eq!(p.start(), vec![Command::Complete]);
-        let mut p = FrontLoading::new(DeployPlan::default(), 1.0);
+        let mut p = ProtocolChoice::FrontLoading.build(DeployPlan::default(), 1.0);
         assert_eq!(p.start(), vec![Command::Complete]);
     }
 
@@ -1109,7 +772,7 @@ mod tests {
         // Clusters whose only member is the rep: non-rep stage is empty
         // and must cascade to the next cluster without extra reports.
         let pl = plan(&[(&["a"], 1, 1.0), (&["b"], 1, 2.0)]);
-        let mut p = Balanced::new(pl.clone(), 1.0);
+        let mut p = ProtocolChoice::Balanced.build(pl.clone(), 1.0);
         let cmds = p.start();
         assert_eq!(notified(&pl, &cmds), vec!["a"]);
         let cmds = p.on_report(&pass(&pl, "a", 0));
@@ -1117,12 +780,6 @@ mod tests {
         let cmds = p.on_report(&pass(&pl, "b", 0));
         assert_eq!(cmds, vec![Command::Complete]);
         assert!(p.done());
-    }
-
-    #[test]
-    #[should_panic(expected = "order must cover")]
-    fn mismatched_order_panics() {
-        let _ = Balanced::with_order(plan(&[(&["a"], 1, 1.0)]), vec![0, 1], 1.0);
     }
 
     #[test]
@@ -1146,7 +803,7 @@ mod tests {
         // With threshold 0.0 the wave must not skip a cluster before at
         // least one of its machines (the rep) has passed.
         let pl = plan(&[(&["a", "b"], 1, 1.0), (&["z"], 1, 9.0)]);
-        let mut p = Balanced::new(pl.clone(), 0.0);
+        let mut p = ProtocolChoice::Balanced.build(pl.clone(), 0.0);
         let cmds = p.start();
         assert_eq!(notified(&pl, &cmds), vec!["a"]);
         // Only once the rep passes does the wave advance (threshold met
@@ -1162,7 +819,7 @@ mod tests {
         // A degenerate plan containing an empty cluster must cascade
         // straight through it rather than stalling forever.
         let pl = plan(&[(&["a"], 1, 0.0), (&[], 1, 1.0), (&["c"], 1, 2.0)]);
-        let mut p = Balanced::new(pl.clone(), 1.0);
+        let mut p = ProtocolChoice::Balanced.build(pl.clone(), 1.0);
         let cmds = p.start();
         assert_eq!(notified(&pl, &cmds), vec!["a"]);
         // Passing "a" advances through the empty cluster to "c".
@@ -1180,14 +837,16 @@ mod tests {
     #[test]
     fn rep_timeout_waives_crashed_rep_and_advances() {
         let pl = plan(&[(&["a", "b"], 1, 1.0), (&["z"], 1, 9.0)]);
-        let mut p = Balanced::new(pl.clone(), 1.0).with_rep_timeout(100);
+        let mut p = ProtocolChoice::Balanced.build(pl.clone(), 1.0);
         let cmds = p.start();
         assert_eq!(notified(&pl, &cmds), vec!["a"]);
+        // Without a budget a tick never waives.
+        assert!(p.on_tick(1_000, None).is_empty());
         // First tick records the progress marker; the second is inside
         // the budget; the third crosses it and waives the silent rep.
-        assert!(p.on_tick(10).is_empty());
-        assert!(p.on_tick(50).is_empty());
-        let cmds = p.on_tick(120);
+        assert!(p.on_tick(10, Some(100)).is_empty());
+        assert!(p.on_tick(50, Some(100)).is_empty());
+        let cmds = p.on_tick(120, Some(100));
         assert_eq!(notified(&pl, &cmds), vec!["b"], "waiver advanced the wave");
         assert_eq!(p.rep_timeouts(), 1);
         // Threshold 1.0 over {a, b}: the waived rep plus b's pass meet
@@ -1204,6 +863,20 @@ mod tests {
         assert_eq!(p.rep_timeouts(), 1, "cumulative counter never decrements");
     }
 
+    /// NoStaging's front is the whole fleet: a stall waives every
+    /// machine still testing and completes around them.
+    #[test]
+    fn nostaging_stall_waives_every_silent_machine() {
+        let pl = plan(&[(&["a", "b"], 1, 1.0), (&["z"], 1, 9.0)]);
+        let mut p = ProtocolChoice::NoStaging.build(pl.clone(), 1.0);
+        p.start();
+        assert!(p.on_report(&pass(&pl, "a", 0)).is_empty());
+        assert!(p.on_tick(10, Some(100)).is_empty());
+        assert_eq!(p.on_tick(110, Some(100)), vec![Command::Complete]);
+        assert_eq!(p.rep_timeouts(), 2, "b and z were waived");
+        assert!(p.done());
+    }
+
     /// Regression (unreliable channels): replaying an already-delivered
     /// report must not change `deploy.machines_notified` — a duplicated
     /// Pass/Fail delivery is a strict no-op and triggers no
@@ -1213,8 +886,6 @@ mod tests {
         use std::sync::Arc;
 
         use mirage_telemetry::Registry;
-
-        use crate::dispatch::ProtocolChoice;
 
         let pl = plan(&[(&["a", "b"], 1, 1.0), (&["z"], 1, 9.0)]);
         for choice in [
@@ -1258,8 +929,6 @@ mod tests {
     /// compare every emitted command stream.
     #[test]
     fn absorb_passes_matches_on_report() {
-        use crate::dispatch::ProtocolChoice;
-
         let pl = plan(&[
             (&["a0", "a1", "a2", "a3"], 1, 1.0),
             (&["b0", "b1", "b2", "b3"], 2, 2.0),
@@ -1343,7 +1012,9 @@ mod tests {
         let registry = Arc::new(Registry::new(64));
         let t = Telemetry::from_registry(Arc::clone(&registry));
         let pl = plan(&[(&["a", "b"], 1, 1.0), (&["z"], 1, 9.0)]);
-        let mut p = Balanced::new(pl.clone(), 1.0).with_telemetry(t);
+        let mut p = ProtocolChoice::Balanced
+            .build(pl.clone(), 1.0)
+            .with_telemetry(t);
         p.start();
         p.on_report(&pass(&pl, "a", 0));
         p.on_report(&pass(&pl, "b", 0));
@@ -1360,6 +1031,7 @@ mod tests {
 #[cfg(test)]
 mod multi_rep_tests {
     use super::*;
+    use crate::dispatch::ProtocolChoice;
     use crate::protocol::TestOutcome;
 
     fn plan(specs: &[(&[&str], usize, f64)]) -> DeployPlan {
@@ -1410,7 +1082,7 @@ mod multi_rep_tests {
     #[test]
     fn all_reps_must_pass_before_non_reps() {
         let pl = plan(&[(&["r1", "r2", "n1", "n2"], 2, 0.0)]);
-        let mut p = Balanced::new(pl.clone(), 1.0);
+        let mut p = ProtocolChoice::Balanced.build(pl.clone(), 1.0);
         let cmds = p.start();
         let mut first = notified(&pl, &cmds);
         first.sort();
@@ -1435,7 +1107,7 @@ mod multi_rep_tests {
     #[test]
     fn frontloading_phase1_with_multiple_reps() {
         let pl = plan(&[(&["a1", "a2", "a3"], 2, 0.0), (&["b1", "b2"], 1, 1.0)]);
-        let mut p = FrontLoading::new(pl.clone(), 1.0);
+        let mut p = ProtocolChoice::FrontLoading.build(pl.clone(), 1.0);
         let cmds = p.start();
         assert_eq!(notified(&pl, &cmds).len(), 3, "all three reps in parallel");
         assert!(notified(&pl, &p.on_report(&pass(&pl, "a1"))).is_empty());

@@ -162,9 +162,10 @@ pub trait NamedProtocol {
     /// Handles the vendor shipping a corrected release; `fixed` is the
     /// cumulative set of fixed problem names.
     fn on_release(&mut self, release: Release, fixed: &BTreeSet<String>) -> Vec<NamedCommand>;
-    /// Periodic timer callback (mirror of [`crate::Protocol::on_tick`]);
-    /// the reference plane is only exercised on reliable channels, so
-    /// the default no-op is also the only implementation.
+    /// Periodic timer callback (mirror of [`crate::Protocol::on_tick`]
+    /// without a stall budget); the reference plane is only exercised on
+    /// reliable channels, so the default no-op is also the only
+    /// implementation.
     fn on_tick(&mut self, _now: SimTime) -> Vec<NamedCommand> {
         Vec::new()
     }
@@ -656,8 +657,9 @@ impl NamedProtocol for NamedFrontLoading {
 }
 
 /// Enum dispatch over the string-keyed reference protocols — the
-/// mirror of [`crate::AnyProtocol`], so equivalence tests construct
-/// both planes from one [`ProtocolChoice`].
+/// oracle for [`crate::Staging`], built from the same
+/// [`ProtocolChoice`] so equivalence tests construct both planes from
+/// one value.
 #[derive(Debug, Clone)]
 pub enum AnyNamedProtocol {
     /// See [`NamedNoStaging`].

@@ -10,12 +10,12 @@
 //!
 //! Two operating modes, chosen by the plan's [`RolloutStrategy`]:
 //!
-//! - **Staged** delegates the wire behaviour verbatim to a classic
-//!   staging protocol built from a [`ProtocolChoice`] (Balanced by
-//!   default). Without a guard the controller is a transparent
-//!   pass-through — bit-identical to running the staging protocol
-//!   directly (a property test in `mirage-sim` proves it). With a
-//!   guard it adds abort authority on top of the paper's staging.
+//! - **Staged** delegates the wire behaviour verbatim to the
+//!   [`Staging`] engine built from a [`ProtocolChoice`] (Balanced by
+//!   default), stall budget included. Without a guard the controller is
+//!   a transparent pass-through — bit-identical to running the staging
+//!   protocol directly (a property test in `mirage-sim` proves it).
+//!   With a guard it adds abort authority on top of the paper's staging.
 //! - **Canary / Rolling / BlueGreen** run the controller's own cohort
 //!   engine: notify cohort 0, watch reports, and widen one cohort per
 //!   decision tick once the frontier cohort clears the pass threshold
@@ -30,8 +30,8 @@
 
 use mirage_deploy::protocol::MachineStatus;
 use mirage_deploy::{
-    AnyProtocol, Command, MachineId, MachineSet, ProblemId, ProblemSet, Protocol, ProtocolChoice,
-    Release, SimTime, TestOutcome, TestReport, PRIOR_RELEASE,
+    Command, MachineId, MachineSet, ProblemId, ProblemSet, Protocol, ProtocolChoice, Release,
+    SimTime, Staging, TestOutcome, TestReport, PRIOR_RELEASE,
 };
 use mirage_telemetry::journal::RolloutStep;
 use mirage_telemetry::{JournalEvent, Telemetry};
@@ -104,8 +104,8 @@ struct CohortEngine {
 /// Which wire engine is running underneath the controller.
 #[derive(Debug, Clone)]
 enum Mode {
-    /// Transparent delegation to a classic staging protocol.
-    Staged(Box<AnyProtocol>),
+    /// Transparent delegation to the staged engine.
+    Staged(Box<Staging>),
     /// The controller's own cohort engine.
     Cohort(CohortEngine),
 }
@@ -487,7 +487,7 @@ impl Protocol for RolloutController {
         }
     }
 
-    fn on_tick(&mut self, now: SimTime) -> Vec<Command> {
+    fn on_tick(&mut self, now: SimTime, stall_budget: Option<SimTime>) -> Vec<Command> {
         if self.rollback.is_some() || self.completed {
             return Vec::new();
         }
@@ -496,7 +496,7 @@ impl Protocol for RolloutController {
         }
         match &mut self.mode {
             Mode::Staged(inner) => {
-                let commands = inner.on_tick(now);
+                let commands = inner.on_tick(now, stall_budget);
                 self.observe(&commands);
                 commands
             }
@@ -608,12 +608,12 @@ mod tests {
         };
         assert_eq!((machines.len(), *release), (4, Release(0)));
         // Frontier not ready: ticks hold.
-        assert!(c.on_tick(25).is_empty());
+        assert!(c.on_tick(25, None).is_empty());
         for m in 0..4 {
             assert!(c.on_report(&pass(MachineId(m))).is_empty());
         }
         // Ready frontier widens on the next tick.
-        let commands = c.on_tick(50);
+        let commands = c.on_tick(50, None);
         assert!(matches!(&commands[0], Command::Notify { machines, .. } if machines.len() == 4));
         assert!(!c.done());
         for m in 4..7 {
@@ -640,9 +640,9 @@ mod tests {
             c.on_report(&pass(MachineId(m)));
         }
         // Ready at tick 25, but the bake window runs to 125.
-        assert!(c.on_tick(25).is_empty());
-        assert!(c.on_tick(75).is_empty());
-        let commands = c.on_tick(125);
+        assert!(c.on_tick(25, None).is_empty());
+        assert!(c.on_tick(75, None).is_empty());
+        let commands = c.on_tick(125, None);
         assert!(matches!(&commands[0], Command::Notify { machines, .. } if machines.len() == 6));
     }
 
@@ -725,10 +725,10 @@ mod tests {
             ));
         }
         // First unhealthy tick: hold (hysteresis), no rollback yet.
-        assert!(c.on_tick(25).is_empty());
+        assert!(c.on_tick(25, None).is_empty());
         assert!(c.rollback().is_none());
         // Second consecutive unhealthy tick trips the abort.
-        let commands = c.on_tick(50);
+        let commands = c.on_tick(50, None);
         let Command::Notify { machines, release } = &commands[0] else {
             panic!("expected revert notify");
         };
@@ -792,12 +792,12 @@ mod tests {
             "d",
             image(),
         ));
-        assert!(c.on_tick(25).is_empty());
+        assert!(c.on_tick(25, None).is_empty());
         // Two more successes: rate 0.25 < 0.4 → healthy tick resets the
         // unhealthy streak before it can reach the trigger.
         urr.deposit(Report::success("a2", 0, "upgrade", "r0"));
         urr.deposit(Report::success("a3", 0, "upgrade", "r0"));
-        assert!(c.on_tick(50).is_empty());
+        assert!(c.on_tick(50, None).is_empty());
         // Rate climbs back over threshold: streak restarts at one.
         urr.deposit(Report::failure(
             "b0",
@@ -817,14 +817,14 @@ mod tests {
             "d",
             image(),
         ));
-        assert!(c.on_tick(75).is_empty());
+        assert!(c.on_tick(75, None).is_empty());
         assert!(c.rollback().is_none(), "hysteresis held through the flap");
         // And back down again: still no abort, and the worst verdict is
         // remembered for the outcome without tripping.
         urr.deposit(Report::success("b2", 0, "upgrade", "r0"));
         urr.deposit(Report::success("b3", 0, "upgrade", "r0"));
         urr.deposit(Report::success("c0", 0, "upgrade", "r0"));
-        assert!(c.on_tick(100).is_empty());
+        assert!(c.on_tick(100, None).is_empty());
         assert!(c.rollback().is_none());
         assert_eq!(
             c.outcome().reason,
@@ -875,7 +875,7 @@ mod tests {
             "detail",
             ReportImage::new("digest", vec![], vec![], vec![]),
         ));
-        let commands = c.on_tick(25);
+        let commands = c.on_tick(25, None);
         let Command::Notify { machines, release } = &commands[0] else {
             panic!("expected revert notify");
         };

@@ -2,7 +2,7 @@
 //!
 //! This is the *driving* half of what used to be one monolithic
 //! end-to-end deploy loop: a clock-free command pump that works for
-//! any [`Protocol`] (a classic staging protocol, a
+//! any [`Protocol`] (the staged engine, a
 //! [`crate::RolloutController`]) over any [`WaveExecutor`] (the live
 //! agent fleet in `mirage-core`, a test double here). The executor
 //! owns everything fleet-shaped — validation, report collection, the
@@ -88,7 +88,9 @@ where
         }
         now += TICK_INTERVAL;
         stalls += 1;
-        let commands = protocol.on_tick(now);
+        // The live fleet has no fault plan, so no stall budget: a
+        // silent machine is never waived here.
+        let commands = protocol.on_tick(now, None);
         if !commands.is_empty() {
             stalls = 0;
         }

@@ -17,8 +17,8 @@
 //! injects a single misplaced non-representative machine into the first
 //! or last cluster of the deployment order.
 
-use mirage_deploy::{Balanced, FrontLoading, NoStaging, Protocol, ProtocolChoice};
-use mirage_sim::{latency_cdf, Scenario, ScenarioBuilder, SimMetrics, SimTime, Simulation};
+use mirage_deploy::{Protocol, ProtocolChoice};
+use mirage_sim::{latency_cdf, Scenario, ScenarioBuilder, SimTime, Simulation};
 
 /// Number of clusters in the paper's scenario.
 pub const CLUSTERS: usize = 20;
@@ -110,35 +110,34 @@ pub fn figure10() -> Vec<Curve> {
     curves.push(curve(
         "NoStaging",
         &late,
-        &mut NoStaging::new(late.plan.clone()),
+        &mut ProtocolChoice::NoStaging.build(late.plan.clone(), 1.0),
     ));
     curves.push(curve(
         "Balanced (best)",
         &late,
-        &mut Balanced::new(late.plan.clone(), 1.0),
+        &mut ProtocolChoice::Balanced.build(late.plan.clone(), 1.0),
     ));
 
+    // RandomStaging: the problems, not the order, are spread at random
+    // (module docs), so the staging walks the uniform scenario's
+    // clusters in index order.
     let uniform = sound_scenario(ProblemPlacement::Uniform);
     curves.push(curve(
         "RandomStaging",
         &uniform,
-        &mut Balanced::with_order(
-            uniform.plan.clone(),
-            uniform.plan.order_by_distance_asc(),
-            1.0,
-        ),
+        &mut ProtocolChoice::Balanced.build(uniform.plan.clone(), 1.0),
     ));
     curves.push(curve(
         "FrontLoading",
         &late,
-        &mut FrontLoading::new(late.plan.clone(), 1.0),
+        &mut ProtocolChoice::FrontLoading.build(late.plan.clone(), 1.0),
     ));
 
     let early = sound_scenario(ProblemPlacement::Early);
     curves.push(curve(
         "Balanced (worst)",
         &early,
-        &mut Balanced::new(early.plan.clone(), 1.0),
+        &mut ProtocolChoice::Balanced.build(early.plan.clone(), 1.0),
     ));
     curves
 }
@@ -155,7 +154,7 @@ pub fn figure11() -> Vec<Curve> {
     curves.push(curve(
         "NoStaging",
         &base,
-        &mut NoStaging::new(base.plan.clone()),
+        &mut ProtocolChoice::NoStaging.build(base.plan.clone(), 1.0),
     ));
 
     // Balanced deploys ascending: first cluster = 0, last = 19. Its
@@ -165,13 +164,13 @@ pub fn figure11() -> Vec<Curve> {
     curves.push(curve(
         "Balanced-best (first)",
         &first,
-        &mut Balanced::new(first.plan.clone(), 1.0),
+        &mut ProtocolChoice::Balanced.build(first.plan.clone(), 1.0),
     ));
     let last = imperfect_scenario(ProblemPlacement::Late, 14);
     curves.push(curve(
         "Balanced-best (last)",
         &last,
-        &mut Balanced::new(last.plan.clone(), 1.0),
+        &mut ProtocolChoice::Balanced.build(last.plan.clone(), 1.0),
     ));
 
     // FrontLoading deploys descending: first cluster = 19, last = 0.
@@ -179,13 +178,13 @@ pub fn figure11() -> Vec<Curve> {
     curves.push(curve(
         "FrontLoading (first)",
         &fl_first,
-        &mut FrontLoading::new(fl_first.plan.clone(), 1.0),
+        &mut ProtocolChoice::FrontLoading.build(fl_first.plan.clone(), 1.0),
     ));
     let fl_last = imperfect_scenario(ProblemPlacement::Early, 5);
     curves.push(curve(
         "FrontLoading (last)",
         &fl_last,
-        &mut FrontLoading::new(fl_last.plan.clone(), 1.0),
+        &mut ProtocolChoice::FrontLoading.build(fl_last.plan.clone(), 1.0),
     ));
     curves
 }
@@ -208,22 +207,6 @@ pub fn problematic_machines() -> usize {
     5 * CLUSTER_SIZE
 }
 
-/// Runs one protocol on one scenario, returning full metrics (for
-/// benches and the repro harness).
-///
-/// Protocol selection goes through the deploy crate's unified
-/// [`ProtocolChoice`]; when the scenario carries an active fault plan
-/// with a `rep_timeout`, the protocol is hardened to match.
-pub fn run_protocol(scenario: &Scenario, name: &str) -> SimMetrics {
-    let choice =
-        ProtocolChoice::from_name(name).unwrap_or_else(|| panic!("unknown protocol {name}"));
-    let mut protocol = choice.build(scenario.plan.clone(), scenario.threshold);
-    if let Some(timeout) = scenario.faults.rep_timeout {
-        protocol = protocol.with_rep_timeout(timeout);
-    }
-    Simulation::new(scenario).run(&mut protocol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,28 +227,28 @@ mod tests {
     fn overheads_match_paper_formulas() {
         let s = small(ProblemPlacement::Late);
         let m = 5 * 50;
-        let nostaging = Simulation::new(&s).run(&mut NoStaging::new(s.plan.clone()));
+        let nostaging =
+            Simulation::new(&s).run(&mut ProtocolChoice::NoStaging.build(s.plan.clone(), 1.0));
         assert_eq!(nostaging.failed_tests, m, "NoStaging overhead = m");
-        let balanced = Simulation::new(&s).run(&mut Balanced::new(s.plan.clone(), 1.0));
+        let balanced =
+            Simulation::new(&s).run(&mut ProtocolChoice::Balanced.build(s.plan.clone(), 1.0));
         assert_eq!(balanced.failed_tests, 3, "Balanced overhead = p");
-        let frontloading = Simulation::new(&s).run(&mut FrontLoading::new(s.plan.clone(), 1.0));
+        let frontloading =
+            Simulation::new(&s).run(&mut ProtocolChoice::FrontLoading.build(s.plan.clone(), 1.0));
         assert_eq!(
             frontloading.failed_tests,
             3 + 2,
             "FrontLoading overhead = p + Cp"
         );
-        let random = Simulation::new(&s).run(&mut Balanced::with_order(
-            s.plan.clone(),
-            s.plan.order_by_distance_asc(),
-            1.0,
-        ));
+        let random = Simulation::new(&s)
+            .run(&mut ProtocolChoice::RandomStaging { seed: 7 }.build(s.plan.clone(), 1.0));
         assert_eq!(random.failed_tests, 3, "RandomStaging overhead = p");
     }
 
     #[test]
     fn nostaging_cdf_shape() {
         let s = small(ProblemPlacement::Late);
-        let m = Simulation::new(&s).run(&mut NoStaging::new(s.plan.clone()));
+        let m = Simulation::new(&s).run(&mut ProtocolChoice::NoStaging.build(s.plan.clone(), 1.0));
         let cdf = latency_cdf(&m.cluster_latencies(&s.plan, 1.0));
         // 75 % of clusters pass at download+test = 15.
         assert_eq!(cdf[0], (15, 0.75));
@@ -277,8 +260,10 @@ mod tests {
     #[test]
     fn balanced_best_beats_frontloading_early_and_loses_late() {
         let s = small(ProblemPlacement::Late);
-        let balanced = Simulation::new(&s).run(&mut Balanced::new(s.plan.clone(), 1.0));
-        let fl = Simulation::new(&s).run(&mut FrontLoading::new(s.plan.clone(), 1.0));
+        let balanced =
+            Simulation::new(&s).run(&mut ProtocolChoice::Balanced.build(s.plan.clone(), 1.0));
+        let fl =
+            Simulation::new(&s).run(&mut ProtocolChoice::FrontLoading.build(s.plan.clone(), 1.0));
         let b_cdf = latency_cdf(&balanced.cluster_latencies(&s.plan, 1.0));
         let f_cdf = latency_cdf(&fl.cluster_latencies(&s.plan, 1.0));
         // Balanced's first cluster completes far earlier than
@@ -293,8 +278,10 @@ mod tests {
     fn balanced_worst_is_slower_early_than_best() {
         let best = small(ProblemPlacement::Late);
         let worst = small(ProblemPlacement::Early);
-        let b = Simulation::new(&best).run(&mut Balanced::new(best.plan.clone(), 1.0));
-        let w = Simulation::new(&worst).run(&mut Balanced::new(worst.plan.clone(), 1.0));
+        let b =
+            Simulation::new(&best).run(&mut ProtocolChoice::Balanced.build(best.plan.clone(), 1.0));
+        let w = Simulation::new(&worst)
+            .run(&mut ProtocolChoice::Balanced.build(worst.plan.clone(), 1.0));
         let b_cdf = latency_cdf(&b.cluster_latencies(&best.plan, 1.0));
         let w_cdf = latency_cdf(&w.cluster_latencies(&worst.plan, 1.0));
         // Worst case hits the problems immediately: first completion late.
@@ -315,8 +302,10 @@ mod tests {
         };
         let first = build(0);
         let last = build(14);
-        let m_first = Simulation::new(&first).run(&mut Balanced::new(first.plan.clone(), 1.0));
-        let m_last = Simulation::new(&last).run(&mut Balanced::new(last.plan.clone(), 1.0));
+        let m_first = Simulation::new(&first)
+            .run(&mut ProtocolChoice::Balanced.build(first.plan.clone(), 1.0));
+        let m_last =
+            Simulation::new(&last).run(&mut ProtocolChoice::Balanced.build(last.plan.clone(), 1.0));
         // Both runs pay one extra failure.
         assert_eq!(m_first.failed_tests, 4);
         assert_eq!(m_last.failed_tests, 4);

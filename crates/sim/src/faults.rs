@@ -18,8 +18,9 @@
 //!   windows; `rejoin == SimTime::MAX` models a crash (the machine
 //!   never returns);
 //! * **vendor hardening knobs** — retry backoff parameters for
-//!   re-notification and the protocol-side `rep_timeout` that enables
-//!   timeout-based stage advancement.
+//!   re-notification and the `rep_timeout` stall budget the driver
+//!   hands the protocol with every tick, which enables timeout-based
+//!   stage advancement.
 //!
 //! Everything is driven by one xorshift64* stream seeded from
 //! [`FaultPlan::seed`], so a `(Scenario, FaultPlan)` pair replays
@@ -73,9 +74,10 @@ pub struct FaultPlan {
     pub tick_interval: SimTime,
     /// Upper bound on ticks issued per run (safety valve).
     pub max_ticks: u64,
-    /// Protocol-side stall budget: after this much quiet time the
-    /// protocol waives silent machines and advances (graceful
-    /// degradation). `None` leaves protocols un-hardened.
+    /// Stall budget: after this much quiet time the protocol waives
+    /// silent machines and advances (graceful degradation). The driver
+    /// passes it with every tick; this is the only place it is set.
+    /// `None` leaves protocols un-hardened.
     pub rep_timeout: Option<SimTime>,
     /// Churn windows `(machine, leave, rejoin)`: the machine is
     /// unreachable during `[leave, rejoin)`. `rejoin == SimTime::MAX`

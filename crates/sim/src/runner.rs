@@ -46,13 +46,13 @@ impl Schedule for EventQueue {
 /// against a protocol.
 ///
 /// ```
-/// use mirage_deploy::Balanced;
+/// use mirage_deploy::ProtocolChoice;
 /// use mirage_sim::{ScenarioBuilder, Simulation};
 /// let s = ScenarioBuilder::new().clusters(3, 4, 1).build();
-/// let one = Simulation::new(&s).run(&mut Balanced::new(s.plan.clone(), 1.0));
+/// let one = Simulation::new(&s).run(&mut ProtocolChoice::Balanced.build(s.plan.clone(), 1.0));
 /// let four = Simulation::new(&s)
 ///     .workers(4)
-///     .run(&mut Balanced::new(s.plan.clone(), 1.0));
+///     .run(&mut ProtocolChoice::Balanced.build(s.plan.clone(), 1.0));
 /// assert_eq!(one, four);
 /// ```
 #[derive(Debug)]
@@ -159,7 +159,7 @@ fn run_sequential(
 mod tests {
     use super::*;
     use crate::scenario::ScenarioBuilder;
-    use mirage_deploy::{Balanced, FrontLoading, NoStaging};
+    use mirage_deploy::ProtocolChoice;
 
     /// 4 clusters × 3 machines; cluster 2 carries problem "p".
     fn small_scenario() -> Scenario {
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn nostaging_finishes_and_counts_overhead() {
         let s = small_scenario();
-        let mut p = NoStaging::new(s.plan.clone());
+        let mut p = ProtocolChoice::NoStaging.build(s.plan.clone(), 1.0);
         let m = Simulation::new(&s).run(&mut p);
         assert!(p.done());
         // All 3 machines of the problem cluster tested the faulty
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn balanced_overhead_is_one_per_problem() {
         let s = small_scenario();
-        let mut p = Balanced::new(s.plan.clone(), 1.0);
+        let mut p = ProtocolChoice::Balanced.build(s.plan.clone(), 1.0);
         let m = Simulation::new(&s).run(&mut p);
         assert!(p.done());
         // Only the problem cluster's representative failed.
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn frontloading_front_loads_debugging() {
         let s = small_scenario();
-        let mut p = FrontLoading::new(s.plan.clone(), 1.0);
+        let mut p = ProtocolChoice::FrontLoading.build(s.plan.clone(), 1.0);
         let m = Simulation::new(&s).run(&mut p);
         assert!(p.done());
         // Phase 1: all 4 reps test at 15; c2's rep fails; fix at 515;
@@ -235,29 +235,19 @@ mod tests {
 
         use mirage_telemetry::Registry;
 
-        type ProtocolFactory = Box<dyn Fn() -> Box<dyn Protocol>>;
-
         let s = small_scenario();
-        let protocols: Vec<(&str, ProtocolFactory)> = vec![
-            (
-                "NoStaging",
-                Box::new(|| Box::new(NoStaging::new(small_scenario().plan))),
-            ),
-            (
-                "Balanced",
-                Box::new(|| Box::new(Balanced::new(small_scenario().plan, 1.0))),
-            ),
-            (
-                "FrontLoading",
-                Box::new(|| Box::new(FrontLoading::new(small_scenario().plan, 1.0))),
-            ),
-        ];
-        for (name, make) in protocols {
-            let plain = Simulation::new(&s).run(make().as_mut());
+        for choice in [
+            ProtocolChoice::NoStaging,
+            ProtocolChoice::Balanced,
+            ProtocolChoice::FrontLoading,
+        ] {
+            let name = choice.name();
+            let make = || choice.build(s.plan.clone(), 1.0);
+            let plain = Simulation::new(&s).run(&mut make());
             let registry = Arc::new(Registry::new(4096));
             let instrumented = Simulation::new(&s)
                 .with_telemetry(Telemetry::from_registry(Arc::clone(&registry)))
-                .run(make().as_mut());
+                .run(&mut make());
             assert_eq!(plain, instrumented, "{name} diverged under instrumentation");
 
             let snap = registry.snapshot();
@@ -292,7 +282,7 @@ mod tests {
         let registry = Arc::new(Registry::new(4096));
         let _ = Simulation::new(&s)
             .with_telemetry(Telemetry::from_registry(Arc::clone(&registry)))
-            .run(&mut NoStaging::new(s.plan.clone()));
+            .run(&mut ProtocolChoice::NoStaging.build(s.plan.clone(), 1.0));
         let snap = registry.snapshot();
         let gauge = &snap.gauges["sim.queue_depth"];
         // NoStaging notifies all 12 machines up front — the depth peaks
@@ -307,7 +297,7 @@ mod tests {
     #[test]
     fn healthy_fleet_needs_no_fixes() {
         let s = ScenarioBuilder::new().clusters(3, 4, 1).build();
-        let mut p = Balanced::new(s.plan.clone(), 1.0);
+        let mut p = ProtocolChoice::Balanced.build(s.plan.clone(), 1.0);
         let m = Simulation::new(&s).run(&mut p);
         assert_eq!(m.failed_tests, 0);
         assert_eq!(m.releases_shipped, 0);
@@ -322,7 +312,7 @@ mod tests {
             .clusters(2, 4, 1)
             .misplaced_machine(0, "odd")
             .build();
-        let mut p = Balanced::new(s.plan.clone(), 1.0);
+        let mut p = ProtocolChoice::Balanced.build(s.plan.clone(), 1.0);
         let m = Simulation::new(&s).run(&mut p);
         // The misplaced machine fails once; everyone eventually passes.
         assert_eq!(m.failed_tests, 1);
@@ -340,7 +330,7 @@ mod tests {
             .misplaced_machine(0, "odd")
             .threshold(0.75)
             .build();
-        let mut p = Balanced::new(s.plan.clone(), s.threshold);
+        let mut p = ProtocolChoice::Balanced.build(s.plan.clone(), s.threshold);
         let m = Simulation::new(&s).run(&mut p);
         // Cluster 1 proceeds at 30 without waiting for the fix: rep 45,
         // non-reps 60. The misplaced machine still completes at 545.
@@ -356,7 +346,7 @@ mod tests {
             .problem_in_clusters("p1", &[1])
             .problem_in_clusters("p2", &[2])
             .build();
-        let mut p = NoStaging::new(s.plan.clone());
+        let mut p = ProtocolChoice::NoStaging.build(s.plan.clone(), 1.0);
         let m = Simulation::new(&s).run(&mut p);
         // All three problems discovered at t=15; fixes at 515, 1015, 1515;
         // final passes at 1530. Each failed machine is re-notified only
@@ -372,7 +362,7 @@ mod tests {
 mod scale_tests {
     use super::*;
     use crate::scenario::ScenarioBuilder;
-    use mirage_deploy::{Balanced, NoStaging};
+    use mirage_deploy::ProtocolChoice;
 
     /// The paper-scale scenario must simulate quickly (it backs Fig 10).
     #[test]
@@ -383,12 +373,12 @@ mod scale_tests {
             .problem_in_clusters("rare-a", &[17])
             .problem_in_clusters("rare-b", &[18])
             .build();
-        let mut nostaging = NoStaging::new(s.plan.clone());
+        let mut nostaging = ProtocolChoice::NoStaging.build(s.plan.clone(), 1.0);
         let m = Simulation::new(&s).run(&mut nostaging);
         assert_eq!(m.failed_tests, 25_000);
         assert_eq!(m.passed_count(), 100_000);
 
-        let mut balanced = Balanced::new(s.plan.clone(), 1.0);
+        let mut balanced = ProtocolChoice::Balanced.build(s.plan.clone(), 1.0);
         let m = Simulation::new(&s).run(&mut balanced);
         assert_eq!(m.failed_tests, 3);
         assert_eq!(m.passed_count(), 100_000);
@@ -408,7 +398,7 @@ mod scale_tests {
             .build();
         assert_eq!(s.machine_count(), 1_000_000);
 
-        let mut balanced = Balanced::new(s.plan.clone(), 1.0);
+        let mut balanced = ProtocolChoice::Balanced.build(s.plan.clone(), 1.0);
         let m = Simulation::new(&s).run(&mut balanced);
         // Overhead is p: one representative per *problem* (Table 4) —
         // later prevalent-problem clusters receive the fixed release.
@@ -416,7 +406,7 @@ mod scale_tests {
         assert_eq!(m.passed_count(), 1_000_000);
         assert!(m.completion_time.is_some());
 
-        let mut nostaging = NoStaging::new(s.plan.clone());
+        let mut nostaging = ProtocolChoice::NoStaging.build(s.plan.clone(), 1.0);
         let m = Simulation::new(&s).run(&mut nostaging);
         // Overhead is the full population of every fault.
         assert_eq!(m.failed_tests, 50_000);
@@ -428,7 +418,7 @@ mod scale_tests {
 mod extension_tests {
     use super::*;
     use crate::scenario::ScenarioBuilder;
-    use mirage_deploy::{Balanced, NoStaging};
+    use mirage_deploy::ProtocolChoice;
 
     #[test]
     fn offline_machines_are_late_arrivals() {
@@ -439,7 +429,8 @@ mod extension_tests {
             .offline_machines(0, 1, 200)
             .threshold(0.75)
             .build();
-        let m = Simulation::new(&s).run(&mut Balanced::new(s.plan.clone(), s.threshold));
+        let m = Simulation::new(&s)
+            .run(&mut ProtocolChoice::Balanced.build(s.plan.clone(), s.threshold));
         // Everyone, including the late arrival, eventually passes.
         assert_eq!(m.passed_count(), 8);
         let offline = &s.offline_machine_names()[0];
@@ -460,7 +451,7 @@ mod extension_tests {
             .clusters(2, 4, 1)
             .offline_machines(0, 1, 200)
             .build();
-        let m = Simulation::new(&s).run(&mut Balanced::new(s.plan.clone(), 1.0));
+        let m = Simulation::new(&s).run(&mut ProtocolChoice::Balanced.build(s.plan.clone(), 1.0));
         assert!(m.pass_time_named(&s.plan, "c01-m00000").unwrap() > 200);
     }
 
@@ -471,7 +462,7 @@ mod extension_tests {
             .problem_in_clusters("p", &[1])
             .missed_detections(1, 2)
             .build();
-        let m = Simulation::new(&s).run(&mut NoStaging::new(s.plan.clone()));
+        let m = Simulation::new(&s).run(&mut ProtocolChoice::NoStaging.build(s.plan.clone(), 1.0));
         // Two problem machines "pass" with the fault integrated; the
         // other two fail and drive a fix.
         assert_eq!(m.escaped_problems, 2);
@@ -486,7 +477,7 @@ mod extension_tests {
             .clusters(2, 4, 1)
             .problem_in_clusters("p", &[1])
             .build();
-        let m = Simulation::new(&s).run(&mut NoStaging::new(s.plan.clone()));
+        let m = Simulation::new(&s).run(&mut ProtocolChoice::NoStaging.build(s.plan.clone(), 1.0));
         assert_eq!(m.escaped_problems, 0);
     }
 }

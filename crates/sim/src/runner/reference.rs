@@ -371,7 +371,7 @@ mod tests {
     use crate::runner::Simulation;
     use crate::scenario::ScenarioBuilder;
     use mirage_deploy::reference::{NamedBalanced, NamedFrontLoading, NamedNoStaging};
-    use mirage_deploy::{Balanced, FrontLoading, NoStaging};
+    use mirage_deploy::ProtocolChoice;
 
     fn small_scenario() -> Scenario {
         ScenarioBuilder::new()
@@ -432,15 +432,18 @@ mod tests {
         let s = small_scenario();
         let named = NamedScenario::from_scenario(&s);
 
-        let fast = Simulation::new(&s).run(&mut NoStaging::new(s.plan.clone()));
+        let fast =
+            Simulation::new(&s).run(&mut ProtocolChoice::NoStaging.build(s.plan.clone(), 1.0));
         let slow = run_reference(&named, &mut NamedNoStaging::new(named.plan.clone()));
         assert_eq!(fast, slow, "NoStaging");
 
-        let fast = Simulation::new(&s).run(&mut Balanced::new(s.plan.clone(), 1.0));
+        let fast =
+            Simulation::new(&s).run(&mut ProtocolChoice::Balanced.build(s.plan.clone(), 1.0));
         let slow = run_reference(&named, &mut NamedBalanced::new(named.plan.clone(), 1.0));
         assert_eq!(fast, slow, "Balanced");
 
-        let fast = Simulation::new(&s).run(&mut FrontLoading::new(s.plan.clone(), 1.0));
+        let fast =
+            Simulation::new(&s).run(&mut ProtocolChoice::FrontLoading.build(s.plan.clone(), 1.0));
         let slow = run_reference(&named, &mut NamedFrontLoading::new(named.plan.clone(), 1.0));
         assert_eq!(fast, slow, "FrontLoading");
     }

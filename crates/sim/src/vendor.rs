@@ -637,7 +637,8 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
         if let Some(sink) = &mut self.urr_sink {
             sink.flush();
         }
-        let commands = protocol.on_tick(self.now);
+        // The fault plan is the one place the stall budget is set.
+        let commands = protocol.on_tick(self.now, self.scenario.faults.rep_timeout);
         self.exec(commands);
         if !protocol.done() && self.ticks_issued < self.scenario.faults.max_ticks {
             self.sched

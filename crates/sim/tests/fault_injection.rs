@@ -5,8 +5,9 @@
 //! reliable fast path is covered by the zero-fault equivalence
 //! property in `proptests.rs`.
 
-use mirage_deploy::{Balanced, MachineId, Protocol, ProtocolChoice};
+use mirage_deploy::{MachineId, Protocol, ProtocolChoice};
 use mirage_sim::{FaultSpec, Scenario, ScenarioBuilder, SimTime, Simulation};
+use mirage_telemetry::Telemetry;
 
 /// Cluster id owning a given machine in the scenario's plan.
 fn cluster_of(scenario: &Scenario, machine: MachineId) -> usize {
@@ -36,10 +37,8 @@ fn machine_leaving_before_its_stage_delays_only_its_cluster() {
     assert_eq!((leave, back), (1, rejoin));
     assert_eq!(cluster_of(&scenario, churned), 3);
 
-    let metrics = Simulation::new(&scenario).run(&mut Balanced::new(
-        scenario.plan.clone(),
-        scenario.threshold,
-    ));
+    let metrics = Simulation::new(&scenario)
+        .run(&mut ProtocolChoice::Balanced.build(scenario.plan.clone(), scenario.threshold));
     assert!(metrics.converged(total), "churned machine passes on rejoin");
     assert!(
         metrics.pass_time(churned).unwrap() >= rejoin,
@@ -76,10 +75,8 @@ fn machine_joining_after_planning_is_upgraded_on_arrival() {
     let total = scenario.plan.machine_count();
     let (late_joiner, ..) = scenario.faults.churn[0];
 
-    let metrics = Simulation::new(&scenario).run(&mut Balanced::new(
-        scenario.plan.clone(),
-        scenario.threshold,
-    ));
+    let metrics = Simulation::new(&scenario)
+        .run(&mut ProtocolChoice::Balanced.build(scenario.plan.clone(), scenario.threshold));
     assert!(metrics.converged(total));
     assert!(
         metrics.pass_time(late_joiner).unwrap() >= arrives,
@@ -110,8 +107,7 @@ fn crashed_rep_is_waived_and_the_rest_of_the_fleet_converges() {
     assert_eq!(gone_until, SimTime::MAX, "crash means never rejoining");
     assert!(scenario.plan.clusters[1].members.contains(&crashed));
 
-    let mut protocol = Balanced::new(scenario.plan.clone(), scenario.threshold)
-        .with_rep_timeout(scenario.faults.rep_timeout.unwrap());
+    let mut protocol = ProtocolChoice::Balanced.build(scenario.plan.clone(), scenario.threshold);
     let metrics = Simulation::new(&scenario).run(&mut protocol);
     assert!(protocol.done(), "waiver unblocks the protocol");
     assert!(metrics.rep_timeouts >= 1, "the crashed rep was waived");
@@ -127,6 +123,27 @@ fn crashed_rep_is_waived_and_the_rest_of_the_fleet_converges() {
     assert!(latencies[0].time.is_some() && latencies[2].time.is_some());
 }
 
+/// The stall budget has one source, the scenario's fault plan: a
+/// rollout controller built by the scenario waives the crashed rep the
+/// same way the bare protocol does, with no second setter to forget.
+#[test]
+fn rollout_controller_receives_the_scenarios_stall_budget() {
+    let scenario = ScenarioBuilder::new()
+        .clusters(3, 10, 1)
+        .faults(FaultSpec::new(31).crash_rep(1, 0).rep_timeout(200))
+        .build();
+    let total = scenario.plan.machine_count();
+    let mut controller = scenario.rollout_controller(ProtocolChoice::Balanced, Telemetry::noop());
+    let metrics = Simulation::new(&scenario).run(&mut controller);
+    assert!(
+        controller.done(),
+        "the waiver unblocks the staged delegation"
+    );
+    assert!(metrics.rep_timeouts >= 1, "the crashed rep was waived");
+    assert_eq!(metrics.passed_count(), total - 1);
+    assert!(metrics.completion_time.is_some());
+}
+
 /// Duplicated reports and notifications do not change convergence,
 /// only the duplication counter.
 #[test]
@@ -138,8 +155,10 @@ fn duplication_alone_does_not_change_outcomes() {
         .build();
     let total = clean.plan.machine_count();
 
-    let base = Simulation::new(&clean).run(&mut Balanced::new(clean.plan.clone(), clean.threshold));
-    let dup = Simulation::new(&noisy).run(&mut Balanced::new(noisy.plan.clone(), noisy.threshold));
+    let base = Simulation::new(&clean)
+        .run(&mut ProtocolChoice::Balanced.build(clean.plan.clone(), clean.threshold));
+    let dup = Simulation::new(&noisy)
+        .run(&mut ProtocolChoice::Balanced.build(noisy.plan.clone(), noisy.threshold));
     assert!(base.converged(total) && dup.converged(total));
     assert_eq!(dup.failed_tests, base.failed_tests);
     assert_eq!(dup.msgs_dropped, 0, "duplication is not loss");
@@ -169,9 +188,7 @@ fn million_machine_fleet_converges_under_faults() {
         ProtocolChoice::Balanced,
         ProtocolChoice::FrontLoading,
     ] {
-        let mut protocol = choice
-            .build(scenario.plan.clone(), scenario.threshold)
-            .with_rep_timeout(scenario.faults.rep_timeout.unwrap());
+        let mut protocol = choice.build(scenario.plan.clone(), scenario.threshold);
         let metrics = Simulation::new(&scenario).run(&mut protocol);
         assert!(
             metrics.converged(total),

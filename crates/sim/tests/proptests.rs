@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use mirage_deploy::reference::{AnyNamedProtocol, NamedProtocol};
 use mirage_deploy::{
-    AnyProtocol, Balanced, Command, MachineId, NoStaging, ProblemSet, Protocol, ProtocolChoice,
-    Release, TestReport, PRIOR_RELEASE,
+    Command, MachineId, ProblemSet, Protocol, ProtocolChoice, Release, Staging, TestReport,
+    PRIOR_RELEASE,
 };
 use mirage_report::Urr;
 use mirage_rollout::{GuardSettings, RolloutStrategy};
@@ -131,7 +131,7 @@ fn choices(case: u64) -> [ProtocolChoice; 4] {
     ]
 }
 
-fn protocols(scenario: &Scenario, case: u64) -> Vec<(&'static str, AnyProtocol)> {
+fn protocols(scenario: &Scenario, case: u64) -> Vec<(&'static str, Staging)> {
     choices(case)
         .into_iter()
         .map(|c| (c.name(), c.build(scenario.plan.clone(), scenario.threshold)))
@@ -187,7 +187,8 @@ fn staging_never_increases_overhead() {
         let spec = random_scenario(&mut rng);
         let scenario = build(&spec);
         let m = scenario.problem_machine_count();
-        let nostaging = Simulation::new(&scenario).run(&mut NoStaging::new(scenario.plan.clone()));
+        let nostaging = Simulation::new(&scenario)
+            .run(&mut ProtocolChoice::NoStaging.build(scenario.plan.clone(), 1.0));
         assert_eq!(nostaging.failed_tests, m, "case {case} ({spec:?})");
         for (name, mut protocol) in protocols(&scenario, case) {
             let metrics = Simulation::new(&scenario).run(&mut protocol);
@@ -227,8 +228,8 @@ fn healthy_fleet_timing() {
         for size in 1usize..6 {
             let scenario = ScenarioBuilder::new().clusters(clusters, size, 1).build();
             let cycle = scenario.timings.machine_cycle();
-            let balanced =
-                Simulation::new(&scenario).run(&mut Balanced::new(scenario.plan.clone(), 1.0));
+            let balanced = Simulation::new(&scenario)
+                .run(&mut ProtocolChoice::Balanced.build(scenario.plan.clone(), 1.0));
             assert_eq!(balanced.failed_tests, 0);
             // Sequential reps+nonreps per cluster (single-member clusters
             // skip the empty non-rep stage).
@@ -238,8 +239,8 @@ fn healthy_fleet_timing() {
                 Some(per_cluster * clusters as u64),
                 "clusters {clusters}, size {size}"
             );
-            let nostaging =
-                Simulation::new(&scenario).run(&mut NoStaging::new(scenario.plan.clone()));
+            let nostaging = Simulation::new(&scenario)
+                .run(&mut ProtocolChoice::NoStaging.build(scenario.plan.clone(), 1.0));
             assert_eq!(nostaging.completion_time, Some(cycle));
         }
     }
@@ -443,12 +444,14 @@ fn parallel_case(rng: &mut Rng, case: u64) -> (RandomScenario, Scenario) {
 #[test]
 fn parallel_driver_matches_sequential_oracle() {
     let mut rng = Rng::new(0x5EB);
+    let mut waivers = 0;
     for case in 0..48u64 {
         let (spec, scenario) = parallel_case(&mut rng, case);
         for choice in choices(case) {
             let name = choice.name();
             let mut oracle = choice.build(scenario.plan.clone(), scenario.threshold);
             let expect = Simulation::new(&scenario).run(&mut oracle);
+            waivers += expect.rep_timeouts;
             for workers in [1usize, 2, 4, 8] {
                 let mut protocol = choice.build(scenario.plan.clone(), scenario.threshold);
                 let got = Simulation::new(&scenario)
@@ -465,6 +468,7 @@ fn parallel_driver_matches_sequential_oracle() {
             }
         }
     }
+    assert!(waivers > 0, "the faulted cases exercise the waiver arms");
 }
 
 /// **Journaled parallel equivalence**: with a journal-enabled registry
@@ -651,7 +655,7 @@ fn adopted_fleet_fills_the_same_repository() {
 /// A Balanced protocol that records how much of the repository is
 /// visible each time the vendor ticks it.
 struct TickProbe {
-    inner: AnyProtocol,
+    inner: Staging,
     urr: Arc<Urr>,
     seen: Vec<(SimTime, u64)>,
 }
@@ -672,9 +676,9 @@ impl Protocol for TickProbe {
     fn on_release(&mut self, release: Release, fixed: &ProblemSet) -> Vec<Command> {
         self.inner.on_release(release, fixed)
     }
-    fn on_tick(&mut self, now: SimTime) -> Vec<Command> {
+    fn on_tick(&mut self, now: SimTime, stall_budget: Option<SimTime>) -> Vec<Command> {
         self.seen.push((now, self.urr.next_seq()));
-        self.inner.on_tick(now)
+        self.inner.on_tick(now, stall_budget)
     }
     fn rep_timeouts(&self) -> u64 {
         self.inner.rep_timeouts()
@@ -710,9 +714,7 @@ fn tick_sees_the_same_repository_on_both_drivers() {
         let urr = Arc::new(Urr::new());
         let s = build(&urr);
         let mut p = TickProbe {
-            inner: ProtocolChoice::Balanced
-                .build(s.plan.clone(), s.threshold)
-                .with_rep_timeout(600),
+            inner: ProtocolChoice::Balanced.build(s.plan.clone(), s.threshold),
             urr,
             seen: Vec::new(),
         };
@@ -923,6 +925,7 @@ fn revert_wave_without_a_guard_matches_sequential() {
 #[test]
 fn protocols_converge_under_heavy_faults() {
     let mut rng = Rng::new(0xF0);
+    let mut waivers = 0;
     for case in 0..24u64 {
         let spec = random_scenario(&mut rng);
         let mut builder = ScenarioBuilder::new()
@@ -947,6 +950,7 @@ fn protocols_converge_under_heavy_faults() {
         let total = scenario.machine_count();
         for (name, mut protocol) in protocols(&scenario, case) {
             let metrics = Simulation::new(&scenario).run(&mut protocol);
+            waivers += metrics.rep_timeouts;
             assert_eq!(
                 metrics.passed_count(),
                 total,
@@ -962,4 +966,5 @@ fn protocols_converge_under_heavy_faults() {
             );
         }
     }
+    assert!(waivers > 0, "stalls were waived, not waited out");
 }

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use mirage_deploy::{Balanced, NoStaging, Protocol};
+use mirage_deploy::{Protocol, ProtocolChoice};
 use mirage_report::Urr;
 use mirage_sim::{FaultSpec, ScenarioBuilder, Simulation};
 
@@ -20,11 +20,13 @@ fn with_urr_is_observationally_neutral_and_records_everything() {
             .problem_in_clusters("mycnf/overwritten", &[3])
     };
     let plain = build().build();
-    let m_plain = Simulation::new(&plain).run(&mut Balanced::new(plain.plan.clone(), 1.0));
+    let m_plain =
+        Simulation::new(&plain).run(&mut ProtocolChoice::Balanced.build(plain.plan.clone(), 1.0));
 
     let urr = Arc::new(Urr::with_shards(4));
     let wired = build().with_urr(Arc::clone(&urr)).build();
-    let m_wired = Simulation::new(&wired).run(&mut Balanced::new(wired.plan.clone(), 1.0));
+    let m_wired =
+        Simulation::new(&wired).run(&mut ProtocolChoice::Balanced.build(wired.plan.clone(), 1.0));
 
     assert_eq!(m_plain, m_wired, "with_urr must not perturb the simulation");
 
@@ -82,7 +84,7 @@ fn with_urr_under_faults_records_received_reports() {
         .faults(FaultSpec::new(0xFA17).loss(0.2).duplication(0.2))
         .with_urr(Arc::clone(&urr))
         .build();
-    let mut protocol = Balanced::new(s.plan.clone(), 1.0);
+    let mut protocol = ProtocolChoice::Balanced.build(s.plan.clone(), 1.0);
     let m = Simulation::new(&s).run(&mut protocol);
     assert!(protocol.done(), "deployment must converge under faults");
     assert!(m.converged(s.machine_count()));
@@ -114,7 +116,7 @@ fn million_machine_run_with_urr_answers_topk() {
         .build();
     assert_eq!(s.machine_count(), 1_000_000);
 
-    let m = Simulation::new(&s).run(&mut NoStaging::new(s.plan.clone()));
+    let m = Simulation::new(&s).run(&mut ProtocolChoice::NoStaging.build(s.plan.clone(), 1.0));
     assert_eq!(m.passed_count(), 1_000_000);
     assert_eq!(m.failed_tests, 50_000);
 
@@ -160,7 +162,8 @@ fn durable_campaign_survives_vendor_crash() {
     // Baseline: plain in-memory repository.
     let plain_urr = Arc::new(Urr::with_shards(4));
     let plain = build().with_urr(Arc::clone(&plain_urr)).build();
-    let m_plain = Simulation::new(&plain).run(&mut Balanced::new(plain.plan.clone(), 1.0));
+    let m_plain =
+        Simulation::new(&plain).run(&mut ProtocolChoice::Balanced.build(plain.plan.clone(), 1.0));
 
     // Journaled: same campaign, deposits flow through the WAL, with a
     // mid-campaign compaction cadence.
@@ -178,7 +181,8 @@ fn durable_campaign_survives_vendor_crash() {
         .expect("durable"),
     );
     let wired = build().with_durable_urr(Arc::clone(&durable)).build();
-    let m_wired = Simulation::new(&wired).run(&mut Balanced::new(wired.plan.clone(), 1.0));
+    let m_wired =
+        Simulation::new(&wired).run(&mut ProtocolChoice::Balanced.build(wired.plan.clone(), 1.0));
 
     assert_eq!(
         m_plain, m_wired,

@@ -99,7 +99,7 @@ fn rule_templates_expand_per_machine() {
 /// escaped problem never drives a fix, and late arrivals still converge.
 #[test]
 fn simulator_extension_knobs() {
-    use mirage::deploy::Balanced;
+    use mirage::deploy::ProtocolChoice;
     use mirage::sim::{ScenarioBuilder, Simulation};
     let scenario = ScenarioBuilder::new()
         .clusters(3, 5, 1)
@@ -108,7 +108,8 @@ fn simulator_extension_knobs() {
         .offline_machines(0, 2, 1_000)
         .threshold(0.6)
         .build();
-    let metrics = Simulation::new(&scenario).run(&mut Balanced::new(scenario.plan.clone(), 0.6));
+    let metrics = Simulation::new(&scenario)
+        .run(&mut ProtocolChoice::Balanced.build(scenario.plan.clone(), 0.6));
     // All problems escaped: no failures, no fixes, but the faulty
     // release is now live on 5 machines — the paper's motivation for
     // better testing, quantified.

@@ -85,7 +85,7 @@ fn survey_headlines() {
 /// 100 000-machine run is exercised by the repro harness and benches).
 #[test]
 fn overhead_formulas_hold() {
-    use mirage::deploy::{Balanced, FrontLoading, NoStaging};
+    use mirage::deploy::ProtocolChoice;
     use mirage::sim::{ScenarioBuilder, Simulation};
     let scenario = ScenarioBuilder::new()
         .clusters(20, 100, 1)
@@ -96,19 +96,19 @@ fn overhead_formulas_hold() {
     let m = 5 * 100;
     assert_eq!(
         Simulation::new(&scenario)
-            .run(&mut NoStaging::new(scenario.plan.clone()))
+            .run(&mut ProtocolChoice::NoStaging.build(scenario.plan.clone(), 1.0))
             .failed_tests,
         m
     );
     assert_eq!(
         Simulation::new(&scenario)
-            .run(&mut Balanced::new(scenario.plan.clone(), 1.0))
+            .run(&mut ProtocolChoice::Balanced.build(scenario.plan.clone(), 1.0))
             .failed_tests,
         3
     );
     assert_eq!(
         Simulation::new(&scenario)
-            .run(&mut FrontLoading::new(scenario.plan.clone(), 1.0))
+            .run(&mut ProtocolChoice::FrontLoading.build(scenario.plan.clone(), 1.0))
             .failed_tests,
         5
     );
@@ -119,7 +119,7 @@ fn overhead_formulas_hold() {
 /// early-finish crossover.
 #[test]
 fn figure10_shape() {
-    use mirage::deploy::{Balanced, FrontLoading, NoStaging};
+    use mirage::deploy::ProtocolChoice;
     use mirage::sim::{latency_cdf, ScenarioBuilder, Simulation};
     let scenario = ScenarioBuilder::new()
         .clusters(20, 100, 1)
@@ -127,10 +127,12 @@ fn figure10_shape() {
         .problem_in_clusters(deployment::RARE_A, &[18])
         .problem_in_clusters(deployment::RARE_B, &[19])
         .build();
-    let nostaging = Simulation::new(&scenario).run(&mut NoStaging::new(scenario.plan.clone()));
-    let balanced = Simulation::new(&scenario).run(&mut Balanced::new(scenario.plan.clone(), 1.0));
-    let frontloading =
-        Simulation::new(&scenario).run(&mut FrontLoading::new(scenario.plan.clone(), 1.0));
+    let nostaging = Simulation::new(&scenario)
+        .run(&mut ProtocolChoice::NoStaging.build(scenario.plan.clone(), 1.0));
+    let balanced = Simulation::new(&scenario)
+        .run(&mut ProtocolChoice::Balanced.build(scenario.plan.clone(), 1.0));
+    let frontloading = Simulation::new(&scenario)
+        .run(&mut ProtocolChoice::FrontLoading.build(scenario.plan.clone(), 1.0));
 
     let ns = latency_cdf(&nostaging.cluster_latencies(&scenario.plan, 1.0));
     assert_eq!(ns[0], (15, 0.75), "75% of clusters pass immediately");
