@@ -489,7 +489,7 @@ fn urr_perf(ctx: &Ctx) {
 /// crash-recovery time, and mixed read/write serving — and writes
 /// `BENCH_storage.json`.
 ///
-/// The report [`stream`] matches `urr-perf`. Seven measurements plus one
+/// The report [`stream`] matches `urr-perf`. Eight measurements plus one
 /// scale row:
 ///
 /// * `storage/wal/append-memory-*` / `storage/wal/append-fs-*`: a fresh
@@ -509,7 +509,12 @@ fn urr_perf(ctx: &Ctx) {
 ///   one [`mirage_report::Urr::snapshot`] of that repository, and one
 ///   [`mirage_report::UrrSnapshot::serve`] of a prepared `TopK(5)`
 ///   frame from it — the two calls the campaign benchmark's
-///   `report.snapshot_freeze_s` and `report.serve_s` are made of;
+///   `report.snapshot_freeze_s` and `report.serve_s` are made of. A
+///   freeze writes only the names that arrived since the last one, so
+///   this row re-freezes an unchanged repository;
+/// * `storage/serve/freeze-after-batch-*`: one freeze after one fresh
+///   4096-record batch (journaled untimed), the freeze the campaign
+///   benchmark pays for;
 /// * `storage/serve/mixed-read-write-*`: reader threads answering the
 ///   serialized vendor protocol against a frozen
 ///   [`mirage_report::UrrSnapshot`] while a writer journals fresh
@@ -644,6 +649,29 @@ fn urr_store_perf(ctx: &Ctx) {
     let top_k = format!("storage/serve/top-k-5-{}", volume_label(n_main));
     h.bench(&top_k, || frozen.serve(&top_k_frame).expect("serve"));
 
+    // The freeze above finds nothing new; the campaign's freezes each
+    // follow a batch. Every sample here journals 4096 reports from
+    // machines no earlier sample used (untimed), then times the freeze.
+    let (_, batch_durable) = build_journal(n_main, None);
+    let mut next_machine = n_main;
+    let freeze_after_batch = format!("storage/serve/freeze-after-batch-{}", volume_label(n_main));
+    h.bench_ns(&freeze_after_batch, || {
+        let names: Vec<String> = (next_machine..next_machine + 4096)
+            .map(|i| format!("m{i:07}"))
+            .collect();
+        next_machine += names.len();
+        let recs = stream::interned(batch_durable.urr(), &names);
+        batch_durable
+            .deposit_interned_batch(&recs)
+            .expect("journal batch");
+        let t0 = Instant::now();
+        let snap = black_box(batch_durable.urr().snapshot());
+        let ns = t0.elapsed().as_nanos() as u64;
+        drop(snap);
+        ns
+    });
+    drop(batch_durable);
+
     // --- Mixed read/write serving: reader threads answer the binary
     // vendor protocol from a frozen snapshot view while a writer keeps
     // journaling fresh batches into the same repository — the vendor's
@@ -719,6 +747,7 @@ fn urr_store_perf(ctx: &Ctx) {
     let recovery_wal_ms = min_ns(&recover_wal) as f64 / 1e6;
     let recovery_snap_ms = min_ns(&recover_snap) as f64 / 1e6;
     let freeze_ms = min_ns(&freeze) as f64 / 1e6;
+    let freeze_after_batch_ms = min_ns(&freeze_after_batch) as f64 / 1e6;
     let top_k_us = min_ns(&top_k) as f64 / 1e3;
     println!(
         "=> journaled append: {append_mem_rate:.0}/s memory, {append_fs_rate:.0}/s fs; \
@@ -726,7 +755,9 @@ fn urr_store_perf(ctx: &Ctx) {
         volume_label(n_main)
     );
     println!(
-        "=> serving at {}: freeze {freeze_ms:.2} ms, one TopK(5) response {top_k_us:.1} us",
+        "=> serving at {}: freeze {freeze_ms:.3} ms with nothing new, \
+         {freeze_after_batch_ms:.3} ms after a 4096-report batch; one TopK(5) response \
+         {top_k_us:.1} us",
         volume_label(n_main)
     );
     println!(
@@ -746,7 +777,9 @@ fn urr_store_perf(ctx: &Ctx) {
              generation is the log compacted into 4096-record frames and replays through the \
              same loop, so the two time the same work and neither is a fast path; the freeze \
              and top-k-5 rows are one Urr::snapshot and one UrrSnapshot::serve of a prepared \
-             TopK(5) frame on one thread over the snapshot-row repository; the mixed \
+             TopK(5) frame on one thread over the snapshot-row repository (the freeze finds \
+             nothing new); the freeze-after-batch row freezes after each fresh 4096-report \
+             batch (journaled untimed) of a WAL-row repository, as the campaign does; the mixed \
              row runs {readers} protocol readers on a frozen snapshot against one journaling \
              writer; recovered_equal compares every query surface of a recovered repository \
              to the live one",
@@ -764,7 +797,11 @@ fn urr_store_perf(ctx: &Ctx) {
             append_mem_rate.round(),
         )
         .set(&key("wal_append_fs", n_main, rate), append_fs_rate.round())
-        .set(&key("freeze", n_main, "ms"), round_to(freeze_ms, 2))
+        .set(&key("freeze", n_main, "ms"), round_to(freeze_ms, 3))
+        .set(
+            &key("freeze_after_batch", n_main, "ms"),
+            round_to(freeze_after_batch_ms, 3),
+        )
         .set(&key("serve_top_k_5", n_main, "us"), round_to(top_k_us, 1))
         .set("mixed_readers", readers)
         .set("mixed_reads_per_sec", mixed_reads.round())

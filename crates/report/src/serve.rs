@@ -18,15 +18,23 @@
 //!
 //! # One pass per byte
 //!
-//! A response's bytes are written once and read once. There is one
-//! response encoder — a body writer per variant — and
+//! A machine name is written into its wire layout once, and checksummed
+//! once, over the repository's life. Each live failure group keeps its
+//! names laid out on its stripe, with the CRC-32 of those bytes; a
+//! freeze appends only the names that arrived since the previous freeze
+//! (rewriting a group's list only when concurrent ingest landed a report
+//! among names already written) and checksums the group's whole
+//! encoding by combining CRCs. A frozen group shares the live bytes
+//! rather than copying them.
+//!
+//! There is one response encoder — a body writer per variant — and
 //! [`UrrSnapshot::serve`] runs it inside the frame it returns, over
 //! state borrowed from the snapshot, so no [`UrrResponse`] is built and
 //! no payload is copied behind a header; [`UrrResponse::to_frame`] runs
-//! the same writers over an owned value. A frozen group keeps its
-//! machine list already laid out as the wire's string list, so the
-//! freeze writes each name once and serving a group is a copy of that
-//! slice plus the frame checksum; only the typed accessors
+//! the same writers over an owned value. Every response byte is still
+//! written per request, but serving a frozen group is a copy of its
+//! encoding and one CRC combine: the frame checksum reads only the few
+//! bytes around the groups. Only the typed accessors
 //! ([`UrrSnapshot::failure_groups`] and the like) allocate a `String`
 //! per name, when a caller asks for one.
 //!
@@ -46,12 +54,20 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
-use crate::storage::frame::{decode_frame, encode_frame, put_frame, KIND_REQUEST, KIND_RESPONSE};
-use crate::storage::wire::{
-    get_string_list, put_len, put_str, put_string_list, put_u64, put_u8, Cursor, WireError,
+use mirage_telemetry::names::NameTable;
+
+use crate::storage::frame::{
+    decode_frame, encode_frame, put_frame, Payload, KIND_REQUEST, KIND_RESPONSE,
 };
-use crate::urr::{by_seq, ClusterFailureRate, FailureGroup, ReleaseSummary, Urr, UrrStats};
+use crate::storage::wire::{
+    crc32, crc32_combine, crc32_extend, get_string_list, put_len, put_str, put_string_list,
+    put_u64, put_u8, Cursor, WireError,
+};
+use crate::urr::{
+    by_seq, ClusterFailureRate, FailureGroup, GroupSlot, ReleaseSummary, Shard, Urr, UrrStats,
+};
 
 // ---------------------------------------------------------------------
 // Frozen snapshot
@@ -77,25 +93,107 @@ pub struct UrrSnapshot {
     releases: Vec<ReleaseSummary>,
 }
 
-/// A [`FailureGroup`] as the snapshot keeps it: the machine list is held
-/// once, already in the wire's string-list layout, so serving it is a
-/// copy and only a typed accessor pays for a `String` per name.
+/// A group's machine names as a response lays them out — `put_str`
+/// each, in first-report order — with their count and the CRC-32 of
+/// the bytes. The layout is canonical, so equal bytes are equal lists.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct NameList {
+    bytes: Arc<Vec<u8>>,
+    len: usize,
+    crc: u32,
+}
+
+/// A live failure group's [`NameList`], kept on its stripe from one
+/// freeze to the next so that a freeze writes only the names that
+/// arrived since the last one.
+#[derive(Debug, Default)]
+pub(crate) struct GroupNames {
+    list: NameList,
+    /// Every machine written so far was first reported below this
+    /// sequence number.
+    below: u64,
+}
+
+impl GroupNames {
+    /// Brings the list up to `order`, the group's `(seq of first
+    /// report, machine)` arrival list. The arrivals since the last call
+    /// are appended when they all sort after what is written, which
+    /// they always do with one writer; a report that landed behind the
+    /// written names (concurrent ingest) has the list rewritten whole,
+    /// in sequence order. A snapshot still holding the list keeps its
+    /// bytes: an append copies them first.
+    fn catch_up(&mut self, order: &[(u64, u32)], machines: &NameTable) -> &NameList {
+        let list = &mut self.list;
+        if list.len < order.len() {
+            let mut fresh = order[list.len..].to_vec();
+            fresh.sort_unstable();
+            if fresh[0].0 < self.below {
+                fresh = order.to_vec();
+                fresh.sort_unstable();
+                *list = NameList::default();
+            }
+            let bytes = Arc::make_mut(&mut list.bytes);
+            let start = bytes.len();
+            for &(_, m) in &fresh {
+                put_str(bytes, machines.name(m));
+            }
+            list.crc = crc32_extend(list.crc, &[&bytes[start..]]);
+            list.len = order.len();
+            self.below = fresh[fresh.len() - 1].0 + 1;
+        }
+        &self.list
+    }
+}
+
+/// A [`FailureGroup`] as the snapshot keeps it: its whole response
+/// encoding, checksummed once at the freeze, so serving it is a copy
+/// and a CRC combine. The machine names are the live group's bytes,
+/// shared, not copied; only a typed accessor pays for a `String` per
+/// name.
 #[derive(Debug, Clone, PartialEq)]
 struct FrozenGroup {
     signature: String,
     count: usize,
-    /// The machine names in first-report order, as [`put_string_list`]
-    /// writes them. The layout is canonical, so equal bytes are equal
-    /// lists.
-    machines: Vec<u8>,
+    machines: NameList,
     clusters: Vec<usize>,
     first_seen: u64,
+    /// What a group response writes before the names: the signature,
+    /// the count and the list length.
+    head: Vec<u8>,
+    /// What it writes after them: the clusters and `first_seen`.
+    tail: Vec<u8>,
+    /// CRC-32 of `head`, the names and `tail`, in that order.
+    crc: u32,
 }
 
 impl FrozenGroup {
+    fn new(signature: &str, slot: &GroupSlot, machines: NameList) -> Self {
+        let clusters: Vec<usize> = by_seq(&slot.cluster_order).map(|c| c as usize).collect();
+        let mut head = Vec::new();
+        put_group_head(&mut head, signature, slot.count, machines.len);
+        let mut tail = Vec::new();
+        put_group_tail(&mut tail, &clusters, slot.first_seen);
+        let names = crc32_combine(crc32(&[&head]), machines.crc, machines.bytes.len());
+        FrozenGroup {
+            signature: signature.to_string(),
+            count: slot.count,
+            crc: crc32_extend(names, &[&tail]),
+            machines,
+            clusters,
+            first_seen: slot.first_seen,
+            head,
+            tail,
+        }
+    }
+
     fn machines(&self) -> Vec<String> {
-        get_string_list(&mut Cursor::new(&self.machines), "frozen machines")
-            .expect("the snapshot wrote this list itself")
+        let mut cur = Cursor::new(&self.machines.bytes);
+        (0..self.machines.len)
+            .map(|_| {
+                cur.str_("frozen machine")
+                    .expect("the snapshot wrote this list itself")
+            })
+            .collect()
     }
 
     fn thaw(&self) -> FailureGroup {
@@ -143,32 +241,25 @@ impl Urr {
         }
     }
 
-    /// [`Urr::failure_groups`] with every machine list written once,
-    /// straight from the machine table into its wire layout. The table
-    /// locks are taken inside the stripe's, the order every other path
-    /// takes them in.
+    /// [`Urr::failure_groups`] as frozen groups, each stripe's
+    /// [`GroupNames`] first brought up to date: every machine name is
+    /// written into its wire layout once, by the first freeze after it
+    /// arrived. The table locks are taken inside the stripe's, the order
+    /// every other path takes them in.
     fn frozen_groups(&self) -> Vec<FrozenGroup> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
-            let shard = shard.lock().expect("urr poisoned");
+            let mut shard = shard.lock().expect("urr poisoned");
             let machines = self.machines.read().expect("urr poisoned");
             let sigs = self.sigs.read().expect("urr poisoned");
-            for (sig, slot) in shard.groups.iter().enumerate() {
+            let Shard { groups, names, .. } = &mut *shard;
+            names.resize_with(groups.len(), GroupNames::default);
+            for (sig, (slot, laid_out)) in groups.iter().zip(names.iter_mut()).enumerate() {
                 if slot.count == 0 {
                     continue;
                 }
-                let mut wire = Vec::new();
-                put_string_list(
-                    &mut wire,
-                    by_seq(&slot.machine_order).map(|m| machines.name(m)),
-                );
-                out.push(FrozenGroup {
-                    signature: sigs.inner.name(sig as u32).to_string(),
-                    count: slot.count,
-                    machines: wire,
-                    clusters: by_seq(&slot.cluster_order).map(|c| c as usize).collect(),
-                    first_seen: slot.first_seen,
-                });
+                let list = laid_out.catch_up(&slot.machine_order, &machines).clone();
+                out.push(FrozenGroup::new(sigs.inner.name(sig as u32), slot, list));
             }
         }
         out.sort_by_key(|g| g.first_seen);
@@ -274,15 +365,15 @@ impl UrrSnapshot {
         let mut frame = Vec::new();
         put_frame(&mut frame, KIND_RESPONSE, |p| match &request {
             UrrRequest::Stats => put_stats(p, &self.stats),
-            UrrRequest::FailureGroups => put_groups(p, self.groups.iter().map(GroupRef::from)),
-            UrrRequest::TopK(k) => put_groups(p, self.top(top_k(*k)).map(GroupRef::from)),
+            UrrRequest::FailureGroups => put_groups(p, self.groups.iter().map(GroupRef::Frozen)),
+            UrrRequest::TopK(k) => put_groups(p, self.top(top_k(*k)).map(GroupRef::Frozen)),
             UrrRequest::ClusterRates => put_rates(p, &self.rates),
             UrrRequest::FirstSeenIn { start, end } => {
-                put_groups(p, self.seen_in(*start..*end).iter().map(GroupRef::from))
+                put_groups(p, self.seen_in(*start..*end).iter().map(GroupRef::Frozen))
             }
             UrrRequest::MachinesForSignature { signature } => {
                 let group = self.group(signature);
-                put_machines(p, group.map(|g| MachineList::Wire(&g.machines)))
+                put_machines(p, group.map(|g| MachineList::Frozen(&g.machines)))
             }
             UrrRequest::ClustersForSignature { signature } => {
                 put_clusters(p, self.group(signature).map(|g| &g.clusters[..]))
@@ -447,49 +538,28 @@ pub enum UrrResponse {
 enum MachineList<'a> {
     /// Names still to be laid out.
     Names(&'a [String]),
-    /// A list [`put_string_list`] already laid out.
-    Wire(&'a [u8]),
+    /// Names a freeze already laid out and checksummed.
+    Frozen(&'a NameList),
 }
 
-/// A failure group on its way into a response, borrowed from an owned
-/// [`FailureGroup`] or from a frozen one.
-struct GroupRef<'a> {
-    signature: &'a str,
-    count: usize,
-    machines: MachineList<'a>,
-    clusters: &'a [usize],
-    first_seen: u64,
+/// A failure group on its way into a response: an owned one to encode,
+/// or a frozen one whose encoding and its CRC-32 are already made.
+enum GroupRef<'a> {
+    Owned(&'a FailureGroup),
+    Frozen(&'a FrozenGroup),
 }
 
-impl<'a> From<&'a FailureGroup> for GroupRef<'a> {
-    fn from(g: &'a FailureGroup) -> Self {
-        GroupRef {
-            signature: &g.signature,
-            count: g.count,
-            machines: MachineList::Names(&g.machines),
-            clusters: &g.clusters,
-            first_seen: g.first_seen,
-        }
-    }
+/// A group's fields before its machine names.
+fn put_group_head(out: &mut Vec<u8>, signature: &str, count: usize, machines: usize) {
+    put_str(out, signature);
+    put_u64(out, count as u64);
+    put_len(out, machines);
 }
 
-impl<'a> From<&'a FrozenGroup> for GroupRef<'a> {
-    fn from(g: &'a FrozenGroup) -> Self {
-        GroupRef {
-            signature: &g.signature,
-            count: g.count,
-            machines: MachineList::Wire(&g.machines),
-            clusters: &g.clusters,
-            first_seen: g.first_seen,
-        }
-    }
-}
-
-fn put_machine_list(out: &mut Vec<u8>, machines: MachineList<'_>) {
-    match machines {
-        MachineList::Names(names) => put_string_list(out, names),
-        MachineList::Wire(bytes) => out.extend_from_slice(bytes),
-    }
+/// A group's fields after its machine names.
+fn put_group_tail(out: &mut Vec<u8>, clusters: &[usize], first_seen: u64) {
+    put_cluster_list(out, clusters);
+    put_u64(out, first_seen);
 }
 
 fn put_cluster_list(out: &mut Vec<u8>, clusters: &[usize]) {
@@ -508,15 +578,22 @@ fn put_stats(out: &mut Vec<u8>, s: &UrrStats) {
     put_u64(out, s.image_bytes as u64);
 }
 
-fn put_groups<'a>(out: &mut Vec<u8>, groups: impl ExactSizeIterator<Item = GroupRef<'a>>) {
+fn put_groups<'a>(out: &mut Payload<'_>, groups: impl ExactSizeIterator<Item = GroupRef<'a>>) {
     put_u8(out, RESP_GROUPS);
     put_len(out, groups.len());
     for g in groups {
-        put_str(out, g.signature);
-        put_u64(out, g.count as u64);
-        put_machine_list(out, g.machines);
-        put_cluster_list(out, g.clusters);
-        put_u64(out, g.first_seen);
+        match g {
+            GroupRef::Owned(g) => {
+                put_group_head(out, &g.signature, g.count, g.machines.len());
+                for name in &g.machines {
+                    put_str(out, name);
+                }
+                put_group_tail(out, &g.clusters, g.first_seen);
+            }
+            GroupRef::Frozen(g) => {
+                out.put_checksummed(&[&g.head, &g.machines.bytes, &g.tail], g.crc)
+            }
+        }
     }
 }
 
@@ -530,13 +607,19 @@ fn put_rates(out: &mut Vec<u8>, rates: &[ClusterFailureRate]) {
     }
 }
 
-fn put_machines(out: &mut Vec<u8>, machines: Option<MachineList<'_>>) {
+fn put_machines(out: &mut Payload<'_>, machines: Option<MachineList<'_>>) {
     put_u8(out, RESP_MACHINES);
     match machines {
         None => put_u8(out, 0),
         Some(list) => {
             put_u8(out, 1);
-            put_machine_list(out, list);
+            match list {
+                MachineList::Names(names) => put_string_list(out, names),
+                MachineList::Frozen(list) => {
+                    put_len(out, list.len);
+                    out.put_checksummed(&[&list.bytes], list.crc);
+                }
+            }
         }
     }
 }
@@ -602,7 +685,7 @@ impl UrrResponse {
         let mut frame = Vec::new();
         put_frame(&mut frame, KIND_RESPONSE, |p| match self {
             UrrResponse::Stats(s) => put_stats(p, s),
-            UrrResponse::Groups(groups) => put_groups(p, groups.iter().map(GroupRef::from)),
+            UrrResponse::Groups(groups) => put_groups(p, groups.iter().map(GroupRef::Owned)),
             UrrResponse::Rates(rates) => put_rates(p, rates),
             UrrResponse::Machines(m) => put_machines(p, m.as_deref().map(MachineList::Names)),
             UrrResponse::Clusters(c) => put_clusters(p, c.as_deref()),
@@ -809,6 +892,65 @@ mod tests {
             ["f3-日本語", "f\"2\"", "", "f0", "outsider\u{1}"]
         );
         assert_eq!(groups[1].machines, ["f0", "outsider-🦀", ""]);
+    }
+
+    /// Concurrent ingest can land a report after a freeze although its
+    /// sequence number was claimed before it, so the report sorts among
+    /// the names the freeze already wrote: the list is rewritten, the
+    /// snapshot that holds the old one keeps it, and the next arrival is
+    /// appended to the rewritten list again.
+    #[test]
+    fn a_name_landing_below_the_written_ones_rewrites_the_list() {
+        use crate::urr::Rec;
+
+        let urr = Urr::with_shards(2);
+        let sig = urr.intern_signature("php/crash").0;
+        let release = urr.intern_release("mysql", "5.0.27").0;
+        let land = |machine: &str, cluster: u32, seq: u64| {
+            let rec = Rec {
+                machine: urr.intern_machine(machine).0,
+                cluster,
+                release,
+                seq,
+                sig,
+                payload: None,
+            };
+            urr.insert_recs(std::iter::once(rec));
+        };
+        let machines = |snap: &UrrSnapshot| snap.machines_for_signature("php/crash").unwrap();
+        let check = |snap: &UrrSnapshot| {
+            assert_eq!(snap.failure_groups(), urr.failure_groups());
+            let requests = [
+                UrrRequest::FailureGroups,
+                UrrRequest::TopK(1),
+                UrrRequest::FirstSeenIn { start: 0, end: 99 },
+                UrrRequest::MachinesForSignature {
+                    signature: "php/crash".into(),
+                },
+            ];
+            for req in requests {
+                let served = snap.serve(&req.to_frame()).unwrap();
+                assert_eq!(served, snap.answer(&req).to_frame(), "{req:?}");
+            }
+        };
+
+        land("m5", 1, 5);
+        land("m9", 2, 9);
+        let before = urr.snapshot();
+        assert_eq!(machines(&before), ["m5", "m9"]);
+        land("m7", 3, 7);
+        let rewritten = urr.snapshot();
+        assert_eq!(machines(&rewritten), ["m5", "m7", "m9"]);
+        check(&rewritten);
+        assert_eq!(
+            machines(&before),
+            ["m5", "m9"],
+            "the older snapshot kept its list"
+        );
+        land("m11", 1, 11);
+        let appended = urr.snapshot();
+        assert_eq!(machines(&appended), ["m5", "m7", "m9", "m11"]);
+        check(&appended);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! [`put_frame`] is the one encoder: it writes the header, lets its
 //! caller encode the payload in place behind it, and patches in the
 //! length and checksum, so a frame's bytes are written once and read
-//! once (by the checksum). Encoder and decoder agree on what a frame may
+//! at most once (by the checksum; a span handed over with its CRC-32
+//! through [`Payload::put_checksummed`] is not read at all). Encoder and decoder agree on what a frame may
 //! be: a payload over [`MAX_PAYLOAD`] is a panic to write and an
 //! [`WireError::Oversize`] to read.
 //!
@@ -28,7 +29,7 @@
 //! and discards the tail, which is the only part a crash can damage
 //! (a snapshot generation is all or nothing: any error rejects it).
 
-use super::wire::{crc32, put_u32, put_u8, WireError};
+use super::wire::{crc32, crc32_combine, crc32_extend, put_u32, put_u8, WireError};
 
 /// Frame magic: `"MRF1"` little-endian — Mirage Report Frame v1.
 pub(crate) const MAGIC: u32 = 0x3146_524d;
@@ -49,26 +50,80 @@ pub(crate) const KIND_REQUEST: u8 = 3;
 /// Frame kind: a vendor serving-protocol response.
 pub(crate) const KIND_RESPONSE: u8 = 4;
 
+/// A frame's payload while [`put_frame`] writes it. It derefs to the
+/// frame's buffer, so every `put_*` writer appends to it directly; what
+/// it adds is [`Payload::put_checksummed`], which copies a span whose
+/// CRC-32 is already known and combines that CRC into the frame's
+/// instead of reading the span again. Writers only append: the bytes
+/// behind the last checksummed span are already counted.
+pub(crate) struct Payload<'a> {
+    buf: &'a mut Vec<u8>,
+    /// CRC-32 of the kind byte and `buf[payload start..checked]`.
+    crc: u32,
+    checked: usize,
+}
+
+impl Payload<'_> {
+    /// Appends `parts`, whose concatenation has CRC-32 `crc`.
+    pub(crate) fn put_checksummed(&mut self, parts: &[&[u8]], crc: u32) {
+        self.seal();
+        let mut len = 0;
+        for part in parts {
+            self.buf.extend_from_slice(part);
+            len += part.len();
+        }
+        self.crc = crc32_combine(self.crc, crc, len);
+        self.checked = self.buf.len();
+    }
+
+    /// Folds the bytes written since the last checksummed span into the
+    /// frame's CRC-32 and returns it.
+    fn seal(&mut self) -> u32 {
+        self.crc = crc32_extend(self.crc, &[&self.buf[self.checked..]]);
+        self.checked = self.buf.len();
+        self.crc
+    }
+}
+
+impl std::ops::Deref for Payload<'_> {
+    type Target = Vec<u8>;
+
+    fn deref(&self) -> &Vec<u8> {
+        self.buf
+    }
+}
+
+impl std::ops::DerefMut for Payload<'_> {
+    fn deref_mut(&mut self) -> &mut Vec<u8> {
+        self.buf
+    }
+}
+
 /// Appends one frame of the given kind to `buf`; `fill` writes the
-/// payload in place, so a frame costs no copy of its payload.
+/// payload in place, so a frame costs no copy of its payload, and the
+/// checksum reads only the bytes `fill` did not hand over pre-checksummed.
 ///
 /// # Panics
 ///
 /// Panics if `fill` writes more than [`MAX_PAYLOAD`] bytes: no reader
 /// would take the frame back.
-pub(crate) fn put_frame(buf: &mut Vec<u8>, kind: u8, fill: impl FnOnce(&mut Vec<u8>)) {
+pub(crate) fn put_frame(buf: &mut Vec<u8>, kind: u8, fill: impl FnOnce(&mut Payload<'_>)) {
     put_u32(buf, MAGIC);
     put_u8(buf, kind);
     let len_at = buf.len();
     // Length and checksum are known once the payload is written.
     buf.extend_from_slice(&[0; 8]);
-    fill(buf);
-    let payload = &buf[len_at + 8..];
-    let len = u32::try_from(payload.len())
+    let mut payload = Payload {
+        checked: buf.len(),
+        crc: crc32(&[&[kind]]),
+        buf,
+    };
+    fill(&mut payload);
+    let crc = payload.seal();
+    let len = u32::try_from(buf.len() - (len_at + 8))
         .ok()
         .filter(|&len| len as usize <= MAX_PAYLOAD)
         .expect("frame payload exceeds MAX_PAYLOAD");
-    let crc = crc32(&[&[kind], payload]);
     buf[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
     buf[len_at + 4..len_at + 8].copy_from_slice(&crc.to_le_bytes());
 }
@@ -184,6 +239,20 @@ mod tests {
         let (kind, payload) = decode_frame(&frame).unwrap();
         assert_eq!(kind, KIND_WAL_BATCH);
         assert_eq!(payload, b"hello");
+    }
+
+    #[test]
+    fn checksummed_spans_frame_as_plain_bytes_do() {
+        let parts: [&[u8]; 3] = [b"head", b"", b"a longer middle span"];
+        let mut spliced = Vec::new();
+        put_frame(&mut spliced, KIND_RESPONSE, |p| {
+            put_u8(p, 7);
+            p.put_checksummed(&parts, crc32(&parts));
+            p.put_checksummed(&[], 0);
+            p.extend_from_slice(b"tail");
+        });
+        let plain = encode_frame(KIND_RESPONSE, b"\x07heada longer middle spantail");
+        assert_eq!(spliced, plain);
     }
 
     #[test]

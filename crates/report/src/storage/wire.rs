@@ -11,7 +11,9 @@
 //! checksums every record with it, so it is slicing-by-8 — eight bytes a
 //! step from eight compile-time tables — in portable safe code: the
 //! hardware `crc32` instruction computes the Castagnoli polynomial, a
-//! different checksum and so a different format.
+//! different checksum and so a different format. [`crc32_combine`]
+//! joins two checksums without the bytes, so a span checksummed once
+//! (a frozen failure group's encoding) is never read for it again.
 //!
 //! Readers borrow where the caller only looks: [`Cursor::str_ref`]
 //! returns the validated slice of the input, [`Cursor::str_`] is that
@@ -123,8 +125,13 @@ static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 /// within a part, one byte a step over what is left of it, the state
 /// carried from part to part.
 pub(crate) fn crc32(parts: &[&[u8]]) -> u32 {
+    crc32_extend(0, parts)
+}
+
+/// The CRC-32 of some bytes whose CRC-32 is `crc`, followed by `parts`.
+pub(crate) fn crc32_extend(crc: u32, parts: &[&[u8]]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = 0xffff_ffffu32;
+    let mut crc = !crc;
     for part in parts {
         let mut words = part.chunks_exact(8);
         for w in &mut words {
@@ -144,6 +151,61 @@ pub(crate) fn crc32(parts: &[&[u8]]) -> u32 {
         }
     }
     !crc
+}
+
+/// The reflected IEEE polynomial: bit 31 is the coefficient of x^0.
+const POLY: u32 = 0xedb8_8320;
+
+/// `a · b` modulo the polynomial, in the checksum's reflected bit order.
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        bit >>= 1;
+    }
+    product
+}
+
+/// `X2N[k]` is x^(2^k) modulo the polynomial. The powers cycle with
+/// period 32 (x^(2^32) is x again), so 32 entries cover any length.
+const fn x2n_table() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        table[k] = p;
+        p = mul_mod_p(p, p);
+        k += 1;
+    }
+    table
+}
+
+static X2N: [u32; 32] = x2n_table();
+
+/// x^(8n) modulo the polynomial: the operator that shifts a checksum
+/// state past `n` zero bytes, one table entry per set bit of `n`.
+fn x8n_mod_p(mut n: usize) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 != 0 {
+            p = mul_mod_p(X2N[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// The CRC-32 of `a ++ b` from `crc_a`, `crc_b` and `len_b` alone —
+/// zlib's `crc32_combine`, in O(log `len_b`) and without reading a byte:
+/// `a`'s checksum is moved past `len_b` bytes, and the two are added.
+pub(crate) fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    mul_mod_p(x8n_mod_p(len_b), crc_a) ^ crc_b
 }
 
 // ---------------------------------------------------------------------
@@ -342,28 +404,90 @@ mod tests {
     /// The definition, a byte at a time and a bit at a time with no
     /// table: the reference the slicing tables are checked against.
     fn crc32_bytewise(parts: &[&[u8]]) -> u32 {
-        let mut crc = 0xffff_ffffu32;
-        for &b in parts.iter().copied().flatten() {
-            crc ^= u32::from(b);
-            for _ in 0..8 {
-                crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
-            }
-        }
-        !crc
+        !parts
+            .iter()
+            .fold(!0, |state, part| bytewise_step(state, part))
     }
 
-    #[test]
-    fn slicing_crc32_equals_the_bytewise_reference() {
-        // xorshift64 bytes.
-        let mut x = 0x5eed_0013_u64;
-        let buf: Vec<u8> = (0..96)
+    /// The bit-at-a-time register after `bytes`, from `state`.
+    fn bytewise_step(mut state: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            state ^= u32::from(b);
+            for _ in 0..8 {
+                state = (state >> 1) ^ (0xedb8_8320 & (state & 1).wrapping_neg());
+            }
+        }
+        state
+    }
+
+    /// xorshift64 bytes.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
                 (x >> 32) as u8
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn crc32_combine_equals_the_bytewise_reference() {
+        // Every split of every input of 0..=80 bytes at every start
+        // offset: the empty halves at either end included.
+        let buf = noise(96, 0x5eed_0026);
+        for start in 0..8 {
+            for len in 0..=80 {
+                let input = &buf[start..start + len];
+                let whole = crc32_bytewise(&[input]);
+                for cut in 0..=len {
+                    let (a, b) = input.split_at(cut);
+                    let combined =
+                        crc32_combine(crc32_bytewise(&[a]), crc32_bytewise(&[b]), b.len());
+                    assert_eq!(combined, whole, "start {start} len {len} cut {cut}");
+                }
+            }
+        }
+        // Second parts up to 4 MiB, each power of two and its
+        // neighbours, behind a 13-byte first part: one walk keeps the
+        // registers of `a ++ b` and of `b` alone.
+        let a = noise(13, 0x5eed_0027);
+        let b = noise((1 << 22) + 1, 0x5eed_0028);
+        let crc_a = crc32_bytewise(&[&a]);
+        let (mut whole, mut alone) = (bytewise_step(!0, &a), !0u32);
+        let mut done = 0;
+        for k in 0..=22 {
+            for len in [(1usize << k) - 1, 1 << k, (1 << k) + 1] {
+                if len < done {
+                    continue;
+                }
+                whole = bytewise_step(whole, &b[done..len]);
+                alone = bytewise_step(alone, &b[done..len]);
+                done = len;
+                assert_eq!(crc32_combine(crc_a, !alone, len), !whole, "len {len}");
+            }
+        }
+        // Lengths no buffer here can reach, every bit of a `u64`
+        // included: moving a checksum past 2^j bytes twice is moving it
+        // past 2^(j+1) once, which pins each of the 32 table entries
+        // to the square of the one before it, the wrap from the last to
+        // the first included, and the real bytes above anchor the chain.
+        let (crc_a, crc_b, crc_c) = (0x1234_5678, 0x9abc_def0, 0x0f1e_2d3c);
+        for j in 0..usize::BITS - 4 {
+            let n = 1usize << j;
+            assert_eq!(
+                crc32_combine(crc32_combine(crc_a, crc_b, n), crc_c, n),
+                crc32_combine(crc_a, crc32_combine(crc_b, crc_c, n), 2 * n),
+                "2^{j}"
+            );
+        }
+    }
+
+    #[test]
+    fn slicing_crc32_equals_the_bytewise_reference() {
+        let buf = noise(96, 0x5eed_0013);
         // Every length around the 8-byte step, at every alignment.
         for start in 0..8 {
             for len in 0..=80 {

@@ -69,6 +69,7 @@ use mirage_telemetry::Telemetry;
 use crate::codec::JsonError;
 use crate::image::ReportImage;
 use crate::report::{Report, ReportOutcome};
+use crate::serve::GroupNames;
 
 /// Sentinel for "this record is a success" in the stored sig slot.
 pub(crate) const NO_SIG: u32 = u32::MAX;
@@ -371,6 +372,10 @@ pub(crate) struct Shard {
     pub(crate) successes: usize,
     pub(crate) failures: usize,
     pub(crate) image_bytes: usize,
+    /// Each failure group's machine names in wire layout, indexed by
+    /// [`SigId`] like `groups`. Only [`Urr::snapshot`] writes it, so it
+    /// stays empty until the first freeze and ingest never touches it.
+    pub(crate) names: Vec<GroupNames>,
 }
 
 impl Shard {

@@ -6,7 +6,10 @@
 
 use std::sync::Arc;
 
-use mirage_report::{Report, ReportImage, Urr, UrrRequest, UrrResponse};
+use mirage_report::{
+    DurableConfig, DurableUrr, MemoryStore, Report, ReportImage, Urr, UrrRequest, UrrResponse,
+    UrrSnapshot,
+};
 
 /// Deterministic xorshift64 generator (same idiom as `proptests.rs`).
 struct Rng(u64);
@@ -220,6 +223,91 @@ fn serve_writes_the_bytes_answer_would() {
                 _ => {}
             }
         }
+    }
+}
+
+/// `serve` writes for every request kind — the edges, and random ones —
+/// the bytes `answer` + `to_frame` would.
+fn assert_serves_its_answers(snap: &UrrSnapshot, rng: &mut Rng, ctx: &str) {
+    let mut requests = edge_requests(snap.as_of());
+    requests.extend((0..8).map(|_| random_request(rng)));
+    for req in requests {
+        let served = snap.serve(&req.to_frame()).expect("a valid request");
+        assert_eq!(served, snap.answer(&req).to_frame(), "{ctx}: {req:?}");
+    }
+}
+
+/// A freeze writes only the machine names that arrived since the last
+/// one, so freezing often must not change what a freeze sees. Seeded
+/// streams are journaled and frozen after every batch, or after every
+/// single deposit, with freezes that find nothing new among them; each
+/// snapshot must equal the one a twin repository fed the same stream
+/// gives at its first freeze, and serve every request kind as `answer`
+/// would. A repository recovered from the journal must do the same at
+/// its own first freeze.
+#[test]
+fn repeated_freezes_equal_one_freeze_of_the_same_stream() {
+    let mut rng = Rng::new(0x5eed_0026);
+    for case in 0..12 {
+        let config = || DurableConfig {
+            shards: 1 << (case % 3),
+            snapshot_every_batches: 3,
+            ..DurableConfig::default()
+        };
+        let store = MemoryStore::new();
+        let live = DurableUrr::new(Box::new(store.clone()), config()).expect("memory store");
+        let mut stream: Vec<Report> = Vec::new();
+        let freeze = |stream: &[Report], rng: &mut Rng, at: &str| {
+            let snap = live.urr().snapshot();
+            let twin = Urr::with_shards(config().shards);
+            for report in stream {
+                twin.deposit(report.clone());
+            }
+            let ctx = format!("case {case}, {at}");
+            assert_eq!(snap, twin.snapshot(), "{ctx}: one freeze of the stream");
+            assert_serves_its_answers(&snap, rng, &ctx);
+        };
+        let single_deposits = case % 2 == 1;
+        for batch in 0..1 + rng.below(6) {
+            // A few machines report again and again, so most batches
+            // bring a known name to a group as well as a new one.
+            let reports: Vec<Report> = (0..rng.below(30))
+                .map(|_| {
+                    let machine = match rng.below(3) {
+                        0 => MACHINES[rng.below(MACHINES.len())].to_string(),
+                        _ => format!("m{}", rng.below(60)),
+                    };
+                    let cluster = rng.below(5);
+                    if rng.chance(25) {
+                        Report::success(machine, cluster, "mysql", "5.0.27")
+                    } else {
+                        let signature = SIGNATURES[rng.below(SIGNATURES.len())];
+                        let image = ReportImage::default();
+                        Report::failure(machine, cluster, "mysql", "5.0.27", signature, "d", image)
+                    }
+                })
+                .collect();
+            if single_deposits {
+                for (i, report) in reports.into_iter().enumerate() {
+                    stream.push(report.clone());
+                    live.deposit(report).expect("journal");
+                    freeze(&stream, &mut rng, &format!("batch {batch} deposit {i}"));
+                }
+            } else {
+                stream.extend(reports.iter().cloned());
+                live.deposit_batch(reports).expect("journal");
+                freeze(&stream, &mut rng, &format!("batch {batch}"));
+            }
+            if rng.chance(40) {
+                freeze(&stream, &mut rng, &format!("batch {batch}, nothing new"));
+            }
+        }
+        let (back, report) =
+            DurableUrr::recover(Box::new(store.fork()), config()).expect("recover");
+        assert!(report.torn_tail.is_none(), "case {case}: {report:?}");
+        let snap = back.urr().snapshot();
+        assert_eq!(snap, live.urr().snapshot(), "case {case}: recovered");
+        assert_serves_its_answers(&snap, &mut rng, &format!("case {case}, recovered"));
     }
 }
 

@@ -803,7 +803,7 @@ pub(crate) fn clamp_workers(requested: usize, machine_count: usize) -> usize {
 /// [`Simulation`] with every setting spelled as an argument. Pinned by
 /// `benchmark/src/workloads/sim.rs`, which a program change may not
 /// edit, and called from nowhere else; the change that follows the
-/// benchmark's move to [`Simulation`] (ROADMAP item 3) deletes it.
+/// benchmark's move to [`Simulation`] deletes it.
 pub fn run_parallel_in(
     arena: &mut SimArena,
     scenario: &Scenario,

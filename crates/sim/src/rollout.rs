@@ -27,7 +27,7 @@ use crate::scenario::Scenario;
 /// returning the metrics with the controller's outcome. Pinned by
 /// `benchmark/src/workloads/sim.rs`, which a program change may not
 /// edit, and called from nowhere else; the change that follows the
-/// benchmark's move to [`Simulation`] (ROADMAP item 3) deletes it.
+/// benchmark's move to [`Simulation`] deletes it.
 pub fn run_rollout_with_telemetry(
     scenario: &Scenario,
     choice: ProtocolChoice,
