@@ -1468,7 +1468,7 @@ fn optional(time: Option<u64>) -> Value {
 fn rollback_sweep(ctx: &Ctx) {
     use std::sync::Arc;
 
-    use mirage_core::{GuardSettings, RolloutStrategy};
+    use mirage_core::{GuardSettings, RolloutPlan, RolloutStrategy};
     use mirage_report::Urr;
     use mirage_sim::FaultSpec;
     use mirage_telemetry::Telemetry;
@@ -1534,9 +1534,10 @@ fn rollback_sweep(ctx: &Ctx) {
                     builder = builder.problem_in_clusters("fleet-regression", &everywhere);
                 }
                 let scenario = builder.build();
+                let exposure_limit =
+                    RolloutPlan::new(scenario.plan.clone(), strategy).exposure_limit();
                 let mut controller =
                     scenario.rollout_controller(ProtocolChoice::Balanced, Telemetry::noop());
-                let exposure_limit = controller.plan().exposure_limit();
                 let m = Simulation::new(&scenario).run(&mut controller);
                 let outcome = controller.outcome();
                 let converged = m.converged(machines);

@@ -171,8 +171,8 @@ impl Campaign {
     /// lets the vendor diagnose failures from the report images and
     /// ship corrected releases, and continues until the controller
     /// completes or stalls. `choice` selects the staging protocol a
-    /// `Staged` strategy delegates to; cohort strategies (`Canary` /
-    /// `Rolling` / `BlueGreen`) ignore it.
+    /// `Staged` strategy runs; cohort strategies (`Canary` / `Rolling`
+    /// / `BlueGreen`) run their cohorts on the same engine and ignore it.
     ///
     /// With [guard settings](Campaign::with_guard) armed, the
     /// controller assesses the campaign's URR on every decision tick

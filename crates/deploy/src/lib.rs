@@ -15,9 +15,10 @@
 //! testable.
 //!
 //! The paper's four protocols are four configurations of one engine,
-//! [`Staging`]: a phase-1 *front* that tests in parallel, then clusters
-//! one at a time in an *order*, representatives before
-//! non-representatives. [`ProtocolChoice::build`] is the table:
+//! [`Staging`]: a phase-1 *front* tests in parallel, then *waves* (here
+//! clusters, reps first) open one at a time in an *order*, each on the
+//! report that meets the threshold. [`ProtocolChoice::build`] is the
+//! table:
 //!
 //! | choice        | front               | order               |
 //! |---------------|---------------------|---------------------|
@@ -38,10 +39,10 @@
 //!   cluster, the most vendor-dissimilar first, front-loading the
 //!   vendor's debugging effort.
 //!
-//! The stall budget that lets a protocol waive machines which will never
-//! report is not protocol configuration: the driver hands it over with
-//! every tick ([`Protocol::on_tick`]), and the simulator reads it from the
-//! scenario's fault plan.
+//! [`Staging::cohorts`] is the rollout strategies' row: cohorts as waves
+//! without representatives, each opened on a decision tick. The stall
+//! budget that waives machines which will never report is no row's: the
+//! driver passes it with every tick ([`Protocol::on_tick`]).
 
 //! ## The interned data plane
 //!
@@ -68,4 +69,4 @@ pub use dispatch::{seeded_shuffle, ProtocolChoice};
 pub use ids::{MachineId, MachineSet, MachineTable, ProblemId, ProblemSet, ProblemTable};
 pub use plan::{DeployCluster, DeployPlan};
 pub use protocol::{Command, Protocol, Release, SimTime, TestOutcome, TestReport, PRIOR_RELEASE};
-pub use protocols::Staging;
+pub use protocols::{ceil_threshold, Staging};

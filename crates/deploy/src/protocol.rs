@@ -164,13 +164,13 @@ pub trait Protocol {
     }
 
     /// Returns `true` when the protocol needs [`Protocol::on_tick`]
-    /// callbacks even on a reliable channel (no fault plan). Rollout
-    /// controllers use ticks as their decision clock — bake timers and
-    /// URR guard evaluation run on ticks — so drivers arm the periodic
-    /// timer whenever this returns `true`. The default is `false`,
-    /// which keeps the staged protocols clock-free and the driver's
-    /// reliable-channel fast path bit-identical to the pre-rollout
-    /// simulator.
+    /// callbacks even on a reliable channel (no fault plan). Rollouts
+    /// use ticks as their decision clock — tick-gated cohorts, bake
+    /// timers and URR guard evaluation run on ticks — so drivers arm the
+    /// periodic timer whenever this returns `true`. The default is
+    /// `false`, which keeps the paper's protocols clock-free and the
+    /// driver's reliable-channel fast path bit-identical to the
+    /// pre-rollout simulator.
     fn wants_ticks(&self) -> bool {
         false
     }

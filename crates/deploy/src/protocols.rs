@@ -1,4 +1,5 @@
-//! The staged deployment engine behind all four protocols.
+//! The staged deployment engine behind every protocol and rollout
+//! strategy.
 //!
 //! All protocol state is indexed by dense [`MachineId`]s: per-machine
 //! status and failure signatures live in flat `Vec`s, representative
@@ -8,10 +9,11 @@
 //! walks, no allocation. The string-keyed implementations are retained
 //! in [`crate::reference`] for equivalence testing.
 
+use mirage_telemetry::journal::RolloutStep;
 use mirage_telemetry::{FlightEvent, JournalEvent, Telemetry};
 
 use crate::ids::{MachineId, MachineSet, ProblemId, ProblemSet};
-use crate::plan::DeployPlan;
+use crate::plan::{DeployCluster, DeployPlan};
 use crate::protocol::{
     Command, MachineStatus, Protocol, Release, SimTime, TestOutcome, TestReport,
 };
@@ -19,45 +21,79 @@ use crate::protocol::{
 /// Sentinel progress marker meaning "no tick observed yet".
 const NO_MARKER: (usize, u32) = (usize::MAX, u32::MAX);
 
-/// How many members of a `total`-machine cluster must pass before the
-/// deployment wave advances, at pass-fraction `threshold`.
+/// How many of a `total`-machine wave must pass (or be waived) before
+/// the deployment moves past it, at pass-fraction `threshold`.
 ///
-/// Clamped to at least one machine for non-empty clusters — a
-/// `threshold` of `0.0` must not let a wave skip a cluster nobody has
-/// tested (this mirrors the `.max(1.0)` in `mirage-sim`'s latency
-/// accounting, keeping protocol advancement and latency scoring
-/// consistent). Empty clusters need zero passes.
-fn ceil_threshold(total: usize, threshold: f64) -> usize {
+/// `total × threshold` is rounded up after shaving off the error a
+/// decimal fraction carries in binary (0.55 × 100 evaluates to
+/// 55.000000000000007, and must ask for 55 passes, not 56). Clamped to
+/// at least one machine for non-empty waves — a `threshold` of `0.0`
+/// must not let the deployment skip a wave nobody has tested. Empty
+/// waves need zero passes. `mirage-sim` scores cluster latency with
+/// this same rule, so latency and wave advancement agree.
+pub fn ceil_threshold(total: usize, threshold: f64) -> usize {
     if total == 0 {
         return 0;
     }
-    (((total as f64) * threshold).ceil() as usize).max(1)
+    (((total as f64) * threshold - 1e-9).ceil() as usize).max(1)
 }
 
-/// Deduplicated machine list in plan order (== ascending id order,
-/// because the plan's table interns members front to back).
-fn unique_machines(plan: &DeployPlan) -> Vec<MachineId> {
-    let mut machines = Vec::with_capacity(plan.machines.len());
-    let mut seen = MachineSet::new();
-    for m in plan.all_machines() {
-        if seen.insert(m) {
-            machines.push(m);
-        }
-    }
-    machines
-}
-
-/// Who tests in phase 1, in parallel, before the first cluster wave.
+/// Who tests in phase 1, in parallel, before the first wave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Front {
-    /// Nobody: wave 0 opens with the first cluster's representatives.
+    /// Nobody: the first wave opens with its representatives.
     None,
-    /// Every representative of every cluster (FrontLoading). The waves
+    /// Every representative of every wave (FrontLoading). The waves
     /// then notify non-representatives only.
     Reps,
     /// Every machine: one giant cluster, everyone a representative
-    /// (NoStaging). Paired with an empty cluster order.
+    /// (NoStaging). Paired with an empty wave order.
     Everyone,
+}
+
+/// A run of machines deployed together, the first `reps` of them its
+/// representatives (notified first): a plan cluster, or a rollout
+/// cohort with no representatives.
+#[derive(Debug, Clone)]
+struct Wave {
+    machines: Vec<MachineId>,
+    reps: usize,
+}
+
+impl Wave {
+    fn reps(&self) -> &[MachineId] {
+        &self.machines[..self.reps]
+    }
+
+    fn non_reps(&self) -> &[MachineId] {
+        &self.machines[self.reps..]
+    }
+}
+
+impl From<DeployCluster> for Wave {
+    /// The members as they are: a cluster's representatives lead them.
+    fn from(cluster: DeployCluster) -> Wave {
+        assert!(
+            cluster.members.starts_with(&cluster.reps),
+            "cluster {}'s representatives must lead its members",
+            cluster.id
+        );
+        Wave {
+            reps: cluster.reps.len(),
+            machines: cluster.members,
+        }
+    }
+}
+
+/// When a wave that met its threshold opens the next one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Gate {
+    /// At once, on the report that met it (the paper's protocols).
+    Report,
+    /// On a decision tick, `bake_time` after the first tick that saw the
+    /// threshold met, and only while the caller allows a widen (rollout
+    /// cohorts).
+    Tick { bake_time: SimTime },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,57 +101,61 @@ enum Phase {
     /// Phase 1: the front tests in parallel.
     Front,
     /// Sequential deployment at position `i` of the order.
-    Cluster(usize),
-    /// All clusters advanced; waiting for stragglers.
+    Wave(usize),
+    /// Every wave opened; waiting for stragglers.
     Draining,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ClusterStage {
+enum Stage {
     Reps,
     NonReps,
 }
 
-/// Sentinel for "machine belongs to no cluster" in the dense
-/// machine→cluster index.
-const NO_CLUSTER: u32 = u32::MAX;
+/// Sentinel for "machine belongs to no wave" in the dense
+/// machine→wave index.
+const NO_WAVE: u32 = u32::MAX;
 
 /// A staged deployment (paper §3.2, §4.3): a phase-1 *front* tests in
-/// parallel, then clusters deploy one at a time in a fixed *order* —
-/// representatives first, non-representatives once every representative
-/// passed — and the wave advances once `threshold` of a cluster passed.
+/// parallel, then waves deploy one at a time in a fixed *order* —
+/// representatives first, the rest once every representative passed —
+/// and the deployment moves on once `threshold` of a wave passed.
 ///
 /// NoStaging, Balanced, RandomStaging and FrontLoading are four
-/// configurations of this one engine;
-/// [`ProtocolChoice::build`](crate::ProtocolChoice::build) is its only
-/// constructor and holds the table.
+/// report-gated configurations over the plan's clusters;
+/// [`ProtocolChoice::build`](crate::ProtocolChoice::build) holds that
+/// table. [`Staging::cohorts`] is the tick-gated row the rollout
+/// strategies run on.
 #[derive(Debug, Clone)]
 pub struct Staging {
     name: &'static str,
-    plan: DeployPlan,
     front: Front,
+    /// Every wave (a cluster's index is its wave's), and the positions
+    /// they deploy in.
+    waves: Vec<Wave>,
     order: Vec<usize>,
+    gate: Gate,
     threshold: f64,
     /// Per-machine status, indexed by [`MachineId`].
     status: Vec<MachineStatus>,
-    /// Deduplicated machine list in plan (== id) order.
-    machines: Vec<MachineId>,
-    /// Machine → cluster index (last containing cluster wins), for O(1)
-    /// counter updates. [`NO_CLUSTER`] when unclustered.
-    cluster_of: Vec<u32>,
-    /// Machines that count as representatives *of their own cluster*
-    /// (per `cluster_of`), so `reps_passed` matches the rep definition
-    /// the wave logic uses.
+    /// Machine → wave (last containing wave wins), for O(1) counter
+    /// updates. [`NO_WAVE`] when in none.
+    wave_of: Vec<u32>,
+    /// Distinct machines across the waves.
+    machine_count: usize,
+    /// Machines that count as representatives *of their own wave* (per
+    /// `wave_of`), so `reps_passed` matches the rep definition the wave
+    /// logic uses.
     counted_rep: MachineSet,
-    /// Passed-machine count per cluster index.
-    cluster_passed: Vec<usize>,
+    /// Passed-machine count per wave.
+    wave_passed: Vec<usize>,
     /// Passed representatives (fleet-wide).
     reps_passed: usize,
     total_reps: usize,
     total_passed: usize,
     release: Release,
     phase: Phase,
-    stage: ClusterStage,
+    stage: Stage,
     /// Last failure signature per machine, for targeted re-notification.
     failed_problem: Vec<Option<ProblemId>>,
     /// Release each machine was most recently notified for; reports
@@ -124,9 +164,9 @@ pub struct Staging {
     /// Machines waived by timeout-based degradation; disjoint from
     /// `Passed` machines (a report un-waives).
     waived: MachineSet,
-    /// Waived-machine count per cluster index (mirrors
-    /// `cluster_passed` in the wave-advancement arithmetic).
-    cluster_waived: Vec<usize>,
+    /// Waived-machine count per wave (mirrors `wave_passed` in the
+    /// wave-advancement arithmetic).
+    wave_waived: Vec<usize>,
     /// Waived counted representatives (mirrors `reps_passed`).
     waived_reps: usize,
     /// Cumulative waived-machine count (`deploy.rep_timeouts`).
@@ -135,14 +175,19 @@ pub struct Staging {
     /// and when it last moved.
     last_marker: (usize, u32),
     last_change: SimTime,
+    /// The first tick that saw the frontier wave meet its threshold
+    /// (the tick gate's bake clock); cleared by each widen.
+    ready_since: Option<SimTime>,
+    /// Waves the tick gate opened.
+    widens: usize,
     completed: bool,
     telemetry: Telemetry,
 }
 
 impl Staging {
-    /// One row of [`crate::ProtocolChoice::build`]'s table: `order`
-    /// lists cluster indexes (every one once, or none behind
-    /// [`Front::Everyone`]).
+    /// One row of [`crate::ProtocolChoice::build`]'s table: each plan
+    /// cluster is a wave, and `order` lists cluster indexes (every one
+    /// once, or none behind [`Front::Everyone`]).
     pub(crate) fn new(
         name: &'static str,
         plan: DeployPlan,
@@ -151,53 +196,87 @@ impl Staging {
         threshold: f64,
     ) -> Self {
         let n = plan.machines.len();
-        let machines = unique_machines(&plan);
-        let mut cluster_of = vec![NO_CLUSTER; n];
-        for (i, c) in plan.clusters.iter().enumerate() {
-            for &m in &c.members {
-                assert!(m.index() < n, "cluster member {m} outside machine table");
-                cluster_of[m.index()] = i as u32;
+        let waves = plan.clusters.into_iter().map(Wave::from).collect();
+        Staging::build(name, n, front, waves, order, Gate::Report, threshold)
+    }
+
+    /// Rollout cohorts over `plan`'s machines: `cohorts` deploy in
+    /// sequence with no representatives, each opened by a decision tick
+    /// ([`Staging::tick`]) once the one before met `threshold` and
+    /// `bake_time` has passed since the first tick that saw it. The
+    /// engine keeps the cohorts and none of the plan.
+    pub fn cohorts(
+        name: &'static str,
+        plan: DeployPlan,
+        cohorts: Vec<Vec<MachineId>>,
+        threshold: f64,
+        bake_time: SimTime,
+    ) -> Self {
+        let order = (0..cohorts.len()).collect();
+        let waves = cohorts
+            .into_iter()
+            .map(|machines| Wave { machines, reps: 0 })
+            .collect();
+        let (n, gate) = (plan.machines.len(), Gate::Tick { bake_time });
+        Staging::build(name, n, Front::None, waves, order, gate, threshold)
+    }
+
+    fn build(
+        name: &'static str,
+        n: usize,
+        front: Front,
+        waves: Vec<Wave>,
+        order: Vec<usize>,
+        gate: Gate,
+        threshold: f64,
+    ) -> Self {
+        let mut wave_of = vec![NO_WAVE; n];
+        for (w, wave) in waves.iter().enumerate() {
+            for &m in &wave.machines {
+                assert!(m.index() < n, "wave member {m} outside machine table");
+                wave_of[m.index()] = w as u32;
             }
         }
         let mut counted_rep = MachineSet::new();
-        for (i, c) in plan.clusters.iter().enumerate() {
-            for &r in &c.reps {
-                if cluster_of[r.index()] == i as u32 {
+        for (w, wave) in waves.iter().enumerate() {
+            for &r in wave.reps() {
+                if wave_of[r.index()] == w as u32 {
                     counted_rep.insert(r);
                 }
             }
         }
-        let total_reps = plan.clusters.iter().map(|c| c.reps.len()).sum();
-        let cluster_count = plan.clusters.len();
         Staging {
             name,
-            plan,
             front,
+            total_reps: waves.iter().map(|w| w.reps).sum(),
+            wave_passed: vec![0; waves.len()],
+            wave_waived: vec![0; waves.len()],
+            waves,
             order,
+            gate,
             threshold,
             status: vec![MachineStatus::Idle; n],
-            machines,
-            cluster_of,
+            machine_count: wave_of.iter().filter(|&&w| w != NO_WAVE).count(),
+            wave_of,
             counted_rep,
-            cluster_passed: vec![0; cluster_count],
             reps_passed: 0,
-            total_reps,
             total_passed: 0,
             release: Release(0),
             phase: if front == Front::None {
-                Phase::Cluster(0)
+                Phase::Wave(0)
             } else {
                 Phase::Front
             },
-            stage: ClusterStage::Reps,
+            stage: Stage::Reps,
             failed_problem: vec![None; n],
             notified_release: vec![0; n],
             waived: MachineSet::new(),
-            cluster_waived: vec![0; cluster_count],
             waived_reps: 0,
             timeouts: 0,
             last_marker: NO_MARKER,
             last_change: 0,
+            ready_since: None,
+            widens: 0,
             completed: false,
             telemetry: Telemetry::noop(),
         }
@@ -208,6 +287,35 @@ impl Staging {
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
+    }
+
+    /// Waves the tick gate has opened past the first (the position of
+    /// the frontier cohort); always zero on a report-gated engine.
+    pub fn widens(&self) -> usize {
+        self.widens
+    }
+
+    /// A decision tick: the stall check of [`Protocol::on_tick`], then,
+    /// on tick-gated waves, the gate, which opens the next wave only
+    /// while `widen_allowed`. [`Protocol::on_tick`] is this with the
+    /// widen allowed.
+    pub fn tick(
+        &mut self,
+        now: SimTime,
+        stall_budget: Option<SimTime>,
+        widen_allowed: bool,
+    ) -> Vec<Command> {
+        let mut out = Vec::new();
+        if self.completed {
+            return out;
+        }
+        if let Some(budget) = stall_budget {
+            self.waive_stalled(now, budget, &mut out);
+        }
+        if let Gate::Tick { bake_time } = self.gate {
+            self.widen(now, bake_time, widen_allowed, &mut out);
+        }
+        out
     }
 
     fn notify(&mut self, machines: Vec<MachineId>, out: &mut Vec<Command>) {
@@ -242,17 +350,31 @@ impl Staging {
             .all(|m| self.status[m.index()] == MachineStatus::Passed || self.waived.contains(*m))
     }
 
+    /// Passes (or waivers) wave `w` still lacks before the deployment
+    /// may move past it.
+    fn short_of(&self, w: usize) -> usize {
+        let needed = ceil_threshold(self.waves[w].machines.len(), self.threshold);
+        needed.saturating_sub(self.wave_passed[w] + self.wave_waived[w])
+    }
+
+    /// Every machine in some wave, in id (== plan) order.
+    fn members(&self) -> Vec<MachineId> {
+        (0..self.wave_of.len())
+            .filter(|&i| self.wave_of[i] != NO_WAVE)
+            .map(|i| MachineId(i as u32))
+            .collect()
+    }
+
     /// Phase 1's machines, in notification order.
     fn front_machines(&self) -> Vec<MachineId> {
         match self.front {
             Front::None => Vec::new(),
             Front::Reps => self
-                .plan
-                .clusters
+                .waves
                 .iter()
-                .flat_map(|c| c.reps.iter().copied())
+                .flat_map(|w| w.reps().iter().copied())
                 .collect(),
-            Front::Everyone => self.machines.clone(),
+            Front::Everyone => self.members(),
         }
     }
 
@@ -261,34 +383,35 @@ impl Staging {
         match self.front {
             Front::Reps => (self.reps_passed + self.waived_reps, self.total_reps),
             Front::None | Front::Everyone => {
-                (self.total_passed + self.waived.len(), self.machines.len())
+                (self.total_passed + self.waived.len(), self.machine_count)
             }
         }
     }
 
-    /// Moves the wave to position `wave` of the order and notifies its
-    /// first stage — non-representatives straight away when a front
-    /// already tested the representatives — or drains past the end.
+    /// Moves the deployment to position `wave` of the order and
+    /// notifies its first stage — non-representatives straight away
+    /// when a front already tested the representatives — or drains past
+    /// the end.
     fn open_wave(&mut self, wave: usize, out: &mut Vec<Command>) {
-        let Some(&cid) = self.order.get(wave) else {
+        let Some(&w) = self.order.get(wave) else {
             self.phase = Phase::Draining;
             return;
         };
-        self.phase = Phase::Cluster(wave);
+        self.phase = Phase::Wave(wave);
         self.telemetry.counter("deploy.waves_advanced", 1);
         self.telemetry
-            .event(FlightEvent::WaveAdvanced { wave, cluster: cid });
+            .event(FlightEvent::WaveAdvanced { wave, cluster: w });
         self.telemetry.journal(JournalEvent::WaveAdvance {
             wave: wave as u32,
-            cluster: cid as u32,
+            cluster: w as u32,
         });
-        let cluster = &self.plan.clusters[cid];
+        let wave = &self.waves[w];
         let machines = if self.front == Front::None {
-            self.stage = ClusterStage::Reps;
-            cluster.reps.clone()
+            self.stage = Stage::Reps;
+            wave.reps().to_vec()
         } else {
-            self.stage = ClusterStage::NonReps;
-            cluster.non_reps()
+            self.stage = Stage::NonReps;
+            wave.non_reps().to_vec()
         };
         self.notify(machines, out);
     }
@@ -304,24 +427,26 @@ impl Staging {
                     }
                     self.open_wave(0, out);
                 }
-                Phase::Cluster(i) => {
-                    let Some(&cid) = self.order.get(i) else {
+                Phase::Wave(i) => {
+                    let Some(&w) = self.order.get(i) else {
                         self.phase = Phase::Draining;
                         continue;
                     };
-                    let cluster = &self.plan.clusters[cid];
                     match self.stage {
-                        ClusterStage::Reps => {
-                            if !self.all_passed(&cluster.reps) {
+                        Stage::Reps => {
+                            if !self.all_passed(self.waves[w].reps()) {
                                 break;
                             }
-                            self.stage = ClusterStage::NonReps;
-                            let non_reps = cluster.non_reps();
+                            self.stage = Stage::NonReps;
+                            let non_reps = self.waves[w].non_reps().to_vec();
                             self.notify(non_reps, out);
                         }
-                        ClusterStage::NonReps => {
-                            let needed = ceil_threshold(cluster.members.len(), self.threshold);
-                            if self.cluster_passed[cid] + self.cluster_waived[cid] < needed {
+                        Stage::NonReps => {
+                            // A tick-gated wave waits for the decision
+                            // tick; past the last one there is nothing
+                            // to gate.
+                            let gated = self.gate != Gate::Report && i + 1 < self.order.len();
+                            if gated || self.short_of(w) > 0 {
                                 break;
                             }
                             self.open_wave(i + 1, out);
@@ -336,6 +461,94 @@ impl Staging {
             out.push(Command::Complete);
         }
     }
+
+    /// Timeout-based stage advancement (paper §5's offline-machine
+    /// degradation): when the `(passed + waived, release)` progress
+    /// marker has not moved for `budget` ticks, the machines blocking the
+    /// *current* phase that are still marked `Testing` are waived — their
+    /// reports (and the driver's retries) would have arrived by now if
+    /// they were coming — and the deployment advances.
+    fn waive_stalled(&mut self, now: SimTime, budget: SimTime, out: &mut Vec<Command>) {
+        let marker = (self.total_passed + self.waived.len(), self.release.0);
+        if marker != self.last_marker {
+            self.last_marker = marker;
+            self.last_change = now;
+            return;
+        }
+        if now.saturating_sub(self.last_change) < budget {
+            return;
+        }
+        let targets: Vec<MachineId> = match self.phase {
+            Phase::Front => self.front_machines(),
+            Phase::Wave(i) => {
+                let wave = &self.waves[self.order[i]];
+                match self.stage {
+                    Stage::Reps => wave.reps().to_vec(),
+                    Stage::NonReps => wave.machines.clone(),
+                }
+            }
+            Phase::Draining => self.members(),
+        };
+        let mut waived_any = false;
+        for m in targets {
+            let idx = m.index();
+            if self.status[idx] == MachineStatus::Testing && self.waived.insert(m) {
+                self.timeouts += 1;
+                self.telemetry.journal(JournalEvent::Waiver {
+                    machine: m.index() as u32,
+                    release: self.release.0,
+                });
+                let w = self.wave_of[idx];
+                if w != NO_WAVE {
+                    self.wave_waived[w as usize] += 1;
+                    if self.counted_rep.contains(m) {
+                        self.waived_reps += 1;
+                    }
+                }
+                waived_any = true;
+            }
+        }
+        self.last_change = now;
+        if waived_any {
+            self.step(out);
+        }
+    }
+
+    /// The tick gate: opens the next wave once the frontier met its
+    /// threshold, `bake_time` has passed since the first tick that saw
+    /// it, and `allowed`. A frontier that is ready but held by the dwell
+    /// or the caller counts a `rollout.holds`.
+    fn widen(&mut self, now: SimTime, bake_time: SimTime, allowed: bool, out: &mut Vec<Command>) {
+        let Phase::Wave(i) = self.phase else {
+            return;
+        };
+        let (Some(&w), Some(&next)) = (self.order.get(i), self.order.get(i + 1)) else {
+            return;
+        };
+        if self.stage != Stage::NonReps || self.short_of(w) > 0 {
+            return;
+        }
+        let since = *self.ready_since.get_or_insert(now);
+        if now < since.saturating_add(bake_time) || !allowed {
+            self.telemetry.counter("rollout.holds", 1);
+            return;
+        }
+        self.telemetry.counter("rollout.widens", 1);
+        self.telemetry.journal_timed(&[(
+            now,
+            JournalEvent::Rollout {
+                step: RolloutStep::Widen,
+                cohort: (i + 1) as u32,
+                machines: self.waves[next].machines.len() as u32,
+            },
+        )]);
+        self.widens += 1;
+        self.ready_since = None;
+        // The new wave gets a whole stall budget to report in.
+        self.last_change = now;
+        self.open_wave(i + 1, out);
+        self.step(out);
+    }
 }
 
 impl Protocol for Staging {
@@ -345,12 +558,12 @@ impl Protocol for Staging {
 
     fn start(&mut self) -> Vec<Command> {
         let mut out = Vec::new();
-        if self.machines.is_empty() {
+        if self.machine_count == 0 {
             self.completed = true;
             return vec![Command::Complete];
         }
         let first = match (self.front, self.order.first()) {
-            (Front::None, Some(&cid)) => self.plan.clusters[cid].reps.clone(),
+            (Front::None, Some(&w)) => self.waves[w].reps().to_vec(),
             _ => self.front_machines(),
         };
         self.notify(first, &mut out);
@@ -373,9 +586,9 @@ impl Protocol for Staging {
         // out its virtual-pass contribution) so the wave arithmetic
         // waits for its real outcome instead.
         if self.waived.remove(report.machine) {
-            let cid = self.cluster_of[idx];
-            if cid != NO_CLUSTER {
-                self.cluster_waived[cid as usize] -= 1;
+            let w = self.wave_of[idx];
+            if w != NO_WAVE {
+                self.wave_waived[w as usize] -= 1;
                 if self.counted_rep.contains(report.machine) {
                     self.waived_reps -= 1;
                 }
@@ -391,9 +604,9 @@ impl Protocol for Staging {
         let previous = std::mem::replace(&mut self.status[idx], status);
         if status == MachineStatus::Passed && previous != MachineStatus::Passed {
             self.total_passed += 1;
-            let cid = self.cluster_of[idx];
-            if cid != NO_CLUSTER {
-                self.cluster_passed[cid as usize] += 1;
+            let w = self.wave_of[idx];
+            if w != NO_WAVE {
+                self.wave_passed[w as usize] += 1;
                 if self.counted_rep.contains(report.machine) {
                     self.reps_passed += 1;
                 }
@@ -421,8 +634,8 @@ impl Protocol for Staging {
                 // Un-waiving backs out wave arithmetic — slow path.
                 break;
             }
-            let cid = self.cluster_of[idx];
-            let is_rep = cid != NO_CLUSTER && self.counted_rep.contains(m);
+            let w = self.wave_of[idx];
+            let is_rep = w != NO_WAVE && self.counted_rep.contains(m);
             // `step()` ran to quiescence after the previous mutation, so
             // the only transition this pass could trigger is the one its
             // own counter bump feeds. Stop one short of that bound.
@@ -434,45 +647,31 @@ impl Protocol for Staging {
                         break;
                     }
                 }
-                Phase::Cluster(i) => {
+                Phase::Wave(i) => {
                     let Some(&active) = self.order.get(i) else {
                         break;
                     };
-                    match self.stage {
-                        ClusterStage::Reps => {
-                            if self.plan.clusters[active].reps.contains(&m) {
-                                // Could be the last rep the stage waits
-                                // for (the stage checks the literal reps
-                                // list, not `counted_rep`); let
-                                // `on_report` decide.
-                                break;
-                            }
-                        }
-                        ClusterStage::NonReps => {
-                            if cid == active as u32 {
-                                let needed = ceil_threshold(
-                                    self.plan.clusters[active].members.len(),
-                                    self.threshold,
-                                );
-                                if self.cluster_passed[active] + 1 + self.cluster_waived[active]
-                                    >= needed
-                                {
-                                    break;
-                                }
-                            }
-                        }
+                    let bound = match self.stage {
+                        // Could be the last rep the stage waits for (the
+                        // stage checks the literal reps, not
+                        // `counted_rep`); let `on_report` decide.
+                        Stage::Reps => self.waves[active].reps().contains(&m),
+                        Stage::NonReps => w == active as u32 && self.short_of(active) <= 1,
+                    };
+                    if bound {
+                        break;
                     }
                 }
                 Phase::Draining => {}
             }
-            if !self.completed && self.total_passed + 1 + self.waived.len() == self.machines.len() {
+            if !self.completed && self.total_passed + 1 + self.waived.len() == self.machine_count {
                 break;
             }
             // Mirror of `on_report`'s pass path, transitions excluded.
             self.status[idx] = MachineStatus::Passed;
             self.total_passed += 1;
-            if cid != NO_CLUSTER {
-                self.cluster_passed[cid as usize] += 1;
+            if w != NO_WAVE {
+                self.wave_passed[w as usize] += 1;
                 if is_rep {
                     self.reps_passed += 1;
                 }
@@ -484,14 +683,12 @@ impl Protocol for Staging {
 
     fn on_release(&mut self, release: Release, fixed: &ProblemSet) -> Vec<Command> {
         self.release = release;
-        let failed: Vec<MachineId> = self
-            .machines
-            .iter()
-            .copied()
-            .filter(|m| {
-                self.status[m.index()] == MachineStatus::Failed
-                    && self.failed_problem[m.index()].is_none_or(|p| fixed.contains(p))
+        let failed: Vec<MachineId> = (0..self.status.len())
+            .filter(|&i| {
+                self.status[i] == MachineStatus::Failed
+                    && self.failed_problem[i].is_none_or(|p| fixed.contains(p))
             })
+            .map(|i| MachineId(i as u32))
             .collect();
         let mut out = Vec::new();
         self.notify(failed, &mut out);
@@ -499,72 +696,20 @@ impl Protocol for Staging {
         out
     }
 
-    /// Timeout-based stage advancement (paper §5's offline-machine
-    /// degradation): when the `(passed + waived, release)` progress
-    /// marker has not moved for `stall_budget` ticks, the machines
-    /// blocking the *current* phase that are still marked `Testing` are
-    /// waived — their reports (and the driver's retries) would have
-    /// arrived by now if they were coming — and the wave advances.
     fn on_tick(&mut self, now: SimTime, stall_budget: Option<SimTime>) -> Vec<Command> {
-        let Some(budget) = stall_budget else {
-            return Vec::new();
-        };
-        if self.completed {
-            return Vec::new();
-        }
-        let marker = (self.total_passed + self.waived.len(), self.release.0);
-        if marker != self.last_marker {
-            self.last_marker = marker;
-            self.last_change = now;
-            return Vec::new();
-        }
-        if now.saturating_sub(self.last_change) < budget {
-            return Vec::new();
-        }
-        let targets: Vec<MachineId> = match self.phase {
-            Phase::Front => self.front_machines(),
-            Phase::Cluster(i) => {
-                let cluster = &self.plan.clusters[self.order[i]];
-                match self.stage {
-                    ClusterStage::Reps => cluster.reps.clone(),
-                    ClusterStage::NonReps => cluster.members.clone(),
-                }
-            }
-            Phase::Draining => self.machines.clone(),
-        };
-        let mut waived_any = false;
-        for m in targets {
-            let idx = m.index();
-            if self.status[idx] == MachineStatus::Testing && self.waived.insert(m) {
-                self.timeouts += 1;
-                self.telemetry.journal(JournalEvent::Waiver {
-                    machine: m.index() as u32,
-                    release: self.release.0,
-                });
-                let cid = self.cluster_of[idx];
-                if cid != NO_CLUSTER {
-                    self.cluster_waived[cid as usize] += 1;
-                    if self.counted_rep.contains(m) {
-                        self.waived_reps += 1;
-                    }
-                }
-                waived_any = true;
-            }
-        }
-        self.last_change = now;
-        let mut out = Vec::new();
-        if waived_any {
-            self.step(&mut out);
-        }
-        out
+        self.tick(now, stall_budget, true)
     }
 
     fn rep_timeouts(&self) -> u64 {
         self.timeouts
     }
 
+    fn wants_ticks(&self) -> bool {
+        self.gate != Gate::Report
+    }
+
     fn done(&self) -> bool {
-        self.total_passed + self.waived.len() == self.machines.len()
+        self.total_passed + self.waived.len() == self.machine_count
     }
 }
 
@@ -796,6 +941,14 @@ mod tests {
         assert_eq!(ceil_threshold(4, 1.0), 4);
         // Tiny thresholds on large clusters clamp up to one, not zero.
         assert_eq!(ceil_threshold(1_000, 0.0), 1);
+        // Decimal fractions whose binary product lands just above the
+        // integer do not round up past it.
+        assert_eq!(ceil_threshold(100, 0.55), 55);
+        assert_eq!(ceil_threshold(100, 0.07), 7);
+        assert_eq!(ceil_threshold(50, 0.14), 7);
+        // The sweeps' products are exact.
+        assert_eq!(ceil_threshold(5_000, 0.9), 4_500);
+        assert_eq!(ceil_threshold(125, 0.9), 113);
     }
 
     #[test]
@@ -925,28 +1078,81 @@ mod tests {
 
     /// The batch fast path must be observationally identical to the
     /// per-report path: drive the same pass storm through `on_report`
-    /// alone and through `absorb_passes` + `on_report` fallback, and
-    /// compare every emitted command stream.
+    /// alone and through `absorb_passes` + `on_report` fallback, with a
+    /// decision tick after every round, and compare every emitted
+    /// command stream. The four protocol rows are report-gated (the
+    /// tick does nothing); the Rolling-, Canary- and BlueGreen-shaped
+    /// cohort rows are tick-gated.
     #[test]
     fn absorb_passes_matches_on_report() {
         let pl = plan(&[
             (&["a0", "a1", "a2", "a3"], 1, 1.0),
             (&["b0", "b1", "b2", "b3"], 2, 2.0),
         ]);
+        let ids = |names: &[&str]| -> Vec<MachineId> {
+            names.iter().map(|n| pl.machine_id(n).unwrap()).collect()
+        };
+        let cohort_rows: Vec<(&str, Vec<Vec<MachineId>>, SimTime)> = vec![
+            (
+                "Rolling",
+                vec![
+                    ids(&["a0", "a1", "a2"]),
+                    ids(&["a3", "b0", "b1"]),
+                    ids(&["b2", "b3"]),
+                ],
+                0,
+            ),
+            (
+                "Canary",
+                vec![
+                    ids(&["a0", "a1"]),
+                    ids(&["a2", "a3", "b0", "b1", "b2", "b3"]),
+                ],
+                50,
+            ),
+            (
+                "BlueGreen",
+                vec![
+                    ids(&["a0", "b0", "b1"]),
+                    ids(&["a1", "a2", "a3", "b2", "b3"]),
+                ],
+                0,
+            ),
+        ];
+        /// A protocol row: its name and how to build it at a threshold.
+        type Row = (&'static str, Box<dyn Fn(f64) -> Staging>);
+        let mut rows: Vec<Row> = Vec::new();
         for choice in [
             ProtocolChoice::NoStaging,
             ProtocolChoice::Balanced,
             ProtocolChoice::FrontLoading,
             ProtocolChoice::RandomStaging { seed: 5 },
         ] {
+            let pl = pl.clone();
+            rows.push((
+                choice.name(),
+                Box::new(move |t| choice.build(pl.clone(), t)),
+            ));
+        }
+        for (name, runs, bake_time) in cohort_rows {
+            let pl = pl.clone();
+            rows.push((
+                name,
+                Box::new(move |t| Staging::cohorts(name, pl.clone(), runs.clone(), t, bake_time)),
+            ));
+        }
+        for (name, build) in &rows {
             for threshold in [1.0, 0.75, 0.5] {
-                let mut slow = choice.build(pl.clone(), threshold);
-                let mut fast = choice.build(pl.clone(), threshold);
+                let mut slow = build(threshold);
+                let mut fast = build(threshold);
                 let mut slow_cmds = slow.start();
                 assert_eq!(slow_cmds, fast.start());
                 // Keep delivering passes for whatever was notified until
                 // both complete, replaying each report once (duplicate).
-                for round in 0..8 {
+                for round in 0..16u64 {
+                    if slow.done() {
+                        break;
+                    }
                     let notified: Vec<(MachineId, Release)> = slow_cmds
                         .iter()
                         .flat_map(|c| match c {
@@ -956,9 +1162,6 @@ mod tests {
                             Command::Complete => Vec::new(),
                         })
                         .collect();
-                    if notified.is_empty() {
-                        break;
-                    }
                     // Duplicate every other report to exercise the
                     // stale/duplicate absorption arm.
                     let mut reports = Vec::new();
@@ -990,15 +1193,18 @@ mod tests {
                             rest = &rest[1..];
                         }
                     }
-                    assert_eq!(
-                        slow_cmds,
-                        fast_cmds,
-                        "{} t={threshold} round {round}",
-                        choice.name()
-                    );
+                    // The decision tick between rounds.
+                    let now = 25 * (round + 1);
+                    slow_cmds.extend(slow.on_tick(now, None));
+                    fast_cmds.extend(fast.on_tick(now, None));
+                    assert_eq!(slow_cmds, fast_cmds, "{name} t={threshold} round {round}");
                 }
-                assert_eq!(slow.done(), fast.done(), "{}", choice.name());
-                assert!(slow.done(), "{} never completed", choice.name());
+                assert_eq!(slow.done(), fast.done(), "{name}");
+                assert!(slow.done(), "{name} t={threshold} never completed");
+                assert_eq!(slow.widens(), fast.widens(), "{name}");
+                if slow.wants_ticks() {
+                    assert!(slow.widens() > 0, "{name} t={threshold} never widened");
+                }
             }
         }
     }

@@ -177,11 +177,14 @@ pub trait NamedProtocol {
     fn done(&self) -> bool;
 }
 
+/// The oracle's copy of [`crate::ceil_threshold`]: rounds
+/// `total × threshold` up after shaving off decimal-fraction error,
+/// at least one pass for a non-empty cluster.
 fn ceil_threshold(total: usize, threshold: f64) -> usize {
     if total == 0 {
         return 0;
     }
-    (((total as f64) * threshold).ceil() as usize).max(1)
+    (((total as f64) * threshold - 1e-9).ceil() as usize).max(1)
 }
 
 /// String-keyed NoStaging (retained pre-interning implementation).

@@ -8,30 +8,36 @@
 //! a rollback is an ordinary notification carrying [`PRIOR_RELEASE`],
 //! so it rides the hardened retry/backoff/churn path for free.
 //!
-//! Two operating modes, chosen by the plan's [`RolloutStrategy`]:
+//! Every strategy runs on one wire engine, [`Staging`]; the plan's
+//! [`RolloutStrategy`] picks the row:
 //!
-//! - **Staged** delegates the wire behaviour verbatim to the
-//!   [`Staging`] engine built from a [`ProtocolChoice`] (Balanced by
-//!   default), stall budget included. Without a guard the controller is
-//!   a transparent pass-through — bit-identical to running the staging
+//! - **Staged** is the [`ProtocolChoice`] row (Balanced by default):
+//!   cluster waves, representatives first, each opened by the report
+//!   that meets the threshold. Without a guard the controller is a
+//!   transparent pass-through — bit-identical to running the staging
 //!   protocol directly (a property test in `mirage-sim` proves it).
 //!   With a guard it adds abort authority on top of the paper's staging.
-//! - **Canary / Rolling / BlueGreen** run the controller's own cohort
-//!   engine: notify cohort 0, watch reports, and widen one cohort per
-//!   decision tick once the frontier cohort clears the pass threshold
-//!   (and, for canaries, its bake timer).
+//! - **Canary / Rolling / BlueGreen** hand the plan's cohorts to the
+//!   engine as waves with no representative prefix ([`Staging::cohorts`]),
+//!   each opened on a decision tick once the frontier cohort meets the
+//!   pass threshold, its bake time (canaries) has passed, and the guard
+//!   allows a widen.
 //!
-//! Decisions happen **only on ticks** ([`Protocol::on_tick`]) — the
-//! controller's decision clock. Each tick the attached [`UrrGuard`]
+//! Either way the engine supplies stall waivers, stale-release
+//! filtering and batch pass absorption; the controller adds the guard's
+//! hysteresis, the enrolment record, the revert wave and the
+//! [`RolloutOutcome`].
+//!
+//! Guard decisions happen **only on ticks** ([`Protocol::on_tick`]) —
+//! the controller's decision clock. Each tick the attached [`UrrGuard`]
 //! (if any) assesses live repository health; hysteresis counters turn
 //! raw verdicts into Widen / Hold / RollBack so a failure rate
 //! flapping around the threshold can neither abort the rollout nor
 //! let it widen.
 
-use mirage_deploy::protocol::MachineStatus;
 use mirage_deploy::{
-    Command, MachineId, MachineSet, ProblemId, ProblemSet, Protocol, ProtocolChoice, Release,
-    SimTime, Staging, TestOutcome, TestReport, PRIOR_RELEASE,
+    Command, MachineId, MachineSet, ProblemSet, Protocol, ProtocolChoice, Release, SimTime,
+    Staging, TestReport, PRIOR_RELEASE,
 };
 use mirage_telemetry::journal::RolloutStep;
 use mirage_telemetry::{JournalEvent, Telemetry};
@@ -80,43 +86,12 @@ pub struct RolloutOutcome {
     pub rollback: Option<RollbackInfo>,
 }
 
-/// Cohort-engine state (Canary / Rolling / BlueGreen modes).
-#[derive(Debug, Clone)]
-struct CohortEngine {
-    /// Per-machine deployment status, indexed by dense machine id.
-    status: Vec<MachineStatus>,
-    /// Cohort index per machine (dense; every machine is in exactly
-    /// one cohort). Keeps pass accounting O(1) per report.
-    cohort_of: Vec<u32>,
-    /// Last reported problem per machine (for fix re-notification).
-    failed_problem: Vec<Option<ProblemId>>,
-    /// Passing machines per cohort.
-    passes: Vec<usize>,
-    /// Next cohort to notify (0 = not started).
-    next_cohort: usize,
-    /// Machines enrolled and passed so far (completion check).
-    total_passed: usize,
-    /// When the frontier cohort first cleared the pass threshold
-    /// (feeds the canary bake timer). Reset on each widen.
-    ready_since: Option<SimTime>,
-}
-
-/// Which wire engine is running underneath the controller.
-#[derive(Debug, Clone)]
-enum Mode {
-    /// Transparent delegation to the staged engine.
-    Staged(Box<Staging>),
-    /// The controller's own cohort engine.
-    Cohort(CohortEngine),
-}
-
 /// A strategy-driven rollout state machine with optional URR-guarded
 /// abort authority. See the module docs for the operating model.
 #[derive(Debug, Clone)]
 pub struct RolloutController {
-    plan: RolloutPlan,
-    threshold: f64,
-    mode: Mode,
+    strategy: RolloutStrategy,
+    staging: Staging,
     guard: Option<UrrGuard>,
     telemetry: Telemetry,
     /// Machines notified of any forward release, in first-notification
@@ -133,43 +108,34 @@ pub struct RolloutController {
     /// Worst guard verdict observed (monotone).
     worst: RolloutHealth,
     rollback: Option<RollbackInfo>,
-    completed: bool,
 }
 
 impl RolloutController {
     /// Builds a controller over `plan`. `choice` selects the staging
-    /// protocol the `Staged` strategy delegates to (other strategies
-    /// run the cohort engine and ignore it); `threshold` is the
-    /// fraction of a cohort (or staging stage) that must pass before
-    /// widening.
+    /// protocol the `Staged` strategy runs (other strategies run their
+    /// cohorts and ignore it); `threshold` is the fraction of a cohort
+    /// (or staging wave) that must pass before widening.
     pub fn new(plan: RolloutPlan, choice: ProtocolChoice, threshold: f64) -> Self {
-        let n = plan.deploy.machine_count();
-        let mode = match plan.strategy {
-            RolloutStrategy::Staged { .. } => {
-                Mode::Staged(Box::new(choice.build(plan.deploy.clone(), threshold)))
+        let RolloutPlan {
+            deploy,
+            strategy,
+            cohorts,
+        } = plan;
+        let staging = match strategy {
+            RolloutStrategy::Staged { .. } => choice.build(deploy, threshold),
+            RolloutStrategy::Canary { bake_time, .. } => {
+                Staging::cohorts("Canary", deploy, cohorts, threshold, bake_time)
             }
-            _ => Mode::Cohort(CohortEngine {
-                status: vec![MachineStatus::Idle; n],
-                cohort_of: {
-                    let mut cohort_of = vec![0u32; n];
-                    for cohort in &plan.cohorts {
-                        for m in &cohort.machines {
-                            cohort_of[m.index()] = cohort.index as u32;
-                        }
-                    }
-                    cohort_of
-                },
-                failed_problem: vec![None; n],
-                passes: vec![0; plan.cohorts.len()],
-                next_cohort: 0,
-                total_passed: 0,
-                ready_since: None,
-            }),
+            RolloutStrategy::Rolling { .. } => {
+                Staging::cohorts("Rolling", deploy, cohorts, threshold, 0)
+            }
+            RolloutStrategy::BlueGreen => {
+                Staging::cohorts("BlueGreen", deploy, cohorts, threshold, 0)
+            }
         };
         RolloutController {
-            plan,
-            threshold,
-            mode,
+            strategy,
+            staging,
             guard: None,
             telemetry: Telemetry::noop(),
             enrolled: MachineSet::new(),
@@ -180,7 +146,6 @@ impl RolloutController {
             unhealthy_streak: 0,
             worst: RolloutHealth::clean(),
             rollback: None,
-            completed: false,
         }
     }
 
@@ -192,23 +157,13 @@ impl RolloutController {
     }
 
     /// Attaches a telemetry handle (decision counters, journal
-    /// events, rollout state gauge). A `Staged` delegation forwards
-    /// the handle to the inner staging protocol, so wave counters and
-    /// flight events land exactly as they would running it directly.
+    /// events, rollout state gauge). The engine underneath records into
+    /// the same handle, so wave counters and flight events land exactly
+    /// as they would running the staging protocol directly.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.mode = match self.mode {
-            Mode::Staged(inner) => {
-                Mode::Staged(Box::new((*inner).with_telemetry(telemetry.clone())))
-            }
-            cohort => cohort,
-        };
+        self.staging = self.staging.with_telemetry(telemetry.clone());
         self.telemetry = telemetry;
         self
-    }
-
-    /// The rollout plan this controller drives.
-    pub fn plan(&self) -> &RolloutPlan {
-        &self.plan
     }
 
     /// The rollback record, if the guard aborted the rollout.
@@ -228,76 +183,39 @@ impl RolloutController {
                 self.worst.reason.max(RolloutStatusReason::Widening),
             )
         };
-        let cohorts_widened = match &self.mode {
-            Mode::Staged(_) => 0,
-            Mode::Cohort(engine) => engine.next_cohort.saturating_sub(1),
-        };
         RolloutOutcome {
-            strategy: self.plan.strategy,
+            strategy: self.strategy,
             status,
             reason,
-            cohorts_widened,
+            cohorts_widened: self.staging.widens(),
             enrolled: self.enrolled.len(),
             reverted: self.reverted.len(),
             rollback: self.rollback,
         }
     }
 
-    /// Records every machine a forward `Notify` touches; pass-through
-    /// observation on the staged delegation path.
-    fn observe(&mut self, commands: &[Command]) {
-        for command in commands {
-            if let Command::Notify { machines, release } = command {
-                if *release == PRIOR_RELEASE {
-                    continue;
-                }
-                self.latest_release = self.latest_release.max(*release);
-                for &m in machines {
-                    if self.enrolled.insert(m) {
-                        self.enrolled_order.push(m);
+    /// Records every machine a forward `Notify` enrols, and the end of
+    /// the rollout; hands the engine's commands back.
+    fn observe(&mut self, commands: Vec<Command>) -> Vec<Command> {
+        for command in &commands {
+            match command {
+                Command::Notify { machines, .. } => {
+                    for &m in machines {
+                        if self.enrolled.insert(m) {
+                            self.enrolled_order.push(m);
+                        }
                     }
                 }
+                Command::Complete => self.telemetry.gauge("rollout.state", 0),
             }
         }
-    }
-
-    /// Notifies cohort `index` of the latest forward release.
-    fn notify_cohort(&mut self, index: usize) -> Command {
-        let machines = self.plan.cohorts[index].machines.clone();
-        let release = self.latest_release;
-        let command = Command::Notify { machines, release };
-        self.observe(std::slice::from_ref(&command));
-        if let Mode::Cohort(engine) = &mut self.mode {
-            for &m in &self.plan.cohorts[index].machines {
-                engine.status[m.index()] = MachineStatus::Testing;
-            }
-            engine.next_cohort = index + 1;
-            engine.ready_since = None;
-        }
-        command
-    }
-
-    /// Whether the frontier (most recently notified) cohort has
-    /// cleared the pass threshold.
-    fn frontier_ready(&self) -> bool {
-        let Mode::Cohort(engine) = &self.mode else {
-            return false;
-        };
-        if engine.next_cohort == 0 {
-            return false;
-        }
-        let frontier = engine.next_cohort - 1;
-        let size = self.plan.cohorts[frontier].len();
-        (engine.passes[frontier] as f64) + 1e-9 >= self.threshold * size as f64
+        commands
     }
 
     /// Executes the abort: journal + counters, then one revert wave
     /// over every enrolled machine.
     fn roll_back(&mut self, now: SimTime, reason: RolloutStatusReason) -> Vec<Command> {
-        let at_cohort = match &self.mode {
-            Mode::Staged(_) => 0,
-            Mode::Cohort(engine) => engine.next_cohort.saturating_sub(1),
-        };
+        let at_cohort = self.staging.widens();
         let machines: Vec<MachineId> = self
             .enrolled_order
             .iter()
@@ -323,26 +241,12 @@ impl RolloutController {
             },
         )]);
         if machines.is_empty() {
-            self.completed = true;
             return vec![Command::Complete];
         }
         vec![Command::Notify {
             machines,
             release: PRIOR_RELEASE,
         }]
-    }
-
-    /// Handles a report after a rollback: only revert confirmations
-    /// matter; forward-release stragglers are ignored.
-    fn on_report_rolled_back(&mut self, report: &TestReport) -> Vec<Command> {
-        if report.release == PRIOR_RELEASE && self.enrolled.contains(report.machine) {
-            self.reverted.insert(report.machine);
-            if self.reverted.len() == self.enrolled.len() && !self.completed {
-                self.completed = true;
-                return vec![Command::Complete];
-            }
-        }
-        Vec::new()
     }
 
     /// The guard's hysteresis step: updates streaks from one verdict
@@ -364,96 +268,40 @@ impl RolloutController {
         }
         None
     }
-
-    /// Whether the guard (if any) currently permits widening.
-    fn guard_allows_widen(&self) -> bool {
-        match &self.guard {
-            None => true,
-            Some(guard) => self.healthy_streak >= guard.settings.healthy_ticks,
-        }
-    }
 }
 
 impl Protocol for RolloutController {
     fn name(&self) -> &'static str {
-        match &self.mode {
-            Mode::Staged(inner) => inner.name(),
-            Mode::Cohort(_) => match self.plan.strategy {
-                RolloutStrategy::Canary { .. } => "Canary",
-                RolloutStrategy::Rolling { .. } => "Rolling",
-                RolloutStrategy::BlueGreen => "BlueGreen",
-                RolloutStrategy::Staged { .. } => "Staged",
-            },
-        }
+        self.staging.name()
     }
 
     fn start(&mut self) -> Vec<Command> {
         self.telemetry.gauge("rollout.state", 1);
-        match &mut self.mode {
-            Mode::Staged(inner) => {
-                let commands = inner.start();
-                self.observe(&commands);
-                commands
-            }
-            Mode::Cohort(_) => {
-                if self.plan.cohorts.is_empty() {
-                    self.completed = true;
-                    return vec![Command::Complete];
-                }
-                vec![self.notify_cohort(0)]
-            }
-        }
+        let commands = self.staging.start();
+        self.observe(commands)
     }
 
     fn on_report(&mut self, report: &TestReport) -> Vec<Command> {
-        if self.rollback.is_some() {
-            return self.on_report_rolled_back(report);
+        if self.rollback.is_none() {
+            let commands = self.staging.on_report(report);
+            return self.observe(commands);
         }
-        match &mut self.mode {
-            Mode::Staged(inner) => {
-                let commands = inner.on_report(report);
-                self.observe(&commands);
-                commands
-            }
-            Mode::Cohort(engine) => {
-                let m = report.machine.index();
-                match report.outcome {
-                    TestOutcome::Pass => {
-                        // Duplicate deliveries and stale-release passes
-                        // must not double-count.
-                        if engine.status[m] != MachineStatus::Passed {
-                            engine.status[m] = MachineStatus::Passed;
-                            engine.total_passed += 1;
-                            engine.passes[engine.cohort_of[m] as usize] += 1;
-                        }
-                    }
-                    TestOutcome::Fail { problem } => {
-                        if engine.status[m] != MachineStatus::Passed {
-                            engine.status[m] = MachineStatus::Failed;
-                            engine.failed_problem[m] = Some(problem);
-                        }
-                    }
-                }
-                if engine.next_cohort >= self.plan.cohorts.len()
-                    && engine.total_passed == self.enrolled.len()
-                    && !self.completed
-                {
-                    self.completed = true;
-                    self.telemetry.gauge("rollout.state", 0);
-                    return vec![Command::Complete];
-                }
-                Vec::new()
-            }
+        // After the abort only revert confirmations matter;
+        // forward-release stragglers are ignored.
+        let confirmed = report.release == PRIOR_RELEASE
+            && self.enrolled.contains(report.machine)
+            && self.reverted.insert(report.machine);
+        if confirmed && self.reverted.len() == self.enrolled.len() {
+            return vec![Command::Complete];
         }
+        Vec::new()
     }
 
     fn absorb_passes(&mut self, reports: &[(MachineId, Release)]) -> usize {
-        match &mut self.mode {
-            // Transparent on the staged path (pure observation cannot
-            // be affected by silently absorbed passes).
-            Mode::Staged(inner) if self.rollback.is_none() => inner.absorb_passes(reports),
-            _ => 0,
+        if self.rollback.is_some() {
+            return 0;
         }
+        self.staging.absorb_passes(reports)
     }
 
     fn on_release(&mut self, release: Release, fixed: &ProblemSet) -> Vec<Command> {
@@ -461,109 +309,43 @@ impl Protocol for RolloutController {
             // The abort already happened; a late fix changes nothing.
             return Vec::new();
         }
-        match &mut self.mode {
-            Mode::Staged(inner) => {
-                let commands = inner.on_release(release, fixed);
-                self.observe(&commands);
-                commands
-            }
-            Mode::Cohort(engine) => {
-                self.latest_release = self.latest_release.max(release);
-                let mut machines = Vec::new();
-                for (m, status) in engine.status.iter_mut().enumerate() {
-                    if *status == MachineStatus::Failed
-                        && engine.failed_problem[m].is_some_and(|p| fixed.contains(p))
-                    {
-                        *status = MachineStatus::Testing;
-                        machines.push(MachineId(m as u32));
-                    }
-                }
-                if machines.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![Command::Notify { machines, release }]
-                }
-            }
-        }
+        self.latest_release = self.latest_release.max(release);
+        let commands = self.staging.on_release(release, fixed);
+        self.observe(commands)
     }
 
     fn on_tick(&mut self, now: SimTime, stall_budget: Option<SimTime>) -> Vec<Command> {
-        if self.rollback.is_some() || self.completed {
+        if self.rollback.is_some() || self.done() {
             return Vec::new();
         }
         if let Some(reason) = self.guard_step() {
             return self.roll_back(now, reason);
         }
-        match &mut self.mode {
-            Mode::Staged(inner) => {
-                let commands = inner.on_tick(now, stall_budget);
-                self.observe(&commands);
-                commands
-            }
-            Mode::Cohort(_) => {
-                if !self.frontier_ready() {
-                    return Vec::new();
-                }
-                let Mode::Cohort(engine) = &mut self.mode else {
-                    unreachable!();
-                };
-                if engine.next_cohort >= self.plan.cohorts.len() {
-                    return Vec::new();
-                }
-                if engine.ready_since.is_none() {
-                    engine.ready_since = Some(now);
-                }
-                let baked = match self.plan.strategy {
-                    RolloutStrategy::Canary { bake_time, .. } => engine
-                        .ready_since
-                        .is_some_and(|since| now >= since.saturating_add(bake_time)),
-                    _ => true,
-                };
-                let next = engine.next_cohort;
-                if baked && self.guard_allows_widen() {
-                    self.telemetry.counter("rollout.widens", 1);
-                    self.telemetry.journal_timed(&[(
-                        now,
-                        JournalEvent::Rollout {
-                            step: RolloutStep::Widen,
-                            cohort: next as u32,
-                            machines: self.plan.cohorts[next].len() as u32,
-                        },
-                    )]);
-                    vec![self.notify_cohort(next)]
-                } else {
-                    self.telemetry.counter("rollout.holds", 1);
-                    Vec::new()
-                }
-            }
-        }
+        // The guard (if any) permits widening after enough clean ticks.
+        let allowed = self
+            .guard
+            .as_ref()
+            .is_none_or(|guard| self.healthy_streak >= guard.settings.healthy_ticks);
+        let commands = self.staging.tick(now, stall_budget, allowed);
+        self.observe(commands)
     }
 
     fn rep_timeouts(&self) -> u64 {
-        match &self.mode {
-            Mode::Staged(inner) => inner.rep_timeouts(),
-            Mode::Cohort(_) => 0,
-        }
+        self.staging.rep_timeouts()
     }
 
     fn wants_ticks(&self) -> bool {
         // Cohort widening and guard evaluation both run on the
-        // decision clock; an unguarded staged delegation stays
-        // clock-free (bit-identical to the bare staging protocol).
-        self.guard.is_some() || matches!(self.mode, Mode::Cohort(_))
+        // decision clock; an unguarded staged row stays clock-free
+        // (bit-identical to the bare staging protocol).
+        self.guard.is_some() || self.staging.wants_ticks()
     }
 
     fn done(&self) -> bool {
         if self.rollback.is_some() {
             return self.reverted.len() == self.enrolled.len();
         }
-        match &self.mode {
-            Mode::Staged(inner) => inner.done(),
-            Mode::Cohort(engine) => {
-                engine.next_cohort >= self.plan.cohorts.len()
-                    && engine.total_passed == self.enrolled.len()
-            }
-        }
+        self.staging.done()
     }
 }
 
@@ -571,7 +353,7 @@ impl Protocol for RolloutController {
 mod tests {
     use super::*;
     use crate::guard::GuardSettings;
-    use mirage_deploy::DeployPlan;
+    use mirage_deploy::{DeployPlan, ProblemId, TestOutcome};
     use mirage_report::{Report, ReportImage, Urr};
     use std::sync::Arc;
 
@@ -650,13 +432,24 @@ mod tests {
     fn duplicate_pass_reports_do_not_double_count() {
         let mut c = controller(RolloutStrategy::Rolling { batch_size: 4 });
         let _ = c.start();
-        c.on_report(&pass(MachineId(0)));
-        c.on_report(&pass(MachineId(0)));
-        let Mode::Cohort(engine) = &c.mode else {
-            panic!()
-        };
-        assert_eq!(engine.total_passed, 1);
-        assert_eq!(engine.passes[0], 1);
+        // Three distinct passes and a duplicate: counted twice, the
+        // duplicate would fill the 4-machine frontier and widen.
+        for m in [0, 0, 1, 2] {
+            assert!(c.on_report(&pass(MachineId(m))).is_empty());
+        }
+        assert!(c.on_tick(25, None).is_empty(), "3 of 4 passed: hold");
+        assert_eq!(c.outcome().cohorts_widened, 0);
+        assert!(c.on_report(&pass(MachineId(3))).is_empty());
+        let commands = c.on_tick(50, None);
+        assert!(matches!(&commands[0], Command::Notify { machines, .. } if machines.len() == 4));
+        assert_eq!(c.outcome().cohorts_widened, 1);
+        // Duplicates of the second batch do not complete it early.
+        for m in [4, 4, 5, 6] {
+            assert!(c.on_report(&pass(MachineId(m))).is_empty());
+        }
+        assert!(!c.done());
+        assert_eq!(c.on_report(&pass(MachineId(7))), vec![Command::Complete]);
+        assert_eq!(c.outcome().status, RolloutStatus::Clean);
     }
 
     #[test]
@@ -763,6 +556,28 @@ mod tests {
         let outcome = c.outcome();
         assert_eq!(outcome.status, RolloutStatus::Failed);
         assert_eq!(outcome.reverted, 4);
+    }
+
+    #[test]
+    fn guard_holds_a_ready_frontier_until_enough_clean_ticks() {
+        let urr = Arc::new(Urr::new());
+        let guard = UrrGuard::new(
+            Arc::clone(&urr),
+            GuardSettings {
+                healthy_ticks: 2,
+                ..GuardSettings::default()
+            },
+        );
+        let mut c = controller(RolloutStrategy::Rolling { batch_size: 4 }).with_guard(guard);
+        let _ = c.start();
+        for m in 0..4 {
+            c.on_report(&pass(MachineId(m)));
+        }
+        // The frontier is ready, but one clean tick is not two.
+        assert!(c.on_tick(25, None).is_empty());
+        let commands = c.on_tick(50, None);
+        assert!(matches!(&commands[0], Command::Notify { machines, .. } if machines.len() == 4));
+        assert_eq!(c.outcome().cohorts_widened, 1);
     }
 
     #[test]

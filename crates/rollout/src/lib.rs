@@ -63,5 +63,5 @@ pub mod status;
 pub use controller::{RollbackInfo, RolloutController, RolloutOutcome};
 pub use drive::{drive, WaveExecutor, WaveOutcome};
 pub use guard::{GuardSettings, UrrGuard};
-pub use plan::{Cohort, RolloutPlan, RolloutStrategy};
+pub use plan::{RolloutPlan, RolloutStrategy};
 pub use status::{RolloutHealth, RolloutStatus, RolloutStatusReason};

@@ -55,27 +55,6 @@ impl RolloutStrategy {
     }
 }
 
-/// One ordered rollout cohort: the machines notified together.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cohort {
-    /// Cohort position (0 = first exposed).
-    pub index: usize,
-    /// Member machine ids, in notification order.
-    pub machines: Vec<MachineId>,
-}
-
-impl Cohort {
-    /// Number of machines in the cohort.
-    pub fn len(&self) -> usize {
-        self.machines.len()
-    }
-
-    /// Returns `true` if the cohort has no machines.
-    pub fn is_empty(&self) -> bool {
-        self.machines.is_empty()
-    }
-}
-
 /// A deploy plan partitioned into strategy-ordered cohorts — the pure
 /// planning half of a rollout, with no driving state.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,9 +63,10 @@ pub struct RolloutPlan {
     pub deploy: DeployPlan,
     /// The strategy that shaped the cohorts.
     pub strategy: RolloutStrategy,
-    /// Non-empty cohorts in notification order; together they cover
-    /// every machine in the deploy plan exactly once.
-    pub cohorts: Vec<Cohort>,
+    /// Non-empty cohorts in notification order, each the machines
+    /// notified together; together they cover every machine in the
+    /// deploy plan exactly once.
+    pub cohorts: Vec<Vec<MachineId>>,
 }
 
 impl RolloutPlan {
@@ -148,16 +128,10 @@ impl RolloutPlan {
                 vec![reps, rest]
             }
         };
-        let cohorts = groups
-            .into_iter()
-            .filter(|g| !g.is_empty())
-            .enumerate()
-            .map(|(index, machines)| Cohort { index, machines })
-            .collect();
         RolloutPlan {
             deploy,
             strategy,
-            cohorts,
+            cohorts: groups.into_iter().filter(|g| !g.is_empty()).collect(),
         }
     }
 
@@ -166,12 +140,7 @@ impl RolloutPlan {
     /// enforces: a release aborted before any widen touches at most
     /// this many machines.
     pub fn exposure_limit(&self) -> usize {
-        self.cohorts.first().map_or(0, Cohort::len)
-    }
-
-    /// Total machines across all cohorts (the full fleet).
-    pub fn machine_count(&self) -> usize {
-        self.cohorts.iter().map(Cohort::len).sum()
+        self.cohorts.first().map_or(0, Vec::len)
     }
 }
 
@@ -200,7 +169,6 @@ mod tests {
 
     fn names(plan: &RolloutPlan, cohort: usize) -> Vec<&str> {
         plan.cohorts[cohort]
-            .machines
             .iter()
             .map(|&m| plan.deploy.machine_name(m))
             .collect()
@@ -218,12 +186,7 @@ mod tests {
             RolloutStrategy::BlueGreen,
         ] {
             let plan = RolloutPlan::new(deploy(), strategy);
-            assert_eq!(plan.machine_count(), 12, "{}", strategy.name());
-            let mut seen: Vec<u32> = plan
-                .cohorts
-                .iter()
-                .flat_map(|c| c.machines.iter().map(|m| m.0))
-                .collect();
+            let mut seen: Vec<u32> = plan.cohorts.iter().flatten().map(|m| m.0).collect();
             seen.sort_unstable();
             assert_eq!(seen, (0..12).collect::<Vec<_>>(), "{}", strategy.name());
             assert!(plan.cohorts.iter().all(|c| !c.is_empty()));
@@ -258,7 +221,7 @@ mod tests {
     fn rolling_batches_chunk_in_distance_order() {
         let plan = RolloutPlan::new(deploy(), RolloutStrategy::Rolling { batch_size: 5 });
         assert_eq!(
-            plan.cohorts.iter().map(Cohort::len).collect::<Vec<_>>(),
+            plan.cohorts.iter().map(Vec::len).collect::<Vec<_>>(),
             [5, 5, 2]
         );
         assert_eq!(names(&plan, 0), ["b0", "b1", "b2", "b3", "c0"]);
@@ -281,7 +244,7 @@ mod tests {
         let plan = RolloutPlan::new(deploy(), RolloutStrategy::Staged { waves: 2 });
         // 3 clusters into 2 waves: first wave takes two clusters.
         assert_eq!(
-            plan.cohorts.iter().map(Cohort::len).collect::<Vec<_>>(),
+            plan.cohorts.iter().map(Vec::len).collect::<Vec<_>>(),
             [8, 4]
         );
         assert_eq!(names(&plan, 1), ["a0", "a1", "a2", "a3"]);

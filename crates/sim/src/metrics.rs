@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use mirage_deploy::{DeployPlan, MachineId, ProblemId, ProblemTable};
+use mirage_deploy::{ceil_threshold, DeployPlan, MachineId, ProblemId, ProblemTable};
 
 use crate::engine::SimTime;
 
@@ -126,7 +126,9 @@ impl SimMetrics {
     }
 
     /// Computes each cluster's latency: the time the threshold fraction
-    /// of its members first had the upgrade integrated.
+    /// of its members first had the upgrade integrated, counted by the
+    /// rule wave advancement uses ([`ceil_threshold`]; an empty cluster
+    /// never gets a latency).
     ///
     /// This is the quantity plotted in the paper's Figures 10 and 11
     /// ("fraction of clusters" vs time); note clusters are scored against
@@ -136,7 +138,7 @@ impl SimMetrics {
         plan.clusters
             .iter()
             .map(|c| {
-                let needed = ((c.members.len() as f64) * threshold).ceil().max(1.0) as usize;
+                let needed = ceil_threshold(c.members.len(), threshold).max(1);
                 let mut times: Vec<SimTime> = c
                     .members
                     .iter()

@@ -9,11 +9,12 @@
 //! selects — the controller is just another
 //! [`mirage_deploy::Protocol`].
 //!
-//! An *unguarded* `Staged` strategy is a transparent delegation to the
-//! classic staging protocol: the property test in this module proves
-//! the run is bit-identical (metrics, journal, counters) to driving
-//! the staging protocol directly, which is what makes the
-//! plan/drive split of `Campaign::deploy` safe.
+//! Every strategy runs on the one staging engine. An *unguarded*
+//! `Staged` strategy is its `ProtocolChoice` row passed through: the
+//! property test in this module proves the run is bit-identical
+//! (metrics, journal, counters) to driving the staging protocol
+//! directly, which is what makes the plan/drive split of
+//! `Campaign::deploy` safe.
 
 use mirage_deploy::ProtocolChoice;
 use mirage_rollout::RolloutOutcome;
@@ -71,7 +72,8 @@ mod tests {
     /// a transparent pass-through — bit-identical simulation metrics,
     /// journal stream, and counters to driving the staging protocol
     /// directly. 24 cases: 3 scenario shapes × 4 protocol choices × 2
-    /// channel regimes (reliable, seeded lossy).
+    /// channel regimes (reliable, seeded lossy). (CI runs this by
+    /// name.)
     #[test]
     fn staged_rollout_is_bit_identical_to_direct_protocol() {
         let shapes: Vec<(&str, ScenarioBuilder)> = vec![
@@ -271,9 +273,10 @@ mod tests {
         );
     }
 
-    /// With no guard attached, every cohort strategy converges a
-    /// fixable release end-to-end: failures drive the vendor fix and
-    /// the cohort engine re-notifies exactly the failed machines.
+    /// With no guard attached, every strategy converges a fixable
+    /// release end-to-end: failures drive the vendor fix and the one
+    /// staging engine under every strategy re-notifies exactly the
+    /// failed machines. (CI runs this by name.)
     #[test]
     fn all_strategies_converge_a_fixable_release() {
         for strategy in [

@@ -142,9 +142,10 @@ impl Scenario {
     /// the registry the driver records into; pass [`Telemetry::noop`]
     /// for an unobserved run).
     ///
-    /// `choice` selects the staging protocol a `Staged` strategy
-    /// delegates to; cohort strategies (`Canary`/`Rolling`/`BlueGreen`)
-    /// ignore it. When the scenario carries both a repository
+    /// `choice` selects the staging protocol a `Staged` strategy runs;
+    /// cohort strategies (`Canary`/`Rolling`/`BlueGreen`) run their
+    /// cohorts on the same engine and ignore it. When the scenario
+    /// carries both a repository
     /// ([`ScenarioBuilder::with_urr`]) and guard thresholds
     /// ([`ScenarioBuilder::with_guard`]), the controller assesses live
     /// repository health on every decision tick and rolls the fleet

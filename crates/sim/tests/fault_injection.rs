@@ -6,6 +6,7 @@
 //! property in `proptests.rs`.
 
 use mirage_deploy::{MachineId, Protocol, ProtocolChoice};
+use mirage_rollout::RolloutStrategy;
 use mirage_sim::{FaultSpec, Scenario, ScenarioBuilder, SimTime, Simulation};
 use mirage_telemetry::Telemetry;
 
@@ -125,23 +126,43 @@ fn crashed_rep_is_waived_and_the_rest_of_the_fleet_converges() {
 
 /// The stall budget has one source, the scenario's fault plan: a
 /// rollout controller built by the scenario waives the crashed rep the
-/// same way the bare protocol does, with no second setter to forget.
+/// same way the bare protocol does, with no second setter to forget —
+/// under every strategy, since they all run on the one staging engine.
+/// The crashed machine sits in the second cluster, which is the second
+/// Rolling batch, the Canary remainder and one of BlueGreen's reps.
 #[test]
 fn rollout_controller_receives_the_scenarios_stall_budget() {
-    let scenario = ScenarioBuilder::new()
-        .clusters(3, 10, 1)
-        .faults(FaultSpec::new(31).crash_rep(1, 0).rep_timeout(200))
-        .build();
-    let total = scenario.plan.machine_count();
-    let mut controller = scenario.rollout_controller(ProtocolChoice::Balanced, Telemetry::noop());
-    let metrics = Simulation::new(&scenario).run(&mut controller);
-    assert!(
-        controller.done(),
-        "the waiver unblocks the staged delegation"
-    );
-    assert!(metrics.rep_timeouts >= 1, "the crashed rep was waived");
-    assert_eq!(metrics.passed_count(), total - 1);
-    assert!(metrics.completion_time.is_some());
+    for strategy in [
+        RolloutStrategy::Staged { waves: 2 },
+        RolloutStrategy::Rolling { batch_size: 10 },
+        RolloutStrategy::Canary {
+            percentage: 10.0,
+            bake_time: 50,
+        },
+        RolloutStrategy::BlueGreen,
+    ] {
+        let scenario = ScenarioBuilder::new()
+            .clusters(3, 10, 1)
+            .faults(FaultSpec::new(31).crash_rep(1, 0).rep_timeout(200))
+            .with_strategy(strategy)
+            .build();
+        let total = scenario.plan.machine_count();
+        let mut controller =
+            scenario.rollout_controller(ProtocolChoice::Balanced, Telemetry::noop());
+        let metrics = Simulation::new(&scenario).run(&mut controller);
+        let name = strategy.name();
+        assert_eq!(
+            metrics.passed_count(),
+            total - 1,
+            "{name}: everyone but the crashed rep passes"
+        );
+        assert!(
+            metrics.rep_timeouts >= 1,
+            "{name}: the crashed rep was waived"
+        );
+        assert!(metrics.completion_time.is_some(), "{name}: completion");
+        assert!(controller.done(), "{name}: the waiver unblocks the rollout");
+    }
 }
 
 /// Duplicated reports and notifications do not change convergence,
