@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use mirage_bench::doc::{round_to, write_document, BenchDoc};
-use mirage_bench::harness::{black_box, fmt_ns, Harness};
+use mirage_bench::harness::{black_box, Harness};
 use mirage_bench::{bar, render_cdf, render_table};
 use mirage_cluster::ClusterQuality;
 use mirage_deploy::ProtocolChoice;
@@ -78,7 +78,6 @@ const EXPERIMENTS: &[Experiment] = &[
     ("fault-sweep", false, "convergence vs message loss -> BENCH_faults.json", fault_sweep),
     ("sweep", false, "protocol x threshold x loss grid, one arena -> BENCH_sweep.json", sweep),
     ("urr-perf", false, "URR ingest + vendor queries -> BENCH_urr.json", urr_perf),
-    ("drift-perf", false, "drift engine vs reference loop -> BENCH_drift.json", drift_perf),
     ("trace", false, "journal overhead -> BENCH_trace.json + mirage-trace.json", trace),
     ("health", false, "per-wave health under 30% loss -> mirage-health.json", health),
     ("rollback-sweep", false, "guarded rollback grid -> BENCH_rollback.json", rollback_sweep),
@@ -842,283 +841,6 @@ fn urr_store_perf(ctx: &Ctx) {
             volume_label(n_main)
         );
     }
-}
-
-/// Benchmarks re-clustering after fleet drift — the batch drift engine
-/// on the dense interned plane vs the retained reference loop — and
-/// writes `BENCH_drift.json`.
-///
-/// The fleet is synthetic but adversarially bucketed: `envs`
-/// environments (distinct parsed diffs), each split into 4 config
-/// variants of `per_cluster` machines, so every candidate scan must
-/// pick between 4 same-environment clusters. The drift batch is
-/// power-law: a cubed uniform sample concentrates churn on the low
-/// environments, like a hot config pushed rack by rack; each delta
-/// rewrites a machine's config variant (deltas that land on the
-/// machine's current variant are genuine no-ops and exercise the
-/// fast path).
-///
-/// Three measurements:
-/// * the paired batch comparison (`drift/100k/batch-engine` vs
-///   `drift/100k/reference-loop`, interleaved samples, engine rebuild
-///   and reference fleet-map clone untimed on their own sides);
-/// * per-delta re-cluster latency on a persistent engine
-///   (`drift/100k/per-delta`, one sample per delta; the document's
-///   `recluster_p50_ns`/`recluster_p99_ns`);
-/// * a single-shot 1M-machine batch (`drift/1m/batch-engine`, marked
-///   `scale`; full runs only).
-///
-/// Before timing anything, the run drives both planes over the same
-/// batch and cross-checks their `DriftStats` and output clusterings —
-/// the `drift_counters_match` flag the bench gate requires — so the
-/// speedup is provably a comparison of equivalent work.
-///
-/// `--smoke` shrinks the fleet (5k machines, 100 deltas, no 1M row).
-fn drift_perf(ctx: &Ctx) {
-    use std::collections::BTreeMap;
-
-    use mirage_cluster::{
-        clustering_from_groups, drift_reference, Clustering, DriftEngine, DriftOp, MachineDelta,
-        MachineInfo,
-    };
-    use mirage_fingerprint::{DiffSet, Item};
-    use mirage_telemetry::Telemetry;
-
-    let smoke = ctx.smoke;
-    suite_heading(ctx, "Drift performance: batch engine vs reference loop");
-
-    const VARIANTS: usize = 4;
-    let diameter = 1usize;
-    let (envs, per_cluster, delta_count) = if smoke {
-        (10, 125, 100)
-    } else {
-        (200, 125, 1000)
-    };
-    let n_main = envs * VARIANTS * per_cluster;
-
-    /// `envs` environments x 4 config variants x `per` machines, grouped
-    /// into derived-consistent clusters.
-    fn fleet(envs: usize, per: usize) -> (Clustering, Vec<MachineInfo>) {
-        let mut groups = Vec::with_capacity(envs * VARIANTS);
-        for e in 0..envs {
-            for v in 0..VARIANTS {
-                groups.push(
-                    (0..per)
-                        .map(|m| {
-                            let mut diff = DiffSet::empty(format!("m-{e:04}-{v}-{m:04}"));
-                            diff.parsed.insert(Item::new([format!("env{e}")]));
-                            diff.content.insert(Item::new([format!("cfg{v}")]));
-                            MachineInfo::new(diff)
-                        })
-                        .collect(),
-                );
-            }
-        }
-        clustering_from_groups(&groups)
-    }
-
-    /// Power-law drift batch: each delta forces its machine onto a
-    /// random config variant (removing every variant first, so a delta
-    /// onto the current variant is a no-op).
-    fn drift_batch(seed: &mut u64, fleet: &[MachineInfo], count: usize) -> Vec<MachineDelta> {
-        let mut rng = move || {
-            *seed ^= *seed << 13;
-            *seed ^= *seed >> 7;
-            *seed ^= *seed << 17;
-            *seed
-        };
-        let all_cfgs: Vec<Item> = (0..VARIANTS)
-            .map(|v| Item::new([format!("cfg{v}")]))
-            .collect();
-        let total = fleet.len();
-        (0..count)
-            .map(|_| {
-                let r = (rng() % total as u64) as f64 / total as f64;
-                let idx = ((r * r * r) * total as f64) as usize;
-                let to = (rng() % VARIANTS as u64) as usize;
-                MachineDelta {
-                    machine: fleet[idx.min(total - 1)].id().to_string(),
-                    op: DriftOp::ConfigEdit {
-                        add: vec![all_cfgs[to].clone()],
-                        remove: all_cfgs.clone(),
-                    },
-                }
-            })
-            .collect()
-    }
-
-    let mut seed = 0x9e3779b97f4a7c15u64;
-    let (clustering, fleet_main) = fleet(envs, per_cluster);
-    let deltas = drift_batch(&mut seed, &fleet_main, delta_count);
-    assert_eq!(fleet_main.len(), n_main);
-
-    // --- Cross-plane verification (untimed): the batch the benchmark
-    // times must mean exactly the same thing to both planes.
-    let mut verify_engine = DriftEngine::new(&clustering, &fleet_main, diameter);
-    let engine_stats = verify_engine.recluster_batch(&deltas);
-    verify_engine.validate().expect("engine invariants");
-    let mut ref_map: BTreeMap<String, MachineInfo> = fleet_main
-        .iter()
-        .map(|m| (m.id().to_string(), m.clone()))
-        .collect();
-    let (ref_clustering, ref_stats) = drift_reference(
-        &clustering,
-        &mut ref_map,
-        &deltas,
-        diameter,
-        &Telemetry::noop(),
-    );
-    let counters_match = engine_stats == ref_stats && verify_engine.clustering() == ref_clustering;
-    println!(
-        "=> verification: {} applied ({} moves, {} adoptions, {} singletons, {} no-ops), \
-         {} distance evals; planes {}",
-        engine_stats.applied,
-        engine_stats.moves,
-        engine_stats.adoptions,
-        engine_stats.singletons,
-        engine_stats.noops,
-        engine_stats.dist_evals,
-        if counters_match { "agree" } else { "DIVERGED" }
-    );
-    drop(verify_engine);
-    drop(ref_clustering);
-
-    let mut h = Harness::new("drift-perf");
-
-    // --- Paired batch comparison, interleaved so both planes sample the
-    // same machine conditions. Setup stays untimed on both sides: the
-    // engine rebuild (pool lowering, bucket construction) for the batch
-    // plane, the fleet-map clone for the reference plane.
-    let engine_row = format!("drift/{}/batch-engine", volume_label(n_main));
-    let reference_row = format!("drift/{}/reference-loop", volume_label(n_main));
-    h.bench_paired_ns(
-        &engine_row,
-        &reference_row,
-        || {
-            let mut engine = DriftEngine::new(&clustering, &fleet_main, diameter);
-            let t0 = Instant::now();
-            black_box(engine.recluster_batch(&deltas));
-            t0.elapsed().as_nanos() as u64
-        },
-        || {
-            let mut map = ref_map.clone();
-            let t0 = Instant::now();
-            black_box(drift_reference(
-                &clustering,
-                &mut map,
-                &deltas,
-                diameter,
-                &Telemetry::noop(),
-            ));
-            t0.elapsed().as_nanos() as u64
-        },
-    );
-    drop(ref_map);
-
-    // --- Per-delta re-cluster latency on a persistent engine: the
-    // "machine drifted, how stale is the clustering" number.
-    let mut latency_engine = DriftEngine::new(&clustering, &fleet_main, diameter);
-    let mut per_delta: Vec<u64> = Vec::with_capacity(deltas.len());
-    for delta in &deltas {
-        let t0 = Instant::now();
-        black_box(latency_engine.recluster_batch(std::slice::from_ref(delta)));
-        per_delta.push(t0.elapsed().as_nanos() as u64);
-    }
-    let per_delta_row = format!("drift/{}/per-delta", volume_label(n_main));
-    h.record(&per_delta_row, per_delta);
-    drop(latency_engine);
-
-    // --- 1M-machine scale batch (full runs only): one honest sample.
-    let scale_1m = if smoke {
-        None
-    } else {
-        let (clustering_big, fleet_big) = fleet(500, 500);
-        let deltas_big = drift_batch(&mut seed, &fleet_big, 1000);
-        let mut engine_big = DriftEngine::new(&clustering_big, &fleet_big, diameter);
-        let mut stats_big = None;
-        let ns = h
-            .bench_scale("drift/1m/batch-engine", || {
-                stats_big = Some(engine_big.recluster_batch(&deltas_big));
-            })
-            .min_ns;
-        let stats_big = stats_big.expect("scale rows sample exactly once");
-        println!(
-            "=> 1M-machine batch: {} deltas ({} moves) in {}",
-            stats_big.applied + stats_big.noops,
-            stats_big.moves,
-            fmt_ns(ns as f64)
-        );
-        Some((ns as f64 / 1e9, stats_big.moves))
-    };
-
-    let speedup = h.speedup(&reference_row, &engine_row);
-    let lat = h.row(&per_delta_row);
-    let moves_per_sec = engine_stats.moves as f64 / (h.row(&engine_row).min_ns.max(1) as f64 / 1e9);
-    println!(
-        "=> batch engine is {speedup:.2}x the reference loop at {} machines / {} deltas \
-         (min-over-min); sustained {moves_per_sec:.0} moves/s",
-        volume_label(n_main),
-        deltas.len()
-    );
-    println!(
-        "=> re-cluster-after-drift latency: p50 {}, p99 {}",
-        fmt_ns(lat.p50_ns as f64),
-        fmt_ns(lat.p99_ns as f64)
-    );
-
-    let mut doc = BenchDoc::new(
-        "drift-perf",
-        format!(
-            "{envs} environments x {VARIANTS} config variants x {per_cluster} machines; {} \
-             power-law config-variant deltas per batch; batch engine = persistent interned \
-             plane (engine rebuild untimed per sample), reference = recluster_one loop over \
-             the retained plane (fleet-map clone untimed per sample); per-delta row times \
-             single-delta batches on one persistent engine; both planes verified to produce \
-             identical clusterings and drift counters on the measured batch before timing",
-            deltas.len()
-        ),
-    );
-    doc.set("smoke", smoke)
-        .set("machines", n_main)
-        .set("deltas", deltas.len())
-        .harness_rows(h.results())
-        .set("speedup_100k_vs_reference", round_to(speedup, 2))
-        .set("recluster_p50_ns", lat.p50_ns)
-        .set("recluster_p99_ns", lat.p99_ns)
-        .set("moves_per_sec", moves_per_sec.round())
-        .set(
-            "batch",
-            Value::obj([
-                ("applied", Value::from(engine_stats.applied)),
-                ("noops", Value::from(engine_stats.noops)),
-                ("moves", Value::from(engine_stats.moves)),
-                ("adoptions", Value::from(engine_stats.adoptions)),
-                ("singletons", Value::from(engine_stats.singletons)),
-                ("dist_evals", Value::from(engine_stats.dist_evals)),
-            ]),
-        );
-    if let Some((seconds, moves)) = scale_1m {
-        doc.set("scale_1m_seconds", round_to(seconds, 3))
-            .set("scale_1m_moves", moves);
-    }
-    doc.set("drift_counters_match", counters_match);
-    let path = doc.write(ctx.csv(), "BENCH_drift.json");
-
-    assert!(
-        counters_match,
-        "drift planes diverged on the measured batch; see {}",
-        path.display()
-    );
-    // In-binary regression floor: the acceptance threshold on full runs
-    // (the measured batch/reference gap is orders of magnitude wider, so
-    // runner noise cannot flake this), and a sanity >= 1x on smoke
-    // fleets where debug builds compress the gap.
-    let floor = if smoke { 1.0 } else { 5.0 };
-    assert!(
-        speedup >= floor,
-        "batch-engine speedup {speedup:.2}x fell below the {floor}x regression floor; see {}",
-        path.display()
-    );
 }
 
 /// Measures the sim-time journal's overhead on the paper's 100k-machine

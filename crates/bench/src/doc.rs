@@ -104,7 +104,7 @@ mod tests {
     fn written_documents_round_trip_through_the_parser() {
         let name = r#"suite/"quoted"\path"#;
         let note = "a \"note\" with a \\ and a\nnewline";
-        let mut doc = BenchDoc::new("drift-perf", note);
+        let mut doc = BenchDoc::new("sim-perf", note);
         doc.set("smoke", false)
             .harness_rows(&[
                 BenchStats::example(name, false),

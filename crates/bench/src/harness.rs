@@ -226,13 +226,6 @@ impl Harness {
         }
     }
 
-    /// Records a row from samples collected by the caller: a latency
-    /// distribution over distinct operations (one sample per drift
-    /// delta) rather than repeats of one workload.
-    pub fn record(&mut self, name: &str, samples_ns: Vec<u64>) {
-        self.push_row(name, None, false, samples_ns);
-    }
-
     fn push_row(&mut self, name: &str, bytes: Option<u64>, scale: bool, mut samples_ns: Vec<u64>) {
         samples_ns.sort_unstable();
         let n = samples_ns.len();

@@ -23,272 +23,156 @@
 //! is the classic incremental-maintenance trade-off; a periodic full
 //! recluster restores the canonical partition.
 //!
-//! This module holds the **reference plane**: [`reference::recluster_one`]
-//! moves one machine per call over plain `BTreeMap`s and owned
-//! `Cluster`s, and [`reference::drift_reference`] folds a delta stream
-//! through it one step at a time. It is deliberately simple — the batch
-//! [`crate::drift::DriftEngine`] is property-tested to be bit-identical
-//! to this loop (clusterings *and* `cluster.drift_*` counters) across
-//! seeded random drift streams.
+//! [`recluster_one`] moves one machine per call over plain `BTreeMap`s
+//! and owned `Cluster`s. No campaign calls it: the paper leaves
+//! incremental re-clustering to future work, and `tests/extensions.rs`
+//! demonstrates it after a configuration edit.
 
-pub mod reference {
-    //! The retained one-machine-at-a-time re-clustering reference.
+use std::collections::BTreeMap;
 
-    use std::collections::BTreeMap;
+use mirage_fingerprint::{ItemPool, LoweredDiff};
 
-    use mirage_fingerprint::{ItemPool, ItemSet, LoweredDiff};
-    use mirage_telemetry::Telemetry;
+use crate::cluster::{Cluster, ClusterId, Clustering, MachineInfo};
+use crate::engine::label_of;
 
-    use crate::cluster::{Cluster, ClusterId, Clustering, MachineInfo};
-    use crate::drift::{publish_drift_counters, DriftStats, MachineDelta};
+/// Moves `updated` to its best cluster after an environment change.
+///
+/// `machines` must hold the clustering inputs of every machine in
+/// `clustering` *except* possibly a stale entry for `updated.id()`,
+/// which is replaced.
+///
+/// # Panics
+///
+/// Panics if a clustering member other than the updated machine is
+/// missing from `machines`.
+pub fn recluster_one(
+    clustering: &Clustering,
+    machines: &BTreeMap<String, MachineInfo>,
+    updated: MachineInfo,
+    diameter: usize,
+) -> Clustering {
+    let updated_id = updated.id().to_string();
+    let info_of = |m: &str| -> &MachineInfo {
+        machines
+            .get(m)
+            .unwrap_or_else(|| panic!("machine {m} missing from inputs"))
+    };
 
-    /// Moves `updated` to its best cluster after an environment change.
-    ///
-    /// `machines` must hold the clustering inputs of every machine in
-    /// `clustering` *except* possibly a stale entry for `updated.id()`,
-    /// which is replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a clustering member other than the updated machine is
-    /// missing from `machines`.
-    pub fn recluster_one(
-        clustering: &Clustering,
-        machines: &BTreeMap<String, MachineInfo>,
-        updated: MachineInfo,
-        diameter: usize,
-    ) -> Clustering {
-        recluster_one_counted(clustering, machines, updated, diameter).0
-    }
+    // All content distances in this function involve the updated
+    // machine, so they run on the interned kernel: lower the updated
+    // diff once, lower each candidate member's diff at most once, and
+    // compare sorted u32 ids instead of `BTreeSet<Item>` strings. The
+    // kernel distance equals `DiffSet::content_distance` exactly.
+    let mut pool = ItemPool::new();
+    let updated_lowered = pool.lower(&updated.diff.content);
+    let mut lowered: BTreeMap<String, LoweredDiff> = BTreeMap::new();
 
-    /// Outcome of one reference re-clustering step, for drift counters.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct StepOutcome {
-        /// The machine joined an existing cluster (false = founded a
-        /// singleton).
-        pub adopted: bool,
-        /// Kernel distance evaluations performed by the candidate scan:
-        /// one per member visited, stopping at the first member past the
-        /// diameter (compatible clusters therefore cost exactly one eval
-        /// per member — the scan's sums are reused for the mean).
-        pub dist_evals: u64,
-    }
-
-    /// [`recluster_one`] returning the [`StepOutcome`] alongside the
-    /// clustering, so [`drift_reference`] can publish exact drift
-    /// counters.
-    pub fn recluster_one_counted(
-        clustering: &Clustering,
-        machines: &BTreeMap<String, MachineInfo>,
-        updated: MachineInfo,
-        diameter: usize,
-    ) -> (Clustering, StepOutcome) {
-        let updated_id = updated.id().to_string();
-        let info_of = |m: &str| -> &MachineInfo {
-            machines
-                .get(m)
-                .unwrap_or_else(|| panic!("machine {m} missing from inputs"))
-        };
-
-        // All content distances in this function involve the updated
-        // machine, so they run on the interned kernel: lower the updated
-        // diff once, lower each candidate member's diff at most once, and
-        // compare sorted u32 ids instead of `BTreeSet<Item>` strings. The
-        // kernel distance equals `DiffSet::content_distance` exactly.
-        let mut pool = ItemPool::new();
-        let updated_lowered = pool.lower(&updated.diff.content);
-        let mut lowered: BTreeMap<String, LoweredDiff> = BTreeMap::new();
-        let mut dist_evals = 0u64;
-
-        // 1. Remove the machine from its old cluster.
-        let mut clusters: Vec<Cluster> = Vec::new();
-        for c in &clustering.clusters {
-            if c.contains(&updated_id) {
-                if c.members.len() > 1 {
-                    let mut remaining = c.clone();
-                    remaining.members.retain(|m| m != &updated_id);
-                    recompute_derived(&mut remaining, &info_of);
-                    clusters.push(remaining);
-                }
-                // Empty cluster dropped.
-            } else {
-                clusters.push(c.clone());
+    // 1. Remove the machine from its old cluster.
+    let mut clusters: Vec<Cluster> = Vec::new();
+    for c in &clustering.clusters {
+        if c.contains(&updated_id) {
+            if c.members.len() > 1 {
+                let mut remaining = c.clone();
+                remaining.members.retain(|m| m != &updated_id);
+                recompute_derived(&mut remaining, &info_of);
+                clusters.push(remaining);
             }
+            // Empty cluster dropped.
+        } else {
+            clusters.push(c.clone());
         }
+    }
 
-        // 2. Find the best compatible cluster. Each member costs at most
-        // one kernel distance evaluation: the scan short-circuits at the
-        // first incompatible member, and the per-member distances are
-        // summed as they are checked so the mean needs no second pass.
-        let mut best: Option<(f64, usize)> = None;
-        for (idx, cluster) in clusters.iter().enumerate() {
-            let mut sum = 0usize;
-            let mut compatible = true;
-            for m in &cluster.members {
-                let info = if m == &updated_id {
+    // 2. Find the best compatible cluster. The scan short-circuits at
+    // the first incompatible member, and the per-member distances are
+    // summed as they are checked so the mean needs no second pass.
+    let mut best: Option<(f64, usize)> = None;
+    for (idx, cluster) in clusters.iter().enumerate() {
+        let mut sum = 0usize;
+        let mut compatible = true;
+        for m in &cluster.members {
+            let info = info_of(m);
+            if info.diff.parsed != updated.diff.parsed
+                || info.overlapping_apps != updated.overlapping_apps
+            {
+                compatible = false;
+                break;
+            }
+            let d = lowered
+                .entry(m.clone())
+                .or_insert_with(|| pool.lower(&info.diff.content))
+                .distance(&updated_lowered);
+            if d > diameter {
+                compatible = false;
+                break;
+            }
+            sum += d;
+        }
+        if !compatible {
+            continue;
+        }
+        let mean = if cluster.members.is_empty() {
+            0.0
+        } else {
+            sum as f64 / cluster.members.len() as f64
+        };
+        if best.map(|(b, _)| mean < b).unwrap_or(true) {
+            best = Some((mean, idx));
+        }
+    }
+
+    // 3. Adopt or found.
+    match best {
+        Some((_, idx)) => {
+            clusters[idx].members.push(updated_id.clone());
+            clusters[idx].members.sort();
+            // Derived fields are recomputed from the borrowed inputs
+            // plus the updated machine — no O(fleet) map clone.
+            let info_of2 = |m: &str| -> &MachineInfo {
+                if m == updated_id.as_str() {
                     &updated
                 } else {
                     info_of(m)
-                };
-                if info.diff.parsed != updated.diff.parsed
-                    || info.overlapping_apps != updated.overlapping_apps
-                {
-                    compatible = false;
-                    break;
                 }
-                let d = lowered
-                    .entry(m.clone())
-                    .or_insert_with(|| pool.lower(&info.diff.content))
-                    .distance(&updated_lowered);
-                dist_evals += 1;
-                if d > diameter {
-                    compatible = false;
-                    break;
-                }
-                sum += d;
-            }
-            if !compatible {
-                continue;
-            }
-            let mean: f64 = if cluster.members.is_empty() {
-                0.0
-            } else {
-                sum as f64 / cluster.members.len() as f64
             };
-            if best.map(|(b, _)| mean < b).unwrap_or(true) {
-                best = Some((mean, idx));
-            }
+            recompute_derived(&mut clusters[idx], &info_of2);
         }
-
-        // 3. Adopt or found.
-        let adopted = best.is_some();
-        match best {
-            Some((_, idx)) => {
-                clusters[idx].members.push(updated_id.clone());
-                clusters[idx].members.sort();
-                // Derived fields are recomputed from the borrowed inputs
-                // plus the updated machine — no O(fleet) map clone.
-                let info_of2 = |m: &str| -> &MachineInfo {
-                    if m == updated_id.as_str() {
-                        &updated
-                    } else {
-                        info_of(m)
-                    }
-                };
-                recompute_derived(&mut clusters[idx], &info_of2);
-            }
-            None => {
-                let next_id = clusters.iter().map(|c| c.id.0 + 1).max().unwrap_or(0);
-                clusters.push(Cluster {
-                    id: ClusterId(next_id),
-                    members: vec![updated_id],
-                    label: updated.diff.all_items(),
-                    app_set: updated.overlapping_apps.clone(),
-                    vendor_distance: updated.diff.vendor_distance() as f64,
-                });
-            }
+        None => {
+            let next_id = clusters.iter().map(|c| c.id.0 + 1).max().unwrap_or(0);
+            clusters.push(Cluster {
+                id: ClusterId(next_id),
+                members: vec![updated_id],
+                label: updated.diff.all_items(),
+                app_set: updated.overlapping_apps.clone(),
+                vendor_distance: updated.diff.vendor_distance() as f64,
+            });
         }
-        (
-            Clustering { clusters },
-            StepOutcome {
-                adopted,
-                dist_evals,
-            },
-        )
     }
-
-    /// Folds a drift-delta stream through [`recluster_one`] one step at
-    /// a time — the reference loop the batch
-    /// [`crate::drift::DriftEngine`] is property-tested against.
-    ///
-    /// Deltas whose application leaves the machine's input unchanged are
-    /// skipped entirely (no candidate scan, no distance evaluations),
-    /// matching the engine's no-op fast path. `machines` is updated in
-    /// place as deltas apply. Publishes the same `cluster.drift_*`
-    /// counters as the engine and returns them alongside the final
-    /// clustering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a delta names a machine missing from `machines` or not
-    /// present in the clustering.
-    pub fn drift_reference(
-        clustering: &Clustering,
-        machines: &mut BTreeMap<String, MachineInfo>,
-        deltas: &[MachineDelta],
-        diameter: usize,
-        telemetry: &Telemetry,
-    ) -> (Clustering, DriftStats) {
-        let mut current = clustering.clone();
-        let mut stats = DriftStats::default();
-        for delta in deltas {
-            let info = machines
-                .get(&delta.machine)
-                .unwrap_or_else(|| panic!("machine {} missing from inputs", delta.machine));
-            let next = delta.op.apply(info);
-            if next == *info {
-                stats.noops += 1;
-                continue;
-            }
-            let old_id = current
-                .cluster_of(&delta.machine)
-                .unwrap_or_else(|| panic!("machine {} not in clustering", delta.machine))
-                .id;
-            let (reclustered, outcome) =
-                recluster_one_counted(&current, machines, next.clone(), diameter);
-            let new_id = reclustered
-                .cluster_of(&delta.machine)
-                .expect("re-clustered machine must land in a cluster")
-                .id;
-            stats.applied += 1;
-            if new_id != old_id {
-                stats.moves += 1;
-            }
-            if outcome.adopted {
-                stats.adoptions += 1;
-            } else {
-                stats.singletons += 1;
-            }
-            stats.dist_evals += outcome.dist_evals;
-            machines.insert(delta.machine.clone(), next);
-            current = reclustered;
-        }
-        publish_drift_counters(telemetry, &stats);
-        (current, stats)
-    }
-
-    fn recompute_derived<'a, F>(cluster: &mut Cluster, info_of: &F)
-    where
-        F: Fn(&str) -> &'a MachineInfo,
-    {
-        let mut label = ItemSet::new();
-        let mut total = 0usize;
-        for m in &cluster.members {
-            let info = info_of(m);
-            label.extend(info.diff.all_items());
-            total += info.diff.vendor_distance();
-        }
-        cluster.label = label;
-        cluster.vendor_distance = if cluster.members.is_empty() {
-            0.0
-        } else {
-            total as f64 / cluster.members.len() as f64
-        };
-    }
+    Clustering { clusters }
 }
 
-pub use reference::{drift_reference, recluster_one, recluster_one_counted, StepOutcome};
+/// Recomputes a cluster's label (the union of its members' items) and
+/// vendor distance (their mean) from its members' inputs.
+fn recompute_derived<'a, F>(cluster: &mut Cluster, info_of: &F)
+where
+    F: Fn(&str) -> &'a MachineInfo,
+{
+    cluster.label = label_of(cluster.members.iter().map(|m| info_of(m)));
+    let total: usize = cluster
+        .members
+        .iter()
+        .map(|m| info_of(m).diff.vendor_distance())
+        .sum();
+    cluster.vendor_distance = total as f64 / cluster.members.len() as f64;
+}
 
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use crate::cluster::{Clustering, MachineInfo};
-    use crate::drift::{DriftOp, MachineDelta};
     use crate::engine::ClusterEngine;
     use mirage_fingerprint::{DiffSet, Item};
-    use mirage_telemetry::Telemetry;
 
     fn machine(id: &str, parsed: &[&str], content: &[&str]) -> MachineInfo {
         let mut diff = DiffSet::empty(id);
@@ -384,63 +268,5 @@ mod tests {
         next.validate_partition().unwrap();
         assert_eq!(next.len(), clustering.len());
         assert!(next.cluster_of("a").unwrap().contains("b"));
-    }
-
-    #[test]
-    fn counted_scan_is_one_eval_per_member() {
-        // Fleet: {a, b} share parsed "x" with contents one apart; c is
-        // parsed "y". Moving b within diameter keeps it adopted: the
-        // only compatible candidate is {a}, so exactly 1 eval.
-        let infos = vec![
-            machine("a", &["x"], &["w"]),
-            machine("b", &["x"], &["w"]),
-            machine("c", &["y"], &[]),
-        ];
-        let clustering = ClusterEngine::new(2).cluster(&infos);
-        let machines: BTreeMap<String, MachineInfo> =
-            infos.into_iter().map(|i| (i.id().to_string(), i)).collect();
-        let updated = machine("b", &["x"], &["w", "v"]);
-        let (next, outcome) = recluster_one_counted(&clustering, &machines, updated, 2);
-        next.validate_partition().unwrap();
-        assert!(outcome.adopted);
-        // Candidate {a} costs 1 eval; the parsed-"y" cluster costs none
-        // (its first member fails the parsed check before any distance).
-        assert_eq!(outcome.dist_evals, 1);
-    }
-
-    #[test]
-    fn drift_reference_counts_and_skips_noops() {
-        let (clustering, mut machines) = setup();
-        let deltas = vec![
-            // No-op: "a" already has parsed x and no content.
-            MachineDelta {
-                machine: "a".into(),
-                op: DriftOp::Uninstall {
-                    parsed: vec![Item::new(["nope"])],
-                    content: vec![],
-                },
-            },
-            // b moves to c's parsed-"y" cluster.
-            MachineDelta {
-                machine: "b".into(),
-                op: DriftOp::Install {
-                    parsed: vec![Item::new(["y"])],
-                    content: vec![],
-                },
-            },
-        ];
-        // Note b's parsed becomes {x, y}, which matches neither a nor c:
-        // it founds a singleton.
-        let (next, stats) =
-            drift_reference(&clustering, &mut machines, &deltas, 1, &Telemetry::noop());
-        next.validate_partition().unwrap();
-        assert_eq!(stats.noops, 1);
-        assert_eq!(stats.applied, 1);
-        assert_eq!(stats.singletons, 1);
-        assert_eq!(stats.adoptions, 0);
-        assert_eq!(stats.moves, 1);
-        // The machines map tracked the applied delta.
-        assert!(machines["b"].diff.parsed.contains(&Item::new(["y"])));
-        assert_eq!(next.cluster_of("b").unwrap().members, vec!["b"]);
     }
 }

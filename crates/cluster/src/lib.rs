@@ -29,7 +29,6 @@
 #![deny(deprecated)]
 
 pub mod cluster;
-pub mod drift;
 pub mod engine;
 pub mod incremental;
 pub mod metrics;
@@ -40,9 +39,8 @@ pub mod qt;
 pub mod split;
 
 pub use cluster::{Cluster, ClusterId, Clustering, MachineInfo};
-pub use drift::{clustering_from_groups, Cohesion, DriftEngine, DriftOp, DriftStats, MachineDelta};
 pub use engine::ClusterEngine;
-pub use incremental::{drift_reference, recluster_one, recluster_one_counted, StepOutcome};
+pub use incremental::recluster_one;
 pub use metrics::{ClusterQuality, ClusteringScore};
 pub use privacy::{machine_token, ClusterToken, PrivateClustering};
 pub use qt::{

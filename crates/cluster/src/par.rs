@@ -1,7 +1,6 @@
-//! Crate-private scoped-thread fan-out shared by the parallel hot paths.
+//! Crate-private scoped-thread fan-out for the parallel hot path.
 //!
-//! Both the QT distance-matrix fill ([`crate::qt`]) and the drift
-//! engine's candidate scans ([`crate::drift`]) follow the same std-only
+//! The QT distance-matrix fill ([`crate::qt`]) follows a std-only
 //! pattern: partition independent work items into per-thread buckets,
 //! run each bucket on a `std::thread::scope` worker, and rely on the
 //! items themselves (disjoint `&mut` slots) for output. Because every

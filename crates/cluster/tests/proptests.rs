@@ -3,10 +3,10 @@
 //! Populations are generated with a seeded xorshift generator, so every
 //! run exercises the same cases deterministically and offline.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use mirage_cluster::{ClusterEngine, MachineInfo};
-use mirage_fingerprint::{DiffSet, Item};
+use mirage_cluster::{recluster_one, ClusterEngine, MachineInfo};
+use mirage_fingerprint::{DiffSet, Item, ItemSet};
 
 /// Deterministic xorshift64 generator for test populations.
 struct Rng(u64);
@@ -112,6 +112,55 @@ fn cluster_members_agree_on_parsed_and_apps() {
                     "case {case}"
                 );
             }
+        }
+    }
+}
+
+/// §3.2.3's incremental move keeps a valid clustering: a stream of
+/// random single-machine environment changes, each applied with
+/// `recluster_one`, leaves a partition whose clusters respect the
+/// diameter, agree on parsed diffs and app sets, and carry the label
+/// and vendor distance their members imply. Re-applying the moved
+/// machine's current input changes nothing.
+#[test]
+fn recluster_one_keeps_a_valid_clustering() {
+    let mut rng = Rng::new(0xc9);
+    for case in 0..24 {
+        let fleet = population(&mut rng, 12);
+        let d = rng.below(6);
+        let mut clustering = ClusterEngine::new(d).cluster(&fleet);
+        let mut machines: BTreeMap<String, MachineInfo> =
+            fleet.into_iter().map(|m| (m.id().to_string(), m)).collect();
+        for step in 0..16 {
+            let id = rng.below(machines.len());
+            let updated = random_machine(&mut rng, id);
+            clustering = recluster_one(&clustering, &machines, updated.clone(), d);
+            machines.insert(updated.id().to_string(), updated.clone());
+            let at = format!("case {case} step {step}");
+
+            let seen = clustering.validate_partition().expect("partition");
+            assert_eq!(seen.len(), machines.len(), "{at}");
+            for c in &clustering.clusters {
+                let members: Vec<&MachineInfo> = c.members.iter().map(|m| &machines[m]).collect();
+                for a in &members {
+                    for b in &members {
+                        assert!(a.diff.content_distance(&b.diff) <= d, "{at}: diameter {d}");
+                    }
+                    assert_eq!(a.diff.parsed, members[0].diff.parsed, "{at}");
+                    assert_eq!(a.overlapping_apps, members[0].overlapping_apps, "{at}");
+                }
+                let label: ItemSet = members.iter().flat_map(|m| m.diff.all_items()).collect();
+                assert_eq!(c.label, label, "{at}: cluster {}", c.id);
+                let total: usize = members.iter().map(|m| m.diff.vendor_distance()).sum();
+                let mean = total as f64 / members.len() as f64;
+                assert_eq!(c.vendor_distance, mean, "{at}: cluster {}", c.id);
+            }
+
+            let again = recluster_one(&clustering, &machines, updated, d);
+            assert_eq!(
+                again, clustering,
+                "{at}: re-applying the same input moved something"
+            );
         }
     }
 }

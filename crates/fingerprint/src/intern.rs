@@ -39,7 +39,6 @@ use crate::item::{Item, ItemSet};
 #[derive(Debug, Default)]
 pub struct ItemPool {
     ids: HashMap<Item, u32>,
-    items: Vec<Item>,
 }
 
 impl ItemPool {
@@ -50,12 +49,12 @@ impl ItemPool {
 
     /// Number of distinct items interned so far.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.ids.len()
     }
 
     /// Returns `true` if no item has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.ids.is_empty()
     }
 
     /// Interns `item`, returning its id (allocating one on first sight).
@@ -67,24 +66,9 @@ impl ItemPool {
         if let Some(&id) = self.ids.get(item) {
             return id;
         }
-        let id = u32::try_from(self.items.len()).expect("more than u32::MAX distinct items");
+        let id = u32::try_from(self.ids.len()).expect("more than u32::MAX distinct items");
         self.ids.insert(item.clone(), id);
-        self.items.push(item.clone());
         id
-    }
-
-    /// Looks up the id of an already-interned item without allocating.
-    pub fn get(&self, item: &Item) -> Option<u32> {
-        self.ids.get(item).copied()
-    }
-
-    /// Resolves an interned id back to its [`Item`].
-    ///
-    /// Long-lived pools (e.g. a drift engine that refcounts cluster
-    /// labels by id) need the reverse mapping to materialise item sets
-    /// from dense ids; `item` is that inverse of [`ItemPool::intern`].
-    pub fn item(&self, id: u32) -> Option<&Item> {
-        self.items.get(id as usize)
     }
 
     /// Lowers an [`ItemSet`] to a [`LoweredDiff`] against this pool.
@@ -92,21 +76,9 @@ impl ItemPool {
     /// The resulting id vector is sorted (numerically), which is the
     /// invariant [`LoweredDiff::distance`] relies on.
     pub fn lower(&mut self, items: &ItemSet) -> LoweredDiff {
-        let mut out = LoweredDiff::default();
-        self.lower_into(items, &mut out);
-        out
-    }
-
-    /// Lowers `items` into an existing [`LoweredDiff`], reusing its
-    /// allocation.
-    ///
-    /// Hot incremental paths (re-lowering one drifted machine per delta
-    /// against a persistent pool) call this to avoid a fresh `Vec` per
-    /// update; the result is identical to [`ItemPool::lower`].
-    pub fn lower_into(&mut self, items: &ItemSet, out: &mut LoweredDiff) {
-        out.ids.clear();
-        out.ids.extend(items.iter().map(|i| self.intern(i)));
-        out.ids.sort_unstable();
+        let mut ids: Vec<u32> = items.iter().map(|i| self.intern(i)).collect();
+        ids.sort_unstable();
+        LoweredDiff { ids }
     }
 }
 
@@ -214,34 +186,6 @@ mod tests {
         let la = pool.lower(&da.content);
         let lb = pool.lower(&db.content);
         assert_eq!(la.distance(&lb), da.content_distance(&db));
-    }
-
-    #[test]
-    fn reverse_lookup_and_get() {
-        let mut pool = ItemPool::new();
-        let x = Item::new(["x"]);
-        let y = Item::new(["y"]);
-        assert_eq!(pool.get(&x), None);
-        let xid = pool.intern(&x);
-        let yid = pool.intern(&y);
-        assert_eq!(pool.get(&x), Some(xid));
-        assert_eq!(pool.item(xid), Some(&x));
-        assert_eq!(pool.item(yid), Some(&y));
-        assert_eq!(pool.item(99), None);
-        // `get` never allocates a new id.
-        assert_eq!(pool.get(&Item::new(["z"])), None);
-        assert_eq!(pool.len(), 2);
-    }
-
-    #[test]
-    fn lower_into_reuses_buffer_and_matches_lower() {
-        let mut pool = ItemPool::new();
-        let mut buf = pool.lower(&set(&["a", "b", "c"]));
-        let want = pool.lower(&set(&["q", "a"]));
-        pool.lower_into(&set(&["q", "a"]), &mut buf);
-        assert_eq!(buf, want);
-        pool.lower_into(&ItemSet::new(), &mut buf);
-        assert!(buf.is_empty());
     }
 
     #[test]
