@@ -1,24 +1,29 @@
 //! Validation of the committed `BENCH_*.json` documents.
 //!
-//! CI smoke steps regenerate benchmark JSONs and upload them, but the
-//! *committed* copies in the repository root are what EXPERIMENTS.md
-//! and the README cite — and nothing used to stop them from silently
-//! drifting (stale schema after a harness change, hand-mangled numbers,
-//! a truncated write). The `repro bench-check` subcommand — and the
-//! `committed_documents_pass_the_gate` unit test — run [`check`] over
-//! every committed document and fail when one no longer parses, no
-//! longer matches the expected schema, or no longer satisfies the
-//! invariants the CI smokes rely on.
+//! The committed documents in the repository root are what
+//! EXPERIMENTS.md and the README cite. They come in two kinds.
 //!
-//! What each document must satisfy is data: [`SUITES`] lists, per
+//! The experiment documents ([`EXPERIMENT_DOCUMENTS`]) hold
+//! deterministic results: the same tree writes the same bytes on any
+//! host. Tier-1 (`crates/bench/tests/experiments.rs`) regenerates each
+//! with its `repro` experiment and compares it byte for byte with the
+//! committed file, so no rule here reads them.
+//!
+//! The timing documents hold host-dependent measurements, so they are
+//! gated by invariants instead. The `repro bench-check` subcommand — and
+//! the `committed_documents_pass_the_gate` unit test — run [`check`]
+//! over each and fail when one no longer parses, no longer matches the
+//! expected schema, or no longer satisfies its invariants (stale schema
+//! after a harness change, hand-mangled numbers, a truncated write).
+//!
+//! What each timing document must satisfy is data: [`SUITES`] lists, per
 //! document, its file, its `suite` name and a few [`Rule`]s from a
 //! small closed set — harness rows well-formed, a row present, a row
 //! marked `scale`, a scalar within a span, a flag true or false, a
-//! p50 ≤ p99 pair, a converged sweep grid — and [`check`] is one
-//! interpreter over that table. Gating a new document is one more
-//! [`Suite`] entry. Two checks are genuinely logic and stay plain
-//! functions the table names: the rollback grid's containment argument
-//! and the `trace_sample` schema.
+//! p50 ≤ p99 pair — and [`check`] is one interpreter over that table.
+//! Gating a new document is one more [`Suite`] entry. One check is
+//! genuinely logic and stays a plain function the table names: the
+//! `trace_sample` schema.
 //!
 //! Harness rows must carry at least [`MIN_SAMPLES`] samples unless
 //! they are explicitly marked `"scale": true` — a single-observation
@@ -88,18 +93,21 @@ pub enum Rule {
     Flag(&'static str, bool),
     /// A latency pair is ordered: the first scalar ≤ the second.
     Ordered(&'static str, &'static str),
-    /// Every `results` row is a sweep cell — a `protocol`, these
-    /// numeric fields, `"converged": true` — and the document's
-    /// `all_converged` flag agrees with the rows.
-    Grid(&'static [&'static str]),
-    /// The rollback grid's containment argument (`rollback_containment`).
-    RollbackContainment,
     /// The embedded Chrome `trace_event` sample's schema
     /// (`trace_sample_schema`).
     TraceSample,
 }
 
-use Rule::{Flag, Grid, HarnessRows, Num, NumFullRun, Ordered, Row, ScaleRow};
+use Rule::{Flag, HarnessRows, Num, NumFullRun, Ordered, Row, ScaleRow};
+
+/// Every experiment document, with the `repro` experiment that writes
+/// it. Tier-1 runs each experiment and requires the written file to
+/// equal the committed one byte for byte.
+pub const EXPERIMENT_DOCUMENTS: &[(&str, &str)] = &[
+    ("fault-sweep", "BENCH_faults.json"),
+    ("rollback-sweep", "BENCH_rollback.json"),
+    ("sweep", "BENCH_sweep.json"),
+];
 
 /// One committed benchmark document and what it must satisfy.
 #[derive(Debug)]
@@ -112,7 +120,7 @@ pub struct Suite {
     pub rules: &'static [Rule],
 }
 
-/// Every committed document.
+/// Every committed timing document.
 pub const SUITES: &[Suite] = &[
     Suite {
         file: "BENCH_clustering.json",
@@ -151,31 +159,6 @@ pub const SUITES: &[Suite] = &[
         ],
     },
     Suite {
-        file: "BENCH_faults.json",
-        suite: "fault-sweep",
-        rules: &[Grid(&[
-            "loss_pct",
-            "failed_tests",
-            "msgs_dropped",
-            "retries_sent",
-            "rep_timeouts",
-        ])],
-    },
-    Suite {
-        file: "BENCH_sweep.json",
-        suite: "sim-sweep",
-        rules: &[
-            Num("workers", at_least(1.0)),
-            Grid(&[
-                "threshold",
-                "loss_pct",
-                "failed_tests",
-                "escaped",
-                "wall_ms",
-            ]),
-        ],
-    },
-    Suite {
         file: "BENCH_urr.json",
         suite: "urr-perf",
         rules: &[
@@ -207,15 +190,6 @@ pub const SUITES: &[Suite] = &[
             Num("journal_total", at_least(1.0)),
             Num("trace_events", at_least(1.0)),
             Rule::TraceSample,
-        ],
-    },
-    Suite {
-        file: "BENCH_rollback.json",
-        suite: "rollback-sweep",
-        rules: &[
-            Rule::RollbackContainment,
-            Flag("all_good_converged", true),
-            Flag("all_bad_contained", true),
         ],
     },
     Suite {
@@ -335,75 +309,6 @@ fn check_harness_row(row: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// The rollback grid's containment argument: every *good*-release row
-/// converged with no rollback (the guard must not false-positive a
-/// healthy fleet); every *bad*-release row contained — aborted with
-/// exposure inside the first-cohort limit, or converged through the
-/// vendor-fix path without one; and every bad `canary` row
-/// specifically rolled back (the headline containment claim), of which
-/// there must be at least one.
-fn rollback_containment(doc: &Value) -> Result<String, String> {
-    let rows = results(doc)?;
-    let mut bad_canary = 0usize;
-    for row in rows {
-        let strategy = string(row, "strategy")?;
-        let loss = num(row, "loss_pct")?;
-        let release = string(row, "release")?;
-        let label = format!("{strategy}/{release}@{loss}%");
-        let in_row = |e: String| format!("{label}: {e}");
-        if release != "good" && release != "bad" {
-            return Err(format!("{label}: unknown release kind '{release}'"));
-        }
-        if num(row, "machines").map_err(in_row)? < 1.0 {
-            return Err(format!("{label}: empty fleet"));
-        }
-        let exposed = num(row, "exposed").map_err(in_row)?;
-        let limit = num(row, "exposure_limit").map_err(in_row)?;
-        let converged = boolean(row, "converged").map_err(in_row)?;
-        let rolled_back = boolean(row, "rolled_back").map_err(in_row)?;
-        if release == "good" {
-            if rolled_back {
-                return Err(format!(
-                    "{label}: the guard aborted a good release (false positive)"
-                ));
-            }
-            if !converged {
-                return Err(format!("{label}: good release did not converge"));
-            }
-            continue;
-        }
-        if strategy == "canary" {
-            bad_canary += 1;
-            if !rolled_back {
-                return Err(format!(
-                    "{label}: a guarded canary must abort a bad release"
-                ));
-            }
-        }
-        if rolled_back {
-            if exposed > limit {
-                return Err(format!(
-                    "{label}: rollback exposed {exposed} machines, over the {limit} \
-                     first-cohort limit"
-                ));
-            }
-        } else if !converged {
-            return Err(format!(
-                "{label}: bad release neither rolled back nor converged"
-            ));
-        }
-    }
-    if bad_canary == 0 {
-        return Err(
-            "no bad-release canary rows: the headline containment claim is untested".to_string(),
-        );
-    }
-    Ok(format!(
-        "{} sweep rows; {bad_canary} bad canary rows all aborted within the cohort limit",
-        rows.len()
-    ))
-}
-
 /// The embedded head of the exported Perfetto document: every record a
 /// string `name`, a phase the exporter emits, numeric `pid`/`tid`, and
 /// a timestamp on everything but metadata.
@@ -474,27 +379,6 @@ fn apply(rule: &Rule, doc: &Value) -> Result<String, String> {
             }
             Ok(format!("{low} <= {high} ({lo:.0}/{hi:.0})"))
         }
-        Grid(numeric) => {
-            let rows = results(doc)?;
-            for row in rows {
-                let in_cell = |e: String| format!("{}: {e}", row.to_compact());
-                string(row, "protocol").map_err(in_cell)?;
-                for key in numeric {
-                    num(row, key).map_err(in_cell)?;
-                }
-                if !boolean(row, "converged").map_err(in_cell)? {
-                    return Err(in_cell("did not converge".to_string()));
-                }
-            }
-            if !boolean(doc, "all_converged")? {
-                return Err("'all_converged' is false while every row converged".to_string());
-            }
-            Ok(format!(
-                "{} grid rows, 100% convergence; all_converged agrees",
-                rows.len()
-            ))
-        }
-        Rule::RollbackContainment => rollback_containment(doc),
         Rule::TraceSample => trace_sample_schema(doc),
     }
 }
@@ -585,18 +469,18 @@ mod tests {
 
     /// `doc` with the harness row `name` renamed away.
     fn drop_row<'a>(doc: &Value, name: &'a str) -> (Value, &'a str) {
-        let path = format!("{}.name", row(doc, &[("name", name)]));
+        let path = format!("{}.name", row(doc, name));
         (with(doc, &path, "renamed"), name)
     }
 
-    /// `results.N` for the first row carrying all these string fields.
-    fn row(doc: &Value, fields: &[(&str, &str)]) -> String {
-        let has = |r: &Value, (k, v): &(&str, &str)| r.get(k).and_then(Value::as_str) == Some(v);
+    /// `results.N` for the harness row `name`.
+    fn row(doc: &Value, name: &str) -> String {
         let rows = doc.get("results").and_then(Value::as_array).unwrap();
-        let at = rows.iter().position(|r| fields.iter().all(|f| has(r, f)));
+        let named = |r: &Value| r.get("name").and_then(Value::as_str) == Some(name);
+        let at = rows.iter().position(named);
         format!(
             "results.{}",
-            at.unwrap_or_else(|| panic!("no row with {fields:?}"))
+            at.unwrap_or_else(|| panic!("no row '{name}'"))
         )
     }
 
@@ -635,10 +519,6 @@ mod tests {
         let regular = rows.and_then(|rows| rows.iter().position(|r| !is_scale(r)));
         let regular = format!("results.{}", regular.unwrap_or_default());
         let first = |key: &str| format!("{regular}.{key}");
-        // `doc` with `key` of the row at `path` replaced: breaks `why`.
-        let flip = |path: &str, key: &str, new: Value, why: &'a str| {
-            (with(doc, &format!("{path}.{key}"), new), why)
-        };
         match *rule {
             HarnessRows => {
                 // Two samples and no marker is a truncated measurement,
@@ -667,7 +547,7 @@ mod tests {
             ScaleRow(name) => {
                 // The row must exist and carry the marker, not sneak a
                 // single-sample measurement past the harness floor.
-                let marker = format!("{}.scale", row(doc, &[("name", name)]));
+                let marker = format!("{}.scale", row(doc, name));
                 vec![
                     drop_row(doc, name),
                     (edit(doc, &marker, None), name),
@@ -684,42 +564,6 @@ mod tests {
                 let above = num(doc, high).unwrap() + 1.0;
                 vec![set(doc, low, above), unset(doc, high)]
             }
-            Grid(numeric) => {
-                let mut broken = vec![
-                    (with(doc, &first("converged"), false), "did not converge"),
-                    // Flag flipped while the rows still say converged.
-                    set(doc, "all_converged", false),
-                    (edit(doc, &first("protocol"), None), "protocol"),
-                ];
-                broken.extend(numeric.iter().map(|k| (edit(doc, &first(k), None), *k)));
-                broken
-            }
-            Rule::RollbackContainment => {
-                let good = row(doc, &[("release", "good")]);
-                let canary = row(doc, &[("release", "bad"), ("strategy", "canary")]);
-                let staged = row(doc, &[("release", "bad"), ("strategy", "staged")]);
-                let is_canary = |r: &&Value| r.get("strategy") == Some(&Value::str("canary"));
-                let rows = rows.expect("grid rows").iter();
-                let others = Value::arr(rows.filter(|r| !is_canary(r)).cloned());
-                vec![
-                    // The guard aborted a good release, or it never converged.
-                    flip(&good, "rolled_back", true.into(), "false positive"),
-                    flip(&good, "converged", false.into(), "did not converge"),
-                    // Exposure over the first-cohort limit: the abort
-                    // fired after the bad release had already widened.
-                    flip(&canary, "exposed", 1e9.into(), "first-cohort limit"),
-                    // A bad canary that never rolled back.
-                    flip(&canary, "rolled_back", false.into(), "must abort"),
-                    // A bad staged row that neither rolled back nor
-                    // converged: the regression escaped, nothing stopped it.
-                    flip(&staged, "converged", false.into(), "neither rolled back"),
-                    // Without a bad canary row the headline claim is untested.
-                    (with(doc, "results", others), "no bad-release canary"),
-                    flip(&good, "release", "ugly".into(), "unknown release kind"),
-                    flip(&good, "machines", 0u32.into(), "empty fleet"),
-                    (edit(doc, &format!("{canary}.exposed"), None), "'exposed'"),
-                ]
-            }
             Rule::TraceSample => {
                 let sample = doc.get("trace_sample").and_then(Value::as_array).unwrap();
                 let metadata = |ev: &Value| ev.get("ph") == Some(&Value::str("M"));
@@ -727,7 +571,10 @@ mod tests {
                 let record = format!("trace_sample.{timeline}");
                 vec![
                     // Unknown trace_event phase in the sampled export.
-                    flip(&record, "ph", "Q".into(), "unknown trace_event phase 'Q'"),
+                    (
+                        with(doc, &format!("{record}.ph"), "Q"),
+                        "unknown trace_event phase 'Q'",
+                    ),
                     // A timeline record without a timestamp.
                     (edit(doc, &format!("{record}.ts"), None), "'ts'"),
                     (edit(doc, &format!("{record}.pid"), None), "'pid'"),
@@ -750,15 +597,25 @@ mod tests {
     #[test]
     fn committed_documents_pass_the_gate() {
         // The gate knows its documents from the tree: a suite whose
-        // document was deleted, or a document no suite gates, fails here.
+        // document was deleted, or a document that neither a suite nor
+        // the experiment comparison checks, fails here.
         let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
         let on_disk: BTreeSet<String> = std::fs::read_dir(&root)
             .unwrap_or_else(|e| panic!("{root}: {e}"))
             .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
             .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
             .collect();
-        let gated: BTreeSet<String> = SUITES.iter().map(|s| s.file.to_string()).collect();
-        assert_eq!(on_disk, gated, "BENCH_*.json at the root vs SUITES[].file");
+        let experiments = EXPERIMENT_DOCUMENTS.iter().map(|(_, file)| *file);
+        let gated: BTreeSet<String> = SUITES
+            .iter()
+            .map(|s| s.file)
+            .chain(experiments)
+            .map(String::from)
+            .collect();
+        assert_eq!(
+            on_disk, gated,
+            "BENCH_*.json at the root vs SUITES[].file and EXPERIMENT_DOCUMENTS"
+        );
         for suite in SUITES {
             let notes =
                 gate(suite, &committed(suite)).unwrap_or_else(|e| panic!("{}: {e}", suite.file));

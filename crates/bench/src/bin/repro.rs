@@ -20,9 +20,10 @@
 //! written to `<path>` as pretty-printed JSON. Passing `--telemetry`
 //! alone selects the `telemetry` experiment.
 //!
-//! `--smoke` shrinks the suites' fleets and volumes so CI can exercise
-//! every path in debug builds; `MIRAGE_BENCH_MS` sets the per-benchmark
-//! sampling budget (default 150 ms).
+//! `--smoke` shrinks the fleets and volumes of `urr-perf`, `trace`,
+//! `health` and `urr-store-perf` so CI can exercise every path quickly;
+//! `MIRAGE_BENCH_MS` sets the per-benchmark sampling budget (default
+//! 150 ms).
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -82,14 +83,14 @@ const EXPERIMENTS: &[Experiment] = &[
     ("health", false, "per-wave health under 30% loss -> mirage-health.json", health),
     ("rollback-sweep", false, "guarded rollback grid -> BENCH_rollback.json", rollback_sweep),
     ("urr-store-perf", false, "durable URR: WAL, recovery, serving -> BENCH_storage.json", urr_store_perf),
-    ("bench-check", false, "gate the BENCH_*.json in --csv dir (default .); exit 1", bench_check),
+    ("bench-check", false, "gate the timing BENCH_*.json in --csv dir (default .); exit 1", bench_check),
 ];
 
 fn usage() -> String {
     let mut out = String::from(
         "usage: repro [experiment] [--csv <dir>] [--telemetry <path>] [--smoke]\n\n\
          experiments (* = part of `all`, the default; --smoke shrinks the fleet or\n\
-         volume of every suite below sim-perf):\n",
+         volume of urr-perf, trace, health and urr-store-perf):\n",
     );
     for (name, in_all, help, _) in EXPERIMENTS {
         let mark = if *in_all { '*' } else { ' ' };
@@ -140,14 +141,15 @@ fn main() {
     }
 }
 
-/// Validates every committed `BENCH_*.json` document against the checks
-/// in [`mirage_bench::benchgate`] and exits non-zero when any fails —
-/// the `bench-check` CI gate. Documents are read from the `--csv`
-/// directory when given, the working directory otherwise.
+/// Validates every committed timing `BENCH_*.json` document against the
+/// checks in [`mirage_bench::benchgate`] and exits non-zero when any
+/// fails — the `bench-check` CI gate. Documents are read from the `--csv`
+/// directory when given, the working directory otherwise. The experiment
+/// documents are not read here: tier-1 regenerates and compares them.
 fn bench_check(ctx: &Ctx) {
     use mirage_bench::benchgate::{check, SUITES};
 
-    heading("Bench gate: validating committed BENCH_*.json documents");
+    heading("Bench gate: validating committed timing BENCH_*.json documents");
     let dir = ctx.csv().unwrap_or_else(|| Path::new("."));
     let mut failures = 0usize;
     for suite in SUITES {
@@ -172,7 +174,7 @@ fn bench_check(ctx: &Ctx) {
         println!("=> {failures} document(s) failed the bench gate");
         std::process::exit(1);
     }
-    println!("=> all committed benchmark documents pass the gate");
+    println!("=> all committed timing documents pass the gate");
 }
 
 fn heading(title: &str) {
@@ -1093,7 +1095,7 @@ fn health(ctx: &Ctx) {
 fn fault_sweep(ctx: &Ctx) {
     use mirage_sim::FaultSpec;
 
-    suite_heading(ctx, "Fault sweep: convergence vs message-loss rate");
+    heading("Fault sweep: convergence vs message-loss rate");
 
     let protocols = [
         ProtocolChoice::NoStaging,
@@ -1102,7 +1104,7 @@ fn fault_sweep(ctx: &Ctx) {
     ];
     let loss_pcts: &[u32] = &[0, 5, 10, 15, 20, 25, 30];
     let mut rows: Vec<Value> = Vec::new();
-    let mut all_converged = true;
+    let mut converged_everywhere = true;
 
     for &loss_pct in loss_pcts {
         let loss = loss_pct as f64 / 100.0;
@@ -1112,14 +1114,14 @@ fn fault_sweep(ctx: &Ctx) {
             .duplication(loss / 2.0)
             .delay(10)
             .rep_timeout(4_000);
-        let scenario = late_problem_fleet(ctx.smoke).faults(spec).build();
+        let scenario = late_problem_fleet(false).faults(spec).build();
         let total = scenario.machine_count();
         for choice in protocols {
             let protocol = choice.name();
             let m = Simulation::new(&scenario)
                 .run(&mut choice.build(scenario.plan.clone(), scenario.threshold));
             let converged = m.passed_count() == total;
-            all_converged &= converged;
+            converged_everywhere &= converged;
             println!(
                 "  loss {loss_pct:>2}%  {protocol:<12}  passed {:>6}/{total}  completion {:?}  \
                  retries {}  dropped {}  waived {}",
@@ -1142,16 +1144,7 @@ fn fault_sweep(ctx: &Ctx) {
         }
     }
 
-    println!(
-        "=> {} under every loss rate up to 30%",
-        if all_converged {
-            "all protocols converged to 100%"
-        } else {
-            "CONVERGENCE FAILURES (see rows)"
-        }
-    );
-
-    let (clusters, size) = fleet_dims(ctx.smoke);
+    let (clusters, size) = fleet_dims(false);
     let mut doc = BenchDoc::new(
         "fault-sweep",
         format!(
@@ -1160,15 +1153,14 @@ fn fault_sweep(ctx: &Ctx) {
             clusters * size
         ),
     );
-    doc.set("smoke", ctx.smoke)
-        .grid_rows(rows)
-        .set("all_converged", all_converged);
+    doc.grid_rows(rows);
     let path = doc.write(ctx.csv(), "BENCH_faults.json");
     assert!(
-        all_converged,
+        converged_everywhere,
         "fault sweep found non-converging runs; see {}",
         path.display()
     );
+    println!("=> all protocols converged to 100% under every loss rate up to 30%");
 }
 
 /// A sim time that may not have been reached, as a number or `null`.
@@ -1186,7 +1178,7 @@ fn optional(time: Option<u64>) -> Value {
 /// must be contained: aborted with exposure inside the first-cohort
 /// limit, or (classic staging) held at the representatives until the
 /// vendor fix lands. The committed document is the evidence behind the
-/// containment claim in EXPERIMENTS.md, so the run asserts the flags.
+/// containment claim in EXPERIMENTS.md, so the run asserts it.
 fn rollback_sweep(ctx: &Ctx) {
     use std::sync::Arc;
 
@@ -1195,13 +1187,9 @@ fn rollback_sweep(ctx: &Ctx) {
     use mirage_sim::FaultSpec;
     use mirage_telemetry::Telemetry;
 
-    let smoke = ctx.smoke;
-    suite_heading(
-        ctx,
-        "Rollback sweep: guarded strategies vs a fleet-wide regression",
-    );
+    heading("Rollback sweep: guarded strategies vs a fleet-wide regression");
 
-    let (clusters, size) = fleet_dims(smoke);
+    let (clusters, size) = fleet_dims(false);
     let machines = clusters * size;
     let loss_pcts: &[u32] = &[0, 10, 20, 30];
     let strategies = [
@@ -1231,7 +1219,7 @@ fn rollback_sweep(ctx: &Ctx) {
     // Good releases converge untouched; bad ones are contained — rolled
     // back inside the first-cohort limit or converged through the
     // vendor fix — and a guarded canary aborts every one of them.
-    let (mut all_good_converged, mut all_bad_contained, mut bad_canary_aborts) = (true, true, true);
+    let (mut good_converged, mut bad_contained, mut canary_aborted) = (true, true, true);
 
     for &loss_pct in loss_pcts {
         let loss = loss_pct as f64 / 100.0;
@@ -1279,15 +1267,15 @@ fn rollback_sweep(ctx: &Ctx) {
                     m.completion_time,
                 );
                 if release == "good" {
-                    all_good_converged &= converged && !rolled_back;
+                    good_converged &= converged && !rolled_back;
                 } else {
-                    all_bad_contained &= if rolled_back {
+                    bad_contained &= if rolled_back {
                         exposed <= exposure_limit
                     } else {
                         converged
                     };
                     if matches!(strategy, RolloutStrategy::Canary { .. }) {
-                        bad_canary_aborts &= rolled_back;
+                        canary_aborted &= rolled_back;
                     }
                 }
                 rows.push(Value::obj([
@@ -1305,20 +1293,6 @@ fn rollback_sweep(ctx: &Ctx) {
         }
     }
 
-    println!(
-        "=> good releases: {}; bad releases: {}",
-        if all_good_converged {
-            "all converged, no false-positive aborts"
-        } else {
-            "CONVERGENCE FAILURES (see rows)"
-        },
-        if all_bad_contained && bad_canary_aborts {
-            "all contained (canary aborted every one)"
-        } else {
-            "CONTAINMENT FAILURES (see rows)"
-        }
-    );
-
     let mut doc = BenchDoc::new(
         "rollback-sweep",
         format!(
@@ -1328,26 +1302,26 @@ fn rollback_sweep(ctx: &Ctx) {
             guard.max_failure_population
         ),
     );
-    doc.set("smoke", smoke)
-        .set("machines", machines)
-        .grid_rows(rows)
-        .set("all_good_converged", all_good_converged)
-        .set("all_bad_contained", all_bad_contained);
+    doc.set("machines", machines).grid_rows(rows);
     let path = doc.write(ctx.csv(), "BENCH_rollback.json");
     assert!(
-        all_good_converged,
+        good_converged,
         "a good release failed to converge (or was aborted); see {}",
         path.display()
     );
     assert!(
-        all_bad_contained,
+        bad_contained,
         "a bad release escaped containment; see {}",
         path.display()
     );
     assert!(
-        bad_canary_aborts,
+        canary_aborted,
         "a guarded canary failed to abort a bad release; see {}",
         path.display()
+    );
+    println!(
+        "=> good releases: all converged, no false-positive aborts; \
+         bad releases: all contained (canary aborted every one)"
     );
 }
 
@@ -1367,33 +1341,29 @@ fn rollback_sweep(ctx: &Ctx) {
 /// document does not depend on the machine that produced it (the cells
 /// are bit-identical at any count). Every cell must converge to a full
 /// fleet pass; the run exits non-zero otherwise.
-///
-/// `--smoke` shrinks the fleet to 8×125 and the grid to threshold 1.0 ×
-/// loss {0, 20}%.
 fn sweep(ctx: &Ctx) {
     use mirage_sim::{FaultSpec, SimArena};
 
     const WORKERS: usize = 8;
-    let smoke = ctx.smoke;
-    suite_heading(ctx, "Sweep: protocol x threshold x loss grid, shared arena");
+    heading("Sweep: protocol x threshold x loss grid, shared arena");
 
     let protocols = [
         ProtocolChoice::NoStaging,
         ProtocolChoice::Balanced,
         ProtocolChoice::FrontLoading,
     ];
-    let thresholds: &[f64] = if smoke { &[1.0] } else { &[1.0, 0.9] };
-    let loss_pcts: &[u32] = if smoke { &[0, 20] } else { &[0, 10, 20] };
+    let thresholds: &[f64] = &[1.0, 0.9];
+    let loss_pcts: &[u32] = &[0, 10, 20];
 
     let mut cells: Vec<Value> = Vec::new();
-    let mut all_converged = true;
+    let mut converged_everywhere = true;
     let mut arena = SimArena::new();
     let sweep_started = Instant::now();
 
     for &loss_pct in loss_pcts {
         // One scenario per loss rate, shared by every protocol and
         // threshold cell at that rate.
-        let mut builder = late_problem_fleet(smoke);
+        let mut builder = late_problem_fleet(false);
         if loss_pct > 0 {
             let loss = f64::from(loss_pct) / 100.0;
             builder = builder.faults(
@@ -1414,12 +1384,12 @@ fn sweep(ctx: &Ctx) {
                     .workers(WORKERS)
                     .arena(&mut arena)
                     .run(&mut protocol);
-                let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+                let ms = t0.elapsed().as_secs_f64() * 1e3;
                 let converged = m.passed_count() == total;
-                all_converged &= converged;
+                converged_everywhere &= converged;
                 println!(
                     "  loss {loss_pct:>2}%  thr {threshold:.1}  {:<12}  passed {:>6}/{total}  \
-                     completion {:?}  failed {}  escaped {}  ({wall_ms:.1} ms)",
+                     completion {:?}  failed {}  escaped {}  ({ms:.1} ms)",
                     choice.name(),
                     m.passed_count(),
                     m.completion_time,
@@ -1434,43 +1404,33 @@ fn sweep(ctx: &Ctx) {
                     ("completion_time", optional(m.completion_time)),
                     ("failed_tests", Value::from(m.failed_tests)),
                     ("escaped", Value::from(m.escaped_problems)),
-                    ("wall_ms", Value::from(round_to(wall_ms, 1))),
                 ]));
             }
         }
     }
 
-    println!(
-        "=> {} cells in {:.2} s on one arena ({WORKERS} workers): {}",
-        cells.len(),
-        sweep_started.elapsed().as_secs_f64(),
-        if all_converged {
-            "all converged to a full fleet pass"
-        } else {
-            "CONVERGENCE FAILURES (see rows)"
-        }
-    );
-
-    let (clusters, size) = fleet_dims(smoke);
+    let (clusters, size) = fleet_dims(false);
+    let cell_count = cells.len();
     let mut doc = BenchDoc::new(
         "sim-sweep",
         format!(
             "{} machines ({clusters}x{size}), problems placed late; grid = protocol x threshold x loss with \
              duplication = loss/2, delay uniform 0..=10, rep_timeout 4000, seeded per loss \
-             rate; every cell runs on the sharded driver in one shared SimArena; wall_ms is \
-             informational (host-dependent)",
+             rate; every cell runs on the sharded driver in one shared SimArena",
             clusters * size
         ),
     );
-    doc.set("smoke", smoke)
-        .set("workers", WORKERS)
-        .grid_rows(cells)
-        .set("all_converged", all_converged);
+    doc.set("workers", WORKERS).grid_rows(cells);
     let path = doc.write(ctx.csv(), "BENCH_sweep.json");
     assert!(
-        all_converged,
+        converged_everywhere,
         "sweep found non-converging cells; see {}",
         path.display()
+    );
+    println!(
+        "=> {cell_count} cells in {:.2} s on one arena ({WORKERS} workers): \
+         all converged to a full fleet pass",
+        sweep_started.elapsed().as_secs_f64(),
     );
 }
 

@@ -5,7 +5,9 @@
 //! `results` rows (harness rows or grid rows), and derived scalars.
 //! Serialisation, string escaping, the output path and the `(wrote …)`
 //! line live here and nowhere else; the bench gate
-//! ([`crate::benchgate`]) reads back exactly what this writes.
+//! ([`crate::benchgate`]) reads back exactly what this writes, and the
+//! experiment documents' byte comparison relies on this being the one
+//! layout.
 
 use std::path::{Path, PathBuf};
 
