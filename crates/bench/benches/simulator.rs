@@ -21,7 +21,7 @@ fn main() {
     let scenario = sound_scenario(ProblemPlacement::Late);
     // Telemetry overhead on the 100k-machine run: the noop handle
     // (instrumentation compiled in, recorder absent) and a live registry
-    // recording counters, spans, gauges and flight events.
+    // recording counters, spans, gauges and journal entries.
     h.bench("simulator/fig10-100k/Balanced-telemetry-noop", || {
         Simulation::new(&scenario)
             .with_telemetry(Telemetry::noop())

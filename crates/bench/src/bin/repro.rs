@@ -16,7 +16,7 @@
 //! With `--telemetry <path>`, an instrumented deployment simulation and
 //! a full instrumented Apache ACL campaign are run, and the combined
 //! metrics snapshot — phase span timings, named counters, the sim's
-//! queue-depth high-water gauge, and the campaign flight-event log — is
+//! queue-depth high-water gauge, and per-kind journal counts — is
 //! written to `<path>` as pretty-printed JSON. Passing `--telemetry`
 //! alone selects the `telemetry` experiment.
 //!
@@ -73,7 +73,7 @@ const EXPERIMENTS: &[Experiment] = &[
     ("fig10", true, "deployment latency CDFs, sound clustering (§4.3.2)", fig10),
     ("fig11", true, "deployment latency CDFs, imperfect clustering (§4.3.2)", fig11),
     ("overhead", true, "upgrade-overhead comparison (§4.3.2)", overhead),
-    ("telemetry", true, "instrumented flight dump; needs --telemetry <path>", telemetry_dump),
+    ("telemetry", true, "instrumented journal dump; needs --telemetry <path>", telemetry_dump),
     ("clustering-perf", false, "clustering hot path -> BENCH_clustering.json", clustering_perf),
     ("sim-perf", false, "simulator, 100k to 10M machines -> BENCH_sim.json", sim_perf),
     ("fault-sweep", false, "convergence vs message loss -> BENCH_faults.json", fault_sweep),
@@ -874,8 +874,8 @@ fn trace(ctx: &Ctx) {
     let machines = scenario.machine_count();
 
     // Paired overhead benchmark: the journaled closure attaches a bare
-    // `Journal` as the recorder (no registry, no counters, no flight
-    // ring), so the delta is the journal's own cost — the clock stores,
+    // `Journal` as the recorder (no registry, no counters, no spans),
+    // so the delta is the journal's own cost — the clock stores,
     // every record call, and the spill. The journal is reused across
     // samples (reset keeps its allocations warm) so one-time page
     // faults don't masquerade as per-run overhead.
@@ -1725,12 +1725,14 @@ fn clustering_perf(ctx: &Ctx) {
 
 /// Runs an instrumented deployment simulation plus a full instrumented
 /// Apache ACL campaign and writes the combined registry snapshot (span
-/// timings, counters, gauges, flight-event log) as JSON to the
+/// timings, counters, gauges, per-kind journal counts) as JSON to the
 /// `--telemetry` path.
 ///
-/// The simulation runs first so its high-volume per-machine events
-/// cannot evict the campaign's flight log from the bounded ring; exact
-/// per-kind event *counts* include evicted events either way.
+/// Both runs journal into one bounded ring, each on a clock that starts
+/// at 0: the simulation's entries are stamped on its clock, the
+/// campaign's on its drive's decision ticks. The ring therefore holds
+/// two timelines, so only the per-kind counts are exported; they are
+/// exact whatever the ring evicted.
 fn telemetry_dump(ctx: &Ctx) {
     use std::sync::Arc;
 
@@ -1791,12 +1793,12 @@ fn telemetry_dump(ctx: &Ctx) {
     let snap = registry.snapshot();
     std::fs::write(path, snap.to_json()).expect("write telemetry snapshot");
     println!(
-        "  wrote {} ({} counters, {} span paths, {} gauges, {} flight events)",
+        "  wrote {} ({} counters, {} span paths, {} gauges, {} journal entries)",
         path.display(),
         snap.counters.len(),
         snap.spans.len(),
         snap.gauges.len(),
-        snap.events_total
+        snap.journal_total
     );
 }
 

@@ -34,7 +34,7 @@ use mirage_rollout::{
     GuardSettings, RollbackInfo, RolloutController, RolloutPlan, RolloutStrategy, UrrGuard,
     WaveExecutor, WaveOutcome,
 };
-use mirage_telemetry::{FlightEvent, Telemetry};
+use mirage_telemetry::{JournalEvent, Telemetry, NO_PROBLEM};
 
 use crate::agent::UserAgent;
 use crate::vendor::Vendor;
@@ -106,7 +106,7 @@ impl Campaign {
     }
 
     /// Attaches a telemetry handle to the campaign *and* its vendor, so
-    /// planning spans, clustering counters, per-round flight events, and
+    /// planning spans, clustering counters, the drive's journal and
     /// protocol wave events all land in one recorder.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.vendor.telemetry = telemetry.clone();
@@ -233,7 +233,10 @@ impl Campaign {
 ///
 /// The executor works in [`MachineId`]: the plan owns the one name ↔ id
 /// table, and a name is rendered only where an owned one is stored —
-/// [`CampaignResult::integrated`], a URR [`Report`], a flight event.
+/// [`CampaignResult::integrated`] and a URR [`Report`]. It journals what
+/// the simulator journals for the same transitions — `Notify`, `Test`
+/// and `UrrDeposit` — over the same dense ids, stamped with the drive's
+/// tick clock.
 struct FleetExecutor<'a> {
     vendor: &'a Vendor,
     agents: &'a mut [UserAgent],
@@ -299,13 +302,12 @@ impl<'a> FleetExecutor<'a> {
             if self.agent_of[machine.index()].is_none() {
                 continue;
             }
-            let machine_name = plan.machine_name(machine);
             self.telemetry.counter("campaign.reverts", 1);
-            self.telemetry.event_with(|| FlightEvent::MachineNotified {
-                machine: machine_name.to_string(),
+            self.telemetry.journal(JournalEvent::Notify {
+                machine: machine.index() as u32,
                 release: PRIOR_RELEASE.0,
             });
-            self.integrated.remove(machine_name);
+            self.integrated.remove(plan.machine_name(machine));
             reports.push(TestReport {
                 machine,
                 release: PRIOR_RELEASE,
@@ -316,6 +318,22 @@ impl<'a> FleetExecutor<'a> {
             reports,
             shipped: None,
         }
+    }
+
+    /// Journals one validation and the deposit of its report; `problem`
+    /// is the interned failure signature, or [`NO_PROBLEM`] on a pass.
+    fn journal_validation(&self, machine: u32, release: Release, problem: u16) {
+        let release = release.0;
+        self.telemetry.journal(JournalEvent::Test {
+            machine,
+            release,
+            problem,
+        });
+        self.telemetry.journal(JournalEvent::UrrDeposit {
+            machine,
+            release,
+            problem,
+        });
     }
 
     /// Ships one corrected release fixing every newly diagnosed
@@ -329,9 +347,6 @@ impl<'a> FleetExecutor<'a> {
         }
         self.releases.push(next);
         self.telemetry.counter("campaign.releases_shipped", 1);
-        self.telemetry.event_with(|| FlightEvent::ReleaseShipped {
-            release: (self.releases.len() - 1) as u32,
-        });
         // The protocol matches failure *signatures* (app/detail
         // strings), while fixes are tracked by problem id. A corrected
         // release here fixes every diagnosed problem, so every known
@@ -365,21 +380,18 @@ impl WaveExecutor for FleetExecutor<'_> {
                 self.telemetry.counter("campaign.unplanned_machines", 1);
                 continue;
             };
-            // Boundary: the name reports and flight events carry,
-            // borrowed from the plan's table.
+            // Boundary: the name reports carry, borrowed from the
+            // plan's table.
             let machine_name = plan.machine_name(machine);
-            self.telemetry.event_with(|| FlightEvent::MachineNotified {
-                machine: machine_name.to_string(),
+            let id = machine.index() as u32;
+            self.telemetry.journal(JournalEvent::Notify {
+                machine: id,
                 release: release.0,
             });
             let current = &self.releases[release.0 as usize];
             let validation = self.agents[agent_idx].test_upgrade(&self.vendor.repo, current);
             self.telemetry.counter("campaign.validations", 1);
             if validation.passed() {
-                self.telemetry.event_with(|| FlightEvent::TestPassed {
-                    machine: machine_name.to_string(),
-                    release: release.0,
-                });
                 self.agents[agent_idx].integrate(&self.vendor.repo, current);
                 self.integrated.insert(machine_name.to_string(), release.0);
                 self.urr.deposit(Report::success(
@@ -388,6 +400,7 @@ impl WaveExecutor for FleetExecutor<'_> {
                     &current.package.name,
                     current.package.version.to_string(),
                 ));
+                self.journal_validation(id, release, NO_PROBLEM);
                 reports.push(TestReport {
                     machine,
                     release,
@@ -399,11 +412,6 @@ impl WaveExecutor for FleetExecutor<'_> {
                 let agent = &self.agents[agent_idx];
                 let (app, kind) = validation.first_failure().expect("failed validation");
                 let signature = format!("{app}/{kind}");
-                self.telemetry.event_with(|| FlightEvent::TestFailed {
-                    machine: machine_name.to_string(),
-                    release: release.0,
-                    problem: signature.clone(),
-                });
                 let image = agent.report_image(&validation);
                 self.urr.deposit(Report::failure(
                     machine_name,
@@ -414,24 +422,20 @@ impl WaveExecutor for FleetExecutor<'_> {
                     kind.to_string(),
                     image,
                 ));
+                let problem = self.signatures.intern(&signature);
+                self.journal_validation(id, release, problem.0);
                 // Vendor reproduces the failure from the image and
                 // identifies the underlying problems.
                 for pid in self.vendor.diagnose(current, &agent.machine) {
                     if !self.fixed.contains(&pid) && !new_problems.iter().any(|p| p.0 == pid) {
                         self.telemetry.counter("campaign.problems_discovered", 1);
-                        self.telemetry
-                            .event_with(|| FlightEvent::ProblemDiscovered {
-                                problem: pid.clone(),
-                            });
                         new_problems.push(ProblemId(pid));
                     }
                 }
                 reports.push(TestReport {
                     machine,
                     release,
-                    outcome: TestOutcome::Fail {
-                        problem: self.signatures.intern(&signature),
-                    },
+                    outcome: TestOutcome::Fail { problem },
                 });
             }
         }
@@ -600,6 +604,9 @@ mod tests {
 
     #[test]
     fn telemetry_records_campaign_flight() {
+        use mirage_telemetry::health::{self, WatchdogConfig};
+        use mirage_telemetry::json::Value;
+        use mirage_telemetry::trace_export::{chrome_trace, TraceConfig};
         use mirage_telemetry::{Registry, Telemetry};
 
         let (campaign, upgrade, ref_fp) = build_campaign();
@@ -634,22 +641,54 @@ mod tests {
             snap.spans["campaign.deploy/round"].count,
             result.rounds as u64
         );
-        // Flight events: every kind of campaign event appears.
-        for kind in [
-            "machine_notified",
-            "test_passed",
-            "test_failed",
-            "problem_discovered",
-            "release_shipped",
-            "wave_advanced",
-        ] {
-            assert!(
-                snap.event_counts.get(kind).copied().unwrap_or(0) >= 1,
-                "missing flight event kind {kind}"
-            );
+        // The drive journals what the simulator journals: a Notify per
+        // notification, a Test and a URR deposit per validation.
+        let journal = &snap.journal_counts;
+        assert!(journal["notify"] >= 6);
+        assert_eq!(journal["test"], snap.counters["campaign.validations"]);
+        assert_eq!(journal["urr_deposit"], journal["test"]);
+        assert!(journal["wave_advance"] >= 1);
+        let entries = registry.journal().entries();
+        let failing = entries
+            .iter()
+            .filter(
+                |e| matches!(e.event, JournalEvent::Test { problem, .. } if problem != NO_PROBLEM),
+            )
+            .count();
+        assert_eq!(failing, 1);
+
+        // The simulator's consumers read the live journal as they are.
+        let mut machine_cluster = vec![0; plan.deploy.machines.len()];
+        for cluster in &plan.deploy.clusters {
+            for m in &cluster.members {
+                machine_cluster[m.index()] = cluster.id as u32;
+            }
         }
-        assert_eq!(snap.event_counts["test_failed"], 1);
-        assert_eq!(snap.event_counts["release_shipped"], 1);
+        let run_end = registry.journal().now();
+        let frames = health::rollup(
+            &entries,
+            &machine_cluster,
+            run_end,
+            &WatchdogConfig::default(),
+        );
+        let failures: u64 = frames.iter().map(|f| f.tests_failed).sum();
+        assert_eq!(failures, result.failed_validations as u64);
+        let trace = chrome_trace(
+            &entries,
+            run_end,
+            &|m| plan.deploy.machine_name(MachineId(m)).to_string(),
+            &|p| format!("problem {p}"),
+            &TraceConfig::default(),
+        );
+        let events = trace.get("traceEvents").and_then(Value::as_array).unwrap();
+        let count = |field: &str, value: &str| {
+            events
+                .iter()
+                .filter(|e| e.get(field).and_then(Value::as_str) == Some(value))
+                .count()
+        };
+        assert_eq!(count("cat", "failure"), 1);
+        assert_eq!(count("name", "thread_name"), 6, "a track per machine");
     }
 
     #[test]
@@ -669,7 +708,7 @@ mod tests {
     /// batch, and every reverted machine drops out of `integrated`.
     #[test]
     fn guarded_drive_aborts_and_contains_exposure() {
-        use mirage_telemetry::Registry;
+        use mirage_telemetry::{Registry, RolloutStep};
 
         let (campaign, _, ref_fp) = build_campaign();
         let registry = Arc::new(Registry::new(1024));
@@ -714,21 +753,29 @@ mod tests {
         );
         assert!(!result.converged(6));
         // The revert wave names exactly the exposed machines — the ones
-        // that reported on the bad release — each once.
+        // that reported on the bad release — each once, journaled no
+        // earlier than the roll-back decision.
         let exposed: BTreeSet<String> = campaign.urr.all().into_iter().map(|r| r.machine).collect();
-        let reverted: Vec<String> = registry
-            .flight()
-            .events()
-            .into_iter()
+        let entries = registry.journal().entries();
+        let rolled_back = entries
+            .iter()
+            .find(|e| matches!(e.event, JournalEvent::Rollout { step, .. } if step == RolloutStep::RollBack))
+            .expect("roll-back journaled");
+        let reverted: Vec<String> = entries
+            .iter()
             .filter_map(|e| match e.event {
-                FlightEvent::MachineNotified { machine, release } if release == PRIOR_RELEASE.0 => {
-                    Some(machine)
+                JournalEvent::Notify { machine, release } if release == PRIOR_RELEASE.0 => {
+                    assert!(
+                        (e.time, e.seq) > (rolled_back.time, rolled_back.seq),
+                        "revert {e:?} before the roll-back {rolled_back:?}"
+                    );
+                    Some(plan.deploy.machine_name(MachineId(machine)).to_string())
                 }
                 _ => None,
             })
             .collect();
         assert_eq!(reverted.len(), info.exposed_machines);
-        assert_eq!(reverted.iter().cloned().collect::<BTreeSet<_>>(), exposed);
+        assert_eq!(reverted.into_iter().collect::<BTreeSet<_>>(), exposed);
         assert_eq!(
             registry.snapshot().counters["campaign.reverts"],
             info.exposed_machines as u64
@@ -801,7 +848,8 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counters["campaign.unplanned_machines"], 1);
         assert_eq!(snap.counters["campaign.validations"], 1);
-        assert_eq!(snap.event_counts["machine_notified"], 1);
+        assert_eq!(snap.journal_counts["notify"], 1);
+        assert_eq!(snap.journal_counts["test"], 1);
     }
 
     /// `fleet_inputs` answers in agent order whatever the chunking, and

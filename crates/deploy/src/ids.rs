@@ -11,7 +11,7 @@
 //! * [`MachineSet`] / [`ProblemSet`] — flat bitsets over those ids.
 //!
 //! Names exist only at the boundaries (plan construction, JSON/snapshot
-//! rendering, flight events); the hot loops move `Copy` ids and index
+//! rendering, trace export); the hot loops move `Copy` ids and index
 //! flat `Vec`s. Both tables are a [`NameTable`]: names as bytes in one
 //! buffer, no allocation per name, its own index while the names arrive
 //! in ascending order and hashed once they do not. A fleet's names exist

@@ -10,7 +10,7 @@
 //! in [`crate::reference`] for equivalence testing.
 
 use mirage_telemetry::journal::RolloutStep;
-use mirage_telemetry::{FlightEvent, JournalEvent, Telemetry};
+use mirage_telemetry::{JournalEvent, Telemetry};
 
 use crate::ids::{MachineId, MachineSet, ProblemId, ProblemSet};
 use crate::plan::{DeployCluster, DeployPlan};
@@ -399,8 +399,6 @@ impl Staging {
         };
         self.phase = Phase::Wave(wave);
         self.telemetry.counter("deploy.waves_advanced", 1);
-        self.telemetry
-            .event(FlightEvent::WaveAdvanced { wave, cluster: w });
         self.telemetry.journal(JournalEvent::WaveAdvance {
             wave: wave as u32,
             cluster: w as u32,
@@ -1230,7 +1228,7 @@ mod tests {
         assert_eq!(snap.counters["deploy.notify_commands"], 3);
         assert_eq!(snap.counters["deploy.machines_notified"], 3);
         assert_eq!(snap.counters["deploy.waves_advanced"], 1);
-        assert_eq!(snap.event_counts["wave_advanced"], 1);
+        assert_eq!(snap.journal_counts["wave_advance"], 1);
     }
 }
 

@@ -905,10 +905,10 @@ impl Urr {
     // -- queries ------------------------------------------------------
 
     /// Runs a query closure, recording `urr.queries` and (when
-    /// telemetry is live) an `urr.query_ns` latency sample.
+    /// telemetry stores metrics) an `urr.query_ns` latency sample.
     pub(crate) fn query<T>(&self, f: impl FnOnce(&Self) -> T) -> T {
         self.telemetry.counter("urr.queries", 1);
-        if self.telemetry.enabled() {
+        if self.telemetry.measures() {
             let t0 = Instant::now();
             let out = f(self);
             self.telemetry
@@ -1538,6 +1538,43 @@ mod tests {
         assert_eq!(snap.counters["urr.queries"], 2);
         assert_eq!(snap.histograms["urr.batch_size"].count, 1);
         assert_eq!(snap.histograms["urr.query_ns"].count, 2);
+    }
+
+    /// Query latency is a metric: a recorder that stores metrics and
+    /// nothing else receives it.
+    #[test]
+    fn metrics_only_recorder_times_queries() {
+        use std::sync::Arc;
+
+        use mirage_telemetry::{Capabilities, Recorder, Registry};
+
+        /// Stores metrics in a registry and advertises nothing else.
+        struct MetricsOnly(Registry);
+
+        impl Recorder for MetricsOnly {
+            fn capabilities(&self) -> Capabilities {
+                Capabilities {
+                    metrics: true,
+                    ..Capabilities::NONE
+                }
+            }
+
+            fn add(&self, name: &str, delta: u64) {
+                self.0.add(name, delta);
+            }
+
+            fn observe(&self, name: &str, value: u64) {
+                self.0.observe(name, value);
+            }
+        }
+
+        let recorder = Arc::new(MetricsOnly(Registry::new(8)));
+        let urr = Urr::new().with_telemetry(Telemetry::from_recorder(Arc::clone(&recorder) as _));
+        urr.deposit(failure("a", 0, "s"));
+        let _ = urr.failure_groups();
+        let snap = recorder.0.snapshot();
+        assert_eq!(snap.counters["urr.queries"], 1);
+        assert_eq!(snap.histograms["urr.query_ns"].count, 1);
     }
 
     #[test]

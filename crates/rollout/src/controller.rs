@@ -158,7 +158,7 @@ impl RolloutController {
 
     /// Attaches a telemetry handle (decision counters, journal
     /// events, rollout state gauge). The engine underneath records into
-    /// the same handle, so wave counters and flight events land exactly
+    /// the same handle, so wave counters and journal entries land exactly
     /// as they would running the staging protocol directly.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.staging = self.staging.with_telemetry(telemetry.clone());

@@ -12,7 +12,11 @@
 //! Controllers that need a decision clock ([`Protocol::wants_ticks`])
 //! get synthetic ticks whenever the command queue drains without the
 //! protocol finishing, so bake timers and guard hysteresis work in
-//! live campaigns exactly as they do under simulated time.
+//! live campaigns exactly as they do under simulated time. The same
+//! tick clock is the live journal's clock: the pump publishes it through
+//! [`Telemetry::journal_time`] whenever it moves, so executor entries
+//! share the time of the last tick and order by sequence number after
+//! the controller's widen and roll-back decisions stamped at that tick.
 
 use std::collections::VecDeque;
 
@@ -53,15 +57,17 @@ pub trait WaveExecutor {
 ///
 /// Every round is timed under a `"round"` span on `telemetry`, so a
 /// campaign wrapping this in a `"campaign.deploy"` span preserves the
-/// historical `campaign.deploy/round` span path.
+/// historical `campaign.deploy/round` span path. The journal clock
+/// starts at 0 and follows the synthetic ticks.
 pub fn drive<P, E>(protocol: &mut P, executor: &mut E, telemetry: &Telemetry) -> usize
 where
     P: Protocol + ?Sized,
     E: WaveExecutor + ?Sized,
 {
     let mut rounds = 0usize;
-    let mut pending: VecDeque<Command> = protocol.start().into();
     let mut now: SimTime = 0;
+    telemetry.journal_time(now);
+    let mut pending: VecDeque<Command> = protocol.start().into();
     let mut stalls = 0u32;
     loop {
         while let Some(command) = pending.pop_front() {
@@ -87,6 +93,7 @@ where
             return rounds;
         }
         now += TICK_INTERVAL;
+        telemetry.journal_time(now);
         stalls += 1;
         // The live fleet has no fault plan, so no stall budget: a
         // silent machine is never waived here.

@@ -30,9 +30,9 @@
 //!   collapse through [`Protocol::absorb_passes`].
 //!
 //! A bucket the driver can see needs no merge — no observer sensitive
-//! to per-event order (flight events, journal, URR), no faults, no
-//! coordinator event, and sequence numbers forming one contiguous range
-//! (one wave scheduled by a single `Notify`) — skips both phases: one
+//! to per-event order (journal, URR), no faults, no coordinator event,
+//! and sequence numbers forming one contiguous range (one wave
+//! scheduled by a single `Notify`) — skips both phases: one
 //! placement pass drops each record into its slot and the pass segments
 //! between failures go through the same ordered
 //! [`Protocol::absorb_passes`]. Every other bucket, a plain one whose
@@ -43,9 +43,10 @@
 //! monotone counter and the sequential queue is FIFO within a
 //! timestamp, "merge by sequence number" reproduces the sequential
 //! processing order exactly — the two drivers are bit-identical in
-//! [`SimMetrics`], journal contents, flight events, and counter/gauge
-//! totals at any worker count (counter *increments* may batch on the
-//! placement path; their sums are identical). That holds for tick-driven
+//! [`SimMetrics`], journal contents, and counter/gauge totals at any
+//! worker count (counter *increments* may batch on the placement path;
+//! their sums are identical, and a metrics-only recorder takes that
+//! path). That holds for tick-driven
 //! protocols too: a guarded rollout's decision ticks, guard queries and
 //! `PRIOR_RELEASE` revert wave replay in the same order on either
 //! driver (`guarded_rollout_matches_sequential_at_any_worker_count`).
@@ -55,7 +56,7 @@
 
 use mirage_deploy::{MachineId, ProblemSet, Protocol, Release, TestOutcome, PRIOR_RELEASE};
 use mirage_telemetry::journal::{JournalEvent, NO_PROBLEM};
-use mirage_telemetry::{FlightEvent, Telemetry};
+use mirage_telemetry::Telemetry;
 
 use crate::engine::{Event, EventQueue, SimTime};
 use crate::faults::RngLanes;
@@ -140,6 +141,9 @@ pub struct SimArena {
     /// pass: lets a test show it drove that shape.
     #[cfg(test)]
     gapped_plain_buckets: usize,
+    /// Buckets that took the placement pass.
+    #[cfg(test)]
+    placed_buckets: usize,
 }
 
 impl SimArena {
@@ -349,9 +353,9 @@ pub(crate) struct ParSim<'s, 'a> {
     /// OS-level parallelism available for Phase A (1 on a single-core
     /// host: sharding still pays via batch absorption, honestly inline).
     threads: usize,
-    /// No observers that are sensitive to per-event order (flight
-    /// events, journal, URR) and no faults: seq-contiguous buckets may
-    /// take the placement path.
+    /// No observer sensitive to per-event order (journal, URR) and no
+    /// faults: seq-contiguous buckets may take the placement path.
+    /// Metrics and spans only sum, so they do not bar it.
     plain: bool,
 }
 
@@ -369,10 +373,7 @@ impl<'s, 'a> ParSim<'s, 'a> {
             .map(|p| p.get())
             .unwrap_or(1)
             .min(workers);
-        let plain = scenario.faults.is_none()
-            && scenario.urr.is_none()
-            && !telemetry.enabled()
-            && !telemetry.journals();
+        let plain = scenario.faults.is_none() && scenario.urr.is_none() && !telemetry.journals();
         let lent = std::mem::take(&mut arena.lent);
         let queues = ShardQueues {
             arena,
@@ -421,10 +422,6 @@ impl<'s, 'a> ParSim<'s, 'a> {
         }
         if !self.plain {
             for rec in chunk {
-                vendor.telemetry.event_with(|| FlightEvent::TestPassedId {
-                    machine: rec.machine.index() as u32,
-                    release: rec.release,
-                });
                 vendor.jot(JournalEvent::Test {
                     machine: rec.machine.index() as u32,
                     release: rec.release,
@@ -601,11 +598,15 @@ impl<'s, 'a> ParSim<'s, 'a> {
                 debug_assert_eq!(drained, Some(t), "coordinator bucket off the master index");
             }
 
-            // Plain contiguous buckets (no faults, journal, URR, or
-            // flight events — the overwhelmingly common case) replay
+            // Plain contiguous buckets (no faults, journal or URR —
+            // the overwhelmingly common case) replay
             // straight off the 16-byte raw records. No TestRec is ever
             // materialized.
             if self.plain && contiguous && coord_buf.is_empty() {
+                #[cfg(test)]
+                {
+                    self.vendor.sched.arena.placed_buckets += 1;
+                }
                 // One placement pass per shard computes each record's
                 // outcome, stamps pass times, places upgrade passes
                 // into `pairs` by global sequence, and sets aside (with
@@ -830,7 +831,9 @@ mod tests {
     use mirage_rollout::{GuardSettings, RolloutOutcome, RolloutStrategy};
     use mirage_telemetry::health::{health_report_json, rollup};
     use mirage_telemetry::trace_export::chrome_trace;
-    use mirage_telemetry::{Journal, Registry, TraceConfig, WatchdogConfig};
+    use mirage_telemetry::{
+        Capabilities, Journal, Recorder, Registry, TraceConfig, WatchdogConfig,
+    };
 
     const WORKER_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 
@@ -970,6 +973,69 @@ mod tests {
             .workers(workers)
             .run(&mut protocol);
         (metrics, registry)
+    }
+
+    /// A recorder that stores metrics and no journal leaves the run
+    /// order-insensitive, so the placement path carries it: metrics,
+    /// counter sums and the queue-depth high-water still match the
+    /// sequential driver at every worker count.
+    #[test]
+    fn metrics_only_run_takes_the_placement_path() {
+        let s = ScenarioBuilder::new()
+            .clusters(4, 5, 1)
+            .problem_in_clusters("p", &[2])
+            .build();
+        /// Stores metrics in a registry and advertises nothing else.
+        struct MetricsOnly(Registry);
+
+        impl Recorder for MetricsOnly {
+            fn capabilities(&self) -> Capabilities {
+                Capabilities {
+                    metrics: true,
+                    ..Capabilities::NONE
+                }
+            }
+
+            fn add(&self, name: &str, delta: u64) {
+                self.0.add(name, delta);
+            }
+
+            fn gauge_set(&self, name: &str, value: i64) {
+                self.0.gauge_set(name, value);
+            }
+
+            fn observe(&self, name: &str, value: u64) {
+                self.0.observe(name, value);
+            }
+        }
+
+        let run = |workers: usize, arena: &mut SimArena| {
+            let recorder = Arc::new(MetricsOnly(Registry::new(16)));
+            let telemetry = Telemetry::from_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
+            let mut protocol = ProtocolChoice::Balanced
+                .build(s.plan.clone(), s.threshold)
+                .with_telemetry(telemetry.clone());
+            let metrics = Simulation::new(&s)
+                .with_telemetry(telemetry)
+                .workers(workers)
+                .arena(arena)
+                .run(&mut protocol);
+            (metrics, recorder.0.snapshot())
+        };
+        let (seq_metrics, seq_snap) = run(1, &mut SimArena::new());
+        assert!(seq_snap.counters["sim.tests_passed"] > 0);
+        assert_eq!(seq_snap.journal_total, 0);
+        for workers in [2, 3, 8] {
+            let mut arena = SimArena::new();
+            let (metrics, snap) = run(workers, &mut arena);
+            assert!(arena.placed_buckets > 0, "w={workers}: no placed bucket");
+            assert_eq!(seq_metrics, metrics, "w={workers}: metrics");
+            assert_eq!(seq_snap.counters, snap.counters, "w={workers}: counters");
+            assert_eq!(
+                seq_snap.gauges["sim.queue_depth"], snap.gauges["sim.queue_depth"],
+                "w={workers}: queue depth"
+            );
+        }
     }
 
     /// Journaled instrumented runs are byte-identical between the

@@ -9,8 +9,8 @@
 //! The sequential loop is one calendar queue, popped one event at a
 //! time, feeding the shared vendor side (`vendor.rs`). It moves `Copy`
 //! events and dense ids only: per-machine and per-problem state is
-//! flat-indexed, and the telemetry flight events render machine/problem
-//! names lazily (zero cost when telemetry is a noop). It is the oracle
+//! flat-indexed, and the journal records dense ids that exporters
+//! render as names (zero cost when telemetry is a noop). It is the oracle
 //! every equivalence property and paired bench row compares the sharded
 //! driver against. The original string-keyed driver — binary-heap queue,
 //! name maps and all — survives under [`mod@reference`] so equivalence

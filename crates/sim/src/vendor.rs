@@ -24,7 +24,7 @@ use mirage_deploy::{
     PRIOR_RELEASE,
 };
 use mirage_telemetry::journal::{FaultKind, JournalEvent, NO_PROBLEM};
-use mirage_telemetry::{FlightEvent, Telemetry};
+use mirage_telemetry::Telemetry;
 
 use crate::engine::{Event, SimTime};
 use crate::faults::{FaultPlan, FaultRng};
@@ -273,11 +273,6 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
                         .counter("sim.machines_notified", machines.len() as u64);
                     let cycle = self.scenario.timings.machine_cycle();
                     for m in machines {
-                        self.telemetry
-                            .event_with(|| FlightEvent::MachineNotifiedId {
-                                machine: m.index() as u32,
-                                release: release.0,
-                            });
                         self.jot(JournalEvent::Notify {
                             machine: m.index() as u32,
                             release: release.0,
@@ -438,10 +433,6 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
         }
         let outcome = if passed {
             self.note_pass(machine, release);
-            self.telemetry.event_with(|| FlightEvent::TestPassedId {
-                machine: machine.index() as u32,
-                release,
-            });
             TestOutcome::Pass
         } else {
             self.metrics.failed_tests += 1;
@@ -450,11 +441,6 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
                 .scenario
                 .problem_of(machine)
                 .expect("failed machine must carry a problem");
-            self.telemetry.event_with(|| FlightEvent::TestFailedId {
-                machine: machine.index() as u32,
-                release,
-                problem: problem.index() as u16,
-            });
             TestOutcome::Fail { problem }
         };
         self.jot(JournalEvent::Test {
@@ -492,10 +478,6 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
             if self.known_problems.insert(problem) {
                 self.metrics.problems_discovered.push(problem);
                 self.telemetry.counter("sim.problems_discovered", 1);
-                self.telemetry
-                    .event_with(|| FlightEvent::ProblemDiscoveredId {
-                        problem: problem.index() as u16,
-                    });
                 self.fix_queue.push_back(problem);
                 self.start_next_fix();
             }
@@ -595,8 +577,6 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
         self.telemetry.counter("sim.releases_shipped", 1);
         self.start_next_fix();
         let release = self.latest_release();
-        self.telemetry
-            .event(FlightEvent::ReleaseShipped { release: release.0 });
         let commands = protocol.on_release(release, &self.fixed_by_release[release.0 as usize]);
         self.exec(commands);
     }

@@ -1,10 +1,11 @@
 //! The campaign journal: a bounded, sim-time-stamped event timeline.
 //!
-//! The flight recorder ([`crate::FlightRecorder`]) answers "*what*
-//! happened" with exact per-kind totals; the journal answers "*when*
-//! did it happen" so rollouts can be replayed, rolled up into per-wave
-//! health frames ([`crate::health`]), and exported as a Chrome
-//! `trace_event` timeline ([`crate::trace_export`]). Every entry is a
+//! The journal is the one event vocabulary of a campaign, simulated or
+//! live: it answers "*what* happened" with exact per-kind totals and
+//! "*when*" with a stamped timeline, so rollouts can be replayed,
+//! rolled up into per-wave health frames ([`crate::health`]), and
+//! exported as a Chrome `trace_event` timeline
+//! ([`crate::trace_export`]). Every entry is a
 //! [`JournalEvent`] over **dense ids** — machine index, problem index,
 //! release number — so recording never allocates: the ring storage is
 //! laid out once at construction and entries are `Copy` overwrites.
@@ -13,7 +14,8 @@
 //!
 //! Sim-time stamping works through a shared clock: the simulation
 //! driver calls [`Journal::set_time`] (via
-//! [`crate::Telemetry::journal_time`]) once per dequeued event, and
+//! [`crate::Telemetry::journal_time`]) once per dequeued event — the
+//! live drive once per decision tick — and
 //! every entry recorded until the next call — including entries emitted
 //! by protocol code that has no clock of its own — is stamped with that
 //! time. Wall-clock never enters the journal, so journaled runs are
@@ -446,22 +448,6 @@ impl Journal {
         inner.push(self.capacity, self.spill, time, event);
     }
 
-    /// Records a batch of events, all stamped with the current clock
-    /// reading — one lock acquisition for the whole batch. This is the
-    /// hot-path API: a simulation step that notifies a cluster or
-    /// completes a test emits its events in one call, so per-event cost
-    /// amortises to a couple of nanoseconds.
-    pub fn record_batch(&self, events: &[JournalEvent]) {
-        if events.is_empty() {
-            return;
-        }
-        let time = self.clock.load(Ordering::Relaxed);
-        let mut inner = self.inner.lock().expect("journal poisoned");
-        for &event in events {
-            inner.push(self.capacity, self.spill, time, event);
-        }
-    }
-
     /// Records a batch of events carrying explicit sim times — one lock
     /// acquisition for the whole batch and, in spill mode, a tight
     /// reserve-and-append loop. This is the coldest possible write
@@ -595,7 +581,7 @@ impl Journal {
 /// A `Journal` can be attached on its own — without a full
 /// [`crate::Registry`] — when only the sim-time timeline is wanted:
 /// `Telemetry::from_recorder(Arc::new(Journal::with_spill(n)))`.
-/// Counters, gauges, spans, and flight events fall through to the
+/// Counters, gauges and spans fall through to the
 /// trait's no-op defaults, and the advertised
 /// [`Capabilities::JOURNAL_ONLY`] lets the `Telemetry` handle skip
 /// those surfaces without even a virtual call — the run pays for
@@ -609,12 +595,8 @@ impl Recorder for Journal {
         self.set_time(now);
     }
 
-    fn record_journal(&self, event: JournalEvent) {
+    fn record_event(&self, event: JournalEvent) {
         self.record(event);
-    }
-
-    fn record_journal_batch(&self, events: &[JournalEvent]) {
-        self.record_batch(events);
     }
 
     fn record_journal_timed(&self, batch: &[(u64, JournalEvent)]) {

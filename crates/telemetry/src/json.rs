@@ -1,6 +1,6 @@
 //! A minimal, dependency-free JSON value, serialiser, and parser.
 //!
-//! The telemetry snapshot and the flight-recorder export need JSON, and
+//! The telemetry snapshot and the journal exports need JSON, and
 //! the Upgrade Report Repository serialises reports for transfer — but
 //! this workspace must build with the registry unreachable, so `serde`
 //! is not an option. This module implements the small subset the

@@ -9,7 +9,7 @@
 //! crate registry is unreachable, and it is safe to thread through every
 //! hot path.
 //!
-//! Four pillars:
+//! Three pillars:
 //!
 //! 1. **Metrics registry** ([`Registry`]): atomic counters, gauges with
 //!    high-water marks, and fixed-bucket histograms with p50/p90/p99
@@ -18,15 +18,14 @@
 //!    time phases (QT clustering iterations, heuristic identification,
 //!    protocol command dispatch, campaign rounds) and aggregate the
 //!    durations per span *path* (`campaign/deploy/round`).
-//! 3. **Campaign flight-recorder** ([`FlightRecorder`]): a bounded ring
-//!    buffer of structured [`FlightEvent`]s (machine notified / test
-//!    pass / test fail / wave advanced / release shipped / problem
-//!    discovered) exportable as JSON-lines and summarised in a
-//!    [`Snapshot`].
-//! 4. **Sim-time journal** ([`Journal`]): a bounded (optionally
-//!    spilling) timeline of dense-id [`JournalEvent`]s stamped with
-//!    the simulation clock, folded into per-wave health frames by
-//!    [`health::rollup`] and exported as a Perfetto-loadable Chrome
+//! 3. **Campaign journal** ([`Journal`]): the one event vocabulary — a
+//!    bounded (optionally spilling) timeline of dense-id
+//!    [`JournalEvent`]s (notify, test, report, wave advance, retry,
+//!    waiver, fault, URR deposit, rollout decision) with exact per-kind
+//!    counts in the [`Snapshot`]. Simulated campaigns stamp it with the
+//!    simulation clock and live ones with the drive's decision ticks;
+//!    either way it folds into per-wave health frames by
+//!    [`health::rollup`] and exports as a Perfetto-loadable Chrome
 //!    `trace_event` document by [`trace_export::chrome_trace`].
 //!
 //! Everything funnels through the cheap [`Recorder`] trait. The default
@@ -44,7 +43,7 @@
 //! # Examples
 //!
 //! ```
-//! use mirage_telemetry::{Registry, Telemetry, FlightEvent};
+//! use mirage_telemetry::{JournalEvent, Registry, Telemetry};
 //! use std::sync::Arc;
 //!
 //! let registry = Arc::new(Registry::new(1024));
@@ -52,19 +51,20 @@
 //! {
 //!     let _span = telemetry.span("campaign");
 //!     telemetry.counter("machines_notified", 3);
-//!     telemetry.event(FlightEvent::ReleaseShipped { release: 1 });
+//!     telemetry.journal_time(25);
+//!     telemetry.journal(JournalEvent::WaveAdvance { wave: 1, cluster: 4 });
 //! }
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counters["machines_notified"], 3);
 //! assert_eq!(snap.spans["campaign"].count, 1);
-//! assert_eq!(snap.event_counts["release_shipped"], 1);
+//! assert_eq!(snap.journal_counts["wave_advance"], 1);
+//! assert_eq!(registry.journal().entries()[0].time, 25);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(deprecated)]
 
-pub mod flight;
 pub mod health;
 pub mod journal;
 pub mod json;
@@ -75,7 +75,6 @@ pub mod registry;
 pub mod span;
 pub mod trace_export;
 
-pub use flight::{FlightEvent, FlightRecorder, TimedEvent};
 pub use health::{ClusterHealth, HealthStatus, WatchdogConfig, WaveHealth};
 pub use journal::{
     FaultKind, Journal, JournalEntry, JournalEvent, JournalKind, RolloutStep, NO_PROBLEM,
@@ -85,3 +84,8 @@ pub use recorder::{Capabilities, NoopRecorder, Recorder, Telemetry};
 pub use registry::{Registry, Snapshot};
 pub use span::Span;
 pub use trace_export::TraceConfig;
+
+/// The name the campaign benchmark's recorder imports for the argument
+/// of [`Recorder::record_event`]; it goes when the benchmark is next
+/// changed.
+pub type FlightEvent = JournalEvent;

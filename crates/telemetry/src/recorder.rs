@@ -3,7 +3,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::flight::FlightEvent;
 use crate::journal::JournalEvent;
 use crate::span::Span;
 
@@ -20,8 +19,6 @@ pub struct Capabilities {
     pub metrics: bool,
     /// Hierarchical span timings.
     pub spans: bool,
-    /// Flight-recorder events.
-    pub events: bool,
     /// Sim-time journal entries and clock updates.
     pub journal: bool,
 }
@@ -31,7 +28,6 @@ impl Capabilities {
     pub const ALL: Capabilities = Capabilities {
         metrics: true,
         spans: true,
-        events: true,
         journal: true,
     };
 
@@ -39,7 +35,6 @@ impl Capabilities {
     pub const NONE: Capabilities = Capabilities {
         metrics: false,
         spans: false,
-        events: false,
         journal: false,
     };
 
@@ -56,8 +51,8 @@ impl Capabilities {
 /// they store. Implementations must be thread-safe: campaigns fan
 /// fingerprinting out across OS threads.
 pub trait Recorder: Send + Sync {
-    /// Whether this recorder stores anything. Instrumented code uses
-    /// this to skip building event payloads entirely.
+    /// Whether this recorder stores anything. [`Telemetry`] does not
+    /// read it: each call is gated on [`Recorder::capabilities`].
     fn enabled(&self) -> bool {
         false
     }
@@ -90,11 +85,6 @@ pub trait Recorder: Send + Sync {
         let _ = (path, nanos);
     }
 
-    /// Records a flight-recorder event.
-    fn record_event(&self, event: FlightEvent) {
-        let _ = event;
-    }
-
     /// Advances the journal's sim-time clock. Drivers call this once
     /// per dequeued simulation event; entries recorded until the next
     /// call are stamped with `now`.
@@ -103,18 +93,8 @@ pub trait Recorder: Send + Sync {
     }
 
     /// Records a sim-time journal event.
-    fn record_journal(&self, event: JournalEvent) {
+    fn record_event(&self, event: JournalEvent) {
         let _ = event;
-    }
-
-    /// Records a batch of journal events that share the current clock
-    /// reading. Hot paths that emit several events from one simulation
-    /// step use this so the recorder can amortise its synchronisation
-    /// over the batch.
-    fn record_journal_batch(&self, events: &[JournalEvent]) {
-        for &event in events {
-            self.record_journal(event);
-        }
     }
 
     /// Records a batch of journal events carrying explicit sim times.
@@ -125,7 +105,7 @@ pub trait Recorder: Send + Sync {
     fn record_journal_timed(&self, batch: &[(u64, JournalEvent)]) {
         for &(time, event) in batch {
             self.journal_time(time);
-            self.record_journal(event);
+            self.record_event(event);
         }
     }
 }
@@ -156,7 +136,7 @@ pub struct Telemetry {
 impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Telemetry")
-            .field("enabled", &self.enabled())
+            .field("caps", &self.caps)
             .finish()
     }
 }
@@ -184,9 +164,16 @@ impl Telemetry {
         Telemetry::from_recorder(registry)
     }
 
-    /// Whether events will actually be stored.
-    pub fn enabled(&self) -> bool {
-        self.caps.events && self.inner.as_ref().is_some_and(|r| r.enabled())
+    /// Whether counters, gauges and histograms will actually be stored.
+    /// Callers that would time something only to record it check this
+    /// first.
+    pub fn measures(&self) -> bool {
+        self.caps.metrics && self.inner.is_some()
+    }
+
+    /// Whether spans will actually be recorded.
+    pub(crate) fn times_spans(&self) -> bool {
+        self.caps.spans && self.inner.is_some()
     }
 
     /// Whether journal entries will actually be stored. Hot paths that
@@ -223,27 +210,6 @@ impl Telemetry {
         }
     }
 
-    /// Records a flight-recorder event.
-    ///
-    /// Prefer [`Telemetry::event_with`] on hot paths so the payload is
-    /// only built when telemetry is live.
-    pub fn event(&self, event: FlightEvent) {
-        if self.caps.events {
-            if let Some(r) = &self.inner {
-                r.record_event(event);
-            }
-        }
-    }
-
-    /// Records an event built lazily — `make` runs only when enabled.
-    pub fn event_with(&self, make: impl FnOnce() -> FlightEvent) {
-        if self.enabled() {
-            if let Some(r) = &self.inner {
-                r.record_event(make());
-            }
-        }
-    }
-
     /// Advances the recorder's journal clock to sim time `now`.
     pub fn journal_time(&self, now: u64) {
         if self.caps.journal {
@@ -259,18 +225,7 @@ impl Telemetry {
     pub fn journal(&self, event: JournalEvent) {
         if self.caps.journal {
             if let Some(r) = &self.inner {
-                r.record_journal(event);
-            }
-        }
-    }
-
-    /// Records a batch of journal events sharing the current clock
-    /// reading — one virtual call and one recorder-side critical
-    /// section for the whole batch.
-    pub fn journal_batch(&self, events: &[JournalEvent]) {
-        if self.caps.journal && !events.is_empty() {
-            if let Some(r) = &self.inner {
-                r.record_journal_batch(events);
+                r.record_event(event);
             }
         }
     }
@@ -308,41 +263,95 @@ mod tests {
     #[test]
     fn noop_handle_is_inert() {
         let t = Telemetry::noop();
-        assert!(!t.enabled());
+        assert!(!t.measures() && !t.times_spans() && !t.journals());
         t.counter("c", 1);
         t.gauge("g", 5);
         t.observe("h", 10);
-        t.event(FlightEvent::ReleaseShipped { release: 0 });
         t.journal_time(40);
         t.journal(JournalEvent::Notify {
             machine: 0,
             release: 0,
         });
         let _span = t.span("nothing");
-        // event_with must not even build the payload.
-        t.event_with(|| unreachable!("noop handle built an event"));
     }
 
     #[test]
     fn default_is_noop() {
-        assert!(!Telemetry::default().enabled());
-        let dbg = format!("{:?}", Telemetry::default());
-        assert!(dbg.contains("enabled: false"));
+        let t = Telemetry::default();
+        assert!(!t.measures() && !t.journals());
+        let dbg = format!("{t:?}");
+        assert!(dbg.contains("metrics: false"), "{dbg}");
     }
 
     #[test]
     fn noop_recorder_type_is_inert() {
         let r = NoopRecorder;
-        assert!(!r.enabled());
         r.add("x", 1);
         r.gauge_set("x", 1);
         r.observe("x", 1);
         r.record_span("x", 1);
-        r.record_event(FlightEvent::ReleaseShipped { release: 0 });
         r.journal_time(1);
-        r.record_journal(JournalEvent::Notify {
+        r.record_event(JournalEvent::Notify {
             machine: 0,
             release: 0,
         });
+    }
+
+    /// Advertises `caps` and stores whatever reaches it in a registry.
+    struct OneSurface(Capabilities, crate::Registry);
+
+    impl Recorder for OneSurface {
+        fn capabilities(&self) -> Capabilities {
+            self.0
+        }
+
+        fn observe(&self, name: &str, value: u64) {
+            self.1.observe(name, value);
+        }
+
+        fn record_span(&self, path: &str, nanos: u64) {
+            self.1.record_span(path, nanos);
+        }
+    }
+
+    fn one_surface(caps: Capabilities) -> (Arc<OneSurface>, Telemetry) {
+        let recorder = Arc::new(OneSurface(caps, crate::Registry::new(8)));
+        (Arc::clone(&recorder), Telemetry::from_recorder(recorder))
+    }
+
+    #[test]
+    fn spans_only_recorder_receives_spans() {
+        let (r, t) = one_surface(Capabilities {
+            spans: true,
+            ..Capabilities::NONE
+        });
+        {
+            let _outer = t.span("outer");
+            let _inner = t.span("inner");
+            t.observe("h", 1);
+        }
+        let snap = r.1.snapshot();
+        assert_eq!(
+            snap.spans.keys().collect::<Vec<_>>(),
+            ["outer", "outer/inner"]
+        );
+        assert!(snap.histograms.is_empty());
+    }
+
+    #[test]
+    fn metrics_only_recorder_receives_metrics() {
+        let (r, t) = one_surface(Capabilities {
+            metrics: true,
+            ..Capabilities::NONE
+        });
+        assert!(t.measures());
+        {
+            let span = t.span("outer");
+            assert_eq!(span.path(), "");
+            t.observe("h", 7);
+        }
+        let snap = r.1.snapshot();
+        assert!(snap.spans.is_empty());
+        assert_eq!(snap.histograms["h"].sum, 7);
     }
 }

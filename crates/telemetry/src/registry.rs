@@ -3,7 +3,6 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
-use crate::flight::{FlightEvent, FlightRecorder, TimedEvent};
 use crate::journal::{Journal, JournalEvent, JournalKind};
 use crate::json::Value;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSummary};
@@ -23,14 +22,13 @@ pub struct GaugeSnapshot {
 /// Lookup uses a read-lock fast path; the write lock is taken only the
 /// first time a metric name appears. Recording itself is lock-free
 /// atomics (counters, gauges, histograms) or a short critical section
-/// (flight events).
+/// (journal entries).
 #[derive(Debug)]
 pub struct Registry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
     spans: RwLock<BTreeMap<String, Arc<Histogram>>>,
-    flight: FlightRecorder,
     journal: Journal,
 }
 
@@ -43,30 +41,24 @@ fn get_or_insert<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str)
 }
 
 impl Registry {
-    /// Creates a registry whose flight recorder and journal each keep
-    /// `event_capacity` entries (journal evictions are dropped, not
-    /// spilled).
-    pub fn new(event_capacity: usize) -> Self {
-        Registry::with_journal(event_capacity, Journal::new(event_capacity))
+    /// Creates a registry whose journal keeps the newest `capacity`
+    /// entries (evictions are dropped, not spilled, and still counted).
+    pub fn new(capacity: usize) -> Self {
+        Registry::with_journal(capacity, Journal::new(capacity))
     }
 
     /// Creates a registry with an explicitly configured journal — e.g.
     /// [`Journal::with_spill`] when a full-fidelity timeline is wanted
-    /// for trace export or health rollups.
-    pub fn with_journal(event_capacity: usize, journal: Journal) -> Self {
+    /// for trace export or health rollups. The first argument is
+    /// ignored: `journal` carries its own capacity.
+    pub fn with_journal(_capacity: usize, journal: Journal) -> Self {
         Registry {
             counters: RwLock::new(BTreeMap::new()),
             gauges: RwLock::new(BTreeMap::new()),
             histograms: RwLock::new(BTreeMap::new()),
             spans: RwLock::new(BTreeMap::new()),
-            flight: FlightRecorder::new(event_capacity),
             journal,
         }
-    }
-
-    /// The flight recorder.
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
     }
 
     /// The sim-time journal.
@@ -110,15 +102,6 @@ impl Registry {
             gauges,
             histograms: summarize(&self.histograms),
             spans: summarize(&self.spans),
-            event_counts: self
-                .flight
-                .counts()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-            events_total: self.flight.total(),
-            events_dropped: self.flight.dropped(),
-            events: self.flight.events(),
             journal_counts: JournalKind::ALL
                 .iter()
                 .zip(self.journal.counts())
@@ -138,10 +121,6 @@ impl Default for Registry {
 }
 
 impl Recorder for Registry {
-    fn enabled(&self) -> bool {
-        true
-    }
-
     fn add(&self, name: &str, delta: u64) {
         get_or_insert(&self.counters, name).add(delta);
     }
@@ -158,20 +137,12 @@ impl Recorder for Registry {
         get_or_insert(&self.spans, path).observe(nanos);
     }
 
-    fn record_event(&self, event: FlightEvent) {
-        self.flight.record(event);
-    }
-
     fn journal_time(&self, now: u64) {
         self.journal.set_time(now);
     }
 
-    fn record_journal(&self, event: JournalEvent) {
+    fn record_event(&self, event: JournalEvent) {
         self.journal.record(event);
-    }
-
-    fn record_journal_batch(&self, events: &[JournalEvent]) {
-        self.journal.record_batch(events);
     }
 
     fn record_journal_timed(&self, batch: &[(u64, JournalEvent)]) {
@@ -190,14 +161,6 @@ pub struct Snapshot {
     pub histograms: BTreeMap<String, HistogramSummary>,
     /// Span timing summaries by nested path (values in nanoseconds).
     pub spans: BTreeMap<String, HistogramSummary>,
-    /// Exact flight-event counts by kind (includes evicted events).
-    pub event_counts: BTreeMap<String, u64>,
-    /// Total flight events recorded.
-    pub events_total: u64,
-    /// Flight events evicted from the ring.
-    pub events_dropped: u64,
-    /// The retained flight events, oldest first.
-    pub events: Vec<TimedEvent>,
     /// Exact journal-entry counts by kind (kinds with zero entries are
     /// omitted).
     pub journal_counts: BTreeMap<String, u64>,
@@ -224,9 +187,10 @@ impl Snapshot {
     /// Serialises the snapshot as a pretty-printed JSON object.
     ///
     /// Layout: `{"counters": {...}, "gauges": {...}, "histograms":
-    /// {...}, "spans": {...}, "flight": {"counts": {...}, "total": n,
-    /// "dropped": n, "events": [...]}}`. Span durations are
-    /// nanoseconds.
+    /// {...}, "spans": {...}, "journal": {"counts": {...}, "total": n,
+    /// "dropped": n}}`. Span durations are nanoseconds; the journal
+    /// entries themselves export through [`Journal::to_json_lines`] and
+    /// [`crate::trace_export`].
     pub fn to_json(&self) -> String {
         let counters = Value::Obj(
             self.counters
@@ -255,23 +219,6 @@ impl Snapshot {
                     .collect(),
             )
         };
-        let flight = Value::obj([
-            (
-                "counts",
-                Value::Obj(
-                    self.event_counts
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::from(*v)))
-                        .collect(),
-                ),
-            ),
-            ("total", Value::from(self.events_total)),
-            ("dropped", Value::from(self.events_dropped)),
-            (
-                "events",
-                Value::Arr(self.events.iter().map(|e| e.to_json()).collect()),
-            ),
-        ]);
         let journal = Value::obj([
             (
                 "counts",
@@ -290,7 +237,6 @@ impl Snapshot {
             ("gauges", gauges),
             ("histograms", histo(&self.histograms)),
             ("spans", histo(&self.spans)),
-            ("flight", flight),
             ("journal", journal),
         ])
         .to_pretty()
@@ -306,13 +252,16 @@ mod tests {
     fn registry_stores_all_metric_kinds() {
         let registry = Arc::new(Registry::new(8));
         let t = Telemetry::from_registry(Arc::clone(&registry));
-        assert!(t.enabled());
+        assert!(t.measures() && t.journals());
         t.counter("tests_total", 2);
         t.counter("tests_total", 3);
         t.gauge("queue_depth", 7);
         t.gauge("queue_depth", 4);
         t.observe("batch_size", 16);
-        t.event(FlightEvent::ReleaseShipped { release: 1 });
+        t.journal(JournalEvent::WaveAdvance {
+            wave: 1,
+            cluster: 3,
+        });
         {
             let _s = t.span("phase");
         }
@@ -322,8 +271,8 @@ mod tests {
         assert_eq!(snap.gauges["queue_depth"].high_water, 7);
         assert_eq!(snap.histograms["batch_size"].count, 1);
         assert_eq!(snap.spans["phase"].count, 1);
-        assert_eq!(snap.event_counts["release_shipped"], 1);
-        assert_eq!(snap.events_total, 1);
+        assert_eq!(snap.journal_counts["wave_advance"], 1);
+        assert_eq!(snap.journal_total, 1);
     }
 
     #[test]
@@ -373,9 +322,10 @@ mod tests {
         registry.gauge_set("g", -3);
         registry.observe("h", 10);
         registry.record_span("a/b", 1_000);
-        registry.record_event(FlightEvent::TestPassed {
-            machine: "m".into(),
+        registry.record_event(JournalEvent::Test {
+            machine: 0,
             release: 0,
+            problem: crate::journal::NO_PROBLEM,
         });
         let json = registry.snapshot().to_json();
         let v = Value::parse(&json).expect("snapshot JSON parses");
@@ -394,17 +344,12 @@ mod tests {
             Some(-3.0)
         );
         assert!(v.get("spans").unwrap().get("a/b").is_some());
-        let events = v
-            .get("flight")
-            .unwrap()
-            .get("events")
-            .unwrap()
-            .as_array()
-            .unwrap();
+        let journal = v.get("journal").unwrap();
         assert_eq!(
-            events[0].get("event").unwrap().as_str(),
-            Some("test_passed")
+            journal.get("counts").unwrap().get("test").unwrap().as_u64(),
+            Some(1)
         );
+        assert!(v.get("flight").is_none());
     }
 
     #[test]

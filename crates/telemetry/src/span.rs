@@ -8,8 +8,9 @@
 //! thread-local stack, so parallel workers each get their own
 //! hierarchy.
 //!
-//! When the owning [`Telemetry`] handle is a no-op the span is inert —
-//! no clock read, no thread-local traffic.
+//! When the owning [`Telemetry`] handle records no spans (a no-op, or a
+//! recorder whose [`crate::Capabilities`] leave `spans` off) the span
+//! is inert — no clock read, no thread-local traffic.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -30,7 +31,7 @@ pub struct Span {
 
 impl Span {
     pub(crate) fn enter(telemetry: Telemetry, name: &'static str) -> Span {
-        if !telemetry.enabled() {
+        if !telemetry.times_spans() {
             return Span {
                 telemetry,
                 path: String::new(),
