@@ -289,12 +289,12 @@ mod stream {
 /// Benchmarks the Upgrade Report Repository's ingest and query paths
 /// and writes `BENCH_urr.json`.
 ///
-/// Ingest compares the sharded, interned batch path
+/// Ingest compares the interned batch path
 /// ([`mirage_report::Urr::deposit_interned_batch`], the one the
 /// simulator's `UrrSink` drives) against the retained string-keyed
 /// [`mirage_report::reference::Urr`] on the same report stream. Each
 /// sample deposits into a *fresh* repository; interning and record
-/// construction happen outside the timed region for the sharded path,
+/// construction happen outside the timed region for the interned path,
 /// while the reference path's timed region includes the per-report
 /// string materialisation its API forces — the same asymmetry the
 /// simulator benchmarks report, because it is the asymmetry the
@@ -313,18 +313,18 @@ fn urr_perf(ctx: &Ctx) {
     use mirage_report::{reference, Report, ReportOutcome, Urr};
 
     let smoke = ctx.smoke;
-    suite_heading(ctx, "URR performance: sharded ingest + vendor queries");
+    suite_heading(ctx, "URR performance: interned ingest + vendor queries");
     let (n_main, n_big) = stream::volumes(smoke);
     let mut h = Harness::new("urr-perf");
 
-    // --- Ingest at the main volume: sharded interned batches vs the
+    // --- Ingest at the main volume: interned batches vs the
     // retained string-keyed reference, *interleaved* so both paths
     // sample the same machine conditions (allocator state, frequency
     // scaling) and the min-over-min speedup is a paired comparison.
     // Each closure reports the nanoseconds of its *timed region* so
     // per-sample setup (fresh repository, untimed interning) stays out
     // of the statistics.
-    let sharded_pass = |names: &[String]| -> u64 {
+    let interned_pass = |names: &[String]| -> u64 {
         let urr = Urr::new();
         let recs = stream::interned(&urr, names);
         let t0 = Instant::now();
@@ -349,12 +349,12 @@ fn urr_perf(ctx: &Ctx) {
             }
         })
         .collect();
-    let sharded_main = format!("urr/ingest/sharded-{}", volume_label(n_main));
+    let interned_main = format!("urr/ingest/interned-{}", volume_label(n_main));
     let reference_main = format!("urr/ingest/reference-{}", volume_label(n_main));
     h.bench_paired_ns(
-        &sharded_main,
+        &interned_main,
         &reference_main,
-        || sharded_pass(&names),
+        || interned_pass(&names),
         || {
             let urr = reference::Urr::new();
             let t0 = Instant::now();
@@ -366,11 +366,11 @@ fn urr_perf(ctx: &Ctx) {
     );
     drop(proto);
 
-    // --- Ingest at scale: the sharded path only (the reference would
+    // --- Ingest at scale: the interned path only (the reference would
     // dominate the budget at a million reports).
     let names_big = stream::machine_names(n_big);
-    let sharded_big = format!("urr/ingest/sharded-{}", volume_label(n_big));
-    h.bench_ns(&sharded_big, || sharded_pass(&names_big));
+    let interned_big = format!("urr/ingest/interned-{}", volume_label(n_big));
+    h.bench_ns(&interned_big, || interned_pass(&names_big));
 
     // --- Interning at scale, on both sides of the choice a name table
     // makes from its input: the names in order (the table is its own
@@ -412,25 +412,25 @@ fn urr_perf(ctx: &Ctx) {
 
     let reports_per_sec =
         |name: &str, n: usize| n as f64 / (h.row(name).min_ns.max(1) as f64 / 1e9);
-    let speedup = h.speedup(&reference_main, &sharded_main);
+    let speedup = h.speedup(&reference_main, &interned_main);
     println!(
-        "=> sharded interned ingest is {speedup:.2}x the string-keyed reference \
+        "=> interned ingest is {speedup:.2}x the string-keyed reference \
          at {} reports (min-over-min)",
         volume_label(n_main)
     );
     println!(
-        "=> ingest throughput: sharded {:.0}/s, reference {:.0}/s, sharded-{} {:.0}/s",
-        reports_per_sec(&sharded_main, n_main),
+        "=> ingest throughput: interned {:.0}/s, reference {:.0}/s, interned-{} {:.0}/s",
+        reports_per_sec(&interned_main, n_main),
         reports_per_sec(&reference_main, n_main),
         volume_label(n_big),
-        reports_per_sec(&sharded_big, n_big),
+        reports_per_sec(&interned_big, n_big),
     );
 
     let mut doc = BenchDoc::new(
         "urr-perf",
         format!(
-            "{n_main} reports over {} clusters, 10% failures across {} signatures; sharded = \
-             interned 4096-record batches into a fresh repository per sample (interning \
+            "{n_main} reports over {} clusters, 10% failures across {} signatures; interned = \
+             4096-record batches into a fresh repository per sample (interning \
              untimed); reference = the retained string-keyed repository, timed region \
              includes the per-report string materialisation its API forces; queries run \
              against the built {n_main}-report repository",
@@ -455,9 +455,9 @@ fn urr_perf(ctx: &Ctx) {
         .set(
             "ingest",
             Value::obj([
-                ingest_rate("sharded", &sharded_main, n_main),
+                ingest_rate("interned", &interned_main, n_main),
                 ingest_rate("reference", &reference_main, n_main),
-                ingest_rate("sharded", &sharded_big, n_big),
+                ingest_rate("interned", &interned_big, n_big),
             ]),
         )
         .set("ingest_speedup_100k_vs_reference", round_to(speedup, 2))
@@ -481,7 +481,7 @@ fn urr_perf(ctx: &Ctx) {
     let floor = if smoke { 1.0 } else { 2.0 };
     assert!(
         speedup >= floor,
-        "sharded ingest speedup {speedup:.2}x fell below the {floor}x regression floor; see {}",
+        "interned ingest speedup {speedup:.2}x fell below the {floor}x regression floor; see {}",
         path.display()
     );
 }

@@ -2,8 +2,6 @@
 
 use mirage_telemetry::json::Value;
 
-use crate::codec::{str_field, string_array, string_list, JsonError};
-
 /// A reproduction image attached to a failure report.
 ///
 /// The paper's implementation ships "the entire upgraded virtual machine
@@ -52,21 +50,15 @@ impl ReportImage {
     pub fn to_json(&self) -> Value {
         Value::obj([
             ("sandbox_digest", Value::str(self.sandbox_digest.clone())),
-            ("env_context", string_array(&self.env_context)),
-            ("replayed_inputs", string_array(&self.replayed_inputs)),
-            ("observed_outputs", string_array(&self.observed_outputs)),
+            ("env_context", strings(&self.env_context)),
+            ("replayed_inputs", strings(&self.replayed_inputs)),
+            ("observed_outputs", strings(&self.observed_outputs)),
         ])
     }
+}
 
-    /// Restores an image from its JSON object form.
-    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(ReportImage {
-            sandbox_digest: str_field(v, "sandbox_digest")?,
-            env_context: string_list(v, "env_context")?,
-            replayed_inputs: string_list(v, "replayed_inputs")?,
-            observed_outputs: string_list(v, "observed_outputs")?,
-        })
-    }
+fn strings(items: &[String]) -> Value {
+    Value::arr(items.iter().map(Value::str))
 }
 
 #[cfg(test)]
@@ -82,25 +74,5 @@ mod tests {
             vec!["out".into()],
         );
         assert_eq!(img.byte_size(), 4 + 5 + 2 + 3);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let img = ReportImage::new("d", vec!["e".into()], vec![], vec!["o".into()]);
-        let v = Value::parse(&img.to_json().to_compact()).unwrap();
-        assert_eq!(img, ReportImage::from_json(&v).unwrap());
-    }
-
-    #[test]
-    fn malformed_json_is_rejected() {
-        let missing = Value::obj([("sandbox_digest", Value::str("d"))]);
-        assert!(ReportImage::from_json(&missing).is_err());
-        let wrong_type = Value::obj([
-            ("sandbox_digest", Value::str("d")),
-            ("env_context", Value::str("not-an-array")),
-            ("replayed_inputs", Value::arr([])),
-            ("observed_outputs", Value::arr([])),
-        ]);
-        assert!(ReportImage::from_json(&wrong_type).is_err());
     }
 }

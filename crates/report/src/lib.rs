@@ -18,21 +18,19 @@
 //!
 //! # Architecture
 //!
-//! The repository is a *sharded, interned, incrementally-indexed*
-//! subsystem designed to stay on during million-machine simulation
-//! sweeps:
+//! The repository is an *interned, incrementally-indexed* subsystem
+//! designed to stay on during million-machine simulation sweeps:
 //!
-//! * **Lock-striped shards.** Failure reports are routed to
-//!   `next_pow2(threads)` shards by an FNV-1a hash of the failure
-//!   signature, so every report for one signature lands in one shard
-//!   and per-signature aggregation never crosses shard boundaries.
+//! * **One writer, one lock.** Records and indexes sit behind one
+//!   `Mutex`; a deposit claims its sequence numbers in the acquisition
+//!   that stores its records, so the archive is in sequence order.
 //! * **Dense interning.** Machine names, failure signatures, and
 //!   `(package, version)` releases are interned to `u32` ids
 //!   ([`MachineRef`], [`SigId`], [`ReleaseId`]) once at the boundary;
 //!   the hot ingest path ([`Urr::deposit_interned_batch`]) moves only
 //!   `Copy` records.
 //! * **Word-packed sets.** Per-signature machine/cluster membership is
-//!   deduplicated with packed bitsets plus `(seq, id)` order vectors,
+//!   deduplicated with packed bitsets plus first-report order lists,
 //!   replacing the per-report `Vec<String>` accumulation of the
 //!   original prototype.
 //! * **Incremental inverted index.** Group, cluster, and release
@@ -46,9 +44,10 @@
 //! produce identical [`UrrStats`] / [`FailureGroup`] results over
 //! random report streams.
 //!
-//! The repository is thread-safe and serialisable via the workspace's
-//! dependency-free JSON module ([`mirage_telemetry::json`]) because in
-//! deployment it would be transferred or co-located with the vendor.
+//! The repository is thread-safe. Its one persistent form is the
+//! journal below; [`Urr::to_json`] dumps it for equality checks through
+//! the workspace's dependency-free JSON module
+//! ([`mirage_telemetry::json`]).
 //!
 //! # Durability and serving
 //!
@@ -71,7 +70,6 @@
 #![warn(missing_docs)]
 #![deny(deprecated)]
 
-pub mod codec;
 pub mod image;
 pub mod reference;
 pub mod report;
@@ -79,7 +77,6 @@ pub mod serve;
 pub mod storage;
 pub mod urr;
 
-pub use codec::JsonError;
 pub use image::ReportImage;
 pub use report::{Report, ReportOutcome};
 pub use serve::{UrrRequest, UrrResponse, UrrSnapshot};

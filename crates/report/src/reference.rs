@@ -1,12 +1,12 @@
 //! The retained string-keyed Upgrade Report Repository.
 //!
-//! This is the pre-sharding implementation, preserved verbatim (modulo
-//! module paths) as the live correctness baseline for the production
-//! [`crate::Urr`], following the reference-plane convention established
-//! by the clustering and simulator rebuilds: a single
-//! `RwLock<Vec<Report>>`, string-keyed `BTreeMap` aggregation, and
-//! full-scan queries. The seeded `urr_reference_equivalence` property
-//! (in `tests/proptests.rs`) proves the sharded repository produces
+//! This is the original prototype, preserved (modulo module paths) as
+//! the live correctness baseline for the production [`crate::Urr`],
+//! following the reference-plane convention established by the
+//! clustering and simulator rebuilds: a single `RwLock<Vec<Report>>`,
+//! string-keyed `BTreeMap` aggregation, and full-scan queries. The
+//! seeded `urr_reference_equivalence` property (in
+//! `tests/proptests.rs`) proves the interned repository produces
 //! identical [`UrrStats`] / [`FailureGroup`] / [`ReleaseSummary`]
 //! results across random report streams, and `repro urr-perf` benches
 //! the two side by side so the committed speedup figure is measured
@@ -15,14 +15,11 @@
 use std::collections::BTreeMap;
 use std::sync::RwLock;
 
-use mirage_telemetry::json::Value;
-
-use crate::codec::JsonError;
 use crate::report::{Report, ReportOutcome};
 use crate::urr::{FailureGroup, ReleaseSummary, UrrStats};
 
-/// The string-keyed reference repository: thread-safe, queryable,
-/// serialisable — and deliberately naive.
+/// The string-keyed reference repository: thread-safe, queryable — and
+/// deliberately naive.
 ///
 /// # Examples
 ///
@@ -149,29 +146,6 @@ impl Urr {
         stats
     }
 
-    /// Serialises the full repository to pretty-printed JSON (an array
-    /// of report objects, in deposit order).
-    pub fn to_json(&self) -> String {
-        let inner = self.inner.read().expect("urr poisoned");
-        Value::Arr(inner.reports.iter().map(Report::to_json).collect()).to_pretty()
-    }
-
-    /// Restores a repository from JSON produced by [`Urr::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, JsonError> {
-        let parsed = Value::parse(json)?;
-        let items = parsed
-            .as_array()
-            .ok_or_else(|| JsonError::Shape("expected an array of reports".into()))?;
-        let reports = items
-            .iter()
-            .map(Report::from_json)
-            .collect::<Result<Vec<Report>, JsonError>>()?;
-        let next_seq = reports.iter().map(|r| r.seq + 1).max().unwrap_or(0);
-        Ok(Urr {
-            inner: RwLock::new(Inner { reports, next_seq }),
-        })
-    }
-
     /// Summarises outcomes per `(package, version)`, in first-seen order.
     ///
     /// A vendor watching a staged deployment reads this as the health of
@@ -287,18 +261,6 @@ mod tests {
         assert_eq!(stats.failures, 1);
         assert_eq!(stats.distinct_failures, 1);
         assert!(stats.image_bytes > 0);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_sequence() {
-        let urr = Urr::new();
-        urr.deposit(Report::success("m1", 0, "p", "1.0.0"));
-        urr.deposit(failure("m2", 1, "sig"));
-        let json = urr.to_json();
-        let restored = Urr::from_json(&json).unwrap();
-        assert_eq!(restored.all(), urr.all());
-        // New deposits continue the sequence.
-        assert_eq!(restored.deposit(Report::success("m3", 0, "p", "1.0.0")), 2);
     }
 
     #[test]

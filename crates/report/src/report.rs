@@ -2,7 +2,6 @@
 
 use mirage_telemetry::json::Value;
 
-use crate::codec::{field, shape, str_field, u64_field, JsonError};
 use crate::image::ReportImage;
 
 /// The succinct outcome of one upgrade test.
@@ -43,18 +42,6 @@ impl ReportOutcome {
                 ("signature", Value::str(signature.clone())),
                 ("detail", Value::str(detail.clone())),
             ]),
-        }
-    }
-
-    /// Restores an outcome from its tagged JSON form.
-    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match str_field(v, "kind")?.as_str() {
-            "success" => Ok(ReportOutcome::Success),
-            "failure" => Ok(ReportOutcome::Failure {
-                signature: str_field(v, "signature")?,
-                detail: str_field(v, "detail")?,
-            }),
-            other => Err(shape(format!("unknown outcome kind '{other}'"))),
         }
     }
 }
@@ -139,25 +126,6 @@ impl Report {
             ),
         ])
     }
-
-    /// Restores a report from its JSON object form.
-    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let image_value = field(v, "image")?;
-        let image = if image_value.is_null() {
-            None
-        } else {
-            Some(ReportImage::from_json(image_value)?)
-        };
-        Ok(Report {
-            machine: str_field(v, "machine")?,
-            cluster: u64_field(v, "cluster")? as usize,
-            package: str_field(v, "package")?,
-            version: str_field(v, "version")?,
-            outcome: ReportOutcome::from_json(field(v, "outcome")?)?,
-            seq: u64_field(v, "seq")?,
-            image,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -183,31 +151,5 @@ mod tests {
         assert!(!bad.outcome.is_success());
         assert_eq!(bad.outcome.signature(), Some("php/crash"));
         assert!(bad.image.is_some());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        for r in [
-            Report::success("m0", 0, "mysql", "5.0.27"),
-            Report::failure(
-                "m",
-                1,
-                "firefox",
-                "2.0.0",
-                "firefox/prefs",
-                "output mismatch",
-                ReportImage::default(),
-            ),
-        ] {
-            let json = r.to_json().to_compact();
-            let back = Report::from_json(&Value::parse(&json).unwrap()).unwrap();
-            assert_eq!(r, back);
-        }
-    }
-
-    #[test]
-    fn unknown_outcome_kind_is_rejected() {
-        let v = Value::obj([("kind", Value::str("maybe"))]);
-        assert!(ReportOutcome::from_json(&v).is_err());
     }
 }

@@ -20,11 +20,10 @@
 //!
 //! A machine name is written into its wire layout once, and checksummed
 //! once, over the repository's life. Each live failure group keeps its
-//! names laid out on its stripe, with the CRC-32 of those bytes; a
-//! freeze appends only the names that arrived since the previous freeze
-//! (rewriting a group's list only when concurrent ingest landed a report
-//! among names already written) and checksums the group's whole
-//! encoding by combining CRCs. A frozen group shares the live bytes
+//! names laid out beside its index entry, with the CRC-32 of those
+//! bytes; a freeze appends only the names that arrived since the
+//! previous freeze and checksums the group's whole encoding by
+//! combining CRCs. A frozen group shares the live bytes
 //! rather than copying them.
 //!
 //! There is one response encoder — a body writer per variant — and
@@ -40,17 +39,10 @@
 //!
 //! # What a freeze sees
 //!
-//! [`Urr::snapshot`] reads the watermark, then each surface (stats,
-//! groups, cluster rates, release summaries) in turn, each stripe by
-//! stripe under that stripe's lock. With ingest quiescent, or
-//! serialised with the freeze, the view is exact: it reflects the
-//! reports below [`UrrSnapshot::as_of`] and no others. Under concurrent
-//! ingest it is not a cut: every stripe is read consistently, but a
-//! deposit that lands between two reads shows in the later one only, so
-//! the surfaces may disagree by the reports in flight, a report below
-//! `as_of` whose deposit had claimed its number but not yet landed may
-//! be missing, and one at or above it may be present. `as_of` says when
-//! the freeze began, not where the data was cut.
+//! [`Urr::snapshot`] reads the watermark and every surface under one
+//! acquisition of the repository's lock, so a freeze is a cut at
+//! [`UrrSnapshot::as_of`]: it reflects the reports below it and no
+//! others, whatever ingest runs beside it.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -66,7 +58,7 @@ use crate::storage::wire::{
     put_u64, put_u8, Cursor, WireError,
 };
 use crate::urr::{
-    by_seq, ClusterFailureRate, FailureGroup, GroupSlot, ReleaseSummary, Shard, Urr, UrrStats,
+    ClusterFailureRate, FailureGroup, GroupSlot, ReleaseSummary, Store, Urr, UrrStats,
 };
 
 // ---------------------------------------------------------------------
@@ -96,52 +88,30 @@ pub struct UrrSnapshot {
 /// A group's machine names as a response lays them out — `put_str`
 /// each, in first-report order — with their count and the CRC-32 of
 /// the bytes. The layout is canonical, so equal bytes are equal lists.
+/// A live group keeps its list from one freeze to the next, so that a
+/// freeze writes only the names that arrived since the last one.
 #[derive(Debug, Clone, Default, PartialEq)]
-struct NameList {
+pub(crate) struct NameList {
     bytes: Arc<Vec<u8>>,
     len: usize,
     crc: u32,
 }
 
-/// A live failure group's [`NameList`], kept on its stripe from one
-/// freeze to the next so that a freeze writes only the names that
-/// arrived since the last one.
-#[derive(Debug, Default)]
-pub(crate) struct GroupNames {
-    list: NameList,
-    /// Every machine written so far was first reported below this
-    /// sequence number.
-    below: u64,
-}
-
-impl GroupNames {
-    /// Brings the list up to `order`, the group's `(seq of first
-    /// report, machine)` arrival list. The arrivals since the last call
-    /// are appended when they all sort after what is written, which
-    /// they always do with one writer; a report that landed behind the
-    /// written names (concurrent ingest) has the list rewritten whole,
-    /// in sequence order. A snapshot still holding the list keeps its
-    /// bytes: an append copies them first.
-    fn catch_up(&mut self, order: &[(u64, u32)], machines: &NameTable) -> &NameList {
-        let list = &mut self.list;
-        if list.len < order.len() {
-            let mut fresh = order[list.len..].to_vec();
-            fresh.sort_unstable();
-            if fresh[0].0 < self.below {
-                fresh = order.to_vec();
-                fresh.sort_unstable();
-                *list = NameList::default();
-            }
-            let bytes = Arc::make_mut(&mut list.bytes);
+impl NameList {
+    /// Appends the machines of `order`, the group's first-report list,
+    /// that arrived since the last call. A snapshot still holding the
+    /// list keeps its bytes: the append copies them first.
+    fn catch_up(&mut self, order: &[u32], machines: &NameTable) -> &NameList {
+        if self.len < order.len() {
+            let bytes = Arc::make_mut(&mut self.bytes);
             let start = bytes.len();
-            for &(_, m) in &fresh {
+            for &m in &order[self.len..] {
                 put_str(bytes, machines.name(m));
             }
-            list.crc = crc32_extend(list.crc, &[&bytes[start..]]);
-            list.len = order.len();
-            self.below = fresh[fresh.len() - 1].0 + 1;
+            self.crc = crc32_extend(self.crc, &[&bytes[start..]]);
+            self.len = order.len();
         }
-        &self.list
+        self
     }
 }
 
@@ -168,7 +138,7 @@ struct FrozenGroup {
 
 impl FrozenGroup {
     fn new(signature: &str, slot: &GroupSlot, machines: NameList) -> Self {
-        let clusters: Vec<usize> = by_seq(&slot.cluster_order).map(|c| c as usize).collect();
+        let clusters: Vec<usize> = slot.cluster_order.iter().map(|&c| c as usize).collect();
         let mut head = Vec::new();
         put_group_head(&mut head, signature, slot.count, machines.len);
         let mut tail = Vec::new();
@@ -209,68 +179,62 @@ impl FrozenGroup {
 
 impl Urr {
     /// Freezes the repository's query surfaces into an immutable
-    /// [`UrrSnapshot`]. Building the snapshot walks the stripes with
-    /// the same locks the live queries take; once built, reading it
-    /// takes none. Each surface is read stripe by stripe, so a freeze
-    /// concurrent with ingest is not a cut (see the [module
-    /// docs](crate::serve#what-a-freeze-sees)).
+    /// [`UrrSnapshot`]: one query, under one acquisition of the lock, so
+    /// the view is a cut at [`UrrSnapshot::as_of`]. Once built, reading
+    /// it takes no lock.
     pub fn snapshot(&self) -> UrrSnapshot {
-        let as_of = self.next_seq();
-        let stats = self.stats();
-        let groups = self.query(Urr::frozen_groups);
-        let mut ranked: Vec<usize> = (0..groups.len()).collect();
-        ranked.sort_by(|&a, &b| {
-            groups[b]
-                .count
-                .cmp(&groups[a].count)
-                .then(groups[a].first_seen.cmp(&groups[b].first_seen))
-        });
-        let by_sig = groups
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (g.signature.clone(), i))
-            .collect();
-        UrrSnapshot {
-            as_of,
-            stats,
-            groups,
-            ranked,
-            by_sig,
-            rates: self.cluster_failure_rates(),
-            releases: self.release_summaries(),
-        }
-    }
-
-    /// [`Urr::failure_groups`] as frozen groups, each stripe's
-    /// [`GroupNames`] first brought up to date: every machine name is
-    /// written into its wire layout once, by the first freeze after it
-    /// arrived. The table locks are taken inside the stripe's, the order
-    /// every other path takes them in.
-    fn frozen_groups(&self) -> Vec<FrozenGroup> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock().expect("urr poisoned");
-            let machines = self.machines.read().expect("urr poisoned");
-            let sigs = self.sigs.read().expect("urr poisoned");
-            let Shard { groups, names, .. } = &mut *shard;
-            names.resize_with(groups.len(), GroupNames::default);
-            for (sig, (slot, laid_out)) in groups.iter().zip(names.iter_mut()).enumerate() {
-                if slot.count == 0 {
-                    continue;
-                }
-                let list = laid_out.catch_up(&slot.machine_order, &machines).clone();
-                out.push(FrozenGroup::new(sigs.inner.name(sig as u32), slot, list));
+        self.query(|urr| {
+            let mut store = urr.lock();
+            let machines = urr.machines.read().expect("urr poisoned");
+            let sigs = urr.sigs.read().expect("urr poisoned");
+            let groups = store.frozen_groups(&machines, &sigs);
+            // A stable sort of the discovery order breaks ties by it.
+            let mut ranked: Vec<usize> = (0..groups.len()).collect();
+            ranked.sort_by(|&a, &b| groups[b].count.cmp(&groups[a].count));
+            let by_sig = groups
+                .iter()
+                .enumerate()
+                .map(|(i, g)| (g.signature.clone(), i))
+                .collect();
+            UrrSnapshot {
+                as_of: store.next_seq(),
+                stats: store.stats(),
+                groups,
+                ranked,
+                by_sig,
+                rates: store.cluster_failure_rates(),
+                releases: store.release_summaries(&urr.releases.read().expect("urr poisoned")),
             }
-        }
-        out.sort_by_key(|g| g.first_seen);
-        out
+        })
+    }
+}
+
+impl Store {
+    /// The failure groups as frozen groups, in discovery order, each
+    /// group's [`NameList`] first brought up to date: every machine name
+    /// is written into its wire layout once, by the first freeze after
+    /// it arrived.
+    fn frozen_groups(&mut self, machines: &NameTable, sigs: &NameTable) -> Vec<FrozenGroup> {
+        let Store {
+            groups,
+            discovery,
+            names,
+            ..
+        } = self;
+        names.resize_with(groups.len(), NameList::default);
+        (discovery.iter())
+            .map(|&sig| {
+                let slot = &groups[sig as usize];
+                let list = names[sig as usize].catch_up(&slot.machine_order, machines);
+                FrozenGroup::new(sigs.name(sig), slot, list.clone())
+            })
+            .collect()
     }
 }
 
 impl UrrSnapshot {
-    /// The sequence-number watermark: every report with `seq <
-    /// as_of()` whose deposit had returned when the freeze began is
-    /// reflected in this view.
+    /// The sequence-number watermark: this view reflects exactly the
+    /// reports with `seq < as_of()`.
     pub fn as_of(&self) -> u64 {
         self.as_of
     }
@@ -788,7 +752,7 @@ mod tests {
     use mirage_telemetry::names::NameTable;
 
     fn populated() -> Urr {
-        let urr = Urr::with_shards(4);
+        let urr = Urr::new();
         urr.deposit(Report::success("m1", 0, "mysql", "5.0.27"));
         urr.deposit(Report::failure(
             "m2",
@@ -824,7 +788,7 @@ mod tests {
     /// table and from the names interned after it, with names the wire
     /// layout must carry verbatim.
     fn populated_on_a_fleet() -> Urr {
-        let urr = Urr::with_shards(4);
+        let urr = Urr::new();
         let mut fleet = NameTable::default();
         for name in ["f0", "", "f\"2\"", "f3-日本語"] {
             fleet.intern(name);
@@ -858,7 +822,7 @@ mod tests {
 
     #[test]
     fn snapshot_mirrors_every_live_surface() {
-        for urr in [populated(), populated_on_a_fleet(), Urr::with_shards(2)] {
+        for urr in [populated(), populated_on_a_fleet(), Urr::new()] {
             let snap = urr.snapshot();
             assert_eq!(snap.as_of(), urr.next_seq());
             assert_eq!(snap.stats(), urr.stats());
@@ -892,65 +856,6 @@ mod tests {
             ["f3-日本語", "f\"2\"", "", "f0", "outsider\u{1}"]
         );
         assert_eq!(groups[1].machines, ["f0", "outsider-🦀", ""]);
-    }
-
-    /// Concurrent ingest can land a report after a freeze although its
-    /// sequence number was claimed before it, so the report sorts among
-    /// the names the freeze already wrote: the list is rewritten, the
-    /// snapshot that holds the old one keeps it, and the next arrival is
-    /// appended to the rewritten list again.
-    #[test]
-    fn a_name_landing_below_the_written_ones_rewrites_the_list() {
-        use crate::urr::Rec;
-
-        let urr = Urr::with_shards(2);
-        let sig = urr.intern_signature("php/crash").0;
-        let release = urr.intern_release("mysql", "5.0.27").0;
-        let land = |machine: &str, cluster: u32, seq: u64| {
-            let rec = Rec {
-                machine: urr.intern_machine(machine).0,
-                cluster,
-                release,
-                seq,
-                sig,
-                payload: None,
-            };
-            urr.insert_recs(std::iter::once(rec));
-        };
-        let machines = |snap: &UrrSnapshot| snap.machines_for_signature("php/crash").unwrap();
-        let check = |snap: &UrrSnapshot| {
-            assert_eq!(snap.failure_groups(), urr.failure_groups());
-            let requests = [
-                UrrRequest::FailureGroups,
-                UrrRequest::TopK(1),
-                UrrRequest::FirstSeenIn { start: 0, end: 99 },
-                UrrRequest::MachinesForSignature {
-                    signature: "php/crash".into(),
-                },
-            ];
-            for req in requests {
-                let served = snap.serve(&req.to_frame()).unwrap();
-                assert_eq!(served, snap.answer(&req).to_frame(), "{req:?}");
-            }
-        };
-
-        land("m5", 1, 5);
-        land("m9", 2, 9);
-        let before = urr.snapshot();
-        assert_eq!(machines(&before), ["m5", "m9"]);
-        land("m7", 3, 7);
-        let rewritten = urr.snapshot();
-        assert_eq!(machines(&rewritten), ["m5", "m7", "m9"]);
-        check(&rewritten);
-        assert_eq!(
-            machines(&before),
-            ["m5", "m9"],
-            "the older snapshot kept its list"
-        );
-        land("m11", 1, 11);
-        let appended = urr.snapshot();
-        assert_eq!(machines(&appended), ["m5", "m7", "m9", "m11"]);
-        check(&appended);
     }
 
     #[test]

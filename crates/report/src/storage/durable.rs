@@ -3,8 +3,8 @@
 //! `DurableUrr` wraps a live [`Urr`] and a pluggable [`UrrStore`].
 //! Every deposit batch is encoded as one frame (intern-table deltas +
 //! id records, see [`crate::storage::wal`]), appended to the store
-//! **before** the records are applied, and then applied with
-//! [`Urr::insert_recs`], the routing loop recovery replays through.
+//! **before** the records are applied, and then applied through the
+//! same store insert recovery replays through.
 //! Periodically — every `snapshot_every_batches`, or on
 //! [`DurableUrr::snapshot_now`] — the repository is written out as a
 //! snapshot **generation** and the WAL is truncated. A generation is
@@ -23,15 +23,17 @@
 //! covers are skipped (the duplicate-tail shape), the first torn,
 //! truncated, corrupt or gapped frame ends the replay with the prefix
 //! kept, and hostile bytes never panic. Nothing derived is read from
-//! disk: every index of a recovered repository was built by
-//! `Shard::insert`, as in live ingest.
+//! disk: every index of a recovered repository was built by the
+//! store insert, as in live ingest.
 //!
 //! A journal mutex serialises deposits, snapshots, and delta
-//! accounting; reads (queries, [`Urr::snapshot`] freezes) stay on the
-//! sharded lock-striped paths and proceed concurrently.
+//! accounting. A journaled deposit takes it, then the repository's
+//! lock, and claims its sequence range, appends its frame and stores
+//! its records under that one acquisition of the repository's lock;
+//! queries and [`Urr::snapshot`] freezes take the repository's lock
+//! alone, so a freeze never sees a frame half applied.
 
 use std::ops::Range;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use mirage_telemetry::Telemetry;
@@ -50,11 +52,6 @@ const GENERATION_FRAME_RECS: usize = 4096;
 /// Construction/recovery options for [`DurableUrr`].
 #[derive(Debug, Clone)]
 pub struct DurableConfig {
-    /// Shard (lock-stripe) count of the repository, fresh or recovered;
-    /// `0` picks `next_pow2(available threads)` like [`Urr::new`].
-    /// Nothing on disk depends on it: recovery routes every record to
-    /// its stripe the way live ingest does.
-    pub shards: usize,
     /// Write a snapshot generation (and truncate the WAL) after this
     /// many journaled batches; `0` disables automatic snapshots.
     pub snapshot_every_batches: u64,
@@ -66,7 +63,6 @@ pub struct DurableConfig {
 impl Default for DurableConfig {
     fn default() -> Self {
         DurableConfig {
-            shards: 0,
             snapshot_every_batches: 512,
             telemetry: Telemetry::noop(),
         }
@@ -76,12 +72,7 @@ impl Default for DurableConfig {
 impl DurableConfig {
     /// An empty repository as this configuration shapes it.
     fn fresh_urr(&self) -> Urr {
-        let urr = if self.shards == 0 {
-            Urr::new()
-        } else {
-            Urr::with_shards(self.shards)
-        };
-        urr.with_telemetry(self.telemetry.clone())
+        Urr::new().with_telemetry(self.telemetry.clone())
     }
 }
 
@@ -162,14 +153,14 @@ fn put_batch<'a>(
             buf,
             start_seq,
             machines.names_from(persisted.machines),
-            sigs.inner.names_from(persisted.sigs),
+            sigs.names_from(persisted.sigs),
             &releases.pairs[persisted.releases..],
             recs,
         )
     });
     Persisted {
         machines: machines.len(),
-        sigs: sigs.inner.len(),
+        sigs: sigs.len(),
         releases: releases.pairs.len(),
     }
 }
@@ -188,7 +179,8 @@ fn replay(bytes: &[u8], urr: &Urr, report: &mut RecoveryReport) -> Result<(), St
         }
         let frame = WalFrame::decode(payload).map_err(torn)?;
         let n = frame.recs.len() as u64;
-        let expected = urr.next_seq();
+        let mut store = urr.lock();
+        let expected = store.next_seq();
         // A duplicate (a rewritten tail) lies wholly below the
         // watermark. A record-less frame *at* the watermark does not:
         // its deltas are not interned yet.
@@ -205,8 +197,7 @@ fn replay(bytes: &[u8], urr: &Urr, report: &mut RecoveryReport) -> Result<(), St
         }
         frame.intern_deltas(urr).map_err(torn)?;
         frame.validate_ids(urr).map_err(torn)?;
-        urr.seq.fetch_add(n, Ordering::Relaxed);
-        urr.insert_recs(frame.recs.into_iter());
+        store.extend(frame.recs);
         report.frames_replayed += 1;
         report.records_replayed += n;
     }
@@ -268,7 +259,7 @@ impl DurableUrr {
         }
         let persisted = Persisted {
             machines: urr.machines.read().expect("urr poisoned").len(),
-            sigs: urr.sigs.read().expect("urr poisoned").inner.len(),
+            sigs: urr.sigs.read().expect("urr poisoned").len(),
             releases: urr.releases.read().expect("urr poisoned").pairs.len(),
         };
         let durable = DurableUrr {
@@ -300,9 +291,9 @@ impl DurableUrr {
     /// Journals and applies a batch of boundary reports (one WAL frame,
     /// one contiguous sequence range).
     pub fn deposit_batch(&self, reports: Vec<Report>) -> Result<Range<u64>, StoreError> {
-        self.journal_and_apply(reports.len(), |start| {
-            (reports.into_iter().zip(start..))
-                .map(|(report, seq)| self.urr.lower(report, seq))
+        self.journal_and_apply(|| {
+            (reports.into_iter())
+                .map(|report| self.urr.lower(report))
                 .collect()
         })
     }
@@ -313,49 +304,47 @@ impl DurableUrr {
         &self,
         recs: &[InternedReport],
     ) -> Result<Range<u64>, StoreError> {
-        self.journal_and_apply(recs.len(), |start| {
-            (recs.iter().zip(start..))
-                .map(|(r, seq)| Rec::interned(r, seq))
-                .collect()
-        })
+        self.journal_and_apply(|| recs.iter().map(Rec::interned).collect())
     }
 
-    /// The shared journal-then-apply path: `lower` turns the batch into
-    /// its `n` records given their first sequence number. The journal
-    /// lock is held throughout, so the deltas, the claimed sequence
-    /// range, and the store append are one atomic step with respect to
-    /// other depositors. An empty batch is not journaled: a frame
+    /// The shared journal-then-apply path: `lower` interns the batch
+    /// and turns it into its records. The journal lock is held
+    /// throughout, and the repository's from claiming the sequence
+    /// range to storing the records, so the deltas, the range, the
+    /// store append and the records are one atomic step with respect to
+    /// other depositors and to readers. A failed append stores nothing
+    /// and claims nothing. An empty batch is not journaled: a frame
     /// without records has no sequence number of its own to be told
     /// from its neighbours by.
     fn journal_and_apply(
         &self,
-        n: usize,
-        lower: impl FnOnce(u64) -> Vec<Rec>,
+        lower: impl FnOnce() -> Vec<Rec>,
     ) -> Result<Range<u64>, StoreError> {
         let mut journal = self.journal.lock().expect("durable urr poisoned");
-        let n = n as u64;
-        let start = self.urr.seq.fetch_add(n, Ordering::Relaxed);
-        if n == 0 {
+        let recs = lower();
+        let mut store = self.urr.lock();
+        let start = store.next_seq();
+        if recs.is_empty() {
             return Ok(start..start);
         }
-        let recs = lower(start);
         let mut bytes = Vec::new();
         let persisted = put_batch(&mut bytes, &self.urr, journal.persisted, start, recs.iter());
         let rotated = journal.store.append_frame(&bytes)?;
         journal.persisted = persisted;
+        let range = store.extend(recs);
+        drop(store);
         let telemetry = &self.urr.telemetry;
         telemetry.counter("urr.wal_frames", 1);
         telemetry.counter("urr.wal_bytes", bytes.len() as u64);
         if rotated {
             telemetry.counter("urr.wal_rotations", 1);
         }
-        self.urr.insert_recs(recs.into_iter());
-        self.urr.note_batch(n);
+        self.urr.note_batch(range.end - range.start);
         journal.batches_since_snapshot += 1;
         if journal.snapshot_every > 0 && journal.batches_since_snapshot >= journal.snapshot_every {
             self.write_snapshot(&mut journal)?;
         }
-        Ok(start..start + n)
+        Ok(range)
     }
 
     /// Forces a snapshot generation now (and truncates the WAL).
@@ -365,33 +354,23 @@ impl DurableUrr {
     }
 
     /// Writes the live repository out as one generation. The journal
-    /// lock is held, so no journaled writer runs; every stripe stays
+    /// lock is held, so no journaled writer runs; the repository stays
     /// locked for the encode, so the records are borrowed, not cloned.
     fn write_snapshot(&self, journal: &mut Journal) -> Result<(), StoreError> {
-        let stripes: Vec<_> = (0..self.urr.shards.len())
-            .map(|shard| self.urr.lock_shard(shard))
-            .collect();
-        let mut recs: Vec<&Rec> = stripes.iter().flat_map(|stripe| &stripe.recs).collect();
-        // Each stripe is already in sequence order under serialised
-        // ingest, so this merges a few sorted runs.
-        recs.sort_by_key(|rec| rec.seq);
+        let store = self.urr.lock();
         let mut bytes = Vec::new();
         let mut persisted = Persisted::default();
         // The first frame carries the tables, so it is written even for
         // a repository without records.
-        let mut chunks = recs.chunks(GENERATION_FRAME_RECS);
+        let mut chunks = store.recs.chunks(GENERATION_FRAME_RECS);
         let first = chunks.next().unwrap_or_default();
-        for chunk in std::iter::once(first).chain(chunks) {
-            let start_seq = chunk.first().map_or(0, |rec| rec.seq);
-            persisted = put_batch(
-                &mut bytes,
-                &self.urr,
-                persisted,
-                start_seq,
-                chunk.iter().copied(),
-            );
+        for (start_seq, chunk) in (0..)
+            .step_by(GENERATION_FRAME_RECS)
+            .zip(std::iter::once(first).chain(chunks))
+        {
+            persisted = put_batch(&mut bytes, &self.urr, persisted, start_seq, chunk.iter());
         }
-        drop(stripes);
+        drop(store);
         journal.store.write_snapshot(&bytes)?;
         // The generation is the journal's base from here on, whether or
         // not the frames it covers are gone yet.
@@ -414,7 +393,6 @@ mod tests {
 
     fn config() -> DurableConfig {
         DurableConfig {
-            shards: 4,
             snapshot_every_batches: 0,
             ..DurableConfig::default()
         }
@@ -509,7 +487,6 @@ mod tests {
         let durable = DurableUrr::new(
             Box::new(store),
             DurableConfig {
-                shards: 2,
                 snapshot_every_batches: 2,
                 ..DurableConfig::default()
             },
@@ -525,10 +502,11 @@ mod tests {
             !handle.snapshots().unwrap().is_empty(),
             "snapshots were written"
         );
+        let wal = handle.wal_segments().unwrap().concat();
         assert!(
-            handle.wal_bytes() < 200,
+            wal.len() < 200,
             "wal was truncated at the last snapshot (still holds {} bytes)",
-            handle.wal_bytes()
+            wal.len()
         );
     }
 
@@ -543,7 +521,8 @@ mod tests {
             let live = DurableUrr::new(Box::new(store.clone()), config()).unwrap();
             let a = live.urr().intern_machine("a");
             assert_eq!(live.deposit_interned_batch(&[]).unwrap(), 0..0);
-            assert_eq!(store.wal_bytes(), 0, "an empty batch journals nothing");
+            let wal = store.wal_segments().unwrap();
+            assert!(wal.is_empty(), "an empty batch journals nothing");
             if snapshot {
                 live.snapshot_now().unwrap();
             }

@@ -91,11 +91,6 @@ impl FsStore {
         })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn seg_path(&self, n: u64) -> PathBuf {
         self.root.join("wal").join(format!("seg-{n:08}.log"))
     }

@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use super::{StoreError, UrrStore};
 
 /// Default segment rotation threshold (bytes).
-pub const DEFAULT_SEGMENT_BYTES: usize = 4 << 20;
+pub(crate) const DEFAULT_SEGMENT_BYTES: usize = 4 << 20;
 
 /// An in-memory WAL-plus-snapshots store.
 ///
@@ -78,21 +78,6 @@ impl MemoryStore {
         let inner = &mut *inner;
         f(&mut inner.segments, &mut inner.snapshots);
     }
-
-    /// Total bytes currently held in WAL segments.
-    pub fn wal_bytes(&self) -> usize {
-        let inner = self.inner.lock().expect("memory store poisoned");
-        inner.segments.iter().map(Vec::len).sum()
-    }
-
-    /// Number of WAL segments (including the active one).
-    pub fn segment_count(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("memory store poisoned")
-            .segments
-            .len()
-    }
 }
 
 impl UrrStore for MemoryStore {
@@ -151,14 +136,18 @@ impl UrrStore for MemoryStore {
 mod tests {
     use super::*;
 
+    fn wal_bytes(store: &MemoryStore) -> usize {
+        store.wal_segments().unwrap().iter().map(Vec::len).sum()
+    }
+
     #[test]
     fn appends_accumulate_and_rotate() {
         let store = MemoryStore::with_segment_bytes(10);
         assert!(!store.append_frame(&[1; 6]).unwrap(), "first segment");
         assert!(!store.append_frame(&[2; 4]).unwrap(), "fits exactly");
         assert!(store.append_frame(&[3; 2]).unwrap(), "rotates");
-        assert_eq!(store.segment_count(), 2);
-        assert_eq!(store.wal_bytes(), 12);
+        assert_eq!(store.wal_segments().unwrap().len(), 2);
+        assert_eq!(wal_bytes(&store), 12);
         let segs = store.wal_segments().unwrap();
         assert_eq!(segs[0].len(), 10);
         assert_eq!(segs[1], vec![3, 3]);
@@ -168,7 +157,7 @@ mod tests {
     fn oversized_frame_still_lands_in_one_segment() {
         let store = MemoryStore::with_segment_bytes(4);
         store.append_frame(&[9; 100]).unwrap();
-        assert_eq!(store.segment_count(), 1);
+        assert_eq!(store.wal_segments().unwrap().len(), 1);
         assert_eq!(store.wal_segments().unwrap()[0].len(), 100);
     }
 
@@ -189,7 +178,7 @@ mod tests {
         store.append_frame(b"frame").unwrap();
         store.write_snapshot(b"snap").unwrap();
         store.truncate_wal().unwrap();
-        assert_eq!(store.wal_bytes(), 0);
+        assert_eq!(wal_bytes(&store), 0);
         assert_eq!(store.snapshots().unwrap().len(), 1);
     }
 
@@ -199,8 +188,8 @@ mod tests {
         store.append_frame(b"before").unwrap();
         let fork = store.fork();
         store.append_frame(b"after").unwrap();
-        assert_eq!(fork.wal_bytes(), 6);
-        assert_eq!(store.wal_bytes(), 11);
+        assert_eq!(wal_bytes(&fork), 6);
+        assert_eq!(wal_bytes(&store), 11);
     }
 
     #[test]

@@ -30,7 +30,7 @@ mod memory;
 
 pub use durable::{DurableConfig, DurableUrr, RecoveryReport};
 pub use fs::FsStore;
-pub use memory::{MemoryStore, DEFAULT_SEGMENT_BYTES};
+pub use memory::MemoryStore;
 pub use wire::WireError;
 
 use std::fmt;

@@ -23,7 +23,7 @@
 //! at sequence 0 and carries the three tables whole, the records follow
 //! in sequence order. There is no second format, so
 //! [`crate::DurableUrr::recover`] has one replay loop, and both it and
-//! live ingest file every record through [`Urr::insert_recs`] — which
+//! live ingest file every record through the same store insert — which
 //! is what makes the `recover(snapshot + WAL) == live` property hold by
 //! construction rather than by parallel-implementation luck. The live
 //! side writes a frame with [`encode_wal_frame`], straight from the
@@ -161,12 +161,11 @@ impl<'a> WalFrame<'a> {
             });
         }
         let mut recs = Vec::with_capacity(n_recs);
-        for i in 0..n_recs as u64 {
+        for _ in 0..n_recs {
             recs.push(Rec {
                 machine: cur.u32("wal rec machine")?,
                 cluster: cur.u32("wal rec cluster")?,
                 release: cur.u32("wal rec release")?,
-                seq: start_seq + i,
                 sig: cur.u32("wal rec sig")?,
                 payload: get_payload(&mut cur)?,
             });
@@ -186,7 +185,7 @@ impl<'a> WalFrame<'a> {
     /// applying a decoded frame.
     pub(crate) fn validate_ids(&self, urr: &Urr) -> Result<(), WireError> {
         let machines = urr.machines.read().expect("urr poisoned").len() as u64;
-        let sigs = urr.sigs.read().expect("urr poisoned").inner.len() as u64;
+        let sigs = urr.sigs.read().expect("urr poisoned").len() as u64;
         let releases = urr.releases.read().expect("urr poisoned").pairs.len() as u64;
         for rec in &self.recs {
             if u64::from(rec.machine) >= machines {
@@ -238,7 +237,7 @@ impl<'a> WalFrame<'a> {
                 next_id(table.try_intern(name).ok_or(FULL)?, first, i)?;
             }
         }
-        let first = urr.sigs.read().expect("urr poisoned").inner.len();
+        let first = urr.sigs.read().expect("urr poisoned").len();
         for (i, name) in self.sig_delta.iter().enumerate() {
             next_id(urr.try_intern_signature(name).ok_or(FULL)?.0, first, i)?;
         }
@@ -310,12 +309,11 @@ mod tests {
         }
     }
 
-    fn rec(machine: u32, release: u32, sig: u32, seq: u64) -> Rec {
+    fn rec(machine: u32, release: u32, sig: u32) -> Rec {
         Rec {
             machine,
             cluster: 0,
             release,
-            seq,
             sig,
             payload: None,
         }
@@ -337,7 +335,7 @@ mod tests {
             recs: vec![
                 Rec {
                     cluster: 3,
-                    ..rec(0, 0, NO_SIG, 17)
+                    ..rec(0, 0, NO_SIG)
                 },
                 Rec {
                     payload: Some(Box::new(Payload {
@@ -349,7 +347,7 @@ mod tests {
                             vec!["out-🦀".into()],
                         )),
                     })),
-                    ..rec(1, 0, 0, 18)
+                    ..rec(1, 0, 0)
                 },
             ],
         }
@@ -437,7 +435,7 @@ mod tests {
 
     #[test]
     fn bad_option_tags_are_rejected() {
-        let mut bytes = frame_of(0, vec![rec(0, 0, 0, 0)]).encode();
+        let mut bytes = frame_of(0, vec![rec(0, 0, 0)]).encode();
         // The final byte is the payload option tag; make it undefined.
         *bytes.last_mut().unwrap() = 7;
         assert!(matches!(
@@ -448,7 +446,7 @@ mod tests {
 
     #[test]
     fn a_sequence_range_past_u64_is_rejected() {
-        let bytes = frame_of(u64::MAX, vec![rec(0, 0, NO_SIG, u64::MAX)]).encode();
+        let bytes = frame_of(u64::MAX, vec![rec(0, 0, NO_SIG)]).encode();
         assert!(matches!(
             WalFrame::decode(&bytes),
             Err(WireError::Corrupt { .. })
@@ -457,20 +455,20 @@ mod tests {
 
     #[test]
     fn validate_ids_rejects_out_of_range_records() {
-        let urr = Urr::with_shards(2);
+        let urr = Urr::new();
         urr.intern_machines(["m0"]);
         urr.intern_release("p", "v");
-        let ok = frame_of(0, vec![rec(0, 0, NO_SIG, 0)]);
+        let ok = frame_of(0, vec![rec(0, 0, NO_SIG)]);
         assert!(ok.validate_ids(&urr).is_ok());
         for (machine, sig, release) in [(9, NO_SIG, 0), (0, 5, 0), (0, NO_SIG, 9)] {
-            let bad = frame_of(0, vec![rec(machine, release, sig, 0)]);
+            let bad = frame_of(0, vec![rec(machine, release, sig)]);
             assert!(bad.validate_ids(&urr).is_err());
         }
     }
 
     #[test]
     fn intern_deltas_rejects_a_name_the_table_already_holds() {
-        let urr = Urr::with_shards(2);
+        let urr = Urr::new();
         urr.intern_machine("m0");
         urr.intern_signature("s0");
         urr.intern_release("p", "v");
@@ -499,7 +497,7 @@ mod tests {
         });
         for held in [["m0", "m1", "m2"], ["m1", "m0", "m2"]] {
             let replay = |delta: &[&'static str]| {
-                let urr = Urr::with_shards(2);
+                let urr = Urr::new();
                 urr.intern_machines(held);
                 let frame = WalFrame {
                     machine_delta: delta.to_vec(),
@@ -526,7 +524,7 @@ mod tests {
                 let all = || held.iter().chain(delta).copied();
                 assert_eq!(
                     urr.intern_machines(all()),
-                    Urr::with_shards(2).intern_machines(all()),
+                    Urr::new().intern_machines(all()),
                     "{held:?} + {delta:?}"
                 );
             }

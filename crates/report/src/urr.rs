@@ -1,4 +1,4 @@
-//! The sharded, interned Upgrade Report Repository.
+//! The interned Upgrade Report Repository.
 //!
 //! The paper's vendor leaves the repository **on** for the whole
 //! deployment: every user machine deposits a structured report, and the
@@ -7,11 +7,11 @@
 //! implementation follows the workspace's interned-data-plane
 //! conventions:
 //!
-//! * **Lock-striped shards.** Reports live in `N = next_pow2(threads)`
-//!   shards, each behind its own `Mutex`. Failure reports are routed by
-//!   the *hash of their signature*, so every report for one failure
-//!   lands in one shard and per-signature aggregation never crosses
-//!   shard boundaries; success reports are spread by a machine-id hash.
+//! * **One writer, one lock.** The records and every index over them
+//!   live in one store behind one `Mutex`. A deposit claims its
+//!   sequence numbers in the same lock acquisition that stores its
+//!   records, so the archive is always in sequence order and a record's
+//!   sequence number is its index in it.
 //! * **Dense interning.** Machine names ([`MachineRef`], a `u32` in the
 //!   same style as the deploy plane's `MachineId`), failure signatures
 //!   ([`SigId`]), and `(package, version)` pairs ([`ReleaseId`]) are
@@ -31,50 +31,41 @@
 //!   per-signature group aggregate, per-cluster tallies, and
 //!   per-release tallies in place, so [`Urr::failure_groups`],
 //!   [`Urr::top_k_failure_groups`], [`Urr::cluster_failure_rates`], and
-//!   [`Urr::release_summaries`] are merges over pre-aggregated state,
-//!   not scans over every report ever deposited.
+//!   [`Urr::release_summaries`] read pre-aggregated state, not every
+//!   report ever deposited.
 //!
 //! The batched ingest path ([`Urr::deposit_batch`], and the fully
 //! interned [`Urr::deposit_interned_batch`] used by the simulator's
-//! `with_urr` wiring) claims a contiguous sequence range with one
-//! atomic add and takes each shard lock once per batch.
+//! `with_urr` wiring) claims a contiguous sequence range and stores the
+//! batch under one acquisition of the lock.
 //!
-//! The pre-sharding implementation survives under [`crate::reference`];
-//! the seeded `urr_reference_equivalence` property proves both produce
+//! The string-keyed prototype survives under [`crate::reference`]; the
+//! seeded `urr_reference_equivalence` property proves both produce
 //! identical query results on random report streams.
 //!
 //! # Ordering
 //!
-//! Sequence numbers are assigned by a global atomic counter, so under
-//! *concurrent* ingest a shard may receive records out of sequence
-//! order. All ordered query results (deposit-order snapshots,
-//! first-seen lists) are therefore ordered by sequence number at query
-//! time, which makes them deterministic for any single-threaded stream
-//! and well-defined (sequence order, not arrival order) under
-//! concurrency. Within a [`FailureGroup`], `machines`/`clusters` are
-//! listed by the sequence number of the first report that introduced
-//! them.
+//! Records are stored in the order their sequence numbers were claimed,
+//! so every ordered result — the deposit-order snapshot, discovery
+//! order, and each group's machines and clusters by first report — is
+//! the order of the archive.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
 use mirage_telemetry::json::Value;
 use mirage_telemetry::names::NameTable;
 use mirage_telemetry::Telemetry;
 
-use crate::codec::JsonError;
 use crate::image::ReportImage;
 use crate::report::{Report, ReportOutcome};
-use crate::serve::GroupNames;
+use crate::serve::NameList;
 
 /// Sentinel for "this record is a success" in the stored sig slot.
 pub(crate) const NO_SIG: u32 = u32::MAX;
-/// Sentinel for "no report seen yet" in first-seen fields.
-pub(crate) const NEVER: u64 = u64::MAX;
 
 // ---------------------------------------------------------------------
 // Public id types
@@ -252,26 +243,25 @@ pub(crate) struct Payload {
 }
 
 /// One stored report record: ids only, payload boxed out of line. Also
-/// the record a journaled frame decodes into.
+/// the record a journaled frame decodes into. Its sequence number is
+/// its index in the archive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Rec {
     pub(crate) machine: u32,
     pub(crate) cluster: u32,
     pub(crate) release: u32,
-    pub(crate) seq: u64,
     /// [`NO_SIG`] for successes.
     pub(crate) sig: u32,
     pub(crate) payload: Option<Box<Payload>>,
 }
 
 impl Rec {
-    /// The record a pre-interned report is stored as under `seq`.
-    pub(crate) fn interned(r: &InternedReport, seq: u64) -> Self {
+    /// The record a pre-interned report is stored as.
+    pub(crate) fn interned(r: &InternedReport) -> Self {
         Rec {
             machine: r.machine.0,
             cluster: r.cluster,
             release: r.release.0,
-            seq,
             sig: match r.outcome {
                 InternedOutcome::Success => NO_SIG,
                 InternedOutcome::Failure(sig) => sig.0,
@@ -283,13 +273,13 @@ impl Rec {
 
 /// A word-packed bitset over dense `u32` ids.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PackedSet {
+struct PackedSet {
     words: Vec<u64>,
 }
 
 impl PackedSet {
     /// Inserts `bit`; returns `true` if newly added.
-    pub(crate) fn insert(&mut self, bit: u32) -> bool {
+    fn insert(&mut self, bit: u32) -> bool {
         let word = (bit / 64) as usize;
         if word >= self.words.len() {
             self.words.resize(word + 1, 0);
@@ -303,197 +293,191 @@ impl PackedSet {
     }
 }
 
-/// Incrementally maintained per-signature aggregate (the inverted
-/// index entry for one failure signature, owned by its home shard).
-#[derive(Debug, Clone)]
+/// Incrementally maintained per-signature aggregate: the inverted index
+/// entry for one failure signature.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct GroupSlot {
     pub(crate) count: usize,
     pub(crate) first_seen: u64,
-    pub(crate) machines: PackedSet,
-    /// `(seq of first report from the machine, machine)` in arrival
-    /// order; sorted by seq at query time.
-    pub(crate) machine_order: Vec<(u64, u32)>,
-    pub(crate) clusters: PackedSet,
-    pub(crate) cluster_order: Vec<(u64, u32)>,
+    machines: PackedSet,
+    /// Machines in the order of their first report.
+    pub(crate) machine_order: Vec<u32>,
+    clusters: PackedSet,
+    /// Clusters in the order of their first report.
+    pub(crate) cluster_order: Vec<u32>,
 }
 
-/// The ids of a `(seq of first report, id)` arrival list, in sequence
-/// order.
-pub(crate) fn by_seq(order: &[(u64, u32)]) -> impl ExactSizeIterator<Item = u32> {
-    let mut order = order.to_vec();
-    order.sort_unstable();
-    order.into_iter().map(|(_, id)| id)
-}
-
-impl Default for GroupSlot {
-    fn default() -> Self {
-        GroupSlot {
-            count: 0,
-            first_seen: NEVER,
-            machines: PackedSet::default(),
-            machine_order: Vec::new(),
-            clusters: PackedSet::default(),
-            cluster_order: Vec::new(),
-        }
-    }
-}
-
-/// Per-release incremental tallies.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ReleaseSlot {
-    pub(crate) successes: usize,
-    pub(crate) failures: usize,
-    pub(crate) first_seen: u64,
-}
-
-impl Default for ReleaseSlot {
-    fn default() -> Self {
-        ReleaseSlot {
-            successes: 0,
-            failures: 0,
-            first_seen: NEVER,
-        }
-    }
-}
-
-/// One lock stripe of the repository.
+/// The records and every index over them: what the repository's one
+/// lock guards.
 #[derive(Debug, Default)]
-pub(crate) struct Shard {
+pub(crate) struct Store {
+    /// Every record, in sequence order.
     pub(crate) recs: Vec<Rec>,
-    /// Inverted index, indexed by [`SigId`]; only signatures whose hash
-    /// routes to this shard have live entries.
+    /// Inverted index, indexed by [`SigId`].
     pub(crate) groups: Vec<GroupSlot>,
-    /// Distinct signatures with at least one report in this shard.
-    pub(crate) distinct: usize,
+    /// Signatures with at least one report, in discovery order.
+    pub(crate) discovery: Vec<u32>,
     /// Per-cluster `(successes, failures)`, indexed by cluster id.
-    pub(crate) cluster_tallies: Vec<(usize, usize)>,
-    /// Per-release tallies, indexed by [`ReleaseId`].
-    pub(crate) release_tallies: Vec<ReleaseSlot>,
-    pub(crate) successes: usize,
-    pub(crate) failures: usize,
-    pub(crate) image_bytes: usize,
+    cluster_tallies: Vec<(usize, usize)>,
+    /// Per-release `(successes, failures)`, indexed by [`ReleaseId`].
+    release_tallies: Vec<(usize, usize)>,
+    /// Releases with at least one report, in first-report order.
+    release_order: Vec<u32>,
+    successes: usize,
+    failures: usize,
+    image_bytes: usize,
     /// Each failure group's machine names in wire layout, indexed by
     /// [`SigId`] like `groups`. Only [`Urr::snapshot`] writes it, so it
     /// stays empty until the first freeze and ingest never touches it.
-    pub(crate) names: Vec<GroupNames>,
+    pub(crate) names: Vec<NameList>,
 }
 
-impl Shard {
-    pub(crate) fn insert(&mut self, rec: Rec) {
-        if let Some(p) = &rec.payload {
-            if let Some(img) = &p.image {
-                self.image_bytes += img.byte_size();
-            }
-        }
-        let cluster = rec.cluster as usize;
-        if cluster >= self.cluster_tallies.len() {
-            self.cluster_tallies.resize(cluster + 1, (0, 0));
-        }
-        let release = rec.release as usize;
-        if release >= self.release_tallies.len() {
-            self.release_tallies
-                .resize(release + 1, ReleaseSlot::default());
-        }
-        let rel = &mut self.release_tallies[release];
-        rel.first_seen = rel.first_seen.min(rec.seq);
-        if rec.sig == NO_SIG {
-            self.successes += 1;
-            self.cluster_tallies[cluster].0 += 1;
-            rel.successes += 1;
-        } else {
-            self.failures += 1;
-            self.cluster_tallies[cluster].1 += 1;
-            rel.failures += 1;
-            let sig = rec.sig as usize;
-            if sig >= self.groups.len() {
-                self.groups.resize_with(sig + 1, GroupSlot::default);
-            }
-            let slot = &mut self.groups[sig];
-            if slot.count == 0 {
-                self.distinct += 1;
-            }
-            slot.count += 1;
-            slot.first_seen = slot.first_seen.min(rec.seq);
-            if slot.machines.insert(rec.machine) {
-                slot.machine_order.push((rec.seq, rec.machine));
-            }
-            if slot.clusters.insert(rec.cluster) {
-                slot.cluster_order.push((rec.seq, rec.cluster));
-            }
-        }
-        self.recs.push(rec);
+impl Store {
+    /// The sequence number the next stored record takes.
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.recs.len() as u64
     }
 
-    /// Inserts a slice of pre-interned records whose sequence numbers
-    /// start at `start` — the single-stripe hot loop. Equivalent to
-    /// calling [`Shard::insert`] per record, but the signature/release
-    /// tables are sized once from the interner lengths (`sig_count`,
-    /// `release_count` — every id in `recs` is below them by
-    /// construction), the cluster-table growth branch is the only
-    /// remaining per-record capacity check, and the payload branches are
-    /// gone entirely (interned records carry none).
-    fn insert_interned(
-        &mut self,
-        recs: &[InternedReport],
-        start: u64,
-        sig_count: usize,
-        release_count: usize,
-    ) {
-        if recs.is_empty() {
+    /// Sizes the release and signature tables to cover ids below
+    /// `releases` and `sigs`.
+    fn cover(&mut self, releases: usize, sigs: usize) {
+        if releases > self.release_tallies.len() {
+            self.release_tallies.resize(releases, (0, 0));
+        }
+        if sigs > self.groups.len() {
+            self.groups.resize_with(sigs, GroupSlot::default);
+        }
+    }
+
+    /// Files the record stored under `seq` in every index. The release
+    /// and signature tables must already cover its ids.
+    #[inline]
+    fn tally(&mut self, seq: u64, machine: u32, cluster: u32, release: u32, sig: u32) {
+        let c = cluster as usize;
+        if c >= self.cluster_tallies.len() {
+            self.cluster_tallies.resize(c + 1, (0, 0));
+        }
+        let rel = &mut self.release_tallies[release as usize];
+        if *rel == (0, 0) {
+            self.release_order.push(release);
+        }
+        if sig == NO_SIG {
+            self.successes += 1;
+            self.cluster_tallies[c].0 += 1;
+            rel.0 += 1;
             return;
         }
+        self.failures += 1;
+        self.cluster_tallies[c].1 += 1;
+        rel.1 += 1;
+        let slot = &mut self.groups[sig as usize];
+        if slot.count == 0 {
+            slot.first_seen = seq;
+            self.discovery.push(sig);
+        }
+        slot.count += 1;
+        if slot.machines.insert(machine) {
+            slot.machine_order.push(machine);
+        }
+        if slot.clusters.insert(cluster) {
+            slot.cluster_order.push(cluster);
+        }
+    }
+
+    /// Stores `recs` under the next sequence numbers and returns them.
+    pub(crate) fn extend(&mut self, recs: impl IntoIterator<Item = Rec>) -> Range<u64> {
+        let start = self.next_seq();
+        for rec in recs {
+            let seq = self.next_seq();
+            if let Some(img) = rec.payload.as_ref().and_then(|p| p.image.as_ref()) {
+                self.image_bytes += img.byte_size();
+            }
+            let sig = if rec.sig == NO_SIG {
+                0
+            } else {
+                rec.sig as usize + 1
+            };
+            self.cover(rec.release as usize + 1, sig);
+            self.tally(seq, rec.machine, rec.cluster, rec.release, rec.sig);
+            self.recs.push(rec);
+        }
+        start..self.next_seq()
+    }
+
+    /// Stores pre-interned records under the next sequence numbers — the
+    /// hot loop. Equivalent to [`Store::extend`] over [`Rec::interned`],
+    /// but the signature and release tables are sized once from the
+    /// interner lengths (`sigs`, `releases`: every id in `recs` is below
+    /// them by construction), and interned records carry no payload.
+    fn extend_interned(
+        &mut self,
+        recs: &[InternedReport],
+        sigs: usize,
+        releases: usize,
+    ) -> Range<u64> {
+        let start = self.next_seq();
+        self.cover(releases, sigs);
         self.recs.reserve(recs.len());
-        if release_count > self.release_tallies.len() {
-            self.release_tallies
-                .resize(release_count, ReleaseSlot::default());
+        for (seq, r) in (start..).zip(recs) {
+            let sig = match r.outcome {
+                InternedOutcome::Success => NO_SIG,
+                InternedOutcome::Failure(sig) => sig.0,
+            };
+            self.tally(seq, r.machine.0, r.cluster, r.release.0, sig);
         }
-        if sig_count > self.groups.len() {
-            self.groups.resize_with(sig_count, GroupSlot::default);
-        }
-        let mut successes = 0usize;
-        let mut failures = 0usize;
-        for (i, r) in recs.iter().enumerate() {
-            let seq = start + i as u64;
-            let cluster = r.cluster as usize;
-            if cluster >= self.cluster_tallies.len() {
-                self.cluster_tallies.resize(cluster + 1, (0, 0));
-            }
-            let rel = &mut self.release_tallies[r.release.index()];
-            rel.first_seen = rel.first_seen.min(seq);
-            match r.outcome {
-                InternedOutcome::Success => {
-                    successes += 1;
-                    self.cluster_tallies[cluster].0 += 1;
-                    rel.successes += 1;
-                }
-                InternedOutcome::Failure(sig) => {
-                    failures += 1;
-                    self.cluster_tallies[cluster].1 += 1;
-                    rel.failures += 1;
-                    let slot = &mut self.groups[sig.index()];
-                    if slot.count == 0 {
-                        self.distinct += 1;
-                    }
-                    slot.count += 1;
-                    slot.first_seen = slot.first_seen.min(seq);
-                    if slot.machines.insert(r.machine.0) {
-                        slot.machine_order.push((seq, r.machine.0));
-                    }
-                    if slot.clusters.insert(r.cluster) {
-                        slot.cluster_order.push((seq, r.cluster));
-                    }
-                }
-            }
-        }
-        self.successes += successes;
-        self.failures += failures;
         // A second tight pass appends to the archive: the extend
         // vectorises without the tally loop's branches in the way.
-        self.recs.extend(
-            recs.iter()
-                .enumerate()
-                .map(|(i, r)| Rec::interned(r, start + i as u64)),
-        );
+        self.recs.extend(recs.iter().map(Rec::interned));
+        start..self.next_seq()
+    }
+
+    /// The discovered signatures first seen in `window`: a run of the
+    /// discovery order, which is `first_seen` order.
+    fn seen_in(&self, window: Range<u64>) -> &[u32] {
+        let first_seen = |&sig: &u32| self.groups[sig as usize].first_seen;
+        let lo = self
+            .discovery
+            .partition_point(|s| first_seen(s) < window.start);
+        let hi = self
+            .discovery
+            .partition_point(|s| first_seen(s) < window.end);
+        &self.discovery[lo..hi.max(lo)]
+    }
+
+    pub(crate) fn stats(&self) -> UrrStats {
+        UrrStats {
+            total: self.recs.len(),
+            successes: self.successes,
+            failures: self.failures,
+            distinct_failures: self.discovery.len(),
+            image_bytes: self.image_bytes,
+        }
+    }
+
+    pub(crate) fn cluster_failure_rates(&self) -> Vec<ClusterFailureRate> {
+        (self.cluster_tallies.iter().enumerate())
+            .filter(|(_, &(s, f))| s + f > 0)
+            .map(|(cluster, &(successes, failures))| ClusterFailureRate {
+                cluster,
+                successes,
+                failures,
+            })
+            .collect()
+    }
+
+    pub(crate) fn release_summaries(&self, releases: &ReleaseInterner) -> Vec<ReleaseSummary> {
+        (self.release_order.iter())
+            .map(|&i| {
+                let (package, version) = releases.pair(i);
+                let (successes, failures) = self.release_tallies[i as usize];
+                ReleaseSummary {
+                    package: package.to_string(),
+                    version: version.to_string(),
+                    successes,
+                    failures,
+                }
+            })
+            .collect()
     }
 }
 
@@ -501,14 +485,6 @@ impl Shard {
 /// only a name the fleet lacks makes the table private.
 fn intern_machine_in(table: &mut Arc<NameTable>, name: &str) -> u32 {
     NameTable::try_intern_shared(table, name).expect("interner overflow")
-}
-
-/// Signature interner plus each signature's home shard.
-#[derive(Debug, Default)]
-pub(crate) struct SigInterner {
-    pub(crate) inner: NameTable,
-    /// Home shard per signature (hash of the name, masked).
-    pub(crate) shards: Vec<u32>,
 }
 
 /// `(package, version)` interner. The index nests version under
@@ -543,35 +519,12 @@ impl ReleaseInterner {
     }
 }
 
-/// FNV-1a over a signature name, for shard routing.
-pub(crate) fn hash_name(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-/// SplitMix-style integer finaliser, for machine-id shard routing.
-pub(crate) fn mix_u32(x: u32) -> u64 {
-    let mut z = u64::from(x).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Smallest power of two ≥ `n` (and ≥ 1).
-fn next_pow2(n: usize) -> usize {
-    n.max(1).next_power_of_two()
-}
-
 // ---------------------------------------------------------------------
 // The repository
 // ---------------------------------------------------------------------
 
-/// The Upgrade Report Repository: sharded, interned, incrementally
-/// indexed, thread-safe, and serialisable.
+/// The Upgrade Report Repository: interned, incrementally indexed,
+/// thread-safe behind one lock, and journaled by [`crate::DurableUrr`].
 ///
 /// # Examples
 ///
@@ -588,14 +541,14 @@ fn next_pow2(n: usize) -> usize {
 /// ```
 #[derive(Debug)]
 pub struct Urr {
-    pub(crate) shards: Box<[Mutex<Shard>]>,
-    pub(crate) shard_mask: u64,
-    pub(crate) seq: AtomicU64,
+    /// The records and indexes. The name tables are locked inside it,
+    /// never around it.
+    pub(crate) store: Mutex<Store>,
     /// The machine table: the `Arc` a fleet was adopted as
     /// ([`Urr::intern_fleet`]) until a name from outside it arrives,
     /// private from then on.
     pub(crate) machines: RwLock<Arc<NameTable>>,
-    pub(crate) sigs: RwLock<SigInterner>,
+    pub(crate) sigs: RwLock<NameTable>,
     pub(crate) releases: RwLock<ReleaseInterner>,
     pub(crate) telemetry: Telemetry,
 }
@@ -607,50 +560,36 @@ impl Default for Urr {
 }
 
 impl Urr {
-    /// Creates an empty repository with `next_pow2(available threads)`
-    /// shards.
+    /// Creates an empty repository.
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::with_shards(next_pow2(threads))
-    }
-
-    /// Creates an empty repository with an explicit shard count
-    /// (rounded up to a power of two).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = next_pow2(shards);
         Urr {
-            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_mask: (n - 1) as u64,
-            seq: AtomicU64::new(0),
-            machines: RwLock::new(Arc::default()),
-            sigs: RwLock::new(SigInterner::default()),
-            releases: RwLock::new(ReleaseInterner::default()),
+            store: Mutex::default(),
+            machines: RwLock::default(),
+            sigs: RwLock::default(),
+            releases: RwLock::default(),
             telemetry: Telemetry::noop(),
         }
     }
 
     /// Attaches a telemetry handle recording `urr.*` counters: deposit
-    /// and batch counts, batch-size and query-latency histograms, and
-    /// shard-lock contention.
+    /// and batch counts, and batch-size and query-latency histograms.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
     }
 
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Locks the records and indexes.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Store> {
+        self.store.lock().expect("urr poisoned")
     }
 
     /// The next sequence number that will be assigned — equivalently,
-    /// the number of sequence slots claimed so far. Serves as the
-    /// repository's logical clock: the storage layer stamps journaled
-    /// frames with it, and [`crate::UrrSnapshot`] reports it as the
-    /// frozen view's `as_of` watermark.
+    /// the number of reports stored so far. Serves as the repository's
+    /// logical clock: the storage layer stamps journaled frames with
+    /// it, and [`crate::UrrSnapshot`] reports it as the frozen view's
+    /// `as_of` watermark.
     pub fn next_seq(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.lock().next_seq()
     }
 
     // -- interning ----------------------------------------------------
@@ -707,7 +646,7 @@ impl Urr {
         (0..table.len() as u32).map(MachineRef).collect()
     }
 
-    /// Interns a failure signature (assigning its home shard).
+    /// Interns a failure signature.
     ///
     /// # Panics
     ///
@@ -720,15 +659,10 @@ impl Urr {
     /// [`Urr::intern_signature`], `None` where it would panic: journal
     /// replay interns names it did not write.
     pub(crate) fn try_intern_signature(&self, name: &str) -> Option<SigId> {
-        if let Some(i) = self.sigs.read().expect("urr poisoned").inner.get(name) {
+        if let Some(i) = self.sigs.read().expect("urr poisoned").get(name) {
             return Some(SigId(i));
         }
-        let mut sigs = self.sigs.write().expect("urr poisoned");
-        let i = sigs.inner.try_intern(name)?;
-        if i as usize >= sigs.shards.len() {
-            debug_assert_eq!(i as usize, sigs.shards.len());
-            sigs.shards.push((hash_name(name) & self.shard_mask) as u32);
-        }
+        let i = self.sigs.write().expect("urr poisoned").try_intern(name)?;
         Some(SigId(i))
     }
 
@@ -758,106 +692,30 @@ impl Urr {
     /// compatibility path; hot ingest should prefer
     /// [`Urr::deposit_batch`] or [`Urr::deposit_interned_batch`].
     pub fn deposit(&self, report: Report) -> u64 {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.insert_report(report, seq);
+        let rec = self.lower(report);
+        let seq = self.lock().extend([rec]).start;
         self.telemetry.counter("urr.deposits", 1);
         seq
     }
 
-    /// Deposits a batch of reports, claiming one contiguous sequence
-    /// range with a single atomic add. Returns the range.
+    /// Deposits a batch of reports under one contiguous sequence range,
+    /// claimed and stored in one acquisition of the lock. Returns the
+    /// range.
     pub fn deposit_batch(&self, reports: Vec<Report>) -> Range<u64> {
-        let n = reports.len() as u64;
-        let start = self.seq.fetch_add(n, Ordering::Relaxed);
-        for (i, report) in reports.into_iter().enumerate() {
-            self.insert_report(report, start + i as u64);
-        }
-        self.note_batch(n);
-        start..start + n
+        let recs: Vec<Rec> = reports.into_iter().map(|r| self.lower(r)).collect();
+        let range = self.lock().extend(recs);
+        self.note_batch(range.end - range.start);
+        range
     }
 
     /// Deposits a batch of pre-interned records: the allocation-free
-    /// ingest path the simulator uses. Each shard lock is taken once
-    /// per batch.
+    /// ingest path the simulator uses.
     pub fn deposit_interned_batch(&self, recs: &[InternedReport]) -> Range<u64> {
-        let n = recs.len() as u64;
-        let start = self.seq.fetch_add(n, Ordering::Relaxed);
-        if self.shards.len() == 1 {
-            // Single-stripe fast path: no routing, no regrouping buffer —
-            // records go straight from the caller's slice into the shard.
-            let sig_count = self.sigs.read().expect("urr poisoned").inner.len();
-            let release_count = self.releases.read().expect("urr poisoned").pairs.len();
-            self.lock_shard(0)
-                .insert_interned(recs, start, sig_count, release_count);
-        } else {
-            self.insert_recs(
-                recs.iter()
-                    .enumerate()
-                    .map(|(i, r)| Rec::interned(r, start + i as u64)),
-            );
-        }
-        self.note_batch(n);
-        start..start + n
-    }
-
-    /// The stripe a record lives in: its signature's home stripe for a
-    /// failure, a hash of the machine id for a success.
-    fn home_shard(&self, sigs: &SigInterner, rec: &Rec) -> usize {
-        if rec.sig == NO_SIG {
-            (mix_u32(rec.machine) & self.shard_mask) as usize
-        } else {
-            sigs.shards[rec.sig as usize] as usize
-        }
-    }
-
-    /// Inserts a batch of records, taking each shard lock once: the one
-    /// routing loop under batched ingest, journaled ingest and replay.
-    /// `recs` is drained with the signature table read-locked, so it
-    /// must not intern.
-    pub(crate) fn insert_recs(&self, recs: impl ExactSizeIterator<Item = Rec>) {
-        if recs.len() == 0 {
-            return;
-        }
-        if self.shards.len() == 1 {
-            let mut guard = self.lock_shard(0);
-            guard.recs.reserve(recs.len());
-            for rec in recs {
-                guard.insert(rec);
-            }
-            return;
-        }
-        let sigs = self.sigs.read().expect("urr poisoned");
-        let cap = recs.len() / self.shards.len() + 1;
-        let mut by_shard: Vec<Vec<Rec>> = (0..self.shards.len())
-            .map(|_| Vec::with_capacity(cap))
-            .collect();
-        for rec in recs {
-            by_shard[self.home_shard(&sigs, &rec)].push(rec);
-        }
-        drop(sigs);
-        for (shard, items) in by_shard.into_iter().enumerate() {
-            if items.is_empty() {
-                continue;
-            }
-            let mut guard = self.lock_shard(shard);
-            guard.recs.reserve(items.len());
-            for rec in items {
-                guard.insert(rec);
-            }
-        }
-    }
-
-    /// Locks one shard, counting contention (a failed `try_lock`) into
-    /// `urr.shard_contention`.
-    pub(crate) fn lock_shard(&self, shard: usize) -> std::sync::MutexGuard<'_, Shard> {
-        match self.shards[shard].try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.telemetry.counter("urr.shard_contention", 1);
-                self.shards[shard].lock().expect("urr poisoned")
-            }
-            Err(std::sync::TryLockError::Poisoned(_)) => panic!("urr poisoned"),
-        }
+        let sigs = self.sigs.read().expect("urr poisoned").len();
+        let releases = self.releases.read().expect("urr poisoned").pairs.len();
+        let range = self.lock().extend_interned(recs, sigs, releases);
+        self.note_batch(recs.len() as u64);
+        range
     }
 
     pub(crate) fn note_batch(&self, n: u64) {
@@ -866,9 +724,9 @@ impl Urr {
         self.telemetry.observe("urr.batch_size", n);
     }
 
-    /// Lowers one boundary report to the record stored under `seq`,
+    /// Lowers one boundary report to the record it is stored as,
     /// interning its names.
-    pub(crate) fn lower(&self, report: Report, seq: u64) -> Rec {
+    pub(crate) fn lower(&self, report: Report) -> Rec {
         let machine = self.intern_machine(&report.machine).0;
         let release = self.intern_release(&report.package, &report.version).0;
         let (sig, detail) = match report.outcome {
@@ -889,17 +747,9 @@ impl Urr {
             machine,
             cluster: u32::try_from(report.cluster).expect("cluster id overflow"),
             release,
-            seq,
             sig,
             payload,
         }
-    }
-
-    /// Interns one boundary report and inserts it under `seq`.
-    fn insert_report(&self, report: Report, seq: u64) {
-        let rec = self.lower(report, seq);
-        let shard = self.home_shard(&self.sigs.read().expect("urr poisoned"), &rec);
-        self.lock_shard(shard).insert(rec);
     }
 
     // -- queries ------------------------------------------------------
@@ -919,36 +769,32 @@ impl Urr {
         }
     }
 
-    /// Materialises one group slot into a [`FailureGroup`].
-    fn materialize(&self, sig: u32, slot: &GroupSlot) -> FailureGroup {
+    /// Materialises the groups of `sigs`, in that order.
+    fn materialize(&self, store: &Store, sigs: &[u32]) -> Vec<FailureGroup> {
         let machines = self.machines.read().expect("urr poisoned");
-        let sigs = self.sigs.read().expect("urr poisoned");
-        FailureGroup {
-            signature: sigs.inner.name(sig).to_string(),
-            count: slot.count,
-            machines: by_seq(&slot.machine_order)
-                .map(|m| machines.name(m).to_string())
-                .collect(),
-            clusters: by_seq(&slot.cluster_order).map(|c| c as usize).collect(),
-            first_seen: slot.first_seen,
-        }
+        let names = self.sigs.read().expect("urr poisoned");
+        (sigs.iter())
+            .map(|&sig| {
+                let slot = &store.groups[sig as usize];
+                FailureGroup {
+                    signature: names.name(sig).to_string(),
+                    count: slot.count,
+                    machines: (slot.machine_order.iter())
+                        .map(|&m| machines.name(m).to_string())
+                        .collect(),
+                    clusters: slot.cluster_order.iter().map(|&c| c as usize).collect(),
+                    first_seen: slot.first_seen,
+                }
+            })
+            .collect()
     }
 
     /// Groups failure reports by signature — the vendor's deduplicated
     /// problem list, ordered by discovery (first-seen sequence number).
     pub fn failure_groups(&self) -> Vec<FailureGroup> {
         self.query(|urr| {
-            let mut out: Vec<FailureGroup> = Vec::new();
-            for shard in urr.shards.iter() {
-                let shard = shard.lock().expect("urr poisoned");
-                for (sig, slot) in shard.groups.iter().enumerate() {
-                    if slot.count > 0 {
-                        out.push(urr.materialize(sig as u32, slot));
-                    }
-                }
-            }
-            out.sort_by_key(|g| g.first_seen);
-            out
+            let store = urr.lock();
+            urr.materialize(&store, &store.discovery)
         })
     }
 
@@ -956,25 +802,15 @@ impl Urr {
     /// earlier discovery). Only the winners are materialised.
     pub fn top_k_failure_groups(&self, k: usize) -> Vec<FailureGroup> {
         self.query(|urr| {
-            // Pass 1: scalar (count, first_seen, shard, sig) per group.
-            let mut keys: Vec<(usize, u64, usize, u32)> = Vec::new();
-            for (si, shard) in urr.shards.iter().enumerate() {
-                let shard = shard.lock().expect("urr poisoned");
-                for (sig, slot) in shard.groups.iter().enumerate() {
-                    if slot.count > 0 {
-                        keys.push((slot.count, slot.first_seen, si, sig as u32));
-                    }
-                }
-            }
-            keys.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            keys.truncate(k);
-            // Pass 2: materialise only the winners.
-            keys.into_iter()
-                .map(|(_, _, si, sig)| {
-                    let shard = urr.shards[si].lock().expect("urr poisoned");
-                    urr.materialize(sig, &shard.groups[sig as usize])
-                })
-                .collect()
+            let store = urr.lock();
+            // A stable sort of the discovery order breaks ties by it.
+            let mut ranked = store.discovery.clone();
+            ranked.sort_by(|&a, &b| {
+                let count = |sig: u32| store.groups[sig as usize].count;
+                count(b).cmp(&count(a))
+            });
+            ranked.truncate(k);
+            urr.materialize(&store, &ranked)
         })
     }
 
@@ -983,75 +819,44 @@ impl Urr {
     /// materialising the group's machine names.
     pub fn largest_failure_count(&self) -> Option<usize> {
         self.query(|urr| {
-            urr.shards
-                .iter()
-                .filter_map(|shard| {
-                    let shard = shard.lock().expect("urr poisoned");
-                    shard.groups.iter().map(|slot| slot.count).max()
-                })
-                .max()
-                .filter(|&count| count > 0)
+            let store = urr.lock();
+            store.groups.iter().map(|slot| slot.count).max()
         })
+        .filter(|&count| count > 0)
     }
 
     /// Per-cluster success/failure tallies, ordered by cluster id.
     /// Clusters that never reported are omitted.
     pub fn cluster_failure_rates(&self) -> Vec<ClusterFailureRate> {
+        self.query(|urr| urr.lock().cluster_failure_rates())
+    }
+
+    /// The group slot of a reported `signature`, with the store locked.
+    fn with_group<T>(&self, signature: &str, f: impl FnOnce(&GroupSlot) -> T) -> Option<T> {
         self.query(|urr| {
-            let mut tallies: Vec<(usize, usize)> = Vec::new();
-            for shard in urr.shards.iter() {
-                let shard = shard.lock().expect("urr poisoned");
-                if shard.cluster_tallies.len() > tallies.len() {
-                    tallies.resize(shard.cluster_tallies.len(), (0, 0));
-                }
-                for (c, (s, f)) in shard.cluster_tallies.iter().enumerate() {
-                    tallies[c].0 += s;
-                    tallies[c].1 += f;
-                }
-            }
-            tallies
-                .into_iter()
-                .enumerate()
-                .filter(|(_, (s, f))| s + f > 0)
-                .map(|(cluster, (successes, failures))| ClusterFailureRate {
-                    cluster,
-                    successes,
-                    failures,
-                })
-                .collect()
+            let sig = urr.sigs.read().expect("urr poisoned").get(signature)?;
+            let store = urr.lock();
+            let slot = store.groups.get(sig as usize)?;
+            (slot.count > 0).then(|| f(slot))
         })
     }
 
     /// Drill-down: the distinct machines that reported `signature`, in
     /// first-report order. `None` if the signature was never reported.
     pub fn machines_for_signature(&self, signature: &str) -> Option<Vec<String>> {
-        self.query(|urr| {
-            let (sig, shard) = urr.sig_home(signature)?;
-            let shard = urr.shards[shard].lock().expect("urr poisoned");
-            let slot = shard.groups.get(sig as usize)?;
-            if slot.count == 0 {
-                return None;
-            }
-            let machines = urr.machines.read().expect("urr poisoned");
-            Some(
-                by_seq(&slot.machine_order)
-                    .map(|m| machines.name(m).to_string())
-                    .collect(),
-            )
+        self.with_group(signature, |slot| {
+            let machines = self.machines.read().expect("urr poisoned");
+            (slot.machine_order.iter())
+                .map(|&m| machines.name(m).to_string())
+                .collect()
         })
     }
 
     /// Drill-down: the distinct clusters that reported `signature`, in
     /// first-report order. `None` if the signature was never reported.
     pub fn clusters_for_signature(&self, signature: &str) -> Option<Vec<usize>> {
-        self.query(|urr| {
-            let (sig, shard) = urr.sig_home(signature)?;
-            let shard = urr.shards[shard].lock().expect("urr poisoned");
-            let slot = shard.groups.get(sig as usize)?;
-            if slot.count == 0 {
-                return None;
-            }
-            Some(by_seq(&slot.cluster_order).map(|c| c as usize).collect())
+        self.with_group(signature, |slot| {
+            slot.cluster_order.iter().map(|&c| c as usize).collect()
         })
     }
 
@@ -1061,80 +866,22 @@ impl Urr {
     /// by windowing on its last-seen sequence number.
     pub fn first_seen_in(&self, window: Range<u64>) -> Vec<FailureGroup> {
         self.query(|urr| {
-            let mut out: Vec<FailureGroup> = Vec::new();
-            for shard in urr.shards.iter() {
-                let shard = shard.lock().expect("urr poisoned");
-                for (sig, slot) in shard.groups.iter().enumerate() {
-                    if slot.count > 0 && window.contains(&slot.first_seen) {
-                        out.push(urr.materialize(sig as u32, slot));
-                    }
-                }
-            }
-            out.sort_by_key(|g| g.first_seen);
-            out
+            let store = urr.lock();
+            urr.materialize(&store, store.seen_in(window))
         })
     }
 
-    /// Resolves a signature name to `(sig id, home shard)`.
-    fn sig_home(&self, signature: &str) -> Option<(u32, usize)> {
-        let sigs = self.sigs.read().expect("urr poisoned");
-        let sig = sigs.inner.get(signature)?;
-        Some((sig, sigs.shards[sig as usize] as usize))
-    }
-
-    /// Computes aggregate statistics (a merge of per-shard counters —
-    /// no report scan).
+    /// Aggregate statistics: counters kept on ingest, no report scan.
     pub fn stats(&self) -> UrrStats {
-        self.query(|urr| {
-            let mut stats = UrrStats::default();
-            for shard in urr.shards.iter() {
-                let shard = shard.lock().expect("urr poisoned");
-                stats.total += shard.recs.len();
-                stats.successes += shard.successes;
-                stats.failures += shard.failures;
-                stats.distinct_failures += shard.distinct;
-                stats.image_bytes += shard.image_bytes;
-            }
-            stats
-        })
+        self.query(|urr| urr.lock().stats())
     }
 
     /// Summarises outcomes per `(package, version)`, in first-seen
     /// order.
     pub fn release_summaries(&self) -> Vec<ReleaseSummary> {
         self.query(|urr| {
-            let mut slots: Vec<ReleaseSlot> = Vec::new();
-            for shard in urr.shards.iter() {
-                let shard = shard.lock().expect("urr poisoned");
-                if shard.release_tallies.len() > slots.len() {
-                    slots.resize(shard.release_tallies.len(), ReleaseSlot::default());
-                }
-                for (i, slot) in shard.release_tallies.iter().enumerate() {
-                    slots[i].successes += slot.successes;
-                    slots[i].failures += slot.failures;
-                    slots[i].first_seen = slots[i].first_seen.min(slot.first_seen);
-                }
-            }
-            let releases = urr.releases.read().expect("urr poisoned");
-            let mut rows: Vec<(u64, ReleaseSummary)> = slots
-                .into_iter()
-                .enumerate()
-                .filter(|(_, s)| s.successes + s.failures > 0)
-                .map(|(i, s)| {
-                    let (package, version) = releases.pair(i as u32);
-                    (
-                        s.first_seen,
-                        ReleaseSummary {
-                            package: package.to_string(),
-                            version: version.to_string(),
-                            successes: s.successes,
-                            failures: s.failures,
-                        },
-                    )
-                })
-                .collect();
-            rows.sort_by_key(|row| row.0);
-            rows.into_iter().map(|(_, s)| s).collect()
+            let store = urr.lock();
+            store.release_summaries(&urr.releases.read().expect("urr poisoned"))
         })
     }
 
@@ -1152,33 +899,29 @@ impl Urr {
             .collect()
     }
 
-    // -- snapshots ----------------------------------------------------
+    // -- the deposit-order dump -----------------------------------------
 
-    /// Reconstructs one stored record as a boundary [`Report`].
+    /// Reconstructs the record stored under `seq` as a boundary
+    /// [`Report`].
     fn rec_to_report(
         rec: &Rec,
+        seq: u64,
         machines: &NameTable,
-        sigs: &SigInterner,
+        sigs: &NameTable,
         releases: &ReleaseInterner,
     ) -> Report {
         let (package, version) = releases.pair(rec.release);
-        let (outcome, image) = if rec.sig == NO_SIG {
-            (
-                ReportOutcome::Success,
-                rec.payload.as_ref().and_then(|p| p.image.clone()),
-            )
+        let (detail, image) = match &rec.payload {
+            Some(p) => (p.detail.clone(), p.image.clone()),
+            None => (String::new(), None),
+        };
+        let outcome = if rec.sig == NO_SIG {
+            ReportOutcome::Success
         } else {
-            let (detail, image) = match &rec.payload {
-                Some(p) => (p.detail.clone(), p.image.clone()),
-                None => (String::new(), None),
-            };
-            (
-                ReportOutcome::Failure {
-                    signature: sigs.inner.name(rec.sig).to_string(),
-                    detail,
-                },
-                image,
-            )
+            ReportOutcome::Failure {
+                signature: sigs.name(rec.sig).to_string(),
+                detail,
+            }
         };
         Report {
             machine: machines.name(rec.machine).to_string(),
@@ -1186,29 +929,25 @@ impl Urr {
             package: package.to_string(),
             version: version.to_string(),
             outcome,
-            seq: rec.seq,
+            seq,
             image,
         }
     }
 
-    /// Collects reports matching `keep` from every shard, ordered by
-    /// sequence number (deposit order).
+    /// The reports whose records match `keep`, in deposit order.
     fn collect(&self, keep: impl Fn(&Rec) -> bool) -> Vec<Report> {
+        let store = self.lock();
         let machines = self.machines.read().expect("urr poisoned");
         let sigs = self.sigs.read().expect("urr poisoned");
         let releases = self.releases.read().expect("urr poisoned");
-        let mut out: Vec<Report> = Vec::new();
-        for shard in self.shards.iter() {
-            let shard = shard.lock().expect("urr poisoned");
-            for rec in shard.recs.iter().filter(|r| keep(r)) {
-                out.push(Self::rec_to_report(rec, &machines, &sigs, &releases));
-            }
-        }
-        out.sort_by_key(|r| r.seq);
-        out
+        (0..)
+            .zip(&store.recs)
+            .filter(|(_, rec)| keep(rec))
+            .map(|(seq, rec)| Self::rec_to_report(rec, seq, &machines, &sigs, &releases))
+            .collect()
     }
 
-    /// Returns a snapshot of all reports (in deposit order).
+    /// Returns every report, in deposit order.
     pub fn all(&self) -> Vec<Report> {
         self.query(|urr| urr.collect(|_| true))
     }
@@ -1238,31 +977,12 @@ impl Urr {
         })
     }
 
-    /// Serialises the full repository to pretty-printed JSON (an array
-    /// of report objects, in deposit order) — the same document format
-    /// as [`crate::reference::Urr::to_json`].
+    /// Dumps the full repository as pretty-printed JSON (an array of
+    /// report objects, in deposit order), the document equality checks
+    /// compare. The repository's persistent form is its journal
+    /// ([`crate::DurableUrr`]), not this.
     pub fn to_json(&self) -> String {
         Value::Arr(self.all().iter().map(Report::to_json).collect()).to_pretty()
-    }
-
-    /// Restores a repository from JSON produced by [`Urr::to_json`]
-    /// (or the reference implementation). Stored sequence numbers are
-    /// preserved; new deposits continue after the maximum.
-    pub fn from_json(json: &str) -> Result<Self, JsonError> {
-        let parsed = Value::parse(json)?;
-        let items = parsed
-            .as_array()
-            .ok_or_else(|| JsonError::Shape("expected an array of reports".into()))?;
-        let urr = Urr::new();
-        let mut next_seq = 0u64;
-        for item in items {
-            let report = Report::from_json(item)?;
-            next_seq = next_seq.max(report.seq + 1);
-            let seq = report.seq;
-            urr.insert_report(report, seq);
-        }
-        urr.seq.store(next_seq, Ordering::Relaxed);
-        Ok(urr)
     }
 }
 
@@ -1296,7 +1016,7 @@ mod tests {
 
     #[test]
     fn failure_groups_deduplicate() {
-        let urr = Urr::with_shards(4);
+        let urr = Urr::new();
         urr.deposit(failure("m1", 0, "php/crash"));
         urr.deposit(failure("m2", 0, "php/crash"));
         urr.deposit(failure("m2", 0, "php/crash")); // same machine again
@@ -1313,7 +1033,7 @@ mod tests {
 
     #[test]
     fn top_k_orders_by_count_then_discovery() {
-        let urr = Urr::with_shards(4);
+        let urr = Urr::new();
         urr.deposit(failure("m1", 0, "rare"));
         for i in 0..5 {
             urr.deposit(failure(&format!("p{i}"), 1, "prevalent"));
@@ -1338,7 +1058,7 @@ mod tests {
 
     #[test]
     fn cluster_failure_rates_tally() {
-        let urr = Urr::with_shards(2);
+        let urr = Urr::new();
         urr.deposit(Report::success("a", 0, "p", "1"));
         urr.deposit(Report::success("b", 0, "p", "1"));
         urr.deposit(failure("c", 0, "sig"));
@@ -1360,7 +1080,7 @@ mod tests {
 
     #[test]
     fn signature_drilldowns() {
-        let urr = Urr::with_shards(4);
+        let urr = Urr::new();
         urr.deposit(failure("m2", 5, "sig-a"));
         urr.deposit(failure("m1", 3, "sig-a"));
         urr.deposit(failure("m2", 5, "sig-a"));
@@ -1376,7 +1096,7 @@ mod tests {
 
     #[test]
     fn first_seen_window_queries() {
-        let urr = Urr::with_shards(4);
+        let urr = Urr::new();
         urr.deposit(failure("m0", 0, "early")); // seq 0
         urr.deposit(Report::success("m1", 0, "mysql", "5.0.27")); // seq 1
         urr.deposit(failure("m2", 0, "mid")); // seq 2
@@ -1409,7 +1129,7 @@ mod tests {
 
     #[test]
     fn queries_filter_correctly() {
-        let urr = Urr::with_shards(2);
+        let urr = Urr::new();
         urr.deposit(Report::success("m1", 0, "mysql", "5.0.27"));
         urr.deposit(Report::success("m2", 1, "mysql", "5.0.28"));
         urr.deposit(Report::success("m3", 1, "firefox", "2.0.0"));
@@ -1420,23 +1140,8 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_sequence() {
-        let urr = Urr::new();
-        urr.deposit(Report::success("m1", 0, "p", "1.0.0"));
-        urr.deposit(failure("m2", 1, "sig"));
-        let json = urr.to_json();
-        let restored = Urr::from_json(&json).unwrap();
-        assert_eq!(restored.all(), urr.all());
-        // New deposits continue the sequence.
-        assert_eq!(restored.deposit(Report::success("m3", 0, "p", "1.0.0")), 2);
-        // And the document round-trips through the reference too.
-        let reference = crate::reference::Urr::from_json(&json).unwrap();
-        assert_eq!(reference.all(), urr.all());
-    }
-
-    #[test]
     fn interned_batch_path() {
-        let urr = Urr::with_shards(4);
+        let urr = Urr::new();
         let machines = urr.intern_machines(["a", "b", "c"]);
         let rel = urr.intern_release("upgrade", "r0");
         let sig = urr.intern_signature("prob");
@@ -1497,7 +1202,7 @@ mod tests {
     #[test]
     fn concurrent_deposits() {
         use std::sync::Arc;
-        let urr = Arc::new(Urr::with_shards(8));
+        let urr = Arc::new(Urr::new());
         let handles: Vec<_> = (0..8)
             .map(|i| {
                 let urr = Arc::clone(&urr);
@@ -1526,8 +1231,7 @@ mod tests {
         use mirage_telemetry::Registry;
 
         let registry = Arc::new(Registry::new(64));
-        let urr =
-            Urr::with_shards(2).with_telemetry(Telemetry::from_registry(Arc::clone(&registry)));
+        let urr = Urr::new().with_telemetry(Telemetry::from_registry(Arc::clone(&registry)));
         urr.deposit(Report::success("a", 0, "p", "1"));
         urr.deposit_batch(vec![failure("b", 0, "s"), failure("c", 1, "s")]);
         let _ = urr.failure_groups();
@@ -1578,14 +1282,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_round_up_to_powers_of_two() {
-        assert_eq!(Urr::with_shards(1).shard_count(), 1);
-        assert_eq!(Urr::with_shards(3).shard_count(), 4);
-        assert_eq!(Urr::with_shards(8).shard_count(), 8);
-        assert!(Urr::new().shard_count().is_power_of_two());
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(MachineRef(7).to_string(), "rm#7");
         assert_eq!(SigId(2).to_string(), "sig#2");
@@ -1597,7 +1293,7 @@ mod tests {
 
     #[test]
     fn release_summaries_track_versions_in_order() {
-        let urr = Urr::with_shards(4);
+        let urr = Urr::new();
         urr.deposit(Report::failure(
             "m1",
             0,

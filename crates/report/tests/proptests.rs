@@ -1,12 +1,11 @@
-//! Randomised tests of the report crate: the sharded repository must be
-//! observationally identical to the retained string-keyed reference on
-//! random report streams, and the hand-rolled JSON codec must
-//! round-trip hostile strings and numeric edge cases.
+//! Randomised tests of the report crate: the interned repository must
+//! be observationally identical to the retained string-keyed reference
+//! on random report streams.
 //!
 //! Streams are generated with a seeded xorshift generator, so every run
 //! exercises the same cases deterministically and offline.
 
-use mirage_report::{reference, Report, ReportImage, ReportOutcome, Urr};
+use mirage_report::{reference, Report, ReportImage, Urr};
 
 /// Deterministic xorshift64 generator for report streams.
 struct Rng(u64);
@@ -32,9 +31,8 @@ impl Rng {
     }
 }
 
-/// Signature pool with deliberately hostile names: shard-hash
-/// collisions aside, these exercise escaping, unicode, and
-/// empty-string handling end to end.
+/// Signature pool with deliberately hostile names: these exercise
+/// escaping, unicode, and empty-string handling end to end.
 const SIGNATURES: &[&str] = &[
     "php/crash",
     "mycnf/overwritten",
@@ -84,11 +82,11 @@ fn random_report(rng: &mut Rng, machines: usize, clusters: usize) -> Report {
 }
 
 /// The seeded equivalence property required by the reference-plane
-/// convention: for random report streams, the sharded [`Urr`] and the
+/// convention: for random report streams, the interned [`Urr`] and the
 /// string-keyed [`reference::Urr`] produce identical stats, failure
 /// groups, release summaries, discovery profiles, snapshots, and
-/// filtered queries — at several shard counts, and for both the
-/// one-at-a-time and batched ingest paths.
+/// filtered queries — for both the one-at-a-time and batched ingest
+/// paths.
 #[test]
 fn urr_reference_equivalence() {
     let mut rng = Rng::new(0x5eed_0005);
@@ -105,8 +103,7 @@ fn urr_reference_equivalence() {
             refr.deposit(r);
         }
 
-        let shard_count = 1usize << (case % 4); // 1, 2, 4, 8
-        let urr = Urr::with_shards(shard_count);
+        let urr = Urr::new();
         if case % 2 == 0 {
             for r in stream.iter().cloned() {
                 urr.deposit(r);
@@ -119,7 +116,7 @@ fn urr_reference_equivalence() {
         assert_eq!(
             urr.failure_groups(),
             refr.failure_groups(),
-            "case {case}: failure groups ({shard_count} shards)"
+            "case {case}: failure groups"
         );
         assert_eq!(
             urr.release_summaries(),
@@ -225,15 +222,6 @@ fn urr_reference_equivalence() {
             .map(|r| (r.cluster, r.successes, r.failures))
             .collect();
         assert_eq!(got, expect, "case {case}: cluster failure rates");
-
-        // Both serialised forms restore into equal repositories.
-        let restored = Urr::from_json(&refr.to_json()).expect("reference json");
-        assert_eq!(restored.all(), urr.all(), "case {case}: json cross-load");
-        assert_eq!(
-            restored.failure_groups(),
-            urr.failure_groups(),
-            "case {case}: json cross-load groups"
-        );
     }
 }
 
@@ -251,150 +239,13 @@ fn image_bytes_accounting_matches_deposits() {
             .filter_map(|r| r.image.as_ref())
             .map(ReportImage::byte_size)
             .sum();
-        let urr = Urr::with_shards(4);
+        let urr = Urr::new();
         let refr = reference::Urr::new();
         for r in stream {
             refr.deposit(r.clone());
             urr.deposit(r);
         }
-        assert_eq!(urr.stats().image_bytes, expected, "case {case}: sharded");
+        assert_eq!(urr.stats().image_bytes, expected, "case {case}: interned");
         assert_eq!(refr.stats().image_bytes, expected, "case {case}: reference");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Codec round-trips
-// ---------------------------------------------------------------------
-
-/// Strings that stress every branch of the hand-rolled escaper/parser.
-fn hostile_string(rng: &mut Rng) -> String {
-    const ATOMS: &[&str] = &[
-        "\"",
-        "\\",
-        "/",
-        "\u{0008}",
-        "\u{000c}",
-        "\n",
-        "\r",
-        "\t",
-        "\u{0000}",
-        "\u{001f}",
-        "\u{007f}",
-        "é",
-        "日本語",
-        "🦀",
-        "\u{fffd}",
-        "plain",
-        " ",
-        "{}[],:",
-        "\\u0041",
-        "ends with backslash\\",
-    ];
-    let n = rng.below(6);
-    let mut s = String::new();
-    for _ in 0..n {
-        s.push_str(ATOMS[rng.below(ATOMS.len())]);
-    }
-    s
-}
-
-/// Property: any report built from hostile strings round-trips through
-/// compact *and* pretty JSON byte-for-byte equal (escapes, unicode,
-/// control characters, nested image arrays).
-#[test]
-fn codec_roundtrips_hostile_reports() {
-    use mirage_telemetry::json::Value;
-    let mut rng = Rng::new(0xc0de_c0de);
-    for case in 0..60 {
-        let machine = hostile_string(&mut rng);
-        let cluster = rng.below(1 << 20);
-        let package = hostile_string(&mut rng);
-        let version = hostile_string(&mut rng);
-        let mut report = if rng.chance(50) {
-            Report::success(machine, cluster, package, version)
-        } else {
-            let list = |rng: &mut Rng| -> Vec<String> {
-                (0..rng.below(4)).map(|_| hostile_string(rng)).collect()
-            };
-            let image = ReportImage::new(
-                hostile_string(&mut rng),
-                list(&mut rng),
-                list(&mut rng),
-                list(&mut rng),
-            );
-            Report::failure(
-                machine,
-                cluster,
-                package,
-                version,
-                hostile_string(&mut rng),
-                hostile_string(&mut rng),
-                image,
-            )
-        };
-        report.seq = rng.next() % (1 << 53); // exactly representable
-        for json in [report.to_json().to_compact(), report.to_json().to_pretty()] {
-            let back = Report::from_json(&Value::parse(&json).expect("parse"))
-                .unwrap_or_else(|e| panic!("case {case}: decode failed: {e}\n{json}"));
-            assert_eq!(report, back, "case {case}");
-        }
-    }
-}
-
-/// Numeric edge cases: zero, one, `u32`/`f64`-mantissa boundaries —
-/// the largest integers the float-backed codec represents exactly.
-#[test]
-fn codec_numeric_edge_cases() {
-    use mirage_telemetry::json::Value;
-    for seq in [0u64, 1, (1 << 32) - 1, 1 << 32, (1 << 53) - 1, 1 << 53] {
-        for cluster in [0usize, 1, u32::MAX as usize] {
-            let mut report = Report::success("m", cluster, "p", "1");
-            report.seq = seq;
-            let json = report.to_json().to_compact();
-            let back = Report::from_json(&Value::parse(&json).unwrap()).unwrap();
-            assert_eq!(back.seq, seq);
-            assert_eq!(back.cluster, cluster);
-        }
-    }
-    // Non-integer and negative sequence values are rejected as shapes.
-    let bad = Value::obj([
-        ("machine", Value::str("m")),
-        ("cluster", Value::from(0.5f64)),
-        ("package", Value::str("p")),
-        ("version", Value::str("1")),
-        ("outcome", Value::obj([("kind", Value::str("success"))])),
-        ("seq", Value::from(-1i64)),
-        ("image", Value::Null),
-    ]);
-    assert!(Report::from_json(&bad).is_err());
-}
-
-/// Whole-repository JSON round-trips on hostile random streams, across
-/// both implementations (same document format).
-#[test]
-fn codec_repository_roundtrip_hostile() {
-    let mut rng = Rng::new(0x0bad_f00d);
-    for _ in 0..6 {
-        let urr = Urr::with_shards(2);
-        for _ in 0..rng.below(40) {
-            let mut r = random_report(&mut rng, 8, 3);
-            // Swap in a hostile machine name on some reports.
-            if rng.chance(30) {
-                r.machine = hostile_string(&mut rng);
-            }
-            if rng.chance(20) {
-                if let ReportOutcome::Failure { signature, .. } = &mut r.outcome {
-                    *signature = hostile_string(&mut rng);
-                }
-            }
-            urr.deposit(r);
-        }
-        let json = urr.to_json();
-        let sharded = Urr::from_json(&json).expect("sharded reload");
-        let refr = reference::Urr::from_json(&json).expect("reference reload");
-        assert_eq!(sharded.all(), urr.all());
-        assert_eq!(refr.all(), urr.all());
-        assert_eq!(sharded.stats(), urr.stats());
-        assert_eq!(refr.stats(), urr.stats());
     }
 }

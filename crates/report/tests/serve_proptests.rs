@@ -72,7 +72,7 @@ fn random_request(rng: &mut Rng) -> UrrRequest {
 }
 
 fn populated(rng: &mut Rng, reports: usize) -> Urr {
-    let urr = Urr::with_shards(4);
+    let urr = Urr::new();
     for _ in 0..reports {
         let machine = format!("m{}", rng.below(12));
         let cluster = rng.below(5);
@@ -178,7 +178,7 @@ fn serve_writes_the_bytes_answer_would() {
     for case in 0..24 {
         // Case 0 is the empty repository.
         let reports = [0, 1, 7, 60, 300][case % 5] * usize::from(case > 0);
-        let urr = Urr::with_shards(1 << (case % 3));
+        let urr = Urr::new();
         for _ in 0..reports {
             let machine = MACHINES[rng.below(MACHINES.len())];
             let cluster = rng.below(5);
@@ -250,7 +250,6 @@ fn repeated_freezes_equal_one_freeze_of_the_same_stream() {
     let mut rng = Rng::new(0x5eed_0026);
     for case in 0..12 {
         let config = || DurableConfig {
-            shards: 1 << (case % 3),
             snapshot_every_batches: 3,
             ..DurableConfig::default()
         };
@@ -259,7 +258,7 @@ fn repeated_freezes_equal_one_freeze_of_the_same_stream() {
         let mut stream: Vec<Report> = Vec::new();
         let freeze = |stream: &[Report], rng: &mut Rng, at: &str| {
             let snap = live.urr().snapshot();
-            let twin = Urr::with_shards(config().shards);
+            let twin = Urr::new();
             for report in stream {
                 twin.deposit(report.clone());
             }
@@ -425,4 +424,92 @@ fn frozen_snapshot_serves_concurrent_readers_during_ingest() {
         baseline_stats.total + 2000,
         "a fresh snapshot sees the concurrent ingest"
     );
+}
+
+/// A freeze is a cut at `as_of`, whatever ingest runs beside it: one
+/// writer deposits by name, in by-name batches and in interned batches
+/// while the main thread freezes again and again, and every snapshot's
+/// surfaces count exactly the `as_of` reports below its watermark —
+/// stats, group counts, cluster tallies and release tallies alike.
+#[test]
+fn a_freeze_under_ingest_is_a_cut_at_as_of() {
+    use mirage_report::{InternedOutcome, InternedReport};
+
+    let urr = Arc::new(Urr::new());
+    let writer = {
+        let urr = Arc::clone(&urr);
+        std::thread::spawn(move || {
+            let mut rng = Rng::new(0x5eed_0036);
+            let release = urr.intern_release("mysql", "5.0.29");
+            let sigs: Vec<_> = SIGNATURES.iter().map(|s| urr.intern_signature(s)).collect();
+            let report = |rng: &mut Rng| {
+                let machine = format!("w{}", rng.below(50));
+                let cluster = rng.below(5);
+                if rng.chance(40) {
+                    Report::success(machine, cluster, "mysql", "5.0.28")
+                } else {
+                    let signature = SIGNATURES[rng.below(SIGNATURES.len())];
+                    let image = ReportImage::default();
+                    Report::failure(machine, cluster, "mysql", "5.0.28", signature, "", image)
+                }
+            };
+            for _ in 0..300 {
+                match rng.below(3) {
+                    0 => {
+                        urr.deposit(report(&mut rng));
+                    }
+                    1 => {
+                        let batch = (0..rng.below(40)).map(|_| report(&mut rng)).collect();
+                        urr.deposit_batch(batch);
+                    }
+                    _ => {
+                        let batch: Vec<InternedReport> = (0..rng.below(200))
+                            .map(|_| InternedReport {
+                                machine: urr.intern_machine(&format!("i{}", rng.below(80))),
+                                cluster: rng.below(7) as u32,
+                                release,
+                                outcome: if rng.chance(50) {
+                                    InternedOutcome::Success
+                                } else {
+                                    InternedOutcome::Failure(sigs[rng.below(sigs.len())])
+                                },
+                            })
+                            .collect();
+                        urr.deposit_interned_batch(&batch);
+                    }
+                }
+            }
+        })
+    };
+    let mut freezes = 0;
+    let mut last = 0;
+    while !writer.is_finished() || freezes == 0 {
+        let snap = urr.snapshot();
+        let stats = snap.stats();
+        let ctx = format!("freeze {freezes} at {}", snap.as_of());
+        assert_eq!(stats.total as u64, snap.as_of(), "{ctx}: total");
+        assert!(snap.as_of() >= last, "{ctx}: the watermark moves forward");
+        let groups = snap.failure_groups();
+        let grouped: usize = groups.iter().map(|g| g.count).sum();
+        assert_eq!(grouped, stats.failures, "{ctx}: group counts");
+        assert_eq!(groups.len(), stats.distinct_failures, "{ctx}: groups");
+        assert!(
+            groups.iter().all(|g| g.first_seen < snap.as_of()),
+            "{ctx}: a group first seen past the watermark"
+        );
+        let rates = snap.cluster_failure_rates();
+        let by_cluster: usize = rates.iter().map(|r| r.successes + r.failures).sum();
+        assert_eq!(by_cluster, stats.total, "{ctx}: cluster tallies");
+        let releases = snap.release_summaries();
+        let by_release: usize = releases.iter().map(|r| r.successes + r.failures).sum();
+        assert_eq!(by_release, stats.total, "{ctx}: release tallies");
+        let failed: usize = releases.iter().map(|r| r.failures).sum();
+        assert_eq!(failed, stats.failures, "{ctx}: release failures");
+        last = snap.as_of();
+        freezes += 1;
+    }
+    writer.join().expect("writer");
+    let snap = urr.snapshot();
+    assert_eq!(snap.stats().total as u64, urr.next_seq());
+    assert_eq!(snap, urr.snapshot(), "a quiescent freeze is repeatable");
 }

@@ -278,7 +278,6 @@ fn urr_recovery_equivalence() {
         // Case 0 is the empty repository: it snapshots and recovers.
         let batches = if case == 0 { 0 } else { rng.below(40) };
         let config = DurableConfig {
-            shards: 1 << (case % 4), // 1, 2, 4, 8
             // Mix manual-only, aggressive, and occasional auto-snapshots.
             snapshot_every_batches: [0, 1, 7][case % 3],
             ..DurableConfig::default()
@@ -316,7 +315,6 @@ fn urr_recovery_equivalence_fs() {
         let root = root.join(format!("case{case}"));
         let _ = std::fs::remove_dir_all(&root);
         let config = DurableConfig {
-            shards: 1 << (case % 4),
             snapshot_every_batches: [0, 5][case % 2],
             ..DurableConfig::default()
         };
@@ -377,7 +375,6 @@ fn adopted_fleet_recovery_equivalence() {
         let machines = fleet + 1 + rng.below(8);
         let clusters = 1 + rng.below(6);
         let config = DurableConfig {
-            shards: 1 << (case % 4),
             snapshot_every_batches: [0, 3][case / 2 % 2],
             ..DurableConfig::default()
         };
@@ -467,7 +464,7 @@ fn adopted_fleet_recovery_equivalence() {
 fn adopted_table_is_shared_until_a_stranger_arrives() {
     for sorted in [true, false] {
         let table = fleet_table(20, sorted, 7);
-        let urr = Urr::with_shards(2);
+        let urr = Urr::new();
         let refs = urr.intern_fleet(Arc::clone(&table));
         assert_eq!(Arc::strong_count(&table), 2, "the repository holds the Arc");
         assert_eq!(urr.intern_fleet(Arc::clone(&table)), refs);
@@ -499,7 +496,7 @@ fn deltas_in_any_order_recover_to_the_live_repository() {
         for snapshot in [false, true] {
             let store = MemoryStore::with_segment_bytes(512);
             let handle = store.clone();
-            let durable = DurableUrr::new(Box::new(store), manual_snapshots(2)).expect("new");
+            let durable = DurableUrr::new(Box::new(store), manual_snapshots()).expect("new");
             let urr = durable.urr();
             let release = urr.intern_release("upgrade", "r1");
             let mut names = Vec::new();
@@ -525,7 +522,7 @@ fn deltas_in_any_order_recover_to_the_live_repository() {
                 }
             }
             let (recovered, report) =
-                DurableUrr::recover(Box::new(handle.fork()), manual_snapshots(2)).expect("recover");
+                DurableUrr::recover(Box::new(handle.fork()), manual_snapshots()).expect("recover");
             let ctx = format!("{order}, snapshot={snapshot}");
             assert_eq!(report.torn_tail, None, "{ctx}");
             assert_eq!(report.snapshot_loaded, snapshot, "{ctx}");
@@ -535,10 +532,9 @@ fn deltas_in_any_order_recover_to_the_live_repository() {
     }
 }
 
-/// `shards` stripes, snapshots only where a test takes one.
-fn manual_snapshots(shards: usize) -> DurableConfig {
+/// Snapshots only where a test takes one.
+fn manual_snapshots() -> DurableConfig {
     DurableConfig {
-        shards,
         snapshot_every_batches: 0,
         ..DurableConfig::default()
     }
@@ -554,7 +550,7 @@ fn checkpoint_is_no_larger_than_the_log_it_replaces() {
         let mut rng = Rng::new(0x5eed_0012);
         let store = MemoryStore::new();
         let handle = store.clone();
-        let durable = DurableUrr::new(Box::new(store), manual_snapshots(4)).expect("new");
+        let durable = DurableUrr::new(Box::new(store), manual_snapshots()).expect("new");
         let mut previous = 0;
         for round in 0..3 {
             for _ in 0..20 {
@@ -567,9 +563,10 @@ fn checkpoint_is_no_larger_than_the_log_it_replaces() {
                     durable.deposit_interned_batch(&batch).expect("deposit");
                 }
             }
-            let wal = handle.wal_bytes();
+            let wal = handle.wal_segments().expect("segments").concat().len();
             durable.snapshot_now().expect("snapshot_now");
-            assert_eq!(handle.wal_bytes(), 0, "the log is truncated");
+            let segments = handle.wal_segments().expect("segments");
+            assert!(segments.is_empty(), "the log is truncated");
             let generation = handle.snapshots().expect("snapshots")[0].len();
             assert!(
                 generation <= previous + wal,
@@ -578,33 +575,6 @@ fn checkpoint_is_no_larger_than_the_log_it_replaces() {
             );
             previous = generation;
         }
-    }
-}
-
-/// Nothing on disk knows the stripe count: a repository journaled and
-/// snapshotted at 4 stripes recovers at 1 and at 8, equal on every
-/// surface, with the stripes the recovering configuration asks for.
-#[test]
-fn recovered_repository_has_the_configured_stripes() {
-    let mut rng = Rng::new(0x5eed_0013);
-    let store = MemoryStore::with_segment_bytes(512);
-    let handle = store.clone();
-    let durable = DurableUrr::new(Box::new(store), manual_snapshots(4)).expect("new");
-    drive(&mut rng, &durable, 12, 5, 20);
-    durable.snapshot_now().expect("snapshot_now");
-    drive(&mut rng, &durable, 12, 5, 10);
-    for shards in [1, 8] {
-        let (recovered, report) =
-            DurableUrr::recover(Box::new(handle.fork()), manual_snapshots(shards))
-                .expect("recover");
-        assert!(report.snapshot_loaded);
-        assert_eq!(report.torn_tail, None);
-        assert_eq!(recovered.urr().shard_count(), shards);
-        assert_urr_identical(
-            durable.urr(),
-            recovered.urr(),
-            &format!("4 -> {shards} stripes"),
-        );
     }
 }
 
@@ -619,7 +589,7 @@ fn journaled_history(snapshot_mid: bool) -> (MemoryStore, DurableUrr) {
     let mut rng = Rng::new(0xc0_ffee);
     let store = MemoryStore::with_segment_bytes(256);
     let handle = store.clone();
-    let durable = DurableUrr::new(Box::new(store), manual_snapshots(4)).expect("new");
+    let durable = DurableUrr::new(Box::new(store), manual_snapshots()).expect("new");
     for i in 0..12 {
         let batch: Vec<Report> = (0..1 + rng.below(6))
             .map(|_| random_report(&mut rng, 10, 4))
@@ -633,7 +603,7 @@ fn journaled_history(snapshot_mid: bool) -> (MemoryStore, DurableUrr) {
 }
 
 fn recover_must_not_panic(store: MemoryStore, live: &DurableUrr, ctx: &str) {
-    let (recovered, report) = DurableUrr::recover(Box::new(store), manual_snapshots(4))
+    let (recovered, report) = DurableUrr::recover(Box::new(store), manual_snapshots())
         .unwrap_or_else(|e| panic!("{ctx}: store error {e}"));
     // Whatever survived must be a *prefix* of the live history: never
     // more records than the live repository, and every answered query
@@ -693,11 +663,11 @@ fn crc_valid_but_wrong_generations_are_rejected_whole() {
     // newer one of several frames over fifty, and a two-frame WAL tail.
     let store = MemoryStore::new();
     let handle = store.clone();
-    let live = DurableUrr::new(Box::new(store), manual_snapshots(4)).expect("new");
+    let live = DurableUrr::new(Box::new(store), manual_snapshots()).expect("new");
     deposit(&live, 3, 4_096);
     live.snapshot_now().expect("older generation");
     let (older, _) =
-        DurableUrr::recover(Box::new(handle.fork()), manual_snapshots(4)).expect("recover");
+        DurableUrr::recover(Box::new(handle.fork()), manual_snapshots()).expect("recover");
     deposit(&live, 50, 10_000);
     live.snapshot_now().expect("newer generation");
     deposit(&live, 50, 2_000);
@@ -723,7 +693,7 @@ fn crc_valid_but_wrong_generations_are_rejected_whole() {
     ] {
         let crashed = handle.fork();
         crashed.mutate(|_, snapshots| *snapshots.last_mut().expect("newest") = wrong);
-        let (recovered, report) = DurableUrr::recover(Box::new(crashed), manual_snapshots(4))
+        let (recovered, report) = DurableUrr::recover(Box::new(crashed), manual_snapshots())
             .unwrap_or_else(|e| panic!("{shape}: store error {e}"));
         assert_eq!(report.snapshots_rejected, 1, "{shape}");
         assert!(report.snapshot_loaded, "{shape}: fell back a generation");
@@ -732,7 +702,7 @@ fn crc_valid_but_wrong_generations_are_rejected_whole() {
     }
     // Undamaged, the same image recovers everything.
     let (recovered, report) =
-        DurableUrr::recover(Box::new(handle.fork()), manual_snapshots(4)).expect("ok");
+        DurableUrr::recover(Box::new(handle.fork()), manual_snapshots()).expect("ok");
     assert_eq!((report.snapshots_rejected, report.torn_tail), (0, None));
     assert_urr_identical(live.urr(), recovered.urr(), "undamaged");
 }
@@ -814,7 +784,7 @@ fn hostile_wal_corpus_never_panics() {
             }
         });
         let (recovered, report) =
-            DurableUrr::recover(Box::new(crashed), manual_snapshots(4)).expect("recover dup tail");
+            DurableUrr::recover(Box::new(crashed), manual_snapshots()).expect("recover dup tail");
         assert!(report.frames_skipped > 0, "duplicate frames were skipped");
         assert_urr_identical(
             live.urr(),
@@ -879,12 +849,8 @@ fn wal_gap_stops_replay() {
     crashed.mutate(|segments, _| {
         segments.remove(1);
     });
-    let config = DurableConfig {
-        shards: 4,
-        snapshot_every_batches: 0,
-        ..DurableConfig::default()
-    };
-    let (recovered, report) = DurableUrr::recover(Box::new(crashed), config).expect("recover");
+    let (recovered, report) =
+        DurableUrr::recover(Box::new(crashed), manual_snapshots()).expect("recover");
     assert!(report.torn_tail.is_some(), "gap must be reported");
     assert!(recovered.urr().next_seq() < live.urr().next_seq());
 }

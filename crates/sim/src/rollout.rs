@@ -322,7 +322,7 @@ mod tests {
             RolloutStrategy::Rolling { batch_size: 10_000 },
             RolloutStrategy::BlueGreen,
         ] {
-            let urr = Arc::new(Urr::with_shards(8));
+            let urr = Arc::new(Urr::new());
             let s = ScenarioBuilder::new()
                 .clusters(20, 5_000, 1)
                 .with_urr(Arc::clone(&urr))

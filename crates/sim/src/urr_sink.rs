@@ -40,7 +40,7 @@ use mirage_report::{
 
 use crate::scenario::Scenario;
 
-/// Records per flush batch. Large enough to amortise shard locking,
+/// Records per flush batch. Large enough to amortise the repository lock,
 /// small enough to keep the buffer cache-resident.
 const BATCH: usize = 4096;
 
@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn sink_interns_fleet_and_batches_deposits() {
-        let urr = Arc::new(Urr::with_shards(2));
+        let urr = Arc::new(Urr::new());
         let scenario = ScenarioBuilder::new()
             .clusters(2, 3, 1)
             .problem_in_clusters("p", &[1])

@@ -23,7 +23,7 @@ fn with_urr_is_observationally_neutral_and_records_everything() {
     let m_plain =
         Simulation::new(&plain).run(&mut ProtocolChoice::Balanced.build(plain.plan.clone(), 1.0));
 
-    let urr = Arc::new(Urr::with_shards(4));
+    let urr = Arc::new(Urr::new());
     let wired = build().with_urr(Arc::clone(&urr)).build();
     let m_wired =
         Simulation::new(&wired).run(&mut ProtocolChoice::Balanced.build(wired.plan.clone(), 1.0));
@@ -77,7 +77,7 @@ fn with_urr_is_observationally_neutral_and_records_everything() {
 /// signature when grouping), lost reports never arrive.
 #[test]
 fn with_urr_under_faults_records_received_reports() {
-    let urr = Arc::new(Urr::with_shards(2));
+    let urr = Arc::new(Urr::new());
     let s = ScenarioBuilder::new()
         .clusters(3, 4, 1)
         .problem_in_clusters("p", &[1])
@@ -160,7 +160,7 @@ fn durable_campaign_survives_vendor_crash() {
     };
 
     // Baseline: plain in-memory repository.
-    let plain_urr = Arc::new(Urr::with_shards(4));
+    let plain_urr = Arc::new(Urr::new());
     let plain = build().with_urr(Arc::clone(&plain_urr)).build();
     let m_plain =
         Simulation::new(&plain).run(&mut ProtocolChoice::Balanced.build(plain.plan.clone(), 1.0));
@@ -173,7 +173,6 @@ fn durable_campaign_survives_vendor_crash() {
         DurableUrr::new(
             Box::new(store),
             DurableConfig {
-                shards: 4,
                 snapshot_every_batches: 1,
                 ..DurableConfig::default()
             },
@@ -200,7 +199,6 @@ fn durable_campaign_survives_vendor_crash() {
     let (recovered, report) = DurableUrr::recover(
         Box::new(crashed),
         DurableConfig {
-            shards: 4,
             snapshot_every_batches: 1,
             ..DurableConfig::default()
         },
