@@ -1325,9 +1325,9 @@ fn rollback_sweep(ctx: &Ctx) {
     );
 }
 
-/// Runs a protocol × threshold × message-loss grid through the sharded
-/// parallel driver, every cell reusing one [`mirage_sim::SimArena`],
-/// and writes `BENCH_sweep.json`.
+/// Runs a protocol × threshold × message-loss grid through the
+/// simulator, every cell reusing one [`mirage_sim::SimArena`], and
+/// writes `BENCH_sweep.json`.
 ///
 /// This is the sweep workload the arena exists for: dozens of
 /// simulator runs back to back, where per-run queue and scratch
@@ -1337,14 +1337,11 @@ fn rollback_sweep(ctx: &Ctx) {
 /// delay, vendor hardening on, seeded per cell so the sweep replays
 /// exactly).
 ///
-/// The worker count is fixed rather than host-derived so the committed
-/// document does not depend on the machine that produced it (the cells
-/// are bit-identical at any count). Every cell must converge to a full
-/// fleet pass; the run exits non-zero otherwise.
+/// Every cell must converge to a full fleet pass; the run exits
+/// non-zero otherwise.
 fn sweep(ctx: &Ctx) {
     use mirage_sim::{FaultSpec, SimArena};
 
-    const WORKERS: usize = 8;
     heading("Sweep: protocol x threshold x loss grid, shared arena");
 
     let protocols = [
@@ -1381,7 +1378,6 @@ fn sweep(ctx: &Ctx) {
                 let mut protocol = choice.build(scenario.plan.clone(), threshold);
                 let t0 = Instant::now();
                 let m = Simulation::new(&scenario)
-                    .workers(WORKERS)
                     .arena(&mut arena)
                     .run(&mut protocol);
                 let ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -1416,11 +1412,11 @@ fn sweep(ctx: &Ctx) {
         format!(
             "{} machines ({clusters}x{size}), problems placed late; grid = protocol x threshold x loss with \
              duplication = loss/2, delay uniform 0..=10, rep_timeout 4000, seeded per loss \
-             rate; every cell runs on the sharded driver in one shared SimArena",
+             rate; every cell runs in one shared SimArena",
             clusters * size
         ),
     );
-    doc.set("workers", WORKERS).grid_rows(cells);
+    doc.grid_rows(cells);
     let path = doc.write(ctx.csv(), "BENCH_sweep.json");
     assert!(
         converged_everywhere,
@@ -1428,7 +1424,7 @@ fn sweep(ctx: &Ctx) {
         path.display()
     );
     println!(
-        "=> {cell_count} cells in {:.2} s on one arena ({WORKERS} workers): \
+        "=> {cell_count} cells in {:.2} s on one arena: \
          all converged to a full fleet pass",
         sweep_started.elapsed().as_secs_f64(),
     );
@@ -1444,25 +1440,21 @@ fn sweep(ctx: &Ctx) {
 ///   (NoStaging / Balanced / FrontLoading) so clock drift lands on both
 ///   sides equally;
 /// * a 1,000,000-machine variant (100 clusters × 10 000) on the
-///   interned sequential driver, per protocol;
-/// * the sharded parallel driver under Balanced at 100k and 1M with
-///   1/2/4/8 workers (`w1` delegates to the sequential oracle — it *is*
-///   the one-worker configuration). Each sample clones the plan and
-///   builds the protocol untimed, then times the run; the parallel rows
-///   reuse a `SimArena` across samples, the sequential row's in-run
-///   allocation being its real per-run cost;
-/// * one single-shot `scale` row: 10M machines (1000×10 000), Balanced,
-///   8 workers — the acceptance workload for the sub-10 s budget.
+///   interned driver, per protocol;
+/// * one single-shot `scale` row: 10M machines (1000×10 000), Balanced —
+///   the acceptance workload for the sub-10 s budget.
 ///
-/// Before timing anything, the reference driver and the parallel driver
-/// at 2/4/8 workers are asserted bit-identical to the sequential
-/// interned driver on the 100k scenario (the same properties the seeded
-/// proptests check on random scenarios).
+/// Before timing anything, the reference driver and the sequential
+/// oracle are asserted bit-identical to the driver on the 100k scenario
+/// (the same properties the seeded proptests check on random
+/// scenarios).
 fn sim_perf(ctx: &Ctx) {
     use mirage_sim::runner::reference::{run_reference, NamedScenario};
+    use mirage_sim::runner::sequential::run_sequential;
     use mirage_sim::{Scenario, SimArena};
+    use mirage_telemetry::Telemetry;
 
-    heading("Simulator performance (interned vs reference, sequential vs parallel)");
+    heading("Simulator performance (interned vs reference)");
 
     let s100k = deployment::sound_scenario(deployment::ProblemPlacement::Late);
     let named = NamedScenario::from_scenario(&s100k);
@@ -1491,30 +1483,22 @@ fn sim_perf(ctx: &Ctx) {
     // Sanity: the drivers agree on the full 100k scenario before any
     // timing (same equivalences the seeded proptests establish).
     for choice in choices {
+        let got = fast(choice, &s100k);
         assert_eq!(
-            fast(choice, &s100k),
+            got,
             slow(choice),
-            "{}: drivers diverged on the 100k scenario",
+            "{}: reference diverged on the 100k scenario",
+            choice.name()
+        );
+        let mut oracle = choice.build(s100k.plan.clone(), 1.0);
+        assert_eq!(
+            got,
+            run_sequential(&s100k, Telemetry::noop(), &mut oracle),
+            "{}: sequential oracle diverged on the 100k scenario",
             choice.name()
         );
     }
-    {
-        let mut arena = SimArena::new();
-        let expect = Simulation::new(&s100k)
-            .run(&mut ProtocolChoice::Balanced.build(s100k.plan.clone(), 1.0));
-        for workers in [2usize, 4, 8] {
-            let mut p = ProtocolChoice::Balanced.build(s100k.plan.clone(), 1.0);
-            let got = Simulation::new(&s100k)
-                .workers(workers)
-                .arena(&mut arena)
-                .run(&mut p);
-            assert_eq!(
-                expect, got,
-                "parallel driver diverged at {workers} workers on the 100k scenario"
-            );
-        }
-    }
-    println!("  (reference and parallel drivers bit-identical to sequential on 100k)\n");
+    println!("  (reference driver and sequential oracle bit-identical on 100k)\n");
 
     let mut h = Harness::new("sim-perf");
     for choice in choices {
@@ -1532,39 +1516,6 @@ fn sim_perf(ctx: &Ctx) {
         });
     }
 
-    // Parallel-driver rows: per sample, the plan clone and protocol
-    // construction stay untimed (identically on every row), then the
-    // run itself is timed; the `interned` rows above time all three.
-    // Each row reuses its own arena across samples; `w1` delegates to
-    // the sequential driver, whose internal allocation is its honest
-    // per-run cost.
-    fn par_ns(s: &Scenario, arena: &mut SimArena, workers: usize) -> u64 {
-        let mut p = ProtocolChoice::Balanced.build(s.plan.clone(), 1.0);
-        let t0 = Instant::now();
-        black_box(
-            Simulation::new(s)
-                .workers(workers)
-                .arena(arena)
-                .run(&mut p)
-                .failed_tests,
-        );
-        t0.elapsed().as_nanos() as u64
-    }
-    for (s, size) in [(&s100k, "100k"), (&s1m, "1m")] {
-        // The headline pair (w1 vs w8) samples strictly interleaved;
-        // the intermediate counts pair up likewise.
-        for (w_a, w_b) in [(1usize, 8usize), (2, 4)] {
-            let mut arena_a = SimArena::new();
-            let mut arena_b = SimArena::new();
-            h.bench_paired_ns(
-                &format!("sim/{size}/parallel/w{w_a}/Balanced"),
-                &format!("sim/{size}/parallel/w{w_b}/Balanced"),
-                || par_ns(s, &mut arena_a, w_a),
-                || par_ns(s, &mut arena_b, w_b),
-            );
-        }
-    }
-
     // The 10M acceptance workload: one honest sample (construction
     // untimed), marked `scale` so bench-check knows the single sample
     // is intentional.
@@ -1576,9 +1527,8 @@ fn sim_perf(ctx: &Ctx) {
         .build();
     let mut arena10 = SimArena::new();
     let mut proto10 = ProtocolChoice::Balanced.build(s10m.plan.clone(), 1.0);
-    h.bench_scale("sim/10m/parallel/w8/Balanced", || {
+    h.bench_scale("sim/10m/interned/Balanced", || {
         Simulation::new(&s10m)
-            .workers(8)
             .arena(&mut arena10)
             .run(&mut proto10)
             .failed_tests
@@ -1594,20 +1544,9 @@ fn sim_perf(ctx: &Ctx) {
         speedups.push((name, Value::from(round_to(speedup, 2))));
     }
     let b1m_secs = h.row("sim/1m/interned/Balanced").min_ns as f64 / 1e9;
-    println!("=> 1M-machine Balanced run: {b1m_secs:.2} s (min, sequential)");
-    let par_speedup = |size: &str| {
-        h.speedup(
-            &format!("sim/{size}/parallel/w1/Balanced"),
-            &format!("sim/{size}/parallel/w8/Balanced"),
-        )
-    };
-    let sp100k = par_speedup("100k");
-    let sp1m = par_speedup("1m");
-    println!(
-        "=> parallel w8 vs w1 (Balanced, min-over-min): {sp100k:.2}x at 100k, {sp1m:.2}x at 1M"
-    );
-    let b10m_secs = h.row("sim/10m/parallel/w8/Balanced").min_ns as f64 / 1e9;
-    println!("=> 10M-machine Balanced run (8 workers): {b10m_secs:.2} s (single scale sample)");
+    println!("=> 1M-machine Balanced run: {b1m_secs:.2} s (min)");
+    let b10m_secs = h.row("sim/10m/interned/Balanced").min_ns as f64 / 1e9;
+    println!("=> 10M-machine Balanced run: {b10m_secs:.2} s (single scale sample)");
 
     let mut doc = BenchDoc::new(
         "sim-perf",
@@ -1615,16 +1554,13 @@ fn sim_perf(ctx: &Ctx) {
          10m = 1000x10000 with the same late placement; reference = the retained string-keyed \
          BinaryHeap driver + protocols; interned and reference rows time plan clone + protocol \
          construction + run (the interned clone shares the plan's machine table and copies \
-         cluster id vectors only; the reference clone copies every name); parallel rows time \
-         the run only, reuse a SimArena across samples, and w1 is the sequential oracle the \
-         sharded driver is bit-identical to; scale rows are intentionally single-sample",
+         cluster id vectors only; the reference clone copies every name); the 10m row times \
+         the run only, in a SimArena, and is intentionally single-sample",
     );
     doc.harness_rows(h.results())
         .set("speedup_100k_vs_reference", Value::obj(speedups))
         .set("balanced_1m_seconds", round_to(b1m_secs, 3))
         .set("balanced_1m_under_10s", b1m_secs < 10.0)
-        .set("parallel_speedup_100k_w8_vs_w1", round_to(sp100k, 2))
-        .set("parallel_speedup_1m_w8_vs_w1", round_to(sp1m, 2))
         .set("balanced_10m_seconds", round_to(b10m_secs, 3))
         .set("balanced_10m_under_10s", b10m_secs < 10.0);
     doc.write(ctx.csv(), "BENCH_sim.json");

@@ -67,8 +67,11 @@ pub enum Event {
         /// How many retries have already been sent (backoff exponent).
         attempt: u32,
     },
-    /// Periodic protocol timer (drives `Protocol::on_tick` stall
-    /// detection). Only scheduled when a fault plan is active.
+    /// Periodic protocol timer: drives `Protocol::on_tick`. Scheduled
+    /// when the fault plan sets a stall budget (`rep_timeout`), or when
+    /// the protocol [wants ticks](mirage_deploy::Protocol::wants_ticks)
+    /// as its decision clock (guarded and tick-gated rollouts), on the
+    /// reliable channel too.
     Tick,
 }
 
@@ -192,10 +195,9 @@ impl<T: Copy> EventQueue<T> {
         }
     }
 
-    /// Pops the earliest event, returning `(time, event)`.
-    // Kept out of line: inlined into the sequential driver's loop (its
-    // only caller there) it measured ~8 ns/event slower at 10⁶ events.
-    #[inline(never)]
+    /// Pops the earliest event, returning `(time, event)`. The driver
+    /// takes whole timestamps with [`EventQueue::pop_bucket`]; one event
+    /// at a time is the sequential oracle's way.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         if self.len == 0 {
             return None;
@@ -261,17 +263,20 @@ impl<T: Copy> EventQueue<T> {
         }
     }
 
-    /// Drains every event at the earliest pending timestamp into `out`
-    /// (appended in FIFO order) and returns that timestamp. The
-    /// calendar invariant — each wheel bucket holds events of exactly
-    /// one timestamp — makes this one bucket copy instead of per-event
-    /// pops.
+    /// Moves every event at the earliest pending timestamp into `out`,
+    /// replacing what it held, in FIFO order, and returns that
+    /// timestamp. The calendar invariant — each wheel bucket holds
+    /// events of exactly one timestamp — makes this one swap of vectors
+    /// instead of per-event pops or a copy: the bucket keeps `out`'s old
+    /// (cleared) allocation, so events scheduled at the same timestamp
+    /// meanwhile queue there, behind the ones taken.
     pub fn pop_bucket(&mut self, out: &mut Vec<T>) -> Option<SimTime> {
         let t = self.next_time()?;
         let bucket = &mut self.buckets[(t % WHEEL as SimTime) as usize];
         let n = bucket.pending();
-        out.extend_from_slice(&bucket.events[bucket.head..]);
-        bucket.events.clear();
+        bucket.events.drain(..bucket.head);
+        out.clear();
+        std::mem::swap(&mut bucket.events, out);
         bucket.head = 0;
         self.wheel_len -= n;
         self.len -= n;
@@ -449,21 +454,31 @@ mod tests {
             [0, 1]
         );
         assert_eq!(q.len(), 1, "later timestamps stay queued");
-        // Same-time events scheduled after a drain form the next batch.
+        // Same-time events scheduled after a drain form the next batch,
+        // and a bucket replaces what `out` held.
         q.schedule(8, test_done(3));
-        out.clear();
         assert_eq!(q.pop_bucket(&mut out), Some(8));
         assert_eq!(
             out.iter().map(|&e| machine_of(e)).collect::<Vec<_>>(),
             [2, 3]
         );
+        // A bucket already popped from yields only its rest.
+        for m in 4..7 {
+            q.schedule(9, test_done(m));
+        }
+        assert_eq!(q.pop().map(|(t, e)| (t, machine_of(e))), Some((9, 4)));
+        assert_eq!(q.pop_bucket(&mut out), Some(9));
+        assert_eq!(
+            out.iter().map(|&e| machine_of(e)).collect::<Vec<_>>(),
+            [5, 6]
+        );
+        assert!(q.is_empty());
         assert_eq!(q.pop_bucket(&mut out), None);
     }
 
     #[test]
     fn generic_payloads_and_reset_reuse() {
-        // The queue is generic over any `Copy` payload — the parallel
-        // driver stores `(seq, event)` pairs and per-shard records.
+        // The queue is generic over any `Copy` payload.
         let mut q: EventQueue<(u64, u32)> = EventQueue::new();
         q.schedule(3, (10, 1));
         q.schedule(3, (11, 2));

@@ -328,8 +328,7 @@ impl FaultRng {
     /// The fork depends only on `(seed, lane)` — never on how many
     /// draws other lanes have made — so a simulation that assigns one
     /// lane per machine produces the same per-machine fault schedule
-    /// regardless of event interleaving or (in the parallel driver)
-    /// worker count.
+    /// regardless of event interleaving.
     pub fn fork(seed: u64, lane: u64) -> Self {
         // A second odd multiplier decorrelates lanes from each other
         // and from the base stream before the `new` scramble.
@@ -368,10 +367,10 @@ impl FaultRng {
 /// seed: lane `i` always yields the stream `fork(seed, i*stride +
 /// offset)`, no matter which other lanes were touched first.
 ///
-/// The sequential driver uses one lane per machine (`stride == 1`) for
-/// machine→vendor draws; the parallel driver's shards use strided
-/// tables (`stride == workers`, `offset == shard`) so each shard stores
-/// only its own machines yet draws from the *same* per-machine streams.
+/// The simulator uses one lane per machine (`stride == 1`) for
+/// machine→vendor draws. A strided table (`stride == shards`,
+/// `offset == shard`) stores only one shard's machines yet draws from
+/// the *same* per-machine streams.
 /// Unseeded lanes are marked by state 0, which a seeded xorshift64*
 /// stream can never reach (`new` forces the low bit), so a fresh table
 /// is one cheap zeroed allocation.
@@ -540,7 +539,7 @@ mod tests {
     #[test]
     fn lanes_are_order_independent() {
         // Drawing lanes in different orders must not change any lane's
-        // stream — the property the parallel driver relies on.
+        // stream — the property per-machine fault schedules rely on.
         let mut fwd = RngLanes::new(42, 8);
         let mut rev = RngLanes::new(42, 8);
         let a: Vec<u64> = (0..8).map(|i| fwd.lane(i).next_u64()).collect();

@@ -13,26 +13,26 @@
 //! The data plane is fully interned: events are small `Copy` values
 //! over dense [`mirage_deploy::MachineId`]/[`mirage_deploy::ProblemId`]
 //! ids, and the inner loop is allocation free. The pre-interning
-//! string-keyed driver is retained under [`runner::reference`] for
-//! equivalence tests and benchmarks.
+//! string-keyed driver is retained under [`runner::reference`], and the
+//! one-event-at-a-time loop under [`runner::sequential`], as oracles
+//! for equivalence tests and benchmarks.
 //!
 //! The vendor model matches the paper's: each distinct problem takes
 //! `fix_time` to debug; fixes are worked on one at a time in report
 //! order; each completed fix ships as a new release which failed machines
 //! re-test. It is written once, in the crate-private `vendor` module,
-//! and run by two drivers that differ only in how they order events:
-//! the sequential loop pops one queue, the sharded [`parallel`] driver
-//! merges per-shard queues and is bit-identical to it at any worker
-//! count, for every protocol.
+//! and fed by one driver that walks the calendar queue a whole
+//! timestamp at a time: bucket order is the order a one-event loop
+//! would pop, so the driver is bit-identical to that loop for every
+//! protocol, and absorbs each run of passes in one
+//! [`mirage_deploy::Protocol::absorb_passes`] call.
 //!
 //! There is one way to start a run: [`Simulation`], a builder over the
 //! scenario ([`with_telemetry`](Simulation::with_telemetry),
-//! [`workers`](Simulation::workers), [`arena`](Simulation::arena))
-//! whose [`run`](Simulation::run) picks the driver from the worker
-//! count alone — one worker is the sequential oracle. A rollout is the
-//! same call over the controller [`Scenario::rollout_controller`]
-//! builds. ([`run_parallel_in`] and [`run_rollout_with_telemetry`] are
-//! that builder under two names the campaign benchmark still calls.)
+//! [`arena`](Simulation::arena)). A rollout is the same call over the
+//! controller [`Scenario::rollout_controller`] builds.
+//! ([`run_parallel_in`] and [`run_rollout_with_telemetry`] are that
+//! builder under two names the campaign benchmark still calls.)
 //!
 //! A scenario built with [`ScenarioBuilder::with_urr`] additionally
 //! deposits every vendor-received outcome into a shared
@@ -63,8 +63,8 @@ mod vendor;
 pub use engine::{Event, EventQueue, SimTime};
 pub use faults::{FaultPlan, FaultRng, FaultSpec, RngLanes};
 pub use metrics::{latency_cdf, ClusterLatency, SimMetrics};
-pub use parallel::{run_parallel_in, SimArena, MAX_WORKERS};
+pub use parallel::run_parallel_in;
 pub use rollout::run_rollout_with_telemetry;
-pub use runner::Simulation;
+pub use runner::{SimArena, Simulation};
 pub use scenario::{Scenario, ScenarioBuilder, Timings};
 pub use urr_sink::UrrSink;

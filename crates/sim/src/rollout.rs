@@ -5,8 +5,7 @@
 //! cohorts according to its strategy and wires the optional URR guard
 //! into the controller (closing the loop between the report repository
 //! the run deposits into and the widening decisions the controller
-//! takes); [`Simulation`] runs it, on whichever driver the worker count
-//! selects — the controller is just another
+//! takes); [`Simulation`] runs it — the controller is just another
 //! [`mirage_deploy::Protocol`].
 //!
 //! Every strategy runs on the one staging engine. An *unguarded*
@@ -24,7 +23,7 @@ use crate::metrics::SimMetrics;
 use crate::runner::Simulation;
 use crate::scenario::Scenario;
 
-/// [`Scenario::rollout_controller`] run by a one-worker [`Simulation`],
+/// [`Scenario::rollout_controller`] run by a [`Simulation`],
 /// returning the metrics with the controller's outcome. Pinned by
 /// `benchmark/src/workloads/sim.rs`, which a program change may not
 /// edit, and called from nowhere else; the change that follows the
@@ -54,7 +53,7 @@ mod tests {
     };
     use mirage_telemetry::{Journal, Registry};
 
-    /// The scenario's rollout on the one-worker driver, unobserved.
+    /// The scenario's rollout, unobserved.
     fn roll_out(s: &Scenario) -> (SimMetrics, RolloutOutcome) {
         let mut controller = s.rollout_controller(ProtocolChoice::Balanced, Telemetry::noop());
         let metrics = Simulation::new(s).run(&mut controller);

@@ -1,75 +1,82 @@
-//! The run surface, and the sequential driver behind it.
+//! The run surface and its one driver.
 //!
 //! [`Simulation`] is the one way to run a scenario: a builder over the
-//! scenario, an optional telemetry handle, a worker count and an
-//! optional [`SimArena`], whose [`run`](Simulation::run) picks the
-//! driver — one worker is the sequential loop below, more is the sharded
-//! driver of [`crate::parallel`]. Nothing else in the crate chooses.
+//! scenario, an optional telemetry handle and an optional
+//! [`SimArena`], whose [`run`](Simulation::run) feeds the shared vendor
+//! side (`vendor.rs`) off one calendar queue, a whole timestamp at a
+//! time ([`EventQueue::pop_bucket`]).
 //!
-//! The sequential loop is one calendar queue, popped one event at a
-//! time, feeding the shared vendor side (`vendor.rs`). It moves `Copy`
-//! events and dense ids only: per-machine and per-problem state is
-//! flat-indexed, and the journal records dense ids that exporters
-//! render as names (zero cost when telemetry is a noop). It is the oracle
-//! every equivalence property and paired bench row compares the sharded
-//! driver against. The original string-keyed driver — binary-heap queue,
-//! name maps and all — survives under [`mod@reference`] so equivalence
-//! tests can prove this one produces identical [`SimMetrics`].
+//! Bucket order is sequential order. The queue is FIFO within a
+//! timestamp, so a bucket holds its events in the order a loop popping
+//! one event at a time would pop them, and whatever the vendor side
+//! schedules at the same timestamp while the driver walks the bucket
+//! queues behind it, where that loop would also find it. So the driver
+//! needs no sequence stamps and no merge. It walks the bucket in order:
+//!
+//! - a maximal run of sound upgrade passes on the reliable channel goes
+//!   to [`Protocol::absorb_passes`] in one call; the driver stamps the
+//!   absorbed passes' times, batches their counters, and journals and
+//!   deposits each one in order. The pass the protocol stops at takes
+//!   the per-event path, and the rest of the run goes back to
+//!   `absorb_passes`;
+//! - anything else ends the run and takes the vendor side's per-event
+//!   path on its own: a tick, a fix, a failure (escaped ones included),
+//!   a `PRIOR_RELEASE` confirmation, and every test or delivery under a
+//!   fault plan.
+//!
+//! The one-event loop survives only as [`sequential::run_sequential`],
+//! the oracle every driver property compares against, and the original
+//! string-keyed driver — binary-heap queue, name maps and all — under
+//! [`mod@reference`]. Neither is on a production path.
 
 pub mod reference;
+pub mod sequential;
 
-use mirage_deploy::{MachineId, Protocol};
+use mirage_deploy::{MachineId, Protocol, Release, PRIOR_RELEASE};
 use mirage_telemetry::Telemetry;
 
 use crate::engine::{Event, EventQueue, SimTime};
 use crate::faults::RngLanes;
 use crate::metrics::SimMetrics;
-use crate::parallel::{clamp_workers, ParSim, SimArena};
 use crate::scenario::Scenario;
 use crate::vendor::{test_outcome, Lent, Schedule, Transmission, VendorSide};
 
-impl Schedule for EventQueue {
-    fn test(&mut self, time: SimTime, machine: MachineId, release: u32) {
-        self.schedule(time, Event::TestDone { machine, release });
-    }
-
-    fn vendor(&mut self, time: SimTime, event: Event) {
-        self.schedule(time, event);
-    }
-
-    fn pending(&self) -> usize {
-        self.len()
-    }
-}
+/// Most passes gathered before they go to `absorb_passes`. Absorbing a
+/// run in pieces is the same as absorbing it whole (the contract is
+/// per report); the cap keeps the gathered run's buffer small instead
+/// of a copy of a whole wave.
+const RUN_CAP: usize = 1_024;
 
 /// One run of a scenario, configured and then [`run`](Simulation::run)
 /// against a protocol.
 ///
 /// ```
 /// use mirage_deploy::ProtocolChoice;
+/// use mirage_sim::runner::sequential::run_sequential;
 /// use mirage_sim::{ScenarioBuilder, Simulation};
+/// use mirage_telemetry::Telemetry;
 /// let s = ScenarioBuilder::new().clusters(3, 4, 1).build();
-/// let one = Simulation::new(&s).run(&mut ProtocolChoice::Balanced.build(s.plan.clone(), 1.0));
-/// let four = Simulation::new(&s)
-///     .workers(4)
-///     .run(&mut ProtocolChoice::Balanced.build(s.plan.clone(), 1.0));
-/// assert_eq!(one, four);
+/// let run = Simulation::new(&s).run(&mut ProtocolChoice::Balanced.build(s.plan.clone(), 1.0));
+/// let oracle = run_sequential(
+///     &s,
+///     Telemetry::noop(),
+///     &mut ProtocolChoice::Balanced.build(s.plan.clone(), 1.0),
+/// );
+/// assert_eq!(run, oracle);
 /// ```
 #[derive(Debug)]
 pub struct Simulation<'a> {
     scenario: &'a Scenario,
     telemetry: Telemetry,
-    workers: usize,
     arena: Option<&'a mut SimArena>,
 }
 
 impl<'a> Simulation<'a> {
-    /// Creates a simulation over `scenario`: unobserved, one worker.
+    /// Creates a simulation over `scenario`, unobserved.
     pub fn new(scenario: &'a Scenario) -> Self {
         Simulation {
             scenario,
             telemetry: Telemetry::noop(),
-            workers: 1,
             arena: None,
         }
     }
@@ -84,53 +91,124 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Shards the machine-side work across `workers` shards, clamped to
-    /// `[1, `[`MAX_WORKERS`](crate::MAX_WORKERS)`]` and the fleet size
-    /// (more shards than machines is pure overhead). The count never changes a result — every
-    /// output is bit-identical to the one-worker run — so there is no
-    /// environment variable, scenario setting or host-derived default
-    /// behind it.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Runs in `arena`, reusing its queues and scratch buffers, so a
-    /// sweep re-running many configurations allocates once. A run
-    /// without one makes its own; the one-worker driver needs none.
+    /// Runs in `arena`, reusing its queue and buffers, so a sweep
+    /// re-running many configurations allocates once. A run without one
+    /// makes its own.
     pub fn arena(mut self, arena: &'a mut SimArena) -> Self {
         self.arena = Some(arena);
         self
     }
 
-    /// Runs the simulation to completion, consuming it. One worker (the
-    /// default) is the sequential loop; more is the sharded driver,
-    /// whatever the protocol. The shard count of the driver that ran is
-    /// published on the `sim.workers` gauge.
+    /// Runs the simulation to completion, consuming it.
     pub fn run(self, protocol: &mut dyn Protocol) -> SimMetrics {
-        let workers = clamp_workers(self.workers, self.scenario.machine_count());
-        self.telemetry.gauge("sim.workers", workers as i64);
-        if workers <= 1 {
-            return run_sequential(self.scenario, self.telemetry, protocol);
-        }
         let mut own = None;
         let arena = self.arena.unwrap_or_else(|| own.insert(SimArena::new()));
-        ParSim::new(arena, self.scenario, self.telemetry, workers).run(protocol)
+        drive(arena, self.scenario, self.telemetry, protocol)
     }
 }
 
-/// The sequential driver: pops one queue until it drains.
-fn run_sequential(
+/// Reusable state for runs, handed to one with [`Simulation::arena`]:
+/// the calendar queue (whose buckets keep their allocations), the
+/// bucket in hand, the run of passes being gathered and the vendor
+/// side's per-run buffers. Any run may follow any other in one arena —
+/// plain, faulted, guarded — with the result of a fresh one.
+#[derive(Debug, Default)]
+pub struct SimArena {
+    queue: EventQueue,
+    bucket: Vec<Event>,
+    run: Vec<(MachineId, Release)>,
+    lent: Lent,
+    pub(crate) shapes: Shapes,
+}
+
+impl SimArena {
+    /// Creates an empty arena. Buffers grow on first use and are
+    /// retained across runs.
+    pub fn new() -> Self {
+        SimArena::default()
+    }
+}
+
+/// What the driver did with the buckets it walked, recorded in its
+/// arena in test builds only, for tests that must show they drove a
+/// shape. Empty (and free) in every other build.
+#[derive(Debug, Default)]
+pub(crate) struct Shapes {
+    /// One entry per `absorb_passes` call that absorbed anything: the
+    /// bucket's time, the first absorbed machine, and how many.
+    #[cfg(test)]
+    pub(crate) absorbed: Vec<(SimTime, MachineId, usize)>,
+    /// Times of buckets that held a vendor event (tick, fix, delivery,
+    /// retry) and absorbed passes too.
+    #[cfg(test)]
+    pub(crate) mixed: Vec<SimTime>,
+}
+
+impl Shapes {
+    #[inline]
+    fn absorbed(&mut self, _time: SimTime, _first: MachineId, _count: usize) {
+        #[cfg(test)]
+        self.absorbed.push((_time, _first, _count));
+    }
+
+    #[inline]
+    fn walked(&mut self, _time: SimTime, _bucket: &[Event]) {
+        #[cfg(test)]
+        if self.absorbed.last().is_some_and(|a| a.0 == _time)
+            && _bucket.iter().any(|e| !matches!(e, Event::TestDone { .. }))
+        {
+            self.mixed.push(_time);
+        }
+    }
+}
+
+/// The driver's schedule: the arena's calendar queue, plus how many
+/// events of the bucket in hand the vendor side has not been handed
+/// yet. Together they are what a queue popped one event at a time would
+/// still hold, so the `sim.queue_depth` gauge reads the same.
+#[derive(Debug)]
+struct Calendar<'a> {
+    queue: &'a mut EventQueue,
+    in_hand: usize,
+}
+
+impl Schedule for Calendar<'_> {
+    fn test(&mut self, time: SimTime, machine: MachineId, release: u32) {
+        self.queue
+            .schedule(time, Event::TestDone { machine, release });
+    }
+
+    fn vendor(&mut self, time: SimTime, event: Event) {
+        self.queue.schedule(time, event);
+    }
+
+    fn pending(&self) -> usize {
+        self.queue.len() + self.in_hand
+    }
+}
+
+/// The driver: pops whole buckets until the queue drains, walking each
+/// in order.
+fn drive(
+    arena: &mut SimArena,
     scenario: &Scenario,
     telemetry: Telemetry,
     protocol: &mut dyn Protocol,
 ) -> SimMetrics {
-    let mut vendor = VendorSide::new(scenario, EventQueue::new(), telemetry, Lent::default());
-    // Per-machine fault RNG lanes for machine→vendor transmissions,
-    // forked per machine off the plan seed so each machine's report
-    // fault schedule depends only on its own event order — the
-    // property that lets the sharded driver draw them shard-side and
-    // stay bit-identical. Empty unless the scenario has a fault plan.
+    arena.queue.reset();
+    arena.shapes = Shapes::default();
+    let mut bucket = std::mem::take(&mut arena.bucket);
+    let mut run = std::mem::take(&mut arena.run);
+    let lent = std::mem::take(&mut arena.lent);
+    let calendar = Calendar {
+        queue: &mut arena.queue,
+        in_hand: 0,
+    };
+    let mut vendor = VendorSide::new(scenario, calendar, telemetry, lent);
+    // Per-machine fault RNG lanes for machine→vendor transmissions, as
+    // the oracle draws them: a machine's report fault schedule depends
+    // only on its own event order. Empty unless the scenario has a
+    // fault plan.
     let lanes = if vendor.faults_active {
         scenario.machine_count()
     } else {
@@ -139,20 +217,78 @@ fn run_sequential(
     let mut rng_up = RngLanes::new(scenario.faults.seed, lanes);
     let _span = vendor.telemetry.span("sim.run");
     vendor.start(protocol);
-    while let Some((time, event)) = vendor.sched.pop() {
+    while let Some(time) = vendor.sched.queue.pop_bucket(&mut bucket) {
         vendor.advance(time);
-        match event {
-            Event::TestDone { machine, release } => {
-                let outcome = test_outcome(scenario, &vendor.fixed_by_release, machine, release);
-                let uplink = vendor
-                    .faults_active
-                    .then(|| Transmission::draw(rng_up.lane(machine.index()), &scenario.faults));
-                vendor.test_done(protocol, machine, release, outcome, uplink);
+        for (i, &event) in bucket.iter().enumerate() {
+            let test = match event {
+                Event::TestDone { machine, release } => {
+                    let outcome =
+                        test_outcome(scenario, &vendor.fixed_by_release, machine, release);
+                    if outcome == (true, false)
+                        && !vendor.faults_active
+                        && release != PRIOR_RELEASE.0
+                    {
+                        run.push((machine, Release(release)));
+                        if run.len() == RUN_CAP {
+                            let left = bucket.len() - i - 1;
+                            absorb(&mut vendor, protocol, &mut run, left, &mut arena.shapes);
+                        }
+                        continue;
+                    }
+                    Some((machine, release, outcome))
+                }
+                _ => None,
+            };
+            let left = bucket.len() - i;
+            absorb(&mut vendor, protocol, &mut run, left, &mut arena.shapes);
+            vendor.sched.in_hand = left - 1;
+            match test {
+                Some((machine, release, outcome)) => {
+                    let uplink = vendor.faults_active.then(|| {
+                        Transmission::draw(rng_up.lane(machine.index()), &scenario.faults)
+                    });
+                    vendor.test_done(protocol, machine, release, outcome, uplink);
+                }
+                None => vendor.vendor_event(protocol, event),
             }
-            other => vendor.vendor_event(protocol, other),
+        }
+        absorb(&mut vendor, protocol, &mut run, 0, &mut arena.shapes);
+        arena.shapes.walked(time, &bucket);
+    }
+    let metrics = vendor.finish(protocol);
+    arena.lent = std::mem::take(&mut vendor.lent);
+    arena.bucket = bucket;
+    arena.run = run;
+    metrics
+}
+
+/// Hands `run` — consecutive sound upgrade passes on the reliable
+/// channel, in bucket order — to the protocol and empties it: the
+/// prefix [`Protocol::absorb_passes`] takes is recorded in one go, the
+/// pass it stops at takes the per-event path, and the rest goes back to
+/// `absorb_passes`. `left` counts the bucket's events after the run.
+fn absorb(
+    vendor: &mut VendorSide<'_, Calendar<'_>>,
+    protocol: &mut dyn Protocol,
+    run: &mut Vec<(MachineId, Release)>,
+    left: usize,
+    shapes: &mut Shapes,
+) {
+    let mut off = 0;
+    while off < run.len() {
+        let absorbed = protocol.absorb_passes(&run[off..]);
+        if absorbed > 0 {
+            shapes.absorbed(vendor.now, run[off].0, absorbed);
+            vendor.absorbed_passes(&run[off..off + absorbed]);
+            off += absorbed;
+        }
+        if let Some(&(machine, release)) = run.get(off) {
+            off += 1;
+            vendor.sched.in_hand = left + run.len() - off;
+            vendor.test_done(protocol, machine, release.0, (true, false), None);
         }
     }
-    vendor.finish(protocol)
+    run.clear();
 }
 
 #[cfg(test)]

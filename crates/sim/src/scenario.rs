@@ -99,7 +99,7 @@ pub struct Scenario {
     /// [`ScenarioBuilder::with_strategy`]): how
     /// [`Scenario::rollout_controller`] partitions the fleet into
     /// cohorts. It does not choose a driver: the controller is a
-    /// protocol like any other and runs at any worker count.
+    /// protocol like any other.
     pub strategy: Option<RolloutStrategy>,
     /// Optional URR guard thresholds (set via
     /// [`ScenarioBuilder::with_guard`]): requires [`Scenario::urr`];
@@ -152,7 +152,7 @@ impl Scenario {
     /// back to the prior release when the guard trips.
     ///
     /// The controller is a [`mirage_deploy::Protocol`]: run it with
-    /// [`crate::Simulation`] at any worker count, then read
+    /// [`crate::Simulation`], then read
     /// [`RolloutController::outcome`].
     pub fn rollout_controller(
         &self,

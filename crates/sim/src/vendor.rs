@@ -9,12 +9,14 @@
 //! vendor decision reads or writes, and every handler that takes one.
 //!
 //! What it does *not* know is how events are ordered. A driver hands it
-//! a [`Schedule`] and feeds it events in simulation order: the
-//! sequential loop in [`crate::runner`] pops one calendar queue; the
-//! sharded driver in [`crate::parallel`] merges per-shard queues by
-//! `(time, seq)`. Both run the handlers below and decide a test by the
-//! one [`test_outcome`], so a vendor-side behaviour is written, and can
-//! drift, in one place only.
+//! a [`Schedule`] and feeds it events in simulation order: the driver in
+//! [`crate::runner`] walks the calendar queue a whole timestamp at a
+//! time, the sequential oracle in [`crate::runner::sequential`] pops it
+//! one event at a time. Both run the handlers below and decide a test
+//! by the one [`test_outcome`], so a vendor-side behaviour is written,
+//! and can drift, in one place only. The driver's one shortcut,
+//! [`VendorSide::absorbed_passes`], is written here too, beside the
+//! per-event path it must equal.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -43,8 +45,8 @@ const RETRY_SAFETY_CAP: u32 = 10_000;
 /// dozen acquisitions per run.
 const JOURNAL_FLUSH_LEN: usize = 4_096;
 
-/// Where the vendor side puts future events. The only thing the two
-/// drivers implement differently.
+/// Where the vendor side puts future events. The only thing the driver
+/// and the oracle implement differently.
 pub(crate) trait Schedule {
     /// Schedules `machine` to finish testing `release` at `time`.
     fn test(&mut self, time: SimTime, machine: MachineId, release: u32);
@@ -66,8 +68,7 @@ impl Transmission {
     /// Draws one transmission from `rng` in the fixed order loss,
     /// duplication, then one delay per delivery. A machine's reports
     /// draw from its own lane, so its schedule depends only on its own
-    /// report history, whether drawn when the test completes or ahead
-    /// of the replay by the shard that owns the lane.
+    /// report history.
     pub(crate) fn draw(rng: &mut FaultRng, faults: &FaultPlan) -> Self {
         let mut tx = Transmission {
             deliveries: 0,
@@ -107,7 +108,7 @@ pub(crate) struct Lent {
 /// The vendor and everything it decides, over a driver's [`Schedule`].
 #[derive(Debug)]
 pub(crate) struct VendorSide<'s, Q: Schedule> {
-    pub(crate) scenario: &'s Scenario,
+    scenario: &'s Scenario,
     pub(crate) sched: Q,
     pub(crate) now: SimTime,
     /// Cumulative fixed-problem sets, indexed by release number.
@@ -121,7 +122,7 @@ pub(crate) struct VendorSide<'s, Q: Schedule> {
     /// per-event publication was measurable overhead at 10⁶ machines
     /// while recording nothing new.
     queue_high_water: usize,
-    pub(crate) metrics: SimMetrics,
+    metrics: SimMetrics,
     pub(crate) telemetry: Telemetry,
     /// Cached `telemetry.journals()` so the per-event journal check is
     /// one local load (set in [`VendorSide::start`]).
@@ -191,7 +192,7 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
     /// so the journal receives events slightly after (but timed exactly
     /// as) they happened — exporters re-sort by `(time, seq)`.
     #[inline]
-    pub(crate) fn jot(&mut self, event: JournalEvent) {
+    fn jot(&mut self, event: JournalEvent) {
         if self.journaling {
             self.lent.journal_buf.push((self.now, event));
             if self.lent.journal_buf.len() >= JOURNAL_FLUSH_LEN {
@@ -394,7 +395,7 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
     /// confirmations of the rollback sentinel land in the revert-time
     /// vector instead (a reverted machine did not integrate the
     /// upgrade, so it must not count as converged).
-    pub(crate) fn note_pass(&mut self, machine: MachineId, release: u32) {
+    fn note_pass(&mut self, machine: MachineId, release: u32) {
         if release == PRIOR_RELEASE.0 {
             if self.metrics.machine_revert_time.is_empty() {
                 self.metrics.machine_revert_time = vec![None; self.metrics.machine_pass_time.len()];
@@ -455,6 +456,36 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
         self.note_queue_depth();
     }
 
+    /// Records upgrade passes the protocol took through
+    /// [`Protocol::absorb_passes`]: what [`VendorSide::test_done`] does
+    /// for a sound upgrade pass on the reliable channel, minus the
+    /// `on_report` the protocol already accounted for. The counters
+    /// batch (their sums are the per-event ones); each pass's journal
+    /// entries and deposit go out in order. The schedule only shrank,
+    /// so there is no depth to check.
+    pub(crate) fn absorbed_passes(&mut self, passes: &[(MachineId, Release)]) {
+        for &(machine, release) in passes {
+            let slot = &mut self.metrics.machine_pass_time[machine.index()];
+            if slot.is_none() {
+                *slot = Some(self.now);
+            }
+            self.jot(JournalEvent::Test {
+                machine: machine.index() as u32,
+                release: release.0,
+                problem: NO_PROBLEM,
+            });
+            self.jot(JournalEvent::Report {
+                machine: machine.index() as u32,
+                release: release.0,
+                passed: true,
+            });
+            self.sink_report(machine, release.0, TestOutcome::Pass);
+        }
+        let n = passes.len() as u64;
+        self.telemetry.counter("sim.events_processed", n);
+        self.telemetry.counter("sim.tests_passed", n);
+    }
+
     /// A report reaches the vendor. Duplicates and stale releases are
     /// harmless: discovery is idempotent here and the hardened
     /// protocols drop replays in `on_report`.
@@ -507,7 +538,7 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
     /// repository, if any. Strictly observational: no simulation state
     /// is read back from the repository.
     #[inline]
-    pub(crate) fn sink_report(&mut self, machine: MachineId, release: u32, outcome: TestOutcome) {
+    fn sink_report(&mut self, machine: MachineId, release: u32, outcome: TestOutcome) {
         if self.urr_sink.is_none() {
             return;
         }
@@ -630,10 +661,9 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
 
 /// Whether `machine` passes `release`, and whether that pass is a
 /// failure that escaped detection: `(passed, escaped)`. The one
-/// statement of the rule: the sequential driver calls it as it pops a
-/// test, the sharded driver ahead of the replay (Phase A and the
-/// placement pass). `fixed_by_release` is append-only, so a scheduled
-/// test's outcome is the same whenever it is worked out.
+/// statement of the rule, for the driver and the oracle alike.
+/// `fixed_by_release` is append-only, so a scheduled test's outcome is
+/// the same whenever it is worked out.
 #[inline]
 pub(crate) fn test_outcome(
     scenario: &Scenario,

@@ -1,4 +1,4 @@
-//! Release-mode scale gates for the sharded parallel driver.
+//! Release-mode scale gates for the simulator's driver.
 //!
 //! Both tests are `#[ignore]`d: they run 100k–10M-machine fleets and
 //! belong to the release-mode CI jobs (the smoke by name in the
@@ -8,7 +8,9 @@
 use std::time::Instant;
 
 use mirage_deploy::ProtocolChoice;
+use mirage_sim::runner::sequential::run_sequential;
 use mirage_sim::{ScenarioBuilder, SimArena, Simulation};
+use mirage_telemetry::Telemetry;
 
 /// The paper's Figure-10 shape at 100k machines: 20 clusters × 5000,
 /// problems placed late in the staging order.
@@ -21,9 +23,9 @@ fn scenario_100k() -> mirage_sim::Scenario {
         .build()
 }
 
-/// Release-smoke gate: the parallel driver at 4 workers is bit-identical
-/// to the sequential oracle on the full 100k Figure-10 scenario, for
-/// every protocol.
+/// Release-smoke gate: the driver, in one arena reused across runs, is
+/// bit-identical to the sequential oracle on the full 100k Figure-10
+/// scenario, for every protocol.
 #[test]
 #[ignore = "release-mode smoke; run explicitly in the release-smokes CI job"]
 fn parallel_smoke_100k_4_workers() {
@@ -35,17 +37,16 @@ fn parallel_smoke_100k_4_workers() {
         ProtocolChoice::FrontLoading,
     ] {
         let mut oracle = choice.build(s.plan.clone(), s.threshold);
-        let expect = Simulation::new(&s).run(&mut oracle);
+        let expect = run_sequential(&s, Telemetry::noop(), &mut oracle);
         let mut p = choice.build(s.plan.clone(), s.threshold);
-        let got = Simulation::new(&s).workers(4).arena(&mut arena).run(&mut p);
-        assert_eq!(expect, got, "{} diverged at 100k/4 workers", choice.name());
+        let got = Simulation::new(&s).arena(&mut arena).run(&mut p);
+        assert_eq!(expect, got, "{} diverged at 100k", choice.name());
         assert_eq!(expect.passed_count(), s.machine_count());
     }
 }
 
 /// Scale gate (acceptance): a 10M-machine Balanced deployment completes
-/// through the parallel driver in under 10 seconds of run time
-/// (scenario construction excluded).
+/// in under 10 seconds of run time (scenario construction excluded).
 #[test]
 #[ignore = "10M-machine scale gate; release mode only (CI scale job)"]
 fn parallel_ten_million_machines_under_ten_seconds() {
@@ -59,10 +60,7 @@ fn parallel_ten_million_machines_under_ten_seconds() {
     let mut protocol = ProtocolChoice::Balanced.build(s.plan.clone(), s.threshold);
     let mut arena = SimArena::new();
     let started = Instant::now();
-    let metrics = Simulation::new(&s)
-        .workers(8)
-        .arena(&mut arena)
-        .run(&mut protocol);
+    let metrics = Simulation::new(&s).arena(&mut arena).run(&mut protocol);
     let elapsed = started.elapsed();
     assert_eq!(metrics.passed_count(), 10_000_000);
     assert!(metrics.completion_time.is_some());

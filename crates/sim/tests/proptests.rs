@@ -17,7 +17,8 @@ use mirage_deploy::{
 use mirage_report::Urr;
 use mirage_rollout::{GuardSettings, RolloutStrategy};
 use mirage_sim::runner::reference::{run_reference, NamedScenario};
-use mirage_sim::{FaultSpec, Scenario, ScenarioBuilder, SimTime, Simulation};
+use mirage_sim::runner::sequential::run_sequential;
+use mirage_sim::{FaultSpec, Scenario, ScenarioBuilder, SimMetrics, SimTime, Simulation};
 use mirage_telemetry::{Journal, Registry, Telemetry};
 
 /// Deterministic xorshift64 generator for scenario specs.
@@ -404,11 +405,11 @@ fn journaled_run_is_bit_identical() {
     }
 }
 
-/// Builds the parallel-equivalence scenario for `case`: extension
+/// Builds the driver-equivalence scenario for `case`: extension
 /// knobs from [`random_scenario_ext`], heavy faults (loss, dup, delay,
 /// retries, rep timeouts) on odd cases so both the reliable and the
 /// faulted replay paths face the full 48-case gauntlet.
-fn parallel_case(rng: &mut Rng, case: u64) -> (RandomScenario, Scenario) {
+fn driver_case(rng: &mut Rng, case: u64) -> (RandomScenario, Scenario) {
     let spec = random_scenario_ext(rng);
     let mut builder = ScenarioBuilder::new()
         .clusters(spec.clusters, spec.size, 1)
@@ -435,124 +436,114 @@ fn parallel_case(rng: &mut Rng, case: u64) -> (RandomScenario, Scenario) {
     (spec, builder.build())
 }
 
-/// **Parallel equivalence** (tentpole acceptance): the sharded
-/// time-bucket driver produces *bit-identical* [`mirage_sim::SimMetrics`]
-/// to the sequential oracle at 1, 2, 4, and 8 workers, across 48 random
+/// The run of `protocol` over `scenario`, by the driver
+/// ([`Simulation`]) or by the sequential oracle.
+fn drive(
+    by_oracle: bool,
+    scenario: &Scenario,
+    telemetry: Telemetry,
+    protocol: &mut dyn Protocol,
+) -> SimMetrics {
+    if by_oracle {
+        run_sequential(scenario, telemetry, protocol)
+    } else {
+        Simulation::new(scenario)
+            .with_telemetry(telemetry)
+            .run(protocol)
+    }
+}
+
+/// **Driver equivalence**: the bucket driver produces *bit-identical*
+/// [`mirage_sim::SimMetrics`] to the sequential oracle across 48 random
 /// scenarios (extension knobs included, heavy faults on odd cases) and
-/// all four protocols — the fault schedule, retry cascade, and waiver
-/// timing must reproduce exactly at every shard count.
+/// all four protocols — absorbed runs, the fault schedule, retry
+/// cascade and waiver timing must all reproduce exactly.
 #[test]
 fn parallel_driver_matches_sequential_oracle() {
     let mut rng = Rng::new(0x5EB);
     let mut waivers = 0;
     for case in 0..48u64 {
-        let (spec, scenario) = parallel_case(&mut rng, case);
+        let (spec, scenario) = driver_case(&mut rng, case);
         for choice in choices(case) {
             let name = choice.name();
             let mut oracle = choice.build(scenario.plan.clone(), scenario.threshold);
-            let expect = Simulation::new(&scenario).run(&mut oracle);
+            let expect = run_sequential(&scenario, Telemetry::noop(), &mut oracle);
             waivers += expect.rep_timeouts;
-            for workers in [1usize, 2, 4, 8] {
-                let mut protocol = choice.build(scenario.plan.clone(), scenario.threshold);
-                let got = Simulation::new(&scenario)
-                    .workers(workers)
-                    .run(&mut protocol);
-                assert_eq!(
-                    expect, got,
-                    "case {case}: {name} diverged at {workers} workers ({spec:?})"
-                );
-                assert!(
-                    protocol.done(),
-                    "case {case}: {name} not done at {workers} workers ({spec:?})"
-                );
-            }
+            let mut protocol = choice.build(scenario.plan.clone(), scenario.threshold);
+            let got = Simulation::new(&scenario).run(&mut protocol);
+            assert_eq!(expect, got, "case {case}: {name} diverged ({spec:?})");
+            assert!(protocol.done(), "case {case}: {name} not done ({spec:?})");
         }
     }
     assert!(waivers > 0, "the faulted cases exercise the waiver arms");
 }
 
-/// **Journaled parallel equivalence**: with a journal-enabled registry
-/// attached to driver *and* protocol, the parallel driver's journal
-/// stream — entry for entry, `(time, seq, payload)` — and metrics match
-/// the sequential oracle's at 1, 2, 4, and 8 workers across the same
-/// 48-case gauntlet. The merge rule replays cross-shard events in
-/// exactly the sequential order, so even the raw (unsorted) stream is
-/// identical.
+/// **Journaled driver equivalence**: with a journal-enabled registry
+/// attached to driver *and* protocol, the driver's journal stream —
+/// entry for entry, `(time, seq, payload)` — and metrics match the
+/// sequential oracle's across the same 48-case gauntlet. Buckets are
+/// walked in the order the oracle pops, so even the raw (unsorted)
+/// stream is identical.
 #[test]
 fn journaled_parallel_run_matches_sequential() {
     let mut rng = Rng::new(0x0B7);
     for case in 0..48u64 {
-        let (spec, scenario) = parallel_case(&mut rng, case);
+        let (spec, scenario) = driver_case(&mut rng, case);
         for choice in choices(case) {
             let name = choice.name();
-            let seq_reg = Arc::new(Registry::with_journal(4096, Journal::with_spill(4096)));
-            let seq_tel = Telemetry::from_registry(Arc::clone(&seq_reg));
-            let mut seq_p = choice
-                .build(scenario.plan.clone(), scenario.threshold)
-                .with_telemetry(seq_tel.clone());
-            let seq_m = Simulation::new(&scenario)
-                .with_telemetry(seq_tel)
-                .run(&mut seq_p);
-            let seq_entries = seq_reg.journal().entries();
-            assert!(!seq_entries.is_empty(), "case {case}: {name} journal empty");
-            for workers in [1usize, 2, 4, 8] {
-                let par_reg = Arc::new(Registry::with_journal(4096, Journal::with_spill(4096)));
-                let par_tel = Telemetry::from_registry(Arc::clone(&par_reg));
-                let mut par_p = choice
+            let run = |by_oracle: bool| {
+                let registry = Arc::new(Registry::with_journal(4096, Journal::with_spill(4096)));
+                let telemetry = Telemetry::from_registry(Arc::clone(&registry));
+                let mut protocol = choice
                     .build(scenario.plan.clone(), scenario.threshold)
-                    .with_telemetry(par_tel.clone());
-                let par_m = Simulation::new(&scenario)
-                    .with_telemetry(par_tel)
-                    .workers(workers)
-                    .run(&mut par_p);
-                assert_eq!(
-                    seq_m, par_m,
-                    "case {case}: {name} journaled metrics diverged at {workers} workers ({spec:?})"
-                );
-                assert_eq!(
-                    seq_entries,
-                    par_reg.journal().entries(),
-                    "case {case}: {name} journal stream diverged at {workers} workers ({spec:?})"
-                );
-            }
+                    .with_telemetry(telemetry.clone());
+                let metrics = drive(by_oracle, &scenario, telemetry, &mut protocol);
+                (metrics, registry.journal().entries())
+            };
+            let (seq_m, seq_entries) = run(true);
+            assert!(!seq_entries.is_empty(), "case {case}: {name} journal empty");
+            let (m, entries) = run(false);
+            assert_eq!(
+                seq_m, m,
+                "case {case}: {name} journaled metrics diverged ({spec:?})"
+            );
+            assert_eq!(
+                seq_entries, entries,
+                "case {case}: {name} journal stream diverged ({spec:?})"
+            );
         }
     }
 }
 
-/// **Repository equivalence**: the two drivers leave the same Upgrade
-/// Report Repository behind. Each run deposits into a fresh `Urr`; at
-/// 2, 4 and 8 workers the sharded driver's repository answers
-/// `stats()`, `snapshot()` (every frozen query surface) and
-/// `next_seq()` exactly as the sequential driver's does, on the
-/// reliable channel (even cases: batched pass absorption deposits too)
-/// and under heavy faults (odd cases: duplicated deliveries deposit
-/// twice, lost ones never).
+/// **Repository equivalence**: the driver and the oracle leave the
+/// same Upgrade Report Repository behind. Each run deposits into a
+/// fresh `Urr`; the driver's repository answers `stats()`,
+/// `snapshot()` (every frozen query surface) and `next_seq()` exactly
+/// as the oracle's does, on the reliable channel (even cases: absorbed
+/// passes deposit too) and under heavy faults (odd cases: duplicated
+/// deliveries deposit twice, lost ones never).
 #[test]
 fn parallel_driver_fills_the_same_repository() {
     let mut rng = Rng::new(0x0DD);
     for case in 0..24u64 {
-        let (spec, mut scenario) = parallel_case(&mut rng, case);
+        let (spec, mut scenario) = driver_case(&mut rng, case);
         for choice in choices(case) {
             let name = choice.name();
-            let mut deposit = |workers: usize| {
+            let mut deposit = |by_oracle: bool| {
                 let urr = Arc::new(Urr::new());
                 scenario.urr = Some(Arc::clone(&urr));
                 let mut protocol = choice.build(scenario.plan.clone(), scenario.threshold);
-                let metrics = Simulation::new(&scenario)
-                    .workers(workers)
-                    .run(&mut protocol);
+                let metrics = drive(by_oracle, &scenario, Telemetry::noop(), &mut protocol);
                 (metrics, urr)
             };
-            let (seq_m, seq_urr) = deposit(1);
+            let (seq_m, seq_urr) = deposit(true);
             assert!(seq_urr.stats().total > 0, "case {case}: {name} deposited");
-            for workers in [2usize, 4, 8] {
-                let (par_m, par_urr) = deposit(workers);
-                let at = format!("case {case}: {name} at {workers} workers ({spec:?})");
-                assert_eq!(seq_m, par_m, "{at}: metrics");
-                assert_eq!(seq_urr.stats(), par_urr.stats(), "{at}: stats");
-                assert_eq!(seq_urr.snapshot(), par_urr.snapshot(), "{at}: snapshot");
-                assert_eq!(seq_urr.next_seq(), par_urr.next_seq(), "{at}: next_seq");
-            }
+            let (m, urr) = deposit(false);
+            let at = format!("case {case}: {name} ({spec:?})");
+            assert_eq!(seq_m, m, "{at}: metrics");
+            assert_eq!(seq_urr.stats(), urr.stats(), "{at}: stats");
+            assert_eq!(seq_urr.snapshot(), urr.snapshot(), "{at}: snapshot");
+            assert_eq!(seq_urr.next_seq(), urr.next_seq(), "{at}: next_seq");
         }
     }
 }
@@ -573,8 +564,8 @@ const GUARD: GuardSettings = GuardSettings {
 /// fleet name by name. The second repository is pushed onto the
 /// per-name path by one machine interned before the run that no plan
 /// lists, which also shifts every ref of its fleet by one. Converging
-/// (even) and faulty (odd) cases run all four protocols on both
-/// drivers; every third case is instead a fleet-wide regression under a
+/// (even) and faulty (odd) cases run all four protocols; every third
+/// case is instead a fleet-wide regression under a
 /// guarded rolling rollout, which the guard rolls back, so the
 /// `PRIOR_RELEASE` revert confirmations are deposited too. `stats()`,
 /// `snapshot()`, `all()` and `next_seq()` must agree.
@@ -599,7 +590,7 @@ fn adopted_fleet_fills_the_same_repository() {
     let mut rng = Rng::new(0xAD0);
     let mut rolled_back = 0;
     for case in 0..24u64 {
-        let (spec, mut scenario) = parallel_case(&mut rng, case);
+        let (spec, mut scenario) = driver_case(&mut rng, case);
         if case % 3 == 2 {
             let everywhere: Vec<usize> = (0..spec.clusters).collect();
             let mut builder = ScenarioBuilder::new()
@@ -631,22 +622,15 @@ fn adopted_fleet_fills_the_same_repository() {
             continue;
         }
         for choice in choices(case) {
-            for workers in [1usize, 2, 4] {
-                let mut fill = |per_name: bool| {
-                    let urr = repository(per_name);
-                    scenario.urr = Some(Arc::clone(&urr));
-                    let mut protocol = choice.build(scenario.plan.clone(), scenario.threshold);
-                    Simulation::new(&scenario)
-                        .workers(workers)
-                        .run(&mut protocol);
-                    urr
-                };
-                let at = format!(
-                    "case {case}: {} at {workers} workers ({spec:?})",
-                    choice.name()
-                );
-                assert_same_repository(&fill(false), &fill(true), &at);
-            }
+            let mut fill = |per_name: bool| {
+                let urr = repository(per_name);
+                scenario.urr = Some(Arc::clone(&urr));
+                let mut protocol = choice.build(scenario.plan.clone(), scenario.threshold);
+                Simulation::new(&scenario).run(&mut protocol);
+                urr
+            };
+            let at = format!("case {case}: {} ({spec:?})", choice.name());
+            assert_same_repository(&fill(false), &fill(true), &at);
         }
     }
     assert_eq!(rolled_back, 8);
@@ -689,10 +673,9 @@ impl Protocol for TickProbe {
 }
 
 /// A protocol deciding on a tick must see every report the vendor has
-/// received so far, on either driver: both flush the repository sink
-/// (4 096-record buffer) before `on_tick`. The sharded driver used to
-/// tick without flushing, so a tick-time query there saw an empty
-/// repository until the run ended.
+/// received so far, on the driver as on the oracle: the vendor side
+/// flushes the repository sink (4 096-record buffer) before `on_tick`,
+/// absorbed passes included.
 #[test]
 fn tick_sees_the_same_repository_on_both_drivers() {
     let build = |urr: &Arc<Urr>| {
@@ -710,7 +693,7 @@ fn tick_sees_the_same_repository_on_both_drivers() {
             .with_urr(Arc::clone(urr))
             .build()
     };
-    let probe = |workers: usize| {
+    let probe = |by_oracle: bool| {
         let urr = Arc::new(Urr::new());
         let s = build(&urr);
         let mut p = TickProbe {
@@ -718,31 +701,28 @@ fn tick_sees_the_same_repository_on_both_drivers() {
             urr,
             seen: Vec::new(),
         };
-        let metrics = Simulation::new(&s).workers(workers).run(&mut p);
+        let metrics = drive(by_oracle, &s, Telemetry::noop(), &mut p);
         assert!(metrics.converged(s.machine_count()));
         p.seen
     };
-    let expect = probe(1);
+    let expect = probe(true);
     assert!(
         expect.windows(2).filter(|w| w[0].1 < w[1].1).count() > 1,
         "reports became visible tick by tick: {expect:?}"
     );
-    for workers in [2usize, 4, 8] {
-        assert_eq!(expect, probe(workers), "at {workers} workers");
-    }
+    assert_eq!(expect, probe(false));
 }
 
 /// **Guarded-rollout equivalence**: a rollout controller with a URR
 /// guard — decision ticks, guard queries against the repository the run
 /// fills, and, when the guard trips, a `PRIOR_RELEASE` revert wave —
-/// runs on the sharded driver exactly as on the sequential one. 32
-/// cases over random fleet shapes (late arrivals and missed detections
+/// runs on the driver exactly as on the sequential oracle. 32 cases
+/// over random fleet shapes (late arrivals and missed detections
 /// included): the four strategies × a good and a fleet-wide-bad release
 /// × a reliable and a lossy (loss, duplication, delay, retries) channel,
-/// twice. At 2, 4 and 8 workers [`mirage_sim::SimMetrics`], the
-/// `RolloutOutcome`, the raw journal stream, the counter sums and the
-/// repository (`stats`, `snapshot`, `next_seq`) equal the one-worker
-/// run's, and `sim.workers` reads the shard count that ran.
+/// twice. [`mirage_sim::SimMetrics`], the `RolloutOutcome`, the raw
+/// journal stream, the counter sums, the queue-depth gauge and the
+/// repository (`stats`, `snapshot`, `next_seq`) equal the oracle's.
 #[test]
 fn guarded_rollout_matches_sequential_at_any_worker_count() {
     let mut rng = Rng::new(0x6A2D);
@@ -786,41 +766,35 @@ fn guarded_rollout_matches_sequential_at_any_worker_count() {
                     .retry(20, 4),
             );
         }
-        let run = |workers: usize| {
+        let run = |by_oracle: bool| {
             let urr = Arc::new(Urr::new());
             let scenario = builder.clone().with_urr(Arc::clone(&urr)).build();
             let registry = Arc::new(Registry::with_journal(4096, Journal::with_spill(4096)));
             let telemetry = Telemetry::from_registry(Arc::clone(&registry));
             let mut controller = scenario.rollout_controller(choice, telemetry.clone());
-            let metrics = Simulation::new(&scenario)
-                .with_telemetry(telemetry)
-                .workers(workers)
-                .run(&mut controller);
+            let metrics = drive(by_oracle, &scenario, telemetry, &mut controller);
             let snapshot = registry.snapshot();
-            assert_eq!(
-                snapshot.gauges["sim.workers"].value,
-                workers.min(scenario.machine_count()) as i64,
-                "case {case}: sim.workers names the driver that ran"
-            );
             (
                 (metrics, controller.outcome()),
-                (registry.journal().entries(), snapshot.counters),
+                (
+                    registry.journal().entries(),
+                    snapshot.counters,
+                    snapshot.gauges["sim.queue_depth"],
+                ),
                 (urr.stats(), urr.snapshot(), urr.next_seq()),
             )
         };
-        let (expect_run, expect_telemetry, expect_urr) = run(1);
+        let (expect_run, expect_telemetry, expect_urr) = run(true);
         assert!(!expect_telemetry.0.is_empty(), "case {case}: journaled");
         rolled_back += usize::from(expect_run.1.rollback.is_some());
-        for workers in [2usize, 4, 8] {
-            let at = format!(
-                "case {case}: {} at {workers} workers ({spec:?})",
-                strategy.name()
-            );
-            let (got_run, got_telemetry, got_urr) = run(workers);
-            assert_eq!(expect_run, got_run, "{at}: metrics and outcome");
-            assert_eq!(expect_telemetry, got_telemetry, "{at}: journal, counters");
-            assert_eq!(expect_urr, got_urr, "{at}: repository");
-        }
+        let at = format!("case {case}: {} ({spec:?})", strategy.name());
+        let (got_run, got_telemetry, got_urr) = run(false);
+        assert_eq!(expect_run, got_run, "{at}: metrics and outcome");
+        assert_eq!(
+            expect_telemetry, got_telemetry,
+            "{at}: journal, counters, depth"
+        );
+        assert_eq!(expect_urr, got_urr, "{at}: repository");
     }
     // The other two bad releases are staged rollouts on the lossy
     // channel, which converge through the vendor's fix first.
@@ -862,6 +836,25 @@ impl Protocol for RevertProbe {
         }
         Vec::new()
     }
+    /// Takes every report `on_report` would answer with no command,
+    /// revert confirmations included, so only the driver stands between
+    /// a confirmation and an absorbed run.
+    fn absorb_passes(&mut self, reports: &[(MachineId, Release)]) -> usize {
+        let mut absorbed = 0;
+        for &(_, release) in reports {
+            if !self.reverting {
+                break;
+            }
+            if release == PRIOR_RELEASE {
+                if self.reverted + 1 == self.fleet.len() {
+                    break;
+                }
+                self.reverted += 1;
+            }
+            absorbed += 1;
+        }
+        absorbed
+    }
     fn on_release(&mut self, _release: Release, _fixed: &ProblemSet) -> Vec<Command> {
         Vec::new()
     }
@@ -870,19 +863,19 @@ impl Protocol for RevertProbe {
     }
 }
 
-/// A revert is a revert on every replay path. The sentinel is not an
-/// index into the release history (the sharded driver's outcome scans
-/// used to index with it, and panicked on the first problem-carrying
-/// machine that reverted), and a confirmation lands in
-/// `machine_revert_time`, not in the pass times — unobserved (the
-/// placement pass) and journaled (Phase A and the merge) alike.
+/// A revert is a revert on the driver as on the oracle. The sentinel is
+/// not an index into the release history (an outcome scan that indexed
+/// with it would panic on the first problem-carrying machine that
+/// reverted), and a confirmation never joins an absorbed run: it lands
+/// in `machine_revert_time`, not in the pass times — unobserved and
+/// journaled alike.
 #[test]
 fn revert_wave_without_a_guard_matches_sequential() {
     let s = ScenarioBuilder::new()
         .clusters(3, 4, 1)
         .problem_in_clusters("p", &[1])
         .build();
-    let run = |workers: usize, journaled: bool| {
+    let run = |by_oracle: bool, journaled: bool| {
         let telemetry = if journaled {
             let journal = Journal::with_spill(4096);
             Telemetry::from_registry(Arc::new(Registry::with_journal(4096, journal)))
@@ -894,26 +887,17 @@ fn revert_wave_without_a_guard_matches_sequential() {
             reverting: false,
             reverted: 0,
         };
-        let metrics = Simulation::new(&s)
-            .with_telemetry(telemetry)
-            .workers(workers)
-            .run(&mut probe);
+        let metrics = drive(by_oracle, &s, telemetry, &mut probe);
         assert!(probe.done(), "every machine confirmed the revert");
         metrics
     };
     for journaled in [false, true] {
-        let expect = run(1, journaled);
+        let expect = run(true, journaled);
         let cycle = s.timings.machine_cycle();
         assert_eq!(expect.machine_revert_time, vec![Some(2 * cycle); 12]);
         assert_eq!((expect.reverted_count(), expect.passed_count()), (12, 8));
         assert_eq!(expect.completion_time, Some(2 * cycle));
-        for workers in [2usize, 4] {
-            assert_eq!(
-                expect,
-                run(workers, journaled),
-                "at {workers} workers, journaled={journaled}"
-            );
-        }
+        assert_eq!(expect, run(false, journaled), "journaled={journaled}");
     }
 }
 
