@@ -13,7 +13,9 @@
 //! the records following in sequence order. The archive keeps every
 //! report, so a generation is no smaller than the log it replaces and
 //! loads no faster; it bounds the number of frames and segments a
-//! recovery reads, nothing else.
+//! recovery reads, nothing else. Its frames are written into one buffer
+//! that is handed to the store by value, so a memory store keeps that
+//! buffer rather than a copy of it.
 //!
 //! [`DurableUrr::recover`] rebuilds the repository after a crash with
 //! one replay loop. The newest generation is replayed into a fresh
@@ -22,9 +24,13 @@
 //! segments are replayed on top in order: frames the generation already
 //! covers are skipped (the duplicate-tail shape), the first torn,
 //! truncated, corrupt or gapped frame ends the replay with the prefix
-//! kept, and hostile bytes never panic. Nothing derived is read from
-//! disk: every index of a recovered repository was built by the
-//! store insert, as in live ingest.
+//! kept, and hostile bytes never panic; a name delta that is refused
+//! leaves none of its names behind. Nothing derived is read from disk:
+//! every index of a recovered repository was built by the store
+//! insert, as in live ingest. Replay reads the bytes the store shares
+//! out (`Arc`s of its segments and generations) in place: a frame's
+//! checksum and decode borrow them, and a name delta is appended to its
+//! table with one copy while its names ascend.
 //!
 //! A journal mutex serialises deposits, snapshots, and delta
 //! accounting. A journaled deposit takes it, then the repository's
@@ -138,12 +144,12 @@ struct Journal {
 /// `persisted`, then `recs`. Returns what the frame brings the journal
 /// to. The deltas are written straight out of the tables, so the read
 /// locks are held for the encode and no longer.
-fn put_batch<'a>(
+fn put_batch(
     buf: &mut Vec<u8>,
     urr: &Urr,
     persisted: Persisted,
     start_seq: u64,
-    recs: impl ExactSizeIterator<Item = &'a Rec>,
+    recs: &[Rec],
 ) -> Persisted {
     let machines = urr.machines.read().expect("urr poisoned");
     let sigs = urr.sigs.read().expect("urr poisoned");
@@ -152,8 +158,8 @@ fn put_batch<'a>(
         encode_wal_frame(
             buf,
             start_seq,
-            machines.names_from(persisted.machines),
-            sigs.names_from(persisted.sigs),
+            machines.run_from(persisted.machines),
+            sigs.run_from(persisted.sigs),
             &releases.pairs[persisted.releases..],
             recs,
         )
@@ -328,7 +334,7 @@ impl DurableUrr {
             return Ok(start..start);
         }
         let mut bytes = Vec::new();
-        let persisted = put_batch(&mut bytes, &self.urr, journal.persisted, start, recs.iter());
+        let persisted = put_batch(&mut bytes, &self.urr, journal.persisted, start, &recs);
         let rotated = journal.store.append_frame(&bytes)?;
         journal.persisted = persisted;
         let range = store.extend(recs);
@@ -368,10 +374,11 @@ impl DurableUrr {
             .step_by(GENERATION_FRAME_RECS)
             .zip(std::iter::once(first).chain(chunks))
         {
-            persisted = put_batch(&mut bytes, &self.urr, persisted, start_seq, chunk.iter());
+            persisted = put_batch(&mut bytes, &self.urr, persisted, start_seq, chunk);
         }
         drop(store);
-        journal.store.write_snapshot(&bytes)?;
+        let len = bytes.len();
+        journal.store.write_snapshot(bytes)?;
         // The generation is the journal's base from here on, whether or
         // not the frames it covers are gone yet.
         journal.persisted = persisted;
@@ -379,7 +386,7 @@ impl DurableUrr {
         journal.store.truncate_wal()?;
         let telemetry = &self.urr.telemetry;
         telemetry.counter("urr.snapshot_writes", 1);
-        telemetry.counter("urr.snapshot_bytes", bytes.len() as u64);
+        telemetry.counter("urr.snapshot_bytes", len as u64);
         Ok(())
     }
 }
@@ -502,11 +509,10 @@ mod tests {
             !handle.snapshots().unwrap().is_empty(),
             "snapshots were written"
         );
-        let wal = handle.wal_segments().unwrap().concat();
+        let wal: usize = handle.wal_segments().unwrap().iter().map(|s| s.len()).sum();
         assert!(
-            wal.len() < 200,
-            "wal was truncated at the last snapshot (still holds {} bytes)",
-            wal.len()
+            wal < 200,
+            "wal was truncated at the last snapshot (still holds {wal} bytes)"
         );
     }
 
@@ -541,6 +547,118 @@ mod tests {
             assert_eq!(recovered.urr().all()[0].machine, "a");
             assert_surfaces_eq(live.urr(), recovered.urr());
         }
+    }
+
+    /// The hostile name-run corpus: a frame whose machine run is
+    /// malformed, or names a machine the table holds or one it lists
+    /// twice, ends replay with a clean [`WireError`]; the frames before
+    /// it are kept, and no name of the run is.
+    #[test]
+    fn hostile_name_runs_end_replay_with_the_prefix_kept() {
+        use crate::storage::frame::HEADER_LEN;
+        use crate::urr::NO_SIG;
+        let store = MemoryStore::new();
+        let live = DurableUrr::new(Box::new(store.clone()), config()).unwrap();
+        live.deposit_batch(sample_reports()).unwrap();
+        let machines = || live.urr().machines.read().unwrap().len();
+        let held = live.urr().machines.read().unwrap().name(0).to_string();
+        let next = live.urr().next_seq();
+        // One frame at the watermark whose record names the run's first
+        // machine; `patch` overwrites a `u32` of the payload before the
+        // checksum is taken (8: the count, 12: the first end).
+        let frame = |bytes: &str, ends: &[u32], patch: Option<(usize, u32)>| {
+            let rec = Rec {
+                machine: machines() as u32,
+                cluster: 0,
+                release: 0,
+                sig: NO_SIG,
+                payload: None,
+            };
+            let mut frame = Vec::new();
+            put_frame(&mut frame, KIND_WAL_BATCH, |buf| {
+                let at = buf.len();
+                let none: &[(&str, &str)] = &[];
+                encode_wal_frame(
+                    buf,
+                    next,
+                    (bytes, ends.iter().copied()),
+                    ("", std::iter::empty()),
+                    none,
+                    &[rec],
+                );
+                if let Some((offset, value)) = patch {
+                    buf[at + offset..at + offset + 4].copy_from_slice(&value.to_le_bytes());
+                }
+            });
+            frame
+        };
+        let recover = |frame: Vec<u8>| {
+            let crashed = store.fork();
+            crashed.mutate(|segments, _| segments.last_mut().unwrap().extend_from_slice(&frame));
+            DurableUrr::recover(Box::new(crashed), config()).unwrap()
+        };
+        // The frame is well formed when its run is.
+        let (recovered, report) = recover(frame("zz", &[2], None));
+        assert_eq!((report.frames_replayed, report.torn_tail), (2, None));
+        assert_eq!(recovered.urr().all()[3].machine, "zz");
+
+        let corrupt = |what| WireError::Corrupt { what };
+        let oversize = WireError::Oversize {
+            what: "wal machine delta",
+        };
+        let repeats = corrupt("wal delta repeats an interned name");
+        let held_second = format!("zz{held}");
+        for (case, frame, why) in [
+            (
+                "ends that go backwards",
+                frame("abc", &[2, 1, 3], None),
+                corrupt("wal delta name ends decrease"),
+            ),
+            (
+                "a last end past the remaining bytes",
+                frame("ab", &[2], Some((12, 1_000))),
+                oversize.clone(),
+            ),
+            (
+                "an end inside a character",
+                frame("aé", &[2, 3], None),
+                corrupt("wal delta name ends inside a character"),
+            ),
+            (
+                "a count past the remainder",
+                frame("ab", &[2], Some((8, 1_000_000))),
+                oversize,
+            ),
+            (
+                "a name the table holds, behind a new one",
+                frame(&held_second, &[2, held_second.len() as u32], None),
+                repeats.clone(),
+            ),
+            ("a name twice", frame("zzzz", &[2, 4], None), repeats),
+        ] {
+            let (recovered, report) = recover(frame);
+            assert_eq!(report.torn_tail, Some(why.to_string()), "{case}");
+            assert_eq!(report.frames_replayed, 1, "{case}");
+            assert_surfaces_eq(live.urr(), recovered.urr());
+            let table = recovered.urr().machines.read().unwrap();
+            assert_eq!(
+                table.len(),
+                machines(),
+                "{case}: no name of the run is kept"
+            );
+            assert_eq!(table.get("zz"), None, "{case}");
+        }
+        // A frame of a retired kind — the layout before runs — too.
+        let mut retired = Vec::new();
+        put_frame(&mut retired, 1, |buf| {
+            buf.extend_from_slice(&frame("zz", &[2], None)[HEADER_LEN..]);
+        });
+        let (_, report) = recover(retired);
+        assert_eq!(report.frames_replayed, 1);
+        assert_eq!(
+            report.torn_tail.as_deref(),
+            Some("unexpected frame kind 1 in wal")
+        );
     }
 
     #[test]

@@ -41,10 +41,11 @@ pub(crate) const HEADER_LEN: usize = 4 + 1 + 4 + 4;
 /// must not drive allocation).
 pub(crate) const MAX_PAYLOAD: usize = 1 << 30;
 
-/// Frame kind: one journaled deposit batch. (Kind 2 is retired, not
-/// free: stores written before generations were runs of batch frames
-/// hold it, and must keep being rejected.)
-pub(crate) const KIND_WAL_BATCH: u8 = 1;
+/// Frame kind: one journaled deposit batch. (Kinds 1 and 2 are
+/// retired, not free, and must keep being rejected: stores written
+/// before name deltas were runs in the name table's layout hold kind 1,
+/// stores written before generations were runs of batch frames kind 2.)
+pub(crate) const KIND_WAL_BATCH: u8 = 5;
 /// Frame kind: a vendor serving-protocol request.
 pub(crate) const KIND_REQUEST: u8 = 3;
 /// Frame kind: a vendor serving-protocol response.

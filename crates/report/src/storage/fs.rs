@@ -24,7 +24,7 @@
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use super::memory::DEFAULT_SEGMENT_BYTES;
 use super::{StoreError, UrrStore};
@@ -147,21 +147,22 @@ impl UrrStore for FsStore {
         Ok(rotate && !was_fresh)
     }
 
-    fn wal_segments(&self) -> Result<Vec<Vec<u8>>, StoreError> {
+    fn wal_segments(&self) -> Result<Vec<Arc<Vec<u8>>>, StoreError> {
         let _state = self.state.lock().expect("fs store poisoned");
         let mut out = Vec::new();
         for (_, path) in numbered_files(&self.root.join("wal"), "seg-", ".log")? {
-            out.push(fs::read(&path).map_err(|e| StoreError::io("read wal segment", e))?);
+            let bytes = fs::read(&path).map_err(|e| StoreError::io("read wal segment", e))?;
+            out.push(Arc::new(bytes));
         }
         Ok(out)
     }
 
-    fn write_snapshot(&self, snapshot: &[u8]) -> Result<(), StoreError> {
+    fn write_snapshot(&self, snapshot: Vec<u8>) -> Result<(), StoreError> {
         let mut state = self.state.lock().expect("fs store poisoned");
         let gen = state.snapshot_gen + 1;
         let tmp = self.snap_path(gen).with_extension("tmp");
         let fin = self.snap_path(gen);
-        fs::write(&tmp, snapshot).map_err(|e| StoreError::io("write snapshot tmp", e))?;
+        fs::write(&tmp, &snapshot).map_err(|e| StoreError::io("write snapshot tmp", e))?;
         fs::rename(&tmp, &fin).map_err(|e| StoreError::io("rename snapshot", e))?;
         state.snapshot_gen = gen;
         // Prune generations older than the previous one (the fallback).
@@ -173,13 +174,14 @@ impl UrrStore for FsStore {
         Ok(())
     }
 
-    fn snapshots(&self) -> Result<Vec<Vec<u8>>, StoreError> {
+    fn snapshots(&self) -> Result<Vec<Arc<Vec<u8>>>, StoreError> {
         let _state = self.state.lock().expect("fs store poisoned");
         let mut files = numbered_files(&self.root.join("snapshots"), "snap-", ".bin")?;
         files.reverse(); // newest first
         let mut out = Vec::with_capacity(files.len());
         for (_, path) in files {
-            out.push(fs::read(&path).map_err(|e| StoreError::io("read snapshot", e))?);
+            let bytes = fs::read(&path).map_err(|e| StoreError::io("read snapshot", e))?;
+            out.push(Arc::new(bytes));
         }
         Ok(out)
     }
@@ -202,6 +204,10 @@ impl UrrStore for FsStore {
 mod tests {
     use super::*;
 
+    fn shared(bytes: &[u8]) -> Arc<Vec<u8>> {
+        Arc::new(bytes.to_vec())
+    }
+
     fn temp_root(tag: &str) -> PathBuf {
         let root =
             std::env::temp_dir().join(format!("mirage-fsstore-{tag}-{}", std::process::id()));
@@ -217,8 +223,8 @@ mod tests {
         assert!(store.append_frame(&[2; 6]).unwrap(), "rotates");
         let segs = store.wal_segments().unwrap();
         assert_eq!(segs.len(), 2);
-        assert_eq!(segs[0], vec![1; 6]);
-        assert_eq!(segs[1], vec![2; 6]);
+        assert_eq!(*segs[0], [1; 6]);
+        assert_eq!(*segs[1], [2; 6]);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -228,16 +234,16 @@ mod tests {
         {
             let store = FsStore::open_with_segment_bytes(&root, 100).unwrap();
             store.append_frame(b"abcd").unwrap();
-            store.write_snapshot(b"snap1").unwrap();
+            store.write_snapshot(b"snap1".to_vec()).unwrap();
         }
         let store = FsStore::open_with_segment_bytes(&root, 100).unwrap();
         store.append_frame(b"ef").unwrap();
         let segs = store.wal_segments().unwrap();
         assert_eq!(segs.len(), 1, "appended to the same active segment");
-        assert_eq!(segs[0], b"abcdef");
-        store.write_snapshot(b"snap2").unwrap();
+        assert_eq!(*segs[0], b"abcdef");
+        store.write_snapshot(b"snap2".to_vec()).unwrap();
         let snaps = store.snapshots().unwrap();
-        assert_eq!(snaps, vec![b"snap2".to_vec(), b"snap1".to_vec()]);
+        assert_eq!(snaps, [shared(b"snap2"), shared(b"snap1")]);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -245,13 +251,10 @@ mod tests {
     fn snapshot_pruning_keeps_two_generations() {
         let root = temp_root("prune");
         let store = FsStore::open(&root).unwrap();
-        store.write_snapshot(b"g1").unwrap();
-        store.write_snapshot(b"g2").unwrap();
-        store.write_snapshot(b"g3").unwrap();
-        assert_eq!(
-            store.snapshots().unwrap(),
-            vec![b"g3".to_vec(), b"g2".to_vec()]
-        );
+        store.write_snapshot(b"g1".to_vec()).unwrap();
+        store.write_snapshot(b"g2".to_vec()).unwrap();
+        store.write_snapshot(b"g3".to_vec()).unwrap();
+        assert_eq!(store.snapshots().unwrap(), [shared(b"g3"), shared(b"g2")]);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -265,7 +268,7 @@ mod tests {
         assert_eq!(segs.len(), 1);
         assert!(segs[0].is_empty(), "fresh empty active segment");
         store.append_frame(b"new").unwrap();
-        assert_eq!(store.wal_segments().unwrap(), vec![b"new".to_vec()]);
+        assert_eq!(store.wal_segments().unwrap(), [shared(b"new")]);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -276,7 +279,7 @@ mod tests {
         fs::write(root.join("wal").join("README"), b"not a segment").unwrap();
         fs::write(root.join("wal").join("seg-notanum.log"), b"junk").unwrap();
         store.append_frame(b"real").unwrap();
-        assert_eq!(store.wal_segments().unwrap(), vec![b"real".to_vec()]);
+        assert_eq!(store.wal_segments().unwrap(), [shared(b"real")]);
         fs::remove_dir_all(&root).unwrap();
     }
 }

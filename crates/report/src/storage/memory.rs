@@ -1,13 +1,22 @@
 //! The in-memory [`UrrStore`] backend.
 //!
 //! Byte-for-byte the same segment/snapshot model as [`crate::FsStore`]
-//! with a `Mutex<Vec<Vec<u8>>>` instead of a directory: WAL frames
-//! append to an active segment that rotates at the configured size,
-//! snapshots accumulate newest-last, and truncation clears the
+//! with a `Mutex` over lists of buffers instead of a directory: WAL
+//! frames append to an active segment that rotates at the configured
+//! size, snapshots accumulate newest-last, and truncation clears the
 //! segments. It is infallible, which makes it the natural backend for
 //! tests (including the hostile-WAL corpus, via [`MemoryStore::mutate`]
 //! and [`MemoryStore::fork`]) and for benchmarking the storage layer
 //! without disk noise.
+//!
+//! Every segment and generation is an `Arc<Vec<u8>>`, and the store
+//! moves bytes only where it must. Reading segments or generations
+//! hands out the `Arc`s; a generation is kept as the buffer the journal
+//! wrote; a [`fork`](MemoryStore::fork) — a crash image — is a list of
+//! the same `Arc`s. Only the active segment is ever written again, and
+//! it is written through [`Arc::make_mut`], so the first append after a
+//! fork copies that one segment and the fork keeps the bytes it saw. A
+//! segment is allocated whole when it opens, at the size it rotates at.
 
 use std::sync::{Arc, Mutex};
 
@@ -31,9 +40,9 @@ pub struct MemoryStore {
 #[derive(Debug, Default, Clone)]
 struct Inner {
     /// WAL segments, oldest first; the last one is the active segment.
-    segments: Vec<Vec<u8>>,
+    segments: Vec<Arc<Vec<u8>>>,
     /// Snapshot documents, oldest first.
-    snapshots: Vec<Vec<u8>>,
+    snapshots: Vec<Arc<Vec<u8>>>,
 }
 
 impl Default for MemoryStore {
@@ -56,10 +65,12 @@ impl MemoryStore {
         }
     }
 
-    /// Deep-copies the store's current durable contents — the moral
-    /// equivalent of pulling the power cord and imaging the disk.
-    /// Crash-recovery tests run ingest against one store, `fork` it at
-    /// an arbitrary instant, and recover from the fork.
+    /// The store's current durable contents as a store of their own —
+    /// the moral equivalent of pulling the power cord and imaging the
+    /// disk. Crash-recovery tests run ingest against one store, `fork`
+    /// it at an arbitrary instant, and recover from the fork. The image
+    /// shares the store's buffers: nothing later written to either one
+    /// reaches the other, and forking copies no byte.
     pub fn fork(&self) -> MemoryStore {
         let inner = self.inner.lock().expect("memory store poisoned");
         MemoryStore {
@@ -72,11 +83,18 @@ impl MemoryStore {
     /// to `f` for arbitrary corruption — truncating records, flipping
     /// checksum bits, duplicating tail frames, zeroing segments. This
     /// exists so the hostile-WAL corpus tests can build every crash
-    /// shape the recovery path must survive.
+    /// shape the recovery path must survive. A buffer this store shares
+    /// with a fork or a reader is copied before `f` sees it, so the
+    /// damage stays in this store.
     pub fn mutate(&self, f: impl FnOnce(&mut Vec<Vec<u8>>, &mut Vec<Vec<u8>>)) {
         let mut inner = self.inner.lock().expect("memory store poisoned");
-        let inner = &mut *inner;
-        f(&mut inner.segments, &mut inner.snapshots);
+        let own = |list: &mut Vec<Arc<Vec<u8>>>| -> Vec<Vec<u8>> {
+            list.drain(..).map(Arc::unwrap_or_clone).collect()
+        };
+        let (mut segments, mut snapshots) = (own(&mut inner.segments), own(&mut inner.snapshots));
+        f(&mut segments, &mut snapshots);
+        inner.segments = segments.into_iter().map(Arc::new).collect();
+        inner.snapshots = snapshots.into_iter().map(Arc::new).collect();
     }
 }
 
@@ -88,16 +106,24 @@ impl UrrStore for MemoryStore {
             Some(active) => !active.is_empty() && active.len() + frame.len() > self.segment_bytes,
         };
         if rotate {
-            inner.segments.push(Vec::new());
+            // A segment is allocated once, at the size it rotates at:
+            // growing it by doubling would copy it on the way and leave
+            // the outgrown buffers behind as holes in the heap. (A size
+            // too large to reserve grows as it is written instead.)
+            let mut segment = Vec::new();
+            let _ = segment.try_reserve_exact(self.segment_bytes.max(frame.len()));
+            inner.segments.push(Arc::new(segment));
         }
         let active = inner.segments.last_mut().expect("segment just ensured");
-        active.extend_from_slice(frame);
+        // A fork or a reader holding the active segment keeps the bytes
+        // it has; this store writes on to a copy of its own.
+        Arc::make_mut(active).extend_from_slice(frame);
         // The very first segment of a fresh WAL is creation, not
         // rotation.
         Ok(rotate && inner.segments.len() > 1)
     }
 
-    fn wal_segments(&self) -> Result<Vec<Vec<u8>>, StoreError> {
+    fn wal_segments(&self) -> Result<Vec<Arc<Vec<u8>>>, StoreError> {
         Ok(self
             .inner
             .lock()
@@ -106,9 +132,9 @@ impl UrrStore for MemoryStore {
             .clone())
     }
 
-    fn write_snapshot(&self, snapshot: &[u8]) -> Result<(), StoreError> {
+    fn write_snapshot(&self, snapshot: Vec<u8>) -> Result<(), StoreError> {
         let mut inner = self.inner.lock().expect("memory store poisoned");
-        inner.snapshots.push(snapshot.to_vec());
+        inner.snapshots.push(Arc::new(snapshot));
         // Keep the latest two generations, like the filesystem backend:
         // the previous snapshot is the fallback if the newest is torn.
         while inner.snapshots.len() > 2 {
@@ -117,7 +143,7 @@ impl UrrStore for MemoryStore {
         Ok(())
     }
 
-    fn snapshots(&self) -> Result<Vec<Vec<u8>>, StoreError> {
+    fn snapshots(&self) -> Result<Vec<Arc<Vec<u8>>>, StoreError> {
         let inner = self.inner.lock().expect("memory store poisoned");
         Ok(inner.snapshots.iter().rev().cloned().collect())
     }
@@ -137,7 +163,7 @@ mod tests {
     use super::*;
 
     fn wal_bytes(store: &MemoryStore) -> usize {
-        store.wal_segments().unwrap().iter().map(Vec::len).sum()
+        store.wal_segments().unwrap().iter().map(|s| s.len()).sum()
     }
 
     #[test]
@@ -150,7 +176,7 @@ mod tests {
         assert_eq!(wal_bytes(&store), 12);
         let segs = store.wal_segments().unwrap();
         assert_eq!(segs[0].len(), 10);
-        assert_eq!(segs[1], vec![3, 3]);
+        assert_eq!(*segs[1], [3, 3]);
     }
 
     #[test]
@@ -165,18 +191,21 @@ mod tests {
     fn snapshots_keep_two_generations_newest_first() {
         let store = MemoryStore::new();
         assert!(store.snapshots().unwrap().is_empty());
-        store.write_snapshot(b"one").unwrap();
-        store.write_snapshot(b"two").unwrap();
-        store.write_snapshot(b"three").unwrap();
+        store.write_snapshot(b"one".to_vec()).unwrap();
+        store.write_snapshot(b"two".to_vec()).unwrap();
+        store.write_snapshot(b"three".to_vec()).unwrap();
         let snaps = store.snapshots().unwrap();
-        assert_eq!(snaps, vec![b"three".to_vec(), b"two".to_vec()]);
+        assert_eq!(
+            snaps,
+            [Arc::new(b"three".to_vec()), Arc::new(b"two".to_vec())]
+        );
     }
 
     #[test]
     fn truncate_clears_wal_not_snapshots() {
         let store = MemoryStore::new();
         store.append_frame(b"frame").unwrap();
-        store.write_snapshot(b"snap").unwrap();
+        store.write_snapshot(b"snap".to_vec()).unwrap();
         store.truncate_wal().unwrap();
         assert_eq!(wal_bytes(&store), 0);
         assert_eq!(store.snapshots().unwrap().len(), 1);
@@ -190,6 +219,59 @@ mod tests {
         store.append_frame(b"after").unwrap();
         assert_eq!(wal_bytes(&fork), 6);
         assert_eq!(wal_bytes(&store), 11);
+    }
+
+    /// Every byte a store holds: its segments, then its generations.
+    fn image(store: &MemoryStore) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let own = |list: Vec<Arc<Vec<u8>>>| list.iter().map(|b| b.to_vec()).collect();
+        (
+            own(store.wal_segments().unwrap()),
+            own(store.snapshots().unwrap()),
+        )
+    }
+
+    /// A fork is a crash image: it reads the same bytes however the
+    /// live store goes on — appends into the segment the two share, a
+    /// rotation, a generation, a truncation — and damage done to it
+    /// with `mutate` never reaches the live store, nor another fork.
+    #[test]
+    fn a_fork_is_a_frozen_crash_image() {
+        let live = MemoryStore::with_segment_bytes(16);
+        live.append_frame(b"frame-1").unwrap();
+        live.write_snapshot(b"generation-1".to_vec()).unwrap();
+        live.append_frame(b"frame-2").unwrap();
+        let fork = live.fork();
+        let (frozen, live_before) = (image(&fork), image(&live));
+        assert_eq!(frozen, live_before, "a fork starts as the store");
+        assert!(!live.append_frame(b"x").unwrap(), "into the shared segment");
+        assert!(live.append_frame(b"frame-3").unwrap(), "rotates");
+        assert_eq!(image(&fork), frozen, "after appends");
+        live.write_snapshot(b"generation-2".to_vec()).unwrap();
+        live.write_snapshot(b"generation-3".to_vec()).unwrap();
+        assert_eq!(image(&fork), frozen, "after generations");
+        live.truncate_wal().unwrap();
+        assert_eq!(image(&fork), frozen, "after truncation");
+
+        // A fork the live store has not written since: damage to it
+        // stays in it, even where the two still share every buffer.
+        let untouched = live.fork();
+        let live_now = image(&live);
+        let second = live.fork();
+        live.append_frame(b"frame-4").unwrap();
+        let live_after = image(&live);
+        for damaged in [&fork, &untouched] {
+            damaged.mutate(|segments, snapshots| {
+                for bytes in segments.iter_mut().chain(snapshots.iter_mut()) {
+                    bytes.iter_mut().for_each(|b| *b ^= 0xff);
+                    bytes.push(0);
+                }
+                segments.push(b"forged".to_vec());
+            });
+            assert_ne!(image(damaged), frozen);
+        }
+        assert_eq!(image(&live), live_after, "live store untouched");
+        assert_eq!(image(&second), live_now, "another fork untouched");
+        assert_ne!(live_now, live_after);
     }
 
     #[test]

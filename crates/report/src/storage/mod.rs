@@ -34,6 +34,7 @@ pub use memory::MemoryStore;
 pub use wire::WireError;
 
 use std::fmt;
+use std::sync::Arc;
 
 /// An error from a storage backend.
 ///
@@ -79,6 +80,12 @@ impl std::error::Error for StoreError {
 /// Implementations must be safe to share across threads; [`DurableUrr`]
 /// serialises writes through its journal lock but may read (`snapshots`,
 /// `wal_segments`) concurrently during recovery tooling.
+///
+/// What a store hands out is shared, not copied: a segment or a
+/// generation comes back as an `Arc` of its bytes, which a backend that
+/// keeps them in memory hands out as it holds them and one that reads
+/// them from disk wraps as read. A generation is handed in by value, so
+/// a memory backend keeps the very buffer the journal wrote.
 pub trait UrrStore: Send + Sync + fmt::Debug {
     /// Appends one encoded frame to the active WAL segment, rotating to
     /// a fresh segment first if the active one would exceed the
@@ -86,14 +93,14 @@ pub trait UrrStore: Send + Sync + fmt::Debug {
     fn append_frame(&self, frame: &[u8]) -> Result<bool, StoreError>;
 
     /// All WAL segments in append order (the last is the active one).
-    fn wal_segments(&self) -> Result<Vec<Vec<u8>>, StoreError>;
+    fn wal_segments(&self) -> Result<Vec<Arc<Vec<u8>>>, StoreError>;
 
     /// Durably records a new snapshot generation, pruning generations
     /// older than the previous one (the fallback if the newest is torn).
-    fn write_snapshot(&self, snapshot: &[u8]) -> Result<(), StoreError>;
+    fn write_snapshot(&self, snapshot: Vec<u8>) -> Result<(), StoreError>;
 
     /// Retained snapshot generations, newest first.
-    fn snapshots(&self) -> Result<Vec<Vec<u8>>, StoreError>;
+    fn snapshots(&self) -> Result<Vec<Arc<Vec<u8>>>, StoreError>;
 
     /// Discards all WAL segments (called after a snapshot makes them
     /// redundant).

@@ -9,15 +9,32 @@
 //!   name interned since the previous frame was journaled. Replaying
 //!   deltas in frame order reproduces the exact dense-id assignment of
 //!   the live repository, so the id-based records that follow resolve
-//!   to the same names. A fleet's table the live repository adopted
-//!   ([`Urr::intern_fleet`]) is not special here: its names are the
-//!   head of the first frame's machine delta, and the recovered
-//!   repository owns them. Replay interns a delta in the order it was
-//!   written, so a table whose names ascended live ascends again and
-//!   is recovered by appending;
+//!   to the same names. A machine or signature delta is written in the
+//!   name table's own layout ([`NameTable::run_from`]): the count, each
+//!   name's `u32` end offset from the start of the run, then the names'
+//!   bytes back to back — one copy out of the table to write, one
+//!   UTF-8 check and one pass over the ends to read, and one copy back
+//!   in to replay while the names ascend
+//!   ([`NameTable::try_append_run`]). A release delta is its
+//!   `(package, version)` pairs as length-prefixed strings. A fleet's
+//!   table the live repository adopted ([`Urr::intern_fleet`]) is not
+//!   special here: its names are the head of the first frame's machine
+//!   delta, and the recovered repository owns them. Every interned name
+//!   is written, reported on or not, so every one recovers its id;
+//!   replay interns a delta in the order it was written, so a table
+//!   whose names ascended live ascends again;
 //! * the records themselves as interned ids, with the optional
 //!   free-form payload (failure detail + reproduction image) inlined
 //!   for boundary reports.
+//!
+//! ```text
+//! start_seq u64
+//! machines  count u32 | end u32 × count | name bytes
+//! sigs      count u32 | end u32 × count | name bytes
+//! releases  count u32 | (package str, version str) × count
+//! records   count u32 | (machine u32, cluster u32, release u32, sig u32,
+//!                        payload) × count
+//! ```
 //!
 //! A snapshot generation is a run of the same frames: the first starts
 //! at sequence 0 and carries the three tables whole, the records follow
@@ -27,18 +44,32 @@
 //! is what makes the `recover(snapshot + WAL) == live` property hold by
 //! construction rather than by parallel-implementation luck. The live
 //! side writes a frame with [`encode_wal_frame`], straight from the
-//! repository's tables; [`WalFrame`] is what recovery decodes it into,
-//! its deltas still borrowed from the frame's bytes: replay only reads a
-//! name to intern it, and the interner makes the one copy that is kept.
+//! repository's tables and into a buffer reserved to the frame's exact
+//! size; [`WalFrame`] is what recovery decodes it into, its name runs
+//! still borrowed from the frame's bytes: replay only reads a name to
+//! intern it, and the interner makes the one copy that is kept.
 
 use std::sync::Arc;
 
+use mirage_telemetry::names::{NameTable, RunRefused};
+
 use crate::image::ReportImage;
 use crate::storage::wire::{
-    get_str_list, get_string_list, put_len, put_str, put_string_list, put_u32, put_u64, put_u8,
-    Cursor, WireError,
+    get_string_list, put_len, put_str, put_string_list, put_u32, put_u64, put_u8, Cursor, WireError,
 };
 use crate::urr::{Payload, Rec, Urr, NO_SIG};
+
+/// A machine or signature delta as a frame carries it, its bytes
+/// borrowed from the frame: name `i` is `bytes[ends[i - 1]..ends[i]]`,
+/// the first starting at 0 — [`NameTable::run_from`]'s layout, checked.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct NameRun<'a> {
+    /// The names' bytes, back to back.
+    pub(crate) bytes: &'a str,
+    /// Where each name ends in `bytes`: never decreasing, each on a
+    /// character boundary, the last at `bytes.len()`.
+    pub(crate) ends: Vec<u32>,
+}
 
 /// One journaled deposit batch, decoded from (and its names borrowing)
 /// the frame payload `'a`.
@@ -48,14 +79,31 @@ pub(crate) struct WalFrame<'a> {
     pub(crate) start_seq: u64,
     /// Machine names interned since the previous frame (dense ids
     /// continue from the previous table length).
-    pub(crate) machine_delta: Vec<&'a str>,
+    pub(crate) machine_delta: NameRun<'a>,
     /// Signature names interned since the previous frame.
-    pub(crate) sig_delta: Vec<&'a str>,
+    pub(crate) sig_delta: NameRun<'a>,
     /// `(package, version)` releases interned since the previous frame.
     pub(crate) release_delta: Vec<(&'a str, &'a str)>,
     /// The batch records, in sequence order (`seq = start_seq + index`;
     /// the sequence number itself is not written).
     pub(crate) recs: Vec<Rec>,
+}
+
+/// The bytes [`put_payload`] writes for `payload`.
+fn payload_len(payload: &Option<Box<Payload>>) -> usize {
+    let list = |items: &[String]| 4 + items.iter().map(|s| 4 + s.len()).sum::<usize>();
+    match payload {
+        None => 1,
+        Some(p) => {
+            let image = p.image.as_ref().map_or(0, |img| {
+                4 + img.sandbox_digest.len()
+                    + list(&img.env_context)
+                    + list(&img.replayed_inputs)
+                    + list(&img.observed_outputs)
+            });
+            1 + 4 + p.detail.len() + 1 + image
+        }
+    }
 }
 
 /// Encodes an optional record payload (detail + reproduction image).
@@ -109,22 +157,73 @@ fn get_payload(cur: &mut Cursor<'_>) -> Result<Option<Box<Payload>>, WireError> 
     }
 }
 
+/// Writes a name delta: the count, each name's end, then the bytes.
+fn put_run(buf: &mut Vec<u8>, (bytes, ends): (&str, impl ExactSizeIterator<Item = u32>)) {
+    put_len(buf, ends.len());
+    for end in ends {
+        put_u32(buf, end);
+    }
+    buf.extend_from_slice(bytes.as_bytes());
+}
+
+/// Reads a name delta written by [`put_run`], checking the ends against
+/// the bytes once so that every name in it is a `str` slice.
+fn get_run<'a>(cur: &mut Cursor<'a>, what: &'static str) -> Result<NameRun<'a>, WireError> {
+    let n = cur.list_len(4, what)?;
+    let (ends, _) = cur.take(4 * n, what)?.as_chunks::<4>();
+    let ends: Vec<u32> = ends.iter().map(|&end| u32::from_le_bytes(end)).collect();
+    let len = ends.last().map_or(0, |&end| end as usize);
+    if len > cur.remaining() {
+        return Err(WireError::Oversize { what });
+    }
+    let bytes = std::str::from_utf8(cur.take(len, what)?).map_err(|_| WireError::InvalidUtf8)?;
+    let mut start = 0;
+    for &end in &ends {
+        if end < start {
+            return Err(WireError::Corrupt {
+                what: "wal delta name ends decrease",
+            });
+        }
+        if !bytes.is_char_boundary(end as usize) {
+            return Err(WireError::Corrupt {
+                what: "wal delta name ends inside a character",
+            });
+        }
+        start = end;
+    }
+    Ok(NameRun { bytes, ends })
+}
+
 /// Appends one frame payload to `buf` (the caller wraps it in a
 /// checksummed frame) straight from the live repository's tables: the
-/// deltas and the records are borrowed, so writing a frame copies
-/// nothing it does not write.
-pub(crate) fn encode_wal_frame<'n, 'r>(
+/// name deltas are runs out of the tables ([`NameTable::run_from`]), the
+/// records are borrowed, and `buf` is grown once, to the frame's exact
+/// size, so writing a frame copies nothing it does not write.
+pub(crate) fn encode_wal_frame(
     buf: &mut Vec<u8>,
     start_seq: u64,
-    machine_delta: impl ExactSizeIterator<Item = &'n str>,
-    sig_delta: impl ExactSizeIterator<Item = &'n str>,
+    machine_delta: (&str, impl ExactSizeIterator<Item = u32>),
+    sig_delta: (&str, impl ExactSizeIterator<Item = u32>),
     release_delta: &[(impl AsRef<str>, impl AsRef<str>)],
-    recs: impl ExactSizeIterator<Item = &'r Rec>,
+    recs: &[Rec],
 ) {
-    buf.reserve(64 + recs.len() * 17);
+    let len = 8
+        + (4 + 4 * machine_delta.1.len() + machine_delta.0.len())
+        + (4 + 4 * sig_delta.1.len() + sig_delta.0.len())
+        + 4
+        + (release_delta.iter())
+            .map(|(p, v)| 8 + p.as_ref().len() + v.as_ref().len())
+            .sum::<usize>()
+        + 4
+        + recs
+            .iter()
+            .map(|r| 16 + payload_len(&r.payload))
+            .sum::<usize>();
+    buf.reserve(len);
+    let at = buf.len();
     put_u64(buf, start_seq);
-    put_string_list(buf, machine_delta);
-    put_string_list(buf, sig_delta);
+    put_run(buf, machine_delta);
+    put_run(buf, sig_delta);
     put_len(buf, release_delta.len());
     for (package, version) in release_delta {
         put_str(buf, package.as_ref());
@@ -138,6 +237,7 @@ pub(crate) fn encode_wal_frame<'n, 'r>(
         put_u32(buf, rec.sig);
         put_payload(buf, &rec.payload);
     }
+    debug_assert_eq!(buf.len() - at, len, "a frame is the size it reserved");
 }
 
 impl<'a> WalFrame<'a> {
@@ -145,8 +245,8 @@ impl<'a> WalFrame<'a> {
     pub(crate) fn decode(bytes: &'a [u8]) -> Result<Self, WireError> {
         let mut cur = Cursor::new(bytes);
         let start_seq = cur.u64("wal start_seq")?;
-        let machine_delta = get_str_list(&mut cur, "wal machine delta")?;
-        let sig_delta = get_str_list(&mut cur, "wal sig delta")?;
+        let machine_delta = get_run(&mut cur, "wal machine delta")?;
+        let sig_delta = get_run(&mut cur, "wal sig delta")?;
         let n_rel = cur.list_len(8, "wal release delta")?;
         let mut release_delta = Vec::with_capacity(n_rel);
         for _ in 0..n_rel {
@@ -210,40 +310,41 @@ impl<'a> WalFrame<'a> {
     /// Re-interns the frame's name deltas, reproducing the dense-id
     /// assignment the live repository had when the frame was journaled.
     /// Every delta name must take the next dense id of its table: a
-    /// name the table already holds would shift every id after it.
+    /// name the table already holds would shift every id after it. A
+    /// machine or signature run that breaks this interns none of its
+    /// names; the tables before it keep theirs.
     pub(crate) fn intern_deltas(&self, urr: &Urr) -> Result<(), WireError> {
-        // A name table's offsets are `u32`: no journal this program
-        // wrote holds more names than one takes.
-        const FULL: WireError = WireError::Corrupt {
-            what: "wal delta overflows a name table",
-        };
-        let next_id = |id: u32, first: usize, i: usize| {
-            if id as usize == first + i {
-                Ok(())
-            } else {
-                Err(WireError::Corrupt {
+        let append = |table: &mut NameTable, run: &NameRun<'_>| {
+            (table.try_append_run(run.bytes, &run.ends)).map_err(|why| match why {
+                RunRefused::Repeat => WireError::Corrupt {
                     what: "wal delta repeats an interned name",
-                })
-            }
+                },
+                // A name table's offsets are `u32`: no journal this
+                // program wrote holds more names than one takes.
+                RunRefused::Full => WireError::Corrupt {
+                    what: "wal delta overflows a name table",
+                },
+            })
         };
-        if !self.machine_delta.is_empty() {
+        if !self.machine_delta.ends.is_empty() {
             let mut table = urr.machines.write().expect("urr poisoned");
             // Every delta name must be new, so a shared table is copied
             // up front.
-            let table = Arc::make_mut(&mut table);
-            let first = table.len();
-            table.reserve(self.machine_delta.len());
-            for (i, name) in self.machine_delta.iter().enumerate() {
-                next_id(table.try_intern(name).ok_or(FULL)?, first, i)?;
-            }
+            append(Arc::make_mut(&mut table), &self.machine_delta)?;
         }
-        let first = urr.sigs.read().expect("urr poisoned").len();
-        for (i, name) in self.sig_delta.iter().enumerate() {
-            next_id(urr.try_intern_signature(name).ok_or(FULL)?.0, first, i)?;
+        if !self.sig_delta.ends.is_empty() {
+            append(
+                &mut urr.sigs.write().expect("urr poisoned"),
+                &self.sig_delta,
+            )?;
         }
         let first = urr.releases.read().expect("urr poisoned").pairs.len();
         for (i, (package, version)) in self.release_delta.iter().enumerate() {
-            next_id(urr.intern_release(package, version).0, first, i)?;
+            if urr.intern_release(package, version).0 as usize != first + i {
+                return Err(WireError::Corrupt {
+                    what: "wal delta repeats an interned name",
+                });
+            }
         }
         Ok(())
     }
@@ -254,19 +355,23 @@ mod tests {
     use super::*;
 
     impl WalFrame<'_> {
-        /// The encoder as it was while journaling still built an owned
-        /// frame: the reference [`encode_wal_frame`] must match byte
-        /// for byte.
+        /// The layout written out name by name, each end summed from
+        /// the lengths before it: the reference [`encode_wal_frame`]'s
+        /// copies out of a table must match byte for byte.
         fn encode(&self) -> Vec<u8> {
             let mut buf = Vec::with_capacity(64 + self.recs.len() * 17);
             put_u64(&mut buf, self.start_seq);
-            put_len(&mut buf, self.machine_delta.len());
-            for name in &self.machine_delta {
-                put_str(&mut buf, name);
-            }
-            put_len(&mut buf, self.sig_delta.len());
-            for name in &self.sig_delta {
-                put_str(&mut buf, name);
+            for delta in [&self.machine_delta, &self.sig_delta] {
+                let names = delta.names();
+                put_len(&mut buf, names.len());
+                let mut end = 0;
+                for name in &names {
+                    end += name.len() as u32;
+                    put_u32(&mut buf, end);
+                }
+                for name in &names {
+                    buf.extend_from_slice(name.as_bytes());
+                }
             }
             put_len(&mut buf, self.release_delta.len());
             for (package, version) in &self.release_delta {
@@ -285,15 +390,38 @@ mod tests {
         }
     }
 
+    impl NameRun<'_> {
+        /// The run's names, one slice each.
+        fn names(&self) -> Vec<&str> {
+            let starts = std::iter::once(0).chain(self.ends.iter().copied());
+            (starts.zip(&self.ends))
+                .map(|(start, &end)| &self.bytes[start as usize..end as usize])
+                .collect()
+        }
+    }
+
+    /// `names` as a frame's delta carries them.
+    fn run(names: &[&str]) -> NameRun<'static> {
+        let bytes: &'static str = names.concat().leak();
+        let ends = (names.iter())
+            .scan(0, |end, name| {
+                *end += name.len() as u32;
+                Some(*end)
+            })
+            .collect();
+        NameRun { bytes, ends }
+    }
+
     fn encode_borrowed(frame: &WalFrame<'_>) -> Vec<u8> {
         let mut buf = Vec::new();
+        let (machines, sigs) = (&frame.machine_delta, &frame.sig_delta);
         encode_wal_frame(
             &mut buf,
             frame.start_seq,
-            frame.machine_delta.iter().copied(),
-            frame.sig_delta.iter().copied(),
+            (machines.bytes, machines.ends.iter().copied()),
+            (sigs.bytes, sigs.ends.iter().copied()),
             &frame.release_delta,
-            frame.recs.iter(),
+            &frame.recs,
         );
         buf
     }
@@ -302,8 +430,8 @@ mod tests {
     fn frame_of(start_seq: u64, recs: Vec<Rec>) -> WalFrame<'static> {
         WalFrame {
             start_seq,
-            machine_delta: vec![],
-            sig_delta: vec![],
+            machine_delta: NameRun::default(),
+            sig_delta: NameRun::default(),
             release_delta: vec![],
             recs,
         }
@@ -329,8 +457,8 @@ mod tests {
     fn sample_frame() -> WalFrame<'static> {
         WalFrame {
             start_seq: 17,
-            machine_delta: vec!["m\"quote", "日本語", ""],
-            sig_delta: vec!["php/crash\n"],
+            machine_delta: run(&["m\"quote", "日本語", ""]),
+            sig_delta: run(&["php/crash\n"]),
             release_delta: vec![("mysql", "5.0.27")],
             recs: vec![
                 Rec {
@@ -378,13 +506,14 @@ mod tests {
 
     /// The deltas are borrowed from the payload, not checked any less:
     /// a name that is not UTF-8, one longer than the payload, and one
-    /// the payload ends inside are rejected as the owned decoder
-    /// rejected them, in each of the three tables.
+    /// the payload ends inside are rejected, in each of the three
+    /// tables. (The run layout's own hostile shapes are replayed in
+    /// `durable::tests::hostile_name_runs_end_replay_with_the_prefix_kept`.)
     #[test]
     fn hostile_delta_names_are_rejected() {
         let frame = WalFrame {
-            machine_delta: vec!["a-machine"],
-            sig_delta: vec!["a-signature"],
+            machine_delta: run(&["a-machine"]),
+            sig_delta: run(&["a-signature"]),
             release_delta: vec![("a-package", "a-version")],
             ..frame_of(3, vec![])
         };
@@ -406,6 +535,8 @@ mod tests {
                 Err(WireError::InvalidUtf8),
                 "{what}"
             );
+            // The length a string carries ahead of it; the end a run's
+            // one name carries ahead of it and its count.
             let mut bad = bytes.clone();
             let past = (bytes.len() - at + 1) as u32;
             bad[at - 4..at].copy_from_slice(&past.to_le_bytes());
@@ -424,6 +555,69 @@ mod tests {
                 "{what}"
             );
         }
+    }
+
+    /// Each way a run's ends can fail to describe its bytes is a clean
+    /// error of the delta it is in, never a panic or a name that is not
+    /// one.
+    #[test]
+    fn hostile_name_runs_are_rejected() {
+        let corrupt = |what| Err(WireError::Corrupt { what });
+        let decode = |machine_delta: NameRun<'static>| {
+            let frame = WalFrame {
+                machine_delta,
+                ..frame_of(0, vec![])
+            };
+            WalFrame::decode(encode_borrowed(&frame).leak())
+        };
+        let ends = |bytes: &'static str, ends: &[u32]| NameRun {
+            bytes,
+            ends: ends.to_vec(),
+        };
+        // Well formed, empty names and a multi-byte one included.
+        let fine = ends("aé", &[0, 1, 1, 3]);
+        assert_eq!(decode(fine.clone()).unwrap().machine_delta, fine);
+        assert_eq!(
+            decode(fine).unwrap().machine_delta.names(),
+            ["", "a", "", "é"]
+        );
+        // Ends that go backwards.
+        assert_eq!(
+            decode(ends("abc", &[2, 1, 3])),
+            corrupt("wal delta name ends decrease")
+        );
+        // An end that splits a multi-byte character.
+        assert_eq!(
+            decode(ends("aé", &[2, 3])),
+            corrupt("wal delta name ends inside a character")
+        );
+        // A last end past what the payload holds.
+        let mut bytes = frame_bytes(ends("ab", &[2]));
+        bytes[12..16].copy_from_slice(&1000u32.to_le_bytes());
+        assert_eq!(
+            WalFrame::decode(&bytes),
+            Err(WireError::Oversize {
+                what: "wal machine delta"
+            })
+        );
+        // A count larger than the payload's remainder.
+        let mut bytes = frame_bytes(ends("ab", &[2]));
+        bytes[8..12].copy_from_slice(&1_000_000u32.to_le_bytes());
+        assert_eq!(
+            WalFrame::decode(&bytes),
+            Err(WireError::Oversize {
+                what: "wal machine delta"
+            })
+        );
+    }
+
+    /// The encoded bytes of a frame carrying `machine_delta` alone,
+    /// written as given.
+    fn frame_bytes(machine_delta: NameRun<'static>) -> Vec<u8> {
+        encode_borrowed(&WalFrame {
+            machine_delta,
+            ..frame_of(0, vec![])
+        })
     }
 
     #[test]
@@ -473,14 +667,14 @@ mod tests {
         urr.intern_signature("s0");
         urr.intern_release("p", "v");
         let deltas = |machine: &'static str, sig: &'static str, version: &'static str| WalFrame {
-            machine_delta: vec![machine],
-            sig_delta: vec![sig],
+            machine_delta: run(&[machine]),
+            sig_delta: run(&[sig]),
             release_delta: vec![("p", version)],
             ..frame_of(0, vec![])
         };
         assert!(deltas("m1", "s1", "w").intern_deltas(&urr).is_ok());
         // Each case trips on a later table than the one before it, and
-        // leaves the names ahead of the repeat interned.
+        // leaves the tables ahead of that one extended.
         for (machine, sig, version) in [("m0", "s2", "x"), ("m2", "s0", "x"), ("m3", "s3", "v")] {
             assert!(deltas(machine, sig, version).intern_deltas(&urr).is_err());
         }
@@ -500,7 +694,7 @@ mod tests {
                 let urr = Urr::new();
                 urr.intern_machines(held);
                 let frame = WalFrame {
-                    machine_delta: delta.to_vec(),
+                    machine_delta: run(delta),
                     ..frame_of(0, vec![])
                 };
                 (frame.intern_deltas(&urr), urr)

@@ -13,7 +13,12 @@
 //! hardware `crc32` instruction computes the Castagnoli polynomial, a
 //! different checksum and so a different format. [`crc32_combine`]
 //! joins two checksums without the bytes, so a span checksummed once
-//! (a frozen failure group's encoding) is never read for it again.
+//! (a frozen failure group's encoding) is never read for it again. It
+//! also lets one long span be read four times as fast: one register
+//! waits on its own previous step, so a part of a few KiB or more is
+//! cut into four runs whose registers advance side by side, and the
+//! four checksums are combined — the same checksum, at memory speed
+//! rather than at the latency of one dependency chain.
 //!
 //! Readers borrow where the caller only looks: [`Cursor::str_ref`]
 //! returns the validated slice of the input, [`Cursor::str_`] is that
@@ -121,36 +126,89 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (IEEE) over the concatenation of `parts`: eight bytes a step
-/// within a part, one byte a step over what is left of it, the state
-/// carried from part to part.
+/// Parts at least this long are checksummed in [`LANES`] interleaved
+/// runs: below it, joining the lanes costs more than it saves.
+const LANE_MIN: usize = 4 << 10;
+
+/// Independent checksum registers a long part advances side by side.
+/// One register is bound by the latency of its own dependency chain;
+/// four keep the table lookups of four words in flight at once.
+const LANES: usize = 4;
+
+/// CRC-32 (IEEE) over the concatenation of `parts`.
 pub(crate) fn crc32(parts: &[&[u8]]) -> u32 {
     crc32_extend(0, parts)
 }
 
-/// The CRC-32 of some bytes whose CRC-32 is `crc`, followed by `parts`.
+/// The CRC-32 of some bytes whose CRC-32 is `crc`, followed by `parts`:
+/// eight bytes a step, one byte a step over what is left of a part, the
+/// state carried from part to part. A part of [`LANE_MIN`] bytes or more
+/// is cut into [`LANES`] equal runs of whole words, checksummed in one
+/// loop and joined with [`crc32_combine`]; its last few bytes follow as
+/// in a short part.
 pub(crate) fn crc32_extend(crc: u32, parts: &[&[u8]]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = !crc;
-    for part in parts {
-        let mut words = part.chunks_exact(8);
-        for w in &mut words {
-            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
-            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-            crc = t[7][(lo & 0xff) as usize]
-                ^ t[6][(lo >> 8 & 0xff) as usize]
-                ^ t[5][(lo >> 16 & 0xff) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xff) as usize]
-                ^ t[2][(hi >> 8 & 0xff) as usize]
-                ^ t[1][(hi >> 16 & 0xff) as usize]
-                ^ t[0][(hi >> 24) as usize];
+    let mut state = !crc;
+    for &part in parts {
+        let mut rest = part;
+        if part.len() >= LANE_MIN {
+            let run = part.len() / (8 * LANES) * 8;
+            let (lanes, tail) = part.split_at(run * LANES);
+            state = !crc32_lanes(!state, lanes, run);
+            rest = tail;
         }
-        for &b in words.remainder() {
-            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
-        }
+        state = slice_by_8(state, rest);
     }
-    !crc
+    !state
+}
+
+/// The register after `bytes`, from register `state`: eight bytes a
+/// step, then one.
+fn slice_by_8(mut state: u32, bytes: &[u8]) -> u32 {
+    let (words, tail) = bytes.as_chunks::<8>();
+    for w in words {
+        state = word_step(state, w);
+    }
+    for &b in tail {
+        state = (state >> 8) ^ CRC_TABLES[0][((state ^ u32::from(b)) & 0xff) as usize];
+    }
+    state
+}
+
+/// Folds one eight-byte word into register `state` with eight
+/// independent table lookups.
+#[inline(always)]
+fn word_step(state: u32, w: &[u8; 8]) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ state;
+    let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+    t[7][(lo & 0xff) as usize]
+        ^ t[6][(lo >> 8 & 0xff) as usize]
+        ^ t[5][(lo >> 16 & 0xff) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xff) as usize]
+        ^ t[2][(hi >> 8 & 0xff) as usize]
+        ^ t[1][(hi >> 16 & 0xff) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// The CRC-32 of bytes whose CRC-32 is `crc` followed by `bytes`, which
+/// is [`LANES`] runs of `run` bytes each (a multiple of 8). The first
+/// run continues `crc`'s register, every other starts from scratch, all
+/// four advance in one loop, and each run's checksum is then appended
+/// to the ones before it — moved past `run` bytes, the same shift every
+/// time.
+fn crc32_lanes<'a>(crc: u32, bytes: &'a [u8], run: usize) -> u32 {
+    let [a, b, c, d]: [&[u8]; LANES] = std::array::from_fn(|k| &bytes[k * run..(k + 1) * run]);
+    let mut s = [!crc, !0, !0, !0];
+    let words = |lane: &'a [u8]| lane.as_chunks::<8>().0;
+    for (((wa, wb), wc), wd) in (words(a).iter()).zip(words(b)).zip(words(c)).zip(words(d)) {
+        s[0] = word_step(s[0], wa);
+        s[1] = word_step(s[1], wb);
+        s[2] = word_step(s[2], wc);
+        s[3] = word_step(s[3], wd);
+    }
+    let shift = x8n_mod_p(run);
+    (s[1..].iter()).fold(!s[0], |whole, &lane| mul_mod_p(shift, whole) ^ !lane)
 }
 
 /// The reflected IEEE polynomial: bit 31 is the coefficient of x^0.
@@ -341,36 +399,17 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Reads a list written as `put_len` + `put_str` each, every element
-/// through `elem`.
-fn get_list<'a, T>(
-    cur: &mut Cursor<'a>,
-    what: &'static str,
-    elem: impl Fn(&mut Cursor<'a>, &'static str) -> Result<T, WireError>,
-) -> Result<Vec<T>, WireError> {
-    let n = cur.list_len(4, what)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(elem(cur, what)?);
-    }
-    Ok(out)
-}
-
 /// Reads a list of strings written by [`put_string_list`].
 pub(crate) fn get_string_list(
     cur: &mut Cursor<'_>,
     what: &'static str,
 ) -> Result<Vec<String>, WireError> {
-    get_list(cur, what, Cursor::str_)
-}
-
-/// Reads a list of strings written by [`put_string_list`], each
-/// borrowed from the input.
-pub(crate) fn get_str_list<'a>(
-    cur: &mut Cursor<'a>,
-    what: &'static str,
-) -> Result<Vec<&'a str>, WireError> {
-    get_list(cur, what, Cursor::str_ref)
+    let n = cur.list_len(4, what)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(cur.str_(what)?);
+    }
+    Ok(out)
 }
 
 /// Writes a list of strings as `put_len` + `put_str` each.
@@ -519,6 +558,55 @@ mod tests {
         // state is all ones), and nothing after it can hide a wrong one.
         for b in 0..=255u8 {
             assert_eq!(crc32(&[&[b; 8]]), crc32_bytewise(&[&[b; 8]]), "byte {b}");
+        }
+
+        // Around the lane threshold: every length from 40 below it to
+        // 72 above, at every alignment, so the runs and the tail behind
+        // them take each length modulo a whole lane step — and a part
+        // many lanes long. One bytewise register walks each start.
+        let buf = noise(LANE_MIN * 5 + 64, 0x5eed_0039);
+        for start in 0..8 {
+            let (lo, hi) = (LANE_MIN - 40, LANE_MIN + 72);
+            let mut reg = bytewise_step(!0, &buf[start..start + lo]);
+            for len in lo..=hi {
+                let part = &buf[start..start + len];
+                assert_eq!(crc32(&[part]), !reg, "start {start} len {len}");
+                reg = bytewise_step(reg, &buf[start + len..start + len + 1]);
+            }
+        }
+        for len in [4 * LANE_MIN - 1, 4 * LANE_MIN, 5 * LANE_MIN + 61] {
+            let part = &buf[..len];
+            assert_eq!(crc32(&[part]), crc32_bytewise(&[part]), "len {len}");
+        }
+        // Parts that straddle the threshold, on either side of a cut,
+        // and a long part behind short ones: the state carries into the
+        // first lane and out of the joined lanes.
+        let input = &buf[..3 * LANE_MIN + 13];
+        let whole = crc32_bytewise(&[input]);
+        for cut in [
+            1,
+            7,
+            LANE_MIN - 1,
+            LANE_MIN,
+            LANE_MIN + 1,
+            2 * LANE_MIN - 9,
+            2 * LANE_MIN + 13,
+            input.len() - LANE_MIN,
+            input.len() - 1,
+        ] {
+            let (a, b) = input.split_at(cut);
+            assert_eq!(crc32(&[a, b]), whole, "cut {cut}");
+            assert_eq!(crc32(&[&a[..1], &a[1..], &[], b]), whole, "cut {cut}, 1");
+        }
+        // `crc32_extend` from a state that is not the empty one's.
+        for head in [1, 8, 13, LANE_MIN + 5] {
+            let (a, b) = input.split_at(head);
+            assert_eq!(crc32_extend(crc32(&[a]), &[b]), whole, "head {head}");
+            assert_eq!(
+                crc32_extend(crc32_bytewise(&[a]), &[&b[..LANE_MIN], &b[LANE_MIN..]]),
+                whole,
+                "head {head}, two parts"
+            );
         }
     }
 

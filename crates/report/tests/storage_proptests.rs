@@ -563,7 +563,9 @@ fn checkpoint_is_no_larger_than_the_log_it_replaces() {
                     durable.deposit_interned_batch(&batch).expect("deposit");
                 }
             }
-            let wal = handle.wal_segments().expect("segments").concat().len();
+            let wal: usize = (handle.wal_segments().expect("segments").iter())
+                .map(|s| s.len())
+                .sum();
             durable.snapshot_now().expect("snapshot_now");
             let segments = handle.wal_segments().expect("segments");
             assert!(segments.is_empty(), "the log is truncated");
@@ -676,7 +678,9 @@ fn crc_valid_but_wrong_generations_are_rejected_whole() {
     };
     let (newest, oldest) = (frames(newest), frames(oldest));
     assert!(newest.len() >= 4, "the generation spans several frames");
-    let tail = handle.wal_segments().expect("segments").concat();
+    let tail: Vec<u8> = (handle.wal_segments().expect("segments").iter())
+        .flat_map(|s| s.iter().copied())
+        .collect();
     let later = *frames(&tail).last().expect("tail frame");
 
     let dropped = [&newest[..1], &newest[2..]].concat().concat();
@@ -723,7 +727,7 @@ fn hostile_wal_corpus_never_panics() {
             .wal_segments()
             .expect("segments")
             .last()
-            .map_or(0, Vec::len);
+            .map_or(0, |s| s.len());
         let mut cut = 0;
         while cut <= total {
             let crashed = handle.fork();

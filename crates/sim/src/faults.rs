@@ -364,59 +364,36 @@ impl FaultRng {
 }
 
 /// A table of lazily-seeded [`FaultRng::fork`] lanes over one base
-/// seed: lane `i` always yields the stream `fork(seed, i*stride +
-/// offset)`, no matter which other lanes were touched first.
+/// seed: lane `i` always yields the stream `fork(seed, i)`, no matter
+/// which other lanes were touched first.
 ///
-/// The simulator uses one lane per machine (`stride == 1`) for
-/// machine→vendor draws. A strided table (`stride == shards`,
-/// `offset == shard`) stores only one shard's machines yet draws from
-/// the *same* per-machine streams.
+/// The simulator uses one lane per machine for machine→vendor draws.
 /// Unseeded lanes are marked by state 0, which a seeded xorshift64*
 /// stream can never reach (`new` forces the low bit), so a fresh table
 /// is one cheap zeroed allocation.
 #[derive(Debug, Clone)]
 pub struct RngLanes {
     seed: u64,
-    stride: u64,
-    offset: u64,
     lanes: Vec<FaultRng>,
 }
 
 impl RngLanes {
     /// One lane per index in `0..len`, lane id == index.
     pub fn new(seed: u64, len: usize) -> Self {
-        RngLanes::strided(seed, len, 1, 0)
-    }
-
-    /// A strided table: local index `i` maps to lane id
-    /// `i*stride + offset`.
-    pub fn strided(seed: u64, len: usize, stride: u64, offset: u64) -> Self {
         RngLanes {
             seed,
-            stride,
-            offset,
             lanes: vec![FaultRng(0); len],
         }
     }
 
-    /// The lane stream at local index `i`, seeded on first use.
+    /// The lane stream at index `i`, seeded on first use.
     #[inline]
     pub fn lane(&mut self, i: usize) -> &mut FaultRng {
         let slot = &mut self.lanes[i];
         if slot.0 == 0 {
-            *slot = FaultRng::fork(self.seed, (i as u64) * self.stride + self.offset);
+            *slot = FaultRng::fork(self.seed, i as u64);
         }
         slot
-    }
-
-    /// Re-keys the table for reuse (arena runs): every lane returns to
-    /// the unseeded state, keeping the allocation.
-    pub fn reset(&mut self, seed: u64, len: usize, stride: u64, offset: u64) {
-        self.seed = seed;
-        self.stride = stride;
-        self.offset = offset;
-        self.lanes.clear();
-        self.lanes.resize(len, FaultRng(0));
     }
 }
 
@@ -547,32 +524,5 @@ mod tests {
         for i in 0..8 {
             assert_eq!(a[i], b[7 - i], "lane {i}");
         }
-    }
-
-    #[test]
-    fn strided_lanes_match_global_lane_ids() {
-        // A 3-shard split: shard s stores machines {s, s+3, s+6, ...}
-        // at local index m/3 and must draw machine m's global stream.
-        let n = 12usize;
-        let mut global = RngLanes::new(7, n);
-        let mut shards: Vec<RngLanes> = (0..3)
-            .map(|s| RngLanes::strided(7, n.div_ceil(3), 3, s as u64))
-            .collect();
-        for m in 0..n {
-            let expect = global.lane(m).next_u64();
-            let got = shards[m % 3].lane(m / 3).next_u64();
-            assert_eq!(expect, got, "machine {m}");
-        }
-    }
-
-    #[test]
-    fn lane_reset_rekeys_and_replays() {
-        let mut lanes = RngLanes::new(1, 4);
-        let first = lanes.lane(2).next_u64();
-        let _ = lanes.lane(2).next_u64(); // advance past the first draw
-        lanes.reset(1, 4, 1, 0);
-        assert_eq!(lanes.lane(2).next_u64(), first, "reset replays the stream");
-        lanes.reset(2, 4, 1, 0);
-        assert_ne!(lanes.lane(2).next_u64(), first, "new seed, new stream");
     }
 }

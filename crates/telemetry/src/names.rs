@@ -22,6 +22,12 @@
 //! and the table is hashed from then on. Which happens depends on the
 //! names alone; ids are positions in arrival order either way.
 //!
+//! The same layout is how a table's names travel: [`NameTable::run_from`]
+//! hands out a tail of the table as its bytes and their end offsets, and
+//! [`NameTable::try_append_run`] takes such a run back, all of it or
+//! none — one copy of the bytes while the names ascend, the usual
+//! interning from the first one that does not.
+//!
 //! The hash is keyed per table ([`RandomState`]): names can come from
 //! reporting machines, and nothing observes slot order, so collision
 //! resistance costs no determinism.
@@ -30,6 +36,17 @@ use std::cmp::Ordering;
 use std::hash::{BuildHasher, RandomState};
 use std::ops::Range;
 use std::sync::Arc;
+
+/// Why [`NameTable::try_append_run`] refused a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunRefused {
+    /// A name of the run is one the table holds, or one the run lists
+    /// twice.
+    Repeat,
+    /// The run would take the table past `u32::MAX` names or 4 GiB of
+    /// name bytes.
+    Full,
+}
 
 /// A bidirectional name ↔ dense-`u32` table; ids are assigned in
 /// interning order.
@@ -45,6 +62,12 @@ use std::sync::Arc;
 /// assert_eq!(table.get("m0"), Some(1));
 /// assert_eq!(table.name(1), "m0");
 /// assert_eq!(table.names_from(0).collect::<Vec<_>>(), ["m1", "m0"]);
+///
+/// let (bytes, ends) = table.run_from(0);
+/// assert_eq!((bytes, ends.collect::<Vec<_>>()), ("m1m0", vec![2, 4]));
+/// let mut copy = NameTable::default();
+/// assert_eq!(copy.try_append_run("m1m0", &[2, 4]), Ok(()));
+/// assert_eq!(copy, table);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct NameTable {
@@ -126,6 +149,22 @@ impl NameTable {
     /// Names `start..len()` in id order (none if `start >= len()`).
     pub fn names_from(&self, start: usize) -> impl ExactSizeIterator<Item = &str> + '_ {
         (start..self.len()).map(|id| self.name(id as u32))
+    }
+
+    /// Names `start..len()` in the table's own layout: their bytes back
+    /// to back, and where each ends, counted from the first byte of the
+    /// run (none if `start >= len()`). A journal writes a table's new
+    /// names with this and reads them back with
+    /// [`NameTable::try_append_run`]: one copy each way, and no name
+    /// taken apart.
+    pub fn run_from(&self, start: usize) -> (&str, impl ExactSizeIterator<Item = u32> + '_) {
+        let start = start.min(self.len());
+        let base = match start {
+            0 => 0,
+            _ => self.ends[start - 1],
+        };
+        let ends = self.ends[start..].iter().map(move |&end| end - base);
+        (&self.bytes[base as usize..], ends)
     }
 
     /// Whether the table is still its own index: no name has arrived
@@ -249,6 +288,100 @@ impl NameTable {
                 self.slots[free] = id + 1;
                 Some(id)
             }
+        }
+    }
+
+    /// Appends a run of new names under the next ids, in order, or
+    /// refuses it whole. The run comes in the table's own layout (see
+    /// [`NameTable::run_from`]): name `i` is `bytes[ends[i - 1]..ends[i]]`,
+    /// the first starting at 0.
+    ///
+    /// Every name must be new, to the table and within the run: a name
+    /// already held would take its old id and shift every id after it.
+    /// A refused run leaves **no** name behind — the table lists what it
+    /// listed before the call — so a caller that keeps the prefix of a
+    /// torn journal keeps a table the journal's earlier records describe.
+    /// A run that cannot fit is refused as [`RunRefused::Full`] before
+    /// any name is read, whatever else is wrong with it.
+    ///
+    /// The names the table still ascends through (each greater than the
+    /// one before, the first greater than the table's last) are appended
+    /// with one copy of their bytes and one comparison each; from the
+    /// first that does not, the rest are interned one at a time. The
+    /// table is left as interning the names one at a time would leave
+    /// it, indexed or not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ends` does not describe `bytes`: an end that falls
+    /// below the one before it or inside a character, or a last end that
+    /// is not `bytes.len()`.
+    pub fn try_append_run(&mut self, bytes: &str, ends: &[u32]) -> Result<(), RunRefused> {
+        let last = ends.last().map_or(0, |&end| end as usize);
+        assert_eq!(last, bytes.len(), "a run's last end is its length");
+        if ends.is_empty() {
+            return Ok(());
+        }
+        let first = self.len();
+        let base = self.ends.last().copied().unwrap_or(0);
+        let fits = (u32::try_from(bytes.len()).ok())
+            .and_then(|len| base.checked_add(len))
+            .is_some()
+            // `id + 1` is what a slot stores, so the last id is below
+            // `u32::MAX`.
+            && first + ends.len() <= u32::MAX as usize;
+        if !fits {
+            return Err(RunRefused::Full);
+        }
+        let was_ascending = self.ascending();
+        self.reserve(ends.len());
+        // How many names extend the ascending run, and where they end.
+        let (mut head, mut head_end) = (0, 0);
+        if was_ascending {
+            // `str` order is byte order, and a `str` slice checks the
+            // character boundary its end falls on.
+            let mut prev = first.checked_sub(1).map(|id| self.name(id as u32));
+            for &end in ends {
+                let name = &bytes[head_end..end as usize];
+                if prev.is_some_and(|prev| prev >= name) {
+                    break;
+                }
+                (prev, head, head_end) = (Some(name), head + 1, end as usize);
+            }
+        }
+        self.bytes.push_str(&bytes[..head_end]);
+        self.ends.extend(ends[..head].iter().map(|&end| base + end));
+        let mut start = head_end;
+        for (id, &end) in (first..).zip(ends).skip(head) {
+            let name = &bytes[start..end as usize];
+            start = end as usize;
+            if self.try_intern(name) != Some(id as u32) {
+                self.truncate(first, was_ascending);
+                return Err(RunRefused::Repeat);
+            }
+        }
+        Ok(())
+    }
+
+    /// Drops every name from id `len` on: a refused run's undo. A table
+    /// that ascended before the run is its own index again. A hashed one
+    /// clears the dropped names' slots: names are filed in id order, so
+    /// every slot on a kept name's probe sequence held an older name
+    /// when it was filed, and no dropped name lies on one.
+    fn truncate(&mut self, len: usize, was_ascending: bool) {
+        let end = match len {
+            0 => 0,
+            _ => self.ends[len - 1] as usize,
+        };
+        self.bytes.truncate(end);
+        self.ends.truncate(len);
+        if was_ascending {
+            self.slots = Vec::new();
+        } else {
+            // A slot holds `id + 1`.
+            (self.slots.iter_mut())
+                .filter(|slot| **slot as usize > len)
+                .for_each(|slot| *slot = 0);
         }
     }
 
@@ -503,14 +636,129 @@ mod tests {
     }
 
     /// 4 GiB of names is more than a test can intern, so the offsets
-    /// say it: only `push` is safe to call on a table faked this way.
+    /// say it: only `push`, and a run refused or empty before any name
+    /// is read, are safe on a table faked this way.
     #[test]
     fn a_full_table_refuses_a_name_and_keeps_what_it_holds() {
         let mut table = NameTable::default();
         table.intern("m0");
         table.ends[0] = u32::MAX - 1;
+        // A run that does not fit is refused before its names are read,
+        // a repeat among them included.
+        for (bytes, ends) in [("m1", &[2][..]), ("m0m0", &[2, 4])] {
+            assert_eq!(table.try_append_run(bytes, ends), Err(RunRefused::Full));
+            assert_eq!((table.len(), table.bytes.as_str()), (1, "m0"));
+            assert_eq!(table.ends, [u32::MAX - 1]);
+        }
+        assert_eq!(table.try_append_run("", &[]), Ok(()));
         assert_eq!(table.push("m1"), None);
         assert_eq!((table.len(), table.bytes.as_str()), (1, "m0"));
         assert_eq!(table.push("1"), Some(1));
+    }
+
+    /// `names` in a table's own layout: the bytes, and where each ends.
+    fn layout(names: &[String]) -> (String, Vec<u32>) {
+        let bytes = names.concat();
+        let ends = (names.iter())
+            .scan(0, |end, name| {
+                *end += name.len() as u32;
+                Some(*end)
+            })
+            .collect();
+        (bytes, ends)
+    }
+
+    /// The run property: `try_append_run` leaves the table exactly as
+    /// interning the same names one at a time does when each of them
+    /// takes the next id, and refuses the run with the table untouched
+    /// (names, ids, and whether it is hashed) when one of them does not.
+    /// Tables ascending and hashed; runs that ascend, fall, repeat a
+    /// name the table holds, repeat one of their own, or mix odd names.
+    #[test]
+    fn a_run_appends_as_interning_it_name_by_name_would() {
+        // [accepted onto an ascending table, accepted onto a hashed
+        // one, left ascending after accepting, refused for a held name,
+        // refused for a repeat within the run]
+        let mut seen = [0usize; 5];
+        for case in 0..480u64 {
+            let mut rng = Rng(0x5eed_0039 ^ (case << 20) | 1);
+            let ctx = format!("case {case}");
+            let hashed = case % 2 == 1;
+            let (mut table, mut model) = (NameTable::default(), Model::default());
+            for i in 0..rng.below(40) {
+                let name = match hashed {
+                    true => format!("n{:04}", rng.below(1000)),
+                    false => format!("n{:04}", 3 * i),
+                };
+                assert_eq!(table.intern(&name), model.intern(&name), "{ctx}");
+            }
+            let held = model.names.clone();
+            let count = rng.below(24);
+            let mut names: Vec<String> = match case / 2 % 4 {
+                // Above every held name, ascending.
+                0 => (0..count)
+                    .map(|i| format!("n{:04}", 1000 + 2 * i))
+                    .collect(),
+                // Ascending, then falling back into the held range.
+                1 => (0..count)
+                    .map(|i| match i < count / 2 {
+                        true => format!("n{:04}", 1000 + i),
+                        false => format!("n{:04}", rng.below(1000)),
+                    })
+                    .collect(),
+                // Anywhere, odd names included.
+                2 => (0..count)
+                    .map(|_| match rng.below(4) {
+                        0 => ODD[rng.below(ODD.len())].to_string(),
+                        _ => format!("n{:04}", rng.below(2000)),
+                    })
+                    .collect(),
+                // New names, unordered, and distinct.
+                _ => (0..count)
+                    .map(|i| format!("q{:04}", (i * 7919) % 1009))
+                    .collect(),
+            };
+            // A repeat: a held name, or one of the run's own.
+            match rng.below(4) {
+                0 if !held.is_empty() => {
+                    let at = rng.below(names.len() + 1);
+                    names.insert(at, held[rng.below(held.len())].clone());
+                }
+                1 if !names.is_empty() => {
+                    let again = names[rng.below(names.len())].clone();
+                    names.insert(rng.below(names.len() + 1), again);
+                }
+                _ => {}
+            }
+            let (bytes, ends) = layout(&names);
+
+            let mut one = table.clone();
+            let first = held.len();
+            let takes_next = (names.iter().enumerate())
+                .all(|(i, name)| one.try_intern(name) == Some((first + i) as u32));
+            let (before, was_ascending) = (table.clone(), table.ascending());
+            let got = table.try_append_run(&bytes, &ends);
+            if takes_next {
+                assert_eq!(got, Ok(()), "{ctx}: {names:?}");
+                for name in &names {
+                    model.intern(name);
+                }
+                assert_eq!(table, one, "{ctx}");
+                assert_eq!(table.ascending(), one.ascending(), "{ctx}");
+                let (run, run_ends) = table.run_from(first);
+                assert_eq!(run, bytes, "{ctx}: run_from");
+                assert!(run_ends.eq(ends.iter().copied()), "{ctx}: run_from ends");
+                seen[usize::from(!was_ascending)] += usize::from(!names.is_empty());
+                seen[2] += usize::from(table.ascending() && names.len() > 1);
+            } else {
+                let held_repeat = names.iter().any(|name| model.index.contains_key(name));
+                assert_eq!(got, Err(RunRefused::Repeat), "{ctx}: {names:?}");
+                assert_eq!(table, before, "{ctx}: refused");
+                assert_eq!(table.ascending(), was_ascending, "{ctx}: refused");
+                seen[if held_repeat { 3 } else { 4 }] += 1;
+            }
+            assert_agree(&table, &model, &ctx);
+        }
+        assert!(seen.iter().all(|&n| n >= 30), "{seen:?}");
     }
 }
