@@ -25,7 +25,7 @@
 //! genuinely logic and stays a plain function the table names: the
 //! `trace_sample` schema.
 //!
-//! Harness rows must carry at least [`MIN_SAMPLES`] samples unless
+//! Harness rows must carry at least `MIN_SAMPLES` (3) samples unless
 //! they are explicitly marked `"scale": true` — a single-observation
 //! statistic is either an intentional scale run or a truncated write,
 //! and the marker is how a document says which.
@@ -76,7 +76,7 @@ fn span_text((low, high): Span) -> String {
 pub enum Rule {
     /// Every `results` row is a well-formed harness row: non-negative
     /// statistics, `min ≤ p50 ≤ max`, `min ≤ mean ≤ max`, and at least
-    /// [`MIN_SAMPLES`] samples unless marked `scale`.
+    /// `MIN_SAMPLES` (3) samples unless marked `scale`.
     HarnessRows,
     /// A `results` row of this name exists.
     Row(&'static str),

@@ -85,7 +85,7 @@ impl BenchDoc {
     }
 
     /// The document as a JSON value.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         Value::Obj(self.fields.clone())
     }
 

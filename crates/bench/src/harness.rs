@@ -45,7 +45,7 @@ pub struct BenchStats {
 
 impl BenchStats {
     /// Throughput in MiB/s based on the minimum (best) sample.
-    pub fn mib_per_sec(&self) -> Option<f64> {
+    pub(crate) fn mib_per_sec(&self) -> Option<f64> {
         let bytes = self.bytes? as f64;
         if self.min_ns == 0 {
             return None;
@@ -55,7 +55,7 @@ impl BenchStats {
 }
 
 /// Formats nanoseconds with an adaptive unit.
-pub fn fmt_ns(ns: f64) -> String {
+pub(crate) fn fmt_ns(ns: f64) -> String {
     if ns < 1e3 {
         format!("{ns:.0} ns")
     } else if ns < 1e6 {
@@ -70,7 +70,7 @@ pub fn fmt_ns(ns: f64) -> String {
 /// Floor on timed samples for regular benchmarks: statistics from one
 /// or two observations are noise, so the budget loop keeps sampling
 /// until it has at least this many.
-pub const MIN_SAMPLES: usize = 3;
+pub(crate) const MIN_SAMPLES: usize = 3;
 
 /// A benchmark suite: runs closures and prints aligned result rows.
 pub struct Harness {
@@ -175,7 +175,7 @@ impl Harness {
     /// Times `f` exactly once — no warmup, one sample — and records the
     /// row marked as a *scale* run.
     ///
-    /// For workloads so large that even [`MIN_SAMPLES`] repetitions are
+    /// For workloads so large that even `MIN_SAMPLES` (3) repetitions are
     /// unaffordable (a 10M-machine simulation), one honest sample beats
     /// none; the `scale` marker tells `bench-check` the single sample
     /// is intentional rather than a truncated run.

@@ -34,12 +34,6 @@ impl MachineInfo {
         }
     }
 
-    /// Adds an overlapping application.
-    pub fn with_app(mut self, app: impl Into<String>) -> Self {
-        self.overlapping_apps.insert(app.into());
-        self
-    }
-
     /// The machine identifier.
     pub fn id(&self) -> &str {
         &self.diff.machine
@@ -107,19 +101,6 @@ impl Clustering {
         self.clusters.iter().map(Cluster::len).sum()
     }
 
-    /// Clusters sorted by ascending vendor distance (the Balanced
-    /// protocol's deployment order); ties break on cluster id.
-    pub fn by_vendor_distance(&self) -> Vec<&Cluster> {
-        let mut v: Vec<&Cluster> = self.clusters.iter().collect();
-        v.sort_by(|a, b| {
-            a.vendor_distance
-                .partial_cmp(&b.vendor_distance)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
-        v
-    }
-
     /// Verifies the partition property: every machine in exactly one
     /// cluster. Returns the machine ids if valid.
     pub fn validate_partition(&self) -> Result<BTreeSet<String>, String> {
@@ -162,8 +143,6 @@ mod tests {
         assert_eq!(clustering.machine_count(), 3);
         assert_eq!(clustering.cluster_of("b").unwrap().id, ClusterId(0));
         assert!(clustering.cluster_of("z").is_none());
-        let ordered = clustering.by_vendor_distance();
-        assert_eq!(ordered[0].id, ClusterId(1));
     }
 
     #[test]
@@ -184,7 +163,8 @@ mod tests {
 
     #[test]
     fn machine_info_builder() {
-        let info = MachineInfo::new(DiffSet::empty("m1")).with_app("php");
+        let mut info = MachineInfo::new(DiffSet::empty("m1"));
+        info.overlapping_apps.insert("php".into());
         assert_eq!(info.id(), "m1");
         assert!(info.overlapping_apps.contains("php"));
     }

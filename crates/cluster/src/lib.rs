@@ -43,7 +43,4 @@ pub use engine::ClusterEngine;
 pub use incremental::recluster_one;
 pub use metrics::{ClusterQuality, ClusteringScore};
 pub use privacy::{machine_token, ClusterToken, PrivateClustering};
-pub use qt::{
-    qt_cluster, qt_cluster_indices, qt_cluster_indices_instrumented, qt_cluster_indices_reference,
-    qt_cluster_instrumented,
-};
+pub use qt::{qt_cluster_indices, qt_cluster_indices_instrumented, qt_cluster_indices_reference};

@@ -38,7 +38,7 @@ impl std::fmt::Display for ClusterToken {
 /// rendering of the parsed diff items.
 ///
 /// Runs entirely on the user machine; only the token leaves it.
-pub fn token_of(items: &ItemSet) -> ClusterToken {
+pub(crate) fn token_of(items: &ItemSet) -> ClusterToken {
     // Items are stored sorted (BTreeSet), so the rendering is canonical.
     let mut rendering = String::new();
     for item in items {

@@ -473,14 +473,9 @@ pub fn qt_cluster_indices_reference(machines: &[&MachineInfo], diameter: usize) 
     clusters
 }
 
-/// Like [`qt_cluster_indices`], returning machine references.
-pub fn qt_cluster<'a>(machines: &[&'a MachineInfo], diameter: usize) -> Vec<Vec<&'a MachineInfo>> {
-    qt_cluster_instrumented(machines, diameter, &Telemetry::noop())
-}
-
 /// Like [`qt_cluster_indices_instrumented`], returning machine
 /// references.
-pub fn qt_cluster_instrumented<'a>(
+pub(crate) fn qt_cluster_instrumented<'a>(
     machines: &[&'a MachineInfo],
     diameter: usize,
     telemetry: &Telemetry,
@@ -502,6 +497,10 @@ mod tests {
         let mut diff = DiffSet::empty(id);
         diff.content = content.iter().map(|s| Item::new([*s])).collect();
         MachineInfo::new(diff)
+    }
+
+    fn qt_cluster<'a>(machines: &[&'a MachineInfo], diameter: usize) -> Vec<Vec<&'a MachineInfo>> {
+        qt_cluster_instrumented(machines, diameter, &Telemetry::noop())
     }
 
     fn ids(groups: &[Vec<&MachineInfo>]) -> Vec<Vec<String>> {

@@ -1,10 +1,9 @@
 //! The per-machine user agent.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use mirage_cluster::MachineInfo;
 use mirage_env::{Machine, Repository, RunInput, Upgrade};
-use mirage_fingerprint::fnv1a;
 use mirage_fingerprint::MachineFingerprint;
 use mirage_heuristic::Classification;
 use mirage_report::ReportImage;
@@ -26,10 +25,6 @@ pub struct UserAgent {
     /// Recorded runs (the trace library), all applications mixed.
     pub runs: Vec<RecordedRun>,
     next_run: u64,
-    /// Environment digest per application at last trace collection —
-    /// the dependence subsystem's trigger state (paper §3.3: tracing is
-    /// re-started only "when necessary").
-    trace_env_digest: BTreeMap<String, u64>,
 }
 
 impl UserAgent {
@@ -39,38 +34,7 @@ impl UserAgent {
             machine,
             runs: Vec::new(),
             next_run: 0,
-            trace_env_digest: BTreeMap::new(),
         }
-    }
-
-    /// Digest of the environment an application currently depends on:
-    /// the rendered contents of its executable, declared reads, and
-    /// package manifest files.
-    pub fn environment_digest(&self, app: &str) -> u64 {
-        let Some(spec) = self.machine.apps.get(app) else {
-            return 0;
-        };
-        // Deduplicate: XOR-combining would cancel a path listed both in
-        // the spec and the package manifest.
-        let mut paths: BTreeSet<&str> = BTreeSet::new();
-        paths.insert(&spec.exe);
-        paths.extend(spec.init_reads.iter().map(|r| r.path.as_str()));
-        paths.extend(spec.late_reads.iter().map(|r| r.path.as_str()));
-        paths.extend(self.machine.pkgs.manifest(&spec.package));
-        let mut digest = 0u64;
-        for path in paths {
-            if let Some(file) = self.machine.fs.get(path) {
-                digest ^= fnv1a(path.as_bytes()) ^ fnv1a(&file.content.render());
-            }
-        }
-        digest
-    }
-
-    /// Returns `true` if `app`'s environment changed since its traces
-    /// were recorded (or it has never been traced): the dependence
-    /// subsystem's trace-collection trigger.
-    pub fn needs_retrace(&self, app: &str) -> bool {
-        self.trace_env_digest.get(app).copied() != Some(self.environment_digest(app))
     }
 
     /// Runs `app` on `input` and records the trace.
@@ -82,31 +46,10 @@ impl UserAgent {
             Some(trace) => {
                 self.next_run += 1;
                 self.runs.push(RecordedRun::new(input, trace));
-                let digest = self.environment_digest(app);
-                self.trace_env_digest.insert(app.to_string(), digest);
                 true
             }
             None => false,
         }
-    }
-
-    /// Drops an application's recorded runs (stale after an approved
-    /// I/O-changing upgrade); the next [`UserAgent::collect`] rebuilds
-    /// the library.
-    pub fn invalidate_runs(&mut self, app: &str) -> usize {
-        let before = self.runs.len();
-        self.runs.retain(|r| r.app() != app);
-        self.trace_env_digest.remove(app);
-        before - self.runs.len()
-    }
-
-    /// Recorded runs of one application.
-    pub fn runs_of(&self, app: &str) -> Vec<RecordedRun> {
-        self.runs
-            .iter()
-            .filter(|r| r.app() == app)
-            .cloned()
-            .collect()
     }
 
     /// Identifies environmental resources of `app` from this machine's
@@ -165,7 +108,7 @@ impl UserAgent {
     }
 
     /// Builds the report image for a failed validation.
-    pub fn report_image(&self, validation: &ValidationReport) -> ReportImage {
+    pub(crate) fn report_image(&self, validation: &ValidationReport) -> ReportImage {
         let digest: String = format!("fs:{}files", self.machine.fs.len());
         let env_context = validation
             .changed_paths
@@ -211,7 +154,6 @@ mod tests {
         assert!(agent.collect("app", RunInput::new("w2")));
         assert!(!agent.collect("ghost", RunInput::new("w3")));
         assert_eq!(agent.runs.len(), 2);
-        assert_eq!(agent.runs_of("app").len(), 2);
         assert_eq!(agent.runs[0].trace.run, RunId(0));
         assert_eq!(agent.runs[1].trace.run, RunId(1));
     }
@@ -277,74 +219,5 @@ mod tests {
         let image = agent.report_image(&validation);
         assert!(!image.observed_outputs.is_empty());
         assert!(image.env_context.iter().any(|c| c.contains("/usr/bin/app")));
-    }
-}
-
-#[cfg(test)]
-mod retrace_tests {
-    use super::*;
-    use mirage_env::{ApplicationSpec, File, MachineBuilder, Package, Version, VersionReq};
-
-    fn world() -> (Repository, Machine) {
-        let mut repo = Repository::new();
-        repo.publish(
-            Package::new("app", Version::new(1, 0, 0)).with_file(File::executable(
-                "/usr/bin/app",
-                "app",
-                1,
-            )),
-        );
-        repo.publish(
-            Package::new("app", Version::new(2, 0, 0)).with_file(File::executable(
-                "/usr/bin/app",
-                "app",
-                2,
-            )),
-        );
-        let machine = MachineBuilder::new("m")
-            .install(&repo, "app", VersionReq::Exact(Version::new(1, 0, 0)))
-            .app(ApplicationSpec::new("app", "app", "/usr/bin/app"))
-            .build();
-        (repo, machine)
-    }
-
-    #[test]
-    fn retrace_triggers_on_environment_change() {
-        let (repo, machine) = world();
-        let mut agent = UserAgent::new(machine);
-        // Never traced: needs collection.
-        assert!(agent.needs_retrace("app"));
-        agent.collect("app", RunInput::new("w"));
-        assert!(!agent.needs_retrace("app"), "fresh traces are current");
-        // Integrating an upgrade changes the executable: retrace needed.
-        let upgrade = Upgrade::new(
-            repo.get("app", Version::new(2, 0, 0)).unwrap().clone(),
-            vec![],
-        );
-        assert!(agent.integrate(&repo, &upgrade));
-        assert!(agent.needs_retrace("app"));
-        // Collecting again re-arms the trigger.
-        agent.collect("app", RunInput::new("w2"));
-        assert!(!agent.needs_retrace("app"));
-    }
-
-    #[test]
-    fn invalidate_runs_clears_library_and_trigger() {
-        let (_, machine) = world();
-        let mut agent = UserAgent::new(machine);
-        agent.collect("app", RunInput::new("w1"));
-        agent.collect("app", RunInput::new("w2"));
-        assert_eq!(agent.invalidate_runs("app"), 2);
-        assert!(agent.runs.is_empty());
-        assert!(agent.needs_retrace("app"));
-        assert_eq!(agent.invalidate_runs("app"), 0);
-    }
-
-    #[test]
-    fn unknown_app_digest_is_stable() {
-        let (_, machine) = world();
-        let agent = UserAgent::new(machine);
-        assert_eq!(agent.environment_digest("ghost"), 0);
-        assert!(agent.needs_retrace("ghost"));
     }
 }

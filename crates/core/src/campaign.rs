@@ -964,8 +964,7 @@ mod urgency_tests {
     use super::*;
     use crate::vendor::Vendor;
     use mirage_env::{
-        ApplicationSpec, File, MachineBuilder, Package, Repository, RunInput, Urgency, Version,
-        VersionReq,
+        ApplicationSpec, File, MachineBuilder, Package, Repository, RunInput, Version, VersionReq,
     };
 
     fn tiny_campaign() -> (Campaign, mirage_fingerprint::MachineFingerprint) {
@@ -1008,33 +1007,6 @@ mod urgency_tests {
             )),
             vec![],
         )
-    }
-
-    #[test]
-    fn urgency_selects_protocol() {
-        assert_eq!(
-            choice_for_urgency(Urgency::Urgent),
-            ProtocolChoice::NoStaging
-        );
-        assert_eq!(
-            choice_for_urgency(Urgency::Major),
-            ProtocolChoice::FrontLoading
-        );
-        assert_eq!(
-            choice_for_urgency(Urgency::Routine),
-            ProtocolChoice::Balanced
-        );
-    }
-
-    #[test]
-    fn drive_auto_converges_for_each_urgency() {
-        for urgency in [Urgency::Routine, Urgency::Major, Urgency::Urgent] {
-            let (mut campaign, fp) = tiny_campaign();
-            let (_, plan) =
-                campaign.rollout_plan("app", &fp, 1, RolloutStrategy::Staged { waves: 1 });
-            let result = campaign.drive_auto(clean_v2().with_urgency(urgency), &plan, 1.0);
-            assert!(result.converged(4), "urgency {urgency:?}");
-        }
     }
 
     #[test]

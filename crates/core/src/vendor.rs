@@ -111,7 +111,7 @@ impl Vendor {
     /// problems are pinpointed against the *post-upgrade* machine —
     /// triggers like "PHP linked against the new library" only hold once
     /// the upgrade is in place.
-    pub fn diagnose(&self, upgrade: &Upgrade, machine: &Machine) -> Vec<String> {
+    pub(crate) fn diagnose(&self, upgrade: &Upgrade, machine: &Machine) -> Vec<String> {
         let mut sandbox = mirage_testing::Sandbox::boot(machine);
         let _ = sandbox.apply_upgrade(&self.repo, upgrade);
         upgrade

@@ -58,18 +58,6 @@ impl ProtocolChoice {
         }
     }
 
-    /// Parses a canonical protocol name (RandomStaging gets seed 0; use
-    /// the enum directly for an explicit seed).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "NoStaging" => Some(ProtocolChoice::NoStaging),
-            "Balanced" => Some(ProtocolChoice::Balanced),
-            "FrontLoading" => Some(ProtocolChoice::FrontLoading),
-            "RandomStaging" => Some(ProtocolChoice::RandomStaging { seed: 0 }),
-            _ => None,
-        }
-    }
-
     /// Builds the chosen protocol over `plan` at `threshold`. Each
     /// choice is one row of the crate docs' table: who tests in phase 1,
     /// and the order the clusters deploy in afterwards. NoStaging has no
@@ -96,15 +84,6 @@ mod tests {
 
     fn tiny_plan() -> DeployPlan {
         DeployPlan::from_named([(["a", "b"], 1, 1.0), (["c", "d"], 1, 2.0)])
-    }
-
-    #[test]
-    fn choice_round_trips_names() {
-        for name in ["NoStaging", "Balanced", "FrontLoading", "RandomStaging"] {
-            let choice = ProtocolChoice::from_name(name).expect("known protocol");
-            assert_eq!(choice.name(), name);
-        }
-        assert_eq!(ProtocolChoice::from_name("Nope"), None);
     }
 
     #[test]

@@ -68,5 +68,8 @@ pub mod reference;
 pub use dispatch::{seeded_shuffle, ProtocolChoice};
 pub use ids::{MachineId, MachineSet, MachineTable, ProblemId, ProblemSet, ProblemTable};
 pub use plan::{DeployCluster, DeployPlan};
-pub use protocol::{Command, Protocol, Release, SimTime, TestOutcome, TestReport, PRIOR_RELEASE};
+pub use protocol::{
+    Command, Protocol, Release, SimTime, TestOutcome, TestReport, DEFAULT_TICK_INTERVAL,
+    PRIOR_RELEASE,
+};
 pub use protocols::{ceil_threshold, Staging};

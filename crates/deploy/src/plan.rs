@@ -119,7 +119,7 @@ impl DeployPlan {
     }
 
     /// Cluster ids ordered by descending distance (ties by id).
-    pub fn order_by_distance_desc(&self) -> Vec<usize> {
+    pub(crate) fn order_by_distance_desc(&self) -> Vec<usize> {
         let mut ids = self.order_by_distance_asc();
         ids.reverse();
         ids

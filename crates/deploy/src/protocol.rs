@@ -20,6 +20,11 @@ use crate::ids::{MachineId, ProblemId, ProblemSet};
 /// `u64` tick count.
 pub type SimTime = u64;
 
+/// Period of the decision clock that drives tick-driven protocols: the
+/// simulator's default fault plan and the live campaign pump both tick
+/// at this interval.
+pub const DEFAULT_TICK_INTERVAL: SimTime = 25;
+
 /// A release of an upgrade. Release 0 is the original; the driver bumps
 /// the number each time the vendor ships a corrected version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -182,7 +187,7 @@ pub trait Protocol {
 
 /// Per-machine deployment status tracked by protocol implementations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MachineStatus {
+pub(crate) enum MachineStatus {
     /// Not yet told about the upgrade.
     #[default]
     Idle,

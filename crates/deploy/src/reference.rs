@@ -21,7 +21,7 @@ use crate::protocol::{MachineStatus, Release, SimTime};
 
 /// One cluster with string membership (pre-interning shape).
 #[derive(Debug, Clone, PartialEq)]
-pub struct NamedCluster {
+pub(crate) struct NamedCluster {
     /// Cluster index within the plan.
     pub id: usize,
     /// All member machine names (representatives included).
@@ -47,7 +47,7 @@ impl NamedCluster {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NamedPlan {
     /// Clusters in plan order.
-    pub clusters: Vec<NamedCluster>,
+    pub(crate) clusters: Vec<NamedCluster>,
 }
 
 impl NamedPlan {
@@ -89,7 +89,7 @@ impl NamedPlan {
     }
 
     /// Cluster ids ordered by descending distance (ties by id).
-    pub fn order_by_distance_desc(&self) -> Vec<usize> {
+    pub(crate) fn order_by_distance_desc(&self) -> Vec<usize> {
         let mut ids = self.order_by_distance_asc();
         ids.reverse();
         ids
@@ -599,7 +599,7 @@ impl NamedBalanced {
     }
 
     /// Creates a staged deployment with an explicit cluster order.
-    pub fn with_order(plan: NamedPlan, order: Vec<usize>, threshold: f64) -> Self {
+    pub(crate) fn with_order(plan: NamedPlan, order: Vec<usize>, threshold: f64) -> Self {
         NamedBalanced {
             engine: NamedStagedEngine::new(plan, order, threshold, false),
             name: "RandomStaging",

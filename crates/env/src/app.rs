@@ -16,7 +16,7 @@ use crate::fs::FileSystem;
 
 /// One resource probed during the application's initialisation phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InitRead {
+pub(crate) struct InitRead {
     /// Path to probe; a leading `$HOME` is expanded through the
     /// environment (emitting the corresponding `getenv` event).
     pub path: String,
@@ -54,7 +54,7 @@ pub enum LateTrigger {
 
 /// A resource loaded after the initialisation phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LateRead {
+pub(crate) struct LateRead {
     /// Path to load.
     pub path: String,
     /// Load condition.
@@ -87,11 +87,11 @@ pub struct ApplicationSpec {
     /// Path of the executable image.
     pub exe: String,
     /// Ordered initialisation-phase reads.
-    pub init_reads: Vec<InitRead>,
+    pub(crate) init_reads: Vec<InitRead>,
     /// Environment variables consulted at startup.
     pub env_vars: Vec<String>,
     /// Lazily-loaded resources.
-    pub late_reads: Vec<LateRead>,
+    pub(crate) late_reads: Vec<LateRead>,
     /// Output behaviour.
     pub logic: AppLogic,
     /// Names of other applications sharing environmental resources with
@@ -230,9 +230,9 @@ impl RunBehavior {
 }
 
 /// Exit code used for simulated crashes (SIGSEGV-style).
-pub const EXIT_CRASH: i32 = 139;
+pub(crate) const EXIT_CRASH: i32 = 139;
 /// Exit code used for clean startup refusal.
-pub const EXIT_REFUSED: i32 = 1;
+pub(crate) const EXIT_REFUSED: i32 = 1;
 /// Exit code used when the executable image is missing.
 pub const EXIT_NO_IMAGE: i32 = 127;
 /// Exit code used when a required resource is missing (abort).

@@ -59,12 +59,6 @@ impl IniDoc {
         self
     }
 
-    /// Appends a blank line.
-    pub fn blank(mut self) -> Self {
-        self.lines.push(IniLine::Blank);
-        self
-    }
-
     /// Removes the first assignment or directive whose key is `key`.
     ///
     /// Returns `true` if something was removed.
@@ -91,7 +85,7 @@ impl IniDoc {
     }
 
     /// Returns `true` if `key` appears in `section`.
-    pub fn has_key_in(&self, section: &str, key: &str) -> bool {
+    pub(crate) fn has_key_in(&self, section: &str, key: &str) -> bool {
         let mut current = "global";
         for line in &self.lines {
             match line {
@@ -240,7 +234,7 @@ impl FileContent {
 }
 
 /// Deterministic xorshift byte generator for opaque binary content.
-pub fn pseudo_random_bytes(seed: u64, len: usize) -> Vec<u8> {
+pub(crate) fn pseudo_random_bytes(seed: u64, len: usize) -> Vec<u8> {
     let mut state = seed | 1;
     (0..len)
         .map(|_| {
@@ -262,12 +256,11 @@ mod tests {
             .comment("MySQL config")
             .section("mysqld")
             .key("datadir", "/var/lib/mysql")
-            .directive("skip-networking")
-            .blank();
+            .directive("skip-networking");
         let text = String::from_utf8(doc.render()).unwrap();
         assert_eq!(
             text,
-            "# MySQL config\n[mysqld]\ndatadir = /var/lib/mysql\nskip-networking\n\n"
+            "# MySQL config\n[mysqld]\ndatadir = /var/lib/mysql\nskip-networking\n"
         );
     }
 

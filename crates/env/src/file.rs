@@ -28,8 +28,8 @@ impl File {
     ///
     /// Executables, libraries, configuration and preference files default
     /// to environmental resources; data, logs and HTML documents default
-    /// to not. Use [`File::env_resource`] / [`File::not_env_resource`] to
-    /// override for special cases (e.g. database files that double as
+    /// to not. Use [`File::env_resource`] to mark the exceptions
+    /// to that rule (e.g. database files that double as
     /// configuration, as MySQL's do in the paper).
     pub fn new(path: impl Into<String>, kind: ResourceKind, content: FileContent) -> Self {
         let truth_env = matches!(
@@ -56,14 +56,8 @@ impl File {
         self
     }
 
-    /// Marks the file as ground-truth *not* an environmental resource.
-    pub fn not_env_resource(mut self) -> Self {
-        self.truth_env = false;
-        self
-    }
-
     /// Renders the file into the parser-facing resource view.
-    pub fn to_resource(&self) -> ResourceData {
+    pub(crate) fn to_resource(&self) -> ResourceData {
         ResourceData::new(self.path.clone(), self.kind, self.content.render())
     }
 
@@ -144,8 +138,6 @@ mod tests {
     fn ground_truth_overrides() {
         let f = File::data("/var/lib/mysql/user.frm", 0, 10).env_resource();
         assert!(f.truth_env);
-        let f = File::executable("/bin/x", "x", 0).not_env_resource();
-        assert!(!f.truth_env);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use mirage_fingerprint::{Glob, ResourceData};
+use mirage_fingerprint::ResourceData;
 
 use crate::file::File;
 
@@ -73,11 +73,6 @@ impl FileSystem {
         self.files.keys().map(String::as_str)
     }
 
-    /// Returns the files whose paths match `glob`, in path order.
-    pub fn matching(&self, glob: &Glob) -> Vec<&File> {
-        self.iter().filter(|f| glob.matches(&f.path)).collect()
-    }
-
     /// Takes a copy-on-write snapshot.
     ///
     /// The snapshot shares file storage with the base; inserting into or
@@ -128,11 +123,6 @@ impl FileSystem {
             .into_iter()
             .filter_map(|p| self.get(p.as_ref()).map(File::to_resource))
             .collect()
-    }
-
-    /// Renders every file into a resource view (vendor reference machines).
-    pub fn all_resources(&self) -> Vec<ResourceData> {
-        self.iter().map(File::to_resource).collect()
     }
 }
 
@@ -229,21 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn glob_matching() {
-        let mut fs = FileSystem::new();
-        fs.insert(textfile("/var/log/a.log", ""));
-        fs.insert(textfile("/var/lib/db", ""));
-        fs.insert(textfile("/etc/x", ""));
-        let hits = fs.matching(&Glob::new("/var/**"));
-        assert_eq!(hits.len(), 2);
-    }
-
-    #[test]
     fn resources_skip_missing_paths() {
         let mut fs = FileSystem::new();
         fs.insert(textfile("/a", "1"));
         let res = fs.resources(["/a", "/missing"]);
         assert_eq!(res.len(), 1);
-        assert_eq!(fs.all_resources().len(), 1);
     }
 }

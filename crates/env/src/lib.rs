@@ -33,12 +33,12 @@ pub mod machine;
 pub mod pkg;
 pub mod problems;
 
-pub use app::{AppLogic, ApplicationSpec, LateRead, LateTrigger, RunInput};
+pub use app::{AppLogic, ApplicationSpec, LateTrigger, RunInput};
 pub use content::{FileContent, IniDoc, IniLine, PrefsDoc};
 pub use file::File;
 pub use fs::FileSystem;
 pub use machine::{Fleet, Machine, MachineBuilder};
-pub use pkg::{Dependency, Package, PackageManager, PkgError, Repository, Version, VersionReq};
+pub use pkg::{Package, PackageManager, PkgError, Repository, Version, VersionReq};
 pub use problems::{
     EnvPredicate, ProblemEffect, ProblemId, ProblemSpec, Upgrade, UpgradeId, Urgency,
 };

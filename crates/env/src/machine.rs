@@ -9,7 +9,7 @@ use mirage_trace::{RunId, Trace};
 use crate::app::{execute, ApplicationSpec, RunBehavior, RunInput};
 use crate::file::File;
 use crate::fs::FileSystem;
-use crate::pkg::{PackageManager, PkgError, Repository, VersionReq};
+use crate::pkg::{PackageManager, Repository, VersionReq};
 
 /// One simulated user machine.
 #[derive(Debug, Clone, Default)]
@@ -121,11 +121,6 @@ impl Machine {
         }
         affected
     }
-
-    /// Returns the names of installed applications.
-    pub fn app_names(&self) -> BTreeSet<String> {
-        self.apps.keys().cloned().collect()
-    }
 }
 
 /// Fluent builder for machines.
@@ -159,24 +154,13 @@ impl MachineBuilder {
     /// # Panics
     ///
     /// Panics on resolution failure — machine construction is test/scenario
-    /// setup, where failing loudly is correct. Use
-    /// [`MachineBuilder::try_install`] in fallible contexts.
-    pub fn install(self, repo: &Repository, name: &str, req: VersionReq) -> Self {
-        self.try_install(repo, name, req)
-            .unwrap_or_else(|e| panic!("install {name}: {e}"))
-    }
-
-    /// Fallible package installation.
-    pub fn try_install(
-        mut self,
-        repo: &Repository,
-        name: &str,
-        req: VersionReq,
-    ) -> Result<Self, PkgError> {
+    /// setup, where failing loudly is correct.
+    pub fn install(mut self, repo: &Repository, name: &str, req: VersionReq) -> Self {
         self.machine
             .pkgs
-            .install(&mut self.machine.fs, repo, name, req)?;
-        Ok(self)
+            .install(&mut self.machine.fs, repo, name, req)
+            .unwrap_or_else(|e| panic!("install {name}: {e}"));
+        self
     }
 
     /// Registers an application.
@@ -209,11 +193,6 @@ impl Fleet {
         Self::default()
     }
 
-    /// Builds a fleet from machines.
-    pub fn from_machines(machines: Vec<Machine>) -> Self {
-        Fleet { machines }
-    }
-
     /// Adds a machine.
     pub fn push(&mut self, machine: Machine) {
         self.machines.push(machine);
@@ -222,11 +201,6 @@ impl Fleet {
     /// Returns the machines in insertion order.
     pub fn machines(&self) -> &[Machine] {
         &self.machines
-    }
-
-    /// Mutable access to the machines.
-    pub fn machines_mut(&mut self) -> &mut [Machine] {
-        &mut self.machines
     }
 
     /// Looks up a machine by id.
@@ -303,7 +277,7 @@ mod tests {
             Some(Version::new(4, 1, 22))
         );
         assert!(m.apps.contains_key("mysqld"));
-        assert_eq!(m.app_names().len(), 1);
+        assert_eq!(m.apps.len(), 1);
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl Version {
     }
 
     /// Returns the next patch release.
-    pub fn next_patch(self) -> Self {
+    pub(crate) fn next_patch(self) -> Self {
         Version {
             patch: self.patch + 1,
             ..self
@@ -108,7 +108,7 @@ impl fmt::Display for VersionReq {
 
 /// A dependency edge of a package.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dependency {
+pub(crate) struct Dependency {
     /// Depended-on package name.
     pub package: String,
     /// Version requirement.
@@ -139,7 +139,7 @@ pub struct Package {
     /// Payload files installed by this package.
     pub files: Vec<Arc<File>>,
     /// Dependencies.
-    pub deps: Vec<Dependency>,
+    pub(crate) deps: Vec<Dependency>,
 }
 
 impl Package {

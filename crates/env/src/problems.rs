@@ -505,7 +505,7 @@ mod tests {
         // The upgrade shares its files with the repository and the machine.
         let upgrade = Upgrade::new(published.clone(), vec![problem("p1"), problem("p2")]);
         assert!(Arc::ptr_eq(&upgrade.package.files[0], &published.files[0]));
-        let before = (published.clone(), machine.fs.all_resources());
+        let before = (published.clone(), machine.fs.resources(machine.fs.paths()));
 
         let fixed = upgrade.fix(&ProblemId("p1".into())).unwrap();
         let all = upgrade.fix_all([&ProblemId("p1".into()), &ProblemId("p2".into())]);
@@ -523,7 +523,7 @@ mod tests {
         }
         assert_eq!(upgrade.package, before.0);
         assert_eq!(*published, before.0);
-        assert_eq!(machine.fs.all_resources(), before.1);
+        assert_eq!(machine.fs.resources(machine.fs.paths()), before.1);
         assert!(std::ptr::eq(
             machine.fs.get("/usr/bin/svc").unwrap(),
             &*published.files[0]

@@ -56,38 +56,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Incremental FNV-1a hasher for streaming input.
-#[derive(Debug, Clone)]
-pub struct Fnv1a {
-    state: u64,
-}
-
-impl Fnv1a {
-    /// Creates a hasher in the initial state.
-    pub fn new() -> Self {
-        Fnv1a { state: FNV_OFFSET }
-    }
-
-    /// Feeds bytes into the hash.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Returns the hash of everything fed so far.
-    pub fn finish(&self) -> HashValue {
-        HashValue(self.state)
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,14 +66,6 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn incremental_matches_oneshot() {
-        let mut h = Fnv1a::new();
-        h.update(b"foo");
-        h.update(b"bar");
-        assert_eq!(h.finish(), HashValue::of(b"foobar"));
     }
 
     #[test]

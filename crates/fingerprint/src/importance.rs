@@ -102,7 +102,7 @@ impl ImportanceFilter {
     }
 
     /// Applies the filter to an item set.
-    pub fn apply_set(&self, items: &ItemSet) -> ItemSet {
+    pub(crate) fn apply_set(&self, items: &ItemSet) -> ItemSet {
         items.iter().filter_map(|i| self.apply_item(i)).collect()
     }
 
@@ -144,27 +144,6 @@ mod tests {
             None
         );
         assert!(f.apply_item(&Item::new(["/etc/other", "a", "b"])).is_some());
-    }
-
-    #[test]
-    fn truncate_merges_same_version_different_build() {
-        let f = ImportanceFilter::new().truncate_suffix(["libc", "lib"], 3);
-        let a = f.apply_item(&item("libc.lib.2.4-hash-a")).unwrap();
-        // Note: items here use '.' split, so "2.4" splits; build explicit.
-        let x = Item::new(["libc", "lib", "2.4", "aaaa"]);
-        let y = Item::new(["libc", "lib", "2.4", "bbbb"]);
-        assert_eq!(f.apply_item(&x), f.apply_item(&y));
-        assert_eq!(f.apply_item(&x).unwrap().depth(), 3);
-        let _ = a;
-    }
-
-    #[test]
-    fn truncate_clamps_to_item_depth() {
-        let f = ImportanceFilter::new().truncate_suffix(["a"], 10);
-        let i = Item::new(["a", "b"]);
-        assert_eq!(f.apply_item(&i), Some(i.clone()));
-        let f0 = ImportanceFilter::new().truncate_suffix(["a"], 0);
-        assert_eq!(f0.apply_item(&i).unwrap().depth(), 1);
     }
 
     #[test]

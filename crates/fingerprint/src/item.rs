@@ -96,7 +96,7 @@ impl fmt::Display for Item {
 /// This is the core comparison in Mirage: a user machine reports the set of
 /// items that differ from the vendor's list — items present on exactly one
 /// of the two sides.
-pub fn symmetric_difference(a: &ItemSet, b: &ItemSet) -> ItemSet {
+pub(crate) fn symmetric_difference(a: &ItemSet, b: &ItemSet) -> ItemSet {
     a.symmetric_difference(b).cloned().collect()
 }
 

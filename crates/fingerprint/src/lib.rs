@@ -47,5 +47,5 @@ pub use importance::ImportanceFilter;
 pub use intern::{ItemPool, LoweredDiff};
 pub use item::{Item, ItemSet};
 pub use parser::{ParseError, ParserRegistry, ResourceData, ResourceKind, ResourceParser};
-pub use rabin::{Chunk, Chunker, ChunkerParams, RabinHasher, RabinTables};
+pub use rabin::{Chunk, Chunker, ChunkerParams, RabinHasher};
 pub use set::{DiffSet, MachineFingerprint};

@@ -12,7 +12,7 @@ use std::fmt;
 
 use crate::glob::Glob;
 use crate::item::Item;
-use crate::rabin::{Chunker, ChunkerParams};
+use crate::rabin::Chunker;
 
 /// The type of an environmental resource, as known to the packaging system.
 ///
@@ -134,7 +134,7 @@ pub trait ResourceParser: Send + Sync {
 
 /// How a resource was fingerprinted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FingerprintSource {
+pub(crate) enum FingerprintSource {
     /// A Mirage- or vendor-supplied parser handled the resource.
     Parsed,
     /// No parser claimed the resource; content chunking was used.
@@ -143,13 +143,11 @@ pub enum FingerprintSource {
 
 /// The outcome of fingerprinting one resource.
 #[derive(Debug, Clone)]
-pub struct Fingerprinted {
+pub(crate) struct Fingerprinted {
     /// Items produced.
     pub items: Vec<Item>,
     /// Whether a parser or content chunking produced them.
     pub source: FingerprintSource,
-    /// Name of the parser used, or `"rabin"` for content chunking.
-    pub parser: String,
 }
 
 struct Registration {
@@ -194,17 +192,8 @@ impl ParserRegistry {
         }
     }
 
-    /// Creates an empty registry with explicit chunker parameters.
-    pub fn with_chunker(params: ChunkerParams) -> Self {
-        ParserRegistry {
-            mirage: Vec::new(),
-            vendor: Vec::new(),
-            chunker: Chunker::new(params),
-        }
-    }
-
     /// Registers a Mirage-supplied parser for a resource kind.
-    pub fn register_mirage(
+    pub(crate) fn register_mirage(
         &mut self,
         kind: ResourceKind,
         parser: Box<dyn ResourceParser>,
@@ -218,7 +207,7 @@ impl ParserRegistry {
     }
 
     /// Registers a Mirage-supplied parser limited to paths matching `glob`.
-    pub fn register_mirage_glob(
+    pub(crate) fn register_mirage_glob(
         &mut self,
         kind: ResourceKind,
         glob: Glob,
@@ -276,7 +265,7 @@ impl ParserRegistry {
     /// A parser that errors on a resource (e.g. binary data in a file that
     /// was labelled text) falls through to content chunking rather than
     /// failing the whole machine fingerprint: imprecise beats absent.
-    pub fn fingerprint(&self, resource: &ResourceData) -> Fingerprinted {
+    pub(crate) fn fingerprint(&self, resource: &ResourceData) -> Fingerprinted {
         for reg in self.vendor.iter().chain(self.mirage.iter()) {
             if reg.claims(resource) {
                 match reg.parser.parse(resource) {
@@ -284,7 +273,6 @@ impl ParserRegistry {
                         return Fingerprinted {
                             items,
                             source: FingerprintSource::Parsed,
-                            parser: reg.parser.name().to_string(),
                         }
                     }
                     Err(_) => break,
@@ -300,7 +288,6 @@ impl ParserRegistry {
         Fingerprinted {
             items,
             source: FingerprintSource::ContentBased,
-            parser: "rabin".to_string(),
         }
     }
 }
@@ -353,13 +340,22 @@ mod tests {
         ResourceData::new(path, kind, b"content".to_vec())
     }
 
+    /// The name of the `FixedParser` that produced `fp`, or `"rabin"`
+    /// for content chunking.
+    fn parsed_by(fp: &Fingerprinted) -> &str {
+        match fp.source {
+            FingerprintSource::Parsed => &fp.items[0].segments()[1],
+            FingerprintSource::ContentBased => "rabin",
+        }
+    }
+
     #[test]
     fn vendor_parser_takes_precedence() {
         let mut reg = ParserRegistry::new();
         reg.register_mirage(ResourceKind::Config, Box::new(FixedParser("mirage")));
         reg.register_vendor(ResourceKind::Config, Box::new(FixedParser("vendor")));
         let fp = reg.fingerprint(&res("/etc/x.conf", ResourceKind::Config));
-        assert_eq!(fp.parser, "vendor");
+        assert_eq!(parsed_by(&fp), "vendor");
         assert_eq!(fp.source as u8, FingerprintSource::Parsed as u8);
     }
 
@@ -367,7 +363,7 @@ mod tests {
     fn unclaimed_resource_falls_back_to_rabin() {
         let reg = ParserRegistry::new();
         let fp = reg.fingerprint(&res("/opt/blob", ResourceKind::Binary));
-        assert_eq!(fp.parser, "rabin");
+        assert_eq!(parsed_by(&fp), "rabin");
         assert!(matches!(fp.source, FingerprintSource::ContentBased));
         assert_eq!(fp.items.len(), 1); // "content" is tiny: one chunk
         assert_eq!(fp.items[0].resource(), "/opt/blob");
@@ -379,9 +375,9 @@ mod tests {
         let mut reg = ParserRegistry::new();
         reg.register_vendor_glob(Glob::new("/etc/mysql/**"), Box::new(FixedParser("mycnf")));
         let hit = reg.fingerprint(&res("/etc/mysql/my.cnf", ResourceKind::Config));
-        assert_eq!(hit.parser, "mycnf");
+        assert_eq!(parsed_by(&hit), "mycnf");
         let miss = reg.fingerprint(&res("/etc/apache/httpd.conf", ResourceKind::Config));
-        assert_eq!(miss.parser, "rabin");
+        assert_eq!(parsed_by(&miss), "rabin");
     }
 
     #[test]
@@ -389,7 +385,7 @@ mod tests {
         let mut reg = ParserRegistry::new();
         reg.register_mirage(ResourceKind::Text, Box::new(FailingParser));
         let fp = reg.fingerprint(&res("/etc/motd", ResourceKind::Text));
-        assert_eq!(fp.parser, "rabin");
+        assert_eq!(parsed_by(&fp), "rabin");
     }
 
     #[test]
@@ -397,7 +393,7 @@ mod tests {
         let mut reg = ParserRegistry::new();
         reg.register_mirage(ResourceKind::Executable, Box::new(FixedParser("exe")));
         let fp = reg.fingerprint(&res("/etc/motd", ResourceKind::Text));
-        assert_eq!(fp.parser, "rabin");
+        assert_eq!(parsed_by(&fp), "rabin");
         assert!(!reg.is_empty());
         assert_eq!(reg.len(), 1);
     }

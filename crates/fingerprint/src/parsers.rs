@@ -75,7 +75,7 @@ impl ResourceParser for ExecutableParser {
 /// preserving the version (the libc-compiled-with-different-flags example
 /// in the paper).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct SharedLibraryParser;
+pub(crate) struct SharedLibraryParser;
 
 impl ResourceParser for SharedLibraryParser {
     fn name(&self) -> &str {
@@ -92,34 +92,6 @@ impl ResourceParser for SharedLibraryParser {
             version,
             &hash.short(),
         ])])
-    }
-}
-
-/// Mirage-supplied parser for plain text files.
-///
-/// Produces one `path.line.N.LINE_HASH` item per line.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TextParser;
-
-impl ResourceParser for TextParser {
-    fn name(&self) -> &str {
-        "mirage-text"
-    }
-
-    fn parse(&self, resource: &ResourceData) -> Result<Vec<Item>, ParseError> {
-        let text = resource.text()?;
-        Ok(text
-            .lines()
-            .enumerate()
-            .map(|(i, line)| {
-                Item::new([
-                    resource.path.as_str(),
-                    "line",
-                    &i.to_string(),
-                    &HashValue::of_str(line).short(),
-                ])
-            })
-            .collect())
     }
 }
 
@@ -340,18 +312,10 @@ mod tests {
     }
 
     #[test]
-    fn text_parser_one_item_per_line() {
-        let res = ResourceData::new("/etc/motd", ResourceKind::Text, b"hello\nworld\n".to_vec());
-        let items = TextParser.parse(&res).unwrap();
-        assert_eq!(items.len(), 2);
-        assert_eq!(items[0].segments()[2], "0");
-        assert_eq!(items[1].segments()[2], "1");
-    }
-
-    #[test]
     fn text_parser_rejects_binary() {
         let res = ResourceData::new("/etc/motd", ResourceKind::Text, vec![0xff, 0xfe]);
-        assert!(TextParser.parse(&res).is_err());
+        assert!(res.text().is_err());
+        assert!(IniConfigParser.parse(&res).is_err());
     }
 
     #[test]
@@ -480,86 +444,6 @@ pub mod image {
     /// Renders a simulated shared library image.
     pub fn lib_bytes(name: &str, version: &str, build_hash: u64) -> Vec<u8> {
         format!("LIBSIM\0{name}\0{version}\0{build_hash:016x}\0payload-{build_hash:x}").into_bytes()
-    }
-}
-
-/// Mirage-supplied parser for Windows-registry-style hives.
-///
-/// The paper notes that "the environmental resources on a Windows-based
-/// system would include the registry as well" (§3.2.3). A hive renders
-/// as lines of `\Key\Path\Name = value`; the parser emits one
-/// `path.reg.KEY_PATH.VALUE_HASH` item per entry, giving registry
-/// content the same fine-grained, comment-free treatment as INI
-/// configuration files.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RegistryParser;
-
-impl ResourceParser for RegistryParser {
-    fn name(&self) -> &str {
-        "mirage-registry"
-    }
-
-    fn parse(&self, resource: &ResourceData) -> Result<Vec<Item>, ParseError> {
-        let text = resource.text()?;
-        let mut items = Vec::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with(';') {
-                continue;
-            }
-            let (key, value) = line.split_once('=').ok_or_else(|| ParseError::Malformed {
-                path: resource.path.clone(),
-                reason: format!("line {}: not a registry assignment", lineno + 1),
-            })?;
-            let key = key.trim();
-            if !key.starts_with('\\') {
-                return Err(ParseError::Malformed {
-                    path: resource.path.clone(),
-                    reason: format!("line {}: registry keys start with a backslash", lineno + 1),
-                });
-            }
-            items.push(Item::new([
-                resource.path.as_str(),
-                "reg",
-                key,
-                &HashValue::of_str(value.trim()).short(),
-            ]));
-        }
-        Ok(items)
-    }
-}
-
-#[cfg(test)]
-mod registry_tests {
-    use super::*;
-
-    #[test]
-    fn registry_parser_items() {
-        let content =
-            b"; boot hive\n\\Software\\App\\Version = 2.0\n\\Software\\App\\InstallDir = C:\\App\n";
-        let res = ResourceData::new("HKLM.hive", ResourceKind::Config, content.to_vec());
-        let items = RegistryParser.parse(&res).unwrap();
-        assert_eq!(items.len(), 2);
-        assert_eq!(items[0].segments()[1], "reg");
-        assert_eq!(items[0].segments()[2], "\\Software\\App\\Version");
-        // Value changes change the item; comments do not.
-        let changed = b"\\Software\\App\\Version = 2.1\n\\Software\\App\\InstallDir = C:\\App\n";
-        let res2 = ResourceData::new("HKLM.hive", ResourceKind::Config, changed.to_vec());
-        let items2 = RegistryParser.parse(&res2).unwrap();
-        assert_ne!(items[0], items2[0]);
-        assert_eq!(items[1], items2[1]);
-    }
-
-    #[test]
-    fn registry_parser_rejects_malformed() {
-        let res = ResourceData::new(
-            "HKLM.hive",
-            ResourceKind::Config,
-            b"Software\\App = 1\n".to_vec(),
-        );
-        assert!(RegistryParser.parse(&res).is_err());
-        let res = ResourceData::new("HKLM.hive", ResourceKind::Config, b"no equals\n".to_vec());
-        assert!(RegistryParser.parse(&res).is_err());
     }
 }
 

@@ -110,7 +110,7 @@ fn shift_mod(mut a: u64, n: u32) -> u64 {
 /// [`Arc`](std::sync::Arc)) across the many small resources a machine
 /// fingerprints keeps per-file chunking cheap.
 #[derive(Debug, Clone)]
-pub struct RabinTables {
+pub(crate) struct RabinTables {
     /// `(b * x^63) mod POLY` for the top byte folded on each shift-by-8.
     shift: [u64; 256],
     /// `(b * x^(8*(window-1))) mod POLY` for the byte leaving the window.
@@ -176,7 +176,7 @@ impl RabinHasher {
     }
 
     /// Creates a hasher sharing precomputed tables.
-    pub fn with_tables(tables: std::sync::Arc<RabinTables>) -> Self {
+    pub(crate) fn with_tables(tables: std::sync::Arc<RabinTables>) -> Self {
         let window = tables.window;
         RabinHasher {
             tables,

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::item::{symmetric_difference, Item, ItemSet};
+use crate::item::{symmetric_difference, ItemSet};
 use crate::parser::{FingerprintSource, ParserRegistry, ResourceData};
 
 /// The complete fingerprint of one machine, split by provenance.
@@ -114,12 +114,6 @@ impl DiffSet {
         self.content.symmetric_difference(&other.content).count()
     }
 
-    /// Manhattan distance over *all* items (used for vendor-to-cluster
-    /// distance when ordering deployments).
-    pub fn total_distance(&self, other: &DiffSet) -> usize {
-        self.parsed.symmetric_difference(&other.parsed).count() + self.content_distance(other)
-    }
-
     /// Distance from the vendor reference itself (= size of the diff set).
     pub fn vendor_distance(&self) -> usize {
         self.len()
@@ -131,14 +125,10 @@ impl DiffSet {
     }
 }
 
-/// Convenience: builds an [`ItemSet`] from an iterator of items.
-pub fn item_set<I: IntoIterator<Item = Item>>(items: I) -> ItemSet {
-    items.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::item::Item;
 
     fn item(s: &str) -> Item {
         Item::new(s.split('.').collect::<Vec<_>>())
@@ -193,7 +183,8 @@ mod tests {
             content: [item("c.1")].into_iter().collect(),
         };
         let db = DiffSet::empty("b");
-        assert_eq!(da.total_distance(&db), 2);
+        assert_eq!(da.vendor_distance(), 2);
+        assert_eq!(db.vendor_distance(), 0);
         assert_eq!(da.all_items().len(), 2);
     }
 

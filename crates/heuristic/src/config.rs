@@ -25,14 +25,8 @@ impl HeuristicConfig {
         }
     }
 
-    /// Adds a vendor-specified environmental type.
-    pub fn with_env_type(mut self, kind: ResourceKind) -> Self {
-        self.env_types.insert(kind);
-        self
-    }
-
     /// Returns `true` if `path` falls under a default exclude.
-    pub fn default_excluded(&self, path: &str) -> bool {
+    pub(crate) fn default_excluded(&self, path: &str) -> bool {
         self.default_excludes.iter().any(|g| g.matches(path))
     }
 }
@@ -58,9 +52,9 @@ mod tests {
 
     #[test]
     fn extendable_types() {
-        let c = HeuristicConfig::paper_default()
-            .with_env_type(ResourceKind::Font)
-            .with_env_type(ResourceKind::Theme);
+        let mut c = HeuristicConfig::paper_default();
+        c.env_types.insert(ResourceKind::Font);
+        c.env_types.insert(ResourceKind::Theme);
         assert!(c.env_types.contains(&ResourceKind::Font));
         assert!(c.env_types.contains(&ResourceKind::Theme));
         assert_eq!(c.env_types.len(), 3);

@@ -11,7 +11,7 @@ use crate::rules::RuleSet;
 
 /// Why a path was classified as an environmental resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Provenance {
+pub(crate) enum Provenance {
     /// Accessed during the initialisation phase (longest common prefix).
     InitPhase,
     /// Opened read-only in every trace.
@@ -32,7 +32,7 @@ pub struct Classification {
     /// Environment variables read by the application.
     pub env_vars: BTreeSet<String>,
     /// First-match provenance for each classified path.
-    pub provenance: BTreeMap<String, Provenance>,
+    pub(crate) provenance: BTreeMap<String, Provenance>,
     /// Every path seen in any trace or the manifest (the candidate
     /// universe; the paper's "Files total" counts the traced subset).
     pub universe: BTreeSet<String>,
@@ -685,11 +685,10 @@ mod tests {
                     }
                 },
             );
-            let config = if rng.below(3) == 0 {
-                HeuristicConfig::paper_default().with_env_type(ResourceKind::Config)
-            } else {
-                HeuristicConfig::paper_default()
-            };
+            let mut config = HeuristicConfig::paper_default();
+            if rng.below(3) == 0 {
+                config.env_types.insert(ResourceKind::Config);
+            }
             // Some paths are not on the machine at all.
             let kind_of = |path: &str| (path != "/data/y").then(|| kinds(path)).flatten();
 

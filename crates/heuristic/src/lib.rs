@@ -33,5 +33,5 @@ pub mod rules;
 
 pub use config::HeuristicConfig;
 pub use eval::{evaluate, EvalResult};
-pub use identify::{identify, Classification, Provenance};
+pub use identify::{identify, Classification};
 pub use rules::{expand_templates, Rule, RuleSet, RuleTemplate};

@@ -41,7 +41,7 @@ impl RuleSet {
     }
 
     /// Builds a rule set from rules.
-    pub fn from_rules(rules: Vec<Rule>) -> Self {
+    pub(crate) fn from_rules(rules: Vec<Rule>) -> Self {
         RuleSet { rules }
     }
 
@@ -75,7 +75,7 @@ impl RuleSet {
     }
 
     /// Returns `true` if an exclude rule matches `path`.
-    pub fn excludes(&self, path: &str) -> bool {
+    pub(crate) fn excludes(&self, path: &str) -> bool {
         self.rules
             .iter()
             .any(|r| matches!(r, Rule::Exclude(g) if g.matches(path)))
@@ -155,7 +155,7 @@ impl RuleTemplate {
     ///
     /// Returns `None` when a referenced variable is unset on this
     /// machine (the rule simply does not apply there).
-    pub fn expand(&self, env: &std::collections::BTreeMap<String, String>) -> Option<Rule> {
+    pub(crate) fn expand(&self, env: &std::collections::BTreeMap<String, String>) -> Option<Rule> {
         let mut out = String::new();
         let mut chars = self.pattern.chars().peekable();
         while let Some(c) = chars.next() {

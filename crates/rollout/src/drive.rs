@@ -20,12 +20,10 @@
 
 use std::collections::VecDeque;
 
-use mirage_deploy::{Command, MachineId, ProblemSet, Protocol, Release, SimTime, TestReport};
+use mirage_deploy::{
+    Command, MachineId, ProblemSet, Protocol, Release, SimTime, TestReport, DEFAULT_TICK_INTERVAL,
+};
 use mirage_telemetry::Telemetry;
-
-/// Synthetic decision-clock period for tick-driven protocols (matches
-/// the simulator's default tick interval).
-const TICK_INTERVAL: SimTime = 25;
 
 /// Safety valve: a tick-driven protocol that makes no progress for
 /// this many consecutive ticks is abandoned (the pump returns with the
@@ -92,7 +90,7 @@ where
         if !protocol.wants_ticks() || protocol.done() || stalls >= STALL_CAP {
             return rounds;
         }
-        now += TICK_INTERVAL;
+        now += DEFAULT_TICK_INTERVAL;
         telemetry.journal_time(now);
         stalls += 1;
         // The live fleet has no fault plan, so no stall budget: a

@@ -4,7 +4,7 @@
 //! tick it interrogates the Upgrade Report Repository the fleet is
 //! already depositing into — per-cluster failure rates and the size of
 //! the largest failure group, two scalar queries that render no machine
-//! name — and folds every observation into one [`RolloutHealth`] verdict
+//! name — and folds every observation into one `RolloutHealth` verdict
 //! via the monotone lattice, so the verdict is independent of cluster
 //! iteration order.
 //!
@@ -67,7 +67,7 @@ impl UrrGuard {
 
     /// One sensing pass: queries the repository and joins every
     /// observation into a single verdict.
-    pub fn assess(&self) -> RolloutHealth {
+    pub(crate) fn assess(&self) -> RolloutHealth {
         let mut health = RolloutHealth::clean();
         for cluster in self.urr.cluster_failure_rates() {
             if cluster.successes + cluster.failures < self.settings.min_reports {

@@ -28,7 +28,7 @@
 //!
 //! Health is a monotone lattice ([`RolloutStatus`] /
 //! [`RolloutStatusReason`]): independent per-cluster assessments are
-//! [`RolloutHealth::combine`]d so the overall verdict can only get
+//! `RolloutHealth::combine`d so the overall verdict can only get
 //! worse as evidence accumulates within a tick, never flap with
 //! iteration order.
 //!
@@ -64,4 +64,4 @@ pub use controller::{RollbackInfo, RolloutController, RolloutOutcome};
 pub use drive::{drive, WaveExecutor, WaveOutcome};
 pub use guard::{GuardSettings, UrrGuard};
 pub use plan::{RolloutPlan, RolloutStrategy};
-pub use status::{RolloutHealth, RolloutStatus, RolloutStatusReason};
+pub use status::{RolloutStatus, RolloutStatusReason};

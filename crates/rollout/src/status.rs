@@ -3,7 +3,7 @@
 //! A rollout's health is assessed from many independent observations
 //! (one per reporting cluster, plus fleet-wide regression queries).
 //! Rather than branching on observation *order*, assessments form a
-//! join-semilattice: [`RolloutHealth::combine`] takes the worse of two
+//! join-semilattice: `RolloutHealth::combine` takes the worse of two
 //! verdicts, so folding any permutation of the same observations yields
 //! the same overall verdict, and adding evidence can only hold a
 //! verdict steady or worsen it — never improve it mid-evaluation.
@@ -25,13 +25,13 @@ pub enum RolloutStatus {
 
 impl RolloutStatus {
     /// Monotone join: the worse of the two statuses.
-    pub fn combine(self, other: RolloutStatus) -> RolloutStatus {
+    pub(crate) fn combine(self, other: RolloutStatus) -> RolloutStatus {
         self.max(other)
     }
 }
 
 /// Why a rollout carries its current status, ordered by severity so
-/// the most damning reason wins a [`RolloutHealth::combine`].
+/// the most damning reason wins a `RolloutHealth::combine`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum RolloutStatusReason {
     /// Nothing to report.
@@ -84,7 +84,7 @@ impl RolloutStatusReason {
 /// A `(status, reason)` verdict; the lattice element the guard and
 /// controller fold observations into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RolloutHealth {
+pub(crate) struct RolloutHealth {
     /// Overall status.
     pub status: RolloutStatus,
     /// Most severe contributing reason.
@@ -98,7 +98,7 @@ impl RolloutHealth {
     }
 
     /// A verdict from a single reason (status implied).
-    pub fn from_reason(reason: RolloutStatusReason) -> Self {
+    pub(crate) fn from_reason(reason: RolloutStatusReason) -> Self {
         RolloutHealth {
             status: reason.status(),
             reason,
@@ -107,7 +107,7 @@ impl RolloutHealth {
 
     /// Monotone join: worse status wins; on equal status the more
     /// severe reason wins.
-    pub fn combine(self, other: RolloutHealth) -> RolloutHealth {
+    pub(crate) fn combine(self, other: RolloutHealth) -> RolloutHealth {
         RolloutHealth {
             status: self.status.combine(other.status),
             reason: self.reason.max(other.reason),

@@ -26,9 +26,9 @@ use mirage_fingerprint::parsers::{mirage_default_registry, HttpdConfParser};
 use mirage_fingerprint::{Glob, ParserRegistry, ResourceKind};
 
 /// Path of the main Apache configuration file.
-pub const HTTPD_CONF: &str = "/etc/apache/httpd.conf";
+pub(crate) const HTTPD_CONF: &str = "/etc/apache/httpd.conf";
 /// Path of the included access-control file.
-pub const ACL_CONF: &str = "/etc/apache/acl.conf";
+pub(crate) const ACL_CONF: &str = "/etc/apache/acl.conf";
 
 fn httpd_conf(with_include: bool, keepalive: Option<&str>) -> File {
     let mut lines = vec![
@@ -62,7 +62,7 @@ pub fn repository() -> Repository {
 }
 
 /// The Apache application spec.
-pub fn apache_spec() -> ApplicationSpec {
+pub(crate) fn apache_spec() -> ApplicationSpec {
     ApplicationSpec::new("apache", "apache", "/usr/sbin/httpd")
         .reads(HTTPD_CONF)
         .probes(ACL_CONF)
@@ -98,7 +98,7 @@ pub fn build_machine(
 }
 
 /// The 1.3.26 upgrade with the Include/ACL problem \[3\].
-pub fn acl_upgrade() -> Upgrade {
+pub(crate) fn acl_upgrade() -> Upgrade {
     Upgrade::new(
         Package::new("apache", Version::new(1, 3, 26)).with_file(File::executable(
             "/usr/sbin/httpd",
@@ -246,7 +246,6 @@ mod tests {
     use super::*;
     use mirage_core::{Campaign, ProtocolChoice, RolloutPlan, RolloutStrategy};
     use mirage_deploy::DeployPlan;
-    use mirage_testing::{FailureKind, Validator};
 
     #[test]
     fn acl_machines_cluster_separately() {
@@ -277,27 +276,5 @@ mod tests {
         let groups = campaign.urr.failure_groups();
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].machines.len(), 1);
-    }
-
-    #[test]
-    fn slimserver_packaging_problem_and_corrected_package() {
-        let (repo, machine, broken, fixed) = slimserver_scenario();
-        let mut agent = UserAgent::new(machine);
-        agent.collect("slimserver", RunInput::new("scan"));
-        // 6.5.1 fails validation: the server cannot start without the
-        // v2 database the package never shipped.
-        let report = Validator::new().validate(&agent.machine, &repo, &broken, &agent.runs);
-        assert!(!report.passed());
-        assert!(matches!(
-            report.first_failure().unwrap().1,
-            FailureKind::Crash { .. } | FailureKind::Integration { .. }
-        ));
-        // 6.5.2 ships the database: the very same problem spec can no
-        // longer trigger, and validation passes.
-        let report = Validator::new().validate(&agent.machine, &repo, &fixed, &agent.runs);
-        assert!(report.passed(), "{report:?}");
-        // The live machine integrates cleanly.
-        assert!(agent.integrate(&repo, &fixed));
-        assert!(agent.machine.fs.contains("/srv/slimserver/library-v2.db"));
     }
 }

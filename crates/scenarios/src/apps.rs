@@ -94,7 +94,7 @@ fn config_file(path: String) -> File {
 
 /// Builds the PHP model: 215 files, 206 environmental resources,
 /// no misclassifications, no rules.
-pub fn php_model() -> AppModel {
+pub(crate) fn php_model() -> AppModel {
     let mut repo = Repository::new();
     let mut pkg = Package::new("php", Version::new(4, 4, 6)).with_file(File::executable(
         "/usr/bin/php",
@@ -167,7 +167,7 @@ pub fn php_model() -> AppModel {
 
 /// Builds the Apache model: 400 files, 251 environmental resources,
 /// 133 false positives (access log + popular HTML), 2 rules.
-pub fn apache_model() -> AppModel {
+pub(crate) fn apache_model() -> AppModel {
     let mut repo = Repository::new();
     let mut pkg = Package::new("apache", Version::new(1, 3, 26)).with_file(File::executable(
         "/usr/sbin/httpd",
@@ -239,7 +239,7 @@ pub fn apache_model() -> AppModel {
 
 /// Builds the MySQL model: 286 files, 250 environmental resources,
 /// 33 false negatives (the database directory), 1 rule.
-pub fn mysql_model() -> AppModel {
+pub(crate) fn mysql_model() -> AppModel {
     let mut repo = Repository::new();
     let mut pkg = Package::new("mysql", Version::new(4, 1, 22)).with_file(File::executable(
         "/usr/sbin/mysqld",
@@ -303,7 +303,7 @@ pub fn mysql_model() -> AppModel {
 
 /// Builds the Firefox model: 907 files, 839 environmental resources,
 /// 1 false positive, 23 false negatives, 7 rules.
-pub fn firefox_model() -> AppModel {
+pub(crate) fn firefox_model() -> AppModel {
     let mut repo = Repository::new();
     let mut pkg = Package::new("firefox", Version::new(1, 5, 7)).with_file(File::executable(
         "/usr/bin/firefox",

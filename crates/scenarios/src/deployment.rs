@@ -23,7 +23,7 @@ use mirage_sim::{latency_cdf, Scenario, ScenarioBuilder, SimTime, Simulation};
 /// Number of clusters in the paper's scenario.
 pub const CLUSTERS: usize = 20;
 /// Machines per cluster.
-pub const CLUSTER_SIZE: usize = 5_000;
+pub(crate) const CLUSTER_SIZE: usize = 5_000;
 /// The prevalent problem's name.
 pub const PREVALENT: &str = "prevalent";
 /// First non-prevalent problem.
@@ -66,7 +66,10 @@ pub fn sound_scenario(placement: ProblemPlacement) -> Scenario {
 /// Builds the imperfect-clustering scenario: sound base plus one
 /// misplaced (problematic, non-representative) machine in the given
 /// cluster.
-pub fn imperfect_scenario(placement: ProblemPlacement, misplaced_cluster: usize) -> Scenario {
+pub(crate) fn imperfect_scenario(
+    placement: ProblemPlacement,
+    misplaced_cluster: usize,
+) -> Scenario {
     let (prevalent, rare_a, rare_b) = placement.clusters();
     ScenarioBuilder::new()
         .clusters(CLUSTERS, CLUSTER_SIZE, 1)

@@ -29,7 +29,7 @@ use mirage_fingerprint::{ParserRegistry, ResourceKind};
 
 /// One Table 3 configuration.
 #[derive(Debug, Clone)]
-pub struct MachineConfig {
+pub(crate) struct MachineConfig {
     /// Machine name as printed in Table 3.
     pub name: &'static str,
     /// Upgraded from 1.0.4 (carries the legacy preference files).
@@ -41,7 +41,7 @@ pub struct MachineConfig {
 }
 
 /// The Table 3 machine list.
-pub fn table3_configs() -> Vec<MachineConfig> {
+pub(crate) fn table3_configs() -> Vec<MachineConfig> {
     vec![
         MachineConfig {
             name: "firefox15-fresh",
@@ -83,14 +83,14 @@ pub fn table3_configs() -> Vec<MachineConfig> {
 }
 
 /// Path of the preferences file.
-pub const PREFS_PATH: &str = "/home/user/.mozilla/firefox/prefs.js";
+pub(crate) const PREFS_PATH: &str = "/home/user/.mozilla/firefox/prefs.js";
 /// Path of the first legacy preference file (1.0.x era).
-pub const LEGACY_USERJS: &str = "/home/user/.mozilla/firefox/user.js";
+pub(crate) const LEGACY_USERJS: &str = "/home/user/.mozilla/firefox/user.js";
 /// Path of the second legacy file (1.0.x era, opaque format).
-pub const LEGACY_LOCALSTORE: &str = "/home/user/.mozilla/firefox/localstore.rdf";
+pub(crate) const LEGACY_LOCALSTORE: &str = "/home/user/.mozilla/firefox/localstore.rdf";
 
 /// Builds a machine's `prefs.js`.
-pub fn prefs_doc(nojava: bool, noise: u64) -> PrefsDoc {
+pub(crate) fn prefs_doc(nojava: bool, noise: u64) -> PrefsDoc {
     PrefsDoc::new()
         .pref("javascript.enabled", if nojava { "false" } else { "true" })
         .pref("java.enabled", if nojava { "false" } else { "true" })
@@ -103,7 +103,7 @@ pub fn prefs_doc(nojava: bool, noise: u64) -> PrefsDoc {
 }
 
 /// The Firefox package repository (1.5.0.7 installed, 2.0 upgrade).
-pub fn repository() -> Repository {
+pub(crate) fn repository() -> Repository {
     let mut repo = Repository::new();
     repo.publish(
         Package::new("firefox", Version::new(1, 5, 7))
@@ -119,7 +119,7 @@ pub fn repository() -> Repository {
 }
 
 /// The Firefox application behaviour spec.
-pub fn firefox_spec() -> ApplicationSpec {
+pub(crate) fn firefox_spec() -> ApplicationSpec {
     ApplicationSpec::new("firefox", "firefox", "/usr/bin/firefox")
         .reads("/usr/lib/libxul.so")
         .probes(PREFS_PATH)
@@ -135,7 +135,7 @@ pub fn firefox_spec() -> ApplicationSpec {
 }
 
 /// Builds one Table 3 machine.
-pub fn build_machine(config: &MachineConfig, repo: &Repository) -> mirage_env::Machine {
+pub(crate) fn build_machine(config: &MachineConfig, repo: &Repository) -> mirage_env::Machine {
     let mut builder = MachineBuilder::new(config.name)
         .env_var("HOME", "/home/user")
         .install(repo, "firefox", VersionReq::Any)
@@ -170,7 +170,7 @@ pub fn build_machine(config: &MachineConfig, repo: &Repository) -> mirage_env::M
 }
 
 /// The vendor's reference machine: a fresh 1.5.0.7 install.
-pub fn vendor_reference(repo: &Repository) -> mirage_env::Machine {
+pub(crate) fn vendor_reference(repo: &Repository) -> mirage_env::Machine {
     build_machine(
         &MachineConfig {
             name: "vendor-reference",
@@ -183,7 +183,7 @@ pub fn vendor_reference(repo: &Repository) -> mirage_env::Machine {
 }
 
 /// The Firefox 2.0 upgrade with the legacy-preferences problem.
-pub fn firefox2_upgrade() -> Upgrade {
+pub(crate) fn firefox2_upgrade() -> Upgrade {
     Upgrade::new(
         Package::new("firefox", Version::new(2, 0, 0))
             .with_file(File::executable("/usr/bin/firefox", "firefox", 2000))
@@ -201,7 +201,7 @@ pub fn firefox2_upgrade() -> Upgrade {
 }
 
 /// The vendor registry with the Firefox preferences parser (Figure 8).
-pub fn full_registry() -> ParserRegistry {
+pub(crate) fn full_registry() -> ParserRegistry {
     let mut registry = mirage_default_registry();
     registry.register_vendor(
         ResourceKind::Prefs,
@@ -211,7 +211,7 @@ pub fn full_registry() -> ParserRegistry {
 }
 
 /// Ground-truth behaviour under [`firefox2_upgrade`].
-pub fn behavior_map() -> BTreeMap<String, String> {
+pub(crate) fn behavior_map() -> BTreeMap<String, String> {
     table3_configs()
         .into_iter()
         .filter(|c| c.from10)

@@ -35,7 +35,7 @@ use mirage_fingerprint::{Glob, ImportanceFilter, ParserRegistry};
 
 /// Distribution of a machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Distro {
+pub(crate) enum Distro {
     /// Fedora Core 5 (libc 2.5, ships `/etc/mysql/my.cnf`).
     Fc5,
     /// Ubuntu 6.06 Dapper Drake (libc 2.3, no default `my.cnf`).
@@ -44,7 +44,7 @@ pub enum Distro {
 
 /// How a machine's `/etc/mysql/my.cnf` differs from the standard one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MyCnf {
+pub(crate) enum MyCnf {
     /// No `/etc/mysql/my.cnf` at all.
     Absent,
     /// The standard file.
@@ -65,11 +65,11 @@ pub struct MachineConfig {
     /// Machine name as printed in Table 2.
     pub name: &'static str,
     /// Distribution.
-    pub distro: Distro,
+    pub(crate) distro: Distro,
     /// Whether libc was upgraded (Ubuntu only in Table 2).
     pub libc_upgraded: bool,
     /// `my.cnf` state.
-    pub mycnf: MyCnf,
+    pub(crate) mycnf: MyCnf,
     /// Has a user-level `$HOME/.my.cnf` (triggers the legacy problem).
     pub user_config: bool,
     /// PHP 4.4.6 installed (triggers the broken-dependency problem).
@@ -173,7 +173,7 @@ pub fn table2_configs() -> Vec<MachineConfig> {
 }
 
 /// The standard `my.cnf` content.
-pub fn standard_mycnf() -> IniDoc {
+pub(crate) fn standard_mycnf() -> IniDoc {
     IniDoc::new()
         .comment("The MySQL database server configuration file.")
         .section("mysqld")
@@ -368,7 +368,7 @@ pub fn full_registry() -> ParserRegistry {
 }
 
 /// Ground-truth behaviour of each machine under [`mysql5_upgrade`].
-pub fn behavior_map() -> BTreeMap<String, String> {
+pub(crate) fn behavior_map() -> BTreeMap<String, String> {
     let mut map = BTreeMap::new();
     for config in table2_configs() {
         if config.php4 {

@@ -51,7 +51,7 @@ impl Experience {
     ];
 
     /// Returns `true` for more than five years of experience.
-    pub fn more_than_five_years(self) -> bool {
+    pub(crate) fn more_than_five_years(self) -> bool {
         matches!(self, Experience::Y5to10 | Experience::Y10plus)
     }
 
@@ -101,7 +101,7 @@ impl Frequency {
     ];
 
     /// Returns `true` for at least monthly.
-    pub fn at_least_monthly(self) -> bool {
+    pub(crate) fn at_least_monthly(self) -> bool {
         matches!(
             self,
             Frequency::MoreThanWeekly
@@ -128,7 +128,7 @@ impl Frequency {
 
 /// Testing strategy kinds (§2.2 "Testing strategies").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
+pub(crate) enum Strategy {
     /// No strategy at all.
     None,
     /// A dedicated testing environment.
@@ -146,7 +146,7 @@ pub enum Strategy {
 
 /// Per-reason importance ranks (1 = most important, 5 = least).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReasonRanks {
+pub(crate) struct ReasonRanks {
     /// Bug fixes.
     pub bug_fix: u8,
     /// Security patches.
@@ -190,11 +190,11 @@ pub struct Respondent {
     /// How often they upgrade.
     pub frequency: Frequency,
     /// Reason importance ranks.
-    pub reasons: ReasonRanks,
+    pub(crate) reasons: ReasonRanks,
     /// Refrains from installing upgrades.
     pub refrains: bool,
     /// Testing strategy.
-    pub strategy: Strategy,
+    pub(crate) strategy: Strategy,
     /// Perceived upgrade failure rate (percent).
     pub failure_rate_pct: u8,
     /// Experienced problems that passed initial testing.

@@ -12,7 +12,7 @@
 //! inside the wheel horizon).
 //!
 //! The previous `BinaryHeap`+slab implementation survives as
-//! [`crate::runner::reference::HeapEventQueue`] for the equivalence
+//! `runner::reference::HeapEventQueue` for the equivalence
 //! property tests.
 
 use std::collections::BTreeMap;
@@ -30,7 +30,7 @@ const WHEEL: usize = 2048;
 /// Events processed by the simulation. A small `Copy` value: the queue
 /// and the runner pass events by value with no allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
+pub(crate) enum Event {
     /// A machine finished downloading and testing a release.
     TestDone {
         /// The machine that tested.
@@ -114,7 +114,7 @@ impl<T> Bucket<T> {
 ///   could acquire same-time events (a same-time wheel insert while the
 ///   overflow entry exists is redirected to the overflow entry).
 #[derive(Debug)]
-pub struct EventQueue<T: Copy = Event> {
+pub(crate) struct EventQueue<T: Copy = Event> {
     buckets: Vec<Bucket<T>>,
     /// Next timestamp to drain; only advances.
     cursor: SimTime,
@@ -238,7 +238,7 @@ impl<T: Copy> EventQueue<T> {
     /// returns it without popping (`None` when the queue is empty).
     /// Amortised O(1): any cursor advancement done here is work the
     /// next `pop`/`pop_bucket` would have done anyway.
-    pub fn next_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn next_time(&mut self) -> Option<SimTime> {
         if self.len == 0 {
             return None;
         }
@@ -270,7 +270,7 @@ impl<T: Copy> EventQueue<T> {
     /// instead of per-event pops or a copy: the bucket keeps `out`'s old
     /// (cleared) allocation, so events scheduled at the same timestamp
     /// meanwhile queue there, behind the ones taken.
-    pub fn pop_bucket(&mut self, out: &mut Vec<T>) -> Option<SimTime> {
+    pub(crate) fn pop_bucket(&mut self, out: &mut Vec<T>) -> Option<SimTime> {
         let t = self.next_time()?;
         let bucket = &mut self.buckets[(t % WHEEL as SimTime) as usize];
         let n = bucket.pending();
@@ -300,11 +300,6 @@ impl<T: Copy> EventQueue<T> {
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -337,7 +332,7 @@ mod tests {
         assert_eq!(q.pop().unwrap().0, 10);
         assert_eq!(q.pop().unwrap().0, 20);
         assert!(q.pop().is_none());
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -375,7 +370,7 @@ mod tests {
         assert_eq!(q.pop().unwrap(), (3, test_done(0)));
         // The cursor jumps straight to the overflow batch.
         assert_eq!(q.pop().unwrap(), (1_000_000, test_done(9)));
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -410,7 +405,7 @@ mod tests {
         for (t, i) in expected {
             assert_eq!(q.pop().unwrap(), (t, test_done(i)));
         }
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -472,7 +467,7 @@ mod tests {
             out.iter().map(|&e| machine_of(e)).collect::<Vec<_>>(),
             [5, 6]
         );
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.pop_bucket(&mut out), None);
     }
 
@@ -487,7 +482,7 @@ mod tests {
         assert_eq!(q.pop_bucket(&mut out), Some(3));
         assert_eq!(out, vec![(10, 1), (11, 2)]);
         q.reset();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.next_time(), None);
         // A reset queue starts over at time 0.
         q.schedule(1, (0, 9));
@@ -540,6 +535,6 @@ mod tests {
             let (qt, qe) = q.pop().expect("model non-empty");
             assert_eq!((qt, machine_of(qe)), (t, m));
         }
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 }

@@ -33,20 +33,18 @@
 //! concrete plan by [`crate::ScenarioBuilder::build`] (cluster indexes
 //! become machine ids).
 
-use mirage_deploy::{DeployPlan, MachineId};
+use mirage_deploy::{DeployPlan, MachineId, DEFAULT_TICK_INTERVAL};
 
 use crate::engine::SimTime;
 
 /// Default base delay before the first re-notification retry.
-pub const DEFAULT_RETRY_BASE: SimTime = 40;
+pub(crate) const DEFAULT_RETRY_BASE: SimTime = 40;
 /// Default cap on the backoff exponent (`base << cap` is the largest
 /// retry delay: 40 << 6 = 2 560 ticks).
-pub const DEFAULT_RETRY_BACKOFF_CAP: u32 = 6;
-/// Default interval between protocol ticks.
-pub const DEFAULT_TICK_INTERVAL: SimTime = 25;
+pub(crate) const DEFAULT_RETRY_BACKOFF_CAP: u32 = 6;
 /// Default bound on the number of ticks a run may issue (a safety
 /// valve: no fault combination can hang the simulator).
-pub const DEFAULT_MAX_TICKS: u64 = 100_000;
+pub(crate) const DEFAULT_MAX_TICKS: u64 = 100_000;
 
 /// A complete, lowered fault-injection plan carried by a
 /// [`crate::Scenario`]. Per-machine directives are keyed by dense
@@ -117,7 +115,7 @@ impl FaultPlan {
 
     /// Delay before retry number `attempt` (0-based): exponential
     /// backoff `retry_base << min(attempt, cap)`.
-    pub fn retry_delay(&self, attempt: u32) -> SimTime {
+    pub(crate) fn retry_delay(&self, attempt: u32) -> SimTime {
         self.retry_base
             .saturating_mul(1 << attempt.min(self.retry_backoff_cap))
     }
@@ -158,9 +156,6 @@ pub struct FaultSpec {
     duplication: f64,
     max_delay: SimTime,
     retry: Option<(SimTime, u32)>,
-    max_retries: Option<u32>,
-    tick_interval: Option<SimTime>,
-    max_ticks: Option<u64>,
     rep_timeout: Option<SimTime>,
     /// `(cluster, count, leave, rejoin)` — take `count` non-reps of
     /// `cluster` away during `[leave, rejoin)`.
@@ -179,9 +174,6 @@ impl FaultSpec {
             duplication: 0.0,
             max_delay: 0,
             retry: None,
-            max_retries: None,
-            tick_interval: None,
-            max_ticks: None,
             rep_timeout: None,
             churn: Vec::new(),
             crash_reps: Vec::new(),
@@ -209,24 +201,6 @@ impl FaultSpec {
     /// Overrides the retry backoff parameters (base delay, exponent cap).
     pub fn retry(mut self, base: SimTime, backoff_cap: u32) -> Self {
         self.retry = Some((base, backoff_cap));
-        self
-    }
-
-    /// Caps the number of re-notification retries per (machine, release).
-    pub fn max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = Some(retries);
-        self
-    }
-
-    /// Overrides the protocol tick interval.
-    pub fn tick_interval(mut self, interval: SimTime) -> Self {
-        self.tick_interval = Some(interval);
-        self
-    }
-
-    /// Overrides the per-run tick budget (safety valve).
-    pub fn max_ticks(mut self, ticks: u64) -> Self {
-        self.max_ticks = Some(ticks);
         self
     }
 
@@ -301,9 +275,9 @@ impl FaultSpec {
             max_delay: self.max_delay,
             retry_base,
             retry_backoff_cap,
-            max_retries: self.max_retries,
-            tick_interval: self.tick_interval.unwrap_or(DEFAULT_TICK_INTERVAL),
-            max_ticks: self.max_ticks.unwrap_or(DEFAULT_MAX_TICKS),
+            max_retries: None,
+            tick_interval: DEFAULT_TICK_INTERVAL,
+            max_ticks: DEFAULT_MAX_TICKS,
             rep_timeout: self.rep_timeout,
             churn,
         }
@@ -314,7 +288,7 @@ impl FaultSpec {
 /// deterministic, and dependency-free (the workspace builds offline —
 /// no external `rand`).
 #[derive(Debug, Clone)]
-pub struct FaultRng(u64);
+pub(crate) struct FaultRng(u64);
 
 impl FaultRng {
     /// Seeds the stream (golden-ratio scrambled so nearby seeds give
@@ -336,7 +310,7 @@ impl FaultRng {
     }
 
     /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 ^= self.0 << 13;
         self.0 ^= self.0 >> 7;
         self.0 ^= self.0 << 17;
@@ -344,12 +318,12 @@ impl FaultRng {
     }
 
     /// Uniform draw in `[0, 1)` (53-bit mantissa).
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Uniform draw in `0..=max`.
-    pub fn below_inclusive(&mut self, max: u64) -> u64 {
+    pub(crate) fn below_inclusive(&mut self, max: u64) -> u64 {
         if max == 0 {
             0
         } else {
@@ -372,7 +346,7 @@ impl FaultRng {
 /// stream can never reach (`new` forces the low bit), so a fresh table
 /// is one cheap zeroed allocation.
 #[derive(Debug, Clone)]
-pub struct RngLanes {
+pub(crate) struct RngLanes {
     seed: u64,
     lanes: Vec<FaultRng>,
 }

@@ -37,7 +37,7 @@
 //! A scenario built with [`ScenarioBuilder::with_urr`] additionally
 //! deposits every vendor-received outcome into a shared
 //! [`mirage_report::Urr`] through the buffered, fully interned
-//! [`urr_sink`] bridge, so a simulation run leaves behind a queryable
+//! `urr_sink` bridge, so a simulation run leaves behind a queryable
 //! Upgrade Report Repository (paper §3.4 meets §4.3).
 //!
 //! A run keeps one copy of the fleet's names however many machines it
@@ -57,14 +57,13 @@ pub mod parallel;
 pub mod rollout;
 pub mod runner;
 pub mod scenario;
-pub mod urr_sink;
+mod urr_sink;
 mod vendor;
 
-pub use engine::{Event, EventQueue, SimTime};
-pub use faults::{FaultPlan, FaultRng, FaultSpec, RngLanes};
+pub use engine::SimTime;
+pub use faults::{FaultPlan, FaultSpec};
 pub use metrics::{latency_cdf, ClusterLatency, SimMetrics};
 pub use parallel::run_parallel_in;
 pub use rollout::run_rollout_with_telemetry;
 pub use runner::{SimArena, Simulation};
 pub use scenario::{Scenario, ScenarioBuilder, Timings};
-pub use urr_sink::UrrSink;

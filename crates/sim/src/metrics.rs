@@ -6,9 +6,7 @@
 //! boundary via the `*_named` helpers, which take the plan/table that
 //! owns the names.
 
-use std::collections::BTreeMap;
-
-use mirage_deploy::{ceil_threshold, DeployPlan, MachineId, ProblemId, ProblemTable};
+use mirage_deploy::{ceil_threshold, DeployPlan, MachineId, ProblemId};
 
 use crate::engine::SimTime;
 
@@ -97,29 +95,6 @@ impl SimMetrics {
             .flatten()
     }
 
-    /// Pass time of a named machine (boundary helper).
-    pub fn pass_time_named(&self, plan: &DeployPlan, machine: &str) -> Option<SimTime> {
-        self.pass_time(plan.machine_id(machine)?)
-    }
-
-    /// Name-keyed view of the pass times (boundary helper for
-    /// rendering and tests).
-    pub fn machine_pass_time_named(&self, plan: &DeployPlan) -> BTreeMap<String, SimTime> {
-        self.machine_pass_time
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.map(|t| (plan.machine_name(MachineId(i as u32)).to_string(), t)))
-            .collect()
-    }
-
-    /// Discovered problem names in discovery order (boundary helper).
-    pub fn problems_discovered_named(&self, problems: &ProblemTable) -> Vec<String> {
-        self.problems_discovered
-            .iter()
-            .map(|&p| problems.name(p).to_string())
-            .collect()
-    }
-
     /// The latest pass time across the fleet, if any machine passed.
     pub fn max_pass_time(&self) -> Option<SimTime> {
         self.machine_pass_time.iter().flatten().copied().max()
@@ -151,32 +126,6 @@ impl SimMetrics {
                 }
             })
             .collect()
-    }
-
-    /// Per-*machine* latency CDF points `(time, fraction of machines)`.
-    ///
-    /// The paper plots per-cluster latency because its clusters are all
-    /// equal-sized; with heterogeneous clusters the per-machine CDF is
-    /// the fairer view. `total` is the fleet size (machines that never
-    /// passed keep the CDF below 1.0).
-    pub fn machine_latency_cdf(&self, total: usize) -> Vec<(SimTime, f64)> {
-        if total == 0 {
-            return Vec::new();
-        }
-        let mut times: Vec<SimTime> = self.machine_pass_time.iter().flatten().copied().collect();
-        times.sort_unstable();
-        let mut points: Vec<(SimTime, f64)> = Vec::new();
-        for (i, t) in times.iter().enumerate() {
-            let fraction = (i + 1) as f64 / total as f64;
-            if let Some((lt, lf)) = points.last_mut() {
-                if *lt == *t {
-                    *lf = fraction;
-                    continue;
-                }
-            }
-            points.push((*t, fraction));
-        }
-        points
     }
 }
 
@@ -210,6 +159,7 @@ pub fn latency_cdf(latencies: &[ClusterLatency]) -> Vec<(SimTime, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mirage_deploy::ProblemTable;
 
     fn plan2() -> DeployPlan {
         DeployPlan::from_named([
@@ -283,27 +233,16 @@ mod tests {
     }
 
     #[test]
-    fn machine_cdf_counts_fleet_fraction() {
-        let p = DeployPlan::from_named([(["a", "b", "c", "d"], 1usize, 0.0)]);
-        let m = metrics(&p, &[("a", 15), ("b", 15), ("c", 500)]);
-        // Fleet of 4; one machine never passed.
-        let cdf = m.machine_latency_cdf(4);
-        assert_eq!(cdf, vec![(15, 0.5), (500, 0.75)]);
-        assert!(m.machine_latency_cdf(0).is_empty());
-    }
-
-    #[test]
     fn boundary_helpers_render_names() {
         let p = plan2();
         let m = metrics(&p, &[("b", 30), ("c", 20)]);
         assert_eq!(m.passed_count(), 2);
-        assert_eq!(m.pass_time_named(&p, "b"), Some(30));
-        assert_eq!(m.pass_time_named(&p, "a"), None);
-        assert_eq!(m.pass_time_named(&p, "zzz"), None);
+        let named = |name: &str| m.pass_time(p.machine_id(name)?);
+        assert_eq!(named("b"), Some(30));
+        assert_eq!(named("a"), None);
+        assert_eq!(named("zzz"), None);
+        assert_eq!(named("c"), Some(20));
         assert_eq!(m.max_pass_time(), Some(30));
-        let named = m.machine_pass_time_named(&p);
-        assert_eq!(named.len(), 2);
-        assert_eq!(named["c"], 20);
 
         let mut problems = ProblemTable::new();
         let prev = problems.intern("prevalent");
@@ -311,10 +250,12 @@ mod tests {
             problems_discovered: vec![prev],
             ..SimMetrics::default()
         };
-        assert_eq!(
-            m.problems_discovered_named(&problems),
-            vec!["prevalent".to_string()]
-        );
+        let discovered: Vec<&str> = m
+            .problems_discovered
+            .iter()
+            .map(|&p| problems.name(p))
+            .collect();
+        assert_eq!(discovered, ["prevalent"]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! scenario, an optional telemetry handle and an optional
 //! [`SimArena`], whose [`run`](Simulation::run) feeds the shared vendor
 //! side (`vendor.rs`) off one calendar queue, a whole timestamp at a
-//! time ([`EventQueue::pop_bucket`]).
+//! time (`EventQueue::pop_bucket`).
 //!
 //! Bucket order is sequential order. The queue is FIFO within a
 //! timestamp, so a bucket holds its events in the order a loop popping
@@ -297,6 +297,11 @@ mod tests {
     use crate::scenario::ScenarioBuilder;
     use mirage_deploy::ProtocolChoice;
 
+    /// Pass time of the named machine of `s`, if it passed.
+    pub(super) fn pass_time(m: &SimMetrics, s: &Scenario, machine: &str) -> Option<SimTime> {
+        m.pass_time(s.plan.machine_id(machine)?)
+    }
+
     /// 4 clusters × 3 machines; cluster 2 carries problem "p".
     fn small_scenario() -> Scenario {
         ScenarioBuilder::new()
@@ -317,9 +322,9 @@ mod tests {
         assert_eq!(m.releases_shipped, 1);
         assert_eq!(m.passed_count(), 12);
         // Healthy machines pass at download+test = 15.
-        assert_eq!(m.pass_time_named(&s.plan, "c00-m00000"), Some(15));
+        assert_eq!(pass_time(&m, &s, "c00-m00000"), Some(15));
         // Problem machines: fail at 15, fix done at 515, retest at 530.
-        assert_eq!(m.pass_time_named(&s.plan, "c02-m00000"), Some(530));
+        assert_eq!(pass_time(&m, &s, "c02-m00000"), Some(530));
         assert_eq!(m.completion_time, Some(530));
     }
 
@@ -331,17 +336,14 @@ mod tests {
         assert!(p.done());
         // Only the problem cluster's representative failed.
         assert_eq!(m.failed_tests, 1);
-        assert_eq!(
-            m.problems_discovered_named(&s.problems),
-            vec!["p".to_string()]
-        );
+        assert_eq!(m.problems_discovered, [s.problems.id("p").unwrap()]);
         // Clusters 0,1 complete before the problem cluster stalls:
         // c0: rep 15, nonreps 30. c1: 45/60. c2 rep fails at 75;
         // fix at 575; rep passes 590; nonreps 605. c3: 620/635.
-        assert_eq!(m.pass_time_named(&s.plan, "c00-m00001"), Some(30));
-        assert_eq!(m.pass_time_named(&s.plan, "c01-m00001"), Some(60));
-        assert_eq!(m.pass_time_named(&s.plan, "c02-m00000"), Some(590));
-        assert_eq!(m.pass_time_named(&s.plan, "c02-m00001"), Some(605));
+        assert_eq!(pass_time(&m, &s, "c00-m00001"), Some(30));
+        assert_eq!(pass_time(&m, &s, "c01-m00001"), Some(60));
+        assert_eq!(pass_time(&m, &s, "c02-m00000"), Some(590));
+        assert_eq!(pass_time(&m, &s, "c02-m00001"), Some(605));
         assert_eq!(m.completion_time, Some(635));
     }
 
@@ -355,9 +357,9 @@ mod tests {
         // re-test passes at 530. Phase 2 (desc distance: c3, c2, c1, c0):
         // c3 non-reps 545, c2 560, c1 575, c0 590.
         assert_eq!(m.failed_tests, 1);
-        assert_eq!(m.pass_time_named(&s.plan, "c03-m00001"), Some(545));
-        assert_eq!(m.pass_time_named(&s.plan, "c02-m00001"), Some(560));
-        assert_eq!(m.pass_time_named(&s.plan, "c00-m00001"), Some(590));
+        assert_eq!(pass_time(&m, &s, "c03-m00001"), Some(545));
+        assert_eq!(pass_time(&m, &s, "c02-m00001"), Some(560));
+        assert_eq!(pass_time(&m, &s, "c00-m00001"), Some(590));
         assert_eq!(m.completion_time, Some(590));
     }
 
@@ -470,7 +472,7 @@ mod tests {
         let m = Simulation::new(&s).run(&mut p);
         // Cluster 1 proceeds at 30 without waiting for the fix: rep 45,
         // non-reps 60. The misplaced machine still completes at 545.
-        assert_eq!(m.pass_time_named(&s.plan, "c01-m00003"), Some(60));
+        assert_eq!(pass_time(&m, &s, "c01-m00003"), Some(60));
         assert_eq!(m.completion_time, Some(545));
     }
 
@@ -552,6 +554,7 @@ mod scale_tests {
 
 #[cfg(test)]
 mod extension_tests {
+    use super::tests::pass_time;
     use super::*;
     use crate::scenario::ScenarioBuilder;
     use mirage_deploy::ProtocolChoice;
@@ -569,14 +572,14 @@ mod extension_tests {
             .run(&mut ProtocolChoice::Balanced.build(s.plan.clone(), s.threshold));
         // Everyone, including the late arrival, eventually passes.
         assert_eq!(m.passed_count(), 8);
-        let offline = &s.offline_machine_names()[0];
+        let offline = s.offline_until.iter().position(|&t| t > 0).unwrap();
         assert_eq!(
-            m.pass_time_named(&s.plan, offline),
+            m.pass_time(MachineId(offline as u32)),
             Some(215),
             "online at 200 + cycle 15"
         );
         // The second cluster did not wait for it: its rep passed at 45.
-        assert_eq!(m.pass_time_named(&s.plan, "c01-m00000"), Some(45));
+        assert_eq!(pass_time(&m, &s, "c01-m00000"), Some(45));
     }
 
     #[test]
@@ -588,7 +591,7 @@ mod extension_tests {
             .offline_machines(0, 1, 200)
             .build();
         let m = Simulation::new(&s).run(&mut ProtocolChoice::Balanced.build(s.plan.clone(), 1.0));
-        assert!(m.pass_time_named(&s.plan, "c01-m00000").unwrap() > 200);
+        assert!(pass_time(&m, &s, "c01-m00000").unwrap() > 200);
     }
 
     #[test]

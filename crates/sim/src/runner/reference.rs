@@ -29,7 +29,7 @@ use crate::scenario::Scenario;
 
 /// Events processed by the reference simulation (string payloads).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NamedEvent {
+pub(crate) enum NamedEvent {
     /// A machine finished downloading and testing a release.
     TestDone {
         /// The machine that tested.
@@ -52,7 +52,7 @@ pub enum NamedEvent {
 /// keeps simulations reproducible — the calendar queue in
 /// [`crate::engine`] preserves exactly this contract.
 #[derive(Debug, Default)]
-pub struct HeapEventQueue {
+pub(crate) struct HeapEventQueue {
     heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
     store: Vec<Option<NamedEvent>>,
     free: Vec<usize>,
@@ -88,16 +88,6 @@ impl HeapEventQueue {
         let event = self.store[idx].take().expect("event already taken");
         self.free.push(idx);
         Some((time, event))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -390,7 +380,6 @@ mod tests {
         q.schedule(10, td("late"));
         q.schedule(5, td("first"));
         q.schedule(5, td("second"));
-        assert_eq!(q.len(), 3);
         let order: Vec<(SimTime, String)> = std::iter::from_fn(|| q.pop())
             .map(|(t, e)| match e {
                 NamedEvent::TestDone { machine, .. } => (t, machine),
@@ -405,7 +394,7 @@ mod tests {
                 (10, "late".to_string())
             ]
         );
-        assert!(q.is_empty());
+        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -52,8 +52,8 @@ impl Timings {
 /// A complete simulation scenario.
 ///
 /// All per-machine state is stored in dense vectors indexed by
-/// [`MachineId`]; use the name-based helpers ([`Scenario::problem_name_of`],
-/// [`Scenario::problem_populations`], …) at boundaries.
+/// [`MachineId`]; use the name-based helpers
+/// ([`Scenario::problem_populations`], …) at boundaries.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// The deployment plan (clusters, reps, distances). Owns the
@@ -175,7 +175,7 @@ impl Scenario {
 
     /// The problem carried by a machine, if any (hot-path accessor).
     #[inline]
-    pub fn problem_of(&self, machine: MachineId) -> Option<ProblemId> {
+    pub(crate) fn problem_of(&self, machine: MachineId) -> Option<ProblemId> {
         self.machine_problem.get(machine.index()).copied().flatten()
     }
 
@@ -194,21 +194,6 @@ impl Scenario {
         self.machine_problem[m.index()] = Some(p);
     }
 
-    /// Takes the named machine offline until `until` (internal lowering
-    /// hook for [`ScenarioBuilder::offline_machine`]).
-    fn place_offline(&mut self, machine: &str, until: SimTime) {
-        let m = self.must_id(machine);
-        self.offline_until[m.index()] = until;
-    }
-
-    /// Marks the named machine's testing as missing its problem
-    /// (internal lowering hook for
-    /// [`ScenarioBuilder::missed_detection_on`]).
-    fn place_missed_detection(&mut self, machine: &str) {
-        let m = self.must_id(machine);
-        self.missed_detection.insert(m);
-    }
-
     /// Number of machines carrying any problem.
     pub fn problem_machine_count(&self) -> usize {
         self.machine_problem.iter().filter(|p| p.is_some()).count()
@@ -223,24 +208,6 @@ impl Scenario {
                 .or_insert(0usize) += 1;
         }
         counts
-    }
-
-    /// Names of machines that are offline at time zero (boundary
-    /// helper for tests).
-    pub fn offline_machine_names(&self) -> Vec<String> {
-        self.offline_until
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t > 0)
-            .map(|(i, _)| self.plan.machine_name(MachineId(i as u32)).to_string())
-            .collect()
-    }
-
-    /// The problem assigned to a named machine, if any (boundary
-    /// helper for tests).
-    pub fn problem_name_of(&self, machine: &str) -> Option<&str> {
-        let m = self.plan.machine_id(machine)?;
-        self.machine_problem[m.index()].map(|p| self.problems.name(p))
     }
 }
 
@@ -274,8 +241,6 @@ pub struct ScenarioBuilder {
     offline: Vec<(usize, usize, SimTime)>,
     missed: Vec<(usize, usize)>,
     named_problems: Vec<(String, String)>,
-    named_offline: Vec<(String, SimTime)>,
-    named_missed: Vec<String>,
     faults: Option<FaultSpec>,
     urr: Option<Arc<Urr>>,
     durable: Option<Arc<DurableUrr>>,
@@ -298,8 +263,6 @@ impl ScenarioBuilder {
             offline: Vec::new(),
             missed: Vec::new(),
             named_problems: Vec::new(),
-            named_offline: Vec::new(),
-            named_missed: Vec::new(),
             faults: None,
             urr: None,
             durable: None,
@@ -313,8 +276,7 @@ impl ScenarioBuilder {
     /// Builds the scenario over an existing, hand-constructed plan
     /// instead of synthetic `c00-m00000`-style clusters.
     ///
-    /// Use the name-based directives ([`Self::problem_on_machine`],
-    /// [`Self::offline_machine`], [`Self::missed_detection_on`]) with
+    /// Use the name-based directive [`Self::problem_on_machine`] with
     /// this entry point; cluster-index directives also work as long as
     /// the indexes exist in the plan.
     pub fn over_plan(plan: DeployPlan) -> Self {
@@ -326,18 +288,6 @@ impl ScenarioBuilder {
     /// Assigns `problem` to one named machine of the plan.
     pub fn problem_on_machine(mut self, machine: &str, problem: &str) -> Self {
         self.named_problems.push((machine.into(), problem.into()));
-        self
-    }
-
-    /// Takes one named machine offline until `until`.
-    pub fn offline_machine(mut self, machine: &str, until: SimTime) -> Self {
-        self.named_offline.push((machine.into(), until));
-        self
-    }
-
-    /// Makes the named machine's user-machine testing miss its problem.
-    pub fn missed_detection_on(mut self, machine: &str) -> Self {
-        self.named_missed.push(machine.into());
         self
     }
 
@@ -521,12 +471,6 @@ impl ScenarioBuilder {
         for (machine, problem) in &self.named_problems {
             scenario.place_problem(machine, problem);
         }
-        for (machine, until) in &self.named_offline {
-            scenario.place_offline(machine, *until);
-        }
-        for machine in &self.named_missed {
-            scenario.place_missed_detection(machine);
-        }
 
         if let Some(spec) = &self.faults {
             scenario.faults = spec.lower(&scenario.plan);
@@ -585,6 +529,12 @@ impl Default for ScenarioBuilder {
 mod tests {
     use super::*;
 
+    /// The problem assigned to the named machine, if any.
+    fn problem_name_of<'a>(s: &'a Scenario, machine: &str) -> Option<&'a str> {
+        s.problem_of(s.plan.machine_id(machine)?)
+            .map(|p| s.problems.name(p))
+    }
+
     #[test]
     fn builder_constructs_plan() {
         let s = ScenarioBuilder::new().clusters(3, 10, 2).build();
@@ -604,8 +554,8 @@ mod tests {
             .build();
         assert_eq!(s.problem_populations()["p"], 10);
         // A machine in cluster 0 is healthy.
-        assert_eq!(s.problem_name_of("c00-m00000"), None);
-        assert_eq!(s.problem_name_of("c01-m00000"), Some("p"));
+        assert_eq!(problem_name_of(&s, "c00-m00000"), None);
+        assert_eq!(problem_name_of(&s, "c01-m00000"), Some("p"));
     }
 
     #[test]
@@ -649,17 +599,12 @@ mod tests {
             DeployPlan::from_named([(vec!["a", "b", "c"], 1, 0.0), (vec!["d", "e"], 1, 1.0)]);
         let s = ScenarioBuilder::over_plan(plan)
             .problem_on_machine("b", "p")
-            .offline_machine("c", 100)
-            .missed_detection_on("b")
             .threshold(0.75)
             .build();
         assert_eq!(s.machine_count(), 5);
-        assert_eq!(s.problem_name_of("b"), Some("p"));
-        assert_eq!(s.problem_name_of("a"), None);
+        assert_eq!(problem_name_of(&s, "b"), Some("p"));
+        assert_eq!(problem_name_of(&s, "a"), None);
         assert_eq!(s.problem_machine_count(), 1);
-        assert_eq!(s.offline_machine_names(), vec!["c".to_string()]);
-        let b = s.plan.machine_id("b").unwrap();
-        assert!(s.missed_detection.contains(b));
         assert_eq!(s.threshold, 0.75);
         assert!(s.faults.is_none());
     }

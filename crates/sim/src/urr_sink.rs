@@ -47,7 +47,7 @@ const BATCH: usize = 4096;
 /// Buffered, pre-interned bridge from the simulation loop to a shared
 /// [`Urr`].
 #[derive(Debug)]
-pub struct UrrSink {
+pub(crate) struct UrrSink {
     urr: Arc<Urr>,
     /// When the scenario attached a durable repository
     /// ([`crate::ScenarioBuilder::with_durable_urr`]), flushes are
@@ -144,7 +144,7 @@ impl UrrSink {
     /// Panics if a durable repository's backing store fails (a
     /// simulation cannot meaningfully continue once its journal is
     /// gone; the in-memory backend is infallible).
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         if !self.buf.is_empty() {
             match &self.durable {
                 Some(durable) => {

@@ -92,7 +92,7 @@ impl WatchdogConfig {
 
 /// Health signals for one cluster within one wave frame.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClusterHealth {
+pub(crate) struct ClusterHealth {
     /// Cluster id.
     pub cluster: u32,
     /// Machines notified in this frame.
@@ -154,7 +154,7 @@ pub struct WaveHealth {
     pub status: HealthStatus,
     /// Per-cluster breakdown (clusters active in this frame, ascending
     /// id).
-    pub clusters: Vec<ClusterHealth>,
+    pub(crate) clusters: Vec<ClusterHealth>,
 }
 
 impl WaveHealth {

@@ -13,7 +13,7 @@
 //! id tables.
 //!
 //! Sim-time stamping works through a shared clock: the simulation
-//! driver calls [`Journal::set_time`] (via
+//! driver calls `Journal::set_time` (via
 //! [`crate::Telemetry::journal_time`]) once per dequeued event — the
 //! live drive once per decision tick — and
 //! every entry recorded until the next call — including entries emitted
@@ -46,7 +46,7 @@ pub const NO_PROBLEM: u16 = u16::MAX;
 /// The journal's event taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(usize)]
-pub enum JournalKind {
+pub(crate) enum JournalKind {
     /// A machine was told to download and test a release.
     Notify,
     /// A machine finished its sandbox test (pass or fail).
@@ -226,7 +226,7 @@ pub enum JournalEvent {
 
 impl JournalEvent {
     /// The event's taxonomy kind.
-    pub fn kind(&self) -> JournalKind {
+    pub(crate) fn kind(&self) -> JournalKind {
         match self {
             JournalEvent::Notify { .. } => JournalKind::Notify,
             JournalEvent::Test { .. } => JournalKind::Test,
@@ -420,19 +420,9 @@ impl Journal {
         }
     }
 
-    /// The ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Whether evicted entries spill instead of dropping.
-    pub fn spills(&self) -> bool {
-        self.spill
-    }
-
     /// Advances the sim-time clock; subsequent entries are stamped with
     /// `now` until the next call.
-    pub fn set_time(&self, now: u64) {
+    pub(crate) fn set_time(&self, now: u64) {
         self.clock.store(now, Ordering::Relaxed);
     }
 
@@ -455,7 +445,7 @@ impl Journal {
     /// locally and flushes thousands at a time, amortising the lock to
     /// nothing. The clock is left at the batch's final time, exactly as
     /// if each event had been recorded under [`Journal::set_time`].
-    pub fn record_timed(&self, batch: &[(u64, JournalEvent)]) {
+    pub(crate) fn record_timed(&self, batch: &[(u64, JournalEvent)]) {
         let Some(&(last_time, _)) = batch.last() else {
             return;
         };
@@ -509,16 +499,7 @@ impl Journal {
         self.inner.lock().expect("journal poisoned").dropped
     }
 
-    /// Entries evicted into the spill buffer.
-    pub fn spilled(&self) -> u64 {
-        if !self.spill {
-            return 0;
-        }
-        let inner = self.inner.lock().expect("journal poisoned");
-        inner.all.len().saturating_sub(self.capacity) as u64
-    }
-
-    /// Exact per-kind totals, indexed by [`JournalKind::ALL`] order
+    /// Exact per-kind totals, indexed by `JournalKind::ALL` order
     /// (includes evicted entries).
     pub fn counts(&self) -> [u64; JournalKind::ALL.len()] {
         self.inner.lock().expect("journal poisoned").counts
@@ -528,7 +509,7 @@ impl Journal {
     /// any) followed by the ring contents.
     ///
     /// Insertion order is *near*-chronological: a driver that batches
-    /// via [`Journal::record_timed`] may interleave slightly with
+    /// via `Journal::record_timed` may interleave slightly with
     /// entries recorded directly by other components, so consumers that
     /// fold the timeline chronologically should sort by `(time, seq)`
     /// first (the in-crate exporters do).
@@ -552,17 +533,6 @@ impl Journal {
         out
     }
 
-    /// Exports the retained timeline as JSON-lines (one entry per
-    /// line).
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for e in self.entries() {
-            out.push_str(&e.to_json().to_compact());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Clears the timeline, counts, and clock while keeping the ring
     /// and spill allocations warm, so a journal can be reused across
     /// benchmark samples without re-paying allocation and page faults.
@@ -583,7 +553,7 @@ impl Journal {
 /// `Telemetry::from_recorder(Arc::new(Journal::with_spill(n)))`.
 /// Counters, gauges and spans fall through to the
 /// trait's no-op defaults, and the advertised
-/// [`Capabilities::JOURNAL_ONLY`] lets the `Telemetry` handle skip
+/// `Capabilities::JOURNAL_ONLY` lets the `Telemetry` handle skip
 /// those surfaces without even a virtual call — the run pays for
 /// nothing but the journal.
 impl Recorder for Journal {
@@ -660,7 +630,6 @@ mod tests {
         assert_eq!(entries.last().unwrap().seq, 10);
         assert_eq!(j.total(), 11);
         assert_eq!(j.dropped(), 7);
-        assert_eq!(j.spilled(), 0);
         assert_eq!(j.counts()[JournalKind::Notify as usize], 11);
     }
 
@@ -671,7 +640,6 @@ mod tests {
             j.record(notify(i));
         }
         assert_eq!(j.dropped(), 0);
-        assert_eq!(j.spilled(), 7);
         let entries = j.entries();
         assert_eq!(entries.len(), 11);
         // Spill + ring reassemble the full stream in order.
@@ -684,7 +652,6 @@ mod tests {
     #[test]
     fn capacity_clamps_to_one() {
         let j = Journal::new(0);
-        assert_eq!(j.capacity(), 1);
         j.record(notify(0));
         j.record(notify(1));
         assert_eq!(j.len(), 1);
@@ -737,7 +704,11 @@ mod tests {
             release: 1,
             problem: NO_PROBLEM,
         });
-        let lines: Vec<String> = j.to_json_lines().lines().map(String::from).collect();
+        let lines: Vec<String> = j
+            .entries()
+            .iter()
+            .map(|e| e.to_json().to_compact())
+            .collect();
         assert_eq!(lines.len(), 3);
         let first = Value::parse(&lines[0]).unwrap();
         assert_eq!(first.get("kind").unwrap().as_str(), Some("test"));

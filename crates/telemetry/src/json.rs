@@ -21,7 +21,6 @@
 //! assert_eq!(back.get("machines").and_then(Value::as_u64), Some(100_000));
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A JSON value. Objects preserve insertion order so serialisation is
@@ -56,11 +55,6 @@ impl Value {
     /// Builds an array.
     pub fn arr(items: impl IntoIterator<Item = Value>) -> Value {
         Value::Arr(items.into_iter().collect())
-    }
-
-    /// Builds an object from a `BTreeMap` (sorted key order).
-    pub fn from_map<V: Into<Value>>(map: BTreeMap<String, V>) -> Value {
-        Value::Obj(map.into_iter().map(|(k, v)| (k, v.into())).collect())
     }
 
     /// Looks up a key in an object.

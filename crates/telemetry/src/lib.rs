@@ -75,12 +75,10 @@ pub mod registry;
 pub mod span;
 pub mod trace_export;
 
-pub use health::{ClusterHealth, HealthStatus, WatchdogConfig, WaveHealth};
-pub use journal::{
-    FaultKind, Journal, JournalEntry, JournalEvent, JournalKind, RolloutStep, NO_PROBLEM,
-};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};
-pub use recorder::{Capabilities, NoopRecorder, Recorder, Telemetry};
+pub use health::{HealthStatus, WatchdogConfig, WaveHealth};
+pub use journal::{FaultKind, Journal, JournalEntry, JournalEvent, RolloutStep, NO_PROBLEM};
+pub use metrics::HistogramSummary;
+pub use recorder::{Capabilities, Recorder, Telemetry};
 pub use registry::{Registry, Snapshot};
 pub use span::Span;
 pub use trace_export::TraceConfig;

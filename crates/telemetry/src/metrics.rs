@@ -8,14 +8,9 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+pub(crate) struct Counter(AtomicU64);
 
 impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds `delta`.
     pub fn add(&self, delta: u64) {
         self.0.fetch_add(delta, Ordering::Relaxed);
@@ -32,17 +27,12 @@ impl Counter {
 /// The high-water mark is what a post-hoc snapshot needs — e.g. the
 /// simulator's maximum event-queue depth over a whole run.
 #[derive(Debug, Default)]
-pub struct Gauge {
+pub(crate) struct Gauge {
     value: AtomicI64,
     max: AtomicI64,
 }
 
 impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Sets the current value, updating the high-water mark.
     pub fn set(&self, value: i64) {
         self.value.store(value, Ordering::Relaxed);
@@ -71,7 +61,7 @@ pub const BUCKETS: usize = 65;
 /// observed `[min, max]` range — so constant distributions report exact
 /// percentiles and any estimate is within 2x of the true value.
 #[derive(Debug)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     buckets: Box<[AtomicU64; BUCKETS]>,
     count: AtomicU64,
     sum: AtomicU64,
@@ -96,11 +86,6 @@ fn bucket_index(value: u64) -> usize {
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one sample.
     pub fn observe(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
@@ -139,7 +124,7 @@ impl Histogram {
     ///
     /// Returns the upper bound of the bucket containing the rank-`q`
     /// sample, clamped into the observed `[min, max]`.
-    pub fn percentile(&self, q: f64) -> u64 {
+    pub(crate) fn percentile(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
             return 0;
@@ -162,61 +147,6 @@ impl Histogram {
         self.max()
     }
 
-    /// The rank-`q` quantile with linear interpolation inside the
-    /// selected power-of-two bucket, clamped to the observed
-    /// `[min, max]`.
-    ///
-    /// Unlike [`Histogram::percentile`] (which always reports the
-    /// bucket's upper bound), this interpolates by rank position
-    /// within the bucket, so estimates no longer snap to powers of
-    /// two. The result is **exact** whenever the observed range pins
-    /// it down: an empty histogram returns 0, a single-sample (or
-    /// constant) histogram returns that sample, `q = 0` returns the
-    /// minimum, `q = 1` returns the maximum, and the saturating top
-    /// bucket (values `>= 2^63`, including `u64::MAX`) clamps into the
-    /// observed range instead of overflowing.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            let in_bucket = bucket.load(Ordering::Relaxed);
-            cumulative += in_bucket;
-            if cumulative >= rank {
-                let (lower, upper) = if i == 0 {
-                    (0u64, 0u64)
-                } else if i >= 64 {
-                    (1u64 << 63, u64::MAX)
-                } else {
-                    (1u64 << (i - 1), (1u64 << i) - 1)
-                };
-                // Position of the rank within this bucket, in (0, 1].
-                let position = (rank - (cumulative - in_bucket)) as f64 / in_bucket as f64;
-                let estimate = lower as f64 + (upper - lower) as f64 * position;
-                return (estimate as u64).clamp(self.min(), self.max());
-            }
-        }
-        self.max()
-    }
-
-    /// Exact-where-possible median (see [`Histogram::quantile`]).
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// Exact-where-possible 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
-    /// Exact-where-possible 99th percentile.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
     /// Takes a point-in-time summary.
     pub fn summary(&self) -> HistogramSummary {
         let count = self.count();
@@ -232,7 +162,7 @@ impl Histogram {
     }
 }
 
-/// A point-in-time summary of a [`Histogram`].
+/// A point-in-time summary of a `Histogram`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HistogramSummary {
     /// Number of samples.
@@ -268,7 +198,7 @@ mod tests {
 
     #[test]
     fn counter_accumulates() {
-        let c = Counter::new();
+        let c = Counter::default();
         c.add(3);
         c.add(4);
         assert_eq!(c.get(), 7);
@@ -276,7 +206,7 @@ mod tests {
 
     #[test]
     fn gauge_tracks_high_water() {
-        let g = Gauge::new();
+        let g = Gauge::default();
         g.set(5);
         g.set(12);
         g.set(2);
@@ -296,7 +226,7 @@ mod tests {
 
     #[test]
     fn empty_histogram() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
@@ -307,7 +237,7 @@ mod tests {
 
     #[test]
     fn constant_distribution_is_exact() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for _ in 0..100 {
             h.observe(100);
         }
@@ -320,7 +250,7 @@ mod tests {
 
     #[test]
     fn percentiles_within_bucket_error() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for v in 1..=1000u64 {
             h.observe(v);
         }
@@ -343,73 +273,8 @@ mod tests {
     }
 
     #[test]
-    fn quantile_on_empty_histogram_is_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.p50(), 0);
-        assert_eq!(h.p90(), 0);
-        assert_eq!(h.p99(), 0);
-        assert_eq!(h.quantile(0.0), 0);
-        assert_eq!(h.quantile(1.0), 0);
-    }
-
-    #[test]
-    fn quantile_on_single_sample_is_exact() {
-        let h = Histogram::new();
-        h.observe(37);
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 37, "q = {q}");
-        }
-        assert_eq!((h.p50(), h.p90(), h.p99()), (37, 37, 37));
-    }
-
-    #[test]
-    fn quantile_on_saturating_bucket_clamps_without_overflow() {
-        let h = Histogram::new();
-        // All samples land in bucket 64, which covers [2^63, u64::MAX].
-        h.observe(u64::MAX);
-        h.observe(u64::MAX);
-        h.observe(u64::MAX - 1);
-        assert_eq!(h.p99(), u64::MAX);
-        assert_eq!(h.quantile(0.0), u64::MAX - 1);
-        assert_eq!(h.quantile(1.0), u64::MAX);
-        // Interpolated mid-quantiles stay inside the observed range.
-        let mid = h.p50();
-        assert!(mid >= u64::MAX - 1);
-    }
-
-    #[test]
-    fn quantile_interpolates_inside_buckets() {
-        let h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.observe(v);
-        }
-        // Interpolation keeps the estimate within one bucket of the
-        // truth *without* snapping to the bucket's upper bound, and it
-        // is monotone in q.
-        let (p50, p90, p99) = (h.p50(), h.p90(), h.p99());
-        assert!(p50 <= p90 && p90 <= p99);
-        for (estimate, truth) in [(p50, 500u64), (p90, 900), (p99, 990)] {
-            assert!(
-                estimate >= truth / 2 && estimate <= truth * 2,
-                "estimate {estimate} for true percentile {truth}"
-            );
-        }
-        // The old bucket-bound estimator snaps p50 to 511; the
-        // interpolated one must not.
-        assert_ne!(p50, 511);
-        assert_eq!(h.quantile(0.0), 1);
-        assert_eq!(h.quantile(1.0), 1000);
-        // Constant data stays exact.
-        let c = Histogram::new();
-        for _ in 0..10 {
-            c.observe(64);
-        }
-        assert_eq!((c.p50(), c.p90(), c.p99()), (64, 64, 64));
-    }
-
-    #[test]
     fn zero_samples_land_in_bucket_zero() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.observe(0);
         h.observe(0);
         assert_eq!(h.percentile(0.5), 0);

@@ -39,7 +39,7 @@ impl Capabilities {
     };
 
     /// Only the sim-time journal.
-    pub const JOURNAL_ONLY: Capabilities = Capabilities {
+    pub(crate) const JOURNAL_ONLY: Capabilities = Capabilities {
         journal: true,
         ..Capabilities::NONE
     };
@@ -107,17 +107,6 @@ pub trait Recorder: Send + Sync {
             self.journal_time(time);
             self.record_event(event);
         }
-    }
-}
-
-/// A recorder that stores nothing. [`Telemetry::noop`] avoids even the
-/// virtual call; this type exists for APIs that want a `&dyn Recorder`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::NONE
     }
 }
 
@@ -281,6 +270,15 @@ mod tests {
         assert!(!t.measures() && !t.journals());
         let dbg = format!("{t:?}");
         assert!(dbg.contains("metrics: false"), "{dbg}");
+    }
+
+    /// A recorder that implements nothing but its capabilities.
+    struct NoopRecorder;
+
+    impl Recorder for NoopRecorder {
+        fn capabilities(&self) -> Capabilities {
+            Capabilities::NONE
+        }
     }
 
     #[test]

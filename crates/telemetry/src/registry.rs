@@ -189,7 +189,7 @@ impl Snapshot {
     /// Layout: `{"counters": {...}, "gauges": {...}, "histograms":
     /// {...}, "spans": {...}, "journal": {"counts": {...}, "total": n,
     /// "dropped": n}}`. Span durations are nanoseconds; the journal
-    /// entries themselves export through [`Journal::to_json_lines`] and
+    /// entries themselves export through [`Journal::entries`] and
     /// [`crate::trace_export`].
     pub fn to_json(&self) -> String {
         let counters = Value::Obj(

@@ -14,7 +14,7 @@ use mirage_trace::{SyscallEvent, Trace};
 
 /// Outputs of one run, grouped by target.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OutputSummary {
+pub(crate) struct OutputSummary {
     /// Concatenated writes per file path.
     pub files: BTreeMap<String, Vec<Vec<u8>>>,
     /// Message sequences per network peer.
@@ -24,7 +24,7 @@ pub struct OutputSummary {
 }
 
 /// Builds the output summary of a trace.
-pub fn summarize_outputs(trace: &Trace) -> OutputSummary {
+pub(crate) fn summarize_outputs(trace: &Trace) -> OutputSummary {
     let mut summary = OutputSummary {
         exit_code: trace.exit_code(),
         ..Default::default()
@@ -53,7 +53,7 @@ pub fn summarize_outputs(trace: &Trace) -> OutputSummary {
 
 /// One observed difference between recorded and replayed outputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OutputDiff {
+pub(crate) enum OutputDiff {
     /// A file target's written contents differ (or the target is missing
     /// on one side).
     File {
@@ -112,11 +112,6 @@ impl OutputSummary {
         }
         diffs
     }
-
-    /// Returns `true` if there are no outputs at all.
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty() && self.net.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +154,6 @@ mod tests {
         assert_eq!(s.files["/log"], vec![b"a".to_vec(), b"b".to_vec()]);
         assert_eq!(s.net["client"].len(), 2);
         assert_eq!(s.exit_code, Some(0));
-        assert!(!s.is_empty());
     }
 
     #[test]

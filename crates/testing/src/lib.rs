@@ -67,12 +67,11 @@
 #![warn(missing_docs)]
 #![deny(deprecated)]
 
-pub mod compare;
+mod compare;
 pub mod record;
 pub mod sandbox;
 pub mod validate;
 
-pub use compare::{summarize_outputs, OutputDiff, OutputSummary};
 pub use record::RecordedRun;
 pub use sandbox::Sandbox;
 pub use validate::{

@@ -53,7 +53,7 @@ impl Sandbox {
 
     /// Returns the paths that differ from the machine the sandbox was
     /// booted from.
-    pub fn changed_against(&self, live: &Machine) -> BTreeSet<String> {
+    pub(crate) fn changed_against(&self, live: &Machine) -> BTreeSet<String> {
         self.machine.fs.changed_paths(&live.fs)
     }
 

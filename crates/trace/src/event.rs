@@ -159,7 +159,7 @@ impl SyscallEvent {
 
     /// Returns `true` for events that represent observable output
     /// (file writes and network sends).
-    pub fn is_output(&self) -> bool {
+    pub(crate) fn is_output(&self) -> bool {
         matches!(
             self,
             SyscallEvent::Write { .. } | SyscallEvent::NetSend { .. }

@@ -3,9 +3,8 @@
 //! The paper instruments process creation, read, write, file-descriptor and
 //! socket system calls (plus `getenv()` in libc) to build a log of all
 //! external resources an application touches. This crate defines that log:
-//! the [`SyscallEvent`] vocabulary, the [`Trace`] container produced by one
-//! application run, and a [`TraceStore`] that accumulates traces per
-//! `(machine, application)` pair.
+//! the [`SyscallEvent`] vocabulary and the [`Trace`] container produced by
+//! one application run.
 //!
 //! The crate is substrate-agnostic: in this reproduction the events are
 //! emitted by the simulated-application interpreter in `mirage-env`, but the
@@ -18,11 +17,7 @@
 #![deny(deprecated)]
 
 pub mod event;
-pub mod stats;
-pub mod store;
 pub mod trace;
 
 pub use event::{OpenMode, SyscallEvent};
-pub use stats::TraceStats;
-pub use store::{TraceKey, TraceStore};
 pub use trace::{RunId, Trace};

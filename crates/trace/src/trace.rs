@@ -5,7 +5,7 @@ use std::fmt;
 
 use crate::event::{OpenMode, SyscallEvent};
 
-/// Identifier of a single traced run, unique within a [`crate::TraceStore`].
+/// Identifier of a single traced run, unique among one machine's runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RunId(pub u64);
 
@@ -118,17 +118,6 @@ impl Trace {
     /// Returns all output events (file writes, network sends), in order.
     pub fn outputs(&self) -> Vec<&SyscallEvent> {
         self.events.iter().filter(|e| e.is_output()).collect()
-    }
-
-    /// Returns all recorded network inputs, in order.
-    pub fn net_inputs(&self) -> Vec<(&str, &[u8])> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                SyscallEvent::NetRecv { peer, data } => Some((peer.as_str(), data.as_slice())),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Returns the recorded argument vector of the traced process, if any.

@@ -1,8 +1,9 @@
 //! Integration tests for the beyond-the-evaluation features: private
 //! clustering (§3.5), incremental reclustering (§3.2.3 future work),
 //! urgency-driven protocol selection (§3.2.2), per-machine rule
-//! templates (§4.1), and the simulator's late-arrival / imperfect-
-//! testing knobs.
+//! templates (§4.1), the simulator's late-arrival / imperfect-testing
+//! knobs, hierarchical-suffix truncation (§1) and the SlimServer
+//! improper-packaging example (§2.3).
 
 use std::collections::BTreeMap;
 
@@ -126,4 +127,123 @@ fn simulator_extension_knobs() {
             .any(|&t| t >= 1_000),
         "some machine integrated after coming online"
     );
+}
+
+/// The vendor's protocol for each urgency (§3.2.2): urgent upgrades
+/// bypass staging, major releases front-load, routine ones use Balanced.
+#[test]
+fn urgency_selects_protocol() {
+    use mirage::core::{choice_for_urgency, ProtocolChoice};
+    use mirage::env::Urgency;
+    assert_eq!(
+        choice_for_urgency(Urgency::Urgent),
+        ProtocolChoice::NoStaging
+    );
+    assert_eq!(
+        choice_for_urgency(Urgency::Major),
+        ProtocolChoice::FrontLoading
+    );
+    assert_eq!(
+        choice_for_urgency(Urgency::Routine),
+        ProtocolChoice::Balanced
+    );
+}
+
+/// A live campaign driven by the upgrade's urgency converges under each
+/// of the three protocols it selects.
+#[test]
+fn drive_auto_converges_for_each_urgency() {
+    use mirage::core::{Campaign, RolloutStrategy, UserAgent, Vendor};
+    use mirage::env::{
+        ApplicationSpec, File, MachineBuilder, Package, Repository, RunInput, Upgrade, Urgency,
+        Version, VersionReq,
+    };
+    let app = |version: u32| {
+        Package::new("app", Version::new(version, 0, 0)).with_file(File::executable(
+            "/usr/bin/app",
+            "app",
+            u64::from(version),
+        ))
+    };
+    let spec = || ApplicationSpec::new("app", "app", "/usr/bin/app");
+    for urgency in [Urgency::Routine, Urgency::Major, Urgency::Urgent] {
+        let mut repo = Repository::new();
+        repo.publish(app(1));
+        let reference = MachineBuilder::new("ref")
+            .install(&repo, "app", VersionReq::Any)
+            .app(spec())
+            .build();
+        let vendor = Vendor::new(reference, repo).with_diameter(0);
+        let agents = (0..4)
+            .map(|i| {
+                let mut agent = UserAgent::new(
+                    MachineBuilder::new(format!("u{i}"))
+                        .install(&vendor.repo, "app", VersionReq::Any)
+                        .app(spec())
+                        .build(),
+                );
+                agent.collect("app", RunInput::new("w"));
+                agent
+            })
+            .collect();
+        let fp =
+            vendor.reference_fingerprint(&vendor.classify_reference("app", &[RunInput::new("w")]));
+        let mut campaign = Campaign::new(vendor, agents);
+        let (_, plan) = campaign.rollout_plan("app", &fp, 1, RolloutStrategy::Staged { waves: 1 });
+        let upgrade = Upgrade::new(app(2), vec![]).with_urgency(urgency);
+        let result = campaign.drive_auto(upgrade, &plan, 1.0);
+        assert!(result.converged(4), "urgency {urgency:?}");
+    }
+}
+
+/// Truncating an item's suffix (§1 "hierarchical suffixes") makes two
+/// builds of the same library version indistinguishable.
+#[test]
+fn truncate_merges_same_version_different_build() {
+    use mirage::fingerprint::{ImportanceFilter, Item};
+    let f = ImportanceFilter::new().truncate_suffix(["libc", "lib"], 3);
+    let x = Item::new(["libc", "lib", "2.4", "aaaa"]);
+    let y = Item::new(["libc", "lib", "2.4", "bbbb"]);
+    assert_eq!(f.apply_item(&x), f.apply_item(&y));
+    assert_eq!(f.apply_item(&x).unwrap().depth(), 3);
+}
+
+/// Truncation keeps at least one segment and never lengthens an item.
+#[test]
+fn truncate_clamps_to_item_depth() {
+    use mirage::fingerprint::{ImportanceFilter, Item};
+    let f = ImportanceFilter::new().truncate_suffix(["a"], 10);
+    let i = Item::new(["a", "b"]);
+    assert_eq!(f.apply_item(&i), Some(i.clone()));
+    let f0 = ImportanceFilter::new().truncate_suffix(["a"], 0);
+    assert_eq!(f0.apply_item(&i).unwrap().depth(), 1);
+}
+
+/// Improper packaging (§2.3): SlimServer 6.5.1 forgets the database
+/// upgrade and fails validation; the corrected 6.5.2 package ships the
+/// new-format database, passes and integrates.
+#[test]
+fn slimserver_packaging_problem_and_corrected_package() {
+    use mirage::core::UserAgent;
+    use mirage::env::RunInput;
+    use mirage::scenarios::apache::slimserver_scenario;
+    use mirage::testing::{FailureKind, Validator};
+    let (repo, machine, broken, fixed) = slimserver_scenario();
+    let mut agent = UserAgent::new(machine);
+    agent.collect("slimserver", RunInput::new("scan"));
+    // 6.5.1 fails validation: the server cannot start without the v2
+    // database the package never shipped.
+    let report = Validator::new().validate(&agent.machine, &repo, &broken, &agent.runs);
+    assert!(!report.passed());
+    assert!(matches!(
+        report.first_failure().unwrap().1,
+        FailureKind::Crash { .. } | FailureKind::Integration { .. }
+    ));
+    // 6.5.2 ships the database: the very same problem spec can no longer
+    // trigger, and validation passes.
+    let report = Validator::new().validate(&agent.machine, &repo, &fixed, &agent.runs);
+    assert!(report.passed(), "{report:?}");
+    // The live machine integrates cleanly.
+    assert!(agent.integrate(&repo, &fixed));
+    assert!(agent.machine.fs.contains("/srv/slimserver/library-v2.db"));
 }
