@@ -31,6 +31,7 @@ use std::time::Instant;
 use mirage_bench::doc::{round_to, write_document, BenchDoc};
 use mirage_bench::harness::{black_box, Harness};
 use mirage_bench::{bar, render_cdf, render_table};
+use mirage_cluster::par::fan_out;
 use mirage_cluster::ClusterQuality;
 use mirage_deploy::ProtocolChoice;
 use mirage_scenarios::{apps, deployment, firefox, mysql, survey};
@@ -528,8 +529,6 @@ fn urr_perf(ctx: &Ctx) {
 /// against the live one — the `recovered_equal` flag the bench gate
 /// requires.
 fn urr_store_perf(ctx: &Ctx) {
-    use std::sync::Arc;
-
     use mirage_report::{
         DurableConfig, DurableUrr, FsStore, InternedReport, MemoryStore, Urr, UrrRequest,
     };
@@ -642,10 +641,10 @@ fn urr_store_perf(ctx: &Ctx) {
 
     // --- Serving, one thread: what one freeze and one full-size answer
     // cost, before the mixed row's writer grows the repository.
-    let mixed_durable = Arc::new(snap_durable);
+    let mixed_durable = snap_durable;
     let freeze = format!("storage/serve/freeze-{}", volume_label(n_main));
     h.bench(&freeze, || mixed_durable.urr().snapshot());
-    let frozen = Arc::new(mixed_durable.urr().snapshot());
+    let frozen = mixed_durable.urr().snapshot();
     let top_k_frame = UrrRequest::TopK(5).to_frame();
     let top_k = format!("storage/serve/top-k-5-{}", volume_label(n_main));
     h.bench(&top_k, || frozen.serve(&top_k_frame).expect("serve"));
@@ -681,38 +680,39 @@ fn urr_store_perf(ctx: &Ctx) {
     let readers = 4usize;
     let reads_per_thread = if smoke { 300 } else { 2_000 };
     let writer_batches = if smoke { 4 } else { 16 };
-    let request_frames: Arc<Vec<Vec<u8>>> = Arc::new(
-        [
-            UrrRequest::TopK(5),
-            UrrRequest::Stats,
-            UrrRequest::ClusterRates,
-            UrrRequest::ReleaseSummaries,
-        ]
-        .iter()
-        .map(UrrRequest::to_frame)
-        .collect(),
-    );
-    let write_chunk: Arc<Vec<InternedReport>> = Arc::new(build_recs(mixed_durable.urr(), 4_096));
+    let request_frames: Vec<Vec<u8>> = [
+        UrrRequest::TopK(5),
+        UrrRequest::Stats,
+        UrrRequest::ClusterRates,
+        UrrRequest::ReleaseSummaries,
+    ]
+    .iter()
+    .map(UrrRequest::to_frame)
+    .collect();
+    let write_chunk = build_recs(mixed_durable.urr(), 4_096);
     let mixed = format!("storage/serve/mixed-read-write-{}", volume_label(n_main));
+    // One thread per bucket: `readers` readers and one writer.
+    let roles = || {
+        let mut buckets = vec![vec![true]; readers];
+        buckets.push(vec![false]);
+        buckets
+    };
     h.bench(&mixed, || {
-        std::thread::scope(|scope| {
-            for _ in 0..readers {
-                let frozen = Arc::clone(&frozen);
-                let frames = Arc::clone(&request_frames);
-                scope.spawn(move || {
-                    for i in 0..reads_per_thread {
-                        let frame = &frames[i % frames.len()];
-                        black_box(frozen.serve(frame).expect("serve"));
-                    }
-                });
-            }
-            let durable = Arc::clone(&mixed_durable);
-            let chunk = Arc::clone(&write_chunk);
-            scope.spawn(move || {
-                for _ in 0..writer_batches {
-                    black_box(durable.deposit_interned_batch(&chunk).expect("journal"));
+        fan_out(roles(), &|reader: bool| {
+            if reader {
+                for i in 0..reads_per_thread {
+                    let frame = &request_frames[i % request_frames.len()];
+                    black_box(frozen.serve(frame).expect("serve"));
                 }
-            });
+            } else {
+                for _ in 0..writer_batches {
+                    black_box(
+                        mixed_durable
+                            .deposit_interned_batch(&write_chunk)
+                            .expect("journal"),
+                    );
+                }
+            }
         });
     });
 

@@ -32,7 +32,7 @@ pub mod cluster;
 pub mod engine;
 pub mod incremental;
 pub mod metrics;
-mod par;
+pub mod par;
 pub mod phase1;
 pub mod privacy;
 pub mod qt;

@@ -1,12 +1,14 @@
-//! Crate-private scoped-thread fan-out for the parallel hot path.
+//! Scoped-thread fan-out: the workspace's one way to spread work over
+//! cores.
 //!
-//! The QT distance-matrix fill ([`crate::qt`]) follows a std-only
-//! pattern: partition independent work items into per-thread buckets,
-//! run each bucket on a `std::thread::scope` worker, and rely on the
-//! items themselves (disjoint `&mut` slots) for output. Because every
-//! item is processed exactly once and writes only through its own
-//! exclusive reference, the result is bit-identical to the sequential
-//! loop regardless of thread count or scheduling.
+//! The QT distance-matrix fill ([`crate::qt`]), the live campaign's
+//! fleet inputs and the storage bench's mixed readers and writer follow
+//! one std-only pattern: partition independent work items into
+//! per-thread buckets, run each bucket on a `std::thread::scope` worker,
+//! and rely on the items themselves (disjoint `&mut` slots) for output.
+//! Because every item is processed exactly once and writes only through
+//! its own exclusive reference, the result is bit-identical to the
+//! sequential loop regardless of thread count or scheduling.
 
 /// Runs `work` over every item of every bucket, one scoped thread per
 /// non-empty bucket (sequentially when at most one bucket has work).
@@ -14,7 +16,7 @@
 /// Callers are responsible for balancing the buckets; items carry any
 /// `&mut` output slots they need, which keeps the closure `Fn` (shared)
 /// while the writes stay exclusive.
-pub(crate) fn fan_out<T: Send, F: Fn(T) + Sync>(buckets: Vec<Vec<T>>, work: &F) {
+pub fn fan_out<T: Send, F: Fn(T) + Sync>(buckets: Vec<Vec<T>>, work: &F) {
     let mut live: Vec<Vec<T>> = buckets.into_iter().filter(|b| !b.is_empty()).collect();
     if live.len() <= 1 {
         for item in live.pop().unwrap_or_default() {
@@ -34,10 +36,10 @@ pub(crate) fn fan_out<T: Send, F: Fn(T) + Sync>(buckets: Vec<Vec<T>>, work: &F) 
 }
 
 /// Number of worker threads to use for `n` independent work items, given
-/// the crate's parallelism threshold: 1 below the threshold (thread
+/// the caller's parallelism threshold: 1 below the threshold (thread
 /// spawns would dominate), otherwise `available_parallelism` capped at
 /// `n`.
-pub(crate) fn worker_count(n: usize, threshold: usize, allow_parallel: bool) -> usize {
+pub fn worker_count(n: usize, threshold: usize, allow_parallel: bool) -> usize {
     if !allow_parallel || n < threshold {
         return 1;
     }

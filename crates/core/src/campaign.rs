@@ -29,7 +29,7 @@ use mirage_deploy::{
 };
 use mirage_env::{ProblemId, Upgrade, UpgradeId, Urgency};
 use mirage_fingerprint::MachineFingerprint;
-use mirage_report::{Report, Urr};
+use mirage_report::{InternedOutcome, InternedReport, MachineRef, Report, Urr};
 use mirage_rollout::{
     GuardSettings, RollbackInfo, RolloutController, RolloutPlan, RolloutStrategy, UrrGuard,
     WaveExecutor, WaveOutcome,
@@ -37,6 +37,7 @@ use mirage_rollout::{
 use mirage_telemetry::{JournalEvent, Telemetry, NO_PROBLEM};
 
 use crate::agent::UserAgent;
+use crate::fleet::fleet_inputs;
 use crate::vendor::Vendor;
 
 /// The vendor's protocol choice for an upgrade's urgency (§3.2.2):
@@ -122,27 +123,14 @@ impl Campaign {
         self
     }
 
-    /// Computes every agent's clustering input in parallel.
-    ///
-    /// The per-machine work (tracing, classification, fingerprinting,
-    /// diffing) is independent, so it fans out across OS threads.
+    /// Computes every agent's clustering input, in agent order: the
+    /// heuristic, the parsers and the diff run once per distinct
+    /// environment, on every core (see [`fleet_inputs`]).
     pub fn fleet_inputs(&self, app: &str, reference: &MachineFingerprint) -> Vec<MachineInfo> {
         let _span = self.telemetry.span("campaign.fleet_inputs");
         self.telemetry
             .counter("campaign.fleet_size", self.agents.len() as u64);
-        let vendor = &self.vendor;
-        let chunk = chunk_len(self.agents.len(), num_threads());
-        let mut results: Vec<Option<MachineInfo>> = vec![None; self.agents.len()];
-        std::thread::scope(|scope| {
-            for (agents, outs) in self.agents.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (agent, out) in agents.iter().zip(outs.iter_mut()) {
-                        *out = Some(agent.clustering_input(app, vendor, reference));
-                    }
-                });
-            }
-        });
-        results.into_iter().map(|o| o.expect("filled")).collect()
+        fleet_inputs(&self.agents, app, &self.vendor, reference)
     }
 
     /// Clusters the fleet for `app` and shapes the deployment into a
@@ -232,8 +220,11 @@ impl Campaign {
 /// conversation lives entirely in [`mirage_rollout::drive()`].
 ///
 /// The executor works in [`MachineId`]: the plan owns the one name ↔ id
-/// table, and a name is rendered only where an owned one is stored —
-/// [`CampaignResult::integrated`] and a URR [`Report`]. It journals what
+/// table, which the URR adopts once per drive, and a name is rendered
+/// only where an owned one is stored — [`CampaignResult::integrated`]
+/// and a failure [`Report`]. A wave's passes reach the URR as one
+/// interned batch, flushed before any failure is deposited, so the
+/// sequence order is the order of validation. It journals what
 /// the simulator journals for the same transitions — `Notify`, `Test`
 /// and `UrrDeposit` — over the same dense ids, stamped with the drive's
 /// tick clock.
@@ -246,6 +237,10 @@ struct FleetExecutor<'a> {
     /// agent outside the plan has no slot and is never notified.
     agent_of: Vec<Option<usize>>,
     urr: &'a Urr,
+    /// `MachineId::index()` → the machine's ref in `urr`.
+    machine_refs: Vec<MachineRef>,
+    /// The current wave's passes, not yet deposited.
+    passes: Vec<InternedReport>,
     telemetry: Telemetry,
     plan: &'a DeployPlan,
     /// Every release shipped so far; index = `Release.0`.
@@ -279,6 +274,8 @@ impl<'a> FleetExecutor<'a> {
             agents,
             agent_of,
             urr,
+            machine_refs: urr.intern_fleet(Arc::clone(plan.machines.shared())),
+            passes: Vec::new(),
             telemetry,
             plan,
             releases: vec![upgrade],
@@ -368,6 +365,7 @@ impl WaveExecutor for FleetExecutor<'_> {
         let plan = self.plan;
         let mut new_problems: Vec<ProblemId> = Vec::new();
         let mut reports: Vec<TestReport> = Vec::new();
+        let mut release_ref = None;
         for &machine in machines {
             let Some(agent_idx) = self.agent_of[machine.index()] else {
                 continue;
@@ -394,12 +392,16 @@ impl WaveExecutor for FleetExecutor<'_> {
             if validation.passed() {
                 self.agents[agent_idx].integrate(&self.vendor.repo, current);
                 self.integrated.insert(machine_name.to_string(), release.0);
-                self.urr.deposit(Report::success(
-                    machine_name,
-                    cluster,
-                    &current.package.name,
-                    current.package.version.to_string(),
-                ));
+                let release_ref = *release_ref.get_or_insert_with(|| {
+                    let package = &current.package;
+                    (self.urr).intern_release(&package.name, &package.version.to_string())
+                });
+                self.passes.push(InternedReport {
+                    machine: self.machine_refs[machine.index()],
+                    cluster: cluster as u32,
+                    release: release_ref,
+                    outcome: InternedOutcome::Success,
+                });
                 self.journal_validation(id, release, NO_PROBLEM);
                 reports.push(TestReport {
                     machine,
@@ -413,6 +415,7 @@ impl WaveExecutor for FleetExecutor<'_> {
                 let (app, kind) = validation.first_failure().expect("failed validation");
                 let signature = format!("{app}/{kind}");
                 let image = agent.report_image(&validation);
+                flush_passes(self.urr, &mut self.passes);
                 self.urr.deposit(Report::failure(
                     machine_name,
                     cluster,
@@ -439,6 +442,7 @@ impl WaveExecutor for FleetExecutor<'_> {
                 });
             }
         }
+        flush_passes(self.urr, &mut self.passes);
         let shipped = if new_problems.is_empty() {
             None
         } else {
@@ -448,16 +452,12 @@ impl WaveExecutor for FleetExecutor<'_> {
     }
 }
 
-/// Agents per `fleet_inputs` thread: the smallest chunk that covers
-/// `len` agents in at most `threads` chunks.
-fn chunk_len(len: usize, threads: usize) -> usize {
-    len.div_ceil(threads).max(1)
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
+/// Deposits the passes a wave gathered so far as one batch.
+fn flush_passes(urr: &Urr, passes: &mut Vec<InternedReport>) {
+    if !passes.is_empty() {
+        urr.deposit_interned_batch(passes);
+        passes.clear();
+    }
 }
 
 #[cfg(test)]
@@ -852,13 +852,12 @@ mod tests {
         assert_eq!(snap.journal_counts["test"], 1);
     }
 
-    /// `fleet_inputs` answers in agent order whatever the chunking, and
-    /// a fleet one past a multiple of the thread count still fits in
-    /// one chunk per thread.
+    /// `fleet_inputs` answers in agent order on a fleet one past a
+    /// multiple of the thread count.
     #[test]
     fn fleet_inputs_keeps_agent_order_on_an_uneven_fleet() {
         let (mut campaign, _, ref_fp) = build_campaign();
-        let threads = num_threads();
+        let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
         let template = campaign.agents[0].clone();
         campaign.agents = (0..threads * 2 + 1)
             .map(|i| {
@@ -875,15 +874,6 @@ mod tests {
             .map(|a| a.machine.id.as_str())
             .collect();
         assert_eq!(ids, agents);
-
-        for threads in 1..=9 {
-            assert_eq!(chunk_len(0, threads), 1);
-            for len in 1..=4 * threads + 1 {
-                let chunk = chunk_len(len, threads);
-                assert!(len.div_ceil(chunk) <= threads, "{len} agents, {threads}");
-                assert!((chunk - 1) * threads < len, "{chunk} is not the smallest");
-            }
-        }
     }
 
     /// Agents are found through the plan's table, not by position: a
@@ -935,6 +925,57 @@ mod tests {
             versions,
             [Some(Version::new(2, 0, 0)), Some(Version::new(1, 0, 0))]
         );
+    }
+
+    /// The drive files every report in the order it validated the
+    /// machines, passes batched and failures by name alike, and the
+    /// repository reads the same whether it adopted the plan's machine
+    /// table or had to intern the names one at a time.
+    #[test]
+    fn reports_are_filed_in_validation_order_whatever_the_table() {
+        use mirage_report::ReportOutcome;
+        use mirage_telemetry::Registry;
+
+        let run = |stranger: bool| {
+            let (campaign, upgrade, ref_fp) = build_campaign();
+            let registry = Arc::new(Registry::new(1024));
+            let mut campaign =
+                campaign.with_telemetry(Telemetry::from_registry(Arc::clone(&registry)));
+            if stranger {
+                campaign.urr.intern_machine("stranger");
+            }
+            let (_, plan) = campaign.rollout_plan("app", &ref_fp, 1, staged());
+            // NoStaging validates the whole fleet in one wave: passes
+            // and both failures.
+            let result = campaign.drive(upgrade, &plan, ProtocolChoice::NoStaging, 1.0);
+            assert_eq!(result.failed_validations, 2);
+            let validated: Vec<(String, bool)> = (registry.journal().entries().iter())
+                .filter_map(|e| match e.event {
+                    JournalEvent::UrrDeposit {
+                        machine, problem, ..
+                    } => Some((
+                        plan.deploy.machine_name(MachineId(machine)).to_string(),
+                        problem == NO_PROBLEM,
+                    )),
+                    _ => None,
+                })
+                .collect();
+            let filed: Vec<(String, bool)> = (campaign.urr.all().into_iter())
+                .map(|r| (r.machine, r.outcome == ReportOutcome::Success))
+                .collect();
+            assert_eq!(filed, validated);
+            assert!(
+                filed.windows(2).any(|w| w[0].1 && !w[1].1),
+                "a pass before a failure"
+            );
+            campaign.urr
+        };
+        let (adopted, interned) = (run(false), run(true));
+        assert_eq!(adopted.stats(), interned.stats());
+        assert_eq!(adopted.failure_groups(), interned.failure_groups());
+        assert_eq!(adopted.release_summaries(), interned.release_summaries());
+        assert_eq!(adopted.next_seq(), interned.next_seq());
+        assert_eq!(adopted.all(), interned.all());
     }
 
     /// A guarded drive of a *clean* upgrade stays open: the guard holds

@@ -25,9 +25,11 @@
 //!   side debugs failures using the deduplicated failure groups and
 //!   ships corrected releases until the fleet converges.
 //!
-//! Fleet-wide fingerprinting fans out across OS threads with
-//! `std::thread::scope` — the user-side comparison work is "efficient and
-//! distributed" in the paper, and embarrassingly parallel here.
+//! Fleet-wide fingerprinting ([`fleet_inputs`]) runs once per distinct
+//! environment, not once per machine, and fans out across OS threads
+//! with `mirage_cluster::par::fan_out` — the user-side comparison work is
+//! "efficient and distributed" in the paper, and embarrassingly parallel
+//! here.
 //!
 //! # Examples
 //!
@@ -93,10 +95,12 @@
 
 pub mod agent;
 pub mod campaign;
+mod fleet;
 pub mod vendor;
 
 pub use agent::UserAgent;
 pub use campaign::{choice_for_urgency, Campaign, CampaignResult};
+pub use fleet::fleet_inputs;
 pub use mirage_deploy::ProtocolChoice;
 pub use mirage_rollout::{
     GuardSettings, RollbackInfo, RolloutPlan, RolloutStatus, RolloutStatusReason, RolloutStrategy,

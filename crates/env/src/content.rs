@@ -8,7 +8,7 @@
 use mirage_fingerprint::parsers::image;
 
 /// One line of an INI-style configuration document.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum IniLine {
     /// A `[section]` header.
     Section(String),
@@ -23,7 +23,7 @@ pub enum IniLine {
 }
 
 /// An INI-style configuration document (e.g. `my.cnf`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct IniDoc {
     /// Ordered lines.
     pub lines: Vec<IniLine>,
@@ -118,7 +118,7 @@ impl IniDoc {
 }
 
 /// A browser-style preferences document (e.g. Firefox `prefs.js`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct PrefsDoc {
     /// Ordered `(key, value)` preferences. Values are rendered verbatim.
     pub prefs: Vec<(String, String)>,
@@ -164,7 +164,7 @@ impl PrefsDoc {
 }
 
 /// The content of a simulated file.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum FileContent {
     /// Plain text, one string per line.
     Text(Vec<String>),

@@ -11,7 +11,7 @@ use crate::content::FileContent;
 /// (Table 1): it says whether a human auditing the application would call
 /// this file an environmental resource. The heuristic itself never reads
 /// it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct File {
     /// Absolute path.
     pub path: String,

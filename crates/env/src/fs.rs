@@ -18,7 +18,11 @@ use mirage_fingerprint::ResourceData;
 use crate::file::File;
 
 /// An in-memory filesystem with copy-on-write snapshots.
-#[derive(Debug, Clone, Default)]
+///
+/// Two filesystems are equal when they hold the same paths with equal
+/// contents, whether or not the files are one allocation; hashing reads
+/// contents too.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct FileSystem {
     files: BTreeMap<String, Arc<File>>,
 }

@@ -266,7 +266,7 @@ pub struct InstallReport {
 ///
 /// Holds the repository's own [`Arc<Package>`]s: installing copies
 /// pointers, and so does cloning the database for a sandbox.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PackageManager {
     installed: BTreeMap<String, Arc<Package>>,
 }

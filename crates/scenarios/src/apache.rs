@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 
 use mirage_cluster::{Clustering, ClusteringScore};
-use mirage_core::{UserAgent, Vendor};
+use mirage_core::{fleet_inputs, UserAgent, Vendor};
 use mirage_env::{
     ApplicationSpec, EnvPredicate, File, FileContent, MachineBuilder, Package, ProblemEffect,
     ProblemSpec, Repository, RunInput, Upgrade, Version, VersionReq,
@@ -179,11 +179,7 @@ impl ApacheScenario {
             .vendor
             .classify_reference("apache", &[RunInput::new("a"), RunInput::new("b")]);
         let reference = self.vendor.reference_fingerprint(&classification);
-        let inputs: Vec<_> = self
-            .agents
-            .iter()
-            .map(|a| a.clustering_input("apache", &self.vendor, &reference))
-            .collect();
+        let inputs = fleet_inputs(&self.agents, "apache", &self.vendor, &reference);
         let clustering = self.vendor.cluster(&inputs);
         let score = ClusteringScore::compute(&clustering, &self.behavior);
         (clustering, score)

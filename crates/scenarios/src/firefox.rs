@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use mirage_cluster::{Clustering, ClusteringScore, MachineInfo};
-use mirage_core::{UserAgent, Vendor};
+use mirage_core::{fleet_inputs, UserAgent, Vendor};
 use mirage_env::{
     ApplicationSpec, EnvPredicate, File, FileContent, MachineBuilder, Package, PrefsDoc,
     ProblemEffect, ProblemSpec, Repository, RunInput, Upgrade, Version, VersionReq,
@@ -270,10 +270,7 @@ impl FirefoxScenario {
             .vendor
             .classify_reference("firefox", &[RunInput::new("a"), RunInput::new("b")]);
         let reference = self.vendor.reference_fingerprint(&classification);
-        self.agents
-            .iter()
-            .map(|a| a.clustering_input("firefox", &self.vendor, &reference))
-            .collect()
+        fleet_inputs(&self.agents, "firefox", &self.vendor, &reference)
     }
 
     /// Runs the clustering and scores it.

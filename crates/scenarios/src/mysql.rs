@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 
 use mirage_cluster::{Clustering, ClusteringScore, MachineInfo};
-use mirage_core::{UserAgent, Vendor};
+use mirage_core::{fleet_inputs, UserAgent, Vendor};
 use mirage_env::{
     ApplicationSpec, EnvPredicate, File, IniDoc, MachineBuilder, Package, ProblemEffect,
     ProblemSpec, Repository, RunInput, Upgrade, Version, VersionReq,
@@ -432,10 +432,7 @@ impl MySqlScenario {
             .vendor
             .classify_reference("mysqld", &[RunInput::new("a"), RunInput::new("b")]);
         let reference = self.vendor.reference_fingerprint(&classification);
-        self.agents
-            .iter()
-            .map(|a| a.clustering_input("mysqld", &self.vendor, &reference))
-            .collect()
+        fleet_inputs(&self.agents, "mysqld", &self.vendor, &reference)
     }
 
     /// Runs the clustering and scores it against ground truth.

@@ -65,9 +65,6 @@ pub struct FaultPlan {
     pub retry_base: SimTime,
     /// Cap on the exponential-backoff exponent.
     pub retry_backoff_cap: u32,
-    /// Optional cap on retries per (machine, release); `None` retries
-    /// until the machine is known unreachable (crashed).
-    pub max_retries: Option<u32>,
     /// Interval between protocol ticks.
     pub tick_interval: SimTime,
     /// Upper bound on ticks issued per run (safety valve).
@@ -95,7 +92,6 @@ impl FaultPlan {
             max_delay: 0,
             retry_base: DEFAULT_RETRY_BASE,
             retry_backoff_cap: DEFAULT_RETRY_BACKOFF_CAP,
-            max_retries: None,
             tick_interval: DEFAULT_TICK_INTERVAL,
             max_ticks: DEFAULT_MAX_TICKS,
             rep_timeout: None,
@@ -275,7 +271,6 @@ impl FaultSpec {
             max_delay: self.max_delay,
             retry_base,
             retry_backoff_cap,
-            max_retries: None,
             tick_interval: DEFAULT_TICK_INTERVAL,
             max_ticks: DEFAULT_MAX_TICKS,
             rep_timeout: self.rep_timeout,

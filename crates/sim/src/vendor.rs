@@ -36,8 +36,8 @@ use crate::urr_sink::UrrSink;
 
 /// Safety valve against pathological loss rates (e.g. `loss == 1.0`):
 /// after this many re-notification attempts the vendor gives up on a
-/// machine even when [`crate::FaultPlan::max_retries`] is unset. At any
-/// realistic loss rate the chance of hitting this cap is negligible.
+/// machine. At any realistic loss rate the chance of hitting this cap
+/// is negligible.
 const RETRY_SAFETY_CAP: u32 = 10_000;
 
 /// Journal emissions buffered before one batched flush. Bounds the
@@ -619,16 +619,10 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
         if self.lent.awaiting[machine.index()] != Some((release, attempt)) {
             return; // Report arrived, or a newer notification superseded this one.
         }
-        let cap = self
-            .scenario
-            .faults
-            .max_retries
-            .unwrap_or(RETRY_SAFETY_CAP)
-            .min(RETRY_SAFETY_CAP);
         // A machine crashed for good gets no more retries either:
         // timeout-based stage advancement (rep_timeout) is what unblocks
         // the protocol.
-        if attempt >= cap || self.available_from(machine, self.now).is_none() {
+        if attempt >= RETRY_SAFETY_CAP || self.available_from(machine, self.now).is_none() {
             self.lent.awaiting[machine.index()] = None;
             return;
         }

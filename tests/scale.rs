@@ -146,6 +146,38 @@ fn drive_time_is_linear_in_the_fleet() {
     );
 }
 
+/// The front half runs per distinct environment: the `live_wide`-shaped
+/// `svc` fleet has 400 environments at 10 000 machines and at 20 000,
+/// so `campaign.fleet_environments` (the `clustering_input` calls) reads
+/// 400 at both sizes, while every machine still gets an input of its
+/// own, in agent order, equal to its group's.
+#[test]
+fn fleet_inputs_run_once_per_environment() {
+    use std::sync::Arc;
+
+    use mirage_telemetry::{Registry, Telemetry};
+
+    const GROUPS: usize = 400;
+    for machines in [10_000, 20_000] {
+        let (campaign, _) = svc_campaign(machines, GROUPS);
+        let registry = Arc::new(Registry::new(64));
+        let campaign = campaign.with_telemetry(Telemetry::from_registry(Arc::clone(&registry)));
+        let inputs = campaign.fleet_inputs("svc", &svc_reference(&campaign));
+        let counters = registry.snapshot().counters;
+        assert_eq!(counters["campaign.fleet_environments"], GROUPS as u64);
+        assert_eq!(counters["campaign.fleet_size"], machines as u64);
+        assert_eq!(inputs.len(), machines);
+        for (i, (input, agent)) in inputs.iter().zip(&campaign.agents).enumerate() {
+            assert_eq!(input.id(), agent.machine.id);
+            let first = &inputs[i % GROUPS];
+            assert_eq!(
+                (&input.diff.parsed, &input.diff.content),
+                (&first.diff.parsed, &first.diff.content)
+            );
+        }
+    }
+}
+
 /// Installing copies pointers: a 1 000-machine `svc` fleet holds exactly
 /// one allocation of each package file and one package record — the
 /// repository's. A `file.clone()` or `pkg.clone()` back in the install
