@@ -15,7 +15,7 @@ fn main() {
     let scenario = mysql::MySqlScenario::with_full_parsers();
     let machine = &scenario.agents[0].machine;
     h.bench("validation/sandbox-boot", || {
-        Sandbox::boot(machine).base_file_count()
+        Sandbox::boot(machine).machine.fs.len()
     });
 
     // A healthy machine and a problem machine (the PHP one).

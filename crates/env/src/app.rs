@@ -2,16 +2,19 @@
 //!
 //! Applications are described by data (what they read at startup, which
 //! environment variables they consult, what they load lazily, what outputs
-//! they produce) and *executed* by [`execute`], which emits the same
-//! syscall event log a real strace-style tracer would. Determinism is a
-//! hard requirement: the validation subsystem replays runs and compares
-//! outputs byte for byte.
+//! they produce) and *executed* by [`execute`], which emits into a
+//! [`RunSink`] the same syscall event log a real strace-style tracer
+//! would: all of it into a [`Trace`], only the outputs into
+//! [`RunOutputs`]. Determinism is a hard requirement: the validation
+//! subsystem replays runs and compares outputs byte for byte.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use mirage_fingerprint::fnv1a;
-use mirage_trace::{OpenMode, RunId, SyscallEvent, Trace};
+use mirage_trace::{OpenMode, SyscallEvent, Trace};
 
+use crate::file::File;
 use crate::fs::FileSystem;
 
 /// One resource probed during the application's initialisation phase.
@@ -238,97 +241,142 @@ pub const EXIT_NO_IMAGE: i32 = 127;
 /// Exit code used when a required resource is missing (abort).
 pub const EXIT_ABORT: i32 = 134;
 
-/// Expands a leading `$HOME` in `path`, emitting the `getenv` event.
-fn expand_home(
-    path: &str,
-    env_vars: &BTreeMap<String, String>,
-    trace: &mut Trace,
-) -> Option<String> {
-    if let Some(rest) = path.strip_prefix("$HOME") {
-        let home = env_vars.get("HOME").cloned();
-        trace.push(SyscallEvent::GetEnv {
-            name: "HOME".into(),
-            value: home.clone(),
-        });
-        home.map(|h| format!("{h}{rest}"))
-    } else {
-        Some(path.to_string())
+/// What [`execute`] records a run into.
+///
+/// A [`Trace`] records every event. A sink whose `INPUTS` is `false`
+/// gets only the outputs (`Write`, `NetSend`) and the `Exit`, and the
+/// interpreter then builds no input event and renders no file that no
+/// output depends on. `INPUTS` is a constant, so the choice costs
+/// nothing at run time.
+pub trait RunSink {
+    /// Whether the sink records input events (process creation, opens,
+    /// reads, closes, `getenv`, sockets, receives).
+    const INPUTS: bool;
+    /// Records one event.
+    fn push(&mut self, event: SyscallEvent);
+}
+
+impl RunSink for Trace {
+    const INPUTS: bool = true;
+
+    fn push(&mut self, event: SyscallEvent) {
+        Trace::push(self, event);
     }
 }
 
-/// Emits open/read/close events for an existing file.
-fn read_file(fs: &FileSystem, path: &str, mode: OpenMode, trace: &mut Trace) -> bool {
-    match fs.get(path) {
-        Some(file) => {
-            trace.push(SyscallEvent::Open {
-                path: path.to_string(),
-                mode,
-            });
-            trace.push(SyscallEvent::Read {
-                path: path.to_string(),
-                len: file.content.render().len(),
-            });
-            trace.push(SyscallEvent::Close {
-                path: path.to_string(),
-            });
-            true
+/// The outputs of one run, in the order it produced them, and its exit
+/// code: all that replay validation compares.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunOutputs {
+    /// The run's `Write` and `NetSend` events.
+    pub outputs: Vec<SyscallEvent>,
+    /// Exit code, once the run has ended.
+    pub exit_code: Option<i32>,
+}
+
+impl RunSink for RunOutputs {
+    const INPUTS: bool = false;
+
+    fn push(&mut self, event: SyscallEvent) {
+        match event {
+            SyscallEvent::Exit { code } => self.exit_code = Some(code),
+            output => self.outputs.push(output),
         }
-        None => false,
     }
 }
 
-/// Executes an application spec against a filesystem, producing a trace.
+/// Records a `getenv` of `name`.
+fn getenv<S: RunSink>(name: &str, env_vars: &BTreeMap<String, String>, sink: &mut S) {
+    if S::INPUTS {
+        sink.push(SyscallEvent::GetEnv {
+            name: name.to_string(),
+            value: env_vars.get(name).cloned(),
+        });
+    }
+}
+
+/// Expands a leading `$HOME` in `path`, recording the `getenv` event.
+fn expand_home<'p, S: RunSink>(
+    path: &'p str,
+    env_vars: &BTreeMap<String, String>,
+    sink: &mut S,
+) -> Option<Cow<'p, str>> {
+    let Some(rest) = path.strip_prefix("$HOME") else {
+        return Some(Cow::Borrowed(path));
+    };
+    getenv("HOME", env_vars, sink);
+    env_vars
+        .get("HOME")
+        .map(|h| Cow::Owned(format!("{h}{rest}")))
+}
+
+/// Looks up `path`, recording open/read/close events if it exists.
+fn read_file<'f, S: RunSink>(
+    fs: &'f FileSystem,
+    path: &str,
+    mode: OpenMode,
+    sink: &mut S,
+) -> Option<&'f File> {
+    let file = fs.get(path)?;
+    if S::INPUTS {
+        sink.push(SyscallEvent::Open {
+            path: path.to_string(),
+            mode,
+        });
+        sink.push(SyscallEvent::Read {
+            path: path.to_string(),
+            len: file.content.render().len(),
+        });
+        sink.push(SyscallEvent::Close {
+            path: path.to_string(),
+        });
+    }
+    Some(file)
+}
+
+/// Executes an application spec against a filesystem, recording the
+/// run into `sink`.
 ///
 /// The run is a pure function of `(fs, env_vars, app, input, behavior)`;
-/// `machine` and `run` only label the resulting trace.
-pub fn execute(
-    machine: &str,
+/// a [`Trace`] sink carries its own machine and run labels.
+pub fn execute<S: RunSink>(
     fs: &FileSystem,
     env_vars: &BTreeMap<String, String>,
     app: &ApplicationSpec,
     input: &RunInput,
-    run: RunId,
     behavior: &RunBehavior,
-) -> Trace {
-    let mut trace = Trace::new(machine, app.name.clone(), run);
-    trace.push(SyscallEvent::ProcessCreate {
-        exe: app.exe.clone(),
-        args: input.args.clone(),
-    });
-    let exe_build = match fs.get(&app.exe) {
-        Some(f) => fnv1a(&f.content.render()),
-        None => {
-            trace.push(SyscallEvent::Exit {
-                code: EXIT_NO_IMAGE,
-            });
-            return trace;
-        }
+    sink: &mut S,
+) {
+    if S::INPUTS {
+        sink.push(SyscallEvent::ProcessCreate {
+            exe: app.exe.clone(),
+            args: input.args.clone(),
+        });
+    }
+    let Some(exe) = fs.get(&app.exe) else {
+        return sink.push(SyscallEvent::Exit {
+            code: EXIT_NO_IMAGE,
+        });
     };
     if behavior.fail_to_start {
-        trace.push(SyscallEvent::Exit { code: EXIT_REFUSED });
-        return trace;
+        return sink.push(SyscallEvent::Exit { code: EXIT_REFUSED });
     }
 
     // Initialisation phase: ordered resource loads.
     for init in &app.init_reads {
-        let Some(path) = expand_home(&init.path, env_vars, &mut trace) else {
+        let Some(path) = expand_home(&init.path, env_vars, sink) else {
             continue;
         };
-        let found = read_file(fs, &path, OpenMode::ReadOnly, &mut trace);
+        let found = read_file(fs, &path, OpenMode::ReadOnly, sink).is_some();
         if !found && init.required {
-            trace.push(SyscallEvent::Exit { code: EXIT_ABORT });
-            return trace;
+            return sink.push(SyscallEvent::Exit { code: EXIT_ABORT });
         }
     }
     for var in &app.env_vars {
-        trace.push(SyscallEvent::GetEnv {
-            name: var.clone(),
-            value: env_vars.get(var).cloned(),
-        });
+        getenv(var, env_vars, sink);
     }
     if behavior.crash_on_start {
-        trace.push(SyscallEvent::Exit { code: EXIT_CRASH });
-        return trace;
+        return sink.push(SyscallEvent::Exit { code: EXIT_CRASH });
     }
 
     // Late-bound resources.
@@ -338,13 +386,13 @@ pub fn execute(
             LateTrigger::OnInput(tag) => input.tags.contains(tag),
         };
         if load {
-            if let Some(path) = expand_home(&late.path, env_vars, &mut trace) {
-                read_file(fs, &path, OpenMode::ReadOnly, &mut trace);
+            if let Some(path) = expand_home(&late.path, env_vars, sink) {
+                read_file(fs, &path, OpenMode::ReadOnly, sink);
             }
         }
     }
 
-    // Workload: data files.
+    // Workload: data files. Their bytes only reach the summary output.
     let data_mode = if app.logic.writes_data {
         OpenMode::ReadWrite
     } else {
@@ -352,8 +400,8 @@ pub fn execute(
     };
     let mut data_digest: u64 = 0;
     for path in &input.data_reads {
-        if read_file(fs, path, data_mode, &mut trace) {
-            if let Some(f) = fs.get(path) {
+        if let Some(f) = read_file(fs, path, data_mode, sink) {
+            if app.logic.output_path.is_some() {
                 data_digest ^= fnv1a(&f.content.render());
             }
         }
@@ -362,19 +410,21 @@ pub fn execute(
     // Workload: network requests.
     let perturbation = behavior.wrong_output_tag.as_deref().unwrap_or("");
     let version_salt = if app.logic.version_sensitive {
-        exe_build
+        fnv1a(&exe.content.render())
     } else {
         0
     };
     for (peer, payload) in &input.net_requests {
-        trace.push(SyscallEvent::Socket { peer: peer.clone() });
-        trace.push(SyscallEvent::NetRecv {
-            peer: peer.clone(),
-            data: payload.clone(),
-        });
+        if S::INPUTS {
+            sink.push(SyscallEvent::Socket { peer: peer.clone() });
+            sink.push(SyscallEvent::NetRecv {
+                peer: peer.clone(),
+                data: payload.clone(),
+            });
+        }
         let digest = fnv1a(payload) ^ version_salt;
         let reply = format!("reply:{digest:016x}{perturbation}");
-        trace.push(SyscallEvent::NetSend {
+        sink.push(SyscallEvent::NetSend {
             peer: peer.clone(),
             data: reply.into_bytes(),
         });
@@ -383,25 +433,28 @@ pub fn execute(
     // Outputs.
     if let Some(out) = &app.logic.output_path {
         let body = format!("summary:{:016x}{perturbation}", data_digest ^ version_salt);
-        trace.push(SyscallEvent::Write {
+        sink.push(SyscallEvent::Write {
             path: out.clone(),
             data: body.into_bytes(),
         });
     }
     if let Some(log) = &app.logic.log_path {
-        trace.push(SyscallEvent::Open {
-            path: log.clone(),
-            mode: OpenMode::WriteOnly,
-        });
+        if S::INPUTS {
+            sink.push(SyscallEvent::Open {
+                path: log.clone(),
+                mode: OpenMode::WriteOnly,
+            });
+        }
         let line = format!("{}: run {} ok{perturbation}\n", app.name, input.id);
-        trace.push(SyscallEvent::Write {
+        sink.push(SyscallEvent::Write {
             path: log.clone(),
             data: line.into_bytes(),
         });
-        trace.push(SyscallEvent::Close { path: log.clone() });
+        if S::INPUTS {
+            sink.push(SyscallEvent::Close { path: log.clone() });
+        }
     }
-    trace.push(SyscallEvent::Exit { code: 0 });
-    trace
+    sink.push(SyscallEvent::Exit { code: 0 });
 }
 
 #[cfg(test)]
@@ -409,6 +462,20 @@ mod tests {
     use super::*;
     use crate::content::IniDoc;
     use crate::file::File;
+    use mirage_trace::RunId;
+
+    /// One traced run.
+    fn run(
+        fs: &FileSystem,
+        env: &BTreeMap<String, String>,
+        app: &ApplicationSpec,
+        input: &RunInput,
+        behavior: &RunBehavior,
+    ) -> Trace {
+        let mut trace = Trace::new("m", app.name.clone(), RunId(0));
+        execute(fs, env, app, input, behavior, &mut trace);
+        trace
+    }
 
     fn world() -> (FileSystem, BTreeMap<String, String>, ApplicationSpec) {
         let mut fs = FileSystem::new();
@@ -446,15 +513,7 @@ mod tests {
     #[test]
     fn healthy_run_structure() {
         let (fs, env, app) = world();
-        let t = execute(
-            "m1",
-            &fs,
-            &env,
-            &app,
-            &input(),
-            RunId(0),
-            &RunBehavior::healthy(),
-        );
+        let t = run(&fs, &env, &app, &input(), &RunBehavior::healthy());
         assert!(t.succeeded());
         let seq = t.access_sequence();
         assert_eq!(seq[0], "/usr/sbin/mysqld");
@@ -475,24 +534,8 @@ mod tests {
     #[test]
     fn determinism() {
         let (fs, env, app) = world();
-        let a = execute(
-            "m",
-            &fs,
-            &env,
-            &app,
-            &input(),
-            RunId(0),
-            &RunBehavior::healthy(),
-        );
-        let b = execute(
-            "m",
-            &fs,
-            &env,
-            &app,
-            &input(),
-            RunId(0),
-            &RunBehavior::healthy(),
-        );
+        let a = run(&fs, &env, &app, &input(), &RunBehavior::healthy());
+        let b = run(&fs, &env, &app, &input(), &RunBehavior::healthy());
         assert_eq!(a, b);
     }
 
@@ -503,15 +546,7 @@ mod tests {
             "/root/.my.cnf",
             IniDoc::new().section("client").key("user", "root"),
         ));
-        let t = execute(
-            "m",
-            &fs,
-            &env,
-            &app,
-            &input(),
-            RunId(0),
-            &RunBehavior::healthy(),
-        );
+        let t = run(&fs, &env, &app, &input(), &RunBehavior::healthy());
         assert!(t.accessed_paths().contains("/root/.my.cnf"));
     }
 
@@ -519,15 +554,7 @@ mod tests {
     fn missing_required_resource_aborts() {
         let (mut fs, env, app) = world();
         fs.remove("/lib/libc.so.6");
-        let t = execute(
-            "m",
-            &fs,
-            &env,
-            &app,
-            &input(),
-            RunId(0),
-            &RunBehavior::healthy(),
-        );
+        let t = run(&fs, &env, &app, &input(), &RunBehavior::healthy());
         assert_eq!(t.exit_code(), Some(EXIT_ABORT));
         assert!(t.outputs().is_empty());
     }
@@ -536,15 +563,7 @@ mod tests {
     fn missing_exe_fails_immediately() {
         let (mut fs, env, app) = world();
         fs.remove("/usr/sbin/mysqld");
-        let t = execute(
-            "m",
-            &fs,
-            &env,
-            &app,
-            &input(),
-            RunId(0),
-            &RunBehavior::healthy(),
-        );
+        let t = run(&fs, &env, &app, &input(), &RunBehavior::healthy());
         assert_eq!(t.exit_code(), Some(EXIT_NO_IMAGE));
     }
 
@@ -555,7 +574,7 @@ mod tests {
             crash_on_start: true,
             ..Default::default()
         };
-        let t = execute("m", &fs, &env, &app, &input(), RunId(0), &crash);
+        let t = run(&fs, &env, &app, &input(), &crash);
         assert_eq!(t.exit_code(), Some(EXIT_CRASH));
         // Crash happens after init: libraries were loaded.
         assert!(t.accessed_paths().contains("/lib/libc.so.6"));
@@ -564,7 +583,7 @@ mod tests {
             fail_to_start: true,
             ..Default::default()
         };
-        let t = execute("m", &fs, &env, &app, &input(), RunId(0), &refuse);
+        let t = run(&fs, &env, &app, &input(), &refuse);
         assert_eq!(t.exit_code(), Some(EXIT_REFUSED));
         assert!(!t.accessed_paths().contains("/lib/libc.so.6"));
     }
@@ -572,20 +591,12 @@ mod tests {
     #[test]
     fn wrong_output_perturbs_replies() {
         let (fs, env, app) = world();
-        let healthy = execute(
-            "m",
-            &fs,
-            &env,
-            &app,
-            &input(),
-            RunId(0),
-            &RunBehavior::healthy(),
-        );
+        let healthy = run(&fs, &env, &app, &input(), &RunBehavior::healthy());
         let bad = RunBehavior {
             wrong_output_tag: Some("!corrupt".into()),
             ..Default::default()
         };
-        let t = execute("m", &fs, &env, &app, &input(), RunId(0), &bad);
+        let t = run(&fs, &env, &app, &input(), &bad);
         assert!(t.succeeded(), "wrong output is not a crash");
         assert_ne!(
             healthy.outputs().len(),
@@ -601,54 +612,22 @@ mod tests {
     fn version_sensitive_output_changes_with_build() {
         let (mut fs, env, mut app) = world();
         app.logic.version_sensitive = true;
-        let a = execute(
-            "m",
-            &fs,
-            &env,
-            &app,
-            &input(),
-            RunId(0),
-            &RunBehavior::healthy(),
-        );
+        let a = run(&fs, &env, &app, &input(), &RunBehavior::healthy());
         let a_v4_outputs: Vec<_> = a.outputs().into_iter().cloned().collect();
         fs.insert(File::executable("/usr/sbin/mysqld", "mysqld", 5));
-        let b = execute(
-            "m",
-            &fs,
-            &env,
-            &app,
-            &input(),
-            RunId(0),
-            &RunBehavior::healthy(),
-        );
+        let b = run(&fs, &env, &app, &input(), &RunBehavior::healthy());
         let b_outputs: Vec<_> = b.outputs().into_iter().cloned().collect();
         assert_ne!(a_v4_outputs[0], b_outputs[0]);
 
         // ...but a version-insensitive app keeps identical outputs even
         // though the build changed.
         app.logic.version_sensitive = false;
-        let c = execute(
-            "m",
-            &fs,
-            &env,
-            &app,
-            &input(),
-            RunId(0),
-            &RunBehavior::healthy(),
-        );
+        let c = run(&fs, &env, &app, &input(), &RunBehavior::healthy());
         let c_outputs: Vec<_> = c.outputs().into_iter().cloned().collect();
         app.logic.version_sensitive = true;
         fs.insert(File::executable("/usr/sbin/mysqld", "mysqld", 4));
         app.logic.version_sensitive = false;
-        let d = execute(
-            "m",
-            &fs,
-            &env,
-            &app,
-            &input(),
-            RunId(0),
-            &RunBehavior::healthy(),
-        );
+        let d = run(&fs, &env, &app, &input(), &RunBehavior::healthy());
         let d_outputs: Vec<_> = d.outputs().into_iter().cloned().collect();
         assert_eq!(c_outputs, d_outputs);
     }
@@ -665,25 +644,15 @@ mod tests {
             "/usr/share/themes/dark.theme",
             LateTrigger::OnInput("theme".into()),
         );
-        let plain = execute(
-            "m",
-            &fs,
-            &env,
-            &app,
-            &input(),
-            RunId(0),
-            &RunBehavior::healthy(),
-        );
+        let plain = run(&fs, &env, &app, &input(), &RunBehavior::healthy());
         assert!(!plain
             .accessed_paths()
             .contains("/usr/share/themes/dark.theme"));
-        let tagged = execute(
-            "m",
+        let tagged = run(
             &fs,
             &env,
             &app,
             &input().tag("theme"),
-            RunId(1),
             &RunBehavior::healthy(),
         );
         assert!(tagged

@@ -2,7 +2,7 @@
 //!
 //! Files are immutable once inserted and stored behind [`Arc`]s. A file
 //! installed from a package is the repository's own allocation, shared
-//! by every machine that installed it; a snapshot clones one pointer per
+//! by every machine that installed it; a snapshot (a clone) copies one pointer per
 //! entry, and replacing or removing an entry on one side never shows on
 //! the other. The path map itself is owned per filesystem: a sandbox
 //! always writes, so sharing the map would only move the copy to its
@@ -10,7 +10,6 @@
 //! relies on, mirroring the paper's copy-on-write User-Mode Linux boot.
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mirage_fingerprint::ResourceData;
@@ -19,7 +18,9 @@ use crate::file::File;
 
 /// An in-memory filesystem with copy-on-write snapshots.
 ///
-/// Two filesystems are equal when they hold the same paths with equal
+/// A clone is the snapshot: it shares file storage with the original,
+/// and inserting into or removing from either side afterwards does not
+/// affect the other. Two filesystems are equal when they hold the same paths with equal
 /// contents, whether or not the files are one allocation; hashing reads
 /// contents too.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
@@ -77,45 +78,6 @@ impl FileSystem {
         self.files.keys().map(String::as_str)
     }
 
-    /// Takes a copy-on-write snapshot.
-    ///
-    /// The snapshot shares file storage with the base; inserting into or
-    /// removing from either side afterwards does not affect the other.
-    pub fn snapshot(&self) -> FileSystem {
-        FileSystem {
-            files: self.files.clone(),
-        }
-    }
-
-    /// Returns the set of paths whose presence or contents differ between
-    /// `self` and `other`.
-    ///
-    /// Used by the validation subsystem to answer "which files did this
-    /// upgrade change?".
-    pub fn changed_paths(&self, other: &FileSystem) -> BTreeSet<String> {
-        let mut changed = BTreeSet::new();
-        for (path, file) in &self.files {
-            match other.files.get(path) {
-                None => {
-                    changed.insert(path.clone());
-                }
-                Some(o) => {
-                    // Arc pointer equality is a cheap fast path; fall back
-                    // to structural comparison.
-                    if !Arc::ptr_eq(file, o) && **file != **o {
-                        changed.insert(path.clone());
-                    }
-                }
-            }
-        }
-        for path in other.files.keys() {
-            if !self.files.contains_key(path) {
-                changed.insert(path.clone());
-            }
-        }
-        changed
-    }
-
     /// Renders the files at `paths` into parser-facing resource views.
     ///
     /// Missing paths are skipped: the caller (the heuristic) may list
@@ -161,7 +123,7 @@ mod tests {
         let mut base = FileSystem::new();
         base.insert(textfile("/etc/x", "orig"));
         base.insert(textfile("/etc/y", "orig"));
-        let mut snap = base.snapshot();
+        let mut snap = base.clone();
         snap.insert(textfile("/etc/x", "changed"));
         snap.remove("/etc/y");
         snap.insert(textfile("/etc/z", "new"));
@@ -201,25 +163,6 @@ mod tests {
             FileContent::Text(vec!["changed".into()])
         );
         assert!(!b.contains("/etc/x"));
-    }
-
-    #[test]
-    fn changed_paths_detects_all_kinds_of_change() {
-        let mut a = FileSystem::new();
-        a.insert(textfile("/same", "s"));
-        a.insert(textfile("/modified", "v1"));
-        a.insert(textfile("/only-a", "x"));
-        let mut b = a.snapshot();
-        b.insert(textfile("/modified", "v2"));
-        b.remove("/only-a");
-        b.insert(textfile("/only-b", "y"));
-        let changed = a.changed_paths(&b);
-        assert_eq!(
-            changed.into_iter().collect::<Vec<_>>(),
-            vec!["/modified", "/only-a", "/only-b"]
-        );
-        // Reflexive: no changes against self.
-        assert!(a.changed_paths(&a).is_empty());
     }
 
     #[test]

@@ -49,16 +49,7 @@ impl Machine {
 
     /// Runs an installed application with healthy behaviour.
     pub fn try_run_app(&self, app: &str, input: &RunInput, run: RunId) -> Option<Trace> {
-        let spec = self.apps.get(app)?;
-        Some(execute(
-            &self.id,
-            &self.fs,
-            &self.env,
-            spec,
-            input,
-            run,
-            &RunBehavior::healthy(),
-        ))
+        self.run_app_with_behavior(app, input, run, &RunBehavior::healthy())
     }
 
     /// Runs an installed application with injected misbehaviour.
@@ -70,9 +61,9 @@ impl Machine {
         behavior: &RunBehavior,
     ) -> Option<Trace> {
         let spec = self.apps.get(app)?;
-        Some(execute(
-            &self.id, &self.fs, &self.env, spec, input, run, behavior,
-        ))
+        let mut trace = Trace::new(&self.id, spec.name.as_str(), run);
+        execute(&self.fs, &self.env, spec, input, behavior, &mut trace);
+        Some(trace)
     }
 
     /// Returns the set of applications affected by changes to `paths`.

@@ -321,17 +321,17 @@ impl PackageManager {
     }
 
     /// Installs a concrete package object (an upgrade pushed by a vendor)
-    /// plus its dependencies from `repo`.
+    /// plus its dependencies from `repo`. The database keeps `pkg`'s own
+    /// allocation.
     pub fn apply_package(
         &mut self,
         fs: &mut FileSystem,
         repo: &Repository,
-        pkg: &Package,
+        pkg: &Arc<Package>,
     ) -> Result<InstallReport, PkgError> {
         let mut report = InstallReport::default();
         let mut in_progress = BTreeSet::new();
-        let pkg = Arc::new(pkg.clone());
-        self.apply_concrete(fs, repo, &pkg, &mut report, &mut in_progress)?;
+        self.apply_concrete(fs, repo, pkg, &mut report, &mut in_progress)?;
         Ok(report)
     }
 
@@ -513,16 +513,19 @@ mod tests {
         assert_eq!(repo.best("app", VersionReq::Any), Some(&published));
         assert_eq!(pm_a.installed("app"), Some(&published));
 
-        // A pushed upgrade is wrapped once; its files stay the vendor's.
-        let v2 = Package::new("app", Version::new(2, 0, 0)).with_file(File::executable(
-            "/usr/bin/app",
-            "app",
-            2,
-        ));
+        // A pushed upgrade is installed as the vendor's own allocation,
+        // record and files alike.
+        let v2 = Arc::new(
+            Package::new("app", Version::new(2, 0, 0)).with_file(File::executable(
+                "/usr/bin/app",
+                "app",
+                2,
+            )),
+        );
         let (mut fs, mut pm) = install();
         pm.apply_package(&mut fs, &repo, &v2).unwrap();
         assert!(std::ptr::eq(fs.get("/usr/bin/app").unwrap(), &*v2.files[0]));
-        assert_eq!(pm.installed("app").unwrap(), &v2);
+        assert!(std::ptr::eq(pm.installed("app").unwrap(), &*v2));
     }
 
     #[test]
@@ -560,7 +563,7 @@ mod tests {
             }
         );
 
-        let report = pm.apply_package(&mut fs, &repo, &mysql5).unwrap();
+        let report = pm.apply_package(&mut fs, &repo, &Arc::new(mysql5)).unwrap();
         assert!(report
             .installed
             .contains(&("libmysql".to_string(), Version::new(5, 0, 0))));

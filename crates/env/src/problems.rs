@@ -235,8 +235,9 @@ pub enum Urgency {
 /// A deployable upgrade: a new package version with latent problems.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Upgrade {
-    /// The new package payload (including any dependency requirements).
-    pub package: Package,
+    /// The new package payload (including any dependency requirements),
+    /// shared by every machine that installs it.
+    pub package: Arc<Package>,
     /// Latent problems. Fixed problems are *removed* by [`Upgrade::fix`].
     pub problems: Vec<ProblemSpec>,
     /// Problems fixed relative to the original release (for reporting).
@@ -249,7 +250,7 @@ impl Upgrade {
     /// Creates an upgrade carrying `problems`.
     pub fn new(package: Package, problems: Vec<ProblemSpec>) -> Self {
         Upgrade {
-            package,
+            package: Arc::new(package),
             problems,
             fixed: BTreeSet::new(),
             urgency: Urgency::Routine,
@@ -288,7 +289,7 @@ impl Upgrade {
         }
         let mut fixed = self.fixed.clone();
         fixed.insert(problem.clone());
-        let mut package = self.package.clone();
+        let mut package = Package::clone(&self.package);
         package.version = package.version.next_patch();
         // A fix changes the payload bytes: bump the build of every
         // executable/library file in the package. The files are shared
@@ -306,7 +307,7 @@ impl Upgrade {
             }
         }
         Some(Upgrade {
-            package,
+            package: Arc::new(package),
             problems: self
                 .problems
                 .iter()
@@ -521,7 +522,7 @@ mod tests {
             // A file the fix does not touch is still the shared one.
             assert!(Arc::ptr_eq(&release.package.files[2], &published.files[2]));
         }
-        assert_eq!(upgrade.package, before.0);
+        assert_eq!(*upgrade.package, before.0);
         assert_eq!(*published, before.0);
         assert_eq!(machine.fs.resources(machine.fs.paths()), before.1);
         assert!(std::ptr::eq(

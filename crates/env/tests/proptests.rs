@@ -5,12 +5,12 @@
 
 use std::collections::BTreeMap;
 
-use mirage_env::app::{execute, RunBehavior};
+use mirage_env::app::{execute, RunBehavior, RunOutputs, EXIT_ABORT, EXIT_NO_IMAGE};
 use mirage_env::{
-    ApplicationSpec, EnvPredicate, File, FileContent, FileSystem, IniDoc, Package, PackageManager,
-    Repository, RunInput, Version, VersionReq,
+    AppLogic, ApplicationSpec, EnvPredicate, File, FileContent, FileSystem, IniDoc, LateTrigger,
+    Package, PackageManager, Repository, RunInput, Version, VersionReq,
 };
-use mirage_trace::RunId;
+use mirage_trace::{OpenMode, RunId, SyscallEvent, Trace};
 
 /// Deterministic xorshift64 generator for test inputs.
 struct Rng(u64);
@@ -31,6 +31,10 @@ impl Rng {
         (self.next() % n as u64) as usize
     }
 
+    fn one_in(&mut self, n: usize) -> bool {
+        self.below(n) == 0
+    }
+
     fn version(&mut self) -> Version {
         Version::new(
             self.below(5) as u32,
@@ -38,6 +42,19 @@ impl Rng {
             self.below(5) as u32,
         )
     }
+}
+
+/// One run recorded as a full trace.
+fn trace(
+    fs: &FileSystem,
+    env: &BTreeMap<String, String>,
+    app: &ApplicationSpec,
+    input: &RunInput,
+    behavior: &RunBehavior,
+) -> Trace {
+    let mut trace = Trace::new("m", app.name.clone(), RunId(0));
+    execute(fs, env, app, input, behavior, &mut trace);
+    trace
 }
 
 fn textfile(path: &str, text: &str) -> File {
@@ -58,7 +75,7 @@ fn snapshot_isolation() {
         for i in 0..4 {
             base.insert(textfile(&format!("/f{i}"), "orig"));
         }
-        let snap = base.snapshot();
+        let snap = base.clone();
         let frozen: Vec<(String, FileContent)> = snap
             .iter()
             .map(|f| (f.path.clone(), f.content.clone()))
@@ -170,8 +187,8 @@ fn interpreter_determinism() {
             input = input.request("peer", p.clone());
         }
         let healthy = RunBehavior::healthy();
-        let t1 = execute("m", &fs, &env, &app, &input, RunId(0), &healthy);
-        let t2 = execute("m", &fs, &env, &app, &input, RunId(0), &healthy);
+        let t1 = trace(&fs, &env, &app, &input, &healthy);
+        let t2 = trace(&fs, &env, &app, &input, &healthy);
         assert_eq!(&t1, &t2, "case {case}");
         assert!(t1.succeeded(), "case {case}");
 
@@ -179,9 +196,150 @@ fn interpreter_determinism() {
             crash_on_start: true,
             ..Default::default()
         };
-        let tc = execute("m", &fs, &env, &app, &input, RunId(0), &crash);
+        let tc = trace(&fs, &env, &app, &input, &crash);
         assert!(!tc.succeeded(), "case {case}");
         assert!(tc.outputs().is_empty(), "case {case}");
+    }
+}
+
+/// An outputs-only run records exactly the `Write` / `NetSend` events
+/// and the exit code of the full trace of the same run, over seeded
+/// specs that reach every way a run can end and every output shape.
+#[test]
+fn outputs_only_runs_equal_the_traced_outputs() {
+    const SHAPES: [&str; 17] = [
+        "missing executable",
+        "fail_to_start",
+        "missing required init read",
+        "crash_on_start",
+        "$HOME set",
+        "$HOME unset",
+        "tag-triggered late read",
+        "untriggered late read",
+        "data read, writes_data",
+        "data read, read-only",
+        "network request",
+        "output path",
+        "log path",
+        "version_sensitive",
+        "wrong_output_tag",
+        "clean exit",
+        "no output",
+    ];
+    let mut seen = [0usize; SHAPES.len()];
+    let mut rng = Rng::new(0xe7);
+    for case in 0..400 {
+        let mut fs = FileSystem::new();
+        if !rng.one_in(8) {
+            fs.insert(File::executable("/bin/app", "app", 1 + case as u64 % 3));
+        }
+        if !rng.one_in(8) {
+            fs.insert(File::library("/lib/libapp.so", "libapp", "1.0", 1));
+        }
+        if rng.one_in(2) {
+            fs.insert(File::config("/home/u/.apprc", IniDoc::new().key("k", "v")));
+        }
+        fs.insert(File::data("/data/a", case as u64, 32));
+        fs.insert(File::new(
+            "/usr/share/theme",
+            mirage_fingerprint::ResourceKind::Theme,
+            FileContent::Binary { seed: 7, len: 16 },
+        ));
+        let mut env = BTreeMap::new();
+        let home = rng.one_in(3);
+        if !home {
+            env.insert("HOME".to_string(), "/home/u".to_string());
+        }
+        let logic = AppLogic {
+            serves_net: true,
+            writes_data: rng.one_in(2),
+            log_path: (!rng.one_in(3)).then(|| "/var/log/app".to_string()),
+            output_path: rng.one_in(2).then(|| "/out/summary".to_string()),
+            version_sensitive: rng.one_in(3),
+        };
+        let app = ApplicationSpec::new("app", "app", "/bin/app")
+            .reads("/lib/libapp.so")
+            .probes("$HOME/.apprc")
+            .env("TZ")
+            .late("/usr/share/theme", LateTrigger::OnInput("theme".into()))
+            .late("$HOME/.apprc", LateTrigger::Always)
+            .with_logic(logic.clone());
+        let mut input = RunInput::new(format!("w{case}"));
+        if rng.one_in(2) {
+            input = input.tag("theme");
+        }
+        for _ in 0..rng.below(3) {
+            input = input.data(if rng.one_in(4) {
+                "/data/missing"
+            } else {
+                "/data/a"
+            });
+        }
+        for i in 0..rng.below(3) {
+            input = input.request(format!("peer{i}"), vec![case as u8, i as u8]);
+        }
+        let behavior = RunBehavior {
+            fail_to_start: rng.one_in(10),
+            crash_on_start: rng.one_in(10),
+            wrong_output_tag: rng.one_in(5).then(|| "!bad".to_string()),
+        };
+
+        let full = trace(&fs, &env, &app, &input, &behavior);
+        let mut outputs = RunOutputs::default();
+        execute(&fs, &env, &app, &input, &behavior, &mut outputs);
+        let expected: Vec<SyscallEvent> = full
+            .events
+            .iter()
+            .filter(|e| matches!(e, SyscallEvent::Write { .. } | SyscallEvent::NetSend { .. }))
+            .cloned()
+            .collect();
+        assert_eq!(outputs.outputs, expected, "case {case}");
+        assert_eq!(outputs.exit_code, full.exit_code(), "case {case}");
+        assert!(
+            matches!(full.events.last(), Some(SyscallEvent::Exit { .. })),
+            "case {case}"
+        );
+
+        let exit = full.exit_code();
+        let ran = exit == Some(0);
+        let getenv_home = |set: bool| {
+            full.events.iter().any(|e| {
+                matches!(e, SyscallEvent::GetEnv { name, value } if name == "HOME" && value.is_some() == set)
+            })
+        };
+        let opened = |path: &str, mode: OpenMode| {
+            full.events.iter().any(
+                |e| matches!(e, SyscallEvent::Open { path: p, mode: m } if p == path && *m == mode),
+            )
+        };
+        let late_read = full.accessed_paths().contains("/usr/share/theme");
+        let shapes = [
+            exit == Some(EXIT_NO_IMAGE),
+            behavior.fail_to_start && exit == Some(1),
+            exit == Some(EXIT_ABORT),
+            behavior.crash_on_start && exit == Some(139),
+            getenv_home(true),
+            getenv_home(false),
+            late_read,
+            ran && !late_read,
+            opened("/data/a", OpenMode::ReadWrite),
+            opened("/data/a", OpenMode::ReadOnly),
+            full.events
+                .iter()
+                .any(|e| matches!(e, SyscallEvent::NetSend { .. })),
+            ran && logic.output_path.is_some(),
+            ran && logic.log_path.is_some(),
+            ran && logic.version_sensitive && !expected.is_empty(),
+            ran && behavior.wrong_output_tag.is_some() && !expected.is_empty(),
+            ran,
+            expected.is_empty(),
+        ];
+        for (count, hit) in seen.iter_mut().zip(shapes) {
+            *count += usize::from(hit);
+        }
+    }
+    for (shape, count) in SHAPES.iter().zip(seen) {
+        assert!(count > 0, "no case reached: {shape}");
     }
 }
 

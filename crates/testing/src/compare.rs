@@ -8,47 +8,62 @@
 //! replayed in a different order without failing validation, but any
 //! difference in what is actually written or sent is caught.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
+use mirage_env::app::RunOutputs;
 use mirage_trace::{SyscallEvent, Trace};
 
-/// Outputs of one run, grouped by target.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct OutputSummary {
-    /// Concatenated writes per file path.
-    pub files: BTreeMap<String, Vec<Vec<u8>>>,
-    /// Message sequences per network peer.
-    pub net: BTreeMap<String, Vec<Vec<u8>>>,
-    /// Exit code of the run.
-    pub exit_code: Option<i32>,
+/// The outputs among `events` as borrowed `(to_net, target, bytes)`:
+/// writes to a file path and sends to a network peer, in order.
+fn outputs(events: &[SyscallEvent]) -> impl Iterator<Item = (bool, &str, &[u8])> {
+    events.iter().filter_map(|ev| match ev {
+        SyscallEvent::Write { path, data } => Some((false, path.as_str(), data.as_slice())),
+        SyscallEvent::NetSend { peer, data } => Some((true, peer.as_str(), data.as_slice())),
+        _ => None,
+    })
 }
 
-/// Builds the output summary of a trace.
-pub(crate) fn summarize_outputs(trace: &Trace) -> OutputSummary {
-    let mut summary = OutputSummary {
-        exit_code: trace.exit_code(),
-        ..Default::default()
-    };
-    for ev in &trace.events {
-        match ev {
-            SyscallEvent::Write { path, data } => {
-                summary
-                    .files
-                    .entry(path.clone())
-                    .or_default()
-                    .push(data.clone());
-            }
-            SyscallEvent::NetSend { peer, data } => {
-                summary
-                    .net
-                    .entry(peer.clone())
-                    .or_default()
-                    .push(data.clone());
-            }
-            _ => {}
-        }
+/// Compares a recorded run's outputs with its replay's and returns
+/// every difference: the files, then the peers, whose outputs differ,
+/// each by name, then the exit code. None when they match.
+///
+/// Outputs in the same order are equal per target, and compare as
+/// borrowed slices without grouping; only otherwise are the targets
+/// collected and each one's outputs compared in turn.
+pub(crate) fn diff_outputs(recorded: &Trace, replay: &RunOutputs) -> Vec<OutputDiff> {
+    let (ours, theirs) = (recorded.events.as_slice(), replay.outputs.as_slice());
+    let (recorded_exit, replayed_exit) = (recorded.exit_code(), replay.exit_code);
+    if recorded_exit == replayed_exit && outputs(ours).eq(outputs(theirs)) {
+        return Vec::new();
     }
-    summary
+    let targets: BTreeSet<(bool, &str)> = outputs(ours)
+        .chain(outputs(theirs))
+        .map(|(to_net, target, _)| (to_net, target))
+        .collect();
+    let sent_to = |events, key| {
+        outputs(events)
+            .filter(move |&(to_net, target, _)| (to_net, target) == key)
+            .map(|(_, _, data)| data)
+    };
+    let mut diffs: Vec<OutputDiff> = targets
+        .into_iter()
+        .filter(|&key| !sent_to(ours, key).eq(sent_to(theirs, key)))
+        .map(|(to_net, target)| match to_net {
+            false => OutputDiff::File {
+                path: target.to_string(),
+            },
+            true => OutputDiff::Net {
+                peer: target.to_string(),
+            },
+        })
+        .collect();
+    if recorded_exit != replayed_exit {
+        diffs.push(OutputDiff::ExitCode {
+            recorded: recorded_exit,
+            replayed: replayed_exit,
+        });
+    }
+    diffs
 }
 
 /// One observed difference between recorded and replayed outputs.
@@ -86,33 +101,86 @@ impl std::fmt::Display for OutputDiff {
     }
 }
 
-impl OutputSummary {
-    /// Compares two summaries, returning every difference.
-    pub fn diff(&self, other: &OutputSummary) -> Vec<OutputDiff> {
-        let mut diffs = Vec::new();
-        let file_keys: std::collections::BTreeSet<&String> =
-            self.files.keys().chain(other.files.keys()).collect();
-        for path in file_keys {
-            if self.files.get(path) != other.files.get(path) {
-                diffs.push(OutputDiff::File { path: path.clone() });
+/// The comparison by summaries that [`diff_outputs`] replaces: each
+/// run's outputs copied into per-target maps, then the maps compared.
+/// Kept as the reference the tests compare the validator against.
+#[cfg(test)]
+mod summary {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use mirage_trace::{SyscallEvent, Trace};
+
+    use super::OutputDiff;
+
+    /// Outputs of one run, grouped by target.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub(crate) struct OutputSummary {
+        /// Concatenated writes per file path.
+        pub files: BTreeMap<String, Vec<Vec<u8>>>,
+        /// Message sequences per network peer.
+        pub net: BTreeMap<String, Vec<Vec<u8>>>,
+        /// Exit code of the run.
+        pub exit_code: Option<i32>,
+    }
+
+    /// Builds the output summary of a trace.
+    pub(crate) fn summarize_outputs(trace: &Trace) -> OutputSummary {
+        let mut summary = OutputSummary {
+            exit_code: trace.exit_code(),
+            ..Default::default()
+        };
+        for ev in &trace.events {
+            match ev {
+                SyscallEvent::Write { path, data } => {
+                    summary
+                        .files
+                        .entry(path.clone())
+                        .or_default()
+                        .push(data.clone());
+                }
+                SyscallEvent::NetSend { peer, data } => {
+                    summary
+                        .net
+                        .entry(peer.clone())
+                        .or_default()
+                        .push(data.clone());
+                }
+                _ => {}
             }
         }
-        let peers: std::collections::BTreeSet<&String> =
-            self.net.keys().chain(other.net.keys()).collect();
-        for peer in peers {
-            if self.net.get(peer) != other.net.get(peer) {
-                diffs.push(OutputDiff::Net { peer: peer.clone() });
+        summary
+    }
+
+    impl OutputSummary {
+        /// Compares two summaries, returning every difference.
+        pub fn diff(&self, other: &OutputSummary) -> Vec<OutputDiff> {
+            let mut diffs = Vec::new();
+            let file_keys: BTreeSet<&String> =
+                self.files.keys().chain(other.files.keys()).collect();
+            for path in file_keys {
+                if self.files.get(path) != other.files.get(path) {
+                    diffs.push(OutputDiff::File { path: path.clone() });
+                }
             }
+            let peers: BTreeSet<&String> = self.net.keys().chain(other.net.keys()).collect();
+            for peer in peers {
+                if self.net.get(peer) != other.net.get(peer) {
+                    diffs.push(OutputDiff::Net { peer: peer.clone() });
+                }
+            }
+            if self.exit_code != other.exit_code {
+                diffs.push(OutputDiff::ExitCode {
+                    recorded: self.exit_code,
+                    replayed: other.exit_code,
+                });
+            }
+            diffs
         }
-        if self.exit_code != other.exit_code {
-            diffs.push(OutputDiff::ExitCode {
-                recorded: self.exit_code,
-                replayed: other.exit_code,
-            });
-        }
-        diffs
     }
 }
+
+#[cfg(test)]
+pub(crate) use summary::summarize_outputs;
 
 #[cfg(test)]
 mod tests {
@@ -226,6 +294,37 @@ mod tests {
         assert_eq!(
             summarize_outputs(&t1).diff(&summarize_outputs(&t2)).len(),
             1
+        );
+    }
+
+    /// A replay matches when every target's outputs match, whatever the
+    /// order between targets, and a mismatch names what the summaries
+    /// name.
+    #[test]
+    fn replay_is_compared_per_target() {
+        let rec = trace_with(vec![
+            write("/out", b"r"),
+            send("c", b"1"),
+            write("/log", b"ok"),
+            SyscallEvent::Exit { code: 0 },
+        ]);
+        let replay = |outputs, code| RunOutputs {
+            outputs,
+            exit_code: Some(code),
+        };
+        let reordered = replay(
+            vec![send("c", b"1"), write("/log", b"ok"), write("/out", b"r")],
+            0,
+        );
+        assert!(diff_outputs(&rec, &reordered).is_empty());
+        let changed = vec![write("/log", b"ok"), write("/out", b"x"), send("d", b"1")];
+        let mut rep = trace_with(changed.clone());
+        rep.push(SyscallEvent::Exit { code: 3 });
+        let diffs = diff_outputs(&rec, &replay(changed, 3));
+        assert_eq!(diffs.len(), 4);
+        assert_eq!(
+            diffs,
+            summarize_outputs(&rec).diff(&summarize_outputs(&rep))
         );
     }
 }

@@ -68,6 +68,8 @@
 #![deny(deprecated)]
 
 mod compare;
+#[cfg(test)]
+mod proptests;
 pub mod record;
 pub mod sandbox;
 pub mod validate;

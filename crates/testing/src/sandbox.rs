@@ -19,22 +19,13 @@ use std::collections::BTreeSet;
 pub struct Sandbox {
     /// The isolated machine copy.
     pub machine: Machine,
-    base_paths: usize,
 }
 
 impl Sandbox {
     /// Boots a sandbox from a live machine.
     pub fn boot(machine: &Machine) -> Self {
-        let copy = Machine {
-            id: machine.id.clone(),
-            fs: machine.fs.snapshot(),
-            env: machine.env.clone(),
-            pkgs: machine.pkgs.clone(),
-            apps: machine.apps.clone(),
-        };
         Sandbox {
-            base_paths: copy.fs.len(),
-            machine: copy,
+            machine: machine.clone(),
         }
     }
 
@@ -52,14 +43,25 @@ impl Sandbox {
     }
 
     /// Returns the paths that differ from the machine the sandbox was
-    /// booted from.
-    pub(crate) fn changed_against(&self, live: &Machine) -> BTreeSet<String> {
-        self.machine.fs.changed_paths(&live.fs)
-    }
-
-    /// Number of files at boot time (diagnostics).
-    pub fn base_file_count(&self) -> usize {
-        self.base_paths
+    /// booted from, after `install` was applied to it.
+    ///
+    /// An install only inserts files, so these are the files it wrote
+    /// that differ from the live machine's: the cost of the upgrade, not
+    /// of a walk over both filesystems.
+    pub(crate) fn changed_paths(
+        &self,
+        install: &InstallReport,
+        live: &Machine,
+    ) -> BTreeSet<String> {
+        install
+            .files_written
+            .iter()
+            .filter(|path| {
+                let (new, old) = (self.machine.fs.get(path), live.fs.get(path));
+                !matches!((new, old), (Some(n), Some(o)) if std::ptr::eq(n, o)) && new != old
+            })
+            .cloned()
+            .collect()
     }
 }
 
@@ -111,9 +113,8 @@ mod tests {
             machine.pkgs.installed_version("editor"),
             Some(Version::new(1, 0, 0))
         );
-        let changed = sandbox.changed_against(&machine);
+        let changed = sandbox.changed_paths(&report, &machine);
         assert_eq!(changed.into_iter().collect::<Vec<_>>(), vec!["/usr/bin/ed"]);
-        assert_eq!(sandbox.base_file_count(), 1);
     }
 
     /// Booting shares every file, package and application spec with the

@@ -2,12 +2,12 @@
 
 use std::collections::BTreeSet;
 
-use mirage_env::app::{EXIT_ABORT, EXIT_NO_IMAGE};
+use mirage_env::app::{execute, RunOutputs, EXIT_ABORT, EXIT_NO_IMAGE};
 use mirage_env::problems::run_behavior_for;
 use mirage_env::{Machine, Repository, RunInput, Upgrade, UpgradeId};
-use mirage_trace::{RunId, Trace};
+use mirage_trace::RunId;
 
-use crate::compare::{summarize_outputs, OutputDiff};
+use crate::compare::{diff_outputs, OutputDiff};
 use crate::record::RecordedRun;
 use crate::sandbox::Sandbox;
 
@@ -141,7 +141,7 @@ impl Validator {
         runs: &[RecordedRun],
     ) -> ValidationReport {
         let mut sandbox = Sandbox::boot(machine);
-        if sandbox.apply_upgrade(repo, upgrade).is_err() {
+        let Ok(install) = sandbox.apply_upgrade(repo, upgrade) else {
             return ValidationReport {
                 upgrade: upgrade.id(),
                 machine: machine.id.clone(),
@@ -154,8 +154,8 @@ impl Validator {
                     runs_tested: 0,
                 }],
             };
-        }
-        let changed_paths = sandbox.changed_against(machine);
+        };
+        let changed_paths = sandbox.changed_paths(&install, machine);
         let affected = sandbox.machine.apps_affected_by(&changed_paths);
 
         let mut verdicts = Vec::new();
@@ -170,6 +170,8 @@ impl Validator {
         }
     }
 
+    /// Replays `app`'s recorded runs in the sandbox, recording only
+    /// their outputs and exit codes: what the verdict compares.
     fn validate_app(
         &self,
         sandbox: &Sandbox,
@@ -179,66 +181,50 @@ impl Validator {
     ) -> AppVerdict {
         // Problems trigger against the *post-upgrade* environment.
         let behavior = run_behavior_for(&sandbox.machine, app, &upgrade.problems);
-        let app_runs: Vec<&RecordedRun> = runs.iter().filter(|r| r.app() == app).collect();
-
-        if app_runs.is_empty() {
-            // No traces: integration and crash checking only (§3.3).
-            let trace = sandbox.machine.run_app_with_behavior(
-                app,
-                &RunInput::new("integration-check"),
-                RunId(0),
-                &behavior,
-            );
-            let result = match trace {
-                None => Ok(()), // Application not present in the sandbox.
-                Some(t) => classify_exit(&t).map(|_| ()),
-            };
-            return AppVerdict {
-                app: app.to_string(),
-                result,
-                runs_tested: 0,
-            };
-        }
-
-        for run in &app_runs {
-            let Some(replayed) =
-                sandbox
-                    .machine
-                    .run_app_with_behavior(app, &run.input, run.trace.run, &behavior)
-            else {
-                return AppVerdict {
-                    app: app.to_string(),
-                    result: Err(FailureKind::Integration {
-                        exit_code: EXIT_NO_IMAGE,
-                    }),
-                    runs_tested: 0,
-                };
-            };
-            if let Err(kind) = classify_exit(&replayed) {
-                return AppVerdict {
-                    app: app.to_string(),
-                    result: Err(kind),
-                    runs_tested: app_runs.len(),
-                };
-            }
-            let recorded = summarize_outputs(&run.trace);
-            let actual = summarize_outputs(&replayed);
-            let diffs = recorded.diff(&actual);
-            if !diffs.is_empty() && self.policy == AcceptancePolicy::RejectDifferences {
-                return AppVerdict {
-                    app: app.to_string(),
-                    result: Err(FailureKind::OutputMismatch {
-                        diffs: diffs.iter().map(OutputDiff::to_string).collect(),
-                    }),
-                    runs_tested: app_runs.len(),
-                };
-            }
-        }
-        AppVerdict {
+        let verdict = |result, runs_tested| AppVerdict {
             app: app.to_string(),
-            result: Ok(()),
-            runs_tested: app_runs.len(),
+            result,
+            runs_tested,
+        };
+        let app_runs = || runs.iter().filter(|r| r.app() == app);
+        let tested = app_runs().count();
+        let machine = &sandbox.machine;
+        // `app` comes from `apps_affected_by` on this same machine.
+        let spec = &machine.apps[app];
+        let replay = |input: &RunInput| {
+            let mut outputs = RunOutputs::default();
+            execute(
+                &machine.fs,
+                &machine.env,
+                spec,
+                input,
+                &behavior,
+                &mut outputs,
+            );
+            outputs
+        };
+
+        if tested == 0 {
+            // No traces: integration and crash checking only (§3.3).
+            let input = RunInput::new("integration-check");
+            let outputs = replay(&input);
+            return verdict(classify_exit(outputs.exit_code), 0);
         }
+
+        for run in app_runs() {
+            let outputs = replay(&run.input);
+            if let Err(kind) = classify_exit(outputs.exit_code) {
+                return verdict(Err(kind), tested);
+            }
+            if self.policy == AcceptancePolicy::RejectDifferences {
+                let diffs = diff_outputs(&run.trace, &outputs);
+                if !diffs.is_empty() {
+                    let diffs = diffs.iter().map(OutputDiff::to_string).collect();
+                    return verdict(Err(FailureKind::OutputMismatch { diffs }), tested);
+                }
+            }
+        }
+        verdict(Ok(()), tested)
     }
 }
 
@@ -248,8 +234,8 @@ impl Default for Validator {
     }
 }
 
-fn classify_exit(trace: &Trace) -> Result<(), FailureKind> {
-    match trace.exit_code() {
+pub(crate) fn classify_exit(exit_code: Option<i32>) -> Result<(), FailureKind> {
+    match exit_code {
         Some(0) => Ok(()),
         Some(code) if code == EXIT_NO_IMAGE || code == EXIT_ABORT => {
             Err(FailureKind::Integration { exit_code: code })

@@ -31,6 +31,8 @@ const ALLOWED: &[(&str, &str)] = &[
         "ClusterToken",
         "privacy::machine_token(..) -> ClusterToken, privacy::is_my_turn(.., ClusterToken)",
     ),
+    // mirage-env
+    ("RunSink", "app::execute(.., sink: &mut S) where S: RunSink"),
     // mirage-fingerprint
     ("Chunk", "Chunker::chunk(..) -> Vec<Chunk>"),
     // mirage-report

@@ -217,6 +217,43 @@ fn fleet_shares_one_allocation_of_each_package_file() {
     }
 }
 
+/// A drive installs the shipped release itself: every machine that
+/// integrated the original upgrade holds the upgrade's own package
+/// record, and every machine on the vendor's fix holds that release's
+/// one record. A `pkg.clone()` back in `apply_package` fails here.
+#[test]
+fn integrated_machines_share_the_shipped_release() {
+    use std::sync::Arc;
+
+    const MACHINES: usize = 1_000;
+    let (mut campaign, upgrade) = svc_campaign(MACHINES, MACHINES / 25);
+    let shipped = Arc::clone(&upgrade.package);
+    let fp = svc_reference(&campaign);
+    let (_, plan) = campaign.rollout_plan("svc", &fp, 1, RolloutStrategy::Staged { waves: 1 });
+    let result = campaign.drive(upgrade, &plan, ProtocolChoice::Balanced, 1.0);
+    assert!(result.converged(MACHINES));
+    assert_eq!(result.releases.len(), 2);
+
+    let (mut on_original, mut fix) = (0, None);
+    for agent in &campaign.agents {
+        let installed = agent.machine.pkgs.installed("svc").expect("integrated");
+        if result.integrated[&agent.machine.id] == 0 {
+            assert!(std::ptr::eq(installed, &*shipped), "{}", agent.machine.id);
+            on_original += 1;
+        } else {
+            let fix = *fix.get_or_insert(installed);
+            assert!(std::ptr::eq(installed, fix), "{}", agent.machine.id);
+            assert!(!std::ptr::eq(installed, &*shipped));
+        }
+    }
+    assert!(
+        on_original > 0 && fix.is_some(),
+        "{on_original} on the original"
+    );
+    // The campaign's copy of the release, and one per machine on it.
+    assert!(Arc::strong_count(&shipped) > on_original);
+}
+
 /// The Table 2 MySQL fleet replicated ×4 (the `plan_mysql` shape):
 /// replicas are identical machines, so phase 2 is all ties. The ×4
 /// fleet must yield the ×1 fleet's 15 clusters, each replica beside its
