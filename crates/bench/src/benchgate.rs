@@ -115,9 +115,9 @@ pub struct Suite {
     /// The committed file name in the repository root.
     pub file: &'static str,
     /// The `suite` value the document must carry.
-    pub suite: &'static str,
+    pub(crate) suite: &'static str,
     /// Its invariants, in the order they are checked.
-    pub rules: &'static [Rule],
+    pub(crate) rules: &'static [Rule],
 }
 
 /// Every committed timing document.

@@ -23,9 +23,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct BenchStats {
     /// Benchmark name, e.g. `rabin/chunking/avg-4096`.
-    pub name: String,
+    pub(crate) name: String,
     /// Number of timed samples.
-    pub samples: usize,
+    pub(crate) samples: usize,
     /// Fastest sample.
     pub min_ns: u64,
     /// Median sample.
@@ -33,14 +33,14 @@ pub struct BenchStats {
     /// 99th-percentile sample (the slowest one below 100 samples).
     pub p99_ns: u64,
     /// Arithmetic mean.
-    pub mean_ns: f64,
+    pub(crate) mean_ns: f64,
     /// Slowest sample.
-    pub max_ns: u64,
+    pub(crate) max_ns: u64,
     /// Bytes processed per iteration (for throughput rows).
-    pub bytes: Option<u64>,
+    pub(crate) bytes: Option<u64>,
     /// Single-shot scale row (see [`Harness::bench_scale`]): exactly
     /// one sample by design, exempt from the minimum-sample gate.
-    pub scale: bool,
+    pub(crate) scale: bool,
 }
 
 impl BenchStats {

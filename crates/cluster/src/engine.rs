@@ -38,11 +38,11 @@ pub(crate) fn label_of<'a>(members: impl Iterator<Item = &'a MachineInfo>) -> It
 #[derive(Debug, Clone)]
 pub struct ClusterEngine {
     /// Phase-2 diameter bound `d`.
-    pub diameter: usize,
+    pub(crate) diameter: usize,
     /// Vendor importance filter applied to diff sets before clustering.
-    pub importance: ImportanceFilter,
+    pub(crate) importance: ImportanceFilter,
     /// Telemetry handle (no-op by default).
-    pub telemetry: Telemetry,
+    pub(crate) telemetry: Telemetry,
 }
 
 impl ClusterEngine {

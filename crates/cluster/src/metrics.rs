@@ -34,7 +34,7 @@ pub struct ClusteringScore {
     /// Number of clusters.
     pub clusters: usize,
     /// Number of distinct behaviours among scored machines.
-    pub behaviors: usize,
+    pub(crate) behaviors: usize,
     /// Unnecessarily created clusters (`C`), `clusters - behaviors`,
     /// floored at zero.
     pub unnecessary_clusters: usize,

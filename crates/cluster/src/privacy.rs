@@ -26,7 +26,7 @@ use mirage_fingerprint::{DiffSet, HashValue, ItemSet};
 
 /// The opaque token a machine reports instead of its diff items.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ClusterToken(pub u64);
+pub struct ClusterToken(pub(crate) u64);
 
 impl std::fmt::Display for ClusterToken {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -62,7 +62,7 @@ pub fn machine_token(diff: &DiffSet) -> ClusterToken {
 pub struct PrivateClustering {
     /// Members per token (machine identities intentionally absent; the
     /// count is what deployment pacing needs).
-    pub cluster_sizes: BTreeMap<ClusterToken, usize>,
+    pub(crate) cluster_sizes: BTreeMap<ClusterToken, usize>,
 }
 
 impl PrivateClustering {

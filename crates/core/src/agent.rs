@@ -54,7 +54,7 @@ impl UserAgent {
 
     /// Identifies environmental resources of `app` from this machine's
     /// own traces, under the vendor's heuristic configuration and rules.
-    pub fn classify(&self, app: &str, vendor: &Vendor) -> Classification {
+    pub(crate) fn classify(&self, app: &str, vendor: &Vendor) -> Classification {
         let traces = self
             .runs
             .iter()
@@ -99,12 +99,16 @@ impl UserAgent {
         Validator::new().validate(&self.machine, repo, upgrade, &self.runs)
     }
 
-    /// Integrates an upgrade into the live machine (after a pass).
-    pub fn integrate(&mut self, repo: &Repository, upgrade: &Upgrade) -> bool {
-        self.machine
-            .pkgs
-            .apply_package(&mut self.machine.fs, repo, &upgrade.package)
-            .is_ok()
+    /// Tests an upgrade in the sandbox and, on a pass, integrates it:
+    /// the live machine becomes the sandbox's upgraded machine, so the
+    /// release is installed once, not again on the live system.
+    pub fn upgrade(&mut self, repo: &Repository, upgrade: &Upgrade) -> ValidationReport {
+        let (report, upgraded) =
+            Validator::new().validate_in_sandbox(&self.machine, repo, upgrade, &self.runs);
+        if let (true, Some(machine)) = (report.passed(), upgraded) {
+            self.machine = machine;
+        }
+        report
     }
 
     /// Builds the report image for a failed validation.
@@ -184,9 +188,13 @@ mod tests {
         let upgrade = Upgrade::new(v2, vec![]);
         let mut agent = UserAgent::new(machine);
         agent.collect("app", RunInput::new("w"));
-        let report = agent.test_upgrade(&repo, &upgrade);
-        assert!(report.passed());
-        assert!(agent.integrate(&repo, &upgrade));
+        assert!(agent.test_upgrade(&repo, &upgrade).passed());
+        assert_eq!(
+            agent.machine.pkgs.installed_version("app"),
+            Some(Version::new(1, 0, 0)),
+            "testing alone leaves the live machine as it was"
+        );
+        assert!(agent.upgrade(&repo, &upgrade).passed());
         assert_eq!(
             agent.machine.pkgs.installed_version("app"),
             Some(Version::new(2, 0, 0))
@@ -214,8 +222,13 @@ mod tests {
         );
         let mut agent = UserAgent::new(machine);
         agent.collect("app", RunInput::new("w"));
-        let validation = agent.test_upgrade(&repo, &upgrade);
+        let validation = agent.upgrade(&repo, &upgrade);
         assert!(!validation.passed());
+        assert_eq!(
+            agent.machine.pkgs.installed_version("app"),
+            Some(Version::new(1, 0, 0)),
+            "a failed upgrade is not integrated"
+        );
         let image = agent.report_image(&validation);
         assert!(!image.observed_outputs.is_empty());
         assert!(image.env_context.iter().any(|c| c.contains("/usr/bin/app")));

@@ -1,6 +1,6 @@
 //! End-to-end deployment campaigns over a fleet.
 //!
-//! The campaign API splits the old monolithic deploy loop in two:
+//! A campaign runs in two halves:
 //!
 //! * **Planning** ([`Campaign::rollout_plan`]) clusters the fleet and
 //!   shapes the resulting [`DeployPlan`] into a strategy-carrying
@@ -55,8 +55,6 @@ pub fn choice_for_urgency(urgency: Urgency) -> ProtocolChoice {
 /// The outcome of a campaign.
 #[derive(Debug)]
 pub struct CampaignResult {
-    /// The deployment plan (clusters + representatives).
-    pub plan: DeployPlan,
     /// Every release shipped (release 0 is the original upgrade).
     pub releases: Vec<UpgradeId>,
     /// Machines that integrated the upgrade, with the release they
@@ -88,10 +86,10 @@ pub struct Campaign {
     /// guard can assess it live while the campaign deposits into it.
     pub urr: Arc<Urr>,
     /// Telemetry handle (no-op by default).
-    pub telemetry: Telemetry,
+    pub(crate) telemetry: Telemetry,
     /// URR guard thresholds armed on every drive (closed-loop
     /// rollback). `None` runs open-loop.
-    pub guard: Option<GuardSettings>,
+    pub(crate) guard: Option<GuardSettings>,
 }
 
 impl Campaign {
@@ -191,7 +189,6 @@ impl Campaign {
         let rounds = mirage_rollout::drive(&mut controller, &mut executor, &self.telemetry);
         self.telemetry.counter("campaign.rounds", rounds as u64);
         CampaignResult {
-            plan: plan.deploy.clone(),
             releases: executor.releases.iter().map(Upgrade::id).collect(),
             integrated: executor.integrated,
             failed_validations: executor.failed_validations,
@@ -387,10 +384,9 @@ impl WaveExecutor for FleetExecutor<'_> {
                 release: release.0,
             });
             let current = &self.releases[release.0 as usize];
-            let validation = self.agents[agent_idx].test_upgrade(&self.vendor.repo, current);
+            let validation = self.agents[agent_idx].upgrade(&self.vendor.repo, current);
             self.telemetry.counter("campaign.validations", 1);
             if validation.passed() {
-                self.agents[agent_idx].integrate(&self.vendor.repo, current);
                 self.integrated.insert(machine_name.to_string(), release.0);
                 let release_ref = *release_ref.get_or_insert_with(|| {
                     let package = &current.package;
@@ -703,85 +699,6 @@ mod tests {
         assert_eq!(campaign.urr.stats().failures, 0);
     }
 
-    /// A fleet-wide regression under a guarded rolling drive: the guard
-    /// trips on the campaign's own URR, exposure stays within the first
-    /// batch, and every reverted machine drops out of `integrated`.
-    #[test]
-    fn guarded_drive_aborts_and_contains_exposure() {
-        use mirage_telemetry::{Registry, RolloutStep};
-
-        let (campaign, _, ref_fp) = build_campaign();
-        let registry = Arc::new(Registry::new(1024));
-        let mut campaign = campaign
-            .with_telemetry(Telemetry::from_registry(Arc::clone(&registry)))
-            .with_guard(GuardSettings {
-                max_cluster_failure_rate: 0.3,
-                min_reports: 2,
-                unhealthy_ticks: 1,
-                healthy_ticks: 1,
-                ..GuardSettings::default()
-            });
-        let everywhere_bad = Upgrade::new(
-            Package::new("app", Version::new(2, 0, 0)).with_file(File::executable(
-                "/usr/bin/app",
-                "app",
-                2,
-            )),
-            vec![ProblemSpec::new(
-                "global-regression",
-                "v2 crashes on every machine",
-                EnvPredicate::FileExists("/usr/bin/app".into()),
-                ProblemEffect::CrashOnStart { app: "app".into() },
-            )],
-        );
-        let (_, plan) = campaign.rollout_plan(
-            "app",
-            &ref_fp,
-            1,
-            RolloutStrategy::Rolling { batch_size: 2 },
-        );
-        assert_eq!(plan.cohorts.len(), 3);
-        let result = campaign.drive(everywhere_bad, &plan, ProtocolChoice::Balanced, 1.0);
-        let info = result.rollback.expect("guard aborts the regression");
-        assert_eq!(info.exposed_machines, 2, "contained to the first batch");
-        assert_eq!(info.at_cohort, 0);
-        assert_eq!(info.prior_release, PRIOR_RELEASE);
-        assert!(
-            result.integrated.is_empty(),
-            "reverted machines are un-integrated: {:?}",
-            result.integrated
-        );
-        assert!(!result.converged(6));
-        // The revert wave names exactly the exposed machines — the ones
-        // that reported on the bad release — each once, journaled no
-        // earlier than the roll-back decision.
-        let exposed: BTreeSet<String> = campaign.urr.all().into_iter().map(|r| r.machine).collect();
-        let entries = registry.journal().entries();
-        let rolled_back = entries
-            .iter()
-            .find(|e| matches!(e.event, JournalEvent::Rollout { step, .. } if step == RolloutStep::RollBack))
-            .expect("roll-back journaled");
-        let reverted: Vec<String> = entries
-            .iter()
-            .filter_map(|e| match e.event {
-                JournalEvent::Notify { machine, release } if release == PRIOR_RELEASE.0 => {
-                    assert!(
-                        (e.time, e.seq) > (rolled_back.time, rolled_back.seq),
-                        "revert {e:?} before the roll-back {rolled_back:?}"
-                    );
-                    Some(plan.deploy.machine_name(MachineId(machine)).to_string())
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(reverted.len(), info.exposed_machines);
-        assert_eq!(reverted.into_iter().collect::<BTreeSet<_>>(), exposed);
-        assert_eq!(
-            registry.snapshot().counters["campaign.reverts"],
-            info.exposed_machines as u64
-        );
-    }
-
     /// The executor `Campaign::drive` builds, for waves issued by hand.
     fn executor<'a>(
         campaign: &'a mut Campaign,
@@ -976,27 +893,6 @@ mod tests {
         assert_eq!(adopted.release_summaries(), interned.release_summaries());
         assert_eq!(adopted.next_seq(), interned.next_seq());
         assert_eq!(adopted.all(), interned.all());
-    }
-
-    /// A guarded drive of a *clean* upgrade stays open: the guard holds
-    /// its fire and the fleet converges normally.
-    #[test]
-    fn guarded_drive_passes_a_clean_release() {
-        let (campaign, _, ref_fp) = build_campaign();
-        let mut campaign = campaign.with_guard(GuardSettings::default());
-        let clean = clean_upgrade();
-        let (_, plan) = campaign.rollout_plan(
-            "app",
-            &ref_fp,
-            1,
-            RolloutStrategy::Canary {
-                percentage: 20.0,
-                bake_time: 0,
-            },
-        );
-        let result = campaign.drive(clean, &plan, ProtocolChoice::Balanced, 1.0);
-        assert!(result.rollback.is_none());
-        assert!(result.converged(6), "integrated: {:?}", result.integrated);
     }
 }
 

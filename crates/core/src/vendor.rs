@@ -10,7 +10,7 @@ use mirage_trace::{RunId, Trace};
 /// The vendor: reference machine, fingerprinting policy, repository.
 pub struct Vendor {
     /// The vendor's reference machine for the application being shipped.
-    pub reference: Machine,
+    pub(crate) reference: Machine,
     /// Parser registry (Mirage-supplied plus vendor-supplied parsers).
     pub registry: ParserRegistry,
     /// Include/exclude rules for the resource-identification heuristic.
@@ -22,9 +22,9 @@ pub struct Vendor {
     /// Phase-2 cluster diameter.
     pub diameter: usize,
     /// Item-importance filter applied before clustering.
-    pub importance: ImportanceFilter,
+    pub(crate) importance: ImportanceFilter,
     /// Telemetry handle threaded into clustering (no-op by default).
-    pub telemetry: Telemetry,
+    pub(crate) telemetry: Telemetry,
 }
 
 impl Vendor {

@@ -86,7 +86,7 @@ pub struct MachineTable {
 
 impl MachineTable {
     /// Creates an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -111,7 +111,7 @@ impl MachineTable {
     }
 
     /// Looks up the id of an already-interned name.
-    pub fn id(&self, name: &str) -> Option<MachineId> {
+    pub(crate) fn id(&self, name: &str) -> Option<MachineId> {
         self.shared.get(name).map(MachineId)
     }
 
@@ -120,7 +120,7 @@ impl MachineTable {
     /// # Panics
     ///
     /// Panics if `id` was not produced by this table.
-    pub fn name(&self, id: MachineId) -> &str {
+    pub(crate) fn name(&self, id: MachineId) -> &str {
         self.shared.name(id.0)
     }
 
@@ -137,11 +137,6 @@ impl MachineTable {
     /// All ids in interning (dense) order.
     pub fn ids(&self) -> impl Iterator<Item = MachineId> + '_ {
         (0..self.shared.len() as u32).map(MachineId)
-    }
-
-    /// All names in interning (dense) order.
-    pub fn names(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
-        self.shared.names_from(0)
     }
 
     /// The storage every clone of this table reads: what a report
@@ -197,11 +192,6 @@ impl ProblemTable {
     /// Returns `true` if nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
-    }
-
-    /// All names in interning (dense) order.
-    pub fn names(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
-        self.names.names_from(0)
     }
 }
 
@@ -266,7 +256,7 @@ impl MachineSet {
     }
 
     /// Removes `id`; returns `true` if it was present.
-    pub fn remove(&mut self, id: MachineId) -> bool {
+    pub(crate) fn remove(&mut self, id: MachineId) -> bool {
         self.0.remove(id.index())
     }
 
@@ -308,16 +298,6 @@ impl ProblemSet {
     pub fn contains(&self, id: ProblemId) -> bool {
         self.0.contains(id.index())
     }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.0.len
-    }
-
-    /// Returns `true` if the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.len == 0
-    }
 }
 
 #[cfg(test)]
@@ -338,7 +318,6 @@ mod tests {
         assert_eq!(t.id("beta"), Some(b));
         assert_eq!(t.id("gamma"), None);
         assert_eq!(t.ids().collect::<Vec<_>>(), vec![a, b]);
-        assert_eq!(t.names().collect::<Vec<_>>(), vec!["alpha", "beta"]);
     }
 
     #[test]
@@ -378,7 +357,6 @@ mod tests {
         assert!(p.insert(ProblemId(0)));
         assert!(p.contains(ProblemId(0)));
         assert!(!p.contains(ProblemId(1)));
-        assert_eq!(p.len(), 1);
     }
 
     #[test]

@@ -35,13 +35,8 @@ impl DeployCluster {
     }
 
     /// Number of member machines.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.members.len()
-    }
-
-    /// Returns `true` if the cluster has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
     }
 }
 
@@ -193,7 +188,6 @@ mod tests {
         assert_eq!(p.clusters[0].non_reps(), vec![MachineId(1), MachineId(2)]);
         assert_eq!(p.machine_count(), 3);
         assert_eq!(p.all_machines().len(), 3);
-        assert!(!p.clusters[0].is_empty());
         // Names round-trip through the table in plan order.
         assert_eq!(p.machine_name(MachineId(1)), "b");
         assert_eq!(p.machine_id("c"), Some(MachineId(2)));

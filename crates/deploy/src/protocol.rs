@@ -59,13 +59,6 @@ pub enum TestOutcome {
     },
 }
 
-impl TestOutcome {
-    /// Returns `true` for a pass.
-    pub fn passed(&self) -> bool {
-        matches!(self, TestOutcome::Pass)
-    }
-}
-
 /// A test report delivered to the vendor's protocol engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TestReport {
@@ -202,15 +195,6 @@ pub(crate) enum MachineStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn outcome_helpers() {
-        assert!(TestOutcome::Pass.passed());
-        assert!(!TestOutcome::Fail {
-            problem: ProblemId(0)
-        }
-        .passed());
-    }
 
     #[test]
     fn release_display_and_order() {

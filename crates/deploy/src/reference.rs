@@ -23,18 +23,18 @@ use crate::protocol::{MachineStatus, Release, SimTime};
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct NamedCluster {
     /// Cluster index within the plan.
-    pub id: usize,
+    pub(crate) id: usize,
     /// All member machine names (representatives included).
-    pub members: Vec<String>,
+    pub(crate) members: Vec<String>,
     /// Representative machine names (a prefix subset of `members`).
-    pub reps: Vec<String>,
+    pub(crate) reps: Vec<String>,
     /// Vendor↔cluster distance.
-    pub distance: f64,
+    pub(crate) distance: f64,
 }
 
 impl NamedCluster {
     /// Non-representative member names.
-    pub fn non_reps(&self) -> Vec<String> {
+    pub(crate) fn non_reps(&self) -> Vec<String> {
         self.members
             .iter()
             .filter(|m| !self.reps.contains(m))
@@ -76,7 +76,7 @@ impl NamedPlan {
     }
 
     /// Cluster ids ordered by ascending distance (ties by id).
-    pub fn order_by_distance_asc(&self) -> Vec<usize> {
+    pub(crate) fn order_by_distance_asc(&self) -> Vec<usize> {
         let mut ids: Vec<usize> = (0..self.clusters.len()).collect();
         ids.sort_by(|&a, &b| {
             self.clusters[a]
@@ -96,7 +96,7 @@ impl NamedPlan {
     }
 
     /// All machine names across clusters, in plan order.
-    pub fn all_machines(&self) -> Vec<String> {
+    pub(crate) fn all_machines(&self) -> Vec<String> {
         self.clusters
             .iter()
             .flat_map(|c| c.members.iter().cloned())

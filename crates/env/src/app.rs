@@ -22,14 +22,14 @@ use crate::fs::FileSystem;
 pub(crate) struct InitRead {
     /// Path to probe; a leading `$HOME` is expanded through the
     /// environment (emitting the corresponding `getenv` event).
-    pub path: String,
+    pub(crate) path: String,
     /// If `true`, a missing file aborts startup (broken dependency).
-    pub required: bool,
+    pub(crate) required: bool,
 }
 
 impl InitRead {
     /// A required startup read (libraries, the main config).
-    pub fn required(path: impl Into<String>) -> Self {
+    pub(crate) fn required(path: impl Into<String>) -> Self {
         InitRead {
             path: path.into(),
             required: true,
@@ -37,7 +37,7 @@ impl InitRead {
     }
 
     /// An optional probe (e.g. `$HOME/.my.cnf`, which may not exist).
-    pub fn optional(path: impl Into<String>) -> Self {
+    pub(crate) fn optional(path: impl Into<String>) -> Self {
         InitRead {
             path: path.into(),
             required: false,
@@ -59,9 +59,9 @@ pub enum LateTrigger {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LateRead {
     /// Path to load.
-    pub path: String,
+    pub(crate) path: String,
     /// Load condition.
-    pub when: LateTrigger,
+    pub(crate) when: LateTrigger,
 }
 
 /// Output behaviour of an application.
@@ -92,7 +92,7 @@ pub struct ApplicationSpec {
     /// Ordered initialisation-phase reads.
     pub(crate) init_reads: Vec<InitRead>,
     /// Environment variables consulted at startup.
-    pub env_vars: Vec<String>,
+    pub(crate) env_vars: Vec<String>,
     /// Lazily-loaded resources.
     pub(crate) late_reads: Vec<LateRead>,
     /// Output behaviour.
@@ -100,7 +100,7 @@ pub struct ApplicationSpec {
     /// Names of other applications sharing environmental resources with
     /// this one (the dependence information driving both validation
     /// triggering and the cluster app-overlap split).
-    pub shares_with: Vec<String>,
+    pub(crate) shares_with: Vec<String>,
 }
 
 impl ApplicationSpec {
@@ -168,13 +168,13 @@ pub struct RunInput {
     /// Human-readable label of the workload.
     pub id: String,
     /// Command-line arguments.
-    pub args: Vec<String>,
+    pub(crate) args: Vec<String>,
     /// Data files read during the run.
-    pub data_reads: Vec<String>,
+    pub(crate) data_reads: Vec<String>,
     /// Network requests `(peer, payload)` served during the run.
-    pub net_requests: Vec<(String, Vec<u8>)>,
+    pub(crate) net_requests: Vec<(String, Vec<u8>)>,
     /// Tags enabling [`LateTrigger::OnInput`] reads.
-    pub tags: BTreeSet<String>,
+    pub(crate) tags: BTreeSet<String>,
 }
 
 impl RunInput {

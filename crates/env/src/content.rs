@@ -76,14 +76,6 @@ impl IniDoc {
         }
     }
 
-    /// Looks up the first value assigned to `key` (in any section).
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.lines.iter().find_map(|l| match l {
-            IniLine::KeyValue(k, v) if k == key => Some(v.as_str()),
-            _ => None,
-        })
-    }
-
     /// Returns `true` if `key` appears in `section`.
     pub(crate) fn has_key_in(&self, section: &str, key: &str) -> bool {
         let mut current = "global";
@@ -102,7 +94,7 @@ impl IniDoc {
     }
 
     /// Renders the document to bytes.
-    pub fn render(&self) -> Vec<u8> {
+    pub(crate) fn render(&self) -> Vec<u8> {
         let mut out = String::new();
         for line in &self.lines {
             match line {
@@ -121,7 +113,7 @@ impl IniDoc {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct PrefsDoc {
     /// Ordered `(key, value)` preferences. Values are rendered verbatim.
-    pub prefs: Vec<(String, String)>,
+    pub(crate) prefs: Vec<(String, String)>,
 }
 
 impl PrefsDoc {
@@ -136,25 +128,8 @@ impl PrefsDoc {
         self
     }
 
-    /// Replaces the value of `key`, or appends it if missing.
-    pub fn set(&mut self, key: &str, value: impl Into<String>) {
-        let value = value.into();
-        match self.prefs.iter_mut().find(|(k, _)| k == key) {
-            Some((_, v)) => *v = value,
-            None => self.prefs.push((key.to_string(), value)),
-        }
-    }
-
-    /// Looks up a preference value.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.prefs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
     /// Renders the document to bytes.
-    pub fn render(&self) -> Vec<u8> {
+    pub(crate) fn render(&self) -> Vec<u8> {
         let mut out = String::from("// Mirage simulated preferences file\n");
         for (k, v) in &self.prefs {
             out.push_str(&format!("user_pref(\"{k}\", {v});\n"));
@@ -270,7 +245,6 @@ mod tests {
             .section("mysqld")
             .key("port", "3306")
             .directive("skip-networking");
-        assert_eq!(doc.get("port"), Some("3306"));
         assert!(doc.has_key_in("mysqld", "port"));
         assert!(!doc.has_key_in("client", "port"));
         assert!(doc.remove_key("skip-networking"));
@@ -279,12 +253,10 @@ mod tests {
     }
 
     #[test]
-    fn prefs_set_get_render() {
-        let mut doc = PrefsDoc::new().pref("javascript.enabled", "true");
-        doc.set("javascript.enabled", "false");
-        doc.set("browser.window.width", "800");
-        assert_eq!(doc.get("javascript.enabled"), Some("false"));
-        assert_eq!(doc.get("missing"), None);
+    fn prefs_render() {
+        let doc = PrefsDoc::new()
+            .pref("javascript.enabled", "false")
+            .pref("browser.window.width", "800");
         let text = String::from_utf8(doc.render()).unwrap();
         assert!(text.contains("user_pref(\"javascript.enabled\", false);"));
         assert!(text.contains("user_pref(\"browser.window.width\", 800);"));

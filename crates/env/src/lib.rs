@@ -37,7 +37,7 @@ pub use app::{AppLogic, ApplicationSpec, LateTrigger, RunInput};
 pub use content::{FileContent, IniDoc, IniLine, PrefsDoc};
 pub use file::File;
 pub use fs::FileSystem;
-pub use machine::{Fleet, Machine, MachineBuilder};
+pub use machine::{Machine, MachineBuilder};
 pub use pkg::{Package, PackageManager, PkgError, Repository, Version, VersionReq};
 pub use problems::{
     EnvPredicate, ProblemEffect, ProblemId, ProblemSpec, Upgrade, UpgradeId, Urgency,

@@ -29,7 +29,7 @@ pub struct Machine {
 
 impl Machine {
     /// Creates an empty machine.
-    pub fn new(id: impl Into<String>) -> Self {
+    pub(crate) fn new(id: impl Into<String>) -> Self {
         Machine {
             id: id.into(),
             ..Default::default()
@@ -160,71 +160,9 @@ impl MachineBuilder {
         self
     }
 
-    /// Applies an arbitrary mutation (escape hatch for scenario builders).
-    pub fn mutate(mut self, f: impl FnOnce(&mut Machine)) -> Self {
-        f(&mut self.machine);
-        self
-    }
-
     /// Finishes the machine.
     pub fn build(self) -> Machine {
         self.machine
-    }
-}
-
-/// A set of machines participating in deployment.
-#[derive(Debug, Clone, Default)]
-pub struct Fleet {
-    machines: Vec<Machine>,
-}
-
-impl Fleet {
-    /// Creates an empty fleet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a machine.
-    pub fn push(&mut self, machine: Machine) {
-        self.machines.push(machine);
-    }
-
-    /// Returns the machines in insertion order.
-    pub fn machines(&self) -> &[Machine] {
-        &self.machines
-    }
-
-    /// Looks up a machine by id.
-    pub fn get(&self, id: &str) -> Option<&Machine> {
-        self.machines.iter().find(|m| m.id == id)
-    }
-
-    /// Mutable lookup by id.
-    pub fn get_mut(&mut self, id: &str) -> Option<&mut Machine> {
-        self.machines.iter_mut().find(|m| m.id == id)
-    }
-
-    /// Number of machines.
-    pub fn len(&self) -> usize {
-        self.machines.len()
-    }
-
-    /// Returns `true` if the fleet is empty.
-    pub fn is_empty(&self) -> bool {
-        self.machines.is_empty()
-    }
-
-    /// Returns all machine ids in fleet order.
-    pub fn ids(&self) -> Vec<String> {
-        self.machines.iter().map(|m| m.id.clone()).collect()
-    }
-}
-
-impl FromIterator<Machine> for Fleet {
-    fn from_iter<T: IntoIterator<Item = Machine>>(iter: T) -> Self {
-        Fleet {
-            machines: iter.into_iter().collect(),
-        }
     }
 }
 
@@ -306,25 +244,5 @@ mod tests {
         assert!(affected.contains("php"), "direct read hit");
         assert!(affected.contains("apache"), "sharing propagation");
         assert!(!affected.contains("vim"));
-    }
-
-    #[test]
-    fn fleet_lookup() {
-        let mut fleet = Fleet::new();
-        assert!(fleet.is_empty());
-        fleet.push(Machine::new("a"));
-        fleet.push(Machine::new("b"));
-        assert_eq!(fleet.len(), 2);
-        assert!(fleet.get("a").is_some());
-        assert!(fleet.get("c").is_none());
-        assert_eq!(fleet.ids(), vec!["a", "b"]);
-        fleet
-            .get_mut("a")
-            .unwrap()
-            .env
-            .insert("X".into(), "1".into());
-        assert_eq!(fleet.get("a").unwrap().env["X"], "1");
-        let collected: Fleet = vec![Machine::new("z")].into_iter().collect();
-        assert_eq!(collected.len(), 1);
     }
 }

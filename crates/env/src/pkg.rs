@@ -20,9 +20,9 @@ pub struct Version {
     /// Major component.
     pub major: u32,
     /// Minor component.
-    pub minor: u32,
+    pub(crate) minor: u32,
     /// Patch component.
-    pub patch: u32,
+    pub(crate) patch: u32,
 }
 
 impl Version {
@@ -110,14 +110,14 @@ impl fmt::Display for VersionReq {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Dependency {
     /// Depended-on package name.
-    pub package: String,
+    pub(crate) package: String,
     /// Version requirement.
-    pub req: VersionReq,
+    pub(crate) req: VersionReq,
 }
 
 impl Dependency {
     /// Creates a dependency.
-    pub fn new(package: impl Into<String>, req: VersionReq) -> Self {
+    pub(crate) fn new(package: impl Into<String>, req: VersionReq) -> Self {
         Dependency {
             package: package.into(),
             req,
@@ -248,7 +248,7 @@ impl Repository {
     }
 
     /// Returns `true` if any version of `name` is published.
-    pub fn has(&self, name: &str) -> bool {
+    pub(crate) fn has(&self, name: &str) -> bool {
         self.packages.contains_key(name)
     }
 }

@@ -33,9 +33,9 @@ impl fmt::Display for ProblemId {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UpgradeId {
     /// Upgraded package name.
-    pub package: String,
+    pub(crate) package: String,
     /// Target version.
-    pub version: Version,
+    pub(crate) version: Version,
 }
 
 impl fmt::Display for UpgradeId {
@@ -161,7 +161,7 @@ pub enum ProblemEffect {
 
 impl ProblemEffect {
     /// Returns the application the effect targets.
-    pub fn app(&self) -> &str {
+    pub(crate) fn app(&self) -> &str {
         match self {
             ProblemEffect::CrashOnStart { app }
             | ProblemEffect::FailToStart { app }
@@ -176,11 +176,11 @@ pub struct ProblemSpec {
     /// Problem identifier (stable across fix iterations).
     pub id: ProblemId,
     /// Human-readable description.
-    pub description: String,
+    pub(crate) description: String,
     /// Environments in which the problem manifests.
-    pub trigger: EnvPredicate,
+    pub(crate) trigger: EnvPredicate,
     /// How it manifests.
-    pub effect: ProblemEffect,
+    pub(crate) effect: ProblemEffect,
 }
 
 impl ProblemSpec {
@@ -241,7 +241,7 @@ pub struct Upgrade {
     /// Latent problems. Fixed problems are *removed* by [`Upgrade::fix`].
     pub problems: Vec<ProblemSpec>,
     /// Problems fixed relative to the original release (for reporting).
-    pub fixed: BTreeSet<ProblemId>,
+    pub(crate) fixed: BTreeSet<ProblemId>,
     /// Deployment urgency.
     pub urgency: Urgency,
 }

@@ -71,11 +71,6 @@ impl Glob {
         Glob { pattern, tokens }
     }
 
-    /// Returns the source pattern.
-    pub fn pattern(&self) -> &str {
-        &self.pattern
-    }
-
     /// Returns `true` if `path` matches the pattern in full.
     pub fn matches(&self, path: &str) -> bool {
         match_tokens(&self.tokens, path)
@@ -191,6 +186,5 @@ mod tests {
     fn display_roundtrip() {
         let g = Glob::new("/a/**/b*");
         assert_eq!(g.to_string(), "/a/**/b*");
-        assert_eq!(g.pattern(), "/a/**/b*");
     }
 }

@@ -17,7 +17,7 @@ pub struct HashValue(pub u64);
 
 impl HashValue {
     /// Hashes a byte slice with FNV-1a.
-    pub fn of(bytes: &[u8]) -> Self {
+    pub(crate) fn of(bytes: &[u8]) -> Self {
         HashValue(fnv1a(bytes))
     }
 

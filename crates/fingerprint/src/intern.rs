@@ -89,21 +89,6 @@ pub struct LoweredDiff {
 }
 
 impl LoweredDiff {
-    /// Number of items in the lowered diff.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Returns `true` if the lowered diff holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// The sorted interned ids.
-    pub fn ids(&self) -> &[u32] {
-        &self.ids
-    }
-
     /// Size of the symmetric difference with `other` — the Manhattan
     /// distance the phase-2 clustering uses.
     ///
@@ -153,8 +138,7 @@ mod tests {
         pool.intern(&Item::new(["z"]));
         pool.intern(&Item::new(["a"]));
         let lowered = pool.lower(&set(&["a", "z"]));
-        assert_eq!(lowered.ids(), &[0, 1]);
-        assert!(lowered.ids().windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(lowered.ids, [0, 1]);
     }
 
     #[test]
@@ -192,8 +176,7 @@ mod tests {
     fn empty_lowered_diff() {
         let mut pool = ItemPool::new();
         let e = pool.lower(&ItemSet::new());
-        assert!(e.is_empty());
-        assert_eq!(e.len(), 0);
+        assert!(e.ids.is_empty());
         assert_eq!(e.distance(&e), 0);
         let one = pool.lower(&set(&["q"]));
         assert_eq!(e.distance(&one), 1);

@@ -88,7 +88,7 @@ impl ResourceData {
     }
 
     /// Returns the content interpreted as UTF-8, or an error.
-    pub fn text(&self) -> Result<&str, ParseError> {
+    pub(crate) fn text(&self) -> Result<&str, ParseError> {
         std::str::from_utf8(&self.bytes).map_err(|_| ParseError::NotText {
             path: self.path.clone(),
         })
@@ -145,9 +145,9 @@ pub(crate) enum FingerprintSource {
 #[derive(Debug, Clone)]
 pub(crate) struct Fingerprinted {
     /// Items produced.
-    pub items: Vec<Item>,
+    pub(crate) items: Vec<Item>,
     /// Whether a parser or content chunking produced them.
-    pub source: FingerprintSource,
+    pub(crate) source: FingerprintSource,
 }
 
 struct Registration {
@@ -184,7 +184,7 @@ pub struct ParserRegistry {
 
 impl ParserRegistry {
     /// Creates an empty registry with the paper's default chunker.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ParserRegistry {
             mirage: Vec::new(),
             vendor: Vec::new(),
@@ -248,16 +248,6 @@ impl ParserRegistry {
             parser,
         });
         self
-    }
-
-    /// Returns the number of registered parsers (both tiers).
-    pub fn len(&self) -> usize {
-        self.mirage.len() + self.vendor.len()
-    }
-
-    /// Returns `true` if no parsers are registered.
-    pub fn is_empty(&self) -> bool {
-        self.mirage.is_empty() && self.vendor.is_empty()
     }
 
     /// Fingerprints one resource.
@@ -394,7 +384,5 @@ mod tests {
         reg.register_mirage(ResourceKind::Executable, Box::new(FixedParser("exe")));
         let fp = reg.fingerprint(&res("/etc/motd", ResourceKind::Text));
         assert_eq!(parsed_by(&fp), "rabin");
-        assert!(!reg.is_empty());
-        assert_eq!(reg.len(), 1);
     }
 }

@@ -166,13 +166,6 @@ pub struct PrefsParser {
 }
 
 impl PrefsParser {
-    /// Creates a parser that keeps every key.
-    pub fn new() -> Self {
-        PrefsParser {
-            irrelevant: Vec::new(),
-        }
-    }
-
     /// Creates a parser that discards keys matching any of `patterns`.
     pub fn ignoring<I, S>(patterns: I) -> Self
     where
@@ -250,18 +243,9 @@ pub fn mirage_default_registry() -> crate::parser::ParserRegistry {
 
 #[cfg(test)]
 mod tests {
+    use super::image::{exe_bytes, lib_bytes};
     use super::*;
     use crate::parser::FingerprintSource;
-
-    /// Renders a simulated executable image.
-    pub fn exe_bytes(name: &str, build_hash: u64) -> Vec<u8> {
-        format!("EXESIM\0{name}\0{build_hash:016x}\0payload").into_bytes()
-    }
-
-    /// Renders a simulated shared library image.
-    pub fn lib_bytes(name: &str, version: &str, build_hash: u64) -> Vec<u8> {
-        format!("LIBSIM\0{name}\0{version}\0{build_hash:016x}\0payload").into_bytes()
-    }
 
     #[test]
     fn executable_single_item() {
@@ -385,7 +369,7 @@ mod tests {
             ResourceKind::Prefs,
             content.to_vec(),
         );
-        let all = PrefsParser::new().parse(&res).unwrap();
+        let all = PrefsParser::default().parse(&res).unwrap();
         assert_eq!(all.len(), 3);
         let relevant = PrefsParser::ignoring(["*.lastUpdateTime", "browser.window.*"])
             .parse(&res)
@@ -401,7 +385,7 @@ mod tests {
             ResourceKind::Prefs,
             b"set_pref(\"a\", 1);\n".to_vec(),
         );
-        assert!(PrefsParser::new().parse(&res).is_err());
+        assert!(PrefsParser::default().parse(&res).is_err());
     }
 
     #[test]
@@ -429,9 +413,6 @@ mod tests {
         assert!(matches!(app.source, FingerprintSource::ContentBased));
     }
 }
-
-// Re-export the test-image builders for other crates' use.
-pub use image::{exe_bytes, lib_bytes};
 
 /// Builders for simulated binary images (used by the environment model).
 pub mod image {

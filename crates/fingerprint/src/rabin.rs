@@ -40,7 +40,7 @@ pub struct ChunkerParams {
 
 impl ChunkerParams {
     /// The paper's configuration: 48-byte window, 4 KB average chunks.
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         ChunkerParams {
             window: 48,
             min_size: 1024,
@@ -63,7 +63,7 @@ impl ChunkerParams {
     ///
     /// Returns an error string when sizes are inconsistent or the average
     /// is not a power of two.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.window == 0 {
             return Err("window must be non-zero".into());
         }
@@ -124,7 +124,7 @@ impl RabinTables {
     /// # Panics
     ///
     /// Panics if `window` is zero.
-    pub fn new(window: usize) -> Self {
+    pub(crate) fn new(window: usize) -> Self {
         assert!(window > 0, "window must be non-zero");
         let mut shift = [0u64; 256];
         let mut out = [0u64; 256];
@@ -210,7 +210,7 @@ impl RabinHasher {
     }
 
     /// Clears the window and fingerprint.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.ring.iter_mut().for_each(|b| *b = 0);
         self.pos = 0;
         self.filled = 0;
@@ -226,7 +226,7 @@ pub struct Chunk {
     /// Chunk length in bytes.
     pub len: usize,
     /// FNV-1a hash of the chunk contents.
-    pub hash: HashValue,
+    pub(crate) hash: HashValue,
 }
 
 /// Content-defined chunker producing [`Chunk`]s from a byte slice.
@@ -242,7 +242,7 @@ impl Chunker {
     /// # Panics
     ///
     /// Panics if the parameters are invalid; use
-    /// [`ChunkerParams::validate`] to check beforehand.
+    /// `ChunkerParams::validate` to check beforehand.
     pub fn new(params: ChunkerParams) -> Self {
         params
             .validate()

@@ -16,16 +16,16 @@ use crate::parser::{FingerprintSource, ParserRegistry, ResourceData};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineFingerprint {
     /// Machine identifier.
-    pub machine: String,
+    pub(crate) machine: String,
     /// Items produced by (Mirage or vendor) parsers.
     pub parsed: ItemSet,
     /// Items produced by content chunking (no parser available).
-    pub content: ItemSet,
+    pub(crate) content: ItemSet,
 }
 
 impl MachineFingerprint {
     /// Creates an empty fingerprint for `machine`.
-    pub fn new(machine: impl Into<String>) -> Self {
+    pub(crate) fn new(machine: impl Into<String>) -> Self {
         MachineFingerprint {
             machine: machine.into(),
             parsed: BTreeSet::new(),
@@ -48,11 +48,6 @@ impl MachineFingerprint {
             }
         }
         fp
-    }
-
-    /// Total number of items.
-    pub fn len(&self) -> usize {
-        self.parsed.len() + self.content.len()
     }
 
     /// Returns `true` if the fingerprint holds no items.
@@ -204,7 +199,6 @@ mod tests {
         let fp = MachineFingerprint::of_resources("m", &resources, &reg);
         assert_eq!(fp.parsed.len(), 1);
         assert_eq!(fp.content.len(), 1);
-        assert_eq!(fp.len(), 2);
         assert!(!fp.is_empty());
     }
 }

@@ -11,9 +11,9 @@ pub struct HeuristicConfig {
     /// (the paper's "files of certain types (such as libraries)"). The
     /// vendor can extend this set — e.g. Firefox adds fonts, themes and
     /// extensions.
-    pub env_types: BTreeSet<ResourceKind>,
+    pub(crate) env_types: BTreeSet<ResourceKind>,
     /// System-wide directories excluded by default (`/tmp`, `/var`).
-    pub default_excludes: Vec<Glob>,
+    pub(crate) default_excludes: Vec<Glob>,
 }
 
 impl HeuristicConfig {

@@ -35,9 +35,9 @@ pub struct Classification {
     pub(crate) provenance: BTreeMap<String, Provenance>,
     /// Every path seen in any trace or the manifest (the candidate
     /// universe; the paper's "Files total" counts the traced subset).
-    pub universe: BTreeSet<String>,
+    pub(crate) universe: BTreeSet<String>,
     /// Paths accessed in at least one trace.
-    pub accessed: BTreeSet<String>,
+    pub(crate) accessed: BTreeSet<String>,
 }
 
 impl Classification {

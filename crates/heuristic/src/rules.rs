@@ -128,10 +128,10 @@ mod tests {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleTemplate {
     /// Whether the expanded rule includes or excludes.
-    pub include: bool,
+    pub(crate) include: bool,
     /// Pattern with `$VARIABLE` placeholders (capital letters and
     /// underscores).
-    pub pattern: String,
+    pub(crate) pattern: String,
 }
 
 impl RuleTemplate {

@@ -12,12 +12,12 @@ use mirage_telemetry::json::Value;
 pub struct ReportImage {
     /// Digest of the sandbox filesystem after the upgrade (stands in for
     /// the full VM state).
-    pub sandbox_digest: String,
+    pub(crate) sandbox_digest: String,
     /// The machine's differing items against the vendor reference — the
     /// *context* that makes the failure reproducible.
     pub env_context: Vec<String>,
     /// Inputs replayed during the failed validation.
-    pub replayed_inputs: Vec<String>,
+    pub(crate) replayed_inputs: Vec<String>,
     /// Outputs observed (including suppressed network sends).
     pub observed_outputs: Vec<String>,
 }
@@ -47,7 +47,7 @@ impl ReportImage {
     }
 
     /// Serialises the image as a JSON object.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         Value::obj([
             ("sandbox_digest", Value::str(self.sandbox_digest.clone())),
             ("env_context", strings(&self.env_context)),

@@ -92,9 +92,9 @@ pub struct RecoveryReport {
     /// were rejected whole.
     pub snapshots_rejected: usize,
     /// WAL frames replayed onto the snapshot.
-    pub frames_replayed: usize,
+    pub(crate) frames_replayed: usize,
     /// Records contained in the replayed frames.
-    pub records_replayed: u64,
+    pub(crate) records_replayed: u64,
     /// Frames skipped because the snapshot already covered them (the
     /// duplicated-tail crash shape).
     pub frames_skipped: usize,

@@ -78,14 +78,6 @@ pub(crate) const NO_SIG: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MachineRef(pub u32);
 
-impl MachineRef {
-    /// The id as a `Vec` index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 impl fmt::Display for MachineRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "rm#{}", self.0)
@@ -94,15 +86,7 @@ impl fmt::Display for MachineRef {
 
 /// A dense failure-signature identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SigId(pub u32);
-
-impl SigId {
-    /// The id as a `Vec` index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
+pub struct SigId(pub(crate) u32);
 
 impl fmt::Display for SigId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -112,15 +96,7 @@ impl fmt::Display for SigId {
 
 /// A dense `(package, version)` release identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct ReleaseId(pub u32);
-
-impl ReleaseId {
-    /// The id as a `Vec` index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
+pub struct ReleaseId(pub(crate) u32);
 
 impl fmt::Display for ReleaseId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -166,7 +142,7 @@ pub struct UrrStats {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReleaseSummary {
     /// Package name.
-    pub package: String,
+    pub(crate) package: String,
     /// Version string.
     pub version: String,
     /// Successful integrations reported.
@@ -573,7 +549,7 @@ impl Urr {
 
     /// Attaches a telemetry handle recording `urr.*` counters: deposit
     /// and batch counts, and batch-size and query-latency histograms.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+    pub(crate) fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
     }
@@ -1177,7 +1153,9 @@ mod tests {
         // Reconstructed interned failures have empty detail, no image.
         let all = urr.all();
         assert_eq!(all.len(), 3);
-        assert_eq!(all[1].outcome.signature(), Some("prob"));
+        assert!(
+            matches!(&all[1].outcome, ReportOutcome::Failure { signature, .. } if signature == "prob")
+        );
         assert!(all[1].image.is_none());
         // Re-interning is idempotent.
         assert_eq!(urr.intern_machine("a"), machines[0]);
@@ -1286,9 +1264,6 @@ mod tests {
         assert_eq!(MachineRef(7).to_string(), "rm#7");
         assert_eq!(SigId(2).to_string(), "sig#2");
         assert_eq!(ReleaseId(1).to_string(), "rel#1");
-        assert_eq!(MachineRef(3).index(), 3);
-        assert_eq!(SigId(3).index(), 3);
-        assert_eq!(ReleaseId(3).index(), 3);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The closed-loop rollout controller.
 //!
-//! [`RolloutController`] is a [`Protocol`]: it plugs into every
-//! existing driver (the simulator's two, the live campaign pump)
-//! unchanged, because widening, holding, and rolling back are all
-//! expressed through the same `Notify`/`Complete` command vocabulary
-//! the staging protocols already speak. Nothing on the wire changed —
+//! [`RolloutController`] is a [`Protocol`]: it plugs into both drivers
+//! (the simulator's, the live campaign pump) unchanged, because
+//! widening, holding, and rolling back are all expressed through the
+//! same `Notify`/`Complete` command vocabulary the staging protocols
+//! already speak. Nothing on the wire changed —
 //! a rollback is an ordinary notification carrying [`PRIOR_RELEASE`],
 //! so it rides the hardened retry/backoff/churn path for free.
 //!
@@ -52,7 +52,7 @@ use crate::status::{RolloutHealth, RolloutStatus, RolloutStatusReason};
 pub struct RollbackInfo {
     /// The release the fleet was reverted *from* (latest forward
     /// release at abort time).
-    pub from_release: Release,
+    pub(crate) from_release: Release,
     /// The release machines were told to reinstall ([`PRIOR_RELEASE`]).
     pub prior_release: Release,
     /// Frontier cohort index when the guard tripped.
@@ -71,11 +71,11 @@ pub struct RollbackInfo {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RolloutOutcome {
     /// The strategy that shaped the rollout.
-    pub strategy: RolloutStrategy,
+    pub(crate) strategy: RolloutStrategy,
     /// Final status (lattice top seen).
     pub status: RolloutStatus,
     /// Most severe reason behind the status.
-    pub reason: RolloutStatusReason,
+    pub(crate) reason: RolloutStatusReason,
     /// Widen decisions taken (cohorts notified beyond the first).
     pub cohorts_widened: usize,
     /// Machines notified of a forward release.

@@ -1,8 +1,7 @@
 //! The generic campaign pump: protocol commands → fleet waves.
 //!
-//! This is the *driving* half of what used to be one monolithic
-//! end-to-end deploy loop: a clock-free command pump that works for
-//! any [`Protocol`] (the staged engine, a
+//! This is the *driving* half of a live campaign: a clock-free command
+//! pump that works for any [`Protocol`] (the staged engine, a
 //! [`crate::RolloutController`]) over any [`WaveExecutor`] (the live
 //! agent fleet in `mirage-core`, a test double here). The executor
 //! owns everything fleet-shaped — validation, report collection, the

@@ -56,7 +56,7 @@ impl Default for GuardSettings {
 pub struct UrrGuard {
     urr: Arc<Urr>,
     /// The thresholds this guard applies.
-    pub settings: GuardSettings,
+    pub(crate) settings: GuardSettings,
 }
 
 impl UrrGuard {

@@ -11,8 +11,7 @@
 //!    (fixed-size machine batches), and `BlueGreen` (representatives
 //!    first, everyone else second). [`RolloutPlan`] turns a strategy
 //!    plus a [`mirage_deploy::DeployPlan`] into ordered machine
-//!    *cohorts* — the pure planning half of what used to be a
-//!    monolithic deploy loop.
+//!    *cohorts* — the pure planning half of a campaign.
 //! 2. **A closed-loop controller** ([`RolloutController`]): a
 //!    [`mirage_deploy::Protocol`] implementation that widens cohort by
 //!    cohort and, on every driver tick, consults an [`UrrGuard`] —
@@ -23,8 +22,8 @@
 //!    notify/retry path as forward deployment and is recorded as a
 //!    [`RollbackInfo`].
 //! 3. **A clock-free campaign driver** ([`drive()`]): the generic
-//!    command-pump half of the old end-to-end deploy loop, pluggable
-//!    over any [`WaveExecutor`] (the live fleet, a test double).
+//!    command pump that drives a campaign, pluggable over any
+//!    [`WaveExecutor`] (the live fleet, a test double).
 //!
 //! Health is a monotone lattice ([`RolloutStatus`] /
 //! [`RolloutStatusReason`]): independent per-cluster assessments are

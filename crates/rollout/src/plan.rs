@@ -62,7 +62,7 @@ pub struct RolloutPlan {
     /// The underlying cluster plan (machine table, reps, distances).
     pub deploy: DeployPlan,
     /// The strategy that shaped the cohorts.
-    pub strategy: RolloutStrategy,
+    pub(crate) strategy: RolloutStrategy,
     /// Non-empty cohorts in notification order, each the machines
     /// notified together; together they cover every machine in the
     /// deploy plan exactly once.

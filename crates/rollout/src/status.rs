@@ -55,7 +55,7 @@ pub enum RolloutStatusReason {
 
 impl RolloutStatusReason {
     /// The status a reason implies on its own.
-    pub fn status(self) -> RolloutStatus {
+    pub(crate) fn status(self) -> RolloutStatus {
         match self {
             RolloutStatusReason::Clean => RolloutStatus::Clean,
             RolloutStatusReason::Widening
@@ -66,19 +66,6 @@ impl RolloutStatusReason {
             | RolloutStatusReason::RolledBack => RolloutStatus::Failed,
         }
     }
-
-    /// Stable lowercase name for reports and JSON artifacts.
-    pub fn name(self) -> &'static str {
-        match self {
-            RolloutStatusReason::Clean => "clean",
-            RolloutStatusReason::Widening => "widening",
-            RolloutStatusReason::Baking => "baking",
-            RolloutStatusReason::Holding => "holding",
-            RolloutStatusReason::FailureRateExceeded => "failure_rate_exceeded",
-            RolloutStatusReason::RegressionPopulation => "regression_population",
-            RolloutStatusReason::RolledBack => "rolled_back",
-        }
-    }
 }
 
 /// A `(status, reason)` verdict; the lattice element the guard and
@@ -86,14 +73,14 @@ impl RolloutStatusReason {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct RolloutHealth {
     /// Overall status.
-    pub status: RolloutStatus,
+    pub(crate) status: RolloutStatus,
     /// Most severe contributing reason.
-    pub reason: RolloutStatusReason,
+    pub(crate) reason: RolloutStatusReason,
 }
 
 impl RolloutHealth {
     /// The bottom element: clean with no reason.
-    pub fn clean() -> Self {
+    pub(crate) fn clean() -> Self {
         RolloutHealth::default()
     }
 
@@ -115,7 +102,7 @@ impl RolloutHealth {
     }
 
     /// `true` when the verdict calls for an abort.
-    pub fn failed(self) -> bool {
+    pub(crate) fn failed(self) -> bool {
         self.status == RolloutStatus::Failed
     }
 }
@@ -175,22 +162,5 @@ mod tests {
         );
         assert!(RolloutHealth::from_reason(RolloutStatusReason::FailureRateExceeded).failed());
         assert!(!RolloutHealth::clean().failed());
-    }
-
-    #[test]
-    fn reason_names_are_stable() {
-        let names: Vec<&str> = REASONS.iter().map(|r| r.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "clean",
-                "widening",
-                "baking",
-                "holding",
-                "failure_rate_exceeded",
-                "regression_population",
-                "rolled_back"
-            ]
-        );
     }
 }

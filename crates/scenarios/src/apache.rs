@@ -14,10 +14,7 @@
 //!   modelled as a trigger on the *absence* of the new-format database
 //!   file, which the corrected package ships.
 
-use std::collections::BTreeMap;
-
-use mirage_cluster::{Clustering, ClusteringScore};
-use mirage_core::{fleet_inputs, UserAgent, Vendor};
+use mirage_core::{UserAgent, Vendor};
 use mirage_env::{
     ApplicationSpec, EnvPredicate, File, FileContent, MachineBuilder, Package, ProblemEffect,
     ProblemSpec, Repository, RunInput, Upgrade, Version, VersionReq,
@@ -49,7 +46,7 @@ fn httpd_conf(with_include: bool, keepalive: Option<&str>) -> File {
 }
 
 /// The Apache repository: 1.3.24 installed everywhere.
-pub fn repository() -> Repository {
+pub(crate) fn repository() -> Repository {
     let mut repo = Repository::new();
     repo.publish(
         Package::new("apache", Version::new(1, 3, 24)).with_file(File::executable(
@@ -70,7 +67,7 @@ pub(crate) fn apache_spec() -> ApplicationSpec {
 
 /// One fleet machine: `include_acl` reproduces the problem
 /// configuration; `keepalive` is a benign config variation.
-pub fn build_machine(
+pub(crate) fn build_machine(
     name: &str,
     include_acl: bool,
     keepalive: Option<&str>,
@@ -120,7 +117,7 @@ pub(crate) fn acl_upgrade() -> Upgrade {
 }
 
 /// The vendor registry with the `httpd.conf` parser.
-pub fn full_registry() -> ParserRegistry {
+pub(crate) fn full_registry() -> ParserRegistry {
     let mut registry = mirage_default_registry();
     registry.register_vendor_glob(Glob::new("/etc/apache/**"), Box::new(HttpdConfParser));
     registry
@@ -134,8 +131,6 @@ pub struct ApacheScenario {
     pub agents: Vec<UserAgent>,
     /// The 1.3.26 upgrade.
     pub upgrade: Upgrade,
-    /// Ground-truth behaviours.
-    pub behavior: BTreeMap<String, String>,
 }
 
 impl ApacheScenario {
@@ -147,7 +142,6 @@ impl ApacheScenario {
             .with_registry(full_registry())
             .with_diameter(0);
         let mut agents = Vec::new();
-        let mut behavior = BTreeMap::new();
         for i in 0..8 {
             let include_acl = i >= 6;
             let keepalive = if (3..6).contains(&i) {
@@ -157,9 +151,6 @@ impl ApacheScenario {
             };
             let name = format!("ap{i}");
             let machine = build_machine(&name, include_acl, keepalive, &vendor.repo);
-            if include_acl {
-                behavior.insert(name.clone(), "acl-include".to_string());
-            }
             let mut agent = UserAgent::new(machine);
             agent.collect("apache", RunInput::new("serve-1"));
             agent.collect("apache", RunInput::new("serve-2"));
@@ -169,20 +160,7 @@ impl ApacheScenario {
             vendor,
             agents,
             upgrade: acl_upgrade(),
-            behavior,
         }
-    }
-
-    /// Clusters the fleet and scores it.
-    pub fn cluster_and_score(&self) -> (Clustering, ClusteringScore) {
-        let classification = self
-            .vendor
-            .classify_reference("apache", &[RunInput::new("a"), RunInput::new("b")]);
-        let reference = self.vendor.reference_fingerprint(&classification);
-        let inputs = fleet_inputs(&self.agents, "apache", &self.vendor, &reference);
-        let clustering = self.vendor.cluster(&inputs);
-        let score = ClusteringScore::compute(&clustering, &self.behavior);
-        (clustering, score)
     }
 }
 
@@ -240,17 +218,34 @@ pub fn slimserver_scenario() -> (Repository, mirage_env::Machine, Upgrade, Upgra
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mirage_cluster::Clustering;
     use mirage_core::{Campaign, ProtocolChoice, RolloutPlan, RolloutStrategy};
-    use mirage_deploy::DeployPlan;
+
+    /// The scenario's campaign, clustered and planned as `repro
+    /// telemetry` plans it.
+    fn planned() -> (Campaign, Upgrade, Clustering, RolloutPlan) {
+        let scenario = ApacheScenario::new();
+        let campaign = Campaign::new(scenario.vendor, scenario.agents);
+        let classification = campaign
+            .vendor
+            .classify_reference("apache", &[RunInput::new("a"), RunInput::new("b")]);
+        let reference = campaign.vendor.reference_fingerprint(&classification);
+        let (clustering, plan) = campaign.rollout_plan(
+            "apache",
+            &reference,
+            1,
+            RolloutStrategy::Staged { waves: 1 },
+        );
+        (campaign, scenario.upgrade, clustering, plan)
+    }
 
     #[test]
     fn acl_machines_cluster_separately() {
-        let scenario = ApacheScenario::new();
-        let (clustering, score) = scenario.cluster_and_score();
+        let (_, _, clustering, _) = planned();
         clustering.validate_partition().unwrap();
-        // Three groups: plain, keepalive, acl-include.
+        // Three groups: plain, keepalive, acl-include; the ACL machines
+        // (`ap6`, `ap7`) alone in theirs.
         assert_eq!(clustering.len(), 3);
-        assert_eq!(score.misplaced, 0);
         let acl = clustering.cluster_of("ap6").unwrap();
         assert!(acl.contains("ap7"));
         assert_eq!(acl.len(), 2);
@@ -258,14 +253,7 @@ mod tests {
 
     #[test]
     fn acl_campaign_confines_the_failure() {
-        let scenario = ApacheScenario::new();
-        let upgrade = scenario.upgrade.clone();
-        let (clustering, _) = scenario.cluster_and_score();
-        let plan = RolloutPlan::new(
-            DeployPlan::from_clustering(&clustering, 1),
-            RolloutStrategy::Staged { waves: 1 },
-        );
-        let mut campaign = Campaign::new(scenario.vendor, scenario.agents);
+        let (mut campaign, upgrade, _, plan) = planned();
         let result = campaign.drive(upgrade, &plan, ProtocolChoice::Balanced, 1.0);
         assert!(result.converged(8));
         assert_eq!(result.failed_validations, 1, "one representative only");

@@ -30,18 +30,18 @@ pub struct AppModel {
     /// Application name (the Table 1 row label).
     pub name: &'static str,
     /// The machine hosting the application.
-    pub machine: Machine,
+    pub(crate) machine: Machine,
     /// The traced workloads.
-    pub inputs: Vec<RunInput>,
+    pub(crate) inputs: Vec<RunInput>,
     /// The vendor rules required for a perfect classification.
-    pub rules: RuleSet,
+    pub(crate) rules: RuleSet,
     /// The heuristic configuration.
-    pub config: HeuristicConfig,
+    pub(crate) config: HeuristicConfig,
 }
 
 impl AppModel {
     /// Collects the model's traces.
-    pub fn traces(&self) -> Vec<Trace> {
+    pub(crate) fn traces(&self) -> Vec<Trace> {
         self.inputs
             .iter()
             .enumerate()
@@ -50,7 +50,7 @@ impl AppModel {
     }
 
     /// Runs the heuristic, with or without the vendor rules.
-    pub fn classify(&self, with_rules: bool) -> Classification {
+    pub(crate) fn classify(&self, with_rules: bool) -> Classification {
         let traces = self.traces();
         let manifest = self.machine.pkgs.manifest(self.name);
         let kind_of = |path: &str| self.machine.fs.get(path).map(|f| f.kind);
@@ -60,7 +60,7 @@ impl AppModel {
     }
 
     /// Ground truth for a path.
-    pub fn truth(&self, path: &str) -> bool {
+    pub(crate) fn truth(&self, path: &str) -> bool {
         self.machine
             .fs
             .get(path)

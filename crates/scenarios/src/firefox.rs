@@ -31,13 +31,13 @@ use mirage_fingerprint::{ParserRegistry, ResourceKind};
 #[derive(Debug, Clone)]
 pub(crate) struct MachineConfig {
     /// Machine name as printed in Table 3.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Upgraded from 1.0.4 (carries the legacy preference files).
-    pub from10: bool,
+    pub(crate) from10: bool,
     /// Java and JavaScript disabled.
-    pub nojava: bool,
+    pub(crate) nojava: bool,
     /// Per-machine noise seed (update timestamps, window geometry).
-    pub noise: u64,
+    pub(crate) noise: u64,
 }
 
 /// The Table 3 machine list.

@@ -67,15 +67,15 @@ pub struct MachineConfig {
     /// Distribution.
     pub(crate) distro: Distro,
     /// Whether libc was upgraded (Ubuntu only in Table 2).
-    pub libc_upgraded: bool,
+    pub(crate) libc_upgraded: bool,
     /// `my.cnf` state.
     pub(crate) mycnf: MyCnf,
     /// Has a user-level `$HOME/.my.cnf` (triggers the legacy problem).
-    pub user_config: bool,
+    pub(crate) user_config: bool,
     /// PHP 4.4.6 installed (triggers the broken-dependency problem).
-    pub php4: bool,
+    pub(crate) php4: bool,
     /// Apache 1.3.9 compiled with PHP support installed.
-    pub ap139: bool,
+    pub(crate) ap139: bool,
 }
 
 /// The full Table 2 machine list.
@@ -222,7 +222,7 @@ fn mycnf_for(variant: MyCnf) -> Option<IniDoc> {
 }
 
 /// The `mysqld` application behaviour spec.
-pub fn mysqld_spec() -> ApplicationSpec {
+pub(crate) fn mysqld_spec() -> ApplicationSpec {
     ApplicationSpec::new("mysqld", "mysql", "/usr/sbin/mysqld")
         .reads("/lib/libc.so.6")
         .reads("/usr/lib/libmysqlclient.so")

@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 
 /// Administration experience buckets (Figure 1 legend).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Experience {
+pub(crate) enum Experience {
     /// 0–2 years.
     Y0to2,
     /// 2–5 years.
@@ -53,16 +53,6 @@ impl Experience {
     /// Returns `true` for more than five years of experience.
     pub(crate) fn more_than_five_years(self) -> bool {
         matches!(self, Experience::Y5to10 | Experience::Y10plus)
-    }
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Experience::Y0to2 => "0-2",
-            Experience::Y2to5 => "2-5",
-            Experience::Y5to10 => "5-10",
-            Experience::Y10plus => "more than 10",
-        }
     }
 }
 
@@ -148,65 +138,65 @@ pub(crate) enum Strategy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ReasonRanks {
     /// Bug fixes.
-    pub bug_fix: u8,
+    pub(crate) bug_fix: u8,
     /// Security patches.
-    pub security: u8,
+    pub(crate) security: u8,
     /// New features.
-    pub new_feature: u8,
+    pub(crate) new_feature: u8,
     /// User requests.
-    pub user_request: u8,
+    pub(crate) user_request: u8,
 }
 
 /// Per-cause prevalence ranks (1 = most prevalent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CauseRanks {
+pub(crate) struct CauseRanks {
     /// Broken dependencies.
-    pub broken_dependency: u8,
+    pub(crate) broken_dependency: u8,
     /// Removed or altered behaviour.
-    pub removed_behavior: u8,
+    pub(crate) removed_behavior: u8,
     /// Bugs in the upgrade itself.
-    pub buggy_upgrade: u8,
+    pub(crate) buggy_upgrade: u8,
     /// Incompatibility with legacy configurations.
-    pub legacy_config: u8,
+    pub(crate) legacy_config: u8,
     /// Improper packaging.
-    pub improper_packaging: u8,
+    pub(crate) improper_packaging: u8,
 }
 
 /// One survey respondent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Respondent {
     /// Respondent index (0–49).
-    pub id: usize,
+    pub(crate) id: usize,
     /// Administration experience.
-    pub experience: Experience,
+    pub(crate) experience: Experience,
     /// Manages more than 20 machines.
-    pub manages_over_20: bool,
+    pub(crate) manages_over_20: bool,
     /// Administers Linux or another UNIX-like system.
-    pub os_linux: bool,
+    pub(crate) os_linux: bool,
     /// Administers Windows systems.
-    pub os_windows: bool,
+    pub(crate) os_windows: bool,
     /// Administers macOS systems.
-    pub os_mac: bool,
+    pub(crate) os_mac: bool,
     /// How often they upgrade.
-    pub frequency: Frequency,
+    pub(crate) frequency: Frequency,
     /// Reason importance ranks.
     pub(crate) reasons: ReasonRanks,
     /// Refrains from installing upgrades.
-    pub refrains: bool,
+    pub(crate) refrains: bool,
     /// Testing strategy.
     pub(crate) strategy: Strategy,
     /// Perceived upgrade failure rate (percent).
-    pub failure_rate_pct: u8,
+    pub(crate) failure_rate_pct: u8,
     /// Experienced problems that passed initial testing.
-    pub problems_past_testing: bool,
+    pub(crate) problems_past_testing: bool,
     /// Experienced a catastrophic upgrade failure.
-    pub catastrophic_failure: bool,
+    pub(crate) catastrophic_failure: bool,
     /// Consistently reports problems to the vendor.
-    pub reports_to_vendor: bool,
+    pub(crate) reports_to_vendor: bool,
     /// Uses the OS-packaged software to install upgrades.
-    pub uses_os_packaging: bool,
+    pub(crate) uses_os_packaging: bool,
     /// Failure-cause prevalence ranks.
-    pub causes: CauseRanks,
+    pub(crate) causes: CauseRanks,
 }
 
 /// Figure 1 cell counts: `frequency → [count per experience bucket]`.

@@ -77,22 +77,13 @@ pub(crate) enum Event {
 
 /// One wheel slot: events at a single timestamp, drained via `head`
 /// so same-time pops are O(1) without shifting the vector.
-#[derive(Debug, Clone)]
-struct Bucket<T> {
-    events: Vec<T>,
+#[derive(Debug, Clone, Default)]
+struct Bucket {
+    events: Vec<Event>,
     head: usize,
 }
 
-impl<T> Default for Bucket<T> {
-    fn default() -> Self {
-        Bucket {
-            events: Vec::new(),
-            head: 0,
-        }
-    }
-}
-
-impl<T> Bucket<T> {
+impl Bucket {
     fn pending(&self) -> usize {
         self.events.len() - self.head
     }
@@ -114,19 +105,19 @@ impl<T> Bucket<T> {
 ///   could acquire same-time events (a same-time wheel insert while the
 ///   overflow entry exists is redirected to the overflow entry).
 #[derive(Debug)]
-pub(crate) struct EventQueue<T: Copy = Event> {
-    buckets: Vec<Bucket<T>>,
+pub(crate) struct EventQueue {
+    buckets: Vec<Bucket>,
     /// Next timestamp to drain; only advances.
     cursor: SimTime,
     /// Events currently in the wheel.
     wheel_len: usize,
     /// Far-future events: time → FIFO batch.
-    overflow: BTreeMap<SimTime, Vec<T>>,
+    overflow: BTreeMap<SimTime, Vec<Event>>,
     /// Total pending events (wheel + overflow).
     len: usize,
 }
 
-impl<T: Copy> Default for EventQueue<T> {
+impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
             buckets: (0..WHEEL).map(|_| Bucket::default()).collect(),
@@ -138,9 +129,9 @@ impl<T: Copy> Default for EventQueue<T> {
     }
 }
 
-impl<T: Copy> EventQueue<T> {
+impl EventQueue {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -149,7 +140,7 @@ impl<T: Copy> EventQueue<T> {
     /// Times earlier than the queue's current position are clamped to
     /// "now" (the simulation never schedules into the past; the clamp
     /// makes the queue total rather than panicking in release builds).
-    pub fn schedule(&mut self, time: SimTime, event: T) {
+    pub(crate) fn schedule(&mut self, time: SimTime, event: Event) {
         debug_assert!(time >= self.cursor, "scheduling into the past");
         let time = time.max(self.cursor);
         self.len += 1;
@@ -198,7 +189,7 @@ impl<T: Copy> EventQueue<T> {
     /// Pops the earliest event, returning `(time, event)`. The driver
     /// takes whole timestamps with [`EventQueue::pop_bucket`]; one event
     /// at a time is the sequential oracle's way.
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, Event)> {
         if self.len == 0 {
             return None;
         }
@@ -270,7 +261,7 @@ impl<T: Copy> EventQueue<T> {
     /// instead of per-event pops or a copy: the bucket keeps `out`'s old
     /// (cleared) allocation, so events scheduled at the same timestamp
     /// meanwhile queue there, behind the ones taken.
-    pub(crate) fn pop_bucket(&mut self, out: &mut Vec<T>) -> Option<SimTime> {
+    pub(crate) fn pop_bucket(&mut self, out: &mut Vec<Event>) -> Option<SimTime> {
         let t = self.next_time()?;
         let bucket = &mut self.buckets[(t % WHEEL as SimTime) as usize];
         let n = bucket.pending();
@@ -286,7 +277,7 @@ impl<T: Copy> EventQueue<T> {
     /// Empties the queue for reuse, keeping every bucket's allocation
     /// (the arena-run fast path: a reused queue schedules into warmed
     /// buckets).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for bucket in &mut self.buckets {
             bucket.events.clear();
             bucket.head = 0;
@@ -298,7 +289,7 @@ impl<T: Copy> EventQueue<T> {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 }
@@ -472,21 +463,20 @@ mod tests {
     }
 
     #[test]
-    fn generic_payloads_and_reset_reuse() {
-        // The queue is generic over any `Copy` payload.
-        let mut q: EventQueue<(u64, u32)> = EventQueue::new();
-        q.schedule(3, (10, 1));
-        q.schedule(3, (11, 2));
-        q.schedule(2_500, (12, 3));
+    fn reset_empties_for_reuse() {
+        let mut q = EventQueue::new();
+        q.schedule(3, test_done(1));
+        q.schedule(3, test_done(2));
+        q.schedule(2_500, test_done(3));
         let mut out = Vec::new();
         assert_eq!(q.pop_bucket(&mut out), Some(3));
-        assert_eq!(out, vec![(10, 1), (11, 2)]);
+        assert_eq!(out, vec![test_done(1), test_done(2)]);
         q.reset();
         assert_eq!(q.len(), 0);
         assert_eq!(q.next_time(), None);
         // A reset queue starts over at time 0.
-        q.schedule(1, (0, 9));
-        assert_eq!(q.pop(), Some((1, (0, 9))));
+        q.schedule(1, test_done(9));
+        assert_eq!(q.pop(), Some((1, test_done(9))));
     }
 
     /// Randomised model check: the calendar queue must agree with a

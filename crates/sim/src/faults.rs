@@ -9,9 +9,9 @@
 //!
 //! * **message loss** — each channel transmission (vendor→machine
 //!   notification, machine→vendor report) is dropped with probability
-//!   [`FaultPlan::loss`];
+//!   `FaultPlan::loss`;
 //! * **duplication** — each surviving transmission is delivered twice
-//!   with probability [`FaultPlan::duplication`];
+//!   with probability `FaultPlan::duplication`;
 //! * **delay** — each delivery is postponed by a uniform draw from
 //!   `0..=max_delay` ticks;
 //! * **churn** — machines leave the fleet during `[leave, rejoin)`
@@ -23,9 +23,9 @@
 //!   stage advancement.
 //!
 //! Everything is driven by one xorshift64* stream seeded from
-//! [`FaultPlan::seed`], so a `(Scenario, FaultPlan)` pair replays
+//! `FaultPlan::seed`, so a `(Scenario, FaultPlan)` pair replays
 //! bit-identically — the property tests rely on it. The zero-fault
-//! plan ([`FaultPlan::none`]) disables the entire fault path: the
+//! plan (`FaultPlan::none`) disables the entire fault path: the
 //! simulator takes the original synchronous-delivery code and produces
 //! bit-identical [`crate::SimMetrics`] to the pre-fault driver.
 //!
@@ -53,27 +53,27 @@ pub(crate) const DEFAULT_MAX_TICKS: u64 = 100_000;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault RNG stream (xorshift64*).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Per-transmission loss probability in `[0, 1]`.
-    pub loss: f64,
+    pub(crate) loss: f64,
     /// Per-delivery duplication probability in `[0, 1]`.
-    pub duplication: f64,
+    pub(crate) duplication: f64,
     /// Maximum per-delivery delay; each delivery is postponed by a
     /// uniform draw from `0..=max_delay` ticks.
-    pub max_delay: SimTime,
+    pub(crate) max_delay: SimTime,
     /// Base delay before the first retry of an unanswered notification.
-    pub retry_base: SimTime,
+    pub(crate) retry_base: SimTime,
     /// Cap on the exponential-backoff exponent.
-    pub retry_backoff_cap: u32,
+    pub(crate) retry_backoff_cap: u32,
     /// Interval between protocol ticks.
-    pub tick_interval: SimTime,
+    pub(crate) tick_interval: SimTime,
     /// Upper bound on ticks issued per run (safety valve).
-    pub max_ticks: u64,
+    pub(crate) max_ticks: u64,
     /// Stall budget: after this much quiet time the protocol waives
     /// silent machines and advances (graceful degradation). The driver
     /// passes it with every tick; this is the only place it is set.
     /// `None` leaves protocols un-hardened.
-    pub rep_timeout: Option<SimTime>,
+    pub(crate) rep_timeout: Option<SimTime>,
     /// Churn windows `(machine, leave, rejoin)`: the machine is
     /// unreachable during `[leave, rejoin)`. `rejoin == SimTime::MAX`
     /// is a crash. At most one window per machine (later entries win).
@@ -84,7 +84,7 @@ impl FaultPlan {
     /// The zero-fault plan: a perfectly reliable channel. Runs carrying
     /// this plan take the original synchronous-delivery path and are
     /// bit-identical to the pre-fault simulator.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         FaultPlan {
             seed: 0,
             loss: 0.0,
@@ -233,7 +233,7 @@ impl FaultSpec {
     /// Panics if a directive references a missing cluster, a churn
     /// directive asks for more non-reps than the cluster has, or a
     /// crash-rep directive targets a cluster without representatives.
-    pub fn lower(&self, plan: &DeployPlan) -> FaultPlan {
+    pub(crate) fn lower(&self, plan: &DeployPlan) -> FaultPlan {
         let (retry_base, retry_backoff_cap) = self
             .retry
             .unwrap_or((DEFAULT_RETRY_BASE, DEFAULT_RETRY_BACKOFF_CAP));
@@ -288,7 +288,7 @@ pub(crate) struct FaultRng(u64);
 impl FaultRng {
     /// Seeds the stream (golden-ratio scrambled so nearby seeds give
     /// unrelated streams; forced odd so the state never collapses).
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         FaultRng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
     }
 
@@ -298,7 +298,7 @@ impl FaultRng {
     /// draws other lanes have made — so a simulation that assigns one
     /// lane per machine produces the same per-machine fault schedule
     /// regardless of event interleaving.
-    pub fn fork(seed: u64, lane: u64) -> Self {
+    pub(crate) fn fork(seed: u64, lane: u64) -> Self {
         // A second odd multiplier decorrelates lanes from each other
         // and from the base stream before the `new` scramble.
         FaultRng::new(seed ^ lane.wrapping_add(1).wrapping_mul(0xD6E8_FEB8_6659_FD93))
@@ -327,7 +327,7 @@ impl FaultRng {
     }
 
     /// Bernoulli draw with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         p > 0.0 && self.next_f64() < p
     }
 }
@@ -348,7 +348,7 @@ pub(crate) struct RngLanes {
 
 impl RngLanes {
     /// One lane per index in `0..len`, lane id == index.
-    pub fn new(seed: u64, len: usize) -> Self {
+    pub(crate) fn new(seed: u64, len: usize) -> Self {
         RngLanes {
             seed,
             lanes: vec![FaultRng(0); len],
@@ -357,7 +357,7 @@ impl RngLanes {
 
     /// The lane stream at index `i`, seeded on first use.
     #[inline]
-    pub fn lane(&mut self, i: usize) -> &mut FaultRng {
+    pub(crate) fn lane(&mut self, i: usize) -> &mut FaultRng {
         let slot = &mut self.lanes[i];
         if slot.0 == 0 {
             *slot = FaultRng::fork(self.seed, i as u64);

@@ -41,7 +41,7 @@ pub struct SimMetrics {
     /// Time the protocol reported completion (all machines passed).
     pub completion_time: Option<SimTime>,
     /// Distinct problems discovered, in discovery order.
-    pub problems_discovered: Vec<ProblemId>,
+    pub(crate) problems_discovered: Vec<ProblemId>,
     /// Faulty integrations that escaped detection (imperfect testing).
     pub escaped_problems: usize,
     /// Messages (notifications or reports) dropped by the fault

@@ -13,7 +13,7 @@
 //! property test in this module proves the run is bit-identical
 //! (metrics, journal, counters) to driving the staging protocol
 //! directly, which is what makes the plan/drive split of
-//! `Campaign::deploy` safe.
+//! `Campaign::drive` safe.
 
 use mirage_deploy::ProtocolChoice;
 use mirage_rollout::RolloutOutcome;

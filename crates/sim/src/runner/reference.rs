@@ -61,12 +61,12 @@ pub(crate) struct HeapEventQueue {
 
 impl HeapEventQueue {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Schedules `event` at `time`.
-    pub fn schedule(&mut self, time: SimTime, event: NamedEvent) {
+    pub(crate) fn schedule(&mut self, time: SimTime, event: NamedEvent) {
         let idx = match self.free.pop() {
             Some(idx) => {
                 debug_assert!(self.store[idx].is_none(), "free slot still occupied");
@@ -83,7 +83,7 @@ impl HeapEventQueue {
     }
 
     /// Pops the earliest event, returning `(time, event)`.
-    pub fn pop(&mut self) -> Option<(SimTime, NamedEvent)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, NamedEvent)> {
         let Reverse((time, _, idx)) = self.heap.pop()?;
         let event = self.store[idx].take().expect("event already taken");
         self.free.push(idx);
@@ -98,13 +98,13 @@ pub struct NamedScenario {
     /// String-keyed plan for the reference protocols.
     pub plan: NamedPlan,
     /// Machine name → problem name (absent = healthy).
-    pub machine_problem: BTreeMap<String, String>,
+    pub(crate) machine_problem: BTreeMap<String, String>,
     /// Machine name → offline horizon.
-    pub offline_until: BTreeMap<String, SimTime>,
+    pub(crate) offline_until: BTreeMap<String, SimTime>,
     /// Machines whose testing misses their problem.
-    pub missed_detection: BTreeSet<String>,
+    pub(crate) missed_detection: BTreeSet<String>,
     /// Time constants.
-    pub timings: crate::scenario::Timings,
+    pub(crate) timings: crate::scenario::Timings,
     /// Advancement threshold.
     pub threshold: f64,
     /// The interned scenario this view was derived from, kept so the

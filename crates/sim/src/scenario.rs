@@ -25,17 +25,17 @@ use crate::faults::{FaultPlan, FaultSpec};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timings {
     /// Time for a machine to download an upgrade.
-    pub download: u64,
+    pub(crate) download: u64,
     /// Time for a machine to test an upgrade.
-    pub test: u64,
+    pub(crate) test: u64,
     /// Time for the vendor to debug and fix one problem.
-    pub fix: u64,
+    pub(crate) fix: u64,
 }
 
 impl Timings {
     /// The paper's configuration: download 5, test 10, fix 500 — chosen
     /// to mimic minutes of download/test against a day of debugging.
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         Timings {
             download: 5,
             test: 10,
@@ -63,7 +63,7 @@ pub struct Scenario {
     pub problems: ProblemTable,
     /// Per-machine problem assignment (`None` = healthy): a machine
     /// fails any release in which its problem is not yet fixed.
-    pub machine_problem: Vec<Option<ProblemId>>,
+    pub(crate) machine_problem: Vec<Option<ProblemId>>,
     /// Time constants.
     pub timings: Timings,
     /// Fraction of a cluster's machines that must pass before staged
@@ -73,13 +73,13 @@ pub struct Scenario {
     /// notification delivered while offline is acted on when the
     /// machine comes back (the paper's "late arrivals", which motivate
     /// the threshold).
-    pub offline_until: Vec<SimTime>,
+    pub(crate) offline_until: Vec<SimTime>,
     /// Machines whose user-machine testing *misses* their problem: the
     /// faulty upgrade passes testing and integrates — the survey's
     /// "problems that pass initial testing" phenomenon. The paper's
     /// simulations assume perfect testing; this knob relaxes that.
-    pub missed_detection: MachineSet,
-    /// The fault-injection plan for this run. [`FaultPlan::none`] (the
+    pub(crate) missed_detection: MachineSet,
+    /// The fault-injection plan for this run. `FaultPlan::none` (the
     /// default) keeps the original reliable-channel fast path and is
     /// bit-identical to the pre-fault simulator.
     pub faults: FaultPlan,
@@ -100,19 +100,19 @@ pub struct Scenario {
     /// [`Scenario::rollout_controller`] partitions the fleet into
     /// cohorts. It does not choose a driver: the controller is a
     /// protocol like any other.
-    pub strategy: Option<RolloutStrategy>,
+    pub(crate) strategy: Option<RolloutStrategy>,
     /// Optional URR guard thresholds (set via
     /// [`ScenarioBuilder::with_guard`]): requires [`Scenario::urr`];
     /// the controller [`Scenario::rollout_controller`] builds then
     /// evaluates live repository health each tick and rolls back
     /// automatically when the guard trips.
-    pub guard: Option<GuardSettings>,
+    pub(crate) guard: Option<GuardSettings>,
 }
 
 impl Scenario {
     /// Starts a healthy scenario over an existing plan (paper-default
     /// timings, threshold 1.0, everyone online, perfect testing).
-    pub fn from_plan(plan: DeployPlan) -> Self {
+    pub(crate) fn from_plan(plan: DeployPlan) -> Self {
         let n = plan.machines.len();
         Scenario {
             plan,
@@ -136,7 +136,7 @@ impl Scenario {
     }
 
     /// The rollout controller this scenario describes: its fleet
-    /// partitioned into cohorts by its [`Scenario::strategy`] (default:
+    /// partitioned into cohorts by its `Scenario::strategy` (default:
     /// single-wave `Staged`), with `telemetry` attached (decision
     /// counters, journal events and the `rollout.state` gauge land in
     /// the registry the driver records into; pass [`Telemetry::noop`]
@@ -293,7 +293,7 @@ impl ScenarioBuilder {
 
     /// Attaches a fault-injection spec; it is lowered against the final
     /// plan in [`Self::build`]. Without this call the scenario keeps
-    /// [`FaultPlan::none`] and the reliable-channel fast path.
+    /// `FaultPlan::none` and the reliable-channel fast path.
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.faults = Some(spec);
         self
@@ -361,12 +361,6 @@ impl ScenarioBuilder {
     /// miss the problem (it integrates anyway).
     pub fn missed_detections(mut self, cluster: usize, count: usize) -> Self {
         self.missed.push((cluster, count));
-        self
-    }
-
-    /// Overrides the time constants.
-    pub fn timings(mut self, timings: Timings) -> Self {
-        self.timings = timings;
         self
     }
 

@@ -74,7 +74,7 @@ impl UrrSink {
     /// Builds a sink for `scenario`: hands the plan's machine table to
     /// the repository ([`Urr::intern_fleet`]) and interns the problem
     /// signatures and the initial release.
-    pub fn new(scenario: &Scenario, urr: Arc<Urr>) -> Self {
+    pub(crate) fn new(scenario: &Scenario, urr: Arc<Urr>) -> Self {
         let plan = &scenario.plan;
         let machine_refs = urr.intern_fleet(Arc::clone(plan.machines.shared()));
         let mut machine_cluster = vec![0u32; machine_refs.len()];
@@ -119,7 +119,7 @@ impl UrrSink {
 
     /// Records one vendor-received outcome; `problem` is `None` for a
     /// pass. Flushes when the batch fills.
-    pub fn record(&mut self, machine: MachineId, release: u32, problem: Option<ProblemId>) {
+    pub(crate) fn record(&mut self, machine: MachineId, release: u32, problem: Option<ProblemId>) {
         let release = self.release_id(release);
         let outcome = match problem {
             None => InternedOutcome::Success,

@@ -53,13 +53,13 @@ impl HealthStatus {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogConfig {
     /// Failure rate at which a frame is degraded.
-    pub degraded_failure_rate: f64,
+    pub(crate) degraded_failure_rate: f64,
     /// Failure rate at which a frame is unhealthy.
-    pub unhealthy_failure_rate: f64,
+    pub(crate) unhealthy_failure_rate: f64,
     /// Retry amplification at which a frame is degraded.
-    pub degraded_retry_amplification: f64,
+    pub(crate) degraded_retry_amplification: f64,
     /// Retry amplification at which a frame is unhealthy.
-    pub unhealthy_retry_amplification: f64,
+    pub(crate) unhealthy_retry_amplification: f64,
 }
 
 impl Default for WatchdogConfig {
@@ -94,19 +94,19 @@ impl WatchdogConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ClusterHealth {
     /// Cluster id.
-    pub cluster: u32,
+    pub(crate) cluster: u32,
     /// Machines notified in this frame.
-    pub notified: u64,
+    pub(crate) notified: u64,
     /// Tests passed in this frame.
-    pub passed: u64,
+    pub(crate) passed: u64,
     /// Tests failed in this frame.
-    pub failed: u64,
+    pub(crate) failed: u64,
     /// Retries sent in this frame.
-    pub retries: u64,
+    pub(crate) retries: u64,
     /// `failed / (passed + failed)`, 0 when no tests finished.
-    pub failure_rate: f64,
+    pub(crate) failure_rate: f64,
     /// Watchdog verdict for this cluster slice.
-    pub status: HealthStatus,
+    pub(crate) status: HealthStatus,
 }
 
 /// Health signals for one deployment wave.
@@ -123,27 +123,27 @@ pub struct WaveHealth {
     /// Machines notified in this frame.
     pub notified: u64,
     /// Tests passed in this frame.
-    pub tests_passed: u64,
+    pub(crate) tests_passed: u64,
     /// Tests failed in this frame.
     pub tests_failed: u64,
     /// Vendor-received reports in this frame.
-    pub reports: u64,
+    pub(crate) reports: u64,
     /// Retries sent in this frame.
-    pub retries: u64,
+    pub(crate) retries: u64,
     /// Representatives waived in this frame.
     pub waivers: u64,
     /// Messages the fault injector dropped in this frame.
-    pub faults_lost: u64,
+    pub(crate) faults_lost: u64,
     /// Messages the fault injector duplicated in this frame.
-    pub faults_duplicated: u64,
+    pub(crate) faults_duplicated: u64,
     /// Reports deposited into the URR in this frame.
-    pub urr_deposits: u64,
+    pub(crate) urr_deposits: u64,
     /// Number of machines notified in this frame that converged (ever).
-    pub converged: u64,
+    pub(crate) converged: u64,
     /// Median notify → pass lag of machines notified in this frame.
     pub lag_p50: u64,
     /// 90th-percentile notify → pass lag.
-    pub lag_p90: u64,
+    pub(crate) lag_p90: u64,
     /// 99th-percentile notify → pass lag.
     pub lag_p99: u64,
     /// `tests_failed / (tests_passed + tests_failed)`.
@@ -159,7 +159,7 @@ pub struct WaveHealth {
 
 impl WaveHealth {
     /// Serialises the frame (nested cluster breakdown included).
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         Value::obj([
             ("wave", Value::from(self.wave)),
             ("cluster", self.cluster.map_or(Value::Null, Value::from)),

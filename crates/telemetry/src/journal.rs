@@ -33,7 +33,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::json::Value;
 use crate::recorder::{Capabilities, Recorder};
 
 /// Sentinel problem id meaning "no problem" (a passing test).
@@ -83,7 +82,7 @@ impl JournalKind {
     ];
 
     /// The kind's stable snake_case name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             JournalKind::Notify => "notify",
             JournalKind::Test => "test",
@@ -109,7 +108,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// The fault's stable snake_case name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FaultKind::Loss => "loss",
             FaultKind::Duplication => "duplication",
@@ -128,17 +127,6 @@ pub enum RolloutStep {
     /// The campaign was aborted and every enrolled machine re-notified
     /// with the prior release.
     RollBack,
-}
-
-impl RolloutStep {
-    /// The step's stable snake_case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            RolloutStep::Widen => "widen",
-            RolloutStep::Hold => "hold",
-            RolloutStep::RollBack => "roll_back",
-        }
-    }
 }
 
 /// One dense-id journal event. `Copy`, pointer-sized payloads only —
@@ -239,81 +227,6 @@ impl JournalEvent {
             JournalEvent::Rollout { .. } => JournalKind::Rollout,
         }
     }
-
-    /// Serialises the payload with raw dense ids (no name rendering).
-    pub fn to_json(&self) -> Value {
-        let mut pairs = vec![("kind".to_string(), Value::str(self.kind().name()))];
-        match *self {
-            JournalEvent::Notify { machine, release } => {
-                pairs.push(("machine".into(), Value::from(machine)));
-                pairs.push(("release".into(), Value::from(release)));
-            }
-            JournalEvent::Test {
-                machine,
-                release,
-                problem,
-            } => {
-                pairs.push(("machine".into(), Value::from(machine)));
-                pairs.push(("release".into(), Value::from(release)));
-                pairs.push(("passed".into(), Value::from(problem == NO_PROBLEM)));
-                if problem != NO_PROBLEM {
-                    pairs.push(("problem".into(), Value::from(u64::from(problem))));
-                }
-            }
-            JournalEvent::Report {
-                machine,
-                release,
-                passed,
-            } => {
-                pairs.push(("machine".into(), Value::from(machine)));
-                pairs.push(("release".into(), Value::from(release)));
-                pairs.push(("passed".into(), Value::from(passed)));
-            }
-            JournalEvent::WaveAdvance { wave, cluster } => {
-                pairs.push(("wave".into(), Value::from(wave)));
-                pairs.push(("cluster".into(), Value::from(cluster)));
-            }
-            JournalEvent::Retry {
-                machine,
-                release,
-                attempt,
-            } => {
-                pairs.push(("machine".into(), Value::from(machine)));
-                pairs.push(("release".into(), Value::from(release)));
-                pairs.push(("attempt".into(), Value::from(attempt)));
-            }
-            JournalEvent::Waiver { machine, release } => {
-                pairs.push(("machine".into(), Value::from(machine)));
-                pairs.push(("release".into(), Value::from(release)));
-            }
-            JournalEvent::Fault { fault, machine } => {
-                pairs.push(("fault".into(), Value::str(fault.name())));
-                pairs.push(("machine".into(), Value::from(machine)));
-            }
-            JournalEvent::UrrDeposit {
-                machine,
-                release,
-                problem,
-            } => {
-                pairs.push(("machine".into(), Value::from(machine)));
-                pairs.push(("release".into(), Value::from(release)));
-                pairs.push(("passed".into(), Value::from(problem == NO_PROBLEM)));
-                if problem != NO_PROBLEM {
-                    pairs.push(("problem".into(), Value::from(u64::from(problem))));
-                }
-            }
-            JournalEvent::Rollout {
-                step,
-                cohort,
-                machines,
-            } => {
-                pairs.push(("step".into(), Value::str(step.name())));
-                pairs.push(("cohort".into(), Value::from(cohort)));
-                pairs.push(("machines".into(), Value::from(machines)));
-            }
-        }
-        Value::Obj(pairs)
-    }
 }
 
 /// A journal entry: an event stamped with sim time and a global
@@ -327,20 +240,6 @@ pub struct JournalEntry {
     pub seq: u64,
     /// The event.
     pub event: JournalEvent,
-}
-
-impl JournalEntry {
-    /// Serialises the entry (time, seq, then the event payload).
-    pub fn to_json(&self) -> Value {
-        let mut pairs = vec![
-            ("time".to_string(), Value::from(self.time)),
-            ("seq".to_string(), Value::from(self.seq)),
-        ];
-        if let Value::Obj(rest) = self.event.to_json() {
-            pairs.extend(rest);
-        }
-        Value::Obj(pairs)
-    }
 }
 
 #[derive(Debug, Default)]
@@ -401,7 +300,7 @@ pub struct Journal {
 impl Journal {
     /// Creates a journal keeping at most `capacity` entries in its ring
     /// (min 1); evicted entries are dropped (but still counted).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Journal {
             capacity: capacity.max(1),
             spill: false,
@@ -432,7 +331,7 @@ impl Journal {
     }
 
     /// Records an event, stamped with the current clock reading.
-    pub fn record(&self, event: JournalEvent) {
+    pub(crate) fn record(&self, event: JournalEvent) {
         let time = self.clock.load(Ordering::Relaxed);
         let mut inner = self.inner.lock().expect("journal poisoned");
         inner.push(self.capacity, self.spill, time, event);
@@ -474,21 +373,6 @@ impl Journal {
         self.clock.store(last_time, Ordering::Relaxed);
     }
 
-    /// Entries currently retained in the ring (not counting spill).
-    pub fn len(&self) -> usize {
-        let inner = self.inner.lock().expect("journal poisoned");
-        if self.spill {
-            inner.all.len().min(self.capacity)
-        } else {
-            inner.ring.len()
-        }
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.total() == 0
-    }
-
     /// Total entries ever recorded.
     pub fn total(&self) -> u64 {
         self.inner.lock().expect("journal poisoned").next_seq
@@ -501,7 +385,7 @@ impl Journal {
 
     /// Exact per-kind totals, indexed by `JournalKind::ALL` order
     /// (includes evicted entries).
-    pub fn counts(&self) -> [u64; JournalKind::ALL.len()] {
+    pub(crate) fn counts(&self) -> [u64; JournalKind::ALL.len()] {
         self.inner.lock().expect("journal poisoned").counts
     }
 
@@ -654,7 +538,7 @@ mod tests {
         let j = Journal::new(0);
         j.record(notify(0));
         j.record(notify(1));
-        assert_eq!(j.len(), 1);
+        assert_eq!(j.entries().len(), 1);
         assert_eq!(j.entries()[0].seq, 1);
         assert_eq!(j.total(), 2);
         assert_eq!(j.dropped(), 1);
@@ -684,44 +568,6 @@ mod tests {
         assert_eq!(counts[JournalKind::Fault as usize], 1);
         assert_eq!(counts[JournalKind::Test as usize], 0);
         assert_eq!(j.total(), 4);
-    }
-
-    #[test]
-    fn json_lines_roundtrip() {
-        let j = Journal::new(8);
-        j.set_time(7);
-        j.record(JournalEvent::Test {
-            machine: 3,
-            release: 1,
-            problem: 2,
-        });
-        j.record(JournalEvent::WaveAdvance {
-            wave: 1,
-            cluster: 4,
-        });
-        j.record(JournalEvent::UrrDeposit {
-            machine: 3,
-            release: 1,
-            problem: NO_PROBLEM,
-        });
-        let lines: Vec<String> = j
-            .entries()
-            .iter()
-            .map(|e| e.to_json().to_compact())
-            .collect();
-        assert_eq!(lines.len(), 3);
-        let first = Value::parse(&lines[0]).unwrap();
-        assert_eq!(first.get("kind").unwrap().as_str(), Some("test"));
-        assert_eq!(first.get("time").unwrap().as_u64(), Some(7));
-        assert_eq!(first.get("passed").unwrap().as_bool(), Some(false));
-        assert_eq!(first.get("problem").unwrap().as_u64(), Some(2));
-        let second = Value::parse(&lines[1]).unwrap();
-        assert_eq!(second.get("kind").unwrap().as_str(), Some("wave_advance"));
-        assert_eq!(second.get("cluster").unwrap().as_u64(), Some(4));
-        let third = Value::parse(&lines[2]).unwrap();
-        assert_eq!(third.get("kind").unwrap().as_str(), Some("urr_deposit"));
-        assert_eq!(third.get("passed").unwrap().as_bool(), Some(true));
-        assert!(third.get("problem").is_none());
     }
 
     #[test]

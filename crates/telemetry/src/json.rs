@@ -281,9 +281,9 @@ impl From<String> for Value {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset of the failure.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for ParseError {

@@ -12,12 +12,12 @@ pub(crate) struct Counter(AtomicU64);
 
 impl Counter {
     /// Adds `delta`.
-    pub fn add(&self, delta: u64) {
+    pub(crate) fn add(&self, delta: u64) {
         self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -34,18 +34,18 @@ pub(crate) struct Gauge {
 
 impl Gauge {
     /// Sets the current value, updating the high-water mark.
-    pub fn set(&self, value: i64) {
+    pub(crate) fn set(&self, value: i64) {
         self.value.store(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 
     /// Highest value ever set.
-    pub fn high_water(&self) -> i64 {
+    pub(crate) fn high_water(&self) -> i64 {
         self.max.load(Ordering::Relaxed)
     }
 }
@@ -87,7 +87,7 @@ fn bucket_index(value: u64) -> usize {
 
 impl Histogram {
     /// Records one sample.
-    pub fn observe(&self, value: u64) {
+    pub(crate) fn observe(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
@@ -96,17 +96,17 @@ impl Histogram {
     }
 
     /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
     /// Smallest sample, or 0 if empty.
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         let m = self.min.load(Ordering::Relaxed);
         if m == u64::MAX && self.count() == 0 {
             0
@@ -116,7 +116,7 @@ impl Histogram {
     }
 
     /// Largest sample, or 0 if empty.
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
     }
 
@@ -148,7 +148,7 @@ impl Histogram {
     }
 
     /// Takes a point-in-time summary.
-    pub fn summary(&self) -> HistogramSummary {
+    pub(crate) fn summary(&self) -> HistogramSummary {
         let count = self.count();
         HistogramSummary {
             count,
@@ -168,22 +168,22 @@ pub struct HistogramSummary {
     /// Number of samples.
     pub count: u64,
     /// Sum of all samples.
-    pub sum: u64,
+    pub(crate) sum: u64,
     /// Smallest sample (0 if empty).
-    pub min: u64,
+    pub(crate) min: u64,
     /// Largest sample (0 if empty).
-    pub max: u64,
+    pub(crate) max: u64,
     /// Estimated median.
-    pub p50: u64,
+    pub(crate) p50: u64,
     /// Estimated 90th percentile.
-    pub p90: u64,
+    pub(crate) p90: u64,
     /// Estimated 99th percentile.
-    pub p99: u64,
+    pub(crate) p99: u64,
 }
 
 impl HistogramSummary {
     /// Mean sample value (0 if empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

@@ -167,7 +167,7 @@ pub struct Snapshot {
     /// Total journal entries recorded.
     pub journal_total: u64,
     /// Journal entries evicted and lost (0 when spill is enabled).
-    pub journal_dropped: u64,
+    pub(crate) journal_dropped: u64,
 }
 
 fn summary_json(s: &HistogramSummary) -> Value {

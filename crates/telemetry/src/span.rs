@@ -49,11 +49,6 @@ impl Span {
             start: Some(Instant::now()),
         }
     }
-
-    /// The full nested path this span records under (empty when inert).
-    pub fn path(&self) -> &str {
-        &self.path
-    }
 }
 
 impl Drop for Span {
@@ -81,17 +76,13 @@ mod tests {
         let registry = Arc::new(Registry::new(16));
         let t = Telemetry::from_registry(Arc::clone(&registry));
         {
-            let outer = t.span("outer");
-            assert_eq!(outer.path(), "outer");
+            let _outer = t.span("outer");
             {
-                let mid = t.span("mid");
-                assert_eq!(mid.path(), "outer/mid");
-                let leaf = t.span("leaf");
-                assert_eq!(leaf.path(), "outer/mid/leaf");
+                let _mid = t.span("mid");
+                let _leaf = t.span("leaf");
             }
             // Siblings reuse the parent path after the first child closed.
-            let second = t.span("second");
-            assert_eq!(second.path(), "outer/second");
+            let _second = t.span("second");
         }
         let snap = registry.snapshot();
         for path in ["outer", "outer/mid", "outer/mid/leaf", "outer/second"] {
@@ -113,28 +104,28 @@ mod tests {
     fn inert_span_leaves_stack_alone() {
         let t = Telemetry::noop();
         let span = t.span("ghost");
-        assert_eq!(span.path(), "");
-        drop(span);
-        // A live span opened afterwards starts a fresh hierarchy.
+        // A live span opened meanwhile starts a fresh hierarchy.
         let registry = Arc::new(Registry::new(16));
         let live = Telemetry::from_registry(Arc::clone(&registry));
-        let s = live.span("root");
-        assert_eq!(s.path(), "root");
+        drop(live.span("root"));
+        drop(span);
+        let spans = registry.snapshot().spans;
+        assert_eq!(spans.keys().collect::<Vec<_>>(), ["root"]);
     }
 
     #[test]
     fn threads_have_independent_stacks() {
         let registry = Arc::new(Registry::new(16));
         let t = Telemetry::from_registry(Arc::clone(&registry));
-        let _outer = t.span("main-outer");
+        let outer = t.span("main-outer");
         let handle = {
             let t = t.clone();
-            std::thread::spawn(move || {
-                let s = t.span("worker");
-                s.path().to_string()
-            })
+            std::thread::spawn(move || drop(t.span("worker")))
         };
+        handle.join().unwrap();
+        drop(outer);
         // The worker thread's span must not inherit main-outer.
-        assert_eq!(handle.join().unwrap(), "worker");
+        let spans = registry.snapshot().spans;
+        assert_eq!(spans.keys().collect::<Vec<_>>(), ["main-outer", "worker"]);
     }
 }

@@ -26,7 +26,7 @@ use crate::json::Value;
 pub struct TraceConfig {
     /// Maximum number of machine tracks to emit (sampled evenly across
     /// the notified machine-id range). 0 disables machine tracks.
-    pub max_machine_tracks: usize,
+    pub(crate) max_machine_tracks: usize,
 }
 
 impl Default for TraceConfig {

@@ -116,11 +116,11 @@ mod summary {
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub(crate) struct OutputSummary {
         /// Concatenated writes per file path.
-        pub files: BTreeMap<String, Vec<Vec<u8>>>,
+        pub(crate) files: BTreeMap<String, Vec<Vec<u8>>>,
         /// Message sequences per network peer.
-        pub net: BTreeMap<String, Vec<Vec<u8>>>,
+        pub(crate) net: BTreeMap<String, Vec<Vec<u8>>>,
         /// Exit code of the run.
-        pub exit_code: Option<i32>,
+        pub(crate) exit_code: Option<i32>,
     }
 
     /// Builds the output summary of a trace.
@@ -153,7 +153,7 @@ mod summary {
 
     impl OutputSummary {
         /// Compares two summaries, returning every difference.
-        pub fn diff(&self, other: &OutputSummary) -> Vec<OutputDiff> {
+        pub(crate) fn diff(&self, other: &OutputSummary) -> Vec<OutputDiff> {
             let mut diffs = Vec::new();
             let file_keys: BTreeSet<&String> =
                 self.files.keys().chain(other.files.keys()).collect();

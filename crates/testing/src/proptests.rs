@@ -245,7 +245,10 @@ fn oracle(
 
 /// Over seeded machine/upgrade pairs, the validator's outputs-only
 /// replay and install-derived changed paths give the report the full
-/// replay gives, under both policies; every verdict shape occurs.
+/// replay gives, under both policies; every verdict shape occurs. On
+/// every pass, the sandbox machine integration adopts has the
+/// filesystem and package database of the live machine after
+/// `apply_package`.
 #[test]
 fn validation_equals_the_full_replay_oracle() {
     const SHAPES: [&str; 8] = [
@@ -259,6 +262,7 @@ fn validation_equals_the_full_replay_oracle() {
         "mismatch accepted by policy",
     ];
     let mut seen = [0usize; SHAPES.len()];
+    let mut adopted_passes = 0;
     let mut rng = Rng(0x7e57_0001);
     for case in 0..300 {
         let (repo, machine, upgrade, runs) = world(&mut rng);
@@ -270,9 +274,21 @@ fn validation_equals_the_full_replay_oracle() {
         .into_iter()
         .enumerate()
         {
-            let got = Validator::with_policy(policy).validate(&machine, &repo, &upgrade, &runs);
+            let (got, adopted) = Validator::with_policy(policy)
+                .validate_in_sandbox(&machine, &repo, &upgrade, &runs);
             let want = oracle(policy, &machine, &repo, &upgrade, &runs);
             assert_eq!(got, want, "case {case}, {policy:?}");
+            if got.passed() {
+                // Integration adopts what installing on the live machine makes.
+                let adopted = adopted.expect("a passing upgrade installed");
+                let mut live = machine.clone();
+                live.pkgs
+                    .apply_package(&mut live.fs, &repo, &upgrade.package)
+                    .expect("installs on the live machine too");
+                assert_eq!(adopted.fs, live.fs, "case {case}, {policy:?}");
+                assert_eq!(adopted.pkgs, live.pkgs, "case {case}, {policy:?}");
+                adopted_passes += 1;
+            }
             reports[slot] = Some(got);
         }
         let [Some(strict), Some(lenient)] = reports else {
@@ -306,6 +322,7 @@ fn validation_equals_the_full_replay_oracle() {
     for (shape, count) in SHAPES.iter().zip(seen) {
         assert!(count > 0, "no case reached: {shape}");
     }
+    assert!(adopted_passes > 0);
 }
 
 /// The paths an install wrote that differ from the live machine's are

@@ -13,9 +13,10 @@ use crate::sandbox::Sandbox;
 
 /// How to treat output mismatches — the stand-in for the human decision
 /// the paper asks of the user when observed behaviour differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AcceptancePolicy {
     /// Any difference fails validation (the safe default).
+    #[default]
     RejectDifferences,
     /// Differences are accepted (a representative approving a
     /// legitimately I/O-changing feature upgrade, §3.5).
@@ -66,12 +67,12 @@ pub struct AppVerdict {
     pub result: Result<(), FailureKind>,
     /// Number of recorded runs replayed (0 = integration/crash check
     /// only).
-    pub runs_tested: usize,
+    pub(crate) runs_tested: usize,
 }
 
 impl AppVerdict {
     /// Returns `true` if the application passed.
-    pub fn passed(&self) -> bool {
+    pub(crate) fn passed(&self) -> bool {
         self.result.is_ok()
     }
 }
@@ -80,9 +81,9 @@ impl AppVerdict {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidationReport {
     /// The upgrade validated.
-    pub upgrade: UpgradeId,
+    pub(crate) upgrade: UpgradeId,
     /// The machine it was validated on.
-    pub machine: String,
+    pub(crate) machine: String,
     /// Files the upgrade changed in the sandbox.
     pub changed_paths: BTreeSet<String>,
     /// Applications deemed affected and their verdicts.
@@ -107,18 +108,16 @@ impl ValidationReport {
 
 /// The validator: applies an upgrade in a sandbox and replays recorded
 /// runs of the affected applications.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Validator {
     /// Mismatch handling policy.
-    pub policy: AcceptancePolicy,
+    pub(crate) policy: AcceptancePolicy,
 }
 
 impl Validator {
     /// Creates a validator with the safe default policy.
     pub fn new() -> Self {
-        Validator {
-            policy: AcceptancePolicy::RejectDifferences,
-        }
+        Self::default()
     }
 
     /// Creates a validator with an explicit policy.
@@ -130,9 +129,9 @@ impl Validator {
     ///
     /// `runs` is the machine's trace library (all applications mixed);
     /// the validator selects the runs of affected applications itself.
-    /// Returns an error only when the upgrade cannot even be installed
-    /// (dependency resolution failure) — that too is a reportable result,
-    /// surfaced as a [`FailureKind::Integration`] on the package itself.
+    /// An upgrade that cannot even be installed (dependency resolution
+    /// failure) is reported as a [`FailureKind::Integration`] on the
+    /// package itself.
     pub fn validate(
         &self,
         machine: &Machine,
@@ -140,34 +139,48 @@ impl Validator {
         upgrade: &Upgrade,
         runs: &[RecordedRun],
     ) -> ValidationReport {
+        self.validate_in_sandbox(machine, repo, upgrade, runs).0
+    }
+
+    /// [`Validator::validate`], also handing back the sandbox's machine
+    /// when the upgrade installed: `machine` with the upgrade applied
+    /// (replay never writes to it), which integration adopts on a pass.
+    pub fn validate_in_sandbox(
+        &self,
+        machine: &Machine,
+        repo: &Repository,
+        upgrade: &Upgrade,
+        runs: &[RecordedRun],
+    ) -> (ValidationReport, Option<Machine>) {
         let mut sandbox = Sandbox::boot(machine);
-        let Ok(install) = sandbox.apply_upgrade(repo, upgrade) else {
-            return ValidationReport {
-                upgrade: upgrade.id(),
-                machine: machine.id.clone(),
-                changed_paths: BTreeSet::new(),
-                verdicts: vec![AppVerdict {
+        let (changed_paths, verdicts, upgraded) = match sandbox.apply_upgrade(repo, upgrade) {
+            Ok(install) => {
+                let changed_paths = sandbox.changed_paths(&install, machine);
+                let affected = sandbox.machine.apps_affected_by(&changed_paths);
+                let verdicts = affected
+                    .iter()
+                    .map(|app| self.validate_app(&sandbox, upgrade, app, runs))
+                    .collect();
+                (changed_paths, verdicts, Some(sandbox.machine))
+            }
+            Err(_) => {
+                let verdict = AppVerdict {
                     app: upgrade.package.name.clone(),
                     result: Err(FailureKind::Integration {
                         exit_code: EXIT_NO_IMAGE,
                     }),
                     runs_tested: 0,
-                }],
-            };
+                };
+                (BTreeSet::new(), vec![verdict], None)
+            }
         };
-        let changed_paths = sandbox.changed_paths(&install, machine);
-        let affected = sandbox.machine.apps_affected_by(&changed_paths);
-
-        let mut verdicts = Vec::new();
-        for app in &affected {
-            verdicts.push(self.validate_app(&sandbox, upgrade, app, runs));
-        }
-        ValidationReport {
+        let report = ValidationReport {
             upgrade: upgrade.id(),
             machine: machine.id.clone(),
             changed_paths,
             verdicts,
-        }
+        };
+        (report, upgraded)
     }
 
     /// Replays `app`'s recorded runs in the sandbox, recording only
@@ -225,12 +238,6 @@ impl Validator {
             }
         }
         verdict(Ok(()), tested)
-    }
-}
-
-impl Default for Validator {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

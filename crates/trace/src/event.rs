@@ -24,7 +24,7 @@ impl OpenMode {
     }
 
     /// Returns `true` if the mode permits reading.
-    pub fn reads(self) -> bool {
+    pub(crate) fn reads(self) -> bool {
         !matches!(self, OpenMode::WriteOnly)
     }
 

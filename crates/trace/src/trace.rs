@@ -120,14 +120,6 @@ impl Trace {
         self.events.iter().filter(|e| e.is_output()).collect()
     }
 
-    /// Returns the recorded argument vector of the traced process, if any.
-    pub fn args(&self) -> Option<&[String]> {
-        self.events.iter().find_map(|e| match e {
-            SyscallEvent::ProcessCreate { args, .. } => Some(args.as_slice()),
-            _ => None,
-        })
-    }
-
     /// Returns the exit code recorded in the trace, if the process exited.
     pub fn exit_code(&self) -> Option<i32> {
         self.events.iter().rev().find_map(|e| match e {
@@ -215,7 +207,6 @@ mod tests {
     fn env_vars_and_args_and_exit() {
         let t = sample();
         assert!(t.env_vars_read().contains("HOME"));
-        assert_eq!(t.args().unwrap(), &["--datadir=/var/lib/mysql"]);
         assert_eq!(t.exit_code(), Some(0));
         assert!(t.succeeded());
     }

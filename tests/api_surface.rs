@@ -1,17 +1,20 @@
 //! Public surface: `pub` means "used outside the crate". Every
-//! `pub fn|const|static|struct|enum|trait|type` in a library crate's
-//! `src/` must be named in some `.rs` file outside that `src/`: another
-//! crate, the root `src/`, `tests/`, `examples/`, `benchmark/`, the
-//! crate's own `tests/`, `benches/` or `src/bin/`. Rust reports no dead
-//! code for a `pub` item in a library, so without this an item with no
-//! caller stays hidden.
+//! `pub fn|const|static|struct|enum|trait|type` and every named `pub`
+//! struct field in a library crate's `src/` must be named in some `.rs`
+//! file outside that `src/`: another crate, the root `src/`, `tests/`,
+//! `examples/`, `benchmark/`, the crate's own `tests/`, `benches/` or
+//! `src/bin/`. Rust reports no dead code for a `pub` item in a library,
+//! so without this an item with no caller stays hidden.
 //!
 //! The scan is by name and skips comment lines. It cannot see a type
 //! that outside code only reaches through a public signature (a
 //! returned struct whose name it never writes), so `ALLOWED` names each
 //! such item with the signature that needs it. It also misses a name
-//! that some other item shares (`new`, `len`); the compiler's dead-code
-//! pass finds those once the name is narrowed.
+//! that some other item shares: a new `pub fn len` or `pub id` field
+//! passes because other crates say `len` and `id`. Narrowing such an
+//! item to `pub(crate)` is what shows whether anything calls it: the
+//! compiler's dead-code lint (`-D warnings` under clippy) covers every
+//! `pub(crate)` item, and a build fails on any outside caller.
 
 use std::collections::{BTreeMap, HashSet};
 use std::fs;
@@ -60,12 +63,10 @@ const ALLOWED: &[(&str, &str)] = &[
     ),
     // mirage-scenarios
     ("AppModel", "apps::all_models() -> Vec<AppModel>"),
-    ("Experience", "survey::Respondent::experience: Experience"),
     (
         "Frequency",
         "survey::figure1(..) -> Vec<(Frequency, [usize; 4])>",
     ),
-    ("CauseRanks", "survey::Respondent::causes: CauseRanks"),
     ("Respondent", "survey::dataset() -> Vec<Respondent>"),
     ("SurveyStats", "survey::stats(..) -> SurveyStats"),
     (
@@ -128,20 +129,31 @@ fn words(text: &str) -> HashSet<&str> {
         .collect()
 }
 
-/// The name a `pub` item declaration introduces, if `line` is one of
-/// the kinds this test covers.
+/// The name a `pub` item declaration or named `pub` field introduces,
+/// if `line` is one of the kinds this test covers.
 fn pub_item(line: &str) -> Option<(&'static str, &str)> {
-    let mut rest = line.trim_start().strip_prefix("pub ")?;
+    let rest = line.trim_start().strip_prefix("pub ")?;
     for qualifier in ["const fn ", "unsafe fn ", "async fn "] {
         if let Some(r) = rest.strip_prefix(qualifier) {
-            rest = r;
-            return Some(("fn", ident(rest)));
+            return Some(("fn", ident(r)));
         }
     }
-    KINDS.iter().find_map(|&kind| {
-        let r = rest.strip_prefix(kind)?.strip_prefix(' ')?;
-        Some((kind, ident(r)))
-    })
+    KINDS
+        .iter()
+        .find_map(|&kind| {
+            let r = rest.strip_prefix(kind)?.strip_prefix(' ')?;
+            Some((kind, ident(r)))
+        })
+        .or_else(|| {
+            // A field: `pub name: Type,` (a path `pub a::b` is a `use`).
+            let name = ident(rest);
+            let after = rest[name.len()..].trim_start();
+            let is_field = !name.is_empty()
+                && after.starts_with(':')
+                && !after.starts_with("::")
+                && !KINDS.contains(&name);
+            is_field.then_some(("field", name))
+        })
 }
 
 fn ident(s: &str) -> &str {

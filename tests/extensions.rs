@@ -96,6 +96,39 @@ fn rule_templates_expand_per_machine() {
     assert!(user_rules.includes("/home/dba/.my.cnf"));
 }
 
+/// The vendor rule API (§3.2.3): a rule is an include or exclude glob,
+/// and a rule set expanded from templates on a machine is the set the
+/// vendor would have written for it by hand.
+#[test]
+fn vendor_rules_from_templates_equal_rules_written_by_hand() {
+    use mirage::heuristic::{expand_templates, Rule, RuleSet, RuleTemplate};
+    for (rule, include) in [
+        (Rule::include("/var/lib/mysql/**"), true),
+        (Rule::exclude("/var/lib/mysql/**"), false),
+    ] {
+        let (Rule::Include(glob) | Rule::Exclude(glob)) = &rule;
+        assert!(glob.matches("/var/lib/mysql/user.frm"));
+        assert!(!glob.matches("/var/lib/pgsql/user.frm"));
+        assert_eq!(matches!(rule, Rule::Include(_)), include);
+    }
+    let templates = [
+        RuleTemplate::include("$HOME/.my.cnf"),
+        RuleTemplate::exclude("$HOME/tmp/**"),
+        // `DATADIR` is unset on this machine: the template is skipped.
+        RuleTemplate::exclude("$DATADIR/**"),
+    ];
+    let env: BTreeMap<String, String> = [("HOME".to_string(), "/home/dba".to_string())].into();
+    let rules = expand_templates(&templates, &env);
+    assert_eq!(
+        rules,
+        RuleSet::new()
+            .include("/home/dba/.my.cnf")
+            .exclude("/home/dba/tmp/**")
+    );
+    assert!(rules.includes("/home/dba/.my.cnf"));
+    assert!(!rules.includes("/home/dba/tmp/scratch"));
+}
+
 /// The simulator's extension knobs interact sanely with staging: an
 /// escaped problem never drives a fix, and late arrivals still converge.
 #[test]
@@ -244,6 +277,6 @@ fn slimserver_packaging_problem_and_corrected_package() {
     let report = Validator::new().validate(&agent.machine, &repo, &fixed, &agent.runs);
     assert!(report.passed(), "{report:?}");
     // The live machine integrates cleanly.
-    assert!(agent.integrate(&repo, &fixed));
+    assert!(agent.upgrade(&repo, &fixed).passed());
     assert!(agent.machine.fs.contains("/srv/slimserver/library-v2.db"));
 }
