@@ -19,8 +19,9 @@
 //! What each timing document must satisfy is data: [`SUITES`] lists, per
 //! document, its file, its `suite` name and a few [`Rule`]s from a
 //! small closed set — harness rows well-formed, a row present, a row
-//! marked `scale`, a scalar within a span, a flag true or false, a
-//! p50 ≤ p99 pair — and [`check`] is one interpreter over that table.
+//! marked `scale`, a row's fastest sample within a span, a scalar within
+//! a span, a flag true or false, a p50 ≤ p99 pair — and [`check`] is one
+//! interpreter over that table.
 //! Gating a new document is one more [`Suite`] entry. One check is
 //! genuinely logic and stays a plain function the table names: the
 //! `trace_sample` schema.
@@ -83,6 +84,9 @@ pub enum Rule {
     /// A `results` row of this name exists and is marked `"scale":
     /// true` (a deliberate single-shot).
     ScaleRow(&'static str),
+    /// A `results` row of this name exists and its `min_ns` lies within
+    /// the span.
+    RowMinNs(&'static str, Span),
     /// The scalar at this path lies within the span.
     Num(&'static str, Span),
     /// Like [`Rule::Num`], but the span binds full runs only: with
@@ -98,7 +102,7 @@ pub enum Rule {
     TraceSample,
 }
 
-use Rule::{Flag, HarnessRows, Num, NumFullRun, Ordered, Row, ScaleRow};
+use Rule::{Flag, HarnessRows, Num, NumFullRun, Ordered, Row, RowMinNs, ScaleRow};
 
 /// Every experiment document, with the `repro` experiment that writes
 /// it. Tier-1 runs each experiment and requires the written file to
@@ -138,9 +142,11 @@ pub const SUITES: &[Suite] = &[
         suite: "sim-perf",
         rules: &[
             HarnessRows,
-            Num("speedup_100k_vs_reference.NoStaging", at_least(1.0)),
-            Num("speedup_100k_vs_reference.Balanced", at_least(1.0)),
-            Num("speedup_100k_vs_reference.FrontLoading", at_least(1.0)),
+            // Ceilings at the last committed `min_ns` of the string-keyed
+            // reference driver's rows, which the driver replaced.
+            RowMinNs("sim/100k/interned/NoStaging", below(153.8e6)),
+            RowMinNs("sim/100k/interned/Balanced", below(210.4e6)),
+            RowMinNs("sim/100k/interned/FrontLoading", below(201.9e6)),
             Flag("balanced_1m_under_10s", true),
             Num("balanced_1m_seconds", below(10.0)),
             // The 10M acceptance run: one marked single-shot sample.
@@ -154,7 +160,9 @@ pub const SUITES: &[Suite] = &[
         suite: "urr-perf",
         rules: &[
             HarnessRows,
-            Num("ingest_speedup_100k_vs_reference", at_least(1.0)),
+            // A ceiling at the last committed `min_ns` of the string-keyed
+            // reference repository's ingest, which the interned one replaced.
+            RowMinNs("urr/ingest/interned-100k", below(13.0e6)),
             Ordered("query.top_k_p50_ns", "query.top_k_p99_ns"),
             Ordered("query.failure_groups_p50_ns", "query.failure_groups_p99_ns"),
             Ordered("query.cluster_rates_p50_ns", "query.cluster_rates_p99_ns"),
@@ -346,6 +354,19 @@ fn apply(rule: &Rule, doc: &Value) -> Result<String, String> {
                 return Err(format!("'{name}' is not marked \"scale\": true"));
             }
             Ok(format!("row '{name}' present, marked scale"))
+        }
+        RowMinNs(name, span) => {
+            let value = num(named_row(doc, name)?, "min_ns")?;
+            if !span.contains(&value) {
+                return Err(format!(
+                    "row '{name}': min_ns is {value}; required {}",
+                    span_text(span)
+                ));
+            }
+            Ok(format!(
+                "row '{name}' min_ns = {value} ({})",
+                span_text(span)
+            ))
         }
         Num(key, span) | NumFullRun(key, span) => {
             let value = num(doc, key)?;
@@ -544,6 +565,20 @@ mod tests {
                     (edit(doc, &marker, None), name),
                     (with(doc, &marker, false), name),
                 ]
+            }
+            RowMinNs(name, span) => {
+                // Every statistic moves with min_ns, so the row stays
+                // well-formed and only the span is breached.
+                let at = row(doc, name);
+                let mut broken = vec![drop_row(doc, name)];
+                broken.extend(outside(span).into_iter().map(|v| {
+                    let stats = ["min_ns", "p50_ns", "mean_ns", "max_ns"];
+                    let moved = stats
+                        .iter()
+                        .fold(doc.clone(), |d, key| with(&d, &format!("{at}.{key}"), v));
+                    (moved, name)
+                }));
+                broken
             }
             Num(key, span) | NumFullRun(key, span) => {
                 let mut broken = vec![unset(doc, key)];

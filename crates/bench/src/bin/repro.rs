@@ -290,16 +290,11 @@ mod stream {
 /// Benchmarks the Upgrade Report Repository's ingest and query paths
 /// and writes `BENCH_urr.json`.
 ///
-/// Ingest compares the interned batch path
+/// Ingest times the interned batch path
 /// ([`mirage_report::Urr::deposit_interned_batch`], the one the
-/// simulator's `UrrSink` drives) against the retained string-keyed
-/// [`mirage_report::reference::Urr`] on the same report stream. Each
-/// sample deposits into a *fresh* repository; interning and record
-/// construction happen outside the timed region for the interned path,
-/// while the reference path's timed region includes the per-report
-/// string materialisation its API forces — the same asymmetry the
-/// simulator benchmarks report, because it is the asymmetry the
-/// redesign exists to remove.
+/// simulator's `UrrSink` drives). Each sample deposits into a *fresh*
+/// repository; interning and record construction happen outside the
+/// timed region.
 ///
 /// `urr/intern/ascending-*` and `urr/intern/shuffled-*` time
 /// [`mirage_report::Urr::intern_machines`] over the scale volume's
@@ -311,20 +306,16 @@ mod stream {
 /// groups, full failure grouping, per-cluster failure rates, and a
 /// time-windowed first-seen scan.
 fn urr_perf(ctx: &Ctx) {
-    use mirage_report::{reference, Report, ReportOutcome, Urr};
+    use mirage_report::Urr;
 
     let smoke = ctx.smoke;
     suite_heading(ctx, "URR performance: interned ingest + vendor queries");
     let (n_main, n_big) = stream::volumes(smoke);
     let mut h = Harness::new("urr-perf");
 
-    // --- Ingest at the main volume: interned batches vs the
-    // retained string-keyed reference, *interleaved* so both paths
-    // sample the same machine conditions (allocator state, frequency
-    // scaling) and the min-over-min speedup is a paired comparison.
-    // Each closure reports the nanoseconds of its *timed region* so
-    // per-sample setup (fresh repository, untimed interning) stays out
-    // of the statistics.
+    // --- Ingest at the main volume and at scale. The closure reports
+    // the nanoseconds of its *timed region* so per-sample setup (fresh
+    // repository, untimed interning) stays out of the statistics.
     let interned_pass = |names: &[String]| -> u64 {
         let urr = Urr::new();
         let recs = stream::interned(&urr, names);
@@ -335,40 +326,8 @@ fn urr_perf(ctx: &Ctx) {
         t0.elapsed().as_nanos() as u64
     };
     let names = stream::machine_names(n_main);
-    let proto: Vec<Report> = (0..n_main)
-        .map(|i| {
-            let report = Report::success(names[i].clone(), i % stream::CLUSTERS, "upgrade", "r0");
-            match stream::failure(i) {
-                Some(sig) => Report {
-                    outcome: ReportOutcome::Failure {
-                        signature: format!("sig-{sig:02}"),
-                        detail: String::new(),
-                    },
-                    ..report
-                },
-                None => report,
-            }
-        })
-        .collect();
     let interned_main = format!("urr/ingest/interned-{}", volume_label(n_main));
-    let reference_main = format!("urr/ingest/reference-{}", volume_label(n_main));
-    h.bench_paired_ns(
-        &interned_main,
-        &reference_main,
-        || interned_pass(&names),
-        || {
-            let urr = reference::Urr::new();
-            let t0 = Instant::now();
-            for r in &proto {
-                black_box(urr.deposit(r.clone()));
-            }
-            t0.elapsed().as_nanos() as u64
-        },
-    );
-    drop(proto);
-
-    // --- Ingest at scale: the interned path only (the reference would
-    // dominate the budget at a million reports).
+    h.bench_ns(&interned_main, || interned_pass(&names));
     let names_big = stream::machine_names(n_big);
     let interned_big = format!("urr/ingest/interned-{}", volume_label(n_big));
     h.bench_ns(&interned_big, || interned_pass(&names_big));
@@ -413,16 +372,9 @@ fn urr_perf(ctx: &Ctx) {
 
     let reports_per_sec =
         |name: &str, n: usize| n as f64 / (h.row(name).min_ns.max(1) as f64 / 1e9);
-    let speedup = h.speedup(&reference_main, &interned_main);
     println!(
-        "=> interned ingest is {speedup:.2}x the string-keyed reference \
-         at {} reports (min-over-min)",
-        volume_label(n_main)
-    );
-    println!(
-        "=> ingest throughput: interned {:.0}/s, reference {:.0}/s, interned-{} {:.0}/s",
+        "=> ingest throughput: interned {:.0}/s, interned-{} {:.0}/s",
         reports_per_sec(&interned_main, n_main),
-        reports_per_sec(&reference_main, n_main),
         volume_label(n_big),
         reports_per_sec(&interned_big, n_big),
     );
@@ -432,9 +384,7 @@ fn urr_perf(ctx: &Ctx) {
         format!(
             "{n_main} reports over {} clusters, 10% failures across {} signatures; interned = \
              4096-record batches into a fresh repository per sample (interning \
-             untimed); reference = the retained string-keyed repository, timed region \
-             includes the per-report string materialisation its API forces; queries run \
-             against the built {n_main}-report repository",
+             untimed); queries run against the built {n_main}-report repository",
             stream::CLUSTERS,
             stream::SIGNATURES
         ),
@@ -457,11 +407,9 @@ fn urr_perf(ctx: &Ctx) {
             "ingest",
             Value::obj([
                 ingest_rate("interned", &interned_main, n_main),
-                ingest_rate("reference", &reference_main, n_main),
                 ingest_rate("interned", &interned_big, n_big),
             ]),
         )
-        .set("ingest_speedup_100k_vs_reference", round_to(speedup, 2))
         .set(
             "query",
             Value::obj(query.iter().flat_map(|(key, row)| {
@@ -472,19 +420,7 @@ fn urr_perf(ctx: &Ctx) {
                 ]
             })),
         );
-    let path = doc.write(ctx.csv(), "BENCH_urr.json");
-
-    // In-binary regression floor: deliberately below the headline the
-    // committed BENCH_urr.json carries (the paired min-over-min lands
-    // around 5-7x on an idle machine) so a noisy CI runner cannot flake
-    // the smoke, while a real regression of the interned fast path —
-    // which would drag the ratio toward 1x — still fails loudly.
-    let floor = if smoke { 1.0 } else { 2.0 };
-    assert!(
-        speedup >= floor,
-        "interned ingest speedup {speedup:.2}x fell below the {floor}x regression floor; see {}",
-        path.display()
-    );
+    doc.write(ctx.csv(), "BENCH_urr.json");
 }
 
 /// Benchmarks the durable URR storage backend — WAL append throughput,
@@ -1435,29 +1371,24 @@ fn sweep(ctx: &Ctx) {
 ///
 /// Workloads:
 ///
-/// * the paper's 100k-machine Figure-10 scenario, *interned* driver vs
-///   the retained *string-keyed reference* driver, paired per protocol
-///   (NoStaging / Balanced / FrontLoading) so clock drift lands on both
-///   sides equally;
+/// * the paper's 100k-machine Figure-10 scenario, per protocol
+///   (NoStaging / Balanced / FrontLoading);
 /// * a 1,000,000-machine variant (100 clusters × 10 000) on the
 ///   interned driver, per protocol;
 /// * one single-shot `scale` row: 10M machines (1000×10 000), Balanced —
 ///   the acceptance workload for the sub-10 s budget.
 ///
-/// Before timing anything, the reference driver and the sequential
-/// oracle are asserted bit-identical to the driver on the 100k scenario
-/// (the same properties the seeded proptests check on random
-/// scenarios).
+/// Before timing anything, the sequential oracle is asserted
+/// bit-identical to the driver on the 100k scenario (the property the
+/// seeded proptests check on random scenarios).
 fn sim_perf(ctx: &Ctx) {
-    use mirage_sim::runner::reference::{run_reference, NamedScenario};
     use mirage_sim::runner::sequential::run_sequential;
     use mirage_sim::{Scenario, SimArena};
     use mirage_telemetry::Telemetry;
 
-    heading("Simulator performance (interned vs reference)");
+    heading("Simulator performance");
 
     let s100k = deployment::sound_scenario(deployment::ProblemPlacement::Late);
-    let named = NamedScenario::from_scenario(&s100k);
     // 1M machines, problems placed late like the Figure-10 setup.
     let s1m = ScenarioBuilder::new()
         .clusters(100, 10_000, 1)
@@ -1471,25 +1402,16 @@ fn sim_perf(ctx: &Ctx) {
         ProtocolChoice::Balanced,
         ProtocolChoice::FrontLoading,
     ];
-    // Both planes from the one selection surface; construction stays
-    // inside every timed closure below.
+    // Construction stays inside every timed closure below.
     let fast = |choice: ProtocolChoice, s: &Scenario| {
         Simulation::new(s).run(&mut choice.build(s.plan.clone(), 1.0))
     };
-    let slow = |choice: ProtocolChoice| {
-        run_reference(&named, &mut choice.build_named(named.plan.clone(), 1.0))
-    };
 
-    // Sanity: the drivers agree on the full 100k scenario before any
-    // timing (same equivalences the seeded proptests establish).
+    // Sanity: the driver agrees with its oracle on the full 100k
+    // scenario before any timing (the equivalence the seeded proptests
+    // establish).
     for choice in choices {
         let got = fast(choice, &s100k);
-        assert_eq!(
-            got,
-            slow(choice),
-            "{}: reference diverged on the 100k scenario",
-            choice.name()
-        );
         let mut oracle = choice.build(s100k.plan.clone(), 1.0);
         assert_eq!(
             got,
@@ -1498,17 +1420,13 @@ fn sim_perf(ctx: &Ctx) {
             choice.name()
         );
     }
-    println!("  (reference driver and sequential oracle bit-identical on 100k)\n");
+    println!("  (sequential oracle bit-identical on 100k)\n");
 
     let mut h = Harness::new("sim-perf");
     for choice in choices {
-        let name = choice.name();
-        h.bench_paired(
-            &format!("sim/100k/interned/{name}"),
-            &format!("sim/100k/reference/{name}"),
-            || fast(choice, &s100k).failed_tests,
-            || slow(choice).failed_tests,
-        );
+        h.bench(&format!("sim/100k/interned/{}", choice.name()), || {
+            fast(choice, &s100k).failed_tests
+        });
     }
     for choice in choices {
         h.bench(&format!("sim/1m/interned/{}", choice.name()), || {
@@ -1534,14 +1452,9 @@ fn sim_perf(ctx: &Ctx) {
             .failed_tests
     });
 
-    let mut speedups = Vec::new();
     for name in choices.map(ProtocolChoice::name) {
-        let speedup = h.speedup(
-            &format!("sim/100k/reference/{name}"),
-            &format!("sim/100k/interned/{name}"),
-        );
-        println!("=> {name}: 100k interned is {speedup:.2}x the string reference (min-over-min)");
-        speedups.push((name, Value::from(round_to(speedup, 2))));
+        let ms = h.row(&format!("sim/100k/interned/{name}")).min_ns as f64 / 1e6;
+        println!("=> {name}: 100k run {ms:.1} ms (min)");
     }
     let b1m_secs = h.row("sim/1m/interned/Balanced").min_ns as f64 / 1e9;
     println!("=> 1M-machine Balanced run: {b1m_secs:.2} s (min)");
@@ -1551,14 +1464,12 @@ fn sim_perf(ctx: &Ctx) {
     let mut doc = BenchDoc::new(
         "sim-perf",
         "100k = the paper's Figure-10 scenario (20x5000, problems late); 1m = 100x10000, \
-         10m = 1000x10000 with the same late placement; reference = the retained string-keyed \
-         BinaryHeap driver + protocols; interned and reference rows time plan clone + protocol \
-         construction + run (the interned clone shares the plan's machine table and copies \
-         cluster id vectors only; the reference clone copies every name); the 10m row times \
-         the run only, in a SimArena, and is intentionally single-sample",
+         10m = 1000x10000 with the same late placement; 100k and 1m rows time plan clone + \
+         protocol construction + run (the clone shares the plan's machine table and copies \
+         cluster id vectors only); the 10m row times the run only, in a SimArena, and is \
+         intentionally single-sample",
     );
     doc.harness_rows(h.results())
-        .set("speedup_100k_vs_reference", Value::obj(speedups))
         .set("balanced_1m_seconds", round_to(b1m_secs, 3))
         .set("balanced_1m_under_10s", b1m_secs < 10.0)
         .set("balanced_10m_seconds", round_to(b10m_secs, 3))

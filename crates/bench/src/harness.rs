@@ -156,13 +156,7 @@ impl Harness {
 
     /// Like [`Harness::bench_paired`], but each closure returns the
     /// nanoseconds of its own timed region.
-    ///
-    /// Use this when per-sample setup must stay out of the statistics —
-    /// cloning a large deployment plan, resetting a reusable arena —
-    /// on *both* sides of the pair, while samples remain strictly
-    /// interleaved. The closures are trusted to time symmetric regions;
-    /// an asymmetric exclusion would bias the comparison.
-    pub fn bench_paired_ns(
+    fn bench_paired_ns(
         &mut self,
         name_a: &str,
         name_b: &str,

@@ -80,15 +80,12 @@ pub struct Clustering {
     pub clusters: Vec<Cluster>,
 }
 
+// Nothing asks whether it is empty; `len` is what callers read.
+#[allow(clippy::len_without_is_empty)]
 impl Clustering {
     /// Number of clusters.
     pub fn len(&self) -> usize {
         self.clusters.len()
-    }
-
-    /// Returns `true` if there are no clusters.
-    pub fn is_empty(&self) -> bool {
-        self.clusters.is_empty()
     }
 
     /// Finds the cluster containing `machine`.

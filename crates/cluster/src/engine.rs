@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn empty_population() {
         let clustering = ClusterEngine::new(3).cluster(&[]);
-        assert!(clustering.is_empty());
+        assert_eq!(clustering.len(), 0);
         assert_eq!(clustering.machine_count(), 0);
     }
 

@@ -65,6 +65,8 @@ pub struct PrivateClustering {
     pub(crate) cluster_sizes: BTreeMap<ClusterToken, usize>,
 }
 
+// Nothing asks whether it is empty; `len` is what callers read.
+#[allow(clippy::len_without_is_empty)]
 impl PrivateClustering {
     /// Aggregates the tokens reported by a fleet.
     pub fn from_tokens(tokens: impl IntoIterator<Item = ClusterToken>) -> Self {
@@ -78,11 +80,6 @@ impl PrivateClustering {
     /// Number of clusters.
     pub fn len(&self) -> usize {
         self.cluster_sizes.len()
-    }
-
-    /// Returns `true` when no tokens were reported.
-    pub fn is_empty(&self) -> bool {
-        self.cluster_sizes.is_empty()
     }
 
     /// Total machines.
@@ -192,7 +189,7 @@ mod tests {
     #[test]
     fn empty_fleet() {
         let private = PrivateClustering::from_tokens(std::iter::empty());
-        assert!(private.is_empty());
+        assert_eq!(private.len(), 0);
         assert!(private.schedule().is_empty());
     }
 }

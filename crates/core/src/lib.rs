@@ -102,7 +102,5 @@ pub use agent::UserAgent;
 pub use campaign::{choice_for_urgency, Campaign, CampaignResult};
 pub use fleet::fleet_inputs;
 pub use mirage_deploy::ProtocolChoice;
-pub use mirage_rollout::{
-    GuardSettings, RollbackInfo, RolloutPlan, RolloutStatus, RolloutStatusReason, RolloutStrategy,
-};
+pub use mirage_rollout::{GuardSettings, RolloutPlan, RolloutStrategy};
 pub use vendor::{classify_machine, fingerprint_machine, Vendor};

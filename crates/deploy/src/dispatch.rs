@@ -99,6 +99,13 @@ mod tests {
             assert_eq!(p.name(), choice.name());
             assert!(!p.start().is_empty(), "{} produced no commands", p.name());
             assert!(!p.done());
+            assert_eq!(p.rep_timeouts(), 0);
+            // Report-gated: a tick with no stall budget does nothing.
+            assert!(
+                p.on_tick(10, None).is_empty(),
+                "{} acted on a tick",
+                p.name()
+            );
         }
     }
 

@@ -17,10 +17,7 @@
 //! in ascending order and hashed once they do not. A fleet's names exist
 //! once: a [`MachineTable`] keeps its table behind an `Arc`, so every
 //! clone of a plan — and the report repository that adopts the table —
-//! reads the same storage. The string-keyed implementations are retained
-//! under
-//! [`crate::reference`] so equivalence tests can prove the interned data
-//! plane bit-identical.
+//! reads the same storage.
 
 use std::fmt;
 use std::sync::Arc;
@@ -84,6 +81,8 @@ pub struct MachineTable {
     shared: Arc<NameTable>,
 }
 
+// Nothing asks whether it is empty; `len` is what callers read.
+#[allow(clippy::len_without_is_empty)]
 impl MachineTable {
     /// Creates an empty table.
     pub(crate) fn new() -> Self {
@@ -129,11 +128,6 @@ impl MachineTable {
         self.shared.len()
     }
 
-    /// Returns `true` if nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.shared.is_empty()
-    }
-
     /// All ids in interning (dense) order.
     pub fn ids(&self) -> impl Iterator<Item = MachineId> + '_ {
         (0..self.shared.len() as u32).map(MachineId)
@@ -153,6 +147,8 @@ pub struct ProblemTable {
     names: NameTable,
 }
 
+// Nothing asks whether it is empty; `len` is what callers read.
+#[allow(clippy::len_without_is_empty)]
 impl ProblemTable {
     /// Creates an empty table.
     pub fn new() -> Self {
@@ -187,11 +183,6 @@ impl ProblemTable {
     /// Number of interned problems.
     pub fn len(&self) -> usize {
         self.names.len()
-    }
-
-    /// Returns `true` if nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
     }
 }
 
@@ -244,6 +235,8 @@ impl DenseBitSet {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineSet(DenseBitSet);
 
+// Nothing asks whether it is empty; `len` is what callers read.
+#[allow(clippy::len_without_is_empty)]
 impl MachineSet {
     /// Creates an empty set.
     pub fn new() -> Self {
@@ -269,11 +262,6 @@ impl MachineSet {
     /// Number of members.
     pub fn len(&self) -> usize {
         self.0.len
-    }
-
-    /// Returns `true` if the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.len == 0
     }
 }
 
@@ -334,7 +322,7 @@ mod tests {
     #[test]
     fn bitsets_insert_and_query() {
         let mut m = MachineSet::new();
-        assert!(m.is_empty());
+        assert_eq!(m.len(), 0);
         assert!(m.insert(MachineId(3)));
         assert!(!m.insert(MachineId(3)), "double insert reports false");
         assert!(m.insert(MachineId(200)));

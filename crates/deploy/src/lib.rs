@@ -50,9 +50,7 @@
 //! ids ([`MachineId`], [`ProblemId`]) rather than machine names: a
 //! report is a 12-byte `Copy` value and handling it costs a few array
 //! indexings. Names exist only at the boundaries (plan construction,
-//! rendering) via the plan's [`MachineTable`]. The original
-//! string-keyed protocols are retained under [`mod@reference`] so
-//! equivalence tests and benchmarks can compare against them.
+//! rendering) via the plan's [`MachineTable`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,7 +61,6 @@ pub mod ids;
 pub mod plan;
 pub mod protocol;
 pub mod protocols;
-pub mod reference;
 
 pub use dispatch::{seeded_shuffle, ProtocolChoice};
 pub use ids::{MachineId, MachineSet, MachineTable, ProblemId, ProblemSet, ProblemTable};

@@ -5,8 +5,7 @@
 //! commands are small `Copy`-friendly values, and the fixed-problem set
 //! announced with each release is a flat [`ProblemSet`] bitset. Names
 //! are resolved at the boundaries via the plan's
-//! [`MachineTable`](crate::MachineTable). The previous string-keyed
-//! interface survives in [`crate::reference`] for equivalence testing.
+//! [`MachineTable`](crate::MachineTable).
 
 use std::fmt;
 

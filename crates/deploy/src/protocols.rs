@@ -6,8 +6,7 @@
 //! membership in a [`MachineSet`] bitset, and the cumulative fixed-set
 //! consulted on each release is a [`ProblemSet`]. A report is handled
 //! with a handful of array indexings — no string hashing, no tree
-//! walks, no allocation. The string-keyed implementations are retained
-//! in [`crate::reference`] for equivalence testing.
+//! walks, no allocation.
 
 use mirage_telemetry::journal::RolloutStep;
 use mirage_telemetry::{JournalEvent, Telemetry};
@@ -1072,6 +1071,54 @@ mod tests {
             let after = registry.snapshot().counters["deploy.machines_notified"];
             assert_eq!(before, after, "{name}: replay changed machines_notified");
         }
+    }
+
+    /// A replayed pass is a strict no-op in every report-gated
+    /// configuration, and a late failure for a machine that already
+    /// passed does not demote it: no commands, and `done()` does not
+    /// flap.
+    #[test]
+    fn duplicate_reports_are_no_ops_in_every_configuration() {
+        let pl = plan(&[(&["a", "b"], 1, 1.0), (&["c", "d"], 1, 2.0)]);
+        for choice in [
+            ProtocolChoice::NoStaging,
+            ProtocolChoice::Balanced,
+            ProtocolChoice::FrontLoading,
+        ] {
+            let name = choice.name();
+            let mut p = choice.build(pl.clone(), 1.0);
+            let first = notified(&pl, &p.start());
+            let target = first.first().expect("start notifies someone");
+            p.on_report(&pass(&pl, target, 0));
+            let done = p.done();
+            let again = p.on_report(&pass(&pl, target, 0));
+            assert!(
+                again.is_empty(),
+                "{name}: duplicate pass re-emitted {again:?}"
+            );
+            let demote = p.on_report(&fail(&pl, target, 0, 9));
+            assert!(demote.is_empty(), "{name}: late fail demoted a pass");
+            assert_eq!(p.done(), done, "{name}: done() flapped");
+        }
+    }
+
+    /// Stale reports for a superseded release are dropped: a machine
+    /// re-notified for release 1 ignores a replayed release-0 failure.
+    #[test]
+    fn stale_release_reports_are_dropped() {
+        let pl = plan(&[(&["a", "b"], 1, 0.0)]);
+        let mut p = ProtocolChoice::NoStaging.build(pl.clone(), 1.0);
+        p.start();
+        p.on_report(&fail(&pl, "a", 0, 1));
+        p.on_report(&pass(&pl, "b", 0));
+        let cmds = p.on_release(Release(1), &fixed(&[1]));
+        assert_eq!(notified(&pl, &cmds), vec!["a"]);
+        // The channel replays the old release-0 failure: ignored.
+        assert!(p.on_report(&fail(&pl, "a", 0, 1)).is_empty());
+        assert!(!p.done());
+        // The genuine release-1 pass still lands.
+        assert_eq!(p.on_report(&pass(&pl, "a", 1)), vec![Command::Complete]);
+        assert!(p.done());
     }
 
     /// The batch fast path must be observationally identical to the

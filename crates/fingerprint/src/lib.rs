@@ -46,6 +46,6 @@ pub use hash::{fnv1a, HashValue};
 pub use importance::ImportanceFilter;
 pub use intern::{ItemPool, LoweredDiff};
 pub use item::{Item, ItemSet};
-pub use parser::{ParseError, ParserRegistry, ResourceData, ResourceKind, ResourceParser};
-pub use rabin::{Chunk, Chunker, ChunkerParams, RabinHasher};
+pub use parser::{ParserRegistry, ResourceData, ResourceKind, ResourceParser};
+pub use rabin::{Chunker, ChunkerParams, RabinHasher};
 pub use set::{DiffSet, MachineFingerprint};

@@ -39,10 +39,10 @@
 //!   time-windowed first-seen scans) merge pre-aggregated state instead
 //!   of re-scanning every report.
 //!
-//! The original string-keyed prototype is retained verbatim as
-//! [`reference::Urr`]; a seeded property test proves both planes
-//! produce identical [`UrrStats`] / [`FailureGroup`] results over
-//! random report streams.
+//! A seeded property test holds the [`urr::UrrStats`] / [`urr::FailureGroup`]
+//! results on random report streams to the answers the original
+//! string-keyed prototype gave, recorded in
+//! `tests/reference_queries.txt`.
 //!
 //! The repository is thread-safe. Its one persistent form is the
 //! journal below; [`Urr::to_json`] dumps it for equality checks through
@@ -64,14 +64,13 @@
 //!   immutable [`UrrSnapshot`] that any number of reader threads can
 //!   query lock-free while ingest continues, and
 //!   [`UrrRequest`]/[`UrrResponse`] give those queries a framed wire
-//!   protocol with hostile-input rejection ([`WireError`]).
+//!   protocol with hostile-input rejection ([`storage::WireError`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(deprecated)]
 
 pub mod image;
-pub mod reference;
 pub mod report;
 pub mod serve;
 pub mod storage;
@@ -80,11 +79,5 @@ pub mod urr;
 pub use image::ReportImage;
 pub use report::{Report, ReportOutcome};
 pub use serve::{UrrRequest, UrrResponse, UrrSnapshot};
-pub use storage::{
-    DurableConfig, DurableUrr, FsStore, MemoryStore, RecoveryReport, StoreError, UrrStore,
-    WireError,
-};
-pub use urr::{
-    ClusterFailureRate, FailureGroup, InternedOutcome, InternedReport, MachineRef, ReleaseId,
-    ReleaseSummary, SigId, Urr, UrrStats,
-};
+pub use storage::{DurableConfig, DurableUrr, FsStore, MemoryStore, UrrStore};
+pub use urr::{InternedOutcome, InternedReport, MachineRef, ReleaseId, SigId, Urr};

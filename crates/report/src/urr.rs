@@ -26,7 +26,7 @@
 //!   repository's copy private (one `memcpy` of the table, once).
 //! * **Word-packed sets.** Per-signature machine/cluster membership is
 //!   a packed bitset plus a first-seen order list — deduplication is one
-//!   bit test instead of the reference's `Vec<String>::contains` scan.
+//!   bit test, not a scan of the group's machine names.
 //! * **Incremental inverted index.** Every deposit updates the
 //!   per-signature group aggregate, per-cluster tallies, and
 //!   per-release tallies in place, so [`Urr::failure_groups`],
@@ -39,9 +39,9 @@
 //! `with_urr` wiring) claims a contiguous sequence range and stores the
 //! batch under one acquisition of the lock.
 //!
-//! The string-keyed prototype survives under [`crate::reference`]; the
-//! seeded `urr_reference_equivalence` property proves both produce
-//! identical query results on random report streams.
+//! The seeded `urr_matches_the_recorded_reference` property holds the
+//! grouped views to the answers the string-keyed prototype gave on
+//! random report streams, recorded in `tests/reference_queries.txt`.
 //!
 //! # Ordering
 //!
@@ -105,7 +105,7 @@ impl fmt::Display for ReleaseId {
 }
 
 // ---------------------------------------------------------------------
-// Public result types (shared with `crate::reference`)
+// Public result types
 // ---------------------------------------------------------------------
 
 /// A group of duplicate failure reports sharing one signature.
@@ -1287,6 +1287,35 @@ mod tests {
         assert_eq!((summaries[0].successes, summaries[0].failures), (1, 1));
         assert_eq!(summaries[1].version, "2.0.1");
         assert_eq!((summaries[1].successes, summaries[1].failures), (2, 0));
+    }
+
+    #[test]
+    fn discovery_profile_measures_front_loading() {
+        let urr = Urr::new();
+        let failure = |machine: &str, cluster, signature| {
+            Report::failure(
+                machine,
+                cluster,
+                "app",
+                "2.0.0",
+                signature,
+                "d",
+                ReportImage::default(),
+            )
+        };
+        // Early discovery: the failure is the very first report.
+        urr.deposit(failure("rep1", 0, "early-problem"));
+        for i in 0..8 {
+            urr.deposit(Report::success(format!("m{i}"), 0, "app", "2.0.0"));
+        }
+        // Late discovery: a second problem shows up at the end.
+        urr.deposit(failure("m9", 3, "late-problem"));
+        let profile = urr.discovery_profile();
+        assert_eq!(profile.len(), 2);
+        assert_eq!(profile[0].0, "early-problem");
+        assert!(profile[0].1 < 0.1, "discovered at the very start");
+        assert_eq!(profile[1].0, "late-problem");
+        assert!(profile[1].1 > 0.8, "discovered at the very end");
     }
 
     #[test]

@@ -10,10 +10,6 @@
 //! is O(1) amortised for the dense event streams a deployment run
 //! produces (machine cycles of ~15 ticks, fix delays of ~500 — both far
 //! inside the wheel horizon).
-//!
-//! The previous `BinaryHeap`+slab implementation survives as
-//! `runner::reference::HeapEventQueue` for the equivalence
-//! property tests.
 
 use std::collections::BTreeMap;
 

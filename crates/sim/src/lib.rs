@@ -12,10 +12,11 @@
 //!
 //! The data plane is fully interned: events are small `Copy` values
 //! over dense [`mirage_deploy::MachineId`]/[`mirage_deploy::ProblemId`]
-//! ids, and the inner loop is allocation free. The pre-interning
-//! string-keyed driver is retained under [`runner::reference`], and the
-//! one-event-at-a-time loop under [`runner::sequential`], as oracles
-//! for equivalence tests and benchmarks.
+//! ids, and the inner loop is allocation free. The one-event-at-a-time
+//! loop is kept under [`runner::sequential`] as the oracle of the
+//! driver-equivalence tests; the string-keyed driver this plane
+//! replaced is kept only as its recorded answers on seeded cases
+//! (`tests/reference_runs.txt`).
 //!
 //! The vendor model matches the paper's: each distinct problem takes
 //! `fix_time` to debug; fixes are worked on one at a time in report
@@ -61,9 +62,9 @@ mod urr_sink;
 mod vendor;
 
 pub use engine::SimTime;
-pub use faults::{FaultPlan, FaultSpec};
-pub use metrics::{latency_cdf, ClusterLatency, SimMetrics};
+pub use faults::FaultSpec;
+pub use metrics::{latency_cdf, SimMetrics};
 pub use parallel::run_parallel_in;
 pub use rollout::run_rollout_with_telemetry;
 pub use runner::{SimArena, Simulation};
-pub use scenario::{Scenario, ScenarioBuilder, Timings};
+pub use scenario::{Scenario, ScenarioBuilder};

@@ -22,10 +22,10 @@ pub struct ClusterLatency {
 
 /// Aggregate results of one simulation run.
 ///
-/// Derives `PartialEq`/`Eq` so determinism and reference-equivalence
-/// tests can assert that two runs (e.g. instrumented vs uninstrumented,
-/// or interned vs string-keyed reference driver) produced identical
-/// results.
+/// Derives `PartialEq`/`Eq` so determinism and equivalence tests can
+/// assert that two runs (e.g. instrumented vs uninstrumented, or the
+/// driver vs the sequential oracle) produced identical results; its
+/// `Debug` rendering is what the recorded reference runs digest.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimMetrics {
     /// First successful-integration time per machine, indexed by

@@ -25,11 +25,9 @@
 //!   fault plan.
 //!
 //! The one-event loop survives only as [`sequential::run_sequential`],
-//! the oracle every driver property compares against, and the original
-//! string-keyed driver — binary-heap queue, name maps and all — under
-//! [`mod@reference`]. Neither is on a production path.
+//! the oracle every driver property compares against. It is on no
+//! production path.
 
-pub mod reference;
 pub mod sequential;
 
 use mirage_deploy::{MachineId, Protocol, Release, PRIOR_RELEASE};

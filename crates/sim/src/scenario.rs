@@ -541,6 +541,23 @@ mod tests {
     }
 
     #[test]
+    fn builder_records_every_knob() {
+        let s = ScenarioBuilder::new()
+            .clusters(2, 4, 1)
+            .problem_in_clusters("p", &[1])
+            .offline_machines(0, 1, 200)
+            .missed_detections(1, 1)
+            .threshold(0.75)
+            .build();
+        assert_eq!(s.machine_count(), 8);
+        assert_eq!(s.problem_machine_count(), 4);
+        let offline = s.offline_until.iter().filter(|&&t| t > 0).count();
+        assert_eq!(offline, 1);
+        assert_eq!(s.missed_detection.len(), 1);
+        assert_eq!(s.threshold, 0.75);
+    }
+
+    #[test]
     fn problems_cover_whole_clusters() {
         let s = ScenarioBuilder::new()
             .clusters(4, 5, 1)

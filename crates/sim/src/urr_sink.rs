@@ -28,7 +28,7 @@
 //! vendor already handles a received report, deposits nothing into the
 //! simulation, and when no repository is attached the driver carries a
 //! `None` and the hot loop is bit-identical to the unwired simulator
-//! (the 48-case reference-equivalence properties run with the knob
+//! (the 48-case recorded-reference properties run with the knob
 //! disabled).
 
 use std::sync::Arc;

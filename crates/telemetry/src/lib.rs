@@ -22,7 +22,7 @@
 //!    bounded (optionally spilling) timeline of dense-id
 //!    [`JournalEvent`]s (notify, test, report, wave advance, retry,
 //!    waiver, fault, URR deposit, rollout decision) with exact per-kind
-//!    counts in the [`Snapshot`]. Simulated campaigns stamp it with the
+//!    counts in the [`registry::Snapshot`]. Simulated campaigns stamp it with the
 //!    simulation clock and live ones with the drive's decision ticks;
 //!    either way it folds into per-wave health frames by
 //!    [`health::rollup`] and exports as a Perfetto-loadable Chrome
@@ -75,11 +75,11 @@ pub mod registry;
 pub mod span;
 pub mod trace_export;
 
-pub use health::{HealthStatus, WatchdogConfig, WaveHealth};
-pub use journal::{FaultKind, Journal, JournalEntry, JournalEvent, RolloutStep, NO_PROBLEM};
-pub use metrics::HistogramSummary;
+pub use health::{HealthStatus, WatchdogConfig};
+pub use journal::{Journal, JournalEntry, JournalEvent, RolloutStep, NO_PROBLEM};
+
 pub use recorder::{Capabilities, Recorder, Telemetry};
-pub use registry::{Registry, Snapshot};
+pub use registry::Registry;
 pub use span::Span;
 pub use trace_export::TraceConfig;
 

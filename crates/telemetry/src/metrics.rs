@@ -2,7 +2,7 @@
 //!
 //! All types are lock-free after creation: recording from the hot path
 //! is a handful of relaxed atomic operations. Aggregation (summaries,
-//! percentiles) happens only when a [`crate::Snapshot`] is taken.
+//! percentiles) happens only when a [`crate::registry::Snapshot`] is taken.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 

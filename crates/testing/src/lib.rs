@@ -76,6 +76,4 @@ pub mod validate;
 
 pub use record::RecordedRun;
 pub use sandbox::Sandbox;
-pub use validate::{
-    refresh_runs, AcceptancePolicy, AppVerdict, FailureKind, ValidationReport, Validator,
-};
+pub use validate::{refresh_runs, AcceptancePolicy, FailureKind, ValidationReport, Validator};
