@@ -54,9 +54,16 @@ use mirage_telemetry::Telemetry;
 
 use crate::cluster::MachineInfo;
 
-/// Populations at least this large use the threaded matrix fill;
-/// smaller ones stay sequential (thread spawns would dominate).
-const PARALLEL_THRESHOLD: usize = 64;
+/// Item comparisons at which the matrix fill fans out over threads;
+/// below it the fill stays on one thread. A pair's distance is a merge
+/// over both diffs, so a fill compares `(n - 1) ×` the total diff
+/// length; at about 1 ns a comparison, 32 768 is some 30 µs of work,
+/// where one fan-out costs a thread spawn and join (≈ 220 µs on a
+/// 2-core host). The replicated fleets of the paper's MySQL table lower
+/// to identical, empty diffs and compare nothing at any size; the dense
+/// fleets of `repro clustering-perf` (one item a machine) fan out from
+/// 200 machines up.
+const PARALLEL_COMPARISONS: usize = 1 << 15;
 
 /// Clusters `machines` with diameter bound `diameter`.
 ///
@@ -166,15 +173,16 @@ fn pair(x: usize, y: usize) -> (usize, usize) {
 /// row `i` holds the distances to `i + 1..n` (see [`pair`]).
 ///
 /// That is n·(n−1)/2 kernel calls — the exact number
-/// `cluster.distance_evals` reports. With `allow_parallel` and a large
-/// enough input, rows are distributed round-robin over
-/// `available_parallelism` scoped threads; round-robin balances the
-/// shrinking triangle rows, and the values are identical either way,
-/// so the threaded fill cannot change the clustering.
+/// `cluster.distance_evals` reports. With `allow_parallel` and at least
+/// [`PARALLEL_COMPARISONS`] item comparisons to make, rows are
+/// distributed round-robin over `available_parallelism` scoped threads;
+/// round-robin balances the shrinking triangle rows, and the values are
+/// identical either way, so the threaded fill cannot change the
+/// clustering.
 fn distance_matrix(lowered: &[LoweredDiff], allow_parallel: bool) -> Vec<Vec<u32>> {
     let n = lowered.len();
     let mut rows: Vec<Vec<u32>> = (0..n).map(|i| vec![0u32; n - i - 1]).collect();
-    let threads = crate::par::worker_count(n, PARALLEL_THRESHOLD, allow_parallel);
+    let threads = fill_threads(lowered, allow_parallel);
     let fill_row = |i: usize, row: &mut [u32]| {
         for (slot, other) in row.iter_mut().zip(&lowered[i + 1..]) {
             *slot = lowered[i].distance(other) as u32;
@@ -195,6 +203,14 @@ fn distance_matrix(lowered: &[LoweredDiff], allow_parallel: bool) -> Vec<Vec<u32
         });
     }
     rows
+}
+
+/// Threads the matrix fill of `lowered` runs on: one below
+/// [`PARALLEL_COMPARISONS`] item comparisons, else up to one per core.
+fn fill_threads(lowered: &[LoweredDiff], allow_parallel: bool) -> usize {
+    let n = lowered.len();
+    let comparisons = n.saturating_sub(1) * lowered.iter().map(LoweredDiff::len).sum::<usize>();
+    crate::par::worker_count(comparisons, PARALLEL_COMPARISONS, allow_parallel).min(n)
 }
 
 /// The canonical tie-break key of the candidate merging two disjoint
@@ -621,8 +637,13 @@ mod tests {
 
     #[test]
     fn parallel_threshold_path_matches_sequential() {
-        // Population large enough to trip PARALLEL_THRESHOLD.
-        let ms: Vec<MachineInfo> = (0..(PARALLEL_THRESHOLD + 16))
+        // Two items a machine: enough machines to trip
+        // PARALLEL_COMPARISONS, and some.
+        let n = (2..)
+            .find(|&n| (n - 1) * 2 * n >= PARALLEL_COMPARISONS)
+            .unwrap()
+            + 16;
+        let ms: Vec<MachineInfo> = (0..n)
             .map(|i| {
                 machine(
                     &format!("m{i:03}"),
@@ -637,6 +658,31 @@ mod tests {
             assert_eq!(fast, seq, "diameter {d}");
             assert_eq!(fast, qt_cluster_indices_reference(&refs, d), "diameter {d}");
         }
+    }
+
+    #[test]
+    fn fill_fans_out_by_comparisons_not_machines() {
+        let lowered = |ms: &[MachineInfo]| -> Vec<LoweredDiff> {
+            let mut pool = ItemPool::new();
+            ms.iter().map(|m| pool.lower(&m.diff.content)).collect()
+        };
+        // The replicated MySQL shape: many machines, identical empty
+        // diffs, nothing to compare.
+        let replicas: Vec<MachineInfo> = (0..320)
+            .map(|i| machine(&format!("m{i:03}"), &[]))
+            .collect();
+        assert_eq!(fill_threads(&lowered(&replicas), true), 1);
+        // One item a machine: 199 × 200 comparisons at 200 machines,
+        // 99 × 100 at 100.
+        let dense = |n: usize| -> Vec<MachineInfo> {
+            (0..n)
+                .map(|i| machine(&format!("m{i:03}"), &[&format!("n{i}")]))
+                .collect()
+        };
+        assert_eq!(fill_threads(&lowered(&dense(100)), true), 1);
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(fill_threads(&lowered(&dense(200)), true), cores.min(200));
+        assert_eq!(fill_threads(&lowered(&dense(200)), false), 1);
     }
 
     #[test]

@@ -269,9 +269,10 @@ fn replicated_fleets_match_reference() {
     use mirage_cluster::{qt_cluster_indices_instrumented, qt_cluster_indices_reference};
     use mirage_telemetry::{Registry, Telemetry};
 
-    // `PARALLEL_THRESHOLD` in `qt.rs`.
-    const PARALLEL_THRESHOLD: usize = 64;
-    let letters = ["u", "v", "w", "x", "y", "z"];
+    // `PARALLEL_COMPARISONS` in `qt.rs`: a fill compares (n - 1) × the
+    // machines' total diff length.
+    const PARALLEL_COMPARISONS: usize = 1 << 15;
+    let letters = ["o", "p", "q", "r", "s", "t", "u", "v", "w", "x", "y", "z"];
     let mut rng = Rng::new(0xd4);
     let (mut sequential, mut parallel) = (0, 0);
     for case in 0..10 {
@@ -279,8 +280,8 @@ fn replicated_fleets_match_reference() {
         let copies = 1 + rng.below(23);
         let contents: Vec<BTreeSet<Item>> = (0..templates)
             .map(|_| {
-                (0..rng.below(4))
-                    .map(|_| Item::new([letters[rng.below(6)]]))
+                (0..rng.below(12))
+                    .map(|_| Item::new([letters[rng.below(12)]]))
                     .collect()
             })
             .collect();
@@ -291,7 +292,8 @@ fn replicated_fleets_match_reference() {
                 MachineInfo::new(diff)
             })
             .collect();
-        if machines.len() < PARALLEL_THRESHOLD {
+        let items: usize = (machines.iter()).map(|m| m.diff.content.len()).sum();
+        if (machines.len() - 1) * items < PARALLEL_COMPARISONS {
             sequential += 1;
         } else {
             parallel += 1;

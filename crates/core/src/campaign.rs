@@ -234,8 +234,9 @@ struct FleetExecutor<'a> {
     /// agent outside the plan has no slot and is never notified.
     agent_of: Vec<Option<usize>>,
     urr: &'a Urr,
-    /// `MachineId::index()` → the machine's ref in `urr`.
-    machine_refs: Vec<MachineRef>,
+    /// `MachineId::index()` → the machine's ref in `urr`; `None` when
+    /// the ref is the id ([`Urr::intern_fleet`]).
+    machine_refs: Option<Vec<MachineRef>>,
     /// The current wave's passes, not yet deposited.
     passes: Vec<InternedReport>,
     telemetry: Telemetry,
@@ -392,8 +393,12 @@ impl WaveExecutor for FleetExecutor<'_> {
                     let package = &current.package;
                     (self.urr).intern_release(&package.name, &package.version.to_string())
                 });
+                let machine_ref = match &self.machine_refs {
+                    Some(refs) => refs[machine.index()],
+                    None => MachineRef(machine.index() as u32),
+                };
                 self.passes.push(InternedReport {
-                    machine: self.machine_refs[machine.index()],
+                    machine: machine_ref,
                     cluster: cluster as u32,
                     release: release_ref,
                     outcome: InternedOutcome::Success,

@@ -38,6 +38,17 @@ impl DeployCluster {
     pub(crate) fn len(&self) -> usize {
         self.members.len()
     }
+
+    /// Whether `machine` is the member `machine - first` places after
+    /// the cluster's first one, where the layout
+    /// [`DeployPlan::from_named`] produces puts every member. One probe,
+    /// no scan; `false` says nothing of a member placed elsewhere.
+    pub fn holds_in_place(&self, machine: MachineId) -> bool {
+        (self.members.first())
+            .and_then(|first| machine.index().checked_sub(first.index()))
+            .and_then(|offset| self.members.get(offset))
+            == Some(&machine)
+    }
 }
 
 /// A complete deployment plan.
@@ -147,13 +158,7 @@ impl DeployPlan {
         let after = self
             .clusters
             .partition_point(|c| c.members.first().is_none_or(|&first| first <= machine));
-        let dense = self.clusters[..after].last().filter(|c| {
-            c.members
-                .first()
-                .and_then(|first| machine.index().checked_sub(first.index()))
-                .and_then(|offset| c.members.get(offset))
-                == Some(&machine)
-        });
+        let dense = (self.clusters[..after].last()).filter(|c| c.holds_in_place(machine));
         dense.or_else(|| self.clusters.iter().find(|c| c.members.contains(&machine)))
     }
 

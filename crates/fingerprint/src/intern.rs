@@ -88,7 +88,15 @@ pub struct LoweredDiff {
     ids: Vec<u32>,
 }
 
+// Nothing asks whether it is empty; `len` is what callers read.
+#[allow(clippy::len_without_is_empty)]
 impl LoweredDiff {
+    /// Number of items: what a [`LoweredDiff::distance`] against it
+    /// reads, besides the other operand's.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
     /// Size of the symmetric difference with `other` — the Manhattan
     /// distance the phase-2 clustering uses.
     ///

@@ -748,7 +748,7 @@ mod tests {
     use super::*;
     use crate::image::ReportImage;
     use crate::report::Report;
-    use crate::urr::{InternedOutcome, InternedReport};
+    use crate::urr::{InternedOutcome, InternedReport, MachineRef};
     use mirage_telemetry::names::NameTable;
 
     fn populated() -> Urr {
@@ -793,12 +793,13 @@ mod tests {
         for name in ["f0", "", "f\"2\"", "f3-日本語"] {
             fleet.intern(name);
         }
-        let fleet = urr.intern_fleet(Arc::new(fleet));
+        let fleet_len = fleet.len() as u32;
+        assert_eq!(urr.intern_fleet(Arc::new(fleet)), None, "adopted");
         let release = urr.intern_release("mysql", "5.0.27");
         let sig = urr.intern_signature("php/crash");
         // By ref, fleet order reversed: the list is by sequence, not id.
-        let recs: Vec<InternedReport> = (fleet.iter().rev())
-            .map(|&machine| InternedReport {
+        let recs: Vec<InternedReport> = ((0..fleet_len).rev().map(MachineRef))
+            .map(|machine| InternedReport {
                 machine,
                 cluster: 2,
                 release,

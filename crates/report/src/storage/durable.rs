@@ -40,15 +40,16 @@
 //! alone, so a freeze never sees a frame half applied.
 
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLockReadGuard};
 
+use mirage_telemetry::names::NameTable;
 use mirage_telemetry::Telemetry;
 
 use crate::report::Report;
-use crate::storage::frame::{put_frame, FrameScanner, KIND_WAL_BATCH};
-use crate::storage::wal::{encode_wal_frame, WalFrame};
+use crate::storage::frame::{put_frame, FrameScanner, HEADER_LEN, KIND_WAL_BATCH};
+use crate::storage::wal::{encode_wal_frame, wal_payload_len, WalFrame};
 use crate::storage::{StoreError, UrrStore, WireError};
-use crate::urr::{InternedReport, Rec, Urr};
+use crate::urr::{InternedReport, Rec, ReleaseInterner, Urr};
 
 /// Records per frame of a snapshot generation: the simulator's flush
 /// size, so a generation's frames look like the batches they compact
@@ -140,34 +141,58 @@ struct Journal {
     snapshot_every: u64,
 }
 
-/// Appends one journaled-batch frame to `buf`: every table entry past
-/// `persisted`, then `recs`. Returns what the frame brings the journal
-/// to. The deltas are written straight out of the tables, so the read
-/// locks are held for the encode and no longer.
-fn put_batch(
-    buf: &mut Vec<u8>,
-    urr: &Urr,
-    persisted: Persisted,
-    start_seq: u64,
-    recs: &[Rec],
-) -> Persisted {
-    let machines = urr.machines.read().expect("urr poisoned");
-    let sigs = urr.sigs.read().expect("urr poisoned");
-    let releases = urr.releases.read().expect("urr poisoned");
-    put_frame(buf, KIND_WAL_BATCH, |buf| {
-        encode_wal_frame(
-            buf,
-            start_seq,
-            machines.run_from(persisted.machines),
-            sigs.run_from(persisted.sigs),
-            &releases.pairs[persisted.releases..],
-            recs,
-        )
-    });
-    Persisted {
-        machines: machines.len(),
-        sigs: sigs.len(),
-        releases: releases.pairs.len(),
+/// The repository's three intern tables, read-locked while journaled
+/// batch frames are sized and written out of them: the deltas are
+/// written straight out of the tables, so the locks are held for the
+/// encode and no longer.
+struct Tables<'a> {
+    machines: RwLockReadGuard<'a, Arc<NameTable>>,
+    sigs: RwLockReadGuard<'a, NameTable>,
+    releases: RwLockReadGuard<'a, ReleaseInterner>,
+}
+
+impl<'a> Tables<'a> {
+    fn read(urr: &'a Urr) -> Self {
+        Tables {
+            machines: urr.machines.read().expect("urr poisoned"),
+            sigs: urr.sigs.read().expect("urr poisoned"),
+            releases: urr.releases.read().expect("urr poisoned"),
+        }
+    }
+
+    /// What a frame written from these tables brings the journal to.
+    fn persisted(&self) -> Persisted {
+        Persisted {
+            machines: self.machines.len(),
+            sigs: self.sigs.len(),
+            releases: self.releases.pairs.len(),
+        }
+    }
+
+    /// The bytes [`Tables::put`] writes for the same arguments.
+    fn frame_len(&self, persisted: Persisted, recs: &[Rec]) -> usize {
+        HEADER_LEN
+            + wal_payload_len(
+                self.machines.run_from(persisted.machines),
+                self.sigs.run_from(persisted.sigs),
+                &self.releases.pairs[persisted.releases..],
+                recs,
+            )
+    }
+
+    /// Appends one journaled-batch frame to `buf`: every table entry
+    /// past `persisted`, then `recs`.
+    fn put(&self, buf: &mut Vec<u8>, persisted: Persisted, start_seq: u64, recs: &[Rec]) {
+        put_frame(buf, KIND_WAL_BATCH, |buf| {
+            encode_wal_frame(
+                buf,
+                start_seq,
+                self.machines.run_from(persisted.machines),
+                self.sigs.run_from(persisted.sigs),
+                &self.releases.pairs[persisted.releases..],
+                recs,
+            )
+        });
     }
 }
 
@@ -333,15 +358,19 @@ impl DurableUrr {
         if recs.is_empty() {
             return Ok(start..start);
         }
-        let mut bytes = Vec::new();
-        let persisted = put_batch(&mut bytes, &self.urr, journal.persisted, start, &recs);
-        let rotated = journal.store.append_frame(&bytes)?;
-        journal.persisted = persisted;
+        // The frame is sized first and encoded straight into the store.
+        let tables = Tables::read(&self.urr);
+        let from = journal.persisted;
+        let len = tables.frame_len(from, &recs);
+        let mut write = |segment: &mut Vec<u8>| tables.put(segment, from, start, &recs);
+        let rotated = journal.store.append_frame_with(len, &mut write)?;
+        journal.persisted = tables.persisted();
+        drop(tables);
         let range = store.extend(recs);
         drop(store);
         let telemetry = &self.urr.telemetry;
         telemetry.counter("urr.wal_frames", 1);
-        telemetry.counter("urr.wal_bytes", bytes.len() as u64);
+        telemetry.counter("urr.wal_bytes", len as u64);
         if rotated {
             telemetry.counter("urr.wal_rotations", 1);
         }
@@ -361,21 +390,31 @@ impl DurableUrr {
 
     /// Writes the live repository out as one generation. The journal
     /// lock is held, so no journaled writer runs; the repository stays
-    /// locked for the encode, so the records are borrowed, not cloned.
+    /// locked for the encode, so the records are borrowed, not cloned,
+    /// and the generation is one buffer, sized before it is written.
     fn write_snapshot(&self, journal: &mut Journal) -> Result<(), StoreError> {
         let store = self.urr.lock();
-        let mut bytes = Vec::new();
-        let mut persisted = Persisted::default();
-        // The first frame carries the tables, so it is written even for
-        // a repository without records.
-        let mut chunks = store.recs.chunks(GENERATION_FRAME_RECS);
-        let first = chunks.next().unwrap_or_default();
-        for (start_seq, chunk) in (0..)
-            .step_by(GENERATION_FRAME_RECS)
-            .zip(std::iter::once(first).chain(chunks))
-        {
-            persisted = put_batch(&mut bytes, &self.urr, persisted, start_seq, chunk);
+        let tables = Tables::read(&self.urr);
+        // The first frame carries the tables whole, so it is written
+        // even for a repository without records; the rest carry none.
+        let mut chunks: Vec<&[Rec]> = store.recs.chunks(GENERATION_FRAME_RECS).collect();
+        if chunks.is_empty() {
+            chunks.push(&[]);
         }
+        let persisted = tables.persisted();
+        let from = |frame: usize| match frame {
+            0 => Persisted::default(),
+            _ => persisted,
+        };
+        let len = (chunks.iter().enumerate())
+            .map(|(frame, chunk)| tables.frame_len(from(frame), chunk))
+            .sum();
+        let mut bytes = Vec::with_capacity(len);
+        for (frame, chunk) in chunks.into_iter().enumerate() {
+            let start_seq = (frame * GENERATION_FRAME_RECS) as u64;
+            tables.put(&mut bytes, from(frame), start_seq, chunk);
+        }
+        drop(tables);
         drop(store);
         let len = bytes.len();
         journal.store.write_snapshot(bytes)?;

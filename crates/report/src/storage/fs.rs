@@ -126,7 +126,14 @@ fn numbered_files(
 }
 
 impl UrrStore for FsStore {
-    fn append_frame(&self, frame: &[u8]) -> Result<bool, StoreError> {
+    fn append_frame_with(
+        &self,
+        len: usize,
+        write: &mut dyn FnMut(&mut Vec<u8>),
+    ) -> Result<bool, StoreError> {
+        let mut frame = Vec::with_capacity(len);
+        write(&mut frame);
+        debug_assert_eq!(frame.len(), len, "a frame is the size it said");
         let mut state = self.state.lock().expect("fs store poisoned");
         let rotate = state.active_seg == 0
             || (state.active_len > 0 && state.active_len + frame.len() > self.segment_bytes);
@@ -141,7 +148,7 @@ impl UrrStore for FsStore {
             .append(true)
             .open(&path)
             .map_err(|e| StoreError::io("open wal segment", e))?;
-        file.write_all(frame)
+        file.write_all(&frame)
             .map_err(|e| StoreError::io("append wal frame", e))?;
         state.active_len += frame.len();
         Ok(rotate && !was_fresh)

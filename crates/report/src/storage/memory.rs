@@ -16,7 +16,9 @@
 //! the same `Arc`s. Only the active segment is ever written again, and
 //! it is written through [`Arc::make_mut`], so the first append after a
 //! fork copies that one segment and the fork keeps the bytes it saw. A
-//! segment is allocated whole when it opens, at the size it rotates at.
+//! segment is allocated whole when it opens, at the size it rotates at
+//! (or the size of the frame that opens it, if larger), and the journal
+//! encodes each frame straight into it.
 
 use std::sync::{Arc, Mutex};
 
@@ -99,11 +101,15 @@ impl MemoryStore {
 }
 
 impl UrrStore for MemoryStore {
-    fn append_frame(&self, frame: &[u8]) -> Result<bool, StoreError> {
+    fn append_frame_with(
+        &self,
+        len: usize,
+        write: &mut dyn FnMut(&mut Vec<u8>),
+    ) -> Result<bool, StoreError> {
         let mut inner = self.inner.lock().expect("memory store poisoned");
         let rotate = match inner.segments.last() {
             None => true,
-            Some(active) => !active.is_empty() && active.len() + frame.len() > self.segment_bytes,
+            Some(active) => !active.is_empty() && active.len() + len > self.segment_bytes,
         };
         if rotate {
             // A segment is allocated once, at the size it rotates at:
@@ -111,13 +117,17 @@ impl UrrStore for MemoryStore {
             // the outgrown buffers behind as holes in the heap. (A size
             // too large to reserve grows as it is written instead.)
             let mut segment = Vec::new();
-            let _ = segment.try_reserve_exact(self.segment_bytes.max(frame.len()));
+            let _ = segment.try_reserve_exact(self.segment_bytes.max(len));
             inner.segments.push(Arc::new(segment));
         }
         let active = inner.segments.last_mut().expect("segment just ensured");
         // A fork or a reader holding the active segment keeps the bytes
-        // it has; this store writes on to a copy of its own.
-        Arc::make_mut(active).extend_from_slice(frame);
+        // it has; this store writes on to a copy of its own. The frame
+        // is encoded straight into the segment.
+        let active = Arc::make_mut(active);
+        let at = active.len();
+        write(active);
+        debug_assert_eq!(active.len() - at, len, "a frame is the size it said");
         // The very first segment of a fresh WAL is creation, not
         // rotation.
         Ok(rotate && inner.segments.len() > 1)

@@ -85,12 +85,27 @@ impl std::error::Error for StoreError {
 /// generation comes back as an `Arc` of its bytes, which a backend that
 /// keeps them in memory hands out as it holds them and one that reads
 /// them from disk wraps as read. A generation is handed in by value, so
-/// a memory backend keeps the very buffer the journal wrote.
+/// a memory backend keeps the very buffer the journal wrote. A frame is
+/// encoded into whatever buffer the backend hands the journal, so a
+/// memory backend's segment is the only buffer a frame is written to.
 pub trait UrrStore: Send + Sync + fmt::Debug {
-    /// Appends one encoded frame to the active WAL segment, rotating to
-    /// a fresh segment first if the active one would exceed the
-    /// configured size. Returns `true` when a rotation happened.
-    fn append_frame(&self, frame: &[u8]) -> Result<bool, StoreError>;
+    /// Appends one frame of `len` bytes to the active WAL segment,
+    /// rotating to a fresh segment first if the active one would exceed
+    /// the configured size. `write` encodes the frame: it appends
+    /// exactly `len` bytes to the buffer it is handed, which a backend
+    /// that keeps segments in memory makes the segment itself. Returns
+    /// `true` when a rotation happened.
+    fn append_frame_with(
+        &self,
+        len: usize,
+        write: &mut dyn FnMut(&mut Vec<u8>),
+    ) -> Result<bool, StoreError>;
+
+    /// Appends one already encoded frame, as
+    /// [`UrrStore::append_frame_with`] would write it.
+    fn append_frame(&self, frame: &[u8]) -> Result<bool, StoreError> {
+        self.append_frame_with(frame.len(), &mut |segment| segment.extend_from_slice(frame))
+    }
 
     /// All WAL segments in append order (the last is the active one).
     fn wal_segments(&self) -> Result<Vec<Arc<Vec<u8>>>, StoreError>;

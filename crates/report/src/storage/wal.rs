@@ -43,11 +43,12 @@
 //! live ingest file every record through the same store insert — which
 //! is what makes the `recover(snapshot + WAL) == live` property hold by
 //! construction rather than by parallel-implementation luck. The live
-//! side writes a frame with [`encode_wal_frame`], straight from the
-//! repository's tables and into a buffer reserved to the frame's exact
-//! size; [`WalFrame`] is what recovery decodes it into, its name runs
-//! still borrowed from the frame's bytes: replay only reads a name to
-//! intern it, and the interner makes the one copy that is kept.
+//! side sizes a frame with [`wal_payload_len`] and writes it with
+//! [`encode_wal_frame`], straight from the repository's tables and into
+//! the store's segment; [`WalFrame`] is what recovery decodes it into,
+//! its name runs still borrowed from the frame's bytes: replay only
+//! reads a name to intern it, and the interner makes the one copy that
+//! is kept.
 
 use std::sync::Arc;
 
@@ -194,21 +195,15 @@ fn get_run<'a>(cur: &mut Cursor<'a>, what: &'static str) -> Result<NameRun<'a>, 
     Ok(NameRun { bytes, ends })
 }
 
-/// Appends one frame payload to `buf` (the caller wraps it in a
-/// checksummed frame) straight from the live repository's tables: the
-/// name deltas are runs out of the tables ([`NameTable::run_from`]), the
-/// records are borrowed, and `buf` is grown once, to the frame's exact
-/// size, so writing a frame copies nothing it does not write.
-pub(crate) fn encode_wal_frame(
-    buf: &mut Vec<u8>,
-    start_seq: u64,
+/// The payload bytes [`encode_wal_frame`] writes for these deltas and
+/// records, so the caller can size the buffer before it is written.
+pub(crate) fn wal_payload_len(
     machine_delta: (&str, impl ExactSizeIterator<Item = u32>),
     sig_delta: (&str, impl ExactSizeIterator<Item = u32>),
     release_delta: &[(impl AsRef<str>, impl AsRef<str>)],
     recs: &[Rec],
-) {
-    let len = 8
-        + (4 + 4 * machine_delta.1.len() + machine_delta.0.len())
+) -> usize {
+    8 + (4 + 4 * machine_delta.1.len() + machine_delta.0.len())
         + (4 + 4 * sig_delta.1.len() + sig_delta.0.len())
         + 4
         + (release_delta.iter())
@@ -218,9 +213,22 @@ pub(crate) fn encode_wal_frame(
         + recs
             .iter()
             .map(|r| 16 + payload_len(&r.payload))
-            .sum::<usize>();
-    buf.reserve(len);
-    let at = buf.len();
+            .sum::<usize>()
+}
+
+/// Appends one frame payload, [`wal_payload_len`] bytes, to `buf` (the
+/// caller wraps it in a checksummed frame) straight from the live
+/// repository's tables: the name deltas are runs out of the tables
+/// ([`NameTable::run_from`]) and the records are borrowed, so writing a
+/// frame copies nothing it does not write.
+pub(crate) fn encode_wal_frame(
+    buf: &mut Vec<u8>,
+    start_seq: u64,
+    machine_delta: (&str, impl ExactSizeIterator<Item = u32>),
+    sig_delta: (&str, impl ExactSizeIterator<Item = u32>),
+    release_delta: &[(impl AsRef<str>, impl AsRef<str>)],
+    recs: &[Rec],
+) {
     put_u64(buf, start_seq);
     put_run(buf, machine_delta);
     put_run(buf, sig_delta);
@@ -237,7 +245,6 @@ pub(crate) fn encode_wal_frame(
         put_u32(buf, rec.sig);
         put_payload(buf, &rec.payload);
     }
-    debug_assert_eq!(buf.len() - at, len, "a frame is the size it reserved");
 }
 
 impl<'a> WalFrame<'a> {
@@ -423,6 +430,13 @@ mod tests {
             &frame.release_delta,
             &frame.recs,
         );
+        let len = wal_payload_len(
+            (machines.bytes, machines.ends.iter().copied()),
+            (sigs.bytes, sigs.ends.iter().copied()),
+            &frame.release_delta,
+            &frame.recs,
+        );
+        assert_eq!(buf.len(), len, "a frame is the size it was given");
         buf
     }
 

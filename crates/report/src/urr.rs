@@ -591,35 +591,41 @@ impl Urr {
             .collect()
     }
 
-    /// Interns a whole fleet from the table that already lists it and
-    /// returns each machine's ref, in table order.
+    /// Interns a whole fleet from the table that already lists it.
+    /// Returns `None` when every machine's ref is its table id
+    /// (`MachineRef(i)` for id `i`), else each machine's ref in table
+    /// order.
     ///
     /// A repository that knows no machine yet *adopts* the table: it
     /// keeps the `Arc`, `MachineRef(i)` is the table's id `i`, and no
     /// name is copied or hashed. A repository that holds the same `Arc`,
-    /// or a table equal to it, hands the same refs back. Any other
-    /// repository interns the names one at a time, exactly as
-    /// [`Urr::intern_machines`] would. Which of the three happens
-    /// depends on the repository's contents alone, and every query
-    /// surface, snapshot and journal reads the same afterwards: the
-    /// adopted names are the head of the first frame's machine delta,
-    /// in the journal and in a snapshot generation alike.
+    /// or a table equal to it, answers `None` too. Any other repository
+    /// interns the names one at a time, exactly as
+    /// [`Urr::intern_machines`] would, and returns what that did. Which
+    /// of the three happens depends on the repository's contents alone,
+    /// and every query surface, snapshot and journal reads the same
+    /// afterwards: the adopted names are the head of the first frame's
+    /// machine delta, in the journal and in a snapshot generation alike.
+    /// A caller holds no per-machine table for a fleet the repository
+    /// shares.
     ///
     /// # Panics
     ///
     /// Panics if the repository would hold more than `u32::MAX`
     /// machines or 4 GiB of machine names.
-    pub fn intern_fleet(&self, fleet: Arc<NameTable>) -> Vec<MachineRef> {
+    pub fn intern_fleet(&self, fleet: Arc<NameTable>) -> Option<Vec<MachineRef>> {
         let mut table = self.machines.write().expect("urr poisoned");
         if table.is_empty() {
             *table = fleet;
         } else if !Arc::ptr_eq(&table, &fleet) && **table != *fleet {
-            return fleet
-                .names_from(0)
-                .map(|n| MachineRef(intern_machine_in(&mut table, n)))
-                .collect();
+            return Some(
+                fleet
+                    .names_from(0)
+                    .map(|n| MachineRef(intern_machine_in(&mut table, n)))
+                    .collect(),
+            );
         }
-        (0..table.len() as u32).map(MachineRef).collect()
+        None
     }
 
     /// Interns a failure signature.

@@ -385,9 +385,12 @@ fn adopted_fleet_recovery_equivalence() {
 
         let seed = rng.next();
         let table = fleet_table(fleet, sorted, seed);
-        let refs = urr.intern_fleet(Arc::clone(&table));
-        let dense: Vec<MachineRef> = (0..fleet as u32).map(MachineRef).collect();
-        assert_eq!(refs, dense, "case {case}: adopted refs are the table's ids");
+        let adopted = urr.intern_fleet(Arc::clone(&table));
+        assert_eq!(
+            adopted, None,
+            "case {case}: adopted refs are the table's ids"
+        );
+        let refs: Vec<MachineRef> = (0..fleet as u32).map(MachineRef).collect();
         let outsider = urr.intern_machine(&format!("m{}", machines - 1));
         assert_eq!(
             outsider,
@@ -433,12 +436,17 @@ fn adopted_fleet_recovery_equivalence() {
         // outsider aside) are found name by name now that the
         // repository's copy has grown; a wider one finds every machine
         // already there.
-        assert_eq!(urr.intern_fleet(Arc::clone(&table)), refs, "case {case}");
+        let by_name = Some(refs.clone());
+        assert_eq!(urr.intern_fleet(Arc::clone(&table)), by_name, "case {case}");
         let equal = fleet_table(fleet, sorted, seed);
-        assert_eq!(urr.intern_fleet(equal), refs, "case {case}");
+        assert_eq!(urr.intern_fleet(equal), by_name, "case {case}");
         let wider = fleet_table(machines, sorted, seed);
         let known = urr.intern_machines(wider.names_from(0));
-        assert_eq!(urr.intern_fleet(Arc::clone(&wider)), known, "case {case}");
+        assert_eq!(
+            urr.intern_fleet(Arc::clone(&wider)),
+            Some(known.clone()),
+            "case {case}"
+        );
         assert!(known.contains(&outsider), "case {case}: outsider kept");
 
         spares.extend(drive(&mut rng, &durable, machines, clusters, 12));
@@ -465,17 +473,18 @@ fn adopted_table_is_shared_until_a_stranger_arrives() {
     for sorted in [true, false] {
         let table = fleet_table(20, sorted, 7);
         let urr = Urr::new();
-        let refs = urr.intern_fleet(Arc::clone(&table));
+        assert_eq!(urr.intern_fleet(Arc::clone(&table)), None, "adopted");
+        let refs: Vec<MachineRef> = (0..20).map(MachineRef).collect();
         assert_eq!(Arc::strong_count(&table), 2, "the repository holds the Arc");
-        assert_eq!(urr.intern_fleet(Arc::clone(&table)), refs);
-        assert_eq!(urr.intern_fleet(fleet_table(20, sorted, 7)), refs);
+        assert_eq!(urr.intern_fleet(Arc::clone(&table)), None);
+        assert_eq!(urr.intern_fleet(fleet_table(20, sorted, 7)), None);
         assert_eq!(urr.intern_machine(table.name(3)), refs[3]);
         assert_eq!(urr.intern_machines(table.names_from(0)), refs);
         assert_eq!(Arc::strong_count(&table), 2, "known names copy nothing");
         assert_eq!(urr.intern_machine("stranger"), MachineRef(20));
         assert_eq!(Arc::strong_count(&table), 1, "the copy is private now");
         assert_eq!(table.get("stranger"), None);
-        assert_eq!(urr.intern_fleet(Arc::clone(&table)), refs);
+        assert_eq!(urr.intern_fleet(Arc::clone(&table)), Some(refs));
     }
 }
 

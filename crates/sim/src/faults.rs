@@ -339,11 +339,14 @@ impl FaultRng {
 /// The simulator uses one lane per machine for machine→vendor draws.
 /// Unseeded lanes are marked by state 0, which a seeded xorshift64*
 /// stream can never reach (`new` forces the low bit), so a fresh table
-/// is one cheap zeroed allocation.
+/// is one zeroed allocation, which the allocator hands out without
+/// writing it: a run touches the pages of the lanes it draws from and no
+/// others.
 #[derive(Debug, Clone)]
 pub(crate) struct RngLanes {
     seed: u64,
-    lanes: Vec<FaultRng>,
+    /// Each lane's xorshift state; 0 = not seeded yet.
+    lanes: Vec<u64>,
 }
 
 impl RngLanes {
@@ -351,18 +354,22 @@ impl RngLanes {
     pub(crate) fn new(seed: u64, len: usize) -> Self {
         RngLanes {
             seed,
-            lanes: vec![FaultRng(0); len],
+            lanes: vec![0; len],
         }
     }
 
-    /// The lane stream at index `i`, seeded on first use.
+    /// Runs `draw` on the lane stream at index `i`, seeded on first
+    /// use, and keeps the stream where `draw` left it.
     #[inline]
-    pub(crate) fn lane(&mut self, i: usize) -> &mut FaultRng {
+    pub(crate) fn draw<T>(&mut self, i: usize, draw: impl FnOnce(&mut FaultRng) -> T) -> T {
         let slot = &mut self.lanes[i];
-        if slot.0 == 0 {
-            *slot = FaultRng::fork(self.seed, i as u64);
-        }
-        slot
+        let mut rng = match *slot {
+            0 => FaultRng::fork(self.seed, i as u64),
+            state => FaultRng(state),
+        };
+        let out = draw(&mut rng);
+        *slot = rng.0;
+        out
     }
 }
 
@@ -488,8 +495,11 @@ mod tests {
         // stream — the property per-machine fault schedules rely on.
         let mut fwd = RngLanes::new(42, 8);
         let mut rev = RngLanes::new(42, 8);
-        let a: Vec<u64> = (0..8).map(|i| fwd.lane(i).next_u64()).collect();
-        let b: Vec<u64> = (0..8).rev().map(|i| rev.lane(i).next_u64()).collect();
+        let a: Vec<u64> = (0..8).map(|i| fwd.draw(i, FaultRng::next_u64)).collect();
+        let b: Vec<u64> = (0..8)
+            .rev()
+            .map(|i| rev.draw(i, FaultRng::next_u64))
+            .collect();
         for i in 0..8 {
             assert_eq!(a[i], b[7 - i], "lane {i}");
         }

@@ -1,14 +1,89 @@
 //! Simulation metrics: latency CDFs and upgrade overhead.
 //!
 //! Metrics are id-indexed: per-machine pass times live in a dense
-//! `Vec<Option<SimTime>>` keyed by [`MachineId`], and discovered
-//! problems are [`ProblemId`]s. Name-keyed views are available at the
-//! boundary via the `*_named` helpers, which take the plan/table that
-//! owns the names.
+//! [`TimeColumn`] keyed by [`MachineId`], and discovered problems are
+//! [`ProblemId`]s. Name-keyed views are available at the boundary via
+//! the `*_named` helpers, which take the plan/table that owns the names.
+
+use std::fmt;
 
 use mirage_deploy::{ceil_threshold, DeployPlan, MachineId, ProblemId};
 
 use crate::engine::SimTime;
+
+/// One optional time per machine, 8 bytes each: what a
+/// `Vec<Option<SimTime>>` holds, in half its size.
+///
+/// A slot keeps `time + 1`, and 0 means "never". The clock never
+/// reaches `SimTime::MAX` (it marks a machine that crashed for good, and
+/// any event scheduled past it would overflow first), so every time it
+/// does reach has a slot value. A fresh column is all zeros, which the
+/// allocator hands out without writing: a run touches the pages of the
+/// machines it records and no others. `Debug` renders the column exactly
+/// as the `Vec<Option<SimTime>>` with the same values, which is what the
+/// recorded reference runs digest, and two columns are equal exactly
+/// when those vectors are.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct TimeColumn(Vec<SimTime>);
+
+impl TimeColumn {
+    /// A column of `n` machines, none of them timed.
+    pub(crate) fn new(n: usize) -> Self {
+        TimeColumn(vec![0; n])
+    }
+
+    /// Number of machines in the column.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the column has no machines at all (not: no times).
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The time of machine `i`; `None` if it has none or `i` is past the
+    /// end of the column.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<SimTime> {
+        self.0.get(i).and_then(|&slot| slot.checked_sub(1))
+    }
+
+    /// Records `time` for machine `i` unless it already has one; returns
+    /// whether it was recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range or `time` is `SimTime::MAX`.
+    #[inline]
+    pub(crate) fn set_first(&mut self, i: usize, time: SimTime) -> bool {
+        let slot = &mut self.0[i];
+        let fresh = *slot == 0;
+        if fresh {
+            *slot = time
+                .checked_add(1)
+                .expect("the clock never reaches SimTime::MAX");
+        }
+        fresh
+    }
+
+    /// Every machine's time, in machine order.
+    pub fn iter(&self) -> impl Iterator<Item = Option<SimTime>> + '_ {
+        self.0.iter().map(|&slot| slot.checked_sub(1))
+    }
+}
+
+impl fmt::Debug for TimeColumn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq<Vec<Option<SimTime>>> for TimeColumn {
+    fn eq(&self, other: &Vec<Option<SimTime>>) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter().copied())
+    }
+}
 
 /// Per-cluster upgrade latency.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,7 +105,7 @@ pub struct ClusterLatency {
 pub struct SimMetrics {
     /// First successful-integration time per machine, indexed by
     /// [`MachineId`] (`None` = the machine never passed).
-    pub machine_pass_time: Vec<Option<SimTime>>,
+    pub machine_pass_time: TimeColumn,
     /// Number of failed tests — the paper's *upgrade overhead* (each
     /// failure is a machine inconvenienced by a faulty upgrade).
     pub failed_tests: usize,
@@ -57,25 +132,19 @@ pub struct SimMetrics {
     /// by [`MachineId`]. Empty unless a rollout controller rolled the
     /// campaign back (so runs without rollback compare bit-identical
     /// to pre-rollout metrics).
-    pub machine_revert_time: Vec<Option<SimTime>>,
+    pub machine_revert_time: TimeColumn,
 }
 
 impl SimMetrics {
     /// Number of machines that passed at least once.
     pub fn passed_count(&self) -> usize {
-        self.machine_pass_time
-            .iter()
-            .filter(|t| t.is_some())
-            .count()
+        self.machine_pass_time.iter().flatten().count()
     }
 
     /// Number of machines whose revert to the prior release was
     /// confirmed after a rollback.
     pub fn reverted_count(&self) -> usize {
-        self.machine_revert_time
-            .iter()
-            .filter(|t| t.is_some())
-            .count()
+        self.machine_revert_time.iter().flatten().count()
     }
 
     /// True when every machine in a fleet of `total` passed at least
@@ -89,15 +158,12 @@ impl SimMetrics {
     /// Pass time of a single machine id, if it passed.
     #[inline]
     pub fn pass_time(&self, machine: MachineId) -> Option<SimTime> {
-        self.machine_pass_time
-            .get(machine.index())
-            .copied()
-            .flatten()
+        self.machine_pass_time.get(machine.index())
     }
 
     /// The latest pass time across the fleet, if any machine passed.
     pub fn max_pass_time(&self) -> Option<SimTime> {
-        self.machine_pass_time.iter().flatten().copied().max()
+        self.machine_pass_time.iter().flatten().max()
     }
 
     /// Computes each cluster's latency: the time the threshold fraction
@@ -171,12 +237,12 @@ mod tests {
     /// Metrics with pass times set for the named machines.
     fn metrics(plan: &DeployPlan, passes: &[(&str, SimTime)]) -> SimMetrics {
         let mut m = SimMetrics {
-            machine_pass_time: vec![None; plan.machine_count()],
+            machine_pass_time: TimeColumn::new(plan.machine_count()),
             ..SimMetrics::default()
         };
         for (name, t) in passes {
             let id = plan.machine_id(name).unwrap();
-            m.machine_pass_time[id.index()] = Some(*t);
+            m.machine_pass_time.set_first(id.index(), *t);
         }
         m
     }
@@ -256,6 +322,55 @@ mod tests {
             .map(|&p| problems.name(p))
             .collect();
         assert_eq!(discovered, ["prevalent"]);
+    }
+
+    #[test]
+    fn time_column_reads_as_the_vector_of_options() {
+        // The largest time the clock reaches: `SimTime::MAX` marks a
+        // crash and is never a clock reading.
+        let last = SimTime::MAX - 1;
+        let columns: [Vec<Option<SimTime>>; 6] = [
+            vec![],
+            vec![None],
+            vec![Some(0)],
+            vec![Some(last)],
+            vec![None, Some(0), Some(7), Some(last), None],
+            vec![None, Some(0), Some(7), Some(last), Some(0)],
+        ];
+        let column_of = |times: &[Option<SimTime>]| {
+            let mut column = TimeColumn::new(times.len());
+            for (i, time) in times.iter().enumerate() {
+                if let Some(time) = *time {
+                    column.set_first(i, time);
+                }
+            }
+            column
+        };
+        for a in &columns {
+            let column = column_of(a);
+            assert_eq!(format!("{column:?}"), format!("{a:?}"));
+            assert_eq!(format!("{column:#?}"), format!("{a:#?}"));
+            assert_eq!(column.iter().collect::<Vec<_>>(), *a);
+            assert!(column == *a);
+            for b in &columns {
+                let other = column_of(b);
+                assert_eq!(column == other, a == b, "{a:?} vs {b:?}");
+            }
+        }
+        // A first time sticks; a time past the end reads as none.
+        let mut column = TimeColumn::new(2);
+        assert!(column.set_first(1, last));
+        assert!(!column.set_first(1, 3));
+        assert_eq!(
+            (column.get(0), column.get(1), column.get(2)),
+            (None, Some(last), None)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "never reaches")]
+    fn time_column_refuses_the_crash_sentinel() {
+        TimeColumn::new(1).set_first(0, SimTime::MAX);
     }
 
     #[test]

@@ -449,15 +449,15 @@ mod tests {
             // is enough to move on, so none of them waits for a
             // machine that is away.
             let landed = oracle(&everyone_online, choice).machine_pass_time;
-            let last_wave = landed.iter().flatten().copied().max().expect("ran");
+            let last_wave = landed.iter().flatten().max().expect("ran");
             // `offline_machines(c, 1, _)` takes cluster `c`'s third
             // member; use the cluster whose own wave comes first.
             let third = |c: usize| everyone_online.plan.clusters[c].members[2];
             let cluster = (0..4)
-                .min_by_key(|&c| landed[third(c).index()])
+                .min_by_key(|&c| landed.get(third(c).index()))
                 .expect("four clusters");
             let straggler = third(cluster);
-            assert!(landed[straggler.index()] < Some(last_wave), "{name}");
+            assert!(landed.get(straggler.index()) < Some(last_wave), "{name}");
             let s = base
                 .clone()
                 .offline_machines(cluster, 1, last_wave - cycle)

@@ -264,7 +264,9 @@ mod tests {
         );
         assert_eq!(outcome.reverted, outcome.enrolled, "nobody left behind");
         assert_eq!(metrics.reverted_count(), 6);
-        let revert_time = metrics.machine_revert_time[churned.index()]
+        let revert_time = metrics
+            .machine_revert_time
+            .get(churned.index())
             .expect("churned machine reverted after rejoining");
         assert!(
             revert_time >= rejoin,

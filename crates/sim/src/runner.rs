@@ -243,7 +243,9 @@ fn drive(
             match test {
                 Some((machine, release, outcome)) => {
                     let uplink = vendor.faults_active.then(|| {
-                        Transmission::draw(rng_up.lane(machine.index()), &scenario.faults)
+                        rng_up.draw(machine.index(), |rng| {
+                            Transmission::draw(rng, &scenario.faults)
+                        })
                     });
                     vendor.test_done(protocol, machine, release, outcome, uplink);
                 }

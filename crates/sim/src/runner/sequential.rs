@@ -56,9 +56,11 @@ pub fn run_sequential(
         match event {
             Event::TestDone { machine, release } => {
                 let outcome = test_outcome(scenario, &vendor.fixed_by_release, machine, release);
-                let uplink = vendor
-                    .faults_active
-                    .then(|| Transmission::draw(rng_up.lane(machine.index()), &scenario.faults));
+                let uplink = vendor.faults_active.then(|| {
+                    rng_up.draw(machine.index(), |rng| {
+                        Transmission::draw(rng, &scenario.faults)
+                    })
+                });
                 vendor.test_done(protocol, machine, release, outcome, uplink);
             }
             other => vendor.vendor_event(protocol, other),

@@ -33,7 +33,7 @@
 
 use std::sync::Arc;
 
-use mirage_deploy::{MachineId, ProblemId, PRIOR_RELEASE};
+use mirage_deploy::{DeployPlan, MachineId, ProblemId, PRIOR_RELEASE};
 use mirage_report::{
     DurableUrr, InternedOutcome, InternedReport, MachineRef, ReleaseId, SigId, Urr,
 };
@@ -54,10 +54,13 @@ pub(crate) struct UrrSink {
     /// journaled through it instead of deposited directly, so the
     /// campaign's repository is crash-recoverable.
     durable: Option<Arc<DurableUrr>>,
-    /// Repository machine ref per [`MachineId`] (plan order).
-    machine_refs: Vec<MachineRef>,
-    /// Cluster id per [`MachineId`] (plan order).
-    machine_cluster: Vec<u32>,
+    /// Repository machine ref per [`MachineId`] (plan order); `None`
+    /// when the ref is the id, as it is whenever the repository adopted
+    /// or already holds the plan's table.
+    machine_refs: Option<Vec<MachineRef>>,
+    /// The plan cluster the last record's machine was in: a run
+    /// deposits a wave's machines together, so it is probed first.
+    last_cluster: usize,
     /// Repository signature per [`ProblemId`].
     sig_ids: Vec<SigId>,
     /// Repository release per simulated release number (grown lazily as
@@ -77,12 +80,6 @@ impl UrrSink {
     pub(crate) fn new(scenario: &Scenario, urr: Arc<Urr>) -> Self {
         let plan = &scenario.plan;
         let machine_refs = urr.intern_fleet(Arc::clone(plan.machines.shared()));
-        let mut machine_cluster = vec![0u32; machine_refs.len()];
-        for cluster in &plan.clusters {
-            for m in &cluster.members {
-                machine_cluster[m.index()] = cluster.id as u32;
-            }
-        }
         let sig_ids = (0..scenario.problems.len())
             .map(|p| urr.intern_signature(scenario.problems.name(ProblemId(p as u16))))
             .collect();
@@ -91,7 +88,7 @@ impl UrrSink {
             urr,
             durable: scenario.durable.clone(),
             machine_refs,
-            machine_cluster,
+            last_cluster: 0,
             sig_ids,
             release_ids,
             prior_release_id: None,
@@ -119,21 +116,48 @@ impl UrrSink {
 
     /// Records one vendor-received outcome; `problem` is `None` for a
     /// pass. Flushes when the batch fills.
-    pub(crate) fn record(&mut self, machine: MachineId, release: u32, problem: Option<ProblemId>) {
+    pub(crate) fn record(
+        &mut self,
+        plan: &DeployPlan,
+        machine: MachineId,
+        release: u32,
+        problem: Option<ProblemId>,
+    ) {
         let release = self.release_id(release);
         let outcome = match problem {
             None => InternedOutcome::Success,
             Some(p) => InternedOutcome::Failure(self.sig_ids[p.index()]),
         };
+        let machine_ref = match &self.machine_refs {
+            Some(refs) => refs[machine.index()],
+            None => MachineRef(machine.index() as u32),
+        };
+        let cluster = self.cluster_of(plan, machine);
         self.buf.push(InternedReport {
-            machine: self.machine_refs[machine.index()],
-            cluster: self.machine_cluster[machine.index()],
+            machine: machine_ref,
+            cluster,
             release,
             outcome,
         });
         if self.buf.len() >= BATCH {
             self.flush();
         }
+    }
+
+    /// The id of the plan cluster `machine` is in
+    /// ([`DeployPlan::cluster_of`]); 0 for a machine in none. The last
+    /// cluster found is probed first, so a wave costs one probe a
+    /// record, and the run keeps no per-machine table. (A plan that
+    /// lists a machine in several clusters files it under one of them.)
+    fn cluster_of(&mut self, plan: &DeployPlan, machine: MachineId) -> u32 {
+        let cluster = match plan.clusters.get(self.last_cluster) {
+            Some(c) if c.holds_in_place(machine) => Some(c),
+            _ => plan.cluster_of(machine),
+        };
+        cluster.map_or(0, |c| {
+            self.last_cluster = c.id;
+            c.id as u32
+        })
     }
 
     /// Deposits any buffered records — journaled through the durable
@@ -175,9 +199,9 @@ mod tests {
             .build();
         let mut sink = UrrSink::new(&scenario, Arc::clone(&urr));
         let p = scenario.problems.id("p").unwrap();
-        sink.record(MachineId(0), 0, None);
-        sink.record(MachineId(3), 0, Some(p));
-        sink.record(MachineId(4), 1, Some(p));
+        sink.record(&scenario.plan, MachineId(0), 0, None);
+        sink.record(&scenario.plan, MachineId(3), 0, Some(p));
+        sink.record(&scenario.plan, MachineId(4), 1, Some(p));
         assert_eq!(urr.stats().total, 0, "buffered until flush");
         sink.flush();
         let stats = urr.stats();

@@ -30,7 +30,7 @@ use mirage_telemetry::Telemetry;
 
 use crate::engine::{Event, SimTime};
 use crate::faults::{FaultPlan, FaultRng};
-use crate::metrics::SimMetrics;
+use crate::metrics::{SimMetrics, TimeColumn};
 use crate::scenario::Scenario;
 use crate::urr_sink::UrrSink;
 
@@ -39,6 +39,17 @@ use crate::urr_sink::UrrSink;
 /// machine. At any realistic loss rate the chance of hitting this cap
 /// is negligible.
 const RETRY_SAFETY_CAP: u32 = 10_000;
+
+/// An `awaiting` slot with no notification outstanding. A slot packs
+/// `(release, attempt + 1)` into one `u64`, release high; attempts run
+/// from 0 to [`RETRY_SAFETY_CAP`], so an outstanding one is never 0.
+const IDLE: u64 = 0;
+
+/// The `awaiting` slot of notification number `attempt` of `release`.
+fn awaited(release: u32, attempt: u32) -> u64 {
+    const { assert!(RETRY_SAFETY_CAP < u32::MAX) };
+    (u64::from(release) << 32) | u64::from(attempt + 1)
+}
 
 /// Journal emissions buffered before one batched flush. Bounds the
 /// buffer at ~128 KiB while amortising the recorder's lock to a few
@@ -89,20 +100,35 @@ impl Transmission {
 }
 
 /// Per-run buffers a driver lends the vendor side, so an arena can keep
-/// their allocations across runs. All three stay empty when the run
-/// needs none of them (no journal, no fault plan).
+/// their allocations across runs. Each stays empty when the run needs
+/// none of it (no journal, no fault plan, no churn).
 #[derive(Debug, Default)]
 pub(crate) struct Lent {
     /// `(sim time, event)` journal emissions awaiting a batched flush:
     /// journaling costs a `Vec::push` per event instead of a recorder
     /// critical section.
     journal_buf: Vec<(SimTime, JournalEvent)>,
-    /// Per-machine outstanding notification: `(release, attempt)` the
-    /// vendor is awaiting a report for. Drives timed re-notification.
-    awaiting: Vec<Option<(u32, u32)>>,
+    /// Per-machine outstanding notification, the release and attempt
+    /// the vendor is awaiting a report for ([`awaited`]; [`IDLE`] for
+    /// none). Drives timed re-notification.
+    awaiting: Vec<u64>,
     /// Dense per-machine churn windows `(leave, rejoin)` (rejoin ==
-    /// `SimTime::MAX` = crashed).
+    /// `SimTime::MAX` = crashed), built only when the fault plan
+    /// schedules churn.
     churn: Vec<Option<(SimTime, SimTime)>>,
+}
+
+/// Makes `column` `n` zeros. A column too small for the run is replaced
+/// by a fresh one, which the allocator hands out zeroed without writing
+/// it, so the pages of machines the run never touches stay untouched;
+/// one large enough is zeroed in place.
+fn zeroed(column: &mut Vec<u64>, n: usize) {
+    if column.capacity() < n {
+        *column = vec![0; n];
+    } else {
+        column.clear();
+        column.resize(n, 0);
+    }
 }
 
 /// The vendor and everything it decides, over a driver's [`Schedule`].
@@ -155,7 +181,9 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
         lent.awaiting.clear();
         lent.churn.clear();
         if faults_active {
-            lent.awaiting.resize(n, None);
+            zeroed(&mut lent.awaiting, n);
+        }
+        if faults_active && !scenario.faults.churn.is_empty() {
             lent.churn.resize(n, None);
             for &(m, leave, rejoin) in &scenario.faults.churn {
                 lent.churn[m.index()] = Some((leave, rejoin));
@@ -171,7 +199,7 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
             known_problems: ProblemSet::new(),
             queue_high_water: 0,
             metrics: SimMetrics {
-                machine_pass_time: vec![None; n],
+                machine_pass_time: TimeColumn::new(n),
                 ..SimMetrics::default()
             },
             telemetry,
@@ -304,7 +332,7 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
     /// means the machine has crashed and will never act.
     fn available_from(&self, machine: MachineId, t: SimTime) -> Option<SimTime> {
         let start = t.max(self.scenario.offline_until[machine.index()]);
-        match self.lent.churn[machine.index()] {
+        match self.lent.churn.get(machine.index()).copied().flatten() {
             Some((leave, rejoin)) if start >= leave && start < rejoin => {
                 (rejoin != SimTime::MAX).then_some(rejoin)
             }
@@ -316,7 +344,7 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
     /// unreliable channel and arms the vendor's re-notification timer
     /// for it (exponential backoff).
     fn fault_notify(&mut self, machine: MachineId, release: u32, attempt: u32) {
-        self.lent.awaiting[machine.index()] = Some((release, attempt));
+        self.lent.awaiting[machine.index()] = awaited(release, attempt);
         self.send_notification(machine, release);
         self.sched.vendor(
             self.now + self.scenario.faults.retry_delay(attempt),
@@ -397,17 +425,17 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
     /// upgrade, so it must not count as converged).
     fn note_pass(&mut self, machine: MachineId, release: u32) {
         if release == PRIOR_RELEASE.0 {
-            if self.metrics.machine_revert_time.is_empty() {
-                self.metrics.machine_revert_time = vec![None; self.metrics.machine_pass_time.len()];
+            let reverts = &mut self.metrics.machine_revert_time;
+            if reverts.is_empty() {
+                *reverts = TimeColumn::new(self.metrics.machine_pass_time.len());
             }
-            if self.metrics.machine_revert_time[machine.index()].is_none() {
-                self.metrics.machine_revert_time[machine.index()] = Some(self.now);
+            if reverts.set_first(machine.index(), self.now) {
                 self.telemetry.counter("sim.machines_reverted", 1);
             }
         } else {
-            if self.metrics.machine_pass_time[machine.index()].is_none() {
-                self.metrics.machine_pass_time[machine.index()] = Some(self.now);
-            }
+            self.metrics
+                .machine_pass_time
+                .set_first(machine.index(), self.now);
             self.telemetry.counter("sim.tests_passed", 1);
         }
     }
@@ -465,10 +493,9 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
     /// so there is no depth to check.
     pub(crate) fn absorbed_passes(&mut self, passes: &[(MachineId, Release)]) {
         for &(machine, release) in passes {
-            let slot = &mut self.metrics.machine_pass_time[machine.index()];
-            if slot.is_none() {
-                *slot = Some(self.now);
-            }
+            self.metrics
+                .machine_pass_time
+                .set_first(machine.index(), self.now);
             self.jot(JournalEvent::Test {
                 machine: machine.index() as u32,
                 release: release.0,
@@ -552,7 +579,7 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
                 TestOutcome::Pass => None,
                 TestOutcome::Fail { problem } => Some(problem),
             };
-            sink.record(machine, release, problem);
+            sink.record(&self.scenario.plan, machine, release, problem);
         }
     }
 
@@ -581,10 +608,9 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
                 release,
                 outcome,
             } => {
-                if let Some((awaited, _)) = self.lent.awaiting[machine.index()] {
-                    if release >= awaited {
-                        self.lent.awaiting[machine.index()] = None;
-                    }
+                let slot = &mut self.lent.awaiting[machine.index()];
+                if *slot != IDLE && release >= (*slot >> 32) as u32 {
+                    *slot = IDLE;
                 }
                 self.report_received(protocol, machine, release, outcome);
             }
@@ -616,14 +642,14 @@ impl<'s, Q: Schedule> VendorSide<'s, Q> {
     /// has not reported for this (release, attempt), resend through the
     /// lossy channel.
     fn retry_check(&mut self, machine: MachineId, release: u32, attempt: u32) {
-        if self.lent.awaiting[machine.index()] != Some((release, attempt)) {
+        if self.lent.awaiting[machine.index()] != awaited(release, attempt) {
             return; // Report arrived, or a newer notification superseded this one.
         }
         // A machine crashed for good gets no more retries either:
         // timeout-based stage advancement (rep_timeout) is what unblocks
         // the protocol.
         if attempt >= RETRY_SAFETY_CAP || self.available_from(machine, self.now).is_none() {
-            self.lent.awaiting[machine.index()] = None;
+            self.lent.awaiting[machine.index()] = IDLE;
             return;
         }
         self.metrics.retries_sent += 1;

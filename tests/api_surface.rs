@@ -80,6 +80,7 @@ const ALLOWED: &[(&str, &str)] = &[
         "SimMetrics::cluster_latencies(..) -> Vec<ClusterLatency>",
     ),
     ("FaultPlan", "Scenario::faults: FaultPlan"),
+    ("TimeColumn", "SimMetrics::machine_pass_time: TimeColumn"),
     // mirage-telemetry
     ("WaveHealth", "health::rollup(..) -> Vec<WaveHealth>"),
     (

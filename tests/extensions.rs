@@ -157,7 +157,7 @@ fn simulator_extension_knobs() {
             .machine_pass_time
             .iter()
             .flatten()
-            .any(|&t| t >= 1_000),
+            .any(|t| t >= 1_000),
         "some machine integrated after coming online"
     );
 }
