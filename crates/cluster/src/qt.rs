@@ -57,13 +57,16 @@ use crate::cluster::MachineInfo;
 /// Item comparisons at which the matrix fill fans out over threads;
 /// below it the fill stays on one thread. A pair's distance is a merge
 /// over both diffs, so a fill compares `(n - 1) ×` the total diff
-/// length; at about 1 ns a comparison, 32 768 is some 30 µs of work,
-/// where one fan-out costs a thread spawn and join (≈ 220 µs on a
-/// 2-core host). The replicated fleets of the paper's MySQL table lower
-/// to identical, empty diffs and compare nothing at any size; the dense
-/// fleets of `repro clustering-perf` (one item a machine) fan out from
-/// 200 machines up.
-const PARALLEL_COMPARISONS: usize = 1 << 15;
+/// length. Timed on a 2-core host over the dense fleets of `repro
+/// clustering-perf` (one item a machine), the threaded fill was slower
+/// at 200 machines (126 µs against 52), at 500 (391 against 280) and at
+/// 1 000 (1.28–1.35 ms against 1.09–1.14), level within noise at 1 500
+/// to 1 750, and faster at 2 000 in four runs of five (3.3–3.5 ms
+/// against 4.4–4.7): the crossover is near 1 750 machines, some three
+/// million comparisons.
+/// The replicated fleets of the paper's MySQL table lower to identical,
+/// empty diffs and compare nothing at any size.
+const PARALLEL_COMPARISONS: usize = 3 << 20;
 
 /// Clusters `machines` with diameter bound `diameter`.
 ///
@@ -135,7 +138,7 @@ fn qt_cluster_indices_inner(
         .collect();
 
     // Layer 2: pairwise distances, upper triangle.
-    let dist = distance_matrix(&lowered, allow_parallel);
+    let dist = distance_matrix(&lowered, fill_threads(&lowered, allow_parallel));
     if n > 1 {
         telemetry.counter("cluster.distance_evals", (n * (n - 1) / 2) as u64);
     }
@@ -173,16 +176,14 @@ fn pair(x: usize, y: usize) -> (usize, usize) {
 /// row `i` holds the distances to `i + 1..n` (see [`pair`]).
 ///
 /// That is n·(n−1)/2 kernel calls — the exact number
-/// `cluster.distance_evals` reports. With `allow_parallel` and at least
-/// [`PARALLEL_COMPARISONS`] item comparisons to make, rows are
-/// distributed round-robin over `available_parallelism` scoped threads;
-/// round-robin balances the shrinking triangle rows, and the values are
-/// identical either way, so the threaded fill cannot change the
-/// clustering.
-fn distance_matrix(lowered: &[LoweredDiff], allow_parallel: bool) -> Vec<Vec<u32>> {
+/// `cluster.distance_evals` reports. With more than one of `threads`
+/// ([`fill_threads`]), rows are distributed round-robin over that many
+/// scoped threads; round-robin balances the shrinking triangle rows,
+/// and the values are identical either way, so the threaded fill cannot
+/// change the clustering.
+fn distance_matrix(lowered: &[LoweredDiff], threads: usize) -> Vec<Vec<u32>> {
     let n = lowered.len();
     let mut rows: Vec<Vec<u32>> = (0..n).map(|i| vec![0u32; n - i - 1]).collect();
-    let threads = fill_threads(lowered, allow_parallel);
     let fill_row = |i: usize, row: &mut [u32]| {
         for (slot, other) in row.iter_mut().zip(&lowered[i + 1..]) {
             *slot = lowered[i].distance(other) as u32;
@@ -635,15 +636,11 @@ mod tests {
         }
     }
 
+    /// The threaded fill writes the sequential fill's matrix, at any
+    /// thread count, so the threshold moves time and never a cluster.
     #[test]
     fn parallel_threshold_path_matches_sequential() {
-        // Two items a machine: enough machines to trip
-        // PARALLEL_COMPARISONS, and some.
-        let n = (2..)
-            .find(|&n| (n - 1) * 2 * n >= PARALLEL_COMPARISONS)
-            .unwrap()
-            + 16;
-        let ms: Vec<MachineInfo> = (0..n)
+        let ms: Vec<MachineInfo> = (0..97)
             .map(|i| {
                 machine(
                     &format!("m{i:03}"),
@@ -651,12 +648,11 @@ mod tests {
                 )
             })
             .collect();
-        let refs: Vec<&MachineInfo> = ms.iter().collect();
-        for d in [0usize, 2, 4] {
-            let fast = qt_cluster_indices(&refs, d);
-            let seq = qt_cluster_indices_sequential(&refs, d, &Telemetry::noop());
-            assert_eq!(fast, seq, "diameter {d}");
-            assert_eq!(fast, qt_cluster_indices_reference(&refs, d), "diameter {d}");
+        let mut pool = ItemPool::new();
+        let lowered: Vec<LoweredDiff> = ms.iter().map(|m| pool.lower(&m.diff.content)).collect();
+        let sequential = distance_matrix(&lowered, 1);
+        for threads in 2..=5 {
+            assert_eq!(distance_matrix(&lowered, threads), sequential, "{threads}");
         }
     }
 
@@ -672,17 +668,23 @@ mod tests {
             .map(|i| machine(&format!("m{i:03}"), &[]))
             .collect();
         assert_eq!(fill_threads(&lowered(&replicas), true), 1);
-        // One item a machine: 199 × 200 comparisons at 200 machines,
-        // 99 × 100 at 100.
+        // One item a machine: (n - 1) × n comparisons at n machines, so
+        // the fill fans out from the first n that reaches the threshold.
         let dense = |n: usize| -> Vec<MachineInfo> {
             (0..n)
-                .map(|i| machine(&format!("m{i:03}"), &[&format!("n{i}")]))
+                .map(|i| machine(&format!("m{i:04}"), &[&format!("n{i}")]))
                 .collect()
         };
-        assert_eq!(fill_threads(&lowered(&dense(100)), true), 1);
+        let first = (2..)
+            .find(|&n| (n - 1) * n >= PARALLEL_COMPARISONS)
+            .unwrap();
+        assert_eq!(fill_threads(&lowered(&dense(first - 1)), true), 1);
         let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        assert_eq!(fill_threads(&lowered(&dense(200)), true), cores.min(200));
-        assert_eq!(fill_threads(&lowered(&dense(200)), false), 1);
+        assert_eq!(
+            fill_threads(&lowered(&dense(first)), true),
+            cores.min(first)
+        );
+        assert_eq!(fill_threads(&lowered(&dense(first)), false), 1);
     }
 
     #[test]

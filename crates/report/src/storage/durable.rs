@@ -40,7 +40,7 @@
 //! alone, so a freeze never sees a frame half applied.
 
 use std::ops::Range;
-use std::sync::{Arc, Mutex, RwLockReadGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLockReadGuard};
 
 use mirage_telemetry::names::NameTable;
 use mirage_telemetry::Telemetry;
@@ -49,7 +49,7 @@ use crate::report::Report;
 use crate::storage::frame::{put_frame, FrameScanner, HEADER_LEN, KIND_WAL_BATCH};
 use crate::storage::wal::{encode_wal_frame, wal_payload_len, WalFrame};
 use crate::storage::{StoreError, UrrStore, WireError};
-use crate::urr::{InternedReport, Rec, ReleaseInterner, Urr};
+use crate::urr::{file_from, InternedReport, Payload, Payloads, ReleaseInterner, Row, Store, Urr};
 
 /// Records per frame of a snapshot generation: the simulator's flush
 /// size, so a generation's frames look like the batches they compact
@@ -169,20 +169,30 @@ impl<'a> Tables<'a> {
         }
     }
 
-    /// The bytes [`Tables::put`] writes for the same arguments.
-    fn frame_len(&self, persisted: Persisted, recs: &[Rec]) -> usize {
+    /// The bytes [`Tables::put`] writes for `rows` rows and the same
+    /// other arguments.
+    fn frame_len(&self, persisted: Persisted, rows: usize, payloads: &[(u64, Payload)]) -> usize {
         HEADER_LEN
             + wal_payload_len(
                 self.machines.run_from(persisted.machines),
                 self.sigs.run_from(persisted.sigs),
                 &self.releases.pairs[persisted.releases..],
-                recs,
+                rows,
+                payloads,
             )
     }
 
     /// Appends one journaled-batch frame to `buf`: every table entry
-    /// past `persisted`, then `recs`.
-    fn put(&self, buf: &mut Vec<u8>, persisted: Persisted, start_seq: u64, recs: &[Rec]) {
+    /// past `persisted`, then `rows` from `start_seq` on with their
+    /// `payloads`.
+    fn put(
+        &self,
+        buf: &mut Vec<u8>,
+        persisted: Persisted,
+        start_seq: u64,
+        rows: impl ExactSizeIterator<Item = Row>,
+        payloads: &[(u64, Payload)],
+    ) {
         put_frame(buf, KIND_WAL_BATCH, |buf| {
             encode_wal_frame(
                 buf,
@@ -190,7 +200,8 @@ impl<'a> Tables<'a> {
                 self.machines.run_from(persisted.machines),
                 self.sigs.run_from(persisted.sigs),
                 &self.releases.pairs[persisted.releases..],
-                recs,
+                rows,
+                payloads,
             )
         });
     }
@@ -209,7 +220,7 @@ fn replay(bytes: &[u8], urr: &Urr, report: &mut RecoveryReport) -> Result<(), St
             return Err(format!("unexpected frame kind {kind} in wal"));
         }
         let frame = WalFrame::decode(payload).map_err(torn)?;
-        let n = frame.recs.len() as u64;
+        let n = frame.rows.len() as u64;
         let mut store = urr.lock();
         let expected = store.next_seq();
         // A duplicate (a rewritten tail) lies wholly below the
@@ -228,7 +239,8 @@ fn replay(bytes: &[u8], urr: &Urr, report: &mut RecoveryReport) -> Result<(), St
         }
         frame.intern_deltas(urr).map_err(torn)?;
         frame.validate_ids(urr).map_err(torn)?;
-        store.extend(frame.recs);
+        let (sigs, releases) = urr.table_lens();
+        store.insert(frame.rows.iter().copied(), frame.payloads, sigs, releases);
         report.frames_replayed += 1;
         report.records_replayed += n;
     }
@@ -322,51 +334,61 @@ impl DurableUrr {
     /// Journals and applies a batch of boundary reports (one WAL frame,
     /// one contiguous sequence range).
     pub fn deposit_batch(&self, reports: Vec<Report>) -> Result<Range<u64>, StoreError> {
-        self.journal_and_apply(|| {
-            (reports.into_iter())
-                .map(|report| self.urr.lower(report))
-                .collect()
-        })
+        let journal = self.journal.lock().expect("durable urr poisoned");
+        let (rows, mut payloads) = self.urr.lower(reports);
+        let store = self.urr.lock();
+        file_from(&mut payloads, store.next_seq());
+        self.journal_and_apply(journal, store, rows.iter().copied(), payloads)
     }
 
     /// Journals and applies a batch of pre-interned records — the
-    /// simulator's hot path, journaled.
+    /// simulator's hot path, journaled. The frame is written from the
+    /// reports and they are filed through the store insert as rows: no
+    /// copy of the batch is made.
     pub fn deposit_interned_batch(
         &self,
         recs: &[InternedReport],
     ) -> Result<Range<u64>, StoreError> {
-        self.journal_and_apply(|| recs.iter().map(Rec::interned).collect())
+        let journal = self.journal.lock().expect("durable urr poisoned");
+        self.journal_and_apply(
+            journal,
+            self.urr.lock(),
+            recs.iter().map(Row::interned),
+            Payloads::new(),
+        )
     }
 
-    /// The shared journal-then-apply path: `lower` interns the batch
-    /// and turns it into its records. The journal lock is held
-    /// throughout, and the repository's from claiming the sequence
-    /// range to storing the records, so the deltas, the range, the
-    /// store append and the records are one atomic step with respect to
-    /// other depositors and to readers. A failed append stores nothing
-    /// and claims nothing. An empty batch is not journaled: a frame
-    /// without records has no sequence number of its own to be told
-    /// from its neighbours by.
+    /// The shared journal-then-apply path: `rows` and their `payloads`
+    /// are a batch interned and filed from the repository's next
+    /// sequence number. The journal lock is held throughout, and the
+    /// repository's from claiming the sequence range to storing the
+    /// rows, so the deltas, the range, the store append and the rows are
+    /// one atomic step with respect to other depositors and to readers.
+    /// A failed append stores nothing and claims nothing. An empty batch
+    /// is not journaled: a frame without records has no sequence number
+    /// of its own to be told from its neighbours by.
     fn journal_and_apply(
         &self,
-        lower: impl FnOnce() -> Vec<Rec>,
+        mut journal: MutexGuard<'_, Journal>,
+        mut store: MutexGuard<'_, Store>,
+        rows: impl ExactSizeIterator<Item = Row> + Clone,
+        payloads: Payloads,
     ) -> Result<Range<u64>, StoreError> {
-        let mut journal = self.journal.lock().expect("durable urr poisoned");
-        let recs = lower();
-        let mut store = self.urr.lock();
         let start = store.next_seq();
-        if recs.is_empty() {
+        if rows.len() == 0 {
             return Ok(start..start);
         }
         // The frame is sized first and encoded straight into the store.
         let tables = Tables::read(&self.urr);
         let from = journal.persisted;
-        let len = tables.frame_len(from, &recs);
-        let mut write = |segment: &mut Vec<u8>| tables.put(segment, from, start, &recs);
+        let len = tables.frame_len(from, rows.len(), &payloads);
+        let mut write =
+            |segment: &mut Vec<u8>| tables.put(segment, from, start, rows.clone(), &payloads);
         let rotated = journal.store.append_frame_with(len, &mut write)?;
-        journal.persisted = tables.persisted();
+        let persisted = tables.persisted();
+        journal.persisted = persisted;
         drop(tables);
-        let range = store.extend(recs);
+        let range = store.insert(rows, payloads, persisted.sigs, persisted.releases);
         drop(store);
         let telemetry = &self.urr.telemetry;
         telemetry.counter("urr.wal_frames", 1);
@@ -390,29 +412,41 @@ impl DurableUrr {
 
     /// Writes the live repository out as one generation. The journal
     /// lock is held, so no journaled writer runs; the repository stays
-    /// locked for the encode, so the records are borrowed, not cloned,
-    /// and the generation is one buffer, sized before it is written.
+    /// locked for the encode, so the rows and payloads are borrowed, not
+    /// cloned, and the generation is one buffer, sized before it is
+    /// written.
     fn write_snapshot(&self, journal: &mut Journal) -> Result<(), StoreError> {
         let store = self.urr.lock();
         let tables = Tables::read(&self.urr);
         // The first frame carries the tables whole, so it is written
         // even for a repository without records; the rest carry none.
-        let mut chunks: Vec<&[Rec]> = store.recs.chunks(GENERATION_FRAME_RECS).collect();
+        let mut chunks: Vec<&[Row]> = store.rows.chunks(GENERATION_FRAME_RECS).collect();
         if chunks.is_empty() {
             chunks.push(&[]);
         }
         let persisted = tables.persisted();
-        let from = |frame: usize| match frame {
-            0 => Persisted::default(),
-            _ => persisted,
+        // Frame `k`: the tables it carries, its first sequence number and
+        // its rows' payloads.
+        let frame = |k: usize, chunk: &[Row]| {
+            let from = if k == 0 {
+                Persisted::default()
+            } else {
+                persisted
+            };
+            let start = (k * GENERATION_FRAME_RECS) as u64;
+            let payloads = store.payloads_in(start..start + chunk.len() as u64);
+            (from, start, payloads)
         };
         let len = (chunks.iter().enumerate())
-            .map(|(frame, chunk)| tables.frame_len(from(frame), chunk))
+            .map(|(k, chunk)| {
+                let (from, _, payloads) = frame(k, chunk);
+                tables.frame_len(from, chunk.len(), payloads)
+            })
             .sum();
         let mut bytes = Vec::with_capacity(len);
-        for (frame, chunk) in chunks.into_iter().enumerate() {
-            let start_seq = (frame * GENERATION_FRAME_RECS) as u64;
-            tables.put(&mut bytes, from(frame), start_seq, chunk);
+        for (k, chunk) in chunks.into_iter().enumerate() {
+            let (from, start, payloads) = frame(k, chunk);
+            tables.put(&mut bytes, from, start, chunk.iter().copied(), payloads);
         }
         drop(tables);
         drop(store);
@@ -606,12 +640,11 @@ mod tests {
         // machine; `patch` overwrites a `u32` of the payload before the
         // checksum is taken (8: the count, 12: the first end).
         let frame = |bytes: &str, ends: &[u32], patch: Option<(usize, u32)>| {
-            let rec = Rec {
+            let row = Row {
                 machine: machines() as u32,
                 cluster: 0,
                 release: 0,
                 sig: NO_SIG,
-                payload: None,
             };
             let mut frame = Vec::new();
             put_frame(&mut frame, KIND_WAL_BATCH, |buf| {
@@ -623,7 +656,8 @@ mod tests {
                     (bytes, ends.iter().copied()),
                     ("", std::iter::empty()),
                     none,
-                    &[rec],
+                    std::iter::once(row),
+                    &[],
                 );
                 if let Some((offset, value)) = patch {
                     buf[at + offset..at + offset + 4].copy_from_slice(&value.to_le_bytes());

@@ -23,9 +23,9 @@
 //!   is written, reported on or not, so every one recovers its id;
 //!   replay interns a delta in the order it was written, so a table
 //!   whose names ascended live ascends again;
-//! * the records themselves as interned ids, with the optional
-//!   free-form payload (failure detail + reproduction image) inlined
-//!   for boundary reports.
+//! * the records: each one's row of four interned ids, then its payload
+//!   tag — a 0 byte for a record without a payload, or the free-form
+//!   failure detail and reproduction image a boundary report brings.
 //!
 //! ```text
 //! start_seq u64
@@ -44,11 +44,14 @@
 //! is what makes the `recover(snapshot + WAL) == live` property hold by
 //! construction rather than by parallel-implementation luck. The live
 //! side sizes a frame with [`wal_payload_len`] and writes it with
-//! [`encode_wal_frame`], straight from the repository's tables and into
-//! the store's segment; [`WalFrame`] is what recovery decodes it into,
-//! its name runs still borrowed from the frame's bytes: replay only
-//! reads a name to intern it, and the interner makes the one copy that
-//! is kept.
+//! [`encode_wal_frame`], straight from the repository's tables, the
+//! batch's rows (an interned batch's are read off its reports as they
+//! are written) and the side table of payloads, into the store's
+//! segment. [`WalFrame`] is what recovery decodes it into: the rows and
+//! the payloads as the store keeps them, so replay hands them to the
+//! store insert as they are, and the name runs still borrowed from the
+//! frame's bytes: replay only reads a name to intern it, and the
+//! interner makes the one copy that is kept.
 
 use std::sync::Arc;
 
@@ -58,7 +61,7 @@ use crate::image::ReportImage;
 use crate::storage::wire::{
     get_string_list, put_len, put_str, put_string_list, put_u32, put_u64, put_u8, Cursor, WireError,
 };
-use crate::urr::{Payload, Rec, Urr, NO_SIG};
+use crate::urr::{Payload, Payloads, Row, Urr, MAX_CLUSTERS, NO_SIG};
 
 /// A machine or signature delta as a frame carries it, its bytes
 /// borrowed from the frame: name `i` is `bytes[ends[i - 1]..ends[i]]`,
@@ -85,13 +88,15 @@ pub(crate) struct WalFrame<'a> {
     pub(crate) sig_delta: NameRun<'a>,
     /// `(package, version)` releases interned since the previous frame.
     pub(crate) release_delta: Vec<(&'a str, &'a str)>,
-    /// The batch records, in sequence order (`seq = start_seq + index`;
+    /// The batch's rows, in sequence order (`seq = start_seq + index`;
     /// the sequence number itself is not written).
-    pub(crate) recs: Vec<Rec>,
+    pub(crate) rows: Vec<Row>,
+    /// The payloads of the rows that carry one, by sequence number.
+    pub(crate) payloads: Payloads,
 }
 
-/// The bytes [`put_payload`] writes for `payload`.
-fn payload_len(payload: &Option<Box<Payload>>) -> usize {
+/// The bytes [`put_payload`] writes for a record's `payload`.
+fn payload_len(payload: Option<&Payload>) -> usize {
     let list = |items: &[String]| 4 + items.iter().map(|s| 4 + s.len()).sum::<usize>();
     match payload {
         None => 1,
@@ -107,8 +112,8 @@ fn payload_len(payload: &Option<Box<Payload>>) -> usize {
     }
 }
 
-/// Encodes an optional record payload (detail + reproduction image).
-fn put_payload(buf: &mut Vec<u8>, payload: &Option<Box<Payload>>) {
+/// Encodes a record's optional payload (detail + reproduction image).
+fn put_payload(buf: &mut Vec<u8>, payload: Option<&Payload>) {
     match payload {
         None => put_u8(buf, 0),
         Some(p) => {
@@ -128,8 +133,8 @@ fn put_payload(buf: &mut Vec<u8>, payload: &Option<Box<Payload>>) {
     }
 }
 
-/// Decodes an optional record payload written by [`put_payload`].
-fn get_payload(cur: &mut Cursor<'_>) -> Result<Option<Box<Payload>>, WireError> {
+/// Decodes a record's optional payload written by [`put_payload`].
+fn get_payload(cur: &mut Cursor<'_>) -> Result<Option<Payload>, WireError> {
     match cur.u8("payload option tag")? {
         0 => Ok(None),
         1 => {
@@ -149,7 +154,7 @@ fn get_payload(cur: &mut Cursor<'_>) -> Result<Option<Box<Payload>>, WireError> 
                     })
                 }
             };
-            Ok(Some(Box::new(Payload { detail, image })))
+            Ok(Some(Payload { detail, image }))
         }
         tag => Err(WireError::BadTag {
             what: "payload option",
@@ -195,13 +200,15 @@ fn get_run<'a>(cur: &mut Cursor<'a>, what: &'static str) -> Result<NameRun<'a>, 
     Ok(NameRun { bytes, ends })
 }
 
-/// The payload bytes [`encode_wal_frame`] writes for these deltas and
-/// records, so the caller can size the buffer before it is written.
+/// The payload bytes [`encode_wal_frame`] writes for these deltas,
+/// `rows` rows and their `payloads`, so the caller can size the buffer
+/// before it is written.
 pub(crate) fn wal_payload_len(
     machine_delta: (&str, impl ExactSizeIterator<Item = u32>),
     sig_delta: (&str, impl ExactSizeIterator<Item = u32>),
     release_delta: &[(impl AsRef<str>, impl AsRef<str>)],
-    recs: &[Rec],
+    rows: usize,
+    payloads: &[(u64, Payload)],
 ) -> usize {
     8 + (4 + 4 * machine_delta.1.len() + machine_delta.0.len())
         + (4 + 4 * sig_delta.1.len() + sig_delta.0.len())
@@ -210,16 +217,18 @@ pub(crate) fn wal_payload_len(
             .map(|(p, v)| 8 + p.as_ref().len() + v.as_ref().len())
             .sum::<usize>()
         + 4
-        + recs
-            .iter()
-            .map(|r| 16 + payload_len(&r.payload))
+        + 17 * rows
+        + (payloads.iter())
+            .map(|(_, p)| payload_len(Some(p)) - 1)
             .sum::<usize>()
 }
 
 /// Appends one frame payload, [`wal_payload_len`] bytes, to `buf` (the
 /// caller wraps it in a checksummed frame) straight from the live
 /// repository's tables: the name deltas are runs out of the tables
-/// ([`NameTable::run_from`]) and the records are borrowed, so writing a
+/// ([`NameTable::run_from`]), the rows are read as they are written and
+/// `payloads` — the rows' payloads by sequence number, ascending, each
+/// in `start_seq..start_seq + rows.len()` — are borrowed, so writing a
 /// frame copies nothing it does not write.
 pub(crate) fn encode_wal_frame(
     buf: &mut Vec<u8>,
@@ -227,7 +236,8 @@ pub(crate) fn encode_wal_frame(
     machine_delta: (&str, impl ExactSizeIterator<Item = u32>),
     sig_delta: (&str, impl ExactSizeIterator<Item = u32>),
     release_delta: &[(impl AsRef<str>, impl AsRef<str>)],
-    recs: &[Rec],
+    rows: impl ExactSizeIterator<Item = Row>,
+    payloads: &[(u64, Payload)],
 ) {
     put_u64(buf, start_seq);
     put_run(buf, machine_delta);
@@ -237,14 +247,18 @@ pub(crate) fn encode_wal_frame(
         put_str(buf, package.as_ref());
         put_str(buf, version.as_ref());
     }
-    put_len(buf, recs.len());
-    for rec in recs {
-        put_u32(buf, rec.machine);
-        put_u32(buf, rec.cluster);
-        put_u32(buf, rec.release);
-        put_u32(buf, rec.sig);
-        put_payload(buf, &rec.payload);
+    put_len(buf, rows.len());
+    let mut payloads = payloads.iter().peekable();
+    for (i, row) in rows.enumerate() {
+        let seq = start_seq + i as u64;
+        put_u32(buf, row.machine);
+        put_u32(buf, row.cluster);
+        put_u32(buf, row.release);
+        put_u32(buf, row.sig);
+        let payload = payloads.next_if(|&&(at, _)| at == seq);
+        put_payload(buf, payload.map(|(_, p)| p));
     }
+    debug_assert!(payloads.next().is_none(), "a payload outside the frame");
 }
 
 impl<'a> WalFrame<'a> {
@@ -267,15 +281,18 @@ impl<'a> WalFrame<'a> {
                 what: "wal sequence range overflows",
             });
         }
-        let mut recs = Vec::with_capacity(n_recs);
-        for _ in 0..n_recs {
-            recs.push(Rec {
+        let mut rows = Vec::with_capacity(n_recs);
+        let mut payloads = Payloads::new();
+        for seq in start_seq..start_seq + n_recs as u64 {
+            rows.push(Row {
                 machine: cur.u32("wal rec machine")?,
                 cluster: cur.u32("wal rec cluster")?,
                 release: cur.u32("wal rec release")?,
                 sig: cur.u32("wal rec sig")?,
-                payload: get_payload(&mut cur)?,
             });
+            if let Some(payload) = get_payload(&mut cur)? {
+                payloads.push((seq, payload));
+            }
         }
         cur.finish("wal frame")?;
         Ok(WalFrame {
@@ -283,31 +300,39 @@ impl<'a> WalFrame<'a> {
             machine_delta,
             sig_delta,
             release_delta,
-            recs,
+            rows,
+            payloads,
         })
     }
 
-    /// Checks every interned id in `recs` against the repository's
-    /// table lengths — the structural-integrity gate replay runs before
-    /// applying a decoded frame.
+    /// Checks every interned id in `rows` against the repository's
+    /// table lengths, and every cluster id against [`MAX_CLUSTERS`] —
+    /// the structural-integrity gate replay runs before applying a
+    /// decoded frame, so no id a frame carries sizes a table the bytes
+    /// did not pay for.
     pub(crate) fn validate_ids(&self, urr: &Urr) -> Result<(), WireError> {
         let machines = urr.machines.read().expect("urr poisoned").len() as u64;
         let sigs = urr.sigs.read().expect("urr poisoned").len() as u64;
         let releases = urr.releases.read().expect("urr poisoned").pairs.len() as u64;
-        for rec in &self.recs {
-            if u64::from(rec.machine) >= machines {
+        for row in &self.rows {
+            if u64::from(row.machine) >= machines {
                 return Err(WireError::Corrupt {
                     what: "wal rec machine id out of range",
                 });
             }
-            if rec.sig != NO_SIG && u64::from(rec.sig) >= sigs {
+            if row.sig != NO_SIG && u64::from(row.sig) >= sigs {
                 return Err(WireError::Corrupt {
                     what: "wal rec sig id out of range",
                 });
             }
-            if u64::from(rec.release) >= releases {
+            if u64::from(row.release) >= releases {
                 return Err(WireError::Corrupt {
                     what: "wal rec release id out of range",
+                });
+            }
+            if row.cluster >= MAX_CLUSTERS {
+                return Err(WireError::Corrupt {
+                    what: "wal rec cluster id out of range",
                 });
             }
         }
@@ -366,7 +391,7 @@ mod tests {
         /// the lengths before it: the reference [`encode_wal_frame`]'s
         /// copies out of a table must match byte for byte.
         fn encode(&self) -> Vec<u8> {
-            let mut buf = Vec::with_capacity(64 + self.recs.len() * 17);
+            let mut buf = Vec::with_capacity(64 + self.rows.len() * 17);
             put_u64(&mut buf, self.start_seq);
             for delta in [&self.machine_delta, &self.sig_delta] {
                 let names = delta.names();
@@ -385,13 +410,15 @@ mod tests {
                 put_str(&mut buf, package);
                 put_str(&mut buf, version);
             }
-            put_len(&mut buf, self.recs.len());
-            for rec in &self.recs {
-                put_u32(&mut buf, rec.machine);
-                put_u32(&mut buf, rec.cluster);
-                put_u32(&mut buf, rec.release);
-                put_u32(&mut buf, rec.sig);
-                put_payload(&mut buf, &rec.payload);
+            put_len(&mut buf, self.rows.len());
+            for (i, row) in self.rows.iter().enumerate() {
+                let seq = self.start_seq + i as u64;
+                put_u32(&mut buf, row.machine);
+                put_u32(&mut buf, row.cluster);
+                put_u32(&mut buf, row.release);
+                put_u32(&mut buf, row.sig);
+                let payload = self.payloads.iter().find(|(at, _)| *at == seq);
+                put_payload(&mut buf, payload.map(|(_, p)| p));
             }
             buf
         }
@@ -428,36 +455,38 @@ mod tests {
             (machines.bytes, machines.ends.iter().copied()),
             (sigs.bytes, sigs.ends.iter().copied()),
             &frame.release_delta,
-            &frame.recs,
+            frame.rows.iter().copied(),
+            &frame.payloads,
         );
         let len = wal_payload_len(
             (machines.bytes, machines.ends.iter().copied()),
             (sigs.bytes, sigs.ends.iter().copied()),
             &frame.release_delta,
-            &frame.recs,
+            frame.rows.len(),
+            &frame.payloads,
         );
         assert_eq!(buf.len(), len, "a frame is the size it was given");
         buf
     }
 
-    /// A frame of `recs` and no deltas.
-    fn frame_of(start_seq: u64, recs: Vec<Rec>) -> WalFrame<'static> {
+    /// A frame of `rows`, no payloads and no deltas.
+    fn frame_of(start_seq: u64, rows: Vec<Row>) -> WalFrame<'static> {
         WalFrame {
             start_seq,
             machine_delta: NameRun::default(),
             sig_delta: NameRun::default(),
             release_delta: vec![],
-            recs,
+            rows,
+            payloads: Payloads::new(),
         }
     }
 
-    fn rec(machine: u32, release: u32, sig: u32) -> Rec {
-        Rec {
+    fn row(machine: u32, release: u32, sig: u32) -> Row {
+        Row {
             machine,
             cluster: 0,
             release,
             sig,
-            payload: None,
         }
     }
 
@@ -474,24 +503,25 @@ mod tests {
             machine_delta: run(&["m\"quote", "日本語", ""]),
             sig_delta: run(&["php/crash\n"]),
             release_delta: vec![("mysql", "5.0.27")],
-            recs: vec![
-                Rec {
+            rows: vec![
+                Row {
                     cluster: 3,
-                    ..rec(0, 0, NO_SIG)
+                    ..row(0, 0, NO_SIG)
                 },
-                Rec {
-                    payload: Some(Box::new(Payload {
-                        detail: "tab\there".into(),
-                        image: Some(ReportImage::new(
-                            "digest",
-                            vec!["ctx".into()],
-                            vec![],
-                            vec!["out-🦀".into()],
-                        )),
-                    })),
-                    ..rec(1, 0, 0)
-                },
+                row(1, 0, 0),
             ],
+            payloads: vec![(
+                18,
+                Payload {
+                    detail: "tab\there".into(),
+                    image: Some(ReportImage::new(
+                        "digest",
+                        vec!["ctx".into()],
+                        vec![],
+                        vec!["out-🦀".into()],
+                    )),
+                },
+            )],
         }
     }
 
@@ -643,7 +673,7 @@ mod tests {
 
     #[test]
     fn bad_option_tags_are_rejected() {
-        let mut bytes = frame_of(0, vec![rec(0, 0, 0)]).encode();
+        let mut bytes = frame_of(0, vec![row(0, 0, 0)]).encode();
         // The final byte is the payload option tag; make it undefined.
         *bytes.last_mut().unwrap() = 7;
         assert!(matches!(
@@ -654,7 +684,7 @@ mod tests {
 
     #[test]
     fn a_sequence_range_past_u64_is_rejected() {
-        let bytes = frame_of(u64::MAX, vec![rec(0, 0, NO_SIG)]).encode();
+        let bytes = frame_of(u64::MAX, vec![row(0, 0, NO_SIG)]).encode();
         assert!(matches!(
             WalFrame::decode(&bytes),
             Err(WireError::Corrupt { .. })
@@ -666,12 +696,22 @@ mod tests {
         let urr = Urr::new();
         urr.intern_machines(["m0"]);
         urr.intern_release("p", "v");
-        let ok = frame_of(0, vec![rec(0, 0, NO_SIG)]);
+        let ok = frame_of(0, vec![row(0, 0, NO_SIG)]);
         assert!(ok.validate_ids(&urr).is_ok());
         for (machine, sig, release) in [(9, NO_SIG, 0), (0, 5, 0), (0, NO_SIG, 9)] {
-            let bad = frame_of(0, vec![rec(machine, release, sig)]);
+            let bad = frame_of(0, vec![row(machine, release, sig)]);
             assert!(bad.validate_ids(&urr).is_err());
         }
+        let last = Row {
+            cluster: MAX_CLUSTERS - 1,
+            ..row(0, 0, NO_SIG)
+        };
+        assert!(frame_of(0, vec![last]).validate_ids(&urr).is_ok());
+        let past = Row {
+            cluster: MAX_CLUSTERS,
+            ..last
+        };
+        assert!(frame_of(0, vec![past]).validate_ids(&urr).is_err());
     }
 
     #[test]

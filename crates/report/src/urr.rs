@@ -15,7 +15,11 @@
 //! * **Dense interning.** Machine names ([`MachineRef`], a `u32` in the
 //!   same style as the deploy plane's `MachineId`), failure signatures
 //!   ([`SigId`]), and `(package, version)` pairs ([`ReleaseId`]) are
-//!   interned once; stored records are small `Copy`-ish structs of ids.
+//!   interned once; a stored report is a 16-byte row of four `u32` ids.
+//!   The free-form payload only a boundary failure report brings
+//!   (detail and reproduction image) is filed beside the rows under the
+//!   report's sequence number, so a repository of simulated or interned
+//!   reports keeps none.
 //!   Machines and signatures each live in a [`NameTable`]: bytes in one
 //!   buffer, no allocation per name. A whole fleet whose names somebody
 //!   else already interned — a deployment plan's machine table, handed
@@ -37,7 +41,10 @@
 //! The batched ingest path ([`Urr::deposit_batch`], and the fully
 //! interned [`Urr::deposit_interned_batch`] used by the simulator's
 //! `with_urr` wiring) claims a contiguous sequence range and stores the
-//! batch under one acquisition of the lock.
+//! batch under one acquisition of the lock. Every path into the store —
+//! these, journaled ingest and journal replay — files rows through the
+//! one store insert; an interned batch's reports are read as rows, never
+//! copied into them first.
 //!
 //! The seeded `urr_matches_the_recorded_reference` property holds the
 //! grouped views to the answers the string-keyed prototype gave on
@@ -66,6 +73,12 @@ use crate::serve::NameList;
 
 /// Sentinel for "this record is a success" in the stored sig slot.
 pub(crate) const NO_SIG: u32 = u32::MAX;
+
+/// Cluster ids are below this. Clusters are not interned: the
+/// per-cluster tallies and each failure group's cluster set are indexed
+/// by the id itself, so the id sizes them, and journal replay rejects a
+/// larger one rather than let a frame's bytes size them.
+pub(crate) const MAX_CLUSTERS: u32 = 1 << 20;
 
 // ---------------------------------------------------------------------
 // Public id types
@@ -211,30 +224,30 @@ pub struct InternedReport {
 // ---------------------------------------------------------------------
 
 /// Heap payload a record only carries when it has one: failure detail
-/// and/or a reproduction image.
+/// and/or a reproduction image. Kept beside the rows, not in them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Payload {
     pub(crate) detail: String,
     pub(crate) image: Option<ReportImage>,
 }
 
-/// One stored report record: ids only, payload boxed out of line. Also
-/// the record a journaled frame decodes into. Its sequence number is
-/// its index in the archive.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Rec {
+/// One stored report: four ids, 16 bytes. Also the row a journaled
+/// frame decodes into. Its sequence number is its index in the archive;
+/// a payload, if it has one, is filed under that number beside it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Row {
     pub(crate) machine: u32,
     pub(crate) cluster: u32,
     pub(crate) release: u32,
     /// [`NO_SIG`] for successes.
     pub(crate) sig: u32,
-    pub(crate) payload: Option<Box<Payload>>,
 }
 
-impl Rec {
-    /// The record a pre-interned report is stored as.
+impl Row {
+    /// The row a pre-interned report is stored as.
+    #[inline]
     pub(crate) fn interned(r: &InternedReport) -> Self {
-        Rec {
+        Row {
             machine: r.machine.0,
             cluster: r.cluster,
             release: r.release.0,
@@ -242,8 +255,19 @@ impl Rec {
                 InternedOutcome::Success => NO_SIG,
                 InternedOutcome::Failure(sig) => sig.0,
             },
-            payload: None,
         }
+    }
+}
+
+/// Payloads filed by sequence number, ascending: the few records that
+/// carry one, beside rows that do not.
+pub(crate) type Payloads = Vec<(u64, Payload)>;
+
+/// Keys the payloads of a lowered batch ([`Urr::lower`]), which are keyed
+/// by index in it, by sequence number: the batch's first is `first`.
+pub(crate) fn file_from(payloads: &mut Payloads, first: u64) {
+    for (seq, _) in payloads {
+        *seq += first;
     }
 }
 
@@ -287,8 +311,10 @@ pub(crate) struct GroupSlot {
 /// lock guards.
 #[derive(Debug, Default)]
 pub(crate) struct Store {
-    /// Every record, in sequence order.
-    pub(crate) recs: Vec<Rec>,
+    /// Every record's row, in sequence order.
+    pub(crate) rows: Vec<Row>,
+    /// The payloads of the records that carry one, by sequence number.
+    pub(crate) payloads: Payloads,
     /// Inverted index, indexed by [`SigId`].
     pub(crate) groups: Vec<GroupSlot>,
     /// Signatures with at least one report, in discovery order.
@@ -311,7 +337,7 @@ pub(crate) struct Store {
 impl Store {
     /// The sequence number the next stored record takes.
     pub(crate) fn next_seq(&self) -> u64 {
-        self.recs.len() as u64
+        self.rows.len() as u64
     }
 
     /// Sizes the release and signature tables to cover ids below
@@ -325,12 +351,19 @@ impl Store {
         }
     }
 
-    /// Files the record stored under `seq` in every index. The release
-    /// and signature tables must already cover its ids.
+    /// Files the row stored under `seq` in every index. The release and
+    /// signature tables must already cover its ids.
     #[inline]
-    fn tally(&mut self, seq: u64, machine: u32, cluster: u32, release: u32, sig: u32) {
+    fn tally(&mut self, seq: u64, row: Row) {
+        let Row {
+            machine,
+            cluster,
+            release,
+            sig,
+        } = row;
         let c = cluster as usize;
         if c >= self.cluster_tallies.len() {
+            assert!(cluster < MAX_CLUSTERS, "cluster id overflow");
             self.cluster_tallies.resize(c + 1, (0, 0));
         }
         let rel = &mut self.release_tallies[release as usize];
@@ -360,51 +393,48 @@ impl Store {
         }
     }
 
-    /// Stores `recs` under the next sequence numbers and returns them.
-    pub(crate) fn extend(&mut self, recs: impl IntoIterator<Item = Rec>) -> Range<u64> {
-        let start = self.next_seq();
-        for rec in recs {
-            let seq = self.next_seq();
-            if let Some(img) = rec.payload.as_ref().and_then(|p| p.image.as_ref()) {
-                self.image_bytes += img.byte_size();
-            }
-            let sig = if rec.sig == NO_SIG {
-                0
-            } else {
-                rec.sig as usize + 1
-            };
-            self.cover(rec.release as usize + 1, sig);
-            self.tally(seq, rec.machine, rec.cluster, rec.release, rec.sig);
-            self.recs.push(rec);
-        }
-        start..self.next_seq()
-    }
-
-    /// Stores pre-interned records under the next sequence numbers — the
-    /// hot loop. Equivalent to [`Store::extend`] over [`Rec::interned`],
-    /// but the signature and release tables are sized once from the
-    /// interner lengths (`sigs`, `releases`: every id in `recs` is below
-    /// them by construction), and interned records carry no payload.
-    fn extend_interned(
+    /// Stores `rows` under the next sequence numbers and returns them:
+    /// the one insert, for live ingest and replay alike. `payloads` are
+    /// filed under their sequence numbers, which ascend and lie in the
+    /// returned range. `sigs` and `releases` are the interner lengths:
+    /// every id in `rows` is below them, so the signature and release
+    /// tables are sized once. The rows are read twice: a tally pass,
+    /// then a tight append the compiler vectorises.
+    pub(crate) fn insert(
         &mut self,
-        recs: &[InternedReport],
+        rows: impl ExactSizeIterator<Item = Row> + Clone,
+        payloads: Payloads,
         sigs: usize,
         releases: usize,
     ) -> Range<u64> {
         let start = self.next_seq();
         self.cover(releases, sigs);
-        self.recs.reserve(recs.len());
-        for (seq, r) in (start..).zip(recs) {
-            let sig = match r.outcome {
-                InternedOutcome::Success => NO_SIG,
-                InternedOutcome::Failure(sig) => sig.0,
-            };
-            self.tally(seq, r.machine.0, r.cluster, r.release.0, sig);
+        for (seq, row) in (start..).zip(rows.clone()) {
+            self.tally(seq, row);
         }
-        // A second tight pass appends to the archive: the extend
-        // vectorises without the tally loop's branches in the way.
-        self.recs.extend(recs.iter().map(Rec::interned));
-        start..self.next_seq()
+        self.rows.extend(rows);
+        let range = start..self.next_seq();
+        debug_assert!(payloads.iter().all(|(seq, _)| range.contains(seq)));
+        for (_, payload) in &payloads {
+            self.image_bytes += payload.image.as_ref().map_or(0, ReportImage::byte_size);
+        }
+        self.payloads.extend(payloads);
+        range
+    }
+
+    /// The payload of the record stored under `seq`, if it has one.
+    fn payload(&self, seq: u64) -> Option<&Payload> {
+        let at = (self.payloads)
+            .binary_search_by_key(&seq, |&(seq, _)| seq)
+            .ok()?;
+        Some(&self.payloads[at].1)
+    }
+
+    /// The payloads of the records stored under `window`.
+    pub(crate) fn payloads_in(&self, window: Range<u64>) -> &[(u64, Payload)] {
+        let lo = (self.payloads).partition_point(|&(seq, _)| seq < window.start);
+        let hi = (self.payloads).partition_point(|&(seq, _)| seq < window.end);
+        &self.payloads[lo..hi.max(lo)]
     }
 
     /// The discovered signatures first seen in `window`: a run of the
@@ -422,7 +452,7 @@ impl Store {
 
     pub(crate) fn stats(&self) -> UrrStats {
         UrrStats {
-            total: self.recs.len(),
+            total: self.rows.len(),
             successes: self.successes,
             failures: self.failures,
             distinct_failures: self.discovery.len(),
@@ -674,8 +704,7 @@ impl Urr {
     /// compatibility path; hot ingest should prefer
     /// [`Urr::deposit_batch`] or [`Urr::deposit_interned_batch`].
     pub fn deposit(&self, report: Report) -> u64 {
-        let rec = self.lower(report);
-        let seq = self.lock().extend([rec]).start;
+        let seq = self.lower_and_insert(vec![report]).start;
         self.telemetry.counter("urr.deposits", 1);
         seq
     }
@@ -684,20 +713,37 @@ impl Urr {
     /// claimed and stored in one acquisition of the lock. Returns the
     /// range.
     pub fn deposit_batch(&self, reports: Vec<Report>) -> Range<u64> {
-        let recs: Vec<Rec> = reports.into_iter().map(|r| self.lower(r)).collect();
-        let range = self.lock().extend(recs);
+        let range = self.lower_and_insert(reports);
         self.note_batch(range.end - range.start);
         range
+    }
+
+    /// Lowers boundary reports, then stores them in one acquisition of
+    /// the lock.
+    fn lower_and_insert(&self, reports: Vec<Report>) -> Range<u64> {
+        let (rows, mut payloads) = self.lower(reports);
+        let (sigs, releases) = self.table_lens();
+        let mut store = self.lock();
+        file_from(&mut payloads, store.next_seq());
+        store.insert(rows.iter().copied(), payloads, sigs, releases)
     }
 
     /// Deposits a batch of pre-interned records: the allocation-free
     /// ingest path the simulator uses.
     pub fn deposit_interned_batch(&self, recs: &[InternedReport]) -> Range<u64> {
-        let sigs = self.sigs.read().expect("urr poisoned").len();
-        let releases = self.releases.read().expect("urr poisoned").pairs.len();
-        let range = self.lock().extend_interned(recs, sigs, releases);
+        let (sigs, releases) = self.table_lens();
+        let rows = recs.iter().map(Row::interned);
+        let range = self.lock().insert(rows, Payloads::new(), sigs, releases);
         self.note_batch(recs.len() as u64);
         range
+    }
+
+    /// The signature and release interners' lengths: every id interned
+    /// so far is below them.
+    pub(crate) fn table_lens(&self) -> (usize, usize) {
+        let sigs = self.sigs.read().expect("urr poisoned").len();
+        let releases = self.releases.read().expect("urr poisoned").pairs.len();
+        (sigs, releases)
     }
 
     pub(crate) fn note_batch(&self, n: u64) {
@@ -706,32 +752,39 @@ impl Urr {
         self.telemetry.observe("urr.batch_size", n);
     }
 
-    /// Lowers one boundary report to the record it is stored as,
-    /// interning its names.
-    pub(crate) fn lower(&self, report: Report) -> Rec {
-        let machine = self.intern_machine(&report.machine).0;
-        let release = self.intern_release(&report.package, &report.version).0;
-        let (sig, detail) = match report.outcome {
-            ReportOutcome::Success => (NO_SIG, String::new()),
-            ReportOutcome::Failure { signature, detail } => {
-                (self.intern_signature(&signature).0, detail)
-            }
-        };
-        let payload = if detail.is_empty() && report.image.is_none() {
-            None
-        } else {
-            Some(Box::new(Payload {
-                detail,
-                image: report.image,
-            }))
-        };
-        Rec {
-            machine,
-            cluster: u32::try_from(report.cluster).expect("cluster id overflow"),
-            release,
-            sig,
-            payload,
-        }
+    /// Lowers boundary reports to the rows they are stored as, interning
+    /// their names. The payloads are keyed by their report's index in
+    /// `reports` until the batch claims its sequence numbers
+    /// ([`file_from`]).
+    pub(crate) fn lower(&self, reports: Vec<Report>) -> (Vec<Row>, Payloads) {
+        let mut payloads = Payloads::new();
+        let rows = (0..)
+            .zip(reports)
+            .map(|(i, report)| {
+                // Machine, release, signature: the order ids are claimed in.
+                let machine = self.intern_machine(&report.machine).0;
+                let release = self.intern_release(&report.package, &report.version).0;
+                let (sig, detail) = match report.outcome {
+                    ReportOutcome::Success => (NO_SIG, String::new()),
+                    ReportOutcome::Failure { signature, detail } => {
+                        (self.intern_signature(&signature).0, detail)
+                    }
+                };
+                if !detail.is_empty() || report.image.is_some() {
+                    let image = report.image;
+                    payloads.push((i, Payload { detail, image }));
+                }
+                Row {
+                    machine,
+                    cluster: (u32::try_from(report.cluster).ok())
+                        .filter(|&c| c < MAX_CLUSTERS)
+                        .expect("cluster id overflow"),
+                    release,
+                    sig,
+                }
+            })
+            .collect();
+        (rows, payloads)
     }
 
     // -- queries ------------------------------------------------------
@@ -885,29 +938,30 @@ impl Urr {
 
     /// Reconstructs the record stored under `seq` as a boundary
     /// [`Report`].
-    fn rec_to_report(
-        rec: &Rec,
+    fn row_to_report(
+        row: Row,
         seq: u64,
+        payload: Option<&Payload>,
         machines: &NameTable,
         sigs: &NameTable,
         releases: &ReleaseInterner,
     ) -> Report {
-        let (package, version) = releases.pair(rec.release);
-        let (detail, image) = match &rec.payload {
+        let (package, version) = releases.pair(row.release);
+        let (detail, image) = match payload {
             Some(p) => (p.detail.clone(), p.image.clone()),
             None => (String::new(), None),
         };
-        let outcome = if rec.sig == NO_SIG {
+        let outcome = if row.sig == NO_SIG {
             ReportOutcome::Success
         } else {
             ReportOutcome::Failure {
-                signature: sigs.name(rec.sig).to_string(),
+                signature: sigs.name(row.sig).to_string(),
                 detail,
             }
         };
         Report {
-            machine: machines.name(rec.machine).to_string(),
-            cluster: rec.cluster as usize,
+            machine: machines.name(row.machine).to_string(),
+            cluster: row.cluster as usize,
             package: package.to_string(),
             version: version.to_string(),
             outcome,
@@ -916,16 +970,19 @@ impl Urr {
         }
     }
 
-    /// The reports whose records match `keep`, in deposit order.
-    fn collect(&self, keep: impl Fn(&Rec) -> bool) -> Vec<Report> {
+    /// The reports whose rows match `keep`, in deposit order.
+    fn collect(&self, keep: impl Fn(&Row) -> bool) -> Vec<Report> {
         let store = self.lock();
         let machines = self.machines.read().expect("urr poisoned");
         let sigs = self.sigs.read().expect("urr poisoned");
         let releases = self.releases.read().expect("urr poisoned");
         (0..)
-            .zip(&store.recs)
-            .filter(|(_, rec)| keep(rec))
-            .map(|(seq, rec)| Self::rec_to_report(rec, seq, &machines, &sigs, &releases))
+            .zip(&store.rows)
+            .filter(|(_, row)| keep(row))
+            .map(|(seq, &row)| {
+                let payload = store.payload(seq);
+                Self::row_to_report(row, seq, payload, &machines, &sigs, &releases)
+            })
             .collect()
     }
 
@@ -1263,6 +1320,32 @@ mod tests {
         let snap = recorder.0.snapshot();
         assert_eq!(snap.counters["urr.queries"], 1);
         assert_eq!(snap.histograms["urr.query_ns"].count, 1);
+    }
+
+    /// A cluster id sizes the per-cluster tables, so one past
+    /// [`MAX_CLUSTERS`] is refused on either ingest path; the last one
+    /// below it is taken.
+    #[test]
+    fn cluster_ids_stay_below_the_limit() {
+        let urr = Urr::new();
+        let last = MAX_CLUSTERS as usize - 1;
+        urr.deposit(Report::success("m", last, "p", "1"));
+        assert_eq!(urr.for_cluster(last).len(), 1);
+        let boundary = std::panic::catch_unwind(|| {
+            Urr::new().deposit(Report::success("m", last + 1, "p", "1"))
+        });
+        assert!(boundary.is_err(), "a boundary report past the limit");
+        let interned = std::panic::catch_unwind(|| {
+            let urr = Urr::new();
+            let report = InternedReport {
+                machine: urr.intern_machine("m"),
+                cluster: MAX_CLUSTERS,
+                release: urr.intern_release("p", "1"),
+                outcome: InternedOutcome::Success,
+            };
+            urr.deposit_interned_batch(&[report])
+        });
+        assert!(interned.is_err(), "an interned report past the limit");
     }
 
     #[test]

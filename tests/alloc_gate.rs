@@ -1,9 +1,10 @@
 //! Allocation gates: counts and bytes, not timings, so they read the
 //! same on a loaded host. A fleet's names cost allocations per *table*,
-//! not per name, and a simulated run holds a bounded number of bytes per
-//! machine at its peak. Their own test binary because it installs a
-//! counting global allocator; the tests take turns ([`exclusive`]), so
-//! nothing else allocates while one of them counts.
+//! not per name, a simulated run holds a bounded number of bytes per
+//! machine at its peak, and a repository a bounded number per record.
+//! Their own test binary because it installs a counting global
+//! allocator; the tests take turns ([`exclusive`]), so nothing else
+//! allocates while one of them counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -11,7 +12,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use mirage::core::{GuardSettings, ProtocolChoice, RolloutStrategy};
 use mirage::deploy::Protocol;
-use mirage::report::{DurableConfig, DurableUrr, MemoryStore, Urr};
+use mirage::report::{
+    DurableConfig, DurableUrr, InternedOutcome, InternedReport, MemoryStore, Urr,
+};
 use mirage::sim::{FaultSpec, Scenario, ScenarioBuilder, Simulation};
 use mirage_telemetry::Telemetry;
 
@@ -141,11 +144,12 @@ fn name_tables_allocate_per_table_not_per_name() {
 /// Machines per gated run: 100 clusters of 1 000.
 const FLEET: usize = 100_000;
 
-/// Peak bytes per machine of the faulted run. It reads 104.7: 32 bytes
+/// Peak bytes per machine of the faulted run. It reads 99.7: 32 bytes
 /// of vendor-side columns (pass and revert times, the awaited
 /// notification, the machine's fault RNG lane), the rest the
-/// repository's records, the journal's segments and the queue. With 84
-/// bytes of columns (16-byte times, a 12-byte awaited pair, a 24-byte
+/// repository's 16-byte rows, the journal's segments and the queue.
+/// With 24-byte repository records it read 104.7; with 84 bytes of
+/// columns as well (16-byte times, a 12-byte awaited pair, a 24-byte
 /// churn table beside a plan without churn, a ref table that is the
 /// identity, a cluster table the plan already answers) it read 157.3.
 const FAULTED_BOUND: f64 = 115.0;
@@ -212,5 +216,86 @@ fn simulated_runs_hold_bounded_bytes_per_machine() {
     assert!(
         fast < BALANCED_BOUND,
         "a Balanced run peaked at {fast:.1} bytes per machine"
+    );
+}
+
+/// Records per gated ingest, one a machine, deposited in batches of the
+/// simulator's flush size.
+const RECORDS: usize = 100_000;
+const BATCH: usize = 4_096;
+
+/// Peak bytes per record of an interned ingest into a fresh [`Urr`]. It
+/// reads 32.0: the 16-byte rows, their buffer growing by doubling (the
+/// old and the new buffer live at once). With 24-byte records, the
+/// payload an inline `Option<Box<_>>`, it read 47.6.
+const INGEST_BOUND: f64 = 36.0;
+
+/// Peak bytes per record of a journaled ingest into a [`DurableUrr`]
+/// over a [`MemoryStore`], and the recovery of a second repository from
+/// the store's image beside it: the live rows, the WAL (17 bytes a
+/// record and the names' delta), the recovered names and rows. It reads
+/// 108.4; with 24-byte records, lowered into a fresh vector for every
+/// journaled batch and every replayed frame, it read 134.9.
+const JOURNALED_BOUND: f64 = 118.0;
+
+/// `RECORDS` reports from `RECORDS` machines interned into `urr`: every
+/// tenth a failure, the rest successes, over 100 clusters.
+fn interned_records(urr: &Urr) -> Vec<InternedReport> {
+    let names: Vec<String> = (0..RECORDS).map(|i| format!("m{i:07}")).collect();
+    let machines = urr.intern_machines(names.iter().map(String::as_str));
+    let release = urr.intern_release("upgrade", "r1");
+    let sig = urr.intern_signature("fleet-regression");
+    (machines.into_iter().enumerate())
+        .map(|(i, machine)| InternedReport {
+            machine,
+            cluster: (i % 100) as u32,
+            release,
+            outcome: if i % 10 == 0 {
+                InternedOutcome::Failure(sig)
+            } else {
+                InternedOutcome::Success
+            },
+        })
+        .collect()
+}
+
+/// A repository holds a report in a 16-byte row of ids, its rare
+/// payload beside the rows, and journaled ingest and recovery move rows:
+/// the peak live bytes per record of an interned ingest, and of a
+/// journaled one with the recovery of its store's image, are bounded.
+/// The names are interned before the count, except the ones recovery
+/// interns again.
+#[test]
+fn urr_ingest_holds_bounded_bytes_per_record() {
+    let _turn = exclusive();
+    let urr = Urr::new();
+    let recs = interned_records(&urr);
+    let ingest = peak_bytes(|| {
+        for batch in recs.chunks(BATCH) {
+            urr.deposit_interned_batch(batch);
+        }
+    }) as f64
+        / RECORDS as f64;
+    assert_eq!(urr.stats().total, RECORDS);
+
+    let store = MemoryStore::new();
+    let durable = DurableUrr::new(Box::new(store.clone()), DurableConfig::default())
+        .expect("the memory store cannot fail");
+    assert_eq!(interned_records(durable.urr()), recs);
+    let journaled = peak_bytes(|| {
+        for batch in recs.chunks(BATCH) {
+            durable.deposit_interned_batch(batch).expect("memory store");
+        }
+        DurableUrr::recover(Box::new(store.fork()), DurableConfig::default())
+            .expect("the memory store cannot fail")
+    }) as f64
+        / RECORDS as f64;
+    assert!(
+        ingest < INGEST_BOUND,
+        "an interned ingest peaked at {ingest:.1} bytes per record"
+    );
+    assert!(
+        journaled < JOURNALED_BOUND,
+        "a journaled ingest and its recovery peaked at {journaled:.1} bytes per record"
     );
 }
