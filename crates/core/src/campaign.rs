@@ -157,8 +157,8 @@ impl Campaign {
     /// lets the vendor diagnose failures from the report images and
     /// ship corrected releases, and continues until the controller
     /// completes or stalls. `choice` selects the staging protocol a
-    /// `Staged` strategy runs; cohort strategies (`Canary` / `Rolling`
-    /// / `BlueGreen`) run their cohorts on the same engine and ignore it.
+    /// `Staged` strategy runs; the cohort strategies (`Canary` /
+    /// `Rolling` / `BlueGreen`) ignore it.
     ///
     /// With [guard settings](Campaign::with_guard) armed, the
     /// controller assesses the campaign's URR on every decision tick
@@ -173,7 +173,7 @@ impl Campaign {
         threshold: f64,
     ) -> CampaignResult {
         let _deploy_span = self.telemetry.span("campaign.deploy");
-        let mut controller = RolloutController::new(plan.clone(), choice, threshold)
+        let mut controller = RolloutController::new(plan.clone().with_choice(choice), threshold)
             .with_telemetry(self.telemetry.clone());
         if let Some(settings) = self.guard {
             controller = controller.with_guard(UrrGuard::new(Arc::clone(&self.urr), settings));

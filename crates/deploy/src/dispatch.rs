@@ -1,13 +1,11 @@
-//! Protocol selection: the one table from a protocol's name to a
-//! configuration of the staged engine.
+//! Protocol selection: which of the staged strategy's rows of
+//! [`RolloutPlan::choose`] to run.
 //!
-//! [`ProtocolChoice`] is a tiny `Copy` value, parseable from a name;
-//! [`ProtocolChoice::build`] turns it into a [`Staging`] over a plan.
-//! Every driver (the simulator, the live campaign, the rollout
-//! controller, the repro harness) configures protocols through it.
+//! [`ProtocolChoice`] is a tiny `Copy` value; [`ProtocolChoice::build`]
+//! looks its row up and builds the [`Staging`] engine over a plan.
 
-use crate::plan::DeployPlan;
-use crate::protocols::{Front, Staging};
+use crate::plan::{DeployPlan, RolloutPlan, RolloutStrategy};
+use crate::protocols::Staging;
 
 /// Deterministic Fisher–Yates shuffle driven by a xorshift64 stream —
 /// the RandomStaging baseline's cluster-order generator. Kept
@@ -58,22 +56,12 @@ impl ProtocolChoice {
         }
     }
 
-    /// Builds the chosen protocol over `plan` at `threshold`. Each
-    /// choice is one row of the crate docs' table: who tests in phase 1,
-    /// and the order the clusters deploy in afterwards. NoStaging has no
-    /// cluster wave, so it ignores the threshold.
+    /// The engine running this choice's row of
+    /// [`RolloutPlan::choose`] over `plan` at `threshold`. NoStaging has
+    /// no cluster wave, so it ignores the threshold.
     pub fn build(self, plan: DeployPlan, threshold: f64) -> Staging {
-        let (front, order) = match self {
-            ProtocolChoice::NoStaging => (Front::Everyone, Vec::new()),
-            ProtocolChoice::Balanced => (Front::None, plan.order_by_distance_asc()),
-            ProtocolChoice::RandomStaging { seed } => {
-                let mut order: Vec<usize> = (0..plan.clusters.len()).collect();
-                seeded_shuffle(&mut order, seed);
-                (Front::None, order)
-            }
-            ProtocolChoice::FrontLoading => (Front::Reps, plan.order_by_distance_desc()),
-        };
-        Staging::new(self.name(), plan, front, order, threshold)
+        let staged = RolloutStrategy::Staged { waves: 1 };
+        Staging::new(RolloutPlan::choose(plan, staged, self), threshold)
     }
 }
 

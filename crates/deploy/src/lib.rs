@@ -14,35 +14,29 @@
 //! simulation and "real" deployment, and makes every protocol trivially
 //! testable.
 //!
-//! The paper's four protocols are four configurations of one engine,
-//! [`Staging`]: a phase-1 *front* tests in parallel, then *waves* (here
-//! clusters, reps first) open one at a time in an *order*, each on the
-//! report that meets the threshold. [`ProtocolChoice::build`] is the
-//! table:
+//! Every protocol and rollout strategy is a row of one table,
+//! [`RolloutPlan::choose`], run by one engine, [`Staging`], which is
+//! built from a [`RolloutPlan`] alone: a phase-1 *front* tests in
+//! parallel, then *waves* (runs of machines, representatives first)
+//! open one at a time in an *order*. The paper's protocols are the
+//! `Staged` rows, picked by [`ProtocolChoice`]: each cluster is a wave,
+//! opened by the report that meets the threshold. The cohort rows open
+//! theirs on a decision tick.
 //!
-//! | choice        | front               | order               |
-//! |---------------|---------------------|---------------------|
-//! | NoStaging     | every machine       | none                |
-//! | Balanced      | none                | ascending distance  |
-//! | RandomStaging | none                | seeded shuffle      |
-//! | FrontLoading  | all representatives | descending distance |
+//! | row           | front           | waves, in order                 | for                          |
+//! |---------------|-----------------|---------------------------------|------------------------------|
+//! | NoStaging     | every machine   | none                            | urgent upgrades: fastest     |
+//! | Balanced      | none            | clusters, ascending distance    | low overhead, good latency   |
+//! | RandomStaging | none            | clusters, seeded shuffle        | staging without the ordering |
+//! | FrontLoading  | representatives | clusters, descending distance   | front-loaded debugging       |
+//! | Canary        | none            | the first `percentage`, the rest| a baked probe cohort         |
+//! | Rolling       | none            | `batch_size` machines at a time | bounded batches              |
+//! | BlueGreen     | none            | representatives, then the rest  | one probe per cluster        |
 //!
-//! * **NoStaging** — one giant cluster, everyone a representative;
-//!   fastest, maximum overhead. For simple and urgent upgrades
-//!   (security patches).
-//! * **Balanced** — the clusters most similar to the vendor first. Low
-//!   overhead, good latency.
-//! * **RandomStaging** — Balanced's staging over a shuffled order;
-//!   isolates the benefit of staging from that of intelligent ordering.
-//! * **FrontLoading** — every representative tests in parallel until no
-//!   problems remain, then non-representatives deploy cluster by
-//!   cluster, the most vendor-dissimilar first, front-loading the
-//!   vendor's debugging effort.
-//!
-//! [`Staging::cohorts`] is the rollout strategies' row: cohorts as waves
-//! without representatives, each opened on a decision tick. The stall
-//! budget that waives machines which will never report is no row's: the
-//! driver passes it with every tick ([`Protocol::on_tick`]).
+//! The stall budget that waives machines which will never report is no
+//! row's: the driver passes it with every tick ([`Protocol::on_tick`]).
+//! [`RolloutPlan::exposure_limit`] is what the engine notifies before
+//! any report.
 
 //! ## The interned data plane
 //!
@@ -64,7 +58,7 @@ pub mod protocols;
 
 pub use dispatch::{seeded_shuffle, ProtocolChoice};
 pub use ids::{MachineId, MachineSet, MachineTable, ProblemId, ProblemSet, ProblemTable};
-pub use plan::{DeployCluster, DeployPlan};
+pub use plan::{DeployCluster, DeployPlan, RolloutPlan, RolloutStrategy};
 pub use protocol::{
     Command, Protocol, Release, SimTime, TestOutcome, TestReport, DEFAULT_TICK_INTERVAL,
     PRIOR_RELEASE,

@@ -1,15 +1,20 @@
-//! The deployment plan: clusters, representatives, distances.
+//! The deployment plan and the strategy table that says how to walk it.
 //!
-//! A plan carries the [`MachineTable`] that maps machine names to dense
-//! [`MachineId`]s; cluster membership is stored as id vectors so that
-//! protocols and the simulator never touch strings on the hot path.
-//! The table's names are shared, not owned: cloning a plan — into a
-//! protocol, a rollout plan, a controller — copies the id vectors and
-//! takes another handle on the one table, whatever the fleet size.
+//! A [`DeployPlan`] carries the [`MachineTable`] that maps machine
+//! names to dense [`MachineId`]s; cluster membership is stored as id
+//! vectors so that protocols and the simulator never touch strings on
+//! the hot path. The table's names are shared, not owned: cloning a
+//! plan copies the id vectors and takes another handle on the one
+//! table, whatever the fleet size.
+//!
+//! A [`RolloutPlan`] is a deploy plan plus one row of the strategy
+//! table ([`RolloutPlan::choose`]): the engine's whole input.
 
 use mirage_cluster::Clustering;
 
+use crate::dispatch::{seeded_shuffle, ProtocolChoice};
 use crate::ids::{MachineId, MachineTable};
+use crate::protocol::SimTime;
 
 /// One cluster as seen by a deployment protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,7 +117,7 @@ impl DeployPlan {
     }
 
     /// Cluster ids ordered by ascending distance (ties by id).
-    pub fn order_by_distance_asc(&self) -> Vec<usize> {
+    pub(crate) fn order_by_distance_asc(&self) -> Vec<usize> {
         let mut ids: Vec<usize> = (0..self.clusters.len()).collect();
         ids.sort_by(|&a, &b| {
             self.clusters[a]
@@ -121,13 +126,6 @@ impl DeployPlan {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
-        ids
-    }
-
-    /// Cluster ids ordered by descending distance (ties by id).
-    pub(crate) fn order_by_distance_desc(&self) -> Vec<usize> {
-        let mut ids = self.order_by_distance_asc();
-        ids.reverse();
         ids
     }
 
@@ -141,6 +139,13 @@ impl DeployPlan {
         self.clusters
             .iter()
             .flat_map(|c| c.members.iter().copied())
+            .collect()
+    }
+
+    /// The members of the clusters `order` lists, in that order.
+    fn machines_in(&self, order: &[usize]) -> Vec<MachineId> {
+        (order.iter())
+            .flat_map(|&c| self.clusters[c].members.iter().copied())
             .collect()
     }
 
@@ -173,17 +178,271 @@ impl DeployPlan {
     }
 }
 
+/// How aggressively a release spreads across the fleet: with a
+/// [`ProtocolChoice`], the key of a row of [`RolloutPlan::choose`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RolloutStrategy {
+    /// The paper's staged deployment: the [`ProtocolChoice`] row, each
+    /// cluster a wave, representatives first.
+    Staged {
+        /// Unread: every cluster is a wave of its own. Callers still
+        /// spell it.
+        waves: usize,
+    },
+    /// A small fixed-percentage cohort receives the release first and
+    /// must stay healthy for `bake_time` ticks of simulated time
+    /// before the remainder of the fleet is notified.
+    Canary {
+        /// Fleet percentage in the canary cohort (`0.0..=100.0`;
+        /// rounded up to whole machines, floored at one).
+        percentage: f64,
+        /// Minimum simulated time between the canary cohort passing
+        /// and the rollout widening.
+        bake_time: SimTime,
+    },
+    /// Fixed-size machine batches in distance order, each gated on the
+    /// previous batch passing.
+    Rolling {
+        /// Machines per batch (floored at one).
+        batch_size: usize,
+    },
+    /// Two cohorts: every cluster representative first (the "green"
+    /// probe fleet), then every remaining machine.
+    BlueGreen,
+}
+
+impl RolloutStrategy {
+    /// Stable lowercase strategy name for reports and JSON artifacts.
+    pub fn name(self) -> &'static str {
+        match self {
+            RolloutStrategy::Staged { .. } => "staged",
+            RolloutStrategy::Canary { .. } => "canary",
+            RolloutStrategy::Rolling { .. } => "rolling",
+            RolloutStrategy::BlueGreen => "blue_green",
+        }
+    }
+}
+
+/// Who tests in phase 1, in parallel, before the first wave.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Front {
+    /// Nobody: the first wave opens with its representatives.
+    None,
+    /// Every representative of every wave (FrontLoading). The waves
+    /// then notify non-representatives only.
+    Reps,
+    /// Every machine: one giant cluster, everyone a representative
+    /// (NoStaging). Paired with an empty wave order.
+    Everyone,
+}
+
+/// When a wave that met its threshold opens the next one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Gate {
+    /// At once, on the report that met it (the paper's protocols).
+    Report,
+    /// On a decision tick, `bake_time` after the first tick that saw the
+    /// threshold met, and only while the caller allows a widen (rollout
+    /// cohorts).
+    Tick { bake_time: SimTime },
+}
+
+/// The waves a plan's engine walks.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Waves {
+    /// The deploy plan's clusters, each a wave with its representatives
+    /// first, opened in this order of cluster indexes.
+    Clusters(Vec<usize>),
+    /// Runs of machines with no representatives, opened in sequence.
+    Cohorts(Vec<Vec<MachineId>>),
+}
+
+/// A deploy plan and the row of the strategy table that walks it: the
+/// whole input of the engine, [`crate::Staging::new`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RolloutPlan {
+    /// The underlying cluster plan (machine table, reps, distances).
+    pub deploy: DeployPlan,
+    strategy: RolloutStrategy,
+    /// The row's [`crate::Protocol::name`].
+    pub(crate) name: &'static str,
+    pub(crate) front: Front,
+    pub(crate) waves: Waves,
+    pub(crate) gate: Gate,
+}
+
+impl RolloutPlan {
+    /// `deploy` under `strategy`, a `Staged` strategy running Balanced.
+    pub fn new(deploy: DeployPlan, strategy: RolloutStrategy) -> Self {
+        RolloutPlan::choose(deploy, strategy, ProtocolChoice::Balanced)
+    }
+
+    /// The strategy table: `deploy` under `strategy`, a `Staged`
+    /// strategy running `choice`'s row (the crate docs list the rows).
+    /// The protocol rows walk the plan's clusters and are report-gated;
+    /// the cohort rows ignore `choice`, cut the machines, clusters in
+    /// ascending distance, into cohorts with no representatives, and are
+    /// tick-gated.
+    pub fn choose(deploy: DeployPlan, strategy: RolloutStrategy, choice: ProtocolChoice) -> Self {
+        use ProtocolChoice as P;
+        use RolloutStrategy as S;
+        let ascending = deploy.order_by_distance_asc();
+        let tick = |bake_time| Gate::Tick { bake_time };
+        let (name, front, waves, gate) = match (strategy, choice) {
+            (S::Staged { .. }, P::NoStaging) => {
+                let waves = Waves::Clusters(Vec::new());
+                (choice.name(), Front::Everyone, waves, Gate::Report)
+            }
+            (S::Staged { .. }, P::Balanced) => {
+                let waves = Waves::Clusters(ascending);
+                (choice.name(), Front::None, waves, Gate::Report)
+            }
+            (S::Staged { .. }, P::RandomStaging { seed }) => {
+                let mut order: Vec<usize> = (0..deploy.clusters.len()).collect();
+                seeded_shuffle(&mut order, seed);
+                let waves = Waves::Clusters(order);
+                (choice.name(), Front::None, waves, Gate::Report)
+            }
+            (S::Staged { .. }, P::FrontLoading) => {
+                let waves = Waves::Clusters(ascending.into_iter().rev().collect());
+                (choice.name(), Front::Reps, waves, Gate::Report)
+            }
+            (
+                S::Canary {
+                    percentage,
+                    bake_time,
+                },
+                _,
+            ) => {
+                let machines = deploy.machines_in(&ascending);
+                let n = machines.len();
+                let first = ((percentage / 100.0).clamp(0.0, 1.0) * n as f64).ceil() as usize;
+                let (canary, rest) = machines.split_at(first.clamp(1, n.max(1)).min(n));
+                let waves = Waves::cohorts(vec![canary.to_vec(), rest.to_vec()]);
+                ("Canary", Front::None, waves, tick(bake_time))
+            }
+            (S::Rolling { batch_size }, _) => {
+                let machines = deploy.machines_in(&ascending);
+                let batches = machines.chunks(batch_size.max(1)).map(<[_]>::to_vec);
+                let waves = Waves::cohorts(batches.collect());
+                ("Rolling", Front::None, waves, tick(0))
+            }
+            (S::BlueGreen, _) => {
+                let (mut reps, mut rest) = (Vec::new(), Vec::new());
+                for &c in &ascending {
+                    reps.extend_from_slice(&deploy.clusters[c].reps);
+                    rest.extend(deploy.clusters[c].non_reps());
+                }
+                let waves = Waves::cohorts(vec![reps, rest]);
+                ("BlueGreen", Front::None, waves, tick(0))
+            }
+        };
+        RolloutPlan {
+            deploy,
+            strategy,
+            name,
+            front,
+            waves,
+            gate,
+        }
+    }
+
+    /// This plan with a `Staged` strategy's row re-selected by
+    /// `choice`, through the same table; the other strategies ignore it.
+    pub fn with_choice(self, choice: ProtocolChoice) -> Self {
+        if matches!(self.strategy, RolloutStrategy::Staged { .. }) {
+            RolloutPlan::choose(self.deploy, self.strategy, choice)
+        } else {
+            self
+        }
+    }
+
+    /// Waves the engine opens one at a time, after the front.
+    pub fn wave_count(&self) -> usize {
+        match &self.waves {
+            Waves::Clusters(order) => order.len(),
+            Waves::Cohorts(cohorts) => cohorts.len(),
+        }
+    }
+
+    /// Machines the engine notifies before any report: the front (every
+    /// representative for FrontLoading, every machine for NoStaging),
+    /// otherwise the first wave's representatives, or the whole first
+    /// wave when it has none. This is the containment bound a guarded
+    /// rollout enforces: a release aborted before any widen touched at
+    /// most this many machines. Read off the plan; no engine is built.
+    /// A machine listed in two clusters counts twice, so the bound holds
+    /// on any plan and is exact when clusters share no machine.
+    pub fn exposure_limit(&self) -> usize {
+        // Every wave as (machines, representative count), and the order.
+        let (waves, order): (Vec<(&[MachineId], usize)>, Vec<usize>) = match &self.waves {
+            Waves::Clusters(order) => {
+                let clusters = self.deploy.clusters.iter();
+                let waves = clusters.map(|c| (&c.members[..], c.reps.len()));
+                (waves.collect(), order.clone())
+            }
+            Waves::Cohorts(cohorts) => {
+                let waves = cohorts.iter().map(|c| (&c[..], 0));
+                (waves.collect(), (0..cohorts.len()).collect())
+            }
+        };
+        let first: Vec<&[MachineId]> = match self.front {
+            Front::Everyone => waves.iter().map(|w| w.0).collect(),
+            Front::Reps if waves.iter().any(|w| w.1 > 0) => {
+                waves.iter().map(|&(m, reps)| &m[..reps]).collect()
+            }
+            // The first wave the engine does not pass over as empty: its
+            // representatives, or all of it when it has none.
+            Front::None | Front::Reps => (order.iter().map(|&w| waves[w]))
+                .find(|w| !w.0.is_empty())
+                .map(|(m, reps)| if reps > 0 { &m[..reps] } else { m })
+                .into_iter()
+                .collect(),
+        };
+        first.iter().map(|run| run.len()).sum()
+    }
+}
+
+impl Waves {
+    /// The non-empty `cohorts`, in sequence.
+    fn cohorts(mut cohorts: Vec<Vec<MachineId>>) -> Waves {
+        cohorts.retain(|c| !c.is_empty());
+        Waves::Cohorts(cohorts)
+    }
+}
+
+/// One row of each kind of the strategy table, for the tests that
+/// walk it.
+#[cfg(test)]
+pub(crate) const ROWS: [(RolloutStrategy, ProtocolChoice); 7] = [
+    (STAGED, ProtocolChoice::NoStaging),
+    (STAGED, ProtocolChoice::Balanced),
+    (STAGED, ProtocolChoice::FrontLoading),
+    (STAGED, ProtocolChoice::RandomStaging { seed: 5 }),
+    (
+        RolloutStrategy::Canary {
+            percentage: 25.0,
+            bake_time: 50,
+        },
+        ProtocolChoice::Balanced,
+    ),
+    (
+        RolloutStrategy::Rolling { batch_size: 3 },
+        ProtocolChoice::Balanced,
+    ),
+    (RolloutStrategy::BlueGreen, ProtocolChoice::Balanced),
+];
+
+#[cfg(test)]
+const STAGED: RolloutStrategy = RolloutStrategy::Staged { waves: 1 };
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Builds a synthetic plan: each tuple is (members, reps, distance).
     fn plan(specs: &[(&[&str], usize, f64)]) -> DeployPlan {
-        DeployPlan::from_named(
-            specs
-                .iter()
-                .map(|(members, reps, distance)| (members.iter().copied(), *reps, *distance)),
-        )
+        DeployPlan::from_named(specs.iter().copied())
     }
 
     #[test]
@@ -208,7 +467,6 @@ mod tests {
             (&["d"], 1, 1.0),
         ]);
         assert_eq!(p.order_by_distance_asc(), vec![1, 3, 2, 0]);
-        assert_eq!(p.order_by_distance_desc(), vec![0, 2, 3, 1]);
     }
 
     #[test]
@@ -296,5 +554,135 @@ mod tests {
         assert_eq!(p.clusters[0].reps.len(), 1);
         let p = DeployPlan::from_clustering(&clustering, 10);
         assert_eq!(p.clusters[0].reps.len(), 3);
+    }
+
+    /// Three clusters of 4, distances out of id order to exercise the
+    /// distance sort: cluster 1 (d=1) < cluster 2 (d=2) < cluster 0
+    /// (d=3).
+    fn deploy() -> DeployPlan {
+        DeployPlan::from_named([
+            (["a0", "a1", "a2", "a3"], 1, 3.0),
+            (["b0", "b1", "b2", "b3"], 1, 1.0),
+            (["c0", "c1", "c2", "c3"], 2, 2.0),
+        ])
+    }
+
+    /// Each wave's machines, in the order the engine opens them.
+    fn waves(plan: &RolloutPlan) -> Vec<Vec<MachineId>> {
+        match &plan.waves {
+            Waves::Clusters(order) => (order.iter())
+                .map(|&c| plan.deploy.clusters[c].members.clone())
+                .collect(),
+            Waves::Cohorts(cohorts) => cohorts.clone(),
+        }
+    }
+
+    fn names(plan: &RolloutPlan, wave: usize) -> Vec<&str> {
+        waves(plan)[wave]
+            .iter()
+            .map(|&m| plan.deploy.machine_name(m))
+            .collect()
+    }
+
+    /// Every row's waves but NoStaging's (it has none) cover the fleet
+    /// exactly once, and no wave is empty.
+    #[test]
+    fn cohorts_cover_fleet_exactly_once() {
+        for (strategy, choice) in ROWS {
+            let plan = RolloutPlan::choose(deploy(), strategy, choice);
+            if plan.front == Front::Everyone {
+                continue;
+            }
+            let mut seen: Vec<u32> = waves(&plan).concat().iter().map(|m| m.0).collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..12).collect::<Vec<_>>(), "{}", plan.name);
+            assert!(waves(&plan).iter().all(|c| !c.is_empty()));
+        }
+    }
+
+    #[test]
+    fn canary_cohort_is_ceil_of_percentage_in_distance_order() {
+        let plan = RolloutPlan::new(
+            deploy(),
+            RolloutStrategy::Canary {
+                percentage: 25.0,
+                bake_time: 50,
+            },
+        );
+        // ceil(25% of 12) = 3, from the closest cluster (cluster 1).
+        assert_eq!(plan.exposure_limit(), 3);
+        assert_eq!(names(&plan, 0), ["b0", "b1", "b2"]);
+        assert_eq!(plan.wave_count(), 2);
+        assert_eq!(plan.gate, Gate::Tick { bake_time: 50 });
+        // A sub-machine percentage still exposes one machine.
+        let plan = RolloutPlan::new(
+            deploy(),
+            RolloutStrategy::Canary {
+                percentage: 0.1,
+                bake_time: 0,
+            },
+        );
+        assert_eq!(plan.exposure_limit(), 1);
+    }
+
+    #[test]
+    fn rolling_batches_chunk_in_distance_order() {
+        let plan = RolloutPlan::new(deploy(), RolloutStrategy::Rolling { batch_size: 5 });
+        let sizes: Vec<usize> = waves(&plan).iter().map(Vec::len).collect();
+        assert_eq!(sizes, [5, 5, 2]);
+        assert_eq!(names(&plan, 0), ["b0", "b1", "b2", "b3", "c0"]);
+        assert_eq!(plan.exposure_limit(), 5);
+        // Zero batch size is floored at one machine per batch.
+        let plan = RolloutPlan::new(deploy(), RolloutStrategy::Rolling { batch_size: 0 });
+        assert_eq!(plan.wave_count(), 12);
+    }
+
+    #[test]
+    fn blue_green_splits_reps_from_the_rest() {
+        let plan = RolloutPlan::new(deploy(), RolloutStrategy::BlueGreen);
+        assert_eq!(plan.wave_count(), 2);
+        // 1 + 2 + 1 representatives, distance order.
+        assert_eq!(names(&plan, 0), ["b0", "c0", "c1", "a0"]);
+        assert_eq!(waves(&plan)[1].len(), 8);
+        assert_eq!(plan.exposure_limit(), 4);
+    }
+
+    /// A staged plan's waves are whole clusters, representatives
+    /// first, in its row's order; `waves` is unread.
+    #[test]
+    fn staged_waves_group_whole_clusters() {
+        let plan = RolloutPlan::new(deploy(), RolloutStrategy::Staged { waves: 2 });
+        assert_eq!((plan.name, plan.wave_count()), ("Balanced", 3));
+        assert_eq!(names(&plan, 1), ["c0", "c1", "c2", "c3"]);
+        // Balanced first notifies the nearest cluster's representative.
+        assert_eq!(plan.exposure_limit(), 1);
+        for count in [0, 1, 99] {
+            let other = RolloutPlan::new(deploy(), RolloutStrategy::Staged { waves: count });
+            assert_eq!((other.front, waves(&other)), (plan.front, waves(&plan)));
+        }
+        // The choice re-selects the row: FrontLoading fronts every
+        // representative, then walks the clusters farthest first.
+        let front = plan.with_choice(ProtocolChoice::FrontLoading);
+        assert_eq!((front.name, front.exposure_limit()), ("FrontLoading", 4));
+        assert_eq!(names(&front, 0), ["a0", "a1", "a2", "a3"]);
+        // A cohort row ignores it.
+        let rolling = RolloutPlan::new(deploy(), RolloutStrategy::Rolling { batch_size: 5 });
+        let same = rolling.clone().with_choice(ProtocolChoice::NoStaging);
+        assert_eq!(same, rolling);
+    }
+
+    #[test]
+    fn strategy_names_are_stable() {
+        assert_eq!(RolloutStrategy::Staged { waves: 1 }.name(), "staged");
+        assert_eq!(
+            RolloutStrategy::Canary {
+                percentage: 1.0,
+                bake_time: 1
+            }
+            .name(),
+            "canary"
+        );
+        assert_eq!(RolloutStrategy::Rolling { batch_size: 1 }.name(), "rolling");
+        assert_eq!(RolloutStrategy::BlueGreen.name(), "blue_green");
     }
 }

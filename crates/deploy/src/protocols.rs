@@ -12,7 +12,7 @@ use mirage_telemetry::journal::RolloutStep;
 use mirage_telemetry::{JournalEvent, Telemetry};
 
 use crate::ids::{MachineId, MachineSet, ProblemId, ProblemSet};
-use crate::plan::{DeployCluster, DeployPlan};
+use crate::plan::{DeployCluster, Front, Gate, RolloutPlan, Waves};
 use crate::protocol::{
     Command, MachineStatus, Protocol, Release, SimTime, TestOutcome, TestReport,
 };
@@ -35,19 +35,6 @@ pub fn ceil_threshold(total: usize, threshold: f64) -> usize {
         return 0;
     }
     (((total as f64) * threshold - 1e-9).ceil() as usize).max(1)
-}
-
-/// Who tests in phase 1, in parallel, before the first wave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Front {
-    /// Nobody: the first wave opens with its representatives.
-    None,
-    /// Every representative of every wave (FrontLoading). The waves
-    /// then notify non-representatives only.
-    Reps,
-    /// Every machine: one giant cluster, everyone a representative
-    /// (NoStaging). Paired with an empty wave order.
-    Everyone,
 }
 
 /// A run of machines deployed together, the first `reps` of them its
@@ -84,17 +71,6 @@ impl From<DeployCluster> for Wave {
     }
 }
 
-/// When a wave that met its threshold opens the next one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Gate {
-    /// At once, on the report that met it (the paper's protocols).
-    Report,
-    /// On a decision tick, `bake_time` after the first tick that saw the
-    /// threshold met, and only while the caller allows a widen (rollout
-    /// cohorts).
-    Tick { bake_time: SimTime },
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Phase 1: the front tests in parallel.
@@ -120,11 +96,8 @@ const NO_WAVE: u32 = u32::MAX;
 /// representatives first, the rest once every representative passed —
 /// and the deployment moves on once `threshold` of a wave passed.
 ///
-/// NoStaging, Balanced, RandomStaging and FrontLoading are four
-/// report-gated configurations over the plan's clusters;
-/// [`ProtocolChoice::build`](crate::ProtocolChoice::build) holds that
-/// table. [`Staging::cohorts`] is the tick-gated row the rollout
-/// strategies run on.
+/// Every protocol and rollout strategy is a row of one table,
+/// [`RolloutPlan::choose`]; the engine is built from a row alone.
 #[derive(Debug, Clone)]
 pub struct Staging {
     name: &'static str,
@@ -184,51 +157,25 @@ pub struct Staging {
 }
 
 impl Staging {
-    /// One row of [`crate::ProtocolChoice::build`]'s table: each plan
-    /// cluster is a wave, and `order` lists cluster indexes (every one
-    /// once, or none behind [`Front::Everyone`]).
-    pub(crate) fn new(
-        name: &'static str,
-        plan: DeployPlan,
-        front: Front,
-        order: Vec<usize>,
-        threshold: f64,
-    ) -> Self {
-        let n = plan.machines.len();
-        let waves = plan.clusters.into_iter().map(Wave::from).collect();
-        Staging::build(name, n, front, waves, order, Gate::Report, threshold)
-    }
-
-    /// Rollout cohorts over `plan`'s machines: `cohorts` deploy in
-    /// sequence with no representatives, each opened by a decision tick
-    /// ([`Staging::tick`]) once the one before met `threshold` and
-    /// `bake_time` has passed since the first tick that saw it. The
-    /// engine keeps the cohorts and none of the plan.
-    pub fn cohorts(
-        name: &'static str,
-        plan: DeployPlan,
-        cohorts: Vec<Vec<MachineId>>,
-        threshold: f64,
-        bake_time: SimTime,
-    ) -> Self {
-        let order = (0..cohorts.len()).collect();
-        let waves = cohorts
-            .into_iter()
-            .map(|machines| Wave { machines, reps: 0 })
-            .collect();
-        let (n, gate) = (plan.machines.len(), Gate::Tick { bake_time });
-        Staging::build(name, n, Front::None, waves, order, gate, threshold)
-    }
-
-    fn build(
-        name: &'static str,
-        n: usize,
-        front: Front,
-        waves: Vec<Wave>,
-        order: Vec<usize>,
-        gate: Gate,
-        threshold: f64,
-    ) -> Self {
+    /// The engine that walks `plan`, moving past a wave once
+    /// `threshold` of it passed. A cluster row keeps the plan's
+    /// clusters and a cohort row its cohorts; neither copies them, and
+    /// the rest of the plan is dropped.
+    pub fn new(plan: RolloutPlan, threshold: f64) -> Self {
+        let n = plan.deploy.machines.len();
+        let (waves, order): (Vec<Wave>, Vec<usize>) = match plan.waves {
+            Waves::Clusters(order) => {
+                let clusters = plan.deploy.clusters.into_iter();
+                (clusters.map(Wave::from).collect(), order)
+            }
+            Waves::Cohorts(cohorts) => {
+                let order = (0..cohorts.len()).collect();
+                let waves = cohorts
+                    .into_iter()
+                    .map(|machines| Wave { machines, reps: 0 });
+                (waves.collect(), order)
+            }
+        };
         let mut wave_of = vec![NO_WAVE; n];
         for (w, wave) in waves.iter().enumerate() {
             for &m in &wave.machines {
@@ -245,14 +192,14 @@ impl Staging {
             }
         }
         Staging {
-            name,
-            front,
+            name: plan.name,
+            front: plan.front,
             total_reps: waves.iter().map(|w| w.reps).sum(),
             wave_passed: vec![0; waves.len()],
             wave_waived: vec![0; waves.len()],
             waves,
             order,
-            gate,
+            gate: plan.gate,
             threshold,
             status: vec![MachineStatus::Idle; n],
             machine_count: wave_of.iter().filter(|&&w| w != NO_WAVE).count(),
@@ -261,7 +208,7 @@ impl Staging {
             reps_passed: 0,
             total_passed: 0,
             release: Release(0),
-            phase: if front == Front::None {
+            phase: if plan.front == Front::None {
                 Phase::Wave(0)
             } else {
                 Phase::Front
@@ -713,19 +660,16 @@ impl Protocol for Staging {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::ProtocolChoice;
+    use crate::dispatch::{seeded_shuffle, ProtocolChoice};
+    use crate::plan::{DeployPlan, ROWS};
     use crate::protocol::TestOutcome;
 
-    fn plan(specs: &[(&[&str], usize, f64)]) -> DeployPlan {
-        DeployPlan::from_named(
-            specs
-                .iter()
-                .map(|(members, reps, distance)| (members.iter().copied(), *reps, *distance)),
-        )
+    pub(super) fn plan(specs: &[(&[&str], usize, f64)]) -> DeployPlan {
+        DeployPlan::from_named(specs.iter().copied())
     }
 
     /// Renders notified machines back to names via the plan's table.
-    fn notified(plan: &DeployPlan, cmds: &[Command]) -> Vec<String> {
+    pub(super) fn notified(plan: &DeployPlan, cmds: &[Command]) -> Vec<String> {
         cmds.iter()
             .flat_map(|c| match c {
                 Command::Notify { machines, .. } => machines
@@ -737,7 +681,7 @@ mod tests {
             .collect()
     }
 
-    fn pass(plan: &DeployPlan, machine: &str, release: u32) -> TestReport {
+    pub(super) fn pass(plan: &DeployPlan, machine: &str, release: u32) -> TestReport {
         TestReport {
             machine: plan.machine_id(machine).expect("machine in plan"),
             release: Release(release),
@@ -745,7 +689,7 @@ mod tests {
         }
     }
 
-    fn fail(plan: &DeployPlan, machine: &str, release: u32, problem: u16) -> TestReport {
+    pub(super) fn fail(plan: &DeployPlan, machine: &str, release: u32, problem: u16) -> TestReport {
         TestReport {
             machine: plan.machine_id(machine).expect("machine in plan"),
             release: Release(release),
@@ -889,14 +833,18 @@ mod tests {
     #[test]
     fn random_staging_uses_given_order() {
         let pl = plan(&[(&["a"], 1, 1.0), (&["b"], 1, 2.0), (&["c"], 1, 3.0)]);
-        let mut p = Staging::new("RandomStaging", pl.clone(), Front::None, vec![2, 0, 1], 1.0);
+        let mut order = vec![0, 1, 2];
+        seeded_shuffle(&mut order, 11);
+        assert_ne!(order, [0, 1, 2], "the seed reorders");
+        let mut p = ProtocolChoice::RandomStaging { seed: 11 }.build(pl.clone(), 1.0);
         assert_eq!(p.name(), "RandomStaging");
-        let cmds = p.start();
-        assert_eq!(notified(&pl, &cmds), vec!["c"]);
-        let cmds = p.on_report(&pass(&pl, "c", 0));
-        assert_eq!(notified(&pl, &cmds), vec!["a"]);
-        let cmds = p.on_report(&pass(&pl, "a", 0));
-        assert_eq!(notified(&pl, &cmds), vec!["b"]);
+        let mut cmds = p.start();
+        for &c in &order {
+            let name = ["a", "b", "c"][c];
+            assert_eq!(notified(&pl, &cmds), vec![name]);
+            cmds = p.on_report(&pass(&pl, name, 0));
+        }
+        assert_eq!(cmds, vec![Command::Complete]);
     }
 
     #[test]
@@ -1125,68 +1073,19 @@ mod tests {
     /// per-report path: drive the same pass storm through `on_report`
     /// alone and through `absorb_passes` + `on_report` fallback, with a
     /// decision tick after every round, and compare every emitted
-    /// command stream. The four protocol rows are report-gated (the
-    /// tick does nothing); the Rolling-, Canary- and BlueGreen-shaped
-    /// cohort rows are tick-gated.
+    /// command stream, on every row of the strategy table. The four
+    /// protocol rows are report-gated (the tick does nothing); the
+    /// Canary, Rolling and BlueGreen rows are tick-gated.
     #[test]
     fn absorb_passes_matches_on_report() {
         let pl = plan(&[
             (&["a0", "a1", "a2", "a3"], 1, 1.0),
             (&["b0", "b1", "b2", "b3"], 2, 2.0),
         ]);
-        let ids = |names: &[&str]| -> Vec<MachineId> {
-            names.iter().map(|n| pl.machine_id(n).unwrap()).collect()
-        };
-        let cohort_rows: Vec<(&str, Vec<Vec<MachineId>>, SimTime)> = vec![
-            (
-                "Rolling",
-                vec![
-                    ids(&["a0", "a1", "a2"]),
-                    ids(&["a3", "b0", "b1"]),
-                    ids(&["b2", "b3"]),
-                ],
-                0,
-            ),
-            (
-                "Canary",
-                vec![
-                    ids(&["a0", "a1"]),
-                    ids(&["a2", "a3", "b0", "b1", "b2", "b3"]),
-                ],
-                50,
-            ),
-            (
-                "BlueGreen",
-                vec![
-                    ids(&["a0", "b0", "b1"]),
-                    ids(&["a1", "a2", "a3", "b2", "b3"]),
-                ],
-                0,
-            ),
-        ];
-        /// A protocol row: its name and how to build it at a threshold.
-        type Row = (&'static str, Box<dyn Fn(f64) -> Staging>);
-        let mut rows: Vec<Row> = Vec::new();
-        for choice in [
-            ProtocolChoice::NoStaging,
-            ProtocolChoice::Balanced,
-            ProtocolChoice::FrontLoading,
-            ProtocolChoice::RandomStaging { seed: 5 },
-        ] {
-            let pl = pl.clone();
-            rows.push((
-                choice.name(),
-                Box::new(move |t| choice.build(pl.clone(), t)),
-            ));
-        }
-        for (name, runs, bake_time) in cohort_rows {
-            let pl = pl.clone();
-            rows.push((
-                name,
-                Box::new(move |t| Staging::cohorts(name, pl.clone(), runs.clone(), t, bake_time)),
-            ));
-        }
-        for (name, build) in &rows {
+        for (strategy, choice) in ROWS {
+            let row = RolloutPlan::choose(pl.clone(), strategy, choice);
+            let name = row.name;
+            let build = |threshold| Staging::new(row.clone(), threshold);
             for threshold in [1.0, 0.75, 0.5] {
                 let mut slow = build(threshold);
                 let mut fast = build(threshold);
@@ -1254,6 +1153,67 @@ mod tests {
         }
     }
 
+    /// Every notified machine in `cmds`, once each.
+    fn distinct_notified(cmds: &[Command]) -> MachineSet {
+        let mut seen = MachineSet::new();
+        for c in cmds {
+            if let Command::Notify { machines, .. } = c {
+                machines.iter().for_each(|&m| _ = seen.insert(m));
+            }
+        }
+        seen
+    }
+
+    /// The exposure contract, on every row of the strategy table over
+    /// 300 seeded plans (0–6 clusters of 0–6 machines, 0 to all of them
+    /// representatives, distances drawn from three values so orders
+    /// tie): `exposure_limit()` is the number of distinct machines
+    /// `start()` notifies, and a tick with the widen disallowed
+    /// notifies nobody more — on a tick-gated row not even once the
+    /// first wave has passed and its bake time is over.
+    #[test]
+    fn exposure_limit_is_what_start_notifies() {
+        let mut state = 0x5EED_E1F0_u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for case in 0..300 {
+            let specs: Vec<(Vec<String>, usize, f64)> = (0..next(7))
+                .map(|k| {
+                    let size = next(7);
+                    let names = (0..size).map(|i| format!("c{k}-{i}")).collect();
+                    (names, next(size + 1) as usize, next(3) as f64)
+                })
+                .collect();
+            let deploy = DeployPlan::from_named(specs.iter().cloned());
+            for (strategy, choice) in ROWS {
+                let plan = RolloutPlan::choose(deploy.clone(), strategy, choice);
+                let (limit, name) = (plan.exposure_limit(), plan.name);
+                let mut engine = Staging::new(plan, 1.0);
+                let exposed = distinct_notified(&engine.start());
+                assert_eq!(exposed.len(), limit, "case {case} {name}: {specs:?}");
+                let mut later = engine.tick(1, None, false);
+                if engine.wants_ticks() {
+                    for m in deploy.machines.ids().filter(|&m| exposed.contains(m)) {
+                        later.extend(engine.on_report(&TestReport {
+                            machine: m,
+                            release: Release(0),
+                            outcome: TestOutcome::Pass,
+                        }));
+                    }
+                    for now in [1_000, 2_000] {
+                        later.extend(engine.tick(now, None, false));
+                    }
+                }
+                let more = distinct_notified(&later).len();
+                assert_eq!(more, 0, "case {case} {name}: {specs:?}");
+            }
+        }
+    }
+
     #[test]
     fn telemetry_counts_notifications_and_waves() {
         use std::sync::Arc;
@@ -1281,51 +1241,9 @@ mod tests {
 
 #[cfg(test)]
 mod multi_rep_tests {
+    use super::tests::{fail, notified, pass, plan};
     use super::*;
     use crate::dispatch::ProtocolChoice;
-    use crate::protocol::TestOutcome;
-
-    fn plan(specs: &[(&[&str], usize, f64)]) -> DeployPlan {
-        DeployPlan::from_named(
-            specs
-                .iter()
-                .map(|(members, reps, distance)| (members.iter().copied(), *reps, *distance)),
-        )
-    }
-
-    fn pass(plan: &DeployPlan, machine: &str) -> TestReport {
-        pass_at(plan, machine, 0)
-    }
-
-    fn pass_at(plan: &DeployPlan, machine: &str, release: u32) -> TestReport {
-        TestReport {
-            machine: plan.machine_id(machine).expect("machine in plan"),
-            release: Release(release),
-            outcome: TestOutcome::Pass,
-        }
-    }
-
-    fn fail(plan: &DeployPlan, machine: &str, problem: u16) -> TestReport {
-        TestReport {
-            machine: plan.machine_id(machine).expect("machine in plan"),
-            release: Release(0),
-            outcome: TestOutcome::Fail {
-                problem: ProblemId(problem),
-            },
-        }
-    }
-
-    fn notified(plan: &DeployPlan, cmds: &[Command]) -> Vec<String> {
-        cmds.iter()
-            .flat_map(|c| match c {
-                Command::Notify { machines, .. } => machines
-                    .iter()
-                    .map(|&m| plan.machine_name(m).to_string())
-                    .collect(),
-                Command::Complete => Vec::new(),
-            })
-            .collect()
-    }
 
     /// Non-representatives wait for *all* representatives: one passing
     /// rep is not enough (the paper's marginal-improvement argument for
@@ -1339,16 +1257,16 @@ mod multi_rep_tests {
         first.sort();
         assert_eq!(first, vec!["r1", "r2"]);
         // One rep passes: nothing happens yet.
-        assert!(notified(&pl, &p.on_report(&pass(&pl, "r1"))).is_empty());
+        assert!(notified(&pl, &p.on_report(&pass(&pl, "r1", 0))).is_empty());
         // Second rep fails: still nothing.
-        assert!(notified(&pl, &p.on_report(&fail(&pl, "r2", 0))).is_empty());
+        assert!(notified(&pl, &p.on_report(&fail(&pl, "r2", 0, 0))).is_empty());
         // Fix ships: only the failed rep retests.
         let mut fixed = ProblemSet::new();
         fixed.insert(ProblemId(0));
         assert_eq!(notified(&pl, &p.on_release(Release(1), &fixed)), vec!["r2"]);
         // Now the non-reps go out (the retest reports the fixed release;
         // a stale release-0 report would be dropped as a duplicate).
-        let mut nonreps = notified(&pl, &p.on_report(&pass_at(&pl, "r2", 1)));
+        let mut nonreps = notified(&pl, &p.on_report(&pass(&pl, "r2", 1)));
         nonreps.sort();
         assert_eq!(nonreps, vec!["n1", "n2"]);
     }
@@ -1361,10 +1279,10 @@ mod multi_rep_tests {
         let mut p = ProtocolChoice::FrontLoading.build(pl.clone(), 1.0);
         let cmds = p.start();
         assert_eq!(notified(&pl, &cmds).len(), 3, "all three reps in parallel");
-        assert!(notified(&pl, &p.on_report(&pass(&pl, "a1"))).is_empty());
-        assert!(notified(&pl, &p.on_report(&pass(&pl, "b1"))).is_empty());
+        assert!(notified(&pl, &p.on_report(&pass(&pl, "a1", 0))).is_empty());
+        assert!(notified(&pl, &p.on_report(&pass(&pl, "b1", 0))).is_empty());
         // The last rep's pass opens phase 2 at the farthest cluster.
-        let cmds = p.on_report(&pass(&pl, "a2"));
+        let cmds = p.on_report(&pass(&pl, "a2", 0));
         assert_eq!(notified(&pl, &cmds), vec!["b2"]);
     }
 }

@@ -8,20 +8,12 @@
 //! a rollback is an ordinary notification carrying [`PRIOR_RELEASE`],
 //! so it rides the hardened retry/backoff/churn path for free.
 //!
-//! Every strategy runs on one wire engine, [`Staging`]; the plan's
-//! [`RolloutStrategy`] picks the row:
-//!
-//! - **Staged** is the [`ProtocolChoice`] row (Balanced by default):
-//!   cluster waves, representatives first, each opened by the report
-//!   that meets the threshold. Without a guard the controller is a
-//!   transparent pass-through — bit-identical to running the staging
-//!   protocol directly (a property test in `mirage-sim` proves it).
-//!   With a guard it adds abort authority on top of the paper's staging.
-//! - **Canary / Rolling / BlueGreen** hand the plan's cohorts to the
-//!   engine as waves with no representative prefix ([`Staging::cohorts`]),
-//!   each opened on a decision tick once the frontier cohort meets the
-//!   pass threshold, its bake time (canaries) has passed, and the guard
-//!   allows a widen.
+//! Every strategy runs on one wire engine, [`Staging`], built from the
+//! plan's row of the strategy table ([`RolloutPlan::choose`]). Without
+//! a guard a `Staged` row is a transparent pass-through — bit-identical
+//! to running the staging protocol directly (a property test in
+//! `mirage-sim` proves it). The cohort rows widen on decision ticks,
+//! which the guard may hold.
 //!
 //! Either way the engine supplies stall waivers, stale-release
 //! filtering and batch pass absorption; the controller adds the guard's
@@ -36,14 +28,13 @@
 //! let it widen.
 
 use mirage_deploy::{
-    Command, MachineId, MachineSet, ProblemSet, Protocol, ProtocolChoice, Release, SimTime,
-    Staging, TestReport, PRIOR_RELEASE,
+    Command, MachineId, MachineSet, ProblemSet, Protocol, Release, RolloutPlan, SimTime, Staging,
+    TestReport, PRIOR_RELEASE,
 };
 use mirage_telemetry::journal::RolloutStep;
 use mirage_telemetry::{JournalEvent, Telemetry};
 
 use crate::guard::UrrGuard;
-use crate::plan::{RolloutPlan, RolloutStrategy};
 use crate::status::{RolloutHealth, RolloutStatus, RolloutStatusReason};
 
 /// Record of an executed rollback, attached to campaign results and
@@ -70,8 +61,6 @@ pub struct RollbackInfo {
 /// controller after a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RolloutOutcome {
-    /// The strategy that shaped the rollout.
-    pub(crate) strategy: RolloutStrategy,
     /// Final status (lattice top seen).
     pub status: RolloutStatus,
     /// Most severe reason behind the status.
@@ -90,7 +79,6 @@ pub struct RolloutOutcome {
 /// abort authority. See the module docs for the operating model.
 #[derive(Debug, Clone)]
 pub struct RolloutController {
-    strategy: RolloutStrategy,
     staging: Staging,
     guard: Option<UrrGuard>,
     telemetry: Telemetry,
@@ -111,31 +99,12 @@ pub struct RolloutController {
 }
 
 impl RolloutController {
-    /// Builds a controller over `plan`. `choice` selects the staging
-    /// protocol the `Staged` strategy runs (other strategies run their
-    /// cohorts and ignore it); `threshold` is the fraction of a cohort
-    /// (or staging wave) that must pass before widening.
-    pub fn new(plan: RolloutPlan, choice: ProtocolChoice, threshold: f64) -> Self {
-        let RolloutPlan {
-            deploy,
-            strategy,
-            cohorts,
-        } = plan;
-        let staging = match strategy {
-            RolloutStrategy::Staged { .. } => choice.build(deploy, threshold),
-            RolloutStrategy::Canary { bake_time, .. } => {
-                Staging::cohorts("Canary", deploy, cohorts, threshold, bake_time)
-            }
-            RolloutStrategy::Rolling { .. } => {
-                Staging::cohorts("Rolling", deploy, cohorts, threshold, 0)
-            }
-            RolloutStrategy::BlueGreen => {
-                Staging::cohorts("BlueGreen", deploy, cohorts, threshold, 0)
-            }
-        };
+    /// Builds a controller over `plan`'s row; `threshold` is the
+    /// fraction of a cohort (or staging wave) that must pass before
+    /// widening.
+    pub fn new(plan: RolloutPlan, threshold: f64) -> Self {
         RolloutController {
-            strategy,
-            staging,
+            staging: Staging::new(plan, threshold),
             guard: None,
             telemetry: Telemetry::noop(),
             enrolled: MachineSet::new(),
@@ -184,7 +153,6 @@ impl RolloutController {
             )
         };
         RolloutOutcome {
-            strategy: self.strategy,
             status,
             reason,
             cohorts_widened: self.staging.widens(),
@@ -353,7 +321,7 @@ impl Protocol for RolloutController {
 mod tests {
     use super::*;
     use crate::guard::GuardSettings;
-    use mirage_deploy::{DeployPlan, ProblemId, TestOutcome};
+    use mirage_deploy::{DeployPlan, ProblemId, ProtocolChoice, RolloutStrategy, TestOutcome};
     use mirage_report::{Report, ReportImage, Urr};
     use std::sync::Arc;
 
@@ -372,12 +340,14 @@ mod tests {
         }
     }
 
+    /// A crash report for `machine` against release 0.
+    fn failure(machine: impl Into<String>) -> Report {
+        let image = ReportImage::new("digest", vec![], vec![], vec![]);
+        Report::failure(machine, 0, "upgrade", "r0", "crash", "detail", image)
+    }
+
     fn controller(strategy: RolloutStrategy) -> RolloutController {
-        RolloutController::new(
-            RolloutPlan::new(deploy(), strategy),
-            ProtocolChoice::Balanced,
-            1.0,
-        )
+        RolloutController::new(RolloutPlan::new(deploy(), strategy), 1.0)
     }
 
     #[test]
@@ -507,15 +477,7 @@ mod tests {
         .with_guard(guard);
         let _ = c.start(); // canary: machines 0..4
         for i in 0..4 {
-            urr.deposit(Report::failure(
-                format!("a{i}"),
-                0,
-                "upgrade",
-                "r0",
-                "crash",
-                "detail",
-                ReportImage::new("digest", vec![], vec![], vec![]),
-            ));
+            urr.deposit(failure(format!("a{i}")));
         }
         // First unhealthy tick: hold (hysteresis), no rollback yet.
         assert!(c.on_tick(25, None).is_empty());
@@ -595,18 +557,9 @@ mod tests {
         );
         let mut c = controller(RolloutStrategy::Rolling { batch_size: 4 }).with_guard(guard);
         let _ = c.start();
-        let image = || ReportImage::new("digest", vec![], vec![], vec![]);
         // 1 failure / 2 reports: rate 0.5 > 0.4 → unhealthy tick.
         urr.deposit(Report::success("a0", 0, "upgrade", "r0"));
-        urr.deposit(Report::failure(
-            "a1",
-            0,
-            "upgrade",
-            "r0",
-            "crash",
-            "d",
-            image(),
-        ));
+        urr.deposit(failure("a1"));
         assert!(c.on_tick(25, None).is_empty());
         // Two more successes: rate 0.25 < 0.4 → healthy tick resets the
         // unhealthy streak before it can reach the trigger.
@@ -614,24 +567,8 @@ mod tests {
         urr.deposit(Report::success("a3", 0, "upgrade", "r0"));
         assert!(c.on_tick(50, None).is_empty());
         // Rate climbs back over threshold: streak restarts at one.
-        urr.deposit(Report::failure(
-            "b0",
-            0,
-            "upgrade",
-            "r0",
-            "crash",
-            "d",
-            image(),
-        ));
-        urr.deposit(Report::failure(
-            "b1",
-            0,
-            "upgrade",
-            "r0",
-            "crash",
-            "d",
-            image(),
-        ));
+        urr.deposit(failure("b0"));
+        urr.deposit(failure("b1"));
         assert!(c.on_tick(75, None).is_empty());
         assert!(c.rollback().is_none(), "hysteresis held through the flap");
         // And back down again: still no abort, and the worst verdict is
@@ -681,15 +618,7 @@ mod tests {
         assert!(c.wants_ticks(), "guarded staged needs the decision clock");
         let _ = c.start();
         c.on_report(&pass(MachineId(0))); // rep passes, stage advances
-        urr.deposit(Report::failure(
-            "a1",
-            0,
-            "upgrade",
-            "r0",
-            "crash",
-            "detail",
-            ReportImage::new("digest", vec![], vec![], vec![]),
-        ));
+        urr.deposit(failure("a1"));
         let commands = c.on_tick(25, None);
         let Command::Notify { machines, release } = &commands[0] else {
             panic!("expected revert notify");
@@ -707,7 +636,7 @@ mod tests {
             DeployPlan::default(),
             RolloutStrategy::Rolling { batch_size: 4 },
         );
-        let mut c = RolloutController::new(plan, ProtocolChoice::Balanced, 1.0);
+        let mut c = RolloutController::new(plan, 1.0);
         assert_eq!(c.start(), vec![Command::Complete]);
         assert!(c.done());
     }

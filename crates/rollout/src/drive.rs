@@ -106,8 +106,7 @@ where
 mod tests {
     use super::*;
     use crate::controller::RolloutController;
-    use crate::plan::{RolloutPlan, RolloutStrategy};
-    use mirage_deploy::{DeployPlan, ProtocolChoice, TestOutcome};
+    use mirage_deploy::{DeployPlan, ProtocolChoice, RolloutPlan, RolloutStrategy, TestOutcome};
 
     /// An executor over a fleet where every machine passes.
     struct AllPass;
@@ -146,7 +145,7 @@ mod tests {
     #[test]
     fn ticks_a_cohort_controller_through_widening() {
         let plan = RolloutPlan::new(deploy(), RolloutStrategy::Rolling { batch_size: 2 });
-        let mut controller = RolloutController::new(plan, ProtocolChoice::Balanced, 1.0);
+        let mut controller = RolloutController::new(plan, 1.0);
         let telemetry = Telemetry::noop();
         let rounds = drive(&mut controller, &mut AllPass, &telemetry);
         assert!(controller.done());
@@ -169,7 +168,7 @@ mod tests {
     #[test]
     fn stalled_tick_driven_protocol_is_abandoned() {
         let plan = RolloutPlan::new(deploy(), RolloutStrategy::Rolling { batch_size: 2 });
-        let mut controller = RolloutController::new(plan, ProtocolChoice::Balanced, 1.0);
+        let mut controller = RolloutController::new(plan, 1.0);
         let telemetry = Telemetry::noop();
         let rounds = drive(&mut controller, &mut BlackHole, &telemetry);
         assert!(!controller.done());

@@ -5,13 +5,13 @@
 //! up: *how aggressively to widen a release across the fleet, and when
 //! to abort it*. It supplies three pieces:
 //!
-//! 1. **A strategy vocabulary** ([`RolloutStrategy`]): `Staged` (the
-//!    paper's distance-ordered cluster waves), `Canary` (a small
-//!    fixed-percentage cohort plus a bake timer), `Rolling`
-//!    (fixed-size machine batches), and `BlueGreen` (representatives
-//!    first, everyone else second). [`RolloutPlan`] turns a strategy
-//!    plus a [`mirage_deploy::DeployPlan`] into ordered machine
-//!    *cohorts* — the pure planning half of a campaign.
+//! 1. **The strategy vocabulary**, re-exported from `mirage-deploy`,
+//!    where the table lives beside the engine: [`RolloutStrategy`] —
+//!    `Staged` (the paper's distance-ordered cluster waves), `Canary` (a
+//!    small fixed-percentage cohort plus a bake timer), `Rolling`
+//!    (fixed-size machine batches) and `BlueGreen` (representatives
+//!    first, everyone else second) — and [`RolloutPlan`], a
+//!    [`mirage_deploy::DeployPlan`] plus the row that walks it.
 //! 2. **A closed-loop controller** ([`RolloutController`]): a
 //!    [`mirage_deploy::Protocol`] implementation that widens cohort by
 //!    cohort and, on every driver tick, consults an [`UrrGuard`] —
@@ -45,7 +45,7 @@
 //!     deploy,
 //!     RolloutStrategy::Canary { percentage: 25.0, bake_time: 50 },
 //! );
-//! assert_eq!(plan.cohorts.len(), 2);
+//! assert_eq!(plan.wave_count(), 2); // the canary, then the rest
 //! assert_eq!(plan.exposure_limit(), 2); // ceil(25% of 8)
 //! ```
 
@@ -56,11 +56,10 @@
 pub mod controller;
 pub mod drive;
 pub mod guard;
-pub mod plan;
 pub mod status;
 
 pub use controller::{RollbackInfo, RolloutController, RolloutOutcome};
 pub use drive::{drive, WaveExecutor, WaveOutcome};
 pub use guard::{GuardSettings, UrrGuard};
-pub use plan::{RolloutPlan, RolloutStrategy};
+pub use mirage_deploy::{RolloutPlan, RolloutStrategy};
 pub use status::{RolloutStatus, RolloutStatusReason};

@@ -1,8 +1,8 @@
 //! Strategy-driven rollout runs: the simulator driving a
 //! [`mirage_rollout::RolloutController`].
 //!
-//! [`Scenario::rollout_controller`] partitions the scenario's fleet into
-//! cohorts according to its strategy and wires the optional URR guard
+//! [`Scenario::rollout_controller`] builds the controller over its
+//! strategy's row of the strategy table and wires the optional URR guard
 //! into the controller (closing the loop between the report repository
 //! the run deposits into and the widening decisions the controller
 //! takes); [`Simulation`] runs it — the controller is just another

@@ -96,9 +96,9 @@ pub struct Scenario {
     /// survives a vendor crash and can be recovered and re-queried.
     pub durable: Option<Arc<DurableUrr>>,
     /// Optional rollout strategy (set via
-    /// [`ScenarioBuilder::with_strategy`]): how
-    /// [`Scenario::rollout_controller`] partitions the fleet into
-    /// cohorts. It does not choose a driver: the controller is a
+    /// [`ScenarioBuilder::with_strategy`]): the row of the strategy
+    /// table [`Scenario::rollout_controller`] walks the fleet by. It
+    /// does not choose a driver: the controller is a
     /// protocol like any other.
     pub(crate) strategy: Option<RolloutStrategy>,
     /// Optional URR guard thresholds (set via
@@ -135,16 +135,14 @@ impl Scenario {
         self.plan.machine_count()
     }
 
-    /// The rollout controller this scenario describes: its fleet
-    /// partitioned into cohorts by its `Scenario::strategy` (default:
-    /// single-wave `Staged`), with `telemetry` attached (decision
+    /// The rollout controller this scenario describes: its fleet walked
+    /// by its `Scenario::strategy` (default: `Staged`), with `telemetry` attached (decision
     /// counters, journal events and the `rollout.state` gauge land in
     /// the registry the driver records into; pass [`Telemetry::noop`]
     /// for an unobserved run).
     ///
     /// `choice` selects the staging protocol a `Staged` strategy runs;
-    /// cohort strategies (`Canary`/`Rolling`/`BlueGreen`) run their
-    /// cohorts on the same engine and ignore it. When the scenario
+    /// the cohort strategies (`Canary`/`Rolling`/`BlueGreen`) ignore it. When the scenario
     /// carries both a repository
     /// ([`ScenarioBuilder::with_urr`]) and guard thresholds
     /// ([`ScenarioBuilder::with_guard`]), the controller assesses live
@@ -162,9 +160,8 @@ impl Scenario {
         let strategy = self
             .strategy
             .unwrap_or(RolloutStrategy::Staged { waves: 1 });
-        let plan = RolloutPlan::new(self.plan.clone(), strategy);
-        let controller =
-            RolloutController::new(plan, choice, self.threshold).with_telemetry(telemetry);
+        let plan = RolloutPlan::choose(self.plan.clone(), strategy, choice);
+        let controller = RolloutController::new(plan, self.threshold).with_telemetry(telemetry);
         match (self.guard, &self.urr) {
             (Some(settings), Some(urr)) => {
                 controller.with_guard(UrrGuard::new(Arc::clone(urr), settings))
@@ -371,9 +368,9 @@ impl ScenarioBuilder {
     }
 
     /// Selects a rollout strategy for this scenario:
-    /// [`Scenario::rollout_controller`] then partitions the fleet into
-    /// cohorts accordingly. Without this call it builds a single-wave
-    /// `Staged` rollout, a pass-through to the staging protocol.
+    /// [`Scenario::rollout_controller`] then walks the fleet by its row.
+    /// Without this call it builds a `Staged` rollout, a pass-through to
+    /// the staging protocol.
     pub fn with_strategy(mut self, strategy: RolloutStrategy) -> Self {
         self.strategy = Some(strategy);
         self

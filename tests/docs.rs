@@ -1,5 +1,5 @@
 //! Documentation that names the tree: every backticked repository path
-//! in README.md, DESIGN.md and EXPERIMENTS.md exists.
+//! in README.md, DESIGN.md, EXPERIMENTS.md and ROADMAP.md exists.
 //!
 //! A path is an inline code span, outside fenced blocks, that starts
 //! with `crates/`, `tests/`, `src/`, `benchmark/` or `examples/`. The
@@ -12,7 +12,7 @@ use std::fs;
 use std::path::Path;
 
 /// The documents whose paths are checked.
-const DOCUMENTS: &[&str] = &["README.md", "DESIGN.md", "EXPERIMENTS.md"];
+const DOCUMENTS: &[&str] = &["README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"];
 
 /// The prefixes that make a code span a repository path.
 const ROOTS: &[&str] = &["crates/", "tests/", "src/", "benchmark/", "examples/"];

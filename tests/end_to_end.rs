@@ -212,7 +212,7 @@ fn guarded_drive_aborts_and_contains_exposure() {
         1,
         RolloutStrategy::Rolling { batch_size: 2 },
     );
-    assert_eq!(plan.cohorts.len(), 3);
+    assert_eq!(plan.wave_count(), 3, "three batches of two");
     let result = campaign.drive(everywhere_bad, &plan, ProtocolChoice::Balanced, 1.0);
     let info = result.rollback.expect("guard aborts the regression");
     assert_eq!(info.exposed_machines, 2, "contained to the first batch");
