@@ -29,8 +29,9 @@ use crate::vendor::Vendor;
 /// on each agent, but the call runs once per distinct environment. The
 /// keys, their grouping and the distinct inputs are computed on every
 /// core; the per-machine copies are made on the calling thread, so the
-/// whole fleet's inputs come from one allocator arena. The number of
-/// distinct environments is counted on the vendor's telemetry as
+/// whole fleet's inputs come from one allocator arena, and what the
+/// workers made is freed on workers. The number of distinct
+/// environments is counted on the vendor's telemetry as
 /// `campaign.fleet_environments`.
 pub fn fleet_inputs(
     agents: &[UserAgent],
@@ -42,16 +43,14 @@ pub fn fleet_inputs(
     vendor
         .telemetry
         .counter("campaign.fleet_environments", firsts.len() as u64);
-    let inputs: Vec<MachineInfo> = par_chunks(firsts.len(), |envs| {
+    let made = par_chunks(firsts.len(), |envs| {
         (envs.map(|env| agents[firsts[env]].clustering_input(app, vendor, reference)))
             .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    (agents.iter().zip(env_of))
+    });
+    let inputs: Vec<&MachineInfo> = made.iter().flatten().collect();
+    let copies = (agents.iter().zip(env_of))
         .map(|(agent, env)| {
-            let input = &inputs[env as usize];
+            let input = inputs[env as usize];
             MachineInfo {
                 diff: DiffSet {
                     machine: agent.machine.id.clone(),
@@ -61,7 +60,9 @@ pub fn fleet_inputs(
                 overlapping_apps: input.overlapping_apps.clone(),
             }
         })
-        .collect()
+        .collect();
+    drop_on_workers(made);
+    copies
 }
 
 /// Groups the agents by environment: agent `i` is in environment
@@ -96,6 +97,7 @@ fn environments(agents: &[UserAgent], app: &str) -> (Vec<u32>, Vec<usize>) {
         );
         base += run_firsts.len();
     }
+    drop_on_workers(runs);
     (env_of, firsts.into_iter().map(|l| locals[l].0).collect())
 }
 
@@ -235,6 +237,19 @@ fn par_chunks<U: Send>(n: usize, f: impl Fn(Range<usize>) -> U + Sync) -> Vec<U>
         .collect()
 }
 
+/// Drops what [`par_chunks`] returned, each range's output on a thread
+/// of its own when the ranges ran on threads.
+///
+/// glibc's malloc gives every thread a cache of freed blocks, whatever
+/// arena they came from. A block a worker made and this thread freed
+/// would sit in that cache, be handed out for the next small
+/// allocation here, and keep every later growth of that value in the
+/// worker's arena: whether the next fleet then lands in a worker arena
+/// (megabytes of extra resident memory) would hang on thread timing.
+fn drop_on_workers<U: Send>(outs: Vec<U>) {
+    fan_out(outs.into_iter().map(|out| vec![out]).collect(), &drop);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,6 +264,17 @@ mod tests {
         assert_eq!(group(&[7; 6], same), want);
         let hashes: Vec<u64> = keys.iter().map(|&k| k * 1_000).collect();
         assert_eq!(group(&hashes, same), want);
+    }
+
+    /// `drop_on_workers` drops every range's output once, on any number
+    /// of ranges.
+    #[test]
+    fn drop_on_workers_drops_every_output() {
+        let held = std::sync::Arc::new(());
+        for n in 0..=9 {
+            drop_on_workers(par_chunks(n, |_| std::sync::Arc::clone(&held)));
+            assert_eq!(std::sync::Arc::strong_count(&held), 1, "n = {n}");
+        }
     }
 
     /// `par_chunks` covers `0..n` with contiguous ranges, each once,
